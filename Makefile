@@ -1,12 +1,15 @@
 # FlowTime build/test targets. `make check` is the CI gate: vet plus the
 # full test suite — including the rmserver chaos tests — under the race
-# detector, plus a coverage run and the sim-smoke scenario replay. `make verify` is the differential
-# verification sweep (oracle cross-checks, metamorphic relations, sim
-# invariants) plus short fuzz bursts over the WAL framing.
+# detector, plus a coverage run, the sim-smoke scenario replay and the
+# benchmark harness's own build and tests (bench-e2e). `make verify` is
+# the differential verification sweep (flow planner vs. reference simplex,
+# oracle cross-checks, metamorphic relations, sim invariants); `make fuzz`
+# runs short fuzz bursts over the WAL framing, the plan codec, the flow
+# planner and the simplex basis factorization.
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench bench-smoke cover verify fuzz chaos chaos-net sim-smoke check
+.PHONY: build test race vet fmt lint bench bench-smoke bench-e2e cover verify fuzz chaos chaos-net sim-smoke check
 
 build:
 	$(GO) build ./...
@@ -54,16 +57,19 @@ chaos-net:
 cover:
 	$(GO) test -cover ./... | tee coverage.txt
 
-# verify is the differential sweep: 500 seeded cases cross-checking the
-# LP against brute force / min-cut oracles, metamorphic relations, the
+# verify is the differential sweep: 500 seeded cases checking the flow
+# planner against the exact simplex (per-slot levels), both against brute
+# force / min-cut oracles and the metamorphic relations, the
 # decomposition oracle, and full-pipeline sim runs with the invariant
 # checker armed. Reproduce a failure with: go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
 # fuzz runs short bursts of the store framing and plan-diff codec fuzz
-# targets from the checked-in seed corpora (testdata/fuzz/), plus the
-# simplex basis-factorization target (Forrest–Tomlin eta updates vs
+# targets from the checked-in seed corpora (testdata/fuzz/), the flow
+# planner target (conservation, window, cap and parallelism invariants on
+# adversarial capacities and demands, overflow-sized ones included), plus
+# the simplex basis-factorization target (Forrest–Tomlin eta updates vs
 # refactorization from scratch on randomized mutation sequences).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
@@ -71,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeAll -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzDecodeDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
+	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz FuzzForrestTomlin -fuzztime 10s -run '^$$' ./internal/lp/
 
 # sim-smoke replays the small bundled scenario trace (testdata/
@@ -86,8 +93,9 @@ sim-smoke:
 # bench runs the micro-benchmarks and then the RM perf probes, leaving
 # machine-readable reports for the perf trajectory: BENCH_rm.json
 # (confirm throughput with and without the WAL, fsync percentiles,
-# recovery time), BENCH_lp.json (LexMinMax wall time, rounds, pivots,
-# and warm-start hit rate at Fig. 7 scale), BENCH_overload.json
+# recovery time), BENCH_lp.json (one replan's skyline at Fig. 7 scale:
+# the flow planner's wall time beside the reference simplex's, with
+# rounds, pivots and warm-start hit rate), BENCH_overload.json
 # (admission-control shedding under a submit flood: shed latency,
 # confirm survival, Retry-After hinting, post-overload recovery),
 # BENCH_adhoc.json (the lock-free ad-hoc admission gate: sustained
@@ -97,17 +105,27 @@ sim-smoke:
 # events/s, and peak RSS replaying a 10k-machine, 3-day diurnal
 # scenario).
 bench:
-	$(GO) test -bench . -benchtime=500ms -run '^$$' ./internal/rmserver/ ./internal/lp/ ./internal/deadline/
+	$(GO) test -bench . -benchtime=500ms -run '^$$' ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/
 	$(GO) run ./cmd/ftperf -out BENCH_rm.json -lpout BENCH_lp.json -overloadout BENCH_overload.json -adhocout BENCH_adhoc.json -simout BENCH_sim.json
 
 # bench-smoke is the CI form: every benchmark runs exactly once so a
 # broken benchmark fails fast without paying for a measurement run; the
 # sim probe shrinks to 1k machines over one simulated day. -lp-guard is
-# the pivot/wall regression gate: the sparse LU core must beat the dense
-# basis inverse on wall time at 200x150, warm must not out-pivot cold,
-# and the 5kx1k probe's warm-hit rate must stay >= 90%.
+# the planner regression gate: at 200x150 the flow planner's levels must
+# equal the sparse simplex's per slot, the sparse LU core must beat the
+# dense basis inverse on wall time and warm must not out-pivot cold; at
+# 5kx1k a flow replan must stay under 1 s and the simplex's warm-hit rate
+# >= 90%.
 bench-smoke:
-	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/rmserver/ ./internal/lp/ ./internal/deadline/
+	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/
 	$(GO) run ./cmd/ftperf -out BENCH_rm.json -lpout BENCH_lp.json -overloadout BENCH_overload.json -adhocout BENCH_adhoc.json -duration 100ms -lpiters 1 -lp-guard -simout BENCH_sim.json -sim-machines 1000 -sim-days 1
 
-check: vet fmt lint race cover sim-smoke
+# bench-e2e vets and tests the whole-path benchmark harness. bench/ is a
+# module of its own (BENCHMARK.json's contract), so nothing above descends
+# into it; this target is what makes a core/sched API change that breaks
+# the harness fail CI instead of the next benchmark run.
+bench-e2e:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+check: vet fmt lint race cover sim-smoke bench-e2e

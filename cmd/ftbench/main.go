@@ -9,7 +9,7 @@
 //	ftbench -fig 4        # deadline misses + ad-hoc turnaround (Figs. 4a-c)
 //	ftbench -fig 5        # deadline-slack ablation (Figs. 5a-c)
 //	ftbench -fig 6        # decomposition scalability (Fig. 6)
-//	ftbench -fig 7        # LP scheduler latency (Fig. 7)
+//	ftbench -fig 7        # scheduler (replan) latency (Fig. 7)
 //	ftbench -fig ext-a    # robustness to estimation error
 //	ftbench -fig ext-b    # decomposition-strategy ablation
 //	ftbench -fig ext-c    # trace-driven replay
@@ -160,17 +160,17 @@ func fig6(quick bool) error {
 }
 
 func fig7(bool) error {
-	fmt.Println("Fig. 7 — LP scheduler latency vs number of deadline jobs.")
+	fmt.Println("Fig. 7 — scheduler (replan) latency vs number of deadline jobs.")
 	fmt.Println("(Paper: 500 cores / 1 TB, 100 slots x 10s, CPLEX on a laptop.)")
 	points, err := experiments.RunFig7(nil)
 	if err != nil {
 		return err
 	}
-	rows := [][]string{{"deadline jobs", "solve latency", "min-theta LPs"}}
+	rows := [][]string{{"deadline jobs", "replan latency", "skyline levels"}}
 	for _, p := range points {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Jobs),
-			p.Latency.Round(time.Millisecond).String(),
+			p.Latency.Round(10 * time.Microsecond).String(),
 			fmt.Sprintf("%d", p.Rounds),
 		})
 	}

@@ -1,6 +1,7 @@
 // Command ftlp solves a linear program in MPS format with the repository's
-// simplex solver — the standalone face of internal/lp, the package that
-// replaces the paper's CPLEX dependency.
+// simplex solver — the standalone face of internal/lp, the general LP
+// solver the flow planner is checked against (the scheduler itself plans
+// by max-flow, internal/flow, and no longer calls it).
 //
 // Usage:
 //

@@ -67,14 +67,14 @@ type report struct {
 func main() {
 	log.SetFlags(0)
 	out := flag.String("out", "BENCH_rm.json", "output path for the JSON report")
-	lpOut := flag.String("lpout", "BENCH_lp.json", "output path for the LP solver report (empty to skip)")
+	lpOut := flag.String("lpout", "BENCH_lp.json", "output path for the planner (flow vs. reference simplex) report (empty to skip)")
 	overloadOut := flag.String("overloadout", "BENCH_overload.json", "output path for the overload probe report (empty to skip)")
 	simOut := flag.String("simout", "BENCH_sim.json", "output path for the simulator probe report (empty to skip)")
 	adhocOut := flag.String("adhocout", "BENCH_adhoc.json", "output path for the ad-hoc admission probe report (empty to skip)")
 	dur := flag.Duration("duration", 2*time.Second, "wall-clock budget per throughput probe")
 	jobs := flag.Int("jobs", 64, "concurrent ad-hoc jobs per probe")
-	lpIters := flag.Int("lpiters", 3, "LexMinMax calls per instance size in the LP probe")
-	lpGuardOn := flag.Bool("lp-guard", false, "fail (exit 1) when the LP probe regresses: sparse must beat the dense basis on wall time at 200x150, warm must not out-pivot cold, and the 5kx1k warm-hit rate must stay >= 90%")
+	lpIters := flag.Int("lpiters", 5, "simplex LexMinMax calls per instance size in the planner probe (the flow arm never runs fewer than 5)")
+	lpGuardOn := flag.Bool("lp-guard", false, "fail (exit 1) when the planner probe regresses: at 200x150 flow and sparse-simplex levels must agree per slot, sparse must beat the dense basis on wall time and warm must not out-pivot cold; at 5kx1k a flow replan must stay under 1 s and the simplex warm-hit rate >= 90%")
 	simMachines := flag.Int("sim-machines", 10000, "machine count for the simulator probe")
 	simDays := flag.Int("sim-days", 3, "simulated days for the simulator probe")
 	flag.Parse()

@@ -5,7 +5,6 @@
 //
 //	ftrm [-addr :8030] [-sched FlowTime] [-slot 10s] [-slack 60s]
 //	     [-lease-expiry 16] [-drain-timeout 30s] [-manual-tick]
-//	     [-lp-max-iter 0] [-lp-max-time 0]
 //	     [-state-dir DIR] [-snapshot-every 256] [-fsync always]
 //	     [-replica-of URL] [-listen-repl ADDR] [-advertise URL]
 //	     [-overload-submit 0] [-overload-confirm 0] [-overload-queue 0]
@@ -23,14 +22,13 @@
 // -adhoc-gate (implies -stream-plans) additionally routes every ad-hoc
 // submission through the lock-free leftover-capacity admission gate:
 // the job is admitted or rejected in O(window) against the live plan's
-// slack without waking the LP. Both flags require the FlowTime
+// slack without waking the planner. Both flags require the FlowTime
 // scheduler.
 //
-// -lp-max-iter and -lp-max-time bound each scheduling round's LP work
-// (simplex pivots and wall clock). When a budget trips, the FlowTime
-// scheduler steps down its degradation ladder (full lexicographic →
-// single min-max → greedy EDF water-fill) instead of failing the slot;
-// /metrics and the final status line report the ladder state.
+// When the FlowTime scheduler's flow planner cannot answer, it steps
+// down its degradation ladder (exact lexicographic flow → greedy EDF
+// water-fill) instead of failing the slot; /metrics and the final
+// status line report the ladder state.
 //
 // With -state-dir the RM is durable: every state mutation is journaled
 // to a write-ahead log in that directory and the full state is
@@ -99,7 +97,6 @@ import (
 
 	"flowtime/internal/core"
 	"flowtime/internal/experiments"
-	"flowtime/internal/lp"
 	"flowtime/internal/netchaos"
 	"flowtime/internal/rmserver"
 	"flowtime/internal/sched"
@@ -116,8 +113,6 @@ func main() {
 		leaseExpiry  = flag.Int64("lease-expiry", 0, "slots before an unconfirmed lease is reclaimed (0 = default, negative = never)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight leases on shutdown")
 		manualTick   = flag.Bool("manual-tick", false, "advance slots only via POST /v1/tick")
-		lpMaxIter    = flag.Int("lp-max-iter", 0, "simplex pivot budget per LP solve (0 = solver default)")
-		lpMaxTime    = flag.Duration("lp-max-time", 0, "wall-clock budget per LP stage (0 = unlimited)")
 		stateDir     = flag.String("state-dir", "", "state directory for WAL + snapshots (empty = not durable)")
 		snapEvery    = flag.Int64("snapshot-every", 256, "slots between state snapshots (with -state-dir)")
 		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
@@ -138,13 +133,11 @@ func main() {
 	)
 	flag.Parse()
 
-	solve := lp.SolveOptions{MaxIter: *lpMaxIter, MaxTime: *lpMaxTime}
 	opts := options{
 		addr:         *addr,
 		schedName:    *schedName,
 		slot:         *slot,
 		slack:        *slack,
-		solve:        solve,
 		leaseExpiry:  *leaseExpiry,
 		drainTimeout: *drainTimeout,
 		manualTick:   *manualTick,
@@ -183,7 +176,6 @@ type options struct {
 	schedName    string
 	slot         time.Duration
 	slack        time.Duration
-	solve        lp.SolveOptions
 	leaseExpiry  int64
 	drainTimeout time.Duration
 	manualTick   bool
@@ -204,7 +196,6 @@ type options struct {
 func run(o options) error {
 	cfg := core.DefaultConfig()
 	cfg.Slack = o.slack
-	cfg.Solve = o.solve
 	cfg.StreamPlans = o.streamPlans
 	s, err := experiments.NewScheduler(o.schedName, nil, cfg)
 	if err != nil {
@@ -446,8 +437,8 @@ func logFinalStatus(rm *rmserver.Server) {
 	if d := st.Degradation; d != nil {
 		log.Printf("ftrm: planner ladder: level=%s minmax_fallbacks=%d greedy_fallbacks=%d invalid_plans=%d reason=%q",
 			d.Level, d.MinMaxFallbacks, d.GreedyFallbacks, d.InvalidPlans, d.Reason)
-		log.Printf("ftrm: lp solver: warm_starts=%d cold_starts=%d",
-			d.LPWarmStarts, d.LPColdStarts)
+		log.Printf("ftrm: flow planner: max_flows=%d resumed=%d",
+			d.LPColdStarts, d.LPWarmStarts)
 	}
 	if d := st.Durability; d != nil {
 		log.Printf("ftrm: durability: fsync=%s generation=%d wal_records=%d wal_bytes=%d fsyncs=%d snapshots=%d",

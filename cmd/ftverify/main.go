@@ -1,7 +1,8 @@
 // Command ftverify is the differential verification sweep: it generates
 // seeded scheduling instances and full-pipeline scenarios, checks the
-// production solver and decomposer against the independent oracles in
-// internal/oracle, and reports pass/fail. Every case is derived from
+// production flow planner, the reference simplex and the decomposer
+// against the independent oracles in internal/oracle and against each
+// other, and reports pass/fail. Every case is derived from
 // seed+index, so a failure's repro line re-runs exactly that case:
 //
 //	ftverify -n 500 -seed 1        # the CI sweep
@@ -62,16 +63,18 @@ func errString(err error) string {
 }
 
 func breakdown(counts map[string]int) string {
-	return fmt.Sprintf("%d small cross-checks, %d large interior checks, %d pipeline scenarios, %d diff-equivalence runs",
-		counts["small"], counts["large"], counts["scenario"], counts["diffequiv"])
+	return fmt.Sprintf("%d small cross-checks, %d flow-vs-LP checks, %d large interior checks, %d pipeline scenarios, %d diff-equivalence runs",
+		counts["small"], counts["flow"], counts["large"], counts["scenario"], counts["diffequiv"])
 }
 
 // runCase dispatches one seeded case. The kind is drawn from the case's
 // own rng, so a single (seed, index) pair fully determines the case.
 func runCase(rng *rand.Rand, verbose bool) (string, error) {
 	switch p := rng.Intn(10); {
-	case p < 6:
+	case p < 3:
 		return "small", smallCase(rng)
+	case p < 6:
+		return "flow", flowCase(rng)
 	case p < 8:
 		return "large", largeCase(rng)
 	case p < 9:
@@ -81,29 +84,58 @@ func runCase(rng *rand.Rand, verbose bool) (string, error) {
 	}
 }
 
-// smallCase cross-checks the LP against brute force and min-cut on a
-// tiny instance, then exercises the metamorphic relations on it.
+// smallCase cross-checks the reference simplex against brute force and
+// min-cut on a tiny instance, then exercises the metamorphic relations
+// on it.
 func smallCase(rng *rand.Rand) error {
-	in := oracle.GenInstance(rng)
-	if err := oracle.CrossCheck(in, oracle.Tol); err != nil {
+	return crossCheckSmall(oracle.SolveLP, oracle.GenInstance(rng), rng)
+}
+
+// flowCase is the check that licenses planning by flow: the production
+// flow planner against the exact simplex (same feasibility, every group's
+// level equal, level-capped flows exact down to their cap), on a tiny
+// instance two times in three — where the flow planner then also faces
+// brute force, min-cut and the metamorphic relations alone — and on one
+// far beyond enumeration reach otherwise.
+func flowCase(rng *rand.Rand) error {
+	small := rng.Intn(3) != 0
+	in := oracle.GenLargeInstance(rng)
+	if small {
+		in = oracle.GenInstance(rng)
+	}
+	if err := oracle.CheckFlowLP(in, oracle.Tol); err != nil {
 		return shrunk(in, err, func(c oracle.Instance) bool {
-			return oracle.CrossCheck(c, oracle.Tol) != nil
+			return oracle.CheckFlowLP(c, oracle.Tol) != nil
 		})
 	}
-	if err := oracle.CheckScaleInvariance(in, 1+int64(rng.Intn(4)), oracle.Tol); err != nil {
+	if !small {
+		return nil
+	}
+	return crossCheckSmall(oracle.SolveFlow, in, rng)
+}
+
+// crossCheckSmall runs one solver through the brute-force and min-cut
+// battery and the metamorphic relations on a tiny instance.
+func crossCheckSmall(solve oracle.Solver, in oracle.Instance, rng *rand.Rand) error {
+	if err := oracle.CrossCheck(solve, in, oracle.Tol); err != nil {
+		return shrunk(in, err, func(c oracle.Instance) bool {
+			return oracle.CrossCheck(solve, c, oracle.Tol) != nil
+		})
+	}
+	if err := oracle.CheckScaleInvariance(solve, in, 1+int64(rng.Intn(4)), oracle.Tol); err != nil {
 		return fmt.Errorf("%w\ninstance: %+v", err, in)
 	}
-	if err := oracle.CheckPermutationInvariance(in, rng, oracle.Tol); err != nil {
+	if err := oracle.CheckPermutationInvariance(solve, in, rng, oracle.Tol); err != nil {
 		return fmt.Errorf("%w\ninstance: %+v", err, in)
 	}
-	if err := oracle.CheckSplitSlot(in, rng.Int63n(int64(len(in.Caps))), oracle.Tol); err != nil {
+	if err := oracle.CheckSplitSlot(solve, in, rng.Int63n(int64(len(in.Caps))), oracle.Tol); err != nil {
 		return fmt.Errorf("%w\ninstance: %+v", err, in)
 	}
 	return nil
 }
 
-// largeCase verifies the solver from the interior on an instance far
-// beyond enumeration reach.
+// largeCase verifies the reference simplex from the interior on an
+// instance far beyond enumeration reach.
 func largeCase(rng *rand.Rand) error {
 	in := oracle.GenLargeInstance(rng)
 	res, err := oracle.SolveLP(in)

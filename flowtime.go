@@ -123,7 +123,8 @@ func DefaultSchedulerConfig() SchedulerConfig {
 }
 
 // NewScheduler returns the FlowTime scheduler (paper §V: deadline
-// decomposition + lexicographic min-max LP co-scheduling).
+// decomposition + lexicographic min-max co-scheduling, the paper's LP
+// solved as a parametric max-flow).
 func NewScheduler(cfg SchedulerConfig) Scheduler {
 	return core.New(cfg)
 }

@@ -1,6 +1,6 @@
 // Package adhoc implements the lock-free batched ad-hoc admission queue:
 // the fast path that admits or rejects an ad-hoc job in O(window) against
-// the plan's leftover capacity without waking the LP.
+// the plan's leftover capacity without waking the planner.
 //
 // The paper's leftover policy makes this exact: FlowTime's lexicographic
 // objective minimizes the planned deadline skyline precisely so that

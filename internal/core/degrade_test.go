@@ -1,18 +1,20 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
-	"flowtime/internal/lp"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
+	"flowtime/internal/sim"
+	"flowtime/internal/workflow"
 )
 
-// twoJobMix is a feasible two-job instance whose stage-B LP needs many
-// pivots, so a 1-pivot budget reliably trips the ladder.
+// twoJobMix is a feasible two-job instance sharing one window.
 func twoJobMix() []sched.JobState {
 	return []sched.JobState{
 		dlJob("a", 0, 10, resource.New(40, 40*512), resource.New(10, 10*512)),
@@ -20,15 +22,20 @@ func twoJobMix() []sched.JobState {
 	}
 }
 
-func TestLadderStepsDownToGreedyOnIterationBudget(t *testing.T) {
+// failingPlanner is the planFault seam's simplest use: every call into
+// the flow planner fails.
+func failingPlanner(resource.Kind) error { return errors.New("injected planner fault") }
+
+func TestLadderStepsDownToGreedyOnPlannerError(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
-	f := New(Config{Slack: 0, MaxLexRounds: 3, Solve: lp.SolveOptions{MaxIter: 1}})
+	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f.planFault = failingPlanner
 	jobs := twoJobMix()
 	grants, err := f.Assign(sched.AssignContext{
 		Now: 0, Changed: true, Jobs: jobs, Cluster: view(capacity, 100),
 	})
 	if err != nil {
-		t.Fatalf("Assign: %v (solver budget trips must never fail Assign)", err)
+		t.Fatalf("Assign: %v (planner failures must never fail Assign)", err)
 	}
 
 	d := f.Degradation()
@@ -38,21 +45,21 @@ func TestLadderStepsDownToGreedyOnIterationBudget(t *testing.T) {
 	if d.GreedyFallbacks < 1 {
 		t.Errorf("GreedyFallbacks = %d, want >= 1", d.GreedyFallbacks)
 	}
-	if d.Reason == "" {
-		t.Error("Reason empty after a tripped budget")
+	if !strings.Contains(d.Reason, "stage A") || !strings.Contains(d.Reason, "injected planner fault") {
+		t.Errorf("Reason = %q, want the stage and the planner's error", d.Reason)
 	}
 	if !d.Degraded() {
 		t.Error("Degraded() = false after a greedy fallback")
 	}
 
-	// Regression for the zero-grant-slot bug: a one-shot solver failure
+	// Regression for the zero-grant-slot bug: a one-shot planner failure
 	// must not leave slot 0 empty while demand and capacity exist.
 	var total resource.Vector
 	for _, g := range grants {
 		total = total.Add(g)
 	}
 	if total.IsZero() {
-		t.Fatal("zero grants in slot 0 despite demand and capacity (solver failure leaked)")
+		t.Fatal("zero grants in slot 0 despite demand and capacity (planner failure leaked)")
 	}
 
 	// The degraded plan must still satisfy every plan invariant.
@@ -72,9 +79,10 @@ func TestLadderStepsDownToGreedyOnIterationBudget(t *testing.T) {
 	}
 }
 
-func TestLadderStepsDownOnTimeBudget(t *testing.T) {
+func TestLadderStepsDownOnPlannerPanic(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
-	f := New(Config{Slack: 0, MaxLexRounds: 3, Solve: lp.SolveOptions{MaxTime: time.Nanosecond}})
+	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f.planFault = func(resource.Kind) error { panic("injected planner panic") }
 	grants, err := f.Assign(sched.AssignContext{
 		Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: view(capacity, 100),
 	})
@@ -84,16 +92,90 @@ func TestLadderStepsDownOnTimeBudget(t *testing.T) {
 	if got := f.Degradation().Level; got != sched.DegradeGreedy {
 		t.Errorf("Level = %v, want greedy", got)
 	}
+	if r := f.Degradation().Reason; !strings.Contains(r, "panic") {
+		t.Errorf("Reason = %q, want the panic reported", r)
+	}
 	if len(grants) == 0 {
-		t.Error("no grants under a tripped time budget")
+		t.Error("no grants after a planner panic")
+	}
+}
+
+// TestLadderStepsDownPerKindOnStageBFailure: stage A answers for both
+// kinds, then the skyline fails for memory alone. Memory is planned
+// greedily, vcores keep their flow plan and their θ.
+func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
+	capacity := resource.New(20, 20*1024)
+	cfg := Config{Slack: 0, MaxLexRounds: 3, StreamPlans: true}
+	f := New(cfg)
+	calls := map[resource.Kind]int{}
+	f.planFault = func(k resource.Kind) error {
+		calls[k]++
+		if k == resource.MemoryMB && calls[k] == 2 {
+			return errors.New("injected stage B fault")
+		}
+		return nil
+	}
+	if _, err := f.Assign(sched.AssignContext{
+		Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: view(capacity, 100),
+	}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	d := f.Degradation()
+	if d.Level != sched.DegradeGreedy || !strings.Contains(d.Reason, "stage B") {
+		t.Errorf("Level = %v, Reason = %q; want greedy via stage B", d.Level, d.Reason)
+	}
+	theta := f.LivePlan().Theta
+	if len(theta[resource.VCores.String()]) == 0 || theta[resource.MemoryMB.String()] != nil {
+		t.Errorf("θ = %v, want levels for vcores only", theta)
+	}
+	capAt := func(int64) resource.Vector { return capacity }
+	if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {
+		t.Errorf("mixed-rung plan fails validation: %v", err)
+	}
+}
+
+// TestOverflowStepsDownToGreedy trips the ladder with no seam at all:
+// memory figures so large that scaling the network by a level's
+// denominator cannot fit an int64. The planner reports the overflow and
+// that kind is planned greedily; nothing wraps, nothing fails.
+func TestOverflowStepsDownToGreedy(t *testing.T) {
+	const huge = int64(1) << 50
+	capacity := resource.New(20, huge)
+	jobs := []sched.JobState{
+		dlJob("a", 0, 10, resource.New(40, 3*huge+12345), resource.New(10, huge/2+7)),
+		dlJob("b", 0, 7, resource.New(30, 2*huge+999), resource.New(12, huge/3+1)),
+	}
+	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	if _, err := f.Assign(sched.AssignContext{
+		Now: 0, Changed: true, Jobs: jobs, Cluster: view(capacity, 100),
+	}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	d := f.Degradation()
+	if d.Level != sched.DegradeGreedy || !strings.Contains(d.Reason, "overflow") {
+		t.Fatalf("Level = %v, Reason = %q; want greedy on an overflow", d.Level, d.Reason)
+	}
+	capAt := func(int64) resource.Vector { return capacity }
+	if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {
+		t.Errorf("plan fails validation: %v", err)
+	}
+	for _, j := range jobs {
+		var planned resource.Vector
+		for _, g := range f.plan[j.ID] {
+			planned = planned.Add(g)
+		}
+		if got := planned.Add(f.deferred[j.ID]); got != j.EstRemaining {
+			t.Errorf("job %s planned+deferred %v != demand %v", j.ID, got, j.EstRemaining)
+		}
 	}
 }
 
 func TestLadderRecoversAtNextReplan(t *testing.T) {
-	// Trip the ladder once, then replan with default budgets: the level
+	// Trip the ladder once, then replan with a healthy planner: the level
 	// must return to full while the fallback counters keep their history.
 	capacity := resource.New(20, 20*1024)
-	f := New(Config{Slack: 0, MaxLexRounds: 3, Solve: lp.SolveOptions{MaxIter: 1}})
+	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f.planFault = failingPlanner
 	cl := view(capacity, 100)
 	if _, err := f.Assign(sched.AssignContext{Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: cl}); err != nil {
 		t.Fatalf("Assign: %v", err)
@@ -101,7 +183,7 @@ func TestLadderRecoversAtNextReplan(t *testing.T) {
 	if f.Degradation().Level != sched.DegradeGreedy {
 		t.Fatalf("Level = %v, want greedy after trip", f.Degradation().Level)
 	}
-	f.cfg.Solve = lp.SolveOptions{}
+	f.planFault = nil
 	// New arrival forces an urgent replan.
 	jobs := append(twoJobMix(), dlJob("c", 1, 9, resource.New(10, 10*512), resource.New(5, 5*512)))
 	if _, err := f.Assign(sched.AssignContext{Now: 1, Changed: true, Jobs: jobs, Cluster: cl}); err != nil {
@@ -109,10 +191,66 @@ func TestLadderRecoversAtNextReplan(t *testing.T) {
 	}
 	d := f.Degradation()
 	if d.Level != sched.DegradeNone {
-		t.Errorf("Level = %v, want full after budgets restored", d.Level)
+		t.Errorf("Level = %v, want full once the planner answers again", d.Level)
 	}
 	if d.GreedyFallbacks < 1 {
 		t.Errorf("GreedyFallbacks = %d, want history preserved", d.GreedyFallbacks)
+	}
+}
+
+// TestChaosFailingPlannerStillCompletes is the acceptance chaos test, run
+// through the simulator: with every call into the flow planner failing,
+// every replan lands on the greedy rung — and the run still completes
+// every deadline job with zero stalled slots. (It lives here rather than
+// beside the simulator's other chaos tests because the fault seam is
+// unexported.)
+func TestChaosFailingPlannerStillCompletes(t *testing.T) {
+	var wfs []*workflow.Workflow
+	for i, dl := range []time.Duration{1500 * time.Second, 2000 * time.Second, 2500 * time.Second} {
+		w := workflow.New("w"+string(rune('a'+i)), time.Duration(i)*100*time.Second, dl)
+		job := func(name string) workflow.Job {
+			return workflow.Job{Name: name, Tasks: 6, TaskDuration: 300 * time.Second, TaskDemand: resource.New(1, 100)}
+		}
+		w.AddDep(w.AddJob(job("j1")), w.AddJob(job("j2")))
+		if err := w.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		wfs = append(wfs, w)
+	}
+	f := New(DefaultConfig())
+	f.planFault = failingPlanner
+	res, err := sim.Run(sim.Config{
+		SlotDur:   slotDur,
+		Horizon:   600,
+		Capacity:  func(int64) resource.Vector { return resource.New(10, 1000) },
+		Scheduler: f,
+		Workflows: wfs,
+		AdHoc: []workflow.AdHoc{
+			{ID: "a1", Submit: 0, Tasks: 4, TaskDuration: 100 * time.Second, TaskDemand: resource.New(1, 100)},
+			{ID: "a2", Submit: 800 * time.Second, Tasks: 4, TaskDuration: 100 * time.Second, TaskDemand: resource.New(1, 100)},
+		},
+		Invariants: true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.StalledSlots != 0 {
+		t.Errorf("StalledSlots = %d, want 0 (degraded planner must keep granting)", res.StalledSlots)
+	}
+	for _, j := range res.Jobs {
+		if !j.Completed {
+			t.Errorf("deadline job %s/%s never completed under the greedy rung", j.WorkflowID, j.JobName)
+		}
+	}
+	d := res.Degradation
+	if d == nil {
+		t.Fatal("Degradation = nil, want ladder telemetry from FlowTime")
+	}
+	if d.GreedyFallbacks == 0 {
+		t.Errorf("GreedyFallbacks = 0, want > 0 (every replan should trip to greedy)")
+	}
+	if !d.Degraded() {
+		t.Error("Degraded() = false with a failing planner")
 	}
 }
 
@@ -220,10 +358,11 @@ func TestBestEffortJobsExcludedFromPlanning(t *testing.T) {
 // check replan runs before serving a plan, exercised here end to end.
 func TestPlanValidationProperty(t *testing.T) {
 	configs := map[string]Config{
-		"default":      DefaultConfig(),
-		"tiny-budget":  {Slack: 0, MaxLexRounds: 3, Solve: lp.SolveOptions{MaxIter: 1}},
-		"single-round": {Slack: 0, MaxLexRounds: 1},
-		"tight-slack":  {Slack: 60 * time.Second, MaxLexRounds: 2},
+		"default":         DefaultConfig(),
+		"failing-planner": {Slack: 0, MaxLexRounds: 3},
+		"single-round":    {Slack: 0, MaxLexRounds: 1},
+		"exact":           {Slack: 0, MaxLexRounds: 0},
+		"tight-slack":     {Slack: 60 * time.Second, MaxLexRounds: 2},
 	}
 	capacity := resource.New(16, 16*1024)
 	cl := view(capacity, 300)
@@ -243,6 +382,9 @@ func TestPlanValidationProperty(t *testing.T) {
 						perSlot.Scale(1+rng.Int63n(win)), perSlot))
 				}
 				f := New(cfg)
+				if name == "failing-planner" {
+					f.planFault = failingPlanner
+				}
 				if _, err := f.Assign(sched.AssignContext{
 					Now: now, Changed: true, Jobs: jobs, Cluster: cl,
 				}); err != nil {

@@ -1,9 +1,9 @@
 // Package core implements the FlowTime scheduler — the paper's primary
 // contribution (§V): after workflow deadlines have been decomposed into
-// per-job windows, deadline jobs are placed by a linear program that
-// lexicographically minimizes the normalized cluster usage skyline
-// z[t][r]/C[t][r] (Eq. 1–5), so ad-hoc jobs arriving at any time find the
-// most leftover capacity possible and start immediately.
+// per-job windows, deadline jobs are placed so that the normalized cluster
+// usage skyline z[t][r]/C[t][r] is lexicographically minimal (Eq. 1–5),
+// so ad-hoc jobs arriving at any time find the most leftover capacity
+// possible and start immediately.
 //
 // The scheduler is event-driven (paper §III): it rebuilds its multi-slot
 // plan whenever the plan goes stale — a job arrived, finished early or
@@ -13,34 +13,34 @@
 //
 // Pipeline per replan, independently per resource kind (the formulation's
 // kinds share no variables or constraints, so the lexicographic optimum
-// decomposes):
+// decomposes). Stage 2 of the paper is a totally unimodular
+// transportation problem per kind (Lemma 2), so it is solved as one: by
+// exact parametric max-flow on the job→slot network (internal/flow), not
+// by a general LP.
 //
 //  1. Effective windows: each job's decomposed window, intersected with
 //     [now, horizon) and tightened by the deadline slack (§VII-B.2);
 //     overdue jobs get an as-soon-as-possible window.
-//  2. Feasibility: a greedy earliest-deadline water-fill under hard
-//     capacity proves most instances feasible outright; only when it
-//     fails does a shortfall-minimizing LP decide what cannot fit (that
-//     demand is deferred to the overdue path — it will miss, as it must,
-//     but still completes).
-//  3. LexMinMax: the paper's Eq. 1 objective over the feasible demand,
-//     via the iterative realization of Lemma 1.
-//  4. Integral repair: the fractional optimum is converted into integer
+//  2. Stage A, feasibility: the max flow at hard capacity. Its deficiency
+//     is the demand that cannot fit within windows; it is split over the
+//     jobs latest in EDF order and deferred to the overdue path — it will
+//     miss, as it must, but still completes. If only the slack makes the
+//     instance short, the slack is dropped for this plan.
+//  3. Stage B, the skyline: the lexicographic min-max flow of the demand
+//     that fits — the paper's Eq. 1 objective, level by level.
+//  4. Integral repair: the fractional skyline is converted into integer
 //     per-slot grants by cumulative-rounded budgets and
-//     earliest-deadline-first water-filling — exactness is guaranteed by
-//     the total unimodularity of the constraint structure (Lemma 2) plus
-//     a final hard-cap sweep.
+//     earliest-deadline-first water-filling, plus a final hard-cap sweep.
 //
-// The pipeline runs under a degradation ladder: when the LP cannot finish
-// (solve budget tripped, numerical breakdown, infeasible or unbounded
-// model, or even a panic), planning steps down — full lexicographic
-// min-max → single min-θ round → LP-free greedy EDF water-fill — instead
-// of failing the slot. Every plan is post-validated (allocations within
-// windows, under caps, non-negative, demand-conserving) before it is
-// served; a plan that fails validation is rebuilt at the greedy rung.
-// Assign therefore never surfaces a solver error: the worst case is a
-// valid but less load-balanced plan, with the active level and trip
-// reason reported through Degradation().
+// The pipeline runs under a two-rung degradation ladder: when the flow
+// planner cannot answer (an integer overflow on outsized inputs, an
+// internal error, or even a panic), that kind is planned by the greedy
+// EDF water-fill instead of failing the slot. Every plan is
+// post-validated (allocations within windows, under caps, non-negative,
+// demand-conserving) before it is served; a plan that fails validation is
+// rebuilt at the greedy rung. Assign therefore never surfaces a planner
+// error: the worst case is a valid but less load-balanced plan, with the
+// active level and trip reason reported through Degradation().
 //
 // Grants left over after serving the plan go to overdue deadline jobs
 // first and then to ad-hoc jobs in arrival order, fulfilling the paper's
@@ -48,12 +48,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
-	"flowtime/internal/lp"
+	"flowtime/internal/flow"
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
@@ -61,14 +60,15 @@ import (
 
 // Config tunes the FlowTime scheduler.
 type Config struct {
-	// Slack is the deadline slack (paper §VII-B.2): the LP is asked to
-	// finish each job this much before its true deadline. Default 60s
+	// Slack is the deadline slack (paper §VII-B.2): the planner is asked
+	// to finish each job this much before its true deadline. Default 60s
 	// (the paper's empirical setting); zero disables.
 	Slack time.Duration
-	// MaxLexRounds caps the lexicographic refinement rounds per replan
-	// and per resource kind (0 = exact). The maximum level — what ad-hoc
-	// jobs feel first — is always exact; deeper levels are refined while
-	// rounds remain.
+	// MaxLexRounds caps the skyline levels solved per replan and per
+	// resource kind (0 = exact). The top MaxLexRounds levels — the
+	// maximum is what ad-hoc jobs feel first — and the slots tight at
+	// them are those of the exact optimum; the slots below take the loads
+	// of the flow that proved the last level, all at or under it.
 	MaxLexRounds int
 	// PlanSlots bounds the planning lookahead: jobs whose window opens
 	// more than PlanSlots slots in the future are left out of the current
@@ -76,11 +76,6 @@ type Config struct {
 	// paper's evaluation plans 100 slots (1000 s) ahead (§VII, Fig. 7).
 	// 0 means unbounded.
 	PlanSlots int64
-	// Solve bounds every LP solve inside a replan (simplex pivot and
-	// wall-clock budgets; see lp.SolveOptions). The zero value keeps the
-	// solver defaults. A tripped budget never fails Assign: the planner
-	// steps down its degradation ladder and emits a valid plan anyway.
-	Solve lp.SolveOptions
 	// StreamPlans makes every replan additionally publish a versioned
 	// plan.Plan and emit a plan.Diff against the previous revision
 	// (sched.PlanStreamer). Off by default: without a consumer draining
@@ -136,6 +131,11 @@ type FlowTime struct {
 
 	stats   Stats
 	degrade sched.DegradationStatus
+
+	// planFault is a test seam: when set it runs at the top of every call
+	// into the flow planner, and an error or panic from it is handled as
+	// the planner's own.
+	planFault func(resource.Kind) error
 }
 
 // deferredRetryInterval is how many slots to wait before re-attempting to
@@ -146,10 +146,11 @@ const deferredRetryInterval = 10
 type Stats struct {
 	// Replans is the number of plan rebuilds.
 	Replans int
-	// LPRounds is the total number of min-θ LPs solved.
+	// LPRounds is the total number of skyline levels solved (the name
+	// predates the flow planner; reports key on it).
 	LPRounds int
-	// StageASkipped counts replan-kind passes where the greedy water-fill
-	// proved feasibility and the shortfall LP was skipped.
+	// StageASkipped counts replan-kind passes where stage A routed every
+	// unit of demand, so there was no shortfall to split.
 	StageASkipped int
 	// ShortfallEvents counts replans where some demand could not fit
 	// within its deadline window.
@@ -161,9 +162,25 @@ type Stats struct {
 	// AdHocFolds counts FoldAdHocDrain calls that carried non-zero
 	// admitted volume (sched.AdHocFolder).
 	AdHocFolds int
-	// LP aggregates solver work across all LexMinMax attempts: pivot
-	// counts, warm/cold starts, and wall time spent inside the solver.
-	LP lp.SolveStats
+	// LP aggregates the planner's work across all replans.
+	LP PlannerStats
+}
+
+// PlannerStats is what the flow planner cost. The field names are the
+// ones the simplex reported when it sat here, so reports that key on
+// them keep their shape; each comment says what the field counts now.
+type PlannerStats struct {
+	// Duration is the wall time spent inside internal/flow, stages A and
+	// B together.
+	Duration time.Duration
+	// Pivots is the number of augmenting paths pushed.
+	Pivots int
+	// ColdStarts counts max-flow computations started from a zero flow,
+	// WarmStarts those resumed from the previous Newton step's flow.
+	ColdStarts int
+	WarmStarts int
+	// Refactors is always zero: a max-flow has no basis to refactorize.
+	Refactors int
 }
 
 var _ sched.Scheduler = (*FlowTime)(nil)
@@ -217,10 +234,10 @@ var _ sched.AdHocFolder = (*FlowTime)(nil)
 // a leftover epoch and reports the volume it admitted per slot. The
 // volumes accumulate as per-slot capacity reservations that every later
 // replan subtracts from the cluster capacity it plans against, so the
-// admitted ad-hoc work reaches the LP as shaved load-row capacities (RHS
-// deltas on the θ-model's rows) at the next batched quality replan — the
-// gate never forces an urgent full rebuild, and the plan stops
-// double-booking capacity the gate already promised away.
+// admitted ad-hoc work reaches the planner as shaved slot capacities at
+// the next batched quality replan — the gate never forces an urgent full
+// rebuild, and the plan stops double-booking capacity the gate already
+// promised away.
 func (f *FlowTime) FoldAdHocDrain(from int64, consumed []resource.Vector) {
 	lo, hi := 0, len(consumed)
 	for lo < hi && consumed[lo].IsZero() {
@@ -286,7 +303,7 @@ func (f *FlowTime) trimAdHocReserved(now int64) {
 // kindCapAt builds the planning capacity closure for one kind: cluster
 // capacity at plan offset t minus the gate's ad-hoc reservations. planCap
 // and planNeeds keep comparing raw cluster capacity, so folding a drain
-// shaves what the LP may allocate without ever looking like a cluster
+// shaves what the planner may allocate without ever looking like a cluster
 // capacity change (which would trip an urgent replan every slot).
 func (f *FlowTime) kindCapAt(ctx sched.AssignContext, kind resource.Kind) func(int64) int64 {
 	return func(t int64) int64 {
@@ -525,12 +542,15 @@ type planJob struct {
 	state   sched.JobState
 	relSlot int64 // inclusive, absolute
 	dlSlot  int64 // exclusive, absolute
+	// planIdx is the job's index in the kindProblem being built (-1 when
+	// it demands nothing of that kind); scratch for stageA.
+	planIdx int
 }
 
-// replan rebuilds the multi-slot plan with the per-kind LP pipeline under
-// the degradation ladder. It cannot fail: any solver trouble steps the
-// ladder down toward the LP-free greedy rung, and the resulting plan is
-// validated before it is served.
+// replan rebuilds the multi-slot plan with the per-kind flow pipeline
+// under the degradation ladder. It cannot fail: any planner trouble steps
+// that kind down to the greedy rung, and the resulting plan is validated
+// before it is served.
 func (f *FlowTime) replan(ctx sched.AssignContext) {
 	f.stats.Replans++
 	f.planFrom = ctx.Now
@@ -558,13 +578,17 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 		return
 	}
 
-	// Deadline slack is a preference, not a feasibility constraint: if the
-	// slack-tightened windows cannot jointly host the demand, plan against
-	// the true windows instead (paper §VII-B.2 introduces slack to absorb
-	// estimation error, not to manufacture misses).
-	if slackSlots > 0 && !f.feasibleUnderWindows(ctx, jobs, order, nSlots) {
+	// Stage A, and with it the slack decision. Deadline slack is a
+	// preference, not a feasibility constraint: if the slack-tightened
+	// windows cannot jointly host the demand, plan against the true windows
+	// instead (paper §VII-B.2 introduces slack to absorb estimation error,
+	// not to manufacture misses). The verdict is the exact max-flow
+	// deficiency; a planner error is no verdict and keeps the slack.
+	probs := f.stageA(ctx, jobs, order, nSlots)
+	if slackSlots > 0 && anyShort(probs) {
 		f.stats.SlackDropped++
 		jobs, order, nSlots = f.computeWindows(ctx, 0)
+		probs = f.stageA(ctx, jobs, order, nSlots)
 	}
 
 	f.load = make([]resource.Vector, nSlots)
@@ -579,8 +603,8 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 
 	level, reason := sched.DegradeNone, ""
 	theta := make(map[string][]float64, resource.NumKinds)
-	for _, kind := range resource.Kinds() {
-		lvl, why := f.replanKind(ctx, kind, jobs, order, alloc, nSlots, theta)
+	for _, p := range probs {
+		lvl, why := f.replanKind(ctx, p, order, alloc, nSlots, theta)
 		if lvl > level {
 			level = lvl
 		}
@@ -593,8 +617,8 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	}
 
 	// Post-validate before the plan is served. An invalid plan — which the
-	// pipeline should never produce, but numerics are numerics — is
-	// rebuilt at the greedy rung, which is valid by construction.
+	// pipeline should never produce — is rebuilt at the greedy rung, which
+	// is valid by construction.
 	windows := make(map[string]sched.PlanWindow, len(jobs))
 	for _, pj := range jobs {
 		windows[pj.state.ID] = sched.PlanWindow{
@@ -608,7 +632,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
 		f.degrade.InvalidPlans++
 		level, reason = sched.DegradeGreedy, "plan validation: "+err.Error()
-		theta = nil // the LP skyline was discarded with the invalid plan
+		theta = nil // the skyline was discarded with the invalid plan
 		alloc = f.rebuildGreedy(ctx, jobs, order, nSlots)
 		if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
 			// Unreachable by construction; planning nothing is still safe —
@@ -619,10 +643,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	}
 
 	f.degrade.Level, f.degrade.Reason = level, reason
-	switch level {
-	case sched.DegradeMinMax:
-		f.degrade.MinMaxFallbacks++
-	case sched.DegradeGreedy:
+	if level == sched.DegradeGreedy {
 		f.degrade.GreedyFallbacks++
 	}
 
@@ -657,7 +678,7 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 	for _, j := range ctx.Jobs {
 		if j.Kind != sched.DeadlineJob || j.EstRemaining.IsZero() || j.BestEffort {
 			// Best-effort jobs (infeasible decompositions) are excluded from
-			// the joint LP; the backlog stage in Assign serves them from
+			// the joint plan; the backlog stage in Assign serves them from
 			// leftover capacity ahead of ad-hoc work.
 			continue
 		}
@@ -719,249 +740,188 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 	return jobs, order, horizon - ctx.Now
 }
 
-// feasibleUnderWindows reports whether every kind's demand fits within the
-// jobs' current windows (greedy check; false negatives only make the plan
-// fall back to true windows, which is safe).
-func (f *FlowTime) feasibleUnderWindows(ctx sched.AssignContext, jobs, order []*planJob, nSlots int64) bool {
-	for _, kind := range resource.Kinds() {
-		demand := make(map[*planJob]int64, len(jobs))
-		for _, pj := range jobs {
-			if d := pj.state.EstRemaining.Get(kind); d > 0 {
-				demand[pj] = d
-			}
-		}
-		if len(demand) == 0 {
-			continue
-		}
-		if !greedyFeasible(order, demand, f.kindCapAt(ctx, kind), kind, ctx.Now, nSlots) {
-			return false
-		}
-	}
-	return true
+// kindProblem is one resource kind's share of a replan in the flow
+// planner's terms. Slot indices are plan offsets (absolute slot − now).
+type kindProblem struct {
+	kind resource.Kind
+	caps []int64 // planning capacity per offset: cluster minus ad-hoc reservations
+	// pjs are the jobs with demand of this kind, in the replan's job-slice
+	// order; jobs are the same jobs as the planner sees them, and order
+	// lists them (as indices) earliest deadline first.
+	pjs   []*planJob
+	jobs  []flow.Job
+	order []int
+	// short[i] is the demand of jobs[i] that stage A could not fit in its
+	// window; err is set instead when the planner failed.
+	short []int64
+	err   error
 }
 
-// replanKind runs the feasibility + lexmin + repair pipeline for one
-// resource kind and writes integral grants into alloc. Solver failures
-// never propagate: the ladder steps down — full lexicographic → single
-// min-θ round → LP-free greedy water-fill — and the rung used plus the
-// trip reason (if any) are returned. When an LP rung succeeds, the
-// lexicographic θ levels it reached are recorded under the kind's name
-// in theta (the greedy rung has no θ and records nothing).
-func (f *FlowTime) replanKind(ctx sched.AssignContext, kind resource.Kind, jobs, order []*planJob, alloc map[string][]resource.Vector, nSlots int64, theta map[string][]float64) (sched.DegradeLevel, string) {
-	// Demands and caps for this kind.
-	demand := make(map[*planJob]int64, len(jobs))
-	for _, pj := range jobs {
-		if d := pj.state.EstRemaining.Get(kind); d > 0 {
-			demand[pj] = d
-		}
-	}
-	if len(demand) == 0 {
-		return sched.DegradeNone, ""
-	}
-	capAt := f.kindCapAt(ctx, kind)
-
-	level, reason := sched.DegradeNone, ""
-	trip := func(to sched.DegradeLevel, stage string, err error) {
-		level = to
-		reason = fmt.Sprintf("%v %s: %s", kind, stage, tripCause(err))
-	}
-
-	// Feasibility precheck: greedy EDF water-fill under hard caps. If all
-	// demand places, the instance is feasible and the shortfall LP is
-	// unnecessary. A shortfall-LP failure skips straight to the greedy
-	// rung: without a trustworthy shortfall split, any stage-B plan would
-	// be built on infeasible demand.
-	shortfall := make(map[*planJob]int64)
-	if !greedyFeasible(order, demand, capAt, kind, ctx.Now, nSlots) {
-		short, err := f.shortfallLP(ctx, kind, jobs, demand, capAt, nSlots)
-		if err != nil {
-			trip(sched.DegradeGreedy, "shortfall LP", err)
-		} else {
-			shortfall = short
-			if len(shortfall) > 0 {
-				f.stats.ShortfallEvents++
+// stageA builds every kind's problem over the given windows and runs the
+// planner's stage A on it: the max flow at hard capacity, with the
+// deficiency split over the jobs latest in EDF order. Kinds nobody
+// demands are left out.
+func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlots int64) []*kindProblem {
+	var probs []*kindProblem
+	for _, kind := range resource.Kinds() {
+		p := &kindProblem{kind: kind}
+		for _, pj := range jobs {
+			pj.planIdx = -1
+			if d := pj.state.EstRemaining.Get(kind); d > 0 {
+				pj.planIdx = len(p.jobs)
+				p.pjs = append(p.pjs, pj)
+				p.jobs = append(p.jobs, flow.Job{
+					Demand: d,
+					Rel:    pj.relSlot - ctx.Now,
+					Dl:     pj.dlSlot - ctx.Now,
+					Cap:    pj.state.ParallelCap.Get(kind),
+				})
 			}
 		}
-	} else {
-		f.stats.StageASkipped++
-	}
-
-	// Stage B: lexicographic min-max LP over the feasible demand. The
-	// model is built once; only the LexMinMax attempt is retried with
-	// fewer rounds as the ladder steps down.
-	var (
-		model     *lp.Model
-		groups    []lp.LoadGroup
-		groupSlot []int64
-	)
-	if level < sched.DegradeGreedy {
-		var err error
-		model, groups, groupSlot, err = f.buildStageB(ctx, kind, jobs, demand, shortfall, capAt, nSlots)
-		if err != nil {
-			trip(sched.DegradeGreedy, "stage B model", err)
-		}
-	}
-	// One workspace for the whole ladder: when an attempt trips the budget
-	// and the ladder retries with fewer rounds, the retry warm-starts from
-	// the θ-model and basis the failed attempt built instead of paying a
-	// second cold start on the same instance.
-	lexWS := &lp.LexWorkspace{}
-	for level < sched.DegradeGreedy {
-		rounds := f.cfg.MaxLexRounds
-		if level == sched.DegradeMinMax {
-			// One min-θ round: optimal peak level, no deeper flattening.
-			rounds = 1
-		}
-		res, err := f.lexAttempt(model, groups, rounds, lexWS)
-		if err != nil {
-			trip(level+1, "stage B", err)
+		if len(p.jobs) == 0 {
 			continue
 		}
-		f.stats.LPRounds += res.Rounds
-		f.stats.LP.Add(res.Stats)
-		f.degrade.LPWarmStarts += int64(res.Stats.WarmStarts)
-		f.degrade.LPColdStarts += int64(res.Stats.ColdStarts)
-		if theta != nil {
-			levels := make([]float64, len(res.Levels))
-			for i, l := range res.Levels {
-				if l > 0 { // clamp numeric noise; θ is a normalized load
-					levels[i] = l
+		for _, pj := range order {
+			if pj.planIdx >= 0 {
+				p.order = append(p.order, pj.planIdx)
+			}
+		}
+		capAt := f.kindCapAt(ctx, kind)
+		p.caps = make([]int64, nSlots)
+		for t := range p.caps {
+			p.caps[t] = capAt(int64(t))
+		}
+		p.err = f.runPlanner(kind, func() (w flow.Work, err error) {
+			p.short, w, err = flow.Shortfall(p.caps, p.jobs, p.order)
+			return w, err
+		})
+		probs = append(probs, p)
+	}
+	return probs
+}
+
+// isShort reports whether stage A left any of this kind's demand unrouted.
+func (p *kindProblem) isShort() bool {
+	for _, s := range p.short {
+		if s > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// anyShort reports whether stage A left any demand of any kind unrouted.
+func anyShort(probs []*kindProblem) bool {
+	for _, p := range probs {
+		if p.isShort() {
+			return true
+		}
+	}
+	return false
+}
+
+// runPlanner makes one call into the flow planner, charges its wall time
+// and work to the stats, and turns a panic into an error so a planner bug
+// degrades the plan instead of killing the scheduling slot.
+func (f *FlowTime) runPlanner(kind resource.Kind, call func() (flow.Work, error)) (err error) {
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("planner panic: %v", r)
+		}
+		f.stats.LP.Duration += time.Since(start)
+	}()
+	if f.planFault != nil {
+		if err := f.planFault(kind); err != nil {
+			return err
+		}
+	}
+	w, err := call()
+	f.stats.LP.Pivots += w.Augmentations
+	f.stats.LP.ColdStarts += w.MaxFlows
+	f.stats.LP.WarmStarts += w.Resumed
+	f.degrade.LPColdStarts += int64(w.MaxFlows)
+	f.degrade.LPWarmStarts += int64(w.Resumed)
+	return err
+}
+
+// replanKind finishes one kind's pipeline — skyline and repair on top of
+// the stage A result in p — and writes integral grants into alloc.
+// Planner failures never propagate: the kind is planned at the greedy
+// rung instead, and the rung used plus the trip reason (if any) are
+// returned. When the flow planner succeeds, the normalized level of every
+// slot it could use is recorded, in slot order, under the kind's name in
+// theta (the greedy rung has no θ and records nothing).
+func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*planJob, alloc map[string][]resource.Vector, nSlots int64, theta map[string][]float64) (sched.DegradeLevel, string) {
+	kind := p.kind
+	demand := make(map[*planJob]int64, len(p.pjs))
+	for i, pj := range p.pjs {
+		demand[pj] = p.jobs[i].Demand
+	}
+
+	// Stage B: the lexicographic min-max skyline of the demand stage A
+	// could route. Without a trustworthy shortfall split any skyline would
+	// be built on demand that may not fit, so a stage A failure skips it.
+	stage, err := "stage A", p.err
+	var sky *flow.Skyline
+	if err == nil {
+		fits := append([]flow.Job(nil), p.jobs...)
+		for i, s := range p.short {
+			fits[i].Demand -= s
+		}
+		if p.isShort() {
+			f.stats.ShortfallEvents++
+		} else {
+			f.stats.StageASkipped++
+		}
+		stage = "stage B"
+		err = f.runPlanner(kind, func() (w flow.Work, err error) {
+			if sky, err = flow.LexMinMax(p.caps, fits, f.cfg.MaxLexRounds); err != nil {
+				return w, err
+			}
+			return sky.Work, nil
+		})
+		if err == nil {
+			f.stats.LPRounds += sky.Levels
+			levels := make([]float64, 0, nSlots)
+			for t, usable := range sky.Usable {
+				if usable {
+					levels = append(levels, sky.Level[t])
 				}
 			}
 			theta[kind.String()] = levels
 		}
-
-		// Integral repair: budgets by cumulative rounding of the LP skyline,
-		// EDF water-fill within budgets, then a hard-cap sweep.
-		lpLoad := make([]float64, nSlots)
-		for gi, g := range groups {
-			load := 0.0
-			for _, tm := range g.Terms {
-				load += tm.Coef * res.Solution.Value(tm.Var)
-			}
-			lpLoad[groupSlot[gi]] = load
-		}
-		remaining := make(map[*planJob]int64, len(jobs))
-		for pj, d := range demand {
-			if left := d - shortfall[pj]; left > 0 {
-				remaining[pj] = left
-			}
-		}
-		cum := 0.0
-		budgetUsed := int64(0)
-		for t := int64(0); t < nSlots; t++ {
-			cum += lpLoad[t]
-			budget := int64(cum+0.5) - budgetUsed
-			if c := capAt(t); budget > c {
-				budget = c
-			}
-			budgetUsed += f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, budget)
-		}
-		for t := int64(0); t < nSlots; t++ {
-			f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, capAt(t)-f.load[t].Get(kind))
-		}
-		// Any demand still left could not fit in windows at all; it is
-		// served by the overdue path at run time.
-		return level, reason
+	}
+	if err != nil {
+		// Bottom rung: deterministic EDF water-fill under hard caps. No
+		// failure mode; whatever cannot fit in-window is deferred and
+		// served by the overdue path, exactly like a shortfall.
+		f.greedyPlanKind(ctx, kind, order, demand, alloc, nSlots)
+		return sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", kind, stage, err)
 	}
 
-	// Bottom rung: deterministic EDF water-fill under hard caps. No LP, no
-	// failure mode; whatever cannot fit in-window is deferred and served
-	// by the overdue path, exactly like a shortfall.
-	f.greedyPlanKind(ctx, kind, order, demand, alloc, nSlots)
-	return sched.DegradeGreedy, reason
-}
-
-// lexAttempt runs one LexMinMax under the configured solve budget,
-// converting panics into errors so a solver bug degrades the plan instead
-// of killing the scheduling slot.
-func (f *FlowTime) lexAttempt(model *lp.Model, groups []lp.LoadGroup, rounds int, lw *lp.LexWorkspace) (res *lp.MinMaxResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("core: lexminmax panic: %v", r)
-		}
-	}()
-	return lp.LexMinMaxWithOptions(model, groups, lp.MinMaxOptions{MaxRounds: rounds, Solve: f.cfg.Solve, Workspace: lw})
-}
-
-// tripCause compresses a solver error into a short ladder-trip label.
-func tripCause(err error) string {
-	switch {
-	case errors.Is(err, lp.ErrIterationLimit):
-		return "iteration budget exceeded"
-	case errors.Is(err, lp.ErrTimeLimit):
-		return "time budget exceeded"
-	case errors.Is(err, lp.ErrNumerical):
-		return "numerical instability"
-	case errors.Is(err, lp.ErrInfeasible):
-		return "infeasible"
-	case errors.Is(err, lp.ErrUnbounded):
-		return "unbounded"
-	default:
-		return err.Error()
+	// Integral repair: budgets by cumulative rounding of the skyline, EDF
+	// water-fill within budgets, then a hard-cap sweep.
+	remaining := demand
+	for i, pj := range p.pjs {
+		remaining[pj] -= p.short[i]
 	}
-}
-
-// buildStageB constructs the stage-B model for one kind: per-(job, slot)
-// allocation variables bounded by the parallelism cap, exact-demand rows,
-// and one load group per slot with positive capacity.
-func (f *FlowTime) buildStageB(ctx sched.AssignContext, kind resource.Kind, jobs []*planJob, demand, shortfall map[*planJob]int64, capAt func(int64) int64, nSlots int64) (*lp.Model, []lp.LoadGroup, []int64, error) {
-	model := lp.NewModel()
-	vars := make(map[*planJob][]lp.Var, len(jobs))
-	for _, pj := range jobs {
-		d := demand[pj] - shortfall[pj]
-		if d <= 0 {
-			continue
-		}
-		n := pj.dlSlot - pj.relSlot
-		vs := make([]lp.Var, n)
-		terms := make([]lp.Term, 0, n)
-		hi := float64(pj.state.ParallelCap.Get(kind))
-		for s := int64(0); s < n; s++ {
-			v, err := model.NewVar("", 0, hi)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: replan: %w", err)
-			}
-			vs[s] = v
-			terms = append(terms, lp.Term{Var: v, Coef: 1})
-		}
-		vars[pj] = vs
-		if err := model.AddConstraint(terms, lp.EQ, float64(d)); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: replan: %w", err)
-		}
-	}
-
-	// Walk jobs in their deterministic slice order, not the vars map:
-	// term order decides the simplex's summation order, and the plan
-	// stream's equivalence oracle holds two instances to bitwise-equal θ.
-	slotTerms := make([][]lp.Term, nSlots)
-	for _, pj := range jobs {
-		vs, ok := vars[pj]
-		if !ok {
-			continue
-		}
-		for s, v := range vs {
-			t := pj.relSlot - ctx.Now + int64(s)
-			slotTerms[t] = append(slotTerms[t], lp.Term{Var: v, Coef: 1})
-		}
-	}
-	var groups []lp.LoadGroup
-	groupSlot := make([]int64, 0, nSlots)
+	cum := 0.0
+	budgetUsed := int64(0)
 	for t := int64(0); t < nSlots; t++ {
-		if len(slotTerms[t]) == 0 {
-			continue
+		cum += sky.Load[t]
+		budget := int64(cum+0.5) - budgetUsed
+		if c := p.caps[t]; budget > c {
+			budget = c
 		}
-		c := capAt(t)
-		if c <= 0 {
-			if err := model.AddConstraint(slotTerms[t], lp.LE, 0); err != nil {
-				return nil, nil, nil, fmt.Errorf("core: replan: %w", err)
-			}
-			continue
-		}
-		groups = append(groups, lp.LoadGroup{Terms: slotTerms[t], Cap: float64(c)})
-		groupSlot = append(groupSlot, t)
+		budgetUsed += f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, budget)
 	}
-	return model, groups, groupSlot, nil
+	for t := int64(0); t < nSlots; t++ {
+		f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, p.caps[t]-f.load[t].Get(kind))
+	}
+	// Any demand still left could not fit in windows at all; it is served
+	// by the overdue path at run time.
+	return sched.DegradeNone, ""
 }
 
 // greedyPlanKind is the ladder's bottom rung for one kind: EDF water-fill
@@ -998,116 +958,6 @@ func (f *FlowTime) rebuildGreedy(ctx sched.AssignContext, jobs, order []*planJob
 		f.greedyPlanKind(ctx, kind, order, demand, alloc, nSlots)
 	}
 	return alloc
-}
-
-// greedyFeasible reports whether the EDF water-fill can place every unit
-// of demand within its window under hard caps. A true result proves
-// feasibility; a false result is decided properly by the shortfall LP.
-func greedyFeasible(order []*planJob, demand map[*planJob]int64, capAt func(int64) int64, kind resource.Kind, now, nSlots int64) bool {
-	remaining := make(map[*planJob]int64, len(demand))
-	total := int64(0)
-	for pj, d := range demand {
-		remaining[pj] = d
-		total += d
-	}
-	for t := int64(0); t < nSlots && total > 0; t++ {
-		budget := capAt(t)
-		if budget <= 0 {
-			continue
-		}
-		abs := now + t
-		for _, pj := range order {
-			rem := remaining[pj]
-			if rem <= 0 || abs < pj.relSlot || abs >= pj.dlSlot {
-				continue
-			}
-			g := pj.state.ParallelCap.Get(kind)
-			if g > rem {
-				g = rem
-			}
-			if g > budget {
-				g = budget
-			}
-			if g <= 0 {
-				continue
-			}
-			remaining[pj] = rem - g
-			total -= g
-			budget -= g
-			if budget == 0 {
-				break
-			}
-		}
-	}
-	return total == 0
-}
-
-// shortfallLP solves the stage-A feasibility LP for one kind: minimize
-// total shortfall subject to windows, rate caps and hard capacity.
-// Returns the integral shortfall per job.
-func (f *FlowTime) shortfallLP(ctx sched.AssignContext, kind resource.Kind, jobs []*planJob, demand map[*planJob]int64, capAt func(int64) int64, nSlots int64) (map[*planJob]int64, error) {
-	model := lp.NewModel()
-	shortVars := make(map[*planJob]lp.Var, len(jobs))
-	slotTerms := make([][]lp.Term, nSlots)
-	var obj []lp.Term
-	for _, pj := range jobs {
-		d := demand[pj]
-		if d <= 0 {
-			continue
-		}
-		n := pj.dlSlot - pj.relSlot
-		terms := make([]lp.Term, 0, n+1)
-		hi := float64(pj.state.ParallelCap.Get(kind))
-		for s := int64(0); s < n; s++ {
-			v, err := model.NewVar("", 0, hi)
-			if err != nil {
-				return nil, fmt.Errorf("core: shortfall: %w", err)
-			}
-			terms = append(terms, lp.Term{Var: v, Coef: 1})
-			t := pj.relSlot - ctx.Now + int64(s)
-			slotTerms[t] = append(slotTerms[t], lp.Term{Var: v, Coef: 1})
-		}
-		sv, err := model.NewVar("", 0, float64(d))
-		if err != nil {
-			return nil, fmt.Errorf("core: shortfall: %w", err)
-		}
-		shortVars[pj] = sv
-		terms = append(terms, lp.Term{Var: sv, Coef: 1})
-		if err := model.AddConstraint(terms, lp.EQ, float64(d)); err != nil {
-			return nil, fmt.Errorf("core: shortfall: %w", err)
-		}
-		obj = append(obj, lp.Term{Var: sv, Coef: 1})
-	}
-	for t := int64(0); t < nSlots; t++ {
-		if len(slotTerms[t]) == 0 {
-			continue
-		}
-		c := capAt(t)
-		if c < 0 {
-			c = 0
-		}
-		if err := model.AddConstraint(slotTerms[t], lp.LE, float64(c)); err != nil {
-			return nil, fmt.Errorf("core: shortfall: %w", err)
-		}
-	}
-	if err := model.SetObjective(obj); err != nil {
-		return nil, fmt.Errorf("core: shortfall: %w", err)
-	}
-	sol, _, err := model.SolveWithOptions(f.cfg.Solve)
-	if err != nil {
-		return nil, fmt.Errorf("core: shortfall (%v): %w", kind, err)
-	}
-	out := make(map[*planJob]int64)
-	for pj, sv := range shortVars {
-		// Round up so the remaining demand is certainly feasible.
-		if s := int64(sol.Value(sv) + 0.999999); s > 0 {
-			if s > demand[pj] {
-				s = demand[pj]
-			}
-			out[pj] = s
-		}
-	}
-	return out, nil
 }
 
 // fillSlot grants up to budget units of kind at slot offset t (absolute

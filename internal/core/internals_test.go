@@ -19,49 +19,6 @@ func mkPlanJob(id string, rel, dl, tasks int64) *planJob {
 	}
 }
 
-func TestGreedyFeasibleExactFit(t *testing.T) {
-	// Two jobs sharing a 4-slot window, total demand exactly 4*cap.
-	a := mkPlanJob("a", 0, 4, 10)
-	b := mkPlanJob("b", 0, 4, 10)
-	order := []*planJob{a, b}
-	demand := map[*planJob]int64{a: 20, b: 20}
-	capAt := func(int64) int64 { return 10 }
-	if !greedyFeasible(order, demand, capAt, resource.VCores, 0, 4) {
-		t.Error("exact-fit instance reported infeasible")
-	}
-	demand[b] = 21 // one unit over
-	if greedyFeasible(order, demand, capAt, resource.VCores, 0, 4) {
-		t.Error("overfull instance reported feasible")
-	}
-}
-
-func TestGreedyFeasibleRespectsWindows(t *testing.T) {
-	// Job pinned to slot 0 with demand beyond its one-slot window.
-	a := mkPlanJob("a", 0, 1, 4)
-	order := []*planJob{a}
-	if greedyFeasible(order, map[*planJob]int64{a: 5}, func(int64) int64 { return 100 },
-		resource.VCores, 0, 10) {
-		t.Error("demand beyond parallel cap x window reported feasible")
-	}
-	if !greedyFeasible(order, map[*planJob]int64{a: 4}, func(int64) int64 { return 100 },
-		resource.VCores, 0, 10) {
-		t.Error("exact per-window fit reported infeasible")
-	}
-}
-
-func TestGreedyFeasibleEDFOrderMatters(t *testing.T) {
-	// Tight job (deadline slot 1) must be served first even though the
-	// loose job appears earlier in no particular order — the caller sorts
-	// EDF; verify the sorted order succeeds.
-	tight := mkPlanJob("tight", 0, 1, 10)
-	loose := mkPlanJob("loose", 0, 2, 10)
-	demand := map[*planJob]int64{tight: 10, loose: 10}
-	capAt := func(int64) int64 { return 10 }
-	if !greedyFeasible([]*planJob{tight, loose}, demand, capAt, resource.VCores, 0, 2) {
-		t.Error("EDF order failed on a feasible instance")
-	}
-}
-
 func TestFillSlotBudgetAndCaps(t *testing.T) {
 	f := New(Config{})
 	f.load = make([]resource.Vector, 3)
@@ -99,20 +56,51 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	}
 }
 
-func TestShortfallLPFindsMinimum(t *testing.T) {
+func TestStageAFindsMinimumShortfall(t *testing.T) {
 	f := New(Config{})
 	cl := view(resource.New(10, 1000), 100)
 	// Window of 2 slots, cap 10: at most 20 units can be placed; demand 26
-	// means shortfall exactly 6.
-	pj := mkPlanJob("j", 0, 2, 13)
-	pj.state.EstRemaining = resource.New(26, 2600)
-	ctx := sched.AssignContext{Now: 0, Cluster: cl}
-	short, err := f.shortfallLP(ctx, resource.VCores, []*planJob{pj},
-		map[*planJob]int64{pj: 26}, func(int64) int64 { return 10 }, 2)
-	if err != nil {
-		t.Fatalf("shortfallLP: %v", err)
+	// means shortfall exactly 6. The second job, earlier in EDF order,
+	// fits whole: the shortfall lands on the later deadline.
+	late := mkPlanJob("late", 0, 2, 13)
+	late.state.EstRemaining = resource.New(21, 0)
+	early := mkPlanJob("early", 0, 1, 5)
+	early.state.EstRemaining = resource.New(5, 0)
+	jobs := []*planJob{late, early}
+	probs := f.stageA(sched.AssignContext{Now: 0, Cluster: cl}, jobs, []*planJob{early, late}, 2)
+	if len(probs) != 1 || probs[0].kind != resource.VCores || probs[0].err != nil {
+		t.Fatalf("stageA = %+v, want one vcores problem", probs)
 	}
-	if got := short[pj]; got != 6 {
-		t.Errorf("shortfall = %d, want 6", got)
+	if got := probs[0].short; got[0] != 6 || got[1] != 0 {
+		t.Errorf("shortfall = %v, want [6 0] (late job short, early job whole)", got)
+	}
+	if !anyShort(probs) {
+		t.Error("anyShort = false with a 6-unit shortfall")
+	}
+}
+
+// TestSlackKeptWhenOnlyWaterFillingFails is the regression for the slack
+// false negative: capacity 2 per slot, X = {3-slot window, cap 1, demand
+// 3}, Y = {2-slot window, cap 2, demand 2}. The slack-tightened windows
+// are jointly feasible (Y takes 1+1), but an EDF water-fill hands Y both
+// units of slot 0 and strands X. The exact stage A must keep the slack.
+func TestSlackKeptWhenOnlyWaterFillingFails(t *testing.T) {
+	capacity := resource.New(2, 200)
+	// One slot of slack: true deadlines are one slot past the windows above.
+	f := New(Config{Slack: slotDur, MaxLexRounds: 0})
+	jobs := []sched.JobState{
+		dlJob("x", 0, 4, resource.New(3, 300), resource.New(1, 100)),
+		dlJob("y", 0, 3, resource.New(2, 200), resource.New(2, 200)),
+	}
+	if _, err := f.Assign(sched.AssignContext{
+		Now: 0, Changed: true, Jobs: jobs, Cluster: view(capacity, 100),
+	}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	if got := f.Stats().SlackDropped; got != 0 {
+		t.Errorf("SlackDropped = %d, want 0 (the tightened windows are feasible)", got)
+	}
+	if w := f.planWindows["x"]; w.DlSlot != 3 {
+		t.Errorf("job x planned against deadline slot %d, want the slack-tightened 3", w.DlSlot)
 	}
 }

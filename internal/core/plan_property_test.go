@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"flowtime/internal/lp"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
 )
@@ -102,7 +101,7 @@ func TestPlanPropertiesRandom(t *testing.T) {
 }
 
 // TestLexMinMaxLevelsMatchPlanPeak cross-checks the integral repair against
-// the LP: the plan's peak normalized load must not exceed the lexmin
+// the skyline: the plan's peak normalized load must not exceed the lexmin
 // optimum by more than the rounding granularity.
 func TestLexMinMaxLevelsMatchPlanPeak(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
@@ -130,5 +129,4 @@ func TestLexMinMaxLevelsMatchPlanPeak(t *testing.T) {
 	if peak > 0.5+0.06 { // one unit of rounding on 20 cores = 0.05
 		t.Errorf("plan peak %.3f exceeds lexmin optimum 0.5 beyond rounding", peak)
 	}
-	_ = lp.Inf // keep the lp import for the documentation cross-reference
 }

@@ -124,15 +124,14 @@ func TestStreamedDiffsReconstructLivePlan(t *testing.T) {
 	}
 }
 
-// TestStreamedPlanCarriesTheta: an LP-built plan records per-kind θ
+// TestStreamedPlanCarriesTheta: a flow-built plan records per-kind θ
 // levels; the diff carries them and Apply reproduces them.
 func TestStreamedPlanCarriesTheta(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StreamPlans = true
 	f := New(cfg)
 	cl := streamCluster()
-	// Demand exceeding greedy-trivial placement so the LP actually runs:
-	// several overlapping jobs competing for the same window.
+	// Several overlapping jobs competing for the same window.
 	jobs := []sched.JobState{
 		streamJob("a", 0, 6, 4), streamJob("b", 0, 6, 4), streamJob("c", 0, 6, 4),
 	}
@@ -141,7 +140,7 @@ func TestStreamedPlanCarriesTheta(t *testing.T) {
 	}
 	live := f.LivePlan()
 	if f.Degradation().Level == sched.DegradeNone && len(live.Theta) == 0 {
-		t.Fatalf("LP plan published without θ levels")
+		t.Fatalf("flow plan published without θ levels")
 	}
 	for kind, levels := range live.Theta {
 		for i, l := range levels {

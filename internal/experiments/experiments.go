@@ -262,16 +262,16 @@ func RunFig6(nodeCounts []int, densities []float64, warmup, reps int) ([]Fig6Poi
 	return out, nil
 }
 
-// Fig7Point is one sample of the LP-scheduler latency curve (paper
+// Fig7Point is one sample of the scheduler latency curve (paper
 // Fig. 7).
 type Fig7Point struct {
 	Jobs    int
 	Latency time.Duration
-	// Rounds is the number of min-theta LPs the solve took.
+	// Rounds is the number of skyline levels the planner solved.
 	Rounds int
 }
 
-// RunFig7 measures FlowTime's scheduling (LP) latency versus the number of
+// RunFig7 measures FlowTime's scheduling (replan) latency versus the number of
 // live deadline jobs, in the paper's setting: 500 cores and 1 TB of
 // memory, 100 slots of 10 seconds. Jobs receive random windows within the
 // horizon and demands sized to keep the instance feasible.

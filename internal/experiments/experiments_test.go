@@ -146,7 +146,7 @@ func TestFig7SolverLatencyGrows(t *testing.T) {
 		t.Errorf("latency at 50 jobs (%v) below 10 jobs (%v)", points[1].Latency, points[0].Latency)
 	}
 	if points[0].Rounds <= 0 {
-		t.Error("no LP rounds recorded")
+		t.Error("no skyline levels recorded")
 	}
 }
 

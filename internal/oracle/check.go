@@ -76,21 +76,23 @@ func CheckSolution(in Instance, res *LPResult, tol float64) error {
 	return nil
 }
 
-// CrossCheck runs the full differential battery on a small instance:
+// CrossCheck runs the full differential battery on a small instance
+// against one solver (SolveLP or SolveFlow):
 //
-//  1. Feasibility triple agreement — the LP, the integral brute force,
-//     and the min-cut condition must all return the same verdict.
-//  2. Interior check — the LP allocation satisfies every constraint and
-//     its reported levels match the recomputed skyline (CheckSolution).
-//  3. First level exact — the LP's max level equals θ* from independent
-//     cut enumeration.
-//  4. Lexicographic optimality bound — the LP's sorted skyline is no
-//     worse than the best integral skyline (the LP relaxation can only
-//     do better, never worse).
+//  1. Feasibility triple agreement — the solver, the integral brute
+//     force, and the min-cut condition must all return the same verdict.
+//  2. Interior check — the solver's allocation satisfies every constraint
+//     and its reported levels match the recomputed skyline
+//     (CheckSolution).
+//  3. First level exact — the solver's max level equals θ* from
+//     independent cut enumeration.
+//  4. Lexicographic optimality bound — the solver's sorted skyline is no
+//     worse than the best integral skyline (the fractional optimum can
+//     only do better, never worse).
 //
 // Returns nil when every check passes.
-func CrossCheck(in Instance, tol float64) error {
-	lpRes, err := SolveLP(in)
+func CrossCheck(solve Solver, in Instance, tol float64) error {
+	lpRes, err := solve(in)
 	if err != nil {
 		return fmt.Errorf("oracle: solver error: %w", err)
 	}
@@ -99,7 +101,7 @@ func CrossCheck(in Instance, tol float64) error {
 		return fmt.Errorf("oracle: brute force error: %w", err)
 	}
 	if lpRes.Feasible != bf.Feasible {
-		return fmt.Errorf("oracle: feasibility disagreement: LP=%v brute-force=%v", lpRes.Feasible, bf.Feasible)
+		return fmt.Errorf("oracle: feasibility disagreement: solver=%v brute-force=%v", lpRes.Feasible, bf.Feasible)
 	}
 	if len(in.GroupSlots()) > 0 {
 		_, cutFeasible, err := MinMaxLevelByCuts(in)
@@ -107,7 +109,7 @@ func CrossCheck(in Instance, tol float64) error {
 			return fmt.Errorf("oracle: cut enumeration error: %w", err)
 		}
 		if cutFeasible != lpRes.Feasible {
-			return fmt.Errorf("oracle: feasibility disagreement: LP=%v min-cut=%v", lpRes.Feasible, cutFeasible)
+			return fmt.Errorf("oracle: feasibility disagreement: solver=%v min-cut=%v", lpRes.Feasible, cutFeasible)
 		}
 	}
 	if !lpRes.Feasible {
@@ -125,11 +127,11 @@ func CrossCheck(in Instance, tol float64) error {
 	}
 	maxLv := lp.MaxLevel(lpRes.Levels)
 	if math.Abs(maxLv-theta) > tol {
-		return fmt.Errorf("oracle: LP max level %g, min-cut optimum %g", maxLv, theta)
+		return fmt.Errorf("oracle: solver max level %g, min-cut optimum %g", maxLv, theta)
 	}
 	lpSorted := lp.SortedDescending(lpRes.Levels)
 	if lp.LexLess(bf.BestSkyline, lpSorted, tol) {
-		return fmt.Errorf("oracle: integral skyline %v lexicographically beats LP skyline %v",
+		return fmt.Errorf("oracle: integral skyline %v lexicographically beats the solver's skyline %v",
 			bf.BestSkyline, lpSorted)
 	}
 	return nil

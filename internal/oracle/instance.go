@@ -3,14 +3,14 @@
 // brute-force enumeration and max-flow min-cut analysis on tiny
 // instances, an interior-feasibility checker for instances of any size,
 // and a decomposition-invariant checker — and cross-checks the production
-// lp.LexMinMax solver and deadline.Decompose against them, so a silent
-// regression in either cannot sail through tests that only compare the
-// solver with itself.
+// flow planner (flow.LexMinMax, via SolveFlow), the reference simplex
+// (lp.LexMinMax, via SolveLP) and deadline.Decompose against them and
+// against each other, so a silent regression in any cannot sail through
+// tests that only compare a solver with itself.
 //
-// The instance model is deliberately one-dimensional: core.FlowTime runs
-// the stage-B LP independently per resource kind (the kinds share no
-// variables or constraints), so checking one kind at a time loses no
-// generality.
+// The instance model is deliberately one-dimensional: core.FlowTime plans
+// each resource kind independently (the kinds share no variables or
+// constraints), so checking one kind at a time loses no generality.
 package oracle
 
 import (
@@ -33,8 +33,8 @@ type Job struct {
 }
 
 // Instance is one single-kind scheduling instance: per-slot capacities
-// and a set of windowed jobs. It mirrors exactly the model
-// core.FlowTime.buildStageB hands to lp.LexMinMax.
+// and a set of windowed jobs. It mirrors exactly the problem
+// core.FlowTime hands its planner per resource kind.
 type Instance struct {
 	// Caps[t] is the capacity of slot t. Zero-capacity slots covered by a
 	// window become hard "no allocation" slots, as in the production model.
@@ -70,7 +70,7 @@ func (in Instance) Validate() error {
 
 // GroupSlots returns the slots that form lexicographic load groups: the
 // slots with positive capacity covered by at least one job window. This
-// matches the group construction in core.FlowTime.buildStageB, which the
+// matches the slots core.FlowTime reports a θ level for, which the
 // skyline comparisons must mirror exactly.
 func (in Instance) GroupSlots() []int64 {
 	covered := make([]bool, len(in.Caps))
@@ -104,10 +104,13 @@ type LPResult struct {
 	Levels []float64
 	// Rounds is the number of min-θ rounds LexMinMax used.
 	Rounds int
+	// Exact[g] marks the groups a level-capped flow froze at a solved
+	// level (SolveFlowLevels only; nil from the simplex).
+	Exact []bool
 }
 
-// SolveLP runs the production pipeline on the instance: it builds the
-// stage-B model exactly as core.FlowTime.buildStageB does — a variable
+// SolveLP runs the reference simplex on the instance: it builds the
+// stage-B model of the paper's formulation — a variable
 // per (job, window slot) bounded by the job's cap, an exact-demand row
 // per job, a load group per covered positive-capacity slot, and a
 // hard ≤0 row per covered zero-capacity slot — and solves it with the

@@ -24,8 +24,8 @@ func Scale(in Instance, k int64) Instance {
 	return out
 }
 
-// PermuteJobs returns the instance with the job order shuffled. The LP
-// is symmetric in job order, so the skyline must not change.
+// PermuteJobs returns the instance with the job order shuffled. The
+// problem is symmetric in job order, so the skyline must not change.
 func PermuteJobs(in Instance, rng *rand.Rand) Instance {
 	out := Instance{Caps: append([]int64(nil), in.Caps...), Jobs: append([]Job(nil), in.Jobs...)}
 	rng.Shuffle(len(out.Jobs), func(a, b int) {
@@ -64,15 +64,15 @@ func SplitSlot(in Instance, t int64) Instance {
 // CheckScaleInvariance asserts the scale relation: solving k·instance
 // yields the same feasibility verdict and the same sorted normalized
 // skyline as the original.
-func CheckScaleInvariance(in Instance, k int64, tol float64) error {
+func CheckScaleInvariance(solve Solver, in Instance, k int64, tol float64) error {
 	if k < 1 {
 		return fmt.Errorf("oracle: scale factor %d, want >= 1", k)
 	}
-	base, err := SolveLP(in)
+	base, err := solve(in)
 	if err != nil {
 		return err
 	}
-	scaled, err := SolveLP(Scale(in, k))
+	scaled, err := solve(Scale(in, k))
 	if err != nil {
 		return err
 	}
@@ -81,12 +81,12 @@ func CheckScaleInvariance(in Instance, k int64, tol float64) error {
 
 // CheckPermutationInvariance asserts the permutation relation: job
 // order must not affect feasibility or the skyline.
-func CheckPermutationInvariance(in Instance, rng *rand.Rand, tol float64) error {
-	base, err := SolveLP(in)
+func CheckPermutationInvariance(solve Solver, in Instance, rng *rand.Rand, tol float64) error {
+	base, err := solve(in)
 	if err != nil {
 		return err
 	}
-	perm, err := SolveLP(PermuteJobs(in, rng))
+	perm, err := solve(PermuteJobs(in, rng))
 	if err != nil {
 		return err
 	}
@@ -96,15 +96,15 @@ func CheckPermutationInvariance(in Instance, rng *rand.Rand, tol float64) error 
 // CheckSplitSlot asserts the slot-split relation: duplicating a slot
 // must keep a feasible instance feasible and must not worsen the max
 // level.
-func CheckSplitSlot(in Instance, t int64, tol float64) error {
+func CheckSplitSlot(solve Solver, in Instance, t int64, tol float64) error {
 	if t < 0 || t >= int64(len(in.Caps)) {
 		return fmt.Errorf("oracle: split slot %d out of range", t)
 	}
-	base, err := SolveLP(in)
+	base, err := solve(in)
 	if err != nil {
 		return err
 	}
-	split, err := SolveLP(SplitSlot(in, t))
+	split, err := solve(SplitSlot(in, t))
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ func TestCrossCheckKnownFractionalOptimum(t *testing.T) {
 	if m := lp.MaxLevel(res.Levels); math.Abs(m-0.75) > Tol {
 		t.Fatalf("max level %g, want 0.75", m)
 	}
-	if err := CrossCheck(in, Tol); err != nil {
+	if err := CrossCheck(SolveLP, in, Tol); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +48,7 @@ func TestCrossCheckKnownInfeasible(t *testing.T) {
 		if res.Feasible {
 			t.Fatalf("case %d: expected infeasible", i)
 		}
-		if err := CrossCheck(in, Tol); err != nil {
+		if err := CrossCheck(SolveLP, in, Tol); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestCrossCheckRandomSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		in := GenInstance(rng)
-		if err := CrossCheck(in, Tol); err != nil {
+		if err := CrossCheck(SolveLP, in, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}
@@ -181,14 +181,14 @@ func TestMetamorphicRelationsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 120; i++ {
 		in := GenInstance(rng)
-		if err := CheckScaleInvariance(in, 1+int64(rng.Intn(4)), Tol); err != nil {
+		if err := CheckScaleInvariance(SolveLP, in, 1+int64(rng.Intn(4)), Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
-		if err := CheckPermutationInvariance(in, rng, Tol); err != nil {
+		if err := CheckPermutationInvariance(SolveLP, in, rng, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 		t0 := rng.Int63n(int64(len(in.Caps)))
-		if err := CheckSplitSlot(in, t0, Tol); err != nil {
+		if err := CheckSplitSlot(SolveLP, in, t0, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}

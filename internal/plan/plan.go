@@ -5,7 +5,7 @@
 // A Plan is an immutable snapshot of the planner's output at one replan:
 // a monotonically increasing revision, the absolute slot the allocations
 // are anchored at, per-job effective windows and per-slot allocations,
-// and the lexicographic θ levels the LP reached per resource kind. A
+// and the lexicographic θ levels the planner reached per resource kind. A
 // Diff carries one revision step — jobs added or removed, windows that
 // moved, and exactly the slots whose allocations changed — fenced by the
 // base revision it was computed against.
@@ -57,7 +57,7 @@ type Plan struct {
 	// Jobs maps job ID to its window and allocations.
 	Jobs map[string]Job `json:"jobs,omitempty"`
 	// Theta holds, per resource kind name, the lexicographic min-max
-	// levels the LP reached for this plan (absent on degraded/greedy
+	// levels the planner reached for this plan (absent on degraded/greedy
 	// plans, which have no θ).
 	Theta map[string][]float64 `json:"theta,omitempty"`
 }

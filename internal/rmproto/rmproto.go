@@ -363,8 +363,9 @@ type DegradationStatus struct {
 	MinMaxFallbacks int64  `json:"minmax_fallbacks"`
 	GreedyFallbacks int64  `json:"greedy_fallbacks"`
 	InvalidPlans    int64  `json:"invalid_plans"`
-	// LPWarmStarts and LPColdStarts count inner LP solves that reused a
-	// kept simplex basis versus building one from scratch.
+	// LPColdStarts counts the planner's max-flow computations started
+	// from a zero flow, LPWarmStarts those resumed from the previous
+	// Newton step's flow (the wire names predate the flow planner).
 	LPWarmStarts int64 `json:"lp_warm_starts"`
 	LPColdStarts int64 `json:"lp_cold_starts"`
 }

@@ -20,7 +20,7 @@
 // (internal/adhoc): after every plan change the RM republishes the
 // plan's leftover capacity profile to the queue, so ad-hoc submissions
 // are admitted or rejected in O(window) against real slack without
-// waking the LP.
+// waking the planner.
 package rmserver
 
 import (

@@ -729,6 +729,10 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
 			}
 		}
 	}
+	// Both loops above walk maps; requeues commute, so only the journaled
+	// order is at stake — sort it, or the same run writes different WAL
+	// bytes each time.
+	sort.Strings(rec.Requeued)
 	if s.draining {
 		// Drain: no new leases; keep ticking so expiry still reclaims
 		// whatever dead nodes hold.

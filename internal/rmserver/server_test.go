@@ -3,6 +3,7 @@ package rmserver
 import (
 	"context"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -314,6 +315,45 @@ func TestNodeExpiryRequeuesPendingWork(t *testing.T) {
 	}
 	if st.Faults.RequeuedQuanta == 0 {
 		t.Error("pending quanta were not requeued on node expiry")
+	}
+}
+
+// TestTickJournalsRequeuesInSortedOrder: the requeue list of a tick
+// record is collected by walking the node and lease maps; it must be
+// journaled sorted, or one run writes different WAL bytes each time.
+func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), NodeExpiry: 25 * time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	base := time.Now()
+	for _, id := range []string{"n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"} {
+		if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
+			NodeID: id, Capacity: rmproto.Resources{VCores: 2, MemoryMB: 4 * 1024},
+		}, base); err != nil {
+			t.Fatalf("RegisterNode: %v", err)
+		}
+	}
+	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "q", Tasks: 16, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
+	}}); err != nil {
+		t.Fatalf("SubmitAdHoc: %v", err)
+	}
+	if err := rm.Tick(base); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	// Every node expires at once, each holding a lease.
+	rm.mu.Lock()
+	rec, _, err := rm.tickLocked(base.Add(60 * time.Second))
+	rm.mu.Unlock()
+	if err != nil {
+		t.Fatalf("tickLocked: %v", err)
+	}
+	if len(rec.Requeued) < 6 {
+		t.Fatalf("requeued %d quanta, want the leases of eight nodes", len(rec.Requeued))
+	}
+	if !sort.StringsAreSorted(rec.Requeued) {
+		t.Errorf("tick record requeues not sorted: %v", rec.Requeued)
 	}
 }
 

@@ -5,9 +5,9 @@ import "fmt"
 // This file defines the degradation-ladder vocabulary shared by planning
 // schedulers, the simulator, the resource manager, and the benches. The
 // ladder guarantees the planner always returns a valid plan: when the
-// optimal pipeline cannot finish (solve budget tripped, numerical
-// breakdown, infeasible model, invalid plan), planning steps down one
-// rung instead of failing the scheduling slot.
+// optimal pipeline cannot finish (integer overflow, an internal error or
+// panic in the planner, an invalid plan), planning steps down a rung
+// instead of failing the scheduling slot.
 
 // DegradeLevel is a rung of the planner degradation ladder, ordered from
 // best to cheapest.
@@ -17,10 +17,13 @@ const (
 	// DegradeNone: the full lexicographic min-max pipeline ran.
 	DegradeNone DegradeLevel = iota
 	// DegradeMinMax: the lexicographic refinement was cut to a single
-	// min-θ round (optimal peak load, no deeper flattening).
+	// min-θ round (optimal peak load, no deeper flattening). FlowTime's
+	// flow planner has no such middle rung and never reports it; the
+	// level and its counter stay so status and metric consumers keep
+	// their shape.
 	DegradeMinMax
-	// DegradeGreedy: planning skipped the LP entirely and used the
-	// deterministic greedy EDF water-fill.
+	// DegradeGreedy: planning skipped the optimizing planner entirely and
+	// used the deterministic greedy EDF water-fill.
 	DegradeGreedy
 )
 
@@ -53,9 +56,10 @@ type DegradationStatus struct {
 	// InvalidPlans counts plans rejected by post-validation and rebuilt at
 	// the greedy rung.
 	InvalidPlans int64
-	// LPWarmStarts and LPColdStarts count inner LP solves that reused a
-	// kept simplex basis versus building one from scratch, across all
-	// replans (solver warm-start telemetry; see internal/lp).
+	// LPColdStarts counts the planner's max-flow computations started
+	// from a zero flow and LPWarmStarts those resumed from the previous
+	// Newton step's flow, across all replans (see internal/flow; the
+	// names predate the flow planner and consumers key on them).
 	LPWarmStarts int64
 	LPColdStarts int64
 }

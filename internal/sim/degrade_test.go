@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flowtime/internal/core"
-	"flowtime/internal/lp"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
 	"flowtime/internal/workflow"
@@ -49,62 +48,25 @@ func chaosConfig(t *testing.T, s sched.Scheduler) Config {
 	}
 }
 
-// TestChaosTinyBudgetStillCompletes is the acceptance chaos test: with an
-// injected solver budget of one pivot per solve, every LP attempt trips,
-// the ladder lands on the greedy rung — and the run still completes every
-// deadline job with zero stalled slots.
-func TestChaosTinyBudgetStillCompletes(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Solve = lp.SolveOptions{MaxIter: 1}
-	res, err := Run(chaosConfig(t, core.New(cfg)))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.StalledSlots != 0 {
-		t.Errorf("StalledSlots = %d, want 0 (degraded planner must keep granting)", res.StalledSlots)
-	}
-	for _, j := range res.Jobs {
-		if !j.Completed {
-			t.Errorf("deadline job %s/%s never completed under the greedy rung", j.WorkflowID, j.JobName)
-		}
-	}
-	d := res.Degradation
-	if d == nil {
-		t.Fatal("Degradation = nil, want ladder telemetry from FlowTime")
-	}
-	if d.GreedyFallbacks == 0 {
-		t.Errorf("GreedyFallbacks = 0, want > 0 (every replan should trip to greedy)")
-	}
-	if !d.Degraded() {
-		t.Error("Degraded() = false under a 1-pivot budget")
-	}
-}
-
-// TestDefaultBudgetsAreInert verifies the other half of the acceptance
-// criterion: with default budgets the ladder never trips and the outcome
-// is identical to a run with effectively unlimited explicit budgets —
-// i.e. the budget machinery does not perturb the solver's path.
-func TestDefaultBudgetsAreInert(t *testing.T) {
-	runWith := func(solve lp.SolveOptions) *Result {
-		cfg := core.DefaultConfig()
-		cfg.Solve = solve
-		res, err := Run(chaosConfig(t, core.New(cfg)))
+// TestSameInputSamePlan: the planner reads no clock and iterates no map,
+// so two runs on one input must agree on everything — every job outcome,
+// every counter — and with a healthy planner the ladder never trips. (The
+// run with every planner call failing lives in internal/core, beside the
+// unexported seam that injects the failure.)
+func TestSameInputSamePlan(t *testing.T) {
+	run := func() *Result {
+		res, err := Run(chaosConfig(t, core.New(core.DefaultConfig())))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return res
 	}
-	def := runWith(lp.SolveOptions{})
-	huge := runWith(lp.SolveOptions{MaxIter: 1 << 30, MaxTime: time.Hour})
-
-	if d := def.Degradation; d == nil || d.Degraded() {
-		t.Fatalf("default budgets degraded: %+v", def.Degradation)
+	a, b := run(), run()
+	if d := a.Degradation; d == nil || d.Degraded() || d.Level != sched.DegradeNone {
+		t.Fatalf("healthy planner degraded: %+v", a.Degradation)
 	}
-	if d := def.Degradation; d.Level != sched.DegradeNone {
-		t.Errorf("Level = %v, want full", d.Level)
-	}
-	if !reflect.DeepEqual(def, huge) {
-		t.Error("default-budget run differs from unlimited-budget run; budgets must be inert when they do not trip")
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two runs on the same input differ")
 	}
 }
 

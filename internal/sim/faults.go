@@ -10,9 +10,8 @@ import (
 
 // FaultInjection perturbs a run's ground truth for chaos tests of the
 // scheduling pipeline: the scheduler still sees the clean estimates, but
-// the actual work diverges, driving estimate revisions, replan storms,
-// and — combined with tight core.Config.Solve budgets — the planner's
-// degradation ladder. Perturbations are deterministic given Seed.
+// the actual work diverges, driving estimate revisions and replan
+// storms. Perturbations are deterministic given Seed.
 type FaultInjection struct {
 	// Seed seeds the perturbation stream. Runs with equal configs and
 	// seeds are identical.
