@@ -36,9 +36,10 @@
 // drain). On startup the RM recovers from the latest snapshot plus the
 // WAL tail — a torn tail from a crash mid-write is truncated, not
 // fatal — and logs a recovery summary. -fsync selects the durability
-// discipline: "always" (group-committed fsync before acknowledging each
-// mutation), "interval" (background fsync every few milliseconds), or
-// "never" (leave flushing to the OS).
+// discipline: "always" (fsync before acknowledging a submission or
+// releasing a tick's grants; heartbeat confirms become durable with the
+// next tick's commit), "interval" (background fsync every few
+// milliseconds), or "never" (leave flushing to the OS).
 //
 // With -replica-of the RM starts as a warm standby of the primary at
 // the given URL (requires -state-dir): it pulls the primary's WAL over

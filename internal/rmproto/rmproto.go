@@ -350,6 +350,15 @@ type DurabilityStatus struct {
 	FsyncMaxMicros    int64  `json:"fsync_max_micros"`
 	Snapshots         int64  `json:"snapshots"`
 	LastSnapshotBytes int    `json:"last_snapshot_bytes"`
+	// WALUnsyncedRecords counts journaled records no fsync has covered
+	// yet — under the always policy, the heartbeat confirms waiting for
+	// the next tick or submission commit — as of when the status was
+	// taken, before GET /v1/status ran its own barrier.
+	WALUnsyncedRecords int64 `json:"wal_unsynced_records"`
+	// CommitError is set when the barrier GET /v1/status runs before
+	// answering failed: the jobs in this response may include confirms
+	// the log could not make durable.
+	CommitError string `json:"commit_error,omitempty"`
 }
 
 // DegradationStatus is the wire form of sched.DegradationStatus.

@@ -89,7 +89,7 @@ func (s *Server) Handler() http.Handler {
 		}{Slot: s.Slot()})
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Status())
+		writeJSON(w, http.StatusOK, s.SyncedStatus())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Status()
@@ -134,6 +134,7 @@ func (s *Server) Handler() http.Handler {
 		if d := st.Durability; d != nil {
 			fmt.Fprintf(w, "# TYPE flowtime_rm_wal_records_total counter\nflowtime_rm_wal_records_total %d\n", d.WALRecords)
 			fmt.Fprintf(w, "# TYPE flowtime_rm_wal_bytes_total counter\nflowtime_rm_wal_bytes_total %d\n", d.WALBytes)
+			fmt.Fprintf(w, "# TYPE flowtime_rm_wal_unsynced_records gauge\nflowtime_rm_wal_unsynced_records %d\n", d.WALUnsyncedRecords)
 			fmt.Fprintf(w, "# TYPE flowtime_rm_wal_fsyncs_total counter\nflowtime_rm_wal_fsyncs_total %d\n", d.Fsyncs)
 			fmt.Fprintf(w, "# TYPE flowtime_rm_wal_fsync_micros_total counter\nflowtime_rm_wal_fsync_micros_total %d\n", d.FsyncTotalMicros)
 			fmt.Fprintf(w, "# TYPE flowtime_rm_wal_fsync_micros_max gauge\nflowtime_rm_wal_fsync_micros_max %d\n", d.FsyncMaxMicros)

@@ -30,15 +30,39 @@
 //     up permanently refusing work.
 //
 // Durability ordering: under the always-fsync policy, no side effect of
-// a mutation escapes the RM before its record is durable. Submissions
-// are acknowledged only after commit; a tick's grants are enqueued onto
-// nodes only after the tick record commits, so a heartbeat can never
-// hand a node work that a post-crash recovery would not know was
-// granted; and a heartbeat commits its confirm record before taking the
-// node's pending quanta, so a commit failure fails the heartbeat
-// without handing out (or losing) queued work. Under interval/never
-// policies these windows reopen by design — that is the policy's
-// documented trade.
+// a mutation that a crash could not undo on its own escapes the RM
+// before its record is durable. Submissions are acknowledged only after
+// commit — there is nobody behind a submission to send it again. A
+// tick's grants are enqueued onto nodes only after the tick record
+// commits, so a heartbeat can never hand a node work that a post-crash
+// recovery would not know was granted; a tick whose commit fails hands
+// out nothing. The re-registration requeue commits before it is
+// acknowledged.
+//
+// Heartbeat confirms are the exception, on purpose. A heartbeat applies
+// its confirms, journals them (WAL order is mutation order) and replies
+// without waiting for the disk; the record becomes durable with the next
+// commit the RM makes anyway — the coming tick's, a submission's, a
+// snapshot rotation, the barrier in front of GET /v1/status — because a
+// commit syncs the whole written prefix. That is one fsync per slot plus
+// one per submission instead of one per busy node per slot. What it
+// costs: a *machine* crash (a process kill keeps the page cache) can
+// lose up to one slot of acknowledged confirms. Recovery and promotion
+// requeue every in-flight lease, and an agent that meets an RM that
+// does not know it drops its lease set, so to everything durable a lost
+// confirm is the crash arriving just before that heartbeat did: the
+// lease is requeued, the already-finished quantum runs again, delivered
+// volume is still counted exactly once — the fate every quantum in
+// flight at the crash already has. Grants computed from unsynced
+// confirms are safe for the same reason the grants themselves are: the
+// tick commit that releases them covers the confirms before it. The one
+// read that could show an outsider state a crash would take back,
+// GET /v1/status, commits the newest journaled record before answering
+// (Server.SyncedStatus); /metrics, drain progress and in-process
+// Status() are advisory and never touch the disk.
+//
+// Under interval/never policies every one of these windows reopens by
+// design — that is the policy's documented trade.
 package rmserver
 
 import (
@@ -204,7 +228,10 @@ type snapLease struct {
 
 // journalLocked appends one record to the WAL, returning its commit
 // handle (the zero handle with no store). Must be called with s.mu held
-// so record order matches mutation order.
+// so record order matches mutation order. The handle is also kept as
+// s.journaled: committing the newest handle commits every record before
+// it, which is how heartbeat confirms ride the tick's commit. A store
+// that refuses the append is reported as ErrCommitFailed.
 func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
 	if s.store == nil {
 		return store.Handle{}, nil
@@ -213,14 +240,19 @@ func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
 	if err != nil {
 		return store.Handle{}, err
 	}
-	return s.store.Append(payload)
+	h, err := s.store.Append(payload)
+	if err != nil {
+		return store.Handle{}, fmt.Errorf("rmserver: wal append: %w: %w", ErrCommitFailed, err)
+	}
+	s.journaled = h
+	return h, nil
 }
 
-// commitRecord makes a journaled record durable per the store's fsync
-// policy. Called WITHOUT s.mu so a slow fsync never blocks the control
-// plane; concurrent committers group-commit. The handle is bound to its
-// WAL segment, so committing is safe even if a snapshot rotation has
-// since swapped in a fresh segment.
+// commitRecord makes a journaled record — and every record journaled
+// before it — durable per the store's fsync policy. Called WITHOUT s.mu
+// so a slow fsync never blocks the control plane; concurrent committers
+// group-commit. The handle is bound to its WAL segment, so committing is
+// safe even if a snapshot rotation has since swapped in a fresh segment.
 func (s *Server) commitRecord(h store.Handle) error {
 	if s.store == nil {
 		return nil

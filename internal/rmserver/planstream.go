@@ -30,7 +30,6 @@ import (
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
-	"flowtime/internal/store"
 )
 
 // defaultGateWindow bounds the leftover profile published to the ad-hoc
@@ -49,9 +48,9 @@ func (s *Server) livePlanLocked() *plan.Plan {
 // streamPlansLocked drains the scheduler's pending plan diffs, applies
 // each to the live plan, and journals it. On a broken revision chain it
 // rebases wholesale from the scheduler's live plan instead (see the
-// package comment above). last is advanced to the newest journaled
-// handle so the caller's single commit covers every appended record.
-func (s *Server) streamPlansLocked(last *store.Handle) error {
+// package comment above). The caller's commit of s.journaled covers
+// every record appended here.
+func (s *Server) streamPlansLocked() error {
 	ps, ok := s.cfg.Scheduler.(sched.PlanStreamer)
 	if !ok {
 		return nil
@@ -69,7 +68,7 @@ func (s *Server) streamPlansLocked(last *store.Handle) error {
 			// diff): refuse it loudly and rebase from the authoritative
 			// plan. LivePlan already includes every pending diff, so the
 			// rest of this batch is subsumed.
-			note(s.rebasePlanLocked(ps.LivePlan(), last))
+			note(s.rebasePlanLocked(ps.LivePlan()))
 			break
 		}
 		s.livePlan = next
@@ -79,14 +78,8 @@ func (s *Server) streamPlansLocked(last *store.Handle) error {
 			note(fmt.Errorf("rmserver: encode plan diff %d->%d: %w", d.BaseRev, d.NewRev, err))
 			continue
 		}
-		h, jerr := s.journalLocked(walRecord{PlanDiff: &recPlanDiff{Diff: payload}})
-		if jerr != nil {
-			note(fmt.Errorf("rmserver: wal append: %w", jerr))
-			continue
-		}
-		if s.store != nil {
-			*last = h
-		}
+		_, jerr := s.journalLocked(walRecord{PlanDiff: &recPlanDiff{Diff: payload}})
+		note(jerr)
 	}
 	s.rebaseAdHocLocked()
 	return firstErr
@@ -94,22 +87,16 @@ func (s *Server) streamPlansLocked(last *store.Handle) error {
 
 // rebasePlanLocked replaces the live plan wholesale with the
 // scheduler's, journaling the full plan as one record whose commit
-// rides the caller's handle.
-func (s *Server) rebasePlanLocked(lp *plan.Plan, last *store.Handle) error {
+// rides the caller's.
+func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
 	s.livePlan = lp
 	s.faults.PlanRebases++
 	payload, err := plan.EncodePlan(lp)
 	if err != nil {
 		return fmt.Errorf("rmserver: encode plan rebase rev %d: %w", lp.Rev, err)
 	}
-	h, jerr := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: payload}})
-	if jerr != nil {
-		return fmt.Errorf("rmserver: wal append: %w", jerr)
-	}
-	if s.store != nil {
-		*last = h
-	}
-	return nil
+	_, jerr := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: payload}})
+	return jerr
 }
 
 // applyPlanDiffRecordLocked replays one journaled plan diff. Replay is

@@ -113,6 +113,9 @@ type Server struct {
 	draining bool
 	faults   rmproto.FaultCounters
 	recovery *rmproto.RecoveryStatus // non-nil after a store recovery
+	// journaled is the handle of the newest WAL record this server
+	// appended (see journalLocked); the zero handle until the first one.
+	journaled store.Handle
 
 	// livePlan is the scheduler's streamed plan, reconstructed from
 	// journaled diffs (see planstream.go). Nil until the first revision.
@@ -339,7 +342,7 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 	s.nodes[req.NodeID] = &node{id: req.NodeID, capacity: capV, lastSeen: now}
 	s.mu.Unlock()
 	if jerr != nil {
-		return rmproto.RegisterNodeResponse{}, fmt.Errorf("rmserver: wal append: %w: %w", ErrCommitFailed, jerr)
+		return rmproto.RegisterNodeResponse{}, jerr
 	}
 	if err := s.commitRecord(h); err != nil {
 		return rmproto.RegisterNodeResponse{}, err
@@ -348,21 +351,23 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 }
 
 // Heartbeat processes a node's completion report and hands back queued
-// work leases. An unknown node gets ErrUnknownNode so the agent knows to
-// re-register instead of retrying a doomed heartbeat. Confirmations
-// that applied are journaled (and, under the always-fsync policy,
-// durable) before the response is released; the pending quanta are
-// taken only after that commit succeeds, so a commit failure fails the
-// heartbeat without silently dropping queued work.
+// work leases, in one critical section. An unknown node gets
+// ErrUnknownNode so the agent knows to re-register instead of retrying
+// a doomed heartbeat. Confirmations that applied are journaled before
+// the reply but not fsynced by it: the record becomes durable with the
+// next commit the RM makes anyway, typically the coming tick's (see
+// "Durability ordering" in persist.go for why losing it to a machine
+// crash is harmless). The quanta handed back were queued by a tick that
+// had already committed. A store that refuses the append fails the
+// heartbeat with ErrCommitFailed and hands out nothing.
 func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto.HeartbeatResponse, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.leaderCheckLocked(); err != nil {
-		s.mu.Unlock()
 		return rmproto.HeartbeatResponse{}, err
 	}
 	n, ok := s.nodes[req.NodeID]
 	if !ok {
-		s.mu.Unlock()
 		return rmproto.HeartbeatResponse{}, fmt.Errorf("%w %q (register first)", ErrUnknownNode, req.NodeID)
 	}
 	n.lastSeen = now
@@ -372,29 +377,12 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 			applied = append(applied, qid)
 		}
 	}
-	var h store.Handle
-	var jerr error
 	if len(applied) > 0 {
-		h, jerr = s.journalLocked(walRecord{Confirm: &recConfirm{Slot: s.slot, QIDs: applied, Faults: s.faults}})
+		if _, err := s.journalLocked(walRecord{Confirm: &recConfirm{Slot: s.slot, QIDs: applied, Faults: s.faults}}); err != nil {
+			return rmproto.HeartbeatResponse{}, err
+		}
 	}
-	s.mu.Unlock()
-	if jerr != nil {
-		return rmproto.HeartbeatResponse{}, fmt.Errorf("rmserver: wal append: %w: %w", ErrCommitFailed, jerr)
-	}
-	if err := s.commitRecord(h); err != nil {
-		return rmproto.HeartbeatResponse{}, err
-	}
-	// Take the pending queue only now, after the confirm record is
-	// durable. The node may have been evicted or re-registered while the
-	// commit ran, so re-look it up; either way its old queue is gone and
-	// there is nothing to launch.
-	s.mu.Lock()
-	var launch []rmproto.Quantum
-	if n, ok := s.nodes[req.NodeID]; ok {
-		launch = n.takePending()
-	}
-	s.mu.Unlock()
-	return rmproto.HeartbeatResponse{Launch: launch}, nil
+	return rmproto.HeartbeatResponse{Launch: n.takePending()}, nil
 }
 
 // completeQuantumLocked confirms one lease in O(1) via the server-level
@@ -571,7 +559,10 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 		s.jobs[j.id] = j
 	}
 	s.wfs[wf.ID] = st
-	h, _ := s.journalLocked(walRecord{Workflow: &wrec})
+	h, err := s.journalLocked(walRecord{Workflow: &wrec})
+	if err != nil {
+		return rmproto.SubmitResponse{}, store.Handle{}, err
+	}
 	return rmproto.SubmitResponse{Accepted: true, ID: wf.ID, BestEffort: bestEffort}, h, nil
 }
 
@@ -618,9 +609,12 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		parallelCap: a.ParallelCap(),
 	}
 	s.jobs[id] = j
-	h, _ := s.journalLocked(walRecord{AdHoc: &recAdHoc{Job: req.Job, Slot: s.slot}})
+	h, err := s.journalLocked(walRecord{AdHoc: &recAdHoc{Job: req.Job, Slot: s.slot}})
 	s.mu.Unlock()
-	if err := s.commitRecord(h); err != nil {
+	if err == nil {
+		err = s.commitRecord(h)
+	}
+	if err != nil {
 		return rmproto.SubmitResponse{}, err
 	}
 	return rmproto.SubmitResponse{Accepted: true, ID: id}, nil
@@ -645,9 +639,13 @@ func adHocFromRecord(rec trace.AdHocRecord) workflow.AdHoc {
 // panicking scheduler is converted into a no-grant slot: jobs stay
 // queued, state stays consistent, and the RM keeps running. Each tick —
 // slot advance, reclaimed leases, issued grants — is journaled as one
-// WAL record, and the grants become fetchable by heartbeats only after
-// that record is durable: a crash can then never leave a node executing
-// work the recovered RM does not know it granted.
+// WAL record, and one commit makes it, the plan diffs of its replan and
+// every confirm heartbeats journaled since the previous commit durable.
+// The grants become fetchable by heartbeats only after that commit: a
+// crash can then never leave a node executing work the recovered RM does
+// not know it granted. A tick whose commit fails returns ErrCommitFailed
+// and hands out nothing; its leases stay with the RM until lease expiry
+// or recovery reclaims them.
 func (s *Server) Tick(now time.Time) error {
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
@@ -655,28 +653,23 @@ func (s *Server) Tick(now time.Time) error {
 		return err
 	}
 	rec, planned, err := s.tickLocked(now)
-	var h store.Handle
-	if s.store != nil {
-		var jerr error
-		h, jerr = s.journalLocked(walRecord{Tick: rec})
-		if jerr != nil && err == nil {
-			err = fmt.Errorf("rmserver: wal append: %w", jerr)
-		}
-	}
-	// Drain and journal the plan diffs this tick's replan emitted; the
-	// commit below covers the tick record and every diff in one fsync.
-	if serr := s.streamPlansLocked(&h); serr != nil && err == nil {
+	_, jerr := s.journalLocked(walRecord{Tick: rec})
+	// Drain and journal the plan diffs this tick's replan emitted.
+	if serr := s.streamPlansLocked(); serr != nil && err == nil {
 		err = serr
 	}
+	h := s.journaled // the newest record: the tick's, or its last diff's
 	s.mu.Unlock()
-	if cerr := s.commitRecord(h); cerr != nil && err == nil {
-		err = cerr
+	if jerr == nil {
+		jerr = s.commitRecord(h)
 	}
-	// Enqueue the slot's grants now that the tick record is durable (or
-	// the store has already failed and surfaced its error). A lease may
-	// have been reclaimed while the commit ran — node re-registration
-	// runs concurrently — so deliver only quanta whose lease is still
-	// live on a node the RM still tracks.
+	if jerr != nil {
+		return jerr
+	}
+	// Enqueue the slot's grants now that the tick record is durable. A
+	// lease may have been reclaimed while the commit ran — node
+	// re-registration runs concurrently — so deliver only quanta whose
+	// lease is still live on a node the RM still tracks.
 	if len(planned) > 0 {
 		s.mu.Lock()
 		for _, p := range planned {
@@ -891,10 +884,34 @@ func (s *Server) totalCapacityLocked() resource.Vector {
 	return total
 }
 
-// Status snapshots the cluster.
+// Status snapshots the cluster as the process sees it, without touching
+// the disk: confirms a heartbeat journaled since the last commit are in
+// it although a machine crash would still take them back. /metrics and
+// in-process callers read this; GET /v1/status answers SyncedStatus.
 func (s *Server) Status() rmproto.StatusResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statusLocked()
+}
+
+// SyncedStatus is Status behind a durability barrier: it commits the
+// newest journaled record before returning, so nothing it reports can be
+// undone by a crash. That is no I/O when nothing was journaled since the
+// last commit, and at most one fsync otherwise. A failed barrier does
+// not fail the read — the operator needs the status most when the disk
+// is failing — it is reported in Durability.CommitError.
+func (s *Server) SyncedStatus() rmproto.StatusResponse {
+	s.mu.Lock()
+	resp := s.statusLocked()
+	h := s.journaled
+	s.mu.Unlock()
+	if err := s.commitRecord(h); err != nil {
+		resp.Durability.CommitError = err.Error()
+	}
+	return resp
+}
+
+func (s *Server) statusLocked() rmproto.StatusResponse {
 	resp := rmproto.StatusResponse{
 		Slot:              s.slot,
 		Nodes:             len(s.nodes),
@@ -980,6 +997,8 @@ func (s *Server) Status() rmproto.StatusResponse {
 			FsyncMaxMicros:    st.FsyncMax.Microseconds(),
 			Snapshots:         st.Snapshots,
 			LastSnapshotBytes: st.LastSnapLen,
+
+			WALUnsyncedRecords: st.Unsynced,
 		}
 	}
 	if s.store != nil {

@@ -52,6 +52,7 @@ type Stats struct {
 	Generation  int64
 	WALRecords  int64 // records appended since Open
 	WALBytes    int64 // framed bytes appended since Open
+	Unsynced    int64 // records written but not yet fsynced: what a machine crash would lose now
 	Fsyncs      int64
 	FsyncTotal  time.Duration
 	FsyncMax    time.Duration
@@ -413,6 +414,7 @@ func (s *Store) Stats() Stats {
 	s.w.mu.Lock()
 	st.WALRecords += s.w.records
 	st.WALBytes += s.w.bytes
+	st.Unsynced = s.w.writtenSeq - s.w.syncedSeq
 	st.Fsyncs += s.w.fsyncs
 	st.FsyncTotal += s.w.fsyncTotal
 	if s.w.fsyncMax > st.FsyncMax {

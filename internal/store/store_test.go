@@ -351,6 +351,38 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestCommitCoversWrittenPrefix: committing the newest handle makes every
+// record appended before it durable with one fsync — the property the
+// RM's heartbeat confirms lean on to ride the tick commit — and
+// Stats.Unsynced counts what is still waiting.
+func TestCommitCoversWrittenPrefix(t *testing.T) {
+	s := open(t, t.TempDir(), SyncAlways)
+	defer s.Close()
+	var first, last Handle
+	for i := 0; i < 5; i++ {
+		h, err := s.Append([]byte(fmt.Sprintf("r%d", i)))
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if i == 0 {
+			first = h
+		}
+		last = h
+	}
+	if st := s.Stats(); st.Unsynced != 5 || st.Fsyncs != 0 {
+		t.Fatalf("after 5 uncommitted appends: unsynced=%d fsyncs=%d, want 5 and 0", st.Unsynced, st.Fsyncs)
+	}
+	if err := s.Commit(last); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if err := s.Commit(first); err != nil { // already covered: no I/O
+		t.Fatalf("Commit: %v", err)
+	}
+	if st := s.Stats(); st.Unsynced != 0 || st.Fsyncs != 1 {
+		t.Errorf("after committing the newest handle: unsynced=%d fsyncs=%d, want 0 and 1", st.Unsynced, st.Fsyncs)
+	}
+}
+
 func TestIntervalPolicyFlushesInBackground(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, Policy: SyncInterval, FlushInterval: time.Millisecond})
