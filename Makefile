@@ -5,7 +5,7 @@
 # the differential verification sweep (flow planner vs. reference simplex,
 # oracle cross-checks, metamorphic relations, sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the plan codec, the flow
-# planner and the simplex basis factorization.
+# planner, the simplex basis factorization and the status query.
 
 GO ?= go
 
@@ -70,7 +70,8 @@ verify:
 # planner target (conservation, window, cap and parallelism invariants on
 # adversarial capacities and demands, overflow-sized ones included), plus
 # the simplex basis-factorization target (Forrest–Tomlin eta updates vs
-# refactorization from scratch on randomized mutation sequences).
+# refactorization from scratch on randomized mutation sequences), and the
+# GET /v1/status query target (any cursor is a 400 or a consistent 200).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz FuzzForrestTomlin -fuzztime 10s -run '^$$' ./internal/lp/
+	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
 
 # sim-smoke replays the small bundled scenario trace (testdata/
 # scenario-smoke.json, emitted by `ftgen -scenario flash -machines 40

@@ -413,26 +413,8 @@ func drain(rm *rmserver.Server, tick <-chan time.Time, timeout time.Duration) {
 // fault counters, and every job a shutdown at this point strands.
 func logFinalStatus(rm *rmserver.Server) {
 	st := rm.Status()
-	var pending, running, completed, missed int
-	var unfinished []string
-	for _, j := range st.Jobs {
-		switch j.State {
-		case "pending":
-			pending++
-		case "running":
-			running++
-		case "completed":
-			completed++
-		}
-		if j.Missed {
-			missed++
-		}
-		if j.State != "completed" {
-			unfinished = append(unfinished, j.ID)
-		}
-	}
 	log.Printf("ftrm: final status: slot=%d nodes=%d jobs(pending=%d running=%d completed=%d missed=%d) leases_outstanding=%d",
-		st.Slot, st.Nodes, pending, running, completed, missed, st.OutstandingLeases)
+		st.Slot, st.Nodes, st.Summary.Pending, st.Summary.Running, st.Summary.Completed, st.Summary.Missed, st.OutstandingLeases)
 	log.Printf("ftrm: faults: requeued_quanta=%d expired_nodes=%d scheduler_panics=%d stale_confirms=%d best_effort_admissions=%d",
 		st.Faults.RequeuedQuanta, st.Faults.ExpiredNodes, st.Faults.SchedulerPanics, st.Faults.StaleConfirms, st.Faults.BestEffortAdmissions)
 	if d := st.Degradation; d != nil {
@@ -457,7 +439,9 @@ func logFinalStatus(rm *rmserver.Server) {
 				q.Admitted, q.Rejected, q.Rebases, q.Rev)
 		}
 	}
-	for _, id := range unfinished {
-		log.Printf("ftrm: unfinished at exit: %s", id)
+	for _, j := range st.Jobs {
+		if j.State != "completed" {
+			log.Printf("ftrm: unfinished at exit: %s", j.ID)
+		}
 	}
 }

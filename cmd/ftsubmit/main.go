@@ -93,5 +93,7 @@ func printStatus(ctx context.Context, client *rmserver.Client) error {
 		})
 	}
 	fmt.Print(metrics.Table(rows))
+	fmt.Printf("%d pending, %d running, %d completed, %d missed\n",
+		st.Summary.Pending, st.Summary.Running, st.Summary.Completed, st.Summary.Missed)
 	return nil
 }

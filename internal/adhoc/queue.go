@@ -152,12 +152,21 @@ func (q *Queue) Stats() Stats {
 // never observable as admitted, and a unit kept was subtracted from the
 // shared counter exactly once.
 func (q *Queue) Submit(req Request) bool {
-	e := q.epoch.Load()
-	if e == nil {
-		q.rejected.Add(1)
-		return false
+	var e *epoch
+	for {
+		if e = q.epoch.Load(); e == nil {
+			q.rejected.Add(1)
+			return false
+		}
+		// Register as a writer, then make sure the epoch was not retired
+		// in between: a Rebase that swapped it out before the Add may
+		// already have seen writers == 0 and drained it.
+		e.writers.Add(1)
+		if q.epoch.Load() == e {
+			break
+		}
+		e.writers.Add(-1)
 	}
-	e.writers.Add(1)
 	ok := e.charge(req)
 	e.writers.Add(-1)
 	if ok {

@@ -7,6 +7,8 @@ package rmproto
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"flowtime/internal/resource"
@@ -125,8 +127,15 @@ type StatusResponse struct {
 	Nodes int `json:"nodes"`
 	// Capacity is the current total cluster capacity.
 	Capacity Resources `json:"capacity"`
-	// Jobs lists all known jobs.
+	// Jobs lists jobs sorted by ID. On the wire these are the live jobs
+	// only — completed jobs travel in Done — and a reader that wants the
+	// whole table calls Fold; what rmserver's Client.Status and
+	// Server.Status return is already folded: every known job, Done nil.
 	Jobs []JobStatus `json:"jobs"`
+	// Done carries completed jobs; nil once folded into Jobs.
+	Done *DoneJobs `json:"done,omitempty"`
+	// Summary counts the jobs by state, completed ones included.
+	Summary JobSummary `json:"summary"`
 	// Draining is true once a drain has begun: the RM stops issuing new
 	// leases and waits for in-flight quanta to confirm or expire.
 	Draining bool `json:"draining,omitempty"`
@@ -156,6 +165,45 @@ type StatusResponse struct {
 	// Watchdog reports the liveness watchdogs (stuck ticks, replication
 	// lag); present whenever any watchdog is armed.
 	Watchdog *WatchdogStatus `json:"watchdog,omitempty"`
+}
+
+// DoneJobs is the completed-job block of GET /v1/status. A completed
+// job's status never changes again, so the RM keeps these in an
+// append-only archive in completion order and a reader need fetch each
+// entry only once: GET /v1/status?done_after=N&instance=T answers with
+// Jobs = archive[N:Total] when T is the answering RM's Instance and
+// N <= Total, and with the whole archive (From 0) otherwise — no
+// parameters, an RM that restarted, a follower that took over. The
+// reader keeps archive[:Total] and sends done_after=Total next time.
+type DoneJobs struct {
+	// Instance names one RM process's archive (16 hex digits); a cursor
+	// taken under another instance is meaningless.
+	Instance string `json:"instance"`
+	// From is the archive index of Jobs[0]; Total the archive's length.
+	From  int         `json:"from"`
+	Total int         `json:"total"`
+	Jobs  []JobStatus `json:"jobs"`
+}
+
+// JobSummary counts jobs by state. Missed counts deadline jobs past
+// their deadline, completed or not, so it overlaps the other three.
+type JobSummary struct {
+	Pending   int `json:"pending"`
+	Running   int `json:"running"`
+	Completed int `json:"completed"`
+	Missed    int `json:"missed"`
+}
+
+// Fold replaces Jobs with every job of the status — the live ones it
+// carries plus archive, the completed ones in any order — sorted by ID
+// in a slice of its own, and clears Done. archive is Done.Jobs for a
+// response fetched from index 0; a reader with a cursor passes the
+// archive it has accumulated.
+func (r *StatusResponse) Fold(archive []JobStatus) {
+	all := make([]JobStatus, 0, len(r.Jobs)+len(archive))
+	all = append(append(all, r.Jobs...), archive...)
+	slices.SortFunc(all, func(a, b JobStatus) int { return strings.Compare(a.ID, b.ID) })
+	r.Jobs, r.Done = all, nil
 }
 
 // PlanStatus reports the RM's durable live plan: the scheduler's
@@ -464,13 +512,19 @@ const (
 	DefaultSlot = 10 * time.Second
 )
 
+// Query parameters of GET PathStatus; see DoneJobs.
+const (
+	QueryDoneAfter = "done_after"
+	QueryInstance  = "instance"
+)
+
 // API paths.
 const (
 	PathRegister  = "/v1/nodes/register"
 	PathHeartbeat = "/v1/nodes/heartbeat"
 	PathWorkflows = "/v1/workflows"
 	PathAdHoc     = "/v1/adhoc"
-	PathStatus    = "/v1/status"
+	PathStatus    = "/v1/status" // query: QueryDoneAfter, QueryInstance
 	PathTick      = "/v1/tick"
 	PathDrain     = "/v1/drain"
 	// Replication control plane (primary/follower pairs).

@@ -43,6 +43,48 @@ func TestWireJSONStability(t *testing.T) {
 	if string(raw) != want {
 		t.Errorf("wire JSON = %s, want %s", raw, want)
 	}
+
+	// The status response's job blocks: live jobs in "jobs", completed
+	// ones in "done" behind the cursor fields, counts in "summary".
+	live := JobStatus{ID: "wf/b#1", Kind: "deadline", WorkflowID: "wf", State: "running",
+		Delivered: Resources{VCores: 1, MemoryMB: 512}, Total: Resources{VCores: 2, MemoryMB: 1024}, DeadlineSec: 600}
+	done := JobStatus{ID: "wf/a#0", Kind: "deadline", WorkflowID: "wf", State: "completed",
+		Delivered: Resources{VCores: 2, MemoryMB: 1024}, Total: Resources{VCores: 2, MemoryMB: 1024},
+		DeadlineSec: 300, CompletedSec: 310, Missed: true}
+	st := StatusResponse{Slot: 40, Nodes: 1, Jobs: []JobStatus{live},
+		Done:    &DoneJobs{Instance: "00000000deadbeef", From: 7, Total: 8, Jobs: []JobStatus{done}},
+		Summary: JobSummary{Running: 1, Completed: 8, Missed: 1}}
+	raw, err = json.Marshal(st)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	want = `{"slot":40,"nodes":1,"capacity":{"vcores":0,"memory_mb":0},` +
+		`"jobs":[{"id":"wf/b#1","kind":"deadline","workflow_id":"wf","state":"running","delivered":{"vcores":1,"memory_mb":512},"total":{"vcores":2,"memory_mb":1024},"deadline_sec":600}],` +
+		`"done":{"instance":"00000000deadbeef","from":7,"total":8,"jobs":[{"id":"wf/a#0","kind":"deadline","workflow_id":"wf","state":"completed","delivered":{"vcores":2,"memory_mb":1024},"total":{"vcores":2,"memory_mb":1024},"deadline_sec":300,"completed_sec":310,"missed":true}]},` +
+		`"summary":{"pending":0,"running":1,"completed":8,"missed":1},` +
+		`"outstanding_leases":0,"faults":{"requeued_quanta":0,"expired_nodes":0,"scheduler_panics":0,"stale_confirms":0,"best_effort_admissions":0}}`
+	if string(raw) != want {
+		t.Errorf("wire JSON = %s, want %s", raw, want)
+	}
+}
+
+func TestFold(t *testing.T) {
+	job := func(id string) JobStatus { return JobStatus{ID: id} }
+	live := []JobStatus{job("b"), job("d")}
+	archive := []JobStatus{job("e"), job("a"), job("c")} // completion order
+	st := StatusResponse{Jobs: live, Done: &DoneJobs{Total: 3, Jobs: archive}}
+	st.Fold(archive)
+	var ids string
+	for _, j := range st.Jobs {
+		ids += j.ID
+	}
+	if ids != "abcde" || st.Done != nil {
+		t.Errorf("folded to %q with done block %v, want abcde and none", ids, st.Done)
+	}
+	st.Jobs[0].ID = "scribbled"
+	if live[0].ID != "b" || archive[1].ID != "a" {
+		t.Error("Fold's result aliases its inputs")
+	}
 }
 
 func TestFaultWireJSONStability(t *testing.T) {

@@ -1,7 +1,9 @@
 package rmserver
 
 import (
+	"context"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -153,6 +155,74 @@ func BenchmarkDropPendingSeedScan(b *testing.B) {
 				qid := fmt.Sprintf("q-%d", i%n)
 				nd.pending = seedDrop(nd.pending, qid)
 				nd.pending = append(nd.pending, rmproto.Quantum{ID: qid}) // re-arm
+			}
+		})
+	}
+}
+
+// completedSizes are the histories the read-path benchmarks run over; the
+// live table holds 20 jobs throughout, so a cost that is O(live) reads
+// the same at both sizes.
+var completedSizes = []struct {
+	name string
+	n    int
+}{{"2k_completed", 2000}, {"20k_completed", 20000}}
+
+// BenchmarkStatusIncremental is one GET /v1/status by a client that has
+// seen the archive already: the steady state of every scraper.
+func BenchmarkStatusIncremental(b *testing.B) {
+	for _, size := range completedSizes {
+		b.Run(size.name, func(b *testing.B) {
+			ts := httptest.NewServer(completedRM(b, sched.NewFIFO(), size.n, 20).Handler())
+			defer ts.Close()
+			c := NewClient(ts.URL, ts.Client())
+			ctx := context.Background()
+			if _, err := c.Status(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := c.Status(ctx)
+				if err != nil || len(st.Jobs) != size.n+20 {
+					b.Fatalf("Status: %d jobs, %v", len(st.Jobs), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStatusFull is the same request from a client with no cursor —
+// a bare curl, or the first request after an RM restart — which receives
+// the whole archive.
+func BenchmarkStatusFull(b *testing.B) {
+	for _, size := range completedSizes {
+		b.Run(size.name, func(b *testing.B) {
+			ts := httptest.NewServer(completedRM(b, sched.NewFIFO(), size.n, 20).Handler())
+			defer ts.Close()
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := NewClient(ts.URL, ts.Client()).Status(ctx)
+				if err != nil || len(st.Jobs) != size.n+20 {
+					b.Fatalf("Status: %d jobs, %v", len(st.Jobs), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTick is one scheduling slot over 20 live jobs behind a history
+// of completed ones.
+func BenchmarkTick(b *testing.B) {
+	for _, size := range completedSizes {
+		b.Run(size.name, func(b *testing.B) {
+			rm := completedRM(b, sched.NewFIFO(), size.n, 20)
+			now := time.Now()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := rm.Tick(now); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"flowtime/internal/rmproto"
@@ -21,6 +24,19 @@ type Client struct {
 	hc     *http.Client
 	retry  *Backoff     // nil = no retries
 	policy *RetryPolicy // takes precedence over retry when non-nil
+	// done is what Status has already received of the RM's archive of
+	// completed jobs. Copies made for the same base share it; WithBase
+	// starts an empty one.
+	done *doneCache
+}
+
+// doneCache is the prefix of one RM instance's completed-job archive
+// (rmproto.DoneJobs) that Status calls have fetched so far, kept so that
+// a completed job crosses the wire once.
+type doneCache struct {
+	mu       sync.Mutex
+	instance string
+	jobs     []rmproto.JobStatus // archive[:len(jobs)]; elements never rewritten
 }
 
 // NewClient returns a client for the RM at base (e.g.
@@ -29,7 +45,7 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: base, hc: httpClient}
+	return &Client{base: base, hc: httpClient, done: &doneCache{}}
 }
 
 // WithRetry returns a copy of the client that retries idempotent calls
@@ -71,6 +87,7 @@ func (c *Client) bare() *Client {
 func (c *Client) WithBase(base string) *Client {
 	cc := *c
 	cc.base = base
+	cc.done = &doneCache{}
 	return &cc
 }
 
@@ -136,17 +153,77 @@ func (c *Client) Drain(ctx context.Context, req rmproto.DrainRequest) (rmproto.D
 	return resp, err
 }
 
-// Status fetches the cluster snapshot.
+// Status fetches the cluster snapshot: every job the RM knows, sorted by
+// ID, in a Jobs slice of the caller's own. Completed jobs this client
+// (or a copy of it for the same base) has fetched before are asked for
+// by cursor only and folded back in from the client's cache; an RM that
+// restarted, or another RM behind the same URL, announces a different
+// instance and is fetched whole.
 func (c *Client) Status(ctx context.Context) (rmproto.StatusResponse, error) {
 	var resp rmproto.StatusResponse
 	err := c.retrying(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+rmproto.PathStatus, nil)
+		instance, have := c.done.cursor()
+		q := url.Values{
+			rmproto.QueryDoneAfter: {strconv.Itoa(have)},
+			rmproto.QueryInstance:  {instance},
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+rmproto.PathStatus+"?"+q.Encode(), nil)
 		if err != nil {
 			return fmt.Errorf("rmserver: client: %w", err)
 		}
-		return c.do(req, &resp)
+		resp = rmproto.StatusResponse{} // a failed attempt may have decoded half of one
+		if err := c.do(req, &resp); err != nil {
+			return err
+		}
+		if resp.Done == nil {
+			return nil // an RM that sends the whole table in Jobs
+		}
+		// Only a whole, decoded 200 moves the cursor, so a retried attempt
+		// asks again from where the last success left off.
+		archive, ok := c.done.extend(resp.Done)
+		if !ok {
+			return errors.New("rmserver: client: status response does not continue the completed jobs already received")
+		}
+		resp.Fold(archive)
+		return nil
 	})
 	return resp, err
+}
+
+// cursor returns the archive instance the cache belongs to and how many
+// of its entries the cache holds.
+func (d *doneCache) cursor() (instance string, have int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.instance, len(d.jobs)
+}
+
+// extend folds one response's done block into the cache and returns the
+// archive prefix the response describes, archive[:got.Total]. A block
+// from index 0 of another instance replaces the cache. Status calls
+// running concurrently may deliver blocks out of order: one that ends
+// inside the cache adds nothing, and one that does not connect to it —
+// possible only when the calls straddle an instance change — is refused.
+func (d *doneCache) extend(got *rmproto.DoneJobs) ([]rmproto.JobStatus, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if got.Total != got.From+len(got.Jobs) {
+		return nil, false
+	}
+	if got.Instance != d.instance {
+		if got.From != 0 {
+			return nil, false
+		}
+		d.instance, d.jobs = got.Instance, nil
+	}
+	have := len(d.jobs)
+	if got.From > have {
+		return nil, false
+	}
+	if got.Total > have {
+		d.jobs = append(d.jobs, got.Jobs[have-got.From:]...)
+	}
+	return d.jobs[:got.Total:got.Total], true
 }
 
 // Ship requests one replication batch from a primary (follower pull

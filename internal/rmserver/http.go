@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"time"
@@ -89,33 +90,26 @@ func (s *Server) Handler() http.Handler {
 		}{Slot: s.Slot()})
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.SyncedStatus())
+		doneAfter, instance, err := parseStatusQuery(r.URL.Query())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, s.syncedStatus(doneAfter, instance))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Status()
-		var pending, running, completed, missed int
-		for _, j := range st.Jobs {
-			switch j.State {
-			case "pending":
-				pending++
-			case "running":
-				running++
-			case "completed":
-				completed++
-			}
-			if j.Missed {
-				missed++
-			}
-		}
+		s.mu.Lock()
+		st := s.statusLocked(false)
+		s.mu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprintf(w, "# TYPE flowtime_rm_slot counter\nflowtime_rm_slot %d\n", st.Slot)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_nodes gauge\nflowtime_rm_nodes %d\n", st.Nodes)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_capacity_vcores gauge\nflowtime_rm_capacity_vcores %d\n", st.Capacity.VCores)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_capacity_memory_mb gauge\nflowtime_rm_capacity_memory_mb %d\n", st.Capacity.MemoryMB)
-		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_pending gauge\nflowtime_rm_jobs_pending %d\n", pending)
-		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_running gauge\nflowtime_rm_jobs_running %d\n", running)
-		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_completed counter\nflowtime_rm_jobs_completed %d\n", completed)
-		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_missed counter\nflowtime_rm_jobs_missed %d\n", missed)
+		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_pending gauge\nflowtime_rm_jobs_pending %d\n", st.Summary.Pending)
+		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_running gauge\nflowtime_rm_jobs_running %d\n", st.Summary.Running)
+		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_completed counter\nflowtime_rm_jobs_completed %d\n", st.Summary.Completed)
+		fmt.Fprintf(w, "# TYPE flowtime_rm_jobs_missed counter\nflowtime_rm_jobs_missed %d\n", st.Summary.Missed)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_leases_outstanding gauge\nflowtime_rm_leases_outstanding %d\n", st.OutstandingLeases)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_draining gauge\nflowtime_rm_draining %d\n", boolToInt(st.Draining))
 		fmt.Fprintf(w, "# TYPE flowtime_rm_quanta_requeued counter\nflowtime_rm_quanta_requeued %d\n", st.Faults.RequeuedQuanta)
@@ -200,6 +194,18 @@ func (s *Server) Handler() http.Handler {
 		}
 	})
 	return mux
+}
+
+// parseStatusQuery reads the archive cursor of GET /v1/status
+// (rmproto.DoneJobs). No done_after means 0: every completed job.
+func parseStatusQuery(q url.Values) (doneAfter int, instance string, err error) {
+	if v := q.Get(rmproto.QueryDoneAfter); v != "" {
+		doneAfter, err = strconv.Atoi(v)
+		if err != nil || doneAfter < 0 {
+			return 0, "", fmt.Errorf("rmserver: %s=%q, want a non-negative integer", rmproto.QueryDoneAfter, v)
+		}
+	}
+	return doneAfter, q.Get(rmproto.QueryInstance), nil
 }
 
 func boolToInt(b bool) int {

@@ -24,6 +24,9 @@
 //     are soft state re-established by the agents' re-register loop;
 //     accordingly, recovery requeues every in-flight lease (its node
 //     binding died with the process) and re-grants the work.
+//   - NOT journaled: the archive of completed jobs (Server.done). It is
+//     derived — the confirm records determine which jobs completed, when
+//     and in which order — so replay rebuilds it and snapshots carry it.
 //   - NOT journaled: drain state. Draining is a property of the process
 //     ("for the life of the process"), not of the workload — a restarted
 //     RM schedules again, otherwise a post-shutdown restart would come
@@ -58,7 +61,7 @@
 // tick commit that releases them covers the confirms before it. The one
 // read that could show an outsider state a crash would take back,
 // GET /v1/status, commits the newest journaled record before answering
-// (Server.SyncedStatus); /metrics, drain progress and in-process
+// (Server.syncedStatus); /metrics, drain progress and in-process
 // Status() are advisory and never touch the disk.
 //
 // Under interval/never policies every one of these windows reopens by
@@ -82,8 +85,12 @@ import (
 	"flowtime/internal/workflow"
 )
 
-// snapVersion identifies the snapshot schema.
-const snapVersion = 1
+// snapVersion identifies the snapshot schema. Version 2 holds live state
+// only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
+// the archive of completed jobs in completion order; version 1 held every
+// job ever admitted, flagged done or not. A version 1 payload still loads:
+// upgradeSnapV1 is the one place that knows the old shape.
+const snapVersion = 2
 
 // walRecord is the one-of union journaled per mutation.
 type walRecord struct {
@@ -187,6 +194,8 @@ type snapState struct {
 	Workflows []snapWorkflow        `json:"workflows,omitempty"`
 	AdHoc     []snapJob             `json:"adhoc,omitempty"`
 	Leases    []snapLease           `json:"leases,omitempty"`
+	// Done is the archive of completed jobs, in completion order.
+	Done []rmproto.JobStatus `json:"done,omitempty"`
 	// Plan is the live plan in the strict plan codec's wire form; absent
 	// when no plan revision has been applied.
 	Plan json.RawMessage `json:"plan,omitempty"`
@@ -196,7 +205,7 @@ type snapWorkflow struct {
 	WF         trace.WorkflowRecord `json:"wf"`
 	SubmitNS   int64                `json:"submit_ns"`
 	DeadlineNS int64                `json:"deadline_ns"`
-	Jobs       []snapJob            `json:"jobs"` // in node-index order
+	Jobs       []snapJob            `json:"jobs"` // in node-index order, completed ones included
 }
 
 type snapJob struct {
@@ -337,8 +346,12 @@ func (s *Server) requeueAllLeasesLocked() []string {
 }
 
 func (s *Server) restoreSnapshotLocked(st *snapState) error {
-	if st.Version != snapVersion {
-		return fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
+	switch st.Version {
+	case snapVersion:
+	case 1:
+		s.upgradeSnapV1(st)
+	default:
+		return fmt.Errorf("snapshot version %d, want %d (or 1)", st.Version, snapVersion)
 	}
 	if got := time.Duration(st.SlotDurNS); got != s.cfg.SlotDur {
 		return fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, s.cfg.SlotDur)
@@ -359,13 +372,19 @@ func (s *Server) restoreSnapshotLocked(st *snapState) error {
 		for idx := range sw.Jobs {
 			j := rmJobFromSnap(&sw.Jobs[idx], wf.ID)
 			ws.jobs[idx] = j
-			s.jobs[j.id] = j
+			if !j.done {
+				s.jobs[j.id] = j
+				ws.live++
+			}
 		}
 		s.wfs[wf.ID] = ws
 	}
 	for i := range st.AdHoc {
 		j := rmJobFromSnap(&st.AdHoc[i], "")
 		s.jobs[j.id] = j
+	}
+	for _, d := range st.Done {
+		s.archiveLocked(d)
 	}
 	for _, sl := range st.Leases {
 		j, ok := s.jobs[sl.JobID]
@@ -385,6 +404,47 @@ func (s *Server) restoreSnapshotLocked(st *snapState) error {
 		s.livePlan = p
 	}
 	return nil
+}
+
+// upgradeSnapV1 rewrites a version 1 snapshot, which listed completed
+// jobs among the live ones, into the current shape: completed jobs move
+// to the archive in (completion slot, ID) order — the order of the
+// confirms that completed them, up to ties within one slot, which version
+// 1 did not record — and finished workflows drop out.
+func (s *Server) upgradeSnapV1(st *snapState) {
+	var done []*rmJob
+	liveWFs := st.Workflows[:0]
+	for _, sw := range st.Workflows {
+		live := false
+		for i := range sw.Jobs {
+			if sw.Jobs[i].Done {
+				done = append(done, rmJobFromSnap(&sw.Jobs[i], sw.WF.ID))
+			} else {
+				live = true
+			}
+		}
+		if live {
+			liveWFs = append(liveWFs, sw)
+		}
+	}
+	liveAdHoc := st.AdHoc[:0]
+	for i := range st.AdHoc {
+		if st.AdHoc[i].Done {
+			done = append(done, rmJobFromSnap(&st.AdHoc[i], ""))
+		} else {
+			liveAdHoc = append(liveAdHoc, st.AdHoc[i])
+		}
+	}
+	sort.Slice(done, func(a, b int) bool {
+		if done[a].doneSlot != done[b].doneSlot {
+			return done[a].doneSlot < done[b].doneSlot
+		}
+		return done[a].id < done[b].id
+	})
+	st.Version, st.Workflows, st.AdHoc = snapVersion, liveWFs, liveAdHoc
+	for _, j := range done {
+		st.Done = append(st.Done, s.jobStatusLocked(j))
+	}
 }
 
 func rmJobFromSnap(sj *snapJob, wfID string) *rmJob {
@@ -474,7 +534,7 @@ func (s *Server) applyRecordLocked(payload []byte) error {
 }
 
 func (s *Server) applyWorkflowLocked(r *recWorkflow) error {
-	if _, dup := s.wfs[r.WF.ID]; dup {
+	if s.knownWorkflowLocked(r.WF.ID) {
 		return nil // idempotent replay
 	}
 	if len(r.Windows) != len(r.WF.Jobs) {
@@ -485,7 +545,7 @@ func (s *Server) applyWorkflowLocked(r *recWorkflow) error {
 		return fmt.Errorf("workflow %s: %w", r.WF.ID, err)
 	}
 	arrived := time.Duration(r.Slot) * s.cfg.SlotDur
-	st := &wfState{wf: wf, jobs: make([]*rmJob, wf.NumJobs())}
+	st := &wfState{wf: wf, jobs: make([]*rmJob, wf.NumJobs()), live: wf.NumJobs()}
 	for i := 0; i < wf.NumJobs(); i++ {
 		job := wf.Job(i)
 		w := r.Windows[i]
@@ -515,7 +575,7 @@ func (s *Server) applyWorkflowLocked(r *recWorkflow) error {
 
 func (s *Server) applyAdHocLocked(r *recAdHoc) error {
 	id := "adhoc/" + r.Job.ID
-	if _, dup := s.jobs[id]; dup {
+	if s.knownAdHocLocked(id) {
 		return nil // idempotent replay
 	}
 	a := adHocFromRecord(r.Job)
@@ -578,8 +638,9 @@ func (s *Server) applyRequeueLocked(r *recRequeue) {
 	s.faults = r.Faults
 }
 
-// snapshotLocked serializes the full RM state, deterministically (map
-// iteration order must not leak into the payload).
+// snapshotLocked serializes the full RM state — live tables and the
+// archive — deterministically (map iteration order must not leak into
+// the payload).
 func (s *Server) snapshotLocked() ([]byte, error) {
 	st := snapState{
 		Version:   snapVersion,
@@ -621,6 +682,7 @@ func (s *Server) snapshotLocked() ([]byte, error) {
 	for _, id := range jobIDs {
 		st.AdHoc = append(st.AdHoc, snapFromRMJob(s.jobs[id]))
 	}
+	st.Done = s.done
 	qids := make([]string, 0, len(s.leases))
 	for qid := range s.leases {
 		qids = append(qids, qid)

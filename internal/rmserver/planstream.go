@@ -187,7 +187,7 @@ func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) []resource.Ve
 	}
 	var adhocIDs []string
 	for id, j := range s.jobs {
-		if j.kind == sched.AdHocJob && !j.done {
+		if j.kind == sched.AdHocJob {
 			adhocIDs = append(adhocIDs, id)
 		}
 	}

@@ -191,6 +191,12 @@ func (s *Server) resetStateLocked() {
 	s.jobs = make(map[string]*rmJob)
 	s.wfs = make(map[string]*wfState)
 	s.leases = make(map[string]*lease)
+	// The installed snapshot brings its own archive; cursors into the one
+	// dropped here must not survive it.
+	s.done, s.doneMissed = nil, 0
+	s.doneAdHoc = make(map[string]struct{})
+	s.doneWFs = make(map[string]struct{})
+	s.instance = newInstance()
 	s.faults = rmproto.FaultCounters{}
 	s.livePlan = nil
 	s.cond.Broadcast()

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -102,13 +103,28 @@ type Server struct {
 	cfg   Config
 	store *store.Store
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled when the last outstanding lease clears
-	slot     int64
-	nodes    map[string]*node
-	jobs     map[string]*rmJob
-	wfs      map[string]*wfState
-	leases   map[string]*lease // quantum ID -> in-flight lease
+	mu     sync.Mutex
+	cond   *sync.Cond // signalled when the last outstanding lease clears
+	slot   int64
+	nodes  map[string]*node
+	jobs   map[string]*rmJob   // live jobs: a job leaves when it completes
+	wfs    map[string]*wfState // workflows with at least one live job
+	leases map[string]*lease   // quantum ID -> in-flight lease
+	// done archives every completed job as the wire entry Status reports
+	// for it, in completion order. A completed job's status is final, so
+	// the archive only grows by appending and no element is written
+	// twice: a reader takes s.done[:n:n] under mu and reads it after
+	// unlocking. doneMissed counts its missed entries; doneAdHoc and
+	// doneWFs hold the IDs that must stay refused as duplicates. All of
+	// it is derived state — the confirm records that complete jobs
+	// determine it — so the WAL does not mention it and snapshots carry it.
+	done       []rmproto.JobStatus
+	doneMissed int
+	doneAdHoc  map[string]struct{} // ad-hoc job IDs in done
+	doneWFs    map[string]struct{} // workflow IDs with a job in done
+	// instance names this process's archive to status readers holding a
+	// cursor into it (rmproto.DoneJobs).
+	instance string
 	nextQID  int64
 	draining bool
 	faults   rmproto.FaultCounters
@@ -211,7 +227,8 @@ type lease struct {
 
 type wfState struct {
 	wf   *workflow.Workflow
-	jobs []*rmJob // by node index
+	jobs []*rmJob // by node index, completed ones included
+	live int      // jobs not yet completed
 }
 
 type rmJob struct {
@@ -269,6 +286,9 @@ func New(cfg Config) (*Server, error) {
 		jobs:      make(map[string]*rmJob),
 		wfs:       make(map[string]*wfState),
 		leases:    make(map[string]*lease),
+		doneAdHoc: make(map[string]struct{}),
+		doneWFs:   make(map[string]struct{}),
+		instance:  newInstance(),
 		role:      RolePrimary,
 		leaderURL: cfg.LeaderURL,
 	}
@@ -303,6 +323,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
+
+// newInstance draws an archive name: 16 hex digits, fixed-width so that
+// status responses of equal content have equal size.
+func newInstance() string { return fmt.Sprintf("%016x", rand.Uint64()) }
 
 // Recovery returns the summary of the crash recovery New performed, or
 // nil when the server started without a store or from an empty one.
@@ -414,10 +438,44 @@ func (s *Server) confirmLeaseLocked(l *lease, atSlot int64) {
 	if !j.done && j.total.FitsIn(j.delivered) {
 		j.done = true
 		j.doneSlot = atSlot
+		delete(s.jobs, j.id)
+		if ws := s.wfs[j.wfID]; ws != nil {
+			if ws.live--; ws.live == 0 {
+				delete(s.wfs, j.wfID)
+			}
+		}
+		s.archiveLocked(s.jobStatusLocked(j))
 	}
 	if len(s.leases) == 0 {
 		s.cond.Broadcast()
 	}
+}
+
+// archiveLocked appends one completed job's final status to the archive.
+func (s *Server) archiveLocked(st rmproto.JobStatus) {
+	s.done = append(s.done, st)
+	if st.Missed {
+		s.doneMissed++
+	}
+	if st.WorkflowID != "" {
+		s.doneWFs[st.WorkflowID] = struct{}{}
+	} else {
+		s.doneAdHoc[st.ID] = struct{}{}
+	}
+}
+
+// knownWorkflowLocked and knownAdHocLocked report whether an ID was ever
+// admitted, live or completed: submissions refuse it, WAL replay skips it.
+func (s *Server) knownWorkflowLocked(id string) bool {
+	_, live := s.wfs[id]
+	_, done := s.doneWFs[id]
+	return live || done
+}
+
+func (s *Server) knownAdHocLocked(id string) bool {
+	_, live := s.jobs[id]
+	_, done := s.doneAdHoc[id]
+	return live || done
 }
 
 // requeueLeaseLocked reclaims one lease: its volume returns to the job's
@@ -493,7 +551,7 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 	if err := s.leaderCheckLocked(); err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
-	if _, dup := s.wfs[wf.ID]; dup {
+	if s.knownWorkflowLocked(wf.ID) {
 		return rmproto.SubmitResponse{}, store.Handle{}, fmt.Errorf("rmserver: duplicate workflow %q", wf.ID)
 	}
 	capacity := s.totalCapacityLocked()
@@ -533,7 +591,7 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 		BestEffort: bestEffort,
 		Windows:    make([]recWindow, wf.NumJobs()),
 	}
-	st := &wfState{wf: wf, jobs: make([]*rmJob, wf.NumJobs())}
+	st := &wfState{wf: wf, jobs: make([]*rmJob, wf.NumJobs()), live: wf.NumJobs()}
 	for i := 0; i < wf.NumJobs(); i++ {
 		job := wf.Job(i)
 		release, dl := wf.Submit, wf.Deadline
@@ -580,7 +638,7 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		return rmproto.SubmitResponse{}, err
 	}
 	id := "adhoc/" + a.ID
-	if _, dup := s.jobs[id]; dup {
+	if s.knownAdHocLocked(id) {
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: duplicate ad-hoc job %q", a.ID)
 	}
@@ -739,11 +797,7 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
 	}
 
 	states := make([]sched.JobState, 0, len(s.jobs))
-	byID := make(map[string]*rmJob, len(s.jobs))
 	for _, j := range s.jobs {
-		if j.done {
-			continue
-		}
 		st := sched.JobState{
 			ID:         j.id,
 			Kind:       j.kind,
@@ -762,7 +816,6 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
 			st.MinSlots = j.minSlots
 		}
 		states = append(states, st)
-		byID[j.id] = j
 	}
 	sort.Slice(states, func(a, b int) bool {
 		if states[a].Arrived != states[b].Arrived {
@@ -807,7 +860,7 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
 			continue
 		}
 		capLeft = capLeft.Sub(g)
-		j := byID[st.ID]
+		j := s.jobs[st.ID]
 		remaining := g
 		for _, nid := range order {
 			if remaining.IsZero() {
@@ -886,32 +939,73 @@ func (s *Server) totalCapacityLocked() resource.Vector {
 
 // Status snapshots the cluster as the process sees it, without touching
 // the disk: confirms a heartbeat journaled since the last commit are in
-// it although a machine crash would still take them back. /metrics and
-// in-process callers read this; GET /v1/status answers SyncedStatus.
+// it although a machine crash would still take them back. In-process
+// callers read this; GET /v1/status answers syncedStatus. The lock is
+// held for the live jobs only: the completed ones are merged in after it
+// is released.
 func (s *Server) Status() rmproto.StatusResponse {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statusLocked()
+	resp := s.statusLocked(true)
+	s.mu.Unlock()
+	resp.Fold(resp.Done.Jobs)
+	return resp
 }
 
-// SyncedStatus is Status behind a durability barrier: it commits the
-// newest journaled record before returning, so nothing it reports can be
-// undone by a crash. That is no I/O when nothing was journaled since the
-// last commit, and at most one fsync otherwise. A failed barrier does
-// not fail the read — the operator needs the status most when the disk
-// is failing — it is reported in Durability.CommitError.
-func (s *Server) SyncedStatus() rmproto.StatusResponse {
+// syncedStatus is what GET /v1/status sends: the status behind a
+// durability barrier — it commits the newest journaled record before
+// returning, so nothing it reports can be undone by a crash. That is no
+// I/O when nothing was journaled since the last commit, and at most one
+// fsync otherwise. A failed barrier does not fail the read — the operator
+// needs the status most when the disk is failing — it is reported in
+// Durability.CommitError. The response is left unfolded, and the
+// completed jobs the reader already holds are left out: those before
+// index doneAfter of the archive named instance (rmproto.DoneJobs). A
+// cursor this server cannot honour is answered from index 0.
+func (s *Server) syncedStatus(doneAfter int, instance string) rmproto.StatusResponse {
 	s.mu.Lock()
-	resp := s.statusLocked()
+	resp := s.statusLocked(true)
 	h := s.journaled
 	s.mu.Unlock()
 	if err := s.commitRecord(h); err != nil {
 		resp.Durability.CommitError = err.Error()
 	}
+	if d := resp.Done; instance == d.Instance && doneAfter <= d.Total {
+		d.From, d.Jobs = doneAfter, d.Jobs[doneAfter:]
+	}
 	return resp
 }
 
-func (s *Server) statusLocked() rmproto.StatusResponse {
+// jobStatusLocked is the wire entry of one job as of the current slot;
+// for a completed job it no longer depends on the slot.
+func (s *Server) jobStatusLocked(j *rmJob) rmproto.JobStatus {
+	st := rmproto.JobStatus{
+		ID:         j.id,
+		Kind:       j.kind.String(),
+		WorkflowID: j.wfID,
+		Delivered:  rmproto.FromVector(j.delivered),
+		Total:      rmproto.FromVector(j.total),
+	}
+	switch {
+	case j.done:
+		st.State = "completed"
+		st.CompletedSec = int64((time.Duration(j.doneSlot) * s.cfg.SlotDur) / time.Second)
+	case !j.delivered.IsZero() || !j.inFlight.IsZero():
+		st.State = "running"
+	default:
+		st.State = "pending"
+	}
+	if j.kind == sched.DeadlineJob {
+		st.DeadlineSec = int64(j.deadline / time.Second)
+		st.Missed = missedDeadline(j.deadline, j.done, j.doneSlot, s.slot, s.cfg.SlotDur)
+		st.BestEffort = j.bestEffort
+	}
+	return st
+}
+
+// statusLocked reports everything but the jobs themselves in O(live
+// jobs): Summary always, and with listJobs the live jobs sorted by ID in
+// Jobs and the whole archive, unmerged, in Done.
+func (s *Server) statusLocked(listJobs bool) rmproto.StatusResponse {
 	resp := rmproto.StatusResponse{
 		Slot:              s.slot,
 		Nodes:             len(s.nodes),
@@ -920,36 +1014,29 @@ func (s *Server) statusLocked() rmproto.StatusResponse {
 		OutstandingLeases: len(s.leases),
 		Faults:            s.faults,
 		Recovery:          s.recovery,
+		Summary:           rmproto.JobSummary{Completed: len(s.done), Missed: s.doneMissed},
 	}
-	ids := make([]string, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
+	if listJobs {
+		resp.Jobs = make([]rmproto.JobStatus, 0, len(s.jobs))
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := s.jobs[id]
-		st := rmproto.JobStatus{
-			ID:         j.id,
-			Kind:       j.kind.String(),
-			WorkflowID: j.wfID,
-			Delivered:  rmproto.FromVector(j.delivered),
-			Total:      rmproto.FromVector(j.total),
+	for _, j := range s.jobs {
+		st := s.jobStatusLocked(j)
+		if st.State == "running" {
+			resp.Summary.Running++
+		} else {
+			resp.Summary.Pending++
 		}
-		switch {
-		case j.done:
-			st.State = "completed"
-			st.CompletedSec = int64((time.Duration(j.doneSlot) * s.cfg.SlotDur) / time.Second)
-		case !j.delivered.IsZero() || !j.inFlight.IsZero():
-			st.State = "running"
-		default:
-			st.State = "pending"
+		if st.Missed {
+			resp.Summary.Missed++
 		}
-		if j.kind == sched.DeadlineJob {
-			st.DeadlineSec = int64(j.deadline / time.Second)
-			st.Missed = missedDeadline(j.deadline, j.done, j.doneSlot, s.slot, s.cfg.SlotDur)
-			st.BestEffort = j.bestEffort
+		if listJobs {
+			resp.Jobs = append(resp.Jobs, st)
 		}
-		resp.Jobs = append(resp.Jobs, st)
+	}
+	if listJobs {
+		sort.Slice(resp.Jobs, func(a, b int) bool { return resp.Jobs[a].ID < resp.Jobs[b].ID })
+		n := len(s.done)
+		resp.Done = &rmproto.DoneJobs{Instance: s.instance, Total: n, Jobs: s.done[:n:n]}
 	}
 	if _, ok := s.cfg.Scheduler.(sched.PlanStreamer); ok || s.livePlan != nil {
 		lp := s.livePlanLocked()
@@ -1133,10 +1220,8 @@ func (s *Server) drainStatusLocked() rmproto.DrainResponse {
 		Complete:          len(s.leases) == 0,
 		OutstandingLeases: len(s.leases),
 	}
-	for id, j := range s.jobs {
-		if !j.done {
-			resp.UnfinishedJobs = append(resp.UnfinishedJobs, id)
-		}
+	for id := range s.jobs {
+		resp.UnfinishedJobs = append(resp.UnfinishedJobs, id)
 	}
 	sort.Strings(resp.UnfinishedJobs)
 	return resp

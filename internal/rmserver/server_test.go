@@ -216,6 +216,13 @@ func TestAdHocDuplicateRejected(t *testing.T) {
 	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err == nil {
 		t.Error("duplicate ad-hoc accepted")
 	}
+	// The ID stays taken after the job completed and left the live table.
+	if st := driveToCompletion(t, rm, []string{"n1"}, 10); !allCompleted(st) {
+		t.Fatal("job did not complete")
+	}
+	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("duplicate of a completed ad-hoc job: %v, want a duplicate error", err)
+	}
 }
 
 func TestNodeExpiry(t *testing.T) {
