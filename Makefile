@@ -4,8 +4,10 @@
 # benchmark harness's own build and tests (bench-e2e). `make verify` is
 # the differential verification sweep (flow planner vs. reference simplex,
 # oracle cross-checks, metamorphic relations, sim invariants); `make fuzz`
-# runs short fuzz bursts over the WAL framing, the plan codec, the flow
-# planner, the simplex basis factorization and the status query.
+# runs short fuzz bursts over the WAL framing, the two binary journal
+# codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
+# FuzzDecodeWALRecord), the flow planner, the simplex basis factorization
+# and the status query.
 
 GO ?= go
 
@@ -65,8 +67,10 @@ cover:
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
-# fuzz runs short bursts of the store framing and plan-diff codec fuzz
-# targets from the checked-in seed corpora (testdata/fuzz/), the flow
+# fuzz runs short bursts of the store framing, plan-diff codec and WAL
+# record codec fuzz targets (both codecs: no panic, an accepted input
+# re-encodes to itself and is safe to apply) from the
+# checked-in seed corpora (testdata/fuzz/) and in-code seeds, the flow
 # planner target (conservation, window, cap and parallelism invariants on
 # adversarial capacities and demands, overflow-sized ones included), plus
 # the simplex basis-factorization target (Forrest–Tomlin eta updates vs
@@ -78,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeAll -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzDecodeDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
+	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz FuzzForrestTomlin -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/

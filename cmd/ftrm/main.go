@@ -12,6 +12,7 @@
 //	     [-watchdog-stuck 0] [-watchdog-repl-lag 0]
 //	     [-stream-plans] [-adhoc-gate]
 //	     [-chaos-net SCRIPT] [-chaos-seed 1]
+//	ftrm -wal-dump DIR
 //
 // With -stream-plans the FlowTime scheduler publishes every replan as a
 // versioned plan revision and the RM journals the *diff* against the
@@ -70,6 +71,12 @@
 // @file, e.g. '1s-3s partition agent->rm; 5s+ latency peer<->rm 50ms'.
 // The agent listener is the link agent<->rm, the -listen-repl listener
 // is peer<->rm, and the follower's pull client is rm<->leader.
+//
+// -wal-dump DIR starts nothing: it prints the WAL in the state directory
+// DIR as one JSON object per record per line and exits. The journal is
+// binary on disk; this is how to read it. The directory is only read — a
+// torn tail stays where it is, reported on standard error — so it is safe
+// beside a running RM.
 //
 // With -manual-tick the RM advances only on POST /v1/tick (useful for
 // scripted demos and tests); otherwise it ticks every slot duration.
@@ -131,8 +138,16 @@ func main() {
 		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the streamed plan's leftover capacity (implies -stream-plans)")
 		chaosNet     = flag.String("chaos-net", "", "network fault script (';'-separated rules or @file) applied to the listeners and the replication client — chaos testing only")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the deterministic network fault injector")
+		walDump      = flag.String("wal-dump", "", "print the WAL in this state directory, one JSON object per record per line, and exit (read-only)")
 	)
 	flag.Parse()
+	if *walDump != "" {
+		if err := rmserver.DumpWAL(*walDump, os.Stdout, os.Stderr); err != nil {
+			log.Println("ftrm:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	opts := options{
 		addr:         *addr,

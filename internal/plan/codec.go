@@ -3,44 +3,232 @@ package plan
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"sort"
+
+	"flowtime/internal/binenc"
+	"flowtime/internal/resource"
 )
 
-// The diff codec is JSON with strict decoding: unknown fields are
-// refused, and every decode is followed by structural validation so a
-// malformed or adversarial encoding can never reach Apply. JSON keeps
-// the records debuggable in the WAL dump and lets the follower ingest
-// them through the same path as the primary.
+// Two codecs live here.
+//
+// Diffs — one per replan, the bulk of a streamed plan's journal bytes —
+// are binary (internal/binenc: minimal varints, length-prefixed strings):
+//
+//	diffTag
+//	BaseRev From NSlots                     NewRev is BaseRev+1, not stored
+//	nRemove { id }
+//	nUpdate { id  add(0|1)  Rel Dl
+//	          nRuns { gap len { alloc[kind]... }*len } }
+//	nTheta  { kind nLevels { 8-byte IEEE-754 bits }*nLevels }   kinds sorted
+//
+// A job's slot ops are stored as runs of consecutive slots: the first
+// run's gap counts from the diff's From, a later run's gap is the
+// distance past the previous run's end minus one — two adjacent runs
+// cannot be spelled, so every slot set has exactly one encoding. θ levels
+// are raw float bits so a round trip is bit-exact. The decoder refuses
+// unknown tags and flag values, non-minimal varints, counts the input
+// cannot hold, unsorted θ kinds and trailing bytes, and every decode ends
+// in Validate: an accepted input re-encodes to itself and is safe to hand
+// to Apply (NSlots, the one header field Apply sizes tables by, is held to
+// MaxSlots there).
+//
+// Full plans (snapshots and rebase records, rare and large) stay strict
+// JSON: unknown fields and trailing data refused, Validate after decode.
+//
+// Legacy read: before the binary form diffs were JSON too, and journals
+// written then must still replay. No binary diff starts with '{' (diffTag
+// is the first byte), so DecodeDiff hands an input that does to the old
+// strict JSON decoder. Nothing writes that form any more; the branch can
+// be deleted once no supported state directory predates a snapshot
+// rotation made by a binary-writing RM.
+
+// diffTag opens every binary diff. It must never be '{' (0x7B).
+const diffTag = 0x01
 
 // EncodeDiff serializes a diff. The diff is validated first so an
 // invalid diff can never be journaled.
-func EncodeDiff(d *Diff) ([]byte, error) {
+func EncodeDiff(d *Diff) ([]byte, error) { return AppendDiff(nil, d) }
+
+// AppendDiff is EncodeDiff into a caller-owned buffer: the encoding is
+// appended to dst and the extended slice returned.
+func AppendDiff(dst []byte, d *Diff) ([]byte, error) {
 	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: refusing to encode invalid diff: %w", err)
+		return dst, fmt.Errorf("plan: refusing to encode invalid diff: %w", err)
 	}
-	return json.Marshal(d)
+	w := binenc.Writer{Buf: dst}
+	w.Byte(diffTag)
+	w.Int(d.BaseRev)
+	w.Int(d.From)
+	w.Int(d.NSlots)
+	w.Uint(uint64(len(d.Remove)))
+	for _, id := range d.Remove {
+		w.String(id)
+	}
+	w.Uint(uint64(len(d.Update)))
+	for i := range d.Update {
+		u := &d.Update[i]
+		w.String(u.ID)
+		w.Bool(u.Add)
+		w.Int(u.Window.Rel)
+		w.Int(u.Window.Dl)
+		appendRuns(&w, d.From, u.Set)
+	}
+	kinds := make([]string, 0, len(d.Theta))
+	for k := range d.Theta {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	w.Uint(uint64(len(kinds)))
+	for _, k := range kinds {
+		w.String(k)
+		w.Uint(uint64(len(d.Theta[k])))
+		for _, l := range d.Theta[k] {
+			w.Float64(l)
+		}
+	}
+	return w.Buf, w.Err()
 }
 
-// DecodeDiff deserializes and validates a diff. Unknown fields, type
-// mismatches, trailing garbage, and structurally invalid diffs are all
-// refused with an error; a successfully decoded diff is safe to hand to
-// Apply.
-func DecodeDiff(data []byte) (*Diff, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var d Diff
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("plan: diff decode: %w", err)
+// appendRuns writes a validated (strictly ascending, >= from) slot set as
+// maximal runs of consecutive slots.
+func appendRuns(w *binenc.Writer, from int64, set []SlotSet) {
+	runs := 0
+	for i := range set {
+		if i == 0 || set[i].Slot != set[i-1].Slot+1 {
+			runs++
+		}
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("plan: diff decode: trailing data after diff")
+	w.Uint(uint64(runs))
+	end := from // one past the previous run; the first gap counts from `from`
+	for i := 0; i < len(set); {
+		j := i + 1
+		for j < len(set) && set[j].Slot == set[j-1].Slot+1 {
+			j++
+		}
+		gap := set[i].Slot - end
+		if i > 0 {
+			gap-- // runs are maximal: a later run never starts at `end`
+		}
+		w.Int(gap)
+		w.Uint(uint64(j - i))
+		for ; i < j; i++ {
+			for _, a := range set[i].Alloc {
+				w.Int(a)
+			}
+		}
+		end = set[j-1].Slot + 1
+	}
+}
+
+// DecodeDiff deserializes and validates a diff. Malformed, non-canonical
+// and structurally invalid encodings are all refused with an error; a
+// successfully decoded diff is safe to hand to Apply and re-encodes to
+// the bytes it came from. An input that opens with '{' is a diff in the
+// legacy JSON form (see the header comment).
+func DecodeDiff(data []byte) (*Diff, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return decodeDiffJSON(data)
+	}
+	r := binenc.NewReader(data)
+	if tag := r.Byte(); r.Err() == nil && tag != diffTag {
+		return nil, fmt.Errorf("plan: diff decode: unknown format tag %#x", tag)
+	}
+	d := &Diff{BaseRev: r.Int(), From: r.Int(), NSlots: r.Int()}
+	d.NewRev = d.BaseRev + 1 // Validate refuses the one BaseRev this would wrap on
+	if n := r.Count(1); n > 0 {
+		d.Remove = make([]string, n)
+		for i := range d.Remove {
+			d.Remove[i] = r.String()
+		}
+	}
+	// An update is at least an empty ID, the add flag, two window varints
+	// and a run count.
+	if n := r.Count(5); n > 0 {
+		d.Update = make([]JobUpdate, n)
+		for i := range d.Update {
+			u := &d.Update[i]
+			u.ID = r.String()
+			u.Add = r.Bool()
+			u.Window = Window{Rel: r.Int(), Dl: r.Int()}
+			u.Set = readRuns(&r, d.From)
+		}
+	}
+	if n := r.Count(2); n > 0 {
+		d.Theta = make(map[string][]float64, n)
+		prev := ""
+		for i := 0; i < n && r.Err() == nil; i++ {
+			kind := r.String()
+			if i > 0 && kind <= prev {
+				return nil, fmt.Errorf("plan: diff decode: θ kinds not strictly sorted at %q", kind)
+			}
+			prev = kind
+			var levels []float64
+			if m := r.Count(8); m > 0 {
+				levels = make([]float64, m)
+				for k := range levels {
+					levels[k] = r.Float64()
+				}
+			}
+			d.Theta[kind] = levels
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("plan: diff decode: %w", err)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	// Canonicalize: an explicit empty container decodes to the same form
-	// its re-encoding (which omits empties) would — a successful decode
-	// always round-trips bit-identically.
+	return d, nil
+}
+
+// readRuns is appendRuns' inverse. Slot arithmetic that would overflow
+// is refused here; order and range are Validate's to check.
+func readRuns(r *binenc.Reader, from int64) []SlotSet {
+	var set []SlotSet
+	end := from
+	// A run is a gap, a length and at least one allocation vector.
+	for i, runs := 0, r.Count(2+resource.NumKinds); i < runs; i++ {
+		gap := r.Int()
+		if i > 0 {
+			gap++
+		}
+		n := r.Count(resource.NumKinds)
+		if n == 0 && r.Err() == nil {
+			r.Fail(errors.New("empty slot run"))
+		}
+		if gap < 0 || end+gap < end || end+gap+int64(n) < end {
+			r.Fail(errors.New("slot run overflows int64"))
+		}
+		if r.Err() != nil {
+			return nil
+		}
+		slot := end + gap
+		for k := 0; k < n; k++ {
+			s := SlotSet{Slot: slot + int64(k)}
+			for ki := range s.Alloc {
+				s.Alloc[ki] = r.Int()
+			}
+			set = append(set, s)
+		}
+		end = slot + int64(n)
+	}
+	return set
+}
+
+// decodeDiffJSON is the strict decoder of the legacy JSON diff form.
+func decodeDiffJSON(data []byte) (*Diff, error) {
+	var d Diff
+	if err := decodeStrictJSON(data, &d); err != nil {
+		return nil, fmt.Errorf("plan: diff decode: %w", err)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	// Canonicalize: an explicit empty container decodes to the form the
+	// binary codec (which cannot spell the difference) decodes to.
 	if len(d.Remove) == 0 {
 		d.Remove = nil
 	}
@@ -55,7 +243,28 @@ func DecodeDiff(data []byte) (*Diff, error) {
 	if len(d.Theta) == 0 {
 		d.Theta = nil
 	}
+	for kind, levels := range d.Theta {
+		if len(levels) == 0 {
+			d.Theta[kind] = nil
+		}
+	}
 	return &d, nil
+}
+
+// decodeStrictJSON decodes exactly one JSON value into v: unknown fields
+// are refused, and so is anything but white space after the value.
+// (json.Decoder.More cannot make the second check — it reports false for
+// a stray '}' or ']'.)
+func decodeStrictJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the value")
+	}
+	return nil
 }
 
 // EncodePlan serializes a full plan (used for snapshots and rebase
@@ -69,20 +278,15 @@ func EncodePlan(p *Plan) ([]byte, error) {
 
 // DecodePlan deserializes and validates a full plan.
 func DecodePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := decodeStrictJSON(data, &p); err != nil {
 		return nil, fmt.Errorf("plan: plan decode: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("plan: plan decode: trailing data after plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// Same canonicalization as DecodeDiff: explicit empties become the
-	// omitted form so decode∘encode is the identity.
+	// Explicit empties become the omitted form so decode∘encode is the
+	// identity.
 	if len(p.Jobs) == 0 {
 		p.Jobs = nil
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"flowtime/internal/binenc"
 	"flowtime/internal/resource"
 )
 
@@ -18,9 +19,12 @@ import (
 //	GEN_CORPUS=1 go test ./internal/plan -run TestGenerateFuzzCorpus
 //
 // The seeds cover the malformed-diff taxonomy the decoder must refuse
-// (unknown fields, bad revision steps, unsorted/overlapping ops,
-// negative allocations, torn encodings) plus valid diffs of several
-// shapes so short CI bursts start from deep coverage.
+// (unknown tag, trailing bytes, unsorted or duplicate ops, a job both
+// removed and updated, out-of-range slots, counts beyond the input, a plan
+// length beyond MaxSlots, empty windows, torn encodings) plus valid diffs of several shapes — one in
+// the legacy JSON form — so short CI bursts start from deep coverage.
+// Only seed-NN files are rewritten: inputs the fuzzer found and a
+// developer checked in beside them stay.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("GEN_CORPUS") != "1" {
 		t.Skip("set GEN_CORPUS=1 to regenerate testdata/fuzz seed corpora")
@@ -45,20 +49,64 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	})
 	empty := enc(&Diff{BaseRev: 0, NewRev: 1})
 
+	// update assembles a binary diff (BaseRev 1, From 0, NSlots 4) with one
+	// update of job "a" whose window and slot runs are given raw, so the
+	// seeds can spell what EncodeDiff refuses to.
+	update := func(rel, dl int64, runs ...[]int64) []byte {
+		return binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(rel)
+			w.Int(dl)
+			w.Uint(uint64(len(runs)))
+			for _, run := range runs {
+				for _, v := range run {
+					w.Int(v)
+				}
+			}
+			w.Uint(0)
+		})
+	}
+	removes := func(ids ...string) []byte {
+		return binDiff(func(w *binenc.Writer) {
+			w.Uint(uint64(len(ids)))
+			for _, id := range ids {
+				w.String(id)
+			}
+			w.Uint(0)
+			w.Uint(0)
+		})
+	}
+
 	writeCorpus(t, "FuzzDecodeDiff", [][]interface{}{
 		{rich},
 		{empty},
-		{[]byte(`{}`)},
-		{[]byte(`{"base_rev":1,"new_rev":9}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"unknown":true}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"remove":["b","a"]}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"remove":["a","a"]}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"remove":["a"],"update":[{"id":"a","window":{"rel":0,"dl":4}}]}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"update":[{"id":"a","window":{"rel":0,"dl":4},"set":[{"slot":1,"alloc":[1,1]},{"slot":1,"alloc":[2,2]}]}]}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"update":[{"id":"a","window":{"rel":0,"dl":4},"set":[{"slot":1,"alloc":[-1,1]}]}]}`)},
-		{[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"update":[{"id":"a","window":{"rel":4,"dl":4}}]}`)},
+		// The one seed in the legacy JSON form (a journal from before the
+		// binary codec): the same content as rich.
+		{[]byte(`{"base_rev":2,"new_rev":3,"from":4,"n_slots":8,"remove":["r1","r2"],"update":[{"id":"a","window":{"rel":4,"dl":9},"set":[{"slot":5,"alloc":[2,4096]},{"slot":7,"alloc":[0,0]}]},{"id":"z","add":true,"window":{"rel":6,"dl":12},"set":[{"slot":6,"alloc":[1,512]}]}],"theta":{"memory-mb":[1],"vcores":[0.25,0.5]}}`)},
+		{append([]byte{0x02}, rich[1:]...)}, // unknown format tag
+		{append(append([]byte{}, rich...), 0)},
+		{removes("b", "a")},
+		{removes("a", "a")},
+		{binDiff(func(w *binenc.Writer) { // job both removed and updated
+			w.Uint(1)
+			w.String("a")
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(0)
+			w.Int(4)
+			w.Uint(0)
+			w.Uint(0)
+		})},
+		{update(0, 4, []int64{4, 1, 1, 1})},       // slot outside the plan range
+		{update(0, 4, []int64{1, 1 << 40, 1, 1})}, // run length far beyond the input
+		{update(4, 4)}, // empty window
 		{rich[:len(rich)/2]},
 		{concat(rich, empty)},
+		{hugeNSlotsDiff(1)}, // plan length beyond MaxSlots
 	})
 
 	staleVsBase := enc(&Diff{BaseRev: 7, NewRev: 8, From: 0, NSlots: 6})
@@ -74,8 +122,11 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		{int64(1), staleVsBase},
 		{int64(2), reAnchor},
 		{int64(3), addCollision},
-		{int64(4), []byte(`{"base_rev":4,"new_rev":5,"from":0,"n_slots":6,"update":[{"id":"a","window":{"rel":0,"dl":2},"set":[{"slot":4,"alloc":[1,1]}]}]}`)},
+		{int64(4), enc(&Diff{BaseRev: 4, NewRev: 5, From: 0, NSlots: 6,
+			Update: []JobUpdate{{ID: "a", Window: Window{Rel: 0, Dl: 2},
+				Set: []SlotSet{{Slot: 4, Alloc: resource.New(1, 1)}}}}})}, // set outside the window
 		{int64(5), rich},
+		{int64(0), hugeNSlotsDiff(0)}, // chains to the base; refused for its length before Apply allocates by it
 	})
 }
 
@@ -92,8 +143,14 @@ func concat(parts ...[]byte) []byte {
 func writeCorpus(t *testing.T, target string, seeds [][]interface{}) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", target)
-	if err := os.RemoveAll(dir); err != nil {
+	old, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range old {
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"flowtime/internal/resource"
@@ -51,18 +52,19 @@ type Diff struct {
 
 // Validate checks the diff's structural invariants without reference to
 // any base plan: revision step of exactly one, non-negative anchor and
-// length, Remove and Update sorted with no duplicates and no overlap
+// length with the length within MaxSlots (so Apply's NSlots-sized tables
+// are bounded), Remove and Update sorted with no duplicates and no overlap
 // between them, windows valid, slot sets sorted, in range, unique, and
 // non-negative.
 func (d *Diff) Validate() error {
-	if d.BaseRev < 0 {
-		return fmt.Errorf("plan: diff base revision %d negative", d.BaseRev)
+	if d.BaseRev < 0 || d.BaseRev == math.MaxInt64 {
+		return fmt.Errorf("plan: diff base revision %d negative or without a successor", d.BaseRev)
 	}
 	if d.NewRev != d.BaseRev+1 {
 		return fmt.Errorf("plan: diff revision step %d -> %d is not +1", d.BaseRev, d.NewRev)
 	}
-	if d.From < 0 || d.NSlots < 0 {
-		return fmt.Errorf("plan: diff negative from/nslots (%d/%d)", d.From, d.NSlots)
+	if err := checkRange(d.From, d.NSlots); err != nil {
+		return fmt.Errorf("plan: diff %w", err)
 	}
 	for i, id := range d.Remove {
 		if id == "" {
@@ -107,7 +109,7 @@ func (d *Diff) Validate() error {
 			return fmt.Errorf("plan: diff θ entry with empty kind name")
 		}
 		for i, l := range levels {
-			if l < 0 || l != l { // negative or NaN
+			if l < 0 || l != l || math.IsInf(l, 1) { // negative, NaN, or +Inf (which a JSON plan cannot carry)
 				return fmt.Errorf("plan: diff θ[%q][%d] = %g invalid", kind, i, l)
 			}
 		}

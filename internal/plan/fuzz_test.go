@@ -1,21 +1,21 @@
 package plan
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"flowtime/internal/binenc"
 	"flowtime/internal/resource"
 )
 
-// FuzzDecodeDiff feeds arbitrary bytes to the diff codec: it must never
-// panic, and whenever it claims success the decoded diff must be
-// structurally valid and re-encode/re-decode to an identical diff (a
-// successful decode is always faithful; malformed input can only ever
-// surface as an error).
-func FuzzDecodeDiff(f *testing.F) {
-	// Seeds: a realistic diff, an empty diff, and mutations a WAL
-	// corruption or adversarial peer could produce.
+// diffFuzzSeeds are FuzzDecodeDiff's in-code seeds: a realistic diff, an
+// empty diff, the mutations a WAL corruption or adversarial peer could
+// produce, and one diff in the legacy form.
+func diffFuzzSeeds() [][]byte {
 	good, _ := EncodeDiff(&Diff{
 		BaseRev: 2, NewRev: 3, From: 4, NSlots: 8,
 		Remove: []string{"r1"},
@@ -25,15 +25,49 @@ func FuzzDecodeDiff(f *testing.F) {
 		},
 		Theta: map[string][]float64{"vcores": {0.25, 0.5}},
 	})
-	f.Add(good)
 	empty, _ := EncodeDiff(&Diff{BaseRev: 0, NewRev: 1})
-	f.Add(empty)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"base_rev":1,"new_rev":9}`))
-	f.Add([]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"unknown":true}`))
-	f.Add([]byte(`{"base_rev":1,"new_rev":2,"remove":["b","a"]}`))
-	f.Add(append(append([]byte{}, good...), good...)) // trailing data
-	f.Add(good[:len(good)/2])                         // torn encoding
+	return [][]byte{
+		good,
+		empty,
+		[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"remove":["a"],"theta":{"vcores":[0.5]}}`),
+		append([]byte{0x02}, good[1:]...),             // unknown format tag
+		{diffTag, 0x81, 0x00, 0, 4, 0, 0, 0},          // non-minimal varint
+		{diffTag, 1, 0, 4, 0xff, 0xff, 0xff, 0xff, 7}, // remove count far beyond the input
+		append(append([]byte{}, good...), good...),    // trailing data
+		good[:len(good)/2],                            // torn encoding
+		hugeNSlotsDiff(1),                             // plan length beyond MaxSlots
+	}
+}
+
+// hugeNSlotsDiff hand-assembles the diff EncodeDiff refuses to write: an
+// otherwise empty step from baseRev whose NSlots is 2^40 — one flipped
+// varint byte away from a real one, and a makeslice panic in Apply if
+// Validate let it through.
+func hugeNSlotsDiff(baseRev int64) []byte {
+	w := binenc.Writer{}
+	w.Byte(diffTag)
+	w.Int(baseRev)
+	w.Int(0)
+	w.Int(1 << 40)
+	w.Uint(0)
+	w.Uint(0)
+	w.Uint(0)
+	return w.Buf
+}
+
+// FuzzDecodeDiff feeds arbitrary bytes to the diff codec. It must never
+// panic. Whenever it claims success the decoded diff is structurally
+// valid, and the encoding is canonical: a binary input re-encodes to
+// exactly itself, and an input in the legacy JSON form (anything opening
+// with '{') re-encodes to binary that decodes to the same value. Malformed
+// input can only ever surface as an error. (That decoding allocates
+// O(len(input)) whatever counts the input claims is
+// TestDecodeDiffAllocation's to check; a decoder that trusted one would
+// die here on makeslice.)
+func FuzzDecodeDiff(f *testing.F) {
+	for _, seed := range diffFuzzSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeDiff(data)
@@ -47,14 +81,74 @@ func FuzzDecodeDiff(f *testing.F) {
 		if eerr != nil {
 			t.Fatalf("re-encode of decoded diff failed: %v", eerr)
 		}
+		if data[0] != '{' {
+			if !bytes.Equal(re, data) {
+				t.Fatalf("accepted input is not canonical:\n in %x\nout %x", data, re)
+			}
+			return
+		}
 		d2, derr := DecodeDiff(re)
 		if derr != nil {
 			t.Fatalf("re-decode failed: %v", derr)
 		}
 		if !reflect.DeepEqual(d, d2) {
-			t.Fatalf("decode/encode not faithful:\n%+v\n%+v", d, d2)
+			t.Fatalf("legacy decode and its binary re-encoding disagree:\n%+v\n%+v", d, d2)
 		}
 	})
+}
+
+// TestDecodeDiffAllocation holds DecodeDiff to allocating O(len(input)):
+// over the fuzz seeds and over inputs that claim, at each place the format
+// has a count or a length, far more elements than their bytes could hold.
+func TestDecodeDiffAllocation(t *testing.T) {
+	const huge = 1 << 24
+	update := func(rest func(w *binenc.Writer)) []byte {
+		return binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(0)
+			w.Int(4)
+			rest(w)
+		})
+	}
+	inputs := append(diffFuzzSeeds(),
+		binDiff(func(w *binenc.Writer) { w.Uint(huge) }),                                                 // removes
+		binDiff(func(w *binenc.Writer) { w.Uint(1); w.Uint(huge) }),                                      // a string's length
+		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(huge) }),                                      // updates
+		update(func(w *binenc.Writer) { w.Uint(huge) }),                                                  // runs
+		update(func(w *binenc.Writer) { w.Uint(1); w.Int(0); w.Uint(huge) }),                             // a run's length
+		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(0); w.Uint(huge) }),                           // θ kinds
+		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(0); w.Uint(1); w.String("k"); w.Uint(huge) }), // θ levels
+	)
+	for i, in := range inputs {
+		// The factor covers a one-byte element decoding into a ~100-byte
+		// struct under append's doubling, the allowance a decoder's fixed
+		// set-up (the JSON branch's reflection caches included).
+		budget := uint64(len(in))*256 + 32<<10
+		if got := allocatedBytes(func() { DecodeDiff(in) }); got > budget {
+			t.Errorf("input %d: decoding %d bytes allocated %d, budget %d\n%x", i, len(in), got, budget, in)
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates. The counter is
+// process-wide, so the smallest of three readings is taken: another
+// goroutine's allocations do not repeat, a decoder that trusts a claimed
+// count does.
+func allocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < best {
+			best = got
+		}
+	}
+	return best
 }
 
 // FuzzApplyDiff decodes arbitrary bytes as a diff and applies it to a
@@ -82,7 +176,12 @@ func FuzzApplyDiff(f *testing.F) {
 			Set: []SlotSet{{Slot: 3, Alloc: resource.New(1, 256)}}}}}))
 	f.Add(int64(3), mustEnc(&Diff{BaseRev: 3, NewRev: 4, From: 0, NSlots: 6,
 		Update: []JobUpdate{{ID: "a", Add: true, Window: Window{Rel: 0, Dl: 4}}}})) // re-add collision
-	f.Add(int64(4), []byte(`{"base_rev":4,"new_rev":5,"from":0,"n_slots":6,"update":[{"id":"a","window":{"rel":0,"dl":2},"set":[{"slot":4,"alloc":[1,1]}]}]}`))
+	f.Add(int64(4), mustEnc(&Diff{BaseRev: 4, NewRev: 5, From: 0, NSlots: 6,
+		Update: []JobUpdate{{ID: "a", Window: Window{Rel: 0, Dl: 2},
+			Set: []SlotSet{{Slot: 4, Alloc: resource.New(1, 1)}}}}})) // set outside the window
+	// Chains to the base: refused for its length, before Apply sizes a
+	// table per job by it.
+	f.Add(int64(0), hugeNSlotsDiff(0))
 
 	f.Fuzz(func(t *testing.T, planSeed int64, data []byte) {
 		d, err := DecodeDiff(data)

@@ -21,10 +21,36 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"flowtime/internal/resource"
 )
+
+// MaxSlots is the longest plan Validate accepts. A plan is a dense table —
+// NSlots allocation vectors per job — so its length is an allocation size,
+// and it reaches Apply from a journal or a primary: without a ceiling one
+// flipped varint byte is a makeslice panic or an OOM during replay. 2^20
+// slots is twelve days of one-second slots, four orders of magnitude past
+// any horizon the planner is run at; a planner pushed beyond it has its
+// plan refused at the encode, loudly, instead of journaled.
+const MaxSlots = 1 << 20
+
+// checkRange is the anchor/length check Plan.Validate and Diff.Validate
+// share: both non-negative, the length within MaxSlots, and the range's end
+// representable.
+func checkRange(from, nSlots int64) error {
+	if from < 0 || nSlots < 0 {
+		return fmt.Errorf("negative from/nslots (%d/%d)", from, nSlots)
+	}
+	if nSlots > MaxSlots {
+		return fmt.Errorf("%d slots exceeds the %d-slot plan ceiling", nSlots, MaxSlots)
+	}
+	if from > math.MaxInt64-nSlots {
+		return fmt.Errorf("range [%d, +%d) overflows int64", from, nSlots)
+	}
+	return nil
+}
 
 // Window is a job's effective scheduling window in absolute slots;
 // Dl is exclusive.
@@ -127,11 +153,15 @@ func (p *Plan) JobIDs() []string {
 }
 
 // Validate checks the plan's structural invariants: non-negative
-// revision, anchor and length; every job's Alloc sized to NSlots with
-// non-negative entries; nonzero allocation only inside the job's window.
+// revision, anchor and length, the length within MaxSlots; every job's
+// Alloc sized to NSlots with non-negative entries; nonzero allocation only
+// inside the job's window.
 func (p *Plan) Validate() error {
-	if p.Rev < 0 || p.From < 0 || p.NSlots < 0 {
-		return fmt.Errorf("plan: negative rev/from/nslots (%d/%d/%d)", p.Rev, p.From, p.NSlots)
+	if p.Rev < 0 {
+		return fmt.Errorf("plan: negative rev %d", p.Rev)
+	}
+	if err := checkRange(p.From, p.NSlots); err != nil {
+		return fmt.Errorf("plan: %w", err)
 	}
 	for _, id := range p.JobIDs() {
 		j := p.Jobs[id]

@@ -1,11 +1,16 @@
 package plan
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"flowtime/internal/binenc"
 	"flowtime/internal/resource"
 )
 
@@ -106,6 +111,11 @@ func TestApplyRefusesStructurallyInvalid(t *testing.T) {
 	}{
 		{"rev step not one", &Diff{BaseRev: 1, NewRev: 3, From: 0, NSlots: 4}},
 		{"negative nslots", &Diff{BaseRev: 1, NewRev: 2, From: 0, NSlots: -1}},
+		// Refused before Apply sizes one table per job by it (the carried
+		// job "a" would be the first makeslice).
+		{"nslots past the ceiling", &Diff{BaseRev: 1, NewRev: 2, From: 0, NSlots: MaxSlots + 1}},
+		{"nslots astronomic", &Diff{BaseRev: 1, NewRev: 2, From: 0, NSlots: math.MaxInt64}},
+		{"range end overflows", &Diff{BaseRev: 1, NewRev: 2, From: math.MaxInt64 - 3, NSlots: 4}},
 		{"remove unknown", &Diff{BaseRev: 1, NewRev: 2, From: 0, NSlots: 4, Remove: []string{"zzz"}}},
 		{"remove unsorted", &Diff{BaseRev: 1, NewRev: 2, From: 0, NSlots: 4, Remove: []string{"b", "a"}}},
 		{"remove dup", &Diff{BaseRev: 1, NewRev: 2, From: 0, NSlots: 4, Remove: []string{"a", "a"}}},
@@ -181,6 +191,20 @@ func TestPlanValidate(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Fatalf("short alloc slice not refused")
 	}
+	// The length is an allocation size (Load, Apply): it has a ceiling,
+	// and the ceiling itself is a legal plan.
+	if err := (&Plan{Rev: 1, NSlots: MaxSlots}).Validate(); err != nil {
+		t.Fatalf("plan of exactly MaxSlots refused: %v", err)
+	}
+	if err := (&Plan{Rev: 1, NSlots: MaxSlots + 1}).Validate(); err == nil {
+		t.Fatalf("plan longer than MaxSlots accepted")
+	}
+	if err := (&Plan{Rev: 1, From: math.MaxInt64, NSlots: 1}).Validate(); err == nil {
+		t.Fatalf("plan whose range end overflows accepted")
+	}
+	if err := (&Diff{NewRev: 1, NSlots: MaxSlots}).Validate(); err != nil {
+		t.Fatalf("diff of exactly MaxSlots refused: %v", err)
+	}
 }
 
 func TestEqualReportsDivergence(t *testing.T) {
@@ -203,49 +227,279 @@ func TestEqualReportsDivergence(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	d := &Diff{BaseRev: 2, NewRev: 3, From: 4, NSlots: 8,
+// richDiff exercises every part of the encoding: removes, an update and
+// an add, slot runs of length one and three with gaps before and between
+// them, an empty slot set, two θ kinds and a negative zero.
+func richDiff() *Diff {
+	return &Diff{BaseRev: 2, NewRev: 3, From: 4, NSlots: 300,
 		Remove: []string{"r1", "r2"},
 		Update: []JobUpdate{
-			{ID: "a", Window: Window{4, 9}, Set: []SlotSet{{Slot: 5, Alloc: resource.New(2, 4096)}}},
-			{ID: "z", Add: true, Window: Window{6, 12}, Set: []SlotSet{{Slot: 6, Alloc: resource.New(1, 512)}}},
+			{ID: "a", Window: Window{4, 200}, Set: []SlotSet{
+				{Slot: 5, Alloc: resource.New(2, 4096)},
+				{Slot: 7, Alloc: resource.New(1, 17129)}, {Slot: 8, Alloc: resource.Vector{}}, {Slot: 9, Alloc: resource.New(14, 1)},
+				{Slot: 150, Alloc: resource.New(3, 3)}}},
+			{ID: "m", Window: Window{4, 5}},
+			{ID: "z", Add: true, Window: Window{6, 12}, Set: []SlotSet{{Slot: 4, Alloc: resource.Vector{}}, {Slot: 6, Alloc: resource.New(1, 512)}}},
 		},
-		Theta: map[string][]float64{"vcores": {0.25}},
-	}
-	data, err := EncodeDiff(d)
-	if err != nil {
-		t.Fatalf("EncodeDiff: %v", err)
-	}
-	got, err := DecodeDiff(data)
-	if err != nil {
-		t.Fatalf("DecodeDiff: %v", err)
-	}
-	re, err := EncodeDiff(got)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if string(re) != string(data) {
-		t.Fatalf("roundtrip not stable:\n%s\n%s", data, re)
+		Theta: map[string][]float64{"vcores": {0.25, 1.0 / 3}, "memory-mb": {math.Copysign(0, -1)}, "none": nil},
 	}
 }
 
-func TestCodecRefusesMalformed(t *testing.T) {
-	cases := []string{
-		``,
-		`not json`,
-		`{"base_rev": "three"}`,
-		`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"bogus_field":1}`,
-		`{"base_rev":1,"new_rev":5,"from":0,"n_slots":4}`, // rev step != 1
-		`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}{"trailing":1}`,
-		`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"update":[{"id":"a","window":{"rel":0,"dl":4},"set":[{"slot":1,"alloc":[1,1]},{"slot":1,"alloc":[2,2]}]}]}`,
+func TestCodecRoundTrip(t *testing.T) {
+	roundTrip := func(d *Diff) {
+		t.Helper()
+		data, err := EncodeDiff(d)
+		if err != nil {
+			t.Fatalf("EncodeDiff: %v", err)
+		}
+		if data[0] == '{' {
+			t.Fatalf("binary diff opens with '{': the legacy sniff would misread it")
+		}
+		got, err := DecodeDiff(data)
+		if err != nil {
+			t.Fatalf("DecodeDiff: %v", err)
+		}
+		if !reflect.DeepEqual(got, d) {
+			t.Fatalf("decode∘encode is not the identity:\n%+v\n%+v", d, got)
+		}
+		re, err := EncodeDiff(got)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("roundtrip not stable:\n%x\n%x", data, re)
+		}
+		// The form journals held before the binary codec still decodes, to
+		// the same value.
+		legacy, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := DecodeDiff(legacy)
+		if err != nil {
+			t.Fatalf("legacy JSON form refused: %v", err)
+		}
+		if !reflect.DeepEqual(old, d) {
+			t.Fatalf("legacy JSON form decodes differently:\n%+v\n%+v", d, old)
+		}
 	}
-	for _, raw := range cases {
-		if _, err := DecodeDiff([]byte(raw)); err == nil {
-			t.Errorf("malformed diff accepted: %s", raw)
+	rich := richDiff()
+	roundTrip(rich)
+	if bits := math.Float64bits(rich.Theta["memory-mb"][0]); bits != 1<<63 {
+		t.Fatalf("test diff lost its negative zero")
+	}
+	roundTrip(&Diff{BaseRev: 0, NewRev: 1})
+	// A base revision of 123 is the one whose varint is '{'.
+	roundTrip(&Diff{BaseRev: 123, NewRev: 124, From: 123, NSlots: 123})
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		from := int64(rng.Intn(200))
+		base := genRandomPlan(rng, int64(iter), from, int64(1+rng.Intn(12)))
+		next := genRandomPlan(rng, int64(iter)+1, from+int64(rng.Intn(4)), int64(1+rng.Intn(12)))
+		roundTrip(Compute(base, next))
+	}
+}
+
+// binDiff hand-assembles a binary diff header (tag, BaseRev 1, From 0,
+// NSlots 4) followed by whatever body writes.
+func binDiff(body func(w *binenc.Writer)) []byte {
+	w := binenc.Writer{}
+	w.Byte(diffTag)
+	w.Int(1)
+	w.Int(0)
+	w.Int(4)
+	body(&w)
+	return w.Buf
+}
+
+func TestCodecRefusesMalformed(t *testing.T) {
+	good := binDiff(func(w *binenc.Writer) {
+		w.Uint(0) // removes
+		w.Uint(1) // updates
+		w.String("a")
+		w.Bool(false)
+		w.Int(0)
+		w.Int(4)
+		w.Uint(1) // runs
+		w.Int(1)  // gap: slot 1
+		w.Uint(2) // slots 1, 2
+		for _, a := range []int64{1, 1, 2, 2} {
+			w.Int(a)
+		}
+		w.Uint(0) // θ
+	})
+	if d, err := DecodeDiff(good); err != nil || len(d.Update[0].Set) != 2 {
+		t.Fatalf("hand-assembled reference diff refused: %v", err)
+	}
+	noUpdates := func(w *binenc.Writer) { w.Uint(0); w.Uint(0) }
+	cases := map[string][]byte{
+		"empty":                     {},
+		"not a diff":                []byte("not json"),
+		"unknown tag":               append([]byte{0x02}, good[1:]...),
+		"trailing byte":             append(append([]byte{}, good...), 0),
+		"two diffs":                 append(append([]byte{}, good...), good...),
+		"non-minimal":               {diffTag, 0x81, 0x00, 0, 4, 0, 0, 0},
+		"varint overflow":           append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 11)...),
+		"beyond int64":              append(append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 9)...), 0x01, 0, 4, 0, 0, 0),
+		"no successor rev":          append(append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 8)...), 0x7f, 0, 4, 0, 0, 0),
+		"nslots past the ceiling":   hugeNSlotsDiff(1),
+		"remove count beyond input": binDiff(func(w *binenc.Writer) { w.Uint(1 << 40) }),
+		"string beyond input":       binDiff(func(w *binenc.Writer) { w.Uint(1); w.Uint(200); w.Byte('a') }),
+		"unsorted removes": binDiff(func(w *binenc.Writer) {
+			w.Uint(2)
+			w.String("b")
+			w.String("a")
+			w.Uint(0)
+			w.Uint(0)
+		}),
+		"flag byte 2": binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Byte(2)
+			w.Int(0)
+			w.Int(4)
+			w.Uint(0)
+			w.Uint(0)
+		}),
+		"empty window": binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(4)
+			w.Int(4)
+			w.Uint(0)
+			w.Uint(0)
+		}),
+		"empty run": binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(0)
+			w.Int(4)
+			w.Uint(1)
+			w.Int(0)
+			w.Uint(0)
+			w.Uint(0)
+			w.Uint(0) // padding so the run count passes its size check
+		}),
+		"slot outside plan range": binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(0)
+			w.Int(4)
+			w.Uint(1)
+			w.Int(4)
+			w.Uint(1)
+			w.Int(1)
+			w.Int(1)
+			w.Uint(0)
+		}),
+		"run overflows int64": binDiff(func(w *binenc.Writer) {
+			w.Uint(0)
+			w.Uint(1)
+			w.String("a")
+			w.Bool(false)
+			w.Int(0)
+			w.Int(4)
+			w.Uint(1)
+			w.Int(math.MaxInt64)
+			w.Uint(1)
+			w.Int(1)
+			w.Int(1)
+			w.Uint(0)
+		}),
+		"unsorted θ kinds": binDiff(func(w *binenc.Writer) {
+			noUpdates(w)
+			w.Uint(2)
+			w.String("b")
+			w.Uint(0)
+			w.String("a")
+			w.Uint(0)
+		}),
+		"duplicate θ kind": binDiff(func(w *binenc.Writer) {
+			noUpdates(w)
+			w.Uint(2)
+			w.String("a")
+			w.Uint(0)
+			w.String("a")
+			w.Uint(0)
+		}),
+		"NaN θ level": binDiff(func(w *binenc.Writer) {
+			noUpdates(w)
+			w.Uint(1)
+			w.String("a")
+			w.Uint(1)
+			w.Float64(math.NaN())
+		}),
+		"infinite θ level": binDiff(func(w *binenc.Writer) {
+			noUpdates(w)
+			w.Uint(1)
+			w.String("a")
+			w.Uint(1)
+			w.Float64(math.Inf(1))
+		}),
+		"θ level count beyond input": binDiff(func(w *binenc.Writer) {
+			noUpdates(w)
+			w.Uint(1)
+			w.String("a")
+			w.Uint(3)
+			w.Float64(1)
+		}),
+		// The legacy JSON branch keeps its own refusals.
+		"json: wrong type":           []byte(`{"base_rev": "three"}`),
+		"json: unknown field":        []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"bogus_field":1}`),
+		"json: rev step":             []byte(`{"base_rev":1,"new_rev":5,"from":0,"n_slots":4}`),
+		"json: second value":         []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}{"trailing":1}`),
+		"json: nslots past ceiling":  []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":1099511627776}`),
+		"json: overlapping slot ops": []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"update":[{"id":"a","window":{"rel":0,"dl":4},"set":[{"slot":1,"alloc":[1,1]},{"slot":1,"alloc":[2,2]}]}]}`),
+	}
+	for name, raw := range cases {
+		if _, err := DecodeDiff(raw); err == nil {
+			t.Errorf("malformed diff accepted (%s): %x", name, raw)
+		}
+	}
+	// A torn encoding is refused at every length.
+	rich, err := EncodeDiff(richDiff())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(rich); n++ {
+		if _, err := DecodeDiff(rich[:n]); err == nil {
+			t.Errorf("diff torn at %d/%d bytes accepted", n, len(rich))
 		}
 	}
 	if _, err := DecodePlan([]byte(`{"rev":-1}`)); err == nil {
 		t.Errorf("negative-rev plan accepted")
+	}
+	if _, err := DecodePlan([]byte(`{"rev":1,"from":0,"n_slots":1099511627776}`)); err == nil {
+		t.Errorf("plan with n_slots past the ceiling accepted")
+	}
+}
+
+// TestStrictJSONRefusesTrailingBrackets pins the two strict JSON decoders
+// that remain — full plans, and the legacy diff form — against the tails
+// json.Decoder.More does not see: it reports false for a stray '}' or ']'.
+func TestStrictJSONRefusesTrailingBrackets(t *testing.T) {
+	diff := `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`
+	planJSON := `{"rev":1,"from":0,"n_slots":4}`
+	if _, err := DecodeDiff([]byte(diff + " \n")); err != nil {
+		t.Fatalf("trailing white space refused: %v", err)
+	}
+	if _, err := DecodePlan([]byte(planJSON + " \n")); err != nil {
+		t.Fatalf("trailing white space refused: %v", err)
+	}
+	for _, tail := range []string{"}", "]", " }}}]", "{}", "1", ",", "null", "\x00"} {
+		if _, err := DecodeDiff([]byte(diff + tail)); err == nil {
+			t.Errorf("DecodeDiff accepted trailing %q", tail)
+		}
+		if _, err := DecodePlan([]byte(planJSON + tail)); err == nil {
+			t.Errorf("DecodePlan accepted trailing %q", tail)
+		}
 	}
 }
 

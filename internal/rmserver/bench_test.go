@@ -227,3 +227,69 @@ func BenchmarkTick(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJournalEncode encodes the record sequence of a recorded mixed
+// run (recordMixedRun: every record variant) the way journalLocked does —
+// one codec, one reused buffer. B/record is the payload size; json_B/record
+// is what the same records took in the JSON form the codec replaced.
+func BenchmarkJournalEncode(b *testing.B) {
+	_, payloads := recordMixedRun(b)
+	var codec walCodec
+	recs := make([]walRecord, len(payloads))
+	var size, jsonSize int
+	for i, p := range payloads {
+		rec, err := codec.decode(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs[i] = rec
+		size += len(p)
+		jsonSize += len(toLegacyJSON(b, p))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := range recs {
+			if _, err := codec.encode(&recs[r]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+	b.ReportMetric(float64(size)/float64(len(recs)), "B/record")
+	b.ReportMetric(float64(jsonSize)/float64(len(recs)), "json_B/record")
+}
+
+// BenchmarkReplayDecode decodes the same sequence the way replay does,
+// in the binary form and — the read-only path an older state directory
+// takes — in the legacy JSON form.
+func BenchmarkReplayDecode(b *testing.B) {
+	_, binary := recordMixedRun(b)
+	legacy := make([][]byte, len(binary))
+	for i, p := range binary {
+		legacy[i] = toLegacyJSON(b, p)
+	}
+	for _, form := range []struct {
+		name     string
+		payloads [][]byte
+	}{{"binary", binary}, {"json_legacy", legacy}} {
+		b.Run(form.name, func(b *testing.B) {
+			var codec walCodec
+			size := 0
+			for _, p := range form.payloads {
+				size += len(p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range form.payloads {
+					if _, err := codec.decode(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(form.payloads)), "ns/record")
+			b.ReportMetric(float64(size)/float64(len(form.payloads)), "B/record")
+		})
+	}
+}

@@ -66,14 +66,23 @@
 //
 // Under interval/never policies every one of these windows reopens by
 // design — that is the policy's documented trade.
+//
+// Formats: a WAL payload is a tagged binary record — one tag byte per
+// walRecord variant, varints, length-prefixed strings; quantum IDs as
+// deltas, a tick's job and node IDs back-referenced, its lease expiry
+// stored once; a plan diff in internal/plan's binary diff codec. The tag
+// table and every rule are in walcodec.go, the only file that knows them;
+// this file builds and applies walRecord values. `ftrm -wal-dump` prints a
+// log as JSON lines (DumpWAL). Payloads an older RM wrote — JSON, first
+// byte '{' — are still read, never written (see walcodec.go for when that
+// can go). Snapshots are JSON (snapState), as is the plan blob inside a
+// snapshot or a rebase record.
 package rmserver
 
 import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"flowtime/internal/plan"
@@ -92,7 +101,9 @@ import (
 // upgradeSnapV1 is the one place that knows the old shape.
 const snapVersion = 2
 
-// walRecord is the one-of union journaled per mutation.
+// walRecord is the one-of union journaled per mutation. walcodec.go owns
+// its on-disk form; the json tags serve `ftrm -wal-dump` and the read-only
+// legacy form.
 type walRecord struct {
 	Workflow   *recWorkflow   `json:"wf,omitempty"`
 	AdHoc      *recAdHoc      `json:"adhoc,omitempty"`
@@ -168,17 +179,36 @@ type recEpoch struct {
 	Slot  int64 `json:"slot"`
 }
 
-// recPlanDiff journals one plan diff in the strict plan codec's wire
+// recPlanDiff journals one plan diff, on disk in the plan codec's wire
 // form (internal/plan). The diff is the transaction: it either chained
 // onto the live plan's revision and was applied whole, or it was never
 // journaled — a torn record at the WAL tail is truncated at recovery
 // and the plan stays at its pre-diff revision.
 type recPlanDiff struct {
-	Diff json.RawMessage `json:"diff"`
+	Diff *plan.Diff `json:"diff"`
+}
+
+// UnmarshalJSON reads the legacy JSON record form, holding the nested
+// diff to the plan codec's strict decoder (unknown fields refused,
+// Validate run) rather than encoding/json's lenient one.
+func (r *recPlanDiff) UnmarshalJSON(b []byte) error {
+	var raw struct {
+		Diff json.RawMessage `json:"diff"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	d, err := plan.DecodeDiff(raw.Diff)
+	if err != nil {
+		return err
+	}
+	r.Diff = d
+	return nil
 }
 
 // recPlanRebase journals a wholesale live-plan replacement — the escape
-// hatch when the diff chain breaks (see planstream.go).
+// hatch when the diff chain breaks (see planstream.go) — as the plan
+// codec's JSON plan blob, the same one snapshots embed.
 type recPlanRebase struct {
 	Plan json.RawMessage `json:"plan"`
 }
@@ -245,11 +275,11 @@ func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
 	if s.store == nil {
 		return store.Handle{}, nil
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := s.codec.encode(&rec)
 	if err != nil {
-		return store.Handle{}, err
+		return store.Handle{}, fmt.Errorf("rmserver: wal encode: %w", err)
 	}
-	h, err := s.store.Append(payload)
+	h, err := s.store.Append(payload) // copies: the codec's buffer is free again
 	if err != nil {
 		return store.Handle{}, fmt.Errorf("rmserver: wal append: %w: %w", ErrCommitFailed, err)
 	}
@@ -272,15 +302,6 @@ func (s *Server) commitRecord(h store.Handle) error {
 		return fmt.Errorf("rmserver: wal commit: %w: %w", ErrCommitFailed, err)
 	}
 	return nil
-}
-
-// qidNum extracts the numeric suffix of a quantum ID ("q-42" -> 42).
-func qidNum(qid string) int64 {
-	n, err := strconv.ParseInt(strings.TrimPrefix(qid, "q-"), 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
 }
 
 // recoverLocked rebuilds state from the store: restore the recovered
@@ -504,8 +525,8 @@ func workflowFromRecord(rec trace.WorkflowRecord, submitNS, deadlineNS int64) (*
 }
 
 func (s *Server) applyRecordLocked(payload []byte) error {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := s.codec.decode(payload)
+	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
 	switch {
@@ -527,8 +548,6 @@ func (s *Server) applyRecordLocked(payload []byte) error {
 		return s.applyPlanDiffRecordLocked(rec.PlanDiff)
 	case rec.PlanRebase != nil:
 		return s.applyPlanRebaseRecordLocked(rec.PlanRebase)
-	default:
-		return fmt.Errorf("empty WAL record %q", payload)
 	}
 	return nil
 }
@@ -599,9 +618,9 @@ func (s *Server) applyTickLocked(r *recTick) {
 		}
 	}
 	for _, g := range r.Grants {
-		n := qidNum(g.QID)
-		if n <= s.nextQID {
-			continue // already applied (prior replay pass or snapshot)
+		n, own := parseQID(g.QID)
+		if !own || n <= s.nextQID {
+			continue // already applied (prior replay pass or snapshot), or not an ID this server issues
 		}
 		j, ok := s.jobs[g.JobID]
 		if !ok {

@@ -73,12 +73,7 @@ func (s *Server) streamPlansLocked() error {
 		}
 		s.livePlan = next
 		s.faults.PlanDiffsApplied++
-		payload, err := plan.EncodeDiff(d)
-		if err != nil {
-			note(fmt.Errorf("rmserver: encode plan diff %d->%d: %w", d.BaseRev, d.NewRev, err))
-			continue
-		}
-		_, jerr := s.journalLocked(walRecord{PlanDiff: &recPlanDiff{Diff: payload}})
+		_, jerr := s.journalLocked(walRecord{PlanDiff: &recPlanDiff{Diff: d}})
 		note(jerr)
 	}
 	s.rebaseAdHocLocked()
@@ -104,10 +99,7 @@ func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
 // revision gap is corrupt history and fails loudly rather than leaving
 // a plan that silently diverges from what the primary journaled.
 func (s *Server) applyPlanDiffRecordLocked(r *recPlanDiff) error {
-	d, err := plan.DecodeDiff(r.Diff)
-	if err != nil {
-		return fmt.Errorf("plan diff: %w", err)
-	}
+	d := r.Diff // decoded and validated by the record codec
 	base := s.livePlanLocked()
 	if d.NewRev <= base.Rev {
 		return nil // idempotent replay

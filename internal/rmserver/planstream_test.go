@@ -1,7 +1,6 @@
 package rmserver
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -107,13 +106,10 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 
 	mustRecord := func(d *plan.Diff) []byte {
 		t.Helper()
-		payload, err := plan.EncodeDiff(d)
+		var codec walCodec
+		rec, err := codec.encode(&walRecord{PlanDiff: &recPlanDiff{Diff: d}})
 		if err != nil {
-			t.Fatalf("EncodeDiff: %v", err)
-		}
-		rec, err := json.Marshal(walRecord{PlanDiff: &recPlanDiff{Diff: payload}})
-		if err != nil {
-			t.Fatalf("marshal record: %v", err)
+			t.Fatalf("encode record: %v", err)
 		}
 		return rec
 	}
@@ -142,10 +138,26 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 	if rm.livePlan.Rev != 1 {
 		t.Fatalf("gap replay moved the plan to rev %d", rm.livePlan.Rev)
 	}
-	// Malformed payload: refused by the strict codec.
-	bad, _ := json.Marshal(walRecord{PlanDiff: &recPlanDiff{Diff: []byte(`{"nope":1}`)}})
-	if err := rm.applyRecordLocked(bad); err == nil {
-		t.Fatal("malformed diff payload replayed without error")
+	// Malformed payloads: refused by the strict codec before anything
+	// mutates — a byte after the diff, a torn diff, a tag nothing writes,
+	// and, in the legacy JSON form, a field the diff schema does not have.
+	next := mustRecord(&plan.Diff{BaseRev: 1, NewRev: 2, From: 5, NSlots: 2})
+	for name, bad := range map[string][]byte{
+		"trailing byte":        append(append([]byte{}, next...), 0),
+		"torn":                 next[:len(next)-1],
+		"unknown tag":          append([]byte{0x7f}, next[1:]...),
+		"legacy unknown field": []byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2,"nope":1}}}`),
+	} {
+		if err := rm.applyRecordLocked(bad); err == nil {
+			t.Errorf("malformed diff payload (%s) replayed without error", name)
+		}
+		if rm.livePlan.Rev != 1 {
+			t.Fatalf("malformed diff payload (%s) moved the plan to rev %d", name, rm.livePlan.Rev)
+		}
+	}
+	// The same diff in the form an older RM journaled still replays.
+	if err := rm.applyRecordLocked([]byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2}}}`)); err != nil || rm.livePlan.Rev != 2 {
+		t.Fatalf("legacy JSON diff record: err %v, rev %d", err, rm.livePlan.Rev)
 	}
 }
 

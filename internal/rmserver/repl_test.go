@@ -33,7 +33,7 @@ func newReplicaRM(t *testing.T, dir, leaderURL string) (*Server, *store.Store) {
 
 // pumpRepl replicates primary → follower in-process until the follower's
 // watermark matches the primary's.
-func pumpRepl(t *testing.T, primary, follower *Server) {
+func pumpRepl(t testing.TB, primary, follower *Server) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
 		wm := follower.store.Watermark()

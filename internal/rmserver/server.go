@@ -132,6 +132,9 @@ type Server struct {
 	// journaled is the handle of the newest WAL record this server
 	// appended (see journalLocked); the zero handle until the first one.
 	journaled store.Handle
+	// codec encodes and decodes WAL payloads (walcodec.go); it owns the
+	// encode buffer journalLocked reuses.
+	codec walCodec
 
 	// livePlan is the scheduler's streamed plan, reconstructed from
 	// journaled diffs (see planstream.go). Nil until the first revision.
@@ -631,6 +634,12 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 	a := adHocFromRecord(req.Job)
 	if err := a.Validate(); err != nil {
 		return rmproto.SubmitResponse{}, err
+	}
+	if req.Job.SubmitSec < 0 {
+		// The live RM ignores the submit offset, but journals the record:
+		// every other field is validated above, and the journal stores no
+		// sign (trace files refuse the same value in ToWorkload).
+		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: ad-hoc %s: negative submit offset %ds", a.ID, req.Job.SubmitSec)
 	}
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {

@@ -25,7 +25,7 @@ func newRM(t *testing.T, s sched.Scheduler) *Server {
 	return rm
 }
 
-func register(t *testing.T, rm *Server, id string, cores, memMB int64) {
+func register(t testing.TB, rm *Server, id string, cores, memMB int64) {
 	t.Helper()
 	_, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
 		NodeID:   id,

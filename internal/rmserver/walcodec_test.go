@@ -1,0 +1,804 @@
+package rmserver
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"flowtime/internal/core"
+	"flowtime/internal/plan"
+	"flowtime/internal/resource"
+	"flowtime/internal/rmproto"
+	"flowtime/internal/store"
+	"flowtime/internal/trace"
+)
+
+// streamingConfig is the configuration the codec tests record and recover
+// under: FlowTime streaming its plan, the ad-hoc gate on, leases expiring
+// after three slots.
+func streamingConfig(st *store.Store, follower bool) Config {
+	cfg := core.DefaultConfig()
+	cfg.StreamPlans = true
+	return Config{SlotDur: slotDur, Scheduler: core.New(cfg), Store: st, AdHocGate: true, LeaseExpiry: 3, Follower: follower}
+}
+
+func openStreamingRM(tb testing.TB, dir string, follower bool) *Server {
+	tb.Helper()
+	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+	if err != nil {
+		tb.Fatalf("store.Open: %v", err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	rm, err := New(streamingConfig(st, follower))
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	return rm
+}
+
+// readWAL returns copies of the payloads in dir's generation-0 segment.
+func readWAL(tb testing.TB, dir string) [][]byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "wal-000000000000.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	payloads, _, err := store.DecodeAll(raw)
+	if err != nil {
+		tb.Fatalf("recorded WAL does not decode cleanly: %v", err)
+	}
+	return payloads
+}
+
+// recordMixedRun journals one seeded run through the codec and returns
+// the server that ended it and its whole WAL. The run is made to contain
+// every record variant: workflows and gated ad-hoc jobs arriving
+// throughout on three nodes; n1 restarts at slot 7 holding leases (a
+// requeue record) and wedges from slot 10 until its leases expire (ticks
+// with requeues); every record ships to a warm standby, which is then
+// promoted with leases in flight (its epoch and requeue records) and
+// keeps scheduling — its restarted planner's first revision does not
+// chain onto the replicated plan, so it journals a plan rebase, then
+// diffs again. The standby's log is the run's.
+func recordMixedRun(tb testing.TB) (*Server, [][]byte) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(18))
+	now := time.Now()
+	nodes := []string{"n1", "n2", "n3"}
+	held := map[string][]string{}
+	reg := func(rm *Server, id string) {
+		register(tb, rm, id, 4, 8*1024)
+		held[id] = nil
+	}
+	submit := func(rm *Server, slot int) {
+		if slot%4 == 0 {
+			wf := chainWorkflow(int64(200 + rng.Intn(400)))
+			wf.ID = fmt.Sprintf("wf-%d", slot)
+			if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf}); err != nil {
+				tb.Fatalf("SubmitWorkflow: %v", err)
+			}
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+				ID: fmt.Sprintf("a%d-%d", slot, i), Tasks: 1 + rng.Intn(3), TaskDurSec: int64(10 * (1 + rng.Intn(2))), DemandVCores: 1, DemandMemMB: 512,
+			}}); err != nil {
+				tb.Fatalf("SubmitAdHoc: %v", err)
+			}
+		}
+	}
+	beat := func(rm *Server, slot int) {
+		if err := rm.Tick(now); err != nil {
+			tb.Fatalf("Tick: %v", err)
+		}
+		for _, n := range nodes {
+			wedged := n == "n1" && slot >= 10 && slot < 16
+			req := rmproto.HeartbeatRequest{NodeID: n}
+			if !wedged {
+				req.Completed = held[n]
+			}
+			resp, err := rm.Heartbeat(req, now)
+			if err != nil {
+				tb.Fatalf("Heartbeat(%s): %v", n, err)
+			}
+			held[n] = nil
+			if !wedged {
+				held[n] = quantumIDs(resp.Launch)
+			}
+		}
+	}
+
+	primary := openStreamingRM(tb, tb.TempDir(), false)
+	standbyDir := tb.TempDir()
+	standby := openStreamingRM(tb, standbyDir, true)
+	for _, n := range nodes {
+		reg(primary, n)
+	}
+	slot := 0
+	for ; slot < 18; slot++ {
+		submit(primary, slot)
+		if slot == 7 {
+			reg(primary, "n1") // restarted with empty hands
+		}
+		beat(primary, slot)
+		pumpRepl(tb, primary, standby)
+	}
+	if resp, err := standby.Promote(); err != nil || resp.OrphanLeasesRequeued == 0 {
+		tb.Fatalf("Promote = %+v, %v; want orphan leases requeued", resp, err)
+	}
+	for _, n := range nodes {
+		reg(standby, n)
+	}
+	for ; slot < 26; slot++ {
+		submit(standby, slot)
+		beat(standby, slot)
+	}
+	return standby, readWAL(tb, standbyDir)
+}
+
+func variantOf(rec *walRecord) string {
+	switch {
+	case rec.Workflow != nil:
+		return "wf"
+	case rec.AdHoc != nil:
+		return "adhoc"
+	case rec.Tick != nil:
+		return "tick"
+	case rec.Confirm != nil:
+		return "confirm"
+	case rec.Requeue != nil:
+		return "requeue"
+	case rec.Epoch != nil:
+		return "epoch"
+	case rec.PlanDiff != nil:
+		return "plan_diff"
+	case rec.PlanRebase != nil:
+		return "plan_rebase"
+	}
+	return "empty"
+}
+
+// toLegacyJSON transcodes a binary payload to the form the RM journaled
+// before the binary codec: json.Marshal of the record, the diff nested
+// as the plan codec's JSON.
+func toLegacyJSON(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	var codec walCodec
+	rec, err := codec.decode(payload)
+	if err != nil {
+		tb.Fatalf("decode: %v", err)
+	}
+	legacy, err := json.Marshal(rec)
+	if err != nil {
+		tb.Fatalf("marshal: %v", err)
+	}
+	return legacy
+}
+
+// recoverFrom writes payloads as a generation-0 WAL (cut tornBytes short
+// of its end) in a fresh directory and recovers a server from it.
+func recoverFrom(tb testing.TB, payloads [][]byte, tornBytes int) (*Server, store.RecoveryInfo, error) {
+	tb.Helper()
+	var log []byte
+	for _, p := range payloads {
+		frame, err := store.EncodeRecord(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		log = append(log, frame...)
+	}
+	dir := tb.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-000000000000.log"), log[:len(log)-tornBytes], 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+	if err != nil {
+		tb.Fatalf("store.Open: %v", err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	rm, err := New(streamingConfig(st, false))
+	return rm, st.Recovery(), err
+}
+
+func snapshotOf(tb testing.TB, rm *Server) []byte {
+	tb.Helper()
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	snap, err := rm.snapshotLocked()
+	if err != nil {
+		tb.Fatalf("snapshot: %v", err)
+	}
+	return snap
+}
+
+// TestWALCodecReplayEquivalence is what licenses replacing the journal's
+// encoding: the same record sequence replays to the same server whether
+// it is in the binary form, in the JSON form the parent commit wrote, or
+// half and half (an upgrade in the middle of a WAL generation).
+func TestWALCodecReplayEquivalence(t *testing.T) {
+	live, binary := recordMixedRun(t)
+
+	var codec walCodec
+	seen := map[string]int{}
+	tickRequeues := 0
+	for i, p := range binary {
+		if p[0] == legacyOpen {
+			t.Fatalf("record %d was journaled as JSON: %s", i, p)
+		}
+		rec, err := codec.decode(p)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		seen[variantOf(&rec)]++
+		if rec.Tick != nil {
+			tickRequeues += len(rec.Tick.Requeued)
+		}
+	}
+	for _, v := range []string{"wf", "adhoc", "tick", "confirm", "requeue", "plan_diff", "plan_rebase"} {
+		if seen[v] == 0 {
+			t.Errorf("the run journaled no %s record: %v", v, seen)
+		}
+	}
+	if seen["epoch"] < 2 || seen["requeue"] < 2 || tickRequeues == 0 {
+		t.Errorf("want the first primary's and the promotion's epoch, a re-registration and a promotion requeue, and a lease expiry; got %v, %d quanta requeued by ticks", seen, tickRequeues)
+	}
+
+	legacy := make([][]byte, len(binary))
+	mixed := make([][]byte, len(binary))
+	for i, p := range binary {
+		legacy[i] = toLegacyJSON(t, p)
+		mixed[i] = p
+		if i < len(binary)/2 {
+			mixed[i] = legacy[i]
+		}
+	}
+	var want []byte
+	for _, log := range []struct {
+		name     string
+		payloads [][]byte
+	}{{"binary", binary}, {"legacy JSON", legacy}, {"JSON then binary", mixed}} {
+		rm, info, err := recoverFrom(t, log.payloads, 0)
+		if err != nil {
+			t.Fatalf("%s log: %v", log.name, err)
+		}
+		if info.Records != len(binary) || info.Truncated {
+			t.Fatalf("%s log: recovered %d of %d records, truncated=%v", log.name, info.Records, len(binary), info.Truncated)
+		}
+		if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
+			t.Errorf("%s log: %v", log.name, err)
+		}
+		snap := snapshotOf(t, rm)
+		if want == nil {
+			want = snap
+			a, err := normalizeSnapshot(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := normalizeSnapshot(snapshotOf(t, live))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("server recovered from the %s log differs from the one that wrote it:\nrecovered: %s\nlive:      %s", log.name, a, b)
+			}
+		} else if !bytes.Equal(snap, want) {
+			t.Errorf("snapshot of the server recovered from the %s log differs from the binary log's:\n%s\n%s", log.name, snap, want)
+		}
+	}
+
+	// A crash anywhere inside the final record's append recovers to the
+	// state before it.
+	before, _, err := recoverFrom(t, binary[:len(binary)-1], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBefore := snapshotOf(t, before)
+	if bytes.Equal(wantBefore, want) {
+		t.Fatal("the final record changes nothing: the truncation check would be vacuous")
+	}
+	lastFrame := len(binary[len(binary)-1]) + 8
+	for torn := 1; torn <= lastFrame; torn++ {
+		rm, info, err := recoverFrom(t, binary, torn)
+		if err != nil {
+			t.Fatalf("final record torn by %d bytes: %v", torn, err)
+		}
+		if info.Records != len(binary)-1 || info.Truncated != (torn < lastFrame) {
+			t.Fatalf("final record torn by %d of %d bytes: %d records, truncated=%v", torn, lastFrame, info.Records, info.Truncated)
+		}
+		if got := snapshotOf(t, rm); !bytes.Equal(got, wantBefore) {
+			t.Fatalf("final record torn by %d bytes: recovered state is not the pre-record state", torn)
+		}
+	}
+
+	// A payload that passes its CRC but is one byte short or long is not a
+	// torn tail: recovery refuses the directory, naming the record, as it
+	// does for any record it cannot apply.
+	first := map[string]int{}
+	for i, p := range binary {
+		rec, _ := codec.decode(p)
+		if _, ok := first[variantOf(&rec)]; !ok {
+			first[variantOf(&rec)] = i
+		}
+	}
+	for v, i := range first {
+		for name, bad := range map[string][]byte{
+			"cut":      binary[i][:len(binary[i])-1],
+			"extended": append(append([]byte{}, binary[i]...), 0),
+		} {
+			log := append(append([][]byte{}, binary[:i]...), bad)
+			_, _, err := recoverFrom(t, log, 0)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay record %d/%d", i+1, i+1)) {
+				t.Errorf("%s record %s by one byte: recovery = %v, want a replay error naming record %d", v, name, err, i+1)
+			}
+			// The plan blob of a rebase is the plan codec's to refuse.
+			if _, err := codec.decode(bad); err == nil && v != "plan_rebase" {
+				t.Errorf("%s record %s by one byte decodes", v, name)
+			}
+		}
+	}
+}
+
+// namedRecord is a walRecord with a label for test output.
+type namedRecord struct {
+	name string
+	rec  walRecord
+}
+
+// canonicalRecords is one value per record variant, plus the shapes only
+// a hand-built record has: quantum IDs that are not the server's own
+// form, grants whose expiries differ, and the extremes of the integer
+// range.
+func canonicalRecords() []namedRecord {
+	faults := rmproto.FaultCounters{RequeuedQuanta: 3, ExpiredNodes: 1, StaleConfirms: 200, PlanDiffsApplied: 70, PlanRebases: 1}
+	return []namedRecord{
+		{"workflow", walRecord{Workflow: &recWorkflow{WF: chainWorkflow(600), SubmitNS: 50e9, DeadlineNS: 650e9, Slot: 5, BestEffort: true,
+			Windows: []recWindow{{ReleaseNS: 50e9, DeadlineNS: 300e9, MinSlots: 3}, {ReleaseNS: 300e9, DeadlineNS: 650e9, MinSlots: 3}}}}},
+		{"workflow, empty", walRecord{Workflow: &recWorkflow{}}},
+		{"adhoc", walRecord{AdHoc: &recAdHoc{Job: trace.AdHocRecord{ID: "burst-0123-07", Tasks: 3, TaskDurSec: 120, DemandVCores: 2, DemandMemMB: 4096}, Slot: 123}}},
+		{"tick", walRecord{Tick: &recTick{Slot: 36, Faults: faults, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
+			Grants: []recGrant{
+				{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51},
+				{QID: "q-628", JobID: "wf0001/TeraSort-1#1", NodeID: "n001", Grant: resource.New(6, 1024), Expiry: 51},
+				{QID: "q-629", JobID: "adhoc/a-1", NodeID: "n001", Grant: resource.New(1, 512), Expiry: 51},
+			}}}},
+		{"tick, idle", walRecord{Tick: &recTick{Slot: 1}}},
+		{"tick, odd expiries", walRecord{Tick: &recTick{Slot: math.MaxInt64, Grants: []recGrant{
+			{QID: "q-9223372036854775807", JobID: "j", NodeID: "j", Expiry: 0},
+			{QID: "q-0", JobID: "", NodeID: "n", Expiry: math.MaxInt64},
+			{QID: "", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
+		}}}},
+		{"tick, expiry at the top of the range", walRecord{Tick: &recTick{Grants: []recGrant{
+			{QID: "q-1", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}, {QID: "q-2", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}}}}},
+		{"confirm", walRecord{Confirm: &recConfirm{Slot: 300, Faults: faults, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
+		{"requeue", walRecord{Requeue: &recRequeue{Faults: faults, QIDs: []string{"q-100", "q-98", "q-99"}}}},
+		{"epoch", walRecord{Epoch: &recEpoch{Epoch: 2, Slot: 18}}},
+		{"plan diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(2, 3)}}},
+		{"plan rebase", walRecord{PlanRebase: &recPlanRebase{Plan: json.RawMessage(`{"rev":4,"from":18,"n_slots":2}`)}}},
+	}
+}
+
+func canonicalRecord(name string) walRecord {
+	for _, c := range canonicalRecords() {
+		if c.name == name {
+			return c.rec
+		}
+	}
+	panic("no canonical record " + name)
+}
+
+// canonicalDiff is a diff of jobs jobs, each setting slots consecutive
+// slots, with θ for both resource kinds.
+func canonicalDiff(jobs, slots int) *plan.Diff {
+	d := &plan.Diff{BaseRev: 41, NewRev: 42, From: 73, NSlots: int64(slots), Theta: map[string][]float64{}}
+	for _, k := range resource.Kinds() {
+		for s := 0; s < slots; s++ {
+			d.Theta[k.String()] = append(d.Theta[k.String()], 1/float64(3+s))
+		}
+	}
+	for j := 0; j < jobs; j++ {
+		u := plan.JobUpdate{ID: fmt.Sprintf("wf0001/TeraSort-%d#%d", j, j), Add: j%2 == 0, Window: plan.Window{Rel: 73, Dl: 73 + int64(slots)}}
+		for s := 0; s < slots; s++ {
+			u.Set = append(u.Set, plan.SlotSet{Slot: 73 + int64(s), Alloc: resource.New(14, 17129)})
+		}
+		d.Update = append(d.Update, u)
+	}
+	return d
+}
+
+func TestWALCodecRoundTrip(t *testing.T) {
+	var codec walCodec
+	for _, c := range canonicalRecords() {
+		name, rec := c.name, c.rec
+		payload, err := codec.encode(&rec)
+		if err != nil {
+			t.Errorf("%s: encode: %v", name, err)
+			continue
+		}
+		payload = append([]byte{}, payload...)
+		if payload[0] == legacyOpen {
+			t.Errorf("%s: binary payload opens with '{'", name)
+		}
+		got, err := codec.decode(payload)
+		if err != nil {
+			t.Errorf("%s: decode: %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("%s: decode∘encode is not the identity:\n%s\n%s", name, mustJSON(got), mustJSON(rec))
+		}
+		if re, err := codec.encode(&got); err != nil || !bytes.Equal(re, payload) {
+			t.Errorf("%s: encode∘decode is not the identity (%v):\n%x\n%x", name, err, payload, re)
+		}
+		for n := 0; n < len(payload); n++ {
+			if _, err := codec.decode(payload[:n]); err == nil && rec.PlanRebase == nil {
+				t.Errorf("%s: payload torn at %d/%d bytes decodes", name, n, len(payload))
+			}
+		}
+		// The legacy form of the same record decodes to the same value.
+		if old, err := codec.decode([]byte(mustJSON(rec))); err != nil || !reflect.DeepEqual(old, rec) {
+			t.Errorf("%s: legacy JSON form decodes to (%v)\n%s, want\n%s", name, err, mustJSON(old), mustJSON(rec))
+		}
+	}
+}
+
+func mustJSON(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err.Error()
+	}
+	return string(b)
+}
+
+func TestWALCodecRefusals(t *testing.T) {
+	var codec walCodec
+	for name, rec := range map[string]walRecord{
+		"no variant":       {},
+		"two variants":     {Epoch: &recEpoch{}, Tick: &recTick{}},
+		"negative slot":    {Tick: &recTick{Slot: -1}},
+		"negative counter": {Confirm: &recConfirm{Faults: rmproto.FaultCounters{StaleConfirms: -1}}},
+		"negative grant":   {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Grant: resource.New(-1, 0)}}}},
+		// -1 shared would be stored as expiry+1 = 0, the per-grant escape.
+		"negative expiry":    {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Expiry: -1}, {QID: "q-2", Expiry: -1}}}},
+		"oversized diff":     {PlanDiff: &recPlanDiff{Diff: &plan.Diff{NewRev: 1, NSlots: plan.MaxSlots + 1}}},
+		"negative submit":    {AdHoc: &recAdHoc{Job: trace.AdHocRecord{ID: "a", SubmitSec: -5}}},
+		"negative dep index": {Workflow: &recWorkflow{WF: trace.WorkflowRecord{Deps: [][2]int{{0, -1}}}}},
+		"invalid diff":       {PlanDiff: &recPlanDiff{Diff: &plan.Diff{BaseRev: 1, NewRev: 9}}},
+	} {
+		if payload, err := codec.encode(&rec); err == nil {
+			t.Errorf("%s: encoded to %x", name, payload)
+		}
+	}
+
+	if tagPlanRebase >= legacyOpen {
+		t.Fatalf("record tags reach %#x: '{' must stay free for the legacy sniff", tagPlanRebase)
+	}
+	// tick assembles a tick at slot 1 with zero fault counters, no
+	// requeues, and the given grants section.
+	tick := func(grants ...byte) []byte {
+		return append([]byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0}, grants...)
+	}
+	confirm := func(qids ...byte) []byte {
+		return append([]byte{tagConfirm, 1, 0, 0, 0, 0, 0, 0, 0}, qids...)
+	}
+	// Each accepted payload is one edit away from the refused ones below it.
+	accepted := map[string][]byte{
+		"two grants sharing an expiry": tick(2, 1,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0, // q-1, job "j", node "n", empty grant
+			3, 1, 2, 0, 0), // q-2, back-references to both
+		"two grants with their own expiries": tick(2, 0,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0, 5,
+			3, 1, 2, 0, 0, 6),
+		"quantum ID q-1":             confirm(1, 3),
+		"quantum ID literal":         confirm(1, 0, 3, 'q', '-', 'x'),
+		"epoch 2 at slot 1":          {tagEpoch, 2, 1},
+		"legacy JSON epoch record":   []byte(`{"epoch":{"epoch":2,"slot":1}}`),
+		"empty best-effort workflow": {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
+	}
+	refused := map[string][]byte{
+		"empty payload":                {},
+		"unknown tag":                  {0x09, 2, 1},
+		"tag zero":                     {0x00, 2, 1},
+		"trailing byte":                {tagEpoch, 2, 1, 0},
+		"missing field":                {tagEpoch, 2},
+		"non-minimal varint":           {tagEpoch, 0x82, 0x00, 1},
+		"integer beyond int64":         append(append([]byte{tagEpoch}, bytes.Repeat([]byte{0xff}, 9)...), 1, 1),
+		"grant count beyond the input": tick(0x7f, 1),
+		"back-reference to an ID not yet named": tick(2, 1,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
+			3, 1, 3, 0, 0),
+		"ID spelled out twice": tick(2, 1,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
+			3, 1, 0, 1, 'n', 0, 0),
+		"equal expiries stored per grant": tick(2, 0,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0, 5,
+			3, 1, 2, 0, 0, 5),
+		"quantum ID of the own form spelled out": confirm(1, 0, 3, 'q', '-', '7'),
+		"quantum ID delta below zero":            confirm(1, 4),
+		"quantum ID count beyond the input":      confirm(9, 3),
+		"flag byte 2":                            {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0},
+		"legacy diff inside a binary record":     append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
+		"torn diff":                              {tagPlanDiff, 0x01, 1, 0},
+		"legacy: wrong type":                     []byte(`{"tick":[]}`),
+		"legacy: no variant":                     []byte(`{}`),
+		"legacy: unknown diff field":             []byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"nope":1}}}`),
+	}
+	for name, ok := range accepted {
+		if _, err := codec.decode(ok); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for name, bad := range refused {
+		if rec, err := codec.decode(bad); err == nil {
+			t.Errorf("%s: decoded to %s", name, mustJSON(rec))
+		}
+	}
+}
+
+// TestAdHocNegativeSubmitRefused: the one submission field nothing else
+// validates (the live RM ignores an ad-hoc job's submit offset) is
+// refused at the door, not at the journal — the codec stores no sign.
+func TestAdHocNegativeSubmitRefused(t *testing.T) {
+	rm := openStreamingRM(t, t.TempDir(), false)
+	register(t, rm, "n1", 4, 8192)
+	if err := rm.Tick(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{ID: "neg", SubmitSec: -1, Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 128}})
+	if err == nil {
+		t.Fatal("ad-hoc job with a negative submit offset accepted")
+	}
+	if st := rm.Status(); len(st.Jobs) != 0 {
+		t.Fatalf("refused job left %d jobs behind", len(st.Jobs))
+	}
+}
+
+// TestWALRecordSizes is the rot guard on the journal's byte cost: exact
+// ceilings on canonical records (the JSON form's size, logged beside
+// each, is what the binary codec replaced).
+func TestWALRecordSizes(t *testing.T) {
+	tick := &recTick{Slot: 36, Faults: rmproto.FaultCounters{PlanDiffsApplied: 12}}
+	for i := 0; i < 16; i++ {
+		tick.Grants = append(tick.Grants, recGrant{
+			QID: fmt.Sprintf("q-%d", 627+i), JobID: fmt.Sprintf("wf0001/TeraSort-%d#%d", i*3/16, i*3/16),
+			NodeID: fmt.Sprintf("n%03d", i%8), Grant: resource.New(8, 32768), Expiry: 35 + 16,
+		})
+	}
+	var codec walCodec
+	for _, c := range []struct {
+		name    string
+		rec     walRecord
+		ceiling int
+	}{
+		{"16-grant tick over 3 jobs x 8 nodes", walRecord{Tick: tick}, 260},
+		{"6-qid confirm", canonicalRecord("confirm"), 32},
+		{"ad-hoc submission", canonicalRecord("adhoc"), 40},
+		{"10-job x 12-slot diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(10, 12)}}, 1200},
+	} {
+		payload, err := codec.encode(&c.rec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Logf("%s: %d B (JSON form: %d B)", c.name, len(payload), len(mustJSON(c.rec)))
+		if len(payload) > c.ceiling {
+			t.Errorf("%s encodes to %d B, ceiling %d B", c.name, len(payload), c.ceiling)
+		}
+	}
+}
+
+// TestWALDump: the dump of a recorded run is one parseable JSON object
+// per journaled record, reads legacy records too, and leaves a torn tail
+// alone.
+func TestWALDump(t *testing.T) {
+	live, payloads := recordMixedRun(t)
+	dir := live.store.Dir()
+	var out, diag bytes.Buffer
+	if err := DumpWAL(dir, &out, &diag); err != nil {
+		t.Fatalf("DumpWAL: %v\n%s", err, diag.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if want := live.Status().Durability.WALRecords; int64(len(lines)) != want || len(lines) != len(payloads) {
+		t.Fatalf("dump has %d lines, the store journaled %d records (%d on disk)", len(lines), want, len(payloads))
+	}
+	var codec walCodec
+	for i, line := range lines {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(line), &obj); err != nil || len(obj) != 1 {
+			t.Fatalf("line %d is not one JSON object with one key: %v\n%s", i+1, err, line)
+		}
+		// A dumped line is the record's legacy form: it decodes back to
+		// what the binary payload holds.
+		fromLine, err := codec.decode([]byte(line))
+		if err != nil {
+			t.Fatalf("line %d does not decode: %v", i+1, err)
+		}
+		fromDisk, _ := codec.decode(payloads[i])
+		if !reflect.DeepEqual(fromLine, fromDisk) {
+			t.Fatalf("line %d differs from the record on disk:\n%s\n%s", i+1, line, mustJSON(fromDisk))
+		}
+	}
+
+	// A directory an older RM left: JSON records, then a torn frame.
+	old := t.TempDir()
+	var log []byte
+	for _, p := range payloads[:5] {
+		frame, _ := store.EncodeRecord(toLegacyJSON(t, p))
+		log = append(log, frame...)
+	}
+	clean := len(log)
+	log = append(log, 0xff, 0x00, 0x00)
+	path := filepath.Join(old, "wal-000000000003.log")
+	if err := os.WriteFile(path, log, 0o444); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	diag.Reset()
+	if err := DumpWAL(old, &out, &diag); err != nil {
+		t.Fatalf("DumpWAL: %v", err)
+	}
+	if got := strings.Count(out.String(), "\n"); got != 5 || !strings.HasPrefix(out.String(), string(toLegacyJSON(t, payloads[0]))+"\n") {
+		t.Errorf("legacy dump: %d lines\n%s", got, out.String())
+	}
+	if !strings.Contains(diag.String(), fmt.Sprintf("offset %d", clean)) {
+		t.Errorf("torn tail at offset %d not reported:\n%s", clean, diag.String())
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, log) {
+		t.Error("the dump modified the segment")
+	}
+}
+
+// nilEmpties gives a record decoded from the legacy JSON form the shape
+// the binary codec decodes to: empty lists are nil.
+func nilEmpties(rec *walRecord) {
+	if r := rec.Workflow; r != nil {
+		if len(r.WF.Jobs) == 0 {
+			r.WF.Jobs = nil
+		}
+		if len(r.WF.Deps) == 0 {
+			r.WF.Deps = nil
+		}
+		if len(r.Windows) == 0 {
+			r.Windows = nil
+		}
+	}
+	if r := rec.Tick; r != nil {
+		if len(r.Requeued) == 0 {
+			r.Requeued = nil
+		}
+		if len(r.Grants) == 0 {
+			r.Grants = nil
+		}
+	}
+	if r := rec.Confirm; r != nil && len(r.QIDs) == 0 {
+		r.QIDs = nil
+	}
+	if r := rec.Requeue; r != nil && len(r.QIDs) == 0 {
+		r.QIDs = nil
+	}
+	if r := rec.PlanRebase; r != nil && len(r.Plan) == 0 {
+		r.Plan = nil
+	}
+}
+
+// walFuzzSeeds are FuzzDecodeWALRecord's seeds: every canonical record
+// (so every variant), two records in the legacy JSON form, and a count far
+// beyond its input.
+func walFuzzSeeds(tb testing.TB) [][]byte {
+	var codec walCodec
+	var seeds [][]byte
+	for _, c := range canonicalRecords() {
+		payload, err := codec.encode(&c.rec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, append([]byte{}, payload...))
+	}
+	return append(seeds,
+		[]byte(`{"tick":{"slot":36,"grants":[{"qid":"q-627","job":"wf0001/TeraSort-1#1","node":"n000","grant":[8,32768],"expiry":35}],"faults":{"requeued_quanta":0,"expired_nodes":0,"scheduler_panics":0,"stale_confirms":0,"best_effort_admissions":0}}}`),
+		[]byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2}}}`),
+		[]byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, // grant count far beyond the input
+	)
+}
+
+// FuzzDecodeWALRecord feeds arbitrary bytes to the record decoder. It
+// must never panic. An accepted binary payload re-encodes to exactly
+// itself and its plan diff, if it is one, validates; an accepted payload
+// in the legacy JSON form either cannot be journaled any more (it holds a
+// value the binary form refuses) or re-encodes to binary that decodes to
+// the same record. (That decoding allocates O(len(input)) is
+// TestDecodeWALRecordAllocation's to check.)
+func FuzzDecodeWALRecord(f *testing.F) {
+	for _, seed := range walFuzzSeeds(f) {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var codec walCodec
+		rec, err := codec.decode(data)
+		if err != nil {
+			return
+		}
+		if rec.PlanDiff != nil {
+			if verr := rec.PlanDiff.Diff.Validate(); verr != nil {
+				t.Fatalf("accepted a record with an invalid diff: %v", verr)
+			}
+		}
+		re, eerr := codec.encode(&rec)
+		if data[0] != legacyOpen {
+			if eerr != nil || !bytes.Equal(re, data) {
+				t.Fatalf("accepted payload is not canonical (%v):\n in %x\nout %x", eerr, data, re)
+			}
+			return
+		}
+		if eerr != nil {
+			return
+		}
+		re = append([]byte{}, re...)
+		back, derr := codec.decode(re)
+		if derr != nil {
+			t.Fatalf("binary re-encoding of a legacy record does not decode: %v\n%x", derr, re)
+		}
+		nilEmpties(&rec)
+		if !reflect.DeepEqual(back, rec) {
+			t.Fatalf("legacy record and its binary re-encoding disagree:\n%s\n%s", mustJSON(rec), mustJSON(back))
+		}
+	})
+}
+
+// TestDecodeWALRecordAllocation holds the record decoder to allocating
+// O(len(input)): over the fuzz seeds and over payloads that claim, at each
+// count and length the format has, far more than their bytes could hold.
+func TestDecodeWALRecordAllocation(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<24)
+	claim := func(prefix ...byte) []byte { return append(prefix, huge...) }
+	faults := make([]byte, 7)
+	inputs := append(walFuzzSeeds(t),
+		claim(tagWorkflow),                                                     // the workflow ID's length
+		claim(tagWorkflow, 0, 0, 0),                                            // jobs
+		claim(tagWorkflow, 0, 0, 0, 0),                                         // deps
+		claim(tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 0),                          // windows
+		claim(append([]byte{tagTick, 1}, faults...)...),                        // requeued quantum IDs
+		claim(append(append([]byte{tagTick, 1}, faults...), 0)...),             // grants
+		claim(append(append([]byte{tagTick, 1}, faults...), 0, 1, 1, 3, 0)...), // a grant's job ID length
+		claim(append([]byte{tagConfirm, 1}, faults...)...),                     // confirmed quantum IDs
+		claim(append(append([]byte{tagConfirm, 1}, faults...), 1, 0)...),       // a literal quantum ID's length
+		claim(append([]byte{tagRequeue}, faults...)...),
+		claim(tagPlanDiff, 0x01, 1, 0, 4), // the diff's removes
+	)
+	var codec walCodec
+	for i, in := range inputs {
+		// The factor covers a one-byte element decoding into a ~100-byte
+		// struct; the allowance the decoder's fixed set-up (the JSON
+		// branch's reflection caches included).
+		budget := uint64(len(in))*256 + 32<<10
+		if got := allocatedBytes(func() { codec.decode(in) }); got > budget {
+			t.Errorf("input %d: decoding %d bytes allocated %d, budget %d\n%x", i, len(in), got, budget, in)
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates. The counter is
+// process-wide, so the smallest of three readings is taken: another
+// goroutine's allocations do not repeat, a decoder that trusts a claimed
+// count does.
+func allocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got < best {
+			best = got
+		}
+	}
+	return best
+}

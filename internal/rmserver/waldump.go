@@ -1,0 +1,56 @@
+package rmserver
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+
+	"flowtime/internal/store"
+)
+
+// DumpWAL prints every record of the WAL segments in a state directory
+// to out, one JSON object per record per line, oldest segment first: the
+// record structs' json tags, a plan diff nested as JSON; a record already
+// in the legacy JSON form is printed as it is. It is what keeps the
+// journal readable now that its on-disk form is binary (walcodec.go).
+//
+// Strictly read-only: the segments are read, never opened for writing,
+// and the store is not opened (that would truncate a torn tail and drop
+// stale generations). A torn or corrupt tail is left as it is; its
+// offset, and each segment's record count, go to diag. A record that
+// passes its CRC but does not decode stops the dump with an error.
+func DumpWAL(dir string, out, diag io.Writer) error {
+	segments, err := store.WALSegments(dir)
+	if err != nil {
+		return err
+	}
+	var codec walCodec
+	for _, path := range segments {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		payloads, good, tail := store.DecodeAll(raw)
+		for i, payload := range payloads {
+			line := payload
+			if len(payload) == 0 || payload[0] != legacyOpen {
+				rec, err := codec.decode(payload)
+				if err != nil {
+					return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
+				}
+				if line, err = json.Marshal(rec); err != nil {
+					return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
+				}
+			}
+			if _, err := fmt.Fprintf(out, "%s\n", line); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(diag, "%s: %d records, %d bytes\n", path, len(payloads), good)
+		if tail != nil {
+			fmt.Fprintf(diag, "%s: tail not decoded from offset %d (%d bytes left in place): %v\n", path, good, len(raw)-good, tail)
+		}
+	}
+	return nil
+}

@@ -10,8 +10,9 @@
 // fall back to aborts recovery.
 //
 // The package is payload-agnostic: records and snapshots are opaque byte
-// slices (the RM uses JSON). internal/rmserver owns the record schema
-// and replay semantics.
+// slices. internal/rmserver owns the record schema and replay semantics
+// (its WAL payloads are a tagged binary encoding, rmserver/walcodec.go;
+// its snapshots are JSON).
 package store
 
 import (

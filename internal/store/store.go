@@ -258,6 +258,27 @@ func scanDir(fsys FS, dir string) (snaps, wals map[int64]bool, tmps []string, er
 	return snaps, wals, tmps, nil
 }
 
+// WALSegments lists the WAL segment files in dir, oldest generation
+// first, without opening the store — Open truncates torn tails and
+// removes stale generations, which a reader that must leave the directory
+// as it found it (ftrm -wal-dump) cannot afford.
+func WALSegments(dir string) ([]string, error) {
+	_, wals, _, err := scanDir(OSFS, dir)
+	if err != nil {
+		return nil, err
+	}
+	gens := make([]int64, 0, len(wals))
+	for g := range wals {
+		gens = append(gens, g)
+	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	paths := make([]string, len(gens))
+	for i, g := range gens {
+		paths[i] = walPath(dir, g)
+	}
+	return paths, nil
+}
+
 func matchGen(name, prefix, suffix string, g *int64) bool {
 	if len(name) != len(prefix)+12+len(suffix) ||
 		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
