@@ -3,7 +3,9 @@
 # detector, plus a coverage run, the sim-smoke scenario replay and the
 # benchmark harness's own build and tests (bench-e2e). `make verify` is
 # the differential verification sweep (flow planner vs. reference simplex,
-# oracle cross-checks, metamorphic relations, sim invariants); `make fuzz`
+# oracle cross-checks, metamorphic relations — gate reservations yield to
+# deadlines, removing the ad-hoc stream changes no deadline job's outcome
+# — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
 # FuzzDecodeWALRecord), the flow planner, the simplex basis factorization
@@ -62,8 +64,13 @@ cover:
 # verify is the differential sweep: 500 seeded cases checking the flow
 # planner against the exact simplex (per-slot levels), both against brute
 # force / min-cut oracles and the metamorphic relations, the
+# reservations-yield relation (a gate reservation routed last changes no
+# deadline job's stage A shortfall, and what survives is the reference
+# simplex's joint max flow minus the deadline jobs' own), the
 # decomposition oracle, and full-pipeline sim runs with the invariant
-# checker armed. Reproduce a failure with: go run ./cmd/ftverify -n 1 -seed <s> -v
+# checker armed and the ad-hoc-removal relation (no deadline job's
+# outcome depends on the ad-hoc stream). Reproduce a failure with:
+# go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 

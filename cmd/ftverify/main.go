@@ -2,7 +2,10 @@
 // seeded scheduling instances and full-pipeline scenarios, checks the
 // production flow planner, the reference simplex and the decomposer
 // against the independent oracles in internal/oracle and against each
-// other, and reports pass/fail. Every case is derived from
+// other — including the relations that keep the ad-hoc gate from costing
+// a deadline (reservations yield in the planner; removing the ad-hoc
+// stream changes no deadline job's outcome in the simulator) — and
+// reports pass/fail. Every case is derived from
 // seed+index, so a failure's repro line re-runs exactly that case:
 //
 //	ftverify -n 500 -seed 1        # the CI sweep
@@ -41,7 +44,7 @@ func main() {
 	for i := int64(0); i < *n; i++ {
 		caseSeed := *seed + i
 		rng := rand.New(rand.NewSource(caseSeed))
-		kind, err := runCase(rng, *verbose)
+		kind, err := runCase(rng, *verbose, counts)
 		counts[kind]++
 		if *verbose || err != nil {
 			log.Printf("case seed=%d kind=%s: %v", caseSeed, kind, errString(err))
@@ -63,22 +66,25 @@ func errString(err error) string {
 }
 
 func breakdown(counts map[string]int) string {
-	return fmt.Sprintf("%d small cross-checks, %d flow-vs-LP checks, %d large interior checks, %d pipeline scenarios, %d diff-equivalence runs",
-		counts["small"], counts["flow"], counts["large"], counts["scenario"], counts["diffequiv"])
+	return fmt.Sprintf("%d small cross-checks, %d flow-vs-LP checks, %d large interior checks, %d reservation-yield checks, %d pipeline scenarios (%d with the ad-hoc stream removed), %d diff-equivalence runs",
+		counts["small"], counts["flow"], counts["large"], counts["reserve"], counts["scenario"], counts["adhoc-removal"], counts["diffequiv"])
 }
 
 // runCase dispatches one seeded case. The kind is drawn from the case's
 // own rng, so a single (seed, index) pair fully determines the case.
-func runCase(rng *rand.Rand, verbose bool) (string, error) {
+// counts is for relations a case runs only on some inputs.
+func runCase(rng *rand.Rand, verbose bool, counts map[string]int) (string, error) {
 	switch p := rng.Intn(10); {
 	case p < 3:
 		return "small", smallCase(rng)
 	case p < 6:
 		return "flow", flowCase(rng)
-	case p < 8:
+	case p < 7:
 		return "large", largeCase(rng)
+	case p < 8:
+		return "reserve", reserveCase(rng)
 	case p < 9:
-		return "scenario", scenarioCase(rng, verbose)
+		return "scenario", scenarioCase(rng, verbose, counts)
 	default:
 		return "diffequiv", diffEquivCase(rng)
 	}
@@ -112,6 +118,29 @@ func flowCase(rng *rand.Rand) error {
 		return nil
 	}
 	return crossCheckSmall(oracle.SolveFlow, in, rng)
+}
+
+// reserveCase is the check that licenses planning a gate reservation as a
+// one-slot job routed last: for an instance (tiny two times in three) and
+// a seeded reservation vector, every deadline job's stage A shortfall is
+// its reservation-free one, deadline load plus surviving reservation fits
+// every slot's hard capacity, and the surviving total equals the
+// reference simplex's joint max flow minus the deadline jobs' own.
+func reserveCase(rng *rand.Rand) error {
+	in := oracle.GenLargeInstance(rng)
+	if rng.Intn(3) != 0 {
+		in = oracle.GenInstance(rng)
+	}
+	rsvSeed := rng.Int63()
+	check := func(c oracle.Instance) error {
+		return oracle.CheckReservationsYield(c, oracle.GenReservations(c, rsvSeed), oracle.Tol)
+	}
+	if err := check(in); err != nil {
+		min := oracle.Shrink(in, func(c oracle.Instance) bool { return check(c) != nil })
+		return fmt.Errorf("%w\noriginal instance: %+v\nminimal reproducer: %+v with reservations %v",
+			err, in, min, oracle.GenReservations(min, rsvSeed))
+	}
+	return nil
 }
 
 // crossCheckSmall runs one solver through the brute-force and min-cut
@@ -156,9 +185,11 @@ func largeCase(rng *rand.Rand) error {
 
 // scenarioCase runs a full pipeline scenario: the decomposition oracle
 // on every workflow, then the simulator with the per-slot invariant
-// checker armed, and (for a third of scenarios) the submission-order
-// permutation relation on the end-to-end outcomes.
-func scenarioCase(rng *rand.Rand, verbose bool) error {
+// checker armed, (for a third of scenarios) the submission-order
+// permutation relation on the end-to-end outcomes, and (whenever there is
+// an ad-hoc stream) the relation that removing it changes no deadline
+// job's outcome — ad-hoc work only ever takes what is left.
+func scenarioCase(rng *rand.Rand, verbose bool, counts map[string]int) error {
 	sc, err := oracle.GenScenario(rng)
 	if err != nil {
 		return err
@@ -199,6 +230,40 @@ func scenarioCase(rng *rand.Rand, verbose bool) error {
 				return fmt.Errorf("permutation changed outcome of %s/%s: %+v -> %+v",
 					base.Jobs[j].WorkflowID, base.Jobs[j].JobName, base.Jobs[j], perm.Jobs[j])
 			}
+		}
+	}
+
+	if len(sc.AdHoc) > 0 {
+		counts["adhoc-removal"]++
+		if err := adHocCostsNothing(sc, base); err != nil {
+			min := oracle.ShrinkScenario(sc, func(c *oracle.Scenario) bool {
+				with, err := runScenario(c, nil)
+				return err == nil && adHocCostsNothing(c, with) != nil
+			})
+			return fmt.Errorf("%w\nminimal reproducer: %d workflows (%v), %d ad-hoc, horizon %d",
+				err, len(min.Workflows), min.Regimes, len(min.AdHoc), min.Horizon)
+		}
+	}
+	return nil
+}
+
+// adHocCostsNothing runs the scenario without its ad-hoc stream and
+// reports the first deadline job whose outcome differs from with, the
+// result of the run that had it.
+func adHocCostsNothing(sc *oracle.Scenario, with *sim.Result) error {
+	bare := *sc
+	bare.AdHoc = nil
+	without, err := runScenario(&bare, nil)
+	if err != nil {
+		return fmt.Errorf("run without ad-hoc stream: %w", err)
+	}
+	if len(with.Jobs) != len(without.Jobs) {
+		return fmt.Errorf("removing the ad-hoc stream changed job count %d -> %d", len(with.Jobs), len(without.Jobs))
+	}
+	for j, o := range without.Jobs {
+		if with.Jobs[j] != o {
+			return fmt.Errorf("ad-hoc stream changed outcome of %s/%s: %+v without, %+v with",
+				o.WorkflowID, o.JobName, o, with.Jobs[j])
 		}
 	}
 	return nil

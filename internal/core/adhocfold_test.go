@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"flowtime/internal/resource"
@@ -10,9 +13,9 @@ import (
 // TestFoldAdHocDrainReservesCapacity drives the sched.AdHocFolder path
 // end to end inside the scheduler: a drain fold must (a) not trip an
 // urgent replan — it is batched as quality staleness — and (b) make the
-// next replan plan deadline work against cluster capacity minus the
-// reservations, while planCap keeps recording RAW capacity so the fold
-// itself never looks like a cluster capacity change.
+// next replan keep deadline work that fits beside the reservations clear
+// of them, while planCap keeps recording RAW capacity so the fold itself
+// never looks like a cluster capacity change.
 func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 	f := New(Config{Slack: 0, MaxLexRounds: 4})
 	capacity := resource.New(10, 1000)
@@ -59,6 +62,7 @@ func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 	}
 
 	// Slot 5: the batched quality replan fires and folds the reservations.
+	atReplan := rem
 	step(qualityReplanInterval)
 	if f.stats.Replans != 2 {
 		t.Fatalf("Replans = %d after interval, want 2 (batched fold)", f.stats.Replans)
@@ -83,14 +87,124 @@ func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 	if f.stats.Replans != 2 {
 		t.Fatalf("Replans = %d one slot after fold, want still 2", f.stats.Replans)
 	}
-	// The plan must still cover the whole remaining demand: demand 75 over
-	// slots 5..19 under 5+5*... shaved capacity is feasible.
+	// The plan must still cover the whole demand that remained at the
+	// replan: it fits beside the reservation (5 free on each of slots 5..9,
+	// 10 on each of 10..19), so nothing is deferred and nothing yielded.
 	var planned resource.Vector
 	for _, g := range f.plan["j"] {
 		planned = planned.Add(g)
 	}
-	if planned.Get(resource.VCores) == 0 {
-		t.Fatal("no planned allocation after fold")
+	if planned != atReplan || len(f.deferred) != 0 {
+		t.Fatalf("planned %v of %v remaining, deferred %v", planned, atReplan, f.deferred)
+	}
+	if f.stats.AdHocYields != 0 || !f.stats.AdHocYielded.IsZero() {
+		t.Errorf("AdHocYields = %d (%v) though the deadline work fits beside the reservation",
+			f.stats.AdHocYields, f.stats.AdHocYielded)
+	}
+}
+
+// TestReservationYieldsToDeadline is the regression for the gate costing
+// a deadline: capacity 10, the gate has promised 8 per slot over slots
+// 0..9, and then a deadline job arrives that needs 40 of the 50 units of
+// its window [0, 5). The reservation is a promise to best-effort work, so
+// the plan must place all 40 in-window and report no shortfall; planned
+// against capacity minus reservations, 30 units were deferred and parked
+// for deferredRetryInterval slots.
+func TestReservationYieldsToDeadline(t *testing.T) {
+	f := New(Config{Slack: 0, MaxLexRounds: 4})
+	capacity := resource.New(10, 1000)
+	consumed := make([]resource.Vector, 10)
+	for i := range consumed {
+		consumed[i] = resource.New(8, 800)
+	}
+	f.FoldAdHocDrain(0, consumed)
+
+	demand := resource.New(40, 4000)
+	if _, err := f.Assign(sched.AssignContext{
+		Now: 0, Changed: true,
+		Jobs:    []sched.JobState{dlJob("j", 0, 5, demand, capacity)},
+		Cluster: view(capacity, 40),
+	}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	var planned resource.Vector
+	for _, g := range f.plan["j"] {
+		planned = planned.Add(g)
+	}
+	if planned != demand {
+		t.Errorf("planned %v in-window, want all of %v", planned, demand)
+	}
+	if len(f.deferred) != 0 || f.deferredRetry != 0 {
+		t.Errorf("deferred = %v (retry at %d), want none", f.deferred, f.deferredRetry)
+	}
+	st := f.Stats()
+	if st.ShortfallEvents != 0 || st.SlackDropped != 0 {
+		t.Errorf("ShortfallEvents = %d, SlackDropped = %d, want 0 and 0", st.ShortfallEvents, st.SlackDropped)
+	}
+	// 50 units of window, 40 of deadline work: 10 of the 40 reserved
+	// survive and 30 give way, in one replan.
+	if want := resource.New(30, 3000); st.AdHocYields != 1 || st.AdHocYielded != want {
+		t.Errorf("AdHocYields = %d, AdHocYielded = %v, want 1 and %v", st.AdHocYields, st.AdHocYielded, want)
+	}
+}
+
+// TestStageAIgnoresReservations checks the construction the planner
+// relies on, on seeded instances: with reservations routed last, every
+// deadline job's stage A shortfall is the one it has with no reservation
+// at all, each reservation keeps between nothing and its clamped volume,
+// and what is kept and what yielded add up to what was reserved.
+func TestStageAIgnoresReservations(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nSlots := int64(2 + rng.Intn(8))
+		capacity := resource.New(int64(2+rng.Intn(9)), 0)
+		cl := view(capacity, 100)
+		var jobs []*planJob
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			rel := rng.Int63n(nSlots)
+			dl := rel + 1 + rng.Int63n(nSlots-rel)
+			pj := mkPlanJob(fmt.Sprintf("j%d", i), rel, dl, 1+rng.Int63n(capacity.Get(resource.VCores)))
+			pj.state.EstRemaining = resource.New(1+rng.Int63n(3*(dl-rel)), 0)
+			jobs = append(jobs, pj)
+		}
+		order := append([]*planJob(nil), jobs...)
+		sort.SliceStable(order, func(a, b int) bool { return order[a].dlSlot < order[b].dlSlot })
+		ctx := sched.AssignContext{Now: 0, Cluster: cl}
+
+		bare := New(Config{}).stageA(ctx, jobs, order, nSlots)[0]
+
+		f := New(Config{})
+		rsv := make([]resource.Vector, nSlots)
+		for i := range rsv {
+			rsv[i] = resource.New(rng.Int63n(capacity.Get(resource.VCores)+3), 0) // may exceed capacity: clamped
+		}
+		f.FoldAdHocDrain(0, rsv)
+		p := f.stageA(ctx, jobs, order, nSlots)[0]
+		if p.err != nil || bare.err != nil {
+			t.Fatalf("seed %d: stage A errors %v / %v", seed, p.err, bare.err)
+		}
+		for i := range p.pjs {
+			if p.short[i] != bare.short[i] {
+				t.Fatalf("seed %d: job %s short %d beside reservations %v, %d without",
+					seed, p.pjs[i].state.ID, p.short[i], rsv, bare.short[i])
+			}
+		}
+		if p.isShort() != bare.isShort() {
+			t.Fatalf("seed %d: isShort %v beside reservations, %v without", seed, p.isShort(), bare.isShort())
+		}
+		kept, yielded := p.reserved()
+		var total, keptSum int64
+		for slot, k := range kept {
+			want := min(rsv[slot].Get(resource.VCores), p.caps[slot])
+			if k < 0 || k > want {
+				t.Fatalf("seed %d: slot %d keeps %d of a reservation of %d", seed, slot, k, want)
+			}
+			total += want
+			keptSum += k
+		}
+		if keptSum+yielded != total {
+			t.Fatalf("seed %d: kept %v + yielded %d != reserved %d", seed, kept, yielded, total)
+		}
 	}
 }
 

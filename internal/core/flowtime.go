@@ -21,16 +21,25 @@
 //  1. Effective windows: each job's decomposed window, intersected with
 //     [now, horizon) and tightened by the deadline slack (§VII-B.2);
 //     overdue jobs get an as-soon-as-possible window.
-//  2. Stage A, feasibility: the max flow at hard capacity. Its deficiency
-//     is the demand that cannot fit within windows; it is split over the
-//     jobs latest in EDF order and deferred to the overdue path — it will
-//     miss, as it must, but still completes. If only the slack makes the
-//     instance short, the slack is dropped for this plan.
-//  3. Stage B, the skyline: the lexicographic min-max flow of the demand
-//     that fits — the paper's Eq. 1 objective, level by level.
-//  4. Integral repair: the fractional skyline is converted into integer
-//     per-slot grants by cumulative-rounded budgets and
-//     earliest-deadline-first water-filling, plus a final hard-cap sweep.
+//  2. Stage A, feasibility: the max flow at raw cluster capacity, the
+//     deadline jobs let in earliest deadline first and, after all of them,
+//     one one-slot pseudo-job per slot for the capacity the ad-hoc gate has
+//     promised away (sched.AdHocFolder). The deadline jobs route as if no
+//     reservation existed; their deficiency is the demand that cannot fit
+//     within windows, split over the jobs latest in EDF order and deferred
+//     to the overdue path — it will miss, as it must, but still completes.
+//     If only the slack makes the instance short, the slack is dropped for
+//     this plan. A reservation that cannot route beside the deadline work
+//     yields: what survives is the most the known deadlines can afford.
+//  3. Stage B, the skyline: the lexicographic min-max flow of the deadline
+//     demand that fits plus the surviving reservations — the paper's Eq. 1
+//     objective, level by level, flattened around admitted ad-hoc work
+//     wherever that costs no deadline.
+//  4. Integral repair: the skyline's deadline share is converted into
+//     integer per-slot grants by cumulative-rounded budgets under what the
+//     surviving reservations leave and earliest-deadline-first
+//     water-filling, plus a final sweep up to the hard cap. Reservations
+//     are never part of the plan that is served, validated or published.
 //
 // The pipeline runs under a two-rung degradation ladder: when the flow
 // planner cannot answer (an integer overflow on outsized inputs, an
@@ -113,11 +122,11 @@ type FlowTime struct {
 	// against (diagnostics and tests).
 	planWindows map[string]sched.PlanWindow
 
-	// adhocReserved[i] is the capacity the ad-hoc admission gate has
-	// already promised to admitted ad-hoc work at absolute slot
-	// adhocFrom+i (sched.AdHocFolder). Replans plan deadline work against
-	// cluster capacity minus these reservations; planCap keeps the raw
-	// capacity so a fold never looks like a cluster capacity change.
+	// adhocReserved[i] is the volume the ad-hoc admission gate has admitted
+	// against the leftover of absolute slot adhocFrom+i
+	// (sched.AdHocFolder). A replan routes it as one-slot jobs after every
+	// deadline job: the skyline is flattened around it where the deadline
+	// work fits beside it, and it yields where that work does not.
 	adhocFrom     int64
 	adhocReserved []resource.Vector
 	// adhocStale marks undrained gate admissions since the last replan;
@@ -162,6 +171,13 @@ type Stats struct {
 	// AdHocFolds counts FoldAdHocDrain calls that carried non-zero
 	// admitted volume (sched.AdHocFolder).
 	AdHocFolds int
+	// AdHocYields counts replans in which a reservation gave way to
+	// deadline work — stage A could not route it beside the deadline jobs
+	// at raw capacity — and AdHocYielded is the volume that gave way. A
+	// replan whose deadline work fits beside every reservation counts in
+	// neither.
+	AdHocYields  int
+	AdHocYielded resource.Vector
 	// LP aggregates the planner's work across all replans.
 	LP PlannerStats
 }
@@ -232,12 +248,11 @@ var _ sched.AdHocFolder = (*FlowTime)(nil)
 
 // FoldAdHocDrain implements sched.AdHocFolder: the admission gate retired
 // a leftover epoch and reports the volume it admitted per slot. The
-// volumes accumulate as per-slot capacity reservations that every later
-// replan subtracts from the cluster capacity it plans against, so the
-// admitted ad-hoc work reaches the planner as shaved slot capacities at
-// the next batched quality replan — the gate never forces an urgent full
-// rebuild, and the plan stops double-booking capacity the gate already
-// promised away.
+// volumes accumulate as per-slot reservations that every later replan
+// routes beside the deadline work, last (see stageA), so the admitted
+// ad-hoc work reaches the planner at the next batched quality replan —
+// the gate never forces an urgent full rebuild — and the plan keeps clear
+// of the capacity the gate promised away unless a deadline needs it.
 func (f *FlowTime) FoldAdHocDrain(from int64, consumed []resource.Vector) {
 	lo, hi := 0, len(consumed)
 	for lo < hi && consumed[lo].IsZero() {
@@ -298,22 +313,6 @@ func (f *FlowTime) trimAdHocReserved(now int64) {
 	}
 	f.adhocReserved = append(f.adhocReserved[:0:0], f.adhocReserved[cut:]...)
 	f.adhocFrom = now
-}
-
-// kindCapAt builds the planning capacity closure for one kind: cluster
-// capacity at plan offset t minus the gate's ad-hoc reservations. planCap
-// and planNeeds keep comparing raw cluster capacity, so folding a drain
-// shaves what the planner may allocate without ever looking like a cluster
-// capacity change (which would trip an urgent replan every slot).
-func (f *FlowTime) kindCapAt(ctx sched.AssignContext, kind resource.Kind) func(int64) int64 {
-	return func(t int64) int64 {
-		abs := ctx.Now + t
-		c := ctx.Cluster.CapAt(abs).Get(kind) - f.adhocReservedAt(abs).Get(kind)
-		if c < 0 {
-			c = 0
-		}
-		return c
-	}
 }
 
 // publishPlan versions the replan's final output as the next live plan
@@ -603,6 +602,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 
 	level, reason := sched.DegradeNone, ""
 	theta := make(map[string][]float64, resource.NumKinds)
+	yieldedBefore := f.stats.AdHocYielded
 	for _, p := range probs {
 		lvl, why := f.replanKind(ctx, p, order, alloc, nSlots, theta)
 		if lvl > level {
@@ -614,6 +614,9 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	}
 	if len(theta) == 0 {
 		theta = nil
+	}
+	if f.stats.AdHocYielded != yieldedBefore {
+		f.stats.AdHocYields++
 	}
 
 	// Post-validate before the plan is served. An invalid plan — which the
@@ -633,7 +636,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 		f.degrade.InvalidPlans++
 		level, reason = sched.DegradeGreedy, "plan validation: "+err.Error()
 		theta = nil // the skyline was discarded with the invalid plan
-		alloc = f.rebuildGreedy(ctx, jobs, order, nSlots)
+		alloc = f.rebuildGreedy(jobs, order, nSlots)
 		if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
 			// Unreachable by construction; planning nothing is still safe —
 			// every job is then served by the overdue/backlog stages.
@@ -744,23 +747,44 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 // planner's terms. Slot indices are plan offsets (absolute slot − now).
 type kindProblem struct {
 	kind resource.Kind
-	caps []int64 // planning capacity per offset: cluster minus ad-hoc reservations
+	caps []int64 // raw cluster capacity per offset
 	// pjs are the jobs with demand of this kind, in the replan's job-slice
-	// order; jobs are the same jobs as the planner sees them, and order
-	// lists them (as indices) earliest deadline first.
+	// order. jobs are the same jobs as the planner sees them, followed by
+	// one one-slot pseudo-job per slot the gate holds a reservation on
+	// (demand and cap R_t, window [t, t+1)); order lists all of them as
+	// indices, the deadline jobs earliest deadline first, then the
+	// reservations in slot order.
 	pjs   []*planJob
 	jobs  []flow.Job
 	order []int
-	// short[i] is the demand of jobs[i] that stage A could not fit in its
-	// window; err is set instead when the planner failed.
+	// short[i] is the demand of jobs[i] that stage A could not route; err
+	// is set instead when the planner failed. Reservations route last and
+	// stage A never takes flow back from a job it has let in, so the rows of
+	// the deadline jobs are their shortfall at raw capacity, and what a
+	// reservation keeps, R'_t = R_t − short, is what the known deadlines
+	// can afford to leave it.
 	short []int64
 	err   error
 }
 
+// reserved returns R'_t per slot offset — the reservations as stage A
+// left them — and the volume that gave way to deadline work.
+func (p *kindProblem) reserved() (kept []int64, yielded int64) {
+	kept = make([]int64, len(p.caps))
+	for i := len(p.pjs); i < len(p.jobs); i++ {
+		kept[p.jobs[i].Rel] = p.jobs[i].Demand - p.short[i]
+		yielded += p.short[i]
+	}
+	return kept, yielded
+}
+
 // stageA builds every kind's problem over the given windows and runs the
-// planner's stage A on it: the max flow at hard capacity, with the
-// deficiency split over the jobs latest in EDF order. Kinds nobody
-// demands are left out.
+// planner's stage A on it: the max flow at raw cluster capacity, the
+// deadline jobs let in earliest deadline first — so their deficiency lands
+// on the latest deadlines — and the gate's reservations after all of
+// them, so a promise to ad-hoc work absorbs a deficiency before any
+// deadline does and never causes one. Kinds no deadline job demands are
+// left out.
 func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlots int64) []*kindProblem {
 	var probs []*kindProblem
 	for _, kind := range resource.Kinds() {
@@ -786,10 +810,14 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 				p.order = append(p.order, pj.planIdx)
 			}
 		}
-		capAt := f.kindCapAt(ctx, kind)
 		p.caps = make([]int64, nSlots)
 		for t := range p.caps {
-			p.caps[t] = capAt(int64(t))
+			abs := ctx.Now + int64(t)
+			p.caps[t] = ctx.Cluster.CapAt(abs).Get(kind)
+			if r := min(f.adhocReservedAt(abs).Get(kind), p.caps[t]); r > 0 {
+				p.order = append(p.order, len(p.jobs))
+				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
+			}
 		}
 		p.err = f.runPlanner(kind, func() (w flow.Work, err error) {
 			p.short, w, err = flow.Shortfall(p.caps, p.jobs, p.order)
@@ -800,9 +828,14 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 	return probs
 }
 
-// isShort reports whether stage A left any of this kind's demand unrouted.
+// isShort reports whether stage A left any deadline demand of this kind
+// unrouted. A reservation that came up short is not a shortfall: it
+// yielded.
 func (p *kindProblem) isShort() bool {
-	for _, s := range p.short {
+	if p.err != nil {
+		return false // no verdict
+	}
+	for _, s := range p.short[:len(p.pjs)] {
 		if s > 0 {
 			return true
 		}
@@ -810,7 +843,8 @@ func (p *kindProblem) isShort() bool {
 	return false
 }
 
-// anyShort reports whether stage A left any demand of any kind unrouted.
+// anyShort reports whether stage A left any deadline demand of any kind
+// unrouted.
 func anyShort(probs []*kindProblem) bool {
 	for _, p := range probs {
 		if p.isShort() {
@@ -860,10 +894,15 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 	}
 
 	// Stage B: the lexicographic min-max skyline of the demand stage A
-	// could route. Without a trustworthy shortfall split any skyline would
-	// be built on demand that may not fit, so a stage A failure skips it.
+	// could route — the deadline demand that fits plus the reservations
+	// that survived, which are jointly feasible at hard capacity, so the
+	// skyline is flattened around admitted ad-hoc work wherever that costs
+	// no deadline and no level exceeds 1. Without a trustworthy shortfall
+	// split any skyline would be built on demand that may not fit, so a
+	// stage A failure skips it.
 	stage, err := "stage A", p.err
 	var sky *flow.Skyline
+	var kept []int64
 	if err == nil {
 		fits := append([]flow.Job(nil), p.jobs...)
 		for i, s := range p.short {
@@ -874,6 +913,9 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 		} else {
 			f.stats.StageASkipped++
 		}
+		var yielded int64
+		kept, yielded = p.reserved()
+		f.stats.AdHocYielded = f.stats.AdHocYielded.With(kind, f.stats.AdHocYielded.Get(kind)+yielded)
 		stage = "stage B"
 		err = f.runPlanner(kind, func() (w flow.Work, err error) {
 			if sky, err = flow.LexMinMax(p.caps, fits, f.cfg.MaxLexRounds); err != nil {
@@ -883,9 +925,20 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 		})
 		if err == nil {
 			f.stats.LPRounds += sky.Levels
+			// One level per slot a deadline job can use, reservation
+			// included: the level an arriving ad-hoc job faces there.
+			usable := make([]bool, nSlots)
+			for _, job := range fits[:len(p.pjs)] {
+				if job.Demand == 0 {
+					continue
+				}
+				for t := job.Rel; t < job.Dl; t++ {
+					usable[t] = p.caps[t] > 0
+				}
+			}
 			levels := make([]float64, 0, nSlots)
-			for t, usable := range sky.Usable {
-				if usable {
+			for t, ok := range usable {
+				if ok {
 					levels = append(levels, sky.Level[t])
 				}
 			}
@@ -896,12 +949,13 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 		// Bottom rung: deterministic EDF water-fill under hard caps. No
 		// failure mode; whatever cannot fit in-window is deferred and
 		// served by the overdue path, exactly like a shortfall.
-		f.greedyPlanKind(ctx, kind, order, demand, alloc, nSlots)
+		f.greedyPlanKind(kind, order, demand, alloc, nSlots)
 		return sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", kind, stage, err)
 	}
 
-	// Integral repair: budgets by cumulative rounding of the skyline, EDF
-	// water-fill within budgets, then a hard-cap sweep.
+	// Integral repair: budgets by cumulative rounding of the skyline's
+	// deadline share under what the surviving reservations leave, EDF
+	// water-fill within budgets, then a sweep up to the hard cap.
 	remaining := demand
 	for i, pj := range p.pjs {
 		remaining[pj] -= p.short[i]
@@ -909,9 +963,9 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 	cum := 0.0
 	budgetUsed := int64(0)
 	for t := int64(0); t < nSlots; t++ {
-		cum += sky.Load[t]
+		cum += sky.Load[t] - float64(kept[t])
 		budget := int64(cum+0.5) - budgetUsed
-		if c := p.caps[t]; budget > c {
+		if c := p.caps[t] - kept[t]; budget > c {
 			budget = c
 		}
 		budgetUsed += f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, budget)
@@ -926,20 +980,19 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 
 // greedyPlanKind is the ladder's bottom rung for one kind: EDF water-fill
 // of the full demand under hard caps, honoring load already placed.
-func (f *FlowTime) greedyPlanKind(ctx sched.AssignContext, kind resource.Kind, order []*planJob, demand map[*planJob]int64, alloc map[string][]resource.Vector, nSlots int64) {
+func (f *FlowTime) greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, alloc map[string][]resource.Vector, nSlots int64) {
 	remaining := make(map[*planJob]int64, len(demand))
 	for pj, d := range demand {
 		remaining[pj] = d
 	}
-	capAt := f.kindCapAt(ctx, kind)
 	for t := int64(0); t < nSlots; t++ {
-		f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, capAt(t)-f.load[t].Get(kind))
+		f.fillSlot(order, remaining, alloc, kind, t, f.planFrom, f.planCap[t].Get(kind)-f.load[t].Get(kind))
 	}
 }
 
 // rebuildGreedy discards all placed allocation and rebuilds the whole
 // plan at the greedy rung (used when post-validation rejects a plan).
-func (f *FlowTime) rebuildGreedy(ctx sched.AssignContext, jobs, order []*planJob, nSlots int64) map[string][]resource.Vector {
+func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, nSlots int64) map[string][]resource.Vector {
 	f.load = make([]resource.Vector, nSlots)
 	alloc := make(map[string][]resource.Vector, len(jobs))
 	for _, pj := range jobs {
@@ -955,7 +1008,7 @@ func (f *FlowTime) rebuildGreedy(ctx sched.AssignContext, jobs, order []*planJob
 		if len(demand) == 0 {
 			continue
 		}
-		f.greedyPlanKind(ctx, kind, order, demand, alloc, nSlots)
+		f.greedyPlanKind(kind, order, demand, alloc, nSlots)
 	}
 	return alloc
 }

@@ -28,10 +28,7 @@ func SolveFlowLevels(in Instance, maxLevels int) (*LPResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	jobs := make([]flow.Job, len(in.Jobs))
-	for ji, job := range in.Jobs {
-		jobs[ji] = flow.Job{Demand: job.Demand, Rel: job.Rel, Dl: job.Dl, Cap: job.Cap}
-	}
+	jobs := flowJobs(in.Jobs)
 	res := &LPResult{GroupSlot: in.GroupSlots(), Alloc: make([][]float64, len(in.Jobs))}
 	for ji := range res.Alloc {
 		res.Alloc[ji] = make([]float64, len(in.Caps))
@@ -53,6 +50,15 @@ func SolveFlowLevels(in Instance, maxLevels int) (*LPResult, error) {
 		copy(res.Alloc[ji][in.Jobs[ji].Rel:], row)
 	}
 	return res, nil
+}
+
+// flowJobs restates the instance's jobs in the flow planner's type.
+func flowJobs(jobs []Job) []flow.Job {
+	out := make([]flow.Job, len(jobs))
+	for ji, job := range jobs {
+		out[ji] = flow.Job{Demand: job.Demand, Rel: job.Rel, Dl: job.Dl, Cap: job.Cap}
+	}
+	return out
 }
 
 // CheckFlowLP is the differential check that licenses planning by flow:

@@ -147,28 +147,42 @@ func (s *Server) rebaseAdHocLocked() {
 			n = s.cfg.Horizon
 		}
 	}
-	drain := s.adhocQ.Rebase(lp.Rev, from, s.adhocLeftoverLocked(lp, from, n))
-	// Hand the retired epoch's admitted volume back to the scheduler as
-	// capacity reservations (sched.AdHocFolder): the next batched replan
-	// folds it into its LP as shaved load-row capacities instead of the
-	// plan double-booking capacity the gate already promised away.
-	if folder, ok := s.cfg.Scheduler.(sched.AdHocFolder); ok {
-		folder.FoldAdHocDrain(drain.From, drain.Consumed)
+	first := s.adhocQ.Rev() < 0
+	leftover, held := s.adhocLeftoverLocked(lp, from, n)
+	drain := s.adhocQ.Rebase(lp.Rev, from, leftover)
+	folder, ok := s.cfg.Scheduler.(sched.AdHocFolder)
+	if !ok {
+		return
+	}
+	// Hand the retired epoch's admitted volume to the scheduler as
+	// reservations (sched.AdHocFolder): the next batched replan routes them
+	// beside the deadline work, so the plan keeps clear of capacity the gate
+	// promised away wherever no deadline needs it.
+	folder.FoldAdHocDrain(drain.From, drain.Consumed)
+	if first {
+		// The scheduler's reservations are not durable. A restarted or
+		// promoted RM retires an empty epoch here, yet the ad-hoc jobs it
+		// recovered were admitted against slots the planner no longer knows
+		// are spoken for: re-seed them with the volume those jobs still
+		// hold. Nothing is live on a fresh start, and the fold is a no-op.
+		folder.FoldAdHocDrain(from, held)
 	}
 }
 
 // adhocLeftoverLocked computes the per-slot free capacity the ad-hoc
 // gate may admit against over [from, from+n): cluster capacity minus the
 // live plan's allocations minus the undelivered volume of already-
-// admitted ad-hoc jobs. The plan covers only deadline jobs — admitted
-// ad-hoc work holds no slots in it — so each live ad-hoc job's remaining
-// demand is water-filled front-to-back (honoring its parallel cap) and
-// subtracted, ensuring later admissions cannot double-book capacity an
-// earlier admission still needs. Demand that fits nowhere in the window
-// is simply unplaced: the profile is already exhausted there.
-func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) []resource.Vector {
+// admitted ad-hoc jobs, and beside it that volume itself, held[i] at slot
+// from+i. The plan covers only deadline jobs — admitted ad-hoc work holds
+// no slots in it — so each live ad-hoc job's remaining demand is
+// water-filled front-to-back (honoring its parallel cap) and subtracted,
+// ensuring later admissions cannot double-book capacity an earlier
+// admission still needs. Demand that fits nowhere in the window is simply
+// unplaced: the profile is already exhausted there.
+func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, held []resource.Vector) {
 	capacity := s.totalCapacityLocked()
-	leftover := make([]resource.Vector, n)
+	leftover = make([]resource.Vector, n)
+	held = make([]resource.Vector, n)
 	for i := range leftover {
 		leftover[i] = capacity
 	}
@@ -199,9 +213,10 @@ func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) []resource.Ve
 					take = free
 				}
 				leftover[i][ki] -= take
+				held[i][ki] += take
 				need -= take
 			}
 		}
 	}
-	return leftover
+	return leftover, held
 }

@@ -307,6 +307,66 @@ func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
 	}
 }
 
+// TestRecoveredAdHocReseedsReservations: the scheduler's reservations are
+// not durable, and the first gate epoch of a process retires nothing — so
+// on a restarted RM the first rebase must re-seed them from the volume
+// the recovered ad-hoc jobs still hold. Without that the planner spreads
+// deadline work over slots the gate promised away before the crash.
+func TestRecoveredAdHocReseedsReservations(t *testing.T) {
+	dir := t.TempDir()
+	rm1, _ := newStreamingRM(t, dir, false, true)
+	register(t, rm1, "n1", 8, 32768)
+	if err := rm1.Tick(time.Now()); err != nil { // publishes the empty plan the gate admits against
+		t.Fatalf("Tick: %v", err)
+	}
+	// 6 of the 8 cores for 10 slots.
+	resp, err := rm1.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "held", Tasks: 6, TaskDurSec: 100, DemandVCores: 1, DemandMemMB: 1024,
+	}})
+	if err != nil || !resp.Accepted {
+		t.Fatalf("SubmitAdHoc: accepted=%v err=%v", resp.Accepted, err)
+	}
+	// Crash: rm1 and its store are abandoned un-closed.
+
+	rm2, _ := newStreamingRM(t, dir, true, true)
+	ft := rm2.cfg.Scheduler.(*core.FlowTime)
+	register(t, rm2, "n1", 8, 32768)
+	// 80 core-slots due in 30 slots: spread flat it would put ~3 cores on
+	// every slot, the held ones included.
+	if _, err := rm2.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: trace.WorkflowRecord{
+		ID: "wf-1", DeadlineSec: 300,
+		Jobs: []trace.JobRecord{{Name: "a", Tasks: 8, TaskDurSec: 100, DemandVCores: 1, DemandMemMB: 1024}},
+	}}); err != nil {
+		t.Fatalf("SubmitWorkflow: %v", err)
+	}
+	pending := runSlots(t, rm2, "n1", 1, nil)
+	if got := ft.Stats().AdHocFolds; got < 1 {
+		t.Fatalf("AdHocFolds = %d after the first rebase of a recovered RM, want >= 1", got)
+	}
+	reseeded := rm2.Status().Slot // the first rebase held slots from here on
+
+	// The fold is quality staleness: the next batched replan plans around it.
+	replans := ft.Stats().Replans
+	for i := 0; ft.Stats().Replans == replans; i++ {
+		if i == 10 {
+			t.Fatal("no quality replan within 10 slots of the re-seeding fold")
+		}
+		pending = runSlots(t, rm2, "n1", 1, pending)
+	}
+	lp := livePlanOf(rm2)
+	if lp.From >= reseeded+8 {
+		t.Fatalf("quality replan at slot %d, past the slots re-seeded from %d", lp.From, reseeded)
+	}
+	for slot := lp.From; slot < reseeded+8; slot++ {
+		if got := lp.AllocAt("wf-1/a", slot); !got.IsZero() {
+			t.Errorf("slot %d: %v of deadline work planned on a slot the recovered ad-hoc job holds", slot, got)
+		}
+	}
+	if err := rm2.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
+		t.Fatalf("recovery equivalence: %v", err)
+	}
+}
+
 // TestGateRequiresStreamingScheduler: the gate without a plan-streaming
 // scheduler is a configuration error, not a silent always-reject queue.
 func TestGateRequiresStreamingScheduler(t *testing.T) {
