@@ -4,7 +4,8 @@
 # benchmark harness's own build and tests (bench-e2e). `make verify` is
 # the differential verification sweep (flow planner vs. reference simplex,
 # oracle cross-checks, metamorphic relations — gate reservations yield to
-# deadlines, removing the ad-hoc stream changes no deadline job's outcome
+# deadlines, every FlowTime slot is work-conserving, striking the ad-hoc
+# jobs from a slot gives deadline work only the capacity they had taken
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
@@ -68,8 +69,13 @@ cover:
 # deadline job's stage A shortfall, and what survives is the reference
 # simplex's joint max flow minus the deadline jobs' own), the
 # decomposition oracle, and full-pipeline sim runs with the invariant
-# checker armed and the ad-hoc-removal relation (no deadline job's
-# outcome depends on the ad-hoc stream). Reproduce a failure with:
+# checker armed and every Assign held to work conservation (a resource
+# kind with capacity left has no ready job short of its request; a
+# deadline job runs before its release only where no ad-hoc job is
+# short) and to the per-slot ad-hoc-removal relation (what deadline work
+# is granted ahead of the ad-hoc jobs — plan, overdue, backlog — is what
+# it is granted with them struck out), once as estimated and once under
+# chaos. Reproduce a failure with:
 # go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1

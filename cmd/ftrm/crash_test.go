@@ -373,12 +373,36 @@ func TestCrashMidDiffApplicationRecoversPlan(t *testing.T) {
 	}
 }
 
+// planChain returns a deadline workflow that is a chain of depth jobs of
+// planWorkflow's size. FlowTime runs a ready job on idle capacity, so on
+// this test's otherwise empty node every level is done in its two seconds
+// of task time, far ahead of its planned window — and each such early
+// finish is a quality replan and a plan revision. A chain therefore
+// streams a revision every couple of seconds for as long as it is deep,
+// with leases outstanding throughout; planWorkflow's two levels are over
+// (second 4) before a standby has caught up with the third revision.
+func planChain(id string, depth int) trace.WorkflowRecord {
+	wf := trace.WorkflowRecord{ID: id, DeadlineSec: 40}
+	for i := 0; i < depth; i++ {
+		wf.Jobs = append(wf.Jobs, trace.JobRecord{
+			Name: string(rune('a' + i)), Tasks: 4, TaskDurSec: 2, DemandVCores: 2, DemandMemMB: 1024,
+		})
+		if i > 0 {
+			wf.Deps = append(wf.Deps, [2]int{i - 1, i})
+		}
+	}
+	return wf
+}
+
 // TestFailoverPreservesStreamedPlan kills a plan-streaming primary whose
 // warm standby is caught up, promotes the standby, and asserts the
 // replicated diffs rebuilt the identical plan there: the promoted RM
 // reports every shipped diff applied, repairs the chain break from its
 // own scheduler with one journaled rebase, finishes the workload, and
-// its state directory passes the recovery-equivalence oracle.
+// its state directory passes the recovery-equivalence oracle. The
+// workload is two six-deep chains (planChain), so the kill lands with
+// most levels still to run and the plan stream is live on both sides of
+// the failover.
 func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level chaos test")
@@ -409,7 +433,7 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		if _, err := pClient.SubmitWorkflow(ctx, rmproto.SubmitWorkflowRequest{Workflow: planWorkflow(fmt.Sprintf("wf-fo-%d", i))}); err != nil {
+		if _, err := pClient.SubmitWorkflow(ctx, rmproto.SubmitWorkflowRequest{Workflow: planChain(fmt.Sprintf("wf-fo-%d", i), 6)}); err != nil {
 			t.Fatalf("SubmitWorkflow %d: %v", i, err)
 		}
 	}
@@ -422,6 +446,9 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 			st.Replication != nil && st.Replication.FollowerSeen && st.Replication.LagRecords == 0
 	})
 	preRev := pre.Plan.Rev
+	if pre.Summary.Completed > 8 {
+		t.Fatalf("%d of 12 jobs already done at the kill: no plan stream left to fail over", pre.Summary.Completed)
+	}
 	if err := primary.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL primary: %v", err)
 	}
@@ -443,7 +470,7 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	})
 
 	final := waitStatus(t, fClient, 60*time.Second, "workload completion on promoted RM", func(st rmproto.StatusResponse) bool {
-		if st.Nodes != 1 || st.OutstandingLeases != 0 || len(st.Jobs) != 4 {
+		if st.Nodes != 1 || st.OutstandingLeases != 0 || len(st.Jobs) != 12 {
 			return false
 		}
 		for _, j := range st.Jobs {

@@ -366,7 +366,7 @@ func run(o options) error {
 			}
 		case <-ctx.Done():
 			drain(rm, tick, o.drainTimeout)
-			logFinalStatus(rm)
+			logFinalStatus(rm, s)
 			if st != nil {
 				// Final snapshot: a clean shutdown restarts with zero WAL
 				// records to replay. (Drain already wrote one if it completed;
@@ -426,7 +426,7 @@ func drain(rm *rmserver.Server, tick <-chan time.Time, timeout time.Duration) {
 
 // logFinalStatus records what the RM knew at exit: per-state job counts,
 // fault counters, and every job a shutdown at this point strands.
-func logFinalStatus(rm *rmserver.Server) {
+func logFinalStatus(rm *rmserver.Server, s sched.Scheduler) {
 	st := rm.Status()
 	log.Printf("ftrm: final status: slot=%d nodes=%d jobs(pending=%d running=%d completed=%d missed=%d) leases_outstanding=%d",
 		st.Slot, st.Nodes, st.Summary.Pending, st.Summary.Running, st.Summary.Completed, st.Summary.Missed, st.OutstandingLeases)
@@ -437,6 +437,11 @@ func logFinalStatus(rm *rmserver.Server) {
 			d.Level, d.MinMaxFallbacks, d.GreedyFallbacks, d.InvalidPlans, d.Reason)
 		log.Printf("ftrm: flow planner: max_flows=%d resumed=%d",
 			d.LPColdStarts, d.LPWarmStarts)
+	}
+	if ft, ok := s.(*core.FlowTime); ok {
+		fs := ft.Stats()
+		log.Printf("ftrm: flowtime: replans=%d adhoc_folds=%d adhoc_yields=%d adhoc_yielded=%v backfills=%d backfilled=%v",
+			fs.Replans, fs.AdHocFolds, fs.AdHocYields, fs.AdHocYielded, fs.Backfills, fs.Backfilled)
 	}
 	if d := st.Durability; d != nil {
 		log.Printf("ftrm: durability: fsync=%s generation=%d wal_records=%d wal_bytes=%d fsyncs=%d snapshots=%d",

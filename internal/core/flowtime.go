@@ -51,9 +51,18 @@
 // error: the worst case is a valid but less load-balanced plan, with the
 // active level and trip reason reported through Degradation().
 //
-// Grants left over after serving the plan go to overdue deadline jobs
-// first and then to ad-hoc jobs in arrival order, fulfilling the paper's
-// "schedule deadline work while minimally impacting ad-hoc jobs".
+// Each slot's capacity is handed out in five passes (Assign): the plan's
+// slices; overdue deadline jobs; demand beyond the plan (estimate
+// revisions, best-effort jobs) of jobs whose window is open; ad-hoc jobs
+// in arrival order — the paper's "schedule deadline work while minimally
+// impacting ad-hoc jobs"; and last, whatever no ad-hoc job asked for, to
+// any ready deadline job, earliest deadline first, whether or not the
+// plan or its decomposed release says it should run yet. The plan stays
+// as flat and late as the skyline makes it — it is what deadline work
+// may claim ahead of ad-hoc work, not a ceiling — and the last pass makes
+// the grants work-conserving: FlowTime never idles a core beside a
+// runnable job, and work done early only lowers the demand the next
+// replan flattens.
 package core
 
 import (
@@ -178,6 +187,11 @@ type Stats struct {
 	// neither.
 	AdHocYields  int
 	AdHocYielded resource.Vector
+	// Backfills counts slots in which Assign's last pass handed capacity
+	// nothing else wanted to a ready deadline job beyond its plan, and
+	// Backfilled is the volume handed out that way.
+	Backfills  int
+	Backfilled resource.Vector
 	// LP aggregates the planner's work across all replans.
 	LP PlannerStats
 }
@@ -351,7 +365,11 @@ func (f *FlowTime) publishPlan(from, nSlots int64, alloc map[string][]resource.V
 // them, so they are batched to at most one per interval.
 const qualityReplanInterval = 5
 
-// Assign implements sched.Scheduler.
+// Assign implements sched.Scheduler: five passes over the slot's capacity —
+// plan, overdue, backlog, ad-hoc, idle. The first three are deadline
+// work's claims and come before ad-hoc work; the last hands deadline work
+// what ad-hoc work left, so the grants are work-conserving: no kind has
+// capacity left beside a ready job that asked for more of it.
 func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, error) {
 	urgent, quality := f.planNeeds(ctx)
 	if urgent || (quality && ctx.Now >= f.planFrom+qualityReplanInterval) {
@@ -361,9 +379,9 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 	avail := ctx.Cluster.CapAt(ctx.Now)
 	grants := make(map[string]resource.Vector, len(ctx.Jobs))
 
-	// Serve the plan. The planned slice is consumed from planRemaining
-	// whether or not the job could take it — a blocked job makes the plan
-	// stale, which triggers a replan on the next slot.
+	// Plan. The planned slice is consumed from planRemaining whether or not
+	// the job could take it — a blocked job makes the plan stale, which
+	// triggers a replan on the next slot.
 	for _, j := range ctx.Jobs {
 		if j.Kind != sched.DeadlineJob {
 			continue
@@ -386,60 +404,41 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 		}
 	}
 
-	// Overdue deadline jobs (deadline passed or demand deferred by the
-	// shortfall stage) run best-effort ahead of ad-hoc jobs, earliest
-	// deadline first.
-	overdue := make([]sched.JobState, 0, 4)
-	for _, j := range ctx.Jobs {
-		if j.Kind != sched.DeadlineJob || !j.Ready || j.Request.IsZero() {
-			continue
+	// The other deadline passes serve the same candidates in the same
+	// order and differ only in what a job may want; serve caps it by what
+	// the job's Request still lacks after this slot's earlier grants and
+	// returns the volume granted.
+	ready := readyEDF(ctx.Jobs)
+	serve := func(want func(sched.JobState) resource.Vector) (total resource.Vector) {
+		for _, j := range ready {
+			got := grants[j.ID]
+			if g := grantIn(want(j).Min(j.Request.SubClamped(got)), &avail); !g.IsZero() {
+				grants[j.ID] = got.Add(g)
+				total = total.Add(g)
+			}
 		}
-		if int64(j.Deadline/ctx.Cluster.SlotDur) <= ctx.Now {
-			overdue = append(overdue, j)
-		}
-	}
-	sort.SliceStable(overdue, func(a, b int) bool {
-		if overdue[a].Deadline != overdue[b].Deadline {
-			return overdue[a].Deadline < overdue[b].Deadline
-		}
-		return overdue[a].ID < overdue[b].ID
-	})
-	for _, j := range overdue {
-		got := grants[j.ID]
-		want := j.Request.SubClamped(got)
-		if g := grantIn(want, &avail); !g.IsZero() {
-			grants[j.ID] = got.Add(g)
-		}
+		return total
 	}
 
-	// Revision backlog: demand discovered beyond the plan (upward estimate
-	// revisions when a job outlives its estimate) runs from leftover
-	// capacity ahead of ad-hoc work, earliest deadline first, until the
-	// next quality replan folds it into the skyline.
-	backlog := make([]sched.JobState, 0, 4)
-	for _, j := range ctx.Jobs {
-		if j.Kind != sched.DeadlineJob || !j.Ready || j.Request.IsZero() {
-			continue
+	// Overdue: a job whose deadline has passed runs flat out.
+	serve(func(j sched.JobState) resource.Vector {
+		if int64(j.Deadline/ctx.Cluster.SlotDur) > ctx.Now {
+			return resource.Vector{}
 		}
-		covered := f.planRemaining[j.ID].Add(f.deferred[j.ID])
-		if !j.EstRemaining.FitsIn(covered) {
-			backlog = append(backlog, j)
-		}
-	}
-	sort.SliceStable(backlog, func(a, b int) bool {
-		if backlog[a].Deadline != backlog[b].Deadline {
-			return backlog[a].Deadline < backlog[b].Deadline
-		}
-		return backlog[a].ID < backlog[b].ID
+		return j.Request
 	})
-	for _, j := range backlog {
-		got := grants[j.ID]
-		unplanned := j.EstRemaining.SubClamped(f.planRemaining[j.ID]).SubClamped(f.deferred[j.ID])
-		want := unplanned.Min(j.Request.SubClamped(got))
-		if g := grantIn(want, &avail); !g.IsZero() {
-			grants[j.ID] = got.Add(g)
+
+	// Backlog: demand beyond the plan (a job that outlived its estimate, a
+	// best-effort job) runs ahead of ad-hoc work until the next quality
+	// replan folds it into the skyline — what the job will have left after
+	// this slot's grants, less what the plan holds after this slot. A job
+	// whose window has not opened has no claim yet.
+	serve(func(j sched.JobState) resource.Vector {
+		if int64(j.Release/ctx.Cluster.SlotDur) > ctx.Now {
+			return resource.Vector{}
 		}
-	}
+		return j.EstRemaining.SubClamped(grants[j.ID]).SubClamped(f.planRemaining[j.ID]).SubClamped(f.deferred[j.ID])
+	})
 
 	// Ad-hoc jobs take all remaining capacity in arrival order (paper
 	// §II-B: "the remaining resources can be used by the ad-hoc jobs").
@@ -460,7 +459,34 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 			grants[j.ID] = g
 		}
 	}
+
+	// Idle: what no ad-hoc job asked for goes to any ready deadline job,
+	// planned or not, released or not — the plan is a preference and a
+	// decomposed Release a planning window, not a launch gate. It comes
+	// after the ad-hoc queue, so it never shrinks an ad-hoc grant.
+	if idle := serve(func(j sched.JobState) resource.Vector { return j.Request }); !idle.IsZero() {
+		f.stats.Backfills++
+		f.stats.Backfilled = f.stats.Backfilled.Add(idle)
+	}
 	return grants, nil
+}
+
+// readyEDF returns the deadline jobs that can take a grant this slot,
+// earliest deadline first, ID as tie-break.
+func readyEDF(jobs []sched.JobState) []sched.JobState {
+	ready := make([]sched.JobState, 0, len(jobs))
+	for _, j := range jobs {
+		if j.Kind == sched.DeadlineJob && j.Ready && !j.Request.IsZero() {
+			ready = append(ready, j)
+		}
+	}
+	sort.SliceStable(ready, func(a, b int) bool {
+		if ready[a].Deadline != ready[b].Deadline {
+			return ready[a].Deadline < ready[b].Deadline
+		}
+		return ready[a].ID < ready[b].ID
+	})
+	return ready
 }
 
 // planNeeds classifies why the current plan no longer matches reality.

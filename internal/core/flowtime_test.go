@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -337,5 +338,252 @@ func TestReplanOnLiveCapacityChange(t *testing.T) {
 		if !l.FitsIn(capacity) {
 			t.Errorf("plan slot %d load %v exceeds reduced capacity %v", off, l, capacity)
 		}
+	}
+}
+
+// drive plays job through Assign for the given slots, consuming every
+// grant, holds each call to checkAssign, and returns the grants per slot.
+// others are passed through unchanged every slot (ad-hoc jobs that never
+// finish).
+func drive(t *testing.T, f *FlowTime, cl sched.ClusterView, slots int64, job *sched.JobState, others ...sched.JobState) []map[string]resource.Vector {
+	t.Helper()
+	var out []map[string]resource.Vector
+	for now := int64(0); now < slots; now++ {
+		ctx := sched.AssignContext{Now: now, Changed: now == 0, Cluster: cl, Jobs: append([]sched.JobState(nil), others...)}
+		if !job.EstRemaining.IsZero() {
+			ctx.Jobs = append(ctx.Jobs, *job)
+		}
+		grants, err := f.Assign(ctx)
+		if err != nil {
+			t.Fatalf("Assign(%d): %v", now, err)
+		}
+		if err := checkAssign(f, ctx, grants); err != nil {
+			t.Fatal(err)
+		}
+		job.EstRemaining = job.EstRemaining.SubClamped(grants[job.ID])
+		job.Request = job.ParallelCap.Min(job.EstRemaining)
+		out = append(out, grants)
+	}
+	return out
+}
+
+func TestIdleCapacityGoesToDeadlineWork(t *testing.T) {
+	// An empty 10-core cluster and one job: 20 cores of work, window
+	// [0, 10), so the flat plan is 2 a slot. Nothing else wants the other
+	// 8: the job runs at its parallel cap and is done after slot 1, not 9.
+	f := New(Config{Slack: 0})
+	job := dlJob("j", 0, 10, resource.New(20, 2000), resource.New(10, 1000))
+	got := drive(t, f, view(resource.New(10, 1000), 40), 3, &job)
+	for now, want := range []resource.Vector{resource.New(10, 1000), resource.New(10, 1000), {}} {
+		if g := got[now]["j"]; g != want {
+			t.Errorf("slot %d: granted %v, want %v (slice 2 + 8 idle)", now, g, want)
+		}
+	}
+	if st := f.Stats(); st.Backfills != 2 || st.Backfilled != resource.New(16, 1600) {
+		t.Errorf("Backfills = %d, Backfilled = %v; want 2 slots, <16,1600>", st.Backfills, st.Backfilled)
+	}
+}
+
+func TestIdlePassNeverTakesFromAdHoc(t *testing.T) {
+	// The same job beside an ad-hoc job that asks for the other 8 cores
+	// every slot: the ad-hoc job is served first and in full, the deadline
+	// job keeps to its slice, and the idle pass never fires.
+	f := New(Config{Slack: 0})
+	job := dlJob("j", 0, 10, resource.New(20, 2000), resource.New(10, 1000))
+	got := drive(t, f, view(resource.New(10, 1000), 40), 10, &job, adhoc("a", 0, resource.New(8, 800)))
+	for now, grants := range got {
+		if g := grants["a"]; g != resource.New(8, 800) {
+			t.Errorf("slot %d: ad-hoc granted %v, want its whole request", now, g)
+		}
+		if g := grants["j"]; g != resource.New(2, 200) {
+			t.Errorf("slot %d: deadline job granted %v, want its slice <2,200> and nothing more", now, g)
+		}
+	}
+	if !job.EstRemaining.IsZero() {
+		t.Errorf("job has %v left after its window", job.EstRemaining)
+	}
+	if st := f.Stats(); st.Backfills != 0 || !st.Backfilled.IsZero() {
+		t.Errorf("Backfills = %d, Backfilled = %v; want none beside a hungry ad-hoc job", st.Backfills, st.Backfilled)
+	}
+}
+
+func TestBacklogPassDoesNotRepeatTheSlice(t *testing.T) {
+	// The backlog pass measures demand beyond the plan after this slot's
+	// grants: in the first slot after a replan planRemaining has just been
+	// debited by the slice, and a remaining estimate taken before the slot
+	// would look one slice short — the job got its slice twice, ahead of
+	// ad-hoc work (4 instead of 2 here, up to PR 19). Beside an ad-hoc job
+	// that is short in every slot the job gets exactly its slice, in the
+	// slot that follows a replan (0, and 3 when the cluster grows) like in
+	// any other.
+	f := New(Config{Slack: 0})
+	hungry := adhoc("a", 0, resource.New(20, 2000))
+	job := dlJob("j", 0, 10, resource.New(20, 2000), resource.New(10, 1000))
+	for now := int64(0); now < 6; now++ {
+		capacity := resource.New(10, 1000)
+		if now >= 3 {
+			capacity = resource.New(12, 1200)
+		}
+		replans := f.Stats().Replans
+		ctx := sched.AssignContext{Now: now, Changed: now == 0, Jobs: []sched.JobState{job, hungry}, Cluster: view(capacity, 40)}
+		grants, err := f.Assign(ctx)
+		if err != nil {
+			t.Fatalf("Assign(%d): %v", now, err)
+		}
+		if err := checkAssign(f, ctx, grants); err != nil {
+			t.Fatal(err)
+		}
+		if replanned := f.Stats().Replans > replans; replanned != (now == 0 || now == 3) {
+			t.Fatalf("slot %d: replanned = %v", now, replanned)
+		}
+		if g := grants["j"]; g != resource.New(2, 200) {
+			t.Errorf("slot %d: deadline job granted %v, want exactly its slice <2,200>", now, g)
+		}
+		if g := grants["a"]; g != capacity.Sub(resource.New(2, 200)) {
+			t.Errorf("slot %d: ad-hoc granted %v, want everything but the slice", now, g)
+		}
+		job.EstRemaining = job.EstRemaining.SubClamped(grants["j"])
+		job.Request = job.ParallelCap.Min(job.EstRemaining)
+	}
+}
+
+func TestReleaseIsNotALaunchGate(t *testing.T) {
+	// Chain a -> b with b's decomposed window [5, 10). a runs on the idle
+	// cluster and is done after slot 1; b is ready in slot 2 and must be
+	// granted there, three slots before its release, without a replan.
+	f := New(Config{Slack: 0})
+	cl := view(resource.New(10, 1000), 40)
+	a := dlJob("a", 0, 5, resource.New(20, 2000), resource.New(10, 1000))
+	b := dlJob("b", 5, 10, resource.New(20, 2000), resource.New(10, 1000))
+	b.Ready = false
+	drive(t, f, cl, 2, &a, b)
+	if !a.EstRemaining.IsZero() {
+		t.Fatalf("a has %v left after slot 1", a.EstRemaining)
+	}
+	replans := f.Stats().Replans
+	b.Ready = true
+	ctx := sched.AssignContext{Now: 2, Jobs: []sched.JobState{b}, Cluster: cl}
+	grants, err := f.Assign(ctx)
+	if err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	if err := checkAssign(f, ctx, grants); err != nil {
+		t.Fatal(err)
+	}
+	if g := grants["b"]; g != resource.New(10, 1000) {
+		t.Errorf("b granted %v in the first slot it is ready, want the idle cluster", g)
+	}
+	if got := f.Stats().Replans; got != replans {
+		t.Errorf("Replans %d -> %d: running ahead of the plan must not make it stale", replans, got)
+	}
+}
+
+func TestIdlePassSkipsBlockedAndSatisfiedJobs(t *testing.T) {
+	// Idle capacity does not override readiness, and a job that asks for
+	// nothing gets nothing.
+	f := New(Config{Slack: 0})
+	blocked := dlJob("blocked", 5, 10, resource.New(20, 2000), resource.New(10, 1000))
+	blocked.Ready = false
+	sated := dlJob("sated", 5, 10, resource.New(20, 2000), resource.New(10, 1000))
+	sated.Request = resource.Vector{} // everything it can run is in flight
+	ctx := sched.AssignContext{
+		Now: 0, Changed: true, Jobs: []sched.JobState{blocked, sated},
+		Cluster: view(resource.New(10, 1000), 40),
+	}
+	grants, err := f.Assign(ctx)
+	if err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	if len(grants) != 0 {
+		t.Errorf("grants = %v, want none", grants)
+	}
+	if err := checkAssign(f, ctx, grants); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Backfills != 0 {
+		t.Errorf("Backfills = %d, want 0", st.Backfills)
+	}
+}
+
+func TestIdlePassIsEDFThenID(t *testing.T) {
+	// Two candidates for idle capacity that covers one: the earlier
+	// deadline wins, equal deadlines go by ID, and the order of ctx.Jobs
+	// does not matter.
+	cl := view(resource.New(10, 1000), 60)
+	late := dlJob("a-late", 20, 40, resource.New(30, 3000), resource.New(10, 1000))
+	early := dlJob("z-early", 20, 30, resource.New(30, 3000), resource.New(10, 1000))
+	twin := dlJob("b-twin", 20, 30, resource.New(30, 3000), resource.New(10, 1000))
+	tests := []struct {
+		name   string
+		jobs   []sched.JobState
+		winner string
+	}{
+		{"earlier deadline", []sched.JobState{late, early}, "z-early"},
+		{"equal deadlines by ID", []sched.JobState{early, twin}, "b-twin"},
+		{"all three", []sched.JobState{late, early, twin}, "b-twin"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var first map[string]resource.Vector
+			for rot := range tt.jobs {
+				jobs := append(append([]sched.JobState(nil), tt.jobs[rot:]...), tt.jobs[:rot]...)
+				ctx := sched.AssignContext{Now: 0, Changed: true, Jobs: jobs, Cluster: cl}
+				f := New(Config{Slack: 0})
+				grants, err := f.Assign(ctx)
+				if err != nil {
+					t.Fatalf("Assign: %v", err)
+				}
+				if err := checkAssign(f, ctx, grants); err != nil {
+					t.Fatal(err)
+				}
+				if len(grants) != 1 || grants[tt.winner] != resource.New(10, 1000) {
+					t.Errorf("rotation %d: grants = %v, want the idle cluster to %s alone", rot, grants, tt.winner)
+				}
+				if first == nil {
+					first = grants
+				} else if !reflect.DeepEqual(first, grants) {
+					t.Errorf("rotation %d: grants %v differ from rotation 0's %v", rot, grants, first)
+				}
+			}
+		})
+	}
+}
+
+func TestRevisionBeforeReleaseWaitsBehindAdHoc(t *testing.T) {
+	// A job that ran ahead of its window and outlived its estimate there
+	// has revision backlog but no claim yet: until its release the backlog
+	// pass skips it, so the ad-hoc job beside it keeps the whole cluster —
+	// running early must never cost ad-hoc work anything, even indirectly.
+	f := New(Config{Slack: 0})
+	cl := view(resource.New(10, 1000), 40)
+	hungry := adhoc("a", 0, resource.New(10, 1000))
+	b := dlJob("b", 5, 10, resource.New(20, 2000), resource.New(10, 1000))
+	for now := int64(0); now < 5; now++ {
+		if now == 1 {
+			b.EstRemaining = resource.New(30, 3000) // revised upward: 10 beyond the plan
+		}
+		ctx := sched.AssignContext{Now: now, Changed: now < 2, Jobs: []sched.JobState{b, hungry}, Cluster: cl}
+		grants, err := f.Assign(ctx)
+		if err != nil {
+			t.Fatalf("Assign(%d): %v", now, err)
+		}
+		if err := checkAssign(f, ctx, grants); err != nil {
+			t.Fatal(err)
+		}
+		if g := grants["b"]; !g.IsZero() {
+			t.Errorf("slot %d: b granted %v before its release beside a hungry ad-hoc job", now, g)
+		}
+		if g := grants["a"]; g != hungry.Request {
+			t.Errorf("slot %d: ad-hoc granted %v, want the whole cluster", now, g)
+		}
+	}
+	// From its release on the revised demand is planned work like any other.
+	ctx := sched.AssignContext{Now: 5, Jobs: []sched.JobState{b, hungry}, Cluster: cl}
+	grants, err := f.Assign(ctx)
+	if err != nil {
+		t.Fatalf("Assign(5): %v", err)
+	}
+	if g := grants["b"]; g.Get(resource.VCores) < 6 {
+		t.Errorf("slot 5: b granted %v, want at least its flat share of 30 over 5 slots", g)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flowtime/internal/core"
+	"flowtime/internal/oracle"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/store"
@@ -108,7 +109,9 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 // on — submissions, tick, every node's heartbeat confirming what it
 // launched a slot ago — and returns which workflows met their deadline
 // (by the RM's own rule: a completion is seen one slot after the work
-// ran) and how many ad-hoc jobs the gate admitted. It ends in the
+// ran) and how many ad-hoc jobs the gate admitted. Every tick's grants
+// are held to work conservation and the per-slot ad-hoc-removal relation
+// as the scheduler returned them (oracle.Conserving). It ends in the
 // recovery-equivalence oracle.
 func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int) {
 	t.Helper()
@@ -119,7 +122,7 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 	defer st.Close()
 	cfg := core.DefaultConfig()
 	cfg.StreamPlans = true
-	ft := core.New(cfg)
+	ft := oracle.NewConserving(cfg) // a violation fails the Tick that saw it
 	rm, err := New(Config{SlotDur: burstSlot, Scheduler: ft, NodeExpiry: 3 * burstSlot, Store: st, AdHocGate: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -183,6 +186,9 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 	if d := ft.Degradation(); d.GreedyFallbacks+d.InvalidPlans != 0 {
 		t.Fatalf("planner stepped down its ladder: %+v", d)
 	}
+	if ft.Slots() != final.Slot {
+		t.Fatalf("work conservation checked on %d of %d ticks", ft.Slots(), final.Slot)
+	}
 	met = make(map[string]bool, len(deadlineSec))
 	for id := range deadlineSec {
 		met[id] = true
@@ -208,7 +214,10 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 // is played twice through the whole RM (decomposition, planner, plan
 // stream, gate, drain folding, journal), with and without its ad-hoc
 // stream: every workflow that meets its deadline alone must meet it
-// under the burst.
+// under the burst. (Alone, the workflows also finish sooner — deadline
+// work runs on whatever capacity nothing else asked for, and the burst
+// asks for most of it — so the two runs' completion times differ by
+// design; it is the verdicts that must not.)
 //
 // What the planner guarantees is narrower than what is pinned here: in
 // any one replan no reservation costs a deadline job it knows of

@@ -60,7 +60,11 @@ type JobState struct {
 	// deadline jobs, submission time for ad-hoc jobs).
 	Arrived time.Duration
 	// Release and Deadline bound the job's decomposed scheduling window
-	// (deadline jobs only; zero for ad-hoc jobs).
+	// (deadline jobs only; zero for ad-hoc jobs). The window is what a
+	// planner places the job's work in; Release is not a launch gate. Only
+	// arrived jobs are listed, so Ready is the physical launch condition,
+	// and a scheduler may run a Ready job before its Release on capacity
+	// nothing else wants (FlowTime does).
 	Release  time.Duration
 	Deadline time.Duration
 

@@ -5,6 +5,7 @@ import (
 
 	"flowtime/internal/machine"
 	"flowtime/internal/resource"
+	"flowtime/internal/sched"
 )
 
 // Observation is one job's state at the end of a slot, as seen by the
@@ -13,6 +14,11 @@ import (
 // accounting after the grant was applied.
 type Observation struct {
 	ID string
+	// Kind is the job's class and Early marks a deadline job whose
+	// decomposed Release lies after this slot. Only CheckWorkConserving
+	// reads them; Observe fills them in.
+	Kind  sched.JobKind
+	Early bool
 	// Granted is the clamped grant applied this slot (zero if none).
 	Granted resource.Vector
 	// Request and Ready are the values the scheduler saw this slot.
@@ -115,6 +121,67 @@ func (c *InvariantChecker) CheckSlot(slot int64, capacity resource.Vector, obs [
 		return fmt.Errorf("invariant: slot %d allocation %v exceeds capacity %v", slot, used, capacity)
 	}
 	c.slots++
+	return nil
+}
+
+// Observe is the scheduler-side view of one Assign call: one Observation
+// per job the scheduler saw, carrying the grant it returned — unclamped,
+// before any machine placement — for CheckWorkConserving. The cumulative
+// accounting fields stay zero.
+func Observe(ctx sched.AssignContext, grants map[string]resource.Vector) []Observation {
+	obs := make([]Observation, 0, len(ctx.Jobs))
+	for _, j := range ctx.Jobs {
+		obs = append(obs, Observation{
+			ID:      j.ID,
+			Kind:    j.Kind,
+			Early:   j.Kind == sched.DeadlineJob && int64(j.Release/ctx.Cluster.SlotDur) > ctx.Now,
+			Granted: grants[j.ID],
+			Request: j.Request,
+			Ready:   j.Ready,
+		})
+	}
+	return obs
+}
+
+// CheckWorkConserving verifies work conservation on the grants a scheduler
+// returned for one slot (Observe), before anything downstream clamps or
+// places them. It is opt-in — CheckSlot does not call it — because it is
+// FlowTime's promise, not every scheduler's (Morpheus holds capacity back
+// for the reservations it packed):
+//
+//   - no idle beside a request: a resource kind with capacity left has no
+//     ready job, of either kind, short of its Request in that kind;
+//   - ad-hoc work never waits for early deadline work: in a kind where a
+//     deadline job was granted before its Release, every ready ad-hoc job
+//     got its whole Request.
+func (c *InvariantChecker) CheckWorkConserving(slot int64, capacity resource.Vector, obs []Observation) error {
+	var used resource.Vector
+	for _, o := range obs {
+		used = used.Add(o.Granted)
+	}
+	for _, k := range resource.Kinds() {
+		idle := capacity.Get(k) > used.Get(k)
+		early := ""
+		for _, o := range obs {
+			if o.Early && o.Granted.Get(k) > 0 {
+				early = o.ID
+				break
+			}
+		}
+		for _, o := range obs {
+			if !o.Ready || o.Granted.Get(k) >= o.Request.Get(k) {
+				continue
+			}
+			if idle {
+				return fmt.Errorf("invariant: slot %d leaves %d %v idle beside ready job %s, granted %v of %v",
+					slot, capacity.Get(k)-used.Get(k), k, o.ID, o.Granted, o.Request)
+			}
+			if early != "" && o.Kind == sched.AdHocJob {
+				return fmt.Errorf("invariant: slot %d grants %v to %s before its release while ad-hoc job %s has %v of %v",
+					slot, k, early, o.ID, o.Granted, o.Request)
+			}
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +195,84 @@ func TestRunWithInvariantsHostileScheduler(t *testing.T) {
 	}
 	if res.InvariantSlots != res.Slots {
 		t.Errorf("InvariantSlots = %d, Slots = %d", res.InvariantSlots, res.Slots)
+	}
+}
+
+func TestCheckWorkConserving(t *testing.T) {
+	capacity := resource.New(10, 1000)
+	job := func(id string, kind sched.JobKind, granted, request resource.Vector) Observation {
+		return Observation{ID: id, Kind: kind, Granted: granted, Request: request, Ready: true}
+	}
+	full := resource.New(4, 400)
+	tests := []struct {
+		name string
+		obs  []Observation
+		want string
+	}{
+		{"idle but nobody asks for more", []Observation{
+			job("d", sched.DeadlineJob, full, full), job("a", sched.AdHocJob, full, full),
+		}, ""},
+		{"full cluster, requests unmet", []Observation{
+			job("d", sched.DeadlineJob, resource.New(2, 200), full), job("a", sched.AdHocJob, resource.New(8, 800), resource.New(9, 900)),
+		}, ""},
+		{"a blocked job's request is no demand", []Observation{
+			{ID: "d", Kind: sched.DeadlineJob, Request: full},
+		}, ""},
+		{"idle beside a deadline request", []Observation{
+			job("d", sched.DeadlineJob, resource.New(2, 200), full),
+		}, "idle beside ready job d"},
+		{"idle beside an ad-hoc request", []Observation{
+			job("a", sched.AdHocJob, resource.Vector{}, full),
+		}, "idle beside ready job a"},
+		{"one kind idle is enough", []Observation{
+			job("d", sched.DeadlineJob, resource.New(10, 400), resource.New(10, 500)),
+		}, "memory-mb idle beside ready job d"},
+		{"early deadline work, ad-hoc whole", []Observation{
+			{ID: "d", Kind: sched.DeadlineJob, Early: true, Granted: resource.New(6, 600), Request: resource.New(8, 800), Ready: true},
+			job("a", sched.AdHocJob, full, full),
+		}, ""},
+		{"early deadline work beside a short ad-hoc job", []Observation{
+			{ID: "d", Kind: sched.DeadlineJob, Early: true, Granted: resource.New(7, 700), Request: resource.New(8, 800), Ready: true},
+			job("a", sched.AdHocJob, resource.New(3, 300), full),
+		}, "to d before its release while ad-hoc job a"},
+		{"planned deadline work beside a short ad-hoc job", []Observation{
+			job("d", sched.DeadlineJob, resource.New(7, 700), resource.New(8, 800)),
+			job("a", sched.AdHocJob, resource.New(3, 300), full),
+		}, ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := NewInvariantChecker().CheckWorkConserving(3, capacity, tt.obs)
+			if tt.want == "" {
+				if err != nil {
+					t.Fatalf("CheckWorkConserving = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("CheckWorkConserving = %v, want error mentioning %q", err, tt.want)
+			}
+		})
+	}
+}
+
+func TestObserve(t *testing.T) {
+	ctx := sched.AssignContext{
+		Now: 4,
+		Jobs: []sched.JobState{
+			{ID: "early", Kind: sched.DeadlineJob, Release: 50 * time.Second, Request: resource.New(2, 200), Ready: true},
+			{ID: "due", Kind: sched.DeadlineJob, Release: 40 * time.Second, Request: resource.New(2, 200)},
+			{ID: "a", Kind: sched.AdHocJob, Request: resource.New(1, 100), Ready: true},
+		},
+		Cluster: sched.ClusterView{SlotDur: 10 * time.Second},
+	}
+	got := Observe(ctx, map[string]resource.Vector{"early": resource.New(2, 200)})
+	want := []Observation{
+		{ID: "early", Kind: sched.DeadlineJob, Early: true, Granted: resource.New(2, 200), Request: resource.New(2, 200), Ready: true},
+		{ID: "due", Kind: sched.DeadlineJob, Request: resource.New(2, 200)},
+		{ID: "a", Kind: sched.AdHocJob, Request: resource.New(1, 100), Ready: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Observe = %+v\nwant %+v", got, want)
 	}
 }

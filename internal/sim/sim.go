@@ -156,10 +156,11 @@ type Result struct {
 	// all work completed).
 	Slots int64
 	// StalledSlots counts slots where nothing was granted although some
-	// ready, past-release job had a nonzero request and the cluster had
-	// capacity. A healthy scheduler keeps this at zero on greedy-style
-	// plans; plan-flattening schedulers may legitimately idle slots they
-	// have planned around, so this is a diagnostic, not an invariant.
+	// ready job had a nonzero request and the cluster had capacity. A
+	// work-conserving scheduler (FlowTime and the greedy baselines) keeps
+	// this at zero; the reservation-packing baselines may legitimately
+	// idle slots they have planned around, so this is a diagnostic — the
+	// per-kind invariant is InvariantChecker.CheckWorkConserving.
 	StalledSlots int64
 	// BestEffortJobs counts deadline jobs admitted best-effort because
 	// their workflow had no feasible decomposition (admission control).
@@ -356,8 +357,7 @@ func Run(cfg Config) (*Result, error) {
 				st.ParallelCap = j.parallelCap
 				st.MinSlots = j.minSlots
 			}
-			if st.Ready && !st.Request.IsZero() &&
-				(st.Kind != sched.DeadlineJob || int64(st.Release/cfg.SlotDur) <= slot) {
+			if st.Ready && !st.Request.IsZero() {
 				demandNow = true
 			}
 			states = append(states, st)
