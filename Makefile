@@ -9,12 +9,13 @@
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
-# FuzzDecodeWALRecord), the flow planner, the simplex basis factorization
-# and the status query.
+# FuzzDecodeWALRecord), the flow planner, the MPS reader and the status
+# query. `make loc` prints the non-test Go line count the subtraction
+# passes are measured by; `make check` ends with it.
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench bench-smoke bench-e2e cover verify fuzz chaos chaos-net sim-smoke check
+.PHONY: build test race vet fmt lint bench bench-smoke bench-e2e cover verify fuzz chaos chaos-net sim-smoke loc check
 
 build:
 	$(GO) build ./...
@@ -85,10 +86,11 @@ verify:
 # re-encodes to itself and is safe to apply) from the
 # checked-in seed corpora (testdata/fuzz/) and in-code seeds, the flow
 # planner target (conservation, window, cap and parallelism invariants on
-# adversarial capacities and demands, overflow-sized ones included), plus
-# the simplex basis-factorization target (Forrest–Tomlin eta updates vs
-# refactorization from scratch on randomized mutation sequences), and the
-# GET /v1/status query target (any cursor is a 400 or a consistent 200).
+# adversarial capacities and demands, overflow-sized ones included), the
+# MPS reader target (cmd/ftlp's input: no panic, and an accepted document
+# is a valid model that survives WriteMPS -> ReadMPS with the same
+# variables, rows and bounds), and the GET /v1/status query target (any
+# cursor is a 400 or a consistent 200).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -97,7 +99,7 @@ fuzz:
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
-	$(GO) test -fuzz FuzzForrestTomlin -fuzztime 10s -run '^$$' ./internal/lp/
+	$(GO) test -fuzz FuzzReadMPS -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
 
 # sim-smoke replays the small bundled scenario trace (testdata/
@@ -114,8 +116,9 @@ sim-smoke:
 # machine-readable reports for the perf trajectory: BENCH_rm.json
 # (confirm throughput with and without the WAL, fsync percentiles,
 # recovery time), BENCH_lp.json (one replan's skyline at Fig. 7 scale:
-# the flow planner's wall time beside the reference simplex's, with
-# rounds, pivots and warm-start hit rate), BENCH_overload.json
+# the flow planner's wall time, and on the three small sizes the
+# reference simplex's beside it with rounds, pivots and the per-slot
+# level agreement), BENCH_overload.json
 # (admission-control shedding under a submit flood: shed latency,
 # confirm survival, Retry-After hinting, post-overload recovery),
 # BENCH_adhoc.json (the lock-free ad-hoc admission gate: sustained
@@ -130,15 +133,16 @@ bench:
 
 # bench-smoke is the CI form: every benchmark runs exactly once so a
 # broken benchmark fails fast without paying for a measurement run; the
-# sim probe shrinks to 1k machines over one simulated day. -lp-guard is
-# the planner regression gate: at 200x150 the flow planner's levels must
-# equal the sparse simplex's per slot, the sparse LU core must beat the
-# dense basis inverse on wall time and warm must not out-pivot cold; at
-# 5kx1k a flow replan must stay under 1 s and the simplex's warm-hit rate
-# >= 90%.
+# sim probe shrinks to 1k machines over one simulated day. Its 100 ms
+# reports go under $(SMOKE_DIR) (git-ignored), never over the tracked
+# BENCH_*.json measurements. -lp-guard is the planner regression gate: at
+# 200x150 the flow planner's levels must equal the reference simplex's
+# per slot, and at 5kx1k a flow replan must stay under 1 s.
+SMOKE_DIR := .bench_build/smoke
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/
-	$(GO) run ./cmd/ftperf -out BENCH_rm.json -lpout BENCH_lp.json -overloadout BENCH_overload.json -adhocout BENCH_adhoc.json -duration 100ms -lpiters 1 -lp-guard -simout BENCH_sim.json -sim-machines 1000 -sim-days 1
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/ftperf -out $(SMOKE_DIR)/BENCH_rm.json -lpout $(SMOKE_DIR)/BENCH_lp.json -overloadout $(SMOKE_DIR)/BENCH_overload.json -adhocout $(SMOKE_DIR)/BENCH_adhoc.json -duration 100ms -lpiters 1 -lp-guard -simout $(SMOKE_DIR)/BENCH_sim.json -sim-machines 1000 -sim-days 1
 
 # bench-e2e vets and tests the whole-path benchmark harness. bench/ is a
 # module of its own (BENCHMARK.json's contract), so nothing above descends
@@ -148,4 +152,9 @@ bench-e2e:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-check: vet fmt lint race cover sim-smoke bench-e2e
+# loc prints the size the subtraction passes are measured by: lines of
+# non-test Go in the root module.
+loc:
+	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
+
+check: vet fmt lint race cover sim-smoke bench-e2e loc

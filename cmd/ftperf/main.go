@@ -73,8 +73,8 @@ func main() {
 	adhocOut := flag.String("adhocout", "BENCH_adhoc.json", "output path for the ad-hoc admission probe report (empty to skip)")
 	dur := flag.Duration("duration", 2*time.Second, "wall-clock budget per throughput probe")
 	jobs := flag.Int("jobs", 64, "concurrent ad-hoc jobs per probe")
-	lpIters := flag.Int("lpiters", 5, "simplex LexMinMax calls per instance size in the planner probe (the flow arm never runs fewer than 5)")
-	lpGuardOn := flag.Bool("lp-guard", false, "fail (exit 1) when the planner probe regresses: at 200x150 flow and sparse-simplex levels must agree per slot, sparse must beat the dense basis on wall time and warm must not out-pivot cold; at 5kx1k a flow replan must stay under 1 s and the simplex warm-hit rate >= 90%")
+	lpIters := flag.Int("lpiters", 5, "reference-simplex LexMinMax calls per small instance size in the planner probe (the flow arm never runs fewer than 5)")
+	lpGuardOn := flag.Bool("lp-guard", false, "fail (exit 1) when the planner probe regresses: at 200x150 the flow planner's and the reference simplex's levels must agree per slot; at 5kx1k a flow replan must stay under 1 s")
 	simMachines := flag.Int("sim-machines", 10000, "machine count for the simulator probe")
 	simDays := flag.Int("sim-days", 3, "simulated days for the simulator probe")
 	flag.Parse()

@@ -76,64 +76,25 @@ func BenchmarkSolveMinTheta(b *testing.B) {
 	}
 }
 
-// BenchmarkLexMinMax measures the full lexicographic driver, warm
-// (incremental shared model, basis reuse) vs cold (legacy clone-per-round)
-// on the same instances.
+// BenchmarkLexMinMax measures the full lexicographic driver at the
+// paper's Fig. 7 event-handling sizes, rounds capped at 6 as the probe
+// in cmd/ftperf caps them.
 func BenchmarkLexMinMax(b *testing.B) {
 	for _, size := range []struct{ jobs, slots int }{
-		{10, 50}, {50, 100},
+		{10, 50}, {50, 100}, {100, 100},
 	} {
-		for _, mode := range []struct {
-			name string
-			cold bool
-		}{{"warm", false}, {"cold", true}} {
-			b.Run(fmt.Sprintf("jobs=%d_slots=%d/%s", size.jobs, size.slots, mode.name), func(b *testing.B) {
-				base, groups := benchScheduling(b, size.jobs, size.slots)
-				opts := MinMaxOptions{MaxRounds: 4, DisableWarmStart: mode.cold}
-				var pivots int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := LexMinMaxWithOptions(base, groups, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pivots += res.Stats.Pivots
+		b.Run(fmt.Sprintf("jobs=%d_slots=%d", size.jobs, size.slots), func(b *testing.B) {
+			base, groups := benchScheduling(b, size.jobs, size.slots)
+			var pivots int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := LexMinMax(base, groups, 6)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFig7SolverLatency reproduces the paper's Fig. 7 axis: full
-// LexMinMax latency at event-handling scale (exact, no round cap), with a
-// ladder-style workspace carried across iterations the way a replanning
-// resource manager would carry it across events.
-func BenchmarkFig7SolverLatency(b *testing.B) {
-	for _, size := range []struct{ jobs, slots int }{
-		{50, 100}, {100, 100}, {200, 150},
-	} {
-		for _, mode := range []struct {
-			name string
-			cold bool
-		}{{"warm", false}, {"cold", true}} {
-			b.Run(fmt.Sprintf("jobs=%d_slots=%d/%s", size.jobs, size.slots, mode.name), func(b *testing.B) {
-				base, groups := benchScheduling(b, size.jobs, size.slots)
-				opts := MinMaxOptions{MaxRounds: 6, DisableWarmStart: mode.cold}
-				if !mode.cold {
-					opts.Workspace = &LexWorkspace{}
-				}
-				var pivots int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := LexMinMaxWithOptions(base, groups, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pivots += res.Stats.Pivots
-				}
-				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			})
-		}
+				pivots += res.Stats.Pivots
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		})
 	}
 }

@@ -3,7 +3,6 @@ package lp
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // multiPivotModel needs several simplex pivots: maximize the sum of four
@@ -31,45 +30,39 @@ func multiPivotModel(t *testing.T) *Model {
 	return m
 }
 
+// TestSolveMaxIterTrips drives the built-in pivot budget, which no
+// well-posed model reaches, by shrinking it on the solver state.
 func TestSolveMaxIterTrips(t *testing.T) {
 	m := multiPivotModel(t)
-	sol, stats, err := m.SolveWithOptions(SolveOptions{MaxIter: 1})
+	s := newSimplex(m)
+	if want := iterCapPerDim*(s.m+s.n) + iterCapBase; s.maxIter != want {
+		t.Fatalf("default pivot budget = %d, want %d", s.maxIter, want)
+	}
+	s.maxIter = 1
+	sol, err := s.solve(m)
 	if !errors.Is(err, ErrIterationLimit) {
 		t.Fatalf("err = %v, want ErrIterationLimit", err)
 	}
 	if sol != nil {
 		t.Error("tripped solve returned a non-nil solution")
 	}
-	if stats.Pivots < 1 {
-		t.Errorf("stats.Pivots = %d, want >= 1 (budget was consumed)", stats.Pivots)
-	}
-	if stats.Duration <= 0 {
-		t.Errorf("stats.Duration = %v, want > 0", stats.Duration)
+	if s.pivots < 1 {
+		t.Errorf("pivots = %d, want >= 1 (budget was consumed)", s.pivots)
 	}
 }
 
-func TestSolveMaxTimeTrips(t *testing.T) {
-	m := multiPivotModel(t)
-	// A 1ns budget is already expired at the iter-0 deadline check, so the
-	// trip is deterministic regardless of machine speed.
-	_, _, err := m.SolveWithOptions(SolveOptions{MaxTime: time.Nanosecond})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
-	}
-}
-
-func TestSolveWithOptionsZeroValueMatchesSolve(t *testing.T) {
+func TestSolveWithStatsMatchesSolve(t *testing.T) {
 	a := multiPivotModel(t)
 	want, err := a.Solve()
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	got, stats, err := a.SolveWithOptions(SolveOptions{})
+	got, stats, err := a.SolveWithStats()
 	if err != nil {
-		t.Fatalf("SolveWithOptions: %v", err)
+		t.Fatalf("SolveWithStats: %v", err)
 	}
 	if got.Objective != want.Objective {
-		t.Errorf("objective = %g, want %g (zero options must match Solve)", got.Objective, want.Objective)
+		t.Errorf("objective = %g, want %g", got.Objective, want.Objective)
 	}
 	if want.Objective != -10 {
 		t.Errorf("objective = %g, want -10", want.Objective)
@@ -77,16 +70,8 @@ func TestSolveWithOptionsZeroValueMatchesSolve(t *testing.T) {
 	if stats.Pivots < 2 {
 		t.Errorf("stats.Pivots = %d, want >= 2 on a multi-pivot model", stats.Pivots)
 	}
-}
-
-func TestGenerousBudgetsDoNotTrip(t *testing.T) {
-	m := multiPivotModel(t)
-	sol, _, err := m.SolveWithOptions(SolveOptions{MaxIter: 1 << 20, MaxTime: time.Minute})
-	if err != nil {
-		t.Fatalf("SolveWithOptions: %v", err)
-	}
-	if sol.Objective != -10 {
-		t.Errorf("objective = %g, want -10", sol.Objective)
+	if stats.Duration <= 0 {
+		t.Errorf("stats.Duration = %v, want > 0", stats.Duration)
 	}
 }
 
@@ -105,17 +90,9 @@ func minMaxInstance(t *testing.T) (*Model, []LoadGroup) {
 	return m, groups
 }
 
-func TestLexMinMaxPropagatesBudget(t *testing.T) {
-	m, groups := minMaxInstance(t)
-	_, err := LexMinMaxWithOptions(m, groups, MinMaxOptions{Solve: SolveOptions{MaxTime: time.Nanosecond}})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
-	}
-}
-
 func TestLexMinMaxAggregatesStats(t *testing.T) {
 	m, groups := minMaxInstance(t)
-	res, err := LexMinMaxWithOptions(m, groups, MinMaxOptions{})
+	res, err := LexMinMax(m, groups, 0)
 	if err != nil {
 		t.Fatalf("LexMinMax: %v", err)
 	}

@@ -5,97 +5,39 @@ import (
 	"math"
 )
 
-// basisFactor abstracts the representation of the basis inverse. Two
-// implementations exist: denseFactor keeps the explicit inverse updated
-// with Gauss-Jordan product-form row operations (the legacy path, kept
-// as the differential reference behind SolveOptions.DenseBasis), and
-// luFactor keeps a sparse LU factorization maintained across pivots
-// with Forrest-Tomlin-style eta updates (the default).
-//
-// All dense vectors are indexed by basis row/position 0..m-1.
-type basisFactor interface {
-	// install initializes the factor for the trivial starting basis
-	// B = diag(diag) produced by newSimplex (artificial columns ±1).
-	install(s *simplex, diag []float64)
-	// ftranCol sets out = B^-1 A_j for the sparse column c (FTRAN).
-	ftranCol(c *sparseCol, out []float64)
-	// ftranIn solves B x = v in place.
-	ftranIn(v []float64)
-	// btranIn solves B^T y = v in place (BTRAN).
-	btranIn(v []float64)
-	// rowInv fills out with row r of B^-1 (equivalently B^-T e_r).
-	rowInv(r int, out []float64)
-	// update folds the basis change at row leave into the factors, where
-	// w = B^-1 A_enter as produced by ftranCol. It returns false — and
-	// leaves the factors unchanged — when the update cannot be absorbed
-	// (unstable pivot or a full eta file); the caller must refactorize.
-	update(leave int, w []float64) bool
-	// refactor rebuilds the factors from s.basicVar. With repair set,
-	// dependent basis positions are evicted for per-row unit columns
-	// instead of failing (see refactorizeRepair).
-	refactor(s *simplex, repair bool) error
-	// grow extends the factors after appendRows added model rows
-	// [oldM, s.m) with basic unit columns; s bookkeeping is already
-	// updated when grow is called.
-	grow(s *simplex, m *Model, oldM int) error
-	// isSparse reports whether this is the sparse LU representation
-	// (callers use it to pick incremental-vs-recomputed dual updates).
-	isSparse() bool
-	// stats returns the factor's lifetime counters.
-	stats() factorStats
-}
-
-// factorStats are counters a factor maintains about itself.
-type factorStats struct {
-	refactors int     // full refactorizations performed
-	maxEta    int     // peak eta-file length between refactorizations
-	fillIn    float64 // peak nnz(L+U)/nnz(B) ratio (sparse only)
-}
-
-func newBasisFactor(dense bool) basisFactor {
-	if dense {
-		return &denseFactor{}
-	}
-	return &luFactor{}
-}
-
-// denseFactor is the explicit dense inverse, flattened row-major into a
-// single backing slice (row r is binv[r*m : (r+1)*m]). One allocation
-// instead of m row slices keeps pivot row operations on contiguous
-// memory. This is the pre-sparse-LU representation, kept verbatim as
-// the differential reference.
-type denseFactor struct {
+// basisInverse is the explicit dense inverse of the basis matrix,
+// flattened row-major into a single backing slice (row r is
+// binv[r*m : (r+1)*m]) so pivot row operations run on contiguous
+// memory. Every operation costs O(m²) whatever the sparsity: that is the
+// price of a representation whose every step can be read off the
+// textbook, which is what a reference solver is for. All dense vectors
+// are indexed by basis row 0..m-1.
+type basisInverse struct {
 	m    int
 	binv []float64
 	// scratch holds the augmented [B|I] working matrix during
 	// refactorization (stride 2m); tmp is the solve buffer. Both are
-	// reused so the hot path does not allocate.
+	// reused so a pivot does not allocate.
 	scratch []float64
 	tmp     []float64
-	st      factorStats
 }
 
-func (d *denseFactor) row(r int) []float64 { return d.binv[r*d.m : (r+1)*d.m] }
-
-func (d *denseFactor) solveBuf() []float64 {
-	if cap(d.tmp) < d.m {
-		d.tmp = make([]float64, d.m)
-	}
-	return d.tmp[:d.m]
-}
-
-func (d *denseFactor) install(s *simplex, diag []float64) {
-	d.m = s.m
-	d.binv = make([]float64, s.m*s.m)
+// newBasisInverse returns the inverse of the starting basis
+// B = diag(diag) produced by newSimplex (artificial columns ±1).
+func newBasisInverse(diag []float64) *basisInverse {
+	m := len(diag)
+	d := &basisInverse{m: m, binv: make([]float64, m*m), tmp: make([]float64, m)}
 	for i, v := range diag {
-		d.binv[i*s.m+i] = v // inverse of diag(±1) is itself
+		d.binv[i*m+i] = v // the inverse of diag(±1) is itself
 	}
+	return d
 }
 
-func (d *denseFactor) isSparse() bool     { return false }
-func (d *denseFactor) stats() factorStats { return d.st }
+// row returns row r of B⁻¹ (equivalently B⁻ᵀ·e_r).
+func (d *basisInverse) row(r int) []float64 { return d.binv[r*d.m : (r+1)*d.m] }
 
-func (d *denseFactor) ftranCol(c *sparseCol, out []float64) {
+// ftranCol sets out = B⁻¹·A_j for the sparse column c (FTRAN).
+func (d *basisInverse) ftranCol(c *sparseCol, out []float64) {
 	for i := range out {
 		out[i] = 0
 	}
@@ -107,8 +49,9 @@ func (d *denseFactor) ftranCol(c *sparseCol, out []float64) {
 	}
 }
 
-func (d *denseFactor) ftranIn(v []float64) {
-	t := d.solveBuf()
+// ftranIn solves B·x = v in place.
+func (d *basisInverse) ftranIn(v []float64) {
+	t := d.tmp
 	for r := 0; r < d.m; r++ {
 		acc := 0.0
 		row := d.row(r)
@@ -120,8 +63,9 @@ func (d *denseFactor) ftranIn(v []float64) {
 	copy(v, t)
 }
 
-func (d *denseFactor) btranIn(v []float64) {
-	t := d.solveBuf()
+// btranIn solves Bᵀ·y = v in place (BTRAN).
+func (d *basisInverse) btranIn(v []float64) {
+	t := d.tmp
 	for i := range t {
 		t[i] = 0
 	}
@@ -138,14 +82,10 @@ func (d *denseFactor) btranIn(v []float64) {
 	copy(v, t)
 }
 
-func (d *denseFactor) rowInv(r int, out []float64) {
-	copy(out[:d.m], d.row(r))
-}
-
-// update applies the product-form update to the inverse: row `leave`
-// scaled by the pivot element, other rows eliminated. The dense update
-// never rejects.
-func (d *denseFactor) update(leave int, w []float64) bool {
+// update folds the basis change at row leave into the inverse, where
+// w = B⁻¹·A_enter as produced by ftranCol: row leave is scaled by the
+// pivot element and eliminated from every other row (product form).
+func (d *basisInverse) update(leave int, w []float64) {
 	rowL := d.row(leave)
 	inv := 1 / w[leave]
 	for i := range rowL {
@@ -164,23 +104,19 @@ func (d *denseFactor) update(leave int, w []float64) bool {
 			rowR[i] -= f * rowL[i]
 		}
 	}
-	return true
 }
 
-// refactor rebuilds the inverse from the basis columns by Gauss-Jordan
-// with partial pivoting, clearing accumulated floating-point drift.
-func (d *denseFactor) refactor(s *simplex, repair bool) error {
-	m := s.m
-	d.m = m
-	if len(d.binv) != m*m {
-		d.binv = make([]float64, m*m)
-	}
+// refactor rebuilds the inverse from the basis columns cols[basicVar[r]]
+// by Gauss-Jordan with partial pivoting, clearing accumulated
+// floating-point drift.
+func (d *basisInverse) refactor(cols []sparseCol, basicVar []int) error {
+	m := d.m
 	// Assemble the basis matrix augmented with the identity, row-major
 	// with stride 2m in the reusable scratch buffer.
-	if cap(d.scratch) < m*2*m {
+	if d.scratch == nil {
 		d.scratch = make([]float64, m*2*m)
 	}
-	a := d.scratch[:m*2*m]
+	a := d.scratch
 	for i := range a {
 		a[i] = 0
 	}
@@ -188,8 +124,8 @@ func (d *denseFactor) refactor(s *simplex, repair bool) error {
 	for i := 0; i < m; i++ {
 		row(i)[m+i] = 1
 	}
-	for r := 0; r < m; r++ {
-		c := &s.cols[s.basicVar[r]]
+	for r, j := range basicVar {
+		c := &cols[j]
 		for k, ri := range c.rows {
 			row(ri)[r] = c.vals[k]
 		}
@@ -203,17 +139,7 @@ func (d *denseFactor) refactor(s *simplex, repair bool) error {
 			}
 		}
 		if p < 0 {
-			if !repair || !d.repairBasisColumn(s, a, col) {
-				return fmt.Errorf("lp: internal: singular basis during refactorization (col %d)", col)
-			}
-			for r := col; r < m; r++ {
-				if v := math.Abs(row(r)[col]); v > best {
-					p, best = r, v
-				}
-			}
-			if p < 0 {
-				return fmt.Errorf("lp: internal: singular basis during refactorization (col %d)", col)
-			}
+			return fmt.Errorf("lp: internal: singular basis during refactorization (col %d)", col)
 		}
 		if p != col {
 			rc, rp := row(col), row(p)
@@ -243,100 +169,5 @@ func (d *denseFactor) refactor(s *simplex, repair bool) error {
 	for i := 0; i < m; i++ {
 		copy(d.row(i), row(i)[m:])
 	}
-	d.st.refactors++
 	return nil
-}
-
-// repairBasisColumn handles a dependent basis column discovered mid
-// Gauss-Jordan at position col: the basic variable there is evicted to its
-// lower bound and replaced by a nonbasic per-row unit column (slack or
-// artificial). The augmented right half of the working matrix holds the
-// accumulated row operations E, so column m+orig is E*e_orig — the
-// transformed image of row orig's unit vector — which lets the replacement
-// column be installed without restarting the factorization. Returns false
-// if no unit column has a usable pivot in the remaining working rows.
-func (d *denseFactor) repairBasisColumn(s *simplex, a []float64, col int) bool {
-	m := s.m
-	row := func(r int) []float64 { return a[r*2*m : (r+1)*2*m] }
-	bestOrig, bestV := -1, 1e-9
-	for orig := 0; orig < m; orig++ {
-		u := s.rowUnit[orig]
-		if u < 0 || s.status[u] == inBasis {
-			continue
-		}
-		for r := col; r < m; r++ {
-			if v := math.Abs(row(r)[m+orig]); v > bestV {
-				bestOrig, bestV = orig, v
-			}
-		}
-	}
-	if bestOrig < 0 {
-		return false
-	}
-	u := s.rowUnit[bestOrig]
-	sigma := s.cols[u].vals[0]
-	for r := 0; r < m; r++ {
-		row(r)[col] = sigma * row(r)[m+bestOrig]
-	}
-	s.evictBasic(col, u)
-	return true
-}
-
-// grow extends the inverse after appendRows: the basis grows
-// block-triangularly with unit columns D = diag(±1) on the new rows, so
-//
-//	[B 0; C D]^-1 = [Binv 0; -D^-1 C Binv, D^-1]
-//
-// and the kept inverse stays exact without refactorization. The new
-// rows' structural coefficients are re-read (merged) from the model.
-func (d *denseFactor) grow(s *simplex, m *Model, oldM int) error {
-	newM := s.m
-	nb := make([]float64, newM*newM)
-	for r := 0; r < oldM; r++ {
-		copy(nb[r*newM:r*newM+oldM], d.binv[r*oldM:(r+1)*oldM])
-	}
-	oldBinv := d.binv
-	d.binv = nb
-	d.m = newM
-	for i := oldM; i < newM; i++ {
-		// New Binv row: -sigma * (a_B · Binv) over the old block, sigma at
-		// its own diagonal. Structural variables can only be basic in old
-		// rows here (every new row's basic is its own unit column), so the
-		// products read exclusively from the pre-append inverse.
-		sigma := s.cols[s.basicVar[i]].vals[0]
-		rowI := nb[i*newM : (i+1)*newM]
-		for _, t := range mergeRowTerms(&m.rows[i]) {
-			rv := s.rowOf[t.Var]
-			if rv < 0 || rv >= oldM {
-				continue // nonbasic: contributes to xB only, not to Binv
-			}
-			f := sigma * t.Coef
-			src := oldBinv[rv*oldM : (rv+1)*oldM]
-			for k := 0; k < oldM; k++ {
-				rowI[k] -= f * src[k]
-			}
-		}
-		rowI[i] = sigma
-	}
-	return nil
-}
-
-// mergeRowTerms merges duplicate variables within a model row
-// deterministically (first occurrence keeps the slot).
-func mergeRowTerms(r *row) []Term {
-	merged := make([]Term, 0, len(r.terms))
-	for _, t := range r.terms {
-		found := false
-		for k := range merged {
-			if merged[k].Var == t.Var {
-				merged[k].Coef += t.Coef
-				found = true
-				break
-			}
-		}
-		if !found {
-			merged = append(merged, t)
-		}
-	}
-	return merged
 }

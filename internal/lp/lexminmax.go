@@ -30,8 +30,7 @@ type MinMaxResult struct {
 	// Rounds is the number of min-θ LPs solved.
 	Rounds int
 	// Stats aggregates solver work across every LP solved by the call
-	// (min-θ rounds, saturation probes, and the final tie-break solve),
-	// including the warm/cold start counters.
+	// (min-θ rounds, saturation probes, and the final tie-break solve).
 	Stats SolveStats
 }
 
@@ -51,49 +50,17 @@ type MinMaxResult struct {
 // ⟺ u ⪯ v lexicographically, and the iterative scheme computes exactly the
 // ⪯-minimal achievable vector.
 //
-// base is not mutated. Every group must have Cap > 0.
-func LexMinMax(base *Model, groups []LoadGroup) (*MinMaxResult, error) {
-	return LexMinMaxWithOptions(base, groups, MinMaxOptions{})
-}
-
-// MinMaxOptions tunes LexMinMaxWithOptions.
-type MinMaxOptions struct {
-	// MaxRounds caps the number of min-θ LPs. Zero means no cap (exact
-	// lexicographic optimum). When the cap is reached, all still-active
-	// groups are frozen at the last level: the result is feasible, has the
-	// exact optimal maximum level, and is lexicographically optimal down
-	// to the level reached. FlowTime uses a cap to bound event-handling
-	// latency (paper §III: scheduling efficiency).
-	MaxRounds int
-	// Solve bounds the solver work. MaxIter applies per inner LP solve;
-	// MaxTime budgets the WHOLE LexMinMax call — elapsed time is tracked
-	// across rounds and the remainder passed to each inner solve, so the
-	// call as a whole returns within roughly MaxTime.
-	Solve SolveOptions
-	// DisableWarmStart forces the legacy clone-per-round path: every round
-	// and probe clones base and cold-starts. The default incremental path
-	// builds one θ-model, toggles row activity via SetRHS, and re-solves
-	// against the kept basis (dual-simplex repair). The two paths produce
-	// the same levels within tolerance; the legacy path exists as the
-	// reference for equivalence tests and benchmarks.
-	DisableWarmStart bool
-	// Workspace, when non-nil, carries the incremental θ-model and its
-	// simplex basis across LexMinMax calls on the SAME base model and
-	// group list (e.g. the degradation ladder retrying with a smaller
-	// round budget). Group capacities may change between calls — the
-	// reset pass reapplies them as coefficient deltas the warm solver
-	// repairs — but the load terms must stay fixed and the caller must
-	// not mutate base between calls sharing a workspace. The zero value
-	// is ready to use.
-	Workspace *LexWorkspace
-}
-
-// levelTol is the normalized-level tolerance used for binding detection,
-// saturation probes, and warm-vs-cold equivalence.
-const levelTol = 1e-6
-
-// LexMinMaxWithOptions is LexMinMax with tuning options.
-func LexMinMaxWithOptions(base *Model, groups []LoadGroup, opts MinMaxOptions) (*MinMaxResult, error) {
+// Every LP is a fresh clone of base with that round's cap and freeze rows
+// appended, solved from scratch. base is not mutated. Every group must
+// have Cap > 0 and at least one term.
+//
+// maxRounds caps the number of min-θ LPs; zero means no cap (the exact
+// lexicographic optimum). When the cap is reached, all still-active
+// groups are frozen at the last level: the result is feasible, has the
+// exact optimal maximum level, and is lexicographically optimal down to
+// the level reached — the contract of the flow planner's level cap
+// (core.Config.MaxLexRounds), which oracle.CheckFlowLP holds it to.
+func LexMinMax(base *Model, groups []LoadGroup, maxRounds int) (*MinMaxResult, error) {
 	for gi, g := range groups {
 		if g.Cap <= 0 {
 			return nil, fmt.Errorf("lp: lexminmax: group %d (%s) has non-positive capacity %g", gi, g.Name, g.Cap)
@@ -102,57 +69,34 @@ func LexMinMaxWithOptions(base *Model, groups []LoadGroup, opts MinMaxOptions) (
 			return nil, fmt.Errorf("lp: lexminmax: group %d (%s) has no terms", gi, g.Name)
 		}
 	}
-
-	r := &lexRun{base: base, groups: groups, opts: opts, start: time.Now()}
-	if !opts.DisableWarmStart {
-		lw := opts.Workspace
-		if lw == nil {
-			lw = &LexWorkspace{}
-		}
-		if lw.prepare(base, groups) {
-			return r.runIncremental(lw)
-		}
-		// Model construction failed (defensive; clone + append cannot
-		// normally fail) — fall through to the legacy path.
-	}
-	return r.runLegacy()
+	r := &lexRun{base: base, groups: groups, maxRounds: maxRounds, start: time.Now()}
+	return r.run()
 }
 
-// lexRun is the shared state of one LexMinMax call (either path).
+// levelTol is the normalized-level tolerance used for binding detection
+// and saturation probes.
+const levelTol = 1e-6
+
+// lexRun is the state of one LexMinMax call.
 type lexRun struct {
-	base   *Model
-	groups []LoadGroup
-	opts   MinMaxOptions
-	start  time.Time
-	agg    SolveStats
+	base      *Model
+	groups    []LoadGroup
+	maxRounds int
+	start     time.Time
+	agg       SolveStats
 }
 
-// solve runs one inner LP under the caller's budget, charging elapsed
-// wall-clock time against the whole-call MaxTime and aggregating stats.
-// ws may be nil (cold path).
-func (r *lexRun) solve(m *Model, ws *Workspace) (*Solution, error) {
-	o := r.opts.Solve
-	o.Workspace = ws
-	if o.MaxTime > 0 {
-		rem := o.MaxTime - time.Since(r.start)
-		if rem <= 0 {
-			return nil, fmt.Errorf("%w after %d pivots (lexminmax budget)", ErrTimeLimit, r.agg.Pivots)
-		}
-		o.MaxTime = rem
-	}
-	sol, st, err := m.SolveWithOptions(o)
-	r.agg.accumulate(st)
+// solve runs one inner LP, aggregating its stats.
+func (r *lexRun) solve(m *Model) (*Solution, error) {
+	sol, st, err := m.SolveWithStats()
+	r.agg.Add(st)
 	return sol, err
 }
 
 // convergenceError reports the active/frozen split so a stuck instance can
 // be debugged from the error alone.
 func (r *lexRun) convergenceError(rounds int, active []int, frozen map[int]float64) error {
-	frozenIdx := make([]int, 0, len(frozen))
-	for gi := range frozen {
-		frozenIdx = append(frozenIdx, gi)
-	}
-	sort.Ints(frozenIdx)
+	frozenIdx := sortedGroupKeys(frozen)
 	return fmt.Errorf("lp: lexminmax: failed to converge after %d rounds: %d of %d groups active %v, %d frozen %v",
 		rounds, len(active), len(r.groups), active, len(frozenIdx), frozenIdx)
 }
@@ -167,308 +111,8 @@ func (r *lexRun) result(sol *Solution, rounds int) *MinMaxResult {
 	return &MinMaxResult{Solution: sol, Levels: levels, Rounds: rounds, Stats: r.agg}
 }
 
-// LexWorkspace carries the incremental θ-model of LexMinMaxWithOptions and
-// the simplex basis it is solved against. One workspace serves repeated
-// calls on the same (base, groups) pair — within one call it makes every
-// round, probe, and the final tie-break a warm re-solve of a single model;
-// across calls (the fallback ladder's retries) it additionally reuses the
-// model build and the last basis. The zero value is ready to use. Not safe
-// for concurrent use.
-type LexWorkspace struct {
-	base     *Model
-	baseVars int
-	baseRows int
-	nGroups  int
-	model    *Model
-	theta    Var
-	// capRow[gi] is group gi's single capacity row. Active form:
-	// load_gi − cap_gi·θ ≤ 0. Frozen form (θ detached via SetCoef):
-	// load_gi ≤ level·cap_gi. One row per group keeps the shared model the
-	// same size as each legacy per-round model, so warm pivots cost the
-	// same O(m²) basis update as cold ones.
-	capRow   []int
-	detached []bool // detached[gi]: capRow[gi] is currently in frozen form
-	// appliedCap[gi] is the capacity currently wired into capRow[gi]'s θ
-	// coefficient. Capacities MAY differ between calls sharing a
-	// workspace (e.g. ad-hoc reservations shaving slot capacity between
-	// replans): the reset pass reconciles each changed cap with one
-	// SetCoef, which reaches the warm solver as a coefficient/RHS delta
-	// repaired by dual pivots instead of invalidating the kept basis.
-	appliedCap []float64
-	allTerms   []Term // concatenated group terms (final tie-break objective)
-	thetaTerm  []Term // {θ, 1} (round objective)
-	ws         Workspace
-}
-
-// Reset discards the kept model and basis.
-func (lw *LexWorkspace) Reset() {
-	*lw = LexWorkspace{}
-}
-
-// matches reports whether the kept model was built for this (base, groups)
-// pair. The group check is shallow (count only): callers sharing a
-// workspace across calls keep the same load terms, while capacities may
-// change freely — the reset pass in runIncremental reapplies them.
-func (lw *LexWorkspace) matches(base *Model, groups []LoadGroup) bool {
-	if lw.model == nil || lw.base != base || lw.nGroups != len(groups) {
-		return false
-	}
-	if lw.baseVars != base.NumVars() || lw.baseRows != base.NumConstraints() {
-		return false
-	}
-	return true
-}
-
-// prepare builds (or reuses) the shared θ-model: the cloned base plus one
-// capacity row per group in active form. It returns false only on a
-// construction failure (defensive; the caller then takes the legacy
-// clone-per-round path).
-func (lw *LexWorkspace) prepare(base *Model, groups []LoadGroup) bool {
-	if lw.matches(base, groups) {
-		return true
-	}
-	lw.Reset()
-
-	m := base.Clone()
-	theta, err := m.NewVar("theta", 0, Inf)
-	if err != nil {
-		return false
-	}
-	capRow := make([]int, len(groups))
-	appliedCap := make([]float64, len(groups))
-	var allTerms []Term
-	for gi, g := range groups {
-		terms := append(append(make([]Term, 0, len(g.Terms)+1), g.Terms...),
-			Term{Var: theta, Coef: -g.Cap})
-		capRow[gi] = m.NumConstraints()
-		if err := m.AddConstraint(terms, LE, 0); err != nil {
-			return false
-		}
-		appliedCap[gi] = g.Cap
-		allTerms = append(allTerms, g.Terms...)
-	}
-
-	lw.base = base
-	lw.baseVars = base.NumVars()
-	lw.baseRows = base.NumConstraints()
-	lw.nGroups = len(groups)
-	lw.model = m
-	lw.theta = theta
-	lw.capRow = capRow
-	lw.detached = make([]bool, len(groups))
-	lw.appliedCap = appliedCap
-	lw.allTerms = allTerms
-	lw.thetaTerm = []Term{{Var: theta, Coef: 1}}
-	return true
-}
-
-// runIncremental is the warm-started path: one shared θ-model with a
-// single capacity row per group, every solve starting from the kept
-// basis. A group freezes by detaching θ from its row (SetCoef, one
-// refactorization per round) and fixing the RHS at level·cap, so the
-// model never grows and a warm pivot costs the same basis update as a
-// cold one. Saturation-probe bands and the final tie-break pin the still
-// θ-attached groups through θ's upper bound instead of extra rows.
-func (r *lexRun) runIncremental(lw *LexWorkspace) (*MinMaxResult, error) {
-	groups := r.groups
-	m := lw.model
-
-	active := make([]int, 0, len(groups))
-	for gi := range groups {
-		active = append(active, gi)
-	}
-	frozen := make(map[int]float64, len(groups))
-
-	// Reset the shared model to the all-active state, whatever a previous
-	// call left in it: θ reattached to every row, caps at 0, θ free. The
-	// warm solver absorbs the matrix edits with one refactorization and a
-	// best-effort dual repair; if the old basis is too far gone it falls
-	// back to a cold start on its own.
-	for gi := range groups {
-		if lw.detached[gi] || lw.appliedCap[gi] != groups[gi].Cap {
-			if err := m.SetCoef(lw.capRow[gi], lw.theta, -groups[gi].Cap); err != nil {
-				return nil, err
-			}
-			lw.detached[gi] = false
-			lw.appliedCap[gi] = groups[gi].Cap
-		}
-		if err := m.SetRHS(lw.capRow[gi], 0); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.SetVarBounds(lw.theta, 0, Inf); err != nil {
-		return nil, err
-	}
-	var (
-		lastSol    *Solution
-		rounds     int
-		thetaLevel float64 // level the final θ-attached batch froze at
-	)
-	for len(active) > 0 {
-		rounds++
-		if rounds > len(groups)+1 {
-			return nil, r.convergenceError(rounds, active, frozen)
-		}
-		lastRound := r.opts.MaxRounds > 0 && rounds >= r.opts.MaxRounds
-
-		if err := m.SetObjective(lw.thetaTerm); err != nil {
-			return nil, err
-		}
-		sol, err := r.solve(m, &lw.ws)
-		if err != nil {
-			return nil, fmt.Errorf("lp: lexminmax round %d: %w", rounds, err)
-		}
-		lastSol = sol
-		level := sol.Value(lw.theta)
-
-		if level <= levelTol {
-			for _, gi := range active {
-				frozen[gi] = 0
-			}
-			thetaLevel = 0
-			active = active[:0]
-			break
-		}
-		if lastRound {
-			for _, gi := range active {
-				frozen[gi] = level
-			}
-			thetaLevel = level
-			active = active[:0]
-			break
-		}
-
-		// Saturated candidates: groups whose load reaches θ·cap.
-		var binding []int
-		for _, gi := range active {
-			load := evalTerms(groups[gi].Terms, sol)
-			if load >= (level-levelTol)*groups[gi].Cap {
-				binding = append(binding, gi)
-			}
-		}
-		if len(binding) == 0 {
-			return nil, fmt.Errorf("lp: lexminmax: no binding group at level %g (internal error)", level)
-		}
-
-		// Freeze groups that must be saturated in every optimum. A nonzero
-		// dual on the cap row certifies that (LE-row duals are <= 0 for a
-		// minimization under this solver's sign convention); for fully
-		// degenerate bases fall back to an exact probe.
-		var toFreeze []int
-		for _, gi := range binding {
-			if sol.Dual(lw.capRow[gi]) < -1e-7 {
-				toFreeze = append(toFreeze, gi)
-			}
-		}
-		if len(toFreeze) == 0 {
-			// Probe on the SAME model: pin every group into its current
-			// level band — actives through θ's upper bound, frozen rows by
-			// relaxing their RHS one band-width — then minimize each
-			// candidate's own load. Pinning the candidate too is harmless:
-			// an upper bound at the band cannot raise a minimum that is
-			// already below it.
-			if err := m.SetVarBounds(lw.theta, 0, level+levelTol); err != nil {
-				return nil, err
-			}
-			for gi, lvl := range frozen {
-				if err := m.SetRHS(lw.capRow[gi], (lvl+levelTol)*groups[gi].Cap); err != nil {
-					return nil, err
-				}
-			}
-			for _, gi := range binding {
-				if err := m.SetObjective(groups[gi].Terms); err != nil {
-					return nil, err
-				}
-				psol, err := r.solve(m, &lw.ws)
-				if err != nil {
-					return nil, fmt.Errorf("lp: lexminmax probe: %w", err)
-				}
-				minLoad := evalTerms(groups[gi].Terms, psol)
-				if minLoad >= (level-10*levelTol)*groups[gi].Cap {
-					toFreeze = append(toFreeze, gi)
-					break
-				}
-			}
-			// Restore the frozen pins. θ's ratcheted bound can stay — the
-			// next round's optimum is ≤ this level anyway.
-			for gi, lvl := range frozen {
-				if err := m.SetRHS(lw.capRow[gi], lvl*groups[gi].Cap); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if len(toFreeze) == 0 {
-			// Mathematically at least one binding group is saturated in every
-			// optimum; if numerics hid it, freeze all binding groups. This
-			// may slightly over-constrain deeper levels but guarantees
-			// termination with a feasible, near-lexmin plan.
-			toFreeze = binding
-		}
-
-		if len(toFreeze) == len(active) {
-			// Final batch: keep θ attached — detaching every remaining row
-			// would zero θ's column and leave the kept basis singular. The
-			// tie-break pins these groups through θ's upper bound instead.
-			for _, gi := range toFreeze {
-				frozen[gi] = level
-			}
-			thetaLevel = level
-			active = active[:0]
-			break
-		}
-		for _, gi := range toFreeze {
-			frozen[gi] = level
-			if err := m.SetCoef(lw.capRow[gi], lw.theta, 0); err != nil {
-				return nil, err
-			}
-			if err := m.SetRHS(lw.capRow[gi], level*groups[gi].Cap); err != nil {
-				return nil, err
-			}
-			lw.detached[gi] = true
-		}
-		next := active[:0]
-		for _, gi := range active {
-			if _, ok := frozen[gi]; !ok {
-				next = append(next, gi)
-			}
-		}
-		active = next
-	}
-
-	// Final tie-break on the same model: θ-detached rows pinned at their
-	// freeze level, the θ-attached batch pinned through θ's upper bound,
-	// total load minimized so the plan does not carry slack allocations
-	// that the frozen bands would permit.
-	for gi := range groups {
-		if !lw.detached[gi] {
-			continue
-		}
-		if err := m.SetRHS(lw.capRow[gi], frozen[gi]*groups[gi].Cap+1e-9); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.SetVarBounds(lw.theta, 0, thetaLevel+1e-9); err != nil {
-		return nil, err
-	}
-	if err := m.SetObjective(lw.allTerms); err != nil {
-		return nil, err
-	}
-	sol, err := r.solve(m, &lw.ws)
-	if err != nil {
-		// The pinned model should always be feasible; fall back to the last
-		// round's solution if tolerances (or a budget tripping mid-tie-break)
-		// made it fail.
-		if lastSol == nil {
-			return nil, fmt.Errorf("lp: lexminmax final solve: %w", err)
-		}
-		sol = lastSol
-	}
-	return r.result(sol, rounds), nil
-}
-
-// runLegacy is the clone-per-round reference path (DisableWarmStart, or no
-// finite big-M available for the incremental model).
-func (r *lexRun) runLegacy() (*MinMaxResult, error) {
+// run is the round loop and the final tie-break solve.
+func (r *lexRun) run() (*MinMaxResult, error) {
 	base, groups := r.base, r.groups
 
 	active := make([]int, 0, len(groups))
@@ -486,7 +130,7 @@ func (r *lexRun) runLegacy() (*MinMaxResult, error) {
 		if rounds > len(groups)+1 {
 			return nil, r.convergenceError(rounds, active, frozen)
 		}
-		lastRound := r.opts.MaxRounds > 0 && rounds >= r.opts.MaxRounds
+		lastRound := r.maxRounds > 0 && rounds >= r.maxRounds
 
 		m := base.Clone()
 		theta, err := m.NewVar("theta", 0, Inf)
@@ -513,7 +157,7 @@ func (r *lexRun) runLegacy() (*MinMaxResult, error) {
 			}
 		}
 
-		sol, err := r.solve(m, nil)
+		sol, err := r.solve(m)
 		if err != nil {
 			return nil, fmt.Errorf("lp: lexminmax round %d: %w", rounds, err)
 		}
@@ -546,8 +190,10 @@ func (r *lexRun) runLegacy() (*MinMaxResult, error) {
 			return nil, fmt.Errorf("lp: lexminmax: no binding group at level %g (internal error)", level)
 		}
 
-		// Freeze via duals first, exact probes as the degenerate fallback
-		// (see runIncremental; identical logic on cloned models).
+		// Freeze groups that must be saturated in every optimum. A nonzero
+		// dual on the cap row certifies that (LE-row duals are <= 0 for a
+		// minimization under this solver's sign convention); for fully
+		// degenerate bases fall back to an exact probe.
 		newFrozen := 0
 		for _, gi := range binding {
 			if sol.Dual(capRow[gi]) < -1e-7 {
@@ -576,7 +222,7 @@ func (r *lexRun) runLegacy() (*MinMaxResult, error) {
 				if err := pm.SetObjective(groups[gi].Terms); err != nil {
 					return nil, err
 				}
-				psol, err := r.solve(pm, nil)
+				psol, err := r.solve(pm)
 				if err != nil {
 					return nil, fmt.Errorf("lp: lexminmax probe: %w", err)
 				}
@@ -589,8 +235,10 @@ func (r *lexRun) runLegacy() (*MinMaxResult, error) {
 			}
 		}
 		if newFrozen == 0 {
-			// Termination fallback: freeze all binding groups (see
-			// runIncremental).
+			// Mathematically at least one binding group is saturated in
+			// every optimum; if numerics hid it, freeze all binding groups.
+			// This may slightly over-constrain deeper levels but guarantees
+			// termination with a feasible, near-lexmin plan.
 			for _, gi := range binding {
 				frozen[gi] = level
 				newFrozen++
@@ -622,7 +270,7 @@ func (r *lexRun) runLegacy() (*MinMaxResult, error) {
 	if err := final.SetObjective(objTerms); err != nil {
 		return nil, err
 	}
-	sol, err := r.solve(final, nil)
+	sol, err := r.solve(final)
 	if err != nil {
 		if lastSol == nil {
 			return nil, fmt.Errorf("lp: lexminmax final solve: %w", err)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -53,7 +54,7 @@ func TestLexMinMaxFlattensSingleJob(t *testing.T) {
 	// the unique lexmin (levels 0.2 everywhere).
 	m, _, groups := buildScheduling(t,
 		[]float64{6}, [][2]int{{0, 2}}, []float64{10}, 3, 10)
-	res, err := LexMinMax(m, groups)
+	res, err := LexMinMax(m, groups, 0)
 	if err != nil {
 		t.Fatalf("LexMinMax: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestLexMinMaxRespectsWindows(t *testing.T) {
 	// slot 0: slot 0 = 8, slots 1-2 = 3 each.
 	m, x, groups := buildScheduling(t,
 		[]float64{8, 6}, [][2]int{{0, 0}, {0, 2}}, []float64{10, 10}, 3, 10)
-	res, err := LexMinMax(m, groups)
+	res, err := LexMinMax(m, groups, 0)
 	if err != nil {
 		t.Fatalf("LexMinMax: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestLexMinMaxSecondLevelMatters(t *testing.T) {
 	// to 2/2 at the second level, which a plain min-max would not enforce.
 	m, _, groups := buildScheduling(t,
 		[]float64{10, 4}, [][2]int{{0, 0}, {1, 2}}, []float64{10, 10}, 3, 10)
-	res, err := LexMinMax(m, groups)
+	res, err := LexMinMax(m, groups, 0)
 	if err != nil {
 		t.Fatalf("LexMinMax: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestLexMinMaxMotivatingExample(t *testing.T) {
 	win := [][2]int{{0, 9}, {10, 19}}
 	maxPerSlot := []float64{c, c}
 	m, _, groups := buildScheduling(t, demand, win, maxPerSlot, slots, c)
-	res, err := LexMinMax(m, groups)
+	res, err := LexMinMax(m, groups, 0)
 	if err != nil {
 		t.Fatalf("LexMinMax: %v", err)
 	}
@@ -136,7 +137,7 @@ func TestLexMinMaxInfeasible(t *testing.T) {
 	m, _, groups := buildScheduling(t,
 		[]float64{30}, [][2]int{{0, 1}}, []float64{10}, 2, 10)
 	// Demand 30 cannot fit in 2 slots at <= 10/slot regardless of theta.
-	if _, err := LexMinMax(m, groups); err == nil {
+	if _, err := LexMinMax(m, groups, 0); err == nil {
 		t.Fatal("LexMinMax on infeasible instance: want error")
 	}
 }
@@ -144,10 +145,10 @@ func TestLexMinMaxInfeasible(t *testing.T) {
 func TestLexMinMaxValidation(t *testing.T) {
 	m := NewModel()
 	v := mustVar(t, m, "v", 0, 1)
-	if _, err := LexMinMax(m, []LoadGroup{{Terms: []Term{{v, 1}}, Cap: 0}}); err == nil {
+	if _, err := LexMinMax(m, []LoadGroup{{Terms: []Term{{v, 1}}, Cap: 0}}, 0); err == nil {
 		t.Error("zero capacity: want error")
 	}
-	if _, err := LexMinMax(m, []LoadGroup{{Cap: 1}}); err == nil {
+	if _, err := LexMinMax(m, []LoadGroup{{Cap: 1}}, 0); err == nil {
 		t.Error("empty terms: want error")
 	}
 }
@@ -175,7 +176,7 @@ func TestLexMinMaxDominatesRandomFeasible(t *testing.T) {
 		}
 
 		m, x, groups := buildScheduling(t, demand, win, maxPerSlot, slots, capacity)
-		res, err := LexMinMax(m, groups)
+		res, err := LexMinMax(m, groups, 0)
 		if err != nil {
 			continue // jointly infeasible random instance
 		}
@@ -302,7 +303,7 @@ func TestLambdaScalarizationReproducesMinMax(t *testing.T) {
 	}
 
 	m1, _, groups := build()
-	res, err := LexMinMax(m1, groups)
+	res, err := LexMinMax(m1, groups, 0)
 	if err != nil {
 		t.Fatalf("LexMinMax: %v", err)
 	}
@@ -334,6 +335,24 @@ func TestLambdaScalarizationReproducesMinMax(t *testing.T) {
 		}
 		if !approx(load/capacity, res.Levels[s], 1e-5) {
 			t.Errorf("slot %d: lambda load %g, lexminmax %g", s, load/capacity, res.Levels[s])
+		}
+	}
+}
+
+// TestConvergenceErrorReportsSplit pins the convergence-guard error format:
+// it must name the active/frozen group split so a stuck instance is
+// debuggable from the error alone.
+func TestConvergenceErrorReportsSplit(t *testing.T) {
+	r := &lexRun{groups: make([]LoadGroup, 5)}
+	err := r.convergenceError(7, []int{1, 4}, map[int]float64{0: 1.5, 2: 0.5, 3: 0.25})
+	msg := err.Error()
+	for _, want := range []string{
+		"failed to converge after 7 rounds",
+		"2 of 5 groups active [1 4]",
+		"3 frozen [0 2 3]",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("error %q missing %q", msg, want)
 		}
 	}
 }

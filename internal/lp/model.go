@@ -2,15 +2,18 @@
 // FlowTime's scheduling formulation exactly, replacing the IBM CPLEX
 // dependency of the paper (ICDCS 2018, §V).
 //
-// The solver is a bounded-variable primal simplex (revised form over a
-// sparse LU factorization of the basis with Markowitz pivot selection,
-// Forrest–Tomlin eta updates, periodic and drift-triggered
-// refactorization, a presolve/postsolve pass for cold starts, and
-// Bland's rule as an anti-cycling fallback; the legacy dense inverse
-// remains available via SolveOptions.DenseBasis as a differential
-// reference). Variables carry individual [lower, upper] bounds so
-// per-variable caps — such as a job's parallelism limit — cost nothing
-// at solve time. The package also provides:
+// It is a reference solver: the scheduler plans by max-flow
+// (internal/flow), and this package exists so that planner can be checked
+// against an independent, general method (internal/oracle, cmd/ftperf),
+// and as the standalone cmd/ftlp. It is therefore one deliberately plain
+// algorithm — a bounded-variable primal simplex in revised form over the
+// explicit dense basis inverse, two phases from an all-artificial start
+// every time, Dantzig pricing with Bland's rule as the anti-cycling
+// fallback, and a refactorization every 256 pivots — with no warm start,
+// no presolve and no sparse factorization. Variables carry individual
+// [lower, upper] bounds so per-variable caps — such as a job's
+// parallelism limit — cost nothing at solve time. The package also
+// provides:
 //
 //   - dual values and reduced costs, used by tests to certify optimality
 //     through complementary slackness rather than trusting the solver;
@@ -37,104 +40,33 @@ var (
 	// ErrUnbounded is returned when the objective can decrease forever.
 	ErrUnbounded = errors.New("lp: unbounded")
 	// ErrIterationLimit is returned when the simplex exceeds its pivot
-	// budget, which indicates a modeling bug, numerical trouble, or a
-	// deliberately tight SolveOptions.MaxIter.
+	// budget, which indicates a modeling bug or numerical trouble.
 	ErrIterationLimit = errors.New("lp: iteration limit exceeded")
-	// ErrTimeLimit is returned when a solve exceeds its wall-clock budget
-	// (SolveOptions.MaxTime).
-	ErrTimeLimit = errors.New("lp: time limit exceeded")
 	// ErrNumerical is returned when the final basis fails the numeric
 	// sanity check: NaN/Inf basic values, or basic values grossly outside
 	// their bounds. Such a "solution" must not be trusted.
 	ErrNumerical = errors.New("lp: numerical instability")
 )
 
-// SolveOptions bounds one Solve call so callers can guarantee the solver
-// returns control instead of grinding on a pathological instance. The
-// zero value reproduces the solver's historical defaults.
-type SolveOptions struct {
-	// MaxIter caps the number of simplex pivots per phase. Zero means the
-	// default formula 200*(rows+cols) + 20000.
-	MaxIter int
-	// MaxTime caps the wall-clock duration of the whole solve (both
-	// phases). Zero means no wall-clock limit.
-	MaxTime time.Duration
-	// Workspace, when non-nil, carries the optimal basis between solves.
-	// A successful solve records its basis into the workspace; a later
-	// solve of the same model (same variables; constraints appended, RHS
-	// retuned via SetRHS, or the objective changed) warm-starts from it —
-	// a dual-simplex phase restores feasibility, then the primal finishes
-	// — instead of cold-starting phase 1 with artificials. Any stall or
-	// numerical trouble on the warm path falls back to the cold start, so
-	// results are identical within tolerance. See Workspace.
-	Workspace *Workspace
-	// DenseBasis selects the legacy dense basis-inverse representation
-	// (explicit Binv updated with product-form row operations) instead of
-	// the default sparse LU factorization with Forrest–Tomlin updates.
-	// It exists as the differential reference for the sparse core — slow
-	// at scale but numerically independent.
-	DenseBasis bool
-	// DisablePresolve skips the presolve/postsolve pass on cold starts.
-	// Warm starts (Workspace set) never presolve: the reductions would
-	// invalidate the kept basis mapping.
-	DisablePresolve bool
-}
-
 // SolveStats reports what a solve cost, whether or not it succeeded.
-// Callers degrading on a tripped budget use it to decide how much budget
-// the failed attempt consumed.
 type SolveStats struct {
-	// Pivots is the number of basis changes performed (both primal phases
-	// plus any dual-simplex repair pivots).
+	// Pivots is the number of basis changes and bound flips performed
+	// over both phases.
 	Pivots int
-	// DualPivots is the subset of Pivots performed by the dual-simplex
-	// feasibility repair on warm starts.
-	DualPivots int
-	// WarmStarts counts solves that reused a workspace basis end to end.
-	WarmStarts int
-	// ColdStarts counts solves built from scratch (including the cold
-	// retries behind WarmFallbacks).
-	ColdStarts int
-	// WarmFallbacks counts warm-start attempts abandoned for a cold
-	// restart (stall or numerical trouble on the warm path).
-	WarmFallbacks int
-	// BlandPivots is the subset of Pivots performed under an anti-cycling
-	// guard (Bland's rule in the primal, lowest-index tie-breaking in the
-	// dual) after a degenerate stall.
+	// BlandPivots is the subset of Pivots performed under Bland's
+	// anti-cycling rule after a degenerate stall.
 	BlandPivots int
-	// Refactors counts full basis refactorizations (periodic, drift-
-	// triggered, and update-rejection recoveries).
+	// Refactors counts full basis refactorizations.
 	Refactors int
-	// MaxEta is the peak Forrest–Tomlin eta-file length reached between
-	// refactorizations (0 on the dense path).
-	MaxEta int
-	// FillIn is the peak nnz(L+U)/nnz(B) ratio observed across
-	// factorizations (0 on the dense path).
-	FillIn float64
 	// Duration is the wall-clock time the solve took.
 	Duration time.Duration
 }
 
-// Add folds another solve's counters into s (Duration included). It is
-// the exported form of accumulate for callers aggregating stats across
-// LexMinMax calls (e.g. the scheduler's replan telemetry).
-func (s *SolveStats) Add(o SolveStats) { s.accumulate(o) }
-
-// accumulate folds another solve's counters into s (Duration included).
-func (s *SolveStats) accumulate(o SolveStats) {
+// Add folds another solve's counters into s (Duration included).
+func (s *SolveStats) Add(o SolveStats) {
 	s.Pivots += o.Pivots
-	s.DualPivots += o.DualPivots
-	s.WarmStarts += o.WarmStarts
-	s.ColdStarts += o.ColdStarts
-	s.WarmFallbacks += o.WarmFallbacks
 	s.BlandPivots += o.BlandPivots
 	s.Refactors += o.Refactors
-	if o.MaxEta > s.MaxEta {
-		s.MaxEta = o.MaxEta
-	}
-	if o.FillIn > s.FillIn {
-		s.FillIn = o.FillIn
-	}
 	s.Duration += o.Duration
 }
 
@@ -183,11 +115,6 @@ type Model struct {
 	names  []string
 
 	rows []row
-	// rev counts coefficient revisions (SetCoef calls). A warm-start
-	// workspace compares it against the revision it captured to know the
-	// constraint matrix changed shape-preservingly and the kept basis
-	// inverse must be refactorized before reuse.
-	rev int
 }
 
 type row struct {
@@ -211,17 +138,37 @@ func (m *Model) NumConstraints() int { return len(m.rows) }
 // coefficient. lo must be finite and hi >= lo (hi may be Inf). The name is
 // used only in diagnostics and may be empty.
 func (m *Model) NewVar(name string, lo, hi float64) (Var, error) {
-	if math.IsInf(lo, 0) || math.IsNaN(lo) {
-		return 0, fmt.Errorf("lp: variable %q: lower bound must be finite, got %v", name, lo)
-	}
-	if math.IsNaN(hi) || hi < lo {
-		return 0, fmt.Errorf("lp: variable %q: invalid bounds [%v, %v]", name, lo, hi)
+	if err := checkBounds(name, lo, hi); err != nil {
+		return 0, err
 	}
 	m.lo = append(m.lo, lo)
 	m.hi = append(m.hi, hi)
 	m.obj = append(m.obj, 0)
 	m.names = append(m.names, name)
 	return Var(len(m.lo) - 1), nil
+}
+
+// SetBounds replaces the bounds of variable v, under NewVar's rules.
+func (m *Model) SetBounds(v Var, lo, hi float64) error {
+	if err := m.checkVar(v); err != nil {
+		return err
+	}
+	if err := checkBounds(m.names[v], lo, hi); err != nil {
+		return err
+	}
+	m.lo[v] = lo
+	m.hi[v] = hi
+	return nil
+}
+
+func checkBounds(name string, lo, hi float64) error {
+	if math.IsInf(lo, 0) || math.IsNaN(lo) {
+		return fmt.Errorf("lp: variable %q: lower bound must be finite, got %v", name, lo)
+	}
+	if math.IsNaN(hi) || hi < lo {
+		return fmt.Errorf("lp: variable %q: invalid bounds [%v, %v]", name, lo, hi)
+	}
+	return nil
 }
 
 // MustVar is NewVar for statically valid bounds; it panics on error and is
@@ -245,11 +192,7 @@ func (m *Model) SetObjective(terms []Term) error {
 
 // AddObjectiveTerm adds coef*v to the objective.
 func (m *Model) AddObjectiveTerm(v Var, coef float64) error {
-	if err := m.checkVar(v); err != nil {
-		return err
-	}
-	m.obj[v] += coef
-	return nil
+	return m.addTerms(m.obj, []Term{{Var: v, Coef: coef}})
 }
 
 // AddConstraint appends the constraint terms (sense) rhs. Terms referencing
@@ -280,77 +223,6 @@ func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64) error {
 	return nil
 }
 
-// SetRHS replaces the right-hand side of constraint i (in insertion
-// order), leaving its terms and sense untouched. Retuning an RHS is the
-// incremental-solve primitive: tightening or relaxing a bound changes
-// only b, so a kept basis stays structurally valid and a warm-started
-// solve needs just a dual-simplex repair instead of a cold start.
-func (m *Model) SetRHS(i int, rhs float64) error {
-	if i < 0 || i >= len(m.rows) {
-		return fmt.Errorf("lp: unknown constraint index %d", i)
-	}
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return fmt.Errorf("lp: invalid rhs %v", rhs)
-	}
-	m.rows[i].rhs = rhs
-	return nil
-}
-
-// RHS returns the right-hand side of constraint i (in insertion order).
-func (m *Model) RHS(i int) float64 { return m.rows[i].rhs }
-
-// SetCoef replaces the coefficient of variable v in constraint i, adding
-// the term if the row does not mention v yet. Unlike SetRHS this changes
-// the constraint matrix, so a warm-started solve must refactorize the
-// kept basis (handled automatically via the model's revision counter);
-// the basis itself — which variables are basic — usually survives, which
-// is what makes coefficient toggling (e.g. detaching a shared variable
-// from one row) far cheaper than rebuilding the model.
-func (m *Model) SetCoef(i int, v Var, coef float64) error {
-	if i < 0 || i >= len(m.rows) {
-		return fmt.Errorf("lp: unknown constraint index %d", i)
-	}
-	if err := m.checkVar(v); err != nil {
-		return err
-	}
-	if math.IsNaN(coef) || math.IsInf(coef, 0) {
-		return fmt.Errorf("lp: invalid coefficient %v for variable %q", coef, m.names[v])
-	}
-	r := &m.rows[i]
-	for k := range r.terms {
-		if r.terms[k].Var == v {
-			if r.terms[k].Coef == coef {
-				return nil
-			}
-			r.terms[k].Coef = coef
-			m.rev++
-			return nil
-		}
-	}
-	r.terms = append(r.terms, Term{Var: v, Coef: coef})
-	m.rev++
-	return nil
-}
-
-// SetVarBounds replaces the bounds of variable v, with the same validity
-// rules as NewVar. Bound changes are warm-start friendly: a kept basis
-// stays structurally valid, tightened bounds are repaired by the dual
-// phase and relaxed bounds free the variable without any repair.
-func (m *Model) SetVarBounds(v Var, lo, hi float64) error {
-	if err := m.checkVar(v); err != nil {
-		return err
-	}
-	if math.IsInf(lo, 0) || math.IsNaN(lo) {
-		return fmt.Errorf("lp: variable %q: lower bound must be finite, got %v", m.names[v], lo)
-	}
-	if math.IsNaN(hi) || hi < lo {
-		return fmt.Errorf("lp: variable %q: invalid bounds [%v, %v]", m.names[v], lo, hi)
-	}
-	m.lo[v] = lo
-	m.hi[v] = hi
-	return nil
-}
-
 // MustConstraint is AddConstraint that panics on error, for construction
 // code with statically valid inputs.
 func (m *Model) MustConstraint(terms []Term, sense Sense, rhs float64) {
@@ -370,6 +242,9 @@ func (m *Model) addTerms(dst []float64, terms []Term) error {
 	for _, t := range terms {
 		if err := m.checkVar(t.Var); err != nil {
 			return err
+		}
+		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
+			return fmt.Errorf("lp: invalid coefficient %v for variable %q", t.Coef, m.names[t.Var])
 		}
 		dst[t.Var] += t.Coef
 	}

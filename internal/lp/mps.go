@@ -106,9 +106,12 @@ func ReadMPS(r io.Reader) (*MPSModel, error) {
 				if out.ObjName != "" {
 					return nil, fmt.Errorf("lp: mps line %d: multiple objective rows", lineNo)
 				}
+				if _, dup := rows[name]; dup {
+					return nil, fmt.Errorf("lp: mps line %d: duplicate row %q", lineNo, name)
+				}
 				out.ObjName = name
 			case "L", "G", "E":
-				if _, dup := rows[name]; dup {
+				if _, dup := rows[name]; dup || name == out.ObjName {
 					return nil, fmt.Errorf("lp: mps line %d: duplicate row %q", lineNo, name)
 				}
 				sense := map[string]Sense{"L": LE, "G": GE, "E": EQ}[kind]
@@ -119,7 +122,8 @@ func ReadMPS(r io.Reader) (*MPSModel, error) {
 			}
 		case "COLUMNS":
 			// Pairs: column row value [row value].
-			if len(fields) == 3 && strings.EqualFold(fields[1], "'MARKER'") {
+			// (A row may be named 'MARKER'; a marker's third field is quoted.)
+			if len(fields) == 3 && strings.EqualFold(fields[1], "'MARKER'") && strings.HasPrefix(fields[2], "'") {
 				return nil, fmt.Errorf("lp: mps line %d: integer markers not supported", lineNo)
 			}
 			if len(fields) != 3 && len(fields) != 5 {
@@ -279,7 +283,10 @@ func (m *MPSModel) WriteMPS(w io.Writer) error {
 		fmt.Fprintf(bw, " %s %s\n", kind, rn)
 	}
 
-	// Column-major emission.
+	// Column-major emission. Every (variable, row) pair the model mentions
+	// is written, zero coefficients included, and a variable no row
+	// mentions gets an explicit objective entry: a reader declares
+	// variables and checks rows from COLUMNS records alone.
 	varName := make([]string, md.NumVars())
 	for n, v := range m.VarNames {
 		varName[v] = n
@@ -289,21 +296,28 @@ func (m *MPSModel) WriteMPS(w io.Writer) error {
 			varName[j] = fmt.Sprintf("X%06d", j)
 		}
 	}
+	type entry struct {
+		row  int
+		coef float64
+	}
+	cols := make([][]entry, md.NumVars())
+	for i, row := range md.rows {
+		for _, t := range row.terms {
+			c := cols[t.Var]
+			if n := len(c); n > 0 && c[n-1].row == i {
+				c[n-1].coef += t.Coef
+				continue
+			}
+			cols[t.Var] = append(c, entry{row: i, coef: t.Coef})
+		}
+	}
 	fmt.Fprintln(bw, "COLUMNS")
-	for j := 0; j < md.NumVars(); j++ {
-		if c := md.obj[j]; c != 0 {
+	for j, col := range cols {
+		if c := md.obj[j]; c != 0 || len(col) == 0 {
 			fmt.Fprintf(bw, " %s %s %g\n", varName[j], obj, c)
 		}
-		for i, row := range md.rows {
-			coef := 0.0
-			for _, t := range row.terms {
-				if int(t.Var) == j {
-					coef += t.Coef
-				}
-			}
-			if coef != 0 {
-				fmt.Fprintf(bw, " %s %s %g\n", varName[j], m.RowNames[i], coef)
-			}
+		for _, e := range col {
+			fmt.Fprintf(bw, " %s %s %g\n", varName[j], m.RowNames[e.row], e.coef)
 		}
 	}
 	fmt.Fprintln(bw, "RHS")
@@ -329,17 +343,4 @@ func (m *MPSModel) WriteMPS(w io.Writer) error {
 	}
 	fmt.Fprintln(bw, "ENDATA")
 	return bw.Flush()
-}
-
-// SetBounds rewrites a variable's bounds.
-func (m *Model) SetBounds(v Var, lo, hi float64) error {
-	if err := m.checkVar(v); err != nil {
-		return err
-	}
-	if hi < lo {
-		return fmt.Errorf("lp: invalid bounds [%g, %g]", lo, hi)
-	}
-	m.lo[v] = lo
-	m.hi[v] = hi
-	return nil
 }

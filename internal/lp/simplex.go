@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -19,13 +18,12 @@ const (
 	degenerateLimit = 64
 	// refactorEvery is the pivot interval between basis refactorizations.
 	refactorEvery = 256
-	// driftCheckEvery is the pivot interval between accuracy probes of the
-	// sparse factors: the residual ‖B·xB − (b − N·xN)‖∞ is measured in
-	// O(nnz) and drift beyond driftTol (relative to the RHS scale)
-	// triggers an early refactorization before the eta file poisons the
-	// solve.
-	driftCheckEvery = 64
-	driftTol        = 1e-7
+	// The pivot budget per phase is iterCapPerDim*(rows+cols) + iterCapBase.
+	// No well-posed model comes near it (Klee-Minty's exponential path
+	// included, at the sizes tested); exhausting it returns
+	// ErrIterationLimit instead of grinding on.
+	iterCapPerDim = 200
+	iterCapBase   = 20000
 )
 
 type varStatus uint8
@@ -60,199 +58,84 @@ type simplex struct {
 	xN       []float64 // value for nonbasic vars (their active bound)
 	basicVar []int     // basicVar[r] = column basic in row r
 	rowOf    []int     // rowOf[j] = row where j is basic, or -1
-	rowSlack []int     // rowSlack[r] = slack column of inequality row r, or -1 (EQ)
-	rowUnit  []int     // rowUnit[r] = a unit column for row r (artificial or slack), for basis repair
-	// factor is the basis-inverse representation: sparse LU with
-	// Forrest-Tomlin eta updates by default, the legacy dense explicit
-	// inverse behind SolveOptions.DenseBasis.
-	factor basisFactor
-	xB     []float64
+	binv     *basisInverse
+	xB       []float64
 
 	y      []float64 // dual vector, maintained incrementally across pivots
 	yValid bool
 	w      []float64 // pivot column scratch
-	rowBuf []float64 // scratch for one row of the basis inverse
+	resid  []float64 // scratch for recomputeXB
 	pivots int
 	degen  int
 	bland  bool
 	// blandPivots counts pivots taken under the anti-cycling rule (see
 	// SolveStats.BlandPivots).
 	blandPivots int
-	// maxIter caps pivots per phase (0 = default formula); deadline is the
-	// wall-clock cutoff (zero time = none). Both come from SolveOptions.
-	maxIter  int
-	deadline time.Time
+	refactors   int
+	// maxIter caps pivots per phase.
+	maxIter int
 	// priceStart rotates the partial-pricing scan so successive iterations
 	// do not always favour low-index columns.
 	priceStart int
-	// dualPivots counts the dual-simplex basis changes (warm restarts);
-	// they are included in pivots as well.
-	dualPivots int
-	// resid is a reusable buffer for recomputeXB and the drift probe, so
-	// neither allocates on the solve hot path.
-	resid []float64
 }
 
-// evictBasic replaces the basic variable at basis position pos with the
-// nonbasic unit column `unit`, sending the evicted variable to its lower
-// bound. Shared by the dense and sparse singular-basis repair paths.
-func (s *simplex) evictBasic(pos, unit int) {
-	out := s.basicVar[pos]
-	s.rowOf[out] = -1
-	s.status[out] = atLower
-	s.xN[out] = s.lo[out]
-	s.basicVar[pos] = unit
-	s.rowOf[unit] = pos
-	s.status[unit] = inBasis
-	s.xN[unit] = 0
-	s.yValid = false
-}
-
-// Solve optimizes the model and returns the optimal solution.
-// It returns ErrInfeasible, ErrUnbounded, or ErrIterationLimit on failure.
+// Solve optimizes the model and returns the optimal solution. It returns
+// ErrInfeasible, ErrUnbounded, ErrIterationLimit (pivot budget exhausted)
+// or ErrNumerical (final basis failed the sanity check) on failure.
 // Solve does not mutate the model and may be called repeatedly (e.g. after
 // adding constraints).
 func (m *Model) Solve() (*Solution, error) {
-	sol, _, err := m.SolveWithOptions(SolveOptions{})
+	sol, _, err := m.SolveWithStats()
 	return sol, err
 }
 
-// SolveWithOptions is Solve under explicit budgets. The returned stats
-// are valid even when the solve fails (so callers can tell how much of a
-// tripped budget was consumed). Besides Solve's errors it can return
-// ErrTimeLimit (wall-clock budget) and ErrNumerical (final basis failed
-// the sanity check).
-func (m *Model) SolveWithOptions(opts SolveOptions) (*Solution, SolveStats, error) {
+// SolveWithStats is Solve that also reports what the solve cost. The
+// stats are valid even when the solve fails.
+func (m *Model) SolveWithStats() (*Solution, SolveStats, error) {
 	start := time.Now()
-	var stats SolveStats
-	done := func(sol *Solution, s *simplex, err error) (*Solution, SolveStats, error) {
-		if s != nil {
-			stats.Pivots += s.pivots
-			stats.BlandPivots += s.blandPivots
-			fs := s.factor.stats()
-			stats.Refactors += fs.refactors
-			if fs.maxEta > stats.MaxEta {
-				stats.MaxEta = fs.maxEta
-			}
-			if fs.fillIn > stats.FillIn {
-				stats.FillIn = fs.fillIn
-			}
-		}
-		stats.Duration = time.Since(start)
-		return sol, stats, err
-	}
+	s := newSimplex(m)
+	sol, err := s.solve(m)
+	return sol, SolveStats{
+		Pivots:      s.pivots,
+		BlandPivots: s.blandPivots,
+		Refactors:   s.refactors,
+		Duration:    time.Since(start),
+	}, err
+}
 
-	// Warm path: when the caller carries a compatible workspace, repair the
-	// kept basis (dual simplex for feasibility, primal for the objective)
-	// instead of cold-starting phase 1. Failure classified errWarmStart
-	// falls through to the cold start below; consumed budgets and genuine
-	// unboundedness surface directly so the budget is not paid twice.
-	if ws := opts.Workspace; ws != nil && ws.compatible(m) {
-		s := ws.s
-		pivots0, dual0, bland0 := s.pivots, s.dualPivots, s.blandPivots
-		refactor0 := s.factor.stats().refactors
-		sol, err := ws.warmSolve(m, opts, start)
-		stats.Pivots += s.pivots - pivots0
-		stats.DualPivots += s.dualPivots - dual0
-		stats.BlandPivots += s.blandPivots - bland0
-		fs := s.factor.stats()
-		stats.Refactors += fs.refactors - refactor0
-		if fs.maxEta > stats.MaxEta {
-			stats.MaxEta = fs.maxEta
-		}
-		if fs.fillIn > stats.FillIn {
-			stats.FillIn = fs.fillIn
-		}
-		if err == nil {
-			stats.WarmStarts++
-			stats.Duration = time.Since(start)
-			return sol, stats, nil
-		}
-		if !errors.Is(err, errWarmStart) {
-			stats.Duration = time.Since(start)
-			return nil, stats, err
-		}
-		stats.WarmFallbacks++
-		ws.Reset()
-	}
-
-	// Presolve gate: cold, workspace-free solves run the reduction pass
-	// first (fixed and implied-free columns, singleton and redundant
-	// rows); the reduced model is solved recursively and the solution
-	// mapped back through postsolve. Workspace-carrying solves skip it —
-	// presolve changes the model shape, which would invalidate basis
-	// reuse across calls.
-	if opts.Workspace == nil && !opts.DisablePresolve {
-		if pr := presolveModel(m); pr != nil {
-			if pr.infeasible {
-				stats.ColdStarts++
-				stats.Duration = time.Since(start)
-				return nil, stats, fmt.Errorf("%w (presolve: %s)", ErrInfeasible, pr.infeasMsg)
-			}
-			ropts := opts
-			ropts.DisablePresolve = true
-			rsol, rstats, err := pr.reduced.SolveWithOptions(ropts)
-			stats.accumulate(rstats)
-			stats.Duration = time.Since(start)
-			if err != nil {
-				return nil, stats, err
-			}
-			return pr.postsolve(m, rsol), stats, nil
-		}
-	}
-
-	stats.ColdStarts++
-	s, err := newSimplex(m, opts.DenseBasis)
-	if err != nil {
-		return done(nil, nil, err)
-	}
-	s.maxIter = opts.MaxIter
-	if opts.MaxTime > 0 {
-		s.deadline = start.Add(opts.MaxTime)
-	}
-
+// solve runs both phases from the all-artificial starting basis.
+func (s *simplex) solve(m *Model) (*Solution, error) {
 	// Phase I: minimize the sum of artificial variables.
-	if s.nArt > 0 {
-		for j := s.n - s.nArt; j < s.n; j++ {
-			s.cost[j] = 1
-		}
-		if err := s.iterate(true); err != nil {
-			return done(nil, s, err)
-		}
-		if obj := s.objective(); obj > phase1Tol {
-			return done(nil, s, fmt.Errorf("%w (phase-1 residual %g)", ErrInfeasible, obj))
-		}
-		// Freeze artificials at zero so they can never carry value again.
-		for j := s.n - s.nArt; j < s.n; j++ {
-			s.cost[j] = 0
-			s.hi[j] = 0
-			if s.status[j] != inBasis {
-				s.status[j] = atLower
-				s.xN[j] = 0
-			}
+	for j := s.n - s.nArt; j < s.n; j++ {
+		s.cost[j] = 1
+	}
+	if err := s.iterate(true); err != nil {
+		return nil, err
+	}
+	if obj := s.objective(); obj > phase1Tol {
+		return nil, fmt.Errorf("%w (phase-1 residual %g)", ErrInfeasible, obj)
+	}
+	// Freeze artificials at zero so they can never carry value again.
+	for j := s.n - s.nArt; j < s.n; j++ {
+		s.cost[j] = 0
+		s.hi[j] = 0
+		if s.status[j] != inBasis {
+			s.status[j] = atLower
+			s.xN[j] = 0
 		}
 	}
 
 	// Phase II: minimize the real objective.
-	for j := 0; j < s.n; j++ {
-		if j < s.nStruct {
-			s.cost[j] = m.obj[j]
-		} else {
-			s.cost[j] = 0
-		}
-	}
+	copy(s.cost, m.obj)
 	s.bland = false
 	s.degen = 0
 	if err := s.iterate(false); err != nil {
-		return done(nil, s, err)
+		return nil, err
 	}
 	if err := s.checkNumerics(); err != nil {
-		return done(nil, s, err)
+		return nil, err
 	}
-	if ws := opts.Workspace; ws != nil {
-		ws.capture(m, s)
-	}
-	return done(s.solution(m), s, nil)
+	return s.solution(m), nil
 }
 
 // checkNumerics guards the callers above the solver: a basis whose values
@@ -279,9 +162,8 @@ func (s *simplex) checkNumerics() error {
 }
 
 // newSimplex builds the computational form: one slack per inequality row,
-// artificials forming the initial basis. dense selects the legacy dense
-// basis-inverse representation instead of the sparse LU default.
-func newSimplex(m *Model, dense bool) (*simplex, error) {
+// artificials forming the initial basis.
+func newSimplex(m *Model) *simplex {
 	nRows := len(m.rows)
 	nStruct := len(m.lo)
 	nSlack := 0
@@ -330,17 +212,14 @@ func newSimplex(m *Model, dense bool) (*simplex, error) {
 
 	// Slack columns: LE rows get +1 slack, GE rows get -1 slack; both slacks
 	// live in [0, +inf).
-	s.rowSlack = make([]int, nRows)
 	for i, r := range m.rows {
 		if r.sense == EQ {
-			s.rowSlack[i] = -1
 			continue
 		}
 		coef := 1.0
 		if r.sense == GE {
 			coef = -1.0
 		}
-		s.rowSlack[i] = len(s.cols)
 		s.cols = append(s.cols, sparseCol{rows: []int{i}, vals: []float64{coef}})
 		s.lo = append(s.lo, 0)
 		s.hi = append(s.hi, Inf)
@@ -368,7 +247,6 @@ func newSimplex(m *Model, dense bool) (*simplex, error) {
 
 	s.basicVar = make([]int, nRows)
 	s.xB = make([]float64, nRows)
-	s.rowUnit = make([]int, nRows)
 	diag := make([]float64, nRows)
 	for i := 0; i < nRows; i++ {
 		coef := 1.0
@@ -380,9 +258,7 @@ func newSimplex(m *Model, dense bool) (*simplex, error) {
 		s.hi = append(s.hi, Inf)
 		s.status = append(s.status, inBasis)
 		s.xN = append(s.xN, 0)
-		j := len(s.cols) - 1
-		s.basicVar[i] = j
-		s.rowUnit[i] = j
+		s.basicVar[i] = len(s.cols) - 1
 		s.xB[i] = math.Abs(resid[i])
 		diag[i] = coef
 	}
@@ -398,10 +274,10 @@ func newSimplex(m *Model, dense bool) (*simplex, error) {
 	}
 	s.y = make([]float64, nRows)
 	s.w = make([]float64, nRows)
-	s.rowBuf = make([]float64, nRows)
-	s.factor = newBasisFactor(dense)
-	s.factor.install(s, diag)
-	return s, nil
+	s.resid = make([]float64, nRows)
+	s.binv = newBasisInverse(diag)
+	s.maxIter = iterCapPerDim*(s.m+s.n) + iterCapBase
+	return s
 }
 
 // objective returns the current objective value under s.cost.
@@ -420,28 +296,13 @@ func (s *simplex) objective() float64 {
 
 // iterate runs primal simplex pivots until optimality under s.cost.
 func (s *simplex) iterate(phase1 bool) error {
-	maxIter := s.maxIter
-	if maxIter <= 0 {
-		maxIter = 200*(s.m+s.n) + 20000
-	}
 	s.yValid = false // the objective may have changed between phases
-	for iter := 0; iter < maxIter; iter++ {
-		// The deadline check includes iter 0 so even a 1ns budget trips
-		// deterministically rather than depending on pivot count.
-		if iter&63 == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			return fmt.Errorf("%w after %d pivots", ErrTimeLimit, s.pivots)
-		}
+	for iter := 0; iter < s.maxIter; iter++ {
 		if s.pivots > 0 && s.pivots%refactorEvery == 0 {
 			if err := s.refactorize(); err != nil {
 				return err
 			}
 			s.pivots++ // avoid immediate re-refactorization
-			s.yValid = false
-		} else if s.pivots > 0 && s.pivots%driftCheckEvery == 0 && s.driftExceeded() {
-			if err := s.refactorize(); err != nil {
-				return err
-			}
-			s.pivots++
 			s.yValid = false
 		}
 		if !s.yValid {
@@ -460,12 +321,12 @@ func (s *simplex) iterate(phase1 bool) error {
 	return fmt.Errorf("%w after %d pivots", ErrIterationLimit, s.pivots)
 }
 
-// computeDuals solves B^T y = c_B (BTRAN) against the factors.
+// computeDuals solves B^T y = c_B (BTRAN).
 func (s *simplex) computeDuals() {
 	for r := 0; r < s.m; r++ {
 		s.y[r] = s.cost[s.basicVar[r]]
 	}
-	s.factor.btranIn(s.y)
+	s.binv.btranIn(s.y)
 }
 
 // reducedCost returns c_j - y·A_j.
@@ -548,9 +409,9 @@ func (s *simplex) chooseEntering() (j, dir int, dj float64) {
 	return j, dir, dj
 }
 
-// computeDirection solves B w = A_j (FTRAN) against the factors.
+// computeDirection solves B w = A_j (FTRAN).
 func (s *simplex) computeDirection(j int) {
-	s.factor.ftranCol(&s.cols[j], s.w)
+	s.binv.ftranCol(&s.cols[j], s.w)
 }
 
 // pivot performs the ratio test and basis change for entering variable j
@@ -660,47 +521,23 @@ func (s *simplex) pivot(j, dir int, dj float64, phase1 bool) error {
 		return s.refactorize()
 	}
 
-	if s.factor.isSparse() {
-		// On the sparse path the duals are recomputed with one O(nnz)
-		// BTRAN next iteration — extracting the old inverse row here
-		// would itself cost a BTRAN, so incremental is not cheaper.
-		s.yValid = false
-	} else {
-		// Incremental dual update: y' = y + (d_j / w_r) * (old row r of
-		// Binv), which zeroes the entering column's reduced cost. O(m)
-		// instead of the O(m^2) from-scratch recomputation.
-		s.factor.rowInv(leave, s.rowBuf)
-		theta := dj / piv
-		for i := range s.y {
-			s.y[i] += theta * s.rowBuf[i]
-		}
+	// Incremental dual update: y' = y + (d_j / w_r) * (old row r of
+	// Binv), which zeroes the entering column's reduced cost. O(m)
+	// instead of the O(m^2) from-scratch recomputation.
+	theta := dj / piv
+	for i, v := range s.binv.row(leave) {
+		s.y[i] += theta * v
 	}
 
-	if err := s.updateBasis(j, leave, enterVal); err != nil {
-		return err
-	}
-	s.pivots++
-	if s.bland {
-		s.blandPivots++
-	}
-	return nil
-}
-
-// updateBasis makes column j basic in row leave at value enterVal,
-// folding the basis change into the factors (product-form row
-// operations on the dense inverse; a Forrest-Tomlin eta on the sparse
-// factors). s.w must hold B^-1*A_j. When the factors refuse the update
-// (unstable spike or full eta file) the basis bookkeeping still changes
-// and the factors are rebuilt from it instead.
-func (s *simplex) updateBasis(j, leave int, enterVal float64) error {
-	accepted := s.factor.update(leave, s.w)
+	// s.w still holds B^-1*A_j, which is what the inverse update needs.
+	s.binv.update(leave, s.w)
 	s.basicVar[leave] = j
 	s.rowOf[j] = leave
 	s.status[j] = inBasis
 	s.xB[leave] = enterVal
-	if !accepted {
-		s.yValid = false
-		return s.refactorize()
+	s.pivots++
+	if s.bland {
+		s.blandPivots++
 	}
 	return nil
 }
@@ -726,41 +563,15 @@ func (s *simplex) applyStep(dir int, t float64) {
 	}
 }
 
-// refactorize rebuilds the basis factors from the basis columns and
-// recomputes the basic values, clearing accumulated floating-point
-// drift (Gauss-Jordan on the dense path, a fresh sparse LU with the eta
-// file emptied on the sparse path).
+// refactorize rebuilds the basis inverse from the basis columns and
+// recomputes the basic values xB = B^-1 (b - N x_N), clearing accumulated
+// floating-point drift.
 func (s *simplex) refactorize() error {
-	if err := s.factor.refactor(s, false); err != nil {
+	if err := s.binv.refactor(s.cols, s.basicVar); err != nil {
 		return err
 	}
-	s.recomputeXB()
-	return nil
-}
-
-// refactorizeRepair is refactorize for a basis that may have gone
-// genuinely singular after coefficient edits (a basic variable's column
-// shrinking into the span of the others): instead of failing, a dependent
-// basis position is evicted to a bound and replaced by a per-row unit
-// column, and the factorization continues. The repaired basis is valid
-// but not necessarily dual feasible; the caller treats the follow-up
-// repair as best effort.
-func (s *simplex) refactorizeRepair() error {
-	if err := s.factor.refactor(s, true); err != nil {
-		return err
-	}
-	s.recomputeXB()
-	return nil
-}
-
-// nonbasicResidual fills the reusable residual buffer with b - N x_N
-// (the RHS the basic variables must absorb) and returns it.
-func (s *simplex) nonbasicResidual() []float64 {
-	m := s.m
-	if cap(s.resid) < m {
-		s.resid = make([]float64, m)
-	}
-	resid := s.resid[:m]
+	s.refactors++
+	resid := s.resid
 	copy(resid, s.b)
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == inBasis {
@@ -773,49 +584,9 @@ func (s *simplex) nonbasicResidual() []float64 {
 			}
 		}
 	}
-	return resid
-}
-
-// recomputeXB solves B xB = b - N x_N from scratch (one FTRAN).
-func (s *simplex) recomputeXB() {
-	resid := s.nonbasicResidual()
-	s.factor.ftranIn(resid)
-	copy(s.xB, resid[:s.m])
-}
-
-// driftExceeded probes factorization accuracy in O(nnz): it measures
-// ‖B·xB − (b − N·x_N)‖∞ — which is zero in exact arithmetic whatever
-// the basis — against the RHS scale. The sparse eta file accumulates
-// error with every update, so the probe catches drift between the
-// periodic refactorizations; the dense path skips it (its row
-// operations are the historical behavior, refreshed every
-// refactorEvery pivots).
-func (s *simplex) driftExceeded() bool {
-	if !s.factor.isSparse() {
-		return false
-	}
-	resid := s.nonbasicResidual()
-	scale := 1.0
-	worst := 0.0
-	for r := 0; r < s.m; r++ {
-		if a := math.Abs(resid[r]); a > scale {
-			scale = a
-		}
-	}
-	for r := 0; r < s.m; r++ {
-		c := &s.cols[s.basicVar[r]]
-		if x := s.xB[r]; x != 0 {
-			for k, ri := range c.rows {
-				resid[ri] -= c.vals[k] * x
-			}
-		}
-	}
-	for r := 0; r < s.m; r++ {
-		if a := math.Abs(resid[r]); a > worst {
-			worst = a
-		}
-	}
-	return worst > driftTol*scale
+	s.binv.ftranIn(resid)
+	copy(s.xB, resid)
+	return nil
 }
 
 // solution extracts values, duals and reduced costs for the original model.

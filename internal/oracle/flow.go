@@ -70,7 +70,7 @@ func flowJobs(jobs []Job) []flow.Job {
 // every other group at or under the last one, and its maximum equals the
 // equally capped simplex's.
 func CheckFlowLP(in Instance, tol float64) error {
-	ref, err := SolveLP(in)
+	ref, err := SolveLP(in, 0)
 	if err != nil {
 		return fmt.Errorf("oracle: solver error: %w", err)
 	}
@@ -120,7 +120,7 @@ func CheckFlowLP(in Instance, tol float64) error {
 				return fmt.Errorf("oracle: flow capped at %d levels left group %d at %.9g, above its last level %.9g", k, gi, lv, floor)
 			}
 		}
-		lpCapped, err := SolveLPWithOptions(in, lp.MinMaxOptions{MaxRounds: k})
+		lpCapped, err := SolveLP(in, k)
 		if err != nil {
 			return fmt.Errorf("oracle: solver error: %w", err)
 		}

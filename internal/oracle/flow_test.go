@@ -60,7 +60,7 @@ func TestFlowLPAgreePerSlotOnKnownOptimum(t *testing.T) {
 	if err := CheckFlowLP(in, Tol); err != nil {
 		t.Fatalf("pristine instance rejected: %v", err)
 	}
-	ref, err := SolveLP(in)
+	ref, err := SolveLP(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,5 +73,18 @@ func TestFlowLPAgreePerSlotOnKnownOptimum(t *testing.T) {
 		if got.Levels[gi] != want || ref.Levels[gi] < want-Tol || ref.Levels[gi] > want+Tol {
 			t.Fatalf("group %d: flow %g, LP %g, want %g", gi, got.Levels[gi], ref.Levels[gi], want)
 		}
+	}
+}
+
+// TestFlowLPAgreeAtProbeScale holds the flow planner to the reference
+// simplex well past the sizes the seeded sweeps reach (12 jobs x 40
+// slots): on the planner probe's 100-job x 100-slot instance, per slot,
+// with the level-capped flows checked as CheckFlowLP checks them.
+func TestFlowLPAgreeAtProbeScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 100x100 LP to the exact optimum")
+	}
+	if err := CheckFlowLP(ProbeInstance(100, 100, 0), Tol); err != nil {
+		t.Fatal(err)
 	}
 }

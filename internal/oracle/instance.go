@@ -114,15 +114,9 @@ type LPResult struct {
 // per (job, window slot) bounded by the job's cap, an exact-demand row
 // per job, a load group per covered positive-capacity slot, and a
 // hard ≤0 row per covered zero-capacity slot — and solves it with the
-// exact (uncapped-rounds) lexicographic min-max.
-func SolveLP(in Instance) (*LPResult, error) {
-	return SolveLPWithOptions(in, lp.MinMaxOptions{})
-}
-
-// SolveLPWithOptions is SolveLP with explicit solver options, so the
-// differential suite can run the same instance down both the warm
-// incremental path and the cold clone-per-round path and compare.
-func SolveLPWithOptions(in Instance, opts lp.MinMaxOptions) (*LPResult, error) {
+// lexicographic min-max, exactly (maxRounds 0) or capped at maxRounds
+// min-θ rounds as lp.LexMinMax defines.
+func SolveLP(in Instance, maxRounds int) (*LPResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -185,7 +179,7 @@ func SolveLPWithOptions(in Instance, opts lp.MinMaxOptions) (*LPResult, error) {
 		return res, nil
 	}
 
-	mm, err := lp.LexMinMaxWithOptions(model, groups, opts)
+	mm, err := lp.LexMinMax(model, groups, maxRounds)
 	if errors.Is(err, lp.ErrInfeasible) {
 		return res, nil
 	}

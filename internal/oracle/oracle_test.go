@@ -13,12 +13,15 @@ import (
 	"flowtime/internal/workload"
 )
 
+// exactLP is the reference simplex run to the exact optimum, as a Solver.
+func exactLP(in Instance) (*LPResult, error) { return SolveLP(in, 0) }
+
 func TestCrossCheckKnownFractionalOptimum(t *testing.T) {
 	// One job, demand 3, two slots of capacity 2: the LP spreads 1.5+1.5
 	// (max level 0.75) while the best integral split is 2+1 (max level
 	// 1.0). The harness must accept the fractional optimum.
 	in := Instance{Caps: []int64{2, 2}, Jobs: []Job{{Demand: 3, Rel: 0, Dl: 2, Cap: 2}}}
-	res, err := SolveLP(in)
+	res, err := SolveLP(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestCrossCheckKnownFractionalOptimum(t *testing.T) {
 	if m := lp.MaxLevel(res.Levels); math.Abs(m-0.75) > Tol {
 		t.Fatalf("max level %g, want 0.75", m)
 	}
-	if err := CrossCheck(SolveLP, in, Tol); err != nil {
+	if err := CrossCheck(exactLP, in, Tol); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,14 +44,14 @@ func TestCrossCheckKnownInfeasible(t *testing.T) {
 		{Caps: []int64{0, 4}, Jobs: []Job{{Demand: 1, Rel: 0, Dl: 1, Cap: 1}}},
 	}
 	for i, in := range cases {
-		res, err := SolveLP(in)
+		res, err := SolveLP(in, 0)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if res.Feasible {
 			t.Fatalf("case %d: expected infeasible", i)
 		}
-		if err := CrossCheck(SolveLP, in, Tol); err != nil {
+		if err := CrossCheck(exactLP, in, Tol); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 	}
@@ -58,7 +61,7 @@ func TestCrossCheckRandomSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		in := GenInstance(rng)
-		if err := CrossCheck(SolveLP, in, Tol); err != nil {
+		if err := CrossCheck(exactLP, in, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}
@@ -69,7 +72,7 @@ func TestCheckSolutionLargeInstances(t *testing.T) {
 	feasible := 0
 	for i := 0; i < 60; i++ {
 		in := GenLargeInstance(rng)
-		res, err := SolveLP(in)
+		res, err := SolveLP(in, 0)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -100,7 +103,7 @@ func TestMutationSmokeTest(t *testing.T) {
 		},
 	}
 	solve := func() *LPResult {
-		res, err := SolveLP(in)
+		res, err := SolveLP(in, 0)
 		if err != nil || !res.Feasible {
 			t.Fatalf("solve: %v feasible=%v", err, res != nil && res.Feasible)
 		}
@@ -181,14 +184,14 @@ func TestMetamorphicRelationsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 120; i++ {
 		in := GenInstance(rng)
-		if err := CheckScaleInvariance(SolveLP, in, 1+int64(rng.Intn(4)), Tol); err != nil {
+		if err := CheckScaleInvariance(exactLP, in, 1+int64(rng.Intn(4)), Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
-		if err := CheckPermutationInvariance(SolveLP, in, rng, Tol); err != nil {
+		if err := CheckPermutationInvariance(exactLP, in, rng, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 		t0 := rng.Int63n(int64(len(in.Caps)))
-		if err := CheckSplitSlot(SolveLP, in, t0, Tol); err != nil {
+		if err := CheckSplitSlot(exactLP, in, t0, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}
