@@ -9,9 +9,10 @@
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
-# FuzzDecodeWALRecord), the flow planner, the MPS reader and the status
-# query. `make loc` prints the non-test Go line count the subtraction
-# passes are measured by; `make check` ends with it.
+# FuzzDecodeWALRecord), the flow planner, the MPS reader, the status
+# query and the heartbeat request body. `make loc` prints the non-test Go
+# line count the subtraction passes are measured by; `make check` ends
+# with it.
 
 GO ?= go
 
@@ -89,8 +90,11 @@ verify:
 # adversarial capacities and demands, overflow-sized ones included), the
 # MPS reader target (cmd/ftlp's input: no panic, and an accepted document
 # is a valid model that survives WriteMPS -> ReadMPS with the same
-# variables, rows and bounds), and the GET /v1/status query target (any
-# cursor is a 400 or a consistent 200).
+# variables, rows and bounds), the GET /v1/status query target (any
+# cursor is a 400 or a consistent 200), and the heartbeat body target (any
+# POST /v1/nodes/heartbeat body, on a server holding an offer, is a 4xx or
+# a 200 that leaves leases, in-flight sums and per-node placed volume
+# consistent and dispatches the offer at most once).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -101,6 +105,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz FuzzReadMPS -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
+	$(GO) test -fuzz FuzzHeartbeatBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 
 # sim-smoke replays the small bundled scenario trace (testdata/
 # scenario-smoke.json, emitted by `ftgen -scenario flash -machines 40

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -503,6 +504,112 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	rst := rec.Status()
 	if rst.Plan == nil || rst.Plan.Rev == 0 {
 		t.Fatalf("promoted state dir recovered without a live plan: %+v", rst.Plan)
+	}
+}
+
+// TestKillAndRestartKeepsAHandOffAsALease is the process-kill side of the
+// hand-off's durability bargain (the machine-crash side, where the page
+// cache dies too, is rmserver's TestMachineCrashTakesBackAnUnsyncedHandOff):
+// a heartbeat confirms a, is handed b's quantum in the same reply, and the
+// RM is SIGKILLed before any tick commits either record. Both were written,
+// so both survive the kill: the log replays the confirm, then the grant as
+// the same lease — held in flight by a recovery that keeps leases, requeued
+// as the one orphan by the restarted RM — and the chain completes with
+// every job delivered exactly once.
+func TestKillAndRestartKeepsAHandOffAsALease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level chaos test")
+	}
+	bin := buildFTRM(t)
+	stateDir := t.TempDir()
+	port := freePort(t)
+	client := rmserver.NewClient(fmt.Sprintf("http://127.0.0.1:%d", port), nil)
+	flags := []string{"-sched", "FlowTime", "-manual-tick"}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	proc1 := startFTRM(t, bin, stateDir, port, flags...)
+	waitStatus(t, client, 10*time.Second, "ftrm up", func(rmproto.StatusResponse) bool { return true })
+	node := rmproto.RegisterNodeRequest{NodeID: "n1", Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8192}}
+	if _, err := client.RegisterNode(ctx, node); err != nil {
+		t.Fatalf("RegisterNode: %v", err)
+	}
+	if _, err := client.SubmitWorkflow(ctx, rmproto.SubmitWorkflowRequest{Workflow: planWorkflow("wf")}); err != nil {
+		t.Fatalf("SubmitWorkflow: %v", err)
+	}
+	// slot plays one slot as the node: tick, then confirm what the last
+	// reply launched and take what this one does.
+	var held []rmproto.Quantum
+	slot := func() {
+		t.Helper()
+		if err := client.Tick(ctx); err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+		req := rmproto.HeartbeatRequest{NodeID: "n1"}
+		for _, q := range held {
+			req.Completed = append(req.Completed, q.ID)
+		}
+		resp, err := client.Heartbeat(ctx, req)
+		if err != nil {
+			t.Fatalf("Heartbeat: %v", err)
+		}
+		held = resp.Launch
+	}
+	handedOff := func() bool { return len(held) > 0 && held[0].JobID == "wf/b#1" }
+	for i := 0; i < 200 && !handedOff(); i++ {
+		slot()
+	}
+	if !handedOff() {
+		t.Fatal("b was never launched")
+	}
+	if err := proc1.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL: %v", err)
+	}
+	proc1.Wait()
+
+	frozen := filepath.Join(t.TempDir(), "frozen")
+	copyStateDir(t, stateDir, frozen)
+	oracle := recoverInProcess(t, frozen)
+	ost := oracle.Status()
+	if ost.OutstandingLeases != len(held) || ost.Summary.Completed != 1 {
+		t.Fatalf("replaying the killed RM's log gives %d leases and %d completed jobs, want b's %d and a",
+			ost.OutstandingLeases, ost.Summary.Completed, len(held))
+	}
+	if err := oracle.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
+		t.Fatalf("recovery equivalence on a log ending in a heartbeat's grant record: %v", err)
+	}
+
+	startFTRM(t, bin, stateDir, port, flags...)
+	st := waitStatus(t, client, 15*time.Second, "restarted RM", func(st rmproto.StatusResponse) bool {
+		return st.Recovery != nil
+	})
+	if st.Recovery.OrphanLeasesRequeued != len(held) || st.OutstandingLeases != 0 {
+		t.Fatalf("restart requeued %d orphan leases with %d still out, want b's %d and none",
+			st.Recovery.OrphanLeasesRequeued, st.OutstandingLeases, len(held))
+	}
+	// The agent's part: unknown to the restarted RM, it drops what it held.
+	if _, err := client.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{held[0].ID}}); !errors.Is(err, rmserver.ErrUnknownNode) {
+		t.Fatalf("heartbeat to the restarted RM = %v, want unknown_node", err)
+	}
+	held = nil
+	if _, err := client.RegisterNode(ctx, node); err != nil {
+		t.Fatalf("RegisterNode: %v", err)
+	}
+	done := func(st rmproto.StatusResponse) bool { return st.Summary.Completed == 2 && st.OutstandingLeases == 0 }
+	for i := 0; i < 200 && !done(st); i++ {
+		slot()
+		var err error
+		if st, err = client.Status(ctx); err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+	}
+	if !done(st) {
+		t.Fatalf("the chain did not complete after the restart: %+v", st.Summary)
+	}
+	for _, j := range st.Jobs {
+		if j.Delivered != j.Total {
+			t.Errorf("job %s delivered %+v, want exactly %+v (exactly-once violated)", j.ID, j.Delivered, j.Total)
+		}
 	}
 }
 

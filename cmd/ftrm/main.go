@@ -440,8 +440,9 @@ func logFinalStatus(rm *rmserver.Server, s sched.Scheduler) {
 	}
 	if ft, ok := s.(*core.FlowTime); ok {
 		fs := ft.Stats()
-		log.Printf("ftrm: flowtime: replans=%d adhoc_folds=%d adhoc_yields=%d adhoc_yielded=%v backfills=%d backfilled=%v",
-			fs.Replans, fs.AdHocFolds, fs.AdHocYields, fs.AdHocYielded, fs.Backfills, fs.Backfilled)
+		handoffs, lapsed := rm.HandOffs()
+		log.Printf("ftrm: flowtime: replans=%d adhoc_folds=%d adhoc_yields=%d adhoc_yielded=%v backfills=%d backfilled=%v handoffs=%d lapsed=%d",
+			fs.Replans, fs.AdHocFolds, fs.AdHocYields, fs.AdHocYielded, fs.Backfills, fs.Backfilled, handoffs, lapsed)
 	}
 	if d := st.Durability; d != nil {
 		log.Printf("ftrm: durability: fsync=%s generation=%d wal_records=%d wal_bytes=%d fsyncs=%d snapshots=%d",

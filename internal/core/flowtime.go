@@ -57,7 +57,9 @@
 // in arrival order — the paper's "schedule deadline work while minimally
 // impacting ad-hoc jobs"; and last, whatever no ad-hoc job asked for, to
 // any ready deadline job, earliest deadline first, whether or not the
-// plan or its decomposed release says it should run yet. The plan stays
+// plan or its decomposed release says it should run yet, and what is
+// still left to the jobs whose predecessors finish inside the slot
+// (sched.JobState.ReadyOnConfirm), as offers. The plan stays
 // as flat and late as the skyline makes it — it is what deadline work
 // may claim ahead of ad-hoc work, not a ceiling — and the last pass makes
 // the grants work-conserving: FlowTime never idles a core beside a
@@ -188,8 +190,9 @@ type Stats struct {
 	AdHocYields  int
 	AdHocYielded resource.Vector
 	// Backfills counts slots in which Assign's last pass handed capacity
-	// nothing else wanted to a ready deadline job beyond its plan, and
-	// Backfilled is the volume handed out that way.
+	// nothing else wanted to a ready deadline job beyond its plan, or
+	// offered it to a job ready on confirm, and Backfilled is the volume
+	// handed out that way.
 	Backfills  int
 	Backfilled resource.Vector
 	// LP aggregates the planner's work across all replans.
@@ -408,9 +411,9 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 	// order and differ only in what a job may want; serve caps it by what
 	// the job's Request still lacks after this slot's earlier grants and
 	// returns the volume granted.
-	ready := readyEDF(ctx.Jobs)
-	serve := func(want func(sched.JobState) resource.Vector) (total resource.Vector) {
-		for _, j := range ready {
+	ready, onConfirm := deadlineEDF(ctx.Jobs)
+	serve := func(jobs []sched.JobState, want func(sched.JobState) resource.Vector) (total resource.Vector) {
+		for _, j := range jobs {
 			got := grants[j.ID]
 			if g := grantIn(want(j).Min(j.Request.SubClamped(got)), &avail); !g.IsZero() {
 				grants[j.ID] = got.Add(g)
@@ -421,7 +424,7 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 	}
 
 	// Overdue: a job whose deadline has passed runs flat out.
-	serve(func(j sched.JobState) resource.Vector {
+	serve(ready, func(j sched.JobState) resource.Vector {
 		if int64(j.Deadline/ctx.Cluster.SlotDur) > ctx.Now {
 			return resource.Vector{}
 		}
@@ -433,7 +436,7 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 	// replan folds it into the skyline — what the job will have left after
 	// this slot's grants, less what the plan holds after this slot. A job
 	// whose window has not opened has no claim yet.
-	serve(func(j sched.JobState) resource.Vector {
+	serve(ready, func(j sched.JobState) resource.Vector {
 		if int64(j.Release/ctx.Cluster.SlotDur) > ctx.Now {
 			return resource.Vector{}
 		}
@@ -462,31 +465,42 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 
 	// Idle: what no ad-hoc job asked for goes to any ready deadline job,
 	// planned or not, released or not — the plan is a preference and a
-	// decomposed Release a planning window, not a launch gate. It comes
-	// after the ad-hoc queue, so it never shrinks an ad-hoc grant.
-	if idle := serve(func(j sched.JobState) resource.Vector { return j.Request }); !idle.IsZero() {
+	// decomposed Release a planning window, not a launch gate. What is
+	// left after that is offered to the jobs that turn ready inside the
+	// slot (ReadyOnConfirm). The pass comes after the ad-hoc queue and the
+	// offers after every ready job, so neither shrinks another grant.
+	request := func(j sched.JobState) resource.Vector { return j.Request }
+	if idle := serve(ready, request).Add(serve(onConfirm, request)); !idle.IsZero() {
 		f.stats.Backfills++
 		f.stats.Backfilled = f.stats.Backfilled.Add(idle)
 	}
 	return grants, nil
 }
 
-// readyEDF returns the deadline jobs that can take a grant this slot,
-// earliest deadline first, ID as tie-break.
-func readyEDF(jobs []sched.JobState) []sched.JobState {
-	ready := make([]sched.JobState, 0, len(jobs))
+// deadlineEDF returns the deadline jobs that can take a grant this slot
+// (ready) and those that can be offered one (onConfirm), each earliest
+// deadline first, ID as tie-break.
+func deadlineEDF(jobs []sched.JobState) (ready, onConfirm []sched.JobState) {
+	ready = make([]sched.JobState, 0, len(jobs))
 	for _, j := range jobs {
-		if j.Kind == sched.DeadlineJob && j.Ready && !j.Request.IsZero() {
+		if j.Kind != sched.DeadlineJob || j.Request.IsZero() {
+			continue
+		}
+		if j.Ready {
 			ready = append(ready, j)
+		} else if j.ReadyOnConfirm {
+			onConfirm = append(onConfirm, j)
 		}
 	}
-	sort.SliceStable(ready, func(a, b int) bool {
-		if ready[a].Deadline != ready[b].Deadline {
-			return ready[a].Deadline < ready[b].Deadline
-		}
-		return ready[a].ID < ready[b].ID
-	})
-	return ready
+	for _, list := range [][]sched.JobState{ready, onConfirm} {
+		sort.SliceStable(list, func(a, b int) bool {
+			if list[a].Deadline != list[b].Deadline {
+				return list[a].Deadline < list[b].Deadline
+			}
+			return list[a].ID < list[b].ID
+		})
+	}
+	return ready, onConfirm
 }
 
 // planNeeds classifies why the current plan no longer matches reality.

@@ -505,6 +505,57 @@ func TestIdlePassSkipsBlockedAndSatisfiedJobs(t *testing.T) {
 	}
 }
 
+func TestOffersComeAfterEveryReadyJob(t *testing.T) {
+	// A job that turns ready inside the slot is offered what is left once
+	// every ready job, deadline or ad-hoc, has all it asked for — earliest
+	// deadline first among such jobs — and marking it so changes no other
+	// grant. A blocked job that is not marked still gets nothing.
+	cl := view(resource.New(10, 1000), 60)
+	ready := dlJob("ready", 20, 40, resource.New(30, 3000), resource.New(4, 400))
+	small := adhoc("a", 0, resource.New(3, 300))
+	next := dlJob("next", 20, 50, resource.New(30, 3000), resource.New(8, 800))
+	sooner := dlJob("sooner", 20, 45, resource.New(30, 3000), resource.New(2, 200))
+	blocked := dlJob("blocked", 20, 30, resource.New(30, 3000), resource.New(8, 800))
+	next.Ready, sooner.Ready, blocked.Ready = false, false, false
+
+	assign := func(jobs ...sched.JobState) (map[string]resource.Vector, Stats) {
+		t.Helper()
+		f := New(Config{Slack: 0})
+		ctx := sched.AssignContext{Now: 0, Changed: true, Jobs: jobs, Cluster: cl}
+		grants, err := f.Assign(ctx)
+		if err != nil {
+			t.Fatalf("Assign: %v", err)
+		}
+		if err := checkAssign(f, ctx, grants); err != nil {
+			t.Fatal(err)
+		}
+		return grants, f.Stats()
+	}
+	without, _ := assign(ready, small, next, sooner, blocked)
+	if len(without) != 2 || without["ready"] != ready.Request || without["a"] != small.Request {
+		t.Fatalf("grants without offers = %v, want ready and a whole and nothing else", without)
+	}
+	next.ReadyOnConfirm, sooner.ReadyOnConfirm = true, true
+	with, st := assign(ready, small, next, sooner, blocked)
+	want := map[string]resource.Vector{
+		"ready": ready.Request, "a": small.Request,
+		"sooner": resource.New(2, 200), "next": resource.New(1, 100),
+	}
+	if !reflect.DeepEqual(with, want) {
+		t.Errorf("grants = %v, want %v", with, want)
+	}
+	if st.Backfills != 1 || st.Backfilled != resource.New(7, 700) {
+		t.Errorf("Backfills = %d, Backfilled = %v; want the ready job's 4 and the offers' 3 in one slot", st.Backfills, st.Backfilled)
+	}
+
+	// Beside an ad-hoc job that wants more than is left, nothing is offered.
+	hungry := adhoc("h", 0, resource.New(10, 1000))
+	grants, _ := assign(ready, hungry, next, sooner)
+	if g, ok := grants["next"]; ok || !grants["sooner"].IsZero() {
+		t.Errorf("offers beside a short ad-hoc job: next %v, sooner %v", g, grants["sooner"])
+	}
+}
+
 func TestIdlePassIsEDFThenID(t *testing.T) {
 	// Two candidates for idle capacity that covers one: the earlier
 	// deadline wins, equal deadlines go by ID, and the order of ctx.Jobs

@@ -181,7 +181,10 @@ func checkArchiveInvariants(t *testing.T, rm *Server, prev []rmproto.JobStatus) 
 // late samples and live workflows beside finished ones at its end — what
 // the two tests below are written to observe. The first-fit node
 // restarts once (re-registers, so the RM requeues what it held) and later
-// wedges long enough for its leases to expire.
+// wedges long enough for its leases to expire. Every node heartbeats in
+// every slot, so what one reply carries is what the node was handed for
+// the slot, by the tick and by the other nodes' confirming heartbeats
+// together: it must fit the node.
 // each runs after every slot's heartbeats.
 func driveMixed(t *testing.T, rm *Server, seed int64, slots int, each func(slot int)) {
 	t.Helper()
@@ -221,6 +224,14 @@ func driveMixed(t *testing.T, rm *Server, seed int64, slots int, each func(slot 
 			resp, err := rm.Heartbeat(req, time.Now())
 			if err != nil {
 				t.Fatalf("Heartbeat(%s): %v", n, err)
+			}
+			var handed rmproto.Resources
+			for _, q := range resp.Launch {
+				handed.VCores += q.Grant.VCores
+				handed.MemoryMB += q.Grant.MemoryMB
+			}
+			if handed.VCores > 4 || handed.MemoryMB > 8*1024 {
+				t.Fatalf("slot %d: node %s was handed %+v in one slot, over its capacity", slot, n, handed)
 			}
 			held[n] = nil
 			if !wedged {

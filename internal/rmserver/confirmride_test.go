@@ -2,6 +2,7 @@ package rmserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/core"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
 
@@ -123,6 +126,123 @@ func TestMachineCrashTakesBackOnlyUnsyncedConfirms(t *testing.T) {
 			sameDelivered(t, "after re-sent confirms", after, before)
 
 			final := driveToCompletion(t, rm2, []string{"n1"}, 200)
+			for _, j := range final.Jobs {
+				if j.State != "completed" || j.Delivered != j.Total {
+					t.Errorf("job %s: %s, delivered %+v of %+v; want completed with exactly the total", j.ID, j.State, j.Delivered, j.Total)
+				}
+			}
+			verifyEquiv(t, rm2, "after the post-crash run")
+		})
+	}
+}
+
+// TestMachineCrashTakesBackAnUnsyncedHandOff licenses the second thing a
+// heartbeat lets out before it is durable: the leases it dispatches from
+// the tick's offers. n1 confirms a, the reply carries b's quantum, and the
+// machine dies before any commit. The grant record sits behind the confirm
+// record in the log, so it can never survive without it; here neither
+// does. The recovered RM is the last tick commit — a still out, b not
+// started — and its quantum counter is back where the lost ID is free
+// again: the tick that re-grants a reissues it, on another node. The old
+// holder can do no harm with it: the recovered RM knows no node, so its
+// heartbeat is refused whole (the agent then drops its lease set and
+// re-registers), and a confirm of that ID from a node that does not hold
+// the reissued lease is stale. Crashing after the next tick keeps both
+// records: a stays confirmed, b's lease is recovered in flight and
+// requeued, its ID is never used again.
+func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
+	open := func(t *testing.T, fs store.FS, dir string, closeStore bool) *Server {
+		t.Helper()
+		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways, FS: fs})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		if closeStore {
+			t.Cleanup(func() { st.Close() })
+		}
+		rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(core.DefaultConfig()), Store: st})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return rm
+	}
+	for _, tc := range []struct {
+		name          string
+		tickThenCrash bool
+	}{
+		{"crash before the tick commit", false},
+		{"crash after the tick commit", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := store.NewFaultFS()
+			rm1 := open(t, ffs, dir, false)
+			register(t, rm1, "n1", 4, 8192)
+			register(t, rm1, "n2", 4, 8192)
+			if _, err := rm1.SubmitWorkflow(twoStage()); err != nil {
+				t.Fatalf("SubmitWorkflow: %v", err)
+			}
+			tick(t, rm1)
+			a := quantumIDs(beat(t, rm1, "n1", nil))
+			tick(t, rm1)
+			atTick := rm1.Status() // everything up to here is on the disk
+			b := beat(t, rm1, "n1", a)
+			if len(a) != 1 || len(b) != 1 || b[0].JobID != "wf/b#1" {
+				t.Fatalf("n1 confirmed %v and was handed %v, want a's quantum in and b's out", a, b)
+			}
+			lost := b[0].ID
+			if got := rm1.Status().Durability.WALUnsyncedRecords; got != 2 {
+				t.Errorf("wal_unsynced_records after the heartbeat = %d, want 2 (its confirm and grant records)", got)
+			}
+
+			want, orphans := atTick, 1 // a's lease
+			if tc.tickThenCrash {
+				tick(t, rm1)
+				want = rm1.Status()
+				orphans = 1 // b's
+			}
+			ffs.Crash()
+
+			rm2 := open(t, store.OSFS, dir, true)
+			rec := rm2.Recovery()
+			if rec == nil || rec.OrphanLeasesRequeued != orphans {
+				t.Fatalf("recovery = %+v, want %d orphan lease requeued", rec, orphans)
+			}
+			sameDelivered(t, "recovered state", rm2.Status(), want)
+
+			// The old holder speaks first and is refused whole.
+			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{lost}}, time.Now()); !errors.Is(err, ErrUnknownNode) {
+				t.Fatalf("old node's first heartbeat = %v, want ErrUnknownNode", err)
+			}
+			register(t, rm2, "n2", 4, 8192)
+			tick(t, rm2)
+			regranted := beat(t, rm2, "n2", nil)
+			if tc.tickThenCrash {
+				if len(regranted) != 1 || regranted[0].JobID != "wf/b#1" || regranted[0].ID == lost {
+					t.Fatalf("after the crash n2 was handed %v, want b again under a new ID (not %s)", regranted, lost)
+				}
+			} else if len(regranted) != 1 || regranted[0].JobID != "wf/a#0" || regranted[0].ID != lost {
+				t.Fatalf("after the crash n2 was handed %v, want a again, as the reissued %s", regranted, lost)
+			}
+			// The old holder again, the lost ID live once more in someone else's
+			// hands: refused while unknown, stale once registered.
+			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{lost}}, time.Now()); !errors.Is(err, ErrUnknownNode) {
+				t.Fatalf("old node's heartbeat = %v, want ErrUnknownNode", err)
+			}
+			register(t, rm2, "n1", 4, 8192)
+			before := rm2.Status()
+			beat(t, rm2, "n1", []string{lost})
+			after := rm2.Status()
+			if got := after.Faults.StaleConfirms - before.Faults.StaleConfirms; got != 1 {
+				t.Errorf("the lost ID confirmed by a node that does not hold it bumped stale_confirms by %d, want 1", got)
+			}
+			sameDelivered(t, "after the stale confirm", after, before)
+
+			// n2 finishes what it holds; the rest of the run is ordinary.
+			tick(t, rm2)
+			beat(t, rm2, "n1", nil)
+			beat(t, rm2, "n2", quantumIDs(regranted))
+			final := driveToCompletion(t, rm2, []string{"n1", "n2"}, 50)
 			for _, j := range final.Jobs {
 				if j.State != "completed" || j.Delivered != j.Total {
 					t.Errorf("job %s: %s, delivered %+v of %+v; want completed with exactly the total", j.ID, j.State, j.Delivered, j.Total)

@@ -215,12 +215,20 @@ func boolToInt(b bool) int {
 	return 0
 }
 
+// maxRequestBytes bounds every request body the API decodes. The largest
+// legitimate one — a full node's heartbeat, a wide workflow — is a few KB.
+const maxRequestBytes = 8 << 20
+
 func handleJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req) (Resp, error)) {
 	var req Req
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decode: %w", err))
 		return
 	}
 	resp, err := fn(req)

@@ -13,7 +13,9 @@
 //   - Every tick: the new slot value, leases granted, leases requeued
 //     by node eviction or lease expiry, and the fault counters.
 //   - Heartbeat confirmations that actually applied (stale confirms
-//     change nothing and are not journaled).
+//     change nothing and are not journaled), and after them the leases
+//     the heartbeat dispatched from the tick's offers, as a tick record
+//     that advances nothing (an offer itself is never journaled).
 //   - Lease requeues triggered by node re-registration.
 //   - Leadership-epoch claims (initial primary start and promotions),
 //     so the fencing token survives crashes and ships to followers.
@@ -63,6 +65,31 @@
 // GET /v1/status, commits the newest journaled record before answering
 // (Server.syncedStatus); /metrics, drain progress and in-process
 // Status() are advisory and never touch the disk.
+//
+// The leases a heartbeat dispatches are the second exception, and the
+// only grants that leave the RM before their record is durable. When a
+// heartbeat's confirms complete a job, the offers the last tick made to
+// its successors become leases in that heartbeat (Server.Heartbeat); their
+// grants are journaled directly behind the confirm record, as a tick
+// record whose slot does not move — applyTickLocked replays it like any
+// tick's grants — and wait for the same commit. The same three facts
+// carry it. WAL order is mutation order and a commit syncs a prefix, so
+// the grant record never survives without the confirm that made its job
+// ready: after a crash the log holds both (recovery requeues the lease
+// with every other one), the confirm alone, or neither. Recovery and
+// promotion requeue every lease. And the recovered RM knows no node, so
+// the node running a lost grant's quantum is refused whole — unknown_node,
+// before any confirm it carries is looked at — until it has dropped its
+// lease set and re-registered. What is new is that a lost grant's
+// quantum ID comes back: the ID counter is recovered with the log, every
+// ID a tick hands out is durable before it leaves, but a dispatched one
+// is not, so the recovered RM reissues it — typically to the re-grant of
+// the predecessor whose confirm was lost with it. That is harmless: the
+// only holder of the ID's first life cannot speak until it holds nothing,
+// and a confirm applies only to a live lease on the node that sends it,
+// at most once, so even a delayed duplicate of the old heartbeat can at
+// worst confirm early a quantum its own node is running — never deliver
+// volume twice, never complete a job whose work no node was given.
 //
 // Under interval/never policies every one of these windows reopens by
 // design — that is the policy's documented trade.

@@ -127,6 +127,16 @@ type Server struct {
 	instance string
 	nextQID  int64
 	draining bool
+	// offers are the grants the last tick's scheduler made to jobs that
+	// were about to turn ready (sched.JobState.ReadyOnConfirm), in the
+	// tick's job order. An offer is a decision, not a mutation: no lease,
+	// no in-flight volume, nothing journaled. The heartbeat whose confirms
+	// make its job ready turns it into leases (dispatchOffersLocked); the
+	// next tick drops whatever is left. handoffs counts offers that became
+	// leases, lapsed those that did not; both are per-process.
+	offers           []offer
+	handoffs, lapsed int64
+
 	faults   rmproto.FaultCounters
 	recovery *rmproto.RecoveryStatus // non-nil after a store recovery
 	// journaled is the handle of the newest WAL record this server
@@ -162,11 +172,16 @@ type Server struct {
 // heartbeat; pendingPos indexes it by quantum ID so reclaiming a queued
 // quantum (lease expiry racing launch) is O(1) instead of a scan.
 // Reclaimed entries become tombstones (zero ID) and are skipped at
-// flush.
+// flush. placed is the volume this slot's grants have put on the node, the
+// tick's and the heartbeats' together, and heard whether the node has
+// heartbeaten since that tick — it has then taken its queue for the slot,
+// so nothing more may be placed on it; each tick resets both.
 type node struct {
 	id         string
 	capacity   resource.Vector
 	lastSeen   time.Time
+	placed     resource.Vector
+	heard      bool
 	pending    []rmproto.Quantum
 	pendingPos map[string]int
 	dropped    int
@@ -226,6 +241,12 @@ type lease struct {
 	grant  resource.Vector
 	issued int64 // slot the lease was created
 	expiry int64 // slot at which the lease is reclaimed; 0 = never
+}
+
+// offer is one scheduler grant to a job that could not take it yet.
+type offer struct {
+	job   *rmJob
+	grant resource.Vector
 }
 
 type wfState struct {
@@ -384,9 +405,13 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 // the reply but not fsynced by it: the record becomes durable with the
 // next commit the RM makes anyway, typically the coming tick's (see
 // "Durability ordering" in persist.go for why losing it to a machine
-// crash is harmless). The quanta handed back were queued by a tick that
-// had already committed. A store that refuses the append fails the
-// heartbeat with ErrCommitFailed and hands out nothing.
+// crash is harmless). When the confirms complete a job, the offers the
+// last tick made to its successors are dispatched here, in the same
+// reply where this node has room: their grants are journaled after the
+// confirm record as a tick record that does not advance the slot, and
+// ride the same commit. Every other quantum handed back was queued by a
+// tick that had already committed. A store that refuses an append fails
+// the heartbeat with ErrCommitFailed and hands out nothing.
 func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto.HeartbeatResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,6 +423,8 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 		return rmproto.HeartbeatResponse{}, fmt.Errorf("%w %q (register first)", ErrUnknownNode, req.NodeID)
 	}
 	n.lastSeen = now
+	n.heard = true
+	completed := len(s.done)
 	var applied []string
 	for _, qid := range req.Completed {
 		if s.completeQuantumLocked(qid, req.NodeID) {
@@ -409,7 +436,66 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 			return rmproto.HeartbeatResponse{}, err
 		}
 	}
+	if len(s.done) > completed && len(s.offers) > 0 && !s.draining {
+		rec, planned := s.dispatchOffersLocked(n)
+		if len(planned) > 0 {
+			if _, err := s.journalLocked(walRecord{Tick: rec}); err != nil {
+				return rmproto.HeartbeatResponse{}, err
+			}
+			for _, p := range planned {
+				s.nodes[p.nodeID].enqueue(p.q)
+			}
+		}
+	}
 	return rmproto.HeartbeatResponse{Launch: n.takePending()}, nil
+}
+
+// dispatchOffersLocked turns the offers whose job is ready now into
+// leases: first-fit on the heartbeating node, whose reply carries them,
+// then on the nodes that have not heartbeaten since the tick and will
+// still fetch their queue for this slot. The leases are the ones the tick
+// would have issued had the job been ready one request earlier — issued
+// at the tick's slot, expiring with its grants — and rec replays them
+// without advancing the slot. An offer is spent by one attempt: what found
+// no room lapses, the job is ready for the next tick.
+func (s *Server) dispatchOffersLocked(from *node) (*recTick, []plannedLaunch) {
+	rec := &recTick{Slot: s.slot}
+	var planned []plannedLaunch
+	var targets []*node
+	kept := s.offers[:0]
+	for _, o := range s.offers {
+		if !s.readyLocked(o.job) {
+			kept = append(kept, o)
+			continue
+		}
+		if targets == nil {
+			targets = []*node{from}
+			for _, n := range s.nodesByIDLocked() {
+				if !n.heard {
+					targets = append(targets, n)
+				}
+			}
+		}
+		placed := len(planned)
+		planned = s.placeLocked(o.job, o.grant, targets, s.slot-1, rec, planned)
+		if len(planned) > placed {
+			s.handoffs++
+		} else {
+			s.lapsed++
+		}
+	}
+	s.offers = kept
+	rec.Faults = s.faults
+	return rec, planned
+}
+
+// HandOffs reports how many of the scheduler's offers this process turned
+// into leases on a confirming heartbeat, and how many lapsed: the job was
+// not ready before the next tick, or no eligible node had room.
+func (s *Server) HandOffs() (dispatched, lapsed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.handoffs, s.lapsed
 }
 
 // completeQuantumLocked confirms one lease in O(1) via the server-level
@@ -701,25 +787,28 @@ func adHocFromRecord(rec trace.AdHocRecord) workflow.AdHoc {
 // Tick advances one scheduling slot: expires silent nodes (requeuing
 // their leases), reclaims leases past their confirmation deadline,
 // invokes the scheduler over the live job set, and queues the resulting
-// work leases on nodes (first-fit). It is called by the RM's run loop
-// every SlotDur, or manually in tests and by the /v1/tick endpoint. A
-// panicking scheduler is converted into a no-grant slot: jobs stay
+// work leases on nodes (first-fit); what the scheduler granted a job that
+// turns ready inside the slot is kept as an offer for the heartbeat that
+// confirms its predecessors (see Heartbeat). It is called by the RM's run
+// loop every SlotDur, or manually in tests and by the /v1/tick endpoint.
+// A panicking scheduler is converted into a no-grant slot: jobs stay
 // queued, state stays consistent, and the RM keeps running. Each tick —
 // slot advance, reclaimed leases, issued grants — is journaled as one
 // WAL record, and one commit makes it, the plan diffs of its replan and
-// every confirm heartbeats journaled since the previous commit durable.
-// The grants become fetchable by heartbeats only after that commit: a
-// crash can then never leave a node executing work the recovered RM does
-// not know it granted. A tick whose commit fails returns ErrCommitFailed
-// and hands out nothing; its leases stay with the RM until lease expiry
-// or recovery reclaims them.
+// everything heartbeats journaled since the previous commit durable.
+// The tick's grants become fetchable by heartbeats, and its offers
+// claimable, only after that commit: a crash can then never leave a node
+// executing a tick's work the recovered RM does not know it granted. A
+// tick whose commit fails returns ErrCommitFailed and hands out nothing;
+// its leases stay with the RM until lease expiry or recovery reclaims
+// them.
 func (s *Server) Tick(now time.Time) error {
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	rec, planned, err := s.tickLocked(now)
+	rec, planned, offers, err := s.tickLocked(now)
 	_, jerr := s.journalLocked(walRecord{Tick: rec})
 	// Drain and journal the plan diffs this tick's replan emitted.
 	if serr := s.streamPlansLocked(); serr != nil && err == nil {
@@ -733,11 +822,12 @@ func (s *Server) Tick(now time.Time) error {
 	if jerr != nil {
 		return jerr
 	}
-	// Enqueue the slot's grants now that the tick record is durable. A
-	// lease may have been reclaimed while the commit ran — node
-	// re-registration runs concurrently — so deliver only quanta whose
-	// lease is still live on a node the RM still tracks.
-	if len(planned) > 0 {
+	// Enqueue the slot's grants and arm its offers now that the tick record
+	// is durable. A lease may have been reclaimed while the commit ran —
+	// node re-registration runs concurrently — so deliver only quanta whose
+	// lease is still live on a node the RM still tracks; offers are this
+	// slot's or nobody's.
+	if len(planned) > 0 || len(offers) > 0 {
 		s.mu.Lock()
 		for _, p := range planned {
 			if _, live := s.leases[p.q.ID]; !live {
@@ -746,6 +836,11 @@ func (s *Server) Tick(now time.Time) error {
 			if n, ok := s.nodes[p.nodeID]; ok {
 				n.enqueue(p.q)
 			}
+		}
+		if s.slot == rec.Slot {
+			s.offers = offers
+		} else {
+			s.lapsed += int64(len(offers))
 		}
 		s.mu.Unlock()
 	}
@@ -762,12 +857,16 @@ type plannedLaunch struct {
 	q      rmproto.Quantum
 }
 
-func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
+func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, error) {
 	rec := &recTick{}
 	defer func() {
 		rec.Slot = s.slot
 		rec.Faults = s.faults
 	}()
+
+	// The previous slot is over: its unclaimed offers lapse.
+	s.lapsed += int64(len(s.offers))
+	s.offers = nil
 
 	if s.cfg.NodeExpiry > 0 {
 		for id, n := range s.nodes {
@@ -797,30 +896,32 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
 		// Drain: no new leases; keep ticking so expiry still reclaims
 		// whatever dead nodes hold.
 		s.slot++
-		return rec, nil, nil
+		return rec, nil, nil, nil
 	}
 	capacity := s.totalCapacityLocked()
 	if capacity.IsZero() {
 		s.slot++
-		return rec, nil, nil
+		return rec, nil, nil, nil
 	}
 
 	states := make([]sched.JobState, 0, len(s.jobs))
 	for _, j := range s.jobs {
+		remaining := j.total.SubClamped(j.delivered).SubClamped(j.inFlight)
 		st := sched.JobState{
 			ID:         j.id,
 			Kind:       j.kind,
 			Arrived:    j.arrived,
 			Ready:      s.readyLocked(j),
-			Request:    j.parallelCap.Min(j.total.SubClamped(j.delivered).SubClamped(j.inFlight)),
+			Request:    j.parallelCap.Min(remaining),
 			BestEffort: j.bestEffort,
 		}
 		if j.kind == sched.DeadlineJob {
+			st.ReadyOnConfirm = !st.Ready && s.readyOnConfirmLocked(j)
 			st.WorkflowID = j.wfID
 			st.JobName = j.jobName
 			st.Release = j.release
 			st.Deadline = j.deadline
-			st.EstRemaining = j.total.SubClamped(j.delivered).SubClamped(j.inFlight)
+			st.EstRemaining = remaining
 			st.ParallelCap = j.parallelCap
 			st.MinSlots = j.minSlots
 		}
@@ -845,70 +946,94 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, error) {
 	})
 	if err != nil {
 		s.slot++
-		return rec, nil, fmt.Errorf("rmserver: scheduler: %w", err)
+		return rec, nil, nil, fmt.Errorf("rmserver: scheduler: %w", err)
 	}
 
-	// Place grants on nodes first-fit, splitting across nodes as needed.
-	free := make(map[string]resource.Vector, len(s.nodes))
-	order := make([]string, 0, len(s.nodes))
-	for id, n := range s.nodes {
-		free[id] = n.capacity
-		order = append(order, id)
+	// Place the ready jobs' grants on nodes first-fit, splitting across
+	// nodes as needed; a grant to a job that is ready on confirm is kept as
+	// an offer, clamped by what the ready jobs left.
+	nodes := s.nodesByIDLocked()
+	for _, n := range nodes {
+		n.placed, n.heard = resource.Vector{}, false
 	}
-	sort.Strings(order)
-
 	capLeft := capacity
 	var planned []plannedLaunch
+	var offers []offer
 	for _, st := range states {
 		g, ok := grants[st.ID]
-		if !ok || !st.Ready {
+		if !ok || !(st.Ready || st.ReadyOnConfirm) {
 			continue
 		}
-		g = g.Min(st.Request).Min(capLeft)
+		g = g.Min(st.Request)
+		if !st.Ready {
+			offers = append(offers, offer{job: s.jobs[st.ID], grant: g})
+			continue
+		}
+		g = g.Min(capLeft)
 		if g.IsZero() || g.AnyNegative() {
 			continue
 		}
 		capLeft = capLeft.Sub(g)
-		j := s.jobs[st.ID]
-		remaining := g
-		for _, nid := range order {
-			if remaining.IsZero() {
-				break
-			}
-			chunk := remaining.Min(free[nid])
-			if chunk.IsZero() {
-				continue
-			}
-			free[nid] = free[nid].Sub(chunk)
-			remaining = remaining.Sub(chunk)
-			s.nextQID++
-			qid := fmt.Sprintf("q-%d", s.nextQID)
-			var deadline int64
-			if s.cfg.LeaseExpiry > 0 {
-				deadline = s.slot + s.cfg.LeaseExpiry
-			}
-			s.leases[qid] = &lease{
-				qid:    qid,
-				job:    j,
-				nodeID: nid,
-				grant:  chunk,
-				issued: s.slot,
-				expiry: deadline,
-			}
-			j.inFlight = j.inFlight.Add(chunk)
-			planned = append(planned, plannedLaunch{nodeID: nid, q: rmproto.Quantum{
-				ID:           qid,
-				JobID:        j.id,
-				Grant:        rmproto.FromVector(chunk),
-				DeadlineSlot: deadline,
-			}})
-			rec.Grants = append(rec.Grants, recGrant{
-				QID: qid, JobID: j.id, NodeID: nid, Grant: chunk, Expiry: deadline,
-			})
+		planned = s.placeLocked(s.jobs[st.ID], g, nodes, s.slot, rec, planned)
+	}
+	kept := offers[:0]
+	for _, o := range offers {
+		o.grant = o.grant.Min(capLeft)
+		if o.grant.IsZero() || o.grant.AnyNegative() {
+			continue
 		}
+		capLeft = capLeft.Sub(o.grant)
+		kept = append(kept, o)
 	}
 	s.slot++
-	return rec, planned, nil
+	return rec, planned, kept, nil
+}
+
+// nodesByIDLocked returns the registered nodes in ID order, the order
+// first-fit placement walks them in.
+func (s *Server) nodesByIDLocked() []*node {
+	nodes := make([]*node, 0, len(s.nodes))
+	for _, n := range s.nodes {
+		nodes = append(nodes, n)
+	}
+	sort.Slice(nodes, func(a, b int) bool { return nodes[a].id < nodes[b].id })
+	return nodes
+}
+
+// placeLocked is the one place a grant becomes leases: g for job j,
+// first-fit over nodes in the order given, against what each node has
+// left of its capacity this slot (node.placed, which it debits). Each
+// chunk gets a lease issued at slot issued, the quantum its node will
+// run — appended to planned, for the caller to enqueue once it may — and
+// its grant entry in rec. What fits nowhere is dropped.
+func (s *Server) placeLocked(j *rmJob, g resource.Vector, nodes []*node, issued int64, rec *recTick, planned []plannedLaunch) []plannedLaunch {
+	var expiry int64
+	if s.cfg.LeaseExpiry > 0 {
+		expiry = issued + s.cfg.LeaseExpiry
+	}
+	for _, n := range nodes {
+		if g.IsZero() {
+			break
+		}
+		chunk := g.Min(n.capacity.Sub(n.placed))
+		if chunk.IsZero() {
+			continue
+		}
+		n.placed = n.placed.Add(chunk)
+		g = g.Sub(chunk)
+		s.nextQID++
+		qid := fmt.Sprintf("q-%d", s.nextQID)
+		s.leases[qid] = &lease{qid: qid, job: j, nodeID: n.id, grant: chunk, issued: issued, expiry: expiry}
+		j.inFlight = j.inFlight.Add(chunk)
+		planned = append(planned, plannedLaunch{nodeID: n.id, q: rmproto.Quantum{
+			ID:           qid,
+			JobID:        j.id,
+			Grant:        rmproto.FromVector(chunk),
+			DeadlineSlot: expiry,
+		}})
+		rec.Grants = append(rec.Grants, recGrant{QID: qid, JobID: j.id, NodeID: n.id, Grant: chunk, Expiry: expiry})
+	}
+	return planned
 }
 
 // safeAssign invokes the scheduler with panic isolation: a panic becomes
@@ -932,6 +1057,19 @@ func (s *Server) readyLocked(j *rmJob) bool {
 	st := s.wfs[j.wfID]
 	for _, p := range st.wf.DAG().Predecessors(j.nodeIdx) {
 		if !st.jobs[p].done {
+			return false
+		}
+	}
+	return true
+}
+
+// readyOnConfirmLocked reports, for a deadline job that is not ready,
+// whether it will be once the leases now in flight are confirmed: every
+// unfinished predecessor has its whole remainder in flight.
+func (s *Server) readyOnConfirmLocked(j *rmJob) bool {
+	st := s.wfs[j.wfID]
+	for _, p := range st.wf.DAG().Predecessors(j.nodeIdx) {
+		if pj := st.jobs[p]; !pj.done && !pj.total.FitsIn(pj.delivered.Add(pj.inFlight)) {
 			return false
 		}
 	}

@@ -351,7 +351,7 @@ func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
 	}
 	// Every node expires at once, each holding a lease.
 	rm.mu.Lock()
-	rec, _, err := rm.tickLocked(base.Add(60 * time.Second))
+	rec, _, _, err := rm.tickLocked(base.Add(60 * time.Second))
 	rm.mu.Unlock()
 	if err != nil {
 		t.Fatalf("tickLocked: %v", err)

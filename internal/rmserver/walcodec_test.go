@@ -609,10 +609,26 @@ func TestWALDump(t *testing.T) {
 		t.Fatalf("dump has %d lines, the store journaled %d records (%d on disk)", len(lines), want, len(payloads))
 	}
 	var codec walCodec
+	advances, dispatches := 0, 0
 	for i, line := range lines {
 		var obj map[string]json.RawMessage
 		if err := json.Unmarshal([]byte(line), &obj); err != nil || len(obj) != 1 {
 			t.Fatalf("line %d is not one JSON object with one key: %v\n%s", i+1, err, line)
+		}
+		// A tick record says whether it moved the slot; one that did not is
+		// a heartbeat's dispatch, directly behind that heartbeat's confirms.
+		if tick, ok := obj["tick"]; ok {
+			var flag struct {
+				Advance *bool `json:"advance"`
+			}
+			if err := json.Unmarshal(tick, &flag); err != nil || flag.Advance == nil {
+				t.Fatalf("line %d: tick without an advance flag: %s", i+1, line)
+			}
+			if *flag.Advance {
+				advances++
+			} else if dispatches++; !strings.HasPrefix(lines[i-1], `{"confirm":`) {
+				t.Fatalf("line %d: a tick record that does not advance follows %s", i+1, lines[i-1])
+			}
 		}
 		// A dumped line is the record's legacy form: it decodes back to
 		// what the binary payload holds.
@@ -624,6 +640,9 @@ func TestWALDump(t *testing.T) {
 		if !reflect.DeepEqual(fromLine, fromDisk) {
 			t.Fatalf("line %d differs from the record on disk:\n%s\n%s", i+1, line, mustJSON(fromDisk))
 		}
+	}
+	if want := live.Status().Slot; int64(advances) != want || dispatches == 0 {
+		t.Errorf("dump shows %d slot advances and %d heartbeat dispatches, want %d and some", advances, dispatches, want)
 	}
 
 	// A directory an older RM left: JSON records, then a torn frame.

@@ -13,7 +13,10 @@ import (
 // to out, one JSON object per record per line, oldest segment first: the
 // record structs' json tags, a plan diff nested as JSON; a record already
 // in the legacy JSON form is printed as it is. It is what keeps the
-// journal readable now that its on-disk form is binary (walcodec.go).
+// journal readable now that its on-disk form is binary (walcodec.go). A
+// tick record is printed with an "advance" flag the stored form does not
+// carry: false marks the grants a heartbeat dispatched (Server.Heartbeat),
+// which reuse the tick record without moving the slot.
 //
 // Strictly read-only: the segments are read, never opened for writing,
 // and the store is not opened (that would truncate a torn tail and drop
@@ -26,6 +29,7 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 		return err
 	}
 	var codec walCodec
+	slot := int64(-1) // the newest slot a tick or confirm record so far has named
 	for _, path := range segments {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -33,15 +37,20 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 		}
 		payloads, good, tail := store.DecodeAll(raw)
 		for i, payload := range payloads {
+			rec, err := codec.decode(payload)
+			if err != nil {
+				return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
+			}
 			line := payload
 			if len(payload) == 0 || payload[0] != legacyOpen {
-				rec, err := codec.decode(payload)
-				if err != nil {
+				if line, err = json.Marshal(dumpForm(&rec, slot)); err != nil {
 					return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
 				}
-				if line, err = json.Marshal(rec); err != nil {
-					return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
-				}
+			}
+			if rec.Tick != nil {
+				slot = max(slot, rec.Tick.Slot)
+			} else if rec.Confirm != nil {
+				slot = max(slot, rec.Confirm.Slot)
 			}
 			if _, err := fmt.Fprintf(out, "%s\n", line); err != nil {
 				return err
@@ -53,4 +62,22 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// dumpForm is rec as DumpWAL prints it: itself, except that a tick record
+// says whether it advanced the slot past prev, the newest slot a tick or
+// confirm record before it named. A heartbeat's grant record directly
+// follows its own confirm record, which names the current slot, and a
+// real tick names a slot no earlier record has: the flag is exact.
+func dumpForm(rec *walRecord, prev int64) any {
+	if rec.Tick == nil {
+		return rec
+	}
+	type dumpTick struct {
+		Advance bool `json:"advance"`
+		*recTick
+	}
+	return struct {
+		Tick dumpTick `json:"tick"`
+	}{dumpTick{Advance: rec.Tick.Slot > prev, recTick: rec.Tick}}
 }

@@ -82,6 +82,14 @@ type JobState struct {
 	Request resource.Vector
 	// Ready reports whether all dependencies have completed.
 	Ready bool
+	// ReadyOnConfirm marks a deadline job that is not Ready only because
+	// its unfinished predecessors have all their remaining work running:
+	// it becomes Ready inside this slot, when that work is confirmed. A
+	// grant to it is an offer the resource manager dispatches on that
+	// confirm or drops at the next slot; a scheduler may make one only from
+	// capacity no Ready job wants (FlowTime does, the baselines ignore the
+	// field). Never set together with Ready; the simulator never sets it.
+	ReadyOnConfirm bool
 	// BestEffort marks a deadline job admitted without a feasible window
 	// decomposition (admission control). Planning schedulers exclude such
 	// jobs from their joint optimization — their windows are not

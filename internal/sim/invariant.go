@@ -21,9 +21,12 @@ type Observation struct {
 	Early bool
 	// Granted is the clamped grant applied this slot (zero if none).
 	Granted resource.Vector
-	// Request and Ready are the values the scheduler saw this slot.
-	Request resource.Vector
-	Ready   bool
+	// Request and Ready are the values the scheduler saw this slot, and
+	// OnConfirm its ReadyOnConfirm: a grant to such a job is an offer.
+	// Only a resource manager sets it, and only CheckWorkConserving reads it.
+	Request   resource.Vector
+	Ready     bool
+	OnConfirm bool
 	// Consumed and Remaining are the job's cumulative consumption and
 	// true remaining volume after the grant.
 	Consumed  resource.Vector
@@ -132,12 +135,13 @@ func Observe(ctx sched.AssignContext, grants map[string]resource.Vector) []Obser
 	obs := make([]Observation, 0, len(ctx.Jobs))
 	for _, j := range ctx.Jobs {
 		obs = append(obs, Observation{
-			ID:      j.ID,
-			Kind:    j.Kind,
-			Early:   j.Kind == sched.DeadlineJob && int64(j.Release/ctx.Cluster.SlotDur) > ctx.Now,
-			Granted: grants[j.ID],
-			Request: j.Request,
-			Ready:   j.Ready,
+			ID:        j.ID,
+			Kind:      j.Kind,
+			Early:     j.Kind == sched.DeadlineJob && int64(j.Release/ctx.Cluster.SlotDur) > ctx.Now,
+			Granted:   grants[j.ID],
+			Request:   j.Request,
+			Ready:     j.Ready,
+			OnConfirm: j.ReadyOnConfirm,
 		})
 	}
 	return obs
@@ -153,7 +157,10 @@ func Observe(ctx sched.AssignContext, grants map[string]resource.Vector) []Obser
 //     ready job, of either kind, short of its Request in that kind;
 //   - ad-hoc work never waits for early deadline work: in a kind where a
 //     deadline job was granted before its Release, every ready ad-hoc job
-//     got its whole Request.
+//     got its whole Request;
+//   - an offer costs nobody anything: a job that is not ready is granted
+//     only if it is ready on confirm, and only in a kind where every ready
+//     job, deadline or ad-hoc, got its whole Request.
 func (c *InvariantChecker) CheckWorkConserving(slot int64, capacity resource.Vector, obs []Observation) error {
 	var used resource.Vector
 	for _, o := range obs {
@@ -161,11 +168,19 @@ func (c *InvariantChecker) CheckWorkConserving(slot int64, capacity resource.Vec
 	}
 	for _, k := range resource.Kinds() {
 		idle := capacity.Get(k) > used.Get(k)
-		early := ""
+		early, offered := "", ""
 		for _, o := range obs {
-			if o.Early && o.Granted.Get(k) > 0 {
+			if o.Granted.Get(k) == 0 {
+				continue
+			}
+			if o.Early && early == "" {
 				early = o.ID
-				break
+			}
+			if !o.Ready {
+				if !o.OnConfirm {
+					return fmt.Errorf("invariant: slot %d grants %v to %s, which is neither ready nor ready on confirm", slot, k, o.ID)
+				}
+				offered = o.ID
 			}
 		}
 		for _, o := range obs {
@@ -179,6 +194,10 @@ func (c *InvariantChecker) CheckWorkConserving(slot int64, capacity resource.Vec
 			if early != "" && o.Kind == sched.AdHocJob {
 				return fmt.Errorf("invariant: slot %d grants %v to %s before its release while ad-hoc job %s has %v of %v",
 					slot, k, early, o.ID, o.Granted, o.Request)
+			}
+			if offered != "" {
+				return fmt.Errorf("invariant: slot %d offers %v to %s, ready only on confirm, while ready job %s has %v of %v",
+					slot, k, offered, o.ID, o.Granted, o.Request)
 			}
 		}
 	}

@@ -239,6 +239,21 @@ func TestCheckWorkConserving(t *testing.T) {
 			job("d", sched.DeadlineJob, resource.New(7, 700), resource.New(8, 800)),
 			job("a", sched.AdHocJob, resource.New(3, 300), full),
 		}, ""},
+		{"an offer from what every ready job left", []Observation{
+			job("d", sched.DeadlineJob, full, full), job("a", sched.AdHocJob, full, full),
+			{ID: "next", Kind: sched.DeadlineJob, OnConfirm: true, Granted: resource.New(2, 200), Request: full},
+		}, ""},
+		{"an offer beside a short deadline job", []Observation{
+			job("d", sched.DeadlineJob, resource.New(6, 600), resource.New(8, 800)),
+			{ID: "next", Kind: sched.DeadlineJob, OnConfirm: true, Granted: full, Request: full},
+		}, "offers vcores to next, ready only on confirm, while ready job d"},
+		{"an offer beside a short ad-hoc job", []Observation{
+			job("a", sched.AdHocJob, resource.New(6, 600), resource.New(8, 800)),
+			{ID: "next", Kind: sched.DeadlineJob, OnConfirm: true, Granted: full, Request: full},
+		}, "while ready job a"},
+		{"a grant to a blocked job", []Observation{
+			{ID: "d", Kind: sched.DeadlineJob, Granted: full, Request: full},
+		}, "d, which is neither ready nor ready on confirm"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -261,7 +276,7 @@ func TestObserve(t *testing.T) {
 		Now: 4,
 		Jobs: []sched.JobState{
 			{ID: "early", Kind: sched.DeadlineJob, Release: 50 * time.Second, Request: resource.New(2, 200), Ready: true},
-			{ID: "due", Kind: sched.DeadlineJob, Release: 40 * time.Second, Request: resource.New(2, 200)},
+			{ID: "due", Kind: sched.DeadlineJob, Release: 40 * time.Second, Request: resource.New(2, 200), ReadyOnConfirm: true},
 			{ID: "a", Kind: sched.AdHocJob, Request: resource.New(1, 100), Ready: true},
 		},
 		Cluster: sched.ClusterView{SlotDur: 10 * time.Second},
@@ -269,7 +284,7 @@ func TestObserve(t *testing.T) {
 	got := Observe(ctx, map[string]resource.Vector{"early": resource.New(2, 200)})
 	want := []Observation{
 		{ID: "early", Kind: sched.DeadlineJob, Early: true, Granted: resource.New(2, 200), Request: resource.New(2, 200), Ready: true},
-		{ID: "due", Kind: sched.DeadlineJob, Request: resource.New(2, 200)},
+		{ID: "due", Kind: sched.DeadlineJob, Request: resource.New(2, 200), OnConfirm: true},
 		{ID: "a", Kind: sched.AdHocJob, Request: resource.New(1, 100), Ready: true},
 	}
 	if !reflect.DeepEqual(got, want) {
