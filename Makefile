@@ -52,12 +52,12 @@ chaos:
 
 # chaos-net runs the network chaos suites: the deterministic fault
 # injector's own tests, then the partition/flap/split-brain scenarios,
-# the overload-shedding and watchdog suites, and the client resilience
-# stack (retry budget, circuit breaker, Retry-After honor) — all seeded,
+# the overload-shedding and watchdog suites, and the client's retry
+# policy (retry budget, bounded jitter, Retry-After honor) — all seeded,
 # all under the race detector with a hard ceiling.
 chaos-net:
 	$(GO) test -race -timeout 300s ./internal/netchaos/
-	$(GO) test -race -timeout 300s -run 'NetChaos|Overload|Watchdog|RetryBudget|Breaker|CircuitOpen|RetryAfter|Jitter|AgentAllRMsUnreachable|AgentKeepsLeases' ./internal/rmserver/
+	$(GO) test -race -timeout 300s -run 'NetChaos|Overload|Watchdog|RetryBudget|RetryAfter|Jitter|AgentAllRMsUnreachable|AgentKeepsLeases' ./internal/rmserver/
 
 # cover writes the per-package coverage summary to coverage.txt (kept as
 # a CI artifact; informational, no hard gate — see DESIGN.md §11).
@@ -117,37 +117,31 @@ sim-smoke:
 	$(GO) run ./cmd/ftsim -trace testdata/scenario-smoke.json -machines 40 -slot 60s -horizon 1440 -sched FlowTime -invariants
 	$(GO) run ./cmd/ftsim -scenario churn -machines 40 -days 1 -seed 42 -sched EDF -invariants
 
-# bench runs the micro-benchmarks and then the RM perf probes, leaving
-# machine-readable reports for the perf trajectory: BENCH_rm.json
-# (confirm throughput with and without the WAL, fsync percentiles,
-# recovery time), BENCH_lp.json (one replan's skyline at Fig. 7 scale:
-# the flow planner's wall time, and on the three small sizes the
-# reference simplex's beside it with rounds, pivots and the per-slot
-# level agreement), BENCH_overload.json
-# (admission-control shedding under a submit flood: shed latency,
-# confirm survival, Retry-After hinting, post-overload recovery),
-# BENCH_adhoc.json (the lock-free ad-hoc admission gate: sustained
-# admissions/s and admission-latency percentiles while replans rebase
-# the queue concurrently, plus conservation verdicts), and
-# BENCH_sim.json (machine-granular simulator throughput: slots/s,
-# events/s, and peak RSS replaying a 10k-machine, 3-day diurnal
-# scenario).
+# bench runs the micro-benchmarks and then ftperf's two probes, leaving
+# machine-readable reports for the perf trajectory: BENCH_lp.json (one
+# replan's skyline at Fig. 7 scale: the flow planner's wall time, and on
+# the three small sizes the reference simplex's beside it with rounds,
+# pivots and the per-slot level agreement) and BENCH_adhoc.json (the
+# lock-free ad-hoc admission gate: sustained admissions/s and
+# admission-latency percentiles while replans rebase the queue
+# concurrently, plus conservation verdicts). What the RM's control plane
+# costs end to end is bench/'s to measure (go run -C bench .).
+BENCH_PKGS := ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/ ./internal/sim/
 bench:
-	$(GO) test -bench . -benchtime=500ms -run '^$$' ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/
-	$(GO) run ./cmd/ftperf -out BENCH_rm.json -lpout BENCH_lp.json -overloadout BENCH_overload.json -adhocout BENCH_adhoc.json -simout BENCH_sim.json
+	$(GO) test -bench . -benchtime=500ms -run '^$$' $(BENCH_PKGS)
+	$(GO) run ./cmd/ftperf -lpout BENCH_lp.json -adhocout BENCH_adhoc.json
 
 # bench-smoke is the CI form: every benchmark runs exactly once so a
-# broken benchmark fails fast without paying for a measurement run; the
-# sim probe shrinks to 1k machines over one simulated day. Its 100 ms
-# reports go under $(SMOKE_DIR) (git-ignored), never over the tracked
+# broken benchmark fails fast without paying for a measurement run. Its
+# 100 ms reports go under $(SMOKE_DIR) (git-ignored), never over the tracked
 # BENCH_*.json measurements. -lp-guard is the planner regression gate: at
 # 200x150 the flow planner's levels must equal the reference simplex's
 # per slot, and at 5kx1k a flow replan must stay under 1 s.
 SMOKE_DIR := .bench_build/smoke
 bench-smoke:
-	$(GO) test -bench . -benchtime=1x -run '^$$' ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/
+	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 	mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/ftperf -out $(SMOKE_DIR)/BENCH_rm.json -lpout $(SMOKE_DIR)/BENCH_lp.json -overloadout $(SMOKE_DIR)/BENCH_overload.json -adhocout $(SMOKE_DIR)/BENCH_adhoc.json -duration 100ms -lpiters 1 -lp-guard -simout $(SMOKE_DIR)/BENCH_sim.json -sim-machines 1000 -sim-days 1
+	$(GO) run ./cmd/ftperf -lpout $(SMOKE_DIR)/BENCH_lp.json -adhocout $(SMOKE_DIR)/BENCH_adhoc.json -duration 100ms -lpiters 1 -lp-guard
 
 # bench-e2e vets and tests the whole-path benchmark harness. bench/ is a
 # module of its own (BENCHMARK.json's contract), so nothing above descends

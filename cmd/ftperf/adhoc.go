@@ -28,10 +28,7 @@ import (
 )
 
 type adhocReport struct {
-	Timestamp string `json:"timestamp"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
+	stamp
 
 	// Probe configuration.
 	Submitters      int   `json:"submitters"`

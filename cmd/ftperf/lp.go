@@ -21,11 +21,8 @@ import (
 
 // lpReport is the BENCH_lp.json document.
 type lpReport struct {
-	Timestamp string `json:"timestamp"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	Iters     int    `json:"iters_per_size"`
+	stamp
+	Iters int `json:"iters_per_size"`
 
 	Probes []lpProbeResult `json:"probes"`
 }

@@ -13,8 +13,10 @@
 //	ftsim -scenario diurnal [-machines 10000] [-days 3] [-seed 1] ...
 //
 // -dip injects a capacity outage: e.g. -dip 120:240:50 halves the cluster
-// between slots 120 and 240. The flag repeats for multiple windows. In
-// machine mode dips become cluster scale events on the machine set.
+// between slots 120 and 240. The flag repeats for multiple windows, which
+// must not overlap. A dip is a pair of cluster scale events: on the
+// machine set in machine mode, on the one machine the aggregate cluster is
+// otherwise.
 //
 // -scenario accepts diurnal, flash, stragglers, churn, or energy; the
 // scenario engine generates the workload, the machine set, and the
@@ -29,11 +31,11 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"flowtime/internal/cluster"
 	"flowtime/internal/core"
 	"flowtime/internal/experiments"
 	"flowtime/internal/machine"
@@ -66,9 +68,8 @@ func (d *dipFlags) String() string {
 }
 
 // Set implements flag.Value with strict validation: exactly three
-// colon-separated integers, a non-empty window, and a percentage in
-// [0, 100]. (The old fmt.Sscanf parser silently accepted trailing
-// garbage and inverted windows.)
+// colon-separated integers, a non-empty window that overlaps no earlier
+// one, and a percentage in [0, 100].
 func (d *dipFlags) Set(s string) error {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
@@ -93,8 +94,36 @@ func (d *dipFlags) Set(s string) error {
 	if w.pct < 0 || w.pct > 100 {
 		return fmt.Errorf("bad -dip %q: percent %d outside [0, 100]", s, w.pct)
 	}
+	for _, e := range *d {
+		if w.from < e.until && e.from < w.until {
+			return fmt.Errorf("bad -dip %q: window [%d, %d) overlaps -dip window [%d, %d)", s, w.from, w.until, e.from, e.until)
+		}
+	}
 	*d = append(*d, w)
 	return nil
+}
+
+// events compiles the windows into cluster scale events, slot-sorted: each
+// window scales capacity down at its start and back to nominal at its end.
+// Windows go in start order, so where one ends on the slot the next begins
+// the later window's scale is the one that holds.
+func (d dipFlags) events() []machine.Event {
+	windows := append([]dipWindow(nil), d...)
+	sort.Slice(windows, func(a, b int) bool { return windows[a].from < windows[b].from })
+	var events []machine.Event
+	for _, w := range windows {
+		events = append(events,
+			machine.Event{Slot: w.from, Kind: machine.SetScale, ScaleNum: w.pct, ScaleDen: 100},
+			machine.Event{Slot: w.until, Kind: machine.SetScale, ScaleNum: 100, ScaleDen: 100},
+		)
+	}
+	return events
+}
+
+// aggregateProfile is the capacity of aggregate mode: one machine holding
+// the whole cluster, scaled by the dips.
+func aggregateProfile(cores, memMB int64, dips []machine.Event) (*machine.Profile, error) {
+	return machine.NewProfile([]machine.Spec{{ID: "cluster", Capacity: resource.New(cores, memMB)}}, dips)
 }
 
 type options struct {
@@ -218,24 +247,17 @@ func run(o options) error {
 
 	machineMode := len(machines) > 0
 
-	// Compile the capacity dips: scale events in machine mode, a stepped
-	// profile in aggregate mode.
-	var profile *cluster.Profile
+	// The capacity dips are scale events in both modes: merged into the
+	// machine set's own events, or applied to the aggregate cluster.
+	dips := o.dips.events()
+	var profile *machine.Profile
 	if machineMode {
-		for _, w := range o.dips {
-			events = append(events,
-				machine.Event{Slot: w.from, Kind: machine.SetScale, ScaleNum: w.pct, ScaleDen: 100},
-				machine.Event{Slot: w.until, Kind: machine.SetScale, ScaleNum: 100, ScaleDen: 100},
-			)
-		}
+		events = append(events, dips...)
 		machine.SortEvents(events)
 	} else {
-		profile = cluster.Constant(resource.New(o.cores, o.memMB))
-		for _, w := range o.dips {
-			var err error
-			if profile, err = profile.WithDip(w.from, w.until, w.pct, 100); err != nil {
-				return err
-			}
+		var err error
+		if profile, err = aggregateProfile(o.cores, o.memMB, dips); err != nil {
+			return err
 		}
 	}
 
@@ -281,7 +303,7 @@ func run(o options) error {
 		if machineMode {
 			simCfg.Machines = &sim.MachineMode{Initial: machines, Events: events}
 		} else {
-			simCfg.Capacity = profile.Func()
+			simCfg.Capacity = profile.CapAt
 		}
 		res, err := sim.Run(simCfg)
 		if err != nil {

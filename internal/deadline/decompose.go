@@ -265,22 +265,3 @@ func criticalPathDecompose(w *workflow.Workflow, opts Options, minrt []int64, to
 	}
 	return &Result{Windows: windows, Method: CriticalPath}, nil
 }
-
-// ApplySlack tightens a window's deadline by the given slack, modelling the
-// paper's deadline-slack feature (§VII-B.2): the LP is asked to finish each
-// job slightly before its true deadline so estimation errors do not turn
-// into misses. The deadline never drops below one slot after the release.
-func ApplySlack(win Window, slack, slot time.Duration) Window {
-	if slack <= 0 {
-		return win
-	}
-	d := win.Deadline - slack
-	if minD := win.Release + slot; d < minD {
-		d = minD
-	}
-	if d > win.Deadline {
-		d = win.Deadline
-	}
-	win.Deadline = d
-	return win
-}

@@ -270,30 +270,6 @@ func TestApportionConservesTotal(t *testing.T) {
 	}
 }
 
-func TestApplySlack(t *testing.T) {
-	win := Window{Release: 0, Deadline: 100 * time.Second}
-	tests := []struct {
-		name  string
-		slack time.Duration
-		want  time.Duration
-	}{
-		{"no slack", 0, 100 * time.Second},
-		{"normal", 30 * time.Second, 70 * time.Second},
-		{"clamped to one slot", 200 * time.Second, slot},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := ApplySlack(win, tt.slack, slot)
-			if got.Deadline != tt.want {
-				t.Errorf("ApplySlack deadline = %v, want %v", got.Deadline, tt.want)
-			}
-			if got.Release != win.Release {
-				t.Errorf("ApplySlack moved release to %v", got.Release)
-			}
-		})
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	if ResourceDemand.String() != "resource-demand" || CriticalPath.String() != "critical-path" {
 		t.Error("Method.String mismatch")

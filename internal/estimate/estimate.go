@@ -127,13 +127,6 @@ func (s *Store) RecordRun(w *workflow.Workflow) error {
 	return nil
 }
 
-// Runs returns how many observations exist for the job.
-func (s *Store) Runs(workflowID, jobName string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.history[key{workflowID, jobName}])
-}
-
 // Estimate derives a task-duration estimate; ok is false with no history.
 func (s *Store) Estimate(workflowID, jobName string, m Method) (est time.Duration, ok bool) {
 	s.mu.Lock()

@@ -75,7 +75,7 @@ func TestEvictionKeepsNewest(t *testing.T) {
 			t.Fatalf("Record: %v", err)
 		}
 	}
-	if got := s.Runs("wf", "j"); got != 3 {
+	if got := len(s.history[key{"wf", "j"}]); got != 3 {
 		t.Fatalf("Runs = %d, want 3 (bounded)", got)
 	}
 	// Oldest (1s) evicted: mean of {2, 3, 60} = 21.666s.
@@ -183,7 +183,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.Runs("wf", "j"); got != 50 {
+	if got := len(s.history[key{"wf", "j"}]); got != 50 {
 		t.Errorf("Runs = %d, want 50 (bounded)", got)
 	}
 }

@@ -14,9 +14,9 @@ import (
 	"math/rand"
 	"time"
 
-	"flowtime/internal/cluster"
 	"flowtime/internal/core"
 	"flowtime/internal/deadline"
+	"flowtime/internal/machine"
 	"flowtime/internal/metrics"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
@@ -610,7 +610,12 @@ func RunExtE(algorithms []string) ([]ExtEPoint, error) {
 	if len(algorithms) == 0 {
 		algorithms = []string{"FlowTime", "EDF", "Fair"}
 	}
-	profile, err := cluster.Constant(Fig4Cluster).WithDip(120, 240, 1, 2)
+	profile, err := machine.NewProfile(
+		[]machine.Spec{{ID: "cluster", Capacity: Fig4Cluster}},
+		[]machine.Event{
+			{Slot: 120, Kind: machine.SetScale, ScaleNum: 1, ScaleDen: 2},
+			{Slot: 240, Kind: machine.SetScale, ScaleNum: 1, ScaleDen: 1},
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -628,7 +633,7 @@ func RunExtE(algorithms []string) ([]ExtEPoint, error) {
 		res, err := sim.Run(sim.Config{
 			SlotDur:   SlotDur,
 			Horizon:   4000,
-			Capacity:  profile.Func(),
+			Capacity:  profile.CapAt,
 			Scheduler: s,
 			Workflows: wfs,
 			AdHoc:     adhoc,

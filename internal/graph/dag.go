@@ -186,53 +186,6 @@ func (g *DAG) LongestPath(weight []float64) (dist []float64, critical []int, tot
 	return dist, critical, total, nil
 }
 
-// TailLength computes, for each node, the maximum total weight of any path
-// starting at that node (inclusive). Together with LongestPath distances it
-// yields per-node slack.
-func (g *DAG) TailLength(weight []float64) ([]float64, error) {
-	if len(weight) != g.n {
-		return nil, fmt.Errorf("graph: weight length %d != %d nodes", len(weight), g.n)
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	tail := make([]float64, g.n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		best := 0.0
-		for _, s := range g.succ[v] {
-			if tail[s] > best {
-				best = tail[s]
-			}
-		}
-		tail[v] = best + weight[v]
-	}
-	return tail, nil
-}
-
-// Sources returns nodes with no predecessors, in ID order.
-func (g *DAG) Sources() []int {
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if len(g.pred[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Sinks returns nodes with no successors, in ID order.
-func (g *DAG) Sinks() []int {
-	var out []int
-	for v := 0; v < g.n; v++ {
-		if len(g.succ[v]) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // HasCycle reports whether the graph contains a directed cycle.
 func (g *DAG) HasCycle() bool {
 	_, err := g.TopoOrder()

@@ -214,19 +214,24 @@ func TestLongestPathValidation(t *testing.T) {
 	}
 }
 
-func TestTailLength(t *testing.T) {
-	g := NewDAG(4)
-	mustEdges(t, g, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	tail, err := g.TailLength([]float64{1, 5, 2, 1})
+// tailLength is, for each node, the maximum total weight of any path
+// starting at that node (inclusive): LongestPath's distances seen from the
+// sinks, computed independently as the reference for the property below.
+func tailLength(t *testing.T, g *DAG, weight []float64) []float64 {
+	t.Helper()
+	order, err := g.TopoOrder()
 	if err != nil {
-		t.Fatalf("TailLength: %v", err)
+		t.Fatalf("TopoOrder: %v", err)
 	}
-	want := []float64{7, 6, 3, 1}
-	for v, d := range tail {
-		if d != want[v] {
-			t.Errorf("tail[%d] = %g, want %g", v, d, want[v])
+	tail := make([]float64, g.NumNodes())
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		for _, s := range g.Successors(v) {
+			tail[v] = math.Max(tail[v], tail[s])
 		}
+		tail[v] += weight[v]
 	}
+	return tail
 }
 
 func TestHeadPlusTailConsistency(t *testing.T) {
@@ -251,10 +256,7 @@ func TestHeadPlusTailConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("LongestPath: %v", err)
 		}
-		tail, err := g.TailLength(w)
-		if err != nil {
-			t.Fatalf("TailLength: %v", err)
-		}
+		tail := tailLength(t, g, w)
 		for v := 0; v < n; v++ {
 			through := dist[v] + tail[v] - w[v]
 			if through > total+1e-9 {
@@ -270,15 +272,9 @@ func TestHeadPlusTailConsistency(t *testing.T) {
 	}
 }
 
-func TestSourcesSinksClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	g := NewDAG(4)
 	mustEdges(t, g, [][2]int{{0, 1}, {1, 2}})
-	if got := g.Sources(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Errorf("Sources = %v, want [0 3]", got)
-	}
-	if got := g.Sinks(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Errorf("Sinks = %v, want [2 3]", got)
-	}
 	c := g.Clone()
 	mustEdges(t, c, [][2]int{{2, 3}})
 	if g.NumEdges() != 2 {

@@ -396,40 +396,61 @@ func Homogeneous(prefix string, n int, each resource.Vector) []Spec {
 	return specs
 }
 
-// Profile compiles the aggregate capacity step function that results from
-// replaying the events over the initial machine set — the CapAt(slot)
-// view schedulers plan against in machine mode. Events must already be
-// slot-sorted. The returned breakpoints are ascending slots; caps[i]
-// applies to [breakpoints[i], breakpoints[i+1]).
-func Profile(initial []Spec, events []Event) (breakpoints []int64, caps []resource.Vector, err error) {
+// Profile is the aggregate capacity step function that results from
+// replaying events over an initial machine set — the capacity-over-time
+// C[t] of the paper's Eq. 4, which "could vary with time", and the view
+// schedulers plan against. It is the one compiler of joins, leaves,
+// failures and scale changes into capacity: machine mode compiles its
+// machine set, and a fluid cluster with outages is one machine and a pair
+// of SetScale events per dip.
+type Profile struct {
+	// caps[i] applies to slots in [breakpoints[i], breakpoints[i+1]);
+	// breakpoints ascend from 0.
+	breakpoints []int64
+	caps        []resource.Vector
+}
+
+// NewProfile compiles the profile. Events must already be slot-sorted.
+func NewProfile(initial []Spec, events []Event) (*Profile, error) {
 	shadow, err := NewCluster(initial)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	p := &Profile{}
 	push := func(slot int64, c resource.Vector) {
-		if n := len(breakpoints); n > 0 {
-			if breakpoints[n-1] == slot {
-				caps[n-1] = c
+		if n := len(p.breakpoints); n > 0 {
+			if p.breakpoints[n-1] == slot {
+				p.caps[n-1] = c
 				return
 			}
-			if caps[n-1] == c {
+			if p.caps[n-1] == c {
 				return
 			}
 		}
-		breakpoints = append(breakpoints, slot)
-		caps = append(caps, c)
+		p.breakpoints = append(p.breakpoints, slot)
+		p.caps = append(p.caps, c)
 	}
 	push(0, shadow.Capacity())
 	prev := int64(0)
 	for _, e := range events {
 		if e.Slot < prev {
-			return nil, nil, fmt.Errorf("machine: events not slot-sorted (%d after %d)", e.Slot, prev)
+			return nil, fmt.Errorf("machine: events not slot-sorted (%d after %d)", e.Slot, prev)
 		}
 		prev = e.Slot
 		if err := shadow.Apply(e); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		push(e.Slot, shadow.Capacity())
 	}
-	return breakpoints, caps, nil
+	return p, nil
+}
+
+// CapAt returns the capacity at the given slot. Slots before 0 report the
+// slot-0 capacity.
+func (p *Profile) CapAt(slot int64) resource.Vector {
+	i := sort.Search(len(p.breakpoints), func(k int) bool { return p.breakpoints[k] > slot })
+	if i == 0 {
+		return p.caps[0]
+	}
+	return p.caps[i-1]
 }

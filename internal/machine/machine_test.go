@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,33 +179,71 @@ func TestProfile(t *testing.T) {
 		{Slot: 20, Kind: Join, Spec: Spec{ID: "m-0", Capacity: resource.New(4, 1024)}},
 		{Slot: 30, Kind: SetScale, ScaleNum: 50, ScaleDen: 100},
 	}
-	bps, caps, err := Profile(initial, events)
+	p, err := NewProfile(initial, events)
 	if err != nil {
-		t.Fatalf("Profile: %v", err)
+		t.Fatalf("NewProfile: %v", err)
 	}
-	wantBps := []int64{0, 10, 20, 30}
-	if len(bps) != len(wantBps) {
-		t.Fatalf("breakpoints = %v, want %v", bps, wantBps)
-	}
-	for i := range wantBps {
-		if bps[i] != wantBps[i] {
-			t.Fatalf("breakpoints = %v, want %v", bps, wantBps)
-		}
+	if want := []int64{0, 10, 20, 30}; !slices.Equal(p.breakpoints, want) {
+		t.Fatalf("breakpoints = %v, want %v", p.breakpoints, want)
 	}
 	wantCaps := []resource.Vector{
 		resource.New(8, 2048), resource.New(4, 1024), resource.New(8, 2048), resource.New(4, 1024),
 	}
-	for i := range wantCaps {
-		if caps[i] != wantCaps[i] {
-			t.Fatalf("caps[%d] = %v, want %v", i, caps[i], wantCaps[i])
-		}
+	if !slices.Equal(p.caps, wantCaps) {
+		t.Fatalf("caps = %v, want %v", p.caps, wantCaps)
 	}
 
-	if _, _, err := Profile(initial, []Event{
+	if _, err := NewProfile(initial, []Event{
 		{Slot: 10, Kind: Fail, ID: "m-0"},
 		{Slot: 5, Kind: Join, Spec: Spec{ID: "x", Capacity: resource.New(1, 1)}},
 	}); err == nil || !strings.Contains(err.Error(), "not slot-sorted") {
 		t.Fatalf("unsorted events: err = %v, want not-slot-sorted", err)
+	}
+	if _, err := NewProfile(append(initial, initial[0]), nil); err == nil {
+		t.Error("duplicate machine accepted")
+	}
+}
+
+// TestProfileCapAt reads compiled profiles back slot by slot: between,
+// on and past their breakpoints.
+func TestProfileCapAt(t *testing.T) {
+	spec := func(id string, cores int64) Spec {
+		return Spec{ID: id, Capacity: resource.New(cores, cores*2048)}
+	}
+	type at struct{ slot, cores int64 }
+	for _, tc := range []struct {
+		name    string
+		initial []Spec
+		events  []Event
+		want    []at
+	}{
+		{"constant", []Spec{spec("a", 10)}, nil, []at{{-1, 10}, {0, 10}, {1, 10}, {1000, 10}}},
+		{"empty", nil, nil, []at{{0, 0}, {5, 0}}},
+		// a throughout; b joins at 5 and leaves at 20; c joins at 10.
+		{"step function", []Spec{spec("a", 10)}, []Event{
+			{Slot: 5, Kind: Join, Spec: spec("b", 6)},
+			{Slot: 10, Kind: Join, Spec: spec("c", 4)},
+			{Slot: 20, Kind: Leave, ID: "b"},
+		}, []at{{0, 10}, {4, 10}, {5, 16}, {9, 16}, {10, 20}, {19, 20}, {20, 14}, {100, 14}}},
+		{"delayed first machine", nil, []Event{{Slot: 10, Kind: Join, Spec: spec("a", 8)}},
+			[]at{{0, 0}, {9, 0}, {10, 8}}},
+		// A dip: one machine at half its capacity during [10, 20).
+		{"dip", []Spec{spec("cluster", 100)}, []Event{
+			{Slot: 10, Kind: SetScale, ScaleNum: 1, ScaleDen: 2},
+			{Slot: 20, Kind: SetScale, ScaleNum: 1, ScaleDen: 1},
+		}, []at{{0, 100}, {9, 100}, {10, 50}, {19, 50}, {20, 100}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewProfile(tc.initial, tc.events)
+			if err != nil {
+				t.Fatalf("NewProfile: %v", err)
+			}
+			for _, w := range tc.want {
+				if got := p.CapAt(w.slot); got != resource.New(w.cores, w.cores*2048) {
+					t.Errorf("CapAt(%d) = %v, want %d cores", w.slot, got, w.cores)
+				}
+			}
+		})
 	}
 }
 
@@ -215,6 +254,7 @@ func TestEventValidate(t *testing.T) {
 		{Kind: Leave}, // missing ID
 		{Kind: SetScale, ScaleNum: 5, ScaleDen: 0},     // zero denominator
 		{Kind: SetScale, ScaleNum: 150, ScaleDen: 100}, // > 1
+		{Kind: SetScale, ScaleNum: -1, ScaleDen: 2},    // negative
 		{Kind: EventKind(99), ID: "x"},                 // unknown kind
 	}
 	for i, e := range bad {

@@ -152,11 +152,6 @@ type Decision struct {
 	BytesPerSec int
 }
 
-// Faulty reports whether the decision perturbs delivery at all.
-func (d Decision) Faulty() bool {
-	return d.Drop || d.Reset || d.Duplicate || d.Delay > 0 || d.BytesPerSec > 0
-}
-
 // Injector evaluates a Script against a seeded RNG and a clock. The
 // zero value and a nil *Injector are inert (every decision is clean),
 // so callers can thread an optional injector without nil checks.
@@ -187,14 +182,6 @@ func (in *Injector) SetClock(clock func() time.Duration) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.clock = clock
-}
-
-// Restart moves the clock origin to now, replaying the script timeline
-// from t=0.
-func (in *Injector) Restart() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.start = time.Now()
 }
 
 func (in *Injector) elapsedLocked() time.Duration {

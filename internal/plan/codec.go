@@ -38,14 +38,12 @@ import (
 // Full plans (snapshots and rebase records, rare and large) stay strict
 // JSON: unknown fields and trailing data refused, Validate after decode.
 //
-// Legacy read: before the binary form diffs were JSON too, and journals
-// written then must still replay. No binary diff starts with '{' (diffTag
-// is the first byte), so DecodeDiff hands an input that does to the old
-// strict JSON decoder. Nothing writes that form any more; the branch can
-// be deleted once no supported state directory predates a snapshot
-// rotation made by a binary-writing RM.
+// One diff form: before the binary one diffs were JSON too. Nothing has
+// written that since and no supported state directory predates a snapshot
+// rotation by a binary-writing RM, so it is not read: DecodeDiff refuses an
+// input that opens with '{' by name.
 
-// diffTag opens every binary diff. It must never be '{' (0x7B).
+// diffTag opens every binary diff.
 const diffTag = 0x01
 
 // EncodeDiff serializes a diff. The diff is validated first so an
@@ -126,14 +124,13 @@ func appendRuns(w *binenc.Writer, from int64, set []SlotSet) {
 // DecodeDiff deserializes and validates a diff. Malformed, non-canonical
 // and structurally invalid encodings are all refused with an error; a
 // successfully decoded diff is safe to hand to Apply and re-encodes to
-// the bytes it came from. An input that opens with '{' is a diff in the
-// legacy JSON form (see the header comment).
+// the bytes it came from.
 func DecodeDiff(data []byte) (*Diff, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return decodeDiffJSON(data)
-	}
 	r := binenc.NewReader(data)
 	if tag := r.Byte(); r.Err() == nil && tag != diffTag {
+		if tag == '{' {
+			return nil, errors.New("plan: diff decode: a JSON diff, the pre-binary form that is no longer read")
+		}
 		return nil, fmt.Errorf("plan: diff decode: unknown format tag %#x", tag)
 	}
 	d := &Diff{BaseRev: r.Int(), From: r.Int(), NSlots: r.Int()}
@@ -216,39 +213,6 @@ func readRuns(r *binenc.Reader, from int64) []SlotSet {
 		end = slot + int64(n)
 	}
 	return set
-}
-
-// decodeDiffJSON is the strict decoder of the legacy JSON diff form.
-func decodeDiffJSON(data []byte) (*Diff, error) {
-	var d Diff
-	if err := decodeStrictJSON(data, &d); err != nil {
-		return nil, fmt.Errorf("plan: diff decode: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	// Canonicalize: an explicit empty container decodes to the form the
-	// binary codec (which cannot spell the difference) decodes to.
-	if len(d.Remove) == 0 {
-		d.Remove = nil
-	}
-	if len(d.Update) == 0 {
-		d.Update = nil
-	}
-	for i := range d.Update {
-		if len(d.Update[i].Set) == 0 {
-			d.Update[i].Set = nil
-		}
-	}
-	if len(d.Theta) == 0 {
-		d.Theta = nil
-	}
-	for kind, levels := range d.Theta {
-		if len(levels) == 0 {
-			d.Theta[kind] = nil
-		}
-	}
-	return &d, nil
 }
 
 // decodeStrictJSON decodes exactly one JSON value into v: unknown fields

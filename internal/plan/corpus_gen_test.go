@@ -21,8 +21,8 @@ import (
 // The seeds cover the malformed-diff taxonomy the decoder must refuse
 // (unknown tag, trailing bytes, unsorted or duplicate ops, a job both
 // removed and updated, out-of-range slots, counts beyond the input, a plan
-// length beyond MaxSlots, empty windows, torn encodings) plus valid diffs of several shapes — one in
-// the legacy JSON form — so short CI bursts start from deep coverage.
+// length beyond MaxSlots, empty windows, torn encodings) plus valid diffs of several shapes, so
+// short CI bursts start from deep coverage.
 // Only seed-NN files are rewritten: inputs the fuzzer found and a
 // developer checked in beside them stay.
 func TestGenerateFuzzCorpus(t *testing.T) {
@@ -83,9 +83,6 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	writeCorpus(t, "FuzzDecodeDiff", [][]interface{}{
 		{rich},
 		{empty},
-		// The one seed in the legacy JSON form (a journal from before the
-		// binary codec): the same content as rich.
-		{[]byte(`{"base_rev":2,"new_rev":3,"from":4,"n_slots":8,"remove":["r1","r2"],"update":[{"id":"a","window":{"rel":4,"dl":9},"set":[{"slot":5,"alloc":[2,4096]},{"slot":7,"alloc":[0,0]}]},{"id":"z","add":true,"window":{"rel":6,"dl":12},"set":[{"slot":6,"alloc":[1,512]}]}],"theta":{"memory-mb":[1],"vcores":[0.25,0.5]}}`)},
 		{append([]byte{0x02}, rich[1:]...)}, // unknown format tag
 		{append(append([]byte{}, rich...), 0)},
 		{removes("b", "a")},

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 )
 
 // diffFuzzSeeds are FuzzDecodeDiff's in-code seeds: a realistic diff, an
-// empty diff, the mutations a WAL corruption or adversarial peer could
-// produce, and one diff in the legacy form.
+// empty diff, and the mutations a WAL corruption or adversarial peer could
+// produce.
 func diffFuzzSeeds() [][]byte {
 	good, _ := EncodeDiff(&Diff{
 		BaseRev: 2, NewRev: 3, From: 4, NSlots: 8,
@@ -29,9 +28,8 @@ func diffFuzzSeeds() [][]byte {
 	return [][]byte{
 		good,
 		empty,
-		[]byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"remove":["a"],"theta":{"vcores":[0.5]}}`),
-		append([]byte{0x02}, good[1:]...),             // unknown format tag
-		{diffTag, 0x81, 0x00, 0, 4, 0, 0, 0},          // non-minimal varint
+		append([]byte{0x02}, good[1:]...),    // unknown format tag
+		{diffTag, 0x81, 0x00, 0, 4, 0, 0, 0}, // non-minimal varint
 		{diffTag, 1, 0, 4, 0xff, 0xff, 0xff, 0xff, 7}, // remove count far beyond the input
 		append(append([]byte{}, good...), good...),    // trailing data
 		good[:len(good)/2],                            // torn encoding
@@ -57,10 +55,8 @@ func hugeNSlotsDiff(baseRev int64) []byte {
 
 // FuzzDecodeDiff feeds arbitrary bytes to the diff codec. It must never
 // panic. Whenever it claims success the decoded diff is structurally
-// valid, and the encoding is canonical: a binary input re-encodes to
-// exactly itself, and an input in the legacy JSON form (anything opening
-// with '{') re-encodes to binary that decodes to the same value. Malformed
-// input can only ever surface as an error. (That decoding allocates
+// valid, and the encoding is canonical: the input re-encodes to exactly
+// itself. Malformed input can only ever surface as an error. (That decoding allocates
 // O(len(input)) whatever counts the input claims is
 // TestDecodeDiffAllocation's to check; a decoder that trusted one would
 // die here on makeslice.)
@@ -81,18 +77,8 @@ func FuzzDecodeDiff(f *testing.F) {
 		if eerr != nil {
 			t.Fatalf("re-encode of decoded diff failed: %v", eerr)
 		}
-		if data[0] != '{' {
-			if !bytes.Equal(re, data) {
-				t.Fatalf("accepted input is not canonical:\n in %x\nout %x", data, re)
-			}
-			return
-		}
-		d2, derr := DecodeDiff(re)
-		if derr != nil {
-			t.Fatalf("re-decode failed: %v", derr)
-		}
-		if !reflect.DeepEqual(d, d2) {
-			t.Fatalf("legacy decode and its binary re-encoding disagree:\n%+v\n%+v", d, d2)
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted input is not canonical:\n in %x\nout %x", data, re)
 		}
 	})
 }
@@ -125,7 +111,7 @@ func TestDecodeDiffAllocation(t *testing.T) {
 	for i, in := range inputs {
 		// The factor covers a one-byte element decoding into a ~100-byte
 		// struct under append's doubling, the allowance a decoder's fixed
-		// set-up (the JSON branch's reflection caches included).
+		// set-up.
 		budget := uint64(len(in))*256 + 32<<10
 		if got := allocatedBytes(func() { DecodeDiff(in) }); got > budget {
 			t.Errorf("input %d: decoding %d bytes allocated %d, budget %d\n%x", i, len(in), got, budget, in)

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -252,9 +251,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EncodeDiff: %v", err)
 		}
-		if data[0] == '{' {
-			t.Fatalf("binary diff opens with '{': the legacy sniff would misread it")
-		}
 		got, err := DecodeDiff(data)
 		if err != nil {
 			t.Fatalf("DecodeDiff: %v", err)
@@ -268,19 +264,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("roundtrip not stable:\n%x\n%x", data, re)
-		}
-		// The form journals held before the binary codec still decodes, to
-		// the same value.
-		legacy, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := DecodeDiff(legacy)
-		if err != nil {
-			t.Fatalf("legacy JSON form refused: %v", err)
-		}
-		if !reflect.DeepEqual(old, d) {
-			t.Fatalf("legacy JSON form decodes differently:\n%+v\n%+v", d, old)
 		}
 	}
 	rich := richDiff()
@@ -450,17 +433,15 @@ func TestCodecRefusesMalformed(t *testing.T) {
 			w.Uint(3)
 			w.Float64(1)
 		}),
-		// The legacy JSON branch keeps its own refusals.
-		"json: wrong type":           []byte(`{"base_rev": "three"}`),
-		"json: unknown field":        []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"bogus_field":1}`),
-		"json: rev step":             []byte(`{"base_rev":1,"new_rev":5,"from":0,"n_slots":4}`),
-		"json: second value":         []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}{"trailing":1}`),
-		"json: nslots past ceiling":  []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":1099511627776}`),
-		"json: overlapping slot ops": []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"update":[{"id":"a","window":{"rel":0,"dl":4},"set":[{"slot":1,"alloc":[1,1]},{"slot":1,"alloc":[2,2]}]}]}`),
+		// The form diffs had before the binary one: valid then, refused now.
+		"JSON diff": []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`),
 	}
 	for name, raw := range cases {
-		if _, err := DecodeDiff(raw); err == nil {
+		_, err := DecodeDiff(raw)
+		if err == nil {
 			t.Errorf("malformed diff accepted (%s): %x", name, raw)
+		} else if name == "JSON diff" && !strings.Contains(err.Error(), "JSON diff") {
+			t.Errorf("JSON diff refused with %q, which does not name it", err)
 		}
 	}
 	// A torn encoding is refused at every length.
@@ -481,22 +462,15 @@ func TestCodecRefusesMalformed(t *testing.T) {
 	}
 }
 
-// TestStrictJSONRefusesTrailingBrackets pins the two strict JSON decoders
-// that remain — full plans, and the legacy diff form — against the tails
-// json.Decoder.More does not see: it reports false for a stray '}' or ']'.
+// TestStrictJSONRefusesTrailingBrackets pins the strict JSON decoder that
+// remains — full plans — against the tails json.Decoder.More does not see:
+// it reports false for a stray '}' or ']'.
 func TestStrictJSONRefusesTrailingBrackets(t *testing.T) {
-	diff := `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`
 	planJSON := `{"rev":1,"from":0,"n_slots":4}`
-	if _, err := DecodeDiff([]byte(diff + " \n")); err != nil {
-		t.Fatalf("trailing white space refused: %v", err)
-	}
 	if _, err := DecodePlan([]byte(planJSON + " \n")); err != nil {
 		t.Fatalf("trailing white space refused: %v", err)
 	}
 	for _, tail := range []string{"}", "]", " }}}]", "{}", "1", ",", "null", "\x00"} {
-		if _, err := DecodeDiff([]byte(diff + tail)); err == nil {
-			t.Errorf("DecodeDiff accepted trailing %q", tail)
-		}
 		if _, err := DecodePlan([]byte(planJSON + tail)); err == nil {
 			t.Errorf("DecodePlan accepted trailing %q", tail)
 		}

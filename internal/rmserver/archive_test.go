@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -386,94 +385,6 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 		}
 	}
 	verifyEquiv(t, rm2, "reopened")
-}
-
-// TestSnapshotV1StillLoads feeds a hand-built version-1 snapshot — every
-// job in the live lists, completed ones flagged — through recovery: the
-// completed jobs must land in the archive in (completion slot, ID) order,
-// the finished workflow must leave the live tables yet stay refused as a
-// duplicate, and the next snapshot is version 2.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	vol := resource.New(12, 12288)
-	job := func(id, name string, idx int, doneSlot int64) snapJob {
-		j := snapJob{ID: id, Kind: int(sched.DeadlineJob), JobName: name, NodeIdx: idx,
-			DeadlineNS: int64(40 * time.Second), Total: vol, ParallelCap: resource.New(4, 4096), MinSlots: 3}
-		if doneSlot > 0 {
-			j.Done, j.DoneSlot, j.Delivered = true, doneSlot, vol
-		}
-		return j
-	}
-	adhoc := func(id string, doneSlot int64) snapJob {
-		j := job(id, "", 0, doneSlot)
-		j.Kind, j.DeadlineNS, j.MinSlots = int(sched.AdHocJob), 0, 0
-		return j
-	}
-	finished, half := chainWorkflow(600), chainWorkflow(600)
-	finished.ID, half.ID = "wf-f", "wf-h"
-	v1 := snapState{
-		Version: 1, SlotDurNS: int64(slotDur), Slot: 8, Epoch: 1, NextQID: 30,
-		Workflows: []snapWorkflow{
-			{WF: finished, DeadlineNS: int64(600 * time.Second), Jobs: []snapJob{job("wf-f/a#0", "a", 0, 3), job("wf-f/b#1", "b", 1, 6)}},
-			{WF: half, DeadlineNS: int64(600 * time.Second), Jobs: []snapJob{job("wf-h/a#0", "a", 0, 4), job("wf-h/b#1", "b", 1, 0)}},
-		},
-		AdHoc: []snapJob{adhoc("adhoc/live", 0), adhoc("adhoc/z", 4)},
-	}
-	payload, err := json.Marshal(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	if err := st.WriteSnapshot(payload); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	st.Close()
-
-	rm, _ := newDurableRM(t, dir, true)
-	var order []string
-	for _, d := range rm.done {
-		order = append(order, d.ID)
-	}
-	if want := []string{"wf-f/a#0", "adhoc/z", "wf-h/a#0", "wf-f/b#1"}; !slices.Equal(order, want) {
-		t.Errorf("archive order %v, want %v", order, want)
-	}
-	if d := rm.done[0]; d.CompletedSec != 30 || d.Missed || d.State != "completed" || d.WorkflowID != "wf-f" || d.DeadlineSec != 40 {
-		t.Errorf("first archive entry %+v", d)
-	}
-	if d := rm.done[3]; !d.Missed { // confirmed at slot 6: ran through slot 5 = 50 s > 40 s
-		t.Errorf("wf-f/b#1 completed at slot 6 against a 40 s deadline is not missed: %+v", d)
-	}
-	if len(rm.jobs) != 2 || len(rm.wfs) != 1 || rm.wfs["wf-h"] == nil || rm.wfs["wf-h"].live != 1 {
-		t.Errorf("live tables: %d jobs, %d workflows, want wf-h/b#1 + adhoc/live and wf-h", len(rm.jobs), len(rm.wfs))
-	}
-	stt := rm.Status()
-	if len(stt.Jobs) != 6 || stt.Summary != (rmproto.JobSummary{Pending: 2, Completed: 4, Missed: 2}) { // wf-f/b#1, and wf-h/b#1 still pending past 40 s
-		t.Errorf("status lists %d jobs, summary %+v", len(stt.Jobs), stt.Summary)
-	}
-	checkArchiveInvariants(t, rm, nil)
-	register(t, rm, "n1", 8, 16*1024)
-	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: finished}); err == nil {
-		t.Error("finished workflow wf-f accepted again")
-	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{ID: "z", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 256}}); err == nil {
-		t.Error("completed ad-hoc job z accepted again")
-	}
-	rm.mu.Lock()
-	next, err := rm.snapshotLocked()
-	rm.mu.Unlock()
-	var v2 snapState
-	if err != nil || json.Unmarshal(next, &v2) != nil || v2.Version != 2 || len(v2.Done) != 4 || len(v2.Workflows) != 1 || len(v2.AdHoc) != 1 {
-		t.Errorf("next snapshot: err %v, version %d, %d done, %d workflows, %d ad-hoc", err, v2.Version, len(v2.Done), len(v2.Workflows), len(v2.AdHoc))
-	}
-	verifyEquiv(t, rm, "after loading a version-1 snapshot")
-
-	v1.Version = 3
-	if err := rm.restoreSnapshotLocked(&v1); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Errorf("version 3 snapshot: %v, want a version error", err)
-	}
 }
 
 // TestReplayTwiceAcrossCompletion replays a WAL tail in which an ad-hoc

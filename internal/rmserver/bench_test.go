@@ -40,10 +40,7 @@ func benchServer(b *testing.B, njobs int) (*Server, []string) {
 }
 
 // BenchmarkCompleteQuantumIndexed measures lease confirmation via the
-// server-level qid index. The seed resolved each confirmation by scanning
-// every job's quanta map — O(jobs) per confirmation, three to four orders
-// of magnitude slower at 10k jobs (~137ns vs ~800µs measured; see
-// BenchmarkCompleteQuantumSeedScan for the reference implementation).
+// server-level qid index: O(1) in the number of jobs.
 func BenchmarkCompleteQuantumIndexed(b *testing.B) {
 	for _, njobs := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("jobs=%d", njobs), func(b *testing.B) {
@@ -55,43 +52,6 @@ func BenchmarkCompleteQuantumIndexed(b *testing.B) {
 				l := s.leases[qid] // confirm destroys the lease; re-arm below
 				s.completeQuantumLocked(qid, "n1")
 				s.leases[qid] = l
-				s.mu.Unlock()
-			}
-		})
-	}
-}
-
-// BenchmarkCompleteQuantumSeedScan is the seed's O(jobs) resolution
-// strategy, reconstructed over the same state shape, as the baseline the
-// index replaces.
-func BenchmarkCompleteQuantumSeedScan(b *testing.B) {
-	for _, njobs := range []int{100, 10000} {
-		b.Run(fmt.Sprintf("jobs=%d", njobs), func(b *testing.B) {
-			s, qids := benchServer(b, njobs)
-			// Rebuild the seed's per-job quanta maps.
-			quanta := make(map[string]map[string]resource.Vector, njobs)
-			for qid, l := range s.leases {
-				if quanta[l.job.id] == nil {
-					quanta[l.job.id] = make(map[string]resource.Vector)
-				}
-				quanta[l.job.id][qid] = l.grant
-			}
-			seedComplete := func(qid string) {
-				for id, j := range s.jobs {
-					g, ok := quanta[id][qid]
-					if !ok {
-						continue
-					}
-					j.inFlight = j.inFlight.SubClamped(g)
-					j.delivered = j.delivered.Add(g)
-					return
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qid := qids[i%njobs]
-				s.mu.Lock()
-				seedComplete(qid)
 				s.mu.Unlock()
 			}
 		})
@@ -129,32 +89,6 @@ func BenchmarkDropPendingIndexed(b *testing.B) {
 				nd.pending[j] = rmproto.Quantum{ID: qid}
 				nd.pendingPos[qid] = j
 				nd.dropped--
-			}
-		})
-	}
-}
-
-// BenchmarkDropPendingSeedScan is the seed's linear dropQuantum scan
-// (copy-and-filter of the whole pending slice per drop), reconstructed
-// as the baseline the index replaces.
-func BenchmarkDropPendingSeedScan(b *testing.B) {
-	seedDrop := func(pending []rmproto.Quantum, qid string) []rmproto.Quantum {
-		out := pending[:0]
-		for _, q := range pending {
-			if q.ID != qid {
-				out = append(out, q)
-			}
-		}
-		return out
-	}
-	for _, n := range []int{100, 10000} {
-		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
-			nd := benchPending(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qid := fmt.Sprintf("q-%d", i%n)
-				nd.pending = seedDrop(nd.pending, qid)
-				nd.pending = append(nd.pending, rmproto.Quantum{ID: qid}) // re-arm
 			}
 		})
 	}
@@ -244,7 +178,7 @@ func BenchmarkJournalEncode(b *testing.B) {
 		}
 		recs[i] = rec
 		size += len(p)
-		jsonSize += len(toLegacyJSON(b, p))
+		jsonSize += len(mustJSON(rec))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -260,36 +194,23 @@ func BenchmarkJournalEncode(b *testing.B) {
 	b.ReportMetric(float64(jsonSize)/float64(len(recs)), "json_B/record")
 }
 
-// BenchmarkReplayDecode decodes the same sequence the way replay does,
-// in the binary form and — the read-only path an older state directory
-// takes — in the legacy JSON form.
+// BenchmarkReplayDecode decodes the same sequence the way replay does.
 func BenchmarkReplayDecode(b *testing.B) {
-	_, binary := recordMixedRun(b)
-	legacy := make([][]byte, len(binary))
-	for i, p := range binary {
-		legacy[i] = toLegacyJSON(b, p)
+	_, payloads := recordMixedRun(b)
+	var codec walCodec
+	size := 0
+	for _, p := range payloads {
+		size += len(p)
 	}
-	for _, form := range []struct {
-		name     string
-		payloads [][]byte
-	}{{"binary", binary}, {"json_legacy", legacy}} {
-		b.Run(form.name, func(b *testing.B) {
-			var codec walCodec
-			size := 0
-			for _, p := range form.payloads {
-				size += len(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range payloads {
+			if _, err := codec.decode(p); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, p := range form.payloads {
-					if _, err := codec.decode(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(form.payloads)), "ns/record")
-			b.ReportMetric(float64(size)/float64(len(form.payloads)), "B/record")
-		})
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payloads)), "ns/record")
+	b.ReportMetric(float64(size)/float64(len(payloads)), "B/record")
 }

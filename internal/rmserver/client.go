@@ -22,8 +22,7 @@ import (
 type Client struct {
 	base   string
 	hc     *http.Client
-	retry  *Backoff     // nil = no retries
-	policy *RetryPolicy // takes precedence over retry when non-nil
+	policy *RetryPolicy // nil = one attempt per call
 	// done is what Status has already received of the RM's archive of
 	// completed jobs. Copies made for the same base share it; WithBase
 	// starts an empty one.
@@ -48,22 +47,13 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	return &Client{base: base, hc: httpClient, done: &doneCache{}}
 }
 
-// WithRetry returns a copy of the client that retries idempotent calls
-// (RegisterNode, Heartbeat, Status) with the given backoff on transient
-// failures — connection errors and 5xx responses. Permanent rejections
-// (4xx, including unknown-node) surface immediately. Non-idempotent
-// calls (Tick, submissions) are never retried.
-func (c *Client) WithRetry(b Backoff) *Client {
-	cc := *c
-	cc.retry = &b
-	return &cc
-}
-
-// WithPolicy returns a copy of the client whose idempotent calls run
-// under the full resilience stack — backoff with Retry-After honor,
-// shared retry budget, circuit breaker. The budget and breaker inside
-// p are shared by reference, so copies made with WithBase keep feeding
-// the same bucket and circuit (an agent rotating RMs keeps one budget).
+// WithPolicy returns a copy of the client whose idempotent calls
+// (RegisterNode, Heartbeat, Status) are retried under p on transient
+// failures — connection errors and 5xx responses — with Retry-After
+// honored. Permanent rejections (4xx, including unknown-node) surface
+// immediately; non-idempotent calls (Tick, submissions) are never retried.
+// The budget inside p is shared by reference, so copies made with WithBase
+// keep feeding the same bucket (an agent rotating RMs keeps one budget).
 func (c *Client) WithPolicy(p RetryPolicy) *Client {
 	cc := *c
 	cc.policy = &p
@@ -71,13 +61,13 @@ func (c *Client) WithPolicy(p RetryPolicy) *Client {
 }
 
 // bare returns a copy of the client that performs exactly one attempt
-// per call — no backoff, no policy. Loops that do their own pacing
+// per call. Loops that do their own pacing
 // (registerUntilAccepted) use it to avoid nested-retry amplification:
 // an outer loop wrapping a 4-attempt client multiplies offered load by
 // 4 exactly when the RM is least able to take it.
 func (c *Client) bare() *Client {
 	cc := *c
-	cc.retry, cc.policy = nil, nil
+	cc.policy = nil
 	return &cc
 }
 
@@ -95,13 +85,10 @@ func (c *Client) WithBase(base string) *Client {
 func (c *Client) Base() string { return c.base }
 
 func (c *Client) retrying(ctx context.Context, op func() error) error {
-	if c.policy != nil {
-		return c.policy.Do(ctx, op)
-	}
-	if c.retry == nil {
+	if c.policy == nil {
 		return op()
 	}
-	return Retry(ctx, *c.retry, op)
+	return c.policy.Do(ctx, op)
 }
 
 // RegisterNode announces a node manager.

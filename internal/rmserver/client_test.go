@@ -91,7 +91,6 @@ func TestClientDoneCursor(t *testing.T) {
 	}
 	first := status(c, "first Status", "0/", rm)
 	status(c, "second Status", "30/"+instance, rm)
-	status(c.WithRetry(Backoff{MaxAttempts: 2}), "WithRetry copy", "30/"+instance, rm)
 	status(c.WithPolicy(RetryPolicy{Backoff: Backoff{MaxAttempts: 2}}), "WithPolicy copy", "30/"+instance, rm)
 	status(c.WithBase(ts.URL), "WithBase copy", "0/", rm)
 
@@ -105,7 +104,7 @@ func TestClientDoneCursor(t *testing.T) {
 	// A 200 that dies mid-body moves nothing: the retry asks from the
 	// same cursor, and the result is whole.
 	flaky := NewClient(ts.URL, &http.Client{Transport: &truncateOnce{rt: http.DefaultTransport}}).
-		WithRetry(Backoff{MaxAttempts: 3, Base: time.Millisecond, Max: time.Millisecond})
+		WithPolicy(RetryPolicy{Backoff: Backoff{MaxAttempts: 3, Base: time.Millisecond, Max: time.Millisecond}})
 	status(flaky, "Status through a truncated first attempt", "0/", rm)
 	if n := len(h.cursors); h.cursors[n-2] != "0/" {
 		t.Errorf("attempts sent cursors %q, want the truncated one to have been 0/ too", h.cursors[n-2:])

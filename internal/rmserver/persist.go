@@ -100,10 +100,10 @@
 // stored once; a plan diff in internal/plan's binary diff codec. The tag
 // table and every rule are in walcodec.go, the only file that knows them;
 // this file builds and applies walRecord values. `ftrm -wal-dump` prints a
-// log as JSON lines (DumpWAL). Payloads an older RM wrote — JSON, first
-// byte '{' — are still read, never written (see walcodec.go for when that
-// can go). Snapshots are JSON (snapState), as is the plan blob inside a
-// snapshot or a rebase record.
+// log as JSON lines (DumpWAL). That is the one journal form: a payload in
+// the JSON form RMs before the codec wrote is refused (walcodec.go states
+// why that is safe). Snapshots are JSON (snapState, version 2 only), as is
+// the plan blob inside a snapshot or a rebase record.
 package rmserver
 
 import (
@@ -124,13 +124,13 @@ import (
 // snapVersion identifies the snapshot schema. Version 2 holds live state
 // only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
 // the archive of completed jobs in completion order; version 1 held every
-// job ever admitted, flagged done or not. A version 1 payload still loads:
-// upgradeSnapV1 is the one place that knows the old shape.
+// job ever admitted, flagged done or not, and is refused: nothing has
+// written it since the archive landed, under the same condition walcodec.go
+// states for the JSON journal.
 const snapVersion = 2
 
 // walRecord is the one-of union journaled per mutation. walcodec.go owns
-// its on-disk form; the json tags serve `ftrm -wal-dump` and the read-only
-// legacy form.
+// its on-disk form; the json tags serve `ftrm -wal-dump`.
 type walRecord struct {
 	Workflow   *recWorkflow   `json:"wf,omitempty"`
 	AdHoc      *recAdHoc      `json:"adhoc,omitempty"`
@@ -213,24 +213,6 @@ type recEpoch struct {
 // and the plan stays at its pre-diff revision.
 type recPlanDiff struct {
 	Diff *plan.Diff `json:"diff"`
-}
-
-// UnmarshalJSON reads the legacy JSON record form, holding the nested
-// diff to the plan codec's strict decoder (unknown fields refused,
-// Validate run) rather than encoding/json's lenient one.
-func (r *recPlanDiff) UnmarshalJSON(b []byte) error {
-	var raw struct {
-		Diff json.RawMessage `json:"diff"`
-	}
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	d, err := plan.DecodeDiff(raw.Diff)
-	if err != nil {
-		return err
-	}
-	r.Diff = d
-	return nil
 }
 
 // recPlanRebase journals a wholesale live-plan replacement — the escape
@@ -394,12 +376,8 @@ func (s *Server) requeueAllLeasesLocked() []string {
 }
 
 func (s *Server) restoreSnapshotLocked(st *snapState) error {
-	switch st.Version {
-	case snapVersion:
-	case 1:
-		s.upgradeSnapV1(st)
-	default:
-		return fmt.Errorf("snapshot version %d, want %d (or 1)", st.Version, snapVersion)
+	if st.Version != snapVersion {
+		return fmt.Errorf("snapshot version %d, want %d (version 1, from before the completed-job archive, is no longer read)", st.Version, snapVersion)
 	}
 	if got := time.Duration(st.SlotDurNS); got != s.cfg.SlotDur {
 		return fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, s.cfg.SlotDur)
@@ -452,47 +430,6 @@ func (s *Server) restoreSnapshotLocked(st *snapState) error {
 		s.livePlan = p
 	}
 	return nil
-}
-
-// upgradeSnapV1 rewrites a version 1 snapshot, which listed completed
-// jobs among the live ones, into the current shape: completed jobs move
-// to the archive in (completion slot, ID) order — the order of the
-// confirms that completed them, up to ties within one slot, which version
-// 1 did not record — and finished workflows drop out.
-func (s *Server) upgradeSnapV1(st *snapState) {
-	var done []*rmJob
-	liveWFs := st.Workflows[:0]
-	for _, sw := range st.Workflows {
-		live := false
-		for i := range sw.Jobs {
-			if sw.Jobs[i].Done {
-				done = append(done, rmJobFromSnap(&sw.Jobs[i], sw.WF.ID))
-			} else {
-				live = true
-			}
-		}
-		if live {
-			liveWFs = append(liveWFs, sw)
-		}
-	}
-	liveAdHoc := st.AdHoc[:0]
-	for i := range st.AdHoc {
-		if st.AdHoc[i].Done {
-			done = append(done, rmJobFromSnap(&st.AdHoc[i], ""))
-		} else {
-			liveAdHoc = append(liveAdHoc, st.AdHoc[i])
-		}
-	}
-	sort.Slice(done, func(a, b int) bool {
-		if done[a].doneSlot != done[b].doneSlot {
-			return done[a].doneSlot < done[b].doneSlot
-		}
-		return done[a].id < done[b].id
-	})
-	st.Version, st.Workflows, st.AdHoc = snapVersion, liveWFs, liveAdHoc
-	for _, j := range done {
-		st.Done = append(st.Done, s.jobStatusLocked(j))
-	}
 }
 
 func rmJobFromSnap(sj *snapJob, wfID string) *rmJob {

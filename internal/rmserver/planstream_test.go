@@ -140,13 +140,13 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 	}
 	// Malformed payloads: refused by the strict codec before anything
 	// mutates — a byte after the diff, a torn diff, a tag nothing writes,
-	// and, in the legacy JSON form, a field the diff schema does not have.
+	// and the JSON form RMs before the binary codec journaled.
 	next := mustRecord(&plan.Diff{BaseRev: 1, NewRev: 2, From: 5, NSlots: 2})
 	for name, bad := range map[string][]byte{
-		"trailing byte":        append(append([]byte{}, next...), 0),
-		"torn":                 next[:len(next)-1],
-		"unknown tag":          append([]byte{0x7f}, next[1:]...),
-		"legacy unknown field": []byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2,"nope":1}}}`),
+		"trailing byte": append(append([]byte{}, next...), 0),
+		"torn":          next[:len(next)-1],
+		"unknown tag":   append([]byte{0x7f}, next[1:]...),
+		"JSON record":   []byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2}}}`),
 	} {
 		if err := rm.applyRecordLocked(bad); err == nil {
 			t.Errorf("malformed diff payload (%s) replayed without error", name)
@@ -154,10 +154,6 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 		if rm.livePlan.Rev != 1 {
 			t.Fatalf("malformed diff payload (%s) moved the plan to rev %d", name, rm.livePlan.Rev)
 		}
-	}
-	// The same diff in the form an older RM journaled still replays.
-	if err := rm.applyRecordLocked([]byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2}}}`)); err != nil || rm.livePlan.Rev != 2 {
-		t.Fatalf("legacy JSON diff record: err %v, rev %d", err, rm.livePlan.Rev)
 	}
 }
 

@@ -42,11 +42,6 @@ var ErrOverloaded = errors.New("rmserver: overloaded")
 // must shed its own retries rather than multiply the load.
 var ErrRetryBudgetExhausted = errors.New("rmserver: retry budget exhausted")
 
-// ErrCircuitOpen is reported by a tripped circuit breaker: enough
-// consecutive failures accumulated that calls fail fast, without
-// touching the network, until the cooldown elapses.
-var ErrCircuitOpen = errors.New("rmserver: circuit breaker open")
-
 // OverloadedError is the server-side form of ErrOverloaded, carrying
 // the shed reason and the backoff hint. errors.Is(err, ErrOverloaded)
 // matches it.
@@ -171,12 +166,6 @@ type Backoff struct {
 	// MaxAttempts bounds the total tries; 0 means 4, negative means
 	// retry until the context is cancelled.
 	MaxAttempts int
-	// FullJitter draws each delay uniformly from [0, d] instead of
-	// applying the fractional Jitter around d. Full jitter is the
-	// stronger desynchronizer for thundering herds recovering from an
-	// outage: the expected extra wait is halved and the retry instants
-	// spread across the whole window.
-	FullJitter bool
 }
 
 func (b Backoff) withDefaults() Backoff {
@@ -210,21 +199,10 @@ func (b Backoff) Delay(attempt int) time.Duration {
 			break
 		}
 	}
-	if b.FullJitter {
-		return time.Duration(d * rand.Float64())
-	}
 	if b.Jitter > 0 {
 		d = d * (1 - b.Jitter + b.Jitter*rand.Float64())
 	}
 	return time.Duration(d)
-}
-
-// Retry runs op until it succeeds, returns a permanent error, exhausts
-// MaxAttempts, or ctx is cancelled. Between attempts it sleeps the
-// backoff delay (or the server's Retry-After hint if longer), honoring
-// ctx cancellation. The last error is returned.
-func Retry(ctx context.Context, b Backoff, op func() error) error {
-	return RetryPolicy{Backoff: b}.Do(ctx, op)
 }
 
 // RetryBudget is a token bucket shared by the retry loops of one
@@ -273,13 +251,6 @@ func (rb *RetryBudget) Deposit() {
 	rb.mu.Unlock()
 }
 
-// Tokens reports the current balance (tests and status pages).
-func (rb *RetryBudget) Tokens() float64 {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.tokens
-}
-
 // retryBudgetExhausted counts, process-wide, retries refused for lack
 // of budget. Any RM embedding this package (including a follower whose
 // replicator client runs in-process) reports it via /metrics.
@@ -289,83 +260,21 @@ var retryBudgetExhausted atomic.Int64
 // refused because a RetryBudget ran dry.
 func RetryBudgetExhaustedTotal() int64 { return retryBudgetExhausted.Load() }
 
-// Breaker is a consecutive-failure circuit breaker. After Threshold
-// failures in a row it opens: calls fail fast with ErrCircuitOpen,
-// without touching the network, until Cooldown elapses; the next call
-// then probes (half-open) and a success closes the circuit.
-type Breaker struct {
-	// Threshold is the consecutive-failure count that opens the
-	// circuit; 0 means 8.
-	Threshold int
-	// Cooldown is how long the circuit stays open; 0 means 2s.
-	Cooldown time.Duration
-
-	mu        sync.Mutex
-	fails     int
-	openUntil time.Time
-	trips     int64
-}
-
-func (br *Breaker) limits() (int, time.Duration) {
-	th, cd := br.Threshold, br.Cooldown
-	if th <= 0 {
-		th = 8
-	}
-	if cd <= 0 {
-		cd = 2 * time.Second
-	}
-	return th, cd
-}
-
-// Allow reports whether a call may proceed (closed, or half-open probe).
-func (br *Breaker) Allow() bool {
-	br.mu.Lock()
-	defer br.mu.Unlock()
-	return time.Now().After(br.openUntil)
-}
-
-// Record feeds a call's outcome into the breaker.
-func (br *Breaker) Record(err error) {
-	br.mu.Lock()
-	defer br.mu.Unlock()
-	if err == nil {
-		br.fails = 0
-		return
-	}
-	br.fails++
-	th, cd := br.limits()
-	if br.fails >= th {
-		br.openUntil = time.Now().Add(cd)
-		br.fails = 0
-		br.trips++
-	}
-}
-
-// Trips returns how many times the circuit has opened.
-func (br *Breaker) Trips() int64 {
-	br.mu.Lock()
-	defer br.mu.Unlock()
-	return br.trips
-}
-
-// RetryPolicy bundles the client-side resilience stack: exponential
-// backoff (optionally full-jitter), a shared retry budget, and a
-// circuit breaker. The zero value behaves like plain Retry.
+// RetryPolicy is the client-side retry configuration: exponential
+// backoff with jitter and a shared retry budget. The zero value is four
+// attempts under the default backoff, no budget.
 type RetryPolicy struct {
 	Backoff Backoff
 	// Budget, when non-nil, is consulted before every retry (not the
 	// first attempt); exhaustion stops the loop with
 	// ErrRetryBudgetExhausted joined onto the last error.
 	Budget *RetryBudget
-	// Breaker, when non-nil, gates every attempt; an open circuit
-	// fails fast with ErrCircuitOpen.
-	Breaker *Breaker
 }
 
 // Do runs op under the policy until it succeeds, returns a permanent
-// error, exhausts MaxAttempts or the retry budget, trips the breaker,
-// or ctx is cancelled. Between attempts it sleeps the larger of the
-// backoff delay and the server's Retry-After hint.
+// error, exhausts MaxAttempts or the retry budget, or ctx is cancelled.
+// Between attempts it sleeps the larger of the backoff delay and the
+// server's Retry-After hint.
 func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
 	b := p.Backoff.withDefaults()
 	var err error
@@ -373,16 +282,7 @@ func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
 		if err = ctx.Err(); err != nil {
 			return err
 		}
-		if p.Breaker != nil && !p.Breaker.Allow() {
-			if err != nil {
-				return errors.Join(ErrCircuitOpen, err)
-			}
-			return ErrCircuitOpen
-		}
 		err = op()
-		if p.Breaker != nil {
-			p.Breaker.Record(err)
-		}
 		if err == nil {
 			if p.Budget != nil {
 				p.Budget.Deposit()

@@ -76,7 +76,7 @@ func TestBackoffJitterBounded(t *testing.T) {
 
 func TestRetryStopsOnSuccess(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), Backoff{Base: time.Microsecond}, func() error {
+	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond}}.Do(context.Background(), func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -91,7 +91,7 @@ func TestRetryStopsOnSuccess(t *testing.T) {
 func TestRetryStopsOnPermanentError(t *testing.T) {
 	calls := 0
 	perm := &StatusError{StatusCode: http.StatusBadRequest, Message: "bad request"}
-	err := Retry(context.Background(), Backoff{Base: time.Microsecond}, func() error {
+	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond}}.Do(context.Background(), func() error {
 		calls++
 		return perm
 	})
@@ -102,7 +102,7 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 
 func TestRetryExhaustsAttempts(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), Backoff{Base: time.Microsecond, MaxAttempts: 3}, func() error {
+	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond, MaxAttempts: 3}}.Do(context.Background(), func() error {
 		calls++
 		return errors.New("transient")
 	})
@@ -117,7 +117,7 @@ func TestRetryHonorsContextCancellation(t *testing.T) {
 	// Cancel from inside the retried op: deterministic (no timing race),
 	// and the hour-long base delay guarantees that if cancellation did not
 	// interrupt the backoff sleep the test would time out, not flake.
-	err := Retry(ctx, Backoff{Base: time.Hour, MaxAttempts: -1}, func() error {
+	err := RetryPolicy{Backoff: Backoff{Base: time.Hour, MaxAttempts: -1}}.Do(ctx, func() error {
 		calls++
 		cancel()
 		return errors.New("transient")
@@ -151,28 +151,6 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
-func TestBackoffFullJitter(t *testing.T) {
-	// Full jitter draws uniformly from [0, nominal]: every draw stays
-	// under the cap, and across many draws the low half of the window is
-	// actually used (equal-jitter and fractional-jitter schemes never
-	// go below 50%, so hitting it distinguishes the modes).
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, FullJitter: true}
-	nominal := 400 * time.Millisecond // attempt 2: 100ms * 2^2
-	sawLowHalf := false
-	for i := 0; i < 200; i++ {
-		d := b.Delay(2)
-		if d < 0 || d > nominal {
-			t.Fatalf("full-jitter delay %v outside [0, %v]", d, nominal)
-		}
-		if d < nominal/2 {
-			sawLowHalf = true
-		}
-	}
-	if !sawLowHalf {
-		t.Error("200 full-jitter draws never landed below nominal/2; distribution is not uniform over [0, d]")
-	}
-}
-
 func TestRetryHonorsRetryAfter(t *testing.T) {
 	// The server's Retry-After hint must stretch the sleep beyond the
 	// (tiny) configured backoff. One retry with a 120ms hint on a 1µs
@@ -180,7 +158,7 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 	hint := 120 * time.Millisecond
 	calls := 0
 	start := time.Now()
-	err := Retry(context.Background(), Backoff{Base: time.Microsecond, MaxAttempts: 2}, func() error {
+	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond, MaxAttempts: 2}}.Do(context.Background(), func() error {
 		calls++
 		if calls == 1 {
 			return &StatusError{StatusCode: http.StatusServiceUnavailable, Code: rmproto.CodeOverloaded, RetryAfter: hint}
@@ -246,62 +224,8 @@ func TestRetryBudgetCapsAmplification(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rb.Deposit()
 	}
-	if tok := rb.Tokens(); tok < 1.9 || tok > 2.1 {
+	if tok := rb.tokens; tok < 1.9 || tok > 2.1 {
 		t.Errorf("tokens after 20 deposits = %v, want ~2 (0.1 per success)", tok)
-	}
-}
-
-func TestBreakerTripsAndCoolsDown(t *testing.T) {
-	br := &Breaker{Threshold: 3, Cooldown: 50 * time.Millisecond}
-	fail := errors.New("boom")
-	for i := 0; i < 3; i++ {
-		if !br.Allow() {
-			t.Fatalf("breaker open after only %d failures", i)
-		}
-		br.Record(fail)
-	}
-	if br.Allow() {
-		t.Fatal("breaker still closed after hitting threshold")
-	}
-	if br.Trips() != 1 {
-		t.Errorf("trips = %d, want 1", br.Trips())
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !br.Allow() {
-		t.Fatal("breaker did not half-open after cooldown")
-	}
-	br.Record(nil) // probe succeeds: circuit closes, streak resets
-	br.Record(fail)
-	br.Record(fail)
-	if !br.Allow() {
-		t.Error("success did not reset the consecutive-failure streak")
-	}
-}
-
-func TestRetryPolicyFailsFastWhenCircuitOpen(t *testing.T) {
-	br := &Breaker{Threshold: 2, Cooldown: time.Hour}
-	calls := 0
-	err := RetryPolicy{
-		Backoff: Backoff{Base: time.Microsecond, MaxAttempts: -1},
-		Breaker: br,
-	}.Do(context.Background(), func() error {
-		calls++
-		return errors.New("transient")
-	})
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("Do = %v, want ErrCircuitOpen", err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want 2 (threshold trips, then fail-fast)", calls)
-	}
-	// With the circuit open, no network attempt is made at all.
-	calls = 0
-	err = RetryPolicy{Backoff: Backoff{Base: time.Microsecond}, Breaker: br}.Do(context.Background(), func() error {
-		calls++
-		return nil
-	})
-	if !errors.Is(err, ErrCircuitOpen) || calls != 0 {
-		t.Errorf("open circuit: err=%v calls=%d, want ErrCircuitOpen and 0 calls", err, calls)
 	}
 }
 

@@ -611,9 +611,9 @@ func (s *Server) evictNodeLocked(nodeID string) []string {
 // RM (clients submit when they want the workflow to start). Decomposition
 // happens immediately against current cluster capacity, so at least one
 // node must be registered. The admission — including its decomposed
-// windows — is journaled before the state mutates and made durable
-// before the acceptance is returned, so an acknowledged workflow
-// survives an RM crash.
+// windows — is one journal record, applied and journaled under one lock
+// and made durable before the acceptance is returned, so an acknowledged
+// workflow survives an RM crash.
 func (s *Server) SubmitWorkflow(req rmproto.SubmitWorkflowRequest) (rmproto.SubmitResponse, error) {
 	tr := trace.Trace{Version: trace.FormatVersion, Workflows: []trace.WorkflowRecord{req.Workflow}}
 	wfs, _, err := tr.ToWorkload()
@@ -668,10 +668,9 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 		dec, derr = deadline.Decompose(wf, opts)
 	}
 	bestEffort := derr != nil
-	if bestEffort {
-		s.faults.BestEffortAdmissions++
-	}
 
+	// The admission is its journal record, applied the way replay applies
+	// it: what a recovered RM rebuilds is what this one holds.
 	wrec := recWorkflow{
 		WF:         rec,
 		SubmitNS:   int64(wf.Submit),
@@ -680,32 +679,20 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 		BestEffort: bestEffort,
 		Windows:    make([]recWindow, wf.NumJobs()),
 	}
-	st := &wfState{wf: wf, jobs: make([]*rmJob, wf.NumJobs()), live: wf.NumJobs()}
-	for i := 0; i < wf.NumJobs(); i++ {
-		job := wf.Job(i)
+	for i := range wrec.Windows {
 		release, dl := wf.Submit, wf.Deadline
 		if !bestEffort {
 			release, dl = dec.Windows[i].Release, dec.Windows[i].Deadline
 		}
-		j := &rmJob{
-			id:          fmt.Sprintf("%s/%s#%d", wf.ID, job.Name, i),
-			kind:        sched.DeadlineJob,
-			wfID:        wf.ID,
-			jobName:     job.Name,
-			nodeIdx:     i,
-			arrived:     now,
-			release:     release,
-			deadline:    dl,
-			total:       job.Volume(s.cfg.SlotDur),
-			parallelCap: job.ParallelCap(),
-			minSlots:    job.MinRuntimeSlots(s.cfg.SlotDur, capacity),
-			bestEffort:  bestEffort,
+		wrec.Windows[i] = recWindow{
+			ReleaseNS:  int64(release),
+			DeadlineNS: int64(dl),
+			MinSlots:   wf.Job(i).MinRuntimeSlots(s.cfg.SlotDur, capacity),
 		}
-		wrec.Windows[i] = recWindow{ReleaseNS: int64(release), DeadlineNS: int64(dl), MinSlots: j.minSlots}
-		st.jobs[i] = j
-		s.jobs[j.id] = j
 	}
-	s.wfs[wf.ID] = st
+	if err := s.applyWorkflowLocked(&wrec); err != nil {
+		return rmproto.SubmitResponse{}, store.Handle{}, err
+	}
 	h, err := s.journalLocked(walRecord{Workflow: &wrec})
 	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
@@ -754,15 +741,14 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 			return rmproto.SubmitResponse{Accepted: false, ID: id}, nil
 		}
 	}
-	j := &rmJob{
-		id:          id,
-		kind:        sched.AdHocJob,
-		arrived:     time.Duration(s.slot) * s.cfg.SlotDur,
-		total:       a.Volume(s.cfg.SlotDur),
-		parallelCap: a.ParallelCap(),
+	// As for a workflow, the admission is its journal record, applied the
+	// way replay applies it.
+	arec := recAdHoc{Job: req.Job, Slot: s.slot}
+	err := s.applyAdHocLocked(&arec)
+	var h store.Handle
+	if err == nil {
+		h, err = s.journalLocked(walRecord{AdHoc: &arec})
 	}
-	s.jobs[id] = j
-	h, err := s.journalLocked(walRecord{AdHoc: &recAdHoc{Job: req.Job, Slot: s.slot}})
 	s.mu.Unlock()
 	if err == nil {
 		err = s.commitRecord(h)

@@ -42,16 +42,15 @@
 // and encode∘decode on every payload the decoder accepts. List fields
 // decode to nil when empty.
 //
-// Legacy read: before this codec a payload was json.Marshal(walRecord),
-// which always opens with '{' — a byte no tag may take. decode hands such
-// a payload to json.Unmarshal, so a state directory written by an older
-// RM, or the stream of an older primary, still replays. Nothing writes
-// that form. The branch can go once no supported state directory predates
-// a snapshot rotation made under this codec (rotation drops the old log).
+// One form: before this codec a payload was json.Marshal(walRecord), which
+// always opens with '{' — a byte no tag takes. Nothing has written that
+// form since the codec landed and no supported state directory predates a
+// snapshot rotation under it (rotation drops the old log; there is no
+// deployed fleet), so the JSON reader is gone: decode refuses a '{' payload,
+// and a '{' diff behind tagPlanDiff, with an error that says so.
 package rmserver
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -74,9 +73,6 @@ const (
 	tagPlanDiff
 	tagPlanRebase
 )
-
-// legacyOpen is the first byte of every payload in the legacy JSON form.
-const legacyOpen = '{'
 
 // walCodec encodes and decodes journal records. It holds the state that
 // is per record (the ID table, the previous quantum number) and the
@@ -225,15 +221,6 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 // except for a plan rebase's plan blob.
 func (c *walCodec) decode(payload []byte) (walRecord, error) {
 	var rec walRecord
-	if len(payload) > 0 && payload[0] == legacyOpen {
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return walRecord{}, err
-		}
-		if rec == (walRecord{}) {
-			return walRecord{}, fmt.Errorf("empty WAL record %q", payload)
-		}
-		return rec, nil
-	}
 	c.reset()
 	r := binenc.NewReader(payload)
 	switch tag := r.Byte(); tag {
@@ -321,17 +308,15 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 	case tagEpoch:
 		rec.Epoch = &recEpoch{Epoch: r.Int(), Slot: r.Int()}
 	case tagPlanDiff:
-		rest := r.Rest()
-		if len(rest) > 0 && rest[0] == legacyOpen {
-			return walRecord{}, errors.New("legacy JSON diff inside a binary record")
-		}
-		d, err := plan.DecodeDiff(rest)
+		d, err := plan.DecodeDiff(r.Rest())
 		if err != nil {
 			return walRecord{}, err
 		}
 		rec.PlanDiff = &recPlanDiff{Diff: d}
 	case tagPlanRebase:
 		rec.PlanRebase = &recPlanRebase{Plan: r.Rest()}
+	case '{':
+		return walRecord{}, errors.New("WAL record in the JSON form of a pre-binary-codec RM, which is no longer read")
 	default:
 		if r.Err() == nil {
 			return walRecord{}, fmt.Errorf("unknown WAL record tag %#x", tag)

@@ -167,23 +167,6 @@ func variantOf(rec *walRecord) string {
 	return "empty"
 }
 
-// toLegacyJSON transcodes a binary payload to the form the RM journaled
-// before the binary codec: json.Marshal of the record, the diff nested
-// as the plan codec's JSON.
-func toLegacyJSON(tb testing.TB, payload []byte) []byte {
-	tb.Helper()
-	var codec walCodec
-	rec, err := codec.decode(payload)
-	if err != nil {
-		tb.Fatalf("decode: %v", err)
-	}
-	legacy, err := json.Marshal(rec)
-	if err != nil {
-		tb.Fatalf("marshal: %v", err)
-	}
-	return legacy
-}
-
 // recoverFrom writes payloads as a generation-0 WAL (cut tornBytes short
 // of its end) in a fresh directory and recovers a server from it.
 func recoverFrom(tb testing.TB, payloads [][]byte, tornBytes int) (*Server, store.RecoveryInfo, error) {
@@ -220,10 +203,8 @@ func snapshotOf(tb testing.TB, rm *Server) []byte {
 	return snap
 }
 
-// TestWALCodecReplayEquivalence is what licenses replacing the journal's
-// encoding: the same record sequence replays to the same server whether
-// it is in the binary form, in the JSON form the parent commit wrote, or
-// half and half (an upgrade in the middle of a WAL generation).
+// TestWALCodecReplayEquivalence: the journal of a run through a promotion
+// holds every record variant, and replays to the server that wrote it.
 func TestWALCodecReplayEquivalence(t *testing.T) {
 	live, binary := recordMixedRun(t)
 
@@ -231,9 +212,6 @@ func TestWALCodecReplayEquivalence(t *testing.T) {
 	seen := map[string]int{}
 	tickRequeues := 0
 	for i, p := range binary {
-		if p[0] == legacyOpen {
-			t.Fatalf("record %d was journaled as JSON: %s", i, p)
-		}
 		rec, err := codec.decode(p)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
@@ -252,47 +230,27 @@ func TestWALCodecReplayEquivalence(t *testing.T) {
 		t.Errorf("want the first primary's and the promotion's epoch, a re-registration and a promotion requeue, and a lease expiry; got %v, %d quanta requeued by ticks", seen, tickRequeues)
 	}
 
-	legacy := make([][]byte, len(binary))
-	mixed := make([][]byte, len(binary))
-	for i, p := range binary {
-		legacy[i] = toLegacyJSON(t, p)
-		mixed[i] = p
-		if i < len(binary)/2 {
-			mixed[i] = legacy[i]
-		}
+	rm, info, err := recoverFrom(t, binary, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want []byte
-	for _, log := range []struct {
-		name     string
-		payloads [][]byte
-	}{{"binary", binary}, {"legacy JSON", legacy}, {"JSON then binary", mixed}} {
-		rm, info, err := recoverFrom(t, log.payloads, 0)
-		if err != nil {
-			t.Fatalf("%s log: %v", log.name, err)
-		}
-		if info.Records != len(binary) || info.Truncated {
-			t.Fatalf("%s log: recovered %d of %d records, truncated=%v", log.name, info.Records, len(binary), info.Truncated)
-		}
-		if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
-			t.Errorf("%s log: %v", log.name, err)
-		}
-		snap := snapshotOf(t, rm)
-		if want == nil {
-			want = snap
-			a, err := normalizeSnapshot(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := normalizeSnapshot(snapshotOf(t, live))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("server recovered from the %s log differs from the one that wrote it:\nrecovered: %s\nlive:      %s", log.name, a, b)
-			}
-		} else if !bytes.Equal(snap, want) {
-			t.Errorf("snapshot of the server recovered from the %s log differs from the binary log's:\n%s\n%s", log.name, snap, want)
-		}
+	if info.Records != len(binary) || info.Truncated {
+		t.Fatalf("recovered %d of %d records, truncated=%v", info.Records, len(binary), info.Truncated)
+	}
+	if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
+		t.Error(err)
+	}
+	want := snapshotOf(t, rm)
+	recovered, err := normalizeSnapshot(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote, err := normalizeSnapshot(snapshotOf(t, live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recovered, wrote) {
+		t.Errorf("server recovered from the log differs from the one that wrote it:\nrecovered: %s\nlive:      %s", recovered, wrote)
 	}
 
 	// A crash anywhere inside the final record's append recovers to the
@@ -424,9 +382,6 @@ func TestWALCodecRoundTrip(t *testing.T) {
 			continue
 		}
 		payload = append([]byte{}, payload...)
-		if payload[0] == legacyOpen {
-			t.Errorf("%s: binary payload opens with '{'", name)
-		}
 		got, err := codec.decode(payload)
 		if err != nil {
 			t.Errorf("%s: decode: %v", name, err)
@@ -443,9 +398,10 @@ func TestWALCodecRoundTrip(t *testing.T) {
 				t.Errorf("%s: payload torn at %d/%d bytes decodes", name, n, len(payload))
 			}
 		}
-		// The legacy form of the same record decodes to the same value.
-		if old, err := codec.decode([]byte(mustJSON(rec))); err != nil || !reflect.DeepEqual(old, rec) {
-			t.Errorf("%s: legacy JSON form decodes to (%v)\n%s, want\n%s", name, err, mustJSON(old), mustJSON(rec))
+		// The JSON form of the same record, which RMs before the codec
+		// journaled, is refused by name.
+		if _, err := codec.decode([]byte(mustJSON(rec))); err == nil || !strings.Contains(err.Error(), "JSON") {
+			t.Errorf("%s: JSON form: %v, want a refusal that says JSON", name, err)
 		}
 	}
 }
@@ -478,9 +434,6 @@ func TestWALCodecRefusals(t *testing.T) {
 		}
 	}
 
-	if tagPlanRebase >= legacyOpen {
-		t.Fatalf("record tags reach %#x: '{' must stay free for the legacy sniff", tagPlanRebase)
-	}
 	// tick assembles a tick at slot 1 with zero fault counters, no
 	// requeues, and the given grants section.
 	tick := func(grants ...byte) []byte {
@@ -500,7 +453,6 @@ func TestWALCodecRefusals(t *testing.T) {
 		"quantum ID q-1":             confirm(1, 3),
 		"quantum ID literal":         confirm(1, 0, 3, 'q', '-', 'x'),
 		"epoch 2 at slot 1":          {tagEpoch, 2, 1},
-		"legacy JSON epoch record":   []byte(`{"epoch":{"epoch":2,"slot":1}}`),
 		"empty best-effort workflow": {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
 	}
 	refused := map[string][]byte{
@@ -525,11 +477,9 @@ func TestWALCodecRefusals(t *testing.T) {
 		"quantum ID delta below zero":            confirm(1, 4),
 		"quantum ID count beyond the input":      confirm(9, 3),
 		"flag byte 2":                            {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0},
-		"legacy diff inside a binary record":     append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
 		"torn diff":                              {tagPlanDiff, 0x01, 1, 0},
-		"legacy: wrong type":                     []byte(`{"tick":[]}`),
-		"legacy: no variant":                     []byte(`{}`),
-		"legacy: unknown diff field":             []byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":0,"n_slots":4,"nope":1}}}`),
+		"JSON payload":                           []byte(`{"epoch":{"epoch":2,"slot":1}}`),
+		"JSON diff":                              append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
 	}
 	for name, ok := range accepted {
 		if _, err := codec.decode(ok); err != nil {
@@ -537,9 +487,40 @@ func TestWALCodecRefusals(t *testing.T) {
 		}
 	}
 	for name, bad := range refused {
-		if rec, err := codec.decode(bad); err == nil {
+		rec, err := codec.decode(bad)
+		if err == nil {
 			t.Errorf("%s: decoded to %s", name, mustJSON(rec))
+		} else if strings.HasPrefix(name, "JSON") && !strings.Contains(err.Error(), "JSON") {
+			t.Errorf("%s: refused with %q, which does not name the form", name, err)
 		}
+	}
+
+	// A JSON record, a JSON diff and a version 1 snapshot each fail
+	// recovery of the directory that holds them, with the same names.
+	_, _, err := recoverFrom(t, [][]byte{refused["JSON payload"]}, 0)
+	if err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Errorf("recovery over a JSON record: %v", err)
+	}
+	_, _, err = recoverFrom(t, [][]byte{refused["JSON diff"]}, 0)
+	if err == nil || !strings.Contains(err.Error(), "JSON diff") {
+		t.Errorf("recovery over a JSON diff: %v", err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := fmt.Sprintf(`{"version":1,"slot_dur_ns":%d,"slot":3,"next_qid":0,"faults":{}}`, int64(slotDur))
+	if err := st.WriteSnapshot([]byte(v1)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if st, err = store.Open(store.Options{Dir: dir, Policy: store.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := New(streamingConfig(st, false)); err == nil || !strings.Contains(err.Error(), "snapshot version 1") {
+		t.Errorf("recovery over a version 1 snapshot: %v", err)
 	}
 }
 
@@ -595,8 +576,7 @@ func TestWALRecordSizes(t *testing.T) {
 }
 
 // TestWALDump: the dump of a recorded run is one parseable JSON object
-// per journaled record, reads legacy records too, and leaves a torn tail
-// alone.
+// per journaled record, and leaves a torn tail alone.
 func TestWALDump(t *testing.T) {
 	live, payloads := recordMixedRun(t)
 	dir := live.store.Dir()
@@ -630,26 +610,20 @@ func TestWALDump(t *testing.T) {
 				t.Fatalf("line %d: a tick record that does not advance follows %s", i+1, lines[i-1])
 			}
 		}
-		// A dumped line is the record's legacy form: it decodes back to
-		// what the binary payload holds.
-		fromLine, err := codec.decode([]byte(line))
-		if err != nil {
-			t.Fatalf("line %d does not decode: %v", i+1, err)
-		}
 		fromDisk, _ := codec.decode(payloads[i])
-		if !reflect.DeepEqual(fromLine, fromDisk) {
-			t.Fatalf("line %d differs from the record on disk:\n%s\n%s", i+1, line, mustJSON(fromDisk))
+		if _, ok := obj[variantOf(&fromDisk)]; !ok {
+			t.Fatalf("line %d is not the %s record on disk:\n%s", i+1, variantOf(&fromDisk), line)
 		}
 	}
 	if want := live.Status().Slot; int64(advances) != want || dispatches == 0 {
 		t.Errorf("dump shows %d slot advances and %d heartbeat dispatches, want %d and some", advances, dispatches, want)
 	}
 
-	// A directory an older RM left: JSON records, then a torn frame.
+	// A directory a killed RM left: whole records, then a torn frame.
 	old := t.TempDir()
 	var log []byte
 	for _, p := range payloads[:5] {
-		frame, _ := store.EncodeRecord(toLegacyJSON(t, p))
+		frame, _ := store.EncodeRecord(p)
 		log = append(log, frame...)
 	}
 	clean := len(log)
@@ -663,8 +637,8 @@ func TestWALDump(t *testing.T) {
 	if err := DumpWAL(old, &out, &diag); err != nil {
 		t.Fatalf("DumpWAL: %v", err)
 	}
-	if got := strings.Count(out.String(), "\n"); got != 5 || !strings.HasPrefix(out.String(), string(toLegacyJSON(t, payloads[0]))+"\n") {
-		t.Errorf("legacy dump: %d lines\n%s", got, out.String())
+	if got := out.String(); got != strings.Join(lines[:5], "\n")+"\n" {
+		t.Errorf("dump of the first five records:\n%s", got)
 	}
 	if !strings.Contains(diag.String(), fmt.Sprintf("offset %d", clean)) {
 		t.Errorf("torn tail at offset %d not reported:\n%s", clean, diag.String())
@@ -674,42 +648,8 @@ func TestWALDump(t *testing.T) {
 	}
 }
 
-// nilEmpties gives a record decoded from the legacy JSON form the shape
-// the binary codec decodes to: empty lists are nil.
-func nilEmpties(rec *walRecord) {
-	if r := rec.Workflow; r != nil {
-		if len(r.WF.Jobs) == 0 {
-			r.WF.Jobs = nil
-		}
-		if len(r.WF.Deps) == 0 {
-			r.WF.Deps = nil
-		}
-		if len(r.Windows) == 0 {
-			r.Windows = nil
-		}
-	}
-	if r := rec.Tick; r != nil {
-		if len(r.Requeued) == 0 {
-			r.Requeued = nil
-		}
-		if len(r.Grants) == 0 {
-			r.Grants = nil
-		}
-	}
-	if r := rec.Confirm; r != nil && len(r.QIDs) == 0 {
-		r.QIDs = nil
-	}
-	if r := rec.Requeue; r != nil && len(r.QIDs) == 0 {
-		r.QIDs = nil
-	}
-	if r := rec.PlanRebase; r != nil && len(r.Plan) == 0 {
-		r.Plan = nil
-	}
-}
-
 // walFuzzSeeds are FuzzDecodeWALRecord's seeds: every canonical record
-// (so every variant), two records in the legacy JSON form, and a count far
-// beyond its input.
+// (so every variant) and a count far beyond its input.
 func walFuzzSeeds(tb testing.TB) [][]byte {
 	var codec walCodec
 	var seeds [][]byte
@@ -720,20 +660,14 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, append([]byte{}, payload...))
 	}
-	return append(seeds,
-		[]byte(`{"tick":{"slot":36,"grants":[{"qid":"q-627","job":"wf0001/TeraSort-1#1","node":"n000","grant":[8,32768],"expiry":35}],"faults":{"requeued_quanta":0,"expired_nodes":0,"scheduler_panics":0,"stale_confirms":0,"best_effort_admissions":0}}}`),
-		[]byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2}}}`),
-		[]byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, // grant count far beyond the input
-	)
+	// A grant count far beyond the input.
+	return append(seeds, []byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 }
 
 // FuzzDecodeWALRecord feeds arbitrary bytes to the record decoder. It
-// must never panic. An accepted binary payload re-encodes to exactly
-// itself and its plan diff, if it is one, validates; an accepted payload
-// in the legacy JSON form either cannot be journaled any more (it holds a
-// value the binary form refuses) or re-encodes to binary that decodes to
-// the same record. (That decoding allocates O(len(input)) is
-// TestDecodeWALRecordAllocation's to check.)
+// must never panic. An accepted payload re-encodes to exactly itself and
+// its plan diff, if it is one, validates. (That decoding allocates
+// O(len(input)) is TestDecodeWALRecordAllocation's to check.)
 func FuzzDecodeWALRecord(f *testing.F) {
 	for _, seed := range walFuzzSeeds(f) {
 		f.Add(seed)
@@ -750,24 +684,8 @@ func FuzzDecodeWALRecord(f *testing.F) {
 				t.Fatalf("accepted a record with an invalid diff: %v", verr)
 			}
 		}
-		re, eerr := codec.encode(&rec)
-		if data[0] != legacyOpen {
-			if eerr != nil || !bytes.Equal(re, data) {
-				t.Fatalf("accepted payload is not canonical (%v):\n in %x\nout %x", eerr, data, re)
-			}
-			return
-		}
-		if eerr != nil {
-			return
-		}
-		re = append([]byte{}, re...)
-		back, derr := codec.decode(re)
-		if derr != nil {
-			t.Fatalf("binary re-encoding of a legacy record does not decode: %v\n%x", derr, re)
-		}
-		nilEmpties(&rec)
-		if !reflect.DeepEqual(back, rec) {
-			t.Fatalf("legacy record and its binary re-encoding disagree:\n%s\n%s", mustJSON(rec), mustJSON(back))
+		if re, err := codec.encode(&rec); err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("accepted payload is not canonical (%v):\n in %x\nout %x", err, data, re)
 		}
 	})
 }
@@ -795,8 +713,7 @@ func TestDecodeWALRecordAllocation(t *testing.T) {
 	var codec walCodec
 	for i, in := range inputs {
 		// The factor covers a one-byte element decoding into a ~100-byte
-		// struct; the allowance the decoder's fixed set-up (the JSON
-		// branch's reflection caches included).
+		// struct; the allowance the decoder's fixed set-up.
 		budget := uint64(len(in))*256 + 32<<10
 		if got := allocatedBytes(func() { codec.decode(in) }); got > budget {
 			t.Errorf("input %d: decoding %d bytes allocated %d, budget %d\n%x", i, len(in), got, budget, in)

@@ -11,9 +11,8 @@ import (
 
 // DumpWAL prints every record of the WAL segments in a state directory
 // to out, one JSON object per record per line, oldest segment first: the
-// record structs' json tags, a plan diff nested as JSON; a record already
-// in the legacy JSON form is printed as it is. It is what keeps the
-// journal readable now that its on-disk form is binary (walcodec.go). A
+// record structs' json tags, a plan diff nested as JSON. It is what keeps
+// the journal readable now that its on-disk form is binary (walcodec.go). A
 // tick record is printed with an "advance" flag the stored form does not
 // carry: false marks the grants a heartbeat dispatched (Server.Heartbeat),
 // which reuse the tick record without moving the slot.
@@ -41,11 +40,9 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
 			}
-			line := payload
-			if len(payload) == 0 || payload[0] != legacyOpen {
-				if line, err = json.Marshal(dumpForm(&rec, slot)); err != nil {
-					return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
-				}
+			line, err := json.Marshal(dumpForm(&rec, slot))
+			if err != nil {
+				return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
 			}
 			if rec.Tick != nil {
 				slot = max(slot, rec.Tick.Slot)

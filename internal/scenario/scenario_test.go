@@ -69,7 +69,7 @@ func TestGeneratedEventsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Generate: %v", name, err)
 		}
-		if _, _, err := machine.Profile(sc.Machines, sc.Events); err != nil {
+		if _, err := machine.NewProfile(sc.Machines, sc.Events); err != nil {
 			t.Fatalf("%s: event stream does not replay: %v", name, err)
 		}
 		for _, e := range sc.Events {

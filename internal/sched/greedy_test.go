@@ -382,3 +382,12 @@ func TestSortJobsStableDeterministic(t *testing.T) {
 		t.Error("sortJobs mutated its input")
 	}
 }
+
+// sumGrants is the total of all grants.
+func sumGrants(grants map[string]resource.Vector) resource.Vector {
+	var total resource.Vector
+	for _, g := range grants {
+		total = total.Add(g)
+	}
+	return total
+}

@@ -174,12 +174,3 @@ func grantUpTo(request resource.Vector, available *resource.Vector) resource.Vec
 	*available = available.Sub(g)
 	return g
 }
-
-// sumGrants is a test/diagnostic helper: total of all grants.
-func sumGrants(grants map[string]resource.Vector) resource.Vector {
-	var total resource.Vector
-	for _, g := range grants {
-		total = total.Add(g)
-	}
-	return total
-}

@@ -4,12 +4,28 @@ import (
 	"testing"
 	"time"
 
-	"flowtime/internal/cluster"
 	"flowtime/internal/core"
+	"flowtime/internal/machine"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
 	"flowtime/internal/workflow"
 )
+
+// dipProfile is a cluster of constant capacity full that runs at num/den
+// of it during [from, until): one machine and two scale events.
+func dipProfile(t *testing.T, full resource.Vector, from, until, num, den int64) *machine.Profile {
+	t.Helper()
+	p, err := machine.NewProfile(
+		[]machine.Spec{{ID: "cluster", Capacity: full}},
+		[]machine.Event{
+			{Slot: from, Kind: machine.SetScale, ScaleNum: num, ScaleDen: den},
+			{Slot: until, Kind: machine.SetScale, ScaleNum: 1, ScaleDen: 1},
+		})
+	if err != nil {
+		t.Fatalf("NewProfile: %v", err)
+	}
+	return p
+}
 
 // TestCapacityDipRecovery injects a 50% capacity outage in the middle of a
 // run (DESIGN.md §8 failure injection) and checks that every scheduler
@@ -17,10 +33,7 @@ import (
 // dip, and that FlowTime replans around it.
 func TestCapacityDipRecovery(t *testing.T) {
 	full := resource.New(20, 2000)
-	profile, err := cluster.Constant(full).WithDip(20, 40, 1, 2)
-	if err != nil {
-		t.Fatalf("WithDip: %v", err)
-	}
+	profile := dipProfile(t, full, 20, 40, 1, 2)
 
 	mkWorkload := func() []*workflow.Workflow {
 		w := workflow.New("dip-wf", 0, 1500*time.Second)
@@ -48,7 +61,7 @@ func TestCapacityDipRecovery(t *testing.T) {
 			res, err := Run(Config{
 				SlotDur:    slotDur,
 				Horizon:    400,
-				Capacity:   profile.Func(),
+				Capacity:   profile.CapAt,
 				Scheduler:  s,
 				Workflows:  mkWorkload(),
 				RecordLoad: true,
@@ -90,10 +103,7 @@ func TestCapacityDipRecovery(t *testing.T) {
 // future slots, so a *scheduled* outage needs no reactive replanning.
 func TestFlowTimeAnticipatesKnownDip(t *testing.T) {
 	full := resource.New(20, 2000)
-	profile, err := cluster.Constant(full).WithDip(5, 10, 1, 4)
-	if err != nil {
-		t.Fatalf("WithDip: %v", err)
-	}
+	profile := dipProfile(t, full, 5, 10, 1, 4)
 	f := core.New(core.Config{Slack: 0, MaxLexRounds: 2})
 	w := workflow.New("w", 0, 600*time.Second)
 	w.AddJob(workflow.Job{
@@ -104,7 +114,7 @@ func TestFlowTimeAnticipatesKnownDip(t *testing.T) {
 	res, err := Run(Config{
 		SlotDur:    slotDur,
 		Horizon:    100,
-		Capacity:   profile.Func(),
+		Capacity:   profile.CapAt,
 		Scheduler:  f,
 		Workflows:  []*workflow.Workflow{w},
 		RecordLoad: true,

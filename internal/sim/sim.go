@@ -237,17 +237,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Compile the aggregate capacity profile the schedulers plan
 		// against: the sum of live machines after each event.
-		bps, caps, err := machine.Profile(cfg.Machines.Initial, cfg.Machines.Events)
+		profile, err := machine.NewProfile(cfg.Machines.Initial, cfg.Machines.Events)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		cfg.Capacity = func(slot int64) resource.Vector {
-			i := sort.Search(len(bps), func(k int) bool { return bps[k] > slot })
-			if i == 0 {
-				return caps[0]
-			}
-			return caps[i-1]
-		}
+		cfg.Capacity = profile.CapAt
 		if cluster, err = machine.NewCluster(cfg.Machines.Initial); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}

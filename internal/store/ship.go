@@ -22,11 +22,6 @@ func (w Watermark) String() string {
 	return fmt.Sprintf("gen %d rec %d (%d B)", w.Gen, w.Records, w.Bytes)
 }
 
-// Behind reports whether w is strictly behind head in the same stream.
-func (w Watermark) Behind(head Watermark) bool {
-	return w.Gen < head.Gen || (w.Gen == head.Gen && w.Records < head.Records)
-}
-
 // ShipBatch is one unit of primary→follower log shipping, produced by
 // ShipFrom and consumed by Ingest. Two shapes:
 //
@@ -235,7 +230,7 @@ func (s *Store) installSnapshotLocked(gen int64, snapshot []byte) error {
 			return err
 		}
 	}
-	nw, err := openWAL(s.fs, walPath(s.dir, gen), s.samples)
+	nw, err := openWAL(s.fs, walPath(s.dir, gen))
 	if err != nil {
 		return err
 	}

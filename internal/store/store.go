@@ -80,8 +80,6 @@ type Store struct {
 	lastSnapLen                        int
 	closed                             bool
 
-	samples *latencyRing
-
 	recovered     []byte
 	recoveredRecs [][]byte
 	recovery      RecoveryInfo
@@ -122,10 +120,9 @@ func Open(opts Options) (*Store, error) {
 	}
 	start := time.Now()
 	s := &Store{
-		dir:     opts.Dir,
-		policy:  opts.Policy,
-		fs:      opts.FS,
-		samples: newLatencyRing(512),
+		dir:    opts.Dir,
+		policy: opts.Policy,
+		fs:     opts.FS,
 	}
 
 	snaps, wals, tmps, err := scanDir(s.fs, opts.Dir)
@@ -222,7 +219,7 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 
-	s.w, err = openWAL(s.fs, wp, s.samples)
+	s.w, err = openWAL(s.fs, wp)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +378,7 @@ func (s *Store) WriteSnapshot(payload []byte) error {
 	if err := writeSnapshotFile(s.fs, snapPath(s.dir, next), payload); err != nil {
 		return err
 	}
-	nw, err := openWAL(s.fs, walPath(s.dir, next), s.samples)
+	nw, err := openWAL(s.fs, walPath(s.dir, next))
 	if err != nil {
 		// The new snapshot is durable but we cannot journal against it;
 		// keep running on the old generation (its snapshot/WAL pair is
@@ -444,10 +441,6 @@ func (s *Store) Stats() Stats {
 	s.w.mu.Unlock()
 	return st
 }
-
-// FsyncLatencies returns up to the last 512 fsync latencies, for
-// percentile reporting.
-func (s *Store) FsyncLatencies() []time.Duration { return s.samples.snapshot() }
 
 // Dir returns the state directory path.
 func (s *Store) Dir() string { return s.dir }

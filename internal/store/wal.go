@@ -78,15 +78,14 @@ type wal struct {
 	fsyncs     int64
 	fsyncTotal time.Duration
 	fsyncMax   time.Duration
-	samples    *latencyRing
 }
 
-func openWAL(fsys FS, path string, samples *latencyRing) (*wal, error) {
+func openWAL(fsys FS, path string) (*wal, error) {
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{f: f, path: path, samples: samples}
+	w := &wal{f: f, path: path}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -148,9 +147,6 @@ func (w *wal) waitSynced(seq int64) error {
 		if lat > w.fsyncMax {
 			w.fsyncMax = lat
 		}
-		if w.samples != nil {
-			w.samples.add(lat)
-		}
 		if err != nil && w.err == nil {
 			w.err = fmt.Errorf("store: wal fsync: %w", err)
 		}
@@ -183,42 +179,4 @@ func (w *wal) close() error {
 		return w.err
 	}
 	return w.f.Close()
-}
-
-// latencyRing is a fixed-size ring of recent fsync latencies, so callers
-// (ftperf, /v1/status consumers) can compute percentiles without the
-// store retaining unbounded samples.
-type latencyRing struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	next int
-	full bool
-}
-
-func newLatencyRing(n int) *latencyRing {
-	return &latencyRing{buf: make([]time.Duration, n)}
-}
-
-func (r *latencyRing) add(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Snapshot returns the retained samples, oldest-first not guaranteed.
-func (r *latencyRing) snapshot() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]time.Duration, n)
-	copy(out, r.buf[:n])
-	return out
 }

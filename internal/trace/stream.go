@@ -1,8 +1,8 @@
-// Streaming trace IO. Multi-day external traces (Alibaba 2018, Google
+// Streaming trace output. Multi-day external traces (Alibaba 2018, Google
 // 2019 subsets) convert to millions of records; the StreamWriter emits a
-// valid schema-v2 document record by record and the StreamReader decodes
-// one record at a time with json.Decoder tokens, so neither side ever
-// materializes the whole document in memory.
+// valid schema-v2 document record by record, so a converter never
+// materializes the whole document in memory. Every consumer reads the
+// document back with Read.
 package trace
 
 import (
@@ -159,126 +159,4 @@ func (sw *StreamWriter) Close() error {
 		return fmt.Errorf("trace: stream: %w", err)
 	}
 	return nil
-}
-
-// StreamReader decodes a trace document one record at a time. The
-// document's version (and meta, when present) must precede the record
-// arrays — which every writer in this repo guarantees — so the version
-// gate fires before any record is surfaced.
-type StreamReader struct {
-	dec  *json.Decoder
-	meta *Meta
-
-	versionSeen bool
-	inArray     bool
-	arrayKey    string
-	done        bool
-}
-
-// NewStreamReader wraps the reader and consumes the document header up
-// to (but not including) the first record.
-func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	sr := &StreamReader{dec: json.NewDecoder(bufio.NewReader(r))}
-	tok, err := sr.dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("trace: stream: %w", err)
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return nil, fmt.Errorf("trace: stream: want object, got %v", tok)
-	}
-	return sr, nil
-}
-
-// Meta returns the document's provenance block, or nil if absent or not
-// yet reached (it precedes the records in well-formed documents, so after
-// the first Next call it is final).
-func (sr *StreamReader) Meta() *Meta { return sr.meta }
-
-// Next returns the next record: exactly one of wf/ah is non-nil. It
-// returns io.EOF after the last record of a well-formed document.
-func (sr *StreamReader) Next() (wf *WorkflowRecord, ah *AdHocRecord, err error) {
-	for {
-		if sr.done {
-			return nil, nil, io.EOF
-		}
-		if sr.inArray {
-			if sr.dec.More() {
-				if !sr.versionSeen {
-					return nil, nil, errors.New("trace: stream: records precede the version field")
-				}
-				switch sr.arrayKey {
-				case "workflows":
-					var rec WorkflowRecord
-					if err := sr.dec.Decode(&rec); err != nil {
-						return nil, nil, fmt.Errorf("trace: stream: workflow record: %w", err)
-					}
-					return &rec, nil, nil
-				case "adhoc":
-					var rec AdHocRecord
-					if err := sr.dec.Decode(&rec); err != nil {
-						return nil, nil, fmt.Errorf("trace: stream: adhoc record: %w", err)
-					}
-					return nil, &rec, nil
-				}
-			}
-			// Consume the closing ']'.
-			if _, err := sr.dec.Token(); err != nil {
-				return nil, nil, fmt.Errorf("trace: stream: %w", err)
-			}
-			sr.inArray = false
-			continue
-		}
-		tok, err := sr.dec.Token()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, nil, errors.New("trace: stream: truncated document")
-			}
-			return nil, nil, fmt.Errorf("trace: stream: %w", err)
-		}
-		if d, ok := tok.(json.Delim); ok && d == '}' {
-			if !sr.versionSeen {
-				return nil, nil, errors.New("trace: stream: document has no version field")
-			}
-			sr.done = true
-			return nil, nil, io.EOF
-		}
-		key, ok := tok.(string)
-		if !ok {
-			return nil, nil, fmt.Errorf("trace: stream: want key, got %v", tok)
-		}
-		switch key {
-		case "version":
-			var v int
-			if err := sr.dec.Decode(&v); err != nil {
-				return nil, nil, fmt.Errorf("trace: stream: version: %w", err)
-			}
-			if err := checkVersion(v); err != nil {
-				return nil, nil, err
-			}
-			sr.versionSeen = true
-		case "meta":
-			var m Meta
-			if err := sr.dec.Decode(&m); err != nil {
-				return nil, nil, fmt.Errorf("trace: stream: meta: %w", err)
-			}
-			sr.meta = &m
-		case "workflows", "adhoc":
-			tok, err := sr.dec.Token()
-			if err != nil {
-				return nil, nil, fmt.Errorf("trace: stream: %w", err)
-			}
-			if d, ok := tok.(json.Delim); !ok || d != '[' {
-				return nil, nil, fmt.Errorf("trace: stream: %q: want array, got %v", key, tok)
-			}
-			sr.inArray = true
-			sr.arrayKey = key
-		default:
-			// Skip unknown keys' values (forward-tolerance within a known
-			// version is the version gate's job, not the tokenizer's).
-			var skip json.RawMessage
-			if err := sr.dec.Decode(&skip); err != nil {
-				return nil, nil, fmt.Errorf("trace: stream: %q: %w", key, err)
-			}
-		}
-	}
 }

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"strings"
 	"testing"
 )
@@ -56,32 +54,15 @@ func TestStreamWriterRoundTrip(t *testing.T) {
 		t.Fatalf("records: %d workflows, %d ad-hoc", len(tr.Workflows), len(tr.AdHoc))
 	}
 
-	// The stream reader sees the same records in order.
-	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewStreamReader: %v", err)
-	}
 	var wfIDs, ahIDs []string
-	for {
-		wf, ah, err := sr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		switch {
-		case wf != nil:
-			wfIDs = append(wfIDs, wf.ID)
-		case ah != nil:
-			ahIDs = append(ahIDs, ah.ID)
-		}
+	for _, wf := range tr.Workflows {
+		wfIDs = append(wfIDs, wf.ID)
+	}
+	for _, ah := range tr.AdHoc {
+		ahIDs = append(ahIDs, ah.ID)
 	}
 	if strings.Join(wfIDs, ",") != "w1,w2" || strings.Join(ahIDs, ",") != "a1,a2,a3" {
-		t.Fatalf("stream read back %v / %v", wfIDs, ahIDs)
-	}
-	if sr.Meta() == nil || sr.Meta().Generator != "test" {
-		t.Fatalf("stream meta = %+v", sr.Meta())
+		t.Fatalf("read back %v / %v", wfIDs, ahIDs)
 	}
 }
 
@@ -130,35 +111,24 @@ func TestVersionGate(t *testing.T) {
 		t.Fatalf("v1 rejected: %v", err)
 	}
 
-	// A future version is refused loudly by both readers, even when it
-	// carries unknown fields.
+	// A future version is refused loudly, even when it carries unknown
+	// fields.
 	future := `{"version":99,"hologram":true,"workflows":[],"adhoc":[]}`
 	_, err := Read(strings.NewReader(future))
 	if err == nil || !strings.Contains(err.Error(), "unknown future version 99") {
 		t.Fatalf("Read future version: err = %v", err)
-	}
-	sr, err := NewStreamReader(strings.NewReader(future))
-	if err != nil {
-		t.Fatalf("NewStreamReader: %v", err)
-	}
-	if _, _, err := sr.Next(); err == nil || !strings.Contains(err.Error(), "unknown future version 99") {
-		t.Fatalf("stream future version: err = %v", err)
 	}
 
 	// Version zero and missing versions are invalid.
 	if _, err := Read(strings.NewReader(`{"version":0,"workflows":[],"adhoc":[]}`)); err == nil {
 		t.Fatal("version 0 accepted")
 	}
-	sr, err = NewStreamReader(strings.NewReader(`{"workflows":[],"adhoc":[]}`))
-	if err != nil {
-		t.Fatalf("NewStreamReader: %v", err)
-	}
-	if _, _, err := sr.Next(); err == nil || !strings.Contains(err.Error(), "no version field") {
-		t.Fatalf("missing version: err = %v", err)
+	if _, err := Read(strings.NewReader(`{"workflows":[],"adhoc":[]}`)); err == nil {
+		t.Fatal("document without a version accepted")
 	}
 }
 
-func TestStreamReaderTruncated(t *testing.T) {
+func TestStreamedDocumentTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf, nil)
 	for i := 0; i < 3; i++ {
@@ -169,30 +139,10 @@ func TestStreamReaderTruncated(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Bytes()[:buf.Len()/2]
-	sr, err := NewStreamReader(bytes.NewReader(cut))
-	if err != nil {
-		t.Fatalf("NewStreamReader: %v", err)
-	}
-	for i := 0; i < 10; i++ {
-		_, _, err = sr.Next()
-		if err != nil {
-			break
+	for _, cut := range []int{buf.Len() / 2, buf.Len() - 3} {
+		if _, err := Read(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+			t.Fatalf("document cut at %d of %d bytes read without error", cut, buf.Len())
 		}
-	}
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("truncated document read to EOF without error (err = %v)", err)
-	}
-}
-
-func TestStreamReaderRecordsBeforeVersion(t *testing.T) {
-	doc := `{"adhoc":[{"id":"a","submit_sec":1,"tasks":1,"task_dur_sec":1,"demand_vcores":1,"demand_mem_mb":1}],"version":2}`
-	sr, err := NewStreamReader(strings.NewReader(doc))
-	if err != nil {
-		t.Fatalf("NewStreamReader: %v", err)
-	}
-	if _, _, err := sr.Next(); err == nil || !strings.Contains(err.Error(), "precede the version") {
-		t.Fatalf("err = %v, want records-precede-version", err)
 	}
 }
 

@@ -165,11 +165,6 @@ func (w *Workflow) NumJobs() int { return len(w.jobs) }
 // Job returns the job at node index i.
 func (w *Workflow) Job(i int) Job { return w.jobs[i] }
 
-// Jobs returns a copy of the job list, indexed by node ID.
-func (w *Workflow) Jobs() []Job {
-	return append([]Job(nil), w.jobs...)
-}
-
 // SetActualTaskDuration overrides the materialized duration of job i,
 // modelling estimation error for robustness experiments.
 func (w *Workflow) SetActualTaskDuration(i int, d time.Duration) error {
@@ -247,24 +242,6 @@ func (w *Workflow) DAG() *graph.DAG {
 		}
 	}
 	return w.dag
-}
-
-// CriticalPathSlots returns the workflow's critical-path length in slots,
-// using each job's cluster-capped minimum runtime as its weight.
-func (w *Workflow) CriticalPathSlots(slot time.Duration, clusterCap resource.Vector) (int64, error) {
-	weights := make([]float64, len(w.jobs))
-	for i, j := range w.jobs {
-		mr := j.MinRuntimeSlots(slot, clusterCap)
-		if mr < 0 {
-			return 0, fmt.Errorf("workflow %s: job %q cannot fit on the cluster", w.ID, j.Name)
-		}
-		weights[i] = float64(mr)
-	}
-	_, _, total, err := w.DAG().LongestPath(weights)
-	if err != nil {
-		return 0, fmt.Errorf("workflow %s: %w", w.ID, err)
-	}
-	return int64(total), nil
 }
 
 // AdHoc is a best-effort job: no deadline, size unknown to the scheduler at

@@ -13,7 +13,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -556,17 +555,3 @@ func Fig4Workload(spec Fig4Spec) ([]*workflow.Workflow, []workflow.AdHoc, error)
 	}
 	return wfs, adhoc, nil
 }
-
-// TotalWork returns the summed estimated volume of a set of workflows, for
-// sizing clusters in tests and benchmarks.
-func TotalWork(wfs []*workflow.Workflow, slot time.Duration) resource.Vector {
-	var total resource.Vector
-	for _, w := range wfs {
-		for i := 0; i < w.NumJobs(); i++ {
-			total = total.Add(w.Job(i).Volume(slot))
-		}
-	}
-	return total
-}
-
-var _ = math.MaxFloat64 // keep math imported for future tuning knobs

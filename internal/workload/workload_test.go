@@ -228,9 +228,6 @@ func TestFig4Workload(t *testing.T) {
 	if len(adhoc) != DefaultFig4Spec().AdHocCount {
 		t.Errorf("ad-hoc = %d, want %d", len(adhoc), DefaultFig4Spec().AdHocCount)
 	}
-	if TotalWork(wfs, 10*time.Second).IsZero() {
-		t.Error("TotalWork = 0")
-	}
 }
 
 func TestPUMATemplatesSane(t *testing.T) {
