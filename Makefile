@@ -10,7 +10,8 @@
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
 # FuzzDecodeWALRecord), the flow planner, the MPS reader, the status
-# query and the heartbeat request body. `make loc` prints the non-test Go
+# query, the heartbeat and submission request bodies, and the Alibaba and
+# Google trace converters. `make loc` prints the non-test Go
 # line count the subtraction passes are measured by; `make check` ends
 # with it.
 
@@ -91,10 +92,15 @@ verify:
 # MPS reader target (cmd/ftlp's input: no panic, and an accepted document
 # is a valid model that survives WriteMPS -> ReadMPS with the same
 # variables, rows and bounds), the GET /v1/status query target (any
-# cursor is a 400 or a consistent 200), and the heartbeat body target (any
-# POST /v1/nodes/heartbeat body, on a server holding an offer, is a 4xx or
-# a 200 that leaves leases, in-flight sums and per-node placed volume
-# consistent and dispatches the offer at most once).
+# cursor, archive or live, is a 400 or a consistent 200), the heartbeat
+# body target (any POST /v1/nodes/heartbeat body, on a server holding an
+# offer, is a 4xx or a 200 that leaves leases, in-flight sums and per-node
+# placed volume consistent and dispatches the offer at most once), the
+# submission body target (any POST /v1/workflows or /v1/adhoc body, on a
+# gated server holding one plan revision, is a 4xx or a 200; an accepted
+# job is in the status once, and the same body again is a duplicate that
+# changes nothing) and the two trace converters (any Alibaba CSV or
+# Google JSON-lines input converts or fails, never panics).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -106,6 +112,9 @@ fuzz:
 	$(GO) test -fuzz FuzzReadMPS -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzHeartbeatBody -fuzztime 10s -run '^$$' ./internal/rmserver/
+	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s -run '^$$' ./internal/rmserver/
+	$(GO) test -fuzz FuzzConvertAlibaba -fuzztime 10s -run '^$$' ./internal/scenario/
+	$(GO) test -fuzz FuzzConvertGoogle -fuzztime 10s -run '^$$' ./internal/scenario/
 
 # sim-smoke replays the small bundled scenario trace (testdata/
 # scenario-smoke.json, emitted by `ftgen -scenario flash -machines 40

@@ -127,13 +127,22 @@ type StatusResponse struct {
 	Nodes int `json:"nodes"`
 	// Capacity is the current total cluster capacity.
 	Capacity Resources `json:"capacity"`
-	// Jobs lists jobs sorted by ID. On the wire these are the live jobs
-	// only — completed jobs travel in Done — and a reader that wants the
-	// whole table calls Fold; what rmserver's Client.Status and
-	// Server.Status return is already folded: every known job, Done nil.
+	// Jobs lists jobs sorted by ID. On the wire these are live jobs only —
+	// completed jobs travel in Done — and, for a request with
+	// live_after=S (QueryLiveAfter) under the answering RM's instance and
+	// S no greater than its change number as the request arrived (any
+	// LiveChange it sent before), only those whose entry changed after S;
+	// otherwise every live job. A reader that wants the whole table calls
+	// Fold; what rmserver's Client.Status and Server.Status return is
+	// already folded: every known job, Done nil, LiveChange 0.
 	Jobs []JobStatus `json:"jobs"`
 	// Done carries completed jobs; nil once folded into Jobs.
 	Done *DoneJobs `json:"done,omitempty"`
+	// LiveChange is the change number the live jobs are current to, in
+	// the numbering of Done.Instance: a reader that keeps every live
+	// entry it was sent, drops the ones Done completes and sends
+	// live_after=LiveChange next time is sent only what changed since.
+	LiveChange int64 `json:"live_change,omitempty"`
 	// Summary counts the jobs by state, completed ones included.
 	Summary JobSummary `json:"summary"`
 	// Draining is true once a drain has begun: the RM stops issuing new
@@ -196,14 +205,15 @@ type JobSummary struct {
 
 // Fold replaces Jobs with every job of the status — the live ones it
 // carries plus archive, the completed ones in any order — sorted by ID
-// in a slice of its own, and clears Done. archive is Done.Jobs for a
-// response fetched from index 0; a reader with a cursor passes the
-// archive it has accumulated.
+// in a slice of its own, and clears Done and LiveChange. Jobs must be
+// every live job and archive is Done.Jobs for a response fetched from 0;
+// a reader with cursors passes the live jobs and the archive it has
+// accumulated.
 func (r *StatusResponse) Fold(archive []JobStatus) {
 	all := make([]JobStatus, 0, len(r.Jobs)+len(archive))
 	all = append(append(all, r.Jobs...), archive...)
 	slices.SortFunc(all, func(a, b JobStatus) int { return strings.Compare(a.ID, b.ID) })
-	r.Jobs, r.Done = all, nil
+	r.Jobs, r.Done, r.LiveChange = all, nil, 0
 }
 
 // PlanStatus reports the RM's durable live plan: the scheduler's
@@ -512,10 +522,17 @@ const (
 	DefaultSlot = 10 * time.Second
 )
 
-// Query parameters of GET PathStatus; see DoneJobs.
+// Query parameters of GET PathStatus. QueryDoneAfter and QueryInstance
+// are the archive cursor (DoneJobs). QueryLiveAfter is the live cursor:
+// live_after=S leaves out the live jobs whose entry has not changed since
+// change number S (StatusResponse.LiveChange) of the instance named by
+// QueryInstance; without it, under another instance or with S above the
+// RM's current number every live job is sent. A malformed number in
+// either cursor is a 400.
 const (
 	QueryDoneAfter = "done_after"
 	QueryInstance  = "instance"
+	QueryLiveAfter = "live_after"
 )
 
 // API paths.
@@ -524,7 +541,7 @@ const (
 	PathHeartbeat = "/v1/nodes/heartbeat"
 	PathWorkflows = "/v1/workflows"
 	PathAdHoc     = "/v1/adhoc"
-	PathStatus    = "/v1/status" // query: QueryDoneAfter, QueryInstance
+	PathStatus    = "/v1/status" // query: QueryDoneAfter, QueryInstance, QueryLiveAfter
 	PathTick      = "/v1/tick"
 	PathDrain     = "/v1/drain"
 	// Replication control plane (primary/follower pairs).

@@ -170,7 +170,7 @@ func checkArchiveInvariants(t *testing.T, rm *Server, prev []rmproto.JobStatus) 
 	return append([]rmproto.JobStatus(nil), rm.done...)
 }
 
-// driveMixed plays a seeded mixed run against rm for the given number of
+// driveMixed plays a seeded mixed run against *rmp for the given number of
 // slots: chain workflows (every third with a deadline it cannot meet) and
 // ad-hoc jobs arriving throughout, on three nodes. Workflows keep arriving
 // to the last slots, not only through the first half: FlowTime runs ready
@@ -184,16 +184,23 @@ func checkArchiveInvariants(t *testing.T, rm *Server, prev []rmproto.JobStatus) 
 // every slot, so what one reply carries is what the node was handed for
 // the slot, by the tick and by the other nodes' confirming heartbeats
 // together: it must fit the node.
-// each runs after every slot's heartbeats.
-func driveMixed(t *testing.T, rm *Server, seed int64, slots int, each func(slot int)) {
+// each runs after every slot's heartbeats. It may restart the RM by
+// storing another server in *rmp: the nodes register with that one
+// before the next slot, holding nothing.
+func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slot int)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nodes := []string{"n1", "n2", "n3"}
-	for _, n := range nodes {
-		register(t, rm, n, 4, 8*1024)
-	}
+	var rm *Server
 	held := map[string][]string{}
 	for slot := 0; slot < slots; slot++ {
+		if rm != *rmp {
+			rm = *rmp
+			for _, n := range nodes {
+				register(t, rm, n, 4, 8*1024)
+			}
+			clear(held)
+		}
 		if slot%4 == 0 {
 			wf := chainWorkflow(int64(200 + rng.Intn(400)))
 			if slot%12 == 8 {
@@ -259,36 +266,77 @@ func newMixedRM(t *testing.T, dir string) *Server {
 	return rm
 }
 
+// instanceOf reads the instance an RM names its cursors by.
+func instanceOf(rm *Server) string {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	return rm.instance
+}
+
 // TestStatusViewsAgree is the differential that licenses the job-table
-// split: through a mixed run with a node restart and lease expiries, at
-// every slot the in-process Status, a long-lived client (which fetches
-// only the archive's growth), and a brand-new client (which fetches all
+// split and the live cursor: through a mixed run with a node restart,
+// lease expiries and a restart of the store-backed RM, at every slot the
+// in-process Status, a long-lived client (which fetches only the
+// archive's growth and the live entries that changed), a client that
+// scrapes only every third slot and a brand-new client (which fetches all
 // of it) report the same ID-sorted table, equal element by element to a
 // reference walk of live jobs plus archive; Summary counts that table.
+// The clients keep one URL across the restart, where the instance
+// changes. A long-lived client of a follower, pumped every slot, crosses
+// the snapshot installs that redraw its instance and reports the
+// follower's reference walk.
 func TestStatusViewsAgree(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		rm := newMixedRM(t, "")
-		ts := httptest.NewServer(rm.Handler())
+		dir := t.TempDir()
+		rm := newMixedRM(t, dir)
+		front := &swapHandler{}
+		front.serve(rm)
+		ts := httptest.NewServer(front)
+		follower, _ := newReplicaRM(t, t.TempDir(), "")
+		fts := httptest.NewServer(follower.Handler())
 		ctx := context.Background()
-		long := NewClient(ts.URL, ts.Client())
+		long, sparse, replica := NewClient(ts.URL, ts.Client()), NewClient(ts.URL, ts.Client()), NewClient(fts.URL, fts.Client())
+		view := func(what string, c *Client, want []rmproto.JobStatus, sum rmproto.JobSummary) {
+			t.Helper()
+			st, err := c.Status(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameJobTable(t, what, st.Jobs, want)
+			if st.Done != nil || st.LiveChange != 0 || st.Summary != sum {
+				t.Fatalf("%s: done block %v, live change %d, summary %+v, want folded and %+v", what, st.Done, st.LiveChange, st.Summary, sum)
+			}
+		}
+		instances, followerInstances := map[string]bool{}, map[string]bool{}
 		var archive []rmproto.JobStatus
-		driveMixed(t, rm, seed, 40, func(slot int) {
+		driveMixed(t, &rm, seed, 40, func(slot int) {
+			switch slot {
+			case 13, 29:
+				// The follower is a generation behind until it installs this.
+				if err := rm.WriteSnapshot(); err != nil {
+					t.Fatalf("WriteSnapshot: %v", err)
+				}
+			case 21:
+				rm.store.Close()
+				rm = newMixedRM(t, dir)
+				front.serve(rm)
+			}
+			at := fmt.Sprintf("seed %d slot %d", seed, slot)
 			want := referenceJobs(rm)
 			if !sort.SliceIsSorted(want, func(a, b int) bool { return want[a].ID < want[b].ID }) {
 				t.Fatal("reference table not sorted")
 			}
 			inproc := rm.Status()
-			sameJobTable(t, fmt.Sprintf("seed %d slot %d: Server.Status()", seed, slot), inproc.Jobs, want)
-			for name, c := range map[string]*Client{"long-lived client": long, "new client": NewClient(ts.URL, ts.Client())} {
-				st, err := c.Status(ctx)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sameJobTable(t, fmt.Sprintf("seed %d slot %d: %s", seed, slot, name), st.Jobs, want)
-				if st.Done != nil || st.Summary != inproc.Summary {
-					t.Fatalf("%s: done block %v, summary %+v, want folded and %+v", name, st.Done, st.Summary, inproc.Summary)
-				}
+			sameJobTable(t, at+": Server.Status()", inproc.Jobs, want)
+			view(at+": long-lived client", long, want, inproc.Summary)
+			view(at+": new client", NewClient(ts.URL, ts.Client()), want, inproc.Summary)
+			if slot%3 == 0 {
+				view(at+": every-third-slot client", sparse, want, inproc.Summary)
 			}
+			pumpRepl(t, rm, follower)
+			view(at+": follower's client", replica, referenceJobs(follower), follower.Status().Summary)
+			instances[instanceOf(rm)] = true
+			followerInstances[instanceOf(follower)] = true
 			var sum rmproto.JobSummary
 			for _, j := range want {
 				switch j.State {
@@ -309,6 +357,10 @@ func TestStatusViewsAgree(t *testing.T) {
 			archive = checkArchiveInvariants(t, rm, archive)
 		})
 		ts.Close()
+		fts.Close()
+		if len(instances) != 2 || len(followerInstances) < 3 {
+			t.Errorf("seed %d: the clients saw %d primary and %d follower instances; want the restart's 2 and the installs' 3", seed, len(instances), len(followerInstances))
+		}
 		st := rm.Status()
 		if st.Faults.RequeuedQuanta == 0 || st.Summary.Completed == 0 || st.Summary.Completed == len(st.Jobs) || st.Summary.Missed == 0 {
 			t.Errorf("seed %d exercised too little: %d requeues, summary %+v of %d jobs", seed, st.Faults.RequeuedQuanta, st.Summary, len(st.Jobs))
@@ -332,7 +384,7 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 	follower, _ := newReplicaRM(t, t.TempDir(), "")
 	follower.cfg.LeaseExpiry = rm.cfg.LeaseExpiry
 	var archive []rmproto.JobStatus
-	driveMixed(t, rm, 5, 30, func(slot int) {
+	driveMixed(t, &rm, 5, 30, func(slot int) {
 		archive = checkArchiveInvariants(t, rm, archive)
 		if slot == 9 || slot == 21 {
 			if err := rm.WriteSnapshot(); err != nil {
@@ -530,6 +582,46 @@ func TestStatusWireIsLiveSized(t *testing.T) {
 	}
 	bare.Fold(bare.Done.Jobs)
 	sameJobTable(t, "bare GET, folded", bare.Jobs, second.Jobs)
+}
+
+// TestStatusWireIsChangeSized is TestStatusWireIsLiveSized's sibling for
+// the live cursor, as an exact byte count: with 2 000 live pending jobs of
+// which a tick grants 20 work between two Status calls, the second moves
+// under 8 KB — the 20 changed entries, not the 2 000 — and its table is
+// the server's; a bare GET still lists every live job.
+func TestStatusWireIsChangeSized(t *testing.T) {
+	rm := completedRM(t, sched.NewFIFO(), 0, 2000)
+	ts := httptest.NewServer(rm.Handler())
+	defer ts.Close()
+	rt := &countingRT{rt: http.DefaultTransport}
+	c := NewClient(ts.URL, &http.Client{Transport: rt})
+	ctx := context.Background()
+	if _, err := c.Status(ctx); err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	firstBytes := rt.resp.Load()
+	register(t, rm, "n1", 20, 20*512) // room for 20 one-core jobs
+	tick(t, rm)
+	second, err := c.Status(ctx)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	secondBytes := rt.resp.Load() - firstBytes
+	if firstBytes < 200<<10 || secondBytes >= 8<<10 {
+		t.Errorf("first Status moved %d bytes, second %d; want the live list once (> 200 KB) and then under 8 KB", firstBytes, secondBytes)
+	}
+	want := rm.Status()
+	sameJobTable(t, "second Status", second.Jobs, want.Jobs)
+	if want.Summary.Running != 20 || want.Summary.Pending != 1980 {
+		t.Fatalf("the tick left %+v, want 20 running and 1980 pending", want.Summary)
+	}
+
+	var bare rmproto.StatusResponse
+	if code := getJSON(t, ts.URL+rmproto.PathStatus, &bare); code != http.StatusOK || len(bare.Jobs) != 2000 {
+		t.Fatalf("bare GET: %d with %d live jobs, want 200 with 2000", code, len(bare.Jobs))
+	}
+	bare.Fold(bare.Done.Jobs)
+	sameJobTable(t, "bare GET, folded", bare.Jobs, want.Jobs)
 }
 
 // countingSched records how many jobs the last Assign was shown.

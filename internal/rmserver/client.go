@@ -23,19 +23,24 @@ type Client struct {
 	base   string
 	hc     *http.Client
 	policy *RetryPolicy // nil = one attempt per call
-	// done is what Status has already received of the RM's archive of
-	// completed jobs. Copies made for the same base share it; WithBase
-	// starts an empty one.
-	done *doneCache
+	// status is what Status has already received of the RM's job table.
+	// Copies made for the same base share it; WithBase starts an empty one.
+	status *statusCache
 }
 
-// doneCache is the prefix of one RM instance's completed-job archive
-// (rmproto.DoneJobs) that Status calls have fetched so far, kept so that
-// a completed job crosses the wire once.
-type doneCache struct {
+// statusCache is what Status calls have received of one RM instance's
+// job table, kept so that a job's entry crosses the wire only when it
+// changed: the prefix of the completed-job archive fetched so far
+// (rmproto.DoneJobs), and a mirror of the live jobs as of one response
+// — the one whose archive had liveDone entries and whose live entries
+// were current to change number change (rmproto.QueryLiveAfter).
+type statusCache struct {
 	mu       sync.Mutex
 	instance string
-	jobs     []rmproto.JobStatus // archive[:len(jobs)]; elements never rewritten
+	done     []rmproto.JobStatus          // archive[:len(done)]; elements never rewritten
+	live     map[string]rmproto.JobStatus // by ID; nil when there is nothing to continue
+	liveDone int
+	change   int64
 }
 
 // NewClient returns a client for the RM at base (e.g.
@@ -44,7 +49,7 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: base, hc: httpClient, done: &doneCache{}}
+	return &Client{base: base, hc: httpClient, status: &statusCache{}}
 }
 
 // WithPolicy returns a copy of the client whose idempotent calls
@@ -77,7 +82,7 @@ func (c *Client) bare() *Client {
 func (c *Client) WithBase(base string) *Client {
 	cc := *c
 	cc.base = base
-	cc.done = &doneCache{}
+	cc.status = &statusCache{}
 	return &cc
 }
 
@@ -141,59 +146,124 @@ func (c *Client) Drain(ctx context.Context, req rmproto.DrainRequest) (rmproto.D
 }
 
 // Status fetches the cluster snapshot: every job the RM knows, sorted by
-// ID, in a Jobs slice of the caller's own. Completed jobs this client
-// (or a copy of it for the same base) has fetched before are asked for
-// by cursor only and folded back in from the client's cache; an RM that
-// restarted, or another RM behind the same URL, announces a different
-// instance and is fetched whole.
+// ID, in a Jobs slice of the caller's own. What this client (or a copy of
+// it for the same base) has received before is asked for by cursor only
+// — a completed job once, a live one when its entry changed — and folded
+// back in from the client's cache; an RM that restarted, or another RM
+// behind the same URL, announces a different instance and is fetched
+// whole. A response that does not continue the cache's live jobs is not
+// applied, and the call asks again for every live job.
 func (c *Client) Status(ctx context.Context) (rmproto.StatusResponse, error) {
 	var resp rmproto.StatusResponse
 	err := c.retrying(ctx, func() error {
-		instance, have := c.done.cursor()
-		q := url.Values{
-			rmproto.QueryDoneAfter: {strconv.Itoa(have)},
-			rmproto.QueryInstance:  {instance},
+		var err error
+		if resp, err = c.statusOnce(ctx, false); errors.Is(err, errNotContinued) {
+			resp, err = c.statusOnce(ctx, true)
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+rmproto.PathStatus+"?"+q.Encode(), nil)
-		if err != nil {
-			return fmt.Errorf("rmserver: client: %w", err)
-		}
-		resp = rmproto.StatusResponse{} // a failed attempt may have decoded half of one
-		if err := c.do(req, &resp); err != nil {
-			return err
-		}
-		if resp.Done == nil {
-			return nil // an RM that sends the whole table in Jobs
-		}
-		// Only a whole, decoded 200 moves the cursor, so a retried attempt
-		// asks again from where the last success left off.
-		archive, ok := c.done.extend(resp.Done)
-		if !ok {
-			return errors.New("rmserver: client: status response does not continue the completed jobs already received")
-		}
-		resp.Fold(archive)
-		return nil
+		return err
 	})
 	return resp, err
 }
 
-// cursor returns the archive instance the cache belongs to and how many
-// of its entries the cache holds.
-func (d *doneCache) cursor() (instance string, have int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.instance, len(d.jobs)
+// statusOnce is one GET /v1/status from the cache's cursors — with
+// wholeLive, from live change 0 — folded through the cache. Only a whole,
+// decoded 200 moves the cursors, so a retried attempt asks again from
+// where the last success left off.
+func (c *Client) statusOnce(ctx context.Context, wholeLive bool) (rmproto.StatusResponse, error) {
+	var resp rmproto.StatusResponse
+	ask := c.status.cursor(wholeLive)
+	q := url.Values{
+		rmproto.QueryDoneAfter: {strconv.Itoa(ask.doneAfter)},
+		rmproto.QueryInstance:  {ask.instance},
+		rmproto.QueryLiveAfter: {strconv.FormatInt(ask.liveAfter, 10)},
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+rmproto.PathStatus+"?"+q.Encode(), nil)
+	if err != nil {
+		return resp, fmt.Errorf("rmserver: client: %w", err)
+	}
+	if err := c.do(req, &resp); err != nil || resp.Done == nil {
+		return resp, err // no done block: an RM that sends the whole table in Jobs
+	}
+	return resp, c.status.apply(ask, &resp)
 }
 
-// extend folds one response's done block into the cache and returns the
-// archive prefix the response describes, archive[:got.Total]. A block
-// from index 0 of another instance replaces the cache. Status calls
-// running concurrently may deliver blocks out of order: one that ends
-// inside the cache adds nothing, and one that does not connect to it —
-// possible only when the calls straddle an instance change — is refused.
-func (d *doneCache) extend(got *rmproto.DoneJobs) ([]rmproto.JobStatus, bool) {
+// errNotContinued is a status response whose live jobs are changes to a
+// mirror the cache no longer holds — a concurrent call moved it — or do
+// not add up to the response's own Summary.
+var errNotContinued = errors.New("rmserver: client: status response does not continue the live jobs already received")
+
+// cursor is the query that continues the cache; with wholeLive it asks
+// for every live job.
+func (d *statusCache) cursor(wholeLive bool) statusCursor {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	cur := statusCursor{instance: d.instance, doneAfter: len(d.done)}
+	if !wholeLive && d.live != nil {
+		cur.liveAfter = d.change
+	}
+	return cur
+}
+
+// apply folds one response, asked for with cursor ask, into the cache
+// and turns it into the whole table (StatusResponse.Fold). The server
+// sent every live job when it could not honour ask (another instance,
+// change 0, a number past its own), and the cache adopts that list unless
+// it already holds a later one. Otherwise it sent the live jobs changed
+// since ask, which continue the mirror only if it is still the one ask
+// was taken from: the jobs the archive completed since are dropped from
+// it, the changed ones upserted, and it must then hold exactly the
+// Pending + Running jobs the response counts.
+func (d *statusCache) apply(ask statusCursor, resp *rmproto.StatusResponse) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	archive, ok := d.extendLocked(resp.Done)
+	if !ok {
+		return errors.New("rmserver: client: status response does not continue the completed jobs already received")
+	}
+	total, live := resp.Done.Total, resp.Summary.Pending+resp.Summary.Running
+	if ask.instance != resp.Done.Instance || ask.liveAfter == 0 || ask.liveAfter > resp.LiveChange {
+		if len(resp.Jobs) != live {
+			return fmt.Errorf("rmserver: client: status lists %d live jobs and counts %d", len(resp.Jobs), live)
+		}
+		if d.live == nil || total >= d.liveDone && resp.LiveChange >= d.change {
+			d.live = make(map[string]rmproto.JobStatus, len(resp.Jobs))
+			for _, j := range resp.Jobs {
+				d.live[j.ID] = j
+			}
+			d.liveDone, d.change = total, resp.LiveChange
+		}
+	} else {
+		if d.live == nil || d.change != ask.liveAfter || d.liveDone > total {
+			return errNotContinued
+		}
+		for _, j := range archive[d.liveDone:] {
+			delete(d.live, j.ID)
+		}
+		for _, j := range resp.Jobs {
+			d.live[j.ID] = j
+		}
+		d.liveDone, d.change = total, resp.LiveChange
+		if len(d.live) != live {
+			d.live = nil
+			return errNotContinued
+		}
+		resp.Jobs = make([]rmproto.JobStatus, 0, len(d.live))
+		for _, j := range d.live {
+			resp.Jobs = append(resp.Jobs, j)
+		}
+	}
+	resp.Fold(archive)
+	return nil
+}
+
+// extendLocked folds one response's done block into the archive prefix
+// and returns the part the response describes, archive[:got.Total]. A
+// block from index 0 of another instance replaces the whole cache.
+// Status calls running concurrently may deliver blocks out of order: one
+// that ends inside the prefix adds nothing, and one that does not connect
+// to it — possible only when the calls straddle an instance change — is
+// refused.
+func (d *statusCache) extendLocked(got *rmproto.DoneJobs) ([]rmproto.JobStatus, bool) {
 	if got.Total != got.From+len(got.Jobs) {
 		return nil, false
 	}
@@ -201,16 +271,16 @@ func (d *doneCache) extend(got *rmproto.DoneJobs) ([]rmproto.JobStatus, bool) {
 		if got.From != 0 {
 			return nil, false
 		}
-		d.instance, d.jobs = got.Instance, nil
+		d.instance, d.done, d.live = got.Instance, nil, nil
 	}
-	have := len(d.jobs)
+	have := len(d.done)
 	if got.From > have {
 		return nil, false
 	}
 	if got.Total > have {
-		d.jobs = append(d.jobs, got.Jobs[have-got.From:]...)
+		d.done = append(d.done, got.Jobs[have-got.From:]...)
 	}
-	return d.jobs[:got.Total:got.Total], true
+	return d.done[:got.Total:got.Total], true
 }
 
 // Ship requests one replication batch from a primary (follower pull

@@ -407,7 +407,7 @@ func TestMixedRunHoldsEveryRelation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		driveMixed(t, rm, seed, 40, func(slot int) {
+		driveMixed(t, &rm, seed, 40, func(slot int) {
 			checkBooks(t, rm, fmt.Sprintf("seed %d slot %d", seed, slot))
 		})
 		if ft.Slots() != 40 {

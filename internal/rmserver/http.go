@@ -90,16 +90,16 @@ func (s *Server) Handler() http.Handler {
 		}{Slot: s.Slot()})
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		doneAfter, instance, err := parseStatusQuery(r.URL.Query())
+		cur, err := parseStatusQuery(r.URL.Query())
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.syncedStatus(doneAfter, instance))
+		writeJSON(w, http.StatusOK, s.syncedStatus(cur))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
-		st := s.statusLocked(false)
+		st := s.statusLocked(false, 0)
 		s.mu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprintf(w, "# TYPE flowtime_rm_slot counter\nflowtime_rm_slot %d\n", st.Slot)
@@ -196,16 +196,32 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// parseStatusQuery reads the archive cursor of GET /v1/status
-// (rmproto.DoneJobs). No done_after means 0: every completed job.
-func parseStatusQuery(q url.Values) (doneAfter int, instance string, err error) {
-	if v := q.Get(rmproto.QueryDoneAfter); v != "" {
-		doneAfter, err = strconv.Atoi(v)
-		if err != nil || doneAfter < 0 {
-			return 0, "", fmt.Errorf("rmserver: %s=%q, want a non-negative integer", rmproto.QueryDoneAfter, v)
-		}
+// parseStatusQuery reads the two cursors of GET /v1/status
+// (rmproto.QueryLiveAfter). A missing number means 0: every completed
+// job, every live one.
+func parseStatusQuery(q url.Values) (statusCursor, error) {
+	doneAfter, err := queryCount(q, rmproto.QueryDoneAfter)
+	if err != nil {
+		return statusCursor{}, err
 	}
-	return doneAfter, q.Get(rmproto.QueryInstance), nil
+	liveAfter, err := queryCount(q, rmproto.QueryLiveAfter)
+	if err != nil {
+		return statusCursor{}, err
+	}
+	return statusCursor{instance: q.Get(rmproto.QueryInstance), doneAfter: doneAfter, liveAfter: int64(liveAfter)}, nil
+}
+
+// queryCount reads one non-negative integer query parameter.
+func queryCount(q url.Values, name string) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("rmserver: %s=%q, want a non-negative integer", name, v)
+	}
+	return n, nil
 }
 
 func boolToInt(b bool) int {

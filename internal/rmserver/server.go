@@ -125,6 +125,12 @@ type Server struct {
 	// instance names this process's archive to status readers holding a
 	// cursor into it (rmproto.DoneJobs).
 	instance string
+	// changes numbers the status walks that found a live job's wire entry
+	// different from the one the walk before built (statusLocked): a
+	// reader that holds the live list as of change S is sent only the
+	// jobs numbered above S (rmproto.QueryLiveAfter). Scoped like
+	// instance: a number means nothing under another one.
+	changes  int64
 	nextQID  int64
 	draining bool
 	// offers are the grants the last tick's scheduler made to jobs that
@@ -275,6 +281,11 @@ type rmJob struct {
 
 	done     bool
 	doneSlot int64
+
+	// reported is the wire entry the last status walk built for the job,
+	// changed the change number (Server.changes) it was built under.
+	reported rmproto.JobStatus
+	changed  int64
 }
 
 // New returns a resource manager. With Config.Store set, New performs
@@ -1078,10 +1089,19 @@ func (s *Server) totalCapacityLocked() resource.Vector {
 // is released.
 func (s *Server) Status() rmproto.StatusResponse {
 	s.mu.Lock()
-	resp := s.statusLocked(true)
+	resp := s.statusLocked(true, 0)
 	s.mu.Unlock()
 	resp.Fold(resp.Done.Jobs)
 	return resp
+}
+
+// statusCursor is what a GET /v1/status reader already holds: the
+// archive up to index doneAfter and the live list as of change number
+// liveAfter, both of the RM process named instance.
+type statusCursor struct {
+	instance  string
+	doneAfter int
+	liveAfter int64
 }
 
 // syncedStatus is what GET /v1/status sends: the status behind a
@@ -1090,20 +1110,25 @@ func (s *Server) Status() rmproto.StatusResponse {
 // I/O when nothing was journaled since the last commit, and at most one
 // fsync otherwise. A failed barrier does not fail the read — the operator
 // needs the status most when the disk is failing — it is reported in
-// Durability.CommitError. The response is left unfolded, and the
-// completed jobs the reader already holds are left out: those before
-// index doneAfter of the archive named instance (rmproto.DoneJobs). A
-// cursor this server cannot honour is answered from index 0.
-func (s *Server) syncedStatus(doneAfter int, instance string) rmproto.StatusResponse {
+// Durability.CommitError. The response is left unfolded, and what the
+// reader already holds is left out: the completed jobs before index
+// doneAfter of the archive (rmproto.DoneJobs) and the live jobs whose
+// entry has not changed since change liveAfter (rmproto.QueryLiveAfter).
+// A cursor this server cannot honour — another instance, a number past
+// its own — is answered from 0: every completed job, every live one.
+func (s *Server) syncedStatus(cur statusCursor) rmproto.StatusResponse {
 	s.mu.Lock()
-	resp := s.statusLocked(true)
+	if cur.instance != s.instance || cur.liveAfter > s.changes {
+		cur.liveAfter = 0
+	}
+	resp := s.statusLocked(true, cur.liveAfter)
 	h := s.journaled
 	s.mu.Unlock()
 	if err := s.commitRecord(h); err != nil {
 		resp.Durability.CommitError = err.Error()
 	}
-	if d := resp.Done; instance == d.Instance && doneAfter <= d.Total {
-		d.From, d.Jobs = doneAfter, d.Jobs[doneAfter:]
+	if d := resp.Done; cur.instance == d.Instance && cur.doneAfter <= d.Total {
+		d.From, d.Jobs = cur.doneAfter, d.Jobs[cur.doneAfter:]
 	}
 	return resp
 }
@@ -1136,9 +1161,14 @@ func (s *Server) jobStatusLocked(j *rmJob) rmproto.JobStatus {
 }
 
 // statusLocked reports everything but the jobs themselves in O(live
-// jobs): Summary always, and with listJobs the live jobs sorted by ID in
-// Jobs and the whole archive, unmerged, in Done.
-func (s *Server) statusLocked(listJobs bool) rmproto.StatusResponse {
+// jobs): Summary and LiveChange always, and with listJobs the live jobs
+// changed after change number liveAfter, sorted by ID, in Jobs and the
+// whole archive, unmerged, in Done. Its walk is where a live job's change
+// is detected: a wire entry that differs from the one the previous walk
+// built is stored under the next change number. Admission, placement,
+// confirms, requeues, the slot passing a deadline, replay and follower
+// ingest all move a job's entry without having to say so.
+func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResponse {
 	resp := rmproto.StatusResponse{
 		Slot:              s.slot,
 		Nodes:             len(s.nodes),
@@ -1152,8 +1182,12 @@ func (s *Server) statusLocked(listJobs bool) rmproto.StatusResponse {
 	if listJobs {
 		resp.Jobs = make([]rmproto.JobStatus, 0, len(s.jobs))
 	}
+	stamp := s.changes + 1
 	for _, j := range s.jobs {
 		st := s.jobStatusLocked(j)
+		if st != j.reported {
+			j.reported, j.changed, s.changes = st, stamp, stamp
+		}
 		if st.State == "running" {
 			resp.Summary.Running++
 		} else {
@@ -1162,10 +1196,11 @@ func (s *Server) statusLocked(listJobs bool) rmproto.StatusResponse {
 		if st.Missed {
 			resp.Summary.Missed++
 		}
-		if listJobs {
+		if listJobs && j.changed > liveAfter {
 			resp.Jobs = append(resp.Jobs, st)
 		}
 	}
+	resp.LiveChange = s.changes
 	if listJobs {
 		sort.Slice(resp.Jobs, func(a, b int) bool { return resp.Jobs[a].ID < resp.Jobs[b].ID })
 		n := len(s.done)

@@ -1,7 +1,10 @@
 package rmserver
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -432,4 +435,107 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := client.SubmitWorkflow(ctx, rmproto.SubmitWorkflowRequest{}); err == nil {
 		t.Error("empty workflow accepted over HTTP")
 	}
+}
+
+// gatedRM is an RM with the ad-hoc gate on, one 8-core node, and the one
+// plan revision its first tick published: the gate admits an ad-hoc job
+// that fits the leftover and turns the rest away with accepted=false.
+func gatedRM(t testing.TB) *Server {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.StreamPlans = true
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(cfg), AdHocGate: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	register(t, rm, "n1", 8, 16*1024)
+	tick(t, rm)
+	return rm
+}
+
+// FuzzSubmitBody posts arbitrary bodies to POST /v1/workflows and
+// /v1/adhoc, each on its own gatedRM. Whatever arrives — a feasible
+// workflow, an infeasible one (admitted best-effort), a cycle, a job the
+// gate turns away, negative or overflowing figures, unknown fields, bytes
+// that are not JSON — the answer is a 4xx with an error body or a 200. A
+// 200 that accepts puts the job, or every job of the workflow, in Status
+// exactly once with the books balanced, and the same body again is a 4xx
+// duplicate that changes nothing; any other answer is given again.
+func FuzzSubmitBody(f *testing.F) {
+	job := func(name string) string {
+		return `{"name":"` + name + `","tasks":4,"task_dur_sec":30,"demand_vcores":1,"demand_mem_mb":1024}`
+	}
+	for _, seed := range []string{
+		`{"workflow":{"id":"wf","deadline_sec":600,"jobs":[` + job("a") + `,` + job("b") + `],"deps":[[0,1]]}}`,
+		`{"workflow":{"id":"wf","deadline_sec":5,"jobs":[` + job("a") + `]}}`,
+		`{"workflow":{"id":"wf","deadline_sec":600,"jobs":[` + job("a") + `,` + job("b") + `],"deps":[[0,1],[1,0]]}}`,
+		`{"workflow":{"id":"wf","deadline_sec":600,"jobs":[` + job("a") + `],"deps":[[0,7]]}}`,
+		`{"workflow":{"id":"wf","deadline_sec":9223372036854775807,"jobs":[` + job("a") + `]}}`,
+		`{"workflow":{"id":"","deadline_sec":600,"jobs":[]}}`,
+		`{"job":{"id":"a","tasks":2,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
+		`{"job":{"id":"big","tasks":64,"task_dur_sec":36000,"demand_vcores":8,"demand_mem_mb":1024}}`,
+		`{"job":{"id":"a","tasks":-1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
+		`{"job":{"id":"a","submit_sec":-5,"tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
+		`{"job":{"id":"a","tasks":9223372036854775807,"task_dur_sec":9223372036854775807,"demand_vcores":1,"demand_mem_mb":1}}`,
+		`{"job":{"id":"","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
+		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512},"extra":1}`,
+		`{}`, `[]`, `null`, ``, `{"job":`, "\x00\xff",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{rmproto.PathWorkflows, rmproto.PathAdHoc} {
+			rm := gatedRM(t)
+			h := rm.Handler()
+			post := func() (int, rmproto.SubmitResponse, string) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				var resp rmproto.SubmitResponse
+				if rec.Code == http.StatusOK {
+					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+						t.Fatalf("%s %q: 200 with undecodable body: %v", path, body, err)
+					}
+					return rec.Code, resp, ""
+				}
+				var e rmproto.Error
+				if rec.Code < 400 || rec.Code > 499 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Message == "" {
+					t.Fatalf("%s %q: status %d with body %q", path, body, rec.Code, rec.Body)
+				}
+				return rec.Code, resp, e.Message
+			}
+			code, resp, _ := post()
+			checkBooks(t, rm, "after the body")
+			before := rm.Status()
+			if resp.Accepted {
+				want := 1 // the ad-hoc job, or the workflow's jobs
+				if path == rmproto.PathWorkflows {
+					var req rmproto.SubmitWorkflowRequest
+					if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+						t.Fatalf("%s %q: accepted, but does not decode: %v", path, body, err)
+					}
+					want = len(req.Workflow.Jobs)
+				}
+				for i, j := range before.Jobs {
+					if i > 0 && before.Jobs[i-1].ID == j.ID || j.ID != resp.ID && j.WorkflowID != resp.ID {
+						t.Fatalf("%s %q: accepted %s, and Status lists %+v", path, body, resp.ID, before.Jobs)
+					}
+				}
+				if len(before.Jobs) != want {
+					t.Fatalf("%s %q: accepted %s with %d jobs, Status lists %d", path, body, resp.ID, want, len(before.Jobs))
+				}
+			} else if len(before.Jobs) != 0 {
+				t.Fatalf("%s %q: answered %d %+v, and Status lists %+v", path, body, code, resp, before.Jobs)
+			}
+			again, resp2, msg := post()
+			checkBooks(t, rm, "after the body again")
+			if resp.Accepted {
+				if again == http.StatusOK || !strings.Contains(msg, "duplicate") {
+					t.Fatalf("%s %q: accepted, then answered %d %+v %q; want a duplicate 4xx", path, body, again, resp2, msg)
+				}
+			} else if again != code || resp2 != resp {
+				t.Fatalf("%s %q: answered %d %+v, then %d %+v", path, body, code, resp, again, resp2)
+			}
+			sameJobTable(t, path+" after the body again", rm.Status().Jobs, before.Jobs)
+		}
+	})
 }
