@@ -10,8 +10,8 @@
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
 # FuzzDecodeWALRecord), the flow planner, the MPS reader, the status
-# query, the heartbeat and submission request bodies, and the Alibaba and
-# Google trace converters. `make loc` prints the non-test Go
+# query, the heartbeat, submission and replication request bodies, and the
+# Alibaba and Google trace converters. `make loc` prints the non-test Go
 # line count the subtraction passes are measured by; `make check` ends
 # with it.
 
@@ -99,8 +99,13 @@ verify:
 # submission body target (any POST /v1/workflows or /v1/adhoc body, on a
 # gated server holding one plan revision, is a 4xx or a 200; an accepted
 # job is in the status once, and the same body again is a duplicate that
-# changes nothing) and the two trace converters (any Alibaba CSV or
-# Google JSON-lines input converts or fails, never panics).
+# changes nothing), the replication body target (any POST /repl/v1/ship
+# or /repl/v1/fence body, plain or gzipped, on a store-backed primary, is
+# a 4xx that changes nothing, a not_leader 503 or a 200 — a ship batch no
+# longer than head minus from, a fence exactly when its epoch is above the
+# RM's, after which every mutation is refused) and the two trace
+# converters (any Alibaba CSV or Google JSON-lines input converts or
+# fails, never panics).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -113,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzHeartbeatBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s -run '^$$' ./internal/rmserver/
+	$(GO) test -fuzz FuzzReplBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzConvertAlibaba -fuzztime 10s -run '^$$' ./internal/scenario/
 	$(GO) test -fuzz FuzzConvertGoogle -fuzztime 10s -run '^$$' ./internal/scenario/
 

@@ -2,7 +2,9 @@
 // YARN-like resource manager (see internal/rmserver): node registration
 // and heartbeats, workload submission, and status reporting. The paper
 // deployed FlowTime inside YARN's resource manager; this protocol stands
-// in for that integration surface.
+// in for that integration surface. Read-path responses (status, metrics,
+// log shipping) are gzipped when the request's Accept-Encoding asks; every
+// other response is plain JSON.
 package rmproto
 
 import (

@@ -515,10 +515,12 @@ func completedRM(tb testing.TB, s sched.Scheduler, completed, live int) *Server 
 	return rm
 }
 
-// countingRT counts response body bytes, like the benchmark's transport.
+// countingRT counts response body bytes as they cross the wire, like the
+// benchmark's transport, and as they decode: the same, or inflated when
+// the body came gzipped.
 type countingRT struct {
-	rt   http.RoundTripper
-	resp atomic.Int64
+	rt            http.RoundTripper
+	wire, decoded atomic.Int64
 }
 
 func (c *countingRT) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -531,15 +533,38 @@ func (c *countingRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.resp.Add(int64(len(body)))
+	c.wire.Add(int64(len(body)))
+	plain := body
+	if resp.Header.Get("Content-Encoding") == "gzip" {
+		if plain, err = gunzip(body); err != nil {
+			return nil, err
+		}
+	}
+	c.decoded.Add(int64(len(plain)))
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp, nil
 }
 
+// sizes returns the wire and decoded byte counts so far.
+func (c *countingRT) sizes() (wire, decoded int64) { return c.wire.Load(), c.decoded.Load() }
+
+// checkWireSizes asserts a client's first Status decoded to over 200 KB —
+// the whole table — that crossed the wire in at most a third of that, and
+// that its second decoded to under second bytes.
+func checkWireSizes(t *testing.T, rt *countingRT, firstWire, firstDecoded int64, second int64) {
+	t.Helper()
+	wire, decoded := rt.sizes()
+	if firstDecoded < 200<<10 || firstWire > firstDecoded/3 || decoded-firstDecoded >= second {
+		t.Errorf("first Status decoded to %d bytes from %d on the wire, second to %d from %d; want over 200 KB in at most a third of it, then under %d",
+			firstDecoded, firstWire, decoded-firstDecoded, wire-firstWire, second)
+	}
+}
+
 // TestStatusWireIsLiveSized is the rot guard for the wire claim, as an
 // exact byte count: with 2 000 completed and 20 live jobs, a client's
-// second Status moves under 16 KB — the live list, not the history — and
-// still reports all 2 020 jobs, as does a bare GET with no cursor.
+// second Status decodes to under 16 KB — the live list, not the history —
+// and still reports all 2 020 jobs, as does a bare GET with no cursor. The
+// first, the whole history, crosses the wire gzipped to a third or less.
 func TestStatusWireIsLiveSized(t *testing.T) {
 	rm := completedRM(t, sched.NewFIFO(), 2000, 20)
 	ts := httptest.NewServer(rm.Handler())
@@ -551,18 +576,15 @@ func TestStatusWireIsLiveSized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
-	firstBytes := rt.resp.Load()
+	firstWire, firstDecoded := rt.sizes()
 	second, err := c.Status(ctx)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
-	secondBytes := rt.resp.Load() - firstBytes
 	if len(first.Jobs) != 2020 || len(second.Jobs) != 2020 {
 		t.Errorf("Status lists %d then %d jobs, want 2020 both times", len(first.Jobs), len(second.Jobs))
 	}
-	if firstBytes < 200<<10 || secondBytes >= 16<<10 {
-		t.Errorf("first Status moved %d bytes, second %d; want the history once (> 200 KB) and then under 16 KB", firstBytes, secondBytes)
-	}
+	checkWireSizes(t, rt, firstWire, firstDecoded, 16<<10)
 	sameJobTable(t, "second Status", second.Jobs, rm.Status().Jobs)
 
 	resp, err := http.Get(ts.URL + rmproto.PathStatus)
@@ -586,9 +608,10 @@ func TestStatusWireIsLiveSized(t *testing.T) {
 
 // TestStatusWireIsChangeSized is TestStatusWireIsLiveSized's sibling for
 // the live cursor, as an exact byte count: with 2 000 live pending jobs of
-// which a tick grants 20 work between two Status calls, the second moves
-// under 8 KB — the 20 changed entries, not the 2 000 — and its table is
-// the server's; a bare GET still lists every live job.
+// which a tick grants 20 work between two Status calls, the second decodes
+// to under 8 KB — the 20 changed entries, not the 2 000 — and its table is
+// the server's; a bare GET still lists every live job. The first, the
+// whole live list, crosses the wire gzipped to a third or less.
 func TestStatusWireIsChangeSized(t *testing.T) {
 	rm := completedRM(t, sched.NewFIFO(), 0, 2000)
 	ts := httptest.NewServer(rm.Handler())
@@ -599,17 +622,14 @@ func TestStatusWireIsChangeSized(t *testing.T) {
 	if _, err := c.Status(ctx); err != nil {
 		t.Fatalf("Status: %v", err)
 	}
-	firstBytes := rt.resp.Load()
+	firstWire, firstDecoded := rt.sizes()
 	register(t, rm, "n1", 20, 20*512) // room for 20 one-core jobs
 	tick(t, rm)
 	second, err := c.Status(ctx)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
 	}
-	secondBytes := rt.resp.Load() - firstBytes
-	if firstBytes < 200<<10 || secondBytes >= 8<<10 {
-		t.Errorf("first Status moved %d bytes, second %d; want the live list once (> 200 KB) and then under 8 KB", firstBytes, secondBytes)
-	}
+	checkWireSizes(t, rt, firstWire, firstDecoded, 8<<10)
 	want := rm.Status()
 	sameJobTable(t, "second Status", second.Jobs, want.Jobs)
 	if want.Summary.Running != 20 || want.Summary.Pending != 1980 {

@@ -2,6 +2,7 @@ package rmserver
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -319,7 +320,12 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	return c.do(req, out)
 }
 
+// do sends req and decodes a 200's body into out, or turns any other
+// answer into a *StatusError. It asks for gzip itself — the transport then
+// leaves the body as sent, and do inflates it — so what a RoundTripper
+// counts is what crossed the wire; the RM compresses only its read path.
 func (c *Client) do(req *http.Request, out any) error {
+	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return fmt.Errorf("rmserver: client: %w", err)
@@ -328,9 +334,17 @@ func (c *Client) do(req *http.Request, out any) error {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
+	body := io.Reader(resp.Body)
+	if resp.Header.Get("Content-Encoding") == "gzip" {
+		zr, err := gzip.NewReader(resp.Body)
+		if err != nil {
+			return fmt.Errorf("rmserver: client: inflate: %w", err)
+		}
+		body = zr
+	}
 	if resp.StatusCode != http.StatusOK {
 		var e rmproto.Error
-		_ = json.NewDecoder(resp.Body).Decode(&e)
+		_ = json.NewDecoder(body).Decode(&e)
 		se := &StatusError{StatusCode: resp.StatusCode, Code: e.Code, Message: e.Message, Leader: e.Leader}
 		// The Retry-After header (whole seconds, per RFC 9110) and the
 		// body's retry_after_ms carry the same hint at different
@@ -347,7 +361,7 @@ func (c *Client) do(req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(body).Decode(out); err != nil {
 		return fmt.Errorf("rmserver: client: decode: %w", err)
 	}
 	return nil

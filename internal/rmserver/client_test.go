@@ -192,8 +192,15 @@ func TestClientLiveRefetch(t *testing.T) {
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Header().Get("Content-Encoding") == "gzip" {
+			var err error
+			if body, err = gunzip(body); err != nil {
+				t.Fatalf("inflate: %v", err)
+			}
+		}
 		var st rmproto.StatusResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		st.Jobs = slices.DeleteFunc(st.Jobs, func(j rmproto.JobStatus) bool { return j.ID == drop })

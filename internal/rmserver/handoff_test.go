@@ -427,8 +427,9 @@ func TestMixedRunHoldsEveryRelation(t *testing.T) {
 // server that holds an offer one confirm away from dispatch (fanIn with p1
 // confirmed: q-2, on n2, is what c waits for). Whatever arrives — p2's
 // confirm, duplicate IDs, another node's quantum, unknown nodes and fields,
-// bytes that are not JSON — the answer is a 4xx with an error body or a
-// 200 whose quanta are live leases of the calling node, the books balance,
+// a second value after the first, bytes that are not JSON — the answer is
+// a 4xx with an error body or a 200, only for a body that is one JSON
+// value, whose quanta are live leases of the calling node, the books balance,
 // the offer is dispatched at most once, and the same body again is
 // answered the same way and handed nothing.
 func FuzzHeartbeatBody(f *testing.F) {
@@ -442,6 +443,9 @@ func FuzzHeartbeatBody(f *testing.F) {
 		`{"node_id":"n2","completed":["q-2"],"extra":1}`,
 		`{"node_id":"n2","completed":"q-2"}`,
 		`{"node_id":"n2","completed":["q-2"]}{"node_id":"n3"}`,
+		`{"node_id":"n1"}{"node_id":"n2"}`,
+		`{"node_id":"n2","completed":["q-2"]} x`,
+		"{\"node_id\":\"n2\",\"completed\":[\"q-2\"]}\n\t ",
 		`{}`, `[]`, `null`, ``, `{"node_id":`, "\x00\xff",
 	} {
 		f.Add([]byte(seed))
@@ -470,8 +474,8 @@ func FuzzHeartbeatBody(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatalf("%q: 200 with undecodable body: %v", body, err)
 			}
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("%q: accepted, but does not decode: %v", body, err)
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("%q: accepted, but is not one heartbeat: %v", body, err)
 			}
 			rm.mu.Lock()
 			for _, q := range resp.Launch {

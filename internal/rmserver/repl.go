@@ -86,8 +86,13 @@ func (s *Server) leaderCheckLocked() error {
 
 // ShipLog serves one replication batch to a polling follower. The
 // request's epoch is the fencing token: a higher epoch than our own
-// means a promotion happened without us — we self-fence and reject.
+// means a promotion happened without us — we self-fence and reject. A
+// watermark no follower can hold is refused before anything is touched.
 func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) {
+	from := store.Watermark{Gen: req.From.Gen, Records: req.From.Records, Bytes: req.From.Bytes}
+	if err := from.Validate(); err != nil {
+		return rmproto.ShipResponse{}, fmt.Errorf("rmserver: ship: %w", err)
+	}
 	s.mu.Lock()
 	if s.store == nil {
 		s.mu.Unlock()
@@ -108,7 +113,6 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 		return rmproto.ShipResponse{}, err
 	}
 	epoch := s.epoch
-	from := store.Watermark{Gen: req.From.Gen, Records: req.From.Records, Bytes: req.From.Bytes}
 	s.repl.hasFollower = true
 	s.repl.followerWM = from
 	s.repl.lastSeen = time.Now()

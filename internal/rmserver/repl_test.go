@@ -1,10 +1,16 @@
 package rmserver
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,4 +330,201 @@ func TestAgentFollowsLeaderAcrossFailover(t *testing.T) {
 	if err := <-agentDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAgent returned %v, want context.Canceled", err)
 	}
+}
+
+// shipNegative is a ship request from a watermark no follower can hold.
+const shipNegative = `{"epoch":1,"from":{"gen":0,"records":-1}}`
+
+// replPrimary is a store-backed primary holding a few records: a node, a
+// workflow and an ad-hoc job, two slots in.
+func replPrimary(t *testing.T) *Server {
+	t.Helper()
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	register(t, rm, "n1", 8, 16*1024)
+	submitBoth(t, rm)
+	runSlots(t, rm, "n1", 2, nil)
+	return rm
+}
+
+// TestShipRefusesNegativeWatermark: a ship request from a negative
+// watermark is a 400 that leaves the replication block as it was — it
+// used to panic the handler in ShipFrom and, before that, record the
+// watermark as the follower's position.
+func TestShipRefusesNegativeWatermark(t *testing.T) {
+	rm := replPrimary(t)
+	before := *rm.Status().Replication
+	rec := serve(rm.Handler(), http.MethodPost, rmproto.PathShip, shipNegative, "")
+	var e rmproto.Error
+	if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Message, "negative") {
+		t.Fatalf("ship from a negative watermark: %d %s, want a 400 naming it", rec.Code, rec.Body)
+	}
+	if after := *rm.Status().Replication; after != before {
+		t.Errorf("replication block went from %+v to %+v", before, after)
+	}
+	if _, err := rm.store.ShipFrom(store.Watermark{Records: -1}, 0); err == nil {
+		t.Error("store.ShipFrom accepted a negative watermark")
+	}
+}
+
+// strictDecode decodes body as the API does: one JSON value, no unknown
+// fields.
+func strictDecode(body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(v) != nil {
+		return false
+	}
+	_, err := dec.Token()
+	return err == io.EOF
+}
+
+// refusesMutations asserts every mutation over HTTP is a 503 not_leader.
+func refusesMutations(t *testing.T, h http.Handler, what string) {
+	t.Helper()
+	for _, c := range []struct{ path, body string }{
+		{rmproto.PathRegister, `{"node_id":"n9","capacity":{"vcores":1,"memory_mb":1024}}`},
+		{rmproto.PathHeartbeat, `{"node_id":"n1"}`},
+		{rmproto.PathWorkflows, `{"workflow":{"id":"wf-new","deadline_sec":600,"jobs":[{"name":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}]}}`},
+		{rmproto.PathAdHoc, `{"job":{"id":"new","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`},
+		{rmproto.PathTick, `{}`},
+	} {
+		rec := serve(h, http.MethodPost, c.path, c.body, "")
+		var e rmproto.Error
+		if rec.Code != http.StatusServiceUnavailable || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code != rmproto.CodeNotLeader {
+			t.Fatalf("%s: %s answered %d %s, want 503 not_leader", what, c.path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// FuzzReplBody posts arbitrary bodies to POST /repl/v1/ship and
+// /repl/v1/fence, each on its own store-backed primary holding a few
+// records, asking for a gzipped answer or not. Whatever arrives, nothing
+// panics and the answer is a 4xx that leaves the replication block as it
+// was, a not_leader 503, or a 200: a ship batch of no more records than
+// head − from, head being the store's watermark, gzipped exactly when
+// asked; a fence, never gzipped. A well-formed ship is a 200 exactly when
+// its watermark is not negative and its epoch not above the RM's, and a
+// 503 otherwise; a well-formed fence is a 200 exactly when its epoch is
+// above the RM's. Once either has deposed the RM, every mutation is
+// refused with not_leader.
+func FuzzReplBody(f *testing.F) {
+	for _, seed := range []string{
+		shipNegative,
+		`{"epoch":1,"from":{"gen":-1,"records":0}}`,
+		`{"epoch":1,"from":{"gen":0,"records":0,"bytes":-5}}`,
+		`{"epoch":1,"from":{"gen":0,"records":0,"bytes":0}}`,
+		`{"epoch":1,"from":{"gen":0,"records":3},"max_bytes":1}`,
+		`{"epoch":1,"from":{"gen":0,"records":99}}`,
+		`{"epoch":1,"from":{"gen":7,"records":0}}`,
+		`{"epoch":0,"from":{"gen":0,"records":0}}`,
+		`{"epoch":2,"from":{"gen":0,"records":0},"follower_url":"http://f"}`,
+		`{"epoch":2,"leader":"http://f"}`,
+		`{"epoch":1}`, `{"epoch":-1}`, `{"epoch":9223372036854775807}`,
+		`{"epoch":1,"from":{"gen":0,"records":0}}{"epoch":2}`,
+		`{"epoch":"2"}`, `{"epoch":2,"extra":1}`,
+		`{}`, `[]`, `null`, ``, `{"epoch":`, "\x00\xff",
+	} {
+		f.Add([]byte(seed), false)
+		f.Add([]byte(seed), true)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, gz bool) {
+		ae := ""
+		if gz {
+			ae = "gzip"
+		}
+		for _, path := range []string{rmproto.PathShip, rmproto.PathFence} {
+			rm := replPrimary(t)
+			h := rm.Handler()
+			before := *rm.Status().Replication
+			rec := serve(h, http.MethodPost, path, string(body), ae)
+			what := fmt.Sprintf("%s %q (gzip %v)", path, body, gz)
+			after := *rm.Status().Replication
+
+			var ship rmproto.ShipRequest
+			var fence rmproto.FenceRequest
+			var want int // the code a well-formed body must get; 0 for any other body
+			switch {
+			case path == rmproto.PathShip && strictDecode(body, &ship):
+				from := store.Watermark{Gen: ship.From.Gen, Records: ship.From.Records, Bytes: ship.From.Bytes}
+				switch {
+				case from.Validate() != nil:
+					want = http.StatusBadRequest
+				case ship.Epoch > before.Epoch:
+					want = http.StatusServiceUnavailable
+				default:
+					want = http.StatusOK
+				}
+			case path == rmproto.PathFence && strictDecode(body, &fence):
+				want = http.StatusBadRequest
+				if fence.Epoch > before.Epoch {
+					want = http.StatusOK
+				}
+			}
+			if want != 0 && rec.Code != want {
+				t.Fatalf("%s: %d %s, want %d", what, rec.Code, rec.Body, want)
+			}
+			if gzipped := rec.Header().Get("Content-Encoding") == "gzip"; gzipped != (gz && path == rmproto.PathShip && rec.Code == http.StatusOK) {
+				t.Fatalf("%s: %d with Content-Encoding %q", what, rec.Code, rec.Header().Get("Content-Encoding"))
+			}
+			raw := rec.Body.Bytes()
+			if rec.Header().Get("Content-Encoding") == "gzip" {
+				var err error
+				if raw, err = gunzip(raw); err != nil {
+					t.Fatalf("%s: inflate: %v", what, err)
+				}
+			}
+
+			switch {
+			case rec.Code == http.StatusOK && path == rmproto.PathShip:
+				var resp rmproto.ShipResponse
+				if want == 0 || json.Unmarshal(raw, &resp) != nil {
+					t.Fatalf("%s: 200 with %q", what, raw)
+				}
+				head := rm.store.Watermark()
+				bound := head.Records - ship.From.Records
+				if resp.SnapInstall {
+					bound = head.Records
+				} else if resp.Gen != ship.From.Gen || resp.FromSeq != ship.From.Records {
+					t.Fatalf("%s: incremental batch of gen %d from %d", what, resp.Gen, resp.FromSeq)
+				}
+				if resp.Head != (rmproto.ReplWatermark{Gen: head.Gen, Records: head.Records, Bytes: head.Bytes}) || resp.Gen != head.Gen || int64(len(resp.Records)) > bound {
+					t.Fatalf("%s: batch of %d records at gen %d with head %+v; the store is at %v", what, len(resp.Records), resp.Gen, resp.Head, head)
+				}
+				if after.FollowerWatermark != ship.From {
+					t.Fatalf("%s: follower recorded at %+v", what, after.FollowerWatermark)
+				}
+			case rec.Code == http.StatusOK:
+				var resp rmproto.FenceResponse
+				if want == 0 || json.Unmarshal(raw, &resp) != nil || !resp.Fenced || resp.Epoch != fence.Epoch {
+					t.Fatalf("%s: 200 with %q", what, raw)
+				}
+			case rec.Code == http.StatusServiceUnavailable:
+				var e rmproto.Error
+				if json.Unmarshal(raw, &e) != nil || e.Code != rmproto.CodeNotLeader {
+					t.Fatalf("%s: 503 with %q", what, raw)
+				}
+			case rec.Code >= 400 && rec.Code <= 499:
+				var e rmproto.Error
+				if json.Unmarshal(raw, &e) != nil || e.Message == "" {
+					t.Fatalf("%s: %d with %q", what, rec.Code, raw)
+				}
+				if after != before {
+					t.Fatalf("%s: refused, yet the replication block went from %+v to %+v", what, before, after)
+				}
+			default:
+				t.Fatalf("%s: status %d", what, rec.Code)
+			}
+			if after.Fenced {
+				refusesMutations(t, h, what)
+			}
+		}
+	})
 }

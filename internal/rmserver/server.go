@@ -172,6 +172,9 @@ type Server struct {
 	// always present (its detectors may be disabled).
 	admission *admission
 	watchdog  *watchdog
+
+	// gz compresses read-path responses for clients that ask (http.go).
+	gz compressor
 }
 
 // node tracks one node manager. pending holds quanta queued for the next

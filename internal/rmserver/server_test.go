@@ -456,8 +456,9 @@ func gatedRM(t testing.TB) *Server {
 // FuzzSubmitBody posts arbitrary bodies to POST /v1/workflows and
 // /v1/adhoc, each on its own gatedRM. Whatever arrives — a feasible
 // workflow, an infeasible one (admitted best-effort), a cycle, a job the
-// gate turns away, negative or overflowing figures, unknown fields, bytes
-// that are not JSON — the answer is a 4xx with an error body or a 200. A
+// gate turns away, negative or overflowing figures, unknown fields, two
+// submissions back to back, bytes that are not JSON — the answer is a 4xx
+// with an error body or a 200, and a 200 only for one JSON value. A
 // 200 that accepts puts the job, or every job of the workflow, in Status
 // exactly once with the books balanced, and the same body again is a 4xx
 // duplicate that changes nothing; any other answer is given again.
@@ -479,6 +480,9 @@ func FuzzSubmitBody(f *testing.F) {
 		`{"job":{"id":"a","tasks":9223372036854775807,"task_dur_sec":9223372036854775807,"demand_vcores":1,"demand_mem_mb":1}}`,
 		`{"job":{"id":"","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
 		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512},"extra":1}`,
+		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}{"job":{"id":"b","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
+		`{"workflow":{"id":"w1","deadline_sec":600,"jobs":[` + job("a") + `]}}{"workflow":{"id":"w2","deadline_sec":600,"jobs":[` + job("a") + `]}}`,
+		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}` + "\n",
 		`{}`, `[]`, `null`, ``, `{"job":`, "\x00\xff",
 	} {
 		f.Add([]byte(seed))
@@ -494,6 +498,9 @@ func FuzzSubmitBody(f *testing.F) {
 				if rec.Code == http.StatusOK {
 					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 						t.Fatalf("%s %q: 200 with undecodable body: %v", path, body, err)
+					}
+					if !json.Valid(body) {
+						t.Fatalf("%s %q: 200 for a body that is not one JSON value", path, body)
 					}
 					return rec.Code, resp, ""
 				}

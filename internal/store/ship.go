@@ -22,6 +22,14 @@ func (w Watermark) String() string {
 	return fmt.Sprintf("gen %d rec %d (%d B)", w.Gen, w.Records, w.Bytes)
 }
 
+// Validate refuses a watermark no stream has: one with a negative field.
+func (w Watermark) Validate() error {
+	if w.Gen < 0 || w.Records < 0 || w.Bytes < 0 {
+		return fmt.Errorf("store: watermark %v is negative", w)
+	}
+	return nil
+}
+
 // ShipBatch is one unit of primary→follower log shipping, produced by
 // ShipFrom and consumed by Ingest. Two shapes:
 //
@@ -67,8 +75,12 @@ func (s *Store) Watermark() Watermark {
 // current generation gets an incremental batch; a follower on another
 // generation — or ahead of this store, which happens when a restarted
 // primary lost an unsynced tail the follower had already received —
-// gets a snapshot install that resets it to this store's stream.
+// gets a snapshot install that resets it to this store's stream. A
+// watermark with a negative field is refused.
 func (s *Store) ShipFrom(from Watermark, maxBytes int) (ShipBatch, error) {
+	if err := from.Validate(); err != nil {
+		return ShipBatch{}, err
+	}
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
