@@ -9,11 +9,11 @@
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
-# FuzzDecodeWALRecord), the flow planner, the MPS reader, the status
-# query, the heartbeat, submission and replication request bodies, and the
-# Alibaba and Google trace converters. `make loc` prints the non-test Go
-# line count the subtraction passes are measured by; `make check` ends
-# with it.
+# FuzzDecodeWALRecord), the binary heartbeat codec (FuzzHeartbeatCodec),
+# the flow planner, the MPS reader, the status query, the heartbeat,
+# submission and replication request bodies, and the Alibaba and Google
+# trace converters. `make loc` prints the non-test Go line count the
+# subtraction passes are measured by; `make check` ends with it.
 
 GO ?= go
 
@@ -83,9 +83,10 @@ cover:
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
-# fuzz runs short bursts of the store framing, plan-diff codec and WAL
-# record codec fuzz targets (both codecs: no panic, an accepted input
-# re-encodes to itself and is safe to apply) from the
+# fuzz runs short bursts of the store framing, plan-diff codec, WAL
+# record codec and heartbeat body codec fuzz targets (every codec: no
+# panic, an accepted input re-encodes to itself; a diff or record is safe
+# to apply) from the
 # checked-in seed corpora (testdata/fuzz/) and in-code seeds, the flow
 # planner target (conservation, window, cap and parallelism invariants on
 # adversarial capacities and demands, overflow-sized ones included), the
@@ -93,9 +94,11 @@ verify:
 # is a valid model that survives WriteMPS -> ReadMPS with the same
 # variables, rows and bounds), the GET /v1/status query target (any
 # cursor, archive or live, is a 400 or a consistent 200), the heartbeat
-# body target (any POST /v1/nodes/heartbeat body, on a server holding an
-# offer, is a 4xx or a 200 that leaves leases, in-flight sums and per-node
-# placed volume consistent and dispatches the offer at most once), the
+# body target (any binary POST /v1/nodes/heartbeat body, on a server
+# holding an offer, is a 4xx or a 200 — for a body that re-encodes to
+# itself, with a reply that does too — that leaves leases, in-flight sums
+# and per-node placed volume consistent and dispatches the offer at most
+# once), the
 # submission body target (any POST /v1/workflows or /v1/adhoc body, on a
 # gated server holding one plan revision, is a 4xx or a 200; an accepted
 # job is in the status once, and the same body again is a duplicate that
@@ -113,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/
+	$(GO) test -fuzz FuzzHeartbeatCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz FuzzReadMPS -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/

@@ -1,5 +1,6 @@
 // Command ftrm runs the FlowTime resource manager: a miniature YARN-like
-// RM speaking the rmproto HTTP/JSON API, with a pluggable scheduler.
+// RM speaking the rmproto HTTP API (JSON, binary heartbeats), with a
+// pluggable scheduler.
 //
 // Usage:
 //

@@ -1,10 +1,12 @@
-// Package rmproto defines the JSON wire protocol of the miniature
-// YARN-like resource manager (see internal/rmserver): node registration
-// and heartbeats, workload submission, and status reporting. The paper
+// Package rmproto defines the wire protocol of the miniature YARN-like
+// resource manager (see internal/rmserver): node registration and
+// heartbeats, workload submission, and status reporting. The paper
 // deployed FlowTime inside YARN's resource manager; this protocol stands
-// in for that integration surface. Read-path responses (status, metrics,
-// log shipping) are gzipped when the request's Accept-Encoding asks; every
-// other response is plain JSON.
+// in for that integration surface. Bodies are JSON except a heartbeat's,
+// request and reply, which are binary (heartbeat.go) like YARN's node
+// heartbeat RPC; errors are JSON everywhere. Read-path responses (status,
+// metrics, log shipping) are gzipped when the request's Accept-Encoding
+// asks; every other response is sent as encoded.
 package rmproto
 
 import (
@@ -61,24 +63,25 @@ type RegisterNodeResponse struct {
 // leases rather than task-length containers keep the protocol aligned
 // with the paper's slot-based formulation (§V).
 type Quantum struct {
-	ID    string    `json:"id"`
-	JobID string    `json:"job_id"`
-	Grant Resources `json:"grant"`
+	ID    string
+	JobID string
+	Grant Resources
 	// DeadlineSlot is the RM slot by which the lease must be confirmed;
 	// past it the RM reclaims the lease and requeues its volume. Zero
 	// means the RM has lease expiry disabled.
-	DeadlineSlot int64 `json:"deadline_slot,omitempty"`
+	DeadlineSlot int64
 }
 
-// HeartbeatRequest reports node liveness and completed quanta.
+// HeartbeatRequest reports node liveness and completed quanta. On the wire
+// it is binary (AppendHeartbeatRequest), as is HeartbeatResponse.
 type HeartbeatRequest struct {
-	NodeID    string   `json:"node_id"`
-	Completed []string `json:"completed,omitempty"`
+	NodeID    string
+	Completed []string
 }
 
 // HeartbeatResponse carries new work for the node.
 type HeartbeatResponse struct {
-	Launch []Quantum `json:"launch,omitempty"`
+	Launch []Quantum
 }
 
 // SubmitWorkflowRequest submits one deadline-aware workflow, reusing the

@@ -23,28 +23,8 @@ func TestResourcesRoundTrip(t *testing.T) {
 
 func TestWireJSONStability(t *testing.T) {
 	// The wire format is part of the public protocol; field names must not
-	// drift.
-	q := Quantum{ID: "q-1", JobID: "wf/j#0", Grant: Resources{VCores: 2, MemoryMB: 4096}}
-	raw, err := json.Marshal(q)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	want := `{"id":"q-1","job_id":"wf/j#0","grant":{"vcores":2,"memory_mb":4096}}`
-	if string(raw) != want {
-		t.Errorf("wire JSON = %s, want %s", raw, want)
-	}
-
-	hb := HeartbeatRequest{NodeID: "n1", Completed: []string{"q-1"}}
-	raw, err = json.Marshal(hb)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	want = `{"node_id":"n1","completed":["q-1"]}`
-	if string(raw) != want {
-		t.Errorf("wire JSON = %s, want %s", raw, want)
-	}
-
-	// The status response's job blocks: live jobs in "jobs", completed
+	// drift. (Heartbeat bodies are binary: TestHeartbeatCodecRoundTrip pins
+	// their bytes.) The status response's job blocks: live jobs in "jobs", completed
 	// ones in "done" behind the cursor fields, counts in "summary".
 	live := JobStatus{ID: "wf/b#1", Kind: "deadline", WorkflowID: "wf", State: "running",
 		Delivered: Resources{VCores: 1, MemoryMB: 512}, Total: Resources{VCores: 2, MemoryMB: 1024}, DeadlineSec: 600}
@@ -54,11 +34,11 @@ func TestWireJSONStability(t *testing.T) {
 	st := StatusResponse{Slot: 40, Nodes: 1, Jobs: []JobStatus{live},
 		Done:    &DoneJobs{Instance: "00000000deadbeef", From: 7, Total: 8, Jobs: []JobStatus{done}},
 		Summary: JobSummary{Running: 1, Completed: 8, Missed: 1}}
-	raw, err = json.Marshal(st)
+	raw, err := json.Marshal(st)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	want = `{"slot":40,"nodes":1,"capacity":{"vcores":0,"memory_mb":0},` +
+	want := `{"slot":40,"nodes":1,"capacity":{"vcores":0,"memory_mb":0},` +
 		`"jobs":[{"id":"wf/b#1","kind":"deadline","workflow_id":"wf","state":"running","delivered":{"vcores":1,"memory_mb":512},"total":{"vcores":2,"memory_mb":1024},"deadline_sec":600}],` +
 		`"done":{"instance":"00000000deadbeef","from":7,"total":8,"jobs":[{"id":"wf/a#0","kind":"deadline","workflow_id":"wf","state":"completed","delivered":{"vcores":2,"memory_mb":1024},"total":{"vcores":2,"memory_mb":1024},"deadline_sec":300,"completed_sec":310,"missed":true}]},` +
 		`"summary":{"pending":0,"running":1,"completed":8,"missed":1},` +
@@ -88,24 +68,16 @@ func TestFold(t *testing.T) {
 }
 
 func TestFaultWireJSONStability(t *testing.T) {
-	// Fault-tolerance additions are protocol surface too: lease deadlines
-	// on quanta, drain responses, and coded errors must not drift.
-	q := Quantum{ID: "q-1", JobID: "wf/j#0", Grant: Resources{VCores: 2, MemoryMB: 4096}, DeadlineSlot: 7}
-	raw, err := json.Marshal(q)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	want := `{"id":"q-1","job_id":"wf/j#0","grant":{"vcores":2,"memory_mb":4096},"deadline_slot":7}`
-	if string(raw) != want {
-		t.Errorf("wire JSON = %s, want %s", raw, want)
-	}
-
+	// Fault-tolerance additions are protocol surface too: drain responses
+	// and coded errors must not drift (a lease's deadline slot travels in
+	// the binary heartbeat reply, whose bytes TestHeartbeatCodecRoundTrip
+	// pins).
 	dr := DrainResponse{Draining: true, Complete: false, OutstandingLeases: 3, UnfinishedJobs: []string{"adhoc/q"}}
-	raw, err = json.Marshal(dr)
+	raw, err := json.Marshal(dr)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	want = `{"draining":true,"complete":false,"outstanding_leases":3,"unfinished_jobs":["adhoc/q"]}`
+	want := `{"draining":true,"complete":false,"outstanding_leases":3,"unfinished_jobs":["adhoc/q"]}`
 	if string(raw) != want {
 		t.Errorf("wire JSON = %s, want %s", raw, want)
 	}

@@ -109,10 +109,18 @@ func (c *Client) RegisterNode(ctx context.Context, req rmproto.RegisterNodeReque
 // Heartbeat reports completions and fetches work. Heartbeats are
 // idempotent at the system level: if a retry re-reports a completion the
 // RM already confirmed, the duplicate is counted as stale and ignored.
+// Both bodies are binary (rmproto.AppendHeartbeatRequest).
 func (c *Client) Heartbeat(ctx context.Context, req rmproto.HeartbeatRequest) (rmproto.HeartbeatResponse, error) {
 	var resp rmproto.HeartbeatResponse
+	body := rmproto.AppendHeartbeatRequest(nil, req)
 	err := c.retrying(ctx, func() error {
-		return c.post(ctx, rmproto.PathHeartbeat, req, &resp)
+		return c.send(ctx, rmproto.PathHeartbeat, rmproto.HeartbeatMediaType, body, func(r io.Reader) error {
+			p, err := io.ReadAll(r)
+			if err == nil {
+				resp, err = rmproto.DecodeHeartbeatResponse(p)
+			}
+			return err
+		})
 	})
 	return resp, err
 }
@@ -182,7 +190,7 @@ func (c *Client) statusOnce(ctx context.Context, wholeLive bool) (rmproto.Status
 	if err != nil {
 		return resp, fmt.Errorf("rmserver: client: %w", err)
 	}
-	if err := c.do(req, &resp); err != nil || resp.Done == nil {
+	if err := c.do(req, decodeJSON(&resp)); err != nil || resp.Done == nil {
 		return resp, err // no done block: an RM that sends the whole table in Jobs
 	}
 	return resp, c.status.apply(ask, &resp)
@@ -312,19 +320,29 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return fmt.Errorf("rmserver: client: marshal: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(buf))
+	return c.send(ctx, path, "application/json", buf, decodeJSON(out))
+}
+
+// send POSTs body as contentType and hands a 200's body to decode.
+func (c *Client) send(ctx context.Context, path, contentType string, body []byte, decode func(io.Reader) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("rmserver: client: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
+	req.Header.Set("Content-Type", contentType)
+	return c.do(req, decode)
 }
 
-// do sends req and decodes a 200's body into out, or turns any other
+// decodeJSON decodes one JSON value into out.
+func decodeJSON(out any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+}
+
+// do sends req and hands a 200's body to decode, or turns any other
 // answer into a *StatusError. It asks for gzip itself — the transport then
 // leaves the body as sent, and do inflates it — so what a RoundTripper
 // counts is what crossed the wire; the RM compresses only its read path.
-func (c *Client) do(req *http.Request, out any) error {
+func (c *Client) do(req *http.Request, decode func(io.Reader) error) error {
 	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -358,10 +376,7 @@ func (c *Client) do(req *http.Request, out any) error {
 		}
 		return se
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(body).Decode(out); err != nil {
+	if err := decode(body); err != nil {
 		return fmt.Errorf("rmserver: client: decode: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package rmserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -111,11 +112,12 @@ func twoStage() rmproto.SubmitWorkflowRequest {
 }
 
 // TestChainStartsOnTheConfirmingHeartbeat is the verify skill's scenario:
-// one 3-level chain, two slots of work a level, alone on one node. Under
-// FlowTime each level starts in the heartbeat that confirms the one before
-// it, so the chain completes at slots 3/5/7 — the critical path plus one
-// final confirm. The baselines ignore ReadyOnConfirm and keep the
-// hand-off slot per level: 3/6/9, bit-identical to before offers existed.
+// one 3-level chain, two slots of work a level, alone on one node, driven
+// over HTTP through Client as a node agent would. Under FlowTime each level
+// starts in the heartbeat that confirms the one before it, so the chain
+// completes at slots 3/5/7 — the critical path plus one final confirm. The
+// baselines ignore ReadyOnConfirm and keep the hand-off slot per level:
+// 3/6/9, bit-identical to before offers existed.
 func TestChainStartsOnTheConfirmingHeartbeat(t *testing.T) {
 	for _, tc := range []struct {
 		sched    sched.Scheduler
@@ -131,8 +133,13 @@ func TestChainStartsOnTheConfirmingHeartbeat(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			register(t, rm, "n1", 16, 65536)
-			if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: trace.WorkflowRecord{
+			ts := httptest.NewServer(rm.Handler())
+			defer ts.Close()
+			c, ctx := NewClient(ts.URL, ts.Client()), context.Background()
+			if _, err := c.RegisterNode(ctx, rmproto.RegisterNodeRequest{NodeID: "n1", Capacity: rmproto.Resources{VCores: 16, MemoryMB: 65536}}); err != nil {
+				t.Fatalf("RegisterNode: %v", err)
+			}
+			if _, err := c.SubmitWorkflow(ctx, rmproto.SubmitWorkflowRequest{Workflow: trace.WorkflowRecord{
 				ID: "wf", DeadlineSec: 3600,
 				Jobs: []trace.JobRecord{stage("a", 4, 120), stage("b", 4, 120), stage("c", 4, 120)},
 				Deps: [][2]int{{0, 1}, {1, 2}},
@@ -141,11 +148,20 @@ func TestChainStartsOnTheConfirmingHeartbeat(t *testing.T) {
 			}
 			var held []string
 			for slot := 0; slot < 12; slot++ {
-				tick(t, rm)
-				held = quantumIDs(beat(t, rm, "n1", held))
+				if err := c.Tick(ctx); err != nil {
+					t.Fatalf("Tick: %v", err)
+				}
+				resp, err := c.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1", Completed: held})
+				if err != nil {
+					t.Fatalf("Heartbeat: %v", err)
+				}
+				held = quantumIDs(resp.Launch)
 				checkBooks(t, rm, fmt.Sprintf("slot %d", slot))
 			}
-			st := rm.Status()
+			st, err := c.Status(ctx)
+			if err != nil {
+				t.Fatalf("Status: %v", err)
+			}
 			var got [3]int64
 			for i, j := range st.Jobs { // sorted by ID: wf/a#0, wf/b#1, wf/c#2
 				got[i] = j.CompletedSec / 60
@@ -423,17 +439,18 @@ func TestMixedRunHoldsEveryRelation(t *testing.T) {
 	}
 }
 
-// FuzzHeartbeatBody posts arbitrary bodies to /v1/nodes/heartbeat on a
-// server that holds an offer one confirm away from dispatch (fanIn with p1
-// confirmed: q-2, on n2, is what c waits for). Whatever arrives — p2's
-// confirm, duplicate IDs, another node's quantum, unknown nodes and fields,
-// a second value after the first, bytes that are not JSON — the answer is
-// a 4xx with an error body or a 200, only for a body that is one JSON
-// value, whose quanta are live leases of the calling node, the books balance,
-// the offer is dispatched at most once, and the same body again is
-// answered the same way and handed nothing.
+// FuzzHeartbeatBody posts arbitrary binary bodies to /v1/nodes/heartbeat
+// on a server that holds an offer one confirm away from dispatch (fanIn with
+// p1 confirmed: q-2, on n2, is what c waits for). Whatever arrives — p2's
+// confirm, duplicate IDs, another node's quantum, unknown nodes, a spelled-
+// out quantum ID, a second body after the first, trailing bytes, JSON — the
+// answer is a 4xx with an error body or a 200, only for a body that
+// re-encodes to itself, whose reply decodes and re-encodes to itself and
+// launches only leases of the calling node; the books balance, the offer is
+// dispatched at most once, and the same body again is answered the same way
+// and handed nothing.
 func FuzzHeartbeatBody(f *testing.F) {
-	for _, seed := range []string{
+	jsonSeeds := []string{
 		`{"node_id":"n2","completed":["q-2"]}`,
 		`{"node_id":"n2","completed":["q-2","q-2","q-1","q-999",""]}`,
 		`{"node_id":"n3","completed":["q-2"]}`,
@@ -447,7 +464,24 @@ func FuzzHeartbeatBody(f *testing.F) {
 		`{"node_id":"n2","completed":["q-2"]} x`,
 		"{\"node_id\":\"n2\",\"completed\":[\"q-2\"]}\n\t ",
 		`{}`, `[]`, `null`, ``, `{"node_id":`, "\x00\xff",
-	} {
+	}
+	// The same bodies in the binary form, one for one, then the JSON ones
+	// as the garbage a JSON client would send.
+	for _, seed := range append([]string{
+		hbBody("n2", "q-2"),
+		hbBody("n2", "q-2", "q-2", "q-1", "q-999", ""),
+		hbBody("n3", "q-2"),
+		hbBody("n1", "q-1"),
+		hbBody("n2"),
+		hbBody("ghost", "q-2"),
+		hbBody("n2", "q-2") + "\x01",
+		"\x02n2\x01\x00\x03q-2", // q-2 spelled out
+		hbBody("n2", "q-2") + hbBody("n3"),
+		hbBody("n1") + hbBody("n2"),
+		hbBody("n2", "q-2") + " x",
+		hbBody("n2", "q-2") + "\n\t ",
+		hbBody(""), "\x00", "\x02n2\x81\x00", ``, "\x02n", "\x00\xff",
+	}, jsonSeeds...) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -460,8 +494,7 @@ func FuzzHeartbeatBody(f *testing.F) {
 
 		h := rm.Handler()
 		post := func() (int, []rmproto.Quantum) {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/nodes/heartbeat", bytes.NewReader(body)))
+			rec := serve(h, http.MethodPost, rmproto.PathHeartbeat, string(body), "")
 			if rec.Code != http.StatusOK {
 				var e rmproto.Error
 				if rec.Code < 400 || rec.Code > 499 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Message == "" {
@@ -469,13 +502,19 @@ func FuzzHeartbeatBody(f *testing.F) {
 				}
 				return rec.Code, nil
 			}
-			var resp rmproto.HeartbeatResponse
-			var req rmproto.HeartbeatRequest
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			resp, err := rmproto.DecodeHeartbeatResponse(rec.Body.Bytes())
+			if err != nil {
 				t.Fatalf("%q: 200 with undecodable body: %v", body, err)
 			}
-			if err := json.Unmarshal(body, &req); err != nil {
+			if re, err := rmproto.AppendHeartbeatResponse(nil, resp); err != nil || !bytes.Equal(re, rec.Body.Bytes()) {
+				t.Fatalf("%q: 200 with a reply that does not re-encode to itself (%v)", body, err)
+			}
+			req, err := rmproto.DecodeHeartbeatRequest(body)
+			if err != nil {
 				t.Fatalf("%q: accepted, but is not one heartbeat: %v", body, err)
+			}
+			if re := rmproto.AppendHeartbeatRequest(nil, req); !bytes.Equal(re, body) {
+				t.Fatalf("%q: accepted, but re-encodes to %q", body, re)
 			}
 			rm.mu.Lock()
 			for _, q := range resp.Launch {
@@ -504,15 +543,12 @@ func FuzzHeartbeatBody(f *testing.F) {
 func TestRequestBodyIsBounded(t *testing.T) {
 	rm := newRM(t, sched.NewFIFO())
 	register(t, rm, "n1", 4, 8192)
-	body := `{"node_id":"n1","completed":["` + strings.Repeat("q", maxRequestBytes) + `"]}`
-	rec := httptest.NewRecorder()
-	rm.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/nodes/heartbeat", strings.NewReader(body)))
+	rec := serve(rm.Handler(), http.MethodPost, rmproto.PathHeartbeat, hbBody("n1", strings.Repeat("q", maxRequestBytes)), "")
 	var e rmproto.Error
 	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Message == "" {
 		t.Errorf("oversized body: status %d, body %q; want 413 with an error body", rec.Code, rec.Body)
 	}
-	rec = httptest.NewRecorder()
-	rm.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/nodes/heartbeat", strings.NewReader(`{"node_id":"n1"}`)))
+	rec = serve(rm.Handler(), http.MethodPost, rmproto.PathHeartbeat, hbBody("n1"), "")
 	if rec.Code != http.StatusOK {
 		t.Errorf("an ordinary heartbeat after it: status %d", rec.Code)
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"net/url"
 	"sort"
@@ -43,17 +44,13 @@ func (s *Server) Handler() http.Handler {
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/nodes/register", guard(classConfirm, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+rmproto.PathRegister, guard(classConfirm, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, func(req rmproto.RegisterNodeRequest) (rmproto.RegisterNodeResponse, error) {
 			return s.RegisterNode(req, time.Now())
 		})
 	}))
-	mux.HandleFunc("POST /v1/nodes/heartbeat", guard(classConfirm, func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, func(req rmproto.HeartbeatRequest) (rmproto.HeartbeatResponse, error) {
-			return s.Heartbeat(req, time.Now())
-		})
-	}))
-	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+rmproto.PathHeartbeat, guard(classConfirm, s.handleHeartbeat))
+	mux.HandleFunc("POST "+rmproto.PathDrain, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, func(req rmproto.DrainRequest) (rmproto.DrainResponse, error) {
 			if req.WaitMs <= 0 {
 				s.BeginDrain()
@@ -64,10 +61,10 @@ func (s *Server) Handler() http.Handler {
 			return s.Drain(ctx), nil
 		})
 	})
-	mux.HandleFunc("POST /v1/workflows", guard(classSubmit, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+rmproto.PathWorkflows, guard(classSubmit, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, s.SubmitWorkflow)
 	}))
-	mux.HandleFunc("POST /v1/adhoc", guard(classSubmit, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+rmproto.PathAdHoc, guard(classSubmit, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, s.SubmitAdHoc)
 	}))
 	mux.HandleFunc("POST "+rmproto.PathShip, func(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +80,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST "+rmproto.PathFence, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, s.Fence)
 	})
-	mux.HandleFunc("POST /v1/tick", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+rmproto.PathTick, func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Tick(time.Now()); err != nil {
 			status := http.StatusInternalServerError
 			if errors.Is(err, ErrNotLeader) || errors.Is(err, ErrCommitFailed) {
@@ -96,7 +93,7 @@ func (s *Server) Handler() http.Handler {
 			Slot int64 `json:"slot"`
 		}{Slot: s.Slot()})
 	})
-	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET "+rmproto.PathStatus, func(w http.ResponseWriter, r *http.Request) {
 		cur, err := parseStatusQuery(r.URL.Query())
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
@@ -243,6 +240,52 @@ func boolToInt(b bool) int {
 // legitimate one — a full node's heartbeat, a wide workflow — is a few KB.
 const maxRequestBytes = 8 << 20
 
+// handleHeartbeat answers POST PathHeartbeat, whose bodies are binary both
+// ways (rmproto.AppendHeartbeatRequest); its refusals are coded JSON, like
+// every other endpoint's.
+func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	ct := r.Header.Get("Content-Type")
+	if mt, _, _ := mime.ParseMediaType(ct); mt != rmproto.HeartbeatMediaType {
+		writeError(w, http.StatusUnsupportedMediaType, fmt.Errorf(
+			"rmserver: a heartbeat body is %s, as rmproto.AppendHeartbeatRequest encodes it; got Content-Type %q", rmproto.HeartbeatMediaType, ct))
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeError(w, bodyErrorStatus(err), fmt.Errorf("decode: %w", err))
+		return
+	}
+	req, err := rmproto.DecodeHeartbeatRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+		return
+	}
+	resp, err := s.Heartbeat(req, time.Now())
+	if err != nil {
+		writeError(w, errorStatus(err), err)
+		return
+	}
+	out, err := rmproto.AppendHeartbeatResponse(nil, resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", rmproto.HeartbeatMediaType)
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out) // a failed write is a client gone; nobody is left to tell
+}
+
+// bodyErrorStatus is the status for a request body that could not be
+// read or decoded: 413 past maxRequestBytes, 400 otherwise.
+func bodyErrorStatus(err error) int {
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func handleJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req) (Resp, error)) {
 	if resp, ok := callJSON(w, r, fn); ok {
 		writeJSON(w, http.StatusOK, resp)
@@ -262,11 +305,7 @@ func callJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req
 		err = endOfBody(dec)
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, fmt.Errorf("decode: %w", err))
+		writeError(w, bodyErrorStatus(err), fmt.Errorf("decode: %w", err))
 		return resp, false
 	}
 	resp, err = fn(req)
@@ -296,9 +335,10 @@ func endOfBody(dec *json.Decoder) error {
 // /metrics, POST /repl/v1/ship: the responses whose bodies grow with RM
 // state — with its whole encoded body and a Content-Length, gzipped when
 // the request's Accept-Encoding lists gzip. The control path (heartbeat,
-// tick, submissions and the rest) stays plain: its replies are a few
-// hundred bytes on a round trip of ~100 µs, and deflating and inflating
-// one (~20 µs) costs more than the bytes it saves.
+// tick, submissions and the rest) is never gzipped: its replies are at
+// most a few hundred bytes — a heartbeat's, binary, a few dozen — on a
+// round trip of ~100 µs, and deflating and inflating one (~20 µs) costs
+// more than the bytes it saves.
 func (s *Server) writeReadPath(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", contentType)

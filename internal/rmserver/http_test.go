@@ -3,10 +3,13 @@ package rmserver
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,18 +17,29 @@ import (
 
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
+	"flowtime/internal/trace"
 )
 
-// serve answers one request through h, with the given Accept-Encoding
-// header when it is not empty.
+// serve answers one request through h, under the Content-Type Client
+// sends to that path and with the given Accept-Encoding header when it is
+// not empty.
 func serve(h http.Handler, method, path, body, acceptEncoding string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	if path == rmproto.PathHeartbeat {
+		req.Header.Set("Content-Type", rmproto.HeartbeatMediaType)
+	}
 	if acceptEncoding != "" {
 		req.Header.Set("Accept-Encoding", acceptEncoding)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// hbBody is a heartbeat request body, as Client sends it.
+func hbBody(nodeID string, completed ...string) string {
+	return string(rmproto.AppendHeartbeatRequest(nil, rmproto.HeartbeatRequest{NodeID: nodeID, Completed: completed}))
 }
 
 func gunzip(p []byte) ([]byte, error) {
@@ -83,23 +97,29 @@ func TestReadPathNegotiation(t *testing.T) {
 	}
 
 	for _, c := range []struct{ path, body string }{
-		{rmproto.PathHeartbeat, `{"node_id":"n1"}`},
+		{rmproto.PathHeartbeat, hbBody("n1")},
 		{rmproto.PathTick, `{}`},
 		{rmproto.PathWorkflows, `{"workflow":{"id":"wf-2","deadline_sec":600,"jobs":[{"name":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}]}}`},
 		{rmproto.PathAdHoc, `{"job":{"id":"a2","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`},
 		{rmproto.PathRegister, `{"node_id":"n2","capacity":{"vcores":1,"memory_mb":1024}}`},
 	} {
 		rec := serve(h, http.MethodPost, c.path, c.body, "gzip")
-		if rec.Code != http.StatusOK || rec.Header().Get("Content-Encoding") != "" || !json.Valid(rec.Body.Bytes()) {
+		valid := json.Valid(rec.Body.Bytes())
+		if c.path == rmproto.PathHeartbeat {
+			_, err := rmproto.DecodeHeartbeatResponse(rec.Body.Bytes())
+			valid = err == nil
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Encoding") != "" || !valid {
 			t.Errorf("%s asking for gzip: %d, Content-Encoding %q, body %q; want a plain 200", c.path, rec.Code, rec.Header().Get("Content-Encoding"), rec.Body)
 		}
 	}
 }
 
-// TestRequestBodyTrailingData: a body is one JSON value. Anything but
-// whitespace after it is a 400 naming the trailing data, and the value
-// before it is not acted on — two concatenated heartbeats do not beat the
-// first node, two concatenated submissions admit neither.
+// TestRequestBodyTrailingData: a body is one value — one JSON value, or
+// one binary heartbeat. Anything after a heartbeat, and anything but
+// whitespace after a JSON value, is a 400 naming the trailing data, and the
+// value before it is not acted on — two concatenated heartbeats do not beat
+// the first node, two concatenated submissions admit neither.
 func TestRequestBodyTrailingData(t *testing.T) {
 	adhoc := func(id string) string {
 		return `{"job":{"id":"` + id + `","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`
@@ -111,11 +131,12 @@ func TestRequestBodyTrailingData(t *testing.T) {
 		path, body string
 		ok         bool
 	}{
-		{rmproto.PathHeartbeat, `{"node_id":"n1"}{"node_id":"n2"}`, false},
-		{rmproto.PathHeartbeat, `{"node_id":"n1"} x`, false},
-		{rmproto.PathHeartbeat, `{"node_id":"n1"}}`, false},
-		{rmproto.PathHeartbeat, `{"node_id":"n1"} null`, false},
-		{rmproto.PathHeartbeat, "{\"node_id\":\"n1\"} \n\t\r\n", true},
+		{rmproto.PathHeartbeat, hbBody("n1") + hbBody("n2"), false},
+		{rmproto.PathHeartbeat, hbBody("n1") + " x", false},
+		{rmproto.PathHeartbeat, hbBody("n1") + "}", false},
+		{rmproto.PathHeartbeat, hbBody("n1") + " null", false},
+		{rmproto.PathHeartbeat, hbBody("n1") + " \n\t\r\n", false},
+		{rmproto.PathHeartbeat, hbBody("n1"), true},
 		{rmproto.PathAdHoc, adhoc("a") + adhoc("b"), false},
 		{rmproto.PathAdHoc, adhoc("a") + "\n", true},
 		{rmproto.PathWorkflows, wf("w1") + " " + wf("w2"), false},
@@ -138,11 +159,99 @@ func TestRequestBodyTrailingData(t *testing.T) {
 			continue
 		}
 		var e rmproto.Error
-		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Message, "trailing data") {
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Message, "trailing") {
 			t.Errorf("%s %q: %d %s, want a 400 naming the trailing data", c.path, c.body, rec.Code, rec.Body)
 		}
 		if st := rm.Status(); len(st.Jobs) != 0 || seen() != before {
 			t.Errorf("%s %q: refused, yet %d jobs admitted or a node heartbeaten", c.path, c.body, len(st.Jobs))
 		}
+	}
+}
+
+// TestHeartbeatWireIsCompact is the rot guard for the heartbeat encoding,
+// as a byte count: a reply of four launches crosses the wire in at most 30 B
+// a launch, and Client decodes exactly what Server.Heartbeat hands a twin
+// server in the same state.
+func TestHeartbeatWireIsCompact(t *testing.T) {
+	twin := func() *Server {
+		rm := newRM(t, sched.NewFIFO())
+		register(t, rm, "n1", 4, 4*2048)
+		for i := 0; i < 4; i++ {
+			if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+				ID: fmt.Sprintf("ah%05d", i), Tasks: 1, TaskDurSec: 600, DemandVCores: 1, DemandMemMB: 2048,
+			}}); err != nil {
+				t.Fatalf("SubmitAdHoc: %v", err)
+			}
+		}
+		tick(t, rm)
+		return rm
+	}
+	want := beat(t, twin(), "n1", nil)
+	ts := httptest.NewServer(twin().Handler())
+	defer ts.Close()
+	rt := &countingRT{rt: http.DefaultTransport}
+	got, err := NewClient(ts.URL, &http.Client{Transport: rt}).Heartbeat(context.Background(), rmproto.HeartbeatRequest{NodeID: "n1"})
+	if err != nil {
+		t.Fatalf("Heartbeat: %v", err)
+	}
+	if len(want) != 4 || !reflect.DeepEqual(got.Launch, want) {
+		t.Fatalf("Client decoded %+v, Server.Heartbeat handed %+v; want the same four launches", got.Launch, want)
+	}
+	wire, _ := rt.sizes()
+	if wire > 4*30 {
+		t.Errorf("a reply of 4 launches crossed the wire in %d B, ceiling %d B", wire, 4*30)
+	}
+}
+
+// TestHeartbeatRefusals: a heartbeat under any Content-Type but the binary
+// one — a curl or JSON client — is a 415 naming the type and its encoder,
+// and a malformed binary body a 400 naming what is wrong; neither beats the
+// node. Registration stays JSON.
+func TestHeartbeatRefusals(t *testing.T) {
+	rm := newRM(t, sched.NewFIFO())
+	h := rm.Handler()
+	if rec := serve(h, http.MethodPost, rmproto.PathRegister, `{"node_id":"n1","capacity":{"vcores":4,"memory_mb":8192}}`, ""); rec.Code != http.StatusOK {
+		t.Fatalf("JSON registration: %d %s", rec.Code, rec.Body)
+	}
+	heard := func() bool {
+		rm.mu.Lock()
+		defer rm.mu.Unlock()
+		return rm.nodes["n1"].heard
+	}
+	for _, c := range []struct {
+		contentType, body string
+		status            int
+		want              []string
+	}{
+		{"application/json", `{"node_id":"n1"}`, http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType, "rmproto.AppendHeartbeatRequest", "application/json"}},
+		{"", hbBody("n1"), http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType}},
+		{"application/x-www-form-urlencoded", hbBody("n1"), http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType}},
+		{rmproto.HeartbeatMediaType, "\x02n1\x81\x00", http.StatusBadRequest, []string{"non-minimal"}},
+		{rmproto.HeartbeatMediaType, "\x02n1\x09\x03", http.StatusBadRequest, []string{"exceeds"}},
+		{rmproto.HeartbeatMediaType, hbBody("n1") + "\x00", http.StatusBadRequest, []string{"trailing"}},
+		{rmproto.HeartbeatMediaType, "\x02n1\x01\x00\x03q-1", http.StatusBadRequest, []string{`"q-1" spelled out`}},
+	} {
+		req := httptest.NewRequest(http.MethodPost, rmproto.PathHeartbeat, strings.NewReader(c.body))
+		if c.contentType != "" {
+			req.Header.Set("Content-Type", c.contentType)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		var e rmproto.Error
+		if rec.Code != c.status || json.Unmarshal(rec.Body.Bytes(), &e) != nil {
+			t.Errorf("%q under %q: %d %s, want %d with an error body", c.body, c.contentType, rec.Code, rec.Body, c.status)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(e.Message, w) {
+				t.Errorf("%q under %q: %q does not name %q", c.body, c.contentType, e.Message, w)
+			}
+		}
+	}
+	if heard() {
+		t.Error("a refused heartbeat beat the node")
+	}
+	if rec := serve(h, http.MethodPost, rmproto.PathHeartbeat, hbBody("n1"), ""); rec.Code != http.StatusOK || !heard() {
+		t.Errorf("a well-formed heartbeat after them: %d %s", rec.Code, rec.Body)
 	}
 }

@@ -191,7 +191,10 @@ func TestOverloadConfirmsFlowDuringSubmitFlood(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("register during submit flood: status %d body %s, want 200", resp.StatusCode, body)
 	}
-	hb := postJSON(t, srv.URL+"/v1/nodes/heartbeat", `{"node_id":"n1"}`)
+	hb, err := http.Post(srv.URL+rmproto.PathHeartbeat, rmproto.HeartbeatMediaType, strings.NewReader(hbBody("n1")))
+	if err != nil {
+		t.Fatalf("POST %s: %v", rmproto.PathHeartbeat, err)
+	}
 	_, _ = io.Copy(io.Discard, hb.Body)
 	hb.Body.Close()
 	if hb.StatusCode != http.StatusOK {

@@ -582,7 +582,7 @@ func (s *Server) applyTickLocked(r *recTick) {
 		}
 	}
 	for _, g := range r.Grants {
-		n, own := parseQID(g.QID)
+		n, own := rmproto.ParseQuantumID(g.QID)
 		if !own || n <= s.nextQID {
 			continue // already applied (prior replay pass or snapshot), or not an ID this server issues
 		}

@@ -391,7 +391,7 @@ func refusesMutations(t *testing.T, h http.Handler, what string) {
 	t.Helper()
 	for _, c := range []struct{ path, body string }{
 		{rmproto.PathRegister, `{"node_id":"n9","capacity":{"vcores":1,"memory_mb":1024}}`},
-		{rmproto.PathHeartbeat, `{"node_id":"n1"}`},
+		{rmproto.PathHeartbeat, hbBody("n1")},
 		{rmproto.PathWorkflows, `{"workflow":{"id":"wf-new","deadline_sec":600,"jobs":[{"name":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}]}}`},
 		{rmproto.PathAdHoc, `{"job":{"id":"new","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`},
 		{rmproto.PathTick, `{}`},

@@ -1022,7 +1022,7 @@ func (s *Server) placeLocked(j *rmJob, g resource.Vector, nodes []*node, issued 
 		n.placed = n.placed.Add(chunk)
 		g = g.Sub(chunk)
 		s.nextQID++
-		qid := fmt.Sprintf("q-%d", s.nextQID)
+		qid := rmproto.QuantumID(s.nextQID)
 		s.leases[qid] = &lease{qid: qid, job: j, nodeID: n.id, grant: chunk, issued: issued, expiry: expiry}
 		j.inFlight = j.inFlight.Add(chunk)
 		planned = append(planned, plannedLaunch{nodeID: n.id, q: rmproto.Quantum{

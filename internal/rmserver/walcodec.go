@@ -22,11 +22,12 @@
 // faults is the seven FaultCounters in declaration order. Three things
 // are stored relative to what the record already said:
 //
-//   - A quantum ID of the server's own form, "q-<n>", is the zigzagged
-//     difference of n to the record's previous such ID, plus one (a tick's
-//     grants are consecutive: one byte each). Zero escapes to a literal
-//     string for any other ID; a literal that has the "q-<n>" form is
-//     refused, so an ID has one spelling.
+//   - A quantum ID is rmproto.QIDCoder's, the coding heartbeat bodies use
+//     too: for the server's own form, "q-<n>", the zigzagged difference of
+//     n to the record's previous such ID, plus one (a tick's grants are
+//     consecutive: one byte each). Zero escapes to a literal string for
+//     any other ID; a literal that has the "q-<n>" form is refused, so an
+//     ID has one spelling.
 //   - Job and node IDs in a tick's grants are zero plus the literal the
 //     first time the record names them, and their one-based position in
 //     that order of first appearance afterwards. A repeated literal is
@@ -54,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 
 	"flowtime/internal/binenc"
 	"flowtime/internal/plan"
@@ -79,10 +79,10 @@ const (
 // encode buffer, all reused from record to record; the zero value is
 // ready. Not safe for concurrent use — the server's is guarded by s.mu.
 type walCodec struct {
-	buf     []byte
-	ids     map[string]int // ID -> position in order of first appearance
-	tab     []string       // decode only: position -> ID
-	prevQID int64
+	buf  []byte
+	ids  map[string]int // ID -> position in order of first appearance
+	tab  []string       // decode only: position -> ID
+	qids rmproto.QIDCoder
 }
 
 func (c *walCodec) reset() {
@@ -91,7 +91,7 @@ func (c *walCodec) reset() {
 	}
 	clear(c.ids)
 	c.tab = c.tab[:0]
-	c.prevQID = 0
+	c.qids = rmproto.QIDCoder{}
 }
 
 // encode returns rec's payload. The slice is the codec's buffer: it is
@@ -148,7 +148,7 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		w.Byte(tagTick)
 		w.Int(r.Slot)
 		putFaults(&w, &r.Faults)
-		c.putQIDs(&w, r.Requeued)
+		c.qids.PutList(&w, r.Requeued)
 		w.Uint(uint64(len(r.Grants)))
 		shared := true
 		for i := range r.Grants {
@@ -166,7 +166,7 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		}
 		for i := range r.Grants {
 			g := &r.Grants[i]
-			c.putQID(&w, g.QID)
+			c.qids.Put(&w, g.QID)
 			c.putID(&w, g.JobID)
 			c.putID(&w, g.NodeID)
 			putVector(&w, g.Grant)
@@ -180,13 +180,13 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		w.Byte(tagConfirm)
 		w.Int(r.Slot)
 		putFaults(&w, &r.Faults)
-		c.putQIDs(&w, r.QIDs)
+		c.qids.PutList(&w, r.QIDs)
 	}
 	if r := rec.Requeue; r != nil {
 		set++
 		w.Byte(tagRequeue)
 		putFaults(&w, &r.Faults)
-		c.putQIDs(&w, r.QIDs)
+		c.qids.PutList(&w, r.QIDs)
 	}
 	if r := rec.Epoch; r != nil {
 		set++
@@ -273,7 +273,7 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 		v := &recTick{Slot: r.Int()}
 		rec.Tick = v
 		getFaults(&r, &v.Faults)
-		v.Requeued = c.getQIDs(&r)
+		v.Requeued = c.qids.GetList(&r)
 		// A grant is a quantum ID, two ID references and a vector.
 		if n := r.Count(3 + resource.NumKinds); n > 0 {
 			v.Grants = make([]recGrant, n)
@@ -281,7 +281,7 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 			allEqual := true
 			for i := range v.Grants {
 				g := &v.Grants[i]
-				g.QID = c.getQID(&r)
+				g.QID = c.qids.Get(&r)
 				g.JobID = c.getID(&r)
 				g.NodeID = c.getID(&r)
 				g.Grant = getVector(&r)
@@ -299,12 +299,12 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 		v := &recConfirm{Slot: r.Int()}
 		rec.Confirm = v
 		getFaults(&r, &v.Faults)
-		v.QIDs = c.getQIDs(&r)
+		v.QIDs = c.qids.GetList(&r)
 	case tagRequeue:
 		v := &recRequeue{}
 		rec.Requeue = v
 		getFaults(&r, &v.Faults)
-		v.QIDs = c.getQIDs(&r)
+		v.QIDs = c.qids.GetList(&r)
 	case tagEpoch:
 		rec.Epoch = &recEpoch{Epoch: r.Int(), Slot: r.Int()}
 	case tagPlanDiff:
@@ -399,72 +399,4 @@ func (c *walCodec) getID(r *binenc.Reader) string {
 	c.ids[id] = len(c.tab)
 	c.tab = append(c.tab, id)
 	return id
-}
-
-// parseQID splits a quantum ID of the server's own form, "q-<n>" with n a
-// non-negative int64 in plain decimal. Anything else — including a
-// spelling of such a number with a sign or leading zeros — is not of the
-// form: the codec journals it as a literal, and replay, which orders
-// grants by that number, skips a grant that carries it.
-func parseQID(qid string) (int64, bool) {
-	if len(qid) < 3 || qid[0] != 'q' || qid[1] != '-' || (qid[2] == '0' && len(qid) > 3) {
-		return 0, false
-	}
-	for i := 2; i < len(qid); i++ {
-		if qid[i] < '0' || qid[i] > '9' {
-			return 0, false
-		}
-	}
-	n, err := strconv.ParseInt(qid[2:], 10, 64)
-	return n, err == nil
-}
-
-func (c *walCodec) putQID(w *binenc.Writer, qid string) {
-	n, ok := parseQID(qid)
-	if !ok {
-		w.Uint(0)
-		w.String(qid)
-		return
-	}
-	d := n - c.prevQID // both are in [0, MaxInt64]: no overflow
-	w.Uint(uint64(d<<1^d>>63) + 1)
-	c.prevQID = n
-}
-
-func (c *walCodec) getQID(r *binenc.Reader) string {
-	v := r.Uint()
-	if v == 0 {
-		qid := r.String()
-		if _, ok := parseQID(qid); ok {
-			r.Fail(fmt.Errorf("quantum ID %q spelled out, want a delta", qid))
-		}
-		return qid
-	}
-	v--
-	n := c.prevQID + (int64(v>>1) ^ -int64(v&1))
-	if n < 0 { // below zero, or wrapped past MaxInt64
-		r.Fail(errors.New("quantum ID delta leaves the int64 range"))
-		return ""
-	}
-	c.prevQID = n
-	return "q-" + strconv.FormatInt(n, 10)
-}
-
-func (c *walCodec) putQIDs(w *binenc.Writer, qids []string) {
-	w.Uint(uint64(len(qids)))
-	for _, qid := range qids {
-		c.putQID(w, qid)
-	}
-}
-
-func (c *walCodec) getQIDs(r *binenc.Reader) []string {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	qids := make([]string, n)
-	for i := range qids {
-		qids[i] = c.getQID(r)
-	}
-	return qids
 }
