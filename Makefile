@@ -9,10 +9,10 @@
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the two binary journal
 # codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
-# FuzzDecodeWALRecord), the binary heartbeat codec (FuzzHeartbeatCodec),
-# the flow planner, the MPS reader, the status query, the heartbeat,
-# submission and replication request bodies, and the Alibaba and Google
-# trace converters. `make loc` prints the non-test Go line count the
+# FuzzDecodeWALRecord), the binary heartbeat and submission codecs
+# (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the MPS reader,
+# the status query, the heartbeat, submission and replication request
+# bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test Go line count the
 # subtraction passes are measured by; `make check` ends with it.
 
 GO ?= go
@@ -84,11 +84,10 @@ verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
 # fuzz runs short bursts of the store framing, plan-diff codec, WAL
-# record codec and heartbeat body codec fuzz targets (every codec: no
-# panic, an accepted input re-encodes to itself; a diff or record is safe
-# to apply) from the
-# checked-in seed corpora (testdata/fuzz/) and in-code seeds, the flow
-# planner target (conservation, window, cap and parallelism invariants on
+# record codec and heartbeat and submission body codec fuzz targets
+# (every codec: no panic, an accepted input re-encodes to itself; a diff
+# or record is safe to apply) from the checked-in seed corpora
+# (testdata/fuzz/) and in-code seeds, the flow planner target (conservation, window, cap and parallelism invariants on
 # adversarial capacities and demands, overflow-sized ones included), the
 # MPS reader target (cmd/ftlp's input: no panic, and an accepted document
 # is a valid model that survives WriteMPS -> ReadMPS with the same
@@ -99,11 +98,12 @@ verify:
 # itself, with a reply that does too — that leaves leases, in-flight sums
 # and per-node placed volume consistent and dispatches the offer at most
 # once), the
-# submission body target (any POST /v1/workflows or /v1/adhoc body, on a
-# gated server holding one plan revision, is a 4xx or a 200; an accepted
-# job is in the status once, and the same body again is a duplicate that
-# changes nothing), the replication body target (any POST /repl/v1/ship
-# or /repl/v1/fence body, plain or gzipped, on a store-backed primary, is
+# submission body target (any binary POST /v1/workflows or /v1/adhoc
+# body, on a store-backed gated server holding one plan revision, is a 4xx
+# or a 200 — for a body that re-encodes to itself; an accepted job is in
+# the status once, anything else leaves it empty, and the same body again
+# is a duplicate that changes nothing), the replication body target (any
+# POST /repl/v1/ship or /repl/v1/fence body, plain or gzipped, on a store-backed primary, is
 # a 4xx that changes nothing, a not_leader 503 or a 200 — a ship batch no
 # longer than head minus from, a fence exactly when its epoch is above the
 # RM's, after which every mutation is refused) and the two trace
@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzHeartbeatCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
+	$(GO) test -fuzz FuzzSubmitCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
 	$(GO) test -fuzz FuzzReadMPS -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/

@@ -127,13 +127,10 @@ func AppendHeartbeatRequest(b []byte, req HeartbeatRequest) []byte {
 // DecodeHeartbeatRequest parses a request body. Completed is nil when the
 // body lists no quanta.
 func DecodeHeartbeatRequest(p []byte) (HeartbeatRequest, error) {
-	r := binenc.NewReader(p)
-	var qc QIDCoder
-	req := HeartbeatRequest{NodeID: r.String(), Completed: qc.GetList(&r)}
-	if err := r.Finish(); err != nil {
-		return HeartbeatRequest{}, fmt.Errorf("rmproto: heartbeat request: %w", err)
-	}
-	return req, nil
+	return decodeBody(p, "heartbeat request", func(r *binenc.Reader) HeartbeatRequest {
+		var qc QIDCoder
+		return HeartbeatRequest{NodeID: r.String(), Completed: qc.GetList(r)}
+	})
 }
 
 // AppendHeartbeatResponse appends resp's binary form to b. A negative
@@ -176,17 +173,19 @@ func AppendHeartbeatResponse(b []byte, resp HeartbeatResponse) ([]byte, error) {
 // DecodeHeartbeatResponse parses a reply body. Launch is nil when the
 // reply carries no launches.
 func DecodeHeartbeatResponse(p []byte) (HeartbeatResponse, error) {
-	r := binenc.NewReader(p)
-	var resp HeartbeatResponse
-	// A launch is a quantum ID, a job ID and two integers.
-	if n := r.Count(4); n > 0 {
+	return decodeBody(p, "heartbeat reply", func(r *binenc.Reader) (resp HeartbeatResponse) {
+		// A launch is a quantum ID, a job ID and two integers.
+		n := r.Count(4)
+		if n == 0 {
+			return resp
+		}
 		resp.Launch = make([]Quantum, n)
 		expiry := r.Int() - 1 // -1: each launch carries its own
 		allEqual := true
 		var qc QIDCoder
 		for i := range resp.Launch {
 			q := &resp.Launch[i]
-			q.ID = qc.Get(&r)
+			q.ID = qc.Get(r)
 			q.JobID = r.String()
 			q.Grant = Resources{VCores: r.Int(), MemoryMB: r.Int()}
 			q.DeadlineSlot = expiry
@@ -198,9 +197,6 @@ func DecodeHeartbeatResponse(p []byte) (HeartbeatResponse, error) {
 		if expiry < 0 && allEqual && resp.Launch[0].DeadlineSlot < math.MaxInt64 {
 			r.Fail(errors.New("per-launch deadline slots that are all equal"))
 		}
-	}
-	if err := r.Finish(); err != nil {
-		return HeartbeatResponse{}, fmt.Errorf("rmproto: heartbeat reply: %w", err)
-	}
-	return resp, nil
+		return resp
+	})
 }

@@ -2,11 +2,12 @@
 // resource manager (see internal/rmserver): node registration and
 // heartbeats, workload submission, and status reporting. The paper
 // deployed FlowTime inside YARN's resource manager; this protocol stands
-// in for that integration surface. Bodies are JSON except a heartbeat's,
-// request and reply, which are binary (heartbeat.go) like YARN's node
-// heartbeat RPC; errors are JSON everywhere. Read-path responses (status,
-// metrics, log shipping) are gzipped when the request's Accept-Encoding
-// asks; every other response is sent as encoded.
+// in for that integration surface. Bodies are JSON except a heartbeat's and
+// a submission's, request and reply, which are binary (heartbeat.go,
+// submit.go) like YARN's node heartbeat and client RPCs; errors are JSON
+// everywhere. Read-path responses (status, metrics, log shipping) are
+// gzipped when the request's Accept-Encoding asks; every other response is
+// sent as encoded.
 package rmproto
 
 import (
@@ -85,24 +86,27 @@ type HeartbeatResponse struct {
 }
 
 // SubmitWorkflowRequest submits one deadline-aware workflow, reusing the
-// trace schema.
+// trace schema. On the wire it is binary (AppendSubmitWorkflowRequest), as
+// are SubmitAdHocRequest and SubmitResponse.
 type SubmitWorkflowRequest struct {
-	Workflow trace.WorkflowRecord `json:"workflow"`
+	Workflow trace.WorkflowRecord
 }
 
 // SubmitAdHocRequest submits one ad-hoc job.
 type SubmitAdHocRequest struct {
-	Job trace.AdHocRecord `json:"job"`
+	Job trace.AdHocRecord
 }
 
 // SubmitResponse acknowledges a submission.
 type SubmitResponse struct {
-	Accepted bool   `json:"accepted"`
-	ID       string `json:"id"`
+	Accepted bool
+	// ID names what was submitted: the workflow's ID, or AdHocJobID of the
+	// job's. The wire does not carry it; the client fills it in.
+	ID string
 	// BestEffort is true when the workflow was admitted without a
 	// feasible deadline decomposition (admission control): its jobs run
 	// from leftover capacity and the deadline is not guaranteed.
-	BestEffort bool `json:"best_effort,omitempty"`
+	BestEffort bool
 }
 
 // JobStatus reports one job's state.

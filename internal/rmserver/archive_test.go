@@ -515,15 +515,18 @@ func completedRM(tb testing.TB, s sched.Scheduler, completed, live int) *Server 
 	return rm
 }
 
-// countingRT counts response body bytes as they cross the wire, like the
-// benchmark's transport, and as they decode: the same, or inflated when
-// the body came gzipped.
+// countingRT counts request body bytes (sent) and response body bytes as
+// they cross the wire (wire), like the benchmark's transport, and as they
+// decode (decoded): the same, or inflated when the body came gzipped.
 type countingRT struct {
-	rt            http.RoundTripper
-	wire, decoded atomic.Int64
+	rt                  http.RoundTripper
+	sent, wire, decoded atomic.Int64
 }
 
 func (c *countingRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.ContentLength > 0 {
+		c.sent.Add(req.ContentLength)
+	}
 	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
 		return nil, err

@@ -114,29 +114,40 @@ func (c *Client) Heartbeat(ctx context.Context, req rmproto.HeartbeatRequest) (r
 	var resp rmproto.HeartbeatResponse
 	body := rmproto.AppendHeartbeatRequest(nil, req)
 	err := c.retrying(ctx, func() error {
-		return c.send(ctx, rmproto.PathHeartbeat, rmproto.HeartbeatMediaType, body, func(r io.Reader) error {
-			p, err := io.ReadAll(r)
-			if err == nil {
-				resp, err = rmproto.DecodeHeartbeatResponse(p)
-			}
-			return err
-		})
+		return c.send(ctx, rmproto.PathHeartbeat, rmproto.HeartbeatMediaType, body, decodeBinary(&resp, rmproto.DecodeHeartbeatResponse))
 	})
 	return resp, err
 }
 
-// SubmitWorkflow submits a deadline workflow.
+// SubmitWorkflow submits a deadline workflow. Both bodies are binary
+// (rmproto.AppendSubmitWorkflowRequest); a workflow with a negative field
+// is refused here, unsent.
 func (c *Client) SubmitWorkflow(ctx context.Context, req rmproto.SubmitWorkflowRequest) (rmproto.SubmitResponse, error) {
-	var resp rmproto.SubmitResponse
-	err := c.post(ctx, rmproto.PathWorkflows, req, &resp)
-	return resp, err
+	body, err := rmproto.AppendSubmitWorkflowRequest(nil, req)
+	if err != nil {
+		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: client: %w", err)
+	}
+	return c.submit(ctx, rmproto.PathWorkflows, body, req.Workflow.ID)
 }
 
-// SubmitAdHoc submits an ad-hoc job.
+// SubmitAdHoc submits an ad-hoc job, as SubmitWorkflow a workflow.
 func (c *Client) SubmitAdHoc(ctx context.Context, req rmproto.SubmitAdHocRequest) (rmproto.SubmitResponse, error) {
+	body, err := rmproto.AppendSubmitAdHocRequest(nil, req)
+	if err != nil {
+		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: client: %w", err)
+	}
+	return c.submit(ctx, rmproto.PathAdHoc, body, rmproto.AdHocJobID(req.Job.ID))
+}
+
+// submit posts one submission body and names the reply id, which the RM
+// does not send back.
+func (c *Client) submit(ctx context.Context, path string, body []byte, id string) (rmproto.SubmitResponse, error) {
 	var resp rmproto.SubmitResponse
-	err := c.post(ctx, rmproto.PathAdHoc, req, &resp)
-	return resp, err
+	if err := c.send(ctx, path, rmproto.SubmitMediaType, body, decodeBinary(&resp, rmproto.DecodeSubmitResponse)); err != nil {
+		return rmproto.SubmitResponse{}, err
+	}
+	resp.ID = id
+	return resp, nil
 }
 
 // Tick advances the RM one slot (manual-tick deployments and tests).
@@ -336,6 +347,17 @@ func (c *Client) send(ctx context.Context, path, contentType string, body []byte
 // decodeJSON decodes one JSON value into out.
 func decodeJSON(out any) func(io.Reader) error {
 	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+}
+
+// decodeBinary decodes a whole binary body into out.
+func decodeBinary[T any](out *T, decode func([]byte) (T, error)) func(io.Reader) error {
+	return func(r io.Reader) error {
+		p, err := io.ReadAll(r)
+		if err == nil {
+			*out, err = decode(p)
+		}
+		return err
+	}
 }
 
 // do sends req and hands a 200's body to decode, or turns any other

@@ -49,7 +49,13 @@ func (s *Server) Handler() http.Handler {
 			return s.RegisterNode(req, time.Now())
 		})
 	}))
-	mux.HandleFunc("POST "+rmproto.PathHeartbeat, guard(classConfirm, s.handleHeartbeat))
+	mux.HandleFunc("POST "+rmproto.PathHeartbeat, guard(classConfirm, handleBinary(rmproto.HeartbeatMediaType,
+		"a heartbeat body is "+rmproto.HeartbeatMediaType+", as rmproto.AppendHeartbeatRequest encodes it",
+		rmproto.DecodeHeartbeatRequest,
+		func(req rmproto.HeartbeatRequest) (rmproto.HeartbeatResponse, error) {
+			return s.Heartbeat(req, time.Now())
+		},
+		rmproto.AppendHeartbeatResponse)))
 	mux.HandleFunc("POST "+rmproto.PathDrain, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, func(req rmproto.DrainRequest) (rmproto.DrainResponse, error) {
 			if req.WaitMs <= 0 {
@@ -61,12 +67,12 @@ func (s *Server) Handler() http.Handler {
 			return s.Drain(ctx), nil
 		})
 	})
-	mux.HandleFunc("POST "+rmproto.PathWorkflows, guard(classSubmit, func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, s.SubmitWorkflow)
-	}))
-	mux.HandleFunc("POST "+rmproto.PathAdHoc, guard(classSubmit, func(w http.ResponseWriter, r *http.Request) {
-		handleJSON(w, r, s.SubmitAdHoc)
-	}))
+	mux.HandleFunc("POST "+rmproto.PathWorkflows, guard(classSubmit, handleBinary(rmproto.SubmitMediaType,
+		"a workflow submission is "+rmproto.SubmitMediaType+", as rmproto.AppendSubmitWorkflowRequest encodes it and ftsubmit -trace sends it",
+		rmproto.DecodeSubmitWorkflowRequest, s.SubmitWorkflow, rmproto.AppendSubmitResponse)))
+	mux.HandleFunc("POST "+rmproto.PathAdHoc, guard(classSubmit, handleBinary(rmproto.SubmitMediaType,
+		"an ad-hoc submission is "+rmproto.SubmitMediaType+", as rmproto.AppendSubmitAdHocRequest encodes it and ftsubmit -trace sends it",
+		rmproto.DecodeSubmitAdHocRequest, s.SubmitAdHoc, rmproto.AppendSubmitResponse)))
 	mux.HandleFunc("POST "+rmproto.PathShip, func(w http.ResponseWriter, r *http.Request) {
 		if resp, ok := callJSON(w, r, s.ShipLog); ok {
 			s.writeReadPath(w, r, "application/json", encodeJSON(resp))
@@ -240,41 +246,44 @@ func boolToInt(b bool) int {
 // legitimate one — a full node's heartbeat, a wide workflow — is a few KB.
 const maxRequestBytes = 8 << 20
 
-// handleHeartbeat answers POST PathHeartbeat, whose bodies are binary both
-// ways (rmproto.AppendHeartbeatRequest); its refusals are coded JSON, like
-// every other endpoint's.
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	ct := r.Header.Get("Content-Type")
-	if mt, _, _ := mime.ParseMediaType(ct); mt != rmproto.HeartbeatMediaType {
-		writeError(w, http.StatusUnsupportedMediaType, fmt.Errorf(
-			"rmserver: a heartbeat body is %s, as rmproto.AppendHeartbeatRequest encodes it; got Content-Type %q", rmproto.HeartbeatMediaType, ct))
-		return
+// handleBinary answers a POST whose bodies are binary both ways, under
+// mediaType: heartbeats and submissions. A request under another
+// Content-Type is a 415 that says what the body should be (want); this and
+// every other refusal is coded JSON, like every other endpoint's.
+func handleBinary[Req, Resp any](mediaType, want string, decode func([]byte) (Req, error),
+	call func(Req) (Resp, error), encode func([]byte, Resp) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ct := r.Header.Get("Content-Type")
+		if mt, _, _ := mime.ParseMediaType(ct); mt != mediaType {
+			writeError(w, http.StatusUnsupportedMediaType, fmt.Errorf("rmserver: %s; got Content-Type %q", want, ct))
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		if err != nil {
+			writeError(w, bodyErrorStatus(err), fmt.Errorf("decode: %w", err))
+			return
+		}
+		req, err := decode(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			writeError(w, errorStatus(err), err)
+			return
+		}
+		out, err := encode(nil, resp)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		h := w.Header()
+		h.Set("Content-Type", mediaType)
+		h.Set("Content-Length", strconv.Itoa(len(out)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(out) // a failed write is a client gone; nobody is left to tell
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		writeError(w, bodyErrorStatus(err), fmt.Errorf("decode: %w", err))
-		return
-	}
-	req, err := rmproto.DecodeHeartbeatRequest(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-		return
-	}
-	resp, err := s.Heartbeat(req, time.Now())
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	out, err := rmproto.AppendHeartbeatResponse(nil, resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", rmproto.HeartbeatMediaType)
-	h.Set("Content-Length", strconv.Itoa(len(out)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out) // a failed write is a client gone; nobody is left to tell
 }
 
 // bodyErrorStatus is the status for a request body that could not be
@@ -336,9 +345,9 @@ func endOfBody(dec *json.Decoder) error {
 // state — with its whole encoded body and a Content-Length, gzipped when
 // the request's Accept-Encoding lists gzip. The control path (heartbeat,
 // tick, submissions and the rest) is never gzipped: its replies are at
-// most a few hundred bytes — a heartbeat's, binary, a few dozen — on a
-// round trip of ~100 µs, and deflating and inflating one (~20 µs) costs
-// more than the bytes it saves.
+// most a few hundred bytes — a heartbeat's or a submission's, binary, a
+// few dozen or fewer — on a round trip of ~100 µs, and deflating and
+// inflating one (~20 µs) costs more than the bytes it saves.
 func (s *Server) writeReadPath(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", contentType)

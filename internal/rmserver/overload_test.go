@@ -13,6 +13,7 @@ import (
 
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
+	"flowtime/internal/trace"
 )
 
 func newOverloadedRM(t *testing.T, oc OverloadConfig) (*Server, *httptest.Server) {
@@ -26,9 +27,9 @@ func newOverloadedRM(t *testing.T, oc OverloadConfig) (*Server, *httptest.Server
 	return rm, srv
 }
 
-func postJSON(t *testing.T, url string, body string) *http.Response {
+func postBody(t *testing.T, url, contentType, body string) *http.Response {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	resp, err := http.Post(url, contentType, strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -55,7 +56,7 @@ func TestOverloadShedsSubmissions(t *testing.T) {
 
 	// First arrival queues (the only permitted waiter), times out after
 	// MaxWait, and is shed with "queue_timeout".
-	resp := postJSON(t, srv.URL+"/v1/workflows", `{"id":"wf1","jobs":[]}`)
+	resp := postBody(t, srv.URL+rmproto.PathWorkflows, rmproto.SubmitMediaType, wfRecBody(t, trace.WorkflowRecord{ID: "wf1"}))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
@@ -91,7 +92,7 @@ func TestOverloadShedsSubmissions(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp2 := postJSON(t, srv.URL+"/v1/workflows", `{"id":"wf2","jobs":[]}`)
+	resp2 := postBody(t, srv.URL+rmproto.PathWorkflows, rmproto.SubmitMediaType, wfRecBody(t, trace.WorkflowRecord{ID: "wf2"}))
 	_, _ = io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusServiceUnavailable {
@@ -147,7 +148,7 @@ func TestOverloadPriorityShedding(t *testing.T) {
 	// A submission now sheds immediately — no queueing, reason "priority"
 	// — even though the submit class itself has free slots.
 	start := time.Now()
-	resp := postJSON(t, srv.URL+"/v1/adhoc", `{"id":"j1"}`)
+	resp := postBody(t, srv.URL+rmproto.PathAdHoc, rmproto.SubmitMediaType, adhocRecBody(t, trace.AdHocRecord{ID: "j1"}))
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -184,7 +185,7 @@ func TestOverloadConfirmsFlowDuringSubmitFlood(t *testing.T) {
 	}
 	defer release()
 
-	resp := postJSON(t, srv.URL+"/v1/nodes/register",
+	resp := postBody(t, srv.URL+rmproto.PathRegister, "application/json",
 		`{"node_id":"n1","capacity":{"vcores":4,"memory_mb":1024}}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

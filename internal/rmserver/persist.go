@@ -97,13 +97,15 @@
 // Formats: a WAL payload is a tagged binary record — one tag byte per
 // walRecord variant, varints, length-prefixed strings; quantum IDs as
 // deltas, a tick's job and node IDs back-referenced, its lease expiry
-// stored once; a plan diff in internal/plan's binary diff codec. The tag
-// table and every rule are in walcodec.go, the only file that knows them;
-// this file builds and applies walRecord values. `ftrm -wal-dump` prints a
-// log as JSON lines (DumpWAL). That is the one journal form: a payload in
-// the JSON form RMs before the codec wrote is refused (walcodec.go states
-// why that is safe). Snapshots are JSON (snapState, version 2 only), as is
-// the plan blob inside a snapshot or a rebase record.
+// stored once; a plan diff in internal/plan's binary diff codec; a
+// submission's trace record in the coding its wire body uses
+// (rmproto/submit.go). The tag table and every rule are in walcodec.go,
+// the only file here that knows them; this file builds and applies
+// walRecord values. `ftrm -wal-dump` prints a log as JSON lines (DumpWAL).
+// That is the one journal form: a payload in the JSON form RMs before the
+// codec wrote is refused (walcodec.go states why that is safe). Snapshots
+// are JSON (snapState, version 2 only), as is the plan blob inside a
+// snapshot or a rebase record.
 package rmserver
 
 import (
@@ -281,12 +283,33 @@ type snapLease struct {
 // it, which is how heartbeat confirms ride the tick's commit. A store
 // that refuses the append is reported as ErrCommitFailed.
 func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
+	payload, err := s.encodeLocked(&rec)
+	if err != nil {
+		return store.Handle{}, err
+	}
+	return s.appendLocked(payload)
+}
+
+// encodeLocked returns rec's WAL payload — nil with no store — in the
+// codec's buffer, valid until the next encode. A submission encodes its
+// record before it changes anything and appends it (appendLocked) last, so
+// a record the codec refuses is an error answer that leaves no job behind.
+func (s *Server) encodeLocked(rec *walRecord) ([]byte, error) {
+	if s.store == nil {
+		return nil, nil
+	}
+	payload, err := s.codec.encode(rec)
+	if err != nil {
+		return nil, fmt.Errorf("rmserver: wal encode: %w", err)
+	}
+	return payload, nil
+}
+
+// appendLocked is journalLocked's second half: it appends a payload
+// encodeLocked returned.
+func (s *Server) appendLocked(payload []byte) (store.Handle, error) {
 	if s.store == nil {
 		return store.Handle{}, nil
-	}
-	payload, err := s.codec.encode(&rec)
-	if err != nil {
-		return store.Handle{}, fmt.Errorf("rmserver: wal encode: %w", err)
 	}
 	h, err := s.store.Append(payload) // copies: the codec's buffer is free again
 	if err != nil {
@@ -477,12 +500,10 @@ func snapFromRMJob(j *rmJob) snapJob {
 // and re-anchors its window to the journaled nanosecond offsets (the
 // record's whole-second fields cannot express sub-second slot clocks).
 func workflowFromRecord(rec trace.WorkflowRecord, submitNS, deadlineNS int64) (*workflow.Workflow, error) {
-	tr := trace.Trace{Version: trace.FormatVersion, Workflows: []trace.WorkflowRecord{rec}}
-	wfs, _, err := tr.ToWorkload()
+	wf, err := rec.ToWorkflow()
 	if err != nil {
 		return nil, err
 	}
-	wf := wfs[0]
 	wf.Submit = time.Duration(submitNS)
 	wf.Deadline = time.Duration(deadlineNS)
 	return wf, nil
@@ -557,13 +578,13 @@ func (s *Server) applyWorkflowLocked(r *recWorkflow) error {
 }
 
 func (s *Server) applyAdHocLocked(r *recAdHoc) error {
-	id := "adhoc/" + r.Job.ID
+	id := rmproto.AdHocJobID(r.Job.ID)
 	if s.knownAdHocLocked(id) {
 		return nil // idempotent replay
 	}
-	a := adHocFromRecord(r.Job)
-	if err := a.Validate(); err != nil {
-		return fmt.Errorf("ad-hoc %s: %w", r.Job.ID, err)
+	a, err := r.Job.ToAdHoc()
+	if err != nil {
+		return err
 	}
 	s.jobs[id] = &rmJob{
 		id:          id,

@@ -392,8 +392,8 @@ func refusesMutations(t *testing.T, h http.Handler, what string) {
 	for _, c := range []struct{ path, body string }{
 		{rmproto.PathRegister, `{"node_id":"n9","capacity":{"vcores":1,"memory_mb":1024}}`},
 		{rmproto.PathHeartbeat, hbBody("n1")},
-		{rmproto.PathWorkflows, `{"workflow":{"id":"wf-new","deadline_sec":600,"jobs":[{"name":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}]}}`},
-		{rmproto.PathAdHoc, `{"job":{"id":"new","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`},
+		{rmproto.PathWorkflows, wfBody(t, "wf-new")},
+		{rmproto.PathAdHoc, adhocBody(t, "new")},
 		{rmproto.PathTick, `{}`},
 	} {
 		rec := serve(h, http.MethodPost, c.path, c.body, "")

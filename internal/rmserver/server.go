@@ -629,12 +629,10 @@ func (s *Server) evictNodeLocked(nodeID string) []string {
 // and made durable before the acceptance is returned, so an acknowledged
 // workflow survives an RM crash.
 func (s *Server) SubmitWorkflow(req rmproto.SubmitWorkflowRequest) (rmproto.SubmitResponse, error) {
-	tr := trace.Trace{Version: trace.FormatVersion, Workflows: []trace.WorkflowRecord{req.Workflow}}
-	wfs, _, err := tr.ToWorkload()
+	wf, err := req.Workflow.ToWorkflow()
 	if err != nil {
 		return rmproto.SubmitResponse{}, err
 	}
-	wf := wfs[0]
 
 	resp, h, err := s.admitWorkflow(req.Workflow, wf)
 	if err != nil {
@@ -683,8 +681,9 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 	}
 	bestEffort := derr != nil
 
-	// The admission is its journal record, applied the way replay applies
-	// it: what a recovered RM rebuilds is what this one holds.
+	// The admission is its journal record, encoded before anything
+	// changes and applied the way replay applies it: what a recovered RM
+	// rebuilds is what this one holds.
 	wrec := recWorkflow{
 		WF:         rec,
 		SubmitNS:   int64(wf.Submit),
@@ -704,10 +703,14 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 			MinSlots:   wf.Job(i).MinRuntimeSlots(s.cfg.SlotDur, capacity),
 		}
 	}
+	payload, err := s.encodeLocked(&walRecord{Workflow: &wrec})
+	if err != nil {
+		return rmproto.SubmitResponse{}, store.Handle{}, err
+	}
 	if err := s.applyWorkflowLocked(&wrec); err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
-	h, err := s.journalLocked(walRecord{Workflow: &wrec})
+	h, err := s.appendLocked(payload)
 	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
@@ -718,25 +721,28 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 // workflows, the admission is journaled and made durable before the
 // acceptance is returned.
 func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResponse, error) {
-	a := adHocFromRecord(req.Job)
-	if err := a.Validate(); err != nil {
+	a, err := req.Job.ToAdHoc()
+	if err != nil {
 		return rmproto.SubmitResponse{}, err
-	}
-	if req.Job.SubmitSec < 0 {
-		// The live RM ignores the submit offset, but journals the record:
-		// every other field is validated above, and the journal stores no
-		// sign (trace files refuse the same value in ToWorkload).
-		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: ad-hoc %s: negative submit offset %ds", a.ID, req.Job.SubmitSec)
 	}
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, err
 	}
-	id := "adhoc/" + a.ID
+	id := rmproto.AdHocJobID(a.ID)
 	if s.knownAdHocLocked(id) {
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: duplicate ad-hoc job %q", a.ID)
+	}
+	// As for a workflow, the admission is its journal record, encoded
+	// before anything changes — the gate's charge included — and applied
+	// the way replay applies it.
+	arec := recAdHoc{Job: req.Job, Slot: s.slot}
+	payload, err := s.encodeLocked(&walRecord{AdHoc: &arec})
+	if err != nil {
+		s.mu.Unlock()
+		return rmproto.SubmitResponse{}, err
 	}
 	if s.adhocQ != nil {
 		// The admission gate: charge the job's volume against the live
@@ -755,13 +761,10 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 			return rmproto.SubmitResponse{Accepted: false, ID: id}, nil
 		}
 	}
-	// As for a workflow, the admission is its journal record, applied the
-	// way replay applies it.
-	arec := recAdHoc{Job: req.Job, Slot: s.slot}
-	err := s.applyAdHocLocked(&arec)
+	err = s.applyAdHocLocked(&arec)
 	var h store.Handle
 	if err == nil {
-		h, err = s.journalLocked(walRecord{AdHoc: &arec})
+		h, err = s.appendLocked(payload)
 	}
 	s.mu.Unlock()
 	if err == nil {
@@ -771,17 +774,6 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		return rmproto.SubmitResponse{}, err
 	}
 	return rmproto.SubmitResponse{Accepted: true, ID: id}, nil
-}
-
-// adHocFromRecord builds the workload object for one ad-hoc submission.
-func adHocFromRecord(rec trace.AdHocRecord) workflow.AdHoc {
-	return workflow.AdHoc{
-		ID:           rec.ID,
-		Submit:       0,
-		Tasks:        rec.Tasks,
-		TaskDuration: time.Duration(rec.TaskDurSec) * time.Second,
-		TaskDemand:   resource.New(rec.DemandVCores, rec.DemandMemMB),
-	}
 }
 
 // Tick advances one scheduling slot: expires silent nodes (requeuing

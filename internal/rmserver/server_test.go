@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -11,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/binenc"
 	"flowtime/internal/core"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
+	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
 
@@ -437,14 +440,21 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// gatedRM is an RM with the ad-hoc gate on, one 8-core node, and the one
-// plan revision its first tick published: the gate admits an ad-hoc job
-// that fits the leftover and turns the rest away with accepted=false.
+// gatedRM is a store-backed RM with the ad-hoc gate on, one 8-core node,
+// and the one plan revision its first tick published: the gate admits an
+// ad-hoc job that fits the leftover and turns the rest away with
+// accepted=false. Its journal, in a directory of the test's own, never
+// syncs.
 func gatedRM(t testing.TB) *Server {
 	t.Helper()
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
 	cfg := core.DefaultConfig()
 	cfg.StreamPlans = true
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(cfg), AdHocGate: true})
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(cfg), AdHocGate: true, Store: st})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -453,39 +463,93 @@ func gatedRM(t testing.TB) *Server {
 	return rm
 }
 
-// FuzzSubmitBody posts arbitrary bodies to POST /v1/workflows and
+// rawAdHoc and rawWorkflow spell a submission body field by field, each
+// integer as the varint of its two's-complement bits: a non-negative
+// record comes out as the client would send it, and a negative figure as
+// the number past MaxInt64 a client that wrapped it would send.
+func rawAdHoc(r trace.AdHocRecord) []byte {
+	w := binenc.Writer{}
+	w.String(r.ID)
+	for _, v := range []int64{r.SubmitSec, int64(r.Tasks), r.TaskDurSec, r.DemandVCores, r.DemandMemMB} {
+		w.Uint(uint64(v))
+	}
+	return w.Buf
+}
+
+func rawWorkflow(r trace.WorkflowRecord) []byte {
+	w := binenc.Writer{}
+	w.String(r.ID)
+	w.Uint(uint64(r.SubmitSec))
+	w.Uint(uint64(r.DeadlineSec))
+	w.Uint(uint64(len(r.Jobs)))
+	for _, j := range r.Jobs {
+		w.String(j.Name)
+		for _, v := range []int64{int64(j.Tasks), j.TaskDurSec, j.ActualTaskDurSec, j.DemandVCores, j.DemandMemMB} {
+			w.Uint(uint64(v))
+		}
+	}
+	w.Uint(uint64(len(r.Deps)))
+	for _, d := range r.Deps {
+		w.Uint(uint64(d[0]))
+		w.Uint(uint64(d[1]))
+	}
+	return w.Buf
+}
+
+// FuzzSubmitBody posts arbitrary binary bodies to POST /v1/workflows and
 // /v1/adhoc, each on its own gatedRM. Whatever arrives — a feasible
 // workflow, an infeasible one (admitted best-effort), a cycle, a job the
-// gate turns away, negative or overflowing figures, unknown fields, two
-// submissions back to back, bytes that are not JSON — the answer is a 4xx
-// with an error body or a 200, and a 200 only for one JSON value. A
-// 200 that accepts puts the job, or every job of the workflow, in Status
-// exactly once with the books balanced, and the same body again is a 4xx
-// duplicate that changes nothing; any other answer is given again.
+// gate turns away, negative, overflowing or wrapping figures, two
+// submissions back to back, trailing or torn bytes, JSON — the answer is a
+// 4xx with an error body or a 200, and a 200 only for a body that decodes
+// and re-encodes to itself. A 200 that accepts puts the job, or every job
+// of the workflow, in Status exactly once with the books balanced, and the
+// same body again is a 4xx duplicate that changes nothing; any other
+// answer leaves Status empty and is given again.
 func FuzzSubmitBody(f *testing.F) {
-	job := func(name string) string {
-		return `{"name":"` + name + `","tasks":4,"task_dur_sec":30,"demand_vcores":1,"demand_mem_mb":1024}`
+	job := func(name string) trace.JobRecord {
+		return trace.JobRecord{Name: name, Tasks: 4, TaskDurSec: 30, DemandVCores: 1, DemandMemMB: 1024}
 	}
-	for _, seed := range []string{
-		`{"workflow":{"id":"wf","deadline_sec":600,"jobs":[` + job("a") + `,` + job("b") + `],"deps":[[0,1]]}}`,
-		`{"workflow":{"id":"wf","deadline_sec":5,"jobs":[` + job("a") + `]}}`,
-		`{"workflow":{"id":"wf","deadline_sec":600,"jobs":[` + job("a") + `,` + job("b") + `],"deps":[[0,1],[1,0]]}}`,
-		`{"workflow":{"id":"wf","deadline_sec":600,"jobs":[` + job("a") + `],"deps":[[0,7]]}}`,
-		`{"workflow":{"id":"wf","deadline_sec":9223372036854775807,"jobs":[` + job("a") + `]}}`,
-		`{"workflow":{"id":"","deadline_sec":600,"jobs":[]}}`,
-		`{"job":{"id":"a","tasks":2,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
-		`{"job":{"id":"big","tasks":64,"task_dur_sec":36000,"demand_vcores":8,"demand_mem_mb":1024}}`,
-		`{"job":{"id":"a","tasks":-1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
-		`{"job":{"id":"a","submit_sec":-5,"tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
-		`{"job":{"id":"a","tasks":9223372036854775807,"task_dur_sec":9223372036854775807,"demand_vcores":1,"demand_mem_mb":1}}`,
-		`{"job":{"id":"","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
-		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512},"extra":1}`,
-		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}{"job":{"id":"b","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`,
-		`{"workflow":{"id":"w1","deadline_sec":600,"jobs":[` + job("a") + `]}}{"workflow":{"id":"w2","deadline_sec":600,"jobs":[` + job("a") + `]}}`,
-		`{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}` + "\n",
-		`{}`, `[]`, `null`, ``, `{"job":`, "\x00\xff",
+	wf := func(id string, deadlineSec int64, deps [][2]int, jobs ...trace.JobRecord) []byte {
+		return rawWorkflow(trace.WorkflowRecord{ID: id, DeadlineSec: deadlineSec, Jobs: jobs, Deps: deps})
+	}
+	adhoc := func(id string, tasks int, durSec int64) []byte {
+		return rawAdHoc(trace.AdHocRecord{ID: id, Tasks: tasks, TaskDurSec: durSec, DemandVCores: 1, DemandMemMB: 512})
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	wrapped := func(sec int64) trace.JobRecord {
+		j := job("a")
+		j.TaskDurSec = sec
+		return j
+	}
+	for _, seed := range [][]byte{
+		wf("wf", 600, [][2]int{{0, 1}}, job("a"), job("b")),
+		wf("wf", 5, nil, job("a")),
+		wf("wf", 600, [][2]int{{0, 1}, {1, 0}}, job("a"), job("b")),
+		wf("wf", 600, [][2]int{{0, 7}}, job("a")),
+		wf("wf", math.MaxInt64, nil, job("a")),
+		wf("", 600, nil),
+		adhoc("a", 2, 10),
+		rawAdHoc(trace.AdHocRecord{ID: "big", Tasks: 64, TaskDurSec: 36000, DemandVCores: 8, DemandMemMB: 1024}),
+		adhoc("a", -1, 10),
+		rawAdHoc(trace.AdHocRecord{ID: "a", SubmitSec: -5, Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 512}),
+		rawAdHoc(trace.AdHocRecord{ID: "a", Tasks: math.MaxInt64, TaskDurSec: math.MaxInt64, DemandVCores: 1, DemandMemMB: 1}),
+		adhoc("", 1, 10),
+		cat(adhoc("a", 1, 10), []byte{1}),
+		cat(adhoc("a", 1, 10), adhoc("b", 1, 10)),
+		cat(wf("w1", 600, nil, job("a")), wf("w2", 600, nil, job("a"))),
+		cat(adhoc("a", 1, 10), []byte("\n")),
+		[]byte(`{}`), []byte(`[]`), []byte(`null`), {}, []byte(`{"job":`), []byte("\x00\xff"),
+		// Second counts time.Duration(sec)*time.Second would wrap to 0.71 s
+		// and 0.29 s.
+		adhoc("a", 1, -18446744073),
+		adhoc("a", 1, 18446744074),
+		wf("wf", 600, nil, wrapped(-18446744073)),
+		wf("wf", 600, nil, wrapped(18446744074)),
+		adhoc("a", 1, 10)[:4],
+		bytes.Repeat([]byte{0xff}, 11),
 	} {
-		f.Add([]byte(seed))
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range []string{rmproto.PathWorkflows, rmproto.PathAdHoc} {
@@ -493,14 +557,13 @@ func FuzzSubmitBody(f *testing.F) {
 			h := rm.Handler()
 			post := func() (int, rmproto.SubmitResponse, string) {
 				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-				var resp rmproto.SubmitResponse
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+				req.Header.Set("Content-Type", rmproto.SubmitMediaType)
+				h.ServeHTTP(rec, req)
 				if rec.Code == http.StatusOK {
-					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-						t.Fatalf("%s %q: 200 with undecodable body: %v", path, body, err)
-					}
-					if !json.Valid(body) {
-						t.Fatalf("%s %q: 200 for a body that is not one JSON value", path, body)
+					resp, err := rmproto.DecodeSubmitResponse(rec.Body.Bytes())
+					if err != nil {
+						t.Fatalf("%s %q: 200 with undecodable body %q: %v", path, body, rec.Body, err)
 					}
 					return rec.Code, resp, ""
 				}
@@ -508,29 +571,28 @@ func FuzzSubmitBody(f *testing.F) {
 				if rec.Code < 400 || rec.Code > 499 || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Message == "" {
 					t.Fatalf("%s %q: status %d with body %q", path, body, rec.Code, rec.Body)
 				}
-				return rec.Code, resp, e.Message
+				return rec.Code, rmproto.SubmitResponse{}, e.Message
 			}
 			code, resp, _ := post()
 			checkBooks(t, rm, "after the body")
 			before := rm.Status()
-			if resp.Accepted {
-				want := 1 // the ad-hoc job, or the workflow's jobs
-				if path == rmproto.PathWorkflows {
-					var req rmproto.SubmitWorkflowRequest
-					if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-						t.Fatalf("%s %q: accepted, but does not decode: %v", path, body, err)
+			if code == http.StatusOK {
+				id, jobs, re := decodeSubmitBody(t, path, body)
+				if !bytes.Equal(re, body) {
+					t.Fatalf("%s %q: 200 for a body that re-encodes to %q", path, body, re)
+				}
+				if resp.Accepted {
+					for i, j := range before.Jobs {
+						if i > 0 && before.Jobs[i-1].ID == j.ID || j.ID != id && j.WorkflowID != id {
+							t.Fatalf("%s %q: accepted %s, and Status lists %+v", path, body, id, before.Jobs)
+						}
 					}
-					want = len(req.Workflow.Jobs)
-				}
-				for i, j := range before.Jobs {
-					if i > 0 && before.Jobs[i-1].ID == j.ID || j.ID != resp.ID && j.WorkflowID != resp.ID {
-						t.Fatalf("%s %q: accepted %s, and Status lists %+v", path, body, resp.ID, before.Jobs)
+					if len(before.Jobs) != jobs {
+						t.Fatalf("%s %q: accepted %s with %d jobs, Status lists %d", path, body, id, jobs, len(before.Jobs))
 					}
 				}
-				if len(before.Jobs) != want {
-					t.Fatalf("%s %q: accepted %s with %d jobs, Status lists %d", path, body, resp.ID, want, len(before.Jobs))
-				}
-			} else if len(before.Jobs) != 0 {
+			}
+			if !resp.Accepted && len(before.Jobs) != 0 {
 				t.Fatalf("%s %q: answered %d %+v, and Status lists %+v", path, body, code, resp, before.Jobs)
 			}
 			again, resp2, msg := post()
@@ -545,4 +607,28 @@ func FuzzSubmitBody(f *testing.F) {
 			sameJobTable(t, path+" after the body again", rm.Status().Jobs, before.Jobs)
 		}
 	})
+}
+
+// decodeSubmitBody decodes a body the RM answered with a 200 as path's
+// request and returns the ID it submits, its job count and its encoding.
+func decodeSubmitBody(t *testing.T, path string, body []byte) (id string, jobs int, re []byte) {
+	t.Helper()
+	var err error
+	if path == rmproto.PathWorkflows {
+		var req rmproto.SubmitWorkflowRequest
+		if req, err = rmproto.DecodeSubmitWorkflowRequest(body); err == nil {
+			id, jobs = req.Workflow.ID, len(req.Workflow.Jobs)
+			re, err = rmproto.AppendSubmitWorkflowRequest(nil, req)
+		}
+	} else {
+		var req rmproto.SubmitAdHocRequest
+		if req, err = rmproto.DecodeSubmitAdHocRequest(body); err == nil {
+			id, jobs = rmproto.AdHocJobID(req.Job.ID), 1
+			re, err = rmproto.AppendSubmitAdHocRequest(nil, req)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%s %q: answered 200, yet %v", path, body, err)
+	}
+	return id, jobs, re
 }

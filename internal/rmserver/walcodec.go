@@ -1,7 +1,8 @@
-// The journal's record format. This file is the only one that knows it:
-// journalLocked encodes through walCodec.encode, replay (recovery and the
-// follower's ingest) decodes through walCodec.decode, and nothing else
-// looks inside a WAL payload.
+// The journal's record format. This file is the only one in the package
+// that knows it: every record is encoded through walCodec.encode
+// (Server.encodeLocked), replay (recovery and the follower's ingest)
+// decodes through walCodec.decode, and nothing else looks inside a WAL
+// payload.
 //
 // A payload is one tag byte naming the walRecord variant, then the
 // variant's fields in declaration order, in internal/binenc's primitives:
@@ -19,8 +20,11 @@
 //	7 plan diff    the diff in internal/plan's binary codec, to the end of the payload
 //	8 plan rebase  the plan in internal/plan's JSON form, to the end of the payload
 //
-// faults is the seven FaultCounters in declaration order. Three things
-// are stored relative to what the record already said:
+// A workflow or ad-hoc record opens with the trace record in
+// rmproto.PutWorkflowRecord's or PutAdHocRecord's coding, which is also
+// the whole body of the submission on the wire. faults is the seven
+// FaultCounters in declaration order. Three things are stored relative to
+// what the record already said:
 //
 //   - A quantum ID is rmproto.QIDCoder's, the coding heartbeat bodies use
 //     too: for the server's own form, "q-<n>", the zigzagged difference of
@@ -60,7 +64,6 @@ import (
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
-	"flowtime/internal/trace"
 )
 
 const (
@@ -103,24 +106,7 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 	if r := rec.Workflow; r != nil {
 		set++
 		w.Byte(tagWorkflow)
-		w.String(r.WF.ID)
-		w.Int(r.WF.SubmitSec)
-		w.Int(r.WF.DeadlineSec)
-		w.Uint(uint64(len(r.WF.Jobs)))
-		for i := range r.WF.Jobs {
-			j := &r.WF.Jobs[i]
-			w.String(j.Name)
-			w.Int(int64(j.Tasks))
-			w.Int(j.TaskDurSec)
-			w.Int(j.ActualTaskDurSec)
-			w.Int(j.DemandVCores)
-			w.Int(j.DemandMemMB)
-		}
-		w.Uint(uint64(len(r.WF.Deps)))
-		for _, d := range r.WF.Deps {
-			w.Int(int64(d[0]))
-			w.Int(int64(d[1]))
-		}
+		rmproto.PutWorkflowRecord(&w, &r.WF)
 		w.Int(r.SubmitNS)
 		w.Int(r.DeadlineNS)
 		w.Int(r.Slot)
@@ -135,12 +121,7 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 	if r := rec.AdHoc; r != nil {
 		set++
 		w.Byte(tagAdHoc)
-		w.String(r.Job.ID)
-		w.Int(r.Job.SubmitSec)
-		w.Int(int64(r.Job.Tasks))
-		w.Int(r.Job.TaskDurSec)
-		w.Int(r.Job.DemandVCores)
-		w.Int(r.Job.DemandMemMB)
+		rmproto.PutAdHocRecord(&w, &r.Job)
 		w.Int(r.Slot)
 	}
 	if r := rec.Tick; r != nil {
@@ -225,30 +206,8 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 	r := binenc.NewReader(payload)
 	switch tag := r.Byte(); tag {
 	case tagWorkflow:
-		v := &recWorkflow{}
+		v := &recWorkflow{WF: rmproto.GetWorkflowRecord(&r)}
 		rec.Workflow = v
-		v.WF.ID = r.String()
-		v.WF.SubmitSec = r.Int()
-		v.WF.DeadlineSec = r.Int()
-		// A job is a name and five integers.
-		if n := r.Count(6); n > 0 {
-			v.WF.Jobs = make([]trace.JobRecord, n)
-			for i := range v.WF.Jobs {
-				j := &v.WF.Jobs[i]
-				j.Name = r.String()
-				j.Tasks = getInt(&r)
-				j.TaskDurSec = r.Int()
-				j.ActualTaskDurSec = r.Int()
-				j.DemandVCores = r.Int()
-				j.DemandMemMB = r.Int()
-			}
-		}
-		if n := r.Count(2); n > 0 {
-			v.WF.Deps = make([][2]int, n)
-			for i := range v.WF.Deps {
-				v.WF.Deps[i] = [2]int{getInt(&r), getInt(&r)}
-			}
-		}
 		v.SubmitNS = r.Int()
 		v.DeadlineNS = r.Int()
 		v.Slot = r.Int()
@@ -260,15 +219,7 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 			}
 		}
 	case tagAdHoc:
-		v := &recAdHoc{}
-		rec.AdHoc = v
-		v.Job.ID = r.String()
-		v.Job.SubmitSec = r.Int()
-		v.Job.Tasks = getInt(&r)
-		v.Job.TaskDurSec = r.Int()
-		v.Job.DemandVCores = r.Int()
-		v.Job.DemandMemMB = r.Int()
-		v.Slot = r.Int()
+		rec.AdHoc = &recAdHoc{Job: rmproto.GetAdHocRecord(&r), Slot: r.Int()}
 	case tagTick:
 		v := &recTick{Slot: r.Int()}
 		rec.Tick = v
@@ -326,16 +277,6 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 		return walRecord{}, err
 	}
 	return rec, nil
-}
-
-// getInt reads a varint into a Go int.
-func getInt(r *binenc.Reader) int {
-	v := r.Int()
-	if v > math.MaxInt {
-		r.Fail(fmt.Errorf("integer %d overflows int", v))
-		return 0
-	}
-	return int(v)
 }
 
 func putVector(w *binenc.Writer, v resource.Vector) {

@@ -542,6 +542,115 @@ func TestAdHocNegativeSubmitRefused(t *testing.T) {
 	}
 }
 
+// TestWrappingSecondsRefused: a second count that
+// time.Duration(sec)*time.Second would wrap — -18446744073 s to +0.71 s,
+// 18446744074 s to 0.29 s — is refused in every second field of either
+// record, naming the field, before anything is journaled or admitted. The
+// status stays as it was, a valid submission under the same ID is then
+// accepted, and a restart from the log recovers exactly what was.
+func TestWrappingSecondsRefused(t *testing.T) {
+	dir := t.TempDir()
+	rm := openStreamingRM(t, dir, false)
+	register(t, rm, "n1", 8, 16*1024)
+	if err := rm.Tick(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what, field string, err error, jobs int, records int64) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: %v, want a refusal naming %s", what, err, field)
+		}
+		if got := len(rm.Status().Jobs); got != jobs {
+			t.Fatalf("%s: refused, and the RM holds %d jobs, want %d", what, got, jobs)
+		}
+		if got := rm.store.Watermark().Records; got != records {
+			t.Fatalf("%s: refused, and the log went from %d to %d records", what, records, got)
+		}
+	}
+	n := 0
+	for _, sec := range []int64{-18446744073, 18446744074} {
+		for field, edit := range map[string]func(*trace.WorkflowRecord){
+			"submit_sec":          func(w *trace.WorkflowRecord) { w.SubmitSec = sec },
+			"deadline_sec":        func(w *trace.WorkflowRecord) { w.DeadlineSec = sec },
+			"task_dur_sec":        func(w *trace.WorkflowRecord) { w.Jobs[1].TaskDurSec = sec },
+			"actual_task_dur_sec": func(w *trace.WorkflowRecord) { w.Jobs[0].ActualTaskDurSec = sec },
+		} {
+			n++
+			wf := chainWorkflow(600)
+			wf.ID = fmt.Sprintf("wf-%d", n)
+			edit(&wf)
+			jobs, records := len(rm.Status().Jobs), rm.store.Watermark().Records
+			_, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf})
+			refused(fmt.Sprintf("workflow with %s = %d", field, sec), field, err, jobs, records)
+			wf = chainWorkflow(600)
+			wf.ID = fmt.Sprintf("wf-%d", n)
+			if resp, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf}); err != nil || !resp.Accepted {
+				t.Fatalf("valid workflow %s after the refusal: %+v, %v", wf.ID, resp, err)
+			}
+		}
+		for field, edit := range map[string]func(*trace.AdHocRecord){
+			"submit_sec":   func(a *trace.AdHocRecord) { a.SubmitSec = sec },
+			"task_dur_sec": func(a *trace.AdHocRecord) { a.TaskDurSec = sec },
+		} {
+			n++
+			job := trace.AdHocRecord{ID: fmt.Sprintf("a-%d", n), Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 128}
+			bad := job
+			edit(&bad)
+			jobs, records := len(rm.Status().Jobs), rm.store.Watermark().Records
+			_, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: bad})
+			refused(fmt.Sprintf("ad-hoc job with %s = %d", field, sec), field, err, jobs, records)
+			if resp, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err != nil || !resp.Accepted {
+				t.Fatalf("valid ad-hoc job %s after the refusal: %+v, %v", job.ID, resp, err)
+			}
+		}
+	}
+	back, _, err := recoverFrom(t, readWAL(t, dir), 0)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	sameJobTable(t, "the restarted RM", back.Status().Jobs, rm.Status().Jobs)
+}
+
+// TestWrappingSecondsRecoveryRefused: a log that holds a submission whose
+// second count is past maxSec — one RMs before the refusal accepted and
+// journaled as a wrapped duration — fails recovery, with an error naming
+// the record, its job's ID and the field. The RM does not start on it.
+func TestWrappingSecondsRecoveryRefused(t *testing.T) {
+	var codec walCodec
+	payload := func(rec walRecord) []byte {
+		p, err := codec.encode(&rec)
+		if err != nil {
+			t.Fatalf("encode %s: %v", mustJSON(rec), err)
+		}
+		return append([]byte(nil), p...)
+	}
+	ok := payload(walRecord{AdHoc: &recAdHoc{Slot: 1,
+		Job: trace.AdHocRecord{ID: "fine", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 128}}})
+	for name, c := range map[string]struct {
+		rec  walRecord
+		want []string
+	}{
+		"ad-hoc": {walRecord{AdHoc: &recAdHoc{Slot: 1,
+			Job: trace.AdHocRecord{ID: "wrapped", Tasks: 1, TaskDurSec: 18446744074, DemandVCores: 1, DemandMemMB: 128}}},
+			[]string{"replay record 2/2", "ad-hoc wrapped", "task_dur_sec = 18446744074"}},
+		"workflow": {walRecord{Workflow: &recWorkflow{Slot: 1, DeadlineNS: int64(time.Hour), Windows: []recWindow{{DeadlineNS: int64(time.Hour), MinSlots: 1}},
+			WF: trace.WorkflowRecord{ID: "wrapped", DeadlineSec: 3600,
+				Jobs: []trace.JobRecord{{Name: "a", Tasks: 1, TaskDurSec: 10, ActualTaskDurSec: 18446744074, DemandVCores: 1, DemandMemMB: 128}}}}},
+			[]string{"replay record 2/2", "workflow wrapped", "actual_task_dur_sec = 18446744074"}},
+	} {
+		rm, _, err := recoverFrom(t, [][]byte{ok, payload(c.rec)}, 0)
+		if err == nil {
+			t.Errorf("%s: recovered %d jobs over a wrapping record", name, len(rm.Status().Jobs))
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: recovery failed with %q, which does not name %q", name, err, w)
+			}
+		}
+	}
+}
+
 // TestWALRecordSizes is the rot guard on the journal's byte cost: exact
 // ceilings on canonical records (the JSON form's size, logged beside
 // each, is what the binary codec replaced).

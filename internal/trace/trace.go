@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"flowtime/internal/resource"
@@ -151,41 +152,85 @@ func (t *Trace) ToWorkload() ([]*workflow.Workflow, []workflow.AdHoc, error) {
 	}
 	wfs := make([]*workflow.Workflow, 0, len(t.Workflows))
 	for _, rec := range t.Workflows {
-		w := workflow.New(rec.ID,
-			time.Duration(rec.SubmitSec)*time.Second,
-			time.Duration(rec.DeadlineSec)*time.Second)
-		for _, jr := range rec.Jobs {
-			w.AddJob(workflow.Job{
-				Name:               jr.Name,
-				Tasks:              jr.Tasks,
-				TaskDuration:       time.Duration(jr.TaskDurSec) * time.Second,
-				ActualTaskDuration: time.Duration(jr.ActualTaskDurSec) * time.Second,
-				TaskDemand:         resource.New(jr.DemandVCores, jr.DemandMemMB),
-			})
-		}
-		for _, d := range rec.Deps {
-			w.AddDep(d[0], d[1])
-		}
-		if err := w.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("trace: %w", err)
+		w, err := rec.ToWorkflow()
+		if err != nil {
+			return nil, nil, err
 		}
 		wfs = append(wfs, w)
 	}
 	adhoc := make([]workflow.AdHoc, 0, len(t.AdHoc))
 	for _, ar := range t.AdHoc {
-		a := workflow.AdHoc{
-			ID:           ar.ID,
-			Submit:       time.Duration(ar.SubmitSec) * time.Second,
-			Tasks:        ar.Tasks,
-			TaskDuration: time.Duration(ar.TaskDurSec) * time.Second,
-			TaskDemand:   resource.New(ar.DemandVCores, ar.DemandMemMB),
-		}
-		if err := a.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("trace: %w", err)
+		a, err := ar.ToAdHoc()
+		if err != nil {
+			return nil, nil, err
 		}
 		adhoc = append(adhoc, a)
 	}
 	return wfs, adhoc, nil
+}
+
+// ToWorkflow converts one workflow record into the workload object,
+// validating it.
+func (rec WorkflowRecord) ToWorkflow() (*workflow.Workflow, error) {
+	var err error
+	w := workflow.New(rec.ID, seconds("submit_sec", rec.SubmitSec, &err), seconds("deadline_sec", rec.DeadlineSec, &err))
+	for _, jr := range rec.Jobs {
+		w.AddJob(workflow.Job{
+			Name:               jr.Name,
+			Tasks:              jr.Tasks,
+			TaskDuration:       seconds("task_dur_sec", jr.TaskDurSec, &err),
+			ActualTaskDuration: seconds("actual_task_dur_sec", jr.ActualTaskDurSec, &err),
+			TaskDemand:         resource.New(jr.DemandVCores, jr.DemandMemMB),
+		})
+	}
+	for _, d := range rec.Deps {
+		w.AddDep(d[0], d[1])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: workflow %s: %w", rec.ID, err)
+	}
+	if err := w.Validate(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return w, nil
+}
+
+// ToAdHoc converts one ad-hoc record into the workload object, validating
+// it.
+func (ar AdHocRecord) ToAdHoc() (workflow.AdHoc, error) {
+	var err error
+	a := workflow.AdHoc{
+		ID:           ar.ID,
+		Submit:       seconds("submit_sec", ar.SubmitSec, &err),
+		Tasks:        ar.Tasks,
+		TaskDuration: seconds("task_dur_sec", ar.TaskDurSec, &err),
+		TaskDemand:   resource.New(ar.DemandVCores, ar.DemandMemMB),
+	}
+	if err != nil {
+		return workflow.AdHoc{}, fmt.Errorf("trace: ad-hoc %s: %w", ar.ID, err)
+	}
+	if err := a.Validate(); err != nil {
+		return workflow.AdHoc{}, fmt.Errorf("trace: %w", err)
+	}
+	return a, nil
+}
+
+// maxSec is the largest second count a time.Duration holds.
+const maxSec = math.MaxInt64 / int64(time.Second)
+
+// seconds converts one second count of a record, the only place a record's
+// seconds become a time.Duration. A count below zero or above maxSec is
+// refused — recorded in *err unless an earlier field was — because
+// time.Duration(sec)*time.Second would wrap it to another duration:
+// -18446744073 s to +0.71 s, 18446744074 s to 0.29 s.
+func seconds(field string, sec int64, err *error) time.Duration {
+	if sec < 0 || sec > maxSec {
+		if *err == nil {
+			*err = fmt.Errorf("%s = %d, want a second count in [0, %d]", field, sec, maxSec)
+		}
+		return 0
+	}
+	return time.Duration(sec) * time.Second
 }
 
 // Write encodes the trace as indented JSON.

@@ -126,3 +126,36 @@ func TestFromWorkloadValidates(t *testing.T) {
 		t.Error("FromWorkload accepted invalid adhoc job")
 	}
 }
+
+// TestSecondsDoNotWrap: a record's second counts are [0, MaxInt64/1e9];
+// one outside, which time.Duration(sec)*time.Second would wrap to a small
+// positive duration, is refused naming its field, and the largest one in
+// range converts exactly.
+func TestSecondsDoNotWrap(t *testing.T) {
+	const maxSec = 9223372036
+	job := JobRecord{Name: "a", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 1}
+	for _, sec := range []int64{-18446744073, 18446744074, -1, maxSec + 1} {
+		for field, wf := range map[string]WorkflowRecord{
+			"submit_sec":          {ID: "w", SubmitSec: sec, DeadlineSec: 600, Jobs: []JobRecord{job}},
+			"deadline_sec":        {ID: "w", DeadlineSec: sec, Jobs: []JobRecord{job}},
+			"task_dur_sec":        {ID: "w", DeadlineSec: 600, Jobs: []JobRecord{{Name: "a", Tasks: 1, TaskDurSec: sec, DemandVCores: 1}}},
+			"actual_task_dur_sec": {ID: "w", DeadlineSec: 600, Jobs: []JobRecord{{Name: "a", Tasks: 1, TaskDurSec: 10, ActualTaskDurSec: sec, DemandVCores: 1}}},
+		} {
+			if _, err := wf.ToWorkflow(); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("workflow with %s = %d: %v, want a refusal naming the field", field, sec, err)
+			}
+		}
+		for field, a := range map[string]AdHocRecord{
+			"submit_sec":   {ID: "a", SubmitSec: sec, Tasks: 1, TaskDurSec: 10, DemandVCores: 1},
+			"task_dur_sec": {ID: "a", Tasks: 1, TaskDurSec: sec, DemandVCores: 1},
+		} {
+			if _, _, err := (&Trace{Version: FormatVersion, AdHoc: []AdHocRecord{a}}).ToWorkload(); err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("ad-hoc job with %s = %d: %v, want a refusal naming the field", field, sec, err)
+			}
+		}
+	}
+	a, err := AdHocRecord{ID: "a", Tasks: 1, TaskDurSec: maxSec, DemandVCores: 1}.ToAdHoc()
+	if err != nil || a.TaskDuration != maxSec*time.Second {
+		t.Errorf("task_dur_sec = %d: %v, %v", maxSec, a.TaskDuration, err)
+	}
+}
