@@ -7,8 +7,9 @@
 # deadlines, every FlowTime slot is work-conserving, striking the ad-hoc
 # jobs from a slot gives deadline work only the capacity they had taken
 # — and sim invariants); `make fuzz`
-# runs short fuzz bursts over the WAL framing, the two binary journal
-# codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
+# runs short fuzz bursts over the WAL framing, the front-coded string
+# primitive both journal codecs share (FuzzFrontString), the two binary
+# journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
 # FuzzDecodeWALRecord), the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the MPS reader,
 # the status query, the heartbeat, submission and replication request
@@ -83,8 +84,9 @@ cover:
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
-# fuzz runs short bursts of the store framing, plan-diff codec, WAL
-# record codec and heartbeat and submission body codec fuzz targets
+# fuzz runs short bursts of the store framing, front-coded string,
+# plan-diff codec, WAL record codec and heartbeat and submission body
+# codec fuzz targets
 # (every codec: no panic, an accepted input re-encodes to itself; a diff
 # or record is safe to apply) from the checked-in seed corpora
 # (testdata/fuzz/) and in-code seeds, the flow planner target (conservation, window, cap and parallelism invariants on
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzDecodeAll -fuzztime 10s -run '^$$' ./internal/store/
+	$(GO) test -fuzz FuzzFrontString -fuzztime 10s -run '^$$' ./internal/binenc/
 	$(GO) test -fuzz FuzzDecodeDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/

@@ -105,7 +105,6 @@ import (
 	"time"
 
 	"flowtime/internal/core"
-	"flowtime/internal/experiments"
 	"flowtime/internal/netchaos"
 	"flowtime/internal/rmserver"
 	"flowtime/internal/sched"
@@ -214,7 +213,7 @@ func run(o options) error {
 	cfg := core.DefaultConfig()
 	cfg.Slack = o.slack
 	cfg.StreamPlans = o.streamPlans
-	s, err := experiments.NewScheduler(o.schedName, nil, cfg)
+	s, err := core.NewScheduler(o.schedName, nil, cfg)
 	if err != nil {
 		return err
 	}

@@ -286,7 +286,7 @@ func run(o options) error {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Slack = o.slack
-		s, err := experiments.NewScheduler(name, history, cfg)
+		s, err := core.NewScheduler(name, history, cfg)
 		if err != nil {
 			return err
 		}

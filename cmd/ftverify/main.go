@@ -285,7 +285,7 @@ func checkedRun(sc *oracle.Scenario, faults *sim.FaultInjection, counts map[stri
 // differential harness: a diff-streaming FlowTime and an independent
 // wholesale reference decide on identical inputs, and after every
 // decision the externally diff-reconstructed plan must equal both live
-// plans exactly (allocations, windows, θ), including across periodic
+// plans exactly (allocations and windows), including across periodic
 // checkpoint-plus-journal recovery rebuilds. Half the cases add chaos
 // (runtime jitter and stragglers), the diff-heaviest regime. Failures
 // are shrunk to a minimal scenario before reporting.

@@ -1,10 +1,12 @@
 // Package binenc holds the primitives the journal's binary codecs share
 // (internal/plan's diff codec and internal/rmserver's WAL record codec):
-// unsigned LEB128 varints for every integer, length-prefixed strings, and
-// a Reader that is strict by construction — a non-minimal or overflowing
-// varint, a length or count larger than the bytes that remain, and
-// trailing bytes are errors, so a byte string has at most one decoding
-// and a decoder built on it can promise encode∘decode = identity.
+// unsigned LEB128 varints for every integer, length-prefixed strings,
+// strings front-coded against the one before them, and a Reader that is
+// strict by construction — a non-minimal or overflowing varint, a length
+// or count larger than the bytes that remain, a front-coded prefix that is
+// not the longest one, and trailing bytes are errors, so a byte string has
+// at most one decoding and a decoder built on it can promise
+// encode∘decode = identity.
 //
 // Writer and Reader carry a sticky error: after the first failure every
 // further call is a no-op returning a zero value, so codecs read as
@@ -65,10 +67,17 @@ func (w *Writer) String(s string) {
 	w.Buf = append(w.Buf, s...)
 }
 
-// Float64 appends the raw IEEE-754 bits, little-endian, so the round trip
-// is bit-exact.
-func (w *Writer) Float64(f float64) {
-	w.Buf = binary.LittleEndian.AppendUint64(w.Buf, math.Float64bits(f))
+// FrontString appends s front-coded against prev: the length of the
+// longest prefix the two share, then the rest of s as a string. In a list
+// of IDs that share a stem (adhoc/ah00470, adhoc/ah00471) each costs its
+// new suffix and two bytes.
+func (w *Writer) FrontString(prev, s string) {
+	p := 0
+	for p < len(prev) && p < len(s) && prev[p] == s[p] {
+		p++
+	}
+	w.Uint(uint64(p))
+	w.String(s[p:])
 }
 
 // Reader consumes encoded fields from the front of a byte slice.
@@ -187,16 +196,24 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Float64 reads raw IEEE-754 bits, little-endian.
-func (r *Reader) Float64() float64 {
+// FrontString reads a string FrontString wrote against prev. The shared
+// prefix must fit in prev and be the longest one — a suffix that opens
+// with prev's next byte had a longer prefix to give — so a string has one
+// spelling.
+func (r *Reader) FrontString(prev string) string {
+	p := r.Uint()
+	if p > uint64(len(prev)) {
+		r.Fail(fmt.Errorf("binenc: shared prefix of %d bytes, the previous string has %d", p, len(prev)))
+	}
+	n := r.Count(1)
 	if r.err != nil {
-		return 0
+		return ""
 	}
-	if len(r.b) < 8 {
-		r.Fail(errShort)
-		return 0
+	if n > 0 && p < uint64(len(prev)) && r.b[0] == prev[p] {
+		r.Fail(fmt.Errorf("binenc: shared prefix of %d bytes is not the longest", p))
+		return ""
 	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return math.Float64frombits(v)
+	s := prev[:p] + string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }

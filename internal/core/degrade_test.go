@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
 	"flowtime/internal/sim"
@@ -102,31 +103,49 @@ func TestLadderStepsDownOnPlannerPanic(t *testing.T) {
 
 // TestLadderStepsDownPerKindOnStageBFailure: stage A answers for both
 // kinds, then the skyline fails for memory alone. Memory is planned
-// greedily, vcores keep their flow plan and their θ.
+// greedily, vcores keep their flow plan.
 func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
 	cfg := Config{Slack: 0, MaxLexRounds: 3, StreamPlans: true}
-	f := New(cfg)
-	calls := map[resource.Kind]int{}
-	f.planFault = func(k resource.Kind) error {
-		calls[k]++
-		if k == resource.MemoryMB && calls[k] == 2 {
-			return errors.New("injected stage B fault")
+	// run plans twoJobMix with the planner failing for memory on the call
+	// numbered failOn (0: never; 1 is stage A, 2 stage B).
+	run := func(failOn int) *FlowTime {
+		f := New(cfg)
+		calls := map[resource.Kind]int{}
+		f.planFault = func(k resource.Kind) error {
+			calls[k]++
+			if k == resource.MemoryMB && calls[k] == failOn {
+				return errors.New("injected fault")
+			}
+			return nil
 		}
-		return nil
+		if _, err := f.Assign(sched.AssignContext{
+			Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: view(capacity, 100),
+		}); err != nil {
+			t.Fatalf("Assign: %v", err)
+		}
+		return f
 	}
-	if _, err := f.Assign(sched.AssignContext{
-		Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: view(capacity, 100),
-	}); err != nil {
-		t.Fatalf("Assign: %v", err)
-	}
+	f := run(2)
 	d := f.Degradation()
 	if d.Level != sched.DegradeGreedy || !strings.Contains(d.Reason, "stage B") {
 		t.Errorf("Level = %v, Reason = %q; want greedy via stage B", d.Level, d.Reason)
 	}
-	theta := f.LivePlan().Theta
-	if len(theta[resource.VCores.String()]) == 0 || theta[resource.MemoryMB.String()] != nil {
-		t.Errorf("θ = %v, want levels for vcores only", theta)
+	// Vcores are planned as a fault-free run plans them; memory as a run
+	// whose memory planner fails outright, which is the greedy rung.
+	flowPlan, greedyPlan := run(0).LivePlan(), run(1).LivePlan()
+	for id, j := range f.LivePlan().Jobs {
+		for off, g := range j.Alloc {
+			if v, want := g.Get(resource.VCores), flowPlan.Jobs[id].Alloc[off].Get(resource.VCores); v != want {
+				t.Errorf("job %s offset %d: %d vcores planned, the flow plan has %d", id, off, v, want)
+			}
+			if m, want := g.Get(resource.MemoryMB), greedyPlan.Jobs[id].Alloc[off].Get(resource.MemoryMB); m != want {
+				t.Errorf("job %s offset %d: %d MB planned, the greedy plan has %d", id, off, m, want)
+			}
+		}
+	}
+	if plan.Equal(flowPlan, greedyPlan) == nil {
+		t.Error("the flow and greedy plans agree: the rung each kind took is not visible")
 	}
 	capAt := func(int64) resource.Vector { return capacity }
 	if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {

@@ -336,7 +336,7 @@ func (f *FlowTime) trimAdHocReserved(now int64) {
 // revision and, when streaming, emits the diff against the previous one.
 // alloc slices are shared with the internal plan: they are immutable
 // after the replan that built them.
-func (f *FlowTime) publishPlan(from, nSlots int64, alloc map[string][]resource.Vector, windows map[string]sched.PlanWindow, theta map[string][]float64) {
+func (f *FlowTime) publishPlan(from, nSlots int64, alloc map[string][]resource.Vector, windows map[string]sched.PlanWindow) {
 	if !f.cfg.StreamPlans {
 		return
 	}
@@ -347,7 +347,6 @@ func (f *FlowTime) publishPlan(from, nSlots int64, alloc map[string][]resource.V
 		Rev:    f.live.Rev + 1,
 		From:   from,
 		NSlots: nSlots,
-		Theta:  theta,
 	}
 	if len(alloc) > 0 {
 		next.Jobs = make(map[string]plan.Job, len(alloc))
@@ -613,7 +612,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 		f.degrade.Level, f.degrade.Reason = sched.DegradeNone, ""
 		// An empty plan is still a revision: the consumer must learn that
 		// every previously planned job is gone.
-		f.publishPlan(ctx.Now, 0, nil, nil, nil)
+		f.publishPlan(ctx.Now, 0, nil, nil)
 		return
 	}
 
@@ -641,19 +640,15 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	}
 
 	level, reason := sched.DegradeNone, ""
-	theta := make(map[string][]float64, resource.NumKinds)
 	yieldedBefore := f.stats.AdHocYielded
 	for _, p := range probs {
-		lvl, why := f.replanKind(ctx, p, order, alloc, nSlots, theta)
+		lvl, why := f.replanKind(ctx, p, order, alloc, nSlots)
 		if lvl > level {
 			level = lvl
 		}
 		if why != "" {
 			reason = why
 		}
-	}
-	if len(theta) == 0 {
-		theta = nil
 	}
 	if f.stats.AdHocYielded != yieldedBefore {
 		f.stats.AdHocYields++
@@ -675,7 +670,6 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
 		f.degrade.InvalidPlans++
 		level, reason = sched.DegradeGreedy, "plan validation: "+err.Error()
-		theta = nil // the skyline was discarded with the invalid plan
 		alloc = f.rebuildGreedy(jobs, order, nSlots)
 		if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
 			// Unreachable by construction; planning nothing is still safe —
@@ -709,7 +703,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	if anyDeferred {
 		f.deferredRetry = ctx.Now + deferredRetryInterval
 	}
-	f.publishPlan(ctx.Now, nSlots, alloc, windows, theta)
+	f.publishPlan(ctx.Now, nSlots, alloc, windows)
 }
 
 // computeWindows collects live deadline jobs with their effective windows
@@ -923,10 +917,8 @@ func (f *FlowTime) runPlanner(kind resource.Kind, call func() (flow.Work, error)
 // the stage A result in p — and writes integral grants into alloc.
 // Planner failures never propagate: the kind is planned at the greedy
 // rung instead, and the rung used plus the trip reason (if any) are
-// returned. When the flow planner succeeds, the normalized level of every
-// slot it could use is recorded, in slot order, under the kind's name in
-// theta (the greedy rung has no θ and records nothing).
-func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*planJob, alloc map[string][]resource.Vector, nSlots int64, theta map[string][]float64) (sched.DegradeLevel, string) {
+// returned.
+func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*planJob, alloc map[string][]resource.Vector, nSlots int64) (sched.DegradeLevel, string) {
 	kind := p.kind
 	demand := make(map[*planJob]int64, len(p.pjs))
 	for i, pj := range p.pjs {
@@ -965,24 +957,6 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 		})
 		if err == nil {
 			f.stats.LPRounds += sky.Levels
-			// One level per slot a deadline job can use, reservation
-			// included: the level an arriving ad-hoc job faces there.
-			usable := make([]bool, nSlots)
-			for _, job := range fits[:len(p.pjs)] {
-				if job.Demand == 0 {
-					continue
-				}
-				for t := job.Rel; t < job.Dl; t++ {
-					usable[t] = p.caps[t] > 0
-				}
-			}
-			levels := make([]float64, 0, nSlots)
-			for t, ok := range usable {
-				if ok {
-					levels = append(levels, sky.Level[t])
-				}
-			}
-			theta[kind.String()] = levels
 		}
 	}
 	if err != nil {

@@ -638,3 +638,9 @@ func TestRevisionBeforeReleaseWaitsBehindAdHoc(t *testing.T) {
 		t.Errorf("slot 5: b granted %v, want at least its flat share of 30 over 5 slots", g)
 	}
 }
+
+func TestNewSchedulerUnknown(t *testing.T) {
+	if _, err := NewScheduler("Nope", nil, DefaultConfig()); err == nil {
+		t.Error("unknown scheduler accepted")
+	}
+}

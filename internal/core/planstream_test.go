@@ -124,9 +124,11 @@ func TestStreamedDiffsReconstructLivePlan(t *testing.T) {
 	}
 }
 
-// TestStreamedPlanCarriesTheta: a flow-built plan records per-kind θ
-// levels; the diff carries them and Apply reproduces them.
-func TestStreamedPlanCarriesTheta(t *testing.T) {
+// TestStreamedPlanCarriesAllocations: the published plan is the planner's
+// own allocation — every job's window and row as the replan built them,
+// the job's whole demand planned — and the one diff carries it: Apply on
+// the empty plan reproduces it.
+func TestStreamedPlanCarriesAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StreamPlans = true
 	f := New(cfg)
@@ -139,14 +141,23 @@ func TestStreamedPlanCarriesTheta(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 	live := f.LivePlan()
-	if f.Degradation().Level == sched.DegradeNone && len(live.Theta) == 0 {
-		t.Fatalf("flow plan published without θ levels")
+	if len(live.Jobs) != len(jobs) {
+		t.Fatalf("plan holds %d jobs, want %d", len(live.Jobs), len(jobs))
 	}
-	for kind, levels := range live.Theta {
-		for i, l := range levels {
-			if l < 0 || l > 1.000001 {
-				t.Fatalf("θ[%s][%d] = %g outside [0,1]", kind, i, l)
+	for _, j := range jobs {
+		pj := live.Jobs[j.ID]
+		if w := f.planWindows[j.ID]; pj.Window != (plan.Window{Rel: w.RelSlot, Dl: w.DlSlot}) {
+			t.Errorf("job %s: plan window %+v, planner's %+v", j.ID, pj.Window, w)
+		}
+		var total resource.Vector
+		for off, g := range pj.Alloc {
+			if g != f.plan[j.ID][off] {
+				t.Errorf("job %s slot %d: plan %v, planner's %v", j.ID, live.From+int64(off), g, f.plan[j.ID][off])
 			}
+			total = total.Add(g)
+		}
+		if total != j.EstRemaining {
+			t.Errorf("job %s: %v planned, demand %v", j.ID, total, j.EstRemaining)
 		}
 	}
 	diffs := f.TakePlanDiffs()
@@ -158,7 +169,7 @@ func TestStreamedPlanCarriesTheta(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	if err := plan.Equal(applied, live); err != nil {
-		t.Fatalf("θ not reproduced through the diff: %v", err)
+		t.Fatalf("allocations not reproduced through the diff: %v", err)
 	}
 }
 

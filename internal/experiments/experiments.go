@@ -37,27 +37,6 @@ const SlotDur = 10 * time.Second
 // contention bites through queueing rather than outright overload.
 var Fig4Cluster = resource.New(128, 256*1024)
 
-// NewScheduler builds a scheduler by its evaluation name. History is only
-// used by Morpheus; flowTimeCfg only by FlowTime.
-func NewScheduler(name string, history sched.History, flowTimeCfg core.Config) (sched.Scheduler, error) {
-	switch name {
-	case "FlowTime":
-		return core.New(flowTimeCfg), nil
-	case "CORA":
-		return sched.NewCORA(), nil
-	case "EDF":
-		return sched.NewEDF(), nil
-	case "Fair":
-		return sched.NewFair(), nil
-	case "FIFO":
-		return sched.NewFIFO(), nil
-	case "Morpheus":
-		return sched.NewMorpheus(history), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheduler %q", name)
-	}
-}
-
 // Fig4Algorithms is the lineup of the paper's Fig. 4.
 func Fig4Algorithms() []string {
 	return []string{"FlowTime", "CORA", "EDF", "Fair", "FIFO"}
@@ -138,7 +117,7 @@ func RunFig4(opts Fig4Options) ([]metrics.Summary, error) {
 		if opts.MaxLexRounds != 0 {
 			ftCfg.MaxLexRounds = opts.MaxLexRounds
 		}
-		s, err := NewScheduler(alg, history, ftCfg)
+		s, err := core.NewScheduler(alg, history, ftCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -509,7 +488,7 @@ func RunExtC(algorithms []string) ([]metrics.Summary, error) {
 				return nil, err
 			}
 		}
-		s, err := NewScheduler(alg, history, core.DefaultConfig())
+		s, err := core.NewScheduler(alg, history, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -572,7 +551,7 @@ func RunFig1() ([]metrics.Summary, error) {
 	}
 	var out []metrics.Summary
 	for _, alg := range []string{"EDF", "FlowTime"} {
-		s, err := NewScheduler(alg, nil, core.DefaultConfig())
+		s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -626,7 +605,7 @@ func RunExtE(algorithms []string) ([]ExtEPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := NewScheduler(alg, nil, core.DefaultConfig())
+		s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"flowtime/internal/core"
 	"flowtime/internal/resource"
 	"flowtime/internal/workload"
 )
@@ -167,12 +166,6 @@ func TestExtBDecompositionAblation(t *testing.T) {
 	}
 	if p.MissedCritical == 0 {
 		t.Logf("note: critical-path missed nothing at width %d (workload too loose to discriminate)", p.Width)
-	}
-}
-
-func TestNewSchedulerUnknown(t *testing.T) {
-	if _, err := NewScheduler("Nope", nil, core.DefaultConfig()); err == nil {
-		t.Error("unknown scheduler accepted")
 	}
 }
 

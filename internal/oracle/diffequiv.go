@@ -12,7 +12,7 @@
 //   - every emitted diff is round-tripped through the journal codec and
 //     applied to an externally accumulated shadow plan;
 //   - after every decision, shadow ≡ streaming live plan ≡ wholesale
-//     reference plan (allocations, windows, θ, and revision), and both
+//     reference plan (allocations, windows and revision), and both
 //     schedulers granted identically;
 //   - periodically the shadow is torn down and rebuilt from its last
 //     checkpoint plus the journaled diffs — the RM crash-recovery and

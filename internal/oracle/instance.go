@@ -69,9 +69,9 @@ func (in Instance) Validate() error {
 }
 
 // GroupSlots returns the slots that form lexicographic load groups: the
-// slots with positive capacity covered by at least one job window. This
-// matches the slots core.FlowTime reports a θ level for, which the
-// skyline comparisons must mirror exactly.
+// slots with positive capacity covered by at least one job window — the
+// slots a job can load, and so the ones whose levels the skyline
+// comparisons read.
 func (in Instance) GroupSlots() []int64 {
 	covered := make([]bool, len(in.Caps))
 	for _, j := range in.Jobs {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"flowtime/internal/binenc"
 	"flowtime/internal/resource"
@@ -22,29 +21,35 @@ import (
 //	nRemove { id }
 //	nUpdate { id  add(0|1)  Rel Dl
 //	          nRuns { gap len { alloc[kind]... }*len } }
-//	nTheta  { kind nLevels { 8-byte IEEE-754 bits }*nLevels }   kinds sorted
 //
-// A job's slot ops are stored as runs of consecutive slots: the first
-// run's gap counts from the diff's From, a later run's gap is the
-// distance past the previous run's end minus one — two adjacent runs
-// cannot be spelled, so every slot set has exactly one encoding. θ levels
-// are raw float bits so a round trip is bit-exact. The decoder refuses
-// unknown tags and flag values, non-minimal varints, counts the input
-// cannot hold, unsorted θ kinds and trailing bytes, and every decode ends
-// in Validate: an accepted input re-encodes to itself and is safe to hand
-// to Apply (NSlots, the one header field Apply sizes tables by, is held to
-// MaxSlots there).
+// Each list's IDs are front-coded (binenc.FrontString) against the ID
+// before them in the same list — the lists are sorted, so the jobs of one
+// workflow, wf0003/SelfJoin-3#3 then wf0003/TeraSort-5#5, spell their
+// workflow once. A job's slot ops are stored as runs of consecutive slots:
+// the first run's gap counts from the diff's From, a later run's gap is
+// the distance past the previous run's end minus one — two adjacent runs
+// cannot be spelled, so every slot set has exactly one encoding. The
+// decoder refuses unknown tags and flag values, non-minimal varints and
+// front-coded prefixes, counts the input cannot hold and trailing bytes,
+// and every decode ends in Validate: an accepted input re-encodes to
+// itself and is safe to hand to Apply (NSlots, the one header field Apply
+// sizes tables by, is held to MaxSlots there).
 //
 // Full plans (snapshots and rebase records, rare and large) stay strict
 // JSON: unknown fields and trailing data refused, Validate after decode.
 //
-// One diff form: before the binary one diffs were JSON too. Nothing has
-// written that since and no supported state directory predates a snapshot
-// rotation by a binary-writing RM, so it is not read: DecodeDiff refuses an
-// input that opens with '{' by name.
+// One form of each. Before this one a diff opened with tag 0x01, spelled
+// every ID out and carried the planner's θ levels; before that diffs were
+// JSON. Full plans carried θ as "theta". Nothing reads those forms: the
+// journal that held them is refused whole (internal/rmserver's walcodec.go
+// says why that is safe), and DecodeDiff and DecodePlan refuse each by
+// name rather than misread it.
 
-// diffTag opens every binary diff.
-const diffTag = 0x01
+// diffTag opens every binary diff; diffTagTheta opened the form before it.
+const (
+	diffTagTheta = 0x01
+	diffTag      = 0x02
+)
 
 // EncodeDiff serializes a diff. The diff is validated first so an
 // invalid diff can never be journaled.
@@ -62,30 +67,21 @@ func AppendDiff(dst []byte, d *Diff) ([]byte, error) {
 	w.Int(d.From)
 	w.Int(d.NSlots)
 	w.Uint(uint64(len(d.Remove)))
+	prev := ""
 	for _, id := range d.Remove {
-		w.String(id)
+		w.FrontString(prev, id)
+		prev = id
 	}
 	w.Uint(uint64(len(d.Update)))
+	prev = ""
 	for i := range d.Update {
 		u := &d.Update[i]
-		w.String(u.ID)
+		w.FrontString(prev, u.ID)
+		prev = u.ID
 		w.Bool(u.Add)
 		w.Int(u.Window.Rel)
 		w.Int(u.Window.Dl)
 		appendRuns(&w, d.From, u.Set)
-	}
-	kinds := make([]string, 0, len(d.Theta))
-	for k := range d.Theta {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	w.Uint(uint64(len(kinds)))
-	for _, k := range kinds {
-		w.String(k)
-		w.Uint(uint64(len(d.Theta[k])))
-		for _, l := range d.Theta[k] {
-			w.Float64(l)
-		}
 	}
 	return w.Buf, w.Err()
 }
@@ -127,49 +123,38 @@ func appendRuns(w *binenc.Writer, from int64, set []SlotSet) {
 // the bytes it came from.
 func DecodeDiff(data []byte) (*Diff, error) {
 	r := binenc.NewReader(data)
-	if tag := r.Byte(); r.Err() == nil && tag != diffTag {
-		if tag == '{' {
-			return nil, errors.New("plan: diff decode: a JSON diff, the pre-binary form that is no longer read")
-		}
+	switch tag := r.Byte(); {
+	case r.Err() != nil || tag == diffTag:
+	case tag == diffTagTheta:
+		return nil, errors.New("plan: diff decode: a tag 0x01 diff, the form with θ levels and spelled-out IDs that predates front coding, which is no longer read")
+	case tag == '{':
+		return nil, errors.New("plan: diff decode: a JSON diff, the pre-binary form that is no longer read")
+	default:
 		return nil, fmt.Errorf("plan: diff decode: unknown format tag %#x", tag)
 	}
 	d := &Diff{BaseRev: r.Int(), From: r.Int(), NSlots: r.Int()}
 	d.NewRev = d.BaseRev + 1 // Validate refuses the one BaseRev this would wrap on
-	if n := r.Count(1); n > 0 {
+	// A front-coded ID is at least a prefix length and a suffix length.
+	if n := r.Count(2); n > 0 {
 		d.Remove = make([]string, n)
+		prev := ""
 		for i := range d.Remove {
-			d.Remove[i] = r.String()
+			d.Remove[i] = r.FrontString(prev)
+			prev = d.Remove[i]
 		}
 	}
-	// An update is at least an empty ID, the add flag, two window varints
-	// and a run count.
-	if n := r.Count(5); n > 0 {
+	// An update is at least its ID, the add flag, two window varints and a
+	// run count.
+	if n := r.Count(6); n > 0 {
 		d.Update = make([]JobUpdate, n)
+		prev := ""
 		for i := range d.Update {
 			u := &d.Update[i]
-			u.ID = r.String()
+			u.ID = r.FrontString(prev)
+			prev = u.ID
 			u.Add = r.Bool()
 			u.Window = Window{Rel: r.Int(), Dl: r.Int()}
 			u.Set = readRuns(&r, d.From)
-		}
-	}
-	if n := r.Count(2); n > 0 {
-		d.Theta = make(map[string][]float64, n)
-		prev := ""
-		for i := 0; i < n && r.Err() == nil; i++ {
-			kind := r.String()
-			if i > 0 && kind <= prev {
-				return nil, fmt.Errorf("plan: diff decode: θ kinds not strictly sorted at %q", kind)
-			}
-			prev = kind
-			var levels []float64
-			if m := r.Count(8); m > 0 {
-				levels = make([]float64, m)
-				for k := range levels {
-					levels[k] = r.Float64()
-				}
-			}
-			d.Theta[kind] = levels
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -240,13 +225,21 @@ func EncodePlan(p *Plan) ([]byte, error) {
 	return json.Marshal(p)
 }
 
-// DecodePlan deserializes and validates a full plan.
+// DecodePlan deserializes and validates a full plan. A plan that carries
+// "theta", the planner's levels full plans held before the plan became
+// integers only, is refused by name.
 func DecodePlan(data []byte) (*Plan, error) {
-	var p Plan
+	var p struct {
+		Plan
+		Theta json.RawMessage `json:"theta"`
+	}
 	if err := decodeStrictJSON(data, &p); err != nil {
 		return nil, fmt.Errorf("plan: plan decode: %w", err)
 	}
-	if err := p.Validate(); err != nil {
+	if p.Theta != nil {
+		return nil, errors.New(`plan: plan decode: a plan with θ levels ("theta"), the form that predates integer-only plans, which is no longer read`)
+	}
+	if err := p.Plan.Validate(); err != nil {
 		return nil, err
 	}
 	// Explicit empties become the omitted form so decode∘encode is the
@@ -254,8 +247,5 @@ func DecodePlan(data []byte) (*Plan, error) {
 	if len(p.Jobs) == 0 {
 		p.Jobs = nil
 	}
-	if len(p.Theta) == 0 {
-		p.Theta = nil
-	}
-	return &p, nil
+	return &p.Plan, nil
 }

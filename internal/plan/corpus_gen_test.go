@@ -19,10 +19,11 @@ import (
 //	GEN_CORPUS=1 go test ./internal/plan -run TestGenerateFuzzCorpus
 //
 // The seeds cover the malformed-diff taxonomy the decoder must refuse
-// (unknown tag, trailing bytes, unsorted or duplicate ops, a job both
-// removed and updated, out-of-range slots, counts beyond the input, a plan
-// length beyond MaxSlots, empty windows, torn encodings) plus valid diffs of several shapes, so
-// short CI bursts start from deep coverage.
+// (unknown tag, the form before front coding, trailing bytes, unsorted or
+// duplicate ops, a non-maximal front-coded prefix, a job both removed and
+// updated, out-of-range slots, counts beyond the input, a plan length
+// beyond MaxSlots, empty windows, torn encodings) plus valid diffs of
+// several shapes, so short CI bursts start from deep coverage.
 // Only seed-NN files are rewritten: inputs the fuzzer found and a
 // developer checked in beside them stay.
 func TestGenerateFuzzCorpus(t *testing.T) {
@@ -41,11 +42,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		BaseRev: 2, NewRev: 3, From: 4, NSlots: 8,
 		Remove: []string{"r1", "r2"},
 		Update: []JobUpdate{
-			{ID: "a", Window: Window{Rel: 4, Dl: 9}, Set: []SlotSet{
+			{ID: "adhoc/ah00470", Window: Window{Rel: 4, Dl: 9}, Set: []SlotSet{
 				{Slot: 5, Alloc: resource.New(2, 4096)}, {Slot: 7, Alloc: resource.Vector{}}}},
-			{ID: "z", Add: true, Window: Window{Rel: 6, Dl: 12}, Set: []SlotSet{{Slot: 6, Alloc: resource.New(1, 512)}}},
+			{ID: "adhoc/ah00471", Add: true, Window: Window{Rel: 6, Dl: 12}, Set: []SlotSet{{Slot: 6, Alloc: resource.New(1, 512)}}},
 		},
-		Theta: map[string][]float64{"vcores": {0.25, 0.5}, "memory-mb": {1}},
 	})
 	empty := enc(&Diff{BaseRev: 0, NewRev: 1})
 
@@ -56,7 +56,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		return binDiff(func(w *binenc.Writer) {
 			w.Uint(0)
 			w.Uint(1)
-			w.String("a")
+			w.FrontString("", "a")
 			w.Bool(false)
 			w.Int(rel)
 			w.Int(dl)
@@ -66,16 +66,16 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 					w.Int(v)
 				}
 			}
-			w.Uint(0)
 		})
 	}
 	removes := func(ids ...string) []byte {
 		return binDiff(func(w *binenc.Writer) {
 			w.Uint(uint64(len(ids)))
+			prev := ""
 			for _, id := range ids {
-				w.String(id)
+				w.FrontString(prev, id)
+				prev = id
 			}
-			w.Uint(0)
 			w.Uint(0)
 		})
 	}
@@ -83,19 +83,18 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	writeCorpus(t, "FuzzDecodeDiff", [][]interface{}{
 		{rich},
 		{empty},
-		{append([]byte{0x02}, rich[1:]...)}, // unknown format tag
+		{append([]byte{0x03}, rich[1:]...)}, // unknown format tag
 		{append(append([]byte{}, rich...), 0)},
 		{removes("b", "a")},
 		{removes("a", "a")},
 		{binDiff(func(w *binenc.Writer) { // job both removed and updated
 			w.Uint(1)
-			w.String("a")
+			w.FrontString("", "a")
 			w.Uint(1)
-			w.String("a")
+			w.FrontString("", "a")
 			w.Bool(false)
 			w.Int(0)
 			w.Int(4)
-			w.Uint(0)
 			w.Uint(0)
 		})},
 		{update(0, 4, []int64{4, 1, 1, 1})},       // slot outside the plan range
@@ -104,6 +103,14 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		{rich[:len(rich)/2]},
 		{concat(rich, empty)},
 		{hugeNSlotsDiff(1)}, // plan length beyond MaxSlots
+		{thetaFormDiff()},   // the form before front coding, θ levels and all
+		{binDiff(func(w *binenc.Writer) { // a front-coded prefix shorter than the one shared
+			w.Uint(2)
+			w.FrontString("", "adhoc/ah00470")
+			w.Uint(7)
+			w.String("ah00471")
+			w.Uint(0)
+		})},
 	})
 
 	staleVsBase := enc(&Diff{BaseRev: 7, NewRev: 8, From: 0, NSlots: 6})

@@ -45,9 +45,6 @@ type Diff struct {
 	NSlots  int64       `json:"n_slots"`
 	Remove  []string    `json:"remove,omitempty"`
 	Update  []JobUpdate `json:"update,omitempty"`
-	// Theta replaces the plan's θ levels wholesale (nil clears them —
-	// θ is a property of one LP solve, not an incremental quantity).
-	Theta map[string][]float64 `json:"theta,omitempty"`
 }
 
 // Validate checks the diff's structural invariants without reference to
@@ -104,16 +101,6 @@ func (d *Diff) Validate() error {
 			}
 		}
 	}
-	for kind, levels := range d.Theta {
-		if kind == "" {
-			return fmt.Errorf("plan: diff θ entry with empty kind name")
-		}
-		for i, l := range levels {
-			if l < 0 || l != l || math.IsInf(l, 1) { // negative, NaN, or +Inf (which a JSON plan cannot carry)
-				return fmt.Errorf("plan: diff θ[%q][%d] = %g invalid", kind, i, l)
-			}
-		}
-	}
 	return nil
 }
 
@@ -153,7 +140,6 @@ func Apply(base *Plan, d *Diff) (*Plan, error) {
 		From:   d.From,
 		NSlots: d.NSlots,
 		Jobs:   make(map[string]Job, len(base.Jobs)+len(d.Update)),
-		Theta:  cloneTheta(d.Theta),
 	}
 	// Carry over base jobs that are neither removed nor updated,
 	// rebasing their allocations into the new plan range.
@@ -211,7 +197,6 @@ func Compute(base, next *Plan) *Diff {
 		NewRev:  next.Rev,
 		From:    next.From,
 		NSlots:  next.NSlots,
-		Theta:   cloneTheta(next.Theta),
 	}
 	for _, id := range base.JobIDs() {
 		if _, ok := next.Jobs[id]; !ok {

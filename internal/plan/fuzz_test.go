@@ -19,21 +19,21 @@ func diffFuzzSeeds() [][]byte {
 		BaseRev: 2, NewRev: 3, From: 4, NSlots: 8,
 		Remove: []string{"r1"},
 		Update: []JobUpdate{
-			{ID: "a", Window: Window{Rel: 4, Dl: 9}, Set: []SlotSet{{Slot: 5, Alloc: resource.New(2, 4096)}}},
-			{ID: "z", Add: true, Window: Window{Rel: 6, Dl: 12}},
+			{ID: "adhoc/ah00470", Window: Window{Rel: 4, Dl: 9}, Set: []SlotSet{{Slot: 5, Alloc: resource.New(2, 4096)}}},
+			{ID: "adhoc/ah00471", Add: true, Window: Window{Rel: 6, Dl: 12}},
 		},
-		Theta: map[string][]float64{"vcores": {0.25, 0.5}},
 	})
 	empty, _ := EncodeDiff(&Diff{BaseRev: 0, NewRev: 1})
 	return [][]byte{
 		good,
 		empty,
-		append([]byte{0x02}, good[1:]...),    // unknown format tag
-		{diffTag, 0x81, 0x00, 0, 4, 0, 0, 0}, // non-minimal varint
+		append([]byte{0x03}, good[1:]...), // unknown format tag
+		{diffTag, 0x81, 0x00, 0, 4, 0, 0}, // non-minimal varint
 		{diffTag, 1, 0, 4, 0xff, 0xff, 0xff, 0xff, 7}, // remove count far beyond the input
 		append(append([]byte{}, good...), good...),    // trailing data
 		good[:len(good)/2],                            // torn encoding
 		hugeNSlotsDiff(1),                             // plan length beyond MaxSlots
+		thetaFormDiff(),                               // the refused form before front coding
 	}
 }
 
@@ -47,7 +47,6 @@ func hugeNSlotsDiff(baseRev int64) []byte {
 	w.Int(baseRev)
 	w.Int(0)
 	w.Int(1 << 40)
-	w.Uint(0)
 	w.Uint(0)
 	w.Uint(0)
 	return w.Buf
@@ -92,7 +91,7 @@ func TestDecodeDiffAllocation(t *testing.T) {
 		return binDiff(func(w *binenc.Writer) {
 			w.Uint(0)
 			w.Uint(1)
-			w.String("a")
+			w.FrontString("", "a")
 			w.Bool(false)
 			w.Int(0)
 			w.Int(4)
@@ -100,13 +99,12 @@ func TestDecodeDiffAllocation(t *testing.T) {
 		})
 	}
 	inputs := append(diffFuzzSeeds(),
-		binDiff(func(w *binenc.Writer) { w.Uint(huge) }),                                                 // removes
-		binDiff(func(w *binenc.Writer) { w.Uint(1); w.Uint(huge) }),                                      // a string's length
-		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(huge) }),                                      // updates
-		update(func(w *binenc.Writer) { w.Uint(huge) }),                                                  // runs
-		update(func(w *binenc.Writer) { w.Uint(1); w.Int(0); w.Uint(huge) }),                             // a run's length
-		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(0); w.Uint(huge) }),                           // θ kinds
-		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(0); w.Uint(1); w.String("k"); w.Uint(huge) }), // θ levels
+		binDiff(func(w *binenc.Writer) { w.Uint(huge) }),                                    // removes
+		binDiff(func(w *binenc.Writer) { w.Uint(1); w.Uint(0); w.Uint(huge) }),              // an ID's suffix length
+		binDiff(func(w *binenc.Writer) { w.Uint(0); w.Uint(huge) }),                         // updates
+		update(func(w *binenc.Writer) { w.Uint(huge) }),                                     // runs
+		update(func(w *binenc.Writer) { w.Uint(1); w.Int(0); w.Uint(huge) }),                // a run's length
+		binDiff(func(w *binenc.Writer) { w.Uint(2); w.FrontString("", "a"); w.Uint(huge) }), // a front-coded prefix
 	)
 	for i, in := range inputs {
 		// The factor covers a one-byte element decoding into a ~100-byte

@@ -4,11 +4,10 @@
 //
 // A Plan is an immutable snapshot of the planner's output at one replan:
 // a monotonically increasing revision, the absolute slot the allocations
-// are anchored at, per-job effective windows and per-slot allocations,
-// and the lexicographic θ levels the planner reached per resource kind. A
-// Diff carries one revision step — jobs added or removed, windows that
-// moved, and exactly the slots whose allocations changed — fenced by the
-// base revision it was computed against.
+// are anchored at, and per-job effective windows and per-slot allocations
+// — integers only. A Diff carries one revision step — jobs added or
+// removed, windows that moved, and exactly the slots whose allocations
+// changed — fenced by the base revision it was computed against.
 //
 // Apply is transactional: it either produces the complete successor plan
 // or returns an error and leaves the base untouched. A diff against the
@@ -82,10 +81,6 @@ type Plan struct {
 	NSlots int64 `json:"n_slots"`
 	// Jobs maps job ID to its window and allocations.
 	Jobs map[string]Job `json:"jobs,omitempty"`
-	// Theta holds, per resource kind name, the lexicographic min-max
-	// levels the planner reached for this plan (absent on degraded/greedy
-	// plans, which have no θ).
-	Theta map[string][]float64 `json:"theta,omitempty"`
 }
 
 // Empty returns the pre-genesis plan: revision 0, no jobs. Every diff
@@ -100,18 +95,6 @@ func (p *Plan) Clone() *Plan {
 		for id, j := range p.Jobs {
 			out.Jobs[id] = Job{Window: j.Window, Alloc: append([]resource.Vector(nil), j.Alloc...)}
 		}
-	}
-	out.Theta = cloneTheta(p.Theta)
-	return out
-}
-
-func cloneTheta(t map[string][]float64) map[string][]float64 {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string][]float64, len(t))
-	for k, v := range t {
-		out[k] = append([]float64(nil), v...)
 	}
 	return out
 }
@@ -188,8 +171,8 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Equal compares two plans' content — anchor, length, job sets, windows,
-// allocations, and θ levels — and returns nil or an error naming the
+// Equal compares two plans' content — anchor, length, job sets, windows
+// and allocations — and returns nil or an error naming the
 // first divergence. Revisions are not compared (callers that require
 // revision agreement check Rev separately).
 func Equal(a, b *Plan) error {
@@ -219,23 +202,6 @@ func Equal(a, b *Plan) error {
 			if ja.Alloc[off] != jb.Alloc[off] {
 				return fmt.Errorf("plan: job %q allocation differs at slot %d: %v vs %v",
 					id, a.From+int64(off), ja.Alloc[off], jb.Alloc[off])
-			}
-		}
-	}
-	if len(a.Theta) != len(b.Theta) {
-		return fmt.Errorf("plan: θ kind count differs: %d vs %d", len(a.Theta), len(b.Theta))
-	}
-	for kind, la := range a.Theta {
-		lb, ok := b.Theta[kind]
-		if !ok {
-			return fmt.Errorf("plan: θ for kind %q present in one plan only", kind)
-		}
-		if len(la) != len(lb) {
-			return fmt.Errorf("plan: θ level count for %q differs: %d vs %d", kind, len(la), len(lb))
-		}
-		for i := range la {
-			if la[i] != lb[i] {
-				return fmt.Errorf("plan: θ[%q][%d] differs: %g vs %g", kind, i, la[i], lb[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -30,13 +31,11 @@ func TestComputeApplyRoundTrip(t *testing.T) {
 	addJob(base, "a", 10, 14, map[int64]resource.Vector{10: resource.New(2, 4096), 11: resource.New(2, 4096)})
 	addJob(base, "b", 12, 16, map[int64]resource.Vector{12: resource.New(1, 1024)})
 	addJob(base, "gone", 10, 12, map[int64]resource.Vector{10: resource.New(4, 8192)})
-	base.Theta = map[string][]float64{"vcores": {0.5, 0.25}}
 
 	next := mkPlan(4, 12, 6) // plan window advanced by two slots
 	addJob(next, "a", 12, 15, map[int64]resource.Vector{12: resource.New(3, 2048)})
 	addJob(next, "b", 12, 16, map[int64]resource.Vector{12: resource.New(1, 1024)}) // unchanged content
 	addJob(next, "new", 13, 17, map[int64]resource.Vector{13: resource.New(2, 2048), 14: resource.New(2, 2048)})
-	next.Theta = map[string][]float64{"vcores": {0.75}, "memory-mb": {0.5}}
 
 	d := Compute(base, next)
 	if err := d.Validate(); err != nil {
@@ -220,27 +219,29 @@ func TestEqualReportsDivergence(t *testing.T) {
 		t.Fatalf("allocation divergence not reported")
 	}
 	c := a.Clone()
-	c.Theta = map[string][]float64{"vcores": {0.5}}
+	jc := c.Jobs["j"]
+	jc.Window.Dl = 3
+	c.Jobs["j"] = jc
 	if err := Equal(a, c); err == nil {
-		t.Fatalf("θ divergence not reported")
+		t.Fatalf("window divergence not reported")
 	}
 }
 
-// richDiff exercises every part of the encoding: removes, an update and
-// an add, slot runs of length one and three with gaps before and between
-// them, an empty slot set, two θ kinds and a negative zero.
+// richDiff exercises every part of the encoding: removes and updates whose
+// IDs share a prefix with the one before them, one that extends it and
+// one that shares nothing, an update and an add, slot runs of length one
+// and three with gaps before and between them, and an empty slot set.
 func richDiff() *Diff {
 	return &Diff{BaseRev: 2, NewRev: 3, From: 4, NSlots: 300,
-		Remove: []string{"r1", "r2"},
+		Remove: []string{"adhoc/ah00470", "adhoc/ah00471", "r2"},
 		Update: []JobUpdate{
 			{ID: "a", Window: Window{4, 200}, Set: []SlotSet{
 				{Slot: 5, Alloc: resource.New(2, 4096)},
 				{Slot: 7, Alloc: resource.New(1, 17129)}, {Slot: 8, Alloc: resource.Vector{}}, {Slot: 9, Alloc: resource.New(14, 1)},
 				{Slot: 150, Alloc: resource.New(3, 3)}}},
-			{ID: "m", Window: Window{4, 5}},
+			{ID: "ab", Window: Window{4, 5}},
 			{ID: "z", Add: true, Window: Window{6, 12}, Set: []SlotSet{{Slot: 4, Alloc: resource.Vector{}}, {Slot: 6, Alloc: resource.New(1, 512)}}},
 		},
-		Theta: map[string][]float64{"vcores": {0.25, 1.0 / 3}, "memory-mb": {math.Copysign(0, -1)}, "none": nil},
 	}
 }
 
@@ -266,11 +267,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("roundtrip not stable:\n%x\n%x", data, re)
 		}
 	}
-	rich := richDiff()
-	roundTrip(rich)
-	if bits := math.Float64bits(rich.Theta["memory-mb"][0]); bits != 1<<63 {
-		t.Fatalf("test diff lost its negative zero")
-	}
+	roundTrip(richDiff())
 	roundTrip(&Diff{BaseRev: 0, NewRev: 1})
 	// A base revision of 123 is the one whose varint is '{'.
 	roundTrip(&Diff{BaseRev: 123, NewRev: 124, From: 123, NSlots: 123})
@@ -296,10 +293,17 @@ func binDiff(body func(w *binenc.Writer)) []byte {
 }
 
 func TestCodecRefusesMalformed(t *testing.T) {
-	good := binDiff(func(w *binenc.Writer) {
-		w.Uint(0) // removes
-		w.Uint(1) // updates
-		w.String("a")
+	// update spells a diff whose only content is one update of job "a",
+	// from its add flag on.
+	update := func(rest func(w *binenc.Writer)) []byte {
+		return binDiff(func(w *binenc.Writer) {
+			w.Uint(0) // removes
+			w.Uint(1) // updates
+			w.FrontString("", "a")
+			rest(w)
+		})
+	}
+	good := update(func(w *binenc.Writer) {
 		w.Bool(false)
 		w.Int(0)
 		w.Int(4)
@@ -309,56 +313,55 @@ func TestCodecRefusesMalformed(t *testing.T) {
 		for _, a := range []int64{1, 1, 2, 2} {
 			w.Int(a)
 		}
-		w.Uint(0) // θ
 	})
 	if d, err := DecodeDiff(good); err != nil || len(d.Update[0].Set) != 2 {
 		t.Fatalf("hand-assembled reference diff refused: %v", err)
 	}
-	noUpdates := func(w *binenc.Writer) { w.Uint(0); w.Uint(0) }
+	// removes spells a diff whose only content is a remove list, each ID as
+	// a shared-prefix length and a suffix.
+	removes := func(prefixSuffix ...any) []byte {
+		return binDiff(func(w *binenc.Writer) {
+			w.Uint(uint64(len(prefixSuffix) / 2))
+			for i := 0; i < len(prefixSuffix); i += 2 {
+				w.Uint(uint64(prefixSuffix[i].(int)))
+				w.String(prefixSuffix[i+1].(string))
+			}
+			w.Uint(0)
+		})
+	}
+	if d, err := DecodeDiff(removes(0, "ab", 1, "c")); err != nil || d.Remove[1] != "ac" {
+		t.Fatalf("hand-assembled remove list refused: %+v, %v", d, err)
+	}
 	cases := map[string][]byte{
-		"empty":                     {},
-		"not a diff":                []byte("not json"),
-		"unknown tag":               append([]byte{0x02}, good[1:]...),
-		"trailing byte":             append(append([]byte{}, good...), 0),
-		"two diffs":                 append(append([]byte{}, good...), good...),
-		"non-minimal":               {diffTag, 0x81, 0x00, 0, 4, 0, 0, 0},
-		"varint overflow":           append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 11)...),
-		"beyond int64":              append(append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 9)...), 0x01, 0, 4, 0, 0, 0),
-		"no successor rev":          append(append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 8)...), 0x7f, 0, 4, 0, 0, 0),
-		"nslots past the ceiling":   hugeNSlotsDiff(1),
-		"remove count beyond input": binDiff(func(w *binenc.Writer) { w.Uint(1 << 40) }),
-		"string beyond input":       binDiff(func(w *binenc.Writer) { w.Uint(1); w.Uint(200); w.Byte('a') }),
-		"unsorted removes": binDiff(func(w *binenc.Writer) {
-			w.Uint(2)
-			w.String("b")
-			w.String("a")
-			w.Uint(0)
-			w.Uint(0)
-		}),
-		"flag byte 2": binDiff(func(w *binenc.Writer) {
-			w.Uint(0)
-			w.Uint(1)
-			w.String("a")
+		"empty":                       {},
+		"not a diff":                  []byte("not json"),
+		"unknown tag":                 append([]byte{0x03}, good[1:]...),
+		"trailing byte":               append(append([]byte{}, good...), 0),
+		"two diffs":                   append(append([]byte{}, good...), good...),
+		"non-minimal":                 {diffTag, 0x81, 0x00, 0, 4, 0, 0},
+		"varint overflow":             append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 11)...),
+		"beyond int64":                append(append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 9)...), 0x01, 0, 4, 0, 0),
+		"no successor rev":            append(append([]byte{diffTag}, bytes.Repeat([]byte{0xff}, 8)...), 0x7f, 0, 4, 0, 0),
+		"nslots past the ceiling":     hugeNSlotsDiff(1),
+		"remove count beyond input":   binDiff(func(w *binenc.Writer) { w.Uint(1 << 40) }),
+		"string beyond input":         binDiff(func(w *binenc.Writer) { w.Uint(1); w.Uint(0); w.Uint(200); w.Byte('a') }),
+		"unsorted removes":            removes(0, "b", 0, "a"),
+		"repeated remove":             removes(0, "ab", 2, ""),
+		"prefix past the previous ID": removes(0, "ab", 3, "c"),
+		"non-maximal prefix":          removes(0, "ab", 0, "ac"),
+		"flag byte 2": update(func(w *binenc.Writer) {
 			w.Byte(2)
 			w.Int(0)
 			w.Int(4)
 			w.Uint(0)
-			w.Uint(0)
 		}),
-		"empty window": binDiff(func(w *binenc.Writer) {
-			w.Uint(0)
-			w.Uint(1)
-			w.String("a")
+		"empty window": update(func(w *binenc.Writer) {
 			w.Bool(false)
 			w.Int(4)
 			w.Int(4)
 			w.Uint(0)
-			w.Uint(0)
 		}),
-		"empty run": binDiff(func(w *binenc.Writer) {
-			w.Uint(0)
-			w.Uint(1)
-			w.String("a")
+		"empty run": update(func(w *binenc.Writer) {
 			w.Bool(false)
 			w.Int(0)
 			w.Int(4)
@@ -368,10 +371,7 @@ func TestCodecRefusesMalformed(t *testing.T) {
 			w.Uint(0)
 			w.Uint(0) // padding so the run count passes its size check
 		}),
-		"slot outside plan range": binDiff(func(w *binenc.Writer) {
-			w.Uint(0)
-			w.Uint(1)
-			w.String("a")
+		"slot outside plan range": update(func(w *binenc.Writer) {
 			w.Bool(false)
 			w.Int(0)
 			w.Int(4)
@@ -380,12 +380,8 @@ func TestCodecRefusesMalformed(t *testing.T) {
 			w.Uint(1)
 			w.Int(1)
 			w.Int(1)
-			w.Uint(0)
 		}),
-		"run overflows int64": binDiff(func(w *binenc.Writer) {
-			w.Uint(0)
-			w.Uint(1)
-			w.String("a")
+		"run overflows int64": update(func(w *binenc.Writer) {
 			w.Bool(false)
 			w.Int(0)
 			w.Int(4)
@@ -394,54 +390,19 @@ func TestCodecRefusesMalformed(t *testing.T) {
 			w.Uint(1)
 			w.Int(1)
 			w.Int(1)
-			w.Uint(0)
 		}),
-		"unsorted θ kinds": binDiff(func(w *binenc.Writer) {
-			noUpdates(w)
-			w.Uint(2)
-			w.String("b")
-			w.Uint(0)
-			w.String("a")
-			w.Uint(0)
-		}),
-		"duplicate θ kind": binDiff(func(w *binenc.Writer) {
-			noUpdates(w)
-			w.Uint(2)
-			w.String("a")
-			w.Uint(0)
-			w.String("a")
-			w.Uint(0)
-		}),
-		"NaN θ level": binDiff(func(w *binenc.Writer) {
-			noUpdates(w)
-			w.Uint(1)
-			w.String("a")
-			w.Uint(1)
-			w.Float64(math.NaN())
-		}),
-		"infinite θ level": binDiff(func(w *binenc.Writer) {
-			noUpdates(w)
-			w.Uint(1)
-			w.String("a")
-			w.Uint(1)
-			w.Float64(math.Inf(1))
-		}),
-		"θ level count beyond input": binDiff(func(w *binenc.Writer) {
-			noUpdates(w)
-			w.Uint(1)
-			w.String("a")
-			w.Uint(3)
-			w.Float64(1)
-		}),
-		// The form diffs had before the binary one: valid then, refused now.
-		"JSON diff": []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`),
+		// The forms diffs had before this one: valid then, refused now by name.
+		"JSON diff":        []byte(`{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`),
+		"tag 0x01 diff":    thetaFormDiff(),
+		"tag 0x01 diff, θ": append([]byte{diffTagTheta}, good[1:]...),
 	}
 	for name, raw := range cases {
 		_, err := DecodeDiff(raw)
 		if err == nil {
 			t.Errorf("malformed diff accepted (%s): %x", name, raw)
-		} else if name == "JSON diff" && !strings.Contains(err.Error(), "JSON diff") {
-			t.Errorf("JSON diff refused with %q, which does not name it", err)
+		} else if strings.HasPrefix(name, "JSON") && !strings.Contains(err.Error(), "JSON diff") ||
+			strings.HasPrefix(name, "tag 0x01") && !strings.Contains(err.Error(), "tag 0x01 diff") {
+			t.Errorf("%s refused with %q, which does not name it", name, err)
 		}
 	}
 	// A torn encoding is refused at every length.
@@ -460,6 +421,37 @@ func TestCodecRefusesMalformed(t *testing.T) {
 	if _, err := DecodePlan([]byte(`{"rev":1,"from":0,"n_slots":1099511627776}`)); err == nil {
 		t.Errorf("plan with n_slots past the ceiling accepted")
 	}
+	// A full plan as it was written before plans became integers only.
+	if _, err := DecodePlan([]byte(`{"rev":1,"from":0,"n_slots":4,"theta":{"vcores":[0.5]}}`)); err == nil || !strings.Contains(err.Error(), `"theta"`) {
+		t.Errorf("plan with θ levels: %v, want a refusal naming \"theta\"", err)
+	}
+}
+
+// thetaFormDiff is a diff in the form before front coding, by hand: tag
+// 0x01, the header, a remove and an update spelled out, and behind them
+// θ levels, a kind name and raw IEEE-754 bits per level.
+func thetaFormDiff() []byte {
+	w := binenc.Writer{}
+	w.Byte(diffTagTheta)
+	w.Int(1)
+	w.Int(0)
+	w.Int(4)
+	w.Uint(1)
+	w.String("adhoc/ah00470")
+	w.Uint(1)
+	w.String("adhoc/ah00471")
+	w.Bool(true)
+	w.Int(0)
+	w.Int(4)
+	w.Uint(1)
+	w.Int(0)
+	w.Uint(1)
+	w.Int(2)
+	w.Int(512)
+	w.Uint(1)
+	w.String("vcores")
+	w.Uint(1)
+	return binary.LittleEndian.AppendUint64(w.Buf, math.Float64bits(0.5))
 }
 
 // TestStrictJSONRefusesTrailingBrackets pins the strict JSON decoder that
@@ -503,9 +495,6 @@ func genRandomPlan(rng *rand.Rand, rev, from, nslots int64) *Plan {
 			}
 		}
 		p.Jobs[id] = j
-	}
-	if rng.Intn(2) == 0 {
-		p.Theta = map[string][]float64{"vcores": {rng.Float64()}, "memory-mb": {rng.Float64(), rng.Float64()}}
 	}
 	return p
 }

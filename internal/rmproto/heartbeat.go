@@ -1,18 +1,16 @@
-// The binary form of POST PathHeartbeat's bodies, and the quantum ID coding
-// it shares with the RM's journal (internal/rmserver's walcodec.go). Both
-// bodies are internal/binenc fields, so the decoders are strict: a byte
-// string decodes at most one way, and a decoded body re-encodes to itself.
+// The binary form of POST PathHeartbeat's bodies, and the quantum ID and
+// lease expiry codings it shares with the RM's journal (internal/rmserver's
+// walcodec.go). Both bodies are internal/binenc fields, so the decoders are
+// strict: a byte string decodes at most one way, and a decoded body
+// re-encodes to itself.
 //
 //	request  nodeID  n{qid}
-//	reply    n [expiry]  {qid jobID vcores memoryMB [expiry]}
+//	reply    n {qid jobID vcores memoryMB} expiries
 //
-// The reply is the journal's tick grant {qid job node grant [expiry]}
-// without the node, and with the job ID spelled out each time: a reply
-// rarely names a job twice, so the journal's back-references would cost a
-// byte per launch and save nothing. The expiry (Quantum.DeadlineSlot) is
-// stored once, plus one, when every launch shares it — it always does when
-// one tick issued them all — and zero there means each launch carries its
-// own, which is refused when they are in fact all equal.
+// The reply is the journal's tick grants {qid job node grant} expiries
+// without the node: the job ID front-coded against the launch before it
+// (binenc.FrontString), the expiries (Quantum.DeadlineSlot) as PutExpiries
+// writes them.
 
 package rmproto
 
@@ -26,8 +24,11 @@ import (
 )
 
 // HeartbeatMediaType is the Content-Type of both bodies of POST
-// PathHeartbeat. A request under any other type is refused with 415.
-const HeartbeatMediaType = "application/x-flowtime-heartbeat"
+// PathHeartbeat. A request under any other type is refused with 415 — a
+// node built for the reply form before front-coded job IDs sends the type
+// without the version suffix, and is told the one it needs instead of
+// misreading a reply.
+const HeartbeatMediaType = "application/x-flowtime-heartbeat-v2"
 
 // QuantumID is the RM's own form of its n-th quantum ID, "q-<n>".
 func QuantumID(n int64) string {
@@ -115,6 +116,57 @@ func (c *QIDCoder) GetList(r *binenc.Reader) []string {
 	return qids
 }
 
+// PutExpiries writes the lease expiries of a list of n items, item i's
+// being at(i), behind the items: the expiry once, plus one, when every item
+// has it — they always do when one tick issued them all — and zero
+// otherwise, followed by each item's own. A negative expiry goes per item,
+// where w.Int refuses it, and so does MaxInt64, which has no plus one.
+func PutExpiries(w *binenc.Writer, n int, at func(i int) int64) {
+	if n == 0 {
+		return
+	}
+	e := at(0)
+	shared := e >= 0 && e < math.MaxInt64
+	for i := 1; i < n && shared; i++ {
+		shared = at(i) == e
+	}
+	if shared {
+		w.Int(e + 1)
+		return
+	}
+	w.Uint(0)
+	for i := 0; i < n; i++ {
+		w.Int(at(i))
+	}
+}
+
+// GetExpiries reads what PutExpiries wrote for n items, handing item i's
+// expiry to set. Per-item expiries that are all equal are refused: they
+// have the shared spelling.
+func GetExpiries(r *binenc.Reader, n int, set func(i int, expiry int64)) {
+	if n == 0 {
+		return
+	}
+	if e := r.Int(); e > 0 {
+		for i := 0; i < n; i++ {
+			set(i, e-1)
+		}
+		return
+	}
+	first, allEqual := int64(0), true
+	for i := 0; i < n; i++ {
+		e := r.Int()
+		if i == 0 {
+			first = e
+		}
+		allEqual = allEqual && e == first
+		set(i, e)
+	}
+	if allEqual && first < math.MaxInt64 && r.Err() == nil {
+		r.Fail(errors.New("per-item expiries that are all equal"))
+	}
+}
+
 // AppendHeartbeatRequest appends req's binary form to b.
 func AppendHeartbeatRequest(b []byte, req HeartbeatRequest) []byte {
 	w := binenc.Writer{Buf: b}
@@ -139,31 +191,17 @@ func AppendHeartbeatResponse(b []byte, resp HeartbeatResponse) ([]byte, error) {
 	w := binenc.Writer{Buf: b}
 	launch := resp.Launch
 	w.Uint(uint64(len(launch)))
-	shared := true
-	for i := range launch {
-		shared = shared && launch[i].DeadlineSlot == launch[0].DeadlineSlot
-	}
-	if len(launch) > 0 {
-		// Shared only if expiry+1 is a positive varint: a negative one goes
-		// per launch, where w.Int refuses it.
-		if e := launch[0].DeadlineSlot; shared && e >= 0 && e < math.MaxInt64 {
-			w.Int(e + 1)
-		} else {
-			shared = false
-			w.Uint(0)
-		}
-	}
 	var qc QIDCoder
+	prev := ""
 	for i := range launch {
 		q := &launch[i]
 		qc.Put(&w, q.ID)
-		w.String(q.JobID)
+		w.FrontString(prev, q.JobID)
+		prev = q.JobID
 		w.Int(q.Grant.VCores)
 		w.Int(q.Grant.MemoryMB)
-		if !shared {
-			w.Int(q.DeadlineSlot)
-		}
 	}
+	PutExpiries(&w, len(launch), func(i int) int64 { return launch[i].DeadlineSlot })
 	if err := w.Err(); err != nil {
 		return nil, fmt.Errorf("rmproto: heartbeat reply: %w", err)
 	}
@@ -174,29 +212,22 @@ func AppendHeartbeatResponse(b []byte, resp HeartbeatResponse) ([]byte, error) {
 // reply carries no launches.
 func DecodeHeartbeatResponse(p []byte) (HeartbeatResponse, error) {
 	return decodeBody(p, "heartbeat reply", func(r *binenc.Reader) (resp HeartbeatResponse) {
-		// A launch is a quantum ID, a job ID and two integers.
-		n := r.Count(4)
+		// A launch is a quantum ID, a front-coded job ID and two integers.
+		n := r.Count(5)
 		if n == 0 {
 			return resp
 		}
 		resp.Launch = make([]Quantum, n)
-		expiry := r.Int() - 1 // -1: each launch carries its own
-		allEqual := true
 		var qc QIDCoder
+		prev := ""
 		for i := range resp.Launch {
 			q := &resp.Launch[i]
 			q.ID = qc.Get(r)
-			q.JobID = r.String()
+			q.JobID = r.FrontString(prev)
+			prev = q.JobID
 			q.Grant = Resources{VCores: r.Int(), MemoryMB: r.Int()}
-			q.DeadlineSlot = expiry
-			if expiry < 0 {
-				q.DeadlineSlot = r.Int()
-				allEqual = allEqual && q.DeadlineSlot == resp.Launch[0].DeadlineSlot
-			}
 		}
-		if expiry < 0 && allEqual && resp.Launch[0].DeadlineSlot < math.MaxInt64 {
-			r.Fail(errors.New("per-launch deadline slots that are all equal"))
-		}
+		GetExpiries(r, n, func(i int, e int64) { resp.Launch[i].DeadlineSlot = e })
 		return resp
 	})
 }

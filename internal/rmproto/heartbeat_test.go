@@ -31,6 +31,10 @@ func heartbeatResponses() []HeartbeatResponse {
 			launch("q-629", "adhoc/b17", 0, 0, 51),
 			launch("q-630", "", 1, 1, 51),
 		}},
+		{Launch: []Quantum{
+			launch("q-470", "adhoc/ah00470", 1, 512, 9), launch("q-471", "adhoc/ah00471", 1, 512, 9),
+			launch("q-472", "adhoc/ah0047", 1, 512, 9), launch("q-473", "adhoc/ah00470", 1, 512, 9),
+		}},
 		{Launch: []Quantum{launch("q-3", "j", 1, 1, 7), launch("lease-x", "j", 2, 2, 9)}},
 		{Launch: []Quantum{launch("q-5", "j", 1, 1, math.MaxInt64)}},
 		{Launch: []Quantum{launch("q-5", "j", 1, 1, math.MaxInt64), launch("q-4", "k", 1, 1, math.MaxInt64)}},
@@ -39,7 +43,8 @@ func heartbeatResponses() []HeartbeatResponse {
 
 // TestHeartbeatCodecRoundTrip: decode∘encode is the identity on every
 // body, and the bytes are the compact form — consecutive quantum IDs one
-// byte each, one shared deadline slot.
+// byte each, a job ID front-coded against the launch before, one shared
+// deadline slot.
 func TestHeartbeatCodecRoundTrip(t *testing.T) {
 	for _, req := range heartbeatRequests() {
 		b := AppendHeartbeatRequest(nil, req)
@@ -67,7 +72,7 @@ func TestHeartbeatCodecRoundTrip(t *testing.T) {
 		{ID: "q-1", JobID: "j", Grant: Resources{VCores: 2, MemoryMB: 3}, DeadlineSlot: 7},
 		{ID: "q-2", JobID: "j", Grant: Resources{VCores: 4, MemoryMB: 5}, DeadlineSlot: 7},
 	}})
-	want = []byte{2, 8, 3, 1, 'j', 2, 3, 3, 1, 'j', 4, 5}
+	want = []byte{2, 3, 0, 1, 'j', 2, 3, 3, 1, 0, 4, 5, 8}
 	if !bytes.Equal(b, want) {
 		t.Errorf("reply encodes to %v, want %v", b, want)
 	}
@@ -95,9 +100,10 @@ func TestHeartbeatCodecRefusals(t *testing.T) {
 		{"request confirming q-1", []byte{2, 'n', '1', 1, 3}, false},
 		{"request confirming a literal", []byte{2, 'n', '1', 1, 0, 1, 'x'}, false},
 		{"empty request", []byte{0, 0}, false},
-		{"reply of two sharing an expiry", []byte{2, 8, 3, 1, 'j', 2, 3, 3, 1, 'j', 4, 5}, true},
-		{"reply of two with their own", []byte{2, 0, 3, 1, 'j', 2, 3, 7, 3, 1, 'j', 4, 5, 8}, true},
-		{"reply with expiry disabled", []byte{1, 1, 3, 1, 'j', 2, 3}, true},
+		{"reply of two sharing an expiry", []byte{2, 3, 0, 1, 'j', 2, 3, 3, 1, 0, 4, 5, 8}, true},
+		{"reply of two with their own", []byte{2, 3, 0, 1, 'j', 2, 3, 3, 1, 0, 4, 5, 0, 7, 8}, true},
+		{"reply of two jobs", []byte{2, 3, 0, 2, 'j', 'a', 2, 3, 3, 1, 1, 'b', 4, 5, 8}, true},
+		{"reply with expiry disabled", []byte{1, 3, 0, 1, 'j', 2, 3, 1}, true},
 		{"empty reply", []byte{0}, true},
 	} {
 		var err error
@@ -122,12 +128,15 @@ func TestHeartbeatCodecRefusals(t *testing.T) {
 		{"spelled-out q-<n>", "spelled out", []byte{2, 'n', '1', 1, 0, 3, 'q', '-', '1'}, false},
 		{"delta below zero", "int64 range", []byte{2, 'n', '1', 1, 2}, false},
 		{"torn request", "ends inside", []byte{2, 'n', '1'}, false},
-		{"reply count beyond the input", "exceeds", []byte{3, 8, 3, 1, 'j', 2, 3}, true},
-		{"reply with equal expiries per launch", "all equal", []byte{2, 0, 3, 1, 'j', 2, 3, 7, 3, 1, 'j', 4, 5, 7}, true},
-		{"reply with one expiry per launch", "all equal", []byte{1, 0, 3, 1, 'j', 2, 3, 7}, true},
-		{"reply spelling out q-<n>", "spelled out", []byte{1, 1, 0, 3, 'q', '-', '1', 1, 'j', 2, 3}, true},
+		{"reply count beyond the input", "exceeds", []byte{3, 3, 0, 1, 'j', 2, 3, 8}, true},
+		{"reply with equal expiries per launch", "all equal", []byte{2, 3, 0, 1, 'j', 2, 3, 3, 1, 0, 4, 5, 0, 7, 7}, true},
+		{"reply with one expiry per launch", "all equal", []byte{1, 3, 0, 1, 'j', 2, 3, 0, 7}, true},
+		{"reply spelling out q-<n>", "spelled out", []byte{1, 0, 3, 'q', '-', '1', 0, 1, 'j', 2, 3, 1}, true},
 		{"reply with trailing bytes", "trailing", []byte{0, 0}, true},
-		{"reply with a non-minimal grant", "non-minimal", []byte{1, 1, 3, 1, 'j', 0x82, 0x00, 3}, true},
+		{"reply with a non-minimal grant", "non-minimal", []byte{1, 3, 0, 1, 'j', 0x82, 0x00, 3, 1}, true},
+		{"reply with a job prefix past the previous ID", "shared prefix", []byte{2, 3, 0, 1, 'j', 2, 3, 3, 2, 0, 4, 5, 8}, true},
+		{"reply with a non-maximal job prefix", "not the longest", []byte{2, 3, 0, 1, 'j', 2, 3, 3, 0, 1, 'j', 4, 5, 8}, true},
+		{"reply without its expiry", "ends inside", []byte{1, 3, 0, 1, 'j', 2, 3}, true},
 		{"empty reply body", "ends inside", []byte{}, true},
 	} {
 		var err error
@@ -171,6 +180,8 @@ func FuzzHeartbeatCodec(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte(`{"node_id":"n1","completed":["q-1"]}`))
+	// A reply of two launches as it was before front-coded job IDs.
+	f.Add([]byte{2, 8, 3, 1, 'j', 2, 3, 3, 1, 'j', 4, 5})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if req, err := DecodeHeartbeatRequest(body); err == nil {
 			if re := AppendHeartbeatRequest(nil, req); !bytes.Equal(re, body) {

@@ -211,7 +211,7 @@ func TestRequestBodyTrailingData(t *testing.T) {
 }
 
 // TestHeartbeatWireIsCompact is the rot guard for the heartbeat encoding,
-// as a byte count: a reply of four launches crosses the wire in at most 30 B
+// as a byte count: a reply of four launches crosses the wire in at most 16 B
 // a launch, and Client decodes exactly what Server.Heartbeat hands a twin
 // server in the same state.
 func TestHeartbeatWireIsCompact(t *testing.T) {
@@ -240,8 +240,8 @@ func TestHeartbeatWireIsCompact(t *testing.T) {
 		t.Fatalf("Client decoded %+v, Server.Heartbeat handed %+v; want the same four launches", got.Launch, want)
 	}
 	wire, _ := rt.sizes()
-	if wire > 4*30 {
-		t.Errorf("a reply of 4 launches crossed the wire in %d B, ceiling %d B", wire, 4*30)
+	if wire > 4*16 {
+		t.Errorf("a reply of 4 launches crossed the wire in %d B, ceiling %d B", wire, 4*16)
 	}
 }
 
@@ -268,6 +268,8 @@ func TestHeartbeatRefusals(t *testing.T) {
 		{"application/json", `{"node_id":"n1"}`, http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType, "rmproto.AppendHeartbeatRequest", "application/json"}},
 		{"", hbBody("n1"), http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType}},
 		{"application/x-www-form-urlencoded", hbBody("n1"), http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType}},
+		// A node built before front-coded replies: told the type it needs.
+		{"application/x-flowtime-heartbeat", hbBody("n1"), http.StatusUnsupportedMediaType, []string{rmproto.HeartbeatMediaType}},
 		{rmproto.HeartbeatMediaType, "\x02n1\x81\x00", http.StatusBadRequest, []string{"non-minimal"}},
 		{rmproto.HeartbeatMediaType, "\x02n1\x09\x03", http.StatusBadRequest, []string{"exceeds"}},
 		{rmproto.HeartbeatMediaType, hbBody("n1") + "\x00", http.StatusBadRequest, []string{"trailing"}},

@@ -96,16 +96,17 @@
 //
 // Formats: a WAL payload is a tagged binary record — one tag byte per
 // walRecord variant, varints, length-prefixed strings; quantum IDs as
-// deltas, a tick's job and node IDs back-referenced, its lease expiry
-// stored once; a plan diff in internal/plan's binary diff codec; a
+// deltas, a tick's job and node IDs front-coded, its lease expiry stored
+// once; a plan diff in internal/plan's binary diff codec; a
 // submission's trace record in the coding its wire body uses
 // (rmproto/submit.go). The tag table and every rule are in walcodec.go,
 // the only file here that knows them; this file builds and applies
 // walRecord values. `ftrm -wal-dump` prints a log as JSON lines (DumpWAL).
 // That is the one journal form: a payload in the JSON form RMs before the
-// codec wrote is refused (walcodec.go states why that is safe). Snapshots
-// are JSON (snapState, version 2 only), as is the plan blob inside a
-// snapshot or a rebase record.
+// codec wrote is refused, as are the forms before front-coded IDs
+// (walcodec.go states why that is safe). Snapshots are JSON (snapState,
+// version 3 only), as is the plan blob inside a snapshot or a rebase
+// record.
 package rmserver
 
 import (
@@ -123,13 +124,14 @@ import (
 	"flowtime/internal/workflow"
 )
 
-// snapVersion identifies the snapshot schema. Version 2 holds live state
+// snapVersion identifies the snapshot schema. Version 3 holds live state
 // only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
-// the archive of completed jobs in completion order; version 1 held every
-// job ever admitted, flagged done or not, and is refused: nothing has
-// written it since the archive landed, under the same condition walcodec.go
-// states for the JSON journal.
-const snapVersion = 2
+// the archive of completed jobs in completion order, and a plan of
+// integers only. Version 2 was the same with θ levels in the plan and a
+// journal of back-referenced tick IDs behind it; version 1 held every job
+// ever admitted, flagged done or not. Both are refused, by name: nothing
+// writes them, under the condition walcodec.go states for the journal.
+const snapVersion = 3
 
 // walRecord is the one-of union journaled per mutation. walcodec.go owns
 // its on-disk form; the json tags serve `ftrm -wal-dump`.
@@ -218,10 +220,10 @@ type recPlanDiff struct {
 }
 
 // recPlanRebase journals a wholesale live-plan replacement — the escape
-// hatch when the diff chain breaks (see planstream.go) — as the plan
-// codec's JSON plan blob, the same one snapshots embed.
+// hatch when the diff chain breaks (see planstream.go) — on disk as the
+// plan codec's JSON plan blob, the same one snapshots embed.
 type recPlanRebase struct {
-	Plan json.RawMessage `json:"plan"`
+	Plan *plan.Plan `json:"plan"`
 }
 
 // snapState is the full-state snapshot payload.
@@ -399,8 +401,14 @@ func (s *Server) requeueAllLeasesLocked() []string {
 }
 
 func (s *Server) restoreSnapshotLocked(st *snapState) error {
-	if st.Version != snapVersion {
-		return fmt.Errorf("snapshot version %d, want %d (version 1, from before the completed-job archive, is no longer read)", st.Version, snapVersion)
+	switch st.Version {
+	case snapVersion:
+	case 2:
+		return fmt.Errorf("snapshot version 2, the form with θ levels in its plan that predates front-coded journal IDs, which is no longer read (want %d)", snapVersion)
+	case 1:
+		return fmt.Errorf("snapshot version 1, the form that predates the completed-job archive, which is no longer read (want %d)", snapVersion)
+	default:
+		return fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
 	}
 	if got := time.Duration(st.SlotDurNS); got != s.cfg.SlotDur {
 		return fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, s.cfg.SlotDur)
@@ -532,7 +540,7 @@ func (s *Server) applyRecordLocked(payload []byte) error {
 	case rec.PlanDiff != nil:
 		return s.applyPlanDiffRecordLocked(rec.PlanDiff)
 	case rec.PlanRebase != nil:
-		return s.applyPlanRebaseRecordLocked(rec.PlanRebase)
+		s.applyPlanRebaseRecordLocked(rec.PlanRebase)
 	}
 	return nil
 }

@@ -86,12 +86,8 @@ func (s *Server) streamPlansLocked() error {
 func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
 	s.livePlan = lp
 	s.faults.PlanRebases++
-	payload, err := plan.EncodePlan(lp)
-	if err != nil {
-		return fmt.Errorf("rmserver: encode plan rebase rev %d: %w", lp.Rev, err)
-	}
-	_, jerr := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: payload}})
-	return jerr
+	_, err := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: lp}})
+	return err
 }
 
 // applyPlanDiffRecordLocked replays one journaled plan diff. Replay is
@@ -117,14 +113,9 @@ func (s *Server) applyPlanDiffRecordLocked(r *recPlanDiff) error {
 }
 
 // applyPlanRebaseRecordLocked replays one journaled wholesale rebase.
-func (s *Server) applyPlanRebaseRecordLocked(r *recPlanRebase) error {
-	p, err := plan.DecodePlan(r.Plan)
-	if err != nil {
-		return fmt.Errorf("plan rebase: %w", err)
-	}
-	s.livePlan = p
+func (s *Server) applyPlanRebaseRecordLocked(r *recPlanRebase) {
+	s.livePlan = r.Plan // decoded and validated by the record codec
 	s.faults.PlanRebases++
-	return nil
 }
 
 // rebaseAdHocLocked republishes the live plan's leftover profile to the

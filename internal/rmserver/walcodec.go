@@ -13,12 +13,12 @@
 //	1 workflow     id submitSec deadlineSec  nJobs{name tasks dur actualDur vcores mem}
 //	               nDeps{from to}  submitNS deadlineNS slot bestEffort  nWindows{rel dl minSlots}
 //	2 adhoc        id submitSec tasks dur vcores mem  slot
-//	3 tick         slot faults  nRequeued{qid}  nGrants [expiry] {qid job node grant [expiry]}
 //	4 confirm      slot faults  n{qid}
 //	5 requeue      faults  n{qid}
 //	6 epoch        epoch slot
 //	7 plan diff    the diff in internal/plan's binary codec, to the end of the payload
 //	8 plan rebase  the plan in internal/plan's JSON form, to the end of the payload
+//	9 tick         slot faults  nRequeued{qid}  nGrants{qid job node grant} expiries
 //
 // A workflow or ad-hoc record opens with the trace record in
 // rmproto.PutWorkflowRecord's or PutAdHocRecord's coding, which is also
@@ -32,33 +32,35 @@
 //     consecutive: one byte each). Zero escapes to a literal string for
 //     any other ID; a literal that has the "q-<n>" form is refused, so an
 //     ID has one spelling.
-//   - Job and node IDs in a tick's grants are zero plus the literal the
-//     first time the record names them, and their one-based position in
-//     that order of first appearance afterwards. A repeated literal is
-//     refused.
-//   - A tick's lease expiry is stored once, plus one, when all its grants
-//     share it (they always do: it is slot + Config.LeaseExpiry); zero
-//     there means each grant carries its own, which is refused when they
-//     are in fact all equal.
+//   - A grant's job ID and node ID are front-coded (binenc.FrontString)
+//     against the previous grant's: the next ad-hoc job of a burst, or the
+//     next node of a row, costs its new suffix and two bytes.
+//   - A tick's lease expiries are rmproto.PutExpiries': stored once when
+//     all its grants share it (they always do: it is slot +
+//     Config.LeaseExpiry), as heartbeat replies store theirs.
 //
-// With those refusals, and binenc's (non-minimal varints, counts the
-// input cannot hold, trailing bytes), a byte string decodes at most one
-// way: decode∘encode is the identity on every record the encoder accepts
-// and encode∘decode on every payload the decoder accepts. List fields
-// decode to nil when empty.
+// With those refusals, and binenc's (non-minimal varints and front-coded
+// prefixes, counts the input cannot hold, trailing bytes), a byte string
+// decodes at most one way: decode∘encode is the identity on every record
+// the encoder accepts and encode∘decode on every payload the decoder
+// accepts — a plan rebase's JSON blob included, which must be the one
+// plan.EncodePlan writes. List fields decode to nil when empty.
 //
-// One form: before this codec a payload was json.Marshal(walRecord), which
-// always opens with '{' — a byte no tag takes. Nothing has written that
-// form since the codec landed and no supported state directory predates a
-// snapshot rotation under it (rotation drops the old log; there is no
-// deployed fleet), so the JSON reader is gone: decode refuses a '{' payload,
-// and a '{' diff behind tagPlanDiff, with an error that says so.
+// One form. Before this one a tick took tag 3 and back-referenced the IDs
+// it had already spelled, and a plan diff or plan carried θ levels; before
+// that a payload was json.Marshal(walRecord), which always opens with '{' —
+// a byte no tag takes. Nothing has written either since and no supported
+// state directory predates a snapshot rotation under this form (rotation
+// drops the old log and writes a version-3 snapshot; there is no deployed
+// fleet), so neither is read: decode refuses a tag 3 tick, a tag 0x01 diff,
+// a rebase plan with "theta", a '{' payload and a '{' diff behind
+// tagPlanDiff, each with an error that names it.
 package rmserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"math"
 
 	"flowtime/internal/binenc"
 	"flowtime/internal/plan"
@@ -69,38 +71,26 @@ import (
 const (
 	tagWorkflow byte = 1 + iota
 	tagAdHoc
-	tagTick
+	tagTickBackRef // the tick before front-coded IDs; refused
 	tagConfirm
 	tagRequeue
 	tagEpoch
 	tagPlanDiff
 	tagPlanRebase
+	tagTick
 )
 
-// walCodec encodes and decodes journal records. It holds the state that
-// is per record (the ID table, the previous quantum number) and the
-// encode buffer, all reused from record to record; the zero value is
-// ready. Not safe for concurrent use — the server's is guarded by s.mu.
+// walCodec encodes journal records into a buffer it reuses from record to
+// record; the zero value is ready. Not safe for concurrent use — the
+// server's is guarded by s.mu.
 type walCodec struct {
-	buf  []byte
-	ids  map[string]int // ID -> position in order of first appearance
-	tab  []string       // decode only: position -> ID
-	qids rmproto.QIDCoder
-}
-
-func (c *walCodec) reset() {
-	if c.ids == nil {
-		c.ids = make(map[string]int)
-	}
-	clear(c.ids)
-	c.tab = c.tab[:0]
-	c.qids = rmproto.QIDCoder{}
+	buf []byte
 }
 
 // encode returns rec's payload. The slice is the codec's buffer: it is
 // valid until the next encode.
 func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
-	c.reset()
+	var qids rmproto.QIDCoder
 	w := binenc.Writer{Buf: c.buf[:0]}
 	set := 0
 	if r := rec.Workflow; r != nil {
@@ -129,45 +119,31 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		w.Byte(tagTick)
 		w.Int(r.Slot)
 		putFaults(&w, &r.Faults)
-		c.qids.PutList(&w, r.Requeued)
+		qids.PutList(&w, r.Requeued)
 		w.Uint(uint64(len(r.Grants)))
-		shared := true
-		for i := range r.Grants {
-			shared = shared && r.Grants[i].Expiry == r.Grants[0].Expiry
-		}
-		if len(r.Grants) > 0 {
-			// Shared only if expiry+1 is a positive varint: a negative
-			// expiry goes per grant, where w.Int refuses it.
-			if e := r.Grants[0].Expiry; shared && e >= 0 && e < math.MaxInt64 {
-				w.Int(e + 1)
-			} else {
-				shared = false
-				w.Uint(0)
-			}
-		}
+		var prev recGrant
 		for i := range r.Grants {
 			g := &r.Grants[i]
-			c.qids.Put(&w, g.QID)
-			c.putID(&w, g.JobID)
-			c.putID(&w, g.NodeID)
+			qids.Put(&w, g.QID)
+			w.FrontString(prev.JobID, g.JobID)
+			w.FrontString(prev.NodeID, g.NodeID)
 			putVector(&w, g.Grant)
-			if !shared {
-				w.Int(g.Expiry)
-			}
+			prev = *g
 		}
+		rmproto.PutExpiries(&w, len(r.Grants), func(i int) int64 { return r.Grants[i].Expiry })
 	}
 	if r := rec.Confirm; r != nil {
 		set++
 		w.Byte(tagConfirm)
 		w.Int(r.Slot)
 		putFaults(&w, &r.Faults)
-		c.qids.PutList(&w, r.QIDs)
+		qids.PutList(&w, r.QIDs)
 	}
 	if r := rec.Requeue; r != nil {
 		set++
 		w.Byte(tagRequeue)
 		putFaults(&w, &r.Faults)
-		c.qids.PutList(&w, r.QIDs)
+		qids.PutList(&w, r.QIDs)
 	}
 	if r := rec.Epoch; r != nil {
 		set++
@@ -186,7 +162,11 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 	if r := rec.PlanRebase; r != nil {
 		set++
 		w.Byte(tagPlanRebase)
-		w.Buf = append(w.Buf, r.Plan...)
+		if blob, err := plan.EncodePlan(r.Plan); err != nil {
+			w.Fail(err)
+		} else {
+			w.Buf = append(w.Buf, blob...)
+		}
 	}
 	c.buf = w.Buf
 	if set != 1 {
@@ -198,11 +178,10 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 	return w.Buf, nil
 }
 
-// decode parses one payload. The returned record does not alias payload,
-// except for a plan rebase's plan blob.
+// decode parses one payload. The returned record does not alias payload.
 func (c *walCodec) decode(payload []byte) (walRecord, error) {
 	var rec walRecord
-	c.reset()
+	var qids rmproto.QIDCoder
 	r := binenc.NewReader(payload)
 	switch tag := r.Byte(); tag {
 	case tagWorkflow:
@@ -224,38 +203,31 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 		v := &recTick{Slot: r.Int()}
 		rec.Tick = v
 		getFaults(&r, &v.Faults)
-		v.Requeued = c.qids.GetList(&r)
-		// A grant is a quantum ID, two ID references and a vector.
-		if n := r.Count(3 + resource.NumKinds); n > 0 {
+		v.Requeued = qids.GetList(&r)
+		// A grant is a quantum ID, two front-coded IDs and a vector.
+		if n := r.Count(5 + resource.NumKinds); n > 0 {
 			v.Grants = make([]recGrant, n)
-			expiry := r.Int() - 1 // -1: each grant carries its own
-			allEqual := true
+			var prev recGrant
 			for i := range v.Grants {
 				g := &v.Grants[i]
-				g.QID = c.qids.Get(&r)
-				g.JobID = c.getID(&r)
-				g.NodeID = c.getID(&r)
+				g.QID = qids.Get(&r)
+				g.JobID = r.FrontString(prev.JobID)
+				g.NodeID = r.FrontString(prev.NodeID)
 				g.Grant = getVector(&r)
-				g.Expiry = expiry
-				if expiry < 0 {
-					g.Expiry = r.Int()
-					allEqual = allEqual && g.Expiry == v.Grants[0].Expiry
-				}
+				prev = *g
 			}
-			if expiry < 0 && allEqual && v.Grants[0].Expiry < math.MaxInt64 {
-				r.Fail(errors.New("per-grant expiries that are all equal"))
-			}
+			rmproto.GetExpiries(&r, n, func(i int, e int64) { v.Grants[i].Expiry = e })
 		}
 	case tagConfirm:
 		v := &recConfirm{Slot: r.Int()}
 		rec.Confirm = v
 		getFaults(&r, &v.Faults)
-		v.QIDs = c.qids.GetList(&r)
+		v.QIDs = qids.GetList(&r)
 	case tagRequeue:
 		v := &recRequeue{}
 		rec.Requeue = v
 		getFaults(&r, &v.Faults)
-		v.QIDs = c.qids.GetList(&r)
+		v.QIDs = qids.GetList(&r)
 	case tagEpoch:
 		rec.Epoch = &recEpoch{Epoch: r.Int(), Slot: r.Int()}
 	case tagPlanDiff:
@@ -265,7 +237,17 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 		}
 		rec.PlanDiff = &recPlanDiff{Diff: d}
 	case tagPlanRebase:
-		rec.PlanRebase = &recPlanRebase{Plan: r.Rest()}
+		blob := r.Rest()
+		p, err := plan.DecodePlan(blob)
+		if err != nil {
+			return walRecord{}, fmt.Errorf("plan rebase: %w", err)
+		}
+		if canon, err := plan.EncodePlan(p); err != nil || !bytes.Equal(canon, blob) {
+			return walRecord{}, errors.New("plan rebase: the plan is not in plan.EncodePlan's form")
+		}
+		rec.PlanRebase = &recPlanRebase{Plan: p}
+	case tagTickBackRef:
+		return walRecord{}, errors.New("tick record with tag 3, the form with back-referenced IDs that predates front coding, which is no longer read")
 	case '{':
 		return walRecord{}, errors.New("WAL record in the JSON form of a pre-binary-codec RM, which is no longer read")
 	default:
@@ -310,34 +292,4 @@ func getFaults(r *binenc.Reader, f *rmproto.FaultCounters) {
 	f.BestEffortAdmissions = r.Int()
 	f.PlanDiffsApplied = r.Int()
 	f.PlanRebases = r.Int()
-}
-
-// putID writes a job or node ID: a back-reference if the record has
-// named it before, the literal otherwise.
-func (c *walCodec) putID(w *binenc.Writer, id string) {
-	if i, ok := c.ids[id]; ok {
-		w.Uint(uint64(i) + 1)
-		return
-	}
-	c.ids[id] = len(c.ids)
-	w.Uint(0)
-	w.String(id)
-}
-
-func (c *walCodec) getID(r *binenc.Reader) string {
-	ref := r.Uint()
-	if ref > uint64(len(c.tab)) {
-		r.Fail(fmt.Errorf("ID back-reference %d beyond the %d IDs the record has named", ref, len(c.tab)))
-		return ""
-	}
-	if ref > 0 {
-		return c.tab[ref-1]
-	}
-	id := r.String()
-	if _, dup := c.ids[id]; dup && r.Err() == nil {
-		r.Fail(fmt.Errorf("ID %q spelled out twice", id))
-	}
-	c.ids[id] = len(c.tab)
-	c.tab = append(c.tab, id)
-	return id
 }

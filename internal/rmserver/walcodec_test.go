@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/binenc"
 	"flowtime/internal/core"
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
@@ -297,8 +299,7 @@ func TestWALCodecReplayEquivalence(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay record %d/%d", i+1, i+1)) {
 				t.Errorf("%s record %s by one byte: recovery = %v, want a replay error naming record %d", v, name, err, i+1)
 			}
-			// The plan blob of a rebase is the plan codec's to refuse.
-			if _, err := codec.decode(bad); err == nil && v != "plan_rebase" {
+			if _, err := codec.decode(bad); err == nil {
 				t.Errorf("%s record %s by one byte decodes", v, name)
 			}
 		}
@@ -340,7 +341,9 @@ func canonicalRecords() []namedRecord {
 		{"requeue", walRecord{Requeue: &recRequeue{Faults: faults, QIDs: []string{"q-100", "q-98", "q-99"}}}},
 		{"epoch", walRecord{Epoch: &recEpoch{Epoch: 2, Slot: 18}}},
 		{"plan diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(2, 3)}}},
-		{"plan rebase", walRecord{PlanRebase: &recPlanRebase{Plan: json.RawMessage(`{"rev":4,"from":18,"n_slots":2}`)}}},
+		{"plan rebase", walRecord{PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: 4, From: 18, NSlots: 2, Jobs: map[string]plan.Job{
+			"adhoc/ah00470": {Window: plan.Window{Rel: 18, Dl: 20}, Alloc: []resource.Vector{resource.New(1, 512), {}}}}}}}},
+		{"plan rebase, empty", walRecord{PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: 1}}}},
 	}
 }
 
@@ -354,14 +357,9 @@ func canonicalRecord(name string) walRecord {
 }
 
 // canonicalDiff is a diff of jobs jobs, each setting slots consecutive
-// slots, with θ for both resource kinds.
+// slots.
 func canonicalDiff(jobs, slots int) *plan.Diff {
-	d := &plan.Diff{BaseRev: 41, NewRev: 42, From: 73, NSlots: int64(slots), Theta: map[string][]float64{}}
-	for _, k := range resource.Kinds() {
-		for s := 0; s < slots; s++ {
-			d.Theta[k.String()] = append(d.Theta[k.String()], 1/float64(3+s))
-		}
-	}
+	d := &plan.Diff{BaseRev: 41, NewRev: 42, From: 73, NSlots: int64(slots)}
 	for j := 0; j < jobs; j++ {
 		u := plan.JobUpdate{ID: fmt.Sprintf("wf0001/TeraSort-%d#%d", j, j), Add: j%2 == 0, Window: plan.Window{Rel: 73, Dl: 73 + int64(slots)}}
 		for s := 0; s < slots; s++ {
@@ -394,7 +392,7 @@ func TestWALCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: encode∘decode is not the identity (%v):\n%x\n%x", name, err, payload, re)
 		}
 		for n := 0; n < len(payload); n++ {
-			if _, err := codec.decode(payload[:n]); err == nil && rec.PlanRebase == nil {
+			if _, err := codec.decode(payload[:n]); err == nil {
 				t.Errorf("%s: payload torn at %d/%d bytes decodes", name, n, len(payload))
 			}
 		}
@@ -428,6 +426,7 @@ func TestWALCodecRefusals(t *testing.T) {
 		"negative submit":    {AdHoc: &recAdHoc{Job: trace.AdHocRecord{ID: "a", SubmitSec: -5}}},
 		"negative dep index": {Workflow: &recWorkflow{WF: trace.WorkflowRecord{Deps: [][2]int{{0, -1}}}}},
 		"invalid diff":       {PlanDiff: &recPlanDiff{Diff: &plan.Diff{BaseRev: 1, NewRev: 9}}},
+		"invalid plan":       {PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: -1}}},
 	} {
 		if payload, err := codec.encode(&rec); err == nil {
 			t.Errorf("%s: encoded to %x", name, payload)
@@ -444,40 +443,55 @@ func TestWALCodecRefusals(t *testing.T) {
 	}
 	// Each accepted payload is one edit away from the refused ones below it.
 	accepted := map[string][]byte{
-		"two grants sharing an expiry": tick(2, 1,
+		"two grants sharing an expiry": tick(2,
 			3, 0, 1, 'j', 0, 1, 'n', 0, 0, // q-1, job "j", node "n", empty grant
-			3, 1, 2, 0, 0), // q-2, back-references to both
-		"two grants with their own expiries": tick(2, 0,
-			3, 0, 1, 'j', 0, 1, 'n', 0, 0, 5,
-			3, 1, 2, 0, 0, 6),
+			3, 1, 0, 1, 0, 0, 0, // q-2, both IDs the previous grant's
+			1), // expiry 0 for both
+		"two grants with their own expiries": tick(2,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
+			3, 1, 0, 1, 0, 0, 0,
+			0, 5, 6),
+		"two grants on two nodes": tick(2,
+			3, 0, 1, 'j', 0, 2, 'n', '1', 0, 0,
+			3, 1, 0, 1, 1, '2', 0, 0,
+			1),
 		"quantum ID q-1":             confirm(1, 3),
 		"quantum ID literal":         confirm(1, 0, 3, 'q', '-', 'x'),
 		"epoch 2 at slot 1":          {tagEpoch, 2, 1},
 		"empty best-effort workflow": {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
+		"empty plan rebase":          append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0}`...),
 	}
 	refused := map[string][]byte{
 		"empty payload":                {},
-		"unknown tag":                  {0x09, 2, 1},
+		"unknown tag":                  {0x0a, 2, 1},
 		"tag zero":                     {0x00, 2, 1},
 		"trailing byte":                {tagEpoch, 2, 1, 0},
 		"missing field":                {tagEpoch, 2},
 		"non-minimal varint":           {tagEpoch, 0x82, 0x00, 1},
 		"integer beyond int64":         append(append([]byte{tagEpoch}, bytes.Repeat([]byte{0xff}, 9)...), 1, 1),
 		"grant count beyond the input": tick(0x7f, 1),
-		"back-reference to an ID not yet named": tick(2, 1,
+		"job prefix past the previous ID": tick(2,
 			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
-			3, 1, 3, 0, 0),
-		"ID spelled out twice": tick(2, 1,
+			3, 2, 0, 1, 0, 0, 0,
+			1),
+		"node ID spelled out again": tick(2,
 			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
-			3, 1, 0, 1, 'n', 0, 0),
-		"equal expiries stored per grant": tick(2, 0,
-			3, 0, 1, 'j', 0, 1, 'n', 0, 0, 5,
-			3, 1, 2, 0, 0, 5),
+			3, 1, 0, 0, 1, 'n', 0, 0,
+			1),
+		"missing expiry": tick(2,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
+			3, 1, 0, 1, 0, 0, 0),
+		"equal expiries stored per grant": tick(2,
+			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
+			3, 1, 0, 1, 0, 0, 0,
+			0, 5, 5),
 		"quantum ID of the own form spelled out": confirm(1, 0, 3, 'q', '-', '7'),
 		"quantum ID delta below zero":            confirm(1, 4),
 		"quantum ID count beyond the input":      confirm(9, 3),
 		"flag byte 2":                            {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0},
-		"torn diff":                              {tagPlanDiff, 0x01, 1, 0},
+		"torn diff":                              {tagPlanDiff, 0x02, 1, 0},
+		"plan rebase with spaces":                append([]byte{tagPlanRebase}, `{"rev": 1, "from": 0, "n_slots": 0}`...),
+		"plan rebase with an explicit empty":     append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0,"jobs":{}}`...),
 		"JSON payload":                           []byte(`{"epoch":{"epoch":2,"slot":1}}`),
 		"JSON diff":                              append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
 	}
@@ -521,6 +535,125 @@ func TestWALCodecRefusals(t *testing.T) {
 	defer st.Close()
 	if _, err := New(streamingConfig(st, false)); err == nil || !strings.Contains(err.Error(), "snapshot version 1") {
 		t.Errorf("recovery over a version 1 snapshot: %v", err)
+	}
+}
+
+// parentTick is a tick in the form before front-coded IDs, by hand: tag 3,
+// slot 1, zero fault counters, no requeues, two grants behind their
+// shared expiry (0, stored as 1), the second naming the first's job and
+// node by position.
+func parentTick() []byte {
+	return []byte{tagTickBackRef, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1,
+		3, 0, 1, 'j', 0, 1, 'n', 0, 0,
+		3, 1, 2, 0, 0}
+}
+
+// parentDiff is a plan diff record in the form before front-coded IDs, by
+// hand: diff tag 0x01, the header, one added job spelled out with one slot
+// run, then θ — one kind, one level as raw IEEE-754 bits.
+func parentDiff() []byte {
+	w := binenc.Writer{Buf: []byte{tagPlanDiff}}
+	w.Byte(0x01)
+	w.Int(0)
+	w.Int(0)
+	w.Int(2)
+	w.Uint(0)
+	w.Uint(1)
+	w.String("adhoc/ah00470")
+	w.Bool(true)
+	w.Int(0)
+	w.Int(2)
+	w.Uint(1)
+	w.Int(0)
+	w.Uint(1)
+	w.Int(1)
+	w.Int(512)
+	w.Uint(1)
+	w.String("vcores")
+	w.Uint(1)
+	return binary.LittleEndian.AppendUint64(w.Buf, math.Float64bits(0.5))
+}
+
+// TestPreviousJournalFormsRefused: state written before the plan lost θ
+// and IDs were front-coded — a tag 3 tick, a tag 0x01 diff, a rebase plan
+// with "theta", a version 2 snapshot, a snapshot plan with "theta" — is
+// refused by recovery, by a follower's ingest and by -wal-dump, each time
+// with an error naming the record, the form and that it predates the
+// current one; nothing misreads it.
+func TestPreviousJournalFormsRefused(t *testing.T) {
+	thetaPlan := `{"rev":1,"from":0,"n_slots":0,"theta":{"vcores":[0.5]}}`
+	records := map[string]struct {
+		payload []byte
+		want    []string
+	}{
+		"tick":        {parentTick(), []string{"tick record", "tag 3", "predates"}},
+		"plan diff":   {parentDiff(), []string{"tag 0x01 diff", "θ", "predates"}},
+		"plan rebase": {append([]byte{tagPlanRebase}, thetaPlan...), []string{"plan rebase", `"theta"`, "predates"}},
+	}
+	refused := func(what string, err error, want []string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: accepted", what)
+			return
+		}
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: %q does not name %q", what, err, w)
+			}
+		}
+	}
+	for name, c := range records {
+		_, _, err := recoverFrom(t, [][]byte{c.payload}, 0)
+		refused(name+", recovery", err, append(c.want, "replay record 1/1"))
+
+		follower := openStreamingRM(t, t.TempDir(), true)
+		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, Gen: follower.store.Watermark().Gen, Records: [][]byte{c.payload}})
+		refused(name+", follower ingest", err, append(c.want, "shipped record 1/1"))
+
+		dir := t.TempDir()
+		frame, err := store.EncodeRecord(c.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-000000000000.log"), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		refused(name+", -wal-dump", DumpWAL(dir, &out, io.Discard), append(c.want, "record 1/1"))
+		if out.Len() != 0 {
+			t.Errorf("%s, -wal-dump: printed %q before refusing", name, out.String())
+		}
+	}
+
+	snap := func(version int) string {
+		return fmt.Sprintf(`{"version":%d,"slot_dur_ns":%d,"slot":3,"next_qid":0,"faults":{},"plan":%s}`, version, int64(slotDur), thetaPlan)
+	}
+	for name, c := range map[string]struct {
+		snapshot string
+		want     []string
+	}{
+		"version 2 snapshot":          {snap(2), []string{"snapshot version 2", "θ", "predates"}},
+		"snapshot plan with θ levels": {snap(snapVersion), []string{"snapshot plan", `"theta"`, "predates"}},
+	} {
+		dir := t.TempDir()
+		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WriteSnapshot([]byte(c.snapshot)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if st, err = store.Open(store.Options{Dir: dir, Policy: store.SyncNever}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = New(streamingConfig(st, false))
+		st.Close()
+		refused(name+", recovery", err, c.want)
+
+		follower := openStreamingRM(t, t.TempDir(), true)
+		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SnapInstall: true, Gen: 1, Snapshot: []byte(c.snapshot)})
+		refused(name+", follower ingest", err, append(c.want, "shipped snapshot"))
 	}
 }
 
@@ -662,16 +795,26 @@ func TestWALRecordSizes(t *testing.T) {
 			NodeID: fmt.Sprintf("n%03d", i%8), Grant: resource.New(8, 32768), Expiry: 35 + 16,
 		})
 	}
+	// The shape adhoc-burst's ticks have: a burst of ad-hoc jobs with
+	// consecutive IDs, each spread over a few of the nodes.
+	burst := &recTick{Slot: 180, Faults: rmproto.FaultCounters{PlanDiffsApplied: 40}}
+	for i := 0; i < 30; i++ {
+		burst.Grants = append(burst.Grants, recGrant{
+			QID: fmt.Sprintf("q-%d", 5210+i), JobID: fmt.Sprintf("adhoc/ah%05d", 470+i*12/30),
+			NodeID: fmt.Sprintf("n%02d", i%8), Grant: resource.New(2, 4096), Expiry: 183,
+		})
+	}
 	var codec walCodec
 	for _, c := range []struct {
 		name    string
 		rec     walRecord
 		ceiling int
 	}{
-		{"16-grant tick over 3 jobs x 8 nodes", walRecord{Tick: tick}, 260},
+		{"16-grant tick over 3 jobs x 8 nodes", walRecord{Tick: tick}, 210},
+		{"30-grant tick over 12 adhoc/ah00... jobs x 8 nodes", walRecord{Tick: burst}, 325},
 		{"6-qid confirm", canonicalRecord("confirm"), 32},
 		{"ad-hoc submission", canonicalRecord("adhoc"), 40},
-		{"10-job x 12-slot diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(10, 12)}}, 1200},
+		{"10-job x 12-slot diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(10, 12)}}, 640},
 	} {
 		payload, err := codec.encode(&c.rec)
 		if err != nil {
@@ -769,8 +912,11 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, append([]byte{}, payload...))
 	}
-	// A grant count far beyond the input.
-	return append(seeds, []byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// A grant count far beyond the input, and the two records whose form
+	// is refused by its tag: a tick that back-references its IDs and a
+	// diff with θ levels.
+	return append(seeds, []byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		parentTick(), parentDiff())
 }
 
 // FuzzDecodeWALRecord feeds arbitrary bytes to the record decoder. It
@@ -807,17 +953,17 @@ func TestDecodeWALRecordAllocation(t *testing.T) {
 	claim := func(prefix ...byte) []byte { return append(prefix, huge...) }
 	faults := make([]byte, 7)
 	inputs := append(walFuzzSeeds(t),
-		claim(tagWorkflow),                                                     // the workflow ID's length
-		claim(tagWorkflow, 0, 0, 0),                                            // jobs
-		claim(tagWorkflow, 0, 0, 0, 0),                                         // deps
-		claim(tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 0),                          // windows
-		claim(append([]byte{tagTick, 1}, faults...)...),                        // requeued quantum IDs
-		claim(append(append([]byte{tagTick, 1}, faults...), 0)...),             // grants
-		claim(append(append([]byte{tagTick, 1}, faults...), 0, 1, 1, 3, 0)...), // a grant's job ID length
-		claim(append([]byte{tagConfirm, 1}, faults...)...),                     // confirmed quantum IDs
-		claim(append(append([]byte{tagConfirm, 1}, faults...), 1, 0)...),       // a literal quantum ID's length
+		claim(tagWorkflow),                                                  // the workflow ID's length
+		claim(tagWorkflow, 0, 0, 0),                                         // jobs
+		claim(tagWorkflow, 0, 0, 0, 0),                                      // deps
+		claim(tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 0),                       // windows
+		claim(append([]byte{tagTick, 1}, faults...)...),                     // requeued quantum IDs
+		claim(append(append([]byte{tagTick, 1}, faults...), 0)...),          // grants
+		claim(append(append([]byte{tagTick, 1}, faults...), 0, 1, 3, 0)...), // a grant's job ID length
+		claim(append([]byte{tagConfirm, 1}, faults...)...),                  // confirmed quantum IDs
+		claim(append(append([]byte{tagConfirm, 1}, faults...), 1, 0)...),    // a literal quantum ID's length
 		claim(append([]byte{tagRequeue}, faults...)...),
-		claim(tagPlanDiff, 0x01, 1, 0, 4), // the diff's removes
+		claim(tagPlanDiff, 0x02, 1, 0, 4), // the diff's removes
 	)
 	var codec walCodec
 	for i, in := range inputs {
