@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -605,6 +609,141 @@ func TestKillAndRestartKeepsAHandOffAsALease(t *testing.T) {
 	}
 	if !done(st) {
 		t.Fatalf("the chain did not complete after the restart: %+v", st.Summary)
+	}
+	for _, j := range st.Jobs {
+		if j.Delivered != j.Total {
+			t.Errorf("job %s delivered %+v, want exactly %+v (exactly-once violated)", j.ID, j.Delivered, j.Total)
+		}
+	}
+}
+
+// walGauges reads the fsync count and the unsynced-record backlog off
+// GET /metrics, which never fsyncs.
+func walGauges(t *testing.T, base string) (fsyncs, unsynced int64) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	fsyncs, unsynced = -1, -1
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "flowtime_rm_wal_fsyncs_total "); ok {
+			fsyncs, _ = strconv.ParseInt(v, 10, 64)
+		}
+		if v, ok := strings.CutPrefix(line, "flowtime_rm_wal_unsynced_records "); ok {
+			unsynced, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if fsyncs < 0 || unsynced < 0 {
+		t.Fatalf("/metrics lacks the WAL gauges:\n%s", body)
+	}
+	return fsyncs, unsynced
+}
+
+// TestKillAndRestartKeepsAnUnsyncedTick is the process-kill side of the
+// tick's durability bargain (the machine-crash side, where the page cache
+// dies too, is rmserver's TestMachineCrashTakesBackAnUnsyncedTick): a
+// submission commits, the tick after it fsyncs nothing, a heartbeat takes
+// that tick's quanta, and the RM is SIGKILLed before anything commits the
+// tick record. The page cache keeps it, so the log replays the slot
+// advance and the grants as leases in flight — requeued as orphans by the
+// restarted RM — and the run completes with every job delivered exactly
+// once.
+func TestKillAndRestartKeepsAnUnsyncedTick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level chaos test")
+	}
+	bin := buildFTRM(t)
+	stateDir := t.TempDir()
+	port := freePort(t)
+	base := fmt.Sprintf("http://127.0.0.1:%d", port)
+	client := rmserver.NewClient(base, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	proc1 := startFTRM(t, bin, stateDir, port, "-manual-tick")
+	waitStatus(t, client, 10*time.Second, "ftrm up", func(rmproto.StatusResponse) bool { return true })
+	node := rmproto.RegisterNodeRequest{NodeID: "n1", Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8192}}
+	if _, err := client.RegisterNode(ctx, node); err != nil {
+		t.Fatalf("RegisterNode: %v", err)
+	}
+	if _, err := client.SubmitAdHoc(ctx, rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "a1", Tasks: 4, TaskDurSec: 1, DemandVCores: 1, DemandMemMB: 1024,
+	}}); err != nil {
+		t.Fatalf("SubmitAdHoc: %v", err)
+	}
+	fsyncs, _ := walGauges(t, base)
+	if err := client.Tick(ctx); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	after, unsynced := walGauges(t, base)
+	if after != fsyncs || unsynced < 1 {
+		t.Fatalf("the tick after a submission left %d fsyncs (was %d) and %d unsynced records, want no fsync and its own record unsynced", after, fsyncs, unsynced)
+	}
+	resp, err := client.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1"})
+	if err != nil {
+		t.Fatalf("Heartbeat: %v", err)
+	}
+	held := resp.Launch
+	if len(held) == 0 {
+		t.Fatal("the heartbeat took none of the tick's quanta")
+	}
+	if err := proc1.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL: %v", err)
+	}
+	proc1.Wait()
+
+	frozen := filepath.Join(t.TempDir(), "frozen")
+	copyStateDir(t, stateDir, frozen)
+	oracle := recoverInProcess(t, frozen)
+	if ost := oracle.Status(); ost.Slot != 1 || ost.OutstandingLeases != len(held) {
+		t.Fatalf("replaying the killed RM's log gives slot %d with %d leases, want the tick's slot 1 and its %d", ost.Slot, ost.OutstandingLeases, len(held))
+	}
+	if err := oracle.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
+		t.Fatalf("recovery equivalence on a log ending in an unsynced tick: %v", err)
+	}
+
+	startFTRM(t, bin, stateDir, port, "-manual-tick")
+	st := waitStatus(t, client, 15*time.Second, "restarted RM", func(st rmproto.StatusResponse) bool {
+		return st.Recovery != nil
+	})
+	if st.Recovery.OrphanLeasesRequeued != len(held) || st.Slot != 1 || st.OutstandingLeases != 0 {
+		t.Fatalf("restart at slot %d requeued %d orphan leases with %d still out, want slot 1, the tick's %d and none",
+			st.Slot, st.Recovery.OrphanLeasesRequeued, st.OutstandingLeases, len(held))
+	}
+	// The agent's part: unknown to the restarted RM, it drops what it held.
+	if _, err := client.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{held[0].ID}}); !errors.Is(err, rmserver.ErrUnknownNode) {
+		t.Fatalf("heartbeat to the restarted RM = %v, want unknown_node", err)
+	}
+	if _, err := client.RegisterNode(ctx, node); err != nil {
+		t.Fatalf("RegisterNode: %v", err)
+	}
+	held = nil
+	done := func(st rmproto.StatusResponse) bool { return st.Summary.Completed == 1 && st.OutstandingLeases == 0 }
+	for i := 0; i < 200 && !done(st); i++ {
+		if err := client.Tick(ctx); err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+		req := rmproto.HeartbeatRequest{NodeID: "n1"}
+		for _, q := range held {
+			req.Completed = append(req.Completed, q.ID)
+		}
+		resp, err := client.Heartbeat(ctx, req)
+		if err != nil {
+			t.Fatalf("Heartbeat: %v", err)
+		}
+		held = resp.Launch
+		if st, err = client.Status(ctx); err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+	}
+	if !done(st) {
+		t.Fatalf("the job did not complete after the restart: %+v", st.Summary)
 	}
 	for _, j := range st.Jobs {
 		if j.Delivered != j.Total {

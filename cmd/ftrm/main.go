@@ -39,9 +39,10 @@
 // WAL tail — a torn tail from a crash mid-write is truncated, not
 // fatal — and logs a recovery summary. -fsync selects the durability
 // discipline: "always" (fsync before acknowledging a submission or
-// releasing a tick's grants; heartbeat confirms become durable with the
-// next tick's commit), "interval" (background fsync every few
-// milliseconds), or "never" (leave flushing to the OS).
+// answering GET /v1/status, and before a tick releases its grants if
+// anything journaled ahead of it is still unsynced; confirms, hand-offs
+// and tick records ride the next commit), "interval" (background fsync
+// every few milliseconds), or "never" (leave flushing to the OS).
 //
 // With -replica-of the RM starts as a warm standby of the primary at
 // the given URL (requires -state-dir): it pulls the primary's WAL over

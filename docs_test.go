@@ -1,0 +1,430 @@
+package flowtime_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"flowtime/internal/core"
+	"flowtime/internal/rmserver"
+	"flowtime/internal/store"
+)
+
+// docsChecked are the documents whose backticked names must exist.
+var docsChecked = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
+// codeSpan is one inline code span of a markdown document and the line it
+// opens on.
+type codeSpan struct {
+	doc  string
+	line int
+	text string
+}
+
+func (c codeSpan) String() string { return fmt.Sprintf("%s:%d: `%s`", c.doc, c.line, c.text) }
+
+// codeSpans returns the inline code spans of a markdown document, fenced
+// blocks skipped. A span may run across a line break; it is reported at
+// the line it opens on, with the break read as a space.
+func codeSpans(t *testing.T, doc string) []codeSpan {
+	t.Helper()
+	raw, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatalf("read %s: %v", doc, err)
+	}
+	var spans []codeSpan
+	var open *codeSpan
+	fenced := false
+	for i, line := range strings.Split(string(raw), "\n") {
+		if open == nil && strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		for {
+			j := strings.IndexByte(line, '`')
+			if j < 0 {
+				break
+			}
+			if open == nil {
+				open = &codeSpan{doc: doc, line: i + 1}
+			} else {
+				open.text += line[:j]
+				spans = append(spans, *open)
+				open = nil
+			}
+			line = line[j+1:]
+		}
+		if open != nil {
+			open.text += line + " "
+		}
+	}
+	return spans
+}
+
+// TestDocsNameWhatExists keeps the documents from naming what the code
+// no longer has: every backticked metric name is one GET /metrics prints,
+// every backticked flag in a README flag-table row is one a cmd/ binary
+// defines, and every backticked pkg.Ident of a package under internal/ is
+// declared in that package.
+func TestDocsNameWhatExists(t *testing.T) {
+	var spans []codeSpan
+	for _, doc := range docsChecked {
+		spans = append(spans, codeSpans(t, doc)...)
+	}
+	t.Run("metrics", func(t *testing.T) { checkMetricNames(t, spans) })
+	t.Run("flags", func(t *testing.T) { checkFlags(t) })
+	t.Run("identifiers", func(t *testing.T) { checkIdentifiers(t, spans) })
+}
+
+// metricSpan matches a span that is one metric name: a trailing _ or *
+// makes it a family prefix, {a,b} a brace expansion, {label} a label.
+var metricSpan = regexp.MustCompile(`^(flowtime_[a-z0-9_]*)(\*|\{([^}]*)\})?$`)
+
+func checkMetricNames(t *testing.T, spans []codeSpan) {
+	printed := printedMetrics(t)
+	exists := func(name string, prefix bool) bool {
+		for p := range printed {
+			if p == name || prefix && strings.HasPrefix(p, name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, s := range spans {
+		m := metricSpan.FindStringSubmatch(s.text)
+		if m == nil {
+			continue
+		}
+		names, prefix := []string{m[1]}, m[2] == "*" || strings.HasSuffix(m[1], "_")
+		if alts := m[3]; strings.Contains(alts, ",") {
+			names, prefix = nil, false
+			for _, alt := range strings.Split(alts, ",") {
+				names = append(names, m[1]+strings.TrimSpace(alt))
+			}
+		}
+		for _, name := range names {
+			if !exists(name, prefix) {
+				t.Errorf("%v: GET /metrics prints no metric %s", s, name)
+			}
+		}
+	}
+}
+
+// printedMetrics returns every metric name GET /metrics prints on an RM
+// with each optional block switched on: a store, plan streaming and the
+// ad-hoc gate, overload protection and both watchdogs.
+func printedMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+	cfg := core.DefaultConfig()
+	cfg.StreamPlans = true
+	rm, err := rmserver.New(rmserver.Config{
+		SlotDur:   time.Second,
+		Scheduler: core.New(cfg),
+		Store:     st,
+		AdHocGate: true,
+		Overload:  &rmserver.OverloadConfig{SubmitConcurrency: 1},
+		Watchdog:  rmserver.WatchdogConfig{StuckTickAfter: time.Minute, ReplLagRecords: 1},
+	})
+	if err != nil {
+		t.Fatalf("rmserver.New: %v", err)
+	}
+	srv := httptest.NewServer(rm.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	printed := make(map[string]bool)
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			line = name
+		} else if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name, _, _ := strings.Cut(line, " "); name != "" {
+			name, _, _ = strings.Cut(name, "{")
+			printed[name] = true
+		}
+	}
+	return printed
+}
+
+// flagSpan matches a span that is one command-line flag.
+var flagSpan = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
+
+// checkFlags checks the flags in README's flag-table rows: table lines
+// whose first cell opens with a backticked flag.
+func checkFlags(t *testing.T) {
+	defined := definedFlags(t)
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatalf("read README.md: %v", err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	for _, s := range codeSpans(t, "README.md") {
+		if !flagSpan.MatchString(s.text) || !strings.HasPrefix(lines[s.line-1], "| `-") {
+			continue
+		}
+		if !defined[strings.TrimPrefix(s.text, "-")] {
+			t.Errorf("%v: no cmd/ binary defines the flag %s", s, s.text)
+		}
+	}
+}
+
+// flagNameArg is, for each flag-defining function of package flag (and
+// the FlagSet method of the same name), the index of its name argument.
+var flagNameArg = map[string]int{
+	"String": 0, "Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0,
+	"Float64": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+	"StringVar": 1, "BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1,
+	"Uint64Var": 1, "Float64Var": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
+}
+
+// definedFlags parses every non-test file of every cmd/ binary and returns
+// the names its flag calls define — on package flag or on a variable
+// assigned from flag.NewFlagSet.
+func definedFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		sets := map[string]bool{"flag": true}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+				if id, ok := as.Lhs[0].(*ast.Ident); ok && isCall(as.Rhs[0], "flag", "NewFlagSet") {
+					sets[id.Name] = true
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			recv, ok := sel.X.(*ast.Ident)
+			arg, known := flagNameArg[sel.Sel.Name]
+			if !ok || !known || !sets[recv.Name] || len(call.Args) <= arg {
+				return true
+			}
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					defined[name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no flag definitions under cmd/")
+	}
+	return defined
+}
+
+func isCall(e ast.Expr, pkg, fn string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg && sel.Sel.Name == fn
+}
+
+// identSpan matches a span that is a dotted Go name, optionally called:
+// pkg.Ident, pkg.Type.Member, pkg.Func(...).
+var identSpan = regexp.MustCompile(`^([a-z][a-z0-9]*)((?:\.[A-Za-z_][A-Za-z0-9_]*)+)(\(.*\))?$`)
+
+// fileSuffixes are the last segments that make a dotted span a file name.
+var fileSuffixes = map[string]bool{"go": true, "md": true, "json": true, "log": true, "snap": true, "mps": true, "csv": true, "txt": true}
+
+func checkIdentifiers(t *testing.T, spans []codeSpan) {
+	metricNames := benchmarkLayerMetrics(t)
+	pkgs := make(map[string]*pkgNames)
+	for _, s := range spans {
+		m := identSpan.FindStringSubmatch(s.text)
+		if m == nil {
+			continue
+		}
+		pkg, path := m[1], strings.Split(m[2][1:], ".")
+		if fileSuffixes[path[len(path)-1]] || metricNames[pkg+"."+path[0]] {
+			continue
+		}
+		names, ok := pkgs[pkg]
+		if !ok {
+			names = internalPackage(t, pkg)
+			pkgs[pkg] = names
+		}
+		if names == nil {
+			continue // not a package under internal/
+		}
+		if len(path) == 1 && testFunc.MatchString(path[0]) {
+			if !names.tests[path[0]] {
+				t.Errorf("%v: package %s has no test function %s", s, pkg, path[0])
+			}
+			continue
+		}
+		for i, id := range path {
+			if !names.member[id] && (i > 0 || !names.top[id]) {
+				t.Errorf("%v: package %s declares no %s", s, pkg, strings.Join(path[:i+1], "."))
+				break
+			}
+		}
+	}
+}
+
+// testFunc matches the name of a function go test runs.
+var testFunc = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)[A-Z_]`)
+
+// pkgNames are the names a package's non-test files declare — top-level
+// declarations, and methods and struct fields of any type — and the
+// functions its test files hand to go test, which the documents cite as
+// pkg.TestName.
+type pkgNames struct {
+	top, member, tests map[string]bool
+}
+
+// internalPackage parses internal/<pkg>, or returns nil when there is no
+// such package.
+func internalPackage(t *testing.T, pkg string) *pkgNames {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		return nil
+	}
+	names := &pkgNames{top: make(map[string]bool), member: make(map[string]bool), tests: make(map[string]bool)}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+					names.tests[fn.Name.Name] = true
+				}
+			}
+			continue
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names.top[d.Name.Name] = true
+				} else {
+					names.member[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names.top[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names.top[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var fields *ast.FieldList
+			switch n := n.(type) {
+			case *ast.StructType:
+				fields = n.Fields
+			case *ast.InterfaceType:
+				fields = n.Methods
+			default:
+				return true
+			}
+			for _, fld := range fields.List {
+				for _, n := range fld.Names {
+					names.member[n.Name] = true
+				}
+				if len(fld.Names) == 0 { // embedded: the field is named by its type
+					typ := fld.Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					switch typ := typ.(type) {
+					case *ast.Ident:
+						names.member[typ.Name] = true
+					case *ast.SelectorExpr:
+						names.member[typ.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return names
+}
+
+// benchmarkLayerMetrics returns BENCHMARK.json's per-layer metric names,
+// which read like pkg.ident but name measurements, not declarations.
+func benchmarkLayerMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatalf("read BENCHMARK.json: %v", err)
+	}
+	var bench struct {
+		PerLayer []struct {
+			Name string `json:"name"`
+		} `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatalf("decode BENCHMARK.json: %v", err)
+	}
+	names := make(map[string]bool, len(bench.PerLayer))
+	for _, m := range bench.PerLayer {
+		names[m.Name] = true
+	}
+	return names
+}

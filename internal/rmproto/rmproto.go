@@ -418,9 +418,10 @@ type DurabilityStatus struct {
 	Snapshots         int64  `json:"snapshots"`
 	LastSnapshotBytes int    `json:"last_snapshot_bytes"`
 	// WALUnsyncedRecords counts journaled records no fsync has covered
-	// yet — under the always policy, the heartbeat confirms waiting for
-	// the next tick or submission commit — as of when the status was
-	// taken, before GET /v1/status ran its own barrier.
+	// yet — under the always policy, the heartbeat confirms and hand-offs
+	// and the tick records waiting for the next commit, a tick's or a
+	// submission's — as of when the status was taken, before GET /v1/status
+	// ran its own barrier.
 	WALUnsyncedRecords int64 `json:"wal_unsynced_records"`
 	// CommitError is set when the barrier GET /v1/status runs before
 	// answering failed: the jobs in this response may include confirms

@@ -91,6 +91,51 @@ func TestCommitFailureSurfacesAtTick(t *testing.T) {
 	}
 }
 
+// TestCommitFailureAfterASkippedTickFsync: a tick whose slot a submission
+// already committed has nothing to sync, so an fsync fault armed after
+// that commit passes it by — the tick succeeds and its quanta reach the
+// node. The fault meets the next commit instead: the next submission is
+// commit_failed with the store's error in the chain, GET /v1/status still
+// answers 200 with commit_error set, and from then on the store's error is
+// sticky, so the next confirming heartbeat fails at the append.
+func TestCommitFailureAfterASkippedTickFsync(t *testing.T) {
+	rm, ffs := newFaultyRM(t, t.TempDir())
+	srv := httptest.NewServer(rm.Handler())
+	defer srv.Close()
+	pending := launchOneSlot(t, rm)
+	submitSmall(t, rm, "late")
+
+	ffs.FailFsync(1)
+	if err := rm.Tick(time.Now()); err != nil {
+		t.Fatalf("tick with nothing before it to sync = %v, want success", err)
+	}
+	resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now())
+	if err != nil {
+		t.Fatalf("heartbeat after the tick: %v", err)
+	}
+	if len(resp.Launch) == 0 {
+		t.Fatal("the tick's quanta did not reach the node")
+	}
+
+	_, err = rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "later", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 256,
+	}})
+	if !errors.Is(err, ErrCommitFailed) || !errors.Is(err, store.ErrInjectedFsync) {
+		t.Fatalf("submission under the armed fault = %v, want ErrCommitFailed wrapping the injected fsync failure", err)
+	}
+	st, err := NewClient(srv.URL, nil).Status(context.Background())
+	if err != nil {
+		t.Fatalf("GET /v1/status on a failed store = %v, want 200", err)
+	}
+	if st.Durability == nil || !strings.Contains(st.Durability.CommitError, store.ErrInjectedFsync.Error()) {
+		t.Errorf("status durability block = %+v, want the injected fsync failure in commit_error", st.Durability)
+	}
+	_, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, time.Now())
+	if !errors.Is(err, ErrCommitFailed) || !strings.Contains(err.Error(), "wal append") {
+		t.Errorf("confirming heartbeat on the failed store = %v, want ErrCommitFailed at the append", err)
+	}
+}
+
 // TestCommitFailureOverHTTP pins the wire contract: the failed tick is a
 // 503 with code commit_failed, which the client maps back to
 // ErrCommitFailed and treats as retryable; /v1/status keeps answering

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,11 +18,11 @@ import (
 	"flowtime/internal/trace"
 )
 
-// Heartbeat confirms are journaled but not fsynced by the heartbeat; they
-// become durable with the next commit (see "Durability ordering" in
-// persist.go). These tests hold the two halves of that bargain: what a
-// machine crash inside the window costs, and that the fsync count it buys
-// does not creep back up.
+// Heartbeat confirms, hand-offs and a tick's own records are journaled but
+// not fsynced by the call that writes them; they become durable with the
+// next commit (see "Durability ordering" in persist.go). These tests hold
+// the two halves of that bargain: what a machine crash inside the window
+// costs, and that the fsync count it buys does not creep back up.
 
 func deliveredByJob(st rmproto.StatusResponse) map[string]rmproto.Resources {
 	m := make(map[string]rmproto.Resources, len(st.Jobs))
@@ -253,6 +254,124 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 	}
 }
 
+// submitSmall admits one small ad-hoc job, which commits every record
+// journaled before it.
+func submitSmall(t *testing.T, rm *Server, id string) {
+	t.Helper()
+	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: id, Tasks: 2, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
+	}}); err != nil {
+		t.Fatalf("SubmitAdHoc(%s): %v", id, err)
+	}
+}
+
+// TestMachineCrashTakesBackAnUnsyncedTick licenses the third thing that
+// rides the next commit: a tick's own record. A submission commits
+// everything before it, so the tick after it has nothing to wait for — it
+// fsyncs nothing — and a heartbeat takes its quanta while its record is
+// still in the page cache. The machine dies. The recovered RM is the
+// submission's commit: the slot before the tick, the leases in flight at
+// that commit requeued and the lost grants not among them, and a quantum
+// counter that frees the lost IDs again — the next tick reissues them, on
+// another node. The old holder is refused whole, then its reports are
+// stale, and a reissued ID delivers nothing twice. One more submission
+// after the heartbeat keeps the tick: its leases are recovered in flight
+// and requeued, and their IDs are never used again.
+func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		submitThenCrash bool
+	}{
+		{"crash before the next commit", false},
+		{"crash after the next commit", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			rm1, ffs := newFaultyRM(t, dir)
+			register(t, rm1, "n1", 8, 32768)
+			submitBoth(t, rm1)
+			first := runSlots(t, rm1, "n1", 1, nil) // in flight on n1
+			submitSmall(t, rm1, "late")
+			committed := rm1.Status() // everything up to here is on the disk
+			tick(t, rm1)
+			ticked := rm1.Status()
+			if got := ticked.Durability.Fsyncs - committed.Durability.Fsyncs; got != 0 {
+				t.Errorf("the tick after a submission's commit cost %d fsyncs, want 0", got)
+			}
+			if got := ticked.Durability.WALUnsyncedRecords; got < 1 {
+				t.Errorf("wal_unsynced_records after the tick = %d, want at least 1 (its own record)", got)
+			}
+			lost := quantumIDs(beat(t, rm1, "n1", nil))
+			if len(first) == 0 || len(lost) == 0 {
+				t.Fatalf("n1 holds %d quanta from before the commit and took %d from the tick, want both > 0", len(first), len(lost))
+			}
+			if committed.OutstandingLeases != len(first) {
+				t.Fatalf("%d leases out at the commit, want n1's %d", committed.OutstandingLeases, len(first))
+			}
+
+			want := committed
+			if tc.submitThenCrash {
+				submitSmall(t, rm1, "later")
+				want = rm1.Status()
+			}
+			ffs.Crash()
+
+			rm2, _ := newDurableRM(t, dir, true)
+			rec := rm2.Recovery()
+			if rec == nil || rec.OrphanLeasesRequeued != want.OutstandingLeases {
+				t.Fatalf("recovery = %+v, want the %d leases out at the last commit requeued", rec, want.OutstandingLeases)
+			}
+			sameDelivered(t, "recovered state", rm2.Status(), want)
+
+			// The old holder speaks first and is refused whole.
+			held := append(append([]string(nil), first...), lost...)
+			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: held}, time.Now()); !errors.Is(err, ErrUnknownNode) {
+				t.Fatalf("old holder's first heartbeat = %v, want ErrUnknownNode", err)
+			}
+			register(t, rm2, "n2", 8, 32768)
+			tick(t, rm2)
+			regranted := quantumIDs(beat(t, rm2, "n2", nil))
+			reissued := 0
+			for _, id := range regranted {
+				if slices.Contains(lost, id) {
+					reissued++
+				}
+			}
+			if tc.submitThenCrash && reissued != 0 {
+				t.Fatalf("n2 was handed %v, which reuses IDs of the committed tick's %v", regranted, lost)
+			} else if !tc.submitThenCrash && reissued == 0 {
+				t.Fatalf("n2 was handed %v, want the lost IDs %v reissued", regranted, lost)
+			}
+
+			// Registered again, the old holder reports everything it held —
+			// requeued, lost, some of it live once more on n2: all stale.
+			register(t, rm2, "n1", 8, 32768)
+			before := rm2.Status()
+			beat(t, rm2, "n1", held)
+			after := rm2.Status()
+			if got := after.Faults.StaleConfirms - before.Faults.StaleConfirms; got != int64(len(held)) {
+				t.Errorf("the old holder's %d reports bumped stale_confirms by %d, want all of them", len(held), got)
+			}
+			sameDelivered(t, "after the old holder's reports", after, before)
+
+			// n2 finishes what it holds; the rest of the run is ordinary.
+			tick(t, rm2)
+			beat(t, rm2, "n1", nil)
+			beat(t, rm2, "n2", regranted)
+			final := driveToCompletion(t, rm2, []string{"n1", "n2"}, 200)
+			if !allCompleted(final) {
+				t.Fatalf("the run did not complete after the crash: %+v", final.Summary)
+			}
+			for _, j := range final.Jobs {
+				if j.Delivered != j.Total {
+					t.Errorf("job %s delivered %+v of %+v; want exactly the total", j.ID, j.Delivered, j.Total)
+				}
+			}
+			verifyEquiv(t, rm2, "after the post-crash run")
+		})
+	}
+}
+
 // TestConfirmsCostOneFsyncPerSlot is the rot guard for the count the
 // confirm path was changed to reach: with no submissions, K nodes
 // confirming work on every heartbeat for S slots cost exactly S fsyncs —
@@ -336,5 +455,99 @@ func TestConfirmsCostOneFsyncPerSlot(t *testing.T) {
 	get("/v1/status")
 	if got := st.Stats().Fsyncs - base; got != slots+1 {
 		t.Errorf("a second GET /v1/status with nothing pending fsynced: %d fsyncs, want %d", got, slots+1)
+	}
+}
+
+// TestTicksFsyncOnlyWhatCameBefore is the rot guard for the tick's half of
+// the count: a tick commits what was journaled before it, and its own
+// record rides the next commit. K nodes confirming on every heartbeat for
+// S slots, each slot opening with one admitted ad-hoc submission, cost
+// exactly S fsyncs — the submissions'; the tick behind each has nothing
+// left to sync. (A tick that committed its own record paid 2S here.) The
+// same slots without the submission cost S, the ticks'. An idle tick right
+// after a commit costs none and leaves its record unsynced; the next idle
+// tick costs one, and that one covers both.
+func TestTicksFsyncOnlyWhatCameBefore(t *testing.T) {
+	const nodes, slots = 4, 6
+	rm, st := newDurableRM(t, t.TempDir(), true)
+	ids := make([]string, nodes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%d", i)
+		register(t, rm, ids[i], 2, 4096)
+	}
+	for i := 0; i < 2*nodes; i++ { // two endless one-core jobs per node
+		if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+			ID: fmt.Sprintf("busy-%d", i), Tasks: 1, TaskDurSec: 1 << 20, DemandVCores: 1, DemandMemMB: 512,
+		}}); err != nil {
+			t.Fatalf("SubmitAdHoc: %v", err)
+		}
+	}
+	pending := make(map[string][]string, nodes)
+	slot := func(wantConfirms bool) {
+		t.Helper()
+		tick(t, rm)
+		for _, id := range ids {
+			if wantConfirms && len(pending[id]) == 0 {
+				t.Fatalf("node %s has nothing to confirm; the heartbeat under test would not journal", id)
+			}
+			pending[id] = quantumIDs(beat(t, rm, id, pending[id]))
+		}
+	}
+	slot(false) // warm-up: every node now holds leases
+
+	base := st.Stats().Fsyncs
+	for i := 0; i < slots; i++ {
+		submitSmall(t, rm, fmt.Sprintf("extra-%d", i)) // queued behind the busy jobs
+		slot(true)
+	}
+	if got := st.Stats().Fsyncs - base; got != slots {
+		t.Errorf("%d nodes x %d confirming slots, each opened by a submission, cost %d fsyncs, want %d (one per submission, none per tick)", nodes, slots, got, slots)
+	}
+
+	base = st.Stats().Fsyncs
+	for i := 0; i < slots; i++ {
+		slot(true)
+	}
+	if got := st.Stats().Fsyncs - base; got != slots {
+		t.Errorf("%d nodes x %d confirming slots without submissions cost %d fsyncs, want %d (one per tick)", nodes, slots, got, slots)
+	}
+
+	srv := httptest.NewServer(rm.Handler())
+	defer srv.Close()
+	unsynced := func() int64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		var n int64
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "flowtime_rm_wal_unsynced_records "); ok {
+				if _, err := fmt.Sscan(v, &n); err != nil {
+					t.Fatalf("flowtime_rm_wal_unsynced_records %q: %v", v, err)
+				}
+				return n
+			}
+		}
+		t.Fatal("/metrics has no flowtime_rm_wal_unsynced_records")
+		return 0
+	}
+	submitSmall(t, rm, "idle") // the commit the idle tick follows
+	base = st.Stats().Fsyncs
+	tick(t, rm)
+	if got := st.Stats().Fsyncs - base; got != 0 {
+		t.Errorf("an idle tick right after a commit cost %d fsyncs, want 0", got)
+	}
+	if got := unsynced(); got < 1 {
+		t.Errorf("flowtime_rm_wal_unsynced_records after the idle tick = %d, want at least 1 (its own record)", got)
+	}
+	tick(t, rm)
+	if got := st.Stats(); got.Fsyncs-base != 1 || got.Unsynced != 0 {
+		t.Errorf("the next idle tick left %d fsyncs and %d unsynced records, want 1 and 0 (one fsync for both ticks)", got.Fsyncs-base, got.Unsynced)
 	}
 }

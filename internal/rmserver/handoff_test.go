@@ -305,10 +305,10 @@ func (f syncHookFile) Sync() error {
 
 // TestOffersDispatchOnlyWhereTheyMay: a draining RM issues no lease, on a
 // confirm either; a heartbeat that lands while the tick's commit is in
-// flight finds no offer armed, because nothing of a tick leaves before its
-// record is durable; a follower takes no heartbeat at all, replays the
-// primary's dispatch from the log as the same lease, and requeues it on
-// promotion.
+// flight finds no offer armed, because nothing of a tick leaves before
+// what was journaled ahead of it is durable; a follower takes no
+// heartbeat at all, replays the primary's dispatch from the log as the
+// same lease, and requeues it on promotion.
 func TestOffersDispatchOnlyWhereTheyMay(t *testing.T) {
 	// held runs rm to the slot in which b is offered and returns a's quanta.
 	held := func(t *testing.T, rm *Server) []string {

@@ -34,62 +34,51 @@
 //     RM schedules again, otherwise a post-shutdown restart would come
 //     up permanently refusing work.
 //
-// Durability ordering: under the always-fsync policy, no side effect of
-// a mutation that a crash could not undo on its own escapes the RM
-// before its record is durable. Submissions are acknowledged only after
-// commit — there is nobody behind a submission to send it again. A
-// tick's grants are enqueued onto nodes only after the tick record
-// commits, so a heartbeat can never hand a node work that a post-crash
-// recovery would not know was granted; a tick whose commit fails hands
-// out nothing. The re-registration requeue commits before it is
-// acknowledged.
+// Durability ordering: under the always-fsync policy one rule holds —
+// only what a crash could not undo on its own waits for the disk. Two
+// things are in that class. A submission's acknowledgement: nobody stands
+// behind a submission to send it again, so it is answered only after its
+// record commits (as is the re-registration requeue). And a status read:
+// GET /v1/status is the one read that could show an outsider state a
+// crash would take back, so it commits the newest journaled record before
+// answering (Server.syncedStatus); /metrics, drain progress and
+// in-process Status() are advisory and never touch the disk.
 //
-// Heartbeat confirms are the exception, on purpose. A heartbeat applies
-// its confirms, journals them (WAL order is mutation order) and replies
-// without waiting for the disk; the record becomes durable with the next
-// commit the RM makes anyway — the coming tick's, a submission's, a
-// snapshot rotation, the barrier in front of GET /v1/status — because a
-// commit syncs the whole written prefix. That is one fsync per slot plus
-// one per submission instead of one per busy node per slot. What it
-// costs: a *machine* crash (a process kill keeps the page cache) can
-// lose up to one slot of acknowledged confirms. Recovery and promotion
-// requeue every in-flight lease, and an agent that meets an RM that
-// does not know it drops its lease set, so to everything durable a lost
-// confirm is the crash arriving just before that heartbeat did: the
-// lease is requeued, the already-finished quantum runs again, delivered
-// volume is still counted exactly once — the fate every quantum in
-// flight at the crash already has. Grants computed from unsynced
-// confirms are safe for the same reason the grants themselves are: the
-// tick commit that releases them covers the confirms before it. The one
-// read that could show an outsider state a crash would take back,
-// GET /v1/status, commits the newest journaled record before answering
-// (Server.syncedStatus); /metrics, drain progress and in-process
-// Status() are advisory and never touch the disk.
+// Everything else is journaled in mutation order and rides the next
+// commit the RM makes anyway — a submission's, the status barrier, a
+// snapshot rotation, the next tick's — because a commit syncs the whole
+// written prefix: a heartbeat's confirms; the leases it dispatches from
+// the tick's offers when its confirms complete a job (Server.Heartbeat),
+// journaled directly behind the confirm record as a tick record whose
+// slot does not move; and a tick's own record (slot advance, requeues,
+// grants) with its plan diffs. A tick commits what was journaled before
+// it before its grants leave (Server.Tick), so the confirms they were
+// computed from are durable first; when a submission already committed
+// the slot, that costs no I/O. That is at most one fsync per slot, none
+// in a slot a submission opened, plus one per submission.
 //
-// The leases a heartbeat dispatches are the second exception, and the
-// only grants that leave the RM before their record is durable. When a
-// heartbeat's confirms complete a job, the offers the last tick made to
-// its successors become leases in that heartbeat (Server.Heartbeat); their
-// grants are journaled directly behind the confirm record, as a tick
-// record whose slot does not move — applyTickLocked replays it like any
-// tick's grants — and wait for the same commit. The same three facts
-// carry it. WAL order is mutation order and a commit syncs a prefix, so
-// the grant record never survives without the confirm that made its job
-// ready: after a crash the log holds both (recovery requeues the lease
-// with every other one), the confirm alone, or neither. Recovery and
-// promotion requeue every lease. And the recovered RM knows no node, so
-// the node running a lost grant's quantum is refused whole — unknown_node,
-// before any confirm it carries is looked at — until it has dropped its
-// lease set and re-registered. What is new is that a lost grant's
-// quantum ID comes back: the ID counter is recovered with the log, every
-// ID a tick hands out is durable before it leaves, but a dispatched one
-// is not, so the recovered RM reissues it — typically to the re-grant of
-// the predecessor whose confirm was lost with it. That is harmless: the
-// only holder of the ID's first life cannot speak until it holds nothing,
-// and a confirm applies only to a live lease on the node that sends it,
-// at most once, so even a delayed duplicate of the old heartbeat can at
-// worst confirm early a quantum its own node is running — never deliver
-// volume twice, never complete a job whose work no node was given.
+// What it costs: a *machine* crash (a process kill keeps the page cache)
+// can lose up to one slot of records — confirms, dispatched leases, the
+// slot's tick record — all of them already acted on. Three facts make
+// that harmless. WAL order is mutation order and a commit syncs a prefix,
+// so the log after a crash is a prefix of what the process journaled: a
+// grant record never survives without the confirm that made its job ready,
+// nor a tick without what came before it. Recovery and promotion requeue
+// every in-flight lease. And the recovered RM knows no node, so a node
+// running a lost grant's quantum is refused whole — unknown_node, before
+// any confirm it carries is looked at — until it has dropped its lease set
+// and re-registered. To everything durable a lost record is then the
+// crash arriving just before it: a lost confirm's lease is requeued and
+// its finished quantum runs again, a lost tick's slot is ticked again,
+// delivered volume is counted exactly once — the fate every quantum in
+// flight at the crash already has. What a lost grant adds is that its
+// quantum ID comes back: the ID counter is recovered with the log, so the
+// recovered RM reissues it. That is harmless: the only holder of the
+// ID's first life cannot speak until it holds nothing, and a confirm
+// applies only to a live lease on the node that sends it, at most once,
+// so even a delayed duplicate of the old heartbeat can at worst confirm
+// early a quantum its own node is running — never deliver volume twice,
+// never complete a job whose work no node was given.
 //
 // Under interval/never policies every one of these windows reopens by
 // design — that is the policy's documented trade.
@@ -281,8 +270,8 @@ type snapLease struct {
 // journalLocked appends one record to the WAL, returning its commit
 // handle (the zero handle with no store). Must be called with s.mu held
 // so record order matches mutation order. The handle is also kept as
-// s.journaled: committing the newest handle commits every record before
-// it, which is how heartbeat confirms ride the tick's commit. A store
+// s.journaled: committing a handle commits every record before it, which
+// is how the records nobody waits for ride the next commit. A store
 // that refuses the append is reported as ErrCommitFailed.
 func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
 	payload, err := s.encodeLocked(&rec)

@@ -48,8 +48,8 @@ func (s *Server) livePlanLocked() *plan.Plan {
 // streamPlansLocked drains the scheduler's pending plan diffs, applies
 // each to the live plan, and journals it. On a broken revision chain it
 // rebases wholesale from the scheduler's live plan instead (see the
-// package comment above). The caller's commit of s.journaled covers
-// every record appended here.
+// package comment above). Every record appended here rides the next
+// commit, as the tick record before it does.
 func (s *Server) streamPlansLocked() error {
 	ps, ok := s.cfg.Scheduler.(sched.PlanStreamer)
 	if !ok {
@@ -81,8 +81,8 @@ func (s *Server) streamPlansLocked() error {
 }
 
 // rebasePlanLocked replaces the live plan wholesale with the
-// scheduler's, journaling the full plan as one record whose commit
-// rides the caller's.
+// scheduler's, journaling the full plan as one record that rides the
+// next commit.
 func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
 	s.livePlan = lp
 	s.faults.PlanRebases++

@@ -424,8 +424,10 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 // reply where this node has room: their grants are journaled after the
 // confirm record as a tick record that does not advance the slot, and
 // ride the same commit. Every other quantum handed back was queued by a
-// tick that had already committed. A store that refuses an append fails
-// the heartbeat with ErrCommitFailed and hands out nothing.
+// tick once everything journaled before that tick was durable; the tick's
+// own record may still be waiting for the next commit. A store that
+// refuses an append fails the heartbeat with ErrCommitFailed and hands
+// out nothing.
 func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto.HeartbeatResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -786,27 +788,30 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 // A panicking scheduler is converted into a no-grant slot: jobs stay
 // queued, state stays consistent, and the RM keeps running. Each tick —
 // slot advance, reclaimed leases, issued grants — is journaled as one
-// WAL record, and one commit makes it, the plan diffs of its replan and
-// everything heartbeats journaled since the previous commit durable.
-// The tick's grants become fetchable by heartbeats, and its offers
-// claimable, only after that commit: a crash can then never leave a node
-// executing a tick's work the recovered RM does not know it granted. A
-// tick whose commit fails returns ErrCommitFailed and hands out nothing;
-// its leases stay with the RM until lease expiry or recovery reclaims
-// them.
+// WAL record, followed by the plan diffs of its replan. Before its grants
+// become fetchable by heartbeats and its offers claimable, the tick
+// commits what was journaled before it, so the confirms those grants were
+// computed from are durable first. Its own records ride the next commit,
+// like a hand-off's ("Durability ordering" in persist.go says why a
+// machine crash that takes them back is harmless): a tick that has to wait
+// syncs them in the same fsync, and one whose slot a submission or a
+// status barrier already committed does no I/O. The reply to POST
+// /v1/tick thus acknowledges the advance, not its durability. A tick
+// whose commit fails returns ErrCommitFailed and hands out nothing; its
+// leases stay with the RM until lease expiry or recovery reclaims them.
 func (s *Server) Tick(now time.Time) error {
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
+	h := s.journaled // everything the tick's grants were computed from
 	rec, planned, offers, err := s.tickLocked(now)
 	_, jerr := s.journalLocked(walRecord{Tick: rec})
 	// Drain and journal the plan diffs this tick's replan emitted.
 	if serr := s.streamPlansLocked(); serr != nil && err == nil {
 		err = serr
 	}
-	h := s.journaled // the newest record: the tick's, or its last diff's
 	s.mu.Unlock()
 	if jerr == nil {
 		jerr = s.commitRecord(h)
@@ -814,11 +819,11 @@ func (s *Server) Tick(now time.Time) error {
 	if jerr != nil {
 		return jerr
 	}
-	// Enqueue the slot's grants and arm its offers now that the tick record
-	// is durable. A lease may have been reclaimed while the commit ran —
-	// node re-registration runs concurrently — so deliver only quanta whose
-	// lease is still live on a node the RM still tracks; offers are this
-	// slot's or nobody's.
+	// Enqueue the slot's grants and arm its offers now that what came before
+	// the tick is durable. A lease may have been reclaimed while the commit
+	// ran — node re-registration runs concurrently — so deliver only quanta
+	// whose lease is still live on a node the RM still tracks; offers are
+	// this slot's or nobody's.
 	if len(planned) > 0 || len(offers) > 0 {
 		s.mu.Lock()
 		for _, p := range planned {
@@ -843,7 +848,7 @@ func (s *Server) Tick(now time.Time) error {
 }
 
 // plannedLaunch is a quantum a tick granted but has not yet queued on
-// its node: delivery waits for the tick record to commit.
+// its node: delivery waits for what came before the tick to commit.
 type plannedLaunch struct {
 	nodeID string
 	q      rmproto.Quantum
@@ -1077,8 +1082,8 @@ func (s *Server) totalCapacityLocked() resource.Vector {
 }
 
 // Status snapshots the cluster as the process sees it, without touching
-// the disk: confirms a heartbeat journaled since the last commit are in
-// it although a machine crash would still take them back. In-process
+// the disk: confirms and slot advances journaled since the last commit are
+// in it although a machine crash would still take them back. In-process
 // callers read this; GET /v1/status answers syncedStatus. The lock is
 // held for the live jobs only: the completed ones are merged in after it
 // is released.

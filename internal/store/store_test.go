@@ -353,7 +353,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 // TestCommitCoversWrittenPrefix: committing the newest handle makes every
 // record appended before it durable with one fsync — the property the
-// RM's heartbeat confirms lean on to ride the tick commit — and
+// RM's confirms and tick records lean on to ride the next commit — and
 // Stats.Unsynced counts what is still waiting.
 func TestCommitCoversWrittenPrefix(t *testing.T) {
 	s := open(t, t.TempDir(), SyncAlways)
