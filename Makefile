@@ -2,8 +2,9 @@
 # full test suite — including the rmserver chaos tests — under the race
 # detector, plus a coverage run, the sim-smoke scenario replay and the
 # benchmark harness's own build and tests (bench-e2e). `make verify` is
-# the differential verification sweep (flow planner vs. reference simplex,
-# oracle cross-checks, metamorphic relations — gate reservations yield to
+# the differential verification sweep (the flow planner's certificates
+# against the exact checker, brute force and min-cut cross-checks,
+# metamorphic relations — gate reservations yield to
 # deadlines, every FlowTime slot is work-conserving, striking the ad-hoc
 # jobs from a slot gives deadline work only the capacity they had taken
 # — and sim invariants); `make fuzz`
@@ -11,8 +12,8 @@
 # primitive both journal codecs share (FuzzFrontString), the two binary
 # journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
 # FuzzDecodeWALRecord), the binary heartbeat and submission codecs
-# (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the MPS reader,
-# the status query, the heartbeat, submission and replication request
+# (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
+# query, the heartbeat, submission and replication request
 # bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test Go line count the
 # subtraction passes are measured by; `make check` ends with it.
 
@@ -66,12 +67,13 @@ chaos-net:
 cover:
 	$(GO) test -cover ./... | tee coverage.txt
 
-# verify is the differential sweep: 500 seeded cases checking the flow
-# planner against the exact simplex (per-slot levels), both against brute
-# force / min-cut oracles and the metamorphic relations, the
+# verify is the differential sweep: 500 seeded cases holding the flow
+# planner's certificates (every level's min cut and exact flow, stage A's
+# cuts) to the exact checker, the planner to brute force / min-cut oracles
+# and the metamorphic relations on tiny instances, the
 # reservations-yield relation (a gate reservation routed last changes no
-# deadline job's stage A shortfall, and what survives is the reference
-# simplex's joint max flow minus the deadline jobs' own), the
+# deadline job's stage A shortfall, and what survives is the certified
+# joint max flow minus the deadline jobs' own), the
 # decomposition oracle, and full-pipeline sim runs with the invariant
 # checker armed and every Assign held to work conservation (a resource
 # kind with capacity left has no ready job short of its request; a
@@ -89,11 +91,9 @@ verify:
 # codec fuzz targets
 # (every codec: no panic, an accepted input re-encodes to itself; a diff
 # or record is safe to apply) from the checked-in seed corpora
-# (testdata/fuzz/) and in-code seeds, the flow planner target (conservation, window, cap and parallelism invariants on
-# adversarial capacities and demands, overflow-sized ones included), the
-# MPS reader target (cmd/ftlp's input: no panic, and an accepted document
-# is a valid model that survives WriteMPS -> ReadMPS with the same
-# variables, rows and bounds), the GET /v1/status query target (any
+# (testdata/fuzz/) and in-code seeds, the flow planner target (both
+# stages' certificates pass the exact checker on adversarial capacities
+# and demands, overflow-sized ones included), the GET /v1/status query target (any
 # cursor, archive or live, is a 400 or a consistent 200), the heartbeat
 # body target (any binary POST /v1/nodes/heartbeat body, on a server
 # holding an offer, is a 4xx or a 200 — for a body that re-encodes to
@@ -122,7 +122,6 @@ fuzz:
 	$(GO) test -fuzz FuzzHeartbeatCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzSubmitCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
-	$(GO) test -fuzz FuzzReadMPS -fuzztime 10s -run '^$$' ./internal/lp/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzHeartbeatBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s -run '^$$' ./internal/rmserver/
@@ -140,31 +139,30 @@ sim-smoke:
 	$(GO) run ./cmd/ftsim -trace testdata/scenario-smoke.json -machines 40 -slot 60s -horizon 1440 -sched FlowTime -invariants
 	$(GO) run ./cmd/ftsim -scenario churn -machines 40 -days 1 -seed 42 -sched EDF -invariants
 
-# bench runs the micro-benchmarks and then ftperf's two probes, leaving
-# machine-readable reports for the perf trajectory: BENCH_lp.json (one
-# replan's skyline at Fig. 7 scale: the flow planner's wall time, and on
-# the three small sizes the reference simplex's beside it with rounds,
-# pivots and the per-slot level agreement) and BENCH_adhoc.json (the
-# lock-free ad-hoc admission gate: sustained admissions/s and
-# admission-latency percentiles while replans rebase the queue
-# concurrently, plus conservation verdicts). What the RM's control plane
-# costs end to end is bench/'s to measure (go run -C bench .).
-BENCH_PKGS := ./internal/rmserver/ ./internal/flow/ ./internal/lp/ ./internal/deadline/ ./internal/sim/
+# bench runs the micro-benchmarks — among them internal/flow's
+# BenchmarkLexMinMax, one replan's skyline at the paper's Fig. 7 scale
+# (5,000 jobs x 1,000 slots) — and then ftperf's ad-hoc gate probe, leaving
+# BENCH_adhoc.json for the perf trajectory (the lock-free ad-hoc admission
+# gate: sustained admissions/s and admission-latency percentiles while
+# replans rebase the queue concurrently, plus conservation verdicts). What
+# the RM's control plane costs end to end is bench/'s to measure (go run
+# -C bench .).
+BENCH_PKGS := ./internal/rmserver/ ./internal/flow/ ./internal/deadline/ ./internal/sim/
 bench:
 	$(GO) test -bench . -benchtime=500ms -run '^$$' $(BENCH_PKGS)
-	$(GO) run ./cmd/ftperf -lpout BENCH_lp.json -adhocout BENCH_adhoc.json
+	$(GO) run ./cmd/ftperf -adhocout BENCH_adhoc.json
 
 # bench-smoke is the CI form: every benchmark runs exactly once so a
 # broken benchmark fails fast without paying for a measurement run. Its
-# 100 ms reports go under $(SMOKE_DIR) (git-ignored), never over the tracked
-# BENCH_*.json measurements. -lp-guard is the planner regression gate: at
-# 200x150 the flow planner's levels must equal the reference simplex's
-# per slot, and at 5kx1k a flow replan must stay under 1 s.
+# 100 ms report goes under $(SMOKE_DIR) (git-ignored), never over the
+# tracked BENCH_adhoc.json. BenchmarkLexMinMax is the planner regression
+# gate: its 5000x1000 replan fails over 1 s, and its certificate must
+# pass the exact checker.
 SMOKE_DIR := .bench_build/smoke
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 	mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/ftperf -lpout $(SMOKE_DIR)/BENCH_lp.json -adhocout $(SMOKE_DIR)/BENCH_adhoc.json -duration 100ms -lpiters 1 -lp-guard
+	$(GO) run ./cmd/ftperf -adhocout $(SMOKE_DIR)/BENCH_adhoc.json -duration 100ms
 
 # bench-e2e vets and tests the whole-path benchmark harness. bench/ is a
 # module of its own (BENCHMARK.json's contract), so nothing above descends

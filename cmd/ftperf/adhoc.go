@@ -7,7 +7,7 @@ package main
 // matter for the perf trajectory:
 //
 //   - sustained admissions per second across all submitters — the gate
-//     must absorb an ad-hoc flood without waking the LP (target ≥100k/s);
+//     must absorb an ad-hoc flood without waking the planner (target ≥100k/s);
 //   - admission latency percentiles *measured while replans run
 //     concurrently* — an epoch swap must not stall submitters (target
 //     p99 < 5ms);

@@ -1,8 +1,8 @@
 // Command ftverify is the differential verification sweep: it generates
-// seeded scheduling instances and full-pipeline scenarios, checks the
-// production flow planner, the reference simplex and the decomposer
-// against the independent oracles in internal/oracle and against each
-// other — including the relations that keep ad-hoc work from costing a
+// seeded scheduling instances and full-pipeline scenarios, holds the
+// production flow planner's certificates to the exact checker in
+// internal/oracle, and the planner and the decomposer to the independent
+// oracles there — including the relations that keep ad-hoc work from costing a
 // deadline and deadline work from idling (reservations yield in the
 // planner; in the simulator every slot is work-conserving, and striking
 // the ad-hoc jobs from a slot's decision changes nothing deadline work is
@@ -67,7 +67,7 @@ func errString(err error) string {
 }
 
 func breakdown(counts map[string]int) string {
-	return fmt.Sprintf("%d small cross-checks, %d flow-vs-LP checks, %d large interior checks, %d reservation-yield checks, %d pipeline scenarios (%d work-conservation slots, %d with an ad-hoc stream to strike out, played again under chaos), %d diff-equivalence runs",
+	return fmt.Sprintf("%d small cross-checks, %d certified flow checks, %d large certificate checks, %d reservation-yield checks, %d pipeline scenarios (%d work-conservation slots, %d with an ad-hoc stream to strike out, played again under chaos), %d diff-equivalence runs",
 		counts["small"], counts["flow"], counts["large"], counts["reserve"], counts["scenario"], counts["conserving-slots"], counts["adhoc-removal"], counts["diffequiv"])
 }
 
@@ -91,47 +91,40 @@ func runCase(rng *rand.Rand, verbose bool, counts map[string]int) (string, error
 	}
 }
 
-// smallCase cross-checks the reference simplex against brute force and
-// min-cut on a tiny instance, then exercises the metamorphic relations
-// on it.
+// smallCase holds the flow planner's certified answer to brute force and
+// min-cut on a tiny instance, then exercises the metamorphic relations on
+// it.
 func smallCase(rng *rand.Rand) error {
-	return crossCheckSmall(exactLP, oracle.GenInstance(rng), rng)
+	return crossCheckSmall(oracle.GenInstance(rng), rng)
 }
 
-// exactLP is the reference simplex run to the exact lexicographic optimum.
-func exactLP(in oracle.Instance) (*oracle.LPResult, error) {
-	return oracle.SolveLP(in, 0)
-}
-
-// flowCase is the check that licenses planning by flow: the production
-// flow planner against the exact simplex (same feasibility, every group's
-// level equal, level-capped flows exact down to their cap), on a tiny
-// instance two times in three — where the flow planner then also faces
-// brute force, min-cut and the metamorphic relations alone — and on one
-// far beyond enumeration reach otherwise.
+// flowCase is the check that licenses planning by flow: the planner's
+// skylines, uncapped and level-capped, and its stage A routing pass the
+// exact checker, an infeasible verdict included (oracle.CheckFlow), on a
+// tiny instance two times in three — where the planner then also faces
+// brute force, min-cut and the metamorphic relations — and on one far
+// beyond enumeration reach otherwise.
 func flowCase(rng *rand.Rand) error {
 	small := rng.Intn(3) != 0
 	in := oracle.GenLargeInstance(rng)
 	if small {
 		in = oracle.GenInstance(rng)
 	}
-	if err := oracle.CheckFlowLP(in, oracle.Tol); err != nil {
-		return shrunk(in, err, func(c oracle.Instance) bool {
-			return oracle.CheckFlowLP(c, oracle.Tol) != nil
-		})
+	if err := oracle.CheckFlow(in); err != nil {
+		return shrunk(in, err, func(c oracle.Instance) bool { return oracle.CheckFlow(c) != nil })
 	}
 	if !small {
 		return nil
 	}
-	return crossCheckSmall(oracle.SolveFlow, in, rng)
+	return crossCheckSmall(in, rng)
 }
 
 // reserveCase is the check that licenses planning a gate reservation as a
 // one-slot job routed last: for an instance (tiny two times in three) and
 // a seeded reservation vector, every deadline job's stage A shortfall is
 // its reservation-free one, deadline load plus surviving reservation fits
-// every slot's hard capacity, and the surviving total equals the
-// reference simplex's joint max flow minus the deadline jobs' own.
+// every slot's hard capacity, and the surviving total is the joint max
+// flow minus the deadline jobs' own, each total certified by its min cut.
 func reserveCase(rng *rand.Rand) error {
 	in := oracle.GenLargeInstance(rng)
 	if rng.Intn(3) != 0 {
@@ -139,7 +132,7 @@ func reserveCase(rng *rand.Rand) error {
 	}
 	rsvSeed := rng.Int63()
 	check := func(c oracle.Instance) error {
-		return oracle.CheckReservationsYield(c, oracle.GenReservations(c, rsvSeed), oracle.Tol)
+		return oracle.CheckReservationsYield(c, oracle.GenReservations(c, rsvSeed))
 	}
 	if err := check(in); err != nil {
 		min := oracle.Shrink(in, func(c oracle.Instance) bool { return check(c) != nil })
@@ -149,42 +142,37 @@ func reserveCase(rng *rand.Rand) error {
 	return nil
 }
 
-// crossCheckSmall runs one solver through the brute-force and min-cut
+// crossCheckSmall runs the planner through the brute-force and min-cut
 // battery and the metamorphic relations on a tiny instance.
-func crossCheckSmall(solve oracle.Solver, in oracle.Instance, rng *rand.Rand) error {
-	if err := oracle.CrossCheck(solve, in, oracle.Tol); err != nil {
-		return shrunk(in, err, func(c oracle.Instance) bool {
-			return oracle.CrossCheck(solve, c, oracle.Tol) != nil
-		})
+func crossCheckSmall(in oracle.Instance, rng *rand.Rand) error {
+	if err := oracle.CrossCheck(in, oracle.Tol); err != nil {
+		return shrunk(in, err, func(c oracle.Instance) bool { return oracle.CrossCheck(c, oracle.Tol) != nil })
 	}
-	if err := oracle.CheckScaleInvariance(solve, in, 1+int64(rng.Intn(4)), oracle.Tol); err != nil {
+	if err := oracle.CheckScaleInvariance(in, 1+int64(rng.Intn(4)), oracle.Tol); err != nil {
 		return fmt.Errorf("%w\ninstance: %+v", err, in)
 	}
-	if err := oracle.CheckPermutationInvariance(solve, in, rng, oracle.Tol); err != nil {
+	if err := oracle.CheckPermutationInvariance(in, rng, oracle.Tol); err != nil {
 		return fmt.Errorf("%w\ninstance: %+v", err, in)
 	}
-	if err := oracle.CheckSplitSlot(solve, in, rng.Int63n(int64(len(in.Caps))), oracle.Tol); err != nil {
+	if err := oracle.CheckSplitSlot(in, rng.Int63n(int64(len(in.Caps))), oracle.Tol); err != nil {
 		return fmt.Errorf("%w\ninstance: %+v", err, in)
 	}
 	return nil
 }
 
-// largeCase verifies the reference simplex from the interior on an
+// largeCase holds the planner's certificate to the exact checker on an
 // instance far beyond enumeration reach.
 func largeCase(rng *rand.Rand) error {
 	in := oracle.GenLargeInstance(rng)
-	res, err := exactLP(in)
-	if err != nil {
-		return fmt.Errorf("solver error: %w\ninstance: %+v", err, in)
+	check := func(c oracle.Instance) error {
+		sol, err := oracle.SolveFlow(c)
+		if err != nil || !sol.Feasible {
+			return err
+		}
+		return oracle.CheckSolution(c, 0, sol.Sky)
 	}
-	if !res.Feasible {
-		return nil
-	}
-	if err := oracle.CheckSolution(in, res, oracle.Tol); err != nil {
-		return shrunk(in, err, func(c oracle.Instance) bool {
-			r, serr := exactLP(c)
-			return serr == nil && r.Feasible && oracle.CheckSolution(c, r, oracle.Tol) != nil
-		})
+	if err := check(in); err != nil {
+		return shrunk(in, err, func(c oracle.Instance) bool { return check(c) != nil })
 	}
 	return nil
 }

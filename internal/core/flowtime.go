@@ -853,9 +853,13 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
 			}
 		}
-		p.err = f.runPlanner(kind, func() (w flow.Work, err error) {
-			p.short, w, err = flow.Shortfall(p.caps, p.jobs, p.order)
-			return w, err
+		p.err = f.runPlanner(kind, func() (flow.Work, error) {
+			r, err := flow.Shortfall(p.caps, p.jobs, p.order)
+			if err != nil {
+				return flow.Work{}, err
+			}
+			p.short = r.Short
+			return r.Work, nil
 		})
 		probs = append(probs, p)
 	}
@@ -956,7 +960,7 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 			return sky.Work, nil
 		})
 		if err == nil {
-			f.stats.LPRounds += sky.Levels
+			f.stats.LPRounds += len(sky.Levels)
 		}
 	}
 	if err != nil {

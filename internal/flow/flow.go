@@ -22,6 +22,13 @@
 // a tolerance. A product or sum that does not fit an int64 is reported
 // as ErrOverflow, never wrapped. Everything is slices walked in job-slice
 // then slot order, so the same input gives the same output bit for bit.
+//
+// Both stages certify their answers (McConnell et al., "Certifying
+// algorithms", 2011): each hands back, as plain data, the min cuts its
+// labels already marked, and the flow in exact integer units. A checker
+// that knows only the instance confirms from them that the answer is
+// feasible and that no better one exists (oracle.CheckSolution,
+// oracle.CheckRouting).
 package flow
 
 import (
@@ -229,6 +236,20 @@ func (g *network) augment() {
 	}
 }
 
+// Routing is Shortfall's answer with the cuts that prove it.
+type Routing struct {
+	// Short[j] is the demand of job j left unrouted.
+	Short []int64
+	// JobCut[j] and SlotCut[t] are the position in the order from which
+	// job j or slot t is on the source side of the proving cut, -1 for
+	// never. The nodes on it by the position of a job that came up short
+	// are a min cut of the network of the jobs up to that one, so their
+	// capacity at the hard slot capacities is what those jobs routed; all
+	// the nodes on it are a min cut of the final flow.
+	JobCut, SlotCut []int
+	Work            Work
+}
+
 // Shortfall is the planner's stage A: the max flow at the hard slot
 // capacities, and per job the demand it leaves unrouted. Jobs are let in
 // one at a time in the given order (indices into jobs, each exactly
@@ -237,13 +258,19 @@ func (g *network) augment() {
 // cannot fit lands on the jobs latest in the order and the split is a
 // function of the input alone. The total routed is the max flow whatever
 // the order.
-func Shortfall(caps []int64, jobs []Job, order []int) (short []int64, work Work, err error) {
+//
+// The proof is read off the labels of the failed searches: those after
+// each short job's augmentation, and after the last one. A node that
+// cannot reach the sink never can again, so the union of those source
+// sides stays closed in the residual graph and every arc leaving it
+// stays saturated.
+func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	g, err := newNetwork(caps, jobs)
 	if err != nil {
-		return nil, Work{}, err
+		return nil, err
 	}
 	if len(order) != len(jobs) {
-		return nil, Work{}, fmt.Errorf("flow: order names %d jobs, instance has %d", len(order), len(jobs))
+		return nil, fmt.Errorf("flow: order names %d jobs, instance has %d", len(order), len(jobs))
 	}
 	for j, slots := range g.arcSlot {
 		for i := range slots {
@@ -255,12 +282,22 @@ func Shortfall(caps []int64, jobs []Job, order []int) (short []int64, work Work,
 			g.res[e] = caps[t]
 		}
 	}
-	short = make([]int64, len(jobs))
+	r := &Routing{
+		Short:   make([]int64, len(jobs)),
+		JobCut:  make([]int, len(jobs)),
+		SlotCut: make([]int, len(caps)),
+	}
+	for i := range r.JobCut {
+		r.JobCut[i] = -1
+	}
+	for i := range r.SlotCut {
+		r.SlotCut[i] = -1
+	}
 	seen := make([]bool, len(jobs))
 	g.work.MaxFlows = 1
-	for _, j := range order {
+	for pos, j := range order {
 		if j < 0 || j >= len(jobs) || seen[j] {
-			return nil, Work{}, fmt.Errorf("flow: order entry %d out of range or repeated", j)
+			return nil, fmt.Errorf("flow: order entry %d out of range or repeated", j)
 		}
 		seen[j] = true
 		e := g.srcEdge[j]
@@ -269,33 +306,56 @@ func Shortfall(caps []int64, jobs []Job, order []int) (short []int64, work Work,
 		}
 		g.res[e] = jobs[j].Demand
 		g.augment()
+		if g.res[e] > 0 {
+			g.joinCut(r, pos)
+		}
 		// Close the arc: no later augmentation can open a path for a job
 		// that came up short, so later searches need not start from it.
-		short[j], g.res[e] = g.res[e], 0
+		r.Short[j], g.res[e] = g.res[e], 0
 	}
-	return short, g.work, nil
+	g.joinCut(r, len(order)-1)
+	r.Work = g.work
+	return r, nil
 }
 
-// Skyline is the lexicographic min-max flow of LexMinMax.
+// joinCut puts the nodes the last, failed search labeled on the source
+// side of r's cut from position pos on.
+func (g *network) joinCut(r *Routing, pos int) {
+	for _, v := range g.queue {
+		if j := int(v) - 1; j >= 0 && j < len(g.jobs) {
+			if r.JobCut[j] < 0 {
+				r.JobCut[j] = pos
+			}
+		} else if t := j - len(g.jobs); t >= 0 && t < len(g.caps) && r.SlotCut[t] < 0 {
+			r.SlotCut[t] = pos
+		}
+	}
+}
+
+// Skyline is the lexicographic min-max flow of LexMinMax, with the
+// levels and cuts that prove it optimal.
 type Skyline struct {
 	// Load[t] is the load the flow puts on slot t.
 	Load []float64
-	// Level[t] is Load[t]/caps[t], the normalized load; slots frozen at
-	// the same level carry the identical float. Zero for slots no job
-	// can use.
-	Level []float64
-	// Usable[t] marks the slots of positive capacity inside the window of
-	// some job with demand — the slots that have a level at all.
-	Usable []bool
-	// Alloc[j][i] is what job j places in slot Rel+i of its window (nil
-	// for a job without demand).
-	Alloc [][]float64
-	// Levels is the number of levels solved exactly, and Exact[t] marks
-	// the slots frozen at one of them. With maxLevels = 0 every slot a
-	// job can use is exact.
-	Levels int
-	Exact  []bool
+	// Alloc[j][i] is what job j places in slot Rel+i of its window, in
+	// units of 1/Den[j] (nil for a job without demand).
+	Alloc [][]int64
+	Den   []int64
+	// Levels are the levels solved, highest first.
+	Levels []Level
 	Work   Work
+}
+
+// Level is one level of the skyline and its proof. Slots and Jobs, in
+// ascending order, are the source side of the maximal min cut of the
+// level's network at θ = Num/Den: the jobs not frozen at a level above
+// routing their demand into the slots not frozen above, each slot t
+// taking up to θ·C_t less what jobs frozen above must put there. Its
+// capacity at θ equals that demand, so no lower level routes it, and
+// every slot in Slots carries exactly θ·C_t.
+type Level struct {
+	Num, Den    int64
+	Slots, Jobs []int
 }
 
 // LexMinMax is the planner's stage B. It routes every job's whole demand
@@ -318,26 +378,23 @@ func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
 		base:       make([]int64, len(caps)),
 		stuck:      make([]bool, len(g.level)),
 		out: &Skyline{
-			Load:   make([]float64, len(caps)),
-			Level:  make([]float64, len(caps)),
-			Alloc:  make([][]float64, len(jobs)),
-			Exact:  make([]bool, len(caps)),
-			Usable: make([]bool, len(caps)),
+			Load:  make([]float64, len(caps)),
+			Alloc: make([][]int64, len(jobs)),
+			Den:   make([]int64, len(jobs)),
 		},
 	}
 	for j := range jobs {
 		if g.srcEdge[j] >= 0 {
 			s.jobActive[j] = true
 			s.activeJobs++
-			s.out.Alloc[j] = make([]float64, jobs[j].Dl-jobs[j].Rel)
+			s.out.Alloc[j] = make([]int64, jobs[j].Dl-jobs[j].Rel)
 		}
 	}
 	for t, e := range g.sinkEdge {
 		s.slotActive[t] = e >= 0
-		s.out.Usable[t] = e >= 0
 	}
 	for s.activeJobs > 0 {
-		if err := s.solveLevel(maxLevels > 0 && s.out.Levels+1 >= maxLevels); err != nil {
+		if err := s.solveLevel(maxLevels > 0 && len(s.out.Levels)+1 >= maxLevels); err != nil {
 			return nil, err
 		}
 	}
@@ -346,8 +403,6 @@ func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
 	for t, on := range s.slotActive {
 		if on {
 			s.out.Load[t] = float64(s.base[t])
-			s.out.Level[t] = s.out.Load[t] / float64(caps[t])
-			s.out.Exact[t] = true
 		}
 	}
 	s.out.Work = g.work
@@ -432,7 +487,6 @@ func (s *lexState) solveLevel(last bool) error {
 		}
 		theta = next
 	}
-	s.out.Levels++
 	return s.freeze(theta, last)
 }
 
@@ -580,7 +634,8 @@ func (s *lexState) cutLevel(demand int64) (ratio, error) {
 // source side of the maximal min cut: its slots carry exactly θ·C_t in
 // every flow at this level, its jobs put their full Cap on each slot
 // outside it, and nothing else enters it — so both leave the problem.
-// With last set the whole flow is final.
+// With last set the whole flow is final. The cut and the frozen jobs'
+// flows go into the skyline as the level's proof.
 func (s *lexState) freeze(theta ratio, last bool) error {
 	for v := range s.stuck {
 		s.stuck[v] = true
@@ -600,49 +655,51 @@ func (s *lexState) freeze(theta ratio, last bool) error {
 
 	level := float64(theta.num) / float64(theta.den)
 	den := float64(s.den)
+	lv := Level{Num: theta.num, Den: theta.den}
 	for j, on := range s.jobActive {
-		if !on || !(last || s.stuck[s.jobNode(j)]) {
+		stuck := s.stuck[s.jobNode(j)]
+		if !on || !(last || stuck) {
 			continue
+		}
+		if stuck {
+			lv.Jobs = append(lv.Jobs, j)
 		}
 		job := s.jobs[j]
 		for i, t := range s.arcSlot[j] {
 			if !s.slotActive[t] {
 				continue
 			}
-			x := s.res[(s.arcStart[j]+int32(2*i))^1]
-			s.out.Alloc[j][int64(t)-job.Rel] = float64(x) / den
+			s.out.Alloc[j][int64(t)-job.Rel] = s.res[(s.arcStart[j]+int32(2*i))^1]
 			if !last && !s.stuck[s.slotNode(int(t))] {
-				// x is the whole arc: it crosses the cut.
+				// The flow is the whole arc: it crosses the cut.
 				s.base[t] += job.Cap
 			}
 		}
+		s.out.Den[j] = s.den
 		s.jobActive[j] = false
 		s.activeJobs--
 	}
-	frozen := 0
 	for t, on := range s.slotActive {
 		if !on {
 			continue
 		}
 		switch {
 		case s.stuck[s.slotNode(t)]:
-			s.out.Level[t] = level
+			lv.Slots = append(lv.Slots, t)
 			s.out.Load[t] = level * float64(s.caps[t])
-			s.out.Exact[t] = true
 		case last:
 			// base[t] is untouched on this path: it is what earlier
 			// levels forced here, and the flow holds the rest.
 			s.out.Load[t] = float64(s.base[t]) + float64(s.res[s.sinkEdge[t]^1])/den
-			s.out.Level[t] = s.out.Load[t] / float64(s.caps[t])
 		default:
 			continue
 		}
 		s.slotActive[t] = false
-		frozen++
 	}
-	if frozen == 0 {
+	if len(lv.Slots) == 0 {
 		return fmt.Errorf("flow: no slot is tight at level %d/%d (internal error)", theta.num, theta.den)
 	}
+	s.out.Levels = append(s.out.Levels, lv)
 	return nil
 }
 

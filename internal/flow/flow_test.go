@@ -1,65 +1,156 @@
-package flow
+package flow_test
 
 import (
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
+	"time"
+
+	"flowtime/internal/flow"
+	"flowtime/internal/oracle"
 )
 
-func TestLexMinMaxSpreadsOneJob(t *testing.T) {
-	// Demand 3 over two slots of capacity 2: 1.5 + 1.5, level 0.75.
-	sky, err := LexMinMax([]int64{2, 2}, []Job{{Demand: 3, Rel: 0, Dl: 2, Cap: 2}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tt, lv := range sky.Level {
-		if lv != 0.75 || sky.Load[tt] != 1.5 || !sky.Exact[tt] {
-			t.Errorf("slot %d: level %g load %g exact %v, want 0.75, 1.5, true", tt, lv, sky.Load[tt], sky.Exact[tt])
-		}
-	}
-	if sky.Levels != 1 {
-		t.Errorf("Levels = %d, want 1", sky.Levels)
+// certify holds a skyline to the exact checker.
+func certify(t testing.TB, caps []int64, jobs []flow.Job, maxLevels int, sky *flow.Skyline) {
+	t.Helper()
+	if err := oracle.CheckSolution(instance(caps, jobs), maxLevels, sky); err != nil {
+		t.Fatalf("certificate rejected: %v", err)
 	}
 }
 
+func instance(caps []int64, jobs []flow.Job) oracle.Instance {
+	in := oracle.Instance{Caps: caps, Jobs: make([]oracle.Job, len(jobs))}
+	for j, job := range jobs {
+		in.Jobs[j] = oracle.Job(job)
+	}
+	return in
+}
+
+// wantLevels asserts the certificate's levels, highest first, as
+// num/den pairs.
+func wantLevels(t *testing.T, sky *flow.Skyline, want ...[2]int64) {
+	t.Helper()
+	if len(sky.Levels) != len(want) {
+		t.Fatalf("%d levels %+v, want %v", len(sky.Levels), sky.Levels, want)
+	}
+	for k, lv := range sky.Levels {
+		if lv.Num != want[k][0] || lv.Den != want[k][1] {
+			t.Errorf("level %d is %d/%d, want %d/%d", k, lv.Num, lv.Den, want[k][0], want[k][1])
+		}
+	}
+}
+
+func TestLexMinMaxSpreadsOneJob(t *testing.T) {
+	// Demand 3 over two slots of capacity 2: 1.5 + 1.5, level 3/4.
+	caps, jobs := []int64{2, 2}, []flow.Job{{Demand: 3, Rel: 0, Dl: 2, Cap: 2}}
+	sky, err := flow.LexMinMax(caps, jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLevels(t, sky, [2]int64{3, 4})
+	for tt, load := range sky.Load {
+		if load != 1.5 {
+			t.Errorf("slot %d: load %g, want 1.5", tt, load)
+		}
+	}
+	certify(t, caps, jobs, 0, sky)
+}
+
+// TestLexMinMaxMotivatingExample is the paper's Fig. 1: workflow W1 is
+// two chained jobs, each needing the full cluster for 50 time units within
+// a 200-unit deadline. After FlowTime's decomposition job 1 gets [0, 100)
+// and job 2 [100, 200); the lexicographic min-max flattens each to half
+// the cluster across its window, leaving the other half free for ad-hoc
+// jobs at all times — Fig. 1(b). Scaled: a slot is 10 time units.
+func TestLexMinMaxMotivatingExample(t *testing.T) {
+	caps := make([]int64, 20)
+	for i := range caps {
+		caps[i] = 10
+	}
+	jobs := []flow.Job{{Demand: 50, Rel: 0, Dl: 10, Cap: 10}, {Demand: 50, Rel: 10, Dl: 20, Cap: 10}}
+	sky, err := flow.LexMinMax(caps, jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLevels(t, sky, [2]int64{1, 2})
+	if got := len(sky.Levels[0].Slots); got != 20 {
+		t.Errorf("level 1/2 freezes %d slots, want all 20", got)
+	}
+	for tt, load := range sky.Load {
+		if load != 5 {
+			t.Errorf("slot %d: load %g, want 5 (half the cluster left for ad-hoc)", tt, load)
+		}
+	}
+	certify(t, caps, jobs, 0, sky)
+}
+
+// TestLemma1PowerScalarization checks the paper's Lemma 1 on integer
+// skylines: g(u) = Σ_i k^{u_i}, with k the vector's length, orders two
+// vectors exactly as their descending-sorted forms compare
+// lexicographically — the order the planner's levels are optimal in.
+func TestLemma1PowerScalarization(t *testing.T) {
+	g := func(u []float64) (sum int64) {
+		for _, x := range u {
+			sum += int64(math.Pow(float64(len(u)), x))
+		}
+		return sum
+	}
+	f := func(a, b [4]uint8) bool {
+		u, v := make([]float64, 4), make([]float64, 4)
+		for i := range u {
+			u[i], v[i] = float64(a[i]%8), float64(b[i]%8)
+		}
+		us, vs := oracle.SortedDescending(u), oracle.SortedDescending(v)
+		switch {
+		case oracle.LexLess(us, vs, 0):
+			return g(u) < g(v)
+		case oracle.LexLess(vs, us, 0):
+			return g(u) > g(v)
+		default:
+			return g(u) == g(v)
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLexMinMaxLevelsBelowTheFirst is a hand-solved optimum, unique per
+// slot and not just as a sorted vector: job 0 is pinned to slot 0 (level
+// 1 there whatever else happens), so job 1 flattens over slots 1 and 2
+// alone, and the levels are 1, 1/2, 1/2.
 func TestLexMinMaxLevelsBelowTheFirst(t *testing.T) {
-	// Job 0 is pinned to slot 0 (level 1.0 there whatever else happens);
-	// job 1 then flattens over slots 1 and 2 alone: 0.5 each.
 	caps := []int64{4, 4, 4}
-	jobs := []Job{
+	jobs := []flow.Job{
 		{Demand: 4, Rel: 0, Dl: 1, Cap: 4},
 		{Demand: 4, Rel: 0, Dl: 3, Cap: 4},
 	}
-	sky, err := LexMinMax(caps, jobs, 0)
+	sky, err := flow.LexMinMax(caps, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{1, 0.5, 0.5}
-	for tt := range caps {
-		if sky.Level[tt] != want[tt] {
-			t.Errorf("slot %d level %g, want %g", tt, sky.Level[tt], want[tt])
-		}
+	wantLevels(t, sky, [2]int64{1, 1}, [2]int64{1, 2})
+	if s := sky.Levels[0].Slots; len(s) != 1 || s[0] != 0 {
+		t.Errorf("level 1 freezes slots %v, want [0]", s)
 	}
-	if sky.Levels != 2 {
-		t.Errorf("Levels = %d, want 2", sky.Levels)
+	if got, den := sky.Alloc[1], sky.Den[1]; got[0] != 0 || got[1] != 2*den || got[2] != 2*den {
+		t.Errorf("job 1 alloc %v over %d, want [0 2 2]", got, den)
 	}
-	if got := sky.Alloc[1]; got[0] != 0 || got[1] != 2 || got[2] != 2 {
-		t.Errorf("job 1 alloc %v, want [0 2 2]", got)
-	}
+	certify(t, caps, jobs, 0, sky)
 
 	// Capped at one level: slot 0 is exact, the others take whatever the
-	// flow that proved level 1.0 did — at or under it, demand conserved.
-	one, err := LexMinMax(caps, jobs, 1)
+	// flow that proved level 1 did — at or under it, demand conserved.
+	one, err := flow.LexMinMax(caps, jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !one.Exact[0] || one.Level[0] != 1 || one.Exact[1] || one.Exact[2] {
-		t.Errorf("capped: level %v exact %v, want slot 0 alone exact at 1", one.Level, one.Exact)
+	wantLevels(t, one, [2]int64{1, 1})
+	if sum := one.Load[0] + one.Load[1] + one.Load[2]; one.Load[0] != 4 || sum != 8 {
+		t.Errorf("capped: loads %v, want 4 on slot 0 and 8 in all", one.Load)
 	}
-	if sum := one.Load[0] + one.Load[1] + one.Load[2]; sum != 8 {
-		t.Errorf("capped: total load %g, want 8", sum)
-	}
+	certify(t, caps, jobs, 1, one)
 }
 
 func TestLexMinMaxForcedLoadOnLowerSlots(t *testing.T) {
@@ -67,40 +158,42 @@ func TestLexMinMaxForcedLoadOnLowerSlots(t *testing.T) {
 	// shared with the pinned job 1 and sets the top level, and job 0's
 	// forced 3 on slot 1 is that slot's whole load one level down.
 	caps := []int64{10, 10}
-	jobs := []Job{
+	jobs := []flow.Job{
 		{Demand: 6, Rel: 0, Dl: 2, Cap: 3},
 		{Demand: 5, Rel: 0, Dl: 1, Cap: 5},
 	}
-	sky, err := LexMinMax(caps, jobs, 0)
+	sky, err := flow.LexMinMax(caps, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sky.Level[0] != 0.8 || sky.Level[1] != 0.3 {
-		t.Errorf("levels %v, want [0.8 0.3]", sky.Level)
+	wantLevels(t, sky, [2]int64{4, 5})
+	if sky.Load[0] != 8 || sky.Load[1] != 3 {
+		t.Errorf("loads %v, want [8 3]", sky.Load)
 	}
+	certify(t, caps, jobs, 0, sky)
 }
 
 func TestLexMinMaxInfeasibleAndDegenerate(t *testing.T) {
 	for name, tc := range map[string]struct {
 		caps []int64
-		jobs []Job
+		jobs []flow.Job
 	}{
-		"demand beyond cap x window": {[]int64{5}, []Job{{Demand: 3, Rel: 0, Dl: 1, Cap: 2}}},
-		"only a dead slot":           {[]int64{0, 4}, []Job{{Demand: 1, Rel: 0, Dl: 1, Cap: 1}}},
-		"zero parallelism":           {[]int64{4}, []Job{{Demand: 1, Rel: 0, Dl: 1, Cap: 0}}},
+		"demand beyond cap x window": {[]int64{5}, []flow.Job{{Demand: 3, Rel: 0, Dl: 1, Cap: 2}}},
+		"only a dead slot":           {[]int64{0, 4}, []flow.Job{{Demand: 1, Rel: 0, Dl: 1, Cap: 1}}},
+		"zero parallelism":           {[]int64{4}, []flow.Job{{Demand: 1, Rel: 0, Dl: 1, Cap: 0}}},
 	} {
-		if _, err := LexMinMax(tc.caps, tc.jobs, 0); !errors.Is(err, ErrInfeasible) {
+		if _, err := flow.LexMinMax(tc.caps, tc.jobs, 0); !errors.Is(err, flow.ErrInfeasible) {
 			t.Errorf("%s: err = %v, want ErrInfeasible", name, err)
 		}
 	}
-	sky, err := LexMinMax([]int64{3, 0}, []Job{{Demand: 0, Rel: 0, Dl: 2, Cap: 1}}, 0)
-	if err != nil || sky.Levels != 0 || sky.Load[0] != 0 {
+	sky, err := flow.LexMinMax([]int64{3, 0}, []flow.Job{{Demand: 0, Rel: 0, Dl: 2, Cap: 1}}, 0)
+	if err != nil || len(sky.Levels) != 0 || sky.Load[0] != 0 {
 		t.Errorf("no demand: %+v, %v; want an empty skyline", sky, err)
 	}
-	if _, err := LexMinMax([]int64{3}, []Job{{Demand: 1, Rel: 0, Dl: 2, Cap: 1}}, 0); err == nil {
+	if _, err := flow.LexMinMax([]int64{3}, []flow.Job{{Demand: 1, Rel: 0, Dl: 2, Cap: 1}}, 0); err == nil {
 		t.Error("window past the last slot accepted")
 	}
-	if _, err := LexMinMax([]int64{-1}, nil, 0); err == nil {
+	if _, err := flow.LexMinMax([]int64{-1}, nil, 0); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
@@ -108,17 +201,20 @@ func TestLexMinMaxInfeasibleAndDegenerate(t *testing.T) {
 func TestOverflowIsAnErrorNotAWrap(t *testing.T) {
 	big := int64(math.MaxInt64 / 2)
 	caps := []int64{big, big - 1, 7}
-	jobs := []Job{
+	jobs := []flow.Job{
 		{Demand: big, Rel: 0, Dl: 3, Cap: big},
 		{Demand: big / 3, Rel: 1, Dl: 3, Cap: big},
 	}
-	if _, err := LexMinMax(caps, jobs, 0); !errors.Is(err, ErrOverflow) {
+	if _, err := flow.LexMinMax(caps, jobs, 0); !errors.Is(err, flow.ErrOverflow) {
 		t.Errorf("LexMinMax err = %v, want ErrOverflow", err)
 	}
 	// Stage A never scales, so the same sizes are fine there.
-	short, _, err := Shortfall(caps, jobs, []int{0, 1})
-	if err != nil || short[0] != 0 || short[1] != 0 {
-		t.Errorf("Shortfall = %v, %v; want all routed", short, err)
+	r, err := flow.Shortfall(caps, jobs, []int{0, 1})
+	if err != nil || r.Short[0] != 0 || r.Short[1] != 0 {
+		t.Fatalf("Shortfall = %+v, %v; want all routed", r, err)
+	}
+	if err := oracle.CheckRouting(instance(caps, jobs), []int{0, 1}, r); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -128,57 +224,64 @@ func TestShortfallExactUnderParallelismCaps(t *testing.T) {
 	// demand 2}. Y first takes both units of slot 0 greedily; the flow
 	// reroutes it to 1+1 so X fits too.
 	caps := []int64{2, 2, 2}
-	jobs := []Job{
+	jobs := []flow.Job{
 		{Demand: 3, Rel: 0, Dl: 3, Cap: 1},
 		{Demand: 2, Rel: 0, Dl: 2, Cap: 2},
 	}
-	short, _, err := Shortfall(caps, jobs, []int{1, 0})
+	r, err := flow.Shortfall(caps, jobs, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if short[0] != 0 || short[1] != 0 {
-		t.Errorf("shortfall %v, want none", short)
+	if r.Short[0] != 0 || r.Short[1] != 0 {
+		t.Errorf("shortfall %v, want none", r.Short)
 	}
 }
 
 func TestShortfallLandsOnTheLatestInOrder(t *testing.T) {
 	// Two slots of capacity 10, demand 26 against room for 20: whoever
 	// comes last in the order is 6 short, and the total never changes.
+	// The cut that proves it is both slots.
 	caps := []int64{10, 10}
-	jobs := []Job{
+	jobs := []flow.Job{
 		{Demand: 13, Rel: 0, Dl: 2, Cap: 13},
 		{Demand: 13, Rel: 0, Dl: 2, Cap: 13},
 	}
 	for _, order := range [][]int{{0, 1}, {1, 0}} {
-		short, _, err := Shortfall(caps, jobs, order)
+		r, err := flow.Shortfall(caps, jobs, order)
 		if err != nil {
 			t.Fatal(err)
 		}
 		first, lastJ := order[0], order[1]
-		if short[first] != 0 || short[lastJ] != 6 {
-			t.Errorf("order %v: shortfall %v, want 6 on job %d only", order, short, lastJ)
+		if r.Short[first] != 0 || r.Short[lastJ] != 6 {
+			t.Errorf("order %v: shortfall %v, want 6 on job %d only", order, r.Short, lastJ)
+		}
+		if r.SlotCut[0] != 1 || r.SlotCut[1] != 1 {
+			t.Errorf("order %v: slots join the cut at %v, want [1 1]", order, r.SlotCut)
+		}
+		if err := oracle.CheckRouting(instance(caps, jobs), order, r); err != nil {
+			t.Error(err)
 		}
 	}
 	// A window wider than cap x slots is short on its own.
-	short, _, err := Shortfall([]int64{100, 100}, []Job{{Demand: 26, Rel: 0, Dl: 2, Cap: 10}}, []int{0})
-	if err != nil || short[0] != 6 {
-		t.Errorf("shortfall = %v, %v; want 6", short, err)
+	r, err := flow.Shortfall([]int64{100, 100}, []flow.Job{{Demand: 26, Rel: 0, Dl: 2, Cap: 10}}, []int{0})
+	if err != nil || r.Short[0] != 6 {
+		t.Errorf("shortfall = %+v, %v; want 6", r, err)
 	}
-	if _, _, err := Shortfall(caps, jobs, []int{0, 0}); err == nil {
+	if _, err := flow.Shortfall(caps, jobs, []int{0, 0}); err == nil {
 		t.Error("repeated order entry accepted")
 	}
 }
 
 // genInstance draws a planner-shaped instance: windows, parallelism caps
 // and the odd dead slot, with demand sized so it fits its own window.
-func genInstance(rng *rand.Rand, nJobs, nSlots, maxWin int, slotCap int64) ([]int64, []Job) {
+func genInstance(rng *rand.Rand, nJobs, nSlots, maxWin int, slotCap int64) ([]int64, []flow.Job) {
 	caps := make([]int64, nSlots)
 	for t := range caps {
 		if rng.Intn(20) != 0 {
 			caps[t] = slotCap
 		}
 	}
-	jobs := make([]Job, nJobs)
+	jobs := make([]flow.Job, nJobs)
 	for j := range jobs {
 		rel := rng.Intn(nSlots - 1)
 		win := 2 + rng.Intn(min(maxWin, nSlots-rel)-1)
@@ -189,46 +292,59 @@ func genInstance(rng *rand.Rand, nJobs, nSlots, maxWin int, slotCap int64) ([]in
 			}
 		}
 		par := int64(1 + rng.Intn(16))
-		jobs[j] = Job{Demand: rng.Int63n(live*par + 1), Rel: int64(rel), Dl: int64(rel + win), Cap: par}
+		jobs[j] = flow.Job{Demand: rng.Int63n(live*par + 1), Rel: int64(rel), Dl: int64(rel + win), Cap: par}
 	}
 	return caps, jobs
 }
 
-// checkSkyline verifies a skyline from the inside: allocations within
-// windows, parallelism caps and live slots, demand conserved, loads and
-// levels consistent with the allocation.
-func checkSkyline(t testing.TB, caps []int64, jobs []Job, sky *Skyline) {
+// probeInstance is the planner's scale instance at the paper's Fig. 7
+// size: jobs with interval windows, even parallelism caps and integral
+// demands on slots of capacity 1000, deterministic per size. maxWin
+// bounds the window length in slots (deadline windows at real scale are
+// short relative to the horizon); 0 leaves windows unbounded.
+func probeInstance(jobs, slots, maxWin int) oracle.Instance {
+	rng := rand.New(rand.NewSource(int64(jobs*1000 + slots)))
+	in := oracle.Instance{Caps: make([]int64, slots), Jobs: make([]oracle.Job, jobs)}
+	for t := range in.Caps {
+		in.Caps[t] = 1000
+	}
+	for i := range in.Jobs {
+		rel := rng.Intn(slots - 1)
+		win := 2 + rng.Intn(slots-rel-1)
+		if maxWin > 0 && win > maxWin {
+			win = maxWin
+		}
+		if rel+win > slots {
+			win = slots - rel
+		}
+		par := int64(2 * (1 + rng.Intn(16)))
+		in.Jobs[i] = oracle.Job{
+			Demand: int64(1+rng.Intn(win)) * par / 2,
+			Rel:    int64(rel),
+			Dl:     int64(rel + win),
+			Cap:    par,
+		}
+	}
+	return in
+}
+
+// checkLoad holds Load, the float field the planner's caller reads, to
+// the exact allocation it was computed beside.
+func checkLoad(t testing.TB, caps []int64, jobs []flow.Job, sky *flow.Skyline) {
 	t.Helper()
-	// Relative: the fuzz target feeds magnitudes where a float64 sum is
-	// only good to a few units.
-	const tol = 1e-9
-	near := func(a, b float64, terms int) bool {
-		return math.Abs(a-b) <= tol*float64(terms+1)*math.Max(1, math.Abs(b))
-	}
 	load := make([]float64, len(caps))
+	terms := make([]int, len(caps))
 	for j, job := range jobs {
-		sum := 0.0
 		for i, x := range sky.Alloc[j] {
-			slot := job.Rel + int64(i)
-			if x < 0 || x > float64(job.Cap) && !near(x, float64(job.Cap), 1) {
-				t.Fatalf("job %d slot %d: allocation %g outside [0, %d]", j, slot, x, job.Cap)
-			}
-			if x > 0 && caps[slot] == 0 {
-				t.Fatalf("job %d: allocation %g on dead slot %d", j, x, slot)
-			}
-			sum += x
-			load[slot] += x
-		}
-		if !near(sum, float64(job.Demand), len(caps)) {
-			t.Fatalf("job %d: allocated %g of demand %d", j, sum, job.Demand)
+			load[job.Rel+int64(i)] += float64(x) / float64(sky.Den[j])
+			terms[job.Rel+int64(i)]++
 		}
 	}
-	for slot, c := range caps {
-		if !near(sky.Load[slot], load[slot], len(jobs)) {
+	for slot := range caps {
+		// Relative: the fuzz target feeds magnitudes where a float64 sum
+		// is only good to a few units.
+		if tol := 1e-9 * float64(terms[slot]+1) * math.Max(1, math.Abs(load[slot])); math.Abs(sky.Load[slot]-load[slot]) > tol {
 			t.Fatalf("slot %d: reported load %g, allocations sum to %g", slot, sky.Load[slot], load[slot])
-		}
-		if c > 0 && !near(sky.Level[slot]*float64(c), sky.Load[slot], 1) {
-			t.Fatalf("slot %d: level %g x cap %d != load %g", slot, sky.Level[slot], c, sky.Load[slot])
 		}
 	}
 }
@@ -238,30 +354,42 @@ func TestSkylineInvariantsAndDeterminism(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		caps, jobs := genInstance(rng, 1+rng.Intn(30), 2+rng.Intn(40), 25, 1+rng.Int63n(64))
 		for _, maxLevels := range []int{0, 1, 4} {
-			sky, err := LexMinMax(caps, jobs, maxLevels)
+			sky, err := flow.LexMinMax(caps, jobs, maxLevels)
 			if err != nil {
 				t.Fatalf("case %d: %v", i, err)
 			}
-			checkSkyline(t, caps, jobs, sky)
-			again, err := LexMinMax(caps, jobs, maxLevels)
+			certify(t, caps, jobs, maxLevels, sky)
+			checkLoad(t, caps, jobs, sky)
+			again, err := flow.LexMinMax(caps, jobs, maxLevels)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for slot := range caps {
-				if sky.Load[slot] != again.Load[slot] || sky.Level[slot] != again.Level[slot] {
+				if sky.Load[slot] != again.Load[slot] {
 					t.Fatalf("case %d: slot %d differs between two runs on one input", i, slot)
 				}
 			}
-			if maxLevels > 0 && sky.Levels > maxLevels {
-				t.Fatalf("case %d: solved %d levels, cap %d", i, sky.Levels, maxLevels)
+			if len(sky.Levels) != len(again.Levels) {
+				t.Fatalf("case %d: %d levels, then %d", i, len(sky.Levels), len(again.Levels))
 			}
 		}
 	}
 }
 
+// TestCertificateAtProbeScale holds the planner's certificates, uncapped
+// and capped, and its stage A routing to the exact checker well past the
+// sizes the seeded sweeps reach (12 jobs x 40 slots): on the scale
+// instance at 100 jobs x 100 slots.
+func TestCertificateAtProbeScale(t *testing.T) {
+	if err := oracle.CheckFlow(probeInstance(100, 100, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzFlowSkyline throws adversarial capacities, demands and windows at
 // both stages: no panic, every error a declared one or a validation
-// message, and every skyline returned passes the interior checks.
+// message, and every answer returned passes the exact checker, its
+// skyline's loads the interior check.
 func FuzzFlowSkyline(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), int64(4), int64(6), uint8(0))
 	f.Add(int64(7), uint8(12), uint8(30), int64(512), int64(4000), uint8(4))
@@ -282,11 +410,11 @@ func FuzzFlowSkyline(f *testing.F) {
 				caps[slot] = rng.Int63n(capMax) + 1
 			}
 		}
-		jobs := make([]Job, int(nJobs)%24)
+		jobs := make([]flow.Job, int(nJobs)%24)
 		order := rng.Perm(len(jobs))
 		for j := range jobs {
 			rel := rng.Intn(m)
-			jobs[j] = Job{
+			jobs[j] = flow.Job{
 				Demand: rng.Int63n(demandMax/int64(len(jobs)) + 1),
 				Rel:    int64(rel),
 				Dl:     int64(rel + 1 + rng.Intn(m-rel)),
@@ -294,49 +422,65 @@ func FuzzFlowSkyline(f *testing.F) {
 			}
 		}
 
-		short, _, err := Shortfall(caps, jobs, order)
+		r, err := flow.Shortfall(caps, jobs, order)
 		if err != nil {
 			t.Fatalf("Shortfall: %v", err) // stage A scales nothing: it cannot overflow
 		}
-		for j, s := range short {
-			if s < 0 || s > jobs[j].Demand {
-				t.Fatalf("job %d: shortfall %d of demand %d", j, s, jobs[j].Demand)
-			}
+		if err := oracle.CheckRouting(instance(caps, jobs), order, r); err != nil {
+			t.Fatal(err)
+		}
+		for j, s := range r.Short {
 			jobs[j].Demand -= s
 		}
 		// What stage A routed fits under the hard caps, so stage B must
 		// route it with every level at or under 1.
-		sky, err := LexMinMax(caps, jobs, int(maxLevels)%6)
-		if errors.Is(err, ErrOverflow) {
+		sky, err := flow.LexMinMax(caps, jobs, int(maxLevels)%6)
+		if errors.Is(err, flow.ErrOverflow) {
 			return
 		}
 		if err != nil {
 			t.Fatalf("LexMinMax after Shortfall: %v", err)
 		}
-		checkSkyline(t, caps, jobs, sky)
-		for slot, lv := range sky.Level {
-			if lv > 1+1e-9 {
-				t.Fatalf("slot %d: level %g above 1 on demand that fits the hard caps", slot, lv)
-			}
+		certify(t, caps, jobs, int(maxLevels)%6, sky)
+		checkLoad(t, caps, jobs, sky)
+		if lv := sky.Levels; len(lv) > 0 && lv[0].Num > lv[0].Den {
+			t.Fatalf("top level %d/%d above 1 on demand that fits the hard caps", lv[0].Num, lv[0].Den)
 		}
 	})
 }
 
+// BenchmarkLexMinMax times one replan's skyline. The 5000x1000 case is
+// the scale the product rests on (the paper's Fig. 7): a replan capped at
+// six levels must take under a second, and its certificate, checked once
+// outside the timer, must hold.
 func BenchmarkLexMinMax(b *testing.B) {
-	for _, size := range []struct {
-		name                string
-		jobs, slots, maxWin int
-	}{
-		{"120x120", 120, 120, 60},
-		{"5000x1000", 5000, 1000, 12},
-	} {
-		caps, jobs := genInstance(rand.New(rand.NewSource(5)), size.jobs, size.slots, size.maxWin, 512)
-		b.Run(size.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := LexMinMax(caps, jobs, 4); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("120x120", func(b *testing.B) {
+		caps, jobs := genInstance(rand.New(rand.NewSource(5)), 120, 120, 60, 512)
+		for i := 0; i < b.N; i++ {
+			if _, err := flow.LexMinMax(caps, jobs, 4); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("5000x1000", func(b *testing.B) {
+		in := probeInstance(5000, 1000, 12)
+		jobs := make([]flow.Job, len(in.Jobs))
+		for j, job := range in.Jobs {
+			jobs[j] = flow.Job(job)
+		}
+		sky, err := flow.LexMinMax(in.Caps, jobs, 6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		certify(b, in.Caps, jobs, 6, sky)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := flow.LexMinMax(in.Caps, jobs, 6); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if per := b.Elapsed() / time.Duration(b.N); per >= time.Second {
+			b.Fatalf("a 5000x1000 replan took %v, budget 1s", per)
+		}
+	})
 }

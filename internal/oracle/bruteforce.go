@@ -3,8 +3,6 @@ package oracle
 import (
 	"fmt"
 	"math"
-
-	"flowtime/internal/lp"
 )
 
 // maxBruteForceLeaves bounds the enumeration so a mis-sized instance
@@ -15,7 +13,7 @@ const maxBruteForceLeaves = 4 << 20
 type BFResult struct {
 	// Feasible reports whether any integral allocation places every unit
 	// of demand inside its window under the per-slot job caps (slot
-	// capacities do not bound allocation here, exactly as in the LP: the
+	// capacities do not bound allocation here, exactly as in stage B: the
 	// lexicographic θ may exceed 1 under overload; only zero-capacity
 	// slots are hard).
 	Feasible bool
@@ -31,10 +29,10 @@ type BFResult struct {
 // returns the best achievable skyline. Exactness of the feasibility
 // verdict: the feasible region is a transportation polytope with
 // integral data, so it is nonempty iff it contains an integral point —
-// the integral enumeration decides feasibility of the LP's region
+// the integral enumeration decides feasibility of the planner's region
 // exactly, not approximately. The skyline is exact only over integral
-// points; the LP optimum may be fractional and strictly better, so
-// callers compare with LexLess (LP ⪯ brute force), not equality.
+// points; the planner's optimum may be fractional and strictly better, so
+// callers compare with LexLess (planner ⪯ brute force), not equality.
 func BruteForce(in Instance) (*BFResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -54,8 +52,8 @@ func BruteForce(in Instance) (*BFResult, error) {
 			for gi, t := range groupSlots {
 				sky[gi] = float64(load[t]) / float64(in.Caps[t])
 			}
-			sky = lp.SortedDescending(sky)
-			if !res.Feasible || lp.LexLess(sky, res.BestSkyline, 0) {
+			sky = SortedDescending(sky)
+			if !res.Feasible || LexLess(sky, res.BestSkyline, 0) {
 				res.Feasible = true
 				res.BestSkyline = sky
 			}
@@ -106,7 +104,7 @@ func BruteForce(in Instance) (*BFResult, error) {
 // MinMaxLevelByCuts computes the exact optimal first level θ* — the
 // minimized maximum normalized load — by enumerating every source/sink
 // cut of the instance's transportation network, a derivation completely
-// independent of the simplex solver. The network is: source → job j with
+// independent of the planner's network builder. The network is: source → job j with
 // capacity Demand_j; job j → slot t (t in j's window, Caps[t] > 0) with
 // capacity Cap_j; slot t → sink with capacity θ·Caps[t]. By max-flow
 // min-cut, demand D routes iff for every A ⊆ jobs and B ⊆ group slots:

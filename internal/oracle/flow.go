@@ -4,50 +4,46 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"flowtime/internal/flow"
-	"flowtime/internal/lp"
 )
 
-// Solver is anything that answers an Instance in LPResult's shape: the
-// reference simplex (SolveLP) or the production flow planner (SolveFlow).
-// The cross-checks and metamorphic relations take one, so both solvers
-// face the same oracles.
-type Solver func(Instance) (*LPResult, error)
+// Solution is SolveFlow's answer: the production planner's skyline with
+// the certificate it carries, and each load group's normalized load for
+// the comparisons with brute force and the metamorphic relations.
+type Solution struct {
+	// Feasible is false when the planner reported flow.ErrInfeasible.
+	Feasible bool
+	// Sky is the planner's skyline, nil when infeasible.
+	Sky *flow.Skyline
+	// Levels[g] is the load over capacity of slot in.GroupSlots()[g].
+	Levels []float64
+}
 
 // SolveFlow runs the production planner, flow.LexMinMax with every level
-// solved, on the instance and reports it in SolveLP's shape.
-func SolveFlow(in Instance) (*LPResult, error) {
+// solved, on the instance.
+func SolveFlow(in Instance) (*Solution, error) {
 	return SolveFlowLevels(in, 0)
 }
 
 // SolveFlowLevels is SolveFlow with the level cap core.Config.MaxLexRounds
-// hands the planner (0 = exact). Rounds is the number of levels solved and
-// Exact marks the groups frozen at one of them.
-func SolveFlowLevels(in Instance, maxLevels int) (*LPResult, error) {
+// hands the planner (0 = exact).
+func SolveFlowLevels(in Instance, maxLevels int) (*Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	jobs := flowJobs(in.Jobs)
-	res := &LPResult{GroupSlot: in.GroupSlots(), Alloc: make([][]float64, len(in.Jobs))}
-	for ji := range res.Alloc {
-		res.Alloc[ji] = make([]float64, len(in.Caps))
-	}
-	sky, err := flow.LexMinMax(in.Caps, jobs, maxLevels)
+	res := &Solution{}
+	sky, err := flow.LexMinMax(in.Caps, flowJobs(in.Jobs), maxLevels)
 	if errors.Is(err, flow.ErrInfeasible) {
 		return res, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("oracle: flow: %w", err)
 	}
-	res.Feasible = true
-	res.Rounds = sky.Levels
-	for _, t := range res.GroupSlot {
-		res.Levels = append(res.Levels, sky.Level[t])
-		res.Exact = append(res.Exact, sky.Exact[t])
-	}
-	for ji, row := range sky.Alloc {
-		copy(res.Alloc[ji][in.Jobs[ji].Rel:], row)
+	res.Feasible, res.Sky = true, sky
+	for _, t := range in.GroupSlots() {
+		res.Levels = append(res.Levels, sky.Load[t]/float64(in.Caps[t]))
 	}
 	return res, nil
 }
@@ -56,77 +52,110 @@ func SolveFlowLevels(in Instance, maxLevels int) (*LPResult, error) {
 func flowJobs(jobs []Job) []flow.Job {
 	out := make([]flow.Job, len(jobs))
 	for ji, job := range jobs {
-		out[ji] = flow.Job{Demand: job.Demand, Rel: job.Rel, Dl: job.Dl, Cap: job.Cap}
+		out[ji] = flow.Job(job)
 	}
 	return out
 }
 
-// CheckFlowLP is the differential check that licenses planning by flow:
-// on one instance the flow planner and the exact simplex must agree on
-// feasibility and on every group's level (the lexicographic optimum is
-// unique per slot, not just as a sorted vector), the flow's allocation
-// must pass the interior checker, and a level-capped flow must keep the
-// capped levels exact — the groups it froze sit at their optimal level,
-// every other group at or under the last one, and its maximum equals the
-// equally capped simplex's.
-func CheckFlowLP(in Instance, tol float64) error {
-	ref, err := SolveLP(in, 0)
-	if err != nil {
-		return fmt.Errorf("oracle: solver error: %w", err)
-	}
-	got, err := SolveFlow(in)
-	if err != nil {
-		return err
-	}
-	if got.Feasible != ref.Feasible {
-		return fmt.Errorf("oracle: feasibility disagreement: flow=%v LP=%v", got.Feasible, ref.Feasible)
-	}
-	if !ref.Feasible {
-		return nil
-	}
-	if err := CheckSolution(in, got, tol); err != nil {
-		return fmt.Errorf("flow allocation: %w", err)
-	}
-	for gi, lv := range got.Levels {
-		if math.Abs(lv-ref.Levels[gi]) > tol {
-			return fmt.Errorf("oracle: group %d (slot %d): flow level %.9g, LP level %.9g", gi, got.GroupSlot[gi], lv, ref.Levels[gi])
-		}
-		if !got.Exact[gi] {
-			return fmt.Errorf("oracle: group %d (slot %d) not exact in an uncapped flow", gi, got.GroupSlot[gi])
-		}
-	}
-	for k := 1; k <= 3; k++ {
-		capped, err := SolveFlowLevels(in, k)
+// CheckFlow is the check that licenses planning by flow, at any size:
+// the planner's skyline passes CheckSolution uncapped and capped at one
+// to three levels, and stage A's routing of the jobs in their own order
+// passes CheckRouting. An infeasible verdict must be certified too: with
+// every usable slot's capacity lifted to the whole demand, stage A must
+// still leave some of it short.
+func CheckFlow(in Instance) error {
+	for k := 0; k <= 3; k++ {
+		sol, err := SolveFlowLevels(in, k)
 		if err != nil {
 			return err
 		}
-		if !capped.Feasible {
-			return fmt.Errorf("oracle: flow capped at %d levels lost feasibility", k)
+		if !sol.Feasible {
+			if k > 0 {
+				return fmt.Errorf("oracle: flow capped at %d levels lost feasibility", k)
+			}
+			return checkInfeasible(in)
 		}
-		if err := CheckSolution(in, capped, tol); err != nil {
+		if err := CheckSolution(in, k, sol.Sky); err != nil {
 			return fmt.Errorf("flow capped at %d levels: %w", k, err)
 		}
-		floor := math.Inf(1) // the lowest level solved
-		for gi, lv := range capped.Levels {
-			if capped.Exact[gi] {
-				floor = math.Min(floor, lv)
-				if math.Abs(lv-ref.Levels[gi]) > tol {
-					return fmt.Errorf("oracle: flow capped at %d levels froze group %d at %.9g, optimum %.9g", k, gi, lv, ref.Levels[gi])
-				}
-			}
-		}
-		for gi, lv := range capped.Levels {
-			if !capped.Exact[gi] && lv > floor+tol {
-				return fmt.Errorf("oracle: flow capped at %d levels left group %d at %.9g, above its last level %.9g", k, gi, lv, floor)
-			}
-		}
-		lpCapped, err := SolveLP(in, k)
-		if err != nil {
-			return fmt.Errorf("oracle: solver error: %w", err)
-		}
-		if a, b := lp.MaxLevel(capped.Levels), lp.MaxLevel(lpCapped.Levels); math.Abs(a-b) > tol {
-			return fmt.Errorf("oracle: capped at %d: flow max level %.9g, LP max level %.9g", k, a, b)
+	}
+	_, err := MaxFlow(in)
+	return err
+}
+
+// checkInfeasible certifies that no level routes the instance's demand:
+// slot capacities only normalize stage B, so it is infeasible exactly
+// when stage A cannot route it through slots as large as the demand.
+func checkInfeasible(in Instance) error {
+	lifted := Instance{Caps: make([]int64, len(in.Caps)), Jobs: in.Jobs}
+	var total int64
+	for _, job := range in.Jobs {
+		total += job.Demand
+	}
+	for t, c := range in.Caps {
+		if c > 0 {
+			lifted.Caps[t] = total
 		}
 	}
+	routed, err := MaxFlow(lifted)
+	if err != nil {
+		return err
+	}
+	if routed == total {
+		return fmt.Errorf("oracle: flow reports infeasible, yet all %d of the demand routes", total)
+	}
 	return nil
+}
+
+// MaxFlow is stage A's total over the jobs in their own order: the most
+// demand the instance's windows, parallelism caps and hard slot
+// capacities admit, certified by CheckRouting.
+func MaxFlow(in Instance) (int64, error) {
+	order := make([]int, len(in.Jobs))
+	for i := range order {
+		order[i] = i
+	}
+	r, err := flow.Shortfall(in.Caps, flowJobs(in.Jobs), order)
+	if err != nil {
+		return 0, fmt.Errorf("oracle: stage A: %w", err)
+	}
+	if err := CheckRouting(in, order, r); err != nil {
+		return 0, err
+	}
+	var routed int64
+	for j, job := range in.Jobs {
+		routed += job.Demand - r.Short[j]
+	}
+	return routed, nil
+}
+
+// SortedDescending returns a copy of levels sorted high to low, the
+// vector the lexicographic objective compares.
+func SortedDescending(levels []float64) []float64 {
+	out := append([]float64(nil), levels...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
+	return out
+}
+
+// LexLess compares two descending-sorted vectors lexicographically with
+// tolerance eps: it reports whether a is strictly better than b.
+func LexLess(a, b []float64, eps float64) bool {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		switch {
+		case a[i] < b[i]-eps:
+			return true
+		case a[i] > b[i]+eps:
+			return false
+		}
+	}
+	return false
+}
+
+// MaxLevel returns the largest element of levels, or 0 if empty.
+func MaxLevel(levels []float64) float64 {
+	maxL := 0.0
+	for _, l := range levels {
+		maxL = math.Max(maxL, l)
+	}
+	return maxL
 }

@@ -39,38 +39,6 @@ func GenInstance(rng *rand.Rand) Instance {
 	return Instance{Caps: caps, Jobs: jobs}
 }
 
-// ProbeInstance is the planner probe's instance (cmd/ftperf, BENCH_lp.json)
-// at the paper's Fig. 7 scale: jobs with interval windows, even
-// parallelism caps and integral demands on slots of capacity 1000.
-// Deterministic per size, so runs and reports are comparable. maxWin
-// bounds the window length in slots (deadline windows at real scale are
-// short relative to the horizon); 0 leaves windows unbounded.
-func ProbeInstance(jobs, slots, maxWin int) Instance {
-	rng := rand.New(rand.NewSource(int64(jobs*1000 + slots)))
-	in := Instance{Caps: make([]int64, slots), Jobs: make([]Job, jobs)}
-	for t := range in.Caps {
-		in.Caps[t] = 1000
-	}
-	for i := range in.Jobs {
-		rel := rng.Intn(slots - 1)
-		win := 2 + rng.Intn(slots-rel-1)
-		if maxWin > 0 && win > maxWin {
-			win = maxWin
-		}
-		if rel+win > slots {
-			win = slots - rel
-		}
-		par := int64(2 * (1 + rng.Intn(16)))
-		in.Jobs[i] = Job{
-			Demand: int64(1+rng.Intn(win)) * par / 2,
-			Rel:    int64(rel),
-			Dl:     int64(rel + win),
-			Cap:    par,
-		}
-	}
-	return in
-}
-
 // GenLargeInstance draws an instance far beyond brute-force reach, for
 // the interior-feasibility checker: up to 40 slots and 12 jobs with
 // demands calibrated so both feasible and infeasible instances occur.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"flowtime/internal/lp"
 )
 
 // Scale returns the instance with every capacity, demand, and
@@ -64,15 +62,15 @@ func SplitSlot(in Instance, t int64) Instance {
 // CheckScaleInvariance asserts the scale relation: solving k·instance
 // yields the same feasibility verdict and the same sorted normalized
 // skyline as the original.
-func CheckScaleInvariance(solve Solver, in Instance, k int64, tol float64) error {
+func CheckScaleInvariance(in Instance, k int64, tol float64) error {
 	if k < 1 {
 		return fmt.Errorf("oracle: scale factor %d, want >= 1", k)
 	}
-	base, err := solve(in)
+	base, err := SolveFlow(in)
 	if err != nil {
 		return err
 	}
-	scaled, err := solve(Scale(in, k))
+	scaled, err := SolveFlow(Scale(in, k))
 	if err != nil {
 		return err
 	}
@@ -81,12 +79,12 @@ func CheckScaleInvariance(solve Solver, in Instance, k int64, tol float64) error
 
 // CheckPermutationInvariance asserts the permutation relation: job
 // order must not affect feasibility or the skyline.
-func CheckPermutationInvariance(solve Solver, in Instance, rng *rand.Rand, tol float64) error {
-	base, err := solve(in)
+func CheckPermutationInvariance(in Instance, rng *rand.Rand, tol float64) error {
+	base, err := SolveFlow(in)
 	if err != nil {
 		return err
 	}
-	perm, err := solve(PermuteJobs(in, rng))
+	perm, err := SolveFlow(PermuteJobs(in, rng))
 	if err != nil {
 		return err
 	}
@@ -96,15 +94,15 @@ func CheckPermutationInvariance(solve Solver, in Instance, rng *rand.Rand, tol f
 // CheckSplitSlot asserts the slot-split relation: duplicating a slot
 // must keep a feasible instance feasible and must not worsen the max
 // level.
-func CheckSplitSlot(solve Solver, in Instance, t int64, tol float64) error {
+func CheckSplitSlot(in Instance, t int64, tol float64) error {
 	if t < 0 || t >= int64(len(in.Caps)) {
 		return fmt.Errorf("oracle: split slot %d out of range", t)
 	}
-	base, err := solve(in)
+	base, err := SolveFlow(in)
 	if err != nil {
 		return err
 	}
-	split, err := solve(SplitSlot(in, t))
+	split, err := SolveFlow(SplitSlot(in, t))
 	if err != nil {
 		return err
 	}
@@ -117,7 +115,7 @@ func CheckSplitSlot(solve Solver, in Instance, t int64, tol float64) error {
 // Exact relations are bijections, so feasibility must agree both ways;
 // relaxed relations (split) only add headroom, so they must preserve
 // feasibility but may repair infeasibility.
-func compareRelation(name string, base, other *LPResult, tol float64, exact bool) error {
+func compareRelation(name string, base, other *Solution, tol float64, exact bool) error {
 	if exact && base.Feasible != other.Feasible {
 		return fmt.Errorf("oracle: %s relation changed feasibility: %v -> %v", name, base.Feasible, other.Feasible)
 	}
@@ -128,8 +126,8 @@ func compareRelation(name string, base, other *LPResult, tol float64, exact bool
 		return nil
 	}
 	if exact {
-		a := lp.SortedDescending(base.Levels)
-		b := lp.SortedDescending(other.Levels)
+		a := SortedDescending(base.Levels)
+		b := SortedDescending(other.Levels)
 		if len(a) != len(b) {
 			return fmt.Errorf("oracle: %s relation changed group count: %d -> %d", name, len(a), len(b))
 		}
@@ -143,7 +141,7 @@ func compareRelation(name string, base, other *LPResult, tol float64, exact bool
 	if len(base.Levels) == 0 {
 		return nil
 	}
-	if mb, mo := lp.MaxLevel(base.Levels), lp.MaxLevel(other.Levels); mo > mb+tol {
+	if mb, mo := MaxLevel(base.Levels), MaxLevel(other.Levels); mo > mb+tol {
 		return fmt.Errorf("oracle: %s relation worsened max level: %g -> %g", name, mb, mo)
 	}
 	return nil

@@ -1,37 +1,33 @@
 package oracle
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"flowtime/internal/deadline"
-	"flowtime/internal/lp"
+	"flowtime/internal/flow"
 	"flowtime/internal/resource"
 	"flowtime/internal/workload"
 )
 
-// exactLP is the reference simplex run to the exact optimum, as a Solver.
-func exactLP(in Instance) (*LPResult, error) { return SolveLP(in, 0) }
-
 func TestCrossCheckKnownFractionalOptimum(t *testing.T) {
-	// One job, demand 3, two slots of capacity 2: the LP spreads 1.5+1.5
-	// (max level 0.75) while the best integral split is 2+1 (max level
-	// 1.0). The harness must accept the fractional optimum.
+	// One job, demand 3, two slots of capacity 2: the planner spreads
+	// 1.5+1.5 (max level 0.75) while the best integral split is 2+1 (max
+	// level 1.0). The harness must accept the fractional optimum.
 	in := Instance{Caps: []int64{2, 2}, Jobs: []Job{{Demand: 3, Rel: 0, Dl: 2, Cap: 2}}}
-	res, err := SolveLP(in, 0)
+	res, err := SolveFlow(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Feasible {
 		t.Fatal("expected feasible")
 	}
-	if m := lp.MaxLevel(res.Levels); math.Abs(m-0.75) > Tol {
+	if m := MaxLevel(res.Levels); m != 0.75 {
 		t.Fatalf("max level %g, want 0.75", m)
 	}
-	if err := CrossCheck(exactLP, in, Tol); err != nil {
+	if err := CrossCheck(in, Tol); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -44,15 +40,18 @@ func TestCrossCheckKnownInfeasible(t *testing.T) {
 		{Caps: []int64{0, 4}, Jobs: []Job{{Demand: 1, Rel: 0, Dl: 1, Cap: 1}}},
 	}
 	for i, in := range cases {
-		res, err := SolveLP(in, 0)
+		res, err := SolveFlow(in)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if res.Feasible {
 			t.Fatalf("case %d: expected infeasible", i)
 		}
-		if err := CrossCheck(exactLP, in, Tol); err != nil {
+		if err := CrossCheck(in, Tol); err != nil {
 			t.Fatalf("case %d: %v", i, err)
+		}
+		if err := CheckFlow(in); err != nil {
+			t.Fatalf("case %d: infeasibility not certified: %v", i, err)
 		}
 	}
 }
@@ -61,7 +60,7 @@ func TestCrossCheckRandomSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		in := GenInstance(rng)
-		if err := CrossCheck(exactLP, in, Tol); err != nil {
+		if err := CrossCheck(in, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}
@@ -72,7 +71,7 @@ func TestCheckSolutionLargeInstances(t *testing.T) {
 	feasible := 0
 	for i := 0; i < 60; i++ {
 		in := GenLargeInstance(rng)
-		res, err := SolveLP(in, 0)
+		res, err := SolveFlow(in)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -80,7 +79,7 @@ func TestCheckSolutionLargeInstances(t *testing.T) {
 			continue
 		}
 		feasible++
-		if err := CheckSolution(in, res, Tol); err != nil {
+		if err := CheckSolution(in, 0, res.Sky); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}
@@ -90,93 +89,94 @@ func TestCheckSolutionLargeInstances(t *testing.T) {
 }
 
 // TestMutationSmokeTest is the harness's self-test: deliberately corrupt
-// a correct solver answer in the ways a solver bug would (shift mass out
-// of a window, break a demand row, misreport a level) and require the
-// oracle to reject every mutant. DESIGN.md §11 documents this as the
-// evidence that the oracle has teeth.
+// the planner's certified answer in the ways a planner bug would (shift
+// mass out of a window, onto a dead slot or past a cap, break a demand
+// row, nudge a level by one unit, drop an arc from a cut) and require
+// the exact checker to reject every mutant. DESIGN.md §11 documents this
+// as the evidence that the checker has teeth.
 func TestMutationSmokeTest(t *testing.T) {
 	in := Instance{
-		Caps: []int64{3, 2, 4},
+		Caps: []int64{3, 2, 4, 0},
 		Jobs: []Job{
 			{Demand: 4, Rel: 0, Dl: 2, Cap: 3},
-			{Demand: 5, Rel: 0, Dl: 3, Cap: 2},
+			{Demand: 5, Rel: 0, Dl: 4, Cap: 2},
 		},
 	}
-	solve := func() *LPResult {
-		res, err := SolveLP(in, 0)
+	solve := func() *flow.Skyline {
+		res, err := SolveFlow(in)
 		if err != nil || !res.Feasible {
 			t.Fatalf("solve: %v feasible=%v", err, res != nil && res.Feasible)
 		}
-		if err := CheckSolution(in, res, Tol); err != nil {
+		if err := CheckSolution(in, 0, res.Sky); err != nil {
 			t.Fatalf("pristine solution rejected: %v", err)
 		}
-		return res
+		return res.Sky
+	}
+	// Slots 0 and 1 freeze at 7/5 with both jobs; job 1's arc to slot 2
+	// leaves the cut, full at its cap.
+	if lv := solve().Levels; len(lv) != 1 || lv[0].Num != 7 || lv[0].Den != 5 {
+		t.Fatalf("levels %+v, want one at 7/5", lv)
 	}
 
 	mutants := []struct {
 		name   string
-		mutate func(*LPResult)
+		mutate func(*flow.Skyline)
 		want   string
 	}{
-		{"level misreported", func(r *LPResult) { r.Levels[0] += 0.25 }, "recomputed"},
-		{"allocation outside window", func(r *LPResult) {
-			r.Alloc[0][2] += 1 // job 0's window is [0,2)
-			r.Alloc[0][0] -= 1
-		}, "outside window"},
-		{"demand row broken", func(r *LPResult) { r.Alloc[1][1] += 0.5 }, ""},
-		{"cap exceeded", func(r *LPResult) {
-			r.Alloc[0][0] += 2.5
-			r.Alloc[0][1] -= 2.5
-		}, ""},
-		{"negative allocation", func(r *LPResult) {
-			r.Alloc[1][0] -= 10
-			r.Alloc[1][1] += 10
-		}, ""},
+		{"allocation outside window", func(s *flow.Skyline) { s.Alloc[0] = append(s.Alloc[0], 0) }, "row has"},
+		{"demand row broken", func(s *flow.Skyline) { s.Alloc[1][2]-- }, "demand"},
+		{"cap exceeded", func(s *flow.Skyline) {
+			s.Alloc[0][0] += s.Alloc[0][1]
+			s.Alloc[0][1] = 0
+		}, "cap"},
+		{"negative allocation", func(s *flow.Skyline) {
+			s.Alloc[1][0] -= 100
+			s.Alloc[1][1] += 100
+		}, "outside"},
+		{"allocation on a dead slot", func(s *flow.Skyline) {
+			s.Alloc[1][2]--
+			s.Alloc[1][3]++
+		}, "zero-capacity"},
+		{"level nudged by one unit", func(s *flow.Skyline) { s.Levels[0].Num++ }, "wants"},
+		{"cut missing the arc job 1 -> slot 2", func(s *flow.Skyline) {
+			s.Levels[0].Slots = append(s.Levels[0].Slots, 2)
+		}, "slot 2"},
 	}
 	for _, m := range mutants {
-		res := solve()
-		m.mutate(res)
-		err := CheckSolution(in, res, Tol)
+		sky := solve()
+		m.mutate(sky)
+		err := CheckSolution(in, 0, sky)
 		if err == nil {
 			t.Fatalf("mutant %q not caught", m.name)
 		}
-		if m.want != "" && !strings.Contains(err.Error(), m.want) {
+		if !strings.Contains(err.Error(), m.want) {
 			t.Fatalf("mutant %q: error %q does not mention %q", m.name, err, m.want)
 		}
 	}
 
-	// A sub-optimal (but interior-valid) solver must be caught by the
-	// optimality cross-checks: fake a solver that piles everything as
-	// early as possible instead of flattening.
-	greedy := func() *LPResult {
-		res := &LPResult{Feasible: true, GroupSlot: in.GroupSlots()}
-		res.Alloc = make([][]float64, len(in.Jobs))
-		load := make([]float64, len(in.Caps))
-		for ji, job := range in.Jobs {
-			res.Alloc[ji] = make([]float64, len(in.Caps))
-			left := float64(job.Demand)
-			for s := job.Rel; s < job.Dl && left > 0; s++ {
-				x := math.Min(left, float64(job.Cap))
-				res.Alloc[ji][s] = x
-				load[s] += x
-				left -= x
+	// A feasible but sub-optimal solver must fail its own cut equation:
+	// fake one that piles everything as early as possible and claims its
+	// peak as the top level, proved by the jobs on the peak slot.
+	load := make([]int64, len(in.Caps))
+	greedy := &flow.Skyline{Alloc: make([][]int64, len(in.Jobs)), Den: make([]int64, len(in.Jobs))}
+	for ji, job := range in.Jobs {
+		row := make([]int64, job.Dl-job.Rel)
+		left := job.Demand
+		for s := job.Rel; s < job.Dl && left > 0; s++ {
+			if in.Caps[s] > 0 {
+				x := min(left, job.Cap)
+				row[s-job.Rel], load[s], left = x, load[s]+x, left-x
 			}
 		}
-		for _, s := range res.GroupSlot {
-			res.Levels = append(res.Levels, load[s]/float64(in.Caps[s]))
-		}
-		return res
+		greedy.Alloc[ji], greedy.Den[ji] = row, 1
 	}
-	gr := greedy()
-	if err := CheckSolution(in, gr, Tol); err != nil {
-		t.Fatalf("greedy mutant should be interior-valid, got %v", err)
+	peak := flow.Level{Num: load[0], Den: in.Caps[0], Slots: []int{0}, Jobs: []int{0, 1}}
+	if peak.Num*5 <= 7*peak.Den {
+		t.Fatalf("test broken: greedy peak %d/%d not worse than the optimum 7/5", peak.Num, peak.Den)
 	}
-	theta, _, err := MinMaxLevelByCuts(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := lp.MaxLevel(gr.Levels); m <= theta+Tol {
-		t.Fatalf("test broken: greedy max level %g not worse than optimum %g", m, theta)
+	greedy.Levels = []flow.Level{peak}
+	if err := CheckSolution(in, 1, greedy); err == nil || !strings.Contains(err.Error(), "cut capacity") {
+		t.Fatalf("greedy solver: err = %v, want its cut equation to fail", err)
 	}
 }
 
@@ -184,14 +184,14 @@ func TestMetamorphicRelationsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 120; i++ {
 		in := GenInstance(rng)
-		if err := CheckScaleInvariance(exactLP, in, 1+int64(rng.Intn(4)), Tol); err != nil {
+		if err := CheckScaleInvariance(in, 1+int64(rng.Intn(4)), Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
-		if err := CheckPermutationInvariance(exactLP, in, rng, Tol); err != nil {
+		if err := CheckPermutationInvariance(in, rng, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 		t0 := rng.Int63n(int64(len(in.Caps)))
-		if err := CheckSplitSlot(exactLP, in, t0, Tol); err != nil {
+		if err := CheckSplitSlot(in, t0, Tol); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}

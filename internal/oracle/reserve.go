@@ -2,12 +2,10 @@ package oracle
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"flowtime/internal/flow"
-	"flowtime/internal/lp"
 )
 
 // GenReservations draws the ad-hoc gate's reservation vector for an
@@ -47,11 +45,12 @@ func withReservations(in Instance, rsv []int64) Instance {
 // job: (1) each deadline job's stage A shortfall is exactly its shortfall
 // with no reservation at all; (2) the surviving reservations R' and the
 // deadline demand that fits are jointly routable with no slot over its
-// hard capacity — the stage B skyline of both carries deadline load + R'_t
-// ≤ C_t everywhere; (3) ΣR' is the most any reservation-respecting plan
-// could keep without costing deadline volume: the joint max flow minus
-// the deadline jobs' own, both computed by the reference simplex.
-func CheckReservationsYield(in Instance, rsv []int64, tol float64) error {
+// hard capacity — the certified stage B skyline of both has its top
+// level at or under 1; (3) ΣR' is the most any reservation-respecting
+// plan could keep without costing deadline volume: the joint max flow
+// minus the deadline jobs' own, both certified by their min cuts
+// (CheckRouting).
+func CheckReservationsYield(in Instance, rsv []int64) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
@@ -69,113 +68,39 @@ func CheckReservationsYield(in Instance, rsv []int64, tol float64) error {
 	// the reservations stay behind them in slot order.
 	sort.SliceStable(order[:n], func(a, b int) bool { return jobs[order[a]].Dl < jobs[order[b]].Dl })
 
-	bare, _, err := flow.Shortfall(in.Caps, jobs[:n], order[:n])
+	bare, err := flow.Shortfall(in.Caps, jobs[:n], order[:n])
 	if err != nil {
 		return fmt.Errorf("oracle: stage A without reservations: %w", err)
 	}
-	short, _, err := flow.Shortfall(in.Caps, jobs, order)
+	if err := CheckRouting(in, order[:n], bare); err != nil {
+		return fmt.Errorf("stage A without reservations: %w", err)
+	}
+	with, err := flow.Shortfall(in.Caps, jobs, order)
 	if err != nil {
 		return fmt.Errorf("oracle: stage A with reservations: %w", err)
 	}
-	routed := int64(0)
+	if err := CheckRouting(joint, order, with); err != nil {
+		return fmt.Errorf("stage A with reservations: %w", err)
+	}
 	for i := 0; i < n; i++ {
-		if short[i] != bare[i] {
-			return fmt.Errorf("oracle: job %d is short %d beside reservations %v, %d without", i, short[i], rsv, bare[i])
-		}
-		routed += jobs[i].Demand - bare[i]
-	}
-
-	fits := append([]flow.Job(nil), jobs...)
-	kept := make([]int64, len(in.Caps))
-	keptSum := int64(0)
-	for i, s := range short {
-		fits[i].Demand -= s
-		if i >= n {
-			kept[jobs[i].Rel] = fits[i].Demand
-			keptSum += fits[i].Demand
-		}
-	}
-	sky, err := flow.LexMinMax(in.Caps, fits, 0)
-	if err != nil {
-		return fmt.Errorf("oracle: stage B over deadline demand and surviving reservations %v: %w", kept, err)
-	}
-	for t, c := range in.Caps {
-		load := float64(kept[t])
-		for i := 0; i < n; i++ {
-			if row := sky.Alloc[i]; row != nil && int64(t) >= jobs[i].Rel && int64(t) < jobs[i].Dl {
-				load += row[int64(t)-jobs[i].Rel]
-			}
-		}
-		if load > float64(c)+tol {
-			return fmt.Errorf("oracle: slot %d carries deadline load + surviving reservation = %.9g over capacity %d", t, load, c)
-		}
-		if math.Abs(load-sky.Load[t]) > tol {
-			return fmt.Errorf("oracle: slot %d: skyline load %.9g, deadline load + surviving reservation %.9g", t, sky.Load[t], load)
+		if with.Short[i] != bare.Short[i] {
+			return fmt.Errorf("oracle: job %d is short %d beside reservations %v, %d without", i, with.Short[i], rsv, bare.Short[i])
 		}
 	}
 
-	refDeadline, err := MaxFlowLP(in)
-	if err != nil {
-		return err
+	fits := Instance{Caps: in.Caps, Jobs: append([]Job(nil), joint.Jobs...)}
+	for i, s := range with.Short {
+		fits.Jobs[i].Demand -= s
 	}
-	refJoint, err := MaxFlowLP(joint)
-	if err != nil {
-		return err
+	sol, err := SolveFlow(fits)
+	if err != nil || !sol.Feasible {
+		return fmt.Errorf("oracle: stage B over deadline demand and surviving reservations (feasible %v): %v", sol != nil && sol.Feasible, err)
 	}
-	if math.Abs(float64(routed)-refDeadline) > tol {
-		return fmt.Errorf("oracle: stage A routes %d of the deadline demand, reference max flow %.9g", routed, refDeadline)
+	if err := CheckSolution(fits, 0, sol.Sky); err != nil {
+		return fmt.Errorf("stage B over deadline demand and surviving reservations: %w", err)
 	}
-	if math.Abs(float64(keptSum)-(refJoint-refDeadline)) > tol {
-		return fmt.Errorf("oracle: reservations %v keep %d in total, reference joint − deadline max flow = %.9g − %.9g",
-			rsv, keptSum, refJoint, refDeadline)
+	if lv := sol.Sky.Levels; len(lv) > 0 && lv[0].Num > lv[0].Den {
+		return fmt.Errorf("oracle: deadline load and surviving reservations %v reach level %d/%d over hard capacity", rsv, lv[0].Num, lv[0].Den)
 	}
 	return nil
-}
-
-// MaxFlowLP is the reference for stage A's total: the most demand the
-// instance's windows, parallelism caps and hard slot capacities admit,
-// by the simplex on the transportation LP (maximize Σx subject to
-// Σ_t x_jt ≤ Demand_j, Σ_j x_jt ≤ Caps_t, 0 ≤ x_jt ≤ Cap_j).
-func MaxFlowLP(in Instance) (float64, error) {
-	if err := in.Validate(); err != nil {
-		return 0, err
-	}
-	model := lp.NewModel()
-	slotTerms := make([][]lp.Term, len(in.Caps))
-	for _, job := range in.Jobs {
-		if job.Demand <= 0 || job.Cap <= 0 {
-			continue
-		}
-		var terms []lp.Term
-		for t := job.Rel; t < job.Dl; t++ {
-			v, err := model.NewVar("", 0, float64(job.Cap))
-			if err != nil {
-				return 0, fmt.Errorf("oracle: %w", err)
-			}
-			if err := model.AddObjectiveTerm(v, -1); err != nil {
-				return 0, fmt.Errorf("oracle: %w", err)
-			}
-			terms = append(terms, lp.Term{Var: v, Coef: 1})
-			slotTerms[t] = append(slotTerms[t], lp.Term{Var: v, Coef: 1})
-		}
-		if err := model.AddConstraint(terms, lp.LE, float64(job.Demand)); err != nil {
-			return 0, fmt.Errorf("oracle: %w", err)
-		}
-	}
-	for t, terms := range slotTerms {
-		if len(terms) == 0 {
-			continue
-		}
-		if err := model.AddConstraint(terms, lp.LE, float64(in.Caps[t])); err != nil {
-			return 0, fmt.Errorf("oracle: %w", err)
-		}
-	}
-	if model.NumVars() == 0 {
-		return 0, nil
-	}
-	sol, err := model.Solve()
-	if err != nil {
-		return 0, fmt.Errorf("oracle: max-flow LP: %w", err)
-	}
-	return -sol.Objective, nil
 }

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -22,15 +21,15 @@ func TestReservationsYield(t *testing.T) {
 			in = GenLargeInstance(rng)
 		}
 		rsv := GenReservations(in, rng.Int63())
-		if err := CheckReservationsYield(in, rsv, Tol); err != nil {
+		if err := CheckReservationsYield(in, rsv); err != nil {
 			t.Fatalf("case %d: %v\ninstance: %+v\nreservations: %v", i, err, in, rsv)
 		}
-		bare, err := MaxFlowLP(in)
+		bare, err := MaxFlow(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		with := withReservations(in, rsv)
-		joint, err := MaxFlowLP(with)
+		joint, err := MaxFlow(with)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +39,7 @@ func TestReservationsYield(t *testing.T) {
 		}
 		switch kept := joint - bare; {
 		case reserved == 0:
-		case kept < float64(reserved)-Tol:
+		case kept < reserved:
 			yielded++
 		default:
 			whole++
@@ -61,18 +60,18 @@ func TestReservationYieldsKnownInstance(t *testing.T) {
 		Jobs: []Job{{Demand: 40, Rel: 0, Dl: 5, Cap: 10}},
 	}
 	rsv := []int64{8, 8, 8, 8, 8}
-	if err := CheckReservationsYield(in, rsv, Tol); err != nil {
+	if err := CheckReservationsYield(in, rsv); err != nil {
 		t.Fatal(err)
 	}
-	bare, err := MaxFlowLP(in)
+	bare, err := MaxFlow(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := MaxFlowLP(withReservations(in, rsv))
+	joint, err := MaxFlow(withReservations(in, rsv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(bare-40) > Tol || math.Abs(joint-50) > Tol {
-		t.Fatalf("reference max flows %g and %g, want 40 and 50", bare, joint)
+	if bare != 40 || joint != 50 {
+		t.Fatalf("certified max flows %d and %d, want 40 and 50", bare, joint)
 	}
 }
