@@ -2,6 +2,7 @@ package rmserver
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -109,11 +110,13 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 // on — submissions, tick, every node's heartbeat confirming what it
 // launched a slot ago — and returns which workflows met their deadline
 // (by the RM's own rule: a completion is seen one slot after the work
-// ran) and how many ad-hoc jobs the gate admitted. Every tick's grants
+// ran), how many ad-hoc jobs the gate admitted, and an FNV-1a digest of
+// every gate decision in submission order (the job ID, then 1 for an
+// admit or 0 for a reject). Every tick's grants
 // are held to work conservation and the per-slot ad-hoc-removal relation
 // as the scheduler returned them (oracle.Conserving). It ends in the
 // recovery-equivalence oracle.
-func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int) {
+func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int, digest uint64) {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
 	if err != nil {
@@ -163,6 +166,7 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 		submitWF(rec)
 	}
 	tick()
+	decisions := fnv.New64a()
 	for _, load := range slots {
 		for _, rec := range load.wfs {
 			submitWF(rec)
@@ -175,9 +179,12 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 			if err != nil {
 				t.Fatalf("SubmitAdHoc(%s): %v", rec.ID, err)
 			}
+			verdict := byte(0)
 			if resp.Accepted { // a gate rejection is a decision, not a failure
 				admitted++
+				verdict = 1
 			}
+			decisions.Write(append([]byte(rec.ID), verdict))
 		}
 		tick()
 	}
@@ -204,7 +211,7 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 	if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence: %v", err)
 	}
-	return met, admitted
+	return met, admitted, decisions.Sum64()
 }
 
 // TestAdHocNeverCostsDeadline is the system-level form of the paper's
@@ -227,13 +234,38 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 // sizes that costs nothing on 30 of 30 seeds, and starting from
 // adhoc-burst's full backlog of 8 workflows it costs one workflow on one
 // seed of 30 (ROADMAP: the gate admitting against deadline-safe headroom).
+//
+// Each seed's gate decisions are pinned as well: the admitted count and
+// the digest of every admit and reject, so a change to how the gate is
+// built cannot move a single decision unnoticed.
 func TestAdHocNeverCostsDeadline(t *testing.T) {
+	pinned := [...]struct {
+		admitted int
+		digest   uint64
+	}{
+		1:  {560, 0x351764f9cd4db5c1},
+		2:  {600, 0x50fb94a8a7774031},
+		3:  {600, 0x50fb94a8a7774031},
+		4:  {600, 0x50fb94a8a7774031},
+		5:  {600, 0x50fb94a8a7774031},
+		6:  {600, 0x50fb94a8a7774031},
+		7:  {590, 0x9a3c5223b51dca8d},
+		8:  {589, 0xd0fce0eeeacd1e82},
+		9:  {592, 0x495fc171a070e8e1},
+		10: {598, 0x38ef7d63d251e591},
+		11: {577, 0x9e596d4dd1eb3052},
+		12: {600, 0x50fb94a8a7774031},
+	}
 	for seed := int64(1); seed <= 12; seed++ {
 		setup, slots := genBurst(t, seed)
-		alone, _ := playBurst(t, setup, slots, false)
-		burst, admitted := playBurst(t, setup, slots, true)
+		alone, _, _ := playBurst(t, setup, slots, false)
+		burst, admitted, digest := playBurst(t, setup, slots, true)
 		if admitted == 0 {
 			t.Fatalf("seed %d: the gate admitted nothing — the burst tested nothing", seed)
+		}
+		if want := pinned[seed]; admitted != want.admitted || digest != want.digest {
+			t.Errorf("seed %d: gate decisions moved: %d admitted, digest %#x; pinned %d, %#x",
+				seed, admitted, digest, want.admitted, want.digest)
 		}
 		metAlone := 0
 		for id, ok := range alone {
