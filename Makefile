@@ -141,28 +141,19 @@ sim-smoke:
 
 # bench runs the micro-benchmarks — among them internal/flow's
 # BenchmarkLexMinMax, one replan's skyline at the paper's Fig. 7 scale
-# (5,000 jobs x 1,000 slots) — and then ftperf's ad-hoc gate probe, leaving
-# BENCH_adhoc.json for the perf trajectory (the lock-free ad-hoc admission
-# gate: sustained admissions/s and admission-latency percentiles while
-# replans rebase the queue concurrently, plus conservation verdicts). What
-# the RM's control plane costs end to end is bench/'s to measure (go run
-# -C bench .).
+# (5,000 jobs x 1,000 slots). What the RM's control plane costs end to
+# end, the ad-hoc gate's admissions included, is bench/'s to measure
+# (go run -C bench .).
 BENCH_PKGS := ./internal/rmserver/ ./internal/flow/ ./internal/deadline/ ./internal/sim/
 bench:
 	$(GO) test -bench . -benchtime=500ms -run '^$$' $(BENCH_PKGS)
-	$(GO) run ./cmd/ftperf -adhocout BENCH_adhoc.json
 
 # bench-smoke is the CI form: every benchmark runs exactly once so a
-# broken benchmark fails fast without paying for a measurement run. Its
-# 100 ms report goes under $(SMOKE_DIR) (git-ignored), never over the
-# tracked BENCH_adhoc.json. BenchmarkLexMinMax is the planner regression
-# gate: its 5000x1000 replan fails over 1 s, and its certificate must
-# pass the exact checker.
-SMOKE_DIR := .bench_build/smoke
+# broken benchmark fails fast without paying for a measurement run.
+# BenchmarkLexMinMax is the planner regression gate: its 5000x1000 replan
+# fails over 1 s, and its certificate must pass the exact checker.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
-	mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/ftperf -adhocout $(SMOKE_DIR)/BENCH_adhoc.json -duration 100ms
 
 # bench-e2e vets and tests the whole-path benchmark harness. bench/ is a
 # module of its own (BENCHMARK.json's contract), so nothing above descends

@@ -22,7 +22,7 @@
 // instead of nothing at all — the durable live plan then survives
 // crashes and failovers and is reported under /v1/status "plan".
 // -adhoc-gate (implies -stream-plans) additionally routes every ad-hoc
-// submission through the lock-free leftover-capacity admission gate:
+// submission through the leftover-capacity admission gate:
 // the job is admitted or rejected in O(window) against the live plan's
 // slack without waking the planner. Both flags require the FlowTime
 // scheduler.

@@ -264,7 +264,7 @@ func (f *FlowTime) TakePlanDiffs() []*plan.Diff {
 var _ sched.AdHocFolder = (*FlowTime)(nil)
 
 // FoldAdHocDrain implements sched.AdHocFolder: the admission gate retired
-// a leftover epoch and reports the volume it admitted per slot. The
+// a window and reports the volume it admitted per slot. The
 // volumes accumulate as per-slot reservations that every later replan
 // routes beside the deadline work, last (see stageA), so the admitted
 // ad-hoc work reaches the planner at the next batched quality replan —
@@ -286,7 +286,7 @@ func (f *FlowTime) FoldAdHocDrain(from int64, consumed []resource.Vector) {
 		f.adhocFrom = from
 		f.adhocReserved = append([]resource.Vector(nil), consumed...)
 	} else {
-		// Drains are cumulative (each reports one epoch's admissions):
+		// Drains are cumulative (each reports one window's admissions):
 		// overlapping slots add.
 		start, end := f.adhocFrom, f.adhocFrom+int64(len(f.adhocReserved))
 		if from < start {

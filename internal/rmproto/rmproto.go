@@ -240,8 +240,8 @@ type PlanStatus struct {
 	// revision chain (typically one per crash recovery).
 	DiffsApplied int64 `json:"diffs_applied"`
 	Rebases      int64 `json:"rebases"`
-	// AdHoc reports the lock-free ad-hoc admission gate; present only
-	// when the gate is enabled.
+	// AdHoc reports the ad-hoc admission gate; present only when the
+	// gate is enabled.
 	AdHoc *AdHocQueueStatus `json:"adhoc,omitempty"`
 }
 
@@ -250,8 +250,8 @@ type AdHocQueueStatus struct {
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
 	Rebases  int64 `json:"rebases"`
-	// Rev is the plan revision the gate's current leftover profile was
-	// built from (-1 before the first plan).
+	// Rev is the plan revision the gate's current window was built from
+	// (-1 before the first plan).
 	Rev int64 `json:"rev"`
 }
 

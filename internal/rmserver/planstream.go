@@ -16,11 +16,11 @@
 // rebase is the loud, journaled escape hatch; a silently half-applied
 // diff is impossible by construction.
 //
-// The live plan also feeds the lock-free ad-hoc admission gate
-// (internal/adhoc): after every plan change the RM republishes the
-// plan's leftover capacity profile to the queue, so ad-hoc submissions
-// are admitted or rejected in O(window) against real slack without
-// waking the planner.
+// The live plan also feeds the ad-hoc admission gate (adhocGate below):
+// after every plan change the RM republishes the plan's leftover capacity
+// per slot, so ad-hoc submissions are admitted or rejected in O(window)
+// against real slack without waking the planner. The gate is plain state
+// under the server's lock, like everything else the RM decides.
 package rmserver
 
 import (
@@ -32,9 +32,10 @@ import (
 	"flowtime/internal/sched"
 )
 
-// defaultGateWindow bounds the leftover profile published to the ad-hoc
-// gate when the live plan is empty (no deadline jobs planned): the whole
-// cluster is slack, but the queue still needs a finite window to charge.
+// defaultGateWindow bounds the window published to the ad-hoc gate where
+// the live plan has none to give — it is empty (no deadline jobs planned)
+// or ends soon after the current slot: the whole cluster is slack there,
+// but the gate still needs a finite window to charge.
 const defaultGateWindow = 64
 
 // livePlanLocked returns the server's live plan, never nil.
@@ -118,41 +119,132 @@ func (s *Server) applyPlanRebaseRecordLocked(r *recPlanRebase) {
 	s.faults.PlanRebases++
 }
 
-// rebaseAdHocLocked republishes the live plan's leftover profile to the
-// ad-hoc admission queue. A no-op without the gate, and when the queue
-// already holds the current revision (the plan did not change).
+// adhocGate is the ad-hoc admission gate: over one window of slots, the
+// capacity the live plan and the admitted ad-hoc work leave free, and what
+// admissions took of it since the window was published. The server owns
+// it and reads and writes it only under s.mu.
+type adhocGate struct {
+	// plan is the live plan the window was built from; nil until the
+	// first republish.
+	plan *plan.Plan
+	// from is the absolute slot of free[0] and took[0].
+	from int64
+	free []resource.Vector
+	took []resource.Vector
+	// admitted, rejected and rebases count the gate's decisions and
+	// republishes since the process started (Status().Plan.AdHoc).
+	admitted, rejected, rebases int64
+}
+
+// rev is the revision of the plan the window was built from, -1 before
+// the first republish.
+func (g *adhocGate) rev() int64 {
+	if g.plan == nil {
+		return -1
+	}
+	return g.plan.Rev
+}
+
+// admit charges demand against the free capacity from slot to the
+// window's end, all of it or none of it. The window is open-ended because
+// ad-hoc jobs carry no deadline.
+func (g *adhocGate) admit(slot int64, demand, perSlot resource.Vector) bool {
+	lo := min(max(slot-g.from, 0), int64(len(g.free)))
+	free, took := g.free[lo:], g.took[lo:]
+	takes := make([]resource.Vector, len(free))
+	if short := waterFill(takes, free, demand, perSlot); !short.IsZero() {
+		g.rejected++
+		return false
+	}
+	for i, v := range takes {
+		free[i] = free[i].Sub(v)
+		took[i] = took[i].Add(v)
+	}
+	g.admitted++
+	return true
+}
+
+// waterFill places demand on the slots of free front to back, one kind at
+// a time: each slot takes what is left of the kind's demand, at most
+// perSlot of it (0 = no cap) and at most what the slot has free. It
+// writes the per-slot takes over takes, which is as long as free, and
+// returns the demand that did not fit; free is not modified. The kinds
+// share no capacity, so each fills on its own.
+func waterFill(takes, free []resource.Vector, demand, perSlot resource.Vector) (short resource.Vector) {
+	clear(takes)
+	for ki := range resource.Kinds() {
+		need := demand[ki]
+		for i := 0; i < len(free) && need > 0; i++ {
+			take := min(need, free[i][ki])
+			if perSlot[ki] > 0 {
+				take = min(take, perSlot[ki])
+			}
+			takes[i][ki] = take
+			need -= take
+		}
+		short[ki] = need
+	}
+	return short
+}
+
+// rebaseAdHocLocked republishes the gate after a tick's plan stream when
+// the live plan is not the plan object the gate was built from. The
+// object decides, not its revision: a restarted scheduler's first
+// revision reuses the number of the plan the RM recovered. A no-op
+// without the gate and before the first plan revision.
 func (s *Server) rebaseAdHocLocked() {
-	if s.adhocQ == nil {
+	if s.gate == nil {
 		return
 	}
-	lp := s.livePlanLocked()
-	if lp.Rev == 0 || s.adhocQ.Rev() == lp.Rev {
-		return
+	if lp := s.livePlanLocked(); lp.Rev != 0 && lp != s.gate.plan {
+		s.republishAdHocLocked(lp, lp.NSlots == 0)
 	}
-	from, n := lp.From, lp.NSlots
-	if n == 0 {
-		// Empty plan (no deadline jobs): the whole cluster is leftover
-		// over a default window anchored at the current slot.
-		from, n = s.slot, defaultGateWindow
-		if s.cfg.Horizon < n {
-			n = s.cfg.Horizon
+}
+
+// admitAdHocLocked is the admission gate's decision: it charges a job's
+// volume against what is free from the current slot on. When no window
+// covers the current slot — it has passed, or a recovered RM has not
+// published one yet — and a live plan exists, the gate first republishes
+// from that plan, anchored at the current slot. With no plan there is no
+// leftover to admit against, and the job is rejected.
+func (s *Server) admitAdHocLocked(demand, perSlot resource.Vector) bool {
+	g := s.gate
+	if s.slot < g.from || s.slot >= g.from+int64(len(g.free)) {
+		if lp := s.livePlanLocked(); lp.Rev != 0 {
+			s.republishAdHocLocked(lp, true)
 		}
 	}
-	first := s.adhocQ.Rev() < 0
-	leftover, held := s.adhocLeftoverLocked(lp, from, n)
-	drain := s.adhocQ.Rebase(lp.Rev, from, leftover)
+	return g.admit(s.slot, demand, perSlot)
+}
+
+// republishAdHocLocked rebuilds the gate's window from lp and hands what
+// the retired window's admissions took to the scheduler. The window is
+// the plan's own or, anchored, starts at the current slot and runs to the
+// plan's end but at least defaultGateWindow slots: past the end of the
+// plan, as in an empty one, the whole cluster is leftover.
+func (s *Server) republishAdHocLocked(lp *plan.Plan, anchored bool) {
+	g := s.gate
+	from, n := lp.From, lp.NSlots
+	if anchored {
+		from, n = s.slot, max(lp.From+lp.NSlots-s.slot, min(defaultGateWindow, s.cfg.Horizon))
+	}
+	first := g.plan == nil
+	retiredFrom, retired := g.from, g.took
+	free, held := s.adhocLeftoverLocked(lp, from, n)
+	g.plan, g.from, g.free, g.took = lp, from, free, make([]resource.Vector, n)
+	g.rebases++
 	folder, ok := s.cfg.Scheduler.(sched.AdHocFolder)
 	if !ok {
 		return
 	}
-	// Hand the retired epoch's admitted volume to the scheduler as
+	// Hand the retired window's admitted volume to the scheduler as
 	// reservations (sched.AdHocFolder): the next batched replan routes them
 	// beside the deadline work, so the plan keeps clear of capacity the gate
 	// promised away wherever no deadline needs it.
-	folder.FoldAdHocDrain(drain.From, drain.Consumed)
+	folder.FoldAdHocDrain(retiredFrom, retired)
 	if first {
 		// The scheduler's reservations are not durable. A restarted or
-		// promoted RM retires an empty epoch here, yet the ad-hoc jobs it
+		// promoted RM retires no window here, yet the ad-hoc jobs it
 		// recovered were admitted against slots the planner no longer knows
 		// are spoken for: re-seed them with the volume those jobs still
 		// hold. Nothing is live on a fresh start, and the fold is a no-op.
@@ -166,10 +258,10 @@ func (s *Server) rebaseAdHocLocked() {
 // admitted ad-hoc jobs, and beside it that volume itself, held[i] at slot
 // from+i. The plan covers only deadline jobs — admitted ad-hoc work holds
 // no slots in it — so each live ad-hoc job's remaining demand is
-// water-filled front-to-back (honoring its parallel cap) and subtracted,
-// ensuring later admissions cannot double-book capacity an earlier
-// admission still needs. Demand that fits nowhere in the window is simply
-// unplaced: the profile is already exhausted there.
+// water-filled the way its admission was and subtracted, ensuring later
+// admissions cannot double-book capacity an earlier admission still
+// needs. Demand that fits nowhere in the window is simply unplaced: the
+// profile is already exhausted there.
 func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, held []resource.Vector) {
 	capacity := s.totalCapacityLocked()
 	leftover = make([]resource.Vector, n)
@@ -189,24 +281,13 @@ func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, he
 		}
 	}
 	sort.Strings(adhocIDs)
+	takes := make([]resource.Vector, n)
 	for _, id := range adhocIDs {
 		j := s.jobs[id]
-		rem := j.total.SubClamped(j.delivered)
-		for ki := range resource.Kinds() {
-			need := rem[ki]
-			perSlot := j.parallelCap[ki]
-			for i := int64(0); i < n && need > 0; i++ {
-				take := need
-				if perSlot > 0 && take > perSlot {
-					take = perSlot
-				}
-				if free := leftover[i][ki]; take > free {
-					take = free
-				}
-				leftover[i][ki] -= take
-				held[i][ki] += take
-				need -= take
-			}
+		waterFill(takes, leftover, j.total.SubClamped(j.delivered), j.parallelCap)
+		for i, v := range takes {
+			leftover[i] = leftover[i].Sub(v)
+			held[i] = held[i].Add(v)
 		}
 	}
 	return leftover, held

@@ -1,6 +1,8 @@
 package rmserver
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"flowtime/internal/core"
 	"flowtime/internal/plan"
+	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
@@ -196,7 +199,7 @@ func TestPlanReplicatesToFollower(t *testing.T) {
 	}
 }
 
-// TestAdHocGateAdmitsAgainstLeftover: the lock-free gate rejects
+// TestAdHocGateAdmitsAgainstLeftover: the admission gate rejects
 // everything before the first plan revision, admits demand that fits the
 // plan's leftover afterwards, rejects demand that cannot fit, and does
 // not double-book capacity an earlier admission already holds.
@@ -261,7 +264,7 @@ func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
 }
 
 // TestAdHocDrainFoldsIntoScheduler: when a plan rebase retires a gate
-// epoch that carried admissions, the drained per-slot consumption must
+// window that carried admissions, the per-slot volume they took must
 // reach the scheduler through sched.AdHocFolder so the next plan reserves
 // it instead of double-booking capacity the gate already promised away.
 func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
@@ -291,8 +294,8 @@ func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
 	}
 
 	// A deadline workflow forces a new plan revision; the rebase that
-	// follows retires the gate epoch holding the admission, and its drain
-	// must be folded into the scheduler.
+	// follows retires the gate window holding the admission, and what it
+	// took must be folded into the scheduler.
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
@@ -304,7 +307,7 @@ func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
 }
 
 // TestRecoveredAdHocReseedsReservations: the scheduler's reservations are
-// not durable, and the first gate epoch of a process retires nothing — so
+// not durable, and the first gate window of a process retires nothing — so
 // on a restarted RM the first rebase must re-seed them from the volume
 // the recovered ad-hoc jobs still hold. Without that the planner spreads
 // deadline work over slots the gate promised away before the crash.
@@ -360,6 +363,358 @@ func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 	}
 	if err := rm2.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence: %v", err)
+	}
+}
+
+// submitOneCore submits a one-core, one-slot ad-hoc job and reports
+// whether the gate admitted it.
+func submitOneCore(t *testing.T, rm *Server, id string) bool {
+	t.Helper()
+	resp, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: id, Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 256,
+	}})
+	if err != nil {
+		t.Fatalf("SubmitAdHoc(%s): %v", id, err)
+	}
+	return resp.Accepted
+}
+
+// runToSlot drives slots of tick and heartbeat until the RM is at slot.
+func runToSlot(t *testing.T, rm *Server, slot int64, pending []string) []string {
+	t.Helper()
+	for rm.Status().Slot < slot {
+		pending = runSlots(t, rm, "n1", 1, pending)
+	}
+	return pending
+}
+
+// TestAdHocGateReopensAfterItsWindow: on an idle RM the plan never
+// changes, so the default window the first tick published is the only
+// one. Once the RM's slot has left that window the gate must open again,
+// from the same plan, instead of turning every job away.
+func TestAdHocGateReopensAfterItsWindow(t *testing.T) {
+	rm, _ := newStreamingRM(t, t.TempDir(), true, true)
+	register(t, rm, "n1", 8, 16384)
+	pending := runSlots(t, rm, "n1", 1, nil)
+	for _, slot := range []int64{61, 71, 81} {
+		pending = runToSlot(t, rm, slot, pending)
+		if !submitOneCore(t, rm, fmt.Sprintf("slot%d", slot)) {
+			t.Fatalf("slot %d: a 1-core job on an idle 8-core RM was rejected (gate %+v)", slot, rm.Status().Plan.AdHoc)
+		}
+	}
+	// The republish at slot 71 also folds the slot-61 admission into the
+	// scheduler, whose replan around it brings further revisions.
+	if g := rm.Status().Plan.AdHoc; g.Admitted != 3 || g.Rebases < 2 {
+		t.Fatalf("gate %+v, want 3 admitted and a republish once the first window passed", g)
+	}
+}
+
+// TestAdHocGateReopensAfterTheLastWorkflow: once the only workflow has
+// completed and its plan's window has passed, an idle cluster admits
+// ad-hoc work again.
+func TestAdHocGateReopensAfterTheLastWorkflow(t *testing.T) {
+	rm, _ := newStreamingRM(t, t.TempDir(), true, true)
+	register(t, rm, "n1", 8, 32768)
+	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
+		t.Fatalf("SubmitWorkflow: %v", err)
+	}
+	runToSlot(t, rm, 150, nil)
+	for _, j := range rm.Status().Jobs {
+		if j.State != "completed" {
+			t.Fatalf("job %s is %s at slot 150", j.ID, j.State)
+		}
+	}
+	if !submitOneCore(t, rm, "late") {
+		t.Fatalf("a 1-core job on an idle cluster was rejected after the last workflow (gate %+v)", rm.Status().Plan.AdHoc)
+	}
+}
+
+// TestRecoveredAdHocGateAdmitsBeforeFirstTick: a recovered RM holds the
+// journaled live plan before its scheduler has replanned, and the gate
+// admits against it. The restarted scheduler's first revision reuses the
+// recovered plan's number, yet it is a new plan: the tick that brings it
+// republishes the gate and folds what the early admission took.
+func TestRecoveredAdHocGateAdmitsBeforeFirstTick(t *testing.T) {
+	dir := t.TempDir()
+	rm1, _ := newStreamingRM(t, dir, false, true)
+	register(t, rm1, "n1", 8, 32768)
+	if _, err := rm1.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
+		t.Fatalf("SubmitWorkflow: %v", err)
+	}
+	runSlots(t, rm1, "n1", 1, nil)
+	if rev := rm1.Status().Plan.Rev; rev != 1 {
+		t.Fatalf("plan rev %d before the crash, want 1", rev)
+	}
+	// Crash: rm1 and its store are abandoned un-closed.
+
+	rm2, _ := newStreamingRM(t, dir, true, true)
+	ft := rm2.cfg.Scheduler.(*core.FlowTime)
+	register(t, rm2, "n1", 8, 32768)
+	if !submitOneCore(t, rm2, "early") {
+		t.Fatalf("recovered RM rejected a 1-core job against its recovered plan (gate %+v)", rm2.Status().Plan.AdHoc)
+	}
+	if g := rm2.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 1 {
+		t.Fatalf("gate %+v, want one republish from the recovered rev 1", g)
+	}
+	runSlots(t, rm2, "n1", 1, nil)
+	if g := rm2.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 2 {
+		t.Fatalf("gate %+v after the first tick, want a republish from the scheduler's own rev 1", g)
+	}
+	if got := ft.Stats().AdHocFolds; got < 1 {
+		t.Fatalf("AdHocFolds = %d: the early admission never reached the scheduler", got)
+	}
+}
+
+// flatGate is a gate whose window [from, from+n) has vcores and mem free
+// in every slot.
+func flatGate(from, n, vcores, mem int64) *adhocGate {
+	g := &adhocGate{from: from, free: make([]resource.Vector, n), took: make([]resource.Vector, n)}
+	for i := range g.free {
+		g.free[i] = resource.New(vcores, mem)
+	}
+	return g
+}
+
+// TestAdHocGateCharges holds one admission to the gate's contract: the
+// whole demand or nothing, front to back from the current slot to the
+// window's end, at most the per-slot cap a slot, and exactly what it took
+// gone from the free capacity and recorded for the next republish.
+func TestAdHocGateCharges(t *testing.T) {
+	v := resource.New
+	for _, tc := range []struct {
+		name            string
+		gate            *adhocGate
+		slot            int64
+		demand, perSlot resource.Vector
+		admit           bool
+		took            []resource.Vector // per window slot; nil when nothing is taken
+	}{
+		{name: "reject before the first plan", gate: &adhocGate{}, demand: v(1, 1)},
+		{name: "exact charges", gate: flatGate(10, 4, 4, 400), slot: 10, demand: v(6, 300), perSlot: v(2, 100), admit: true,
+			took: []resource.Vector{v(2, 100), v(2, 100), v(2, 100), {}}},
+		{name: "uncapped fills the first slots", gate: flatGate(0, 3, 3, 300), demand: v(5, 300), admit: true,
+			took: []resource.Vector{v(3, 300), v(2, 0), {}}},
+		{name: "full rollback on reject", gate: flatGate(0, 2, 3, 300), demand: v(6, 601)},
+		{name: "past the window", gate: flatGate(10, 4, 4, 400), slot: 14, demand: v(1, 1)},
+		{name: "zero demand past the window", gate: flatGate(10, 4, 4, 400), slot: 20, admit: true},
+		{name: "partial overlap", gate: flatGate(10, 4, 2, 200), slot: 12, demand: v(4, 100), perSlot: v(2, 100), admit: true,
+			took: []resource.Vector{{}, {}, v(2, 100), v(2, 0)}},
+		{name: "partial overlap too short", gate: flatGate(10, 4, 2, 200), slot: 12, demand: v(5, 100), perSlot: v(2, 100)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.gate
+			initial := append([]resource.Vector(nil), g.free...)
+			if got := g.admit(tc.slot, tc.demand, tc.perSlot); got != tc.admit {
+				t.Fatalf("admit = %v, want %v", got, tc.admit)
+			}
+			if tc.admit && (g.admitted != 1 || g.rejected != 0) || !tc.admit && (g.admitted != 0 || g.rejected != 1) {
+				t.Fatalf("counters %d admitted, %d rejected", g.admitted, g.rejected)
+			}
+			for i := range initial {
+				var want resource.Vector
+				if tc.took != nil {
+					want = tc.took[i]
+				}
+				if g.took[i] != want || g.free[i] != initial[i].Sub(want) {
+					t.Errorf("slot %d: took %v, free %v; want took %v of %v", g.from+int64(i), g.took[i], g.free[i], want, initial[i])
+				}
+			}
+		})
+	}
+	if rev := (&adhocGate{}).rev(); rev != -1 {
+		t.Fatalf("rev %d before the first republish, want -1", rev)
+	}
+}
+
+// foldRecorder is a FlowTime scheduler that records every ad-hoc fold.
+type foldRecorder struct {
+	*core.FlowTime
+	folds [][]resource.Vector // each fold, indexed from the absolute slot 0
+}
+
+func (f *foldRecorder) FoldAdHocDrain(from int64, consumed []resource.Vector) {
+	abs := make([]resource.Vector, from+int64(len(consumed)))
+	copy(abs[from:], consumed)
+	f.folds = append(f.folds, abs)
+	f.FlowTime.FoldAdHocDrain(from, consumed)
+}
+
+// TestAdHocGateConservesWhatItAdmits plays a seeded sequence of ticks,
+// idle stretches, workflows and ad-hoc jobs against a gated RM, with one
+// crash and restart halfway. Every admission's takes are read off the
+// gate's free capacity (and must add up to the job's volume); after every
+// republish, what the scheduler was handed for the retired window must be
+// exactly, slot by slot, what that window's admissions took. No free cell
+// may ever be negative.
+func TestAdHocGateConservesWhatItAdmits(t *testing.T) {
+	const ops = 400
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	var (
+		rm      *Server
+		rec     *foldRecorder
+		pending []string
+		// taken is what the current window's admissions took, by absolute
+		// slot; rebases and folds are the gate's and the scheduler's counts
+		// at the last check.
+		taken          []resource.Vector
+		rebases, folds int
+		nextID         int
+		// Totals over the run, to show the sequence exercised the gate.
+		admitted, rejected, republishes, expired int
+	)
+	start := func() {
+		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+		if err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+		t.Cleanup(func() { st.Close() })
+		cfg := core.DefaultConfig()
+		cfg.StreamPlans = true
+		rec = &foldRecorder{FlowTime: core.New(cfg)}
+		if rm, err = New(Config{SlotDur: slotDur, Scheduler: rec, Store: st, AdHocGate: true}); err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		register(t, rm, "n1", 8, 32768)
+		pending, taken, rebases, folds = nil, nil, 0, 0
+	}
+	gateFree := func() (from int64, free []resource.Vector) {
+		rm.mu.Lock()
+		defer rm.mu.Unlock()
+		return rm.gate.from, append([]resource.Vector(nil), rm.gate.free...)
+	}
+	// check runs after every op: a republish must have folded exactly
+	// what its retired window's admissions took.
+	check := func(op string) {
+		t.Helper()
+		rm.mu.Lock()
+		g := rm.gate
+		for i, v := range g.free {
+			if v.AnyNegative() {
+				t.Fatalf("%s: slot %d free %v", op, g.from+int64(i), v)
+			}
+		}
+		n := int(g.rebases)
+		rm.mu.Unlock()
+		if n == rebases {
+			if len(rec.folds) != folds {
+				t.Fatalf("%s: a fold without a republish", op)
+			}
+			return
+		}
+		if n != rebases+1 {
+			t.Fatalf("%s: %d republishes in one op", op, n-rebases)
+		}
+		// The first republish of a process also re-seeds what the
+		// recovered ad-hoc jobs hold, in a second fold.
+		wantFolds := folds + 1
+		if rebases == 0 {
+			wantFolds++
+		}
+		if len(rec.folds) != wantFolds {
+			t.Fatalf("%s: %d folds after a republish, want %d", op, len(rec.folds), wantFolds)
+		}
+		retired := rec.folds[folds]
+		for slot := 0; slot < max(len(retired), len(taken)); slot++ {
+			var got, want resource.Vector
+			if slot < len(retired) {
+				got = retired[slot]
+			}
+			if slot < len(taken) {
+				want = taken[slot]
+			}
+			if got != want {
+				t.Fatalf("%s: slot %d: folded %v, the retired window's admissions took %v", op, slot, got, want)
+			}
+		}
+		republishes++
+		rebases, folds, taken = n, len(rec.folds), nil
+	}
+	addTaken := func(from int64, before, after []resource.Vector) (total resource.Vector) {
+		if need := int(from) + len(after); len(taken) < need {
+			taken = append(taken, make([]resource.Vector, need-len(taken))...)
+		}
+		for i := range after {
+			d := before[i].Sub(after[i])
+			taken[from+int64(i)] = taken[from+int64(i)].Add(d)
+			total = total.Add(d)
+		}
+		return total
+	}
+
+	start()
+	for op := 0; op < ops; op++ {
+		if op == ops/2 {
+			// Crash: the store is abandoned un-closed, leases die with it.
+			start()
+			check("restart")
+		}
+		switch r := rng.Intn(10); {
+		case r < 5:
+			pending = runSlots(t, rm, "n1", 1, pending)
+			check("tick")
+		case r < 6:
+			// An idle stretch long enough for a window to pass.
+			for n := 20 + rng.Intn(60); n > 0; n-- {
+				pending = runSlots(t, rm, "n1", 1, pending)
+				check("stretch")
+			}
+		case r < 7:
+			nextID++
+			wf := chainWorkflow(int64(300 + rng.Intn(900)))
+			wf.ID = fmt.Sprintf("wf-%d", nextID)
+			if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf}); err != nil {
+				t.Fatalf("SubmitWorkflow: %v", err)
+			}
+			check("workflow")
+		default:
+			nextID++
+			job := trace.AdHocRecord{
+				ID: fmt.Sprintf("ah-%d", nextID), Tasks: 1 + rng.Intn(8), TaskDurSec: int64(10 + rng.Intn(300)),
+				DemandVCores: int64(1 + rng.Intn(2)), DemandMemMB: 1024,
+			}
+			a, err := job.ToAdHoc()
+			if err != nil {
+				t.Fatalf("ToAdHoc: %v", err)
+			}
+			fromBefore, before := gateFree()
+			prev := rebases
+			resp, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job})
+			if err != nil {
+				t.Fatalf("SubmitAdHoc: %v", err)
+			}
+			check("adhoc")
+			from, after := gateFree()
+			if rebases != prev {
+				// The window had passed: the admission charged a window
+				// republished for it, fresh but for this job's takes.
+				expired++
+				fromBefore, before = from, nil
+				rm.mu.Lock()
+				for i, v := range rm.gate.free {
+					before = append(before, v.Add(rm.gate.took[i]))
+				}
+				rm.mu.Unlock()
+			}
+			if fromBefore != from || len(before) != len(after) {
+				t.Fatalf("%s: the window moved without a republish", job.ID)
+			}
+			total := addTaken(from, before, after)
+			switch {
+			case resp.Accepted && total != a.Volume(slotDur):
+				t.Fatalf("%s: admitted, took %v of its volume %v", job.ID, total, a.Volume(slotDur))
+			case !resp.Accepted && !total.IsZero():
+				t.Fatalf("%s: rejected, yet took %v", job.ID, total)
+			case resp.Accepted:
+				admitted++
+			default:
+				rejected++
+			}
+		}
+	}
+	t.Logf("%d admitted, %d rejected, %d republishes, %d on a passed window", admitted, rejected, republishes, expired)
+	if admitted == 0 || rejected == 0 || expired == 0 {
+		t.Fatalf("the sequence did not exercise the gate: %d admitted, %d rejected, %d on a passed window", admitted, rejected, expired)
 	}
 }
 

@@ -26,13 +26,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
 
-	"flowtime/internal/adhoc"
 	"flowtime/internal/deadline"
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
@@ -81,12 +79,13 @@ type Config struct {
 	// this server is a follower (typically the primary's URL).
 	LeaderURL string
 	// AdHocGate, when true, gates ad-hoc admission on the streamed
-	// plan's leftover capacity (see internal/adhoc and planstream.go):
-	// a submission whose demand does not fit in the live plan's slack is
+	// plan's leftover capacity (see adhocGate in planstream.go): a
+	// submission whose demand does not fit in the live plan's slack is
 	// rejected (Accepted=false) instead of queued. Requires a Scheduler
-	// that implements sched.PlanStreamer with streaming enabled; until
-	// the first plan revision arrives every ad-hoc submission is
-	// rejected, because no leftover profile exists yet.
+	// that implements sched.PlanStreamer with streaming enabled; until a
+	// first plan revision exists, streamed or recovered, every ad-hoc
+	// submission is rejected, because there is no leftover to admit
+	// against.
 	AdHocGate bool
 	// Overload, when non-nil, bounds the HTTP front door with per-class
 	// admission queues and load shedding (see overload.go). nil leaves
@@ -155,9 +154,9 @@ type Server struct {
 	// livePlan is the scheduler's streamed plan, reconstructed from
 	// journaled diffs (see planstream.go). Nil until the first revision.
 	livePlan *plan.Plan
-	// adhocQ is the lock-free ad-hoc admission gate; nil unless
-	// Config.AdHocGate is set.
-	adhocQ *adhoc.Queue
+	// gate is the ad-hoc admission gate; nil unless Config.AdHocGate is
+	// set.
+	gate *adhocGate
 
 	// Replication (see repl.go). epoch is durable and replicated; role,
 	// fenced, and leaderURL are process-local.
@@ -337,7 +336,7 @@ func New(cfg Config) (*Server, error) {
 		s.admission = newAdmission(*cfg.Overload)
 	}
 	if cfg.AdHocGate {
-		s.adhocQ = adhoc.New()
+		s.gate = &adhocGate{}
 	}
 	s.watchdog = newWatchdog(cfg.Watchdog)
 	s.cond = sync.NewCond(&s.mu)
@@ -746,22 +745,11 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, err
 	}
-	if s.adhocQ != nil {
-		// The admission gate: charge the job's volume against the live
-		// plan's leftover profile. The window is open-ended — ad-hoc jobs
-		// carry no deadline — so the queue clamps it to its epoch. A
-		// rejection mutates nothing and journals nothing.
-		ok := s.adhocQ.Submit(adhoc.Request{
-			ID:      id,
-			Rel:     s.slot,
-			Dl:      math.MaxInt64,
-			Demand:  a.Volume(s.cfg.SlotDur),
-			PerSlot: a.ParallelCap(),
-		})
-		if !ok {
-			s.mu.Unlock()
-			return rmproto.SubmitResponse{Accepted: false, ID: id}, nil
-		}
+	// The admission gate charges the job's volume against the live plan's
+	// leftover. A rejection journals nothing and changes no job.
+	if s.gate != nil && !s.admitAdHocLocked(a.Volume(s.cfg.SlotDur), a.ParallelCap()) {
+		s.mu.Unlock()
+		return rmproto.SubmitResponse{Accepted: false, ID: id}, nil
 	}
 	err = s.applyAdHocLocked(&arec)
 	var h store.Handle
@@ -1216,13 +1204,12 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 			DiffsApplied: s.faults.PlanDiffsApplied,
 			Rebases:      s.faults.PlanRebases,
 		}
-		if s.adhocQ != nil {
-			qs := s.adhocQ.Stats()
+		if g := s.gate; g != nil {
 			p.AdHoc = &rmproto.AdHocQueueStatus{
-				Admitted: qs.Admitted,
-				Rejected: qs.Rejected,
-				Rebases:  qs.Rebases,
-				Rev:      s.adhocQ.Rev(),
+				Admitted: g.admitted,
+				Rejected: g.rejected,
+				Rebases:  g.rebases,
+				Rev:      g.rev(),
 			}
 		}
 		resp.Plan = p

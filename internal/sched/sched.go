@@ -153,16 +153,16 @@ type PlanStreamer interface {
 }
 
 // AdHocFolder is an optional extension of planning schedulers: the
-// resource manager's ad-hoc admission gate reports, at every plan rebase,
-// the volume it admitted against the retired leftover profile (one vector
-// per slot starting at from — adhoc.Drain.Consumed). A scheduler that
+// resource manager's ad-hoc admission gate reports, whenever it
+// republishes its window, the volume it admitted against the retired one
+// (one vector per slot starting at from). A scheduler that
 // implements it keeps those volumes as per-slot reservations and plans
 // its next revision around them where it can, instead of the gate having
 // to force an urgent full replan or the plan double-booking capacity the
 // gate admitted against. A reservation is a promise to best-effort work:
 // it shapes the plan wherever deadline work fits beside it and gives way
 // wherever it does not, never the other way round. Folds are cumulative:
-// each call reports only the admissions of the epoch being retired.
+// each call reports only the admissions of the window being retired.
 type AdHocFolder interface {
 	FoldAdHocDrain(from int64, consumed []resource.Vector)
 }
