@@ -109,8 +109,9 @@ verify:
 # a 4xx that changes nothing, a not_leader 503 or a 200 — a ship batch no
 # longer than head minus from, a fence exactly when its epoch is above the
 # RM's, after which every mutation is refused) and the two trace
-# converters (any Alibaba CSV or Google JSON-lines input converts or
-# fails, never panics).
+# converters (any Alibaba CSV or Google JSON-lines input fails, or
+# converts to a document ToWorkload accepts, with unique IDs, that comes
+# back equal through Write and Read).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -131,7 +132,8 @@ fuzz:
 
 # sim-smoke replays the small bundled scenario trace (testdata/
 # scenario-smoke.json, emitted by `ftgen -scenario flash -machines 40
-# -days 1 -seed 42`) through the machine-granular simulator with the
+# -days 1 -seed 42`, which scenario's TestSmokeTraceIsItsGenerator
+# checks byte for byte) through the machine-granular simulator with the
 # per-machine invariant checker armed, then replays a generated churn
 # scenario so join/fail/scale events are exercised too. Both finish in
 # well under a second.

@@ -10,10 +10,10 @@
 //	ftgen -scenario diurnal [-machines 100] [-days 3] [-seed 1] [-o trace.json]
 //
 // With -scenario the trace comes from the scenario engine (diurnal,
-// flash, stragglers, churn, energy) and is streamed out with a
-// provenance block (generator, seed, parameters) — ftsim can replay the
-// file, or regenerate the exact scenario (including machine events,
-// which the trace schema does not carry) from the recorded seed.
+// flash, stragglers, churn, energy) and carries a provenance block
+// (generator, seed, parameters) — ftsim can replay the file, or
+// regenerate the exact scenario (including machine events, which the
+// trace schema does not carry) from the recorded seed.
 package main
 
 import (
@@ -70,9 +70,7 @@ func main() {
 	}
 }
 
-// runScenario streams a generated scenario trace to the output; the
-// workload is written record by record, never materialized as one
-// document.
+// runScenario writes a generated scenario's trace to the output.
 func runScenario(out string, spec scenario.Spec) error {
 	sc, err := scenario.Generate(spec)
 	if err != nil {

@@ -376,18 +376,16 @@ func loadTrace(path, format string) (*trace.Trace, error) {
 	case "native":
 		return trace.Read(f)
 	case "alibaba", "google":
-		var coll scenario.Collector
-		var stats scenario.LoadStats
-		if format == "alibaba" {
-			stats, err = scenario.ConvertAlibaba(f, &coll, scenario.LoadOptions{})
-		} else {
-			stats, err = scenario.ConvertGoogle(f, &coll, scenario.LoadOptions{})
+		convert := scenario.ConvertAlibaba
+		if format == "google" {
+			convert = scenario.ConvertGoogle
 		}
+		tr, stats, err := convert(f)
 		if err != nil {
 			return nil, err
 		}
 		log.Printf("converted %s trace: %s", format, stats)
-		return coll.Trace(&trace.Meta{Generator: "import/" + format}), nil
+		return tr, nil
 	default:
 		return nil, fmt.Errorf("unknown -trace-format %q (have %s)", format, strings.Join(scenario.TraceFormats(), ", "))
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // docsChecked are the documents whose backticked names must exist.
-var docsChecked = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+var docsChecked = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // codeSpan is one inline code span of a markdown document and the line it
 // opens on.
@@ -78,8 +78,9 @@ func codeSpans(t *testing.T, doc string) []codeSpan {
 // TestDocsNameWhatExists keeps the documents from naming what the code
 // no longer has: every backticked metric name is one GET /metrics prints,
 // every backticked flag in a README flag-table row is one a cmd/ binary
-// defines, and every backticked pkg.Ident of a package under internal/ is
-// declared in that package.
+// defines, every backticked pkg.Ident of a package under internal/ is
+// declared in that package, and every backticked CamelCase Ident or
+// Type.Member is a name the module's Go files declare or select.
 func TestDocsNameWhatExists(t *testing.T) {
 	var spans []codeSpan
 	for _, doc := range docsChecked {
@@ -280,10 +281,27 @@ var identSpan = regexp.MustCompile(`^([a-z][a-z0-9]*)((?:\.[A-Za-z_][A-Za-z0-9_]
 // fileSuffixes are the last segments that make a dotted span a file name.
 var fileSuffixes = map[string]bool{"go": true, "md": true, "json": true, "log": true, "snap": true, "mps": true, "csv": true, "txt": true}
 
+// bareSpan matches a span that is a CamelCase Go name or a selection on
+// one, optionally called: Ident, Type.Member, Type.Member(...). A name with
+// an underscore (R_t, FlowTime_no_ds) is notation, not CamelCase.
+var bareSpan = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?(\(.*\))?$`)
+
 func checkIdentifiers(t *testing.T, spans []codeSpan) {
 	metricNames := benchmarkLayerMetrics(t)
 	pkgs := make(map[string]*pkgNames)
+	var module map[string]bool
 	for _, s := range spans {
+		if m := bareSpan.FindStringSubmatch(s.text); m != nil && !fileSuffixes[m[2]] {
+			if module == nil {
+				module = moduleNames(t)
+			}
+			for _, id := range m[1:3] {
+				if id != "" && !module[id] {
+					t.Errorf("%v: no Go file of the module declares or selects %s", s, id)
+				}
+			}
+			continue
+		}
 		m := identSpan.FindStringSubmatch(s.text)
 		if m == nil {
 			continue
@@ -313,6 +331,46 @@ func checkIdentifiers(t *testing.T, spans []codeSpan) {
 			}
 		}
 	}
+}
+
+// moduleNames returns every identifier of every Go file of the module,
+// test files included: the names they declare, and the names they select,
+// which cover what the documents cite from other modules (gzip's
+// BestSpeed). bench/ is a module of its own and is left out.
+func moduleNames(t *testing.T) map[string]bool {
+	t.Helper()
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			_, modErr := os.Stat(filepath.Join(path, "go.mod"))
+			if path != "." && (modErr == nil || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // another module (bench/), or .git
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				names[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("parse the module: %v", err)
+	}
+	return names
 }
 
 // testFunc matches the name of a function go test runs.

@@ -7,16 +7,14 @@
 // DAG structure is encoded in task_name: "M3_1_2" is task 3 depending on
 // tasks 1 and 2; names without that structure ("task_...", "MergeTask")
 // are independent. Rows of one job are contiguous in the file, so the
-// converter buffers exactly one job at a time and streams workflows out
-// as they complete: multi-day inputs never materialize. (Single-task
-// DAG-less jobs become ad-hoc records; those are fixed-size and buffered
-// until the end because the schema orders workflows first.)
+// converter reads one job at a time and turns it into one record:
+// single-task DAG-less jobs become ad-hoc records, the rest workflows.
 //
 // Mapping to the native schema: instance_num -> Tasks, end-start ->
-// TaskDurSec, plan_cpu/CPUPerCore (percent of a core) -> DemandVCores,
-// plan_mem*MemScaleMB (normalized) -> DemandMemMB. Timestamps are kept
+// TaskDurSec, plan_cpu/cpuPerCore (percent of a core) -> DemandVCores,
+// plan_mem*memUnitMB (normalized) -> DemandMemMB. Timestamps are kept
 // as-is (the public trace records seconds from trace start). Deadlines
-// are synthesized at DeadlineFactor x the job's observed makespan — the
+// are synthesized at deadlineFactor x the job's observed makespan — the
 // trace has no deadlines, and the paper's own production traces motivate
 // loose ones (§II-B).
 package scenario
@@ -29,6 +27,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"flowtime/internal/trace"
 )
@@ -44,13 +43,15 @@ type alibabaRow struct {
 	memMB      int64
 }
 
-// ConvertAlibaba streams an Alibaba 2018 batch_task.csv into the native
-// trace format. Malformed rows (wrong field count, non-numeric numbers,
-// end before start) abort with an error naming the line; rows with a
-// non-terminal status or zero duration are skipped and counted.
-func ConvertAlibaba(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error) {
-	opt = opt.withDefaults()
+// ConvertAlibaba converts an Alibaba 2018 batch_task.csv into a native
+// trace. Malformed rows (wrong field count, non-numeric or out-of-range
+// numbers, end before start) abort with an error naming the line, and a
+// job no replay would accept aborts with one naming the job; rows with a
+// non-terminal status or zero duration are skipped and counted. A job name
+// that recurs later in the file gets the suffix #n.
+func ConvertAlibaba(r io.Reader) (*trace.Trace, LoadStats, error) {
 	var stats LoadStats
+	tr := &trace.Trace{Version: trace.FormatVersion, Meta: &trace.Meta{Generator: "import/alibaba"}}
 
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 9
@@ -59,42 +60,17 @@ func ConvertAlibaba(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error
 	var (
 		pending    []alibabaRow // rows of the job being buffered
 		pendingJob string
-		jobSeen    = make(map[string]int) // job name -> recurrences flushed
-		adhoc      []trace.AdHocRecord
+		names      = make(ids)
 	)
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		defer func() { pending = pending[:0] }()
-		jobSeen[pendingJob]++
-		name := pendingJob
-		if n := jobSeen[pendingJob]; n > 1 {
-			// The same job name reappearing later in the file is a new
-			// recurrence of the job; keep IDs unique.
-			name = fmt.Sprintf("%s#%d", pendingJob, n)
-		}
-		wfRec, isAdhoc, ahRec, err := buildAlibabaJob(name, pending, opt)
+		err := addAlibabaJob(tr, names.take(pendingJob), pending)
+		pending = pending[:0]
 		if err != nil {
-			return err
+			return fmt.Errorf("scenario: alibaba: %w", err)
 		}
-		if isAdhoc {
-			if opt.MaxAdHoc > 0 && len(adhoc) >= opt.MaxAdHoc {
-				stats.SkippedRows++
-				return nil
-			}
-			adhoc = append(adhoc, ahRec)
-			return nil
-		}
-		if opt.MaxWorkflows > 0 && stats.Workflows >= opt.MaxWorkflows {
-			stats.SkippedRows += len(pending)
-			return nil
-		}
-		if err := out.Workflow(wfRec); err != nil {
-			return err
-		}
-		stats.Workflows++
-		stats.Jobs += len(wfRec.Jobs)
 		return nil
 	}
 
@@ -104,12 +80,12 @@ func ConvertAlibaba(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error
 			break
 		}
 		if err != nil {
-			return stats, fmt.Errorf("scenario: alibaba line %d: %w", line, err)
+			return nil, stats, fmt.Errorf("scenario: alibaba line %d: %w", line, err)
 		}
 		stats.Rows++
-		row, skip, err := parseAlibabaRow(fields, opt)
+		row, skip, err := parseAlibabaRow(fields)
 		if err != nil {
-			return stats, fmt.Errorf("scenario: alibaba line %d: %w", line, err)
+			return nil, stats, fmt.Errorf("scenario: alibaba line %d: %w", line, err)
 		}
 		if skip {
 			stats.SkippedRows++
@@ -117,32 +93,25 @@ func ConvertAlibaba(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error
 		}
 		if row.job != pendingJob {
 			if err := flush(); err != nil {
-				return stats, err
+				return nil, stats, err
 			}
 			pendingJob = row.job
 		}
-		pending = append(pending, cloneAlibabaRow(row))
+		pending = append(pending, row)
 	}
 	if err := flush(); err != nil {
-		return stats, err
+		return nil, stats, err
 	}
-	for _, rec := range adhoc {
-		if err := out.AdHoc(rec); err != nil {
-			return stats, err
-		}
-		stats.AdHoc++
+	stats.Workflows, stats.AdHoc = len(tr.Workflows), len(tr.AdHoc)
+	for _, wf := range tr.Workflows {
+		stats.Jobs += len(wf.Jobs)
 	}
-	return stats, nil
-}
-
-func cloneAlibabaRow(r alibabaRow) alibabaRow {
-	r.deps = append([]int(nil), r.deps...)
-	return r
+	return tr, stats, nil
 }
 
 // parseAlibabaRow validates one CSV row. skip=true means the row is
 // well-formed but carries no completed work (non-terminal status).
-func parseAlibabaRow(fields []string, opt LoadOptions) (alibabaRow, bool, error) {
+func parseAlibabaRow(fields []string) (alibabaRow, bool, error) {
 	var row alibabaRow
 	taskName := strings.TrimSpace(fields[0])
 	if taskName == "" {
@@ -151,6 +120,9 @@ func parseAlibabaRow(fields []string, opt LoadOptions) (alibabaRow, bool, error)
 	row.job = strings.TrimSpace(fields[2])
 	if row.job == "" {
 		return row, false, errors.New("empty job_name")
+	}
+	if !utf8.ValidString(row.job) {
+		return row, false, fmt.Errorf("job_name %q is not valid UTF-8", row.job)
 	}
 	status := strings.TrimSpace(fields[4])
 	if status != "" && !strings.EqualFold(status, "Terminated") {
@@ -189,8 +161,12 @@ func parseAlibabaRow(fields []string, opt LoadOptions) (alibabaRow, bool, error)
 	if planCPU < 0 || planMem < 0 {
 		return row, false, fmt.Errorf("negative demand (plan_cpu %g, plan_mem %g)", planCPU, planMem)
 	}
-	row.vcores = int64(math.Ceil(planCPU / opt.CPUPerCore))
-	row.memMB = int64(math.Ceil(planMem * opt.MemScaleMB))
+	if row.vcores, err = wholeUnits("plan_cpu", planCPU, math.Ceil(planCPU/cpuPerCore)); err != nil {
+		return row, false, err
+	}
+	if row.memMB, err = wholeUnits("plan_mem", planMem, math.Ceil(planMem*memUnitMB)); err != nil {
+		return row, false, err
+	}
 	row.taskID, row.deps = parseAlibabaTaskName(taskName)
 	return row, false, nil
 }
@@ -222,10 +198,10 @@ func parseAlibabaTaskName(name string) (int, []int) {
 	return id, deps
 }
 
-// buildAlibabaJob converts one buffered job's rows into a workflow
-// record (or an ad-hoc record for single-task DAG-less jobs).
-func buildAlibabaJob(name string, rows []alibabaRow, opt LoadOptions) (trace.WorkflowRecord, bool, trace.AdHocRecord, error) {
-	var wf trace.WorkflowRecord
+// addAlibabaJob converts one buffered job's rows into a record of tr: an
+// ad-hoc record for a single-task DAG-less job, a workflow otherwise. A
+// record ToWorkload would refuse is an error instead.
+func addAlibabaJob(tr *trace.Trace, name string, rows []alibabaRow) error {
 	submit := rows[0].start
 	var latest int64
 	for _, r := range rows {
@@ -236,41 +212,43 @@ func buildAlibabaJob(name string, rows []alibabaRow, opt LoadOptions) (trace.Wor
 			latest = r.end
 		}
 	}
-	makespan := latest - submit
-	if makespan < 1 {
-		makespan = 1
-	}
+	makespan := max(1, latest-submit)
 
 	if len(rows) == 1 && len(rows[0].deps) == 0 {
 		r := rows[0]
-		return wf, true, trace.AdHocRecord{
+		ah := trace.AdHocRecord{
 			ID:           name,
 			SubmitSec:    submit,
 			Tasks:        r.instances,
-			TaskDurSec:   maxI64(1, r.end-r.start),
-			DemandVCores: maxI64(1, r.vcores),
-			DemandMemMB:  maxI64(1, r.memMB),
-		}, nil
+			TaskDurSec:   max(1, r.end-r.start),
+			DemandVCores: max(1, r.vcores),
+			DemandMemMB:  max(1, r.memMB),
+		}
+		if _, err := ah.ToAdHoc(); err != nil {
+			return err
+		}
+		tr.AdHoc = append(tr.AdHoc, ah)
+		return nil
 	}
 
-	wf.ID = name
-	wf.SubmitSec = submit
-	wf.DeadlineSec = submit + int64(float64(makespan)*opt.DeadlineFactor)
+	if makespan > (math.MaxInt64-submit)/deadlineFactor {
+		return fmt.Errorf("job %s: a deadline %d x its makespan of %d s past %d s overflows an int64", name, deadlineFactor, makespan, submit)
+	}
+	wf := trace.WorkflowRecord{ID: name, SubmitSec: submit, DeadlineSec: submit + deadlineFactor*makespan}
 	idToIdx := make(map[int]int, len(rows))
 	for i, r := range rows {
 		if r.taskID >= 0 {
 			if _, dup := idToIdx[r.taskID]; dup {
-				return wf, false, trace.AdHocRecord{},
-					fmt.Errorf("job %s: duplicate task id %d", name, r.taskID)
+				return fmt.Errorf("job %s: duplicate task id %d", name, r.taskID)
 			}
 			idToIdx[r.taskID] = i
 		}
 		wf.Jobs = append(wf.Jobs, trace.JobRecord{
 			Name:         fmt.Sprintf("t%d", i),
 			Tasks:        r.instances,
-			TaskDurSec:   maxI64(1, r.end-r.start),
-			DemandVCores: maxI64(1, r.vcores),
-			DemandMemMB:  maxI64(1, r.memMB),
+			TaskDurSec:   max(1, r.end-r.start),
+			DemandVCores: max(1, r.vcores),
+			DemandMemMB:  max(1, r.memMB),
 		})
 	}
 	for i, r := range rows {
@@ -285,12 +263,9 @@ func buildAlibabaJob(name string, rows []alibabaRow, opt LoadOptions) (trace.Wor
 			wf.Deps = append(wf.Deps, [2]int{from, i})
 		}
 	}
-	return wf, false, trace.AdHocRecord{}, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+	if _, err := wf.ToWorkflow(); err != nil {
+		return err
 	}
-	return b
+	tr.Workflows = append(tr.Workflows, wf)
+	return nil
 }

@@ -45,11 +45,7 @@ func diurnalTimes(rng *rand.Rand, n, days int, amp float64) []time.Duration {
 // scaledTemplates widens the PUMA job classes so the workload is sized to
 // the cluster: task counts scale with the machine count (per-task demand
 // stays container-sized, as in the source traces).
-func scaledTemplates(machines int) []workload.JobTemplate {
-	scale := machines / 50
-	if scale < 1 {
-		scale = 1
-	}
+func scaledTemplates(scale int) []workload.JobTemplate {
 	tpls := workload.PUMATemplates()
 	for i := range tpls {
 		tpls[i].MinTasks *= scale
@@ -66,9 +62,9 @@ func genBase(rng *rand.Rand, spec Spec, sc *Scenario) error {
 		workload.ShapeEpigenomics, workload.ShapeCyberShake, workload.ShapeSipht,
 		workload.ShapeRandom,
 	}
-	tpls := scaledTemplates(spec.Machines)
+	tpls := scaledTemplates(spec.scale())
 
-	nWf := spec.WorkflowsPerDay * spec.Days
+	nWf := spec.workflowsPerDay() * spec.Days
 	wfTimes := diurnalTimes(rng, nWf, spec.Days, 0.8)
 	for i, submit := range wfTimes {
 		w, err := workload.GenerateWorkflow(rng, workload.WorkflowSpec{
@@ -85,14 +81,10 @@ func genBase(rng *rand.Rand, spec Spec, sc *Scenario) error {
 		sc.Workflows = append(sc.Workflows, w)
 	}
 
-	taskScale := spec.Machines / 50
-	if taskScale < 1 {
-		taskScale = 1
-	}
-	nAh := spec.AdHocPerDay * spec.Days
+	nAh := spec.adhocPerDay() * spec.Days
 	ahTimes := diurnalTimes(rng, nAh, spec.Days, 0.8)
 	for i, submit := range ahTimes {
-		sc.AdHoc = append(sc.AdHoc, adhocJob(rng, fmt.Sprintf("ah-%05d", i), submit, taskScale))
+		sc.AdHoc = append(sc.AdHoc, adhocJob(rng, fmt.Sprintf("ah-%05d", i), submit, spec.scale()))
 	}
 	return nil
 }
@@ -120,22 +112,15 @@ func genFlash(rng *rand.Rand, spec Spec, sc *Scenario) error {
 	if err := genBase(rng, spec, sc); err != nil {
 		return err
 	}
-	taskScale := spec.Machines / 50
-	if taskScale < 1 {
-		taskScale = 1
-	}
 	span := time.Duration(spec.Days) * day
+	burst := max(8, spec.adhocPerDay()/2)
 	for f := 0; f < spec.Days; f++ {
 		at := time.Duration(rng.Int63n(int64(span - time.Hour)))
 		width := time.Duration(10+rng.Intn(21)) * time.Minute
-		burst := spec.AdHocPerDay / 2
-		if burst < 8 {
-			burst = 8
-		}
 		for i := 0; i < burst; i++ {
 			submit := (at + time.Duration(rng.Int63n(int64(width)))).Round(time.Second)
 			sc.AdHoc = append(sc.AdHoc,
-				adhocJob(rng, fmt.Sprintf("fc-%d-%04d", f, i), submit, taskScale))
+				adhocJob(rng, fmt.Sprintf("fc-%d-%04d", f, i), submit, spec.scale()))
 		}
 	}
 	return nil
@@ -181,10 +166,7 @@ func genChurn(rng *rand.Rand, spec Spec, sc *Scenario) error {
 	}
 	horizon := sc.Horizon
 	outUntil := make([]int64, spec.Machines) // slot the machine rejoins; 0 = in
-	perHour := spec.Machines / 50
-	if perHour < 1 {
-		perHour = 1
-	}
+	perHour := spec.scale()
 	for h := int64(1); h*slotsPerHour < horizon; h++ {
 		slot := h * slotsPerHour
 		for j := 0; j < perHour; j++ {

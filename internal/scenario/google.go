@@ -9,13 +9,9 @@
 // accepted too). The converter pairs each collection's SUBMIT with its
 // terminal event to recover the duration, and emits one ad-hoc record per
 // collection (the public trace exposes no intra-collection DAG).
-// Resources are normalized compute units; CPUScale/MemScaleMB in
-// LoadOptions map them to vcores/MiB. Times are microseconds from trace
-// start and convert to seconds.
-//
-// The input streams line by line; per-collection state is one small
-// struct, so multi-day subsets convert in bounded memory proportional to
-// the number of concurrently open collections, not the file size.
+// Resources are normalized compute units; ncuVCores and memUnitMB map them
+// to vcores/MiB. Times are microseconds from trace start and convert to
+// seconds.
 package scenario
 
 import (
@@ -27,6 +23,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
+	"unicode/utf8"
 
 	"flowtime/internal/trace"
 )
@@ -125,36 +123,31 @@ type openCollection struct {
 	tasks     int
 }
 
-// ConvertGoogle streams a Google ClusterData 2019 collection_events JSONL
-// subset into the native trace format (ad-hoc records). Malformed lines
-// abort with an error naming the line; collections whose terminal event
-// was truncated away get LoadOptions.DefaultDur and are counted in
-// DefaultedDurations.
-func ConvertGoogle(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error) {
-	opt = opt.withDefaults()
+// ConvertGoogle converts a Google ClusterData 2019 collection_events JSONL
+// subset into a native trace of ad-hoc records. Malformed lines, and
+// collections no replay would accept, abort with an error naming the line;
+// collections whose terminal event was truncated away get defaultDur and
+// are counted in DefaultedDurations. A collection submitted again after
+// its terminal event gets the suffix #n.
+func ConvertGoogle(r io.Reader) (*trace.Trace, LoadStats, error) {
 	var stats LoadStats
+	tr := &trace.Trace{Version: trace.FormatVersion, Meta: &trace.Meta{Generator: "import/google"}}
 
 	open := make(map[string]*openCollection)
-	var emitted int
+	names := make(ids)
 	emit := func(id string, oc *openCollection, durSec int64) error {
-		if opt.MaxAdHoc > 0 && emitted >= opt.MaxAdHoc {
-			return nil
-		}
-		if durSec < 1 {
-			durSec = 1
-		}
-		if err := out.AdHoc(trace.AdHocRecord{
-			ID:           "g-" + id,
+		ah := trace.AdHocRecord{
+			ID:           names.take("g-" + id),
 			SubmitSec:    oc.submitSec,
 			Tasks:        oc.tasks,
-			TaskDurSec:   durSec,
+			TaskDurSec:   max(1, durSec),
 			DemandVCores: oc.vcores,
 			DemandMemMB:  oc.memMB,
-		}); err != nil {
+		}
+		if _, err := ah.ToAdHoc(); err != nil {
 			return err
 		}
-		emitted++
-		stats.AdHoc++
+		tr.AdHoc = append(tr.AdHoc, ah)
 		return nil
 	}
 
@@ -168,25 +161,35 @@ func ConvertGoogle(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error)
 		stats.Rows++
 		var ev googleEvent
 		if err := json.Unmarshal([]byte(text), &ev); err != nil {
-			return stats, fmt.Errorf("scenario: google line %d: %w", line, err)
+			return nil, stats, fmt.Errorf("scenario: google line %d: %w", line, err)
 		}
 		if ev.CollectionID == "" {
-			return stats, fmt.Errorf("scenario: google line %d: missing collection_id", line)
+			return nil, stats, fmt.Errorf("scenario: google line %d: missing collection_id", line)
+		}
+		if !utf8.ValidString(string(ev.CollectionID)) {
+			return nil, stats, fmt.Errorf("scenario: google line %d: collection_id %q is not valid UTF-8", line, ev.CollectionID)
 		}
 		if ev.Time < 0 {
-			return stats, fmt.Errorf("scenario: google line %d: negative time %d", line, ev.Time)
+			return nil, stats, fmt.Errorf("scenario: google line %d: negative time %d", line, ev.Time)
 		}
 		id := string(ev.CollectionID)
 		sec := int64(ev.Time) / 1_000_000
 		switch int(ev.Type) {
 		case googleSubmit:
 			oc := &openCollection{submitSec: sec, vcores: 1, memMB: 1, tasks: 1}
-			if ev.Request != nil {
-				if ev.Request.CPUs < 0 || ev.Request.Memory < 0 {
-					return stats, fmt.Errorf("scenario: google line %d: negative resource request", line)
+			if req := ev.Request; req != nil {
+				if req.CPUs < 0 || req.Memory < 0 {
+					return nil, stats, fmt.Errorf("scenario: google line %d: negative resource request", line)
 				}
-				oc.vcores = maxI64(1, int64(math.Round(ev.Request.CPUs*opt.CPUScale)))
-				oc.memMB = maxI64(1, int64(math.Round(ev.Request.Memory*opt.MemScaleMB*100)))
+				vcores, err := wholeUnits("cpus", req.CPUs, math.Round(req.CPUs*ncuVCores))
+				if err != nil {
+					return nil, stats, fmt.Errorf("scenario: google line %d: %w", line, err)
+				}
+				memMB, err := wholeUnits("memory", req.Memory, math.Round(req.Memory*memUnitMB*100))
+				if err != nil {
+					return nil, stats, fmt.Errorf("scenario: google line %d: %w", line, err)
+				}
+				oc.vcores, oc.memMB = max(1, vcores), max(1, memMB)
 			}
 			if ev.Instances > 0 {
 				oc.tasks = ev.Instances
@@ -199,32 +202,33 @@ func ConvertGoogle(r io.Reader, out Emitter, opt LoadOptions) (LoadStats, error)
 				continue
 			}
 			if sec < oc.submitSec {
-				return stats, fmt.Errorf("scenario: google line %d: collection %s finishes at %ds before submit %ds (out-of-order timestamps)",
+				return nil, stats, fmt.Errorf("scenario: google line %d: collection %s finishes at %ds before submit %ds (out-of-order timestamps)",
 					line, id, sec, oc.submitSec)
 			}
 			delete(open, id)
 			if err := emit(id, oc, sec-oc.submitSec); err != nil {
-				return stats, err
+				return nil, stats, fmt.Errorf("scenario: google line %d: %w", line, err)
 			}
 		default:
 			stats.SkippedRows++ // QUEUE/ENABLE/SCHEDULE/EVICT carry no new sizing
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return stats, fmt.Errorf("scenario: google: %w", err)
+		return nil, stats, fmt.Errorf("scenario: google: %w", err)
 	}
 	// Collections whose terminal event was truncated away: emit with the
 	// default duration, in deterministic ID order.
-	ids := make([]string, 0, len(open))
+	left := make([]string, 0, len(open))
 	for id := range open {
-		ids = append(ids, id)
+		left = append(left, id)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if err := emit(id, open[id], int64(opt.DefaultDur.Seconds())); err != nil {
-			return stats, err
+	sort.Strings(left)
+	for _, id := range left {
+		if err := emit(id, open[id], int64(defaultDur/time.Second)); err != nil {
+			return nil, stats, fmt.Errorf("scenario: google: %w", err)
 		}
 		stats.DefaultedDurations++
 	}
-	return stats, nil
+	stats.AdHoc = len(tr.AdHoc)
+	return tr, stats, nil
 }

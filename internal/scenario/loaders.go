@@ -1,94 +1,58 @@
-// Shared loader plumbing: the Emitter sink both converters stream into,
-// an in-memory Collector for direct replay, and the conversion options.
+// What both external-trace converters share: the mapping of the traces'
+// units onto the native schema, the naming of repeated IDs, and the report
+// of a conversion.
 package scenario
 
 import (
 	"fmt"
 	"time"
-
-	"flowtime/internal/trace"
 )
 
-// Emitter receives converted records one at a time, in schema order
-// (workflows first). *trace.StreamWriter satisfies it, so conversions
-// stream straight to disk without materializing the document; Collector
-// satisfies it for in-memory replay.
-type Emitter interface {
-	Workflow(rec trace.WorkflowRecord) error
-	AdHoc(rec trace.AdHocRecord) error
+// The mapping of the external traces onto the native schema. The traces
+// carry no deadlines and record resources in their own units.
+const (
+	// deadlineFactor synthesizes a loaded workflow's deadline: submit +
+	// deadlineFactor x its observed makespan.
+	deadlineFactor = 4
+	// cpuPerCore is Alibaba plan_cpu units per vcore (the trace records
+	// percent of a core).
+	cpuPerCore = 100
+	// memUnitMB maps one normalized memory unit to MiB. Alibaba plan_mem and
+	// Google memory are fractions of a machine; 100 units are 64 GiB.
+	memUnitMB = 655
+	// ncuVCores maps one normalized Google CPU unit to vcores: one NCU is
+	// the largest machine's core count.
+	ncuVCores = 64
+	// defaultDur is assumed for a collection whose terminal event the
+	// subset truncated away.
+	defaultDur = 5 * time.Minute
+)
+
+// wholeUnits converts a resource figure, already scaled to vcores or MiB,
+// to an int64. A figure that is not finite, or that an int64 cannot hold,
+// is an error naming the field: converting it would give an
+// implementation-defined number.
+func wholeUnits(field string, raw, scaled float64) (int64, error) {
+	if !(scaled >= 0 && scaled < 1<<63) {
+		return 0, fmt.Errorf("%s %g does not scale to a whole number an int64 holds", field, raw)
+	}
+	return int64(scaled), nil
 }
 
-// Collector buffers converted records in memory (for ftsim replaying an
-// external trace directly).
-type Collector struct {
-	workflows []trace.WorkflowRecord
-	adhoc     []trace.AdHocRecord
-}
+// ids hands out the record IDs of one converted document, unique across
+// it. A name in use gets the recurrence suffix #n, with the first n from 2
+// up whose name is free. A non-zero entry marks a name in use and is the
+// last n tried for it as a base name (1 for the name alone).
+type ids map[string]int
 
-// Workflow implements Emitter.
-func (c *Collector) Workflow(rec trace.WorkflowRecord) error {
-	c.workflows = append(c.workflows, rec)
-	return nil
-}
-
-// AdHoc implements Emitter.
-func (c *Collector) AdHoc(rec trace.AdHocRecord) error {
-	c.adhoc = append(c.adhoc, rec)
-	return nil
-}
-
-// Trace assembles the collected records into a native document.
-func (c *Collector) Trace(meta *trace.Meta) *trace.Trace {
-	return &trace.Trace{
-		Version:   trace.FormatVersion,
-		Meta:      meta,
-		Workflows: c.workflows,
-		AdHoc:     c.adhoc,
+func (u ids) take(base string) string {
+	name := base
+	for u[name] != 0 {
+		u[base]++
+		name = fmt.Sprintf("%s#%d", base, u[base])
 	}
-}
-
-// LoadOptions tunes the external-trace converters. Zero values pick
-// documented defaults.
-type LoadOptions struct {
-	// MaxWorkflows / MaxAdHoc stop the conversion after this many records
-	// (0 = unlimited) — multi-day traces are sampled, not swallowed.
-	MaxWorkflows, MaxAdHoc int
-	// DeadlineFactor synthesizes deadlines for loaded workflows (the
-	// external traces carry none): deadline = submit + factor x observed
-	// makespan. Default 4.
-	DeadlineFactor float64
-	// CPUPerCore is the Alibaba plan_cpu units per vcore (the trace
-	// records percent-of-core; 100 = 1 core). Default 100.
-	CPUPerCore float64
-	// MemScaleMB maps one normalized memory unit to MiB. Alibaba plan_mem
-	// and Google memory are fractions of a machine; default 655 (i.e.
-	// 100 normalized units = 64 GiB).
-	MemScaleMB float64
-	// CPUScale maps one normalized Google CPU unit to vcores. Default 64
-	// (one NCU = the largest machine's core count).
-	CPUScale float64
-	// DefaultDur is assumed for records whose completion never appears in
-	// the subset (truncated collections). Default 5m.
-	DefaultDur time.Duration
-}
-
-func (o LoadOptions) withDefaults() LoadOptions {
-	if o.DeadlineFactor == 0 {
-		o.DeadlineFactor = 4
-	}
-	if o.CPUPerCore == 0 {
-		o.CPUPerCore = 100
-	}
-	if o.MemScaleMB == 0 {
-		o.MemScaleMB = 655
-	}
-	if o.CPUScale == 0 {
-		o.CPUScale = 64
-	}
-	if o.DefaultDur == 0 {
-		o.DefaultDur = 5 * time.Minute
-	}
-	return o
+	u[name] = 1
+	return name
 }
 
 // LoadStats reports what a conversion did.
@@ -100,8 +64,8 @@ type LoadStats struct {
 	// SkippedRows counts rows dropped for benign reasons (non-terminal
 	// status, zero duration); malformed rows are errors, not skips.
 	SkippedRows int
-	// DefaultedDurations counts records that fell back to
-	// LoadOptions.DefaultDur because their completion was truncated away.
+	// DefaultedDurations counts records that fell back to defaultDur
+	// because their completion was truncated away.
 	DefaultedDurations int
 }
 

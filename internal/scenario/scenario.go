@@ -2,9 +2,9 @@
 // generators for the stress patterns the related literature studies —
 // diurnal load, flash crowds, straggler-inflated runtimes ("Do the Hard
 // Stuff First", Grandl et al.), machine churn, and energy/price-varying
-// capacity (Sarkar et al.) — plus streaming loaders that convert Alibaba
-// cluster-trace 2018 and Google ClusterData 2019 subsets into the native
-// trace format.
+// capacity (Sarkar et al.) — plus converters that turn Alibaba
+// cluster-trace 2018 and Google ClusterData 2019 subsets into a native
+// trace.
 //
 // A Scenario bundles everything one simulated run needs: the workload
 // (workflows + ad-hoc stream), the machine set live at slot 0, and the
@@ -26,7 +26,7 @@ import (
 )
 
 // Spec parameterizes a synthetic scenario. The zero value of every knob
-// picks a sensible default scaled to the machine count.
+// picks a sensible default; the workload density follows from Machines.
 type Spec struct {
 	// Name selects the generator; see Names.
 	Name string
@@ -45,10 +45,6 @@ type Spec struct {
 	// 32 GiB.
 	MachineCores int64
 	MachineMemMB int64
-	// WorkflowsPerDay and AdHocPerDay set the workload density. Defaults
-	// scale with Machines.
-	WorkflowsPerDay int
-	AdHocPerDay     int
 }
 
 // Names lists the synthetic generators.
@@ -76,20 +72,21 @@ func (s Spec) withDefaults() Spec {
 	if s.MachineMemMB == 0 {
 		s.MachineMemMB = 32 * 1024
 	}
-	if s.WorkflowsPerDay == 0 {
-		s.WorkflowsPerDay = s.Machines / 200
-		if s.WorkflowsPerDay < 4 {
-			s.WorkflowsPerDay = 4
-		}
-	}
-	if s.AdHocPerDay == 0 {
-		s.AdHocPerDay = s.Machines / 10
-		if s.AdHocPerDay < 24 {
-			s.AdHocPerDay = 24
-		}
-	}
 	return s
 }
+
+// workflowsPerDay is the deadline-workflow arrival count per day: one per
+// 200 machines, at least 4.
+func (s Spec) workflowsPerDay() int { return max(4, s.Machines/200) }
+
+// adhocPerDay is the ad-hoc arrival count per day: one per 10 machines, at
+// least 24.
+func (s Spec) adhocPerDay() int { return max(24, s.Machines/10) }
+
+// scale is the cluster size in units of 50 machines, at least 1: the
+// factor that widens task counts, and the machines churn takes out an
+// hour.
+func (s Spec) scale() int { return max(1, s.Machines/50) }
 
 func (s Spec) validate() error {
 	if s.Machines < 1 {
@@ -149,8 +146,8 @@ func Generate(spec Spec) (*Scenario, error) {
 				"slot":              spec.SlotDur.String(),
 				"machine_cores":     fmt.Sprintf("%d", spec.MachineCores),
 				"machine_mem_mb":    fmt.Sprintf("%d", spec.MachineMemMB),
-				"workflows_per_day": fmt.Sprintf("%d", spec.WorkflowsPerDay),
-				"adhoc_per_day":     fmt.Sprintf("%d", spec.AdHocPerDay),
+				"workflows_per_day": fmt.Sprintf("%d", spec.workflowsPerDay()),
+				"adhoc_per_day":     fmt.Sprintf("%d", spec.adhocPerDay()),
 			},
 		},
 	}
@@ -176,30 +173,16 @@ func Generate(spec Spec) (*Scenario, error) {
 	return sc, nil
 }
 
-// WriteTrace streams the scenario's workload as a native schema-v2 trace
-// with the scenario's provenance block. Machine events are not part of
-// the trace schema; they are regenerated from the recorded generator name
-// and seed (the meta block makes that exact).
+// WriteTrace writes the scenario's workload as a native trace with the
+// scenario's provenance block. Machine events are not part of the trace
+// schema; they are regenerated from the recorded generator name and seed
+// (the meta block makes that exact).
 func (sc *Scenario) WriteTrace(w io.Writer) error {
+	tr, err := trace.FromWorkload(sc.Workflows, sc.AdHoc)
+	if err != nil {
+		return err
+	}
 	meta := sc.Meta
-	sw := trace.NewStreamWriter(w, &meta)
-	for _, wf := range sc.Workflows {
-		t, err := trace.FromWorkload([]*workflow.Workflow{wf}, nil)
-		if err != nil {
-			return err
-		}
-		if err := sw.Workflow(t.Workflows[0]); err != nil {
-			return err
-		}
-	}
-	for _, ah := range sc.AdHoc {
-		t, err := trace.FromWorkload(nil, []workflow.AdHoc{ah})
-		if err != nil {
-			return err
-		}
-		if err := sw.AdHoc(t.AdHoc[0]); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
+	tr.Meta = &meta
+	return tr.Write(w)
 }

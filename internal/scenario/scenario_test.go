@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestScenarioShapes(t *testing.T) {
 	}
 }
 
-// TestWriteTraceRoundTrip checks the streamed document is a valid native
+// TestWriteTraceRoundTrip checks the written document is a valid native
 // trace: Read accepts it, meta survives, and the workload converts.
 func TestWriteTraceRoundTrip(t *testing.T) {
 	sc, err := Generate(smallSpec("diurnal"))
@@ -145,7 +146,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	}
 	tr, err := trace.Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("Read rejects streamed trace: %v", err)
+		t.Fatalf("Read rejects the written trace: %v", err)
 	}
 	if tr.Meta == nil || tr.Meta.Generator != "scenario/diurnal" || tr.Meta.Seed != 7 {
 		t.Fatalf("meta did not round-trip: %+v", tr.Meta)
@@ -157,5 +158,26 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	if len(wfs) != len(sc.Workflows) || len(adhoc) != len(sc.AdHoc) {
 		t.Fatalf("round-trip lost records: %d/%d workflows, %d/%d ad-hoc",
 			len(wfs), len(sc.Workflows), len(adhoc), len(sc.AdHoc))
+	}
+}
+
+// TestSmokeTraceIsItsGenerator pins the bundled smoke trace to the command
+// that made it, ftgen -scenario flash -machines 40 -days 1 -seed 42: a
+// generator change that moves a single draw changes these bytes.
+func TestSmokeTraceIsItsGenerator(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/scenario-smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Generate(Spec{Name: "flash", Machines: 40, Days: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := sc.WriteTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("the flash scenario at seed 42 writes %d bytes that differ from testdata/scenario-smoke.json (%d bytes); regenerate it with ftgen only if the change is meant to move the draws", got.Len(), len(want))
 	}
 }

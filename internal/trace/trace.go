@@ -2,8 +2,9 @@
 // the stand-in for the paper's proprietary Huawei production traces. A
 // trace captures recurring deadline-aware workflows (with both estimated
 // and actual task durations, so estimation error round-trips) and the
-// ad-hoc job stream; it can be written by the ftgen tool and replayed into
-// the simulator by ftsim and the trace-replay experiments.
+// ad-hoc job stream. ftgen writes it, the public-trace converters of
+// internal/scenario return it, and ftsim and the trace-replay experiments
+// replay it into the simulator.
 package trace
 
 import (

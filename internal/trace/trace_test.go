@@ -159,3 +159,65 @@ func TestSecondsDoNotWrap(t *testing.T) {
 		t.Errorf("task_dur_sec = %d: %v, %v", maxSec, a.TaskDuration, err)
 	}
 }
+
+func TestVersionGate(t *testing.T) {
+	// A v1 document (no meta) is still accepted.
+	v1 := `{"version":1,"workflows":[],"adhoc":[]}`
+	if _, err := Read(strings.NewReader(v1)); err != nil {
+		t.Fatalf("v1 rejected: %v", err)
+	}
+
+	// A future version is refused loudly, even when it carries unknown
+	// fields.
+	future := `{"version":99,"hologram":true,"workflows":[],"adhoc":[]}`
+	_, err := Read(strings.NewReader(future))
+	if err == nil || !strings.Contains(err.Error(), "unknown future version 99") {
+		t.Fatalf("Read future version: err = %v", err)
+	}
+
+	// Version zero and missing versions are invalid.
+	if _, err := Read(strings.NewReader(`{"version":0,"workflows":[],"adhoc":[]}`)); err == nil {
+		t.Fatal("version 0 accepted")
+	}
+	if _, err := Read(strings.NewReader(`{"workflows":[],"adhoc":[]}`)); err == nil {
+		t.Fatal("document without a version accepted")
+	}
+}
+
+func sampleAh(id string) AdHocRecord {
+	return AdHocRecord{ID: id, SubmitSec: 42, Tasks: 3, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 256}
+}
+
+// TestStreamedDocumentTruncated: a document cut short on its way to Read
+// is an error, not a shorter trace.
+func TestStreamedDocumentTruncated(t *testing.T) {
+	tr := &Trace{Version: FormatVersion, AdHoc: []AdHocRecord{sampleAh("a0"), sampleAh("a1"), sampleAh("a2")}}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{buf.Len() / 2, buf.Len() - 3} {
+		if _, err := Read(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+			t.Fatalf("document cut at %d of %d bytes read without error", cut, buf.Len())
+		}
+	}
+}
+
+func TestMetaRoundTripBatch(t *testing.T) {
+	tr := &Trace{
+		Version: FormatVersion,
+		Meta:    &Meta{Generator: "ftgen", Seed: 3},
+		AdHoc:   []AdHocRecord{sampleAh("x")},
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Meta == nil || back.Meta.Generator != "ftgen" || back.Meta.Seed != 3 {
+		t.Fatalf("meta = %+v", back.Meta)
+	}
+}

@@ -164,20 +164,28 @@ func GenerateWorkflow(rng *rand.Rand, spec WorkflowSpec) (*workflow.Workflow, er
 }
 
 func sampleJob(rng *rand.Rand, tpl JobTemplate, idx int) workflow.Job {
-	tasks := tpl.MinTasks
-	if tpl.MaxTasks > tpl.MinTasks {
-		tasks += rng.Intn(tpl.MaxTasks - tpl.MinTasks + 1)
-	}
-	dur := tpl.MinTaskDur
-	if tpl.MaxTaskDur > tpl.MinTaskDur {
-		dur += time.Duration(rng.Int63n(int64(tpl.MaxTaskDur - tpl.MinTaskDur + 1)))
-	}
+	tasks, dur := sampleSize(rng, tpl.MinTasks, tpl.MaxTasks, tpl.MinTaskDur, tpl.MaxTaskDur)
 	return workflow.Job{
 		Name:         fmt.Sprintf("%s-%d", tpl.Name, idx),
 		Tasks:        tasks,
-		TaskDuration: dur.Round(time.Second),
+		TaskDuration: dur,
 		TaskDemand:   tpl.Demand,
 	}
+}
+
+// sampleSize draws a job's task count from [minTasks, maxTasks], then its
+// per-task duration from [minDur, maxDur] rounded to the second: the size
+// of a workflow job and of an ad-hoc job alike.
+func sampleSize(rng *rand.Rand, minTasks, maxTasks int, minDur, maxDur time.Duration) (int, time.Duration) {
+	tasks := minTasks
+	if maxTasks > minTasks {
+		tasks += rng.Intn(maxTasks - minTasks + 1)
+	}
+	dur := minDur
+	if maxDur > minDur {
+		dur += time.Duration(rng.Int63n(int64(maxDur - minDur + 1)))
+	}
+	return tasks, dur.Round(time.Second)
 }
 
 // connect wires the workflow's dependency edges per shape.
@@ -366,19 +374,12 @@ func GenerateAdHoc(rng *rand.Rand, spec AdHocSpec) ([]workflow.AdHoc, error) {
 	for i := 0; i < spec.Count; i++ {
 		gap := time.Duration(rng.ExpFloat64() * float64(spec.MeanInterarrival))
 		at += gap
-		tasks := spec.MinTasks
-		if spec.MaxTasks > spec.MinTasks {
-			tasks += rng.Intn(spec.MaxTasks - spec.MinTasks + 1)
-		}
-		dur := spec.MinTaskDur
-		if spec.MaxTaskDur > spec.MinTaskDur {
-			dur += time.Duration(rng.Int63n(int64(spec.MaxTaskDur - spec.MinTaskDur + 1)))
-		}
+		tasks, dur := sampleSize(rng, spec.MinTasks, spec.MaxTasks, spec.MinTaskDur, spec.MaxTaskDur)
 		out = append(out, workflow.AdHoc{
 			ID:           fmt.Sprintf("ah-%03d", i),
 			Submit:       at.Round(time.Second),
 			Tasks:        tasks,
-			TaskDuration: dur.Round(time.Second),
+			TaskDuration: dur,
 			TaskDemand:   spec.Demand,
 		})
 	}
