@@ -3,22 +3,21 @@
 // executes the slot-sized work leases it receives (by holding them for
 // one heartbeat period), and confirms them on the next heartbeat.
 //
-// The agent is fault-tolerant: transient RM failures are retried with
-// capped exponential backoff and jitter, and when the RM answers
-// "unknown node" (RM restart or eviction after missed heartbeats) the
-// agent automatically re-registers and resumes heartbeating.
+// The agent is fault-tolerant: each call to the RM is one attempt with a
+// deadline (a heartbeat's is the heartbeat interval), a failed one is
+// tried again by the agent's own loop after a capped exponential backoff
+// with jitter, and when the RM answers "unknown node" (RM restart or
+// eviction after missed heartbeats) the agent automatically re-registers
+// and resumes heartbeating.
 //
 // -rm accepts a comma-separated list of RM URLs for replicated
 // deployments. When the current RM answers "not_leader" (it is a
 // standby, or was deposed by a failover) the agent follows the leader
 // hint — or rotates to the next URL — and re-registers; when the RM
-// stops answering entirely, the agent rotates after repeated failures.
-//
-// A shared retry budget caps the agent's total retry amplification:
-// when every configured RM is unreachable the agent stops spinning the
-// ring and probes at the backoff cap instead, logging once per outage
-// transition rather than once per attempt. -retry-budget sizes the
-// bucket.
+// stops answering, or takes connections and never answers, the agent
+// rotates after repeated failures. When every configured RM is
+// unreachable the agent probes the ring at the backoff cap (5s), logging
+// once per outage transition rather than once per attempt.
 //
 // -chaos-net runs the agent's RM traffic through a seeded deterministic
 // network-fault injector (chaos testing only): the script is inline
@@ -29,7 +28,6 @@
 //
 //	ftnode [-rm http://localhost:8030[,http://backup:8030]] [-id node-1]
 //	       [-cores 32] [-mem-mb 65536]
-//	       [-backoff-base 100ms] [-backoff-max 5s] [-retry-budget 10]
 //	       [-chaos-net SCRIPT] [-chaos-seed 1]
 package main
 
@@ -42,7 +40,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"flowtime/internal/netchaos"
 	"flowtime/internal/rmproto"
@@ -52,15 +49,12 @@ import (
 func main() {
 	log.SetFlags(log.LstdFlags)
 	var (
-		rmURL       = flag.String("rm", "http://localhost:8030", "resource manager URL(s), comma-separated; first is tried first")
-		id          = flag.String("id", "", "node ID (required)")
-		cores       = flag.Int64("cores", 32, "node vcores")
-		memMB       = flag.Int64("mem-mb", 64*1024, "node memory (MiB)")
-		backoffBase = flag.Duration("backoff-base", 100*time.Millisecond, "initial retry backoff for RM calls")
-		backoffMax  = flag.Duration("backoff-max", 5*time.Second, "retry backoff cap for RM calls")
-		retryBudget = flag.Float64("retry-budget", 0, "retry amplification budget in tokens (0 = default of 10)")
-		chaosNet    = flag.String("chaos-net", "", "network fault script (';'-separated rules or @file) applied to RM traffic — chaos testing only")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "seed for the deterministic network fault injector")
+		rmURL     = flag.String("rm", "http://localhost:8030", "resource manager URL(s), comma-separated; first is tried first")
+		id        = flag.String("id", "", "node ID (required)")
+		cores     = flag.Int64("cores", 32, "node vcores")
+		memMB     = flag.Int64("mem-mb", 64*1024, "node memory (MiB)")
+		chaosNet  = flag.String("chaos-net", "", "network fault script (';'-separated rules or @file) applied to RM traffic — chaos testing only")
+		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the deterministic network fault injector")
 	)
 	flag.Parse()
 	if *id == "" {
@@ -99,8 +93,6 @@ func main() {
 		NodeID:   *id,
 		Capacity: rmproto.Resources{VCores: *cores, MemoryMB: *memMB},
 		RMs:      rms,
-		Backoff:  rmserver.Backoff{Base: *backoffBase, Max: *backoffMax},
-		Budget:   rmserver.NewRetryBudget(*retryBudget),
 		Logf:     log.Printf,
 	})
 	if err != nil && ctx.Err() == nil {

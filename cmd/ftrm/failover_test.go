@@ -47,7 +47,7 @@ func TestFailoverChaos(t *testing.T) {
 		NodeID:   "n1",
 		Capacity: rmproto.Resources{VCores: 16, MemoryMB: 65536},
 		RMs:      []string{pBase, fBase},
-		Backoff:  rmserver.Backoff{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond, MaxAttempts: 2},
+		Backoff:  rmserver.Backoff{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond},
 	})
 	waitStatus(t, pClient, 10*time.Second, "node registration", func(st rmproto.StatusResponse) bool {
 		return st.Nodes == 1

@@ -8,9 +8,7 @@
 //	     [-lease-expiry 16] [-drain-timeout 30s] [-manual-tick]
 //	     [-state-dir DIR] [-snapshot-every 256] [-fsync always]
 //	     [-replica-of URL] [-listen-repl ADDR] [-advertise URL]
-//	     [-overload-submit 0] [-overload-confirm 0] [-overload-queue 0]
-//	     [-overload-wait 0] [-overload-retry-after 0]
-//	     [-watchdog-stuck 0] [-watchdog-repl-lag 0]
+//	     [-overload] [-watchdog-stuck 0] [-watchdog-repl-lag 0]
 //	     [-stream-plans] [-adhoc-gate]
 //	     [-chaos-net SCRIPT] [-chaos-seed 1]
 //	ftrm -wal-dump DIR
@@ -58,14 +56,15 @@
 // for RM-to-RM replication traffic, so follower pulls don't contend
 // with the agent-facing port); the full API is served on both.
 //
-// With -overload-submit (and friends) the RM guards its HTTP API with
-// bounded admission queues and deadline-aware rejection (DESIGN.md §14):
-// each class of call gets a concurrency limit and a short bounded queue,
-// excess load is shed with a coded "overloaded" error (503 + Retry-After)
-// instead of queueing unboundedly, and submissions are sacrificed before
-// confirms/heartbeats so the work already running in the cluster keeps
-// progressing. -watchdog-stuck and -watchdog-repl-lag arm liveness
-// watchdogs whose trips are visible in /v1/status and /metrics.
+// With -overload the RM guards its HTTP API with bounded admission queues
+// and deadline-aware rejection (DESIGN.md §14): at most 16 submissions and
+// 64 register/heartbeat calls run at once, 64 more of each class may wait
+// up to 200ms, excess load is shed with a coded "overloaded" error (503 +
+// a 500ms Retry-After) instead of queueing unboundedly, and submissions
+// are sacrificed before confirms/heartbeats so the work already running
+// in the cluster keeps progressing. -watchdog-stuck and -watchdog-repl-lag
+// arm liveness watchdogs whose trips are visible in /v1/status and
+// /metrics.
 //
 // With -chaos-net the RM runs its listeners and its replication client
 // through a seeded deterministic network-fault injector (for chaos
@@ -128,11 +127,7 @@ func main() {
 		replicaOf    = flag.String("replica-of", "", "run as a warm standby of the primary RM at this URL (requires -state-dir)")
 		listenRepl   = flag.String("listen-repl", "", "additional listen address (typically for RM-to-RM replication traffic)")
 		advertise    = flag.String("advertise", "", "this RM's own URL, used as the leader hint and for fencing")
-		ovSubmit     = flag.Int("overload-submit", 0, "max concurrent submissions before queueing; >0 turns admission control on")
-		ovConfirm    = flag.Int("overload-confirm", 0, "max concurrent register/heartbeat calls; >0 turns admission control on")
-		ovQueue      = flag.Int("overload-queue", 0, "queued waiters allowed per class before shedding (0 = default)")
-		ovWait       = flag.Duration("overload-wait", 0, "max time a request may queue before being shed (0 = default)")
-		ovRetryAfter = flag.Duration("overload-retry-after", 0, "Retry-After hint attached to shed responses (0 = default)")
+		overload     = flag.Bool("overload", false, "guard the HTTP API with bounded admission queues, shedding excess submissions before heartbeats")
 		wdStuck      = flag.Duration("watchdog-stuck", 0, "trip the liveness watchdog when no slot tick lands for this long (0 = off)")
 		wdReplLag    = flag.Int64("watchdog-repl-lag", 0, "trip the watchdog when the follower lags this many WAL records (0 = off)")
 		streamPlans  = flag.Bool("stream-plans", false, "journal plan diffs: every replan is a versioned revision applied transactionally through the WAL (FlowTime only)")
@@ -166,21 +161,13 @@ func main() {
 		advertise:    *advertise,
 		streamPlans:  *streamPlans || *adhocGate,
 		adhocGate:    *adhocGate,
+		overload:     *overload,
 		chaosNet:     *chaosNet,
 		chaosSeed:    *chaosSeed,
 		watchdog: rmserver.WatchdogConfig{
 			StuckTickAfter: *wdStuck,
 			ReplLagRecords: *wdReplLag,
 		},
-	}
-	if *ovSubmit > 0 || *ovConfirm > 0 {
-		opts.overload = &rmserver.OverloadConfig{
-			SubmitConcurrency:  *ovSubmit,
-			ConfirmConcurrency: *ovConfirm,
-			QueueDepth:         *ovQueue,
-			MaxWait:            *ovWait,
-			RetryAfter:         *ovRetryAfter,
-		}
 	}
 	if err := run(opts); err != nil {
 		log.Println("ftrm:", err)
@@ -204,7 +191,7 @@ type options struct {
 	advertise    string
 	streamPlans  bool
 	adhocGate    bool
-	overload     *rmserver.OverloadConfig
+	overload     bool
 	watchdog     rmserver.WatchdogConfig
 	chaosNet     string
 	chaosSeed    int64

@@ -78,9 +78,11 @@ func codeSpans(t *testing.T, doc string) []codeSpan {
 // TestDocsNameWhatExists keeps the documents from naming what the code
 // no longer has: every backticked metric name is one GET /metrics prints,
 // every backticked flag in a README flag-table row is one a cmd/ binary
-// defines, every backticked pkg.Ident of a package under internal/ is
-// declared in that package, and every backticked CamelCase Ident or
-// Type.Member is a name the module's Go files declare or select.
+// defines (and every flag of ftrm and ftnode has a row), every backticked
+// pkg.Ident of a package under internal/ is declared in that package,
+// every backticked CamelCase Ident or Type.Member is a name the module's
+// Go files declare or select, and every test pattern in the Makefile
+// names a test that exists.
 func TestDocsNameWhatExists(t *testing.T) {
 	var spans []codeSpan
 	for _, doc := range docsChecked {
@@ -89,6 +91,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	t.Run("metrics", func(t *testing.T) { checkMetricNames(t, spans) })
 	t.Run("flags", func(t *testing.T) { checkFlags(t) })
 	t.Run("identifiers", func(t *testing.T) { checkIdentifiers(t, spans) })
+	t.Run("makefile", func(t *testing.T) { checkMakefile(t) })
 }
 
 // metricSpan matches a span that is one metric name: a trailing _ or *
@@ -142,7 +145,7 @@ func printedMetrics(t *testing.T) map[string]bool {
 		Scheduler: core.New(cfg),
 		Store:     st,
 		AdHocGate: true,
-		Overload:  &rmserver.OverloadConfig{SubmitConcurrency: 1},
+		Overload:  true,
 		Watchdog:  rmserver.WatchdogConfig{StuckTickAfter: time.Minute, ReplLagRecords: 1},
 	})
 	if err != nil {
@@ -177,8 +180,18 @@ func printedMetrics(t *testing.T) map[string]bool {
 // flagSpan matches a span that is one command-line flag.
 var flagSpan = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
 
-// checkFlags checks the flags in README's flag-table rows: table lines
-// whose first cell opens with a backticked flag.
+// flagTableHeading matches the line that opens a binary's flag table.
+var flagTableHeading = regexp.MustCompile("`(ft[a-z]+)` flags")
+
+// tableDocumented are the binaries whose every flag must have a row in
+// their README flag table.
+var tableDocumented = []string{"ftrm", "ftnode"}
+
+// checkFlags checks README's flag-table rows — table lines whose first
+// cell opens with a backticked flag — against the cmd/ binaries both
+// ways: each flag in a row is one a binary defines, and each flag a
+// tableDocumented binary defines has a row in the table under its
+// "`name` flags" line.
 func checkFlags(t *testing.T) {
 	defined := definedFlags(t)
 	raw, err := os.ReadFile("README.md")
@@ -186,12 +199,44 @@ func checkFlags(t *testing.T) {
 		t.Fatalf("read README.md: %v", err)
 	}
 	lines := strings.Split(string(raw), "\n")
+	// tableOf[i] is the binary whose flag table line i belongs to: a
+	// heading opens a table, and any other line outside one closes it.
+	tableOf := make([]string, len(lines))
+	table := ""
+	for i, line := range lines {
+		if m := flagTableHeading.FindStringSubmatch(line); m != nil {
+			table = m[1]
+		} else if line != "" && !strings.HasPrefix(line, "|") {
+			table = ""
+		}
+		tableOf[i] = table
+	}
+	rows := make(map[string]map[string]bool) // binary -> flags with a row
 	for _, s := range codeSpans(t, "README.md") {
 		if !flagSpan.MatchString(s.text) || !strings.HasPrefix(lines[s.line-1], "| `-") {
 			continue
 		}
-		if !defined[strings.TrimPrefix(s.text, "-")] {
+		name := strings.TrimPrefix(s.text, "-")
+		found := false
+		for _, flags := range defined {
+			found = found || flags[name]
+		}
+		if !found {
 			t.Errorf("%v: no cmd/ binary defines the flag %s", s, s.text)
+		}
+		if rows[tableOf[s.line-1]] == nil {
+			rows[tableOf[s.line-1]] = make(map[string]bool)
+		}
+		rows[tableOf[s.line-1]][name] = true
+	}
+	for _, bin := range tableDocumented {
+		if len(defined[bin]) == 0 {
+			t.Errorf("cmd/%s defines no flags", bin)
+		}
+		for name := range defined[bin] {
+			if !rows[bin][name] {
+				t.Errorf("cmd/%s defines -%s, but README's `%s` flags table has no row for it", bin, name, bin)
+			}
 		}
 	}
 }
@@ -205,20 +250,24 @@ var flagNameArg = map[string]int{
 	"Uint64Var": 1, "Float64Var": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
 }
 
-// definedFlags parses every non-test file of every cmd/ binary and returns
-// the names its flag calls define — on package flag or on a variable
-// assigned from flag.NewFlagSet.
-func definedFlags(t *testing.T) map[string]bool {
+// definedFlags parses every non-test file of every cmd/ binary and returns,
+// by binary, the names its flag calls define — on package flag or on a
+// variable assigned from flag.NewFlagSet.
+func definedFlags(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	files, err := filepath.Glob("cmd/*/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defined := make(map[string]bool)
+	defined := make(map[string]map[string]bool)
 	fset := token.NewFileSet()
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
+		}
+		bin := filepath.Base(filepath.Dir(path))
+		if defined[bin] == nil {
+			defined[bin] = make(map[string]bool)
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -249,7 +298,7 @@ func definedFlags(t *testing.T) map[string]bool {
 			}
 			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if name, err := strconv.Unquote(lit.Value); err == nil {
-					defined[name] = true
+					defined[bin][name] = true
 				}
 			}
 			return true
@@ -312,7 +361,7 @@ func checkIdentifiers(t *testing.T, spans []codeSpan) {
 		}
 		names, ok := pkgs[pkg]
 		if !ok {
-			names = internalPackage(t, pkg)
+			names = packageNames(t, filepath.Join("internal", pkg))
 			pkgs[pkg] = names
 		}
 		if names == nil {
@@ -384,11 +433,11 @@ type pkgNames struct {
 	top, member, tests map[string]bool
 }
 
-// internalPackage parses internal/<pkg>, or returns nil when there is no
+// packageNames parses the package in dir, or returns nil when there is no
 // such package.
-func internalPackage(t *testing.T, pkg string) *pkgNames {
+func packageNames(t *testing.T, dir string) *pkgNames {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,4 +534,60 @@ func benchmarkLayerMetrics(t *testing.T) map[string]bool {
 		names[m.Name] = true
 	}
 	return names
+}
+
+// checkMakefile checks the test patterns the Makefile hands go test: each
+// alternative of a -run pattern must match a test, fuzz target or example
+// of a package its line tests, and each -fuzz pattern a fuzz target. A
+// deleted test otherwise drops out of a target's run silently.
+func checkMakefile(t *testing.T) {
+	raw, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("read Makefile: %v", err)
+	}
+	for i, line := range strings.Split(string(raw), "\n") {
+		fields := strings.Fields(strings.ReplaceAll(line, "$$", "$"))
+		if len(fields) < 2 || fields[0] != "$(GO)" || fields[1] != "test" {
+			continue
+		}
+		tests := make(map[string]bool)
+		var patterns [][2]string // flag, pattern
+		for j, f := range fields {
+			switch {
+			case strings.HasPrefix(f, "./") && !strings.HasSuffix(f, "..."):
+				names := packageNames(t, f)
+				if names == nil {
+					t.Errorf("Makefile:%d: no Go package in %s", i+1, f)
+					continue
+				}
+				for name := range names.tests {
+					tests[name] = true
+				}
+			case (f == "-run" || f == "-fuzz") && j+1 < len(fields):
+				patterns = append(patterns, [2]string{f, strings.Trim(fields[j+1], "'\"")})
+			}
+		}
+		for _, p := range patterns {
+			for _, alt := range strings.Split(p[1], "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("Makefile:%d: %s %q: %v", i+1, p[0], alt, err)
+					continue
+				}
+				if re.MatchString("") {
+					continue // '^$': run no tests, on purpose
+				}
+				found := false
+				for name := range tests {
+					if re.MatchString(name) && (p[0] == "-run" || strings.HasPrefix(name, "Fuzz")) {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("Makefile:%d: %s alternative %q names no function of the packages the line tests", i+1, p[0], alt)
+				}
+			}
+		}
+	}
 }

@@ -522,7 +522,7 @@ const (
 	// RM sheds a request under overload: the admission queue is full,
 	// the request would wait past its usefulness, or lower-priority
 	// traffic is being sacrificed for confirms. The request did NOT take
-	// effect; clients honor Retry-After and spend retry budget.
+	// effect; clients wait at least Retry-After before trying again.
 	CodeOverloaded = "overloaded"
 )
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,10 +156,10 @@ func (rt *refusingRT) RoundTrip(*http.Request) (*http.Response, error) {
 // TestAgentAllRMsUnreachable is the regression test for the spin-hot
 // bug: with every configured RM down, the agent used to nest the
 // client's 4-attempt retry inside an unbounded registration loop and
-// log every attempt. Now each round is a single attempt, the retry
-// budget caps the rotation rate at the backoff ceiling once dry, and
-// the log gets one line per target plus one ring-down summary — not a
-// line per attempt.
+// log every attempt. Now each round is a single attempt, the doubling
+// backoff holds the rotation rate at one probe per cap once it gets
+// there, and the log gets one line per target plus one ring-down
+// summary — not a line per attempt.
 func TestAgentAllRMsUnreachable(t *testing.T) {
 	rt := &refusingRT{}
 	var mu sync.Mutex
@@ -178,23 +179,23 @@ func TestAgentAllRMsUnreachable(t *testing.T) {
 		Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
 		RMs:      []string{"http://rm-a.invalid", "http://rm-b.invalid"},
 		Backoff:  Backoff{Base: 2 * time.Millisecond, Max: maxDelay},
-		Budget:   NewRetryBudget(3),
 		Logf:     logf,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunAgent = %v, want deadline exceeded (still trying at cutoff)", err)
 	}
 
-	// Rotation rate: 3 budgeted fast retries, then one probe per Max.
-	// 500ms / 50ms = 10 paced probes; with the fast ones and slack the
-	// ceiling is ~20. The old nested-retry loop made 4x the attempts
-	// with no floor on the delay.
+	// Rotation rate: five fast retries double 2ms up to the 50ms cap,
+	// then one probe per at least 4/5 of the cap: 500ms / 40ms = 12.5
+	// paced probes, so with the first attempt and slack the ceiling is
+	// 20. The old nested-retry loop made 4x the attempts with no floor on
+	// the delay.
 	attempts := rt.attempts.Load()
 	if attempts < 2 {
 		t.Errorf("attempts = %d, want >= 2 (the agent must keep probing)", attempts)
 	}
-	if ceiling := int64(3 + int64(window/maxDelay) + 8); attempts > ceiling {
-		t.Errorf("attempts = %d, want <= %d: rotation rate not capped by the retry budget", attempts, ceiling)
+	if ceiling := int64(6 + window/(maxDelay*4/5) + 2); attempts > ceiling {
+		t.Errorf("attempts = %d, want <= %d: rotation rate not capped by the backoff", attempts, ceiling)
 	}
 
 	// Logging: one line per distinct target plus one ring-down summary.
@@ -362,4 +363,268 @@ func TestAgentSurvivesEvictionByRM(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("agent never re-registered after eviction")
+}
+
+// TestAgentLeavesWedgedRM: an RM that takes the connection and never
+// answers — a stopped process, a handler stuck behind its lock — costs
+// the agent one heartbeat interval per attempt, not its life. After
+// failoverAfter attempts, and no fewer, it fails over to the standby.
+func TestAgentLeavesWedgedRM(t *testing.T) {
+	const agentSlot = 50 * time.Millisecond
+	newServer := func() *Server {
+		rm, err := New(Config{SlotDur: agentSlot, Scheduler: sched.NewFIFO()})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return rm
+	}
+	rmA, rmB := newServer(), newServer()
+	var wedged atomic.Bool
+	var wedgedBeats atomic.Int64
+	release := make(chan struct{})
+	hA := rmA.Handler()
+	srvA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !wedged.Load() {
+			hA.ServeHTTP(w, r)
+			return
+		}
+		if r.URL.Path == rmproto.PathHeartbeat {
+			wedgedBeats.Add(1)
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer srvA.Close()
+	defer close(release) // before srvA.Close, which waits for the handlers
+	srvB := httptest.NewServer(rmB.Handler())
+	defer srvB.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- RunAgent(ctx, NewClient(srvA.URL, nil), AgentConfig{
+			NodeID:   "n1",
+			Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
+			RMs:      []string{srvA.URL, srvB.URL},
+			Backoff:  Backoff{Base: 5 * time.Millisecond, Max: agentSlot},
+			Logf:     testLogf(t),
+		})
+	}()
+	waitUntil := func(what string, within time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out after %v waiting for %s", within, what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitUntil("agent to register with RM A", 15*time.Second, func() bool { return rmA.Status().Nodes == 1 })
+
+	wedged.Store(true)
+	waitUntil("agent to register with the standby", 100*agentSlot, func() bool { return rmB.Status().Nodes == 1 })
+	if got := wedgedBeats.Load(); got != failoverAfter {
+		t.Errorf("agent failed over after %d heartbeat attempts at the wedged RM, want %d", got, failoverAfter)
+	}
+	cancel()
+	<-agentErr
+}
+
+// flakyRT refuses the first refuse requests without touching the
+// network, then hands the rest to the default transport, counting all.
+type flakyRT struct {
+	refuse   int64
+	attempts atomic.Int64
+}
+
+func (rt *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	if rt.attempts.Add(1) <= rt.refuse {
+		return nil, errors.New("dial tcp: connection refused")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRetryStopsOnSuccess: each turn of the agent's registration loop is
+// one request — the client under it retries nothing — and the loop stops
+// at the first success. The RM's hour-long slot keeps the first heartbeat
+// out of the count.
+func TestRetryStopsOnSuccess(t *testing.T) {
+	rm, err := New(Config{SlotDur: time.Hour, Scheduler: sched.NewFIFO()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := httptest.NewServer(rm.Handler())
+	defer srv.Close()
+	rt := &flakyRT{refuse: 2}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- RunAgent(ctx, NewClient(srv.URL, &http.Client{Transport: rt}), AgentConfig{
+			NodeID:   "n1",
+			Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
+			Backoff:  Backoff{Base: time.Millisecond, Max: time.Millisecond},
+		})
+	}()
+	deadline := time.Now().Add(15 * time.Second)
+	for rm.Status().Nodes != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("agent never registered")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := rt.attempts.Load(); got != 3 {
+		t.Errorf("registration took %d requests, want 3 (two refused, one accepted)", got)
+	}
+	cancel()
+	<-agentErr
+}
+
+// TestRetryStopsOnPermanentError: a 4xx answer to a registration is not
+// retried; RunAgent returns it after the one request.
+func TestRetryStopsOnPermanentError(t *testing.T) {
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := httptest.NewServer(rm.Handler())
+	defer srv.Close()
+	rt := &flakyRT{}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err = RunAgent(ctx, NewClient(srv.URL, &http.Client{Transport: rt}), AgentConfig{
+		NodeID:  "n1", // zero capacity: the RM refuses the node
+		Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond},
+	})
+	var se *StatusError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusBadRequest {
+		t.Fatalf("RunAgent = %v, want the RM's 400", err)
+	}
+	if got := rt.attempts.Load(); got != 1 {
+		t.Errorf("requests = %d, want 1", got)
+	}
+}
+
+// TestRetryHonorsContextCancellation: cancelling the agent ends its
+// backoff sleep at once. The hour-long delay after the first refused
+// attempt means a sleep the cancellation did not interrupt would time the
+// test out, not flake it.
+func TestRetryHonorsContextCancellation(t *testing.T) {
+	rt := &refusingRT{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	err := RunAgent(ctx, NewClient("http://rm.invalid", &http.Client{Transport: rt}), AgentConfig{
+		NodeID:   "n1",
+		Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
+		Backoff:  Backoff{Base: time.Hour, Max: time.Hour},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunAgent = %v, want context.Canceled", err)
+	}
+	if got := rt.attempts.Load(); got != 1 {
+		t.Errorf("requests = %d, want 1 (cancel must interrupt the backoff sleep)", got)
+	}
+}
+
+// TestRetryHonorsRetryAfter: a heartbeat shed with a Retry-After hint is
+// tried again no sooner than the hint, though the backoff and the
+// heartbeat interval are both far shorter.
+func TestRetryHonorsRetryAfter(t *testing.T) {
+	const hint = 150 * time.Millisecond
+	rm, err := New(Config{SlotDur: 20 * time.Millisecond, Scheduler: sched.NewFIFO()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h := rm.Handler()
+	var mu sync.Mutex
+	var beats []time.Time
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == rmproto.PathHeartbeat {
+			mu.Lock()
+			beats = append(beats, time.Now())
+			first := len(beats) == 1
+			mu.Unlock()
+			if first {
+				writeError(w, http.StatusServiceUnavailable, &OverloadedError{Reason: "queue_full", RetryAfter: hint})
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- RunAgent(ctx, NewClient(srv.URL, nil), AgentConfig{
+			NodeID:   "n1",
+			Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
+			Backoff:  Backoff{Base: time.Millisecond, Max: time.Millisecond},
+		})
+	}()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		mu.Lock()
+		n := len(beats)
+		mu.Unlock()
+		if n >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("agent never heartbeat twice")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	cancel()
+	<-agentErr
+	if gap := beats[1].Sub(beats[0]); gap < hint {
+		t.Errorf("heartbeat retried after %v, want >= the RM's Retry-After hint %v", gap, hint)
+	}
+}
+
+func TestBackoffDelayGrowsAndCaps(t *testing.T) {
+	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second}
+	want := []time.Duration{
+		100 * time.Millisecond,
+		200 * time.Millisecond,
+		400 * time.Millisecond,
+		800 * time.Millisecond,
+		time.Second, // capped
+		time.Second,
+	}
+	for attempt, w := range want {
+		for i := 0; i < 100; i++ {
+			if got := b.Delay(attempt); got < w*4/5 || got > w {
+				t.Fatalf("Delay(%d) = %v, want within [%v, %v]", attempt, got, w*4/5, w)
+			}
+		}
+	}
+}
+
+// TestBackoffJitterBounded: a Backoff that sets only Base and Max, or
+// nothing, jitters — agents that lost the RM at the same instant must not
+// retry in lockstep — and every delay stays within [0.8, 1.0] of the
+// un-jittered one.
+func TestBackoffJitterBounded(t *testing.T) {
+	for _, b := range []Backoff{{}, {Base: 100 * time.Millisecond, Max: 5 * time.Second}} {
+		for attempt, w := range map[int]time.Duration{0: 100 * time.Millisecond, 3: 800 * time.Millisecond, 9: 5 * time.Second} {
+			seen := make(map[time.Duration]bool)
+			for i := 0; i < 1000; i++ {
+				d := b.Delay(attempt)
+				if d < w*4/5 || d > w {
+					t.Fatalf("%+v.Delay(%d) = %v, want within [%v, %v]", b, attempt, d, w*4/5, w)
+				}
+				seen[d] = true
+			}
+			if len(seen) < 2 {
+				t.Errorf("%+v.Delay(%d) gave %d distinct delays in 1000 draws, want them jittered", b, attempt, len(seen))
+			}
+		}
+	}
 }

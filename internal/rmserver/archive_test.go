@@ -66,17 +66,7 @@ func TestMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	// The retry-budget counter is process-wide: other tests move it.
-	drop := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "flowtime_retry_budget_exhausted_total ") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	if drop(got) != drop(string(want)) {
+	if got != string(want) {
 		t.Errorf("/metrics drifted from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 	for _, gauge := range []string{

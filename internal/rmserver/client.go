@@ -19,13 +19,14 @@ import (
 
 // Client is an HTTP client for the resource manager's API, used by the
 // node-manager agent (cmd/ftnode), the submission tool (cmd/ftsubmit) and
-// the integration tests.
+// the integration tests. Every call makes exactly one attempt: a caller
+// that retries does so in its own loop (RunAgent, RunReplicator), where
+// the pacing and the give-up rule live.
 type Client struct {
-	base   string
-	hc     *http.Client
-	policy *RetryPolicy // nil = one attempt per call
-	// status is what Status has already received of the RM's job table.
-	// Copies made for the same base share it; WithBase starts an empty one.
+	base string
+	hc   *http.Client
+	// status is what Status has already received of the RM's job table;
+	// WithBase starts an empty one.
 	status *statusCache
 }
 
@@ -53,33 +54,9 @@ func NewClient(base string, httpClient *http.Client) *Client {
 	return &Client{base: base, hc: httpClient, status: &statusCache{}}
 }
 
-// WithPolicy returns a copy of the client whose idempotent calls
-// (RegisterNode, Heartbeat, Status) are retried under p on transient
-// failures — connection errors and 5xx responses — with Retry-After
-// honored. Permanent rejections (4xx, including unknown-node) surface
-// immediately; non-idempotent calls (Tick, submissions) are never retried.
-// The budget inside p is shared by reference, so copies made with WithBase
-// keep feeding the same bucket (an agent rotating RMs keeps one budget).
-func (c *Client) WithPolicy(p RetryPolicy) *Client {
-	cc := *c
-	cc.policy = &p
-	return &cc
-}
-
-// bare returns a copy of the client that performs exactly one attempt
-// per call. Loops that do their own pacing
-// (registerUntilAccepted) use it to avoid nested-retry amplification:
-// an outer loop wrapping a 4-attempt client multiplies offered load by
-// 4 exactly when the RM is least able to take it.
-func (c *Client) bare() *Client {
-	cc := *c
-	cc.policy = nil
-	return &cc
-}
-
 // WithBase returns a copy of the client pointed at a different RM URL,
-// keeping the HTTP client and retry policy. Agents use it to follow a
-// leader hint or rotate through their RM list.
+// keeping the HTTP client. Agents use it to follow a leader hint or
+// rotate through their RM list.
 func (c *Client) WithBase(base string) *Client {
 	cc := *c
 	cc.base = base
@@ -90,19 +67,10 @@ func (c *Client) WithBase(base string) *Client {
 // Base returns the RM URL this client talks to.
 func (c *Client) Base() string { return c.base }
 
-func (c *Client) retrying(ctx context.Context, op func() error) error {
-	if c.policy == nil {
-		return op()
-	}
-	return c.policy.Do(ctx, op)
-}
-
 // RegisterNode announces a node manager.
 func (c *Client) RegisterNode(ctx context.Context, req rmproto.RegisterNodeRequest) (rmproto.RegisterNodeResponse, error) {
 	var resp rmproto.RegisterNodeResponse
-	err := c.retrying(ctx, func() error {
-		return c.post(ctx, rmproto.PathRegister, req, &resp)
-	})
+	err := c.post(ctx, rmproto.PathRegister, req, &resp)
 	return resp, err
 }
 
@@ -113,9 +81,7 @@ func (c *Client) RegisterNode(ctx context.Context, req rmproto.RegisterNodeReque
 func (c *Client) Heartbeat(ctx context.Context, req rmproto.HeartbeatRequest) (rmproto.HeartbeatResponse, error) {
 	var resp rmproto.HeartbeatResponse
 	body := rmproto.AppendHeartbeatRequest(nil, req)
-	err := c.retrying(ctx, func() error {
-		return c.send(ctx, rmproto.PathHeartbeat, rmproto.HeartbeatMediaType, body, decodeBinary(&resp, rmproto.DecodeHeartbeatResponse))
-	})
+	err := c.send(ctx, rmproto.PathHeartbeat, rmproto.HeartbeatMediaType, body, decodeBinary(&resp, rmproto.DecodeHeartbeatResponse))
 	return resp, err
 }
 
@@ -166,29 +132,24 @@ func (c *Client) Drain(ctx context.Context, req rmproto.DrainRequest) (rmproto.D
 }
 
 // Status fetches the cluster snapshot: every job the RM knows, sorted by
-// ID, in a Jobs slice of the caller's own. What this client (or a copy of
-// it for the same base) has received before is asked for by cursor only
-// — a completed job once, a live one when its entry changed — and folded
-// back in from the client's cache; an RM that restarted, or another RM
+// ID, in a Jobs slice of the caller's own. What this client has received
+// before is asked for by cursor only — a completed job once, a live one
+// when its entry changed — and folded back in from the client's cache; an RM that restarted, or another RM
 // behind the same URL, announces a different instance and is fetched
 // whole. A response that does not continue the cache's live jobs is not
 // applied, and the call asks again for every live job.
 func (c *Client) Status(ctx context.Context) (rmproto.StatusResponse, error) {
-	var resp rmproto.StatusResponse
-	err := c.retrying(ctx, func() error {
-		var err error
-		if resp, err = c.statusOnce(ctx, false); errors.Is(err, errNotContinued) {
-			resp, err = c.statusOnce(ctx, true)
-		}
-		return err
-	})
+	resp, err := c.statusOnce(ctx, false)
+	if errors.Is(err, errNotContinued) {
+		resp, err = c.statusOnce(ctx, true)
+	}
 	return resp, err
 }
 
 // statusOnce is one GET /v1/status from the cache's cursors — with
 // wholeLive, from live change 0 — folded through the cache. Only a whole,
-// decoded 200 moves the cursors, so a retried attempt asks again from
-// where the last success left off.
+// decoded 200 moves the cursors, so a call after a failed one asks again
+// from where the last success left off.
 func (c *Client) statusOnce(ctx context.Context, wholeLive bool) (rmproto.StatusResponse, error) {
 	var resp rmproto.StatusResponse
 	ask := c.status.cursor(wholeLive)

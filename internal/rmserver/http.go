@@ -185,7 +185,6 @@ func (s *Server) Handler() http.Handler {
 			}
 			fmt.Fprintf(w, "# TYPE flowtime_admission_queue_depth gauge\nflowtime_admission_queue_depth %d\n", o.QueueDepth)
 		}
-		fmt.Fprintf(w, "# TYPE flowtime_retry_budget_exhausted_total counter\nflowtime_retry_budget_exhausted_total %d\n", RetryBudgetExhaustedTotal())
 		if wd := st.Watchdog; wd != nil {
 			fmt.Fprintf(w, "# TYPE flowtime_watchdog_trips_total counter\n")
 			kinds := make([]string, 0, len(wd.Trips))

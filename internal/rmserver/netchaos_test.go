@@ -259,7 +259,7 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 			NodeID:   "n1",
 			Capacity: rmproto.Resources{VCores: 8, MemoryMB: 16 * 1024},
 			RMs:      []string{psrv.URL, fsrv.URL},
-			Backoff:  Backoff{Base: 2 * time.Millisecond, Max: 30 * time.Millisecond, MaxAttempts: 2},
+			Backoff:  Backoff{Base: 2 * time.Millisecond, Max: 30 * time.Millisecond},
 			Logf:     testLogf(t),
 		})
 	}()
@@ -361,8 +361,7 @@ func TestNetChaosCodedErrorsThroughProxy(t *testing.T) {
 	}
 
 	// overloaded + Retry-After through the same proxy seam.
-	oc := OverloadConfig{ConfirmConcurrency: 1, QueueDepth: 1, MaxWait: 5 * time.Millisecond, RetryAfter: 1200 * time.Millisecond}
-	overrm, osrv := newOverloadedRM(t, oc)
+	overrm, osrv := newOverloadedRM(t, newAdmission(submitConcurrency, 1, 1, 5*time.Millisecond, 1200*time.Millisecond))
 	release, err := overrm.admission.acquire(ctx, classConfirm)
 	if err != nil {
 		t.Fatalf("acquire: %v", err)

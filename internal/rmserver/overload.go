@@ -13,9 +13,10 @@ package rmserver
 //     (heartbeats, registrations) draw from separate slot pools, so a
 //     submission flood cannot starve the heartbeat path;
 //   - bounded queues with deadline-aware rejection: a request that
-//     cannot get a slot waits at most MaxWait behind at most QueueDepth
-//     peers, then is shed with a coded `overloaded` error and a
-//     Retry-After hint instead of holding a connection open forever;
+//     cannot get a slot waits at most admissionMaxWait behind at most
+//     admissionQueueDepth peers, then is shed with a coded `overloaded`
+//     error and a Retry-After hint instead of holding a connection open
+//     forever;
 //   - priority shedding: when the confirm class itself has waiters,
 //     new submissions are shed immediately ("priority") — confirms and
 //     heartbeats stay ahead of submissions, because losing a confirm
@@ -35,49 +36,28 @@ import (
 	"flowtime/internal/rmproto"
 )
 
-// OverloadConfig bounds the RM's admission queues. The zero value of
-// each field picks the documented default; attach a *OverloadConfig to
-// Config.Overload to enable protection (nil disables it entirely).
-type OverloadConfig struct {
-	// SubmitConcurrency caps in-flight submission requests (default 16).
-	SubmitConcurrency int
-	// ConfirmConcurrency caps in-flight heartbeat/register requests
-	// (default 64). It is deliberately the larger pool: the confirm path
-	// is what keeps leases alive.
-	ConfirmConcurrency int
-	// QueueDepth caps how many requests may wait for a slot per class
-	// (default 64). Arrivals beyond it are shed immediately with reason
+// The admission gate's limits, fixed for every RM that sets
+// Config.Overload.
+const (
+	// submitConcurrency caps in-flight submission requests.
+	submitConcurrency = 16
+	// confirmConcurrency caps in-flight heartbeat/register requests. It
+	// is deliberately the larger pool: the confirm path is what keeps
+	// leases alive.
+	confirmConcurrency = 64
+	// admissionQueueDepth caps how many requests may wait for a slot per
+	// class. Arrivals beyond it are shed immediately with reason
 	// "queue_full".
-	QueueDepth int
-	// MaxWait bounds how long a queued request waits for a slot before
-	// being shed with reason "queue_timeout" (default 200ms). This is
-	// the deadline-aware part: a request that would wait longer than
-	// the client's own retry timer is better shed now, with a hint,
-	// than served late.
-	MaxWait time.Duration
-	// RetryAfter is the backoff hint handed to shed clients
-	// (default 500ms).
-	RetryAfter time.Duration
-}
-
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.SubmitConcurrency <= 0 {
-		c.SubmitConcurrency = 16
-	}
-	if c.ConfirmConcurrency <= 0 {
-		c.ConfirmConcurrency = 64
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 200 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 500 * time.Millisecond
-	}
-	return c
-}
+	admissionQueueDepth = 64
+	// admissionMaxWait bounds how long a queued request waits for a slot
+	// before being shed with reason "queue_timeout". This is the
+	// deadline-aware part: a request that would wait longer than the
+	// client's own retry timer is better shed now, with a hint, than
+	// served late.
+	admissionMaxWait = 200 * time.Millisecond
+	// shedRetryAfter is the backoff hint handed to shed clients.
+	shedRetryAfter = 500 * time.Millisecond
+)
 
 // Admission classes. Submissions and confirm-path traffic are isolated
 // so overload in one cannot queue behind the other.
@@ -102,24 +82,30 @@ func newClassLimiter(concurrency int) *classLimiter {
 	return l
 }
 
-// admission is the server's overload gate.
+// admission is the server's overload gate: one slot pool per class, and
+// the queue depth, wait bound and Retry-After hint it sheds by.
 type admission struct {
-	cfg     OverloadConfig
-	submit  *classLimiter
-	confirm *classLimiter
+	submit     *classLimiter
+	confirm    *classLimiter
+	queueDepth int64
+	maxWait    time.Duration
+	retryAfter time.Duration
 
 	shedTotal atomic.Int64
 	mu        sync.Mutex
 	shedBy    map[string]int64
 }
 
-func newAdmission(cfg OverloadConfig) *admission {
-	cfg = cfg.withDefaults()
+// newAdmission returns a gate with the given limits; New passes the
+// constants above.
+func newAdmission(submit, confirm int, queueDepth int64, maxWait, retryAfter time.Duration) *admission {
 	return &admission{
-		cfg:     cfg,
-		submit:  newClassLimiter(cfg.SubmitConcurrency),
-		confirm: newClassLimiter(cfg.ConfirmConcurrency),
-		shedBy:  make(map[string]int64),
+		submit:     newClassLimiter(submit),
+		confirm:    newClassLimiter(confirm),
+		queueDepth: queueDepth,
+		maxWait:    maxWait,
+		retryAfter: retryAfter,
+		shedBy:     make(map[string]int64),
 	}
 }
 
@@ -135,7 +121,7 @@ func (a *admission) shed(reason string) error {
 	a.mu.Lock()
 	a.shedBy[reason]++
 	a.mu.Unlock()
-	return &OverloadedError{Reason: reason, RetryAfter: a.cfg.RetryAfter}
+	return &OverloadedError{Reason: reason, RetryAfter: a.retryAfter}
 }
 
 // acquire admits one request of the given class, returning the release
@@ -159,15 +145,15 @@ func (a *admission) acquire(ctx context.Context, class string) (func(), error) {
 	default:
 	}
 
-	// Bounded queue: beyond QueueDepth waiters the request is shed
+	// Bounded queue: beyond queueDepth waiters the request is shed
 	// immediately — an unbounded queue is just latency with extra steps.
-	if l.waiters.Add(1) > int64(a.cfg.QueueDepth) {
+	if l.waiters.Add(1) > a.queueDepth {
 		l.waiters.Add(-1)
 		return nil, a.shed("queue_full")
 	}
 	defer l.waiters.Add(-1)
 
-	t := time.NewTimer(a.cfg.MaxWait)
+	t := time.NewTimer(a.maxWait)
 	defer t.Stop()
 	select {
 	case <-l.slots:
@@ -194,6 +180,6 @@ func (a *admission) status() *rmproto.OverloadStatus {
 		QueueDepth:      a.submit.waiters.Load() + a.confirm.waiters.Load(),
 		SubmitInflight:  a.submit.inflight.Load(),
 		ConfirmInflight: a.confirm.inflight.Load(),
-		RetryAfterMs:    a.cfg.RetryAfter.Milliseconds(),
+		RetryAfterMs:    a.retryAfter.Milliseconds(),
 	}
 }

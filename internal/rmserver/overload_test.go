@@ -16,12 +16,16 @@ import (
 	"flowtime/internal/trace"
 )
 
-func newOverloadedRM(t *testing.T, oc OverloadConfig) (*Server, *httptest.Server) {
+// newOverloadedRM serves an RM with Config.Overload set whose gate is
+// gate instead of one at the fixed limits: tests shrink the pools so a
+// handful of requests provokes shedding.
+func newOverloadedRM(t *testing.T, gate *admission) (*Server, *httptest.Server) {
 	t.Helper()
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Overload: &oc})
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Overload: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rm.admission = gate // before Handler(), which closes over it
 	srv := httptest.NewServer(rm.Handler())
 	t.Cleanup(srv.Close)
 	return rm, srv
@@ -40,12 +44,7 @@ func postBody(t *testing.T, url, contentType, body string) *http.Response {
 // the full shed contract: 503, code "overloaded", Retry-After header,
 // retry_after_ms body, and shed counters in /v1/status.
 func TestOverloadShedsSubmissions(t *testing.T) {
-	rm, srv := newOverloadedRM(t, OverloadConfig{
-		SubmitConcurrency: 1,
-		QueueDepth:        1,
-		MaxWait:           30 * time.Millisecond,
-		RetryAfter:        1500 * time.Millisecond,
-	})
+	rm, srv := newOverloadedRM(t, newAdmission(1, confirmConcurrency, 1, 30*time.Millisecond, 1500*time.Millisecond))
 
 	// Occupy the single submit slot so HTTP submissions must queue.
 	release, err := rm.admission.acquire(context.Background(), classSubmit)
@@ -55,7 +54,7 @@ func TestOverloadShedsSubmissions(t *testing.T) {
 	defer release()
 
 	// First arrival queues (the only permitted waiter), times out after
-	// MaxWait, and is shed with "queue_timeout".
+	// the wait bound, and is shed with "queue_timeout".
 	resp := postBody(t, srv.URL+rmproto.PathWorkflows, rmproto.SubmitMediaType, wfRecBody(t, trace.WorkflowRecord{ID: "wf1"}))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -75,8 +74,8 @@ func TestOverloadShedsSubmissions(t *testing.T) {
 		t.Errorf("retry_after_ms %d, want 1500", e.RetryAfterMs)
 	}
 
-	// Now hold a waiter in the queue and push one more arrival past
-	// QueueDepth: shed immediately with "queue_full".
+	// Now hold a waiter in the queue and push one more arrival past the
+	// queue depth: shed immediately with "queue_full".
 	waiterDone := make(chan error, 1)
 	go func() {
 		rel, err := rm.admission.acquire(context.Background(), classSubmit)
@@ -117,12 +116,7 @@ func TestOverloadShedsSubmissions(t *testing.T) {
 // with reason "priority", and heartbeats are still admitted once a
 // confirm slot frees.
 func TestOverloadPriorityShedding(t *testing.T) {
-	rm, srv := newOverloadedRM(t, OverloadConfig{
-		SubmitConcurrency:  4,
-		ConfirmConcurrency: 1,
-		QueueDepth:         4,
-		MaxWait:            500 * time.Millisecond,
-	})
+	rm, srv := newOverloadedRM(t, newAdmission(4, 1, 4, 500*time.Millisecond, shedRetryAfter))
 
 	// Saturate the confirm class and park one waiter behind it.
 	release, err := rm.admission.acquire(context.Background(), classConfirm)
@@ -173,11 +167,7 @@ func TestOverloadPriorityShedding(t *testing.T) {
 // TestOverloadConfirmsFlowDuringSubmitFlood is the headline property:
 // heartbeat traffic is isolated from a saturated submit class.
 func TestOverloadConfirmsFlowDuringSubmitFlood(t *testing.T) {
-	rm, srv := newOverloadedRM(t, OverloadConfig{
-		SubmitConcurrency: 1,
-		QueueDepth:        1,
-		MaxWait:           20 * time.Millisecond,
-	})
+	rm, srv := newOverloadedRM(t, newAdmission(1, confirmConcurrency, 1, 20*time.Millisecond, shedRetryAfter))
 	// Saturate submit entirely.
 	release, err := rm.admission.acquire(context.Background(), classSubmit)
 	if err != nil {
@@ -206,8 +196,8 @@ func TestOverloadConfirmsFlowDuringSubmitFlood(t *testing.T) {
 	}
 }
 
-// TestOverloadedCallsRetryable: a shed must be retryable so the
-// client's policy backs off and retries rather than giving up.
+// TestOverloadedCallsRetryable: a shed must be retryable so the caller's
+// loop backs off and retries rather than giving up.
 func TestOverloadedCallsRetryable(t *testing.T) {
 	err := error(&StatusError{StatusCode: http.StatusServiceUnavailable, Code: rmproto.CodeOverloaded})
 	if !Retryable(err) {
@@ -271,12 +261,13 @@ func TestMetricsExportOverloadAndWatchdog(t *testing.T) {
 	rm, err := New(Config{
 		SlotDur:   slotDur,
 		Scheduler: sched.NewFIFO(),
-		Overload:  &OverloadConfig{SubmitConcurrency: 1, QueueDepth: 1, MaxWait: 5 * time.Millisecond},
+		Overload:  true,
 		Watchdog:  WatchdogConfig{StuckTickAfter: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rm.admission = newAdmission(1, confirmConcurrency, 1, 5*time.Millisecond, shedRetryAfter)
 	srv := httptest.NewServer(rm.Handler())
 	defer srv.Close()
 
@@ -296,7 +287,6 @@ func TestMetricsExportOverloadAndWatchdog(t *testing.T) {
 	for _, want := range []string{
 		`flowtime_shed_total{reason="queue_timeout"} 1`,
 		"flowtime_admission_queue_depth 0",
-		"flowtime_retry_budget_exhausted_total",
 		`flowtime_watchdog_trips_total{kind="stuck_tick"} 1`,
 		"flowtime_watchdog_stuck_tick 1",
 	} {

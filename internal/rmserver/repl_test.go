@@ -299,7 +299,7 @@ func TestAgentFollowsLeaderAcrossFailover(t *testing.T) {
 			NodeID:   "n1",
 			Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
 			RMs:      []string{psrv.URL, fsrv.URL},
-			Backoff:  Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, MaxAttempts: 2},
+			Backoff:  Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond},
 		})
 	}()
 

@@ -47,89 +47,6 @@ func TestClientParsesRetryAfter(t *testing.T) {
 	}
 }
 
-func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0}
-	want := []time.Duration{
-		100 * time.Millisecond,
-		200 * time.Millisecond,
-		400 * time.Millisecond,
-		800 * time.Millisecond,
-		time.Second, // capped
-		time.Second,
-	}
-	for attempt, w := range want {
-		if got := b.Delay(attempt); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", attempt, got, w)
-		}
-	}
-}
-
-func TestBackoffJitterBounded(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
-	for i := 0; i < 100; i++ {
-		d := b.Delay(0)
-		if d < 50*time.Millisecond || d > 100*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [50ms, 100ms]", d)
-		}
-	}
-}
-
-func TestRetryStopsOnSuccess(t *testing.T) {
-	calls := 0
-	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond}}.Do(context.Background(), func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Errorf("Retry = %v after %d calls, want nil after 3", err, calls)
-	}
-}
-
-func TestRetryStopsOnPermanentError(t *testing.T) {
-	calls := 0
-	perm := &StatusError{StatusCode: http.StatusBadRequest, Message: "bad request"}
-	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond}}.Do(context.Background(), func() error {
-		calls++
-		return perm
-	})
-	if !errors.Is(err, error(perm)) || calls != 1 {
-		t.Errorf("Retry = %v after %d calls, want permanent error after 1", err, calls)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	calls := 0
-	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond, MaxAttempts: 3}}.Do(context.Background(), func() error {
-		calls++
-		return errors.New("transient")
-	})
-	if err == nil || calls != 3 {
-		t.Errorf("Retry = %v after %d calls, want error after exactly 3", err, calls)
-	}
-}
-
-func TestRetryHonorsContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	// Cancel from inside the retried op: deterministic (no timing race),
-	// and the hour-long base delay guarantees that if cancellation did not
-	// interrupt the backoff sleep the test would time out, not flake.
-	err := RetryPolicy{Backoff: Backoff{Base: time.Hour, MaxAttempts: -1}}.Do(ctx, func() error {
-		calls++
-		cancel()
-		return errors.New("transient")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Retry = %v, want context.Canceled", err)
-	}
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1 (cancel must interrupt the backoff sleep)", calls)
-	}
-}
-
 func TestRetryableClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -148,29 +65,6 @@ func TestRetryableClassification(t *testing.T) {
 		if got := Retryable(c.err); got != c.want {
 			t.Errorf("Retryable(%s) = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-func TestRetryHonorsRetryAfter(t *testing.T) {
-	// The server's Retry-After hint must stretch the sleep beyond the
-	// (tiny) configured backoff. One retry with a 120ms hint on a 1µs
-	// base: elapsed time proves which delay was used.
-	hint := 120 * time.Millisecond
-	calls := 0
-	start := time.Now()
-	err := RetryPolicy{Backoff: Backoff{Base: time.Microsecond, MaxAttempts: 2}}.Do(context.Background(), func() error {
-		calls++
-		if calls == 1 {
-			return &StatusError{StatusCode: http.StatusServiceUnavailable, Code: rmproto.CodeOverloaded, RetryAfter: hint}
-		}
-		return nil
-	})
-	elapsed := time.Since(start)
-	if err != nil || calls != 2 {
-		t.Fatalf("Retry = %v after %d calls, want nil after 2", err, calls)
-	}
-	if elapsed < hint {
-		t.Errorf("retry slept only %v, want >= the server's Retry-After hint %v", elapsed, hint)
 	}
 }
 
@@ -196,36 +90,6 @@ func TestOverloadedErrorMatchesSentinel(t *testing.T) {
 	}
 	if errors.Is(error(&StatusError{StatusCode: 503}), ErrOverloaded) {
 		t.Error("plain 503 must not match ErrOverloaded")
-	}
-}
-
-func TestRetryBudgetCapsAmplification(t *testing.T) {
-	rb := NewRetryBudget(3)
-	before := RetryBudgetExhaustedTotal()
-	calls := 0
-	err := RetryPolicy{
-		Backoff: Backoff{Base: time.Microsecond, MaxAttempts: -1},
-		Budget:  rb,
-	}.Do(context.Background(), func() error {
-		calls++
-		return errors.New("transient")
-	})
-	if !errors.Is(err, ErrRetryBudgetExhausted) {
-		t.Fatalf("Do = %v, want ErrRetryBudgetExhausted", err)
-	}
-	// 1 initial attempt + 3 budgeted retries.
-	if calls != 4 {
-		t.Errorf("calls = %d, want 4 (initial + 3 budgeted retries)", calls)
-	}
-	if got := RetryBudgetExhaustedTotal() - before; got != 1 {
-		t.Errorf("exhaustion counter advanced by %d, want 1", got)
-	}
-	// Successes refill the bucket a fraction at a time.
-	for i := 0; i < 20; i++ {
-		rb.Deposit()
-	}
-	if tok := rb.tokens; tok < 1.9 || tok > 2.1 {
-		t.Errorf("tokens after 20 deposits = %v, want ~2 (0.1 per success)", tok)
 	}
 }
 

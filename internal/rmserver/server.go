@@ -87,10 +87,10 @@ type Config struct {
 	// submission is rejected, because there is no leftover to admit
 	// against.
 	AdHocGate bool
-	// Overload, when non-nil, bounds the HTTP front door with per-class
-	// admission queues and load shedding (see overload.go). nil leaves
-	// the API unguarded, as before.
-	Overload *OverloadConfig
+	// Overload, when true, bounds the HTTP front door with per-class
+	// admission queues and load shedding at fixed limits (see
+	// overload.go). False leaves the API unguarded.
+	Overload bool
 	// Watchdog enables the liveness detectors (see watchdog.go). The
 	// zero value disables both.
 	Watchdog WatchdogConfig
@@ -332,8 +332,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Follower {
 		s.role = RoleFollower
 	}
-	if cfg.Overload != nil {
-		s.admission = newAdmission(*cfg.Overload)
+	if cfg.Overload {
+		s.admission = newAdmission(submitConcurrency, confirmConcurrency, admissionQueueDepth, admissionMaxWait, shedRetryAfter)
 	}
 	if cfg.AdHocGate {
 		s.gate = &adhocGate{}
