@@ -91,7 +91,7 @@ func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 	// replan: it fits beside the reservation (5 free on each of slots 5..9,
 	// 10 on each of 10..19), so nothing is deferred and nothing yielded.
 	var planned resource.Vector
-	for _, g := range f.plan["j"] {
+	for _, g := range f.live.Jobs["j"].Alloc {
 		planned = planned.Add(g)
 	}
 	if planned != atReplan || len(f.deferred) != 0 {
@@ -128,7 +128,7 @@ func TestReservationYieldsToDeadline(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 	var planned resource.Vector
-	for _, g := range f.plan["j"] {
+	for _, g := range f.live.Jobs["j"].Alloc {
 		planned = planned.Add(g)
 	}
 	if planned != demand {

@@ -64,14 +64,13 @@ func TestLadderStepsDownToGreedyOnPlannerError(t *testing.T) {
 	}
 
 	// The degraded plan must still satisfy every plan invariant.
-	capAt := func(int64) resource.Vector { return capacity }
-	if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {
+	if err := checkLive(f, jobs); err != nil {
 		t.Errorf("greedy plan fails validation: %v", err)
 	}
 	// Conservation: the whole demand fits the window, so nothing defers.
 	for _, j := range jobs {
 		var planned resource.Vector
-		for _, g := range f.plan[j.ID] {
+		for _, g := range f.live.Jobs[j.ID].Alloc {
 			planned = planned.Add(g)
 		}
 		if got := planned.Add(f.deferred[j.ID]); got != j.EstRemaining {
@@ -147,8 +146,7 @@ func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
 	if plan.Equal(flowPlan, greedyPlan) == nil {
 		t.Error("the flow and greedy plans agree: the rung each kind took is not visible")
 	}
-	capAt := func(int64) resource.Vector { return capacity }
-	if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {
+	if err := checkLive(f, twoJobMix()); err != nil {
 		t.Errorf("mixed-rung plan fails validation: %v", err)
 	}
 }
@@ -174,13 +172,12 @@ func TestOverflowStepsDownToGreedy(t *testing.T) {
 	if d.Level != sched.DegradeGreedy || !strings.Contains(d.Reason, "overflow") {
 		t.Fatalf("Level = %v, Reason = %q; want greedy on an overflow", d.Level, d.Reason)
 	}
-	capAt := func(int64) resource.Vector { return capacity }
-	if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {
+	if err := checkLive(f, jobs); err != nil {
 		t.Errorf("plan fails validation: %v", err)
 	}
 	for _, j := range jobs {
 		var planned resource.Vector
-		for _, g := range f.plan[j.ID] {
+		for _, g := range f.live.Jobs[j.ID].Alloc {
 			planned = planned.Add(g)
 		}
 		if got := planned.Add(f.deferred[j.ID]); got != j.EstRemaining {
@@ -344,13 +341,10 @@ func TestBestEffortJobsExcludedFromPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
-	if _, ok := f.plan["b"]; ok {
+	if _, ok := f.live.Jobs["b"]; ok {
 		t.Error("best-effort job entered the joint plan")
 	}
-	if _, ok := f.planWindows["b"]; ok {
-		t.Error("best-effort job has a plan window")
-	}
-	if _, ok := f.plan["a"]; !ok {
+	if _, ok := f.live.Jobs["a"]; !ok {
 		t.Error("normal job missing from the plan")
 	}
 	// The best-effort job still runs, from leftover capacity.
@@ -373,8 +367,8 @@ func TestBestEffortJobsExcludedFromPlanning(t *testing.T) {
 }
 
 // TestPlanValidationProperty fuzzes Assign across ladder-relevant configs
-// and checks every produced plan against the shared validator — the same
-// check replan runs before serving a plan, exercised here end to end.
+// and checks every produced plan against checkPlan — the check replan
+// runs before serving a plan, exercised here end to end.
 func TestPlanValidationProperty(t *testing.T) {
 	configs := map[string]Config{
 		"default":         DefaultConfig(),
@@ -409,8 +403,7 @@ func TestPlanValidationProperty(t *testing.T) {
 				}); err != nil {
 					t.Fatalf("trial %d: Assign: %v", trial, err)
 				}
-				capAt := func(int64) resource.Vector { return capacity }
-				if err := sched.ValidatePlan(f.plan, f.planFrom, f.planWindows, capAt); err != nil {
+				if err := checkLive(f, jobs); err != nil {
 					t.Fatalf("trial %d: plan fails validation: %v", trial, err)
 				}
 				if n := f.Degradation().InvalidPlans; n != 0 {

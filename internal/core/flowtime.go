@@ -96,10 +96,11 @@ type Config struct {
 	// paper's evaluation plans 100 slots (1000 s) ahead (§VII, Fig. 7).
 	// 0 means unbounded.
 	PlanSlots int64
-	// StreamPlans makes every replan additionally publish a versioned
-	// plan.Plan and emit a plan.Diff against the previous revision
-	// (sched.PlanStreamer). Off by default: without a consumer draining
-	// TakePlanDiffs the pending list would grow without bound.
+	// StreamPlans queues, at every replan, the plan.Diff from the previous
+	// revision to the new one for TakePlanDiffs (sched.PlanStreamer). The
+	// plan itself is kept and served (LivePlan) either way. Off by default:
+	// without a consumer draining TakePlanDiffs the pending list would grow
+	// without bound.
 	StreamPlans bool
 }
 
@@ -115,9 +116,13 @@ func DefaultConfig() Config {
 type FlowTime struct {
 	cfg Config
 
-	plan     map[string][]resource.Vector
-	planFrom int64
-	load     []resource.Vector // planned deadline load per slot (diagnostics)
+	// live is the current plan: every replan builds the next revision, and
+	// Assign serves its slices. nil before the first replan. pending holds
+	// the diffs emitted since the last TakePlanDiffs drain (StreamPlans).
+	live    *plan.Plan
+	pending []*plan.Diff
+
+	load []resource.Vector // planned deadline load per slot (diagnostics)
 	// planRemaining tracks, per job, how much planned allocation lies at or
 	// after the current slot; it is the staleness detector.
 	planRemaining map[string]resource.Vector
@@ -129,9 +134,6 @@ type FlowTime struct {
 	// planCap records the capacity the plan assumed per slot, so live
 	// capacity changes (node loss, maintenance dips) invalidate the plan.
 	planCap []resource.Vector
-	// planWindows are the effective windows the current plan was validated
-	// against (diagnostics and tests).
-	planWindows map[string]sched.PlanWindow
 
 	// adhocReserved[i] is the volume the ad-hoc admission gate has admitted
 	// against the leftover of absolute slot adhocFrom+i
@@ -143,11 +145,6 @@ type FlowTime struct {
 	// adhocStale marks undrained gate admissions since the last replan;
 	// it is a quality (batched) staleness signal, never an urgent one.
 	adhocStale bool
-
-	// live is the versioned published plan (StreamPlans only); pending
-	// holds the diffs emitted since the last TakePlanDiffs drain.
-	live    *plan.Plan
-	pending []*plan.Diff
 
 	stats   Stats
 	degrade sched.DegradationStatus
@@ -243,9 +240,8 @@ func (f *FlowTime) PlannedLoad() []resource.Vector {
 
 var _ sched.PlanStreamer = (*FlowTime)(nil)
 
-// LivePlan implements sched.PlanStreamer: a snapshot of the current
-// published plan. Before the first replan — and always when StreamPlans
-// is off — it is the empty revision-0 plan.
+// LivePlan implements sched.PlanStreamer: a snapshot of the current plan.
+// Before the first replan it is the empty revision-0 plan.
 func (f *FlowTime) LivePlan() *plan.Plan {
 	if f.live == nil {
 		return plan.Empty()
@@ -332,33 +328,18 @@ func (f *FlowTime) trimAdHocReserved(now int64) {
 	f.adhocFrom = now
 }
 
-// publishPlan versions the replan's final output as the next live plan
-// revision and, when streaming, emits the diff against the previous one.
-// alloc slices are shared with the internal plan: they are immutable
-// after the replan that built them.
-func (f *FlowTime) publishPlan(from, nSlots int64, alloc map[string][]resource.Vector, windows map[string]sched.PlanWindow) {
-	if !f.cfg.StreamPlans {
-		return
+// publish makes a replan's output the live plan, one revision past the
+// last, and when streaming queues the diff between the two. The plan is
+// immutable from here on: LivePlan hands out copies.
+func (f *FlowTime) publish(next *plan.Plan) {
+	prev := f.live
+	if prev == nil {
+		prev = plan.Empty()
 	}
-	if f.live == nil {
-		f.live = plan.Empty()
+	next.Rev = prev.Rev + 1
+	if f.cfg.StreamPlans {
+		f.pending = append(f.pending, plan.Compute(prev, next))
 	}
-	next := &plan.Plan{
-		Rev:    f.live.Rev + 1,
-		From:   from,
-		NSlots: nSlots,
-	}
-	if len(alloc) > 0 {
-		next.Jobs = make(map[string]plan.Job, len(alloc))
-		for id, slots := range alloc {
-			w := windows[id]
-			next.Jobs[id] = plan.Job{
-				Window: plan.Window{Rel: w.RelSlot, Dl: w.DlSlot},
-				Alloc:  slots,
-			}
-		}
-	}
-	f.pending = append(f.pending, plan.Compute(f.live, next))
 	f.live = next
 }
 
@@ -374,10 +355,9 @@ const qualityReplanInterval = 5
 // capacity left beside a ready job that asked for more of it.
 func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, error) {
 	urgent, quality := f.planNeeds(ctx)
-	if urgent || (quality && ctx.Now >= f.planFrom+qualityReplanInterval) {
+	if urgent || (quality && ctx.Now >= f.live.From+qualityReplanInterval) {
 		f.replan(ctx)
 	}
-	offset := ctx.Now - f.planFrom
 	avail := ctx.Cluster.CapAt(ctx.Now)
 	grants := make(map[string]resource.Vector, len(ctx.Jobs))
 
@@ -388,11 +368,7 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 		if j.Kind != sched.DeadlineJob {
 			continue
 		}
-		slots, ok := f.plan[j.ID]
-		if !ok || offset < 0 || offset >= int64(len(slots)) {
-			continue
-		}
-		slice := slots[offset]
+		slice := f.live.AllocAt(j.ID, ctx.Now)
 		if slice.IsZero() {
 			continue
 		}
@@ -509,14 +485,14 @@ func deadlineEDF(jobs []sched.JobState) (ready, onConfirm []sched.JobState) {
 // correctness. quality: planned work refers to a job that is gone or
 // finished early — capacity is worth reflowing, but the plan stays valid.
 func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent, quality bool) {
-	if f.plan == nil {
+	if f.live == nil {
 		return true, false
 	}
 	if f.deferredRetry > 0 && ctx.Now >= f.deferredRetry {
 		// Time to retry placing demand the last plan could not fit.
 		return true, false
 	}
-	if off := ctx.Now - f.planFrom; off >= 0 && off < int64(len(f.planCap)) {
+	if off := ctx.Now - f.live.From; off >= 0 && off < int64(len(f.planCap)) {
 		if ctx.Cluster.CapAt(ctx.Now) != f.planCap[off] {
 			// The capacity profile changed under the plan (node loss or
 			// recovery); the skyline must be re-flattened.
@@ -565,7 +541,7 @@ func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent, quality bool) {
 }
 
 func (f *FlowTime) planKnown(id string) bool {
-	_, ok := f.plan[id]
+	_, ok := f.live.Jobs[id]
 	return ok
 }
 
@@ -585,22 +561,19 @@ type planJob struct {
 	planIdx int
 }
 
-// replan rebuilds the multi-slot plan with the per-kind flow pipeline
-// under the degradation ladder. It cannot fail: any planner trouble steps
-// that kind down to the greedy rung, and the resulting plan is validated
-// before it is served.
+// replan builds the next revision of the live plan with the per-kind flow
+// pipeline under the degradation ladder. It cannot fail: any planner
+// trouble steps that kind down to the greedy rung, and the resulting plan
+// is checked (checkPlan) before it is served.
 func (f *FlowTime) replan(ctx sched.AssignContext) {
 	f.stats.Replans++
-	f.planFrom = ctx.Now
 	f.trimAdHocReserved(ctx.Now)
 	f.adhocStale = false
-	f.plan = make(map[string][]resource.Vector)
 	f.planRemaining = make(map[string]resource.Vector)
 	f.deferred = make(map[string]resource.Vector)
 	f.deferredRetry = 0
 	f.load = nil
 	f.planCap = nil
-	f.planWindows = nil
 
 	slackSlots := int64(0)
 	if f.cfg.Slack > 0 {
@@ -612,7 +585,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 		f.degrade.Level, f.degrade.Reason = sched.DegradeNone, ""
 		// An empty plan is still a revision: the consumer must learn that
 		// every previously planned job is gone.
-		f.publishPlan(ctx.Now, 0, nil, nil)
+		f.publish(&plan.Plan{From: ctx.Now})
 		return
 	}
 
@@ -634,15 +607,12 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	for t := int64(0); t < nSlots; t++ {
 		f.planCap[t] = ctx.Cluster.CapAt(ctx.Now + t)
 	}
-	alloc := make(map[string][]resource.Vector, len(jobs))
-	for _, pj := range jobs {
-		alloc[pj.state.ID] = make([]resource.Vector, nSlots)
-	}
+	next := newPlan(jobs, ctx.Now, nSlots)
 
 	level, reason := sched.DegradeNone, ""
 	yieldedBefore := f.stats.AdHocYielded
 	for _, p := range probs {
-		lvl, why := f.replanKind(ctx, p, order, alloc, nSlots)
+		lvl, why := f.replanKind(p, order, next)
 		if lvl > level {
 			level = lvl
 		}
@@ -657,24 +627,14 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	// Post-validate before the plan is served. An invalid plan — which the
 	// pipeline should never produce — is rebuilt at the greedy rung, which
 	// is valid by construction.
-	windows := make(map[string]sched.PlanWindow, len(jobs))
-	for _, pj := range jobs {
-		windows[pj.state.ID] = sched.PlanWindow{
-			RelSlot:     pj.relSlot,
-			DlSlot:      pj.dlSlot,
-			ParallelCap: pj.state.ParallelCap,
-			Demand:      pj.state.EstRemaining,
-		}
-	}
-	capAt := func(abs int64) resource.Vector { return f.planCap[abs-ctx.Now] }
-	if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
+	if err := checkPlan(next, jobs, f.planCap); err != nil {
 		f.degrade.InvalidPlans++
 		level, reason = sched.DegradeGreedy, "plan validation: "+err.Error()
-		alloc = f.rebuildGreedy(jobs, order, nSlots)
-		if err := sched.ValidatePlan(alloc, ctx.Now, windows, capAt); err != nil {
+		next = f.rebuildGreedy(jobs, order, ctx.Now, nSlots)
+		if err := checkPlan(next, jobs, f.planCap); err != nil {
 			// Unreachable by construction; planning nothing is still safe —
 			// every job is then served by the overdue/backlog stages.
-			alloc = make(map[string][]resource.Vector)
+			next = &plan.Plan{From: ctx.Now, NSlots: nSlots}
 			reason = "greedy plan validation: " + err.Error()
 		}
 	}
@@ -684,12 +644,10 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 		f.degrade.GreedyFallbacks++
 	}
 
-	f.planWindows = windows
-	f.plan = alloc
 	anyDeferred := false
-	for id, slots := range alloc {
+	for id, j := range next.Jobs {
 		var total resource.Vector
-		for _, g := range slots {
+		for _, g := range j.Alloc {
 			total = total.Add(g)
 		}
 		f.planRemaining[id] = total
@@ -703,7 +661,51 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	if anyDeferred {
 		f.deferredRetry = ctx.Now + deferredRetryInterval
 	}
-	f.publishPlan(ctx.Now, nSlots, alloc, windows)
+	f.publish(next)
+}
+
+// newPlan returns an unpublished plan over [from, from+nSlots) holding
+// every job with its effective window and an all-zero allocation row.
+func newPlan(jobs []*planJob, from, nSlots int64) *plan.Plan {
+	p := &plan.Plan{From: from, NSlots: nSlots, Jobs: make(map[string]plan.Job, len(jobs))}
+	for _, pj := range jobs {
+		p.Jobs[pj.state.ID] = plan.Job{
+			Window: plan.Window{Rel: pj.relSlot, Dl: pj.dlSlot},
+			Alloc:  make([]resource.Vector, nSlots),
+		}
+	}
+	return p
+}
+
+// checkPlan is the post-validation a replan's plan passes before it is
+// served: plan.Validate's shape, window and sign checks, then what only
+// the replan knows — no grant exceeds the job's parallel cap, no job is
+// granted more than its demand in total, and no slot's grants exceed
+// caps, the capacity the plan assumed per slot offset.
+func checkPlan(p *plan.Plan, jobs []*planJob, caps []resource.Vector) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	load := make([]resource.Vector, p.NSlots)
+	for _, pj := range jobs {
+		var total resource.Vector
+		for off, g := range p.Jobs[pj.state.ID].Alloc {
+			if !g.FitsIn(pj.state.ParallelCap) {
+				return fmt.Errorf("job %q grant %v at slot %d exceeds parallel cap %v", pj.state.ID, g, p.From+int64(off), pj.state.ParallelCap)
+			}
+			total = total.Add(g)
+			load[off] = load[off].Add(g)
+		}
+		if !total.FitsIn(pj.state.EstRemaining) {
+			return fmt.Errorf("job %q allocated %v in total, more than its demand %v", pj.state.ID, total, pj.state.EstRemaining)
+		}
+	}
+	for off, l := range load {
+		if !l.FitsIn(caps[off]) {
+			return fmt.Errorf("slot %d load %v exceeds capacity %v", p.From+int64(off), l, caps[off])
+		}
+	}
+	return nil
 }
 
 // computeWindows collects live deadline jobs with their effective windows
@@ -918,12 +920,12 @@ func (f *FlowTime) runPlanner(kind resource.Kind, call func() (flow.Work, error)
 }
 
 // replanKind finishes one kind's pipeline — skyline and repair on top of
-// the stage A result in p — and writes integral grants into alloc.
+// the stage A result in p — and writes integral grants into next.
 // Planner failures never propagate: the kind is planned at the greedy
 // rung instead, and the rung used plus the trip reason (if any) are
 // returned.
-func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*planJob, alloc map[string][]resource.Vector, nSlots int64) (sched.DegradeLevel, string) {
-	kind := p.kind
+func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan) (sched.DegradeLevel, string) {
+	kind, nSlots := p.kind, next.NSlots
 	demand := make(map[*planJob]int64, len(p.pjs))
 	for i, pj := range p.pjs {
 		demand[pj] = p.jobs[i].Demand
@@ -967,7 +969,7 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 		// Bottom rung: deterministic EDF water-fill under hard caps. No
 		// failure mode; whatever cannot fit in-window is deferred and
 		// served by the overdue path, exactly like a shortfall.
-		f.greedyPlanKind(kind, order, demand, alloc, nSlots)
+		f.greedyPlanKind(kind, order, demand, next)
 		return sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", kind, stage, err)
 	}
 
@@ -986,10 +988,10 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 		if c := p.caps[t] - kept[t]; budget > c {
 			budget = c
 		}
-		budgetUsed += f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, budget)
+		budgetUsed += f.fillSlot(order, remaining, next, kind, t, budget)
 	}
 	for t := int64(0); t < nSlots; t++ {
-		f.fillSlot(order, remaining, alloc, kind, t, ctx.Now, p.caps[t]-f.load[t].Get(kind))
+		f.fillSlot(order, remaining, next, kind, t, p.caps[t]-f.load[t].Get(kind))
 	}
 	// Any demand still left could not fit in windows at all; it is served
 	// by the overdue path at run time.
@@ -998,24 +1000,21 @@ func (f *FlowTime) replanKind(ctx sched.AssignContext, p *kindProblem, order []*
 
 // greedyPlanKind is the ladder's bottom rung for one kind: EDF water-fill
 // of the full demand under hard caps, honoring load already placed.
-func (f *FlowTime) greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, alloc map[string][]resource.Vector, nSlots int64) {
+func (f *FlowTime) greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, next *plan.Plan) {
 	remaining := make(map[*planJob]int64, len(demand))
 	for pj, d := range demand {
 		remaining[pj] = d
 	}
-	for t := int64(0); t < nSlots; t++ {
-		f.fillSlot(order, remaining, alloc, kind, t, f.planFrom, f.planCap[t].Get(kind)-f.load[t].Get(kind))
+	for t := int64(0); t < next.NSlots; t++ {
+		f.fillSlot(order, remaining, next, kind, t, f.planCap[t].Get(kind)-f.load[t].Get(kind))
 	}
 }
 
 // rebuildGreedy discards all placed allocation and rebuilds the whole
 // plan at the greedy rung (used when post-validation rejects a plan).
-func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, nSlots int64) map[string][]resource.Vector {
+func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, from, nSlots int64) *plan.Plan {
 	f.load = make([]resource.Vector, nSlots)
-	alloc := make(map[string][]resource.Vector, len(jobs))
-	for _, pj := range jobs {
-		alloc[pj.state.ID] = make([]resource.Vector, nSlots)
-	}
+	next := newPlan(jobs, from, nSlots)
 	for _, kind := range resource.Kinds() {
 		demand := make(map[*planJob]int64, len(jobs))
 		for _, pj := range jobs {
@@ -1026,26 +1025,26 @@ func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, nSlots int64) map[strin
 		if len(demand) == 0 {
 			continue
 		}
-		f.greedyPlanKind(kind, order, demand, alloc, nSlots)
+		f.greedyPlanKind(kind, order, demand, next)
 	}
-	return alloc
+	return next
 }
 
-// fillSlot grants up to budget units of kind at slot offset t (absolute
-// slot now+t) to jobs in EDF order whose windows cover the slot, updating
-// remaining, alloc and the load skyline. Returns units granted.
-func (f *FlowTime) fillSlot(order []*planJob, remaining map[*planJob]int64, alloc map[string][]resource.Vector, kind resource.Kind, t, now, budget int64) int64 {
+// fillSlot grants up to budget units of kind at slot offset t of next
+// to jobs in EDF order whose windows cover the slot, updating remaining,
+// next's allocation rows and the load skyline. Returns units granted.
+func (f *FlowTime) fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, kind resource.Kind, t, budget int64) int64 {
 	if budget <= 0 {
 		return 0
 	}
 	granted := int64(0)
-	abs := now + t
+	abs := next.From + t
 	for _, pj := range order {
 		rem := remaining[pj]
 		if rem <= 0 || abs < pj.relSlot || abs >= pj.dlSlot {
 			continue
 		}
-		slots := alloc[pj.state.ID]
+		slots := next.Jobs[pj.state.ID].Alloc
 		have := slots[t].Get(kind)
 		g := pj.state.ParallelCap.Get(kind) - have
 		if g > rem {

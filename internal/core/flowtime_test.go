@@ -94,7 +94,7 @@ func TestPlanMeetsDemandByDeadline(t *testing.T) {
 	}
 	for _, j := range jobs {
 		var got resource.Vector
-		plan := f.plan[j.ID]
+		plan := f.live.Jobs[j.ID].Alloc
 		rel := int64(j.Release / slotDur)
 		dl := int64(j.Deadline / slotDur)
 		for t0, g := range plan {
@@ -136,7 +136,7 @@ func TestPlanIsIntegral(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 	var total resource.Vector
-	for _, g := range f.plan["j"] {
+	for _, g := range f.live.Jobs["j"].Alloc {
 		total = total.Add(g)
 	}
 	if total != job.EstRemaining {
@@ -157,7 +157,7 @@ func TestSlackShiftsWorkEarlier(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 	var before, after resource.Vector
-	for t0, g := range f.plan["j"] {
+	for t0, g := range f.live.Jobs["j"].Alloc {
 		if t0 < 4 {
 			before = before.Add(g)
 		} else {

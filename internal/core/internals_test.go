@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
 )
@@ -24,20 +26,17 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	f.load = make([]resource.Vector, 3)
 	a := mkPlanJob("a", 0, 3, 4) // cap 4/slot
 	b := mkPlanJob("b", 0, 3, 4)
-	alloc := map[string][]resource.Vector{
-		"a": make([]resource.Vector, 3),
-		"b": make([]resource.Vector, 3),
-	}
+	next := newPlan([]*planJob{a, b}, 0, 3)
 	remaining := map[*planJob]int64{a: 6, b: 6}
 
-	granted := f.fillSlot([]*planJob{a, b}, remaining, alloc, resource.VCores, 0, 0, 7)
+	granted := f.fillSlot([]*planJob{a, b}, remaining, next, resource.VCores, 0, 7)
 	if granted != 7 {
 		t.Errorf("granted = %d, want 7 (budget-bound)", granted)
 	}
-	if got := alloc["a"][0].Get(resource.VCores); got != 4 {
+	if got := next.Jobs["a"].Alloc[0].Get(resource.VCores); got != 4 {
 		t.Errorf("job a slot 0 = %d, want 4 (parallel cap)", got)
 	}
-	if got := alloc["b"][0].Get(resource.VCores); got != 3 {
+	if got := next.Jobs["b"].Alloc[0].Get(resource.VCores); got != 3 {
 		t.Errorf("job b slot 0 = %d, want 3 (budget leftover)", got)
 	}
 	if remaining[a] != 2 || remaining[b] != 3 {
@@ -48,10 +47,10 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	}
 
 	// Zero or negative budgets are no-ops.
-	if g := f.fillSlot([]*planJob{a}, remaining, alloc, resource.VCores, 1, 0, 0); g != 0 {
+	if g := f.fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, 0); g != 0 {
 		t.Errorf("zero budget granted %d", g)
 	}
-	if g := f.fillSlot([]*planJob{a}, remaining, alloc, resource.VCores, 1, 0, -5); g != 0 {
+	if g := f.fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, -5); g != 0 {
 		t.Errorf("negative budget granted %d", g)
 	}
 }
@@ -100,7 +99,102 @@ func TestSlackKeptWhenOnlyWaterFillingFails(t *testing.T) {
 	if got := f.Stats().SlackDropped; got != 0 {
 		t.Errorf("SlackDropped = %d, want 0 (the tightened windows are feasible)", got)
 	}
-	if w := f.planWindows["x"]; w.DlSlot != 3 {
-		t.Errorf("job x planned against deadline slot %d, want the slack-tightened 3", w.DlSlot)
+	if w := f.live.Jobs["x"].Window; w.Dl != 3 {
+		t.Errorf("job x planned against deadline slot %d, want the slack-tightened 3", w.Dl)
+	}
+}
+
+// checkLive holds f's live plan to checkPlan against jobs as they stood at
+// the replan that built it.
+func checkLive(f *FlowTime, jobs []sched.JobState) error {
+	pjs := make([]*planJob, len(jobs))
+	for i, j := range jobs {
+		pjs[i] = &planJob{state: j}
+	}
+	return checkPlan(f.live, pjs, f.planCap)
+}
+
+// onePlan is a plan anchored at slot from holding one job "j" with window
+// [rel, dl) and one grant per slot.
+func onePlan(from, rel, dl int64, grants ...resource.Vector) *plan.Plan {
+	return &plan.Plan{From: from, NSlots: int64(len(grants)), Jobs: map[string]plan.Job{
+		"j": {Window: plan.Window{Rel: rel, Dl: dl}, Alloc: grants},
+	}}
+}
+
+// demandJob is a job as checkPlan sees it: its parallel cap and demand.
+func demandJob(id string, parCap, demand resource.Vector) *planJob {
+	return &planJob{state: sched.JobState{ID: id, ParallelCap: parCap, EstRemaining: demand}}
+}
+
+func flatCaps(n int, c resource.Vector) []resource.Vector {
+	caps := make([]resource.Vector, n)
+	for i := range caps {
+		caps[i] = c
+	}
+	return caps
+}
+
+func TestCheckPlan(t *testing.T) {
+	capacity := resource.New(10, 1000)
+	par := resource.New(4, 400)
+	demand := resource.New(8, 800)
+	g := resource.New(4, 400)
+	j := []*planJob{demandJob("j", par, demand)}
+	var zero resource.Vector
+
+	tests := []struct {
+		name    string
+		plan    *plan.Plan
+		jobs    []*planJob
+		wantErr string
+	}{
+		{name: "valid plan", plan: onePlan(0, 0, 2, g, g), jobs: j},
+		{name: "zero grants outside window are fine", plan: onePlan(0, 1, 2, zero, g, zero), jobs: j},
+		{name: "missing window", plan: onePlan(0, 0, 0, g), jobs: j, wantErr: "invalid"},
+		{name: "negative grant", plan: onePlan(0, 0, 1, resource.New(-1, 100)), jobs: j, wantErr: "negative allocation"},
+		{name: "grant before release", plan: onePlan(0, 1, 3, g), jobs: j, wantErr: "outside window"},
+		{name: "grant at deadline", plan: onePlan(0, 0, 1, zero, g), jobs: j, wantErr: "outside window"},
+		{name: "grant exceeds parallel cap", plan: onePlan(0, 0, 1, resource.New(5, 500)), jobs: j, wantErr: "parallel cap"},
+		{name: "total exceeds demand", plan: onePlan(0, 0, 3, g, g, g), jobs: j, wantErr: "more than its demand"},
+		{
+			name: "slot load exceeds capacity",
+			plan: &plan.Plan{NSlots: 1, Jobs: map[string]plan.Job{
+				"a": {Window: plan.Window{Rel: 0, Dl: 1}, Alloc: []resource.Vector{g}},
+				"b": {Window: plan.Window{Rel: 0, Dl: 1}, Alloc: []resource.Vector{g}},
+				"c": {Window: plan.Window{Rel: 0, Dl: 1}, Alloc: []resource.Vector{g}},
+			}},
+			jobs:    []*planJob{demandJob("a", par, demand), demandJob("b", par, demand), demandJob("c", par, demand)},
+			wantErr: "exceeds capacity",
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := checkPlan(tt.plan, tt.jobs, flatCaps(int(tt.plan.NSlots), capacity))
+			if tt.wantErr == "" {
+				if err != nil {
+					t.Fatalf("checkPlan = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("checkPlan = %v, want error containing %q", err, tt.wantErr)
+			}
+		})
+	}
+}
+
+// TestCheckPlanOffsetsAreAbsolute: a plan built at slot 5 with a window
+// [5, 7) — offset 0 is slot 5, for the window and in what an error names —
+// and caps indexed by offset.
+func TestCheckPlanOffsetsAreAbsolute(t *testing.T) {
+	p := onePlan(5, 5, 7, resource.New(2, 200), resource.New(2, 200))
+	jobs := []*planJob{demandJob("j", resource.New(4, 400), resource.New(4, 400))}
+	if err := checkPlan(p, jobs, flatCaps(2, resource.New(10, 1000))); err != nil {
+		t.Fatalf("checkPlan = %v, want nil", err)
+	}
+	caps := []resource.Vector{resource.New(10, 1000), resource.New(1, 1000)}
+	if err := checkPlan(p, jobs, caps); err == nil || !strings.Contains(err.Error(), "slot 6 ") {
+		t.Fatalf("checkPlan = %v, want slot 6 over capacity", err)
 	}
 }

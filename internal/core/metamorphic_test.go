@@ -96,10 +96,7 @@ func checkClaims(f *FlowTime, ctx sched.AssignContext, grants map[string]resourc
 		if j.Kind != sched.DeadlineJob || !j.Ready {
 			continue
 		}
-		var slice resource.Vector
-		if slots, off := f.plan[j.ID], ctx.Now-f.planFrom; off >= 0 && off < int64(len(slots)) {
-			slice = slots[off]
-		}
+		slice := f.live.AllocAt(j.ID, ctx.Now)
 		floor := slice.Min(j.Request)
 		if !floor.FitsIn(grants[j.ID]) {
 			return fmt.Errorf("slot %d: %s granted %v under its plan slice %v (request %v)", ctx.Now, j.ID, grants[j.ID], slice, j.Request)

@@ -57,7 +57,7 @@ func TestPlanPropertiesRandom(t *testing.T) {
 		planned := make(map[string]resource.Vector, len(jobs))
 		var load []resource.Vector
 		for _, j := range jobs {
-			slots := f.plan[j.ID]
+			slots := f.live.Jobs[j.ID].Alloc
 			if len(load) == 0 {
 				load = make([]resource.Vector, len(slots))
 			}
@@ -67,7 +67,7 @@ func TestPlanPropertiesRandom(t *testing.T) {
 				if g.IsZero() {
 					continue
 				}
-				abs := f.planFrom + int64(off)
+				abs := f.live.From + int64(off)
 				if abs < relSlot && relSlot > now {
 					t.Errorf("trial %d: job %s granted %v before release (slot %d < %d)",
 						trial, j.ID, g, abs, relSlot)

@@ -38,8 +38,8 @@ func streamJob(id string, rel, dl, tasks int64) sched.JobState {
 	}
 }
 
-// TestStreamPlansDisabledByDefault: without StreamPlans nothing is
-// published — no pending diffs accumulate, LivePlan stays at rev 0.
+// TestStreamPlansDisabledByDefault: without StreamPlans no diffs
+// accumulate, and LivePlan is the planner's plan all the same.
 func TestStreamPlansDisabledByDefault(t *testing.T) {
 	f := New(DefaultConfig())
 	ctx := sched.AssignContext{
@@ -56,8 +56,8 @@ func TestStreamPlansDisabledByDefault(t *testing.T) {
 	if got := f.TakePlanDiffs(); len(got) != 0 {
 		t.Fatalf("StreamPlans off but %d diffs emitted", len(got))
 	}
-	if lp := f.LivePlan(); lp.Rev != 0 || len(lp.Jobs) != 0 {
-		t.Fatalf("StreamPlans off but live plan rev %d with %d jobs", lp.Rev, len(lp.Jobs))
+	if lp := f.LivePlan(); lp.Rev == 0 || len(lp.Jobs) != 1 {
+		t.Fatalf("live plan rev %d with %d jobs, want the planner's plan of job a", lp.Rev, len(lp.Jobs))
 	}
 }
 
@@ -72,6 +72,7 @@ func TestStreamedDiffsReconstructLivePlan(t *testing.T) {
 	f := New(cfg)
 	applied := plan.Empty()
 	cl := streamCluster()
+	lastRev := int64(0)
 
 	steps := []struct {
 		now  int64
@@ -114,45 +115,54 @@ func TestStreamedDiffsReconstructLivePlan(t *testing.T) {
 		if err := live.Validate(); err != nil {
 			t.Fatalf("now %d: live plan invalid: %v", st.now, err)
 		}
+		if st.jobs == nil && (len(live.Jobs) != 0 || live.Rev <= lastRev) {
+			t.Fatalf("now %d: empty replan left %d jobs at rev %d (rev %d before)", st.now, len(live.Jobs), live.Rev, lastRev)
+		}
+		lastRev = live.Rev
 	}
 	if applied.Rev == 0 {
 		t.Fatalf("no replans happened; test exercised nothing")
 	}
-	// The empty replan at now=9 must have removed all jobs.
-	if len(f.LivePlan().Jobs) == 0 {
-		t.Logf("final plan has %d jobs at rev %d", len(f.LivePlan().Jobs), f.LivePlan().Rev)
-	}
 }
 
 // TestStreamedPlanCarriesAllocations: the published plan is the planner's
-// own allocation — every job's window and row as the replan built them,
-// the job's whole demand planned — and the one diff carries it: Apply on
-// the empty plan reproduces it.
+// allocation — every job in its slack-tightened window, never beyond its
+// parallel cap, its whole demand planned — and the one diff carries it:
+// Apply on the empty plan reproduces it.
 func TestStreamedPlanCarriesAllocations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StreamPlans = true
 	f := New(cfg)
 	cl := streamCluster()
-	// Several overlapping jobs competing for the same window.
+	// Several overlapping jobs competing for the same window, which the
+	// slack tightens to [0, 6) without making it short.
 	jobs := []sched.JobState{
-		streamJob("a", 0, 6, 4), streamJob("b", 0, 6, 4), streamJob("c", 0, 6, 4),
+		streamJob("a", 0, 12, 4), streamJob("b", 0, 12, 4), streamJob("c", 0, 12, 4),
 	}
 	if _, err := f.Assign(sched.AssignContext{Now: 0, Changed: true, Jobs: jobs, Cluster: cl}); err != nil {
 		t.Fatalf("Assign: %v", err)
+	}
+	if n := f.Stats().SlackDropped; n != 0 {
+		t.Fatalf("SlackDropped = %d, want the slack kept", n)
 	}
 	live := f.LivePlan()
 	if len(live.Jobs) != len(jobs) {
 		t.Fatalf("plan holds %d jobs, want %d", len(live.Jobs), len(jobs))
 	}
+	slackSlots := int64(cfg.Slack / cl.SlotDur)
 	for _, j := range jobs {
 		pj := live.Jobs[j.ID]
-		if w := f.planWindows[j.ID]; pj.Window != (plan.Window{Rel: w.RelSlot, Dl: w.DlSlot}) {
-			t.Errorf("job %s: plan window %+v, planner's %+v", j.ID, pj.Window, w)
+		want := plan.Window{Rel: int64(j.Release / cl.SlotDur), Dl: int64(j.Deadline/cl.SlotDur) - slackSlots}
+		if pj.Window != want {
+			t.Errorf("job %s: plan window %+v, want the slack-tightened %+v", j.ID, pj.Window, want)
 		}
 		var total resource.Vector
 		for off, g := range pj.Alloc {
-			if g != f.plan[j.ID][off] {
-				t.Errorf("job %s slot %d: plan %v, planner's %v", j.ID, live.From+int64(off), g, f.plan[j.ID][off])
+			if abs := live.From + int64(off); !g.IsZero() && (abs < want.Rel || abs >= want.Dl) {
+				t.Errorf("job %s: %v planned at slot %d, outside %+v", j.ID, g, abs, want)
+			}
+			if !g.FitsIn(j.ParallelCap) {
+				t.Errorf("job %s slot %d: %v planned, over the parallel cap %v", j.ID, live.From+int64(off), g, j.ParallelCap)
 			}
 			total = total.Add(g)
 		}

@@ -211,37 +211,41 @@ func TestTransportFaults(t *testing.T) {
 	}
 }
 
-// TestProxyRelaysIntactUnderThrottle asserts the byte-stream contract:
-// a throttled, latency-injected proxy still delivers the HTTP response
-// — status, headers, body — unaltered.
-func TestProxyRelaysIntactUnderThrottle(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "7")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte(`{"code":"overloaded"}`))
-	}))
-	defer srv.Close()
+// chaosServer starts an HTTP server whose listener is wrapped with inj,
+// c the client label and s the server's.
+func chaosServer(t *testing.T, inj *Injector, h http.HandlerFunc) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(h)
+	srv.Listener = WrapListener(srv.Listener, inj, "c", "s")
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv
+}
 
+// TestWrapListenerRelaysIntactUnderThrottle asserts the byte-stream
+// contract: a throttled, latency-injected listener still delivers the
+// HTTP response — status, headers, body — unaltered.
+func TestWrapListenerRelaysIntactUnderThrottle(t *testing.T) {
 	sc, err := ParseScript("0s+ throttle c<->s 65536\n0s+ latency c->s 1ms")
 	if err != nil {
 		t.Fatalf("ParseScript: %v", err)
 	}
-	proxy, err := NewProxy(New(5, sc), "c", "s", strings.TrimPrefix(srv.URL, "http://"))
-	if err != nil {
-		t.Fatalf("NewProxy: %v", err)
-	}
-	defer proxy.Close()
+	srv := chaosServer(t, New(5, sc), func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = w.Write([]byte(`{"code":"overloaded"}`))
+	})
 
-	resp, err := http.Get(proxy.URL())
+	resp, err := http.Get(srv.URL)
 	if err != nil {
-		t.Fatalf("GET through proxy: %v", err)
+		t.Fatalf("GET through the wrapped listener: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("status %d, want 503", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Errorf("Retry-After %q did not survive the proxy, want \"7\"", ra)
+		t.Errorf("Retry-After %q did not survive the wrapped listener, want \"7\"", ra)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	if string(body) != `{"code":"overloaded"}` {
@@ -249,33 +253,34 @@ func TestProxyRelaysIntactUnderThrottle(t *testing.T) {
 	}
 }
 
-// TestProxyPartitionSeversConnections proves partitions kill both new
-// and established connections, and that healing restores service.
-func TestProxyPartitionSeversConnections(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	sc, _ := ParseScript("0s-1h partition c<->s")
+// TestWrapListenerPartitionSeversConnections proves partitions kill both
+// new and established connections, and that healing restores service.
+func TestWrapListenerPartitionSeversConnections(t *testing.T) {
+	sc, _ := ParseScript("1s-1h partition c<->s")
 	inj := New(3, sc)
 	clk := &virtualClock{}
 	inj.SetClock(clk.read)
-	proxy, err := NewProxy(inj, "c", "s", strings.TrimPrefix(srv.URL, "http://"))
-	if err != nil {
-		t.Fatalf("NewProxy: %v", err)
-	}
-	defer proxy.Close()
+	srv := chaosServer(t, inj, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	})
 
+	// Before the partition: the request succeeds and leaves a kept-alive
+	// connection behind, which the next request reuses.
 	hc := &http.Client{Timeout: 2 * time.Second}
-	clk.set(0)
-	if resp, err := hc.Get(proxy.URL()); err == nil {
+	resp, err := hc.Get(srv.URL)
+	if err != nil {
+		t.Fatalf("request before the partition: %v", err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	clk.set(1500 * time.Millisecond)
+	if resp, err := hc.Get(srv.URL); err == nil {
 		resp.Body.Close()
 		t.Fatal("request succeeded through an active partition")
 	}
-	// Heal the link: the same proxy serves cleanly again.
+	// Heal the link: the same listener serves cleanly again.
 	clk.set(2 * time.Hour)
-	resp, err := hc.Get(proxy.URL())
+	resp, err = hc.Get(srv.URL)
 	if err != nil {
 		t.Fatalf("request after heal: %v", err)
 	}

@@ -7,8 +7,8 @@
 // would have published wholesale. DiffEquiv checks that claim from the
 // outside on every scheduling decision of a full pipeline run:
 //
-//   - a diff-streaming FlowTime and an independent wholesale reference
-//     are driven with identical AssignContexts;
+//   - a diff-streaming FlowTime and an independent reference that does
+//     not stream are driven with identical AssignContexts;
 //   - every emitted diff is round-tripped through the journal codec and
 //     applied to an externally accumulated shadow plan;
 //   - after every decision, shadow ≡ streaming live plan ≡ wholesale
@@ -57,7 +57,7 @@ func NewDiffEquiv(cfg core.Config, replayEvery int) *DiffEquiv {
 	scfg := cfg
 	scfg.StreamPlans = true
 	wcfg := cfg
-	wcfg.StreamPlans = true
+	wcfg.StreamPlans = false // its LivePlan is the plan, no diff behind it
 	return &DiffEquiv{
 		stream:      core.New(scfg),
 		wholesale:   core.New(wcfg),
@@ -126,9 +126,6 @@ func (d *DiffEquiv) check(now int64, grants, ref map[string]resource.Vector) err
 		d.journal = append(d.journal, payload)
 		d.diffs++
 	}
-	// Discard the reference's diffs; only its live plan matters.
-	d.wholesale.TakePlanDiffs()
-
 	live := d.stream.LivePlan()
 	if d.applied.Rev != live.Rev {
 		return fmt.Errorf("shadow at rev %d, streaming live plan at rev %d", d.applied.Rev, live.Rev)

@@ -232,17 +232,3 @@ func Compute(base, next *Plan) *Diff {
 	sort.Slice(d.Update, func(i, j int) bool { return d.Update[i].ID < d.Update[j].ID })
 	return d
 }
-
-// Stats summarizes a diff for telemetry.
-func (d *Diff) Stats() (removed, updated, added, slotOps int) {
-	removed = len(d.Remove)
-	for _, u := range d.Update {
-		if u.Add {
-			added++
-		} else {
-			updated++
-		}
-		slotOps += len(u.Set)
-	}
-	return
-}

@@ -113,18 +113,6 @@ func (p *Plan) AllocAt(id string, abs int64) resource.Vector {
 	return j.Alloc[off]
 }
 
-// Load returns the per-slot total allocation across all jobs (length
-// NSlots) — the planned deadline-work skyline.
-func (p *Plan) Load() []resource.Vector {
-	load := make([]resource.Vector, p.NSlots)
-	for _, j := range p.Jobs {
-		for off, g := range j.Alloc {
-			load[off] = load[off].Add(g)
-		}
-	}
-	return load
-}
-
 // JobIDs returns the plan's job IDs in sorted order.
 func (p *Plan) JobIDs() []string {
 	ids := make([]string, 0, len(p.Jobs))

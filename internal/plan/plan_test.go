@@ -41,12 +41,13 @@ func TestComputeApplyRoundTrip(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("computed diff invalid: %v", err)
 	}
-	removed, updated, added, slotOps := d.Stats()
-	if removed != 1 || added != 1 {
-		t.Fatalf("stats: removed=%d added=%d, want 1/1", removed, added)
+	// "gone" leaves, "new" arrives, "a" changes; "b" is carried over.
+	if !reflect.DeepEqual(d.Remove, []string{"gone"}) {
+		t.Fatalf("removed %v, want [gone]", d.Remove)
 	}
-	if updated == 0 || slotOps == 0 {
-		t.Fatalf("stats: updated=%d slotOps=%d, want >0", updated, slotOps)
+	if len(d.Update) != 2 || d.Update[0].ID != "a" || d.Update[0].Add || len(d.Update[0].Set) == 0 ||
+		d.Update[1].ID != "new" || !d.Update[1].Add {
+		t.Fatalf("updates %+v, want slot ops for a and an add of new", d.Update)
 	}
 
 	got, err := Apply(base, d)

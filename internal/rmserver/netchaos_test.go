@@ -332,76 +332,67 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 	assertExactlyOnce(t, follower, follower.Status())
 }
 
-// TestNetChaosCodedErrorsThroughProxy is the plumbing test: coded
-// errors are header/body-based, not connection-based, so they survive a
-// degraded-but-connected network. Both netchaos seams are exercised —
-// the TCP proxy and the wrapped server listener — each under latency
-// and throttling.
-func TestNetChaosCodedErrorsThroughProxy(t *testing.T) {
-	ctx := context.Background()
-
-	// not_leader through a throttled TCP proxy: the hint survives.
-	follower, _ := newReplicaRM(t, t.TempDir(), "http://leader.example:8030")
-	fsrv := httptest.NewServer(follower.Handler())
-	defer fsrv.Close()
-	inj := netchaos.New(9, mustScript(t, "0s+ throttle c<->s 65536\n0s+ latency c->s 2ms"))
-	proxy, err := netchaos.NewProxy(inj, "c", "s", strings.TrimPrefix(fsrv.URL, "http://"))
-	if err != nil {
-		t.Fatalf("NewProxy: %v", err)
-	}
-	defer proxy.Close()
-	_, err = NewClient(proxy.URL(), nil).RegisterNode(ctx, rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 1, MemoryMB: 1024},
-	})
-	if !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("register via proxy = %v, want ErrNotLeader", err)
-	}
-	if hint := LeaderHint(err); hint != "http://leader.example:8030" {
-		t.Errorf("leader hint %q did not survive the TCP proxy", hint)
-	}
-
-	// overloaded + Retry-After through the same proxy seam.
-	overrm, osrv := newOverloadedRM(t, newAdmission(submitConcurrency, 1, 1, 5*time.Millisecond, 1200*time.Millisecond))
-	release, err := overrm.admission.acquire(ctx, classConfirm)
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	defer release()
-	oproxy, err := netchaos.NewProxy(netchaos.New(10, mustScript(t, "0s+ throttle c<->s 65536")),
-		"c", "s", strings.TrimPrefix(osrv.URL, "http://"))
-	if err != nil {
-		t.Fatalf("NewProxy: %v", err)
-	}
-	defer oproxy.Close()
-	_, err = NewClient(oproxy.URL(), nil).RegisterNode(ctx, rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 1, MemoryMB: 1024},
-	})
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("register via proxy during overload = %v, want ErrOverloaded", err)
-	}
-	if got := RetryAfterHint(err); got != 1200*time.Millisecond {
-		t.Errorf("Retry-After hint via proxy = %v, want 1.2s (millisecond body field wins)", got)
-	}
-
-	// Same assertions through the wrapped-listener seam (the ftrm
-	// -chaos-net path), plus the RoundTripper seam on the client side.
+// chaosListen serves rm on a loopback listener wrapped with a fresh
+// injector running script, and returns its base URL.
+func chaosListen(t *testing.T, rm *Server, seed int64, script string) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	wrapped := netchaos.WrapListener(ln, netchaos.New(11, mustScript(t, "0s+ latency c->s 1ms")), "c", "s")
-	stop := serveRM(t, follower, wrapped)
-	defer stop()
-	chaosHC := &http.Client{Transport: &netchaos.Transport{
-		Injector: netchaos.New(12, mustScript(t, "0s+ latency c->s 1ms")), From: "c", To: "s",
-	}}
-	_, err = NewClient("http://"+ln.Addr().String(), chaosHC).RegisterNode(ctx, rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 1, MemoryMB: 1024},
-	})
+	t.Cleanup(serveRM(t, rm, netchaos.WrapListener(ln, netchaos.New(seed, mustScript(t, script)), "c", "s")))
+	return "http://" + ln.Addr().String()
+}
+
+// TestNetChaosCodedErrorsThroughWrappedListener is the plumbing test:
+// coded errors are header/body-based, not connection-based, so they
+// survive a degraded-but-connected network. Both netchaos seams are
+// exercised — the wrapped server listener under latency and throttling,
+// and the client's RoundTripper.
+func TestNetChaosCodedErrorsThroughWrappedListener(t *testing.T) {
+	ctx := context.Background()
+	register := func(c *Client) error {
+		_, err := c.RegisterNode(ctx, rmproto.RegisterNodeRequest{
+			NodeID: "n1", Capacity: rmproto.Resources{VCores: 1, MemoryMB: 1024},
+		})
+		return err
+	}
+
+	// not_leader through a throttled listener: the hint survives.
+	follower, _ := newReplicaRM(t, t.TempDir(), "http://leader.example:8030")
+	furl := chaosListen(t, follower, 9, "0s+ throttle c<->s 65536\n0s+ latency c->s 2ms")
+	err := register(NewClient(furl, nil))
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("register via wrapped listener = %v, want ErrNotLeader", err)
 	}
 	if hint := LeaderHint(err); hint != "http://leader.example:8030" {
 		t.Errorf("leader hint %q did not survive the wrapped listener", hint)
+	}
+
+	// overloaded + Retry-After through the same seam.
+	overrm, _ := newOverloadedRM(t, newAdmission(submitConcurrency, 1, 1, 5*time.Millisecond, 1200*time.Millisecond))
+	release, err := overrm.admission.acquire(ctx, classConfirm)
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	defer release()
+	err = register(NewClient(chaosListen(t, overrm, 10, "0s+ throttle c<->s 65536"), nil))
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("register via wrapped listener during overload = %v, want ErrOverloaded", err)
+	}
+	if got := RetryAfterHint(err); got != 1200*time.Millisecond {
+		t.Errorf("Retry-After hint via wrapped listener = %v, want 1.2s (millisecond body field wins)", got)
+	}
+
+	// not_leader again with the RoundTripper seam on the client side too.
+	chaosHC := &http.Client{Transport: &netchaos.Transport{
+		Injector: netchaos.New(12, mustScript(t, "0s+ latency c->s 1ms")), From: "c", To: "s",
+	}}
+	err = register(NewClient(chaosListen(t, follower, 11, "0s+ latency c->s 1ms"), chaosHC))
+	if !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("register via transport and wrapped listener = %v, want ErrNotLeader", err)
+	}
+	if hint := LeaderHint(err); hint != "http://leader.example:8030" {
+		t.Errorf("leader hint %q did not survive the transport", hint)
 	}
 }

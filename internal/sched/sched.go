@@ -137,14 +137,14 @@ type Scheduler interface {
 // PlanStreamer is implemented by planning schedulers that expose their
 // multi-slot plan as a versioned live plan plus incremental diffs, so a
 // resource manager can journal and replicate plan *changes* instead of
-// wholesale plans. Streaming must be explicitly enabled on the scheduler
+// wholesale plans. The diffs must be explicitly enabled on the scheduler
 // (core.Config.StreamPlans); without a consumer draining TakePlanDiffs,
 // pending diffs would otherwise accumulate without bound.
 type PlanStreamer interface {
-	// LivePlan returns a snapshot of the scheduler's current plan (the
-	// result of applying every diff emitted so far). Never nil: before
-	// the first replan, and when streaming is disabled, it is the empty
-	// revision-0 plan.
+	// LivePlan returns a snapshot of the scheduler's current plan, whether
+	// or not diffs are enabled; with them, it is the result of applying
+	// every diff emitted so far. Never nil: before the first replan it is
+	// the empty revision-0 plan.
 	LivePlan() *plan.Plan
 	// TakePlanDiffs returns the diffs emitted since the last call, in
 	// application order, and clears the pending list. Each diff's
