@@ -1,5 +1,6 @@
 # FlowTime build/test targets. `make check` is the CI gate: vet plus the
-# full test suite — including the rmserver chaos tests — under the race
+# full test suite — including the rmserver chaos tests and durability
+# oracles, which `make chaos` also runs on their own — under the race
 # detector, plus a coverage run, the sim-smoke scenario replay and the
 # benchmark harness's own build and tests (bench-e2e). `make verify` is
 # the differential verification sweep (the flow planner's certificates
@@ -48,10 +49,11 @@ race:
 	$(GO) test -race -timeout 600s ./...
 
 # chaos runs only the process-level and failover chaos suites (SIGKILL +
-# restart, replicated failover, fencing, disk-fault injection) under the
-# race detector with a hard ceiling.
+# restart, replicated failover, fencing, disk-fault injection) and the
+# durability oracles (recovery equivalence; live ≡ replay, leases
+# included) under the race detector with a hard ceiling.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
+	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
 
 # chaos-net runs the network chaos suites: the deterministic fault
 # injector's own tests, then the partition/flap/split-brain scenarios,

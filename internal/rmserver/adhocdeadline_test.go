@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -112,13 +113,15 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 // (by the RM's own rule: a completion is seen one slot after the work
 // ran), how many ad-hoc jobs the gate admitted, and an FNV-1a digest of
 // every gate decision in submission order (the job ID, then 1 for an
-// admit or 0 for a reject). Every tick's grants
+// admit or 0 for a reject), and an FNV-1a digest of the WAL segment the
+// run journaled. Every tick's grants
 // are held to work conservation and the per-slot ad-hoc-removal relation
 // as the scheduler returned them (oracle.Conserving). It ends in the
 // recovery-equivalence oracle.
-func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int, digest uint64) {
+func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int, digest, wal uint64) {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
@@ -211,7 +214,13 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 	if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence: %v", err)
 	}
-	return met, admitted, decisions.Sum64()
+	raw, err := os.ReadFile(filepath.Join(dir, "wal-000000000000.log"))
+	if err != nil {
+		t.Fatalf("read WAL segment: %v", err)
+	}
+	journal := fnv.New64a()
+	journal.Write(raw)
+	return met, admitted, decisions.Sum64(), journal.Sum64()
 }
 
 // TestAdHocNeverCostsDeadline is the system-level form of the paper's
@@ -237,35 +246,44 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 //
 // Each seed's gate decisions are pinned as well: the admitted count and
 // the digest of every admit and reject, so a change to how the gate is
-// built cannot move a single decision unnoticed.
+// built cannot move a single decision unnoticed. So are the bytes both
+// runs journal, so a change to how the RM decides or applies a record
+// cannot move the WAL unnoticed either.
 func TestAdHocNeverCostsDeadline(t *testing.T) {
 	pinned := [...]struct {
 		admitted int
 		digest   uint64
+		wal      uint64 // the burst run's WAL segment
+		walAlone uint64 // the run without ad-hoc jobs
 	}{
-		1:  {560, 0x351764f9cd4db5c1},
-		2:  {600, 0x50fb94a8a7774031},
-		3:  {600, 0x50fb94a8a7774031},
-		4:  {600, 0x50fb94a8a7774031},
-		5:  {600, 0x50fb94a8a7774031},
-		6:  {600, 0x50fb94a8a7774031},
-		7:  {590, 0x9a3c5223b51dca8d},
-		8:  {589, 0xd0fce0eeeacd1e82},
-		9:  {592, 0x495fc171a070e8e1},
-		10: {598, 0x38ef7d63d251e591},
-		11: {577, 0x9e596d4dd1eb3052},
-		12: {600, 0x50fb94a8a7774031},
+		1:  {560, 0x351764f9cd4db5c1, 0xb51d65c1f56fb74a, 0x96afc15094b442c4},
+		2:  {600, 0x50fb94a8a7774031, 0x5a8e33bc372c8b8c, 0xe3a4c71dcf2ba407},
+		3:  {600, 0x50fb94a8a7774031, 0x66615a6a675ea0a5, 0x639eff4ab4c32b6},
+		4:  {600, 0x50fb94a8a7774031, 0x7033dbe791dcb09f, 0xb6d5697fdcf4d4c3},
+		5:  {600, 0x50fb94a8a7774031, 0x9b497d5507a0d7e8, 0x7c2c747c8e507f27},
+		6:  {600, 0x50fb94a8a7774031, 0x4efd9fe3420a021d, 0x2805dc1c837878b9},
+		7:  {590, 0x9a3c5223b51dca8d, 0x3b8e8c31bcb4850, 0x388fddfb1c3814ac},
+		8:  {589, 0xd0fce0eeeacd1e82, 0x73632759874f568c, 0x4570e40579375d52},
+		9:  {592, 0x495fc171a070e8e1, 0xe2a661b6c56b4f6d, 0xc79018c56a627136},
+		10: {598, 0x38ef7d63d251e591, 0x7afa74b1fe4b50f4, 0xc74b8bf02d502a88},
+		11: {577, 0x9e596d4dd1eb3052, 0x760d08f95157d502, 0x1b84cb5f47b7637},
+		12: {600, 0x50fb94a8a7774031, 0x690295b2c06a1d98, 0x5aed502e798e599c},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		setup, slots := genBurst(t, seed)
-		alone, _, _ := playBurst(t, setup, slots, false)
-		burst, admitted, digest := playBurst(t, setup, slots, true)
+		alone, _, _, walAlone := playBurst(t, setup, slots, false)
+		burst, admitted, digest, wal := playBurst(t, setup, slots, true)
 		if admitted == 0 {
 			t.Fatalf("seed %d: the gate admitted nothing — the burst tested nothing", seed)
 		}
-		if want := pinned[seed]; admitted != want.admitted || digest != want.digest {
+		want := pinned[seed]
+		if admitted != want.admitted || digest != want.digest {
 			t.Errorf("seed %d: gate decisions moved: %d admitted, digest %#x; pinned %d, %#x",
 				seed, admitted, digest, want.admitted, want.digest)
+		}
+		if wal != want.wal || walAlone != want.walAlone {
+			t.Errorf("seed %d: journal bytes moved: WAL digests %#x (alone %#x); pinned %#x (alone %#x)",
+				seed, wal, walAlone, want.wal, want.walAlone)
 		}
 		metAlone := 0
 		for id, ok := range alone {

@@ -348,10 +348,10 @@ func TestAgentSurvivesEvictionByRM(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Simulate the RM's view of a network partition: evict the node
-	// directly, as Tick would after NodeExpiry silence.
+	// Simulate the RM's view of a network partition: forget the node
+	// directly, as a tick does after NodeExpiry silence.
 	rm.mu.Lock()
-	rm.evictNodeLocked("n1")
+	delete(rm.nodes, "n1")
 	rm.mu.Unlock()
 
 	for time.Now().Before(deadline) {

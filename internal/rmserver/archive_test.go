@@ -176,18 +176,25 @@ func checkArchiveInvariants(t *testing.T, rm *Server, prev []rmproto.JobStatus) 
 // together: it must fit the node.
 // each runs after every slot's heartbeats. It may restart the RM by
 // storing another server in *rmp: the nodes register with that one
-// before the next slot, holding nothing.
-func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slot int)) {
+// before the next slot, holding nothing. afterOp, when not nil, runs after
+// every call that may change the RM's state, named by what.
+func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slot int), afterOp func(what string)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nodes := []string{"n1", "n2", "n3"}
 	var rm *Server
 	held := map[string][]string{}
+	did := func(format string, args ...any) {
+		if afterOp != nil {
+			afterOp(fmt.Sprintf(format, args...))
+		}
+	}
 	for slot := 0; slot < slots; slot++ {
 		if rm != *rmp {
 			rm = *rmp
 			for _, n := range nodes {
 				register(t, rm, n, 4, 8*1024)
+				did("slot %d: register %s", slot, n)
 			}
 			clear(held)
 		}
@@ -200,16 +207,20 @@ func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slo
 			if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf}); err != nil {
 				t.Fatalf("SubmitWorkflow: %v", err)
 			}
+			did("slot %d: submit %s", slot, wf.ID)
 		}
 		for i := rng.Intn(3); i > 0; i-- {
 			submitAdHoc(t, rm, fmt.Sprintf("a%d-%d", slot, i), 1+rng.Intn(3), int64(10*(1+rng.Intn(2))))
+			did("slot %d: submit a%d-%d", slot, slot, i)
 		}
 		if err := rm.Tick(time.Now()); err != nil {
 			t.Fatalf("Tick: %v", err)
 		}
+		did("slot %d: tick", slot)
 		for _, n := range nodes {
 			if n == "n1" && slot == 7 {
 				register(t, rm, n, 4, 8*1024) // restarted with empty hands
+				did("slot %d: re-register %s", slot, n)
 				held[n] = nil
 			}
 			wedged := n == "n1" && slot >= 10 && slot < 16
@@ -221,6 +232,7 @@ func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slo
 			if err != nil {
 				t.Fatalf("Heartbeat(%s): %v", n, err)
 			}
+			did("slot %d: heartbeat %s confirming %v", slot, n, req.Completed)
 			var handed rmproto.Resources
 			for _, q := range resp.Launch {
 				handed.VCores += q.Grant.VCores
@@ -345,7 +357,7 @@ func TestStatusViewsAgree(t *testing.T) {
 				t.Fatalf("seed %d slot %d: summary %+v, the table counts %+v", seed, slot, inproc.Summary, sum)
 			}
 			archive = checkArchiveInvariants(t, rm, archive)
-		})
+		}, nil)
 		ts.Close()
 		fts.Close()
 		if len(instances) != 2 || len(followerInstances) < 3 {
@@ -398,7 +410,7 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 		verifyEquiv(t, follower, fmt.Sprintf("follower, slot %d", slot))
 		sameJobTable(t, fmt.Sprintf("follower at slot %d", slot), follower.Status().Jobs, rm.Status().Jobs)
 		checkArchiveInvariants(t, follower, nil)
-	})
+	}, nil)
 	if len(archive) == 0 {
 		t.Fatal("nothing was archived")
 	}
@@ -415,6 +427,10 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 	}
 	if rec := rm2.Recovery(); !rec.FromSnapshot || rec.RecordsReplayed == 0 {
 		t.Fatalf("reopened from %+v, want a snapshot plus a WAL suffix", rec)
+	}
+	// Recovery took the store's image: the store keeps none of it.
+	if snap, recs := st2.TakeRecovered(); snap != nil || recs != nil {
+		t.Errorf("after New the store still holds a %d-byte snapshot and %d records", len(snap), len(recs))
 	}
 	sameJobTable(t, "archive after reopen", rm2.done, archive)
 	after := rm2.Status()
@@ -443,11 +459,12 @@ func TestReplayTwiceAcrossCompletion(t *testing.T) {
 	}
 	submitAdHoc(t, rm1, "tail", 1, 10)
 
-	rm2, st2 := newDurableRM(t, dir, true)
+	rm2, _ := newDurableRM(t, dir, true)
 	once := rm2.Status()
+	tail := readWAL(t, dir) // the segment recovery replayed, read again: the store keeps none of it
 	rm2.mu.Lock()
 	snapOnce, _ := rm2.snapshotLocked()
-	for i, payload := range st2.RecoveredRecords() {
+	for i, payload := range tail {
 		if err := rm2.applyRecordLocked(payload); err != nil {
 			t.Fatalf("second replay, record %d: %v", i, err)
 		}

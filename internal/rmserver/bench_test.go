@@ -39,7 +39,8 @@ func benchServer(b *testing.B, njobs int) (*Server, []string) {
 	return s, qids
 }
 
-// BenchmarkCompleteQuantumIndexed measures lease confirmation via the
+// BenchmarkCompleteQuantumIndexed measures lease confirmation as a
+// heartbeat runs it — decideConfirm, then applyConfirmLocked — via the
 // server-level qid index: O(1) in the number of jobs.
 func BenchmarkCompleteQuantumIndexed(b *testing.B) {
 	for _, njobs := range []int{100, 10000} {
@@ -50,7 +51,7 @@ func BenchmarkCompleteQuantumIndexed(b *testing.B) {
 				qid := qids[i%njobs]
 				s.mu.Lock()
 				l := s.leases[qid] // confirm destroys the lease; re-arm below
-				s.completeQuantumLocked(qid, "n1")
+				s.applyConfirmLocked(s.decideConfirm("n1", []string{qid}))
 				s.leases[qid] = l
 				s.mu.Unlock()
 			}

@@ -1,6 +1,8 @@
 package rmserver
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
+	"flowtime/internal/store"
 )
 
 // verifyEquiv runs the recovery-equivalence oracle against a fresh
@@ -122,4 +125,81 @@ func TestRecoveryEquivalenceRequiresStore(t *testing.T) {
 	if err := rm.VerifyRecoveryEquivalence(t.TempDir()); err == nil {
 		t.Fatal("want error without a store")
 	}
+}
+
+// TestLiveEqualsReplayWithLeases holds what VerifyRecoveryEquivalence
+// normalizes away — leases, in-flight volume, the quantum counter — to
+// live ≡ replay. Over driveMixed's seeded run (submissions, ticks,
+// confirming heartbeats that dispatch hand-offs, a re-registration, lease
+// expiries), after every call that may change the RM, a copy of its state
+// directory recovered as a follower, which requeues nothing, must hold the
+// live state byte for byte. Only the fault counters are cleared first: a
+// heartbeat whose confirms are all stale journals nothing.
+func TestLiveEqualsReplayWithLeases(t *testing.T) {
+	dir := t.TempDir()
+	rm := newMixedRM(t, dir)
+	driveMixed(t, &rm, 1, 20, func(int) {}, func(what string) {
+		if live, replayed := liveAndReplayed(t, rm); !bytes.Equal(live, replayed) {
+			t.Fatalf("after %s, replaying the log does not rebuild the live state:\nlive:     %s\nreplayed: %s", what, live, replayed)
+		}
+	})
+	var codec walCodec
+	tickRequeues, requeueRecords := 0, 0
+	for _, p := range readWAL(t, dir) {
+		rec, err := codec.decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Tick != nil {
+			tickRequeues += len(rec.Tick.Requeued)
+		}
+		if rec.Requeue != nil {
+			requeueRecords++
+		}
+	}
+	if dispatched, _ := rm.HandOffs(); dispatched == 0 || tickRequeues == 0 || requeueRecords == 0 {
+		t.Errorf("the run exercised too little: %d hand-offs, %d quanta requeued by ticks, %d re-registration requeues", dispatched, tickRequeues, requeueRecords)
+	}
+}
+
+// liveAndReplayed snapshots rm and, under the same lock, copies its state
+// directory — a SIGKILL at this instant — then recovers the copy as a
+// follower. It returns both snapshots with their fault counters cleared.
+func liveAndReplayed(t *testing.T, rm *Server) ([]byte, []byte) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "copy")
+	rm.mu.Lock()
+	live, err := rm.snapshotLocked()
+	if err == nil {
+		err = copyDir(rm.store.Dir(), dir)
+	}
+	rm.mu.Unlock()
+	if err != nil {
+		t.Fatalf("capture the live state: %v", err)
+	}
+	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	defer st.Close()
+	follower, err := New(Config{SlotDur: rm.cfg.SlotDur, Scheduler: sched.NewFIFO(), Store: st, Follower: true})
+	if err != nil {
+		t.Fatalf("recover the copy as a follower: %v", err)
+	}
+	return withoutFaults(t, live), withoutFaults(t, snapshotOf(t, follower))
+}
+
+// withoutFaults returns a snapshot with its fault counters cleared.
+func withoutFaults(t *testing.T, snapshot []byte) []byte {
+	t.Helper()
+	var st snapState
+	if err := json.Unmarshal(snapshot, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Faults = rmproto.FaultCounters{}
+	out, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

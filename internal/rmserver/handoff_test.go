@@ -24,7 +24,7 @@ import (
 // The scheduler decides at the tick, the RM executes on the confirm: a
 // grant to a job whose predecessors are all running their last quanta is
 // held as an offer and becomes leases in the heartbeat that confirms them
-// (Server.Heartbeat, dispatchOffersLocked). These tests pin when that
+// (Server.Heartbeat, decideHandOff). These tests pin when that
 // happens, when it must not, and that the books balance either way.
 
 // checkBooks verifies what a hand-off could unbalance: every lease belongs
@@ -278,7 +278,7 @@ func TestLapsedOfferLeavesNothingBehind(t *testing.T) {
 }
 
 // syncHookFS runs a hook inside every fsync: the instant a tick's record
-// is on its way to the disk, after tickLocked and before the tick queues
+// is on its way to the disk, after decideTick and before the tick queues
 // its grants and arms its offers.
 type syncHookFS struct {
 	store.FS
@@ -425,7 +425,7 @@ func TestMixedRunHoldsEveryRelation(t *testing.T) {
 		}
 		driveMixed(t, &rm, seed, 40, func(slot int) {
 			checkBooks(t, rm, fmt.Sprintf("seed %d slot %d", seed, slot))
-		})
+		}, nil)
 		if ft.Slots() != 40 {
 			t.Errorf("seed %d: %d of 40 slots passed the scheduler's checks", seed, ft.Slots())
 		}

@@ -6,6 +6,16 @@
 // — and idempotent, so replaying the same tail twice (or recovering the
 // same directory twice) converges to the same state.
 //
+// Every journaled mutation takes one route. It is decided as its record
+// without touching anything replay rebuilds (decideTick, decideHandOff,
+// decideConfirm, decideRequeue, a submission's admission); journalLocked
+// then encodes the record, applies it with applyLocked — the function
+// replay and the follower run — and appends it. So the live RM holds what
+// replaying its log rebuilds by construction, a record the codec refuses
+// changes nothing, and the quanta a tick or a hand-off launches are read
+// off its record's grants. A plan diff is the one record applied as it was
+// decided, by plan.Apply (planstream.go).
+//
 // What is journaled and what is not:
 //
 //   - Workflow and ad-hoc submissions, with their decomposed windows
@@ -16,7 +26,7 @@
 //     change nothing and are not journaled), and after them the leases
 //     the heartbeat dispatched from the tick's offers, as a tick record
 //     that advances nothing (an offer itself is never journaled).
-//   - Lease requeues triggered by node re-registration.
+//   - Lease requeues triggered by node re-registration or promotion.
 //   - Leadership-epoch claims (initial primary start and promotions),
 //     so the fencing token survives crashes and ships to followers.
 //   - Plan diffs, when the scheduler streams its plan (one record per
@@ -176,6 +186,11 @@ type recGrant struct {
 	Expiry int64           `json:"expiry,omitempty"`
 }
 
+// quantum is the grant as the node that runs it is handed it.
+func (g recGrant) quantum() rmproto.Quantum {
+	return rmproto.Quantum{ID: g.QID, JobID: g.JobID, Grant: rmproto.FromVector(g.Grant), DeadlineSlot: g.Expiry}
+}
+
 // recConfirm journals the quanta one heartbeat actually confirmed.
 type recConfirm struct {
 	Slot   int64                 `json:"slot"`
@@ -184,7 +199,7 @@ type recConfirm struct {
 }
 
 // recRequeue journals leases reclaimed outside a tick (node
-// re-registration).
+// re-registration, promotion).
 type recRequeue struct {
 	QIDs   []string              `json:"qids"`
 	Faults rmproto.FaultCounters `json:"faults"`
@@ -267,24 +282,30 @@ type snapLease struct {
 	Expiry int64           `json:"expiry,omitempty"`
 }
 
-// journalLocked appends one record to the WAL, returning its commit
-// handle (the zero handle with no store). Must be called with s.mu held
-// so record order matches mutation order. The handle is also kept as
-// s.journaled: committing a handle commits every record before it, which
-// is how the records nobody waits for ride the next commit. A store
-// that refuses the append is reported as ErrCommitFailed.
+// journalLocked is the one route a decided mutation takes: it encodes the
+// record, applies it with applyLocked — as replay and the follower do —
+// and appends it to the WAL, returning its commit handle (the zero handle
+// with no store). A record the codec refuses is an error that changes
+// nothing; one the store refuses is applied and reported as
+// ErrCommitFailed. Must be called with s.mu held so record order matches
+// mutation order. The handle is also kept as s.journaled: committing a
+// handle commits every record before it, which is how the records nobody
+// waits for ride the next commit.
 func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
 	payload, err := s.encodeLocked(&rec)
 	if err != nil {
+		return store.Handle{}, err
+	}
+	if err := s.applyLocked(&rec); err != nil {
 		return store.Handle{}, err
 	}
 	return s.appendLocked(payload)
 }
 
 // encodeLocked returns rec's WAL payload — nil with no store — in the
-// codec's buffer, valid until the next encode. A submission encodes its
-// record before it changes anything and appends it (appendLocked) last, so
-// a record the codec refuses is an error answer that leaves no job behind.
+// codec's buffer, valid until the next encode. A record is encoded before
+// anything changes and appended (appendLocked) last, so a record the codec
+// refuses is an error answer that leaves nothing behind.
 func (s *Server) encodeLocked(rec *walRecord) ([]byte, error) {
 	if s.store == nil {
 		return nil, nil
@@ -296,7 +317,7 @@ func (s *Server) encodeLocked(rec *walRecord) ([]byte, error) {
 	return payload, nil
 }
 
-// appendLocked is journalLocked's second half: it appends a payload
+// appendLocked is journalLocked's last step: it appends a payload
 // encodeLocked returned.
 func (s *Server) appendLocked(payload []byte) (store.Handle, error) {
 	if s.store == nil {
@@ -327,7 +348,7 @@ func (s *Server) commitRecord(h store.Handle) error {
 	return nil
 }
 
-// recoverLocked rebuilds state from the store: restore the recovered
+// recoverLocked rebuilds state from what the store recovered: restore the
 // snapshot, replay the WAL tail, then reclaim every in-flight lease —
 // the node bindings died with the previous process, and the agents will
 // re-register with empty hands. Replay is idempotent: duplicate
@@ -342,7 +363,8 @@ func (s *Server) recoverLocked() error {
 		TruncatedBytes:    info.TruncatedBytes,
 		StaleFilesRemoved: info.StaleFilesRemoved,
 	}
-	if snap := s.store.RecoveredSnapshot(); snap != nil {
+	snap, records := s.store.TakeRecovered()
+	if snap != nil {
 		var st snapState
 		if err := json.Unmarshal(snap, &st); err != nil {
 			return fmt.Errorf("decode snapshot: %w", err)
@@ -353,7 +375,7 @@ func (s *Server) recoverLocked() error {
 		rec.FromSnapshot = true
 		rec.SnapshotSlot = st.Slot
 	}
-	for i, payload := range s.store.RecoveredRecords() {
+	for i, payload := range records {
 		if err := s.applyRecordLocked(payload); err != nil {
 			return fmt.Errorf("replay record %d/%d: %w", i+1, info.Records, err)
 		}
@@ -362,31 +384,17 @@ func (s *Server) recoverLocked() error {
 	// Orphan leases belong to the dead process's nodes — but only an
 	// acting primary may requeue them. A follower must keep replaying
 	// exactly the primary's stream; its leases are requeued at promotion.
+	// The requeue is applied, not journaled: every recovery of this log
+	// decides the same one.
 	if !s.cfg.Follower {
-		rec.OrphanLeasesRequeued = len(s.requeueAllLeasesLocked())
+		orphans := s.decideRequeue(anyLease)
+		s.applyRequeueLocked(orphans)
+		rec.OrphanLeasesRequeued = len(orphans.QIDs)
 	}
 	rec.Slot = s.slot
 	rec.Micros = (time.Since(start) + info.Elapsed).Microseconds()
 	s.recovery = &rec
 	return nil
-}
-
-// requeueAllLeasesLocked reclaims every in-flight lease (recovery or
-// promotion: no node the server trusts holds them anymore) in
-// deterministic order, returning the reclaimed quantum IDs.
-func (s *Server) requeueAllLeasesLocked() []string {
-	if len(s.leases) == 0 {
-		return nil
-	}
-	qids := make([]string, 0, len(s.leases))
-	for qid := range s.leases {
-		qids = append(qids, qid)
-	}
-	sort.Strings(qids)
-	for _, qid := range qids {
-		s.requeueLeaseLocked(s.leases[qid])
-	}
-	return qids
 }
 
 func (s *Server) restoreSnapshotLocked(st *snapState) error {
@@ -511,6 +519,13 @@ func (s *Server) applyRecordLocked(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
+	return s.applyLocked(&rec)
+}
+
+// applyLocked applies one record: the function every journaled mutation
+// changes state through, live (journalLocked), in replay and on a
+// follower.
+func (s *Server) applyLocked(rec *walRecord) error {
 	switch {
 	case rec.Workflow != nil:
 		return s.applyWorkflowLocked(rec.Workflow)
@@ -593,12 +608,12 @@ func (s *Server) applyAdHocLocked(r *recAdHoc) error {
 	return nil
 }
 
+// applyTickLocked applies a tick record, a slot's or a hand-off's: its
+// requeues, then its grants as leases — the one place a lease is created
+// — then its slot. A grant at or below the quantum-ID watermark was
+// applied already (by a prior replay pass or the snapshot) and is skipped.
 func (s *Server) applyTickLocked(r *recTick) {
-	for _, qid := range r.Requeued {
-		if l, ok := s.leases[qid]; ok {
-			s.requeueLeaseLocked(l)
-		}
-	}
+	s.applyRequeueLocked(&recRequeue{QIDs: r.Requeued, Faults: r.Faults})
 	for _, g := range r.Grants {
 		n, own := rmproto.ParseQuantumID(g.QID)
 		if !own || n <= s.nextQID {
@@ -618,23 +633,58 @@ func (s *Server) applyTickLocked(r *recTick) {
 	if r.Slot > s.slot {
 		s.slot = r.Slot
 	}
-	s.faults = r.Faults
 }
 
+// applyConfirmLocked applies confirmed leases: each one's volume moves
+// from in-flight to delivered, completing its job — at the record's slot
+// — when the total is covered. A quantum that names no lease is skipped.
 func (s *Server) applyConfirmLocked(r *recConfirm) {
 	for _, qid := range r.QIDs {
-		if l, ok := s.leases[qid]; ok {
-			s.confirmLeaseLocked(l, r.Slot)
+		l, ok := s.leases[qid]
+		if !ok {
+			continue
 		}
+		delete(s.leases, qid)
+		j := l.job
+		j.inFlight = j.inFlight.SubClamped(l.grant)
+		j.delivered = j.delivered.Add(l.grant)
+		if !j.done && j.total.FitsIn(j.delivered) {
+			j.done = true
+			j.doneSlot = r.Slot
+			delete(s.jobs, j.id)
+			if ws := s.wfs[j.wfID]; ws != nil {
+				if ws.live--; ws.live == 0 {
+					delete(s.wfs, j.wfID)
+				}
+			}
+			s.archiveLocked(s.jobStatusLocked(j))
+		}
+	}
+	if len(s.leases) == 0 {
+		s.cond.Broadcast()
 	}
 	s.faults = r.Faults
 }
 
+// applyRequeueLocked reclaims the leases a record names: each one's volume
+// returns to its job's schedulable remainder, it stops being awaited, and
+// its quantum, if still queued on a node the RM tracks, is scrubbed so the
+// node does not burn a slot executing reclaimed work. A quantum that names
+// no lease is skipped.
 func (s *Server) applyRequeueLocked(r *recRequeue) {
 	for _, qid := range r.QIDs {
-		if l, ok := s.leases[qid]; ok {
-			s.requeueLeaseLocked(l)
+		l, ok := s.leases[qid]
+		if !ok {
+			continue
 		}
+		delete(s.leases, qid)
+		l.job.inFlight = l.job.inFlight.SubClamped(l.grant)
+		if n, ok := s.nodes[l.nodeID]; ok {
+			n.dropPending(qid)
+		}
+	}
+	if len(s.leases) == 0 {
+		s.cond.Broadcast()
 	}
 	s.faults = r.Faults
 }

@@ -72,21 +72,25 @@ func (s *Server) streamPlansLocked() error {
 			note(s.rebasePlanLocked(ps.LivePlan()))
 			break
 		}
-		s.livePlan = next
-		s.faults.PlanDiffsApplied++
-		_, jerr := s.journalLocked(walRecord{PlanDiff: &recPlanDiff{Diff: d}})
-		note(jerr)
+		// plan.Apply decided the next plan and built it, so the record is
+		// not applied again: it is encoded, the plan swapped in, then the
+		// record appended.
+		payload, err := s.encodeLocked(&walRecord{PlanDiff: &recPlanDiff{Diff: d}})
+		if err == nil {
+			s.livePlan = next
+			s.faults.PlanDiffsApplied++
+			_, err = s.appendLocked(payload)
+		}
+		note(err)
 	}
 	s.rebaseAdHocLocked()
 	return firstErr
 }
 
-// rebasePlanLocked replaces the live plan wholesale with the
-// scheduler's, journaling the full plan as one record that rides the
+// rebasePlanLocked replaces the live plan wholesale with the scheduler's:
+// it journals the full plan as one record, which applies it and rides the
 // next commit.
 func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
-	s.livePlan = lp
-	s.faults.PlanRebases++
 	_, err := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: lp}})
 	return err
 }

@@ -218,15 +218,17 @@ func (s *Server) Promote() (rmproto.PromoteResponse, error) {
 		s.mu.Unlock()
 		return resp, nil
 	}
-	s.epoch++
-	eh, _ := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: s.epoch, Slot: s.slot}})
-	qids := s.requeueAllLeasesLocked()
+	eh, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: s.epoch + 1, Slot: s.slot}})
+	orphans := s.decideRequeue(anyLease)
 	var rh store.Handle
-	if len(qids) > 0 {
-		rh, _ = s.journalLocked(walRecord{Requeue: &recRequeue{QIDs: qids, Faults: s.faults}})
+	if err == nil && len(orphans.QIDs) > 0 {
+		rh, err = s.journalLocked(walRecord{Requeue: orphans})
 	}
 	epoch, slot := s.epoch, s.slot
 	s.mu.Unlock()
+	if err != nil {
+		return rmproto.PromoteResponse{}, err
+	}
 
 	// The epoch record must be durable before we grant anything under it.
 	if err := s.commitRecord(eh); err != nil {
@@ -245,7 +247,7 @@ func (s *Server) Promote() (rmproto.PromoteResponse, error) {
 		Role:                 RolePrimary.String(),
 		Epoch:                epoch,
 		Slot:                 slot,
-		OrphanLeasesRequeued: len(qids),
+		OrphanLeasesRequeued: len(orphans.QIDs),
 	}, nil
 }
 

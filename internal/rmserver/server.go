@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -136,8 +137,8 @@ type Server struct {
 	// were about to turn ready (sched.JobState.ReadyOnConfirm), in the
 	// tick's job order. An offer is a decision, not a mutation: no lease,
 	// no in-flight volume, nothing journaled. The heartbeat whose confirms
-	// make its job ready turns it into leases (dispatchOffersLocked); the
-	// next tick drops whatever is left. handoffs counts offers that became
+	// make its job ready turns it into leases (decideHandOff); the next
+	// tick drops whatever is left. handoffs counts offers that became
 	// leases, lapsed those that did not; both are per-process.
 	offers           []offer
 	handoffs, lapsed int64
@@ -231,11 +232,6 @@ func (n *node) takePending() []rmproto.Quantum {
 	}
 	n.pending, n.pendingPos, n.dropped = nil, nil, 0
 	return out
-}
-
-// clearPending discards the queue (node eviction or re-registration).
-func (n *node) clearPending() {
-	n.pending, n.pendingPos, n.dropped = nil, nil, 0
 }
 
 // lease tracks one issued quantum: which job it advances, which node
@@ -349,8 +345,7 @@ func New(cfg Config) (*Server, error) {
 	// before granting anything; a recovered epoch is kept as-is. Followers
 	// adopt the primary's epoch from the shipped stream.
 	if s.role == RolePrimary && s.epoch == 0 {
-		s.epoch = 1
-		h, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: s.epoch, Slot: s.slot}})
+		h, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: 1, Slot: s.slot}})
 		if err == nil {
 			err = s.commitRecord(h)
 		}
@@ -396,8 +391,9 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 	var h store.Handle
 	var jerr error
 	if _, exists := s.nodes[req.NodeID]; exists {
-		if requeued := s.requeueNodeLeasesLocked(req.NodeID); len(requeued) > 0 {
-			h, jerr = s.journalLocked(walRecord{Requeue: &recRequeue{QIDs: requeued, Faults: s.faults}})
+		rec := s.decideRequeue(func(l *lease) bool { return l.nodeID == req.NodeID })
+		if len(rec.QIDs) > 0 {
+			h, jerr = s.journalLocked(walRecord{Requeue: rec})
 		}
 	}
 	s.nodes[req.NodeID] = &node{id: req.NodeID, capacity: capV, lastSeen: now}
@@ -414,7 +410,7 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 // Heartbeat processes a node's completion report and hands back queued
 // work leases, in one critical section. An unknown node gets
 // ErrUnknownNode so the agent knows to re-register instead of retrying
-// a doomed heartbeat. Confirmations that applied are journaled before
+// a doomed heartbeat. Confirmations that apply are journaled before
 // the reply but not fsynced by it: the record becomes durable with the
 // next commit the RM makes anyway, typically the coming tick's (see
 // "Durability ordering" in persist.go for why losing it to a machine
@@ -440,42 +436,55 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 	n.lastSeen = now
 	n.heard = true
 	completed := len(s.done)
-	var applied []string
-	for _, qid := range req.Completed {
-		if s.completeQuantumLocked(qid, req.NodeID) {
-			applied = append(applied, qid)
-		}
-	}
-	if len(applied) > 0 {
-		if _, err := s.journalLocked(walRecord{Confirm: &recConfirm{Slot: s.slot, QIDs: applied, Faults: s.faults}}); err != nil {
-			return rmproto.HeartbeatResponse{}, err
-		}
+	if rec := s.decideConfirm(req.NodeID, req.Completed); len(rec.QIDs) == 0 {
+		s.faults = rec.Faults // stale confirms alone change nothing replay rebuilds, and are not journaled
+	} else if _, err := s.journalLocked(walRecord{Confirm: rec}); err != nil {
+		return rmproto.HeartbeatResponse{}, err
 	}
 	if len(s.done) > completed && len(s.offers) > 0 && !s.draining {
-		rec, planned := s.dispatchOffersLocked(n)
-		if len(planned) > 0 {
+		if rec := s.decideHandOff(n); len(rec.Grants) > 0 {
 			if _, err := s.journalLocked(walRecord{Tick: rec}); err != nil {
 				return rmproto.HeartbeatResponse{}, err
 			}
-			for _, p := range planned {
-				s.nodes[p.nodeID].enqueue(p.q)
+			for _, g := range rec.Grants {
+				s.nodes[g.NodeID].enqueue(g.quantum())
 			}
 		}
 	}
 	return rmproto.HeartbeatResponse{Launch: n.takePending()}, nil
 }
 
-// dispatchOffersLocked turns the offers whose job is ready now into
-// leases: first-fit on the heartbeating node, whose reply carries them,
-// then on the nodes that have not heartbeaten since the tick and will
-// still fetch their queue for this slot. The leases are the ones the tick
-// would have issued had the job been ready one request earlier — issued
-// at the tick's slot, expiring with its grants — and rec replays them
-// without advancing the slot. An offer is spent by one attempt: what found
-// no room lapses, the job is ready for the next tick.
-func (s *Server) dispatchOffersLocked(from *node) (*recTick, []plannedLaunch) {
-	rec := &recTick{Slot: s.slot}
-	var planned []plannedLaunch
+// decideConfirm decides what a heartbeat's confirms do, changing nothing:
+// each quantum it names that is a live lease of the sending node is
+// confirmed, once, at the current slot. Any other — already confirmed,
+// requeued after the node's eviction, from before an RM restart, or held
+// by another node — is counted stale and ignored, so a re-registering node
+// can never double-deliver stale work.
+func (s *Server) decideConfirm(nodeID string, qids []string) *recConfirm {
+	rec := &recConfirm{Slot: s.slot, Faults: s.faults}
+	seen := make(map[string]bool, len(qids))
+	for _, qid := range qids {
+		if l, ok := s.leases[qid]; ok && l.nodeID == nodeID && !seen[qid] {
+			seen[qid] = true
+			rec.QIDs = append(rec.QIDs, qid)
+		} else {
+			rec.Faults.StaleConfirms++
+		}
+	}
+	return rec
+}
+
+// decideHandOff decides which offers the heartbeat of node from dispatches:
+// those whose job is ready now, placed first-fit on the heartbeating node,
+// whose reply carries them, then on the nodes that have not heartbeaten
+// since the tick and will still fetch their queue for this slot. The
+// grants are the ones the tick would have made had the job been ready one
+// request earlier — issued at the tick's slot, expiring with its grants —
+// in a tick record that does not advance the slot. An offer is spent by
+// one attempt: what found no room lapses, the job is ready for the next
+// tick.
+func (s *Server) decideHandOff(from *node) *recTick {
+	rec := &recTick{Slot: s.slot, Faults: s.faults}
 	var targets []*node
 	kept := s.offers[:0]
 	for _, o := range s.offers {
@@ -491,17 +500,16 @@ func (s *Server) dispatchOffersLocked(from *node) (*recTick, []plannedLaunch) {
 				}
 			}
 		}
-		placed := len(planned)
-		planned = s.placeLocked(o.job, o.grant, targets, s.slot-1, rec, planned)
-		if len(planned) > placed {
+		placed := len(rec.Grants)
+		s.placeLocked(o.job.id, o.grant, targets, rec)
+		if len(rec.Grants) > placed {
 			s.handoffs++
 		} else {
 			s.lapsed++
 		}
 	}
 	s.offers = kept
-	rec.Faults = s.faults
-	return rec, planned
+	return rec
 }
 
 // HandOffs reports how many of the scheduler's offers this process turned
@@ -511,48 +519,6 @@ func (s *Server) HandOffs() (dispatched, lapsed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.handoffs, s.lapsed
-}
-
-// completeQuantumLocked confirms one lease in O(1) via the server-level
-// lease index (the seed scanned every job per confirmation). Confirms for
-// quanta the RM no longer tracks — already confirmed, requeued after the
-// node's eviction, or from before an RM restart — and confirms from a
-// node that does not hold the lease are counted and ignored, so a
-// re-registering node can never double-deliver stale work. Reports
-// whether the confirm applied.
-func (s *Server) completeQuantumLocked(qid, nodeID string) bool {
-	l, ok := s.leases[qid]
-	if !ok || l.nodeID != nodeID {
-		s.faults.StaleConfirms++
-		return false
-	}
-	s.confirmLeaseLocked(l, s.slot)
-	return true
-}
-
-// confirmLeaseLocked applies one confirmed lease: its volume moves from
-// in-flight to delivered, completing the job when the total is covered.
-// atSlot is the slot the completion is accounted to (the live path
-// passes the current slot; WAL replay passes the journaled one).
-func (s *Server) confirmLeaseLocked(l *lease, atSlot int64) {
-	delete(s.leases, l.qid)
-	j := l.job
-	j.inFlight = j.inFlight.SubClamped(l.grant)
-	j.delivered = j.delivered.Add(l.grant)
-	if !j.done && j.total.FitsIn(j.delivered) {
-		j.done = true
-		j.doneSlot = atSlot
-		delete(s.jobs, j.id)
-		if ws := s.wfs[j.wfID]; ws != nil {
-			if ws.live--; ws.live == 0 {
-				delete(s.wfs, j.wfID)
-			}
-		}
-		s.archiveLocked(s.jobStatusLocked(j))
-	}
-	if len(s.leases) == 0 {
-		s.cond.Broadcast()
-	}
 }
 
 // archiveLocked appends one completed job's final status to the archive.
@@ -582,44 +548,24 @@ func (s *Server) knownAdHocLocked(id string) bool {
 	return live || done
 }
 
-// requeueLeaseLocked reclaims one lease: its volume returns to the job's
-// schedulable remainder and the lease stops being awaited.
-func (s *Server) requeueLeaseLocked(l *lease) {
-	delete(s.leases, l.qid)
-	l.job.inFlight = l.job.inFlight.SubClamped(l.grant)
-	s.faults.RequeuedQuanta++
-	if len(s.leases) == 0 {
-		s.cond.Broadcast()
-	}
-}
-
-// requeueNodeLeasesLocked reclaims every lease held by nodeID, both
-// launched and still queued on the node's pending list, returning the
-// reclaimed quantum IDs for journaling.
-func (s *Server) requeueNodeLeasesLocked(nodeID string) []string {
-	var requeued []string
-	for _, l := range s.leases {
-		if l.nodeID == nodeID {
-			requeued = append(requeued, l.qid)
-			s.requeueLeaseLocked(l)
+// decideRequeue decides the requeue of the leases keep selects, changing
+// nothing: their IDs in ID order — the leases are a map, and the same run
+// must journal the same bytes — and the fault counters that count them.
+func (s *Server) decideRequeue(keep func(*lease) bool) *recRequeue {
+	rec := &recRequeue{Faults: s.faults}
+	for qid, l := range s.leases {
+		if keep(l) {
+			rec.QIDs = append(rec.QIDs, qid)
 		}
 	}
-	sort.Strings(requeued)
-	if n, ok := s.nodes[nodeID]; ok {
-		n.clearPending()
-	}
-	return requeued
+	sort.Strings(rec.QIDs)
+	rec.Faults.RequeuedQuanta += int64(len(rec.QIDs))
+	return rec
 }
 
-// evictNodeLocked removes a silent node and requeues everything it held,
-// so the scheduler can re-place the work on surviving nodes. The seed's
-// silent delete(s.nodes, id) stranded in-flight volume forever.
-func (s *Server) evictNodeLocked(nodeID string) []string {
-	requeued := s.requeueNodeLeasesLocked(nodeID)
-	delete(s.nodes, nodeID)
-	s.faults.ExpiredNodes++
-	return requeued
-}
+// anyLease selects every lease: recovery and promotion requeue them all,
+// because no node the server trusts holds them any more.
+func anyLease(*lease) bool { return true }
 
 // SubmitWorkflow accepts a deadline workflow. The submit time is the
 // current slot; the workflow's own submit offset is ignored in the live
@@ -704,14 +650,7 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 			MinSlots:   wf.Job(i).MinRuntimeSlots(s.cfg.SlotDur, capacity),
 		}
 	}
-	payload, err := s.encodeLocked(&walRecord{Workflow: &wrec})
-	if err != nil {
-		return rmproto.SubmitResponse{}, store.Handle{}, err
-	}
-	if err := s.applyWorkflowLocked(&wrec); err != nil {
-		return rmproto.SubmitResponse{}, store.Handle{}, err
-	}
-	h, err := s.appendLocked(payload)
+	h, err := s.journalLocked(walRecord{Workflow: &wrec})
 	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
@@ -766,27 +705,30 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 	return rmproto.SubmitResponse{Accepted: true, ID: id}, nil
 }
 
-// Tick advances one scheduling slot: expires silent nodes (requeuing
-// their leases), reclaims leases past their confirmation deadline,
-// invokes the scheduler over the live job set, and queues the resulting
-// work leases on nodes (first-fit); what the scheduler granted a job that
-// turns ready inside the slot is kept as an offer for the heartbeat that
-// confirms its predecessors (see Heartbeat). It is called by the RM's run
-// loop every SlotDur, or manually in tests and by the /v1/tick endpoint.
-// A panicking scheduler is converted into a no-grant slot: jobs stay
-// queued, state stays consistent, and the RM keeps running. Each tick —
-// slot advance, reclaimed leases, issued grants — is journaled as one
-// WAL record, followed by the plan diffs of its replan. Before its grants
-// become fetchable by heartbeats and its offers claimable, the tick
-// commits what was journaled before it, so the confirms those grants were
-// computed from are durable first. Its own records ride the next commit,
-// like a hand-off's ("Durability ordering" in persist.go says why a
-// machine crash that takes them back is harmless): a tick that has to wait
-// syncs them in the same fsync, and one whose slot a submission or a
-// status barrier already committed does no I/O. The reply to POST
-// /v1/tick thus acknowledges the advance, not its durability. A tick
-// whose commit fails returns ErrCommitFailed and hands out nothing; its
-// leases stay with the RM until lease expiry or recovery reclaims them.
+// Tick advances one scheduling slot at wall-clock now. decideTick decides
+// it — silent nodes expired, their leases and those past their
+// confirmation deadline reclaimed, the scheduler invoked over the live job
+// set, its grants placed on the other nodes first-fit — journaling the
+// decision applies it, the expired nodes are forgotten, and the quanta it
+// granted are queued on their nodes; what
+// the scheduler granted a job that turns ready inside the slot is kept as
+// an offer for the heartbeat that confirms its predecessors (see
+// Heartbeat). It is called by the RM's run loop every SlotDur, or manually
+// in tests and by the /v1/tick endpoint. A panicking scheduler is
+// converted into a no-grant slot: jobs stay queued, state stays
+// consistent, and the RM keeps running. Each tick — slot advance,
+// reclaimed leases, issued grants — is journaled as one WAL record,
+// followed by the plan diffs of its replan. Before its grants become
+// fetchable by heartbeats and its offers claimable, the tick commits what
+// was journaled before it, so the confirms those grants were computed from
+// are durable first. Its own records ride the next commit, like a
+// hand-off's ("Durability ordering" in persist.go says why a machine crash
+// that takes them back is harmless): a tick that has to wait syncs them in
+// the same fsync, and one whose slot a submission or a status barrier
+// already committed does no I/O. The reply to POST /v1/tick thus
+// acknowledges the advance, not its durability. A tick whose commit fails
+// returns ErrCommitFailed and hands out nothing; its leases stay with the
+// RM until lease expiry or recovery reclaims them.
 func (s *Server) Tick(now time.Time) error {
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
@@ -794,8 +736,15 @@ func (s *Server) Tick(now time.Time) error {
 		return err
 	}
 	h := s.journaled // everything the tick's grants were computed from
-	rec, planned, offers, err := s.tickLocked(now)
+	rec, expired, offers, err := s.decideTick(now)
 	_, jerr := s.journalLocked(walRecord{Tick: rec})
+	if s.slot == rec.Slot {
+		// The record applied, requeuing the silent nodes' leases: forget
+		// the nodes. A record the codec refused leaves them, leases and all.
+		for _, id := range expired {
+			delete(s.nodes, id)
+		}
+	}
 	// Drain and journal the plan diffs this tick's replan emitted.
 	if serr := s.streamPlansLocked(); serr != nil && err == nil {
 		err = serr
@@ -807,19 +756,19 @@ func (s *Server) Tick(now time.Time) error {
 	if jerr != nil {
 		return jerr
 	}
-	// Enqueue the slot's grants and arm its offers now that what came before
-	// the tick is durable. A lease may have been reclaimed while the commit
-	// ran — node re-registration runs concurrently — so deliver only quanta
-	// whose lease is still live on a node the RM still tracks; offers are
-	// this slot's or nobody's.
-	if len(planned) > 0 || len(offers) > 0 {
+	// Enqueue the quanta read off the record's grants and arm the slot's
+	// offers now that what came before the tick is durable. A lease may
+	// have been reclaimed while the commit ran — node re-registration runs
+	// concurrently — so deliver only quanta whose lease is still live on a
+	// node the RM still tracks; offers are this slot's or nobody's.
+	if len(rec.Grants) > 0 || len(offers) > 0 {
 		s.mu.Lock()
-		for _, p := range planned {
-			if _, live := s.leases[p.q.ID]; !live {
+		for _, g := range rec.Grants {
+			if _, live := s.leases[g.QID]; !live {
 				continue
 			}
-			if n, ok := s.nodes[p.nodeID]; ok {
-				n.enqueue(p.q)
+			if n, ok := s.nodes[g.NodeID]; ok {
+				n.enqueue(g.quantum())
 			}
 		}
 		if s.slot == rec.Slot {
@@ -835,20 +784,16 @@ func (s *Server) Tick(now time.Time) error {
 	return err
 }
 
-// plannedLaunch is a quantum a tick granted but has not yet queued on
-// its node: delivery waits for what came before the tick to commit.
-type plannedLaunch struct {
-	nodeID string
-	q      rmproto.Quantum
-}
-
-func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, error) {
-	rec := &recTick{}
-	defer func() {
-		rec.Slot = s.slot
-		rec.Faults = s.faults
-	}()
-
+// decideTick decides one slot and changes nothing replay rebuilds: its
+// record names the next slot, the leases to requeue and the grants to
+// ready jobs, and applying it is what advances the RM. now is the only
+// clock it reads: the nodes silent for longer than NodeExpiry are returned
+// as expired, for Tick to forget once the record applied (nodes are soft
+// state); their leases are requeued with those past their expiry, and they
+// get no grants. The scheduler sees in-flight volume net of those
+// requeues. Its grants to jobs ready on confirm come back as offers,
+// clamped by what the ready jobs left of the cluster.
+func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offers []offer, err error) {
 	// The previous slot is over: its unclaimed offers lapse.
 	s.lapsed += int64(len(s.offers))
 	s.offers = nil
@@ -856,42 +801,44 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, 
 	if s.cfg.NodeExpiry > 0 {
 		for id, n := range s.nodes {
 			if now.Sub(n.lastSeen) > s.cfg.NodeExpiry {
-				rec.Requeued = append(rec.Requeued, s.evictNodeLocked(id)...)
+				expired = append(expired, id)
 			}
 		}
 	}
-	if s.cfg.LeaseExpiry > 0 {
-		for _, l := range s.leases {
-			if s.slot >= l.expiry {
-				// If the quantum is still queued on a live node, scrub it so
-				// the node does not burn a slot executing reclaimed work.
-				if n, ok := s.nodes[l.nodeID]; ok {
-					n.dropPending(l.qid)
-				}
-				rec.Requeued = append(rec.Requeued, l.qid)
-				s.requeueLeaseLocked(l)
-			}
-		}
+	rec = &recTick{Slot: s.slot + 1, Faults: s.faults}
+	if len(expired) > 0 || s.cfg.LeaseExpiry > 0 {
+		requeue := s.decideRequeue(func(l *lease) bool {
+			return slices.Contains(expired, l.nodeID) || (s.cfg.LeaseExpiry > 0 && s.slot >= l.expiry)
+		})
+		rec.Requeued, rec.Faults = requeue.QIDs, requeue.Faults
 	}
-	// Both loops above walk maps; requeues commute, so only the journaled
-	// order is at stake — sort it, or the same run writes different WAL
-	// bytes each time.
-	sort.Strings(rec.Requeued)
+	rec.Faults.ExpiredNodes += int64(len(expired))
 	if s.draining {
 		// Drain: no new leases; keep ticking so expiry still reclaims
 		// whatever dead nodes hold.
-		s.slot++
-		return rec, nil, nil, nil
+		return rec, expired, nil, nil
 	}
-	capacity := s.totalCapacityLocked()
+	nodes := slices.DeleteFunc(s.nodesByIDLocked(), func(n *node) bool { return slices.Contains(expired, n.id) })
+	var capacity resource.Vector
+	for _, n := range nodes {
+		capacity = capacity.Add(n.capacity)
+	}
 	if capacity.IsZero() {
-		s.slot++
-		return rec, nil, nil, nil
+		return rec, expired, nil, nil
 	}
 
+	var back map[*rmJob]resource.Vector
+	if len(rec.Requeued) > 0 {
+		back = make(map[*rmJob]resource.Vector)
+		for _, qid := range rec.Requeued {
+			l := s.leases[qid]
+			back[l.job] = back[l.job].Add(l.grant)
+		}
+	}
+	inFlight := func(j *rmJob) resource.Vector { return j.inFlight.SubClamped(back[j]) }
 	states := make([]sched.JobState, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		remaining := j.total.SubClamped(j.delivered).SubClamped(j.inFlight)
+		remaining := j.total.SubClamped(j.delivered).SubClamped(inFlight(j))
 		st := sched.JobState{
 			ID:         j.id,
 			Kind:       j.kind,
@@ -901,7 +848,7 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, 
 			BestEffort: j.bestEffort,
 		}
 		if j.kind == sched.DeadlineJob {
-			st.ReadyOnConfirm = !st.Ready && s.readyOnConfirmLocked(j)
+			st.ReadyOnConfirm = !st.Ready && s.readyOnConfirmLocked(j, inFlight)
 			st.WorkflowID = j.wfID
 			st.JobName = j.jobName
 			st.Release = j.release
@@ -928,22 +875,18 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, 
 			Horizon: s.cfg.Horizon,
 			CapAt:   func(int64) resource.Vector { return capacity },
 		},
-	})
+	}, &rec.Faults)
 	if err != nil {
-		s.slot++
-		return rec, nil, nil, fmt.Errorf("rmserver: scheduler: %w", err)
+		return rec, expired, nil, fmt.Errorf("rmserver: scheduler: %w", err)
 	}
 
 	// Place the ready jobs' grants on nodes first-fit, splitting across
 	// nodes as needed; a grant to a job that is ready on confirm is kept as
 	// an offer, clamped by what the ready jobs left.
-	nodes := s.nodesByIDLocked()
 	for _, n := range nodes {
 		n.placed, n.heard = resource.Vector{}, false
 	}
 	capLeft := capacity
-	var planned []plannedLaunch
-	var offers []offer
 	for _, st := range states {
 		g, ok := grants[st.ID]
 		if !ok || !(st.Ready || st.ReadyOnConfirm) {
@@ -959,7 +902,7 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, 
 			continue
 		}
 		capLeft = capLeft.Sub(g)
-		planned = s.placeLocked(s.jobs[st.ID], g, nodes, s.slot, rec, planned)
+		s.placeLocked(st.ID, g, nodes, rec)
 	}
 	kept := offers[:0]
 	for _, o := range offers {
@@ -970,8 +913,7 @@ func (s *Server) tickLocked(now time.Time) (*recTick, []plannedLaunch, []offer, 
 		capLeft = capLeft.Sub(o.grant)
 		kept = append(kept, o)
 	}
-	s.slot++
-	return rec, planned, kept, nil
+	return rec, expired, kept, nil
 }
 
 // nodesByIDLocked returns the registered nodes in ID order, the order
@@ -985,16 +927,16 @@ func (s *Server) nodesByIDLocked() []*node {
 	return nodes
 }
 
-// placeLocked is the one place a grant becomes leases: g for job j,
-// first-fit over nodes in the order given, against what each node has
-// left of its capacity this slot (node.placed, which it debits). Each
-// chunk gets a lease issued at slot issued, the quantum its node will
-// run — appended to planned, for the caller to enqueue once it may — and
-// its grant entry in rec. What fits nowhere is dropped.
-func (s *Server) placeLocked(j *rmJob, g resource.Vector, nodes []*node, issued int64, rec *recTick, planned []plannedLaunch) []plannedLaunch {
+// placeLocked splits a grant into grants of rec: g for job, first-fit over
+// nodes in the order given, against what each node has left of its
+// capacity this slot (node.placed, which it debits). Each chunk is granted
+// under the next quantum ID, issued in the slot before rec's and expiring
+// LeaseExpiry slots after it; applying rec makes it a lease. What fits
+// nowhere is dropped.
+func (s *Server) placeLocked(job string, g resource.Vector, nodes []*node, rec *recTick) {
 	var expiry int64
 	if s.cfg.LeaseExpiry > 0 {
-		expiry = issued + s.cfg.LeaseExpiry
+		expiry = rec.Slot - 1 + s.cfg.LeaseExpiry
 	}
 	for _, n := range nodes {
 		if g.IsZero() {
@@ -1006,29 +948,19 @@ func (s *Server) placeLocked(j *rmJob, g resource.Vector, nodes []*node, issued 
 		}
 		n.placed = n.placed.Add(chunk)
 		g = g.Sub(chunk)
-		s.nextQID++
-		qid := rmproto.QuantumID(s.nextQID)
-		s.leases[qid] = &lease{qid: qid, job: j, nodeID: n.id, grant: chunk, issued: issued, expiry: expiry}
-		j.inFlight = j.inFlight.Add(chunk)
-		planned = append(planned, plannedLaunch{nodeID: n.id, q: rmproto.Quantum{
-			ID:           qid,
-			JobID:        j.id,
-			Grant:        rmproto.FromVector(chunk),
-			DeadlineSlot: expiry,
-		}})
-		rec.Grants = append(rec.Grants, recGrant{QID: qid, JobID: j.id, NodeID: n.id, Grant: chunk, Expiry: expiry})
+		qid := rmproto.QuantumID(s.nextQID + int64(len(rec.Grants)) + 1)
+		rec.Grants = append(rec.Grants, recGrant{QID: qid, JobID: job, NodeID: n.id, Grant: chunk, Expiry: expiry})
 	}
-	return planned
 }
 
 // safeAssign invokes the scheduler with panic isolation: a panic becomes
-// an error and a fault-counter bump instead of an RM crash. Quantum IDs
-// are only allocated after a successful return, so a panic cannot leave
-// the server state half-advanced.
-func (s *Server) safeAssign(ctx sched.AssignContext) (grants map[string]resource.Vector, err error) {
+// an error and a bump of faults' scheduler-panic counter instead of an RM
+// crash. A tick is decided before anything changes, so a panic cannot
+// leave the server state half-advanced.
+func (s *Server) safeAssign(ctx sched.AssignContext, faults *rmproto.FaultCounters) (grants map[string]resource.Vector, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.faults.SchedulerPanics++
+			faults.SchedulerPanics++
 			grants, err = nil, fmt.Errorf("scheduler %q panicked: %v (no grants this slot)", s.cfg.Scheduler.Name(), r)
 		}
 	}()
@@ -1049,12 +981,13 @@ func (s *Server) readyLocked(j *rmJob) bool {
 }
 
 // readyOnConfirmLocked reports, for a deadline job that is not ready,
-// whether it will be once the leases now in flight are confirmed: every
-// unfinished predecessor has its whole remainder in flight.
-func (s *Server) readyOnConfirmLocked(j *rmJob) bool {
+// whether it will be once the leases in flight are confirmed: every
+// unfinished predecessor has its whole remainder in flight, as inFlight
+// counts it.
+func (s *Server) readyOnConfirmLocked(j *rmJob, inFlight func(*rmJob) resource.Vector) bool {
 	st := s.wfs[j.wfID]
 	for _, p := range st.wf.DAG().Predecessors(j.nodeIdx) {
-		if pj := st.jobs[p]; !pj.done && !pj.total.FitsIn(pj.delivered.Add(pj.inFlight)) {
+		if pj := st.jobs[p]; !pj.done && !pj.total.FitsIn(pj.delivered.Add(inFlight(pj))) {
 			return false
 		}
 	}

@@ -357,13 +357,13 @@ func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
 	}
 	// Every node expires at once, each holding a lease.
 	rm.mu.Lock()
-	rec, _, _, err := rm.tickLocked(base.Add(60 * time.Second))
+	rec, expired, _, err := rm.decideTick(base.Add(60 * time.Second))
 	rm.mu.Unlock()
 	if err != nil {
-		t.Fatalf("tickLocked: %v", err)
+		t.Fatalf("decideTick: %v", err)
 	}
-	if len(rec.Requeued) < 6 {
-		t.Fatalf("requeued %d quanta, want the leases of eight nodes", len(rec.Requeued))
+	if len(expired) != 8 || len(rec.Requeued) < 6 {
+		t.Fatalf("%d nodes expired, requeued %d quanta; want all eight nodes and their leases", len(expired), len(rec.Requeued))
 	}
 	if !sort.StringsAreSorted(rec.Requeued) {
 		t.Errorf("tick record requeues not sorted: %v", rec.Requeued)

@@ -40,7 +40,7 @@ func TestIntervalCrashWindow(t *testing.T) {
 
 	s2 := openFault(t, dir, ffs, SyncInterval)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	want := []string{"a", "b", "c"}
 	if len(got) != len(want) {
 		t.Fatalf("recovered %v, want exactly the synced prefix %v", got, want)
@@ -83,7 +83,7 @@ func TestIntervalFsyncFaultCrashWindow(t *testing.T) {
 	ffs.Crash()
 	s2 := openFault(t, dir, ffs, SyncInterval)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	want := []string{"a", "b"}
 	if len(got) != len(want) || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("recovered %v, want exactly the pre-fault synced prefix %v", got, want)
@@ -108,7 +108,7 @@ func TestFsyncFaultSurfacesOnCommit(t *testing.T) {
 	ffs.Crash()
 	s2 := openFault(t, dir, ffs, SyncAlways)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	if len(got) != 1 || got[0] != "durable" {
 		t.Fatalf("recovered %v, want [durable]", got)
 	}
@@ -130,7 +130,7 @@ func TestShortWriteLeavesTruncatableTail(t *testing.T) {
 
 	s2 := openFault(t, dir, ffs, SyncAlways)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	if len(got) != 2 || got[0] != "good-1" || got[1] != "good-2" {
 		t.Fatalf("recovered %v, want the intact prefix [good-1 good-2]", got)
 	}
@@ -153,7 +153,7 @@ func TestENOSPCSurfacesAndPreservesPrefix(t *testing.T) {
 
 	s2 := openFault(t, dir, ffs, SyncAlways)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	if len(got) != 2 || got[0] != "kept-1" || got[1] != "kept-2" {
 		t.Fatalf("recovered %v, want [kept-1 kept-2]", got)
 	}
@@ -172,7 +172,7 @@ func TestCorruptReadTruncatesWAL(t *testing.T) {
 	// prefix and truncates the rest rather than replaying garbage.
 	ffs.CorruptReads(1)
 	s2 := openFault(t, dir, ffs, SyncAlways)
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	if len(got) >= 4 {
 		t.Fatalf("recovered %v despite corrupt read", got)
 	}
@@ -208,8 +208,8 @@ func TestCorruptSnapshotReadFailsLoudly(t *testing.T) {
 	// With the fault cleared the directory is still fully recoverable.
 	s2 := openFault(t, dir, ffs, SyncAlways)
 	defer s2.Close()
-	if string(s2.RecoveredSnapshot()) != "STATE" {
-		t.Fatalf("snapshot %q, want STATE", s2.RecoveredSnapshot())
+	if snap, _ := recovered(s2); snap != "STATE" {
+		t.Fatalf("snapshot %q, want STATE", snap)
 	}
 }
 

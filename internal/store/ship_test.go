@@ -46,7 +46,7 @@ func TestShipRoundTrip(t *testing.T) {
 	// The shipped records are durable and recoverable on the follower.
 	f2 := open(t, fdir, SyncAlways)
 	defer f2.Close()
-	got := recordsAsStrings(f2)
+	_, got := recovered(f2)
 	want := []string{"a", "b", "c", "d"}
 	if len(got) != len(want) {
 		t.Fatalf("follower recovered %v, want %v", got, want)
@@ -86,10 +86,10 @@ func TestShipSnapshotInstallAfterRotation(t *testing.T) {
 
 	f2 := open(t, fdir, SyncAlways)
 	defer f2.Close()
-	if string(f2.RecoveredSnapshot()) != "SNAP-STATE" {
-		t.Fatalf("follower snapshot %q, want SNAP-STATE", f2.RecoveredSnapshot())
+	snap, got := recovered(f2)
+	if snap != "SNAP-STATE" {
+		t.Fatalf("follower snapshot %q, want SNAP-STATE", snap)
 	}
-	got := recordsAsStrings(f2)
 	if len(got) != 2 || got[0] != "post-1" || got[1] != "post-2" {
 		t.Fatalf("follower records %v, want [post-1 post-2]", got)
 	}

@@ -103,8 +103,8 @@ func walPath(dir string, gen int64) string {
 // and removes leftovers from interrupted rotations. If snapshot files
 // exist but none of them loads cleanly, Open fails and preserves the
 // files rather than silently recovering from the empty state. The
-// recovered snapshot and records are exposed via RecoveredSnapshot and
-// RecoveredRecords for the owner to replay.
+// recovered snapshot and records are handed to the owner, once, by
+// TakeRecovered.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: empty state directory")
@@ -292,13 +292,19 @@ func matchGen(name, prefix, suffix string, g *int64) bool {
 	return true
 }
 
-// RecoveredSnapshot returns the snapshot payload Open found, or nil
-// when recovery started from the empty state.
-func (s *Store) RecoveredSnapshot() []byte { return s.recovered }
-
-// RecoveredRecords returns the WAL payloads that follow the recovered
-// snapshot, in append order, for the owner to replay.
-func (s *Store) RecoveredRecords() [][]byte { return s.recoveredRecs }
+// TakeRecovered hands the owner what Open recovered, for it to replay:
+// the snapshot payload (nil when recovery started from the empty state)
+// and the WAL payloads that follow it, in append order. It hands them
+// over once and drops its references, so the recovered image — the
+// records are slices of one buffer holding the whole segment — lives only
+// as long as the owner keeps it; a second call returns nil, nil.
+func (s *Store) TakeRecovered() (snapshot []byte, records [][]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snapshot, records = s.recovered, s.recoveredRecs
+	s.recovered, s.recoveredRecs = nil, nil
+	return snapshot, records
+}
 
 // Recovery reports what Open found and repaired.
 func (s *Store) Recovery() RecoveryInfo { return s.recovery }

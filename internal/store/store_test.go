@@ -33,12 +33,14 @@ func appendAll(t *testing.T, s *Store, payloads ...string) {
 	}
 }
 
-func recordsAsStrings(s *Store) []string {
-	out := make([]string, 0, len(s.RecoveredRecords()))
-	for _, r := range s.RecoveredRecords() {
-		out = append(out, string(r))
+// recovered takes what Open recovered from s, as strings.
+func recovered(s *Store) (snapshot string, records []string) {
+	snap, recs := s.TakeRecovered()
+	records = make([]string, 0, len(recs))
+	for _, r := range recs {
+		records = append(records, string(r))
 	}
-	return out
+	return string(snap), records
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -80,8 +82,8 @@ func TestDecodeRecordCorruption(t *testing.T) {
 func TestOpenEmptyAndPersistAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, SyncAlways)
-	if s.RecoveredSnapshot() != nil || len(s.RecoveredRecords()) != 0 {
-		t.Fatalf("fresh dir recovered state: snap=%v recs=%d", s.RecoveredSnapshot(), len(s.RecoveredRecords()))
+	if snap, recs := recovered(s); snap != "" || len(recs) != 0 {
+		t.Fatalf("fresh dir recovered state: snap=%q recs=%d", snap, len(recs))
 	}
 	appendAll(t, s, "a", "b", "c")
 	if err := s.Close(); err != nil {
@@ -90,7 +92,7 @@ func TestOpenEmptyAndPersistAcrossReopen(t *testing.T) {
 
 	s2 := open(t, dir, SyncAlways)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	want := []string{"a", "b", "c"}
 	if len(got) != len(want) {
 		t.Fatalf("recovered %v, want %v", got, want)
@@ -124,7 +126,7 @@ func TestTornTailTruncated(t *testing.T) {
 	f.Close()
 
 	s2 := open(t, dir, SyncAlways)
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	if len(got) != 2 || got[0] != "good-1" || got[1] != "good-2" {
 		t.Fatalf("recovered %v, want the two clean records", got)
 	}
@@ -137,7 +139,7 @@ func TestTornTailTruncated(t *testing.T) {
 	s2.Close()
 	s3 := open(t, dir, SyncAlways)
 	defer s3.Close()
-	if got := recordsAsStrings(s3); len(got) != 3 || got[2] != "after-crash" {
+	if _, got := recovered(s3); len(got) != 3 || got[2] != "after-crash" {
 		t.Fatalf("after truncate+append recovered %v", got)
 	}
 	if s3.Recovery().Truncated {
@@ -163,7 +165,7 @@ func TestCorruptMiddleRecordTruncatesRest(t *testing.T) {
 
 	s2 := open(t, dir, SyncAlways)
 	defer s2.Close()
-	got := recordsAsStrings(s2)
+	_, got := recovered(s2)
 	if len(got) != 1 || got[0] != "keep" {
 		t.Fatalf("recovered %v, want only the record before the corruption", got)
 	}
@@ -191,11 +193,15 @@ func TestSnapshotRotationAndRecovery(t *testing.T) {
 	}
 	s2 := open(t, dir, SyncAlways)
 	defer s2.Close()
-	if string(s2.RecoveredSnapshot()) != "STATE@2" {
-		t.Errorf("recovered snapshot %q", s2.RecoveredSnapshot())
+	snap, got := recovered(s2)
+	if snap != "STATE@2" {
+		t.Errorf("recovered snapshot %q", snap)
 	}
-	if got := recordsAsStrings(s2); len(got) != 1 || got[0] != "post-1" {
+	if len(got) != 1 || got[0] != "post-1" {
 		t.Errorf("recovered tail %v, want [post-1]", got)
+	}
+	if snap, recs := s2.TakeRecovered(); snap != nil || recs != nil {
+		t.Errorf("the store kept its recovered image after handing it over: %q, %d records", snap, len(recs))
 	}
 	if g := s2.Recovery().Generation; g != 1 {
 		t.Errorf("recovered generation %d, want 1", g)
@@ -226,8 +232,8 @@ func TestCorruptSnapshotFallsBackToOlderGeneration(t *testing.T) {
 	}
 	s2 := open(t, dir, SyncAlways)
 	defer s2.Close()
-	if string(s2.RecoveredSnapshot()) != "GEN1" {
-		t.Errorf("recovered snapshot %q, want GEN1", s2.RecoveredSnapshot())
+	if snap, _ := recovered(s2); snap != "GEN1" {
+		t.Errorf("recovered snapshot %q, want GEN1", snap)
 	}
 	if g := s2.Recovery().Generation; g != 1 {
 		t.Errorf("recovered generation %d, want 1", g)
@@ -304,7 +310,7 @@ func TestInterruptedRotationIgnoresOrphanWAL(t *testing.T) {
 	}
 	s2 := open(t, dir, SyncAlways)
 	defer s2.Close()
-	if got := recordsAsStrings(s2); len(got) != 1 || got[0] != "real" {
+	if _, got := recovered(s2); len(got) != 1 || got[0] != "real" {
 		t.Fatalf("recovered %v, want [real]", got)
 	}
 	if _, err := os.Stat(walPath(dir, 7)); !errors.Is(err, os.ErrNotExist) {
