@@ -56,15 +56,14 @@ chaos:
 	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
 
 # chaos-net runs the network chaos suites: the deterministic fault
-# injector's own tests, then the partition/flap/split-brain scenarios,
-# the overload-shedding and watchdog suites, and the agent's retry loop
-# (bounded jitter, Retry-After honor, rotation rate, failover from a
-# wedged RM) — all seeded, all under the race detector with a hard
-# ceiling. TestDocsNameWhatExists checks that every pattern here names a
+# injector's own tests, then the partition/flap/split-brain scenarios
+# and the agent's retry loop (bounded jitter, backoff after a refused
+# heartbeat, rotation rate, failover from a wedged RM) — all seeded, all
+# under the race detector with a hard ceiling. TestDocsNameWhatExists checks that every pattern here names a
 # test that exists.
 chaos-net:
 	$(GO) test -race -timeout 300s ./internal/netchaos/
-	$(GO) test -race -timeout 300s -run 'NetChaos|Overload|Watchdog|RetryAfter|Jitter|AgentAllRMsUnreachable|AgentLeavesWedgedRM|AgentKeepsLeases' ./internal/rmserver/
+	$(GO) test -race -timeout 300s -run 'NetChaos|RetryBacksOff|Jitter|AgentAllRMsUnreachable|AgentLeavesWedgedRM|AgentKeepsLeases' ./internal/rmserver/
 
 # cover writes the per-package coverage summary to coverage.txt (kept as
 # a CI artifact; informational, no hard gate — see DESIGN.md §11).

@@ -8,7 +8,6 @@
 //	     [-lease-expiry 16] [-drain-timeout 30s] [-manual-tick]
 //	     [-state-dir DIR] [-snapshot-every 256] [-fsync always]
 //	     [-replica-of URL] [-listen-repl ADDR] [-advertise URL]
-//	     [-overload] [-watchdog-stuck 0] [-watchdog-repl-lag 0]
 //	     [-stream-plans] [-adhoc-gate]
 //	     [-chaos-net SCRIPT] [-chaos-seed 1]
 //	ftrm -wal-dump DIR
@@ -39,8 +38,8 @@
 // discipline: "always" (fsync before acknowledging a submission or
 // answering GET /v1/status, and before a tick releases its grants if
 // anything journaled ahead of it is still unsynced; confirms, hand-offs
-// and tick records ride the next commit), "interval" (background fsync
-// every few milliseconds), or "never" (leave flushing to the OS).
+// and tick records ride the next commit) or "never" (leave flushing to
+// the OS).
 //
 // With -replica-of the RM starts as a warm standby of the primary at
 // the given URL (requires -state-dir): it pulls the primary's WAL over
@@ -55,16 +54,6 @@
 // after promotion. -listen-repl opens an additional listener (typically
 // for RM-to-RM replication traffic, so follower pulls don't contend
 // with the agent-facing port); the full API is served on both.
-//
-// With -overload the RM guards its HTTP API with bounded admission queues
-// and deadline-aware rejection (DESIGN.md §14): at most 16 submissions and
-// 64 register/heartbeat calls run at once, 64 more of each class may wait
-// up to 200ms, excess load is shed with a coded "overloaded" error (503 +
-// a 500ms Retry-After) instead of queueing unboundedly, and submissions
-// are sacrificed before confirms/heartbeats so the work already running
-// in the cluster keeps progressing. -watchdog-stuck and -watchdog-repl-lag
-// arm liveness watchdogs whose trips are visible in /v1/status and
-// /metrics.
 //
 // With -chaos-net the RM runs its listeners and its replication client
 // through a seeded deterministic network-fault injector (for chaos
@@ -123,13 +112,10 @@ func main() {
 		manualTick   = flag.Bool("manual-tick", false, "advance slots only via POST /v1/tick")
 		stateDir     = flag.String("state-dir", "", "state directory for WAL + snapshots (empty = not durable)")
 		snapEvery    = flag.Int64("snapshot-every", 256, "slots between state snapshots (with -state-dir)")
-		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, interval, never")
+		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, never")
 		replicaOf    = flag.String("replica-of", "", "run as a warm standby of the primary RM at this URL (requires -state-dir)")
 		listenRepl   = flag.String("listen-repl", "", "additional listen address (typically for RM-to-RM replication traffic)")
 		advertise    = flag.String("advertise", "", "this RM's own URL, used as the leader hint and for fencing")
-		overload     = flag.Bool("overload", false, "guard the HTTP API with bounded admission queues, shedding excess submissions before heartbeats")
-		wdStuck      = flag.Duration("watchdog-stuck", 0, "trip the liveness watchdog when no slot tick lands for this long (0 = off)")
-		wdReplLag    = flag.Int64("watchdog-repl-lag", 0, "trip the watchdog when the follower lags this many WAL records (0 = off)")
 		streamPlans  = flag.Bool("stream-plans", false, "journal plan diffs: every replan is a versioned revision applied transactionally through the WAL (FlowTime only)")
 		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the streamed plan's leftover capacity (implies -stream-plans)")
 		chaosNet     = flag.String("chaos-net", "", "network fault script (';'-separated rules or @file) applied to the listeners and the replication client — chaos testing only")
@@ -161,13 +147,8 @@ func main() {
 		advertise:    *advertise,
 		streamPlans:  *streamPlans || *adhocGate,
 		adhocGate:    *adhocGate,
-		overload:     *overload,
 		chaosNet:     *chaosNet,
 		chaosSeed:    *chaosSeed,
-		watchdog: rmserver.WatchdogConfig{
-			StuckTickAfter: *wdStuck,
-			ReplLagRecords: *wdReplLag,
-		},
 	}
 	if err := run(opts); err != nil {
 		log.Println("ftrm:", err)
@@ -191,8 +172,6 @@ type options struct {
 	advertise    string
 	streamPlans  bool
 	adhocGate    bool
-	overload     bool
-	watchdog     rmserver.WatchdogConfig
 	chaosNet     string
 	chaosSeed    int64
 }
@@ -249,8 +228,6 @@ func run(o options) error {
 		Follower:    o.replicaOf != "",
 		LeaderURL:   o.replicaOf,
 		AdHocGate:   o.adhocGate,
-		Overload:    o.overload,
-		Watchdog:    o.watchdog,
 	})
 	if err != nil {
 		return err
@@ -298,9 +275,6 @@ func run(o options) error {
 				log.Println("ftrm: replication listener:", err)
 			}
 		}()
-	}
-	if o.watchdog.StuckTickAfter > 0 || o.watchdog.ReplLagRecords > 0 {
-		go rm.RunWatchdogs(ctx, 0)
 	}
 	if o.replicaOf != "" {
 		// The pull loop runs until promotion (it then fences the old

@@ -130,7 +130,7 @@ func checkMetricNames(t *testing.T, spans []codeSpan) {
 
 // printedMetrics returns every metric name GET /metrics prints on an RM
 // with each optional block switched on: a store, plan streaming and the
-// ad-hoc gate, overload protection and both watchdogs.
+// ad-hoc gate.
 func printedMetrics(t *testing.T) map[string]bool {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
@@ -145,8 +145,6 @@ func printedMetrics(t *testing.T) map[string]bool {
 		Scheduler: core.New(cfg),
 		Store:     st,
 		AdHocGate: true,
-		Overload:  true,
-		Watchdog:  rmserver.WatchdogConfig{StuckTickAfter: time.Minute, ReplLagRecords: 1},
 	})
 	if err != nil {
 		t.Fatalf("rmserver.New: %v", err)

@@ -177,12 +177,6 @@ type StatusResponse struct {
 	// scheduler as diffs; see internal/plan); present when the scheduler
 	// streams plans or a plan was recovered from the store.
 	Plan *PlanStatus `json:"plan,omitempty"`
-	// Overload reports admission-control and load-shedding state;
-	// present whenever overload protection is enabled (the default).
-	Overload *OverloadStatus `json:"overload,omitempty"`
-	// Watchdog reports the liveness watchdogs (stuck ticks, replication
-	// lag); present whenever any watchdog is armed.
-	Watchdog *WatchdogStatus `json:"watchdog,omitempty"`
 }
 
 // DoneJobs is the completed-job block of GET /v1/status. A completed
@@ -253,42 +247,6 @@ type AdHocQueueStatus struct {
 	// Rev is the plan revision the gate's current window was built from
 	// (-1 before the first plan).
 	Rev int64 `json:"rev"`
-}
-
-// OverloadStatus reports the RM's admission-control state: how much is
-// queued right now and what has been shed, by reason, since start.
-type OverloadStatus struct {
-	// ShedTotal counts requests rejected with CodeOverloaded.
-	ShedTotal int64 `json:"shed_total"`
-	// ShedByReason breaks ShedTotal down: "queue_full" (the bounded
-	// admission queue overflowed), "queue_timeout" (the request would
-	// have waited past the deadline-aware budget), "priority" (a
-	// submission was sacrificed while confirms were queued).
-	ShedByReason map[string]int64 `json:"shed_by_reason,omitempty"`
-	// QueueDepth is the number of requests currently waiting for an
-	// admission slot, across all classes.
-	QueueDepth int64 `json:"queue_depth"`
-	// SubmitInflight and ConfirmInflight are the currently-admitted
-	// request counts per priority class.
-	SubmitInflight  int64 `json:"submit_inflight"`
-	ConfirmInflight int64 `json:"confirm_inflight"`
-	// RetryAfterMs is the backoff hint currently handed to shed clients.
-	RetryAfterMs int64 `json:"retry_after_ms"`
-}
-
-// WatchdogStatus reports the RM's liveness watchdogs.
-type WatchdogStatus struct {
-	// Trips counts watchdog incidents by kind ("stuck_tick",
-	// "repl_lag"). A trip is latched once per excursion, not per check.
-	Trips map[string]int64 `json:"trips,omitempty"`
-	// StuckTick is true while the tick watchdog considers the slot
-	// clock wedged; LastTickAgoMs is how long ago the last successful
-	// tick ran (-1 before the first tick).
-	StuckTick     bool  `json:"stuck_tick,omitempty"`
-	LastTickAgoMs int64 `json:"last_tick_ago_ms"`
-	// ReplLagExceeded is true while the replication-lag watchdog is
-	// tripping (primary role, follower seen, lag over threshold).
-	ReplLagExceeded bool `json:"repl_lag_exceeded,omitempty"`
 }
 
 // ReplicationStatus reports one RM's position in a replicated pair.
@@ -495,11 +453,6 @@ type Error struct {
 	// Leader, set with CodeNotLeader, is the URL of the node the server
 	// believes is the current leader (may be empty).
 	Leader string `json:"leader,omitempty"`
-	// RetryAfterMs, set with CodeOverloaded, is how long the client
-	// should wait before retrying. It mirrors the HTTP Retry-After
-	// header so the hint survives any transport that only preserves the
-	// body (and vice versa).
-	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
 // Machine-readable error codes.
@@ -518,12 +471,6 @@ const (
 	// effect durably; clients should back off and retry rather than
 	// hot-loop against a failing disk.
 	CodeCommitFailed = "commit_failed"
-	// CodeOverloaded is returned (with HTTP 503 + Retry-After) when the
-	// RM sheds a request under overload: the admission queue is full,
-	// the request would wait past its usefulness, or lower-priority
-	// traffic is being sacrificed for confirms. The request did NOT take
-	// effect; clients wait at least Retry-After before trying again.
-	CodeOverloaded = "overloaded"
 )
 
 // Heartbeat timing defaults.

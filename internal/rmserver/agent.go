@@ -150,7 +150,7 @@ func (r *rmRotation) redirect(err error) bool {
 // interval assumed before any RM has named one. An RM that takes the
 // connection and never answers therefore costs an attempt, not the agent.
 // A failed heartbeat is tried again after the backoff delay, capped at one
-// interval, or after the RM's Retry-After hint if that is longer.
+// interval.
 //
 // An unknown-node rejection (RM restarted or evicted us for silence)
 // triggers re-registration with the in-flight lease set dropped — the RM
@@ -245,7 +245,7 @@ func RunAgent(ctx context.Context, client *Client, cfg AgentConfig) error {
 				hbDown = true
 				logf("ftnode %s: heartbeat: %v (will keep retrying quietly)", cfg.NodeID, err)
 			}
-			next.Reset(max(min(backoff.Delay(failures-1), interval), RetryAfterHint(err)))
+			next.Reset(min(backoff.Delay(failures-1), interval))
 			continue
 		default:
 			if hbDown {
@@ -315,7 +315,7 @@ func registerUntilAccepted(ctx context.Context, rot *rmRotation, cfg AgentConfig
 		// not_leader carries a hint to jump to; anything else
 		// round-robins. Either way the next attempt asks a different RM.
 		rot.redirect(err)
-		t := time.NewTimer(max(backoff.Delay(attempt), RetryAfterHint(err)))
+		t := time.NewTimer(backoff.Delay(attempt))
 		select {
 		case <-ctx.Done():
 			t.Stop()

@@ -1,12 +1,15 @@
 package rmserver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -531,26 +534,47 @@ func TestRetryHonorsContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRetryHonorsRetryAfter: a heartbeat shed with a Retry-After hint is
-// tried again no sooner than the hint, though the backoff and the
-// heartbeat interval are both far shorter.
-func TestRetryHonorsRetryAfter(t *testing.T) {
-	const hint = 150 * time.Millisecond
-	rm, err := New(Config{SlotDur: 20 * time.Millisecond, Scheduler: sched.NewFIFO()})
+// TestRetryBacksOffAfterCommitFailed: a heartbeat the RM refuses with a
+// 503 commit_failed is tried again after the backoff delay, capped at one
+// interval — not at once — and the retry re-reports the same completions,
+// since the refused confirm did not take effect.
+func TestRetryBacksOffAfterCommitFailed(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	backoff := Backoff{Base: 50 * time.Millisecond, Max: 50 * time.Millisecond}
+	// backoff.Delay(0) is jittered down by at most backoffJitter.
+	minWait := time.Duration(float64(min(backoff.Base, interval)) * (1 - backoffJitter))
+	rm, err := New(Config{SlotDur: interval, Scheduler: sched.NewFIFO()})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	h := rm.Handler()
+	type beat struct {
+		at        time.Time
+		completed []string
+	}
 	var mu sync.Mutex
-	var beats []time.Time
+	var beats []beat
+	refused := -1 // index in beats of the heartbeat refused
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == rmproto.PathHeartbeat {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("read heartbeat: %v", err)
+			}
+			req, err := rmproto.DecodeHeartbeatRequest(body)
+			if err != nil {
+				t.Errorf("decode heartbeat: %v", err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			mu.Lock()
-			beats = append(beats, time.Now())
-			first := len(beats) == 1
+			beats = append(beats, beat{at: time.Now(), completed: req.Completed})
+			refuse := refused < 0 && len(req.Completed) > 0
+			if refuse {
+				refused = len(beats) - 1
+			}
 			mu.Unlock()
-			if first {
-				writeError(w, http.StatusServiceUnavailable, &OverloadedError{Reason: "queue_full", RetryAfter: hint})
+			if refuse {
+				writeError(w, http.StatusServiceUnavailable, ErrCommitFailed)
 				return
 			}
 		}
@@ -565,26 +589,52 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 		agentErr <- RunAgent(ctx, NewClient(srv.URL, nil), AgentConfig{
 			NodeID:   "n1",
 			Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
-			Backoff:  Backoff{Base: time.Millisecond, Max: time.Millisecond},
+			Backoff:  backoff,
 		})
 	}()
+	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "j", Tasks: 1, TaskDurSec: 1, DemandVCores: 1, DemandMemMB: 256,
+	}}); err != nil {
+		t.Fatalf("SubmitAdHoc: %v", err)
+	}
+	tickDone := make(chan struct{})
+	defer close(tickDone)
+	go func() {
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-tickDone:
+				return
+			case now := <-ticker.C:
+				_ = rm.Tick(now)
+			}
+		}
+	}()
+
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		mu.Lock()
-		n := len(beats)
+		done := refused >= 0 && len(beats) > refused+1
 		mu.Unlock()
-		if n >= 2 {
+		if done {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("agent never heartbeat twice")
+			t.Fatal("agent never retried a refused confirming heartbeat")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	cancel()
 	<-agentErr
-	if gap := beats[1].Sub(beats[0]); gap < hint {
-		t.Errorf("heartbeat retried after %v, want >= the RM's Retry-After hint %v", gap, hint)
+	mu.Lock()
+	defer mu.Unlock()
+	first, retry := beats[refused], beats[refused+1]
+	if gap := retry.at.Sub(first.at); gap < minWait {
+		t.Errorf("heartbeat retried after %v, want >= min(backoff.Delay(0), interval) >= %v", gap, minWait)
+	}
+	if !slices.Equal(retry.completed, first.completed) {
+		t.Errorf("retry reported completions %v, want the refused heartbeat's %v", retry.completed, first.completed)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"time"
 
 	"flowtime/internal/rmproto"
 )
@@ -346,18 +345,7 @@ func (c *Client) do(req *http.Request, decode func(io.Reader) error) error {
 	if resp.StatusCode != http.StatusOK {
 		var e rmproto.Error
 		_ = json.NewDecoder(body).Decode(&e)
-		se := &StatusError{StatusCode: resp.StatusCode, Code: e.Code, Message: e.Message, Leader: e.Leader}
-		// The Retry-After header (whole seconds, per RFC 9110) and the
-		// body's retry_after_ms carry the same hint at different
-		// resolutions; prefer the finer-grained body when present.
-		if e.RetryAfterMs > 0 {
-			se.RetryAfter = time.Duration(e.RetryAfterMs) * time.Millisecond
-		} else if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-				se.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return se
+		return &StatusError{StatusCode: resp.StatusCode, Code: e.Code, Message: e.Message, Leader: e.Leader}
 	}
 	if err := decode(body); err != nil {
 		return fmt.Errorf("rmserver: client: decode: %w", err)

@@ -11,7 +11,6 @@ import (
 	"mime"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,41 +20,20 @@ import (
 )
 
 // Handler returns the RM's HTTP API (see rmproto for paths and types).
-// With Config.Overload set, submission and confirm-path endpoints pass
-// through the admission gate (overload.go) and may be shed with a coded
-// 503 + Retry-After; control endpoints (tick, drain, replication,
-// status, metrics) are never shed — operators must be able to inspect
-// and drain an overloaded RM.
 func (s *Server) Handler() http.Handler {
-	// guard applies the admission gate for one traffic class; a nil
-	// gate (no Config.Overload) passes everything through untouched.
-	guard := func(class string, h http.HandlerFunc) http.HandlerFunc {
-		if s.admission == nil {
-			return h
-		}
-		return func(w http.ResponseWriter, r *http.Request) {
-			release, err := s.admission.acquire(r.Context(), class)
-			if err != nil {
-				writeError(w, errorStatus(err), err)
-				return
-			}
-			defer release()
-			h(w, r)
-		}
-	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+rmproto.PathRegister, guard(classConfirm, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+rmproto.PathRegister, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, func(req rmproto.RegisterNodeRequest) (rmproto.RegisterNodeResponse, error) {
 			return s.RegisterNode(req, time.Now())
 		})
-	}))
-	mux.HandleFunc("POST "+rmproto.PathHeartbeat, guard(classConfirm, handleBinary(rmproto.HeartbeatMediaType,
+	})
+	mux.HandleFunc("POST "+rmproto.PathHeartbeat, handleBinary(rmproto.HeartbeatMediaType,
 		"a heartbeat body is "+rmproto.HeartbeatMediaType+", as rmproto.AppendHeartbeatRequest encodes it",
 		rmproto.DecodeHeartbeatRequest,
 		func(req rmproto.HeartbeatRequest) (rmproto.HeartbeatResponse, error) {
 			return s.Heartbeat(req, time.Now())
 		},
-		rmproto.AppendHeartbeatResponse)))
+		rmproto.AppendHeartbeatResponse))
 	mux.HandleFunc("POST "+rmproto.PathDrain, func(w http.ResponseWriter, r *http.Request) {
 		handleJSON(w, r, func(req rmproto.DrainRequest) (rmproto.DrainResponse, error) {
 			if req.WaitMs <= 0 {
@@ -67,12 +45,12 @@ func (s *Server) Handler() http.Handler {
 			return s.Drain(ctx), nil
 		})
 	})
-	mux.HandleFunc("POST "+rmproto.PathWorkflows, guard(classSubmit, handleBinary(rmproto.SubmitMediaType,
+	mux.HandleFunc("POST "+rmproto.PathWorkflows, handleBinary(rmproto.SubmitMediaType,
 		"a workflow submission is "+rmproto.SubmitMediaType+", as rmproto.AppendSubmitWorkflowRequest encodes it and ftsubmit -trace sends it",
-		rmproto.DecodeSubmitWorkflowRequest, s.SubmitWorkflow, rmproto.AppendSubmitResponse)))
-	mux.HandleFunc("POST "+rmproto.PathAdHoc, guard(classSubmit, handleBinary(rmproto.SubmitMediaType,
+		rmproto.DecodeSubmitWorkflowRequest, s.SubmitWorkflow, rmproto.AppendSubmitResponse))
+	mux.HandleFunc("POST "+rmproto.PathAdHoc, handleBinary(rmproto.SubmitMediaType,
 		"an ad-hoc submission is "+rmproto.SubmitMediaType+", as rmproto.AppendSubmitAdHocRequest encodes it and ftsubmit -trace sends it",
-		rmproto.DecodeSubmitAdHocRequest, s.SubmitAdHoc, rmproto.AppendSubmitResponse)))
+		rmproto.DecodeSubmitAdHocRequest, s.SubmitAdHoc, rmproto.AppendSubmitResponse))
 	mux.HandleFunc("POST "+rmproto.PathShip, func(w http.ResponseWriter, r *http.Request) {
 		if resp, ok := callJSON(w, r, s.ShipLog); ok {
 			s.writeReadPath(w, r, "application/json", encodeJSON(resp))
@@ -169,37 +147,6 @@ func (s *Server) Handler() http.Handler {
 			fmt.Fprintf(w, "# TYPE flowtime_rm_recovery_micros gauge\nflowtime_rm_recovery_micros %d\n", r.Micros)
 			fmt.Fprintf(w, "# TYPE flowtime_rm_recovery_wal_truncated gauge\nflowtime_rm_recovery_wal_truncated %d\n", boolToInt(r.WALTruncated))
 			fmt.Fprintf(w, "# TYPE flowtime_rm_recovery_orphan_leases gauge\nflowtime_rm_recovery_orphan_leases %d\n", r.OrphanLeasesRequeued)
-		}
-		if o := st.Overload; o != nil {
-			fmt.Fprintf(w, "# TYPE flowtime_shed_total counter\n")
-			reasons := make([]string, 0, len(o.ShedByReason))
-			for reason := range o.ShedByReason {
-				reasons = append(reasons, reason)
-			}
-			sort.Strings(reasons)
-			for _, reason := range reasons {
-				fmt.Fprintf(w, "flowtime_shed_total{reason=%q} %d\n", reason, o.ShedByReason[reason])
-			}
-			if len(reasons) == 0 {
-				fmt.Fprintf(w, "flowtime_shed_total{reason=\"none\"} 0\n")
-			}
-			fmt.Fprintf(w, "# TYPE flowtime_admission_queue_depth gauge\nflowtime_admission_queue_depth %d\n", o.QueueDepth)
-		}
-		if wd := st.Watchdog; wd != nil {
-			fmt.Fprintf(w, "# TYPE flowtime_watchdog_trips_total counter\n")
-			kinds := make([]string, 0, len(wd.Trips))
-			for kind := range wd.Trips {
-				kinds = append(kinds, kind)
-			}
-			sort.Strings(kinds)
-			for _, kind := range kinds {
-				fmt.Fprintf(w, "flowtime_watchdog_trips_total{kind=%q} %d\n", kind, wd.Trips[kind])
-			}
-			if len(kinds) == 0 {
-				fmt.Fprintf(w, "flowtime_watchdog_trips_total{kind=\"none\"} 0\n")
-			}
-			fmt.Fprintf(w, "# TYPE flowtime_watchdog_stuck_tick gauge\nflowtime_watchdog_stuck_tick %d\n", boolToInt(wd.StuckTick))
-			fmt.Fprintf(w, "# TYPE flowtime_watchdog_repl_lag_exceeded gauge\nflowtime_watchdog_repl_lag_exceeded %d\n", boolToInt(wd.ReplLagExceeded))
 		}
 		s.writeReadPath(rw, r, "text/plain; version=0.0.4", w.Bytes())
 	})
@@ -419,10 +366,9 @@ func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownNode):
 		return http.StatusNotFound
-	case errors.Is(err, ErrNotLeader), errors.Is(err, ErrCommitFailed), errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrNotLeader), errors.Is(err, ErrCommitFailed):
 		// 503: retryable per the client's Retryable() — the caller should
-		// back off (commit_failed, overloaded) or follow the leader hint
-		// (not_leader).
+		// back off (commit_failed) or follow the leader hint (not_leader).
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadRequest
@@ -447,16 +393,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		e.Leader = LeaderHint(err)
 	case errors.Is(err, ErrCommitFailed):
 		e.Code = rmproto.CodeCommitFailed
-	case errors.Is(err, ErrOverloaded):
-		e.Code = rmproto.CodeOverloaded
-		if ra := RetryAfterHint(err); ra > 0 {
-			// Both forms of the hint: the standard header (whole seconds,
-			// rounded up — RFC 9110 allows no finer) and the body's
-			// millisecond field for clients that parse the error.
-			e.RetryAfterMs = ra.Milliseconds()
-			secs := int64((ra + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		}
 	}
 	writeJSON(w, status, e)
 }

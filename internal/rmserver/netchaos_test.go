@@ -369,21 +369,6 @@ func TestNetChaosCodedErrorsThroughWrappedListener(t *testing.T) {
 		t.Errorf("leader hint %q did not survive the wrapped listener", hint)
 	}
 
-	// overloaded + Retry-After through the same seam.
-	overrm, _ := newOverloadedRM(t, newAdmission(submitConcurrency, 1, 1, 5*time.Millisecond, 1200*time.Millisecond))
-	release, err := overrm.admission.acquire(ctx, classConfirm)
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	defer release()
-	err = register(NewClient(chaosListen(t, overrm, 10, "0s+ throttle c<->s 65536"), nil))
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("register via wrapped listener during overload = %v, want ErrOverloaded", err)
-	}
-	if got := RetryAfterHint(err); got != 1200*time.Millisecond {
-		t.Errorf("Retry-After hint via wrapped listener = %v, want 1.2s (millisecond body field wins)", got)
-	}
-
 	// not_leader again with the RoundTripper seam on the client side too.
 	chaosHC := &http.Client{Transport: &netchaos.Transport{
 		Injector: netchaos.New(12, mustScript(t, "0s+ latency c->s 1ms")), From: "c", To: "s",

@@ -58,7 +58,6 @@ func (r Role) String() string {
 type replState struct {
 	hasFollower bool
 	followerWM  store.Watermark
-	lastSeen    time.Time
 }
 
 // Role returns the server's current role.
@@ -115,7 +114,6 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 	epoch := s.epoch
 	s.repl.hasFollower = true
 	s.repl.followerWM = from
-	s.repl.lastSeen = time.Now()
 	s.mu.Unlock()
 
 	batch, err := s.store.ShipFrom(from, req.MaxBytes)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"flowtime/internal/rmproto"
 )
@@ -26,29 +25,6 @@ var ErrNotLeader = errors.New("rmserver: not the leader")
 // WAL record durable (disk fault). The mutation must not be assumed to
 // have taken effect; callers back off and retry.
 var ErrCommitFailed = errors.New("rmserver: wal commit failed")
-
-// ErrOverloaded is reported when the RM sheds a request under overload
-// (bounded admission queue full, deadline-aware wait exceeded, or
-// priority shedding). The request did not take effect; clients wait at
-// least the Retry-After hint before trying again.
-var ErrOverloaded = errors.New("rmserver: overloaded")
-
-// OverloadedError is the server-side form of ErrOverloaded, carrying
-// the shed reason and the backoff hint. errors.Is(err, ErrOverloaded)
-// matches it.
-type OverloadedError struct {
-	// Reason is the shed class: "queue_full", "queue_timeout", "priority".
-	Reason string
-	// RetryAfter is how long the client should wait before retrying.
-	RetryAfter time.Duration
-}
-
-func (e *OverloadedError) Error() string {
-	return fmt.Sprintf("rmserver: overloaded (%s); retry after %v", e.Reason, e.RetryAfter)
-}
-
-// Is matches ErrOverloaded.
-func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
 // NotLeaderError is the server-side form of ErrNotLeader, carrying the
 // redirect hint. errors.Is(err, ErrNotLeader) matches it.
@@ -83,10 +59,6 @@ type StatusError struct {
 	Message    string
 	// Leader is the leader hint from a not_leader response.
 	Leader string
-	// RetryAfter is the server's backoff hint, parsed from the
-	// Retry-After header or the body's retry_after_ms (whichever the
-	// transport preserved); 0 when the response carried none.
-	RetryAfter time.Duration
 }
 
 func (e *StatusError) Error() string {
@@ -105,25 +77,8 @@ func (e *StatusError) Is(target error) bool {
 		return e.Code == rmproto.CodeNotLeader
 	case ErrCommitFailed:
 		return e.Code == rmproto.CodeCommitFailed
-	case ErrOverloaded:
-		return e.Code == rmproto.CodeOverloaded
 	}
 	return false
-}
-
-// RetryAfterHint extracts the server's backoff hint from an error,
-// local (OverloadedError) or wire-form (StatusError); 0 when the error
-// carries none.
-func RetryAfterHint(err error) time.Duration {
-	var oe *OverloadedError
-	if errors.As(err, &oe) {
-		return oe.RetryAfter
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.RetryAfter
-	}
-	return 0
 }
 
 // LeaderHint extracts the leader URL from a not-leader error, local or

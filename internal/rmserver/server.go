@@ -88,13 +88,6 @@ type Config struct {
 	// submission is rejected, because there is no leftover to admit
 	// against.
 	AdHocGate bool
-	// Overload, when true, bounds the HTTP front door with per-class
-	// admission queues and load shedding at fixed limits (see
-	// overload.go). False leaves the API unguarded.
-	Overload bool
-	// Watchdog enables the liveness detectors (see watchdog.go). The
-	// zero value disables both.
-	Watchdog WatchdogConfig
 }
 
 // Server is the resource manager. Create with New. All methods are safe
@@ -166,12 +159,6 @@ type Server struct {
 	fenced    bool
 	leaderURL string
 	repl      replState
-
-	// Overload and liveness protection (overload.go, watchdog.go).
-	// admission is nil unless Config.Overload is set; watchdog is
-	// always present (its detectors may be disabled).
-	admission *admission
-	watchdog  *watchdog
 
 	// gz compresses read-path responses for clients that ask (http.go).
 	gz compressor
@@ -328,13 +315,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Follower {
 		s.role = RoleFollower
 	}
-	if cfg.Overload {
-		s.admission = newAdmission(submitConcurrency, confirmConcurrency, admissionQueueDepth, admissionMaxWait, shedRetryAfter)
-	}
 	if cfg.AdHocGate {
 		s.gate = &adhocGate{}
 	}
-	s.watchdog = newWatchdog(cfg.Watchdog)
 	s.cond = sync.NewCond(&s.mu)
 	if s.store != nil {
 		if err := s.recoverLocked(); err != nil {
@@ -778,9 +761,6 @@ func (s *Server) Tick(now time.Time) error {
 		}
 		s.mu.Unlock()
 	}
-	if err == nil {
-		s.watchdog.noteTick(now)
-	}
 	return err
 }
 
@@ -1208,21 +1188,6 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 			}
 		}
 		resp.Replication = r
-	}
-	if s.admission != nil {
-		resp.Overload = s.admission.status()
-	}
-	// Every status poll re-evaluates the watchdogs, so a scraped RM
-	// never reports stale liveness verdicts.
-	now := time.Now()
-	var lag int64
-	var lagKnown bool
-	if resp.Replication != nil && resp.Replication.FollowerSeen {
-		lag, lagKnown = resp.Replication.LagRecords, true
-	}
-	s.watchdog.check(now, lag, lagKnown)
-	if s.cfg.Watchdog.enabled() {
-		resp.Watchdog = s.watchdog.status(now)
 	}
 	return resp
 }

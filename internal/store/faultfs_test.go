@@ -6,29 +6,28 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 func openFault(t *testing.T, dir string, ffs *FaultFS, policy SyncPolicy) *Store {
 	t.Helper()
-	s, err := Open(Options{Dir: dir, Policy: policy, FlushInterval: time.Hour, FS: ffs})
+	s, err := Open(Options{Dir: dir, Policy: policy, FS: ffs})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return s
 }
 
-// TestIntervalCrashWindow is the fsync-interval durability contract:
-// with -fsync interval, a machine crash loses at most the records
-// appended since the last sync — and the survivors are exactly a prefix
-// of the append order, never reordered, never duplicated.
+// TestIntervalCrashWindow is the durability contract between syncs:
+// with -fsync never plus an explicit Sync, a machine crash loses at most
+// the records appended since that sync — and the survivors are exactly
+// a prefix of the append order, never reordered, never duplicated.
 func TestIntervalCrashWindow(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS()
-	s := openFault(t, dir, ffs, SyncInterval)
+	s := openFault(t, dir, ffs, SyncNever)
 
 	appendAll(t, s, "a", "b", "c")
-	if err := s.Sync(); err != nil { // the interval flusher fires here
+	if err := s.Sync(); err != nil { // the only sync before the crash
 		t.Fatalf("Sync: %v", err)
 	}
 	appendAll(t, s, "d", "e") // acknowledged but inside the sync window
@@ -38,7 +37,7 @@ func TestIntervalCrashWindow(t *testing.T) {
 
 	ffs.Crash()
 
-	s2 := openFault(t, dir, ffs, SyncInterval)
+	s2 := openFault(t, dir, ffs, SyncNever)
 	defer s2.Close()
 	_, got := recovered(s2)
 	want := []string{"a", "b", "c"}
@@ -62,7 +61,7 @@ func TestIntervalCrashWindow(t *testing.T) {
 func TestIntervalFsyncFaultCrashWindow(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS()
-	s := openFault(t, dir, ffs, SyncInterval)
+	s := openFault(t, dir, ffs, SyncNever)
 
 	appendAll(t, s, "a", "b")
 	if err := s.Sync(); err != nil {
@@ -81,7 +80,7 @@ func TestIntervalFsyncFaultCrashWindow(t *testing.T) {
 	}
 
 	ffs.Crash()
-	s2 := openFault(t, dir, ffs, SyncInterval)
+	s2 := openFault(t, dir, ffs, SyncNever)
 	defer s2.Close()
 	_, got := recovered(s2)
 	want := []string{"a", "b"}

@@ -17,9 +17,6 @@ type Options struct {
 	Dir string
 	// Policy selects the fsync discipline (default SyncAlways).
 	Policy SyncPolicy
-	// FlushInterval paces the background fsync under SyncInterval
-	// (default 5ms; ignored otherwise).
-	FlushInterval time.Duration
 	// FS is the filesystem the store runs on (default OSFS). Tests
 	// substitute a FaultFS to exercise disk-fault paths.
 	FS FS
@@ -83,9 +80,6 @@ type Store struct {
 	recovered     []byte
 	recoveredRecs [][]byte
 	recovery      RecoveryInfo
-
-	stopFlush chan struct{}
-	flushDone chan struct{}
 }
 
 func snapPath(dir string, gen int64) string {
@@ -114,9 +108,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, err
-	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = 5 * time.Millisecond
 	}
 	start := time.Now()
 	s := &Store{
@@ -225,12 +216,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.w.base, s.w.baseBytes = walBase, walBaseBytes
 	s.recovery.Elapsed = time.Since(start)
-
-	if s.policy == SyncInterval {
-		s.stopFlush = make(chan struct{})
-		s.flushDone = make(chan struct{})
-		go s.flushLoop(opts.FlushInterval)
-	}
 	return s, nil
 }
 
@@ -339,8 +324,8 @@ func (s *Store) Append(payload []byte) (Handle, error) {
 }
 
 // Commit makes the record behind the handle durable per the sync
-// policy: under SyncAlways it group-commits and waits; under
-// SyncInterval and SyncNever it returns immediately. If the handle's
+// policy: under SyncAlways it group-commits and waits; under SyncNever
+// it returns immediately. If the handle's
 // segment has been rotated out by WriteSnapshot, the record is already
 // durable (rotation syncs the outgoing segment before swapping) and
 // Commit returns without touching the new segment.
@@ -454,29 +439,6 @@ func (s *Store) Dir() string { return s.dir }
 // Policy returns the store's sync policy.
 func (s *Store) Policy() SyncPolicy { return s.policy }
 
-func (s *Store) flushLoop(every time.Duration) {
-	defer close(s.flushDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopFlush:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			w := s.w
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			// Best effort: a sticky WAL error surfaces on Close and on
-			// the next Append.
-			_ = w.syncNow()
-		}
-	}
-}
-
 // Close syncs and closes the active segment. The store is unusable
 // afterwards.
 func (s *Store) Close() error {
@@ -488,10 +450,6 @@ func (s *Store) Close() error {
 	s.closed = true
 	w := s.w
 	s.mu.Unlock()
-	if s.stopFlush != nil {
-		close(s.stopFlush)
-		<-s.flushDone
-	}
 	err := w.syncNow()
 	if cerr := w.close(); err == nil {
 		err = cerr

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -389,42 +390,20 @@ func TestCommitCoversWrittenPrefix(t *testing.T) {
 	}
 }
 
-func TestIntervalPolicyFlushesInBackground(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Policy: SyncInterval, FlushInterval: time.Millisecond})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	seq, err := s.Append([]byte("lazy"))
-	if err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := s.Commit(seq); err != nil { // must not block
-		t.Fatalf("Commit: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Fsyncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never fsynced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
-		"always": SyncAlways, "interval": SyncInterval, "never": SyncNever, "none": SyncNever,
+		"always": SyncAlways, "never": SyncNever, "none": SyncNever,
 	} {
 		got, err := ParseSyncPolicy(in)
 		if err != nil || got != want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy accepted")
+	for _, in := range []string{"sometimes", "interval"} {
+		_, err := ParseSyncPolicy(in)
+		if err == nil || !strings.Contains(err.Error(), "always") || !strings.Contains(err.Error(), "never") {
+			t.Errorf("ParseSyncPolicy(%q) error = %v, want one naming always and never", in, err)
+		}
 	}
 }
 

@@ -15,11 +15,6 @@ const (
 	// the first waiter syncs the file and releases everyone whose record
 	// was already written, so the per-record cost amortizes under load.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval appends without waiting; a background flusher fsyncs
-	// on a fixed interval. A crash can lose up to one interval of
-	// acknowledged records (never more), in exchange for submit/confirm
-	// latency independent of disk sync cost.
-	SyncInterval
 	// SyncNever leaves all syncing to the OS. For tests and benchmarks.
 	SyncNever
 )
@@ -29,8 +24,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -43,12 +36,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never", "none":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval, or never)", s)
+		return 0, fmt.Errorf("store: unknown fsync policy %q (want always or never)", s)
 	}
 }
 
@@ -158,7 +149,7 @@ func (w *wal) waitSynced(seq int64) error {
 	return w.err
 }
 
-// syncNow fsyncs everything written so far (interval flusher, rotation).
+// syncNow fsyncs everything written so far (Sync, rotation, Close).
 func (w *wal) syncNow() error {
 	w.mu.Lock()
 	seq := w.writtenSeq
