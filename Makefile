@@ -49,17 +49,19 @@ race:
 	$(GO) test -race -timeout 600s ./...
 
 # chaos runs only the process-level and failover chaos suites (SIGKILL +
-# restart, replicated failover, fencing, disk-fault injection) and the
-# durability oracles (recovery equivalence; live ≡ replay, leases
-# included) under the race detector with a hard ceiling.
+# restart, replicated failover, fencing, disk-fault injection, a FlowTime
+# ftrm streaming its plan with no flag) and the durability oracles
+# (recovery equivalence; live ≡ replay, leases included) under the race
+# detector with a hard ceiling.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
+	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay|StreamsByDefault' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
 
 # chaos-net runs the network chaos suites: the deterministic fault
 # injector's own tests, then the partition/flap/split-brain scenarios
 # and the agent's retry loop (bounded jitter, backoff after a refused
 # heartbeat, rotation rate, failover from a wedged RM) — all seeded, all
-# under the race detector with a hard ceiling. TestDocsNameWhatExists checks that every pattern here names a
+# in-process (no binary takes a fault script), all under the race
+# detector with a hard ceiling. TestDocsNameWhatExists checks that every pattern here names a
 # test that exists.
 chaos-net:
 	$(GO) test -race -timeout 300s ./internal/netchaos/

@@ -19,29 +19,21 @@
 // unreachable the agent probes the ring at the backoff cap (5s), logging
 // once per outage transition rather than once per attempt.
 //
-// -chaos-net runs the agent's RM traffic through a seeded deterministic
-// network-fault injector (chaos testing only): the script is inline
-// rules separated by ';' or @file, and the agent's traffic is the link
-// agent->rm (responses travel rm->agent).
-//
 // Usage:
 //
 //	ftnode [-rm http://localhost:8030[,http://backup:8030]] [-id node-1]
 //	       [-cores 32] [-mem-mb 65536]
-//	       [-chaos-net SCRIPT] [-chaos-seed 1]
 package main
 
 import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
-	"flowtime/internal/netchaos"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/rmserver"
 )
@@ -49,12 +41,10 @@ import (
 func main() {
 	log.SetFlags(log.LstdFlags)
 	var (
-		rmURL     = flag.String("rm", "http://localhost:8030", "resource manager URL(s), comma-separated; first is tried first")
-		id        = flag.String("id", "", "node ID (required)")
-		cores     = flag.Int64("cores", 32, "node vcores")
-		memMB     = flag.Int64("mem-mb", 64*1024, "node memory (MiB)")
-		chaosNet  = flag.String("chaos-net", "", "network fault script (';'-separated rules or @file) applied to RM traffic — chaos testing only")
-		chaosSeed = flag.Int64("chaos-seed", 1, "seed for the deterministic network fault injector")
+		rmURL = flag.String("rm", "http://localhost:8030", "resource manager URL(s), comma-separated; first is tried first")
+		id    = flag.String("id", "", "node ID (required)")
+		cores = flag.Int64("cores", 32, "node vcores")
+		memMB = flag.Int64("mem-mb", 64*1024, "node memory (MiB)")
 	)
 	flag.Parse()
 	if *id == "" {
@@ -73,23 +63,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var hc *http.Client
-	if *chaosNet != "" {
-		script, err := netchaos.LoadScript(*chaosNet)
-		if err != nil {
-			log.Println("ftnode:", err)
-			os.Exit(2)
-		}
-		hc = &http.Client{Transport: &netchaos.Transport{
-			Injector: netchaos.New(*chaosSeed, script), From: "agent", To: "rm",
-		}}
-		log.Printf("ftnode: CHAOS: network fault injection armed (seed=%d): %s", *chaosSeed, *chaosNet)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	err := rmserver.RunAgent(ctx, rmserver.NewClient(rms[0], hc), rmserver.AgentConfig{
+	err := rmserver.RunAgent(ctx, rmserver.NewClient(rms[0], nil), rmserver.AgentConfig{
 		NodeID:   *id,
 		Capacity: rmproto.Resources{VCores: *cores, MemoryMB: *memMB},
 		RMs:      rms,

@@ -244,10 +244,10 @@ func recoverInProcess(t *testing.T, dir string) *rmserver.Server {
 	return rm
 }
 
-// streamingFlags turns an ftrm process into a plan-streaming FlowTime RM
-// with the ad-hoc admission gate armed. Slack is zeroed so the short
-// deadlines used here stay feasible at a 50ms slot.
-var streamingFlags = []string{"-sched", "FlowTime", "-slack", "0s", "-stream-plans", "-adhoc-gate"}
+// streamingFlags turns an ftrm process into a FlowTime RM, which streams
+// its plan, with the ad-hoc admission gate armed. Slack is zeroed so the
+// short deadlines used here stay feasible at a 50ms slot.
+var streamingFlags = []string{"-sched", "FlowTime", "-slack", "0s", "-adhoc-gate"}
 
 // planWorkflow returns a deadline workflow small enough to plan at a
 // 50ms slot but busy enough to drive a stream of plan revisions.
@@ -617,9 +617,9 @@ func TestKillAndRestartKeepsAHandOffAsALease(t *testing.T) {
 	}
 }
 
-// walGauges reads the fsync count and the unsynced-record backlog off
-// GET /metrics, which never fsyncs.
-func walGauges(t *testing.T, base string) (fsyncs, unsynced int64) {
+// scrapeMetrics reads GET /metrics, which never fsyncs, and returns the
+// value of each unlabelled series it prints.
+func scrapeMetrics(t *testing.T, base string) map[string]int64 {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -630,19 +630,86 @@ func walGauges(t *testing.T, base string) (fsyncs, unsynced int64) {
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
-	fsyncs, unsynced = -1, -1
+	series := make(map[string]int64)
 	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "flowtime_rm_wal_fsyncs_total "); ok {
-			fsyncs, _ = strconv.ParseInt(v, 10, 64)
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
 		}
-		if v, ok := strings.CutPrefix(line, "flowtime_rm_wal_unsynced_records "); ok {
-			unsynced, _ = strconv.ParseInt(v, 10, 64)
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			series[name] = n
 		}
 	}
-	if fsyncs < 0 || unsynced < 0 {
-		t.Fatalf("/metrics lacks the WAL gauges:\n%s", body)
+	return series
+}
+
+// walGauges reads the fsync count and the unsynced-record backlog off
+// GET /metrics.
+func walGauges(t *testing.T, base string) (fsyncs, unsynced int64) {
+	t.Helper()
+	m := scrapeMetrics(t, base)
+	fsyncs, ok1 := m["flowtime_rm_wal_fsyncs_total"]
+	unsynced, ok2 := m["flowtime_rm_wal_unsynced_records"]
+	if !ok1 || !ok2 {
+		t.Fatalf("/metrics lacks the WAL gauges: %v", m)
 	}
 	return fsyncs, unsynced
+}
+
+// TestFlowTimeStreamsByDefault: a FlowTime ftrm journals its plan diffs
+// with no flag asking for it. One workflow and two ticks give a plan
+// revision that the status reports and a diff that /metrics counts.
+func TestFlowTimeStreamsByDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level test")
+	}
+	bin := buildFTRM(t)
+	port := freePort(t)
+	base := fmt.Sprintf("http://127.0.0.1:%d", port)
+	client := rmserver.NewClient(base, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	startFTRM(t, bin, t.TempDir(), port, "-sched", "FlowTime", "-manual-tick")
+	waitStatus(t, client, 10*time.Second, "ftrm up", func(rmproto.StatusResponse) bool { return true })
+	if _, err := client.RegisterNode(ctx, rmproto.RegisterNodeRequest{NodeID: "n1", Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8192}}); err != nil {
+		t.Fatalf("RegisterNode: %v", err)
+	}
+	if _, err := client.SubmitWorkflow(ctx, rmproto.SubmitWorkflowRequest{Workflow: planWorkflow("wf")}); err != nil {
+		t.Fatalf("SubmitWorkflow: %v", err)
+	}
+	for range 2 {
+		if err := client.Tick(ctx); err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+	}
+	st, err := client.Status(ctx)
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if st.Plan == nil || st.Plan.Rev < 1 {
+		t.Errorf("status plan block %+v, want a revision >= 1", st.Plan)
+	}
+	if n := scrapeMetrics(t, base)["flowtime_plan_diffs_applied_total"]; n < 1 {
+		t.Errorf("flowtime_plan_diffs_applied_total = %d, want >= 1", n)
+	}
+}
+
+// TestNegativeLeaseExpiryRefused: every lease expires, so ftrm exits with
+// rmserver.New's error for a negative -lease-expiry.
+func TestNegativeLeaseExpiryRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level test")
+	}
+	bin := buildFTRM(t)
+	// An ftrm that accepted the value would serve until the deadline kills it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", fmt.Sprintf("127.0.0.1:%d", freePort(t)), "-lease-expiry", "-1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "lease expiry -1") {
+		t.Fatalf("ftrm -lease-expiry -1: %v\n%s\nwant exit 1 naming the lease expiry", err, out)
+	}
 }
 
 // TestKillAndRestartKeepsAnUnsyncedTick is the process-kill side of the

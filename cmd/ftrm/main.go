@@ -8,21 +8,18 @@
 //	     [-lease-expiry 16] [-drain-timeout 30s] [-manual-tick]
 //	     [-state-dir DIR] [-snapshot-every 256] [-fsync always]
 //	     [-replica-of URL] [-listen-repl ADDR] [-advertise URL]
-//	     [-stream-plans] [-adhoc-gate]
-//	     [-chaos-net SCRIPT] [-chaos-seed 1]
+//	     [-adhoc-gate]
 //	ftrm -wal-dump DIR
 //
-// With -stream-plans the FlowTime scheduler publishes every replan as a
-// versioned plan revision and the RM journals the *diff* against the
-// previous revision (one WAL record per replan, applied transactionally
-// and replicated to a follower like any other record; DESIGN.md §15)
-// instead of nothing at all — the durable live plan then survives
-// crashes and failovers and is reported under /v1/status "plan".
-// -adhoc-gate (implies -stream-plans) additionally routes every ad-hoc
-// submission through the leftover-capacity admission gate:
-// the job is admitted or rejected in O(window) against the live plan's
-// slack without waking the planner. Both flags require the FlowTime
-// scheduler.
+// The FlowTime scheduler publishes every replan as a versioned plan
+// revision and the RM journals the *diff* against the previous revision
+// (one WAL record per replan, applied transactionally and replicated to a
+// follower like any other record; DESIGN.md §15): the durable live plan
+// survives crashes and failovers and is reported under /v1/status "plan".
+// -adhoc-gate additionally routes every ad-hoc submission through the
+// leftover-capacity admission gate: the job is admitted or rejected in
+// O(window) against the live plan's slack without waking the planner. It
+// requires the FlowTime scheduler.
 //
 // When the FlowTime scheduler's flow planner cannot answer, it steps
 // down its degradation ladder (exact lexicographic flow → greedy EDF
@@ -55,13 +52,6 @@
 // for RM-to-RM replication traffic, so follower pulls don't contend
 // with the agent-facing port); the full API is served on both.
 //
-// With -chaos-net the RM runs its listeners and its replication client
-// through a seeded deterministic network-fault injector (for chaos
-// testing only): the script is either inline rules separated by ';' or
-// @file, e.g. '1s-3s partition agent->rm; 5s+ latency peer<->rm 50ms'.
-// The agent listener is the link agent<->rm, the -listen-repl listener
-// is peer<->rm, and the follower's pull client is rm<->leader.
-//
 // -wal-dump DIR starts nothing: it prints the WAL in the state directory
 // DIR as one JSON object per record per line and exits. The journal is
 // binary on disk; this is how to read it. The directory is only read — a
@@ -84,7 +74,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -94,7 +83,6 @@ import (
 	"time"
 
 	"flowtime/internal/core"
-	"flowtime/internal/netchaos"
 	"flowtime/internal/rmserver"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
@@ -107,7 +95,7 @@ func main() {
 		schedName    = flag.String("sched", "FlowTime", "scheduler: FlowTime, CORA, EDF, Fair, FIFO, Morpheus")
 		slot         = flag.Duration("slot", 10*time.Second, "scheduling slot duration")
 		slack        = flag.Duration("slack", 60*time.Second, "FlowTime deadline slack")
-		leaseExpiry  = flag.Int64("lease-expiry", 0, "slots before an unconfirmed lease is reclaimed (0 = default, negative = never)")
+		leaseExpiry  = flag.Int64("lease-expiry", 0, "slots before an unconfirmed lease is reclaimed (0 = default 16; negative is refused)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight leases on shutdown")
 		manualTick   = flag.Bool("manual-tick", false, "advance slots only via POST /v1/tick")
 		stateDir     = flag.String("state-dir", "", "state directory for WAL + snapshots (empty = not durable)")
@@ -116,10 +104,7 @@ func main() {
 		replicaOf    = flag.String("replica-of", "", "run as a warm standby of the primary RM at this URL (requires -state-dir)")
 		listenRepl   = flag.String("listen-repl", "", "additional listen address (typically for RM-to-RM replication traffic)")
 		advertise    = flag.String("advertise", "", "this RM's own URL, used as the leader hint and for fencing")
-		streamPlans  = flag.Bool("stream-plans", false, "journal plan diffs: every replan is a versioned revision applied transactionally through the WAL (FlowTime only)")
-		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the streamed plan's leftover capacity (implies -stream-plans)")
-		chaosNet     = flag.String("chaos-net", "", "network fault script (';'-separated rules or @file) applied to the listeners and the replication client — chaos testing only")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the deterministic network fault injector")
+		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the streamed plan's leftover capacity (FlowTime only)")
 		walDump      = flag.String("wal-dump", "", "print the WAL in this state directory, one JSON object per record per line, and exit (read-only)")
 	)
 	flag.Parse()
@@ -145,10 +130,7 @@ func main() {
 		replicaOf:    *replicaOf,
 		listenRepl:   *listenRepl,
 		advertise:    *advertise,
-		streamPlans:  *streamPlans || *adhocGate,
 		adhocGate:    *adhocGate,
-		chaosNet:     *chaosNet,
-		chaosSeed:    *chaosSeed,
 	}
 	if err := run(opts); err != nil {
 		log.Println("ftrm:", err)
@@ -170,24 +152,16 @@ type options struct {
 	replicaOf    string
 	listenRepl   string
 	advertise    string
-	streamPlans  bool
 	adhocGate    bool
-	chaosNet     string
-	chaosSeed    int64
 }
 
 func run(o options) error {
 	cfg := core.DefaultConfig()
 	cfg.Slack = o.slack
-	cfg.StreamPlans = o.streamPlans
+	cfg.StreamPlans = true
 	s, err := core.NewScheduler(o.schedName, nil, cfg)
 	if err != nil {
 		return err
-	}
-	if o.streamPlans {
-		if _, ok := s.(sched.PlanStreamer); !ok {
-			return fmt.Errorf("-stream-plans/-adhoc-gate require the FlowTime scheduler, %s does not stream plans", s.Name())
-		}
 	}
 
 	if o.replicaOf != "" && o.stateDir == "" {
@@ -204,19 +178,6 @@ func run(o options) error {
 			return err
 		}
 		defer st.Close()
-	}
-
-	// The chaos injector (if any) is shared across every seam: both
-	// listeners and the replication pull client draw from the same seeded
-	// rule set, so one script choreographs the whole process's network.
-	var inj *netchaos.Injector
-	if o.chaosNet != "" {
-		script, err := netchaos.LoadScript(o.chaosNet)
-		if err != nil {
-			return err
-		}
-		inj = netchaos.New(o.chaosSeed, script)
-		log.Printf("ftrm: CHAOS: network fault injection armed (seed=%d): %s", o.chaosSeed, o.chaosNet)
 	}
 
 	rm, err := rmserver.New(rmserver.Config{
@@ -240,19 +201,7 @@ func run(o options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// listen opens addr, wrapping the listener in the chaos injector when
-	// one is armed so inbound traffic crosses the scripted link.
-	listen := func(addr, clientLabel string) (net.Listener, error) {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		if inj != nil {
-			ln = netchaos.WrapListener(ln, inj, clientLabel, "rm")
-		}
-		return ln, nil
-	}
-	ln, err := listen(o.addr, "agent")
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
@@ -264,7 +213,7 @@ func run(o options) error {
 	}()
 	var replSrv *http.Server
 	if o.listenRepl != "" {
-		replLn, err := listen(o.listenRepl, "peer")
+		replLn, err := net.Listen("tcp", o.listenRepl)
 		if err != nil {
 			return err
 		}
@@ -280,16 +229,11 @@ func run(o options) error {
 		// The pull loop runs until promotion (it then fences the old
 		// primary and exits) or shutdown. The run loop below starts
 		// ticking the moment the role flips to primary.
-		var hc *http.Client
-		if inj != nil {
-			hc = &http.Client{Transport: &netchaos.Transport{Injector: inj, From: "rm", To: "leader"}}
-		}
 		go func() {
 			err := rm.RunReplicator(ctx, rmserver.ReplicatorConfig{
-				Primary:    o.replicaOf,
-				Self:       o.advertise,
-				HTTPClient: hc,
-				Logf:       log.Printf,
+				Primary: o.replicaOf,
+				Self:    o.advertise,
+				Logf:    log.Printf,
 			})
 			if err != nil && ctx.Err() == nil {
 				log.Println("ftrm: replicator:", err)

@@ -90,12 +90,6 @@ type Config struct {
 	// them are those of the exact optimum; the slots below take the loads
 	// of the flow that proved the last level, all at or under it.
 	MaxLexRounds int
-	// PlanSlots bounds the planning lookahead: jobs whose window opens
-	// more than PlanSlots slots in the future are left out of the current
-	// plan and picked up by a replan when their release arrives. The
-	// paper's evaluation plans 100 slots (1000 s) ahead (§VII, Fig. 7).
-	// 0 means unbounded.
-	PlanSlots int64
 	// StreamPlans queues, at every replan, the plan.Diff from the previous
 	// revision to the new one for TakePlanDiffs (sched.PlanStreamer). The
 	// plan itself is kept and served (LivePlan) either way. Off by default:
@@ -104,10 +98,9 @@ type Config struct {
 	StreamPlans bool
 }
 
-// DefaultConfig returns the paper's settings: 60s slack, bounded rounds,
-// 120-slot lookahead.
+// DefaultConfig returns the paper's settings: 60s slack, bounded rounds.
 func DefaultConfig() Config {
-	return Config{Slack: 60 * time.Second, MaxLexRounds: 4, PlanSlots: 120}
+	return Config{Slack: 60 * time.Second, MaxLexRounds: 4}
 }
 
 // FlowTime is the paper's scheduler. Create with New; it implements
@@ -158,6 +151,12 @@ type FlowTime struct {
 // deferredRetryInterval is how many slots to wait before re-attempting to
 // place deferred (shortfall) demand.
 const deferredRetryInterval = 10
+
+// planSlots bounds the planning lookahead: jobs whose window opens
+// planSlots or more slots in the future are left out of the current plan
+// and picked up by the replan their release triggers. The paper's
+// evaluation plans 100 slots (1000 s) ahead (§VII, Fig. 7).
+const planSlots = 120
 
 // Stats reports scheduler telemetry.
 type Stats struct {
@@ -738,7 +737,7 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 			}
 			pj.relSlot, pj.dlSlot = ctx.Now, ctx.Now+minS
 		}
-		if f.cfg.PlanSlots > 0 && pj.relSlot >= ctx.Now+f.cfg.PlanSlots {
+		if pj.relSlot >= ctx.Now+planSlots {
 			// Beyond the lookahead: planStale fires a replan when the
 			// job's release arrives.
 			continue

@@ -265,6 +265,35 @@ func TestPlanReusedWhileOnSchedule(t *testing.T) {
 	}
 }
 
+// TestLookaheadLeavesFarReleasesForLater pins the planning lookahead
+// (planSlots = 120): a job released 119 slots after Now is in the first
+// plan, one released 121 slots after it is not, and the latter is planned
+// by the replan its release triggers.
+func TestLookaheadLeavesFarReleasesForLater(t *testing.T) {
+	f := New(Config{Slack: 0})
+	cl := view(resource.New(10, 1000), 1000)
+	now := dlJob("now", 0, 20, resource.New(20, 2000), resource.New(10, 1000))
+	near := dlJob("near", 119, 150, resource.New(10, 1000), resource.New(10, 1000))
+	far := dlJob("far", 121, 160, resource.New(10, 1000), resource.New(10, 1000))
+	near.Ready, far.Ready = false, false
+
+	if _, err := f.Assign(sched.AssignContext{Now: 0, Changed: true, Jobs: []sched.JobState{now, near, far}, Cluster: cl}); err != nil {
+		t.Fatalf("Assign(0): %v", err)
+	}
+	if !f.planKnown("now") || !f.planKnown("near") || f.planKnown("far") {
+		t.Fatalf("first plan holds now %v, near %v, far %v; want now and near (released 119 slots ahead) but not far (121)",
+			f.planKnown("now"), f.planKnown("near"), f.planKnown("far"))
+	}
+
+	far.Ready = true
+	if _, err := f.Assign(sched.AssignContext{Now: 121, Changed: true, Jobs: []sched.JobState{near, far}, Cluster: cl}); err != nil {
+		t.Fatalf("Assign(121): %v", err)
+	}
+	if got := f.Stats().Replans; got != 2 || !f.planKnown("far") {
+		t.Errorf("at far's release: %d replans, far planned %v; want the release to replan it in", got, f.planKnown("far"))
+	}
+}
+
 func TestEmptyContext(t *testing.T) {
 	f := New(DefaultConfig())
 	grants, err := f.Assign(sched.AssignContext{

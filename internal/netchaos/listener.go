@@ -6,7 +6,7 @@ import (
 )
 
 // WrapListener shims a server-side listener with inbound fault
-// injection — the ftrm -chaos-net path, where there is no separate
+// injection, so an in-process RM's own port is faulted with no separate
 // proxy process. Connections arriving while the client->server
 // direction is partitioned are closed immediately (the client sees a
 // reset); established connections are judged per read/write.

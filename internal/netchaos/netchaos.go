@@ -6,18 +6,19 @@
 // duplicates, connection resets, byte throttling, and timed scenario
 // scripts ("partition agent->rm from t=2s to t=5s, then flap").
 //
-// The injector is attached at two seams:
+// The injector runs in-process only: tests build one with New and attach
+// it at two seams:
 //
 //   - Transport wraps an http.RoundTripper, faulting requests on the
 //     from->to direction and responses on the to->from direction — so a
 //     one-way partition can deliver a mutation and lose only its
-//     acknowledgement, the nastiest retry case (ftnode -chaos-net and
-//     ftrm's replication client).
+//     acknowledgement, the nastiest retry case (an agent's client or a
+//     follower's replication client).
 //   - WrapListener shims a server's own net.Listener, faulting inbound
-//     connections and the byte stream of established ones (ftrm
-//     -chaos-net). Faults never alter the bytes they let through, so
-//     HTTP-level artifacts (error codes, headers such as Retry-After,
-//     leader hints) survive intact — chaos tests assert exactly that.
+//     connections and the byte stream of established ones. Faults never
+//     alter the bytes they let through, so HTTP-level artifacts (error
+//     codes, headers such as Retry-After, leader hints) survive intact —
+//     chaos tests assert exactly that.
 //
 // Determinism: an Injector takes a seed and a Script. All probabilistic
 // decisions are drawn from per-link RNG streams derived from the seed

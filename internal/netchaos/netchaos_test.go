@@ -69,16 +69,6 @@ func TestParseScript(t *testing.T) {
 	}
 }
 
-func TestLoadScriptInline(t *testing.T) {
-	script, err := LoadScript("0s-1s partition a->b; 1s+ latency a->b 5ms")
-	if err != nil {
-		t.Fatalf("LoadScript: %v", err)
-	}
-	if len(script) != 2 {
-		t.Fatalf("parsed %d rules, want 2", len(script))
-	}
-}
-
 // TestDeterministicDecisions is the reproducibility contract: the same
 // seed, script, and clock sequence produce the same fault sequence, and
 // concurrent traffic on one link cannot perturb another link's stream.

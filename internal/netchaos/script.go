@@ -2,7 +2,6 @@ package netchaos
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -52,20 +51,6 @@ func ParseScript(text string) (Script, error) {
 		script = append(script, r)
 	}
 	return script, nil
-}
-
-// LoadScript parses an inline script, or the contents of a file when the
-// argument starts with "@" (the CLI form: -chaos-net @scenario.txt).
-func LoadScript(arg string) (Script, error) {
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(arg[1:])
-		if err != nil {
-			return nil, fmt.Errorf("netchaos: %w", err)
-		}
-		return ParseScript(string(data))
-	}
-	// Inline scripts separate rules with ";" so they fit in one flag.
-	return ParseScript(strings.ReplaceAll(arg, ";", "\n"))
 }
 
 func parseRule(fields []string) (Rule, error) {

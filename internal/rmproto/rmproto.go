@@ -68,8 +68,7 @@ type Quantum struct {
 	JobID string
 	Grant Resources
 	// DeadlineSlot is the RM slot by which the lease must be confirmed;
-	// past it the RM reclaims the lease and requeues its volume. Zero
-	// means the RM has lease expiry disabled.
+	// past it the RM reclaims the lease and requeues its volume.
 	DeadlineSlot int64
 }
 
@@ -291,8 +290,6 @@ type ReplWatermark struct {
 type ShipRequest struct {
 	Epoch int64         `json:"epoch"`
 	From  ReplWatermark `json:"from"`
-	// MaxBytes caps the batch payload (0 = server default).
-	MaxBytes int `json:"max_bytes,omitempty"`
 	// FollowerURL is where the polling follower can be reached, so a
 	// primary fenced by this request can point clients at it.
 	FollowerURL string `json:"follower_url,omitempty"`

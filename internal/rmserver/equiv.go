@@ -60,7 +60,6 @@ func (s *Server) VerifyRecoveryEquivalence(scratch string) error {
 		s2, err := New(Config{
 			SlotDur:     s.cfg.SlotDur,
 			Scheduler:   s.cfg.Scheduler,
-			Horizon:     s.cfg.Horizon,
 			LeaseExpiry: s.cfg.LeaseExpiry,
 			Store:       st,
 			Follower:    s.cfg.Follower,

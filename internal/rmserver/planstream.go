@@ -230,7 +230,7 @@ func (s *Server) republishAdHocLocked(lp *plan.Plan, anchored bool) {
 	g := s.gate
 	from, n := lp.From, lp.NSlots
 	if anchored {
-		from, n = s.slot, max(lp.From+lp.NSlots-s.slot, min(defaultGateWindow, s.cfg.Horizon))
+		from, n = s.slot, max(lp.From+lp.NSlots-s.slot, defaultGateWindow)
 	}
 	first := g.plan == nil
 	retiredFrom, retired := g.from, g.took

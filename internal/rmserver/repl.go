@@ -116,7 +116,7 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 	s.repl.followerWM = from
 	s.mu.Unlock()
 
-	batch, err := s.store.ShipFrom(from, req.MaxBytes)
+	batch, err := s.store.ShipFrom(from, 0)
 	if err != nil {
 		return rmproto.ShipResponse{}, fmt.Errorf("rmserver: ship from %v: %w", from, err)
 	}
@@ -276,11 +276,9 @@ type ReplicatorConfig struct {
 	Self string
 	// Interval paces the poll loop when caught up (default 100ms).
 	Interval time.Duration
-	// MaxBytes caps each requested batch (0 = primary's default).
-	MaxBytes int
 	// HTTPClient performs the ship/fence calls; nil uses
-	// http.DefaultClient. ftrm injects a fault-wrapped client here
-	// (-chaos-net) so the replication link itself is chaos-testable.
+	// http.DefaultClient. The network chaos tests inject a fault-wrapped
+	// client here so the replication link itself is chaos-testable.
 	HTTPClient *http.Client
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -330,7 +328,6 @@ func (s *Server) RunReplicator(ctx context.Context, cfg ReplicatorConfig) error 
 		resp, err := client.Ship(ctx, rmproto.ShipRequest{
 			Epoch:       s.Epoch(),
 			From:        rmproto.ReplWatermark{Gen: wm.Gen, Records: wm.Records, Bytes: wm.Bytes},
-			MaxBytes:    cfg.MaxBytes,
 			FollowerURL: cfg.Self,
 		})
 		if err != nil {

@@ -354,22 +354,30 @@ func replPrimary(t *testing.T) *Server {
 	return rm
 }
 
-// TestShipRefusesNegativeWatermark: a ship request from a negative
-// watermark is a 400 that leaves the replication block as it was — it
-// used to panic the handler in ShipFrom and, before that, record the
-// watermark as the follower's position.
-func TestShipRefusesNegativeWatermark(t *testing.T) {
-	rm := replPrimary(t)
-	before := *rm.Status().Replication
-	rec := serve(rm.Handler(), http.MethodPost, rmproto.PathShip, shipNegative, "")
-	var e rmproto.Error
-	if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Message, "negative") {
-		t.Fatalf("ship from a negative watermark: %d %s, want a 400 naming it", rec.Code, rec.Body)
+// TestShipRefusesMalformedRequests: a ship request from a negative
+// watermark, or one naming a field the request does not have, is a 400
+// that names what it refused and leaves the replication block as it was.
+// A negative watermark used to panic the handler in ShipFrom and, before
+// that, record the watermark as the follower's position; max_bytes is
+// not a field because the primary always ships at the store's default
+// batch cap.
+func TestShipRefusesMalformedRequests(t *testing.T) {
+	for _, c := range []struct{ body, names string }{
+		{shipNegative, "negative"},
+		{`{"epoch":1,"from":{"gen":0,"records":3},"max_bytes":1}`, `unknown field "max_bytes"`},
+	} {
+		rm := replPrimary(t)
+		before := *rm.Status().Replication
+		rec := serve(rm.Handler(), http.MethodPost, rmproto.PathShip, c.body, "")
+		var e rmproto.Error
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Message, c.names) {
+			t.Fatalf("ship %s: %d %s, want a 400 naming %s", c.body, rec.Code, rec.Body, c.names)
+		}
+		if after := *rm.Status().Replication; after != before {
+			t.Errorf("ship %s: replication block went from %+v to %+v", c.body, before, after)
+		}
 	}
-	if after := *rm.Status().Replication; after != before {
-		t.Errorf("replication block went from %+v to %+v", before, after)
-	}
-	if _, err := rm.store.ShipFrom(store.Watermark{Records: -1}, 0); err == nil {
+	if _, err := replPrimary(t).store.ShipFrom(store.Watermark{Records: -1}, 0); err == nil {
 		t.Error("store.ShipFrom accepted a negative watermark")
 	}
 }
@@ -421,7 +429,7 @@ func FuzzReplBody(f *testing.F) {
 		`{"epoch":1,"from":{"gen":-1,"records":0}}`,
 		`{"epoch":1,"from":{"gen":0,"records":0,"bytes":-5}}`,
 		`{"epoch":1,"from":{"gen":0,"records":0,"bytes":0}}`,
-		`{"epoch":1,"from":{"gen":0,"records":3},"max_bytes":1}`,
+		`{"epoch":1,"from":{"gen":0,"records":3}}`,
 		`{"epoch":1,"from":{"gen":0,"records":99}}`,
 		`{"epoch":1,"from":{"gen":7,"records":0}}`,
 		`{"epoch":0,"from":{"gen":0,"records":0}}`,

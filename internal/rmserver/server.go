@@ -48,22 +48,23 @@ import (
 // heartbeat response, wedged node).
 const DefaultLeaseExpiry = 16
 
+// horizon is the planning horizon in slots the RM hands its scheduler.
+const horizon = 100000
+
 // Config parameterizes the resource manager.
 type Config struct {
 	// SlotDur is the scheduling slot; must be > 0.
 	SlotDur time.Duration
 	// Scheduler makes per-slot decisions; required.
 	Scheduler sched.Scheduler
-	// Horizon is the planning horizon in slots (default 100000).
-	Horizon int64
 	// NodeExpiry evicts nodes that have not heartbeaten for this long;
 	// zero disables expiry (manual-tick test setups). Evicting a node
 	// requeues every lease it holds.
 	NodeExpiry time.Duration
 	// LeaseExpiry is the number of slots an issued lease may stay
 	// unconfirmed before the RM reclaims it and returns its volume to the
-	// job's remaining work. Zero means DefaultLeaseExpiry; negative
-	// disables lease expiry.
+	// job's remaining work. Zero means DefaultLeaseExpiry; New refuses a
+	// negative value.
 	LeaseExpiry int64
 	// Store, when non-nil, makes the RM durable: New recovers the state
 	// the store holds (latest snapshot plus WAL replay) and every
@@ -231,7 +232,7 @@ type lease struct {
 	nodeID string
 	grant  resource.Vector
 	issued int64 // slot the lease was created
-	expiry int64 // slot at which the lease is reclaimed; 0 = never
+	expiry int64 // slot at which the lease is reclaimed
 }
 
 // offer is one scheduler grant to a job that could not take it yet.
@@ -285,8 +286,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Scheduler == nil {
 		return nil, errors.New("rmserver: nil scheduler")
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 100000
+	if cfg.LeaseExpiry < 0 {
+		return nil, fmt.Errorf("rmserver: lease expiry %d, want >= 0 (0 = default %d)", cfg.LeaseExpiry, DefaultLeaseExpiry)
 	}
 	if cfg.LeaseExpiry == 0 {
 		cfg.LeaseExpiry = DefaultLeaseExpiry
@@ -786,12 +787,10 @@ func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offe
 		}
 	}
 	rec = &recTick{Slot: s.slot + 1, Faults: s.faults}
-	if len(expired) > 0 || s.cfg.LeaseExpiry > 0 {
-		requeue := s.decideRequeue(func(l *lease) bool {
-			return slices.Contains(expired, l.nodeID) || (s.cfg.LeaseExpiry > 0 && s.slot >= l.expiry)
-		})
-		rec.Requeued, rec.Faults = requeue.QIDs, requeue.Faults
-	}
+	requeue := s.decideRequeue(func(l *lease) bool {
+		return slices.Contains(expired, l.nodeID) || s.slot >= l.expiry
+	})
+	rec.Requeued, rec.Faults = requeue.QIDs, requeue.Faults
 	rec.Faults.ExpiredNodes += int64(len(expired))
 	if s.draining {
 		// Drain: no new leases; keep ticking so expiry still reclaims
@@ -852,7 +851,7 @@ func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offe
 		Jobs:    states,
 		Cluster: sched.ClusterView{
 			SlotDur: s.cfg.SlotDur,
-			Horizon: s.cfg.Horizon,
+			Horizon: horizon,
 			CapAt:   func(int64) resource.Vector { return capacity },
 		},
 	}, &rec.Faults)
@@ -914,10 +913,7 @@ func (s *Server) nodesByIDLocked() []*node {
 // LeaseExpiry slots after it; applying rec makes it a lease. What fits
 // nowhere is dropped.
 func (s *Server) placeLocked(job string, g resource.Vector, nodes []*node, rec *recTick) {
-	var expiry int64
-	if s.cfg.LeaseExpiry > 0 {
-		expiry = rec.Slot - 1 + s.cfg.LeaseExpiry
-	}
+	expiry := rec.Slot - 1 + s.cfg.LeaseExpiry
 	for _, n := range nodes {
 		if g.IsZero() {
 			break

@@ -62,6 +62,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{SlotDur: time.Second}); err == nil {
 		t.Error("nil scheduler accepted")
 	}
+	if _, err := New(Config{SlotDur: time.Second, Scheduler: sched.NewFIFO(), LeaseExpiry: -1}); err == nil || !strings.Contains(err.Error(), "lease expiry -1") {
+		t.Errorf("negative lease expiry: %v, want an error naming it", err)
+	}
 }
 
 func TestRegisterValidation(t *testing.T) {

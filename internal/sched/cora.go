@@ -24,31 +24,26 @@ import (
 // prioritizes deadlines absolutely (as EDF) nor flattens deadline work out
 // of the ad-hoc jobs' way (as FlowTime) — and that is exactly how this
 // allocator behaves.
-type CORA struct {
-	// AgeScaleSlots converts ad-hoc waiting time into utility; a wait of
-	// AgeScaleSlots slots has utility 1 (the urgency of a deadline job
-	// that needs its full rate). Default 60.
-	AgeScaleSlots int64
-}
+type CORA struct{}
+
+// coraAgeScaleSlots converts ad-hoc waiting time into utility: a wait of
+// coraAgeScaleSlots slots has utility 1 (the urgency of a deadline job
+// that needs its full rate).
+const coraAgeScaleSlots = 60
 
 var _ Scheduler = (*CORA)(nil)
 
-// NewCORA returns a CORA scheduler with default parameters.
-func NewCORA() *CORA { return &CORA{AgeScaleSlots: 60} }
+// NewCORA returns a CORA scheduler.
+func NewCORA() *CORA { return &CORA{} }
 
 // Name implements Scheduler.
 func (*CORA) Name() string { return "CORA" }
 
 // Assign implements Scheduler.
-func (c *CORA) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
+func (*CORA) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
 	capacity := ctx.Cluster.CapAt(ctx.Now)
 	avail := capacity
 	grants := make(map[string]resource.Vector, len(ctx.Jobs))
-
-	ageScale := c.AgeScaleSlots
-	if ageScale <= 0 {
-		ageScale = 60
-	}
 
 	type state struct {
 		job     JobState
@@ -75,7 +70,7 @@ func (c *CORA) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
 			st.need = needRate * 2 // deadline-critical utility weight
 		default:
 			waited := int64(j.Arrived)/int64(ctx.Cluster.SlotDur) - ctx.Now
-			st.need = float64(-waited) / float64(ageScale) // -waited = slots waited
+			st.need = float64(-waited) / coraAgeScaleSlots // -waited = slots waited
 		}
 		active = append(active, st)
 	}

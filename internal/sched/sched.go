@@ -6,10 +6,12 @@
 //
 // A scheduler is invoked once per time slot by the simulator (or by the
 // resource-manager service) and returns the per-job resource grants for
-// that slot. Schedulers that maintain internal multi-slot plans (FlowTime,
-// Morpheus, CORA) rebuild them when Changed reports that the job set or
-// readiness changed — the paper's event-driven re-scheduling on job/task
-// completions (§III).
+// that slot. Two schedulers keep a multi-slot plan. Morpheus rebuilds its
+// reservations whenever Changed is set. FlowTime ignores Changed: it
+// compares its plan with the jobs, their progress and the capacity itself
+// and replans when they no longer match — the paper's event-driven
+// re-scheduling on job/task completions (§III). CORA and the greedy
+// baselines decide each slot from scratch.
 package sched
 
 import (
@@ -113,8 +115,11 @@ type ClusterView struct {
 type AssignContext struct {
 	// Now is the current absolute slot index.
 	Now int64
-	// Changed reports whether the job set, readiness, or capacity changed
-	// since the previous Assign call (always true on the first call).
+	// Changed reports whether the job set, readiness, or capacity may have
+	// changed since the previous Assign call (always true on the first
+	// call). The simulator sets it only on such events; the resource
+	// manager sets it on every slot, so a scheduler that trusts it
+	// (Morpheus) replans every slot there.
 	Changed bool
 	// Jobs lists all live (arrived, incomplete) jobs in arrival order.
 	Jobs []JobState
