@@ -68,7 +68,7 @@ chaos-net:
 	$(GO) test -race -timeout 300s -run 'NetChaos|RetryBacksOff|Jitter|AgentAllRMsUnreachable|AgentLeavesWedgedRM|AgentKeepsLeases' ./internal/rmserver/
 
 # cover writes the per-package coverage summary to coverage.txt (kept as
-# a CI artifact; informational, no hard gate — see DESIGN.md §11).
+# a CI artifact; informational, no hard gate — see DESIGN.md §8.7).
 cover:
 	$(GO) test -cover ./... | tee coverage.txt
 

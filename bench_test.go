@@ -4,7 +4,7 @@ package flowtime_test
 // experiments, each regenerating the corresponding rows/series via
 // internal/experiments (the same code path as cmd/ftbench). Reported
 // custom metrics carry the figure's headline numbers so `go test -bench`
-// output doubles as a compact reproduction table. See DESIGN.md §4 for
+// output doubles as a compact reproduction table. See DESIGN.md §1.3 for
 // the experiment index and EXPERIMENTS.md for recorded numbers.
 
 import (

@@ -1,6 +1,6 @@
 // Command ftbench regenerates the paper's evaluation figures (and this
 // reproduction's extension experiments) and prints the same rows/series
-// the paper reports. See DESIGN.md §4 for the experiment index and
+// the paper reports. See DESIGN.md §1.3 for the experiment index and
 // EXPERIMENTS.md for recorded paper-vs-measured numbers.
 //
 // Usage:

@@ -7,14 +7,14 @@
 //	ftrm [-addr :8030] [-sched FlowTime] [-slot 10s] [-slack 60s]
 //	     [-lease-expiry 16] [-drain-timeout 30s] [-manual-tick]
 //	     [-state-dir DIR] [-snapshot-every 256] [-fsync always]
-//	     [-replica-of URL] [-listen-repl ADDR] [-advertise URL]
+//	     [-replica-of URL] [-advertise URL]
 //	     [-adhoc-gate]
 //	ftrm -wal-dump DIR
 //
 // The FlowTime scheduler publishes every replan as a versioned plan
 // revision and the RM journals the *diff* against the previous revision
 // (one WAL record per replan, applied transactionally and replicated to a
-// follower like any other record; DESIGN.md §15): the durable live plan
+// follower like any other record; DESIGN.md §6.2): the durable live plan
 // survives crashes and failovers and is reported under /v1/status "plan".
 // -adhoc-gate additionally routes every ad-hoc submission through the
 // leftover-capacity admission gate: the job is admitted or rejected in
@@ -48,9 +48,7 @@
 // requeues the orphaned leases, and starts granting; agents follow the
 // not_leader redirect and re-register. -advertise is this RM's own URL,
 // handed to peers as the leader hint and used to fence the old primary
-// after promotion. -listen-repl opens an additional listener (typically
-// for RM-to-RM replication traffic, so follower pulls don't contend
-// with the agent-facing port); the full API is served on both.
+// after promotion. The follower pulls over the primary's one -addr.
 //
 // -wal-dump DIR starts nothing: it prints the WAL in the state directory
 // DIR as one JSON object per record per line and exits. The journal is
@@ -102,7 +100,6 @@ func main() {
 		snapEvery    = flag.Int64("snapshot-every", 256, "slots between state snapshots (with -state-dir)")
 		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, never")
 		replicaOf    = flag.String("replica-of", "", "run as a warm standby of the primary RM at this URL (requires -state-dir)")
-		listenRepl   = flag.String("listen-repl", "", "additional listen address (typically for RM-to-RM replication traffic)")
 		advertise    = flag.String("advertise", "", "this RM's own URL, used as the leader hint and for fencing")
 		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the streamed plan's leftover capacity (FlowTime only)")
 		walDump      = flag.String("wal-dump", "", "print the WAL in this state directory, one JSON object per record per line, and exit (read-only)")
@@ -128,7 +125,6 @@ func main() {
 		snapEvery:    *snapEvery,
 		fsyncPolicy:  *fsyncPolicy,
 		replicaOf:    *replicaOf,
-		listenRepl:   *listenRepl,
 		advertise:    *advertise,
 		adhocGate:    *adhocGate,
 	}
@@ -150,7 +146,6 @@ type options struct {
 	snapEvery    int64
 	fsyncPolicy  string
 	replicaOf    string
-	listenRepl   string
 	advertise    string
 	adhocGate    bool
 }
@@ -211,20 +206,6 @@ func run(o options) error {
 		log.Printf("ftrm: scheduler=%s slot=%v role=%s listening on %s", s.Name(), o.slot, rm.Role(), o.addr)
 		errc <- srv.Serve(ln)
 	}()
-	var replSrv *http.Server
-	if o.listenRepl != "" {
-		replLn, err := net.Listen("tcp", o.listenRepl)
-		if err != nil {
-			return err
-		}
-		replSrv = &http.Server{Handler: rm.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			log.Printf("ftrm: replication listener on %s", o.listenRepl)
-			if err := replSrv.Serve(replLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Println("ftrm: replication listener:", err)
-			}
-		}()
-	}
 	if o.replicaOf != "" {
 		// The pull loop runs until promotion (it then fences the old
 		// primary and exits) or shutdown. The run loop below starts
@@ -283,9 +264,6 @@ func run(o options) error {
 			}
 			shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			if replSrv != nil {
-				_ = replSrv.Shutdown(shutdownCtx)
-			}
 			err := srv.Shutdown(shutdownCtx)
 			<-errc // wait for the serve goroutine to exit
 			return err

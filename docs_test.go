@@ -81,8 +81,9 @@ func codeSpans(t *testing.T, doc string) []codeSpan {
 // defines (and every flag of ftrm and ftnode has a row), every backticked
 // pkg.Ident of a package under internal/ is declared in that package,
 // every backticked CamelCase Ident or Type.Member is a name the module's
-// Go files declare or select, and every test pattern in the Makefile
-// names a test that exists.
+// Go files declare or select, every test pattern in the Makefile names a
+// test that exists, every DESIGN.md section reference names a heading
+// DESIGN.md has, and every backticked repo path exists.
 func TestDocsNameWhatExists(t *testing.T) {
 	var spans []codeSpan
 	for _, doc := range docsChecked {
@@ -92,6 +93,115 @@ func TestDocsNameWhatExists(t *testing.T) {
 	t.Run("flags", func(t *testing.T) { checkFlags(t) })
 	t.Run("identifiers", func(t *testing.T) { checkIdentifiers(t, spans) })
 	t.Run("makefile", func(t *testing.T) { checkMakefile(t) })
+	t.Run("sections", func(t *testing.T) { checkSections(t) })
+	t.Run("paths", func(t *testing.T) { checkPaths(t, spans) })
+}
+
+// sectionRef matches a DESIGN.md section reference. The paper's sections
+// are roman (§IV), so a § before a digit is always one of DESIGN.md's.
+var sectionRef = regexp.MustCompile(`§(\d+(?:\.\d+)?)`)
+
+// designHeading matches a numbered DESIGN.md heading: "## 4. Title" or
+// "### 4.2 Title".
+var designHeading = regexp.MustCompile(`^#{2,3} (\d+(?:\.\d+)?)\.? `)
+
+// sectionSources are the files besides DESIGN.md and the module's Go
+// comments whose section references must resolve. CHANGES.md and
+// ROADMAP.md are history and cite the numbering of their day.
+var sectionSources = []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile", ".github/workflows/ci.yml"}
+
+// checkSections checks that every section reference in DESIGN.md, the
+// sectionSources and the comments of the module's Go files names a
+// heading DESIGN.md has.
+func checkSections(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatalf("read DESIGN.md: %v", err)
+	}
+	headings := make(map[string]bool)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if m := designHeading.FindStringSubmatch(line); m != nil {
+			headings[m[1]] = true
+		}
+	}
+	if len(headings) == 0 {
+		t.Fatal("DESIGN.md has no numbered headings")
+	}
+	check := func(where, text string) {
+		for _, m := range sectionRef.FindAllStringSubmatch(text, -1) {
+			if !headings[m[1]] {
+				t.Errorf("%s: §%s names no DESIGN.md heading", where, m[1])
+			}
+		}
+	}
+	for i, line := range strings.Split(string(raw), "\n") {
+		check(fmt.Sprintf("DESIGN.md:%d", i+1), line)
+	}
+	for _, doc := range sectionSources {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("read %s: %v", doc, err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			check(fmt.Sprintf("%s:%d", doc, i+1), line)
+		}
+	}
+	fset := token.NewFileSet()
+	walkModule(t, func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				check(fset.Position(c.Pos()).String(), c.Text)
+			}
+		}
+	})
+}
+
+// pathPrefixes open a backticked span that names a path from the repo
+// root.
+var pathPrefixes = []string{"internal/", "cmd/", "examples/", "testdata/", "bench/", ".github/"}
+
+// goFileName matches a span that is a Go file name, bare or under a
+// package directory (rmserver/persist.go).
+var goFileName = regexp.MustCompile(`^[A-Za-z0-9_./-]*[A-Za-z0-9_]\.go$`)
+
+// checkPaths checks that every backticked span naming a repo path — one
+// opening with a pathPrefixes entry, its first word taken, or a Go file
+// name — names something that exists: a prefixed path (a glob allowed)
+// from the repo root, a dir/file.go from the root or under internal/, a
+// bare file.go anywhere in the module.
+func checkPaths(t *testing.T, spans []codeSpan) {
+	var goFiles map[string]bool
+	for _, s := range spans {
+		word, _, _ := strings.Cut(strings.TrimSpace(s.text), " ")
+		prefixed := false
+		for _, p := range pathPrefixes {
+			prefixed = prefixed || strings.HasPrefix(word, p)
+		}
+		switch {
+		case prefixed:
+			if m, _ := filepath.Glob(word); len(m) == 0 {
+				t.Errorf("%v: no repo path %s", s, word)
+			}
+		case goFileName.MatchString(s.text) && strings.Contains(s.text, "/"):
+			_, errRoot := os.Stat(s.text)
+			_, errInternal := os.Stat(filepath.Join("internal", s.text))
+			if errRoot != nil && errInternal != nil {
+				t.Errorf("%v: no Go file %s at the repo root or under internal/", s, s.text)
+			}
+		case goFileName.MatchString(s.text):
+			if goFiles == nil {
+				goFiles = make(map[string]bool)
+				walkModule(t, func(path string) { goFiles[filepath.Base(path)] = true })
+			}
+			if !goFiles[s.text] {
+				t.Errorf("%v: no Go file of the repo is named %s", s, s.text)
+			}
+		}
+	}
 }
 
 // metricSpan matches a span that is one metric name: a trailing _ or *
@@ -388,6 +498,25 @@ func moduleNames(t *testing.T) map[string]bool {
 	t.Helper()
 	names := make(map[string]bool)
 	fset := token.NewFileSet()
+	walkModule(t, func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				names[id.Name] = true
+			}
+			return true
+		})
+	})
+	return names
+}
+
+// walkModule calls fn with the path of every Go file of the module, test
+// files included. bench/ is a module of its own and is left out.
+func walkModule(t *testing.T, fn func(path string)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -399,25 +528,14 @@ func moduleNames(t *testing.T) map[string]bool {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+		if strings.HasSuffix(path, ".go") {
+			fn(path)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				names[id.Name] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("parse the module: %v", err)
+		t.Fatalf("walk the module: %v", err)
 	}
-	return names
 }
 
 // testFunc matches the name of a function go test runs.

@@ -38,7 +38,11 @@
 //  4. Integral repair: the skyline's deadline share is converted into
 //     integer per-slot grants by cumulative-rounded budgets under what the
 //     surviving reservations leave and earliest-deadline-first
-//     water-filling, plus a final sweep up to the hard cap. Reservations
+//     water-filling, plus a final sweep up to the hard cap. Grants are
+//     integral and never exceed a job's demand, its parallel cap or the
+//     slot's capacity. The water-fill is not exact under parallel caps, so
+//     it can leave unplanned demand that stage A routed; that demand is
+//     deferred like a shortfall and served by the overdue path. Reservations
 //     are never part of the plan that is served, validated or published.
 //
 // The pipeline runs under a two-rung degradation ladder: when the flow
@@ -46,10 +50,11 @@
 // internal error, or even a panic), that kind is planned by the greedy
 // EDF water-fill instead of failing the slot. Every plan is
 // post-validated (allocations within windows, under caps, non-negative,
-// demand-conserving) before it is served; a plan that fails validation is
-// rebuilt at the greedy rung. Assign therefore never surfaces a planner
-// error: the worst case is a valid but less load-balanced plan, with the
-// active level and trip reason reported through Degradation().
+// no job planned more than its demand) before it is served; a plan that
+// fails validation is rebuilt at the greedy rung. Assign therefore never
+// surfaces a planner error: the worst case is a valid but less
+// load-balanced plan, with the active level and trip reason reported
+// through Degradation().
 //
 // Each slot's capacity is handed out in five passes (Assign): the plan's
 // slices; overdue deadline jobs; demand beyond the plan (estimate

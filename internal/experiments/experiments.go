@@ -5,7 +5,7 @@
 // findings on its outputs.
 //
 // The per-experiment index — figure id, workload, parameters, and
-// implementing modules — lives in DESIGN.md §4; measured-vs-paper numbers
+// implementing modules — lives in DESIGN.md §1.3; measured-vs-paper numbers
 // are recorded in EXPERIMENTS.md.
 package experiments
 
@@ -509,7 +509,7 @@ func RunExtC(algorithms []string) ([]metrics.Summary, error) {
 }
 
 // ExtDResult compares the full lexicographic objective against a single
-// min-max round (extension D / DESIGN.md ablation 3: does flattening the
+// min-max round (extension D / DESIGN.md §1.3: does flattening the
 // whole skyline matter, or only the peak?).
 type ExtDResult struct {
 	Lexicographic metrics.Summary
@@ -573,7 +573,7 @@ func RunFig1() ([]metrics.Summary, error) {
 }
 
 // ExtEPoint compares schedulers through a mid-run capacity outage
-// (extension E: failure injection, DESIGN.md §8).
+// (extension E: failure injection, DESIGN.md §1.3).
 type ExtEPoint struct {
 	Algorithm string
 	// Missed is the number of deadline jobs missed.

@@ -92,7 +92,7 @@ func TestCheckSolutionLargeInstances(t *testing.T) {
 // the planner's certified answer in the ways a planner bug would (shift
 // mass out of a window, onto a dead slot or past a cap, break a demand
 // row, nudge a level by one unit, drop an arc from a cut) and require
-// the exact checker to reject every mutant. DESIGN.md §11 documents this
+// the exact checker to reject every mutant. DESIGN.md §8.1 documents this
 // as the evidence that the checker has teeth.
 func TestMutationSmokeTest(t *testing.T) {
 	in := Instance{

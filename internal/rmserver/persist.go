@@ -90,8 +90,8 @@
 // early a quantum its own node is running — never deliver volume twice,
 // never complete a job whose work no node was given.
 //
-// Under interval/never policies every one of these windows reopens by
-// design — that is the policy's documented trade.
+// Under the never policy every one of these windows reopens by design —
+// that is the policy's documented trade.
 //
 // Formats: a WAL payload is a tagged binary record — one tag byte per
 // walRecord variant, varints, length-prefixed strings; quantum IDs as

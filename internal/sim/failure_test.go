@@ -28,7 +28,7 @@ func dipProfile(t *testing.T, full resource.Vector, from, until, num, den int64)
 }
 
 // TestCapacityDipRecovery injects a 50% capacity outage in the middle of a
-// run (DESIGN.md §8 failure injection) and checks that every scheduler
+// run (DESIGN.md §7.1, fault injection) and checks that every scheduler
 // still completes the work, never exceeds the reduced capacity during the
 // dip, and that FlowTime replans around it.
 func TestCapacityDipRecovery(t *testing.T) {

@@ -4,7 +4,7 @@
 // jobs under any sched.Scheduler and records per-job and per-workflow
 // outcomes plus the cluster load time series.
 //
-// Execution model (documented in DESIGN.md §3): a job carries a work
+// Execution model (documented in DESIGN.md §7.1): a job carries a work
 // volume per resource kind; a grant of x units of kind r in a slot
 // consumes x resource-slots of that kind; the job completes at the end of
 // the first slot where every kind's volume is covered. Grants are clamped

@@ -17,11 +17,11 @@ func openFault(t *testing.T, dir string, ffs *FaultFS, policy SyncPolicy) *Store
 	return s
 }
 
-// TestIntervalCrashWindow is the durability contract between syncs:
+// TestSyncWindowCrash is the durability contract between syncs:
 // with -fsync never plus an explicit Sync, a machine crash loses at most
 // the records appended since that sync — and the survivors are exactly
 // a prefix of the append order, never reordered, never duplicated.
-func TestIntervalCrashWindow(t *testing.T) {
+func TestSyncWindowCrash(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS()
 	s := openFault(t, dir, ffs, SyncNever)
@@ -54,11 +54,11 @@ func TestIntervalCrashWindow(t *testing.T) {
 	}
 }
 
-// TestIntervalFsyncFaultCrashWindow injects an fsync failure between
+// TestSyncWindowFsyncFaultCrash injects an fsync failure between
 // the appends and the crash: the failed sync must not extend the
 // durable prefix, and recovery still sees a clean prefix with no
 // reordering or duplication.
-func TestIntervalFsyncFaultCrashWindow(t *testing.T) {
+func TestSyncWindowFsyncFaultCrash(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS()
 	s := openFault(t, dir, ffs, SyncNever)
