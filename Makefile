@@ -60,7 +60,7 @@ chaos:
 # injector's own tests, then the partition/flap/split-brain scenarios
 # and the agent's retry loop (bounded jitter, backoff after a refused
 # heartbeat, rotation rate, failover from a wedged RM) — all seeded, all
-# in-process (no binary takes a fault script), all under the race
+# in-process (each test builds its netchaos.Script in Go), all under the race
 # detector with a hard ceiling. TestDocsNameWhatExists checks that every pattern here names a
 # test that exists.
 chaos-net:

@@ -459,6 +459,15 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	}
 	primary.Wait()
 
+	// The standby holds the shipped plan: every replicated diff applied.
+	// It counted none of them — the counters are each process's own.
+	if st := waitStatus(t, fClient, 5*time.Second, "standby plan state", func(st rmproto.StatusResponse) bool {
+		return st.Plan != nil
+	}); st.Plan.Rev < preRev || st.Plan.DiffsApplied != 0 || st.Plan.Rebases != 0 {
+		t.Fatalf("standby plan at rev %d with %d diffs and %d rebases counted, want rev at least %d and nothing counted",
+			st.Plan.Rev, st.Plan.DiffsApplied, st.Plan.Rebases, preRev)
+	}
+
 	promoteCtx, promoteCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer promoteCancel()
 	if promo, err := fClient.Promote(promoteCtx); err != nil {
@@ -467,11 +476,10 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 		t.Fatalf("Promote = %+v, want primary", promo)
 	}
 
-	// The promoted RM holds the shipped plan: every replicated diff
-	// applied, then exactly one rebase when its own scheduler's first
+	// Exactly one rebase when the promoted RM's own scheduler's first
 	// replan could not chain onto the inherited revision.
 	waitStatus(t, fClient, 15*time.Second, "promoted RM plan state", func(st rmproto.StatusResponse) bool {
-		return st.Plan != nil && st.Plan.DiffsApplied >= preRev && st.Plan.Rebases >= 1
+		return st.Plan != nil && st.Plan.Rebases >= 1
 	})
 
 	final := waitStatus(t, fClient, 60*time.Second, "workload completion on promoted RM", func(st rmproto.StatusResponse) bool {

@@ -66,7 +66,7 @@ func run() error {
 	for day := 0; day < days; day++ {
 		w := pipeline(day)
 		// Refine this run's estimates from everything observed so far.
-		if _, err := store.Apply(w, estimate.EWMA); err != nil {
+		if _, err := store.Apply(w); err != nil {
 			return err
 		}
 		errStats, err := estimate.MeasureError(w)

@@ -120,7 +120,7 @@ type FlowTime struct {
 	live    *plan.Plan
 	pending []*plan.Diff
 
-	load []resource.Vector // planned deadline load per slot (diagnostics)
+	load []resource.Vector // planned deadline load per slot offset of the current plan
 	// planRemaining tracks, per job, how much planned allocation lies at or
 	// after the current slot; it is the staleness detector.
 	planRemaining map[string]resource.Vector
@@ -235,12 +235,6 @@ func (f *FlowTime) Stats() Stats { return f.stats }
 func (f *FlowTime) Degradation() sched.DegradationStatus { return f.degrade }
 
 var _ sched.DegradationReporter = (*FlowTime)(nil)
-
-// PlannedLoad returns the planned deadline-work load for the slot offsets
-// of the current plan (diagnostics and tests).
-func (f *FlowTime) PlannedLoad() []resource.Vector {
-	return append([]resource.Vector(nil), f.load...)
-}
 
 var _ sched.PlanStreamer = (*FlowTime)(nil)
 

@@ -363,7 +363,7 @@ func TestReplanOnLiveCapacityChange(t *testing.T) {
 		t.Errorf("Replans = %d, want 2 (live capacity change must replan)", got)
 	}
 	// The new plan must respect the reduced capacity.
-	for off, l := range f.PlannedLoad() {
+	for off, l := range f.load {
 		if !l.FitsIn(capacity) {
 			t.Errorf("plan slot %d load %v exceeds reduced capacity %v", off, l, capacity)
 		}

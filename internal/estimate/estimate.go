@@ -10,7 +10,6 @@ package estimate
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,39 +37,9 @@ func (o Observation) Validate() error {
 	return nil
 }
 
-// Method selects how estimates are derived from history.
-type Method int
-
-// Estimation methods. Enums start at one.
-const (
-	// Mean is the arithmetic mean of observations.
-	Mean Method = iota + 1
-	// P95 is the 95th percentile — conservative, Morpheus-style.
-	P95
-	// EWMA is an exponentially weighted moving average (alpha = 0.3),
-	// tracking drift in recurring workloads.
-	EWMA
-	// MaxSeen is the maximum observation — maximally conservative.
-	MaxSeen
-)
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case Mean:
-		return "mean"
-	case P95:
-		return "p95"
-	case EWMA:
-		return "ewma"
-	case MaxSeen:
-		return "max"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
-
-// ewmaAlpha is the smoothing factor for the EWMA method.
+// ewmaAlpha is the smoothing factor of the estimate: an exponentially
+// weighted moving average of the observations, tracking drift in
+// recurring workloads.
 const ewmaAlpha = 0.3
 
 type key struct{ wf, job string }
@@ -127,60 +96,34 @@ func (s *Store) RecordRun(w *workflow.Workflow) error {
 	return nil
 }
 
-// Estimate derives a task-duration estimate; ok is false with no history.
-func (s *Store) Estimate(workflowID, jobName string, m Method) (est time.Duration, ok bool) {
+// Estimate derives a task-duration estimate, the EWMA of the job's
+// observations oldest first; ok is false with no history.
+func (s *Store) Estimate(workflowID, jobName string) (est time.Duration, ok bool) {
 	s.mu.Lock()
-	h := append([]time.Duration(nil), s.history[key{workflowID, jobName}]...)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	h := s.history[key{workflowID, jobName}]
 	if len(h) == 0 {
 		return 0, false
 	}
-	switch m {
-	case Mean:
-		var sum time.Duration
-		for _, d := range h {
-			sum += d
-		}
-		return sum / time.Duration(len(h)), true
-	case P95:
-		sorted := append([]time.Duration(nil), h...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		idx := int(math.Ceil(0.95*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return sorted[idx], true
-	case EWMA:
-		est := float64(h[0])
-		for _, d := range h[1:] {
-			est = ewmaAlpha*float64(d) + (1-ewmaAlpha)*est
-		}
-		return time.Duration(est), true
-	case MaxSeen:
-		maxD := h[0]
-		for _, d := range h[1:] {
-			if d > maxD {
-				maxD = d
-			}
-		}
-		return maxD, true
-	default:
-		return 0, false
+	e := float64(h[0])
+	for _, d := range h[1:] {
+		e = ewmaAlpha*float64(d) + (1-ewmaAlpha)*e
 	}
+	return time.Duration(e), true
 }
 
 // Apply overwrites each job's TaskDuration estimate in w from the store
 // (jobs without history keep their current estimate). Returns how many
 // jobs were updated. Estimates are rounded up to whole seconds — the
 // granularity of the trace format.
-func (s *Store) Apply(w *workflow.Workflow, m Method) (int, error) {
+func (s *Store) Apply(w *workflow.Workflow) (int, error) {
 	if err := w.Validate(); err != nil {
 		return 0, fmt.Errorf("estimate: %w", err)
 	}
 	updated := 0
 	for i := 0; i < w.NumJobs(); i++ {
 		j := w.Job(i)
-		est, ok := s.Estimate(w.ID, j.Name, m)
+		est, ok := s.Estimate(w.ID, j.Name)
 		if !ok {
 			continue
 		}

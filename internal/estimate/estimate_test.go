@@ -31,7 +31,7 @@ func TestObservationValidate(t *testing.T) {
 	}
 }
 
-func TestMethodsOverKnownHistory(t *testing.T) {
+func TestEWMAOverKnownHistory(t *testing.T) {
 	s, err := NewStore(100)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -44,24 +44,12 @@ func TestMethodsOverKnownHistory(t *testing.T) {
 			t.Fatalf("Record: %v", err)
 		}
 	}
-	if got, ok := s.Estimate("wf", "j", Mean); !ok || got != 40*time.Second {
-		t.Errorf("Mean = %v, %v; want 40s", got, ok)
+	// 10 → 13 → 18.1 → 24.67 → 0.3·100 + 0.7·24.67 = 47.269 s.
+	if got, ok := s.Estimate("wf", "j"); !ok || got.Round(time.Millisecond) != 47269*time.Millisecond {
+		t.Errorf("EWMA = %v, %v; want 47.269s", got, ok)
 	}
-	if got, ok := s.Estimate("wf", "j", P95); !ok || got != 100*time.Second {
-		t.Errorf("P95 = %v, %v; want 100s", got, ok)
-	}
-	if got, ok := s.Estimate("wf", "j", MaxSeen); !ok || got != 100*time.Second {
-		t.Errorf("MaxSeen = %v, %v; want 100s", got, ok)
-	}
-	ewma, ok := s.Estimate("wf", "j", EWMA)
-	if !ok || ewma <= 30*time.Second || ewma >= 100*time.Second {
-		t.Errorf("EWMA = %v, want between the mean region and the max", ewma)
-	}
-	if _, ok := s.Estimate("wf", "missing", Mean); ok {
+	if _, ok := s.Estimate("wf", "missing"); ok {
 		t.Error("estimate for unknown job reported ok")
-	}
-	if _, ok := s.Estimate("wf", "j", Method(99)); ok {
-		t.Error("unknown method reported ok")
 	}
 }
 
@@ -78,10 +66,10 @@ func TestEvictionKeepsNewest(t *testing.T) {
 	if got := len(s.history[key{"wf", "j"}]); got != 3 {
 		t.Fatalf("Runs = %d, want 3 (bounded)", got)
 	}
-	// Oldest (1s) evicted: mean of {2, 3, 60} = 21.666s.
-	got, _ := s.Estimate("wf", "j", Mean)
-	if got < 21*time.Second || got > 22*time.Second {
-		t.Errorf("Mean after eviction = %v, want ~21.7s", got)
+	// Oldest (1s) evicted: EWMA of {2, 3, 60} = 0.3·60 + 0.7·2.3 = 19.61s.
+	got, _ := s.Estimate("wf", "j")
+	if got.Round(time.Millisecond) != 19610*time.Millisecond {
+		t.Errorf("EWMA after eviction = %v, want 19.61s", got)
 	}
 }
 
@@ -114,7 +102,7 @@ func TestRecordRunAndApply(t *testing.T) {
 	}
 
 	next := buildWorkflow(t)
-	updated, err := s.Apply(next, Mean)
+	updated, err := s.Apply(next)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -122,7 +110,7 @@ func TestRecordRunAndApply(t *testing.T) {
 		t.Errorf("updated = %d, want 2", updated)
 	}
 	if got := next.Job(0).TaskDuration; got != 45*time.Second {
-		t.Errorf("job a estimate = %v, want 45s (learned)", got)
+		t.Errorf("job a estimate = %v, want 45s (learned: one observation is its own EWMA)", got)
 	}
 	if got := next.Job(1).TaskDuration; got != 90*time.Second {
 		t.Errorf("job b estimate = %v, want 90s (learned)", got)
@@ -134,7 +122,7 @@ func TestRecordRunAndApply(t *testing.T) {
 	if err := other.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	updated, err = s.Apply(other, Mean)
+	updated, err = s.Apply(other)
 	if err != nil {
 		t.Fatalf("Apply(other): %v", err)
 	}
@@ -178,22 +166,12 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				s.Estimate("wf", "j", Mean)
+				s.Estimate("wf", "j")
 			}
 		}()
 	}
 	wg.Wait()
 	if got := len(s.history[key{"wf", "j"}]); got != 50 {
 		t.Errorf("Runs = %d, want 50 (bounded)", got)
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	for m, want := range map[Method]string{
-		Mean: "mean", P95: "p95", EWMA: "ewma", MaxSeen: "max", Method(0): "method(0)",
-	} {
-		if got := m.String(); got != want {
-			t.Errorf("Method(%d).String() = %q, want %q", m, got, want)
-		}
 	}
 }

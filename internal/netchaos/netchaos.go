@@ -3,8 +3,13 @@
 // syscall layer (internal/store), this package does for the network
 // between agents, the RM, and the replication link: one-way and
 // asymmetric partitions, latency distributions, message drops,
-// duplicates, connection resets, byte throttling, and timed scenario
-// scripts ("partition agent->rm from t=2s to t=5s, then flap").
+// duplicates, connection resets, byte throttling, and timed scenarios
+// ("partition agent->rm from t=2s to t=5s, then flap").
+//
+// A scenario is a Script: a list of Rule values, each a fault kind on a
+// directed link ("*" matches any label; Bidir covers both directions)
+// over a window of scenario time, flapping on a duty cycle when it sets
+// a Period. A flap is a Partition with a Period and a Duty.
 //
 // The injector runs in-process only: tests build one with New and attach
 // it at two seams:

@@ -16,70 +16,14 @@ type virtualClock struct{ now atomic.Int64 }
 func (c *virtualClock) set(d time.Duration) { c.now.Store(int64(d)) }
 func (c *virtualClock) read() time.Duration { return time.Duration(c.now.Load()) }
 
-func TestParseScript(t *testing.T) {
-	script, err := ParseScript(`
-		# a comment
-		1s-3s partition rm->repl
-		3s+   flap rm<->repl period=400ms duty=0.25
-		0s+   latency agent->rm 10ms jitter=5ms
-		2s+   drop *->rm p=0.3
-		0s+   throttle rm->agent 4096
-		500ms+ reset agent->rm p=0.1
-		0s+   dup agent->rm p=0.2
-	`)
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
-	}
-	if len(script) != 7 {
-		t.Fatalf("parsed %d rules, want 7", len(script))
-	}
-	r := script[0]
-	if r.Fault != Partition || r.From != "rm" || r.To != "repl" || r.Bidir ||
-		r.Start != time.Second || r.End != 3*time.Second {
-		t.Errorf("rule 0 = %+v, want 1s-3s partition rm->repl", r)
-	}
-	r = script[1]
-	if r.Fault != Partition || !r.Bidir || r.Period != 400*time.Millisecond || r.Duty != 0.25 || r.End != 0 {
-		t.Errorf("rule 1 = %+v, want open-ended bidirectional flap", r)
-	}
-	r = script[2]
-	if r.Fault != Latency || r.Latency != 10*time.Millisecond || r.Jitter != 5*time.Millisecond {
-		t.Errorf("rule 2 = %+v, want latency 10ms jitter 5ms", r)
-	}
-	if script[3].From != "*" || script[3].P != 0.3 {
-		t.Errorf("rule 3 = %+v, want wildcard drop p=0.3", script[3])
-	}
-	if script[4].BytesPerSec != 4096 {
-		t.Errorf("rule 4 = %+v, want throttle 4096", script[4])
-	}
-
-	for _, bad := range []string{
-		"1s partition a->b",        // malformed window
-		"1s-500ms partition a->b",  // end before start
-		"0s+ explode a->b",         // unknown fault
-		"0s+ partition ab",         // malformed link
-		"0s+ drop a->b p=1.5",      // probability out of range
-		"0s+ latency a->b",         // missing duration
-		"0s+ throttle a->b",        // missing rate
-		"0s+ partition a->b blorp", // stray argument
-	} {
-		if _, err := ParseScript(bad); err == nil {
-			t.Errorf("ParseScript(%q) accepted, want error", bad)
-		}
-	}
-}
-
 // TestDeterministicDecisions is the reproducibility contract: the same
 // seed, script, and clock sequence produce the same fault sequence, and
 // concurrent traffic on one link cannot perturb another link's stream.
 func TestDeterministicDecisions(t *testing.T) {
-	script, err := ParseScript(`
-		0s+ drop a->b p=0.5
-		0s+ reset b->a p=0.3
-		0s+ latency a->b 1ms jitter=10ms
-	`)
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
+	script := Script{
+		{Fault: Drop, From: "a", To: "b", P: 0.5},
+		{Fault: Reset, From: "b", To: "a", P: 0.3},
+		{Fault: Latency, From: "a", To: "b", Latency: time.Millisecond, Jitter: 10 * time.Millisecond},
 	}
 	run := func(seed int64, perturb bool) []Decision {
 		inj := New(seed, script)
@@ -122,8 +66,10 @@ func TestDeterministicDecisions(t *testing.T) {
 }
 
 func TestRuleWindowsAndFlap(t *testing.T) {
-	script, _ := ParseScript("1s-3s partition a->b\n4s+ flap a->b period=1s duty=0.5")
-	inj := New(1, script)
+	inj := New(1, Script{
+		{Fault: Partition, From: "a", To: "b", Start: time.Second, End: 3 * time.Second},
+		{Fault: Partition, From: "a", To: "b", Start: 4 * time.Second, Period: time.Second, Duty: 0.5}, // a flap
+	})
 	clk := &virtualClock{}
 	inj.SetClock(clk.read)
 
@@ -165,12 +111,8 @@ func TestTransportFaults(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	do := func(script string, atT time.Duration) (int64, error) {
-		sc, err := ParseScript(script)
-		if err != nil {
-			t.Fatalf("ParseScript: %v", err)
-		}
-		inj := New(99, sc)
+	do := func(rule Rule, atT time.Duration) (int64, error) {
+		inj := New(99, Script{rule})
 		clk := &virtualClock{}
 		inj.SetClock(clk.read)
 		clk.set(atT)
@@ -184,19 +126,19 @@ func TestTransportFaults(t *testing.T) {
 		return hits.Load() - before, err
 	}
 
-	if n, err := do("0s+ partition c->s", 0); err == nil || n != 0 {
+	if n, err := do(Rule{Fault: Partition, From: "c", To: "s"}, 0); err == nil || n != 0 {
 		t.Errorf("request-direction partition: hits=%d err=%v, want 0 hits and an error", n, err)
 	}
-	if n, err := do("0s+ reset c->s p=1", 0); err == nil || n != 1 {
+	if n, err := do(Rule{Fault: Reset, From: "c", To: "s", P: 1}, 0); err == nil || n != 1 {
 		t.Errorf("reset: hits=%d err=%v, want 1 hit and an error (delivered, ack lost)", n, err)
 	}
-	if n, err := do("0s+ partition s->c", 0); err == nil || n != 1 {
+	if n, err := do(Rule{Fault: Partition, From: "s", To: "c"}, 0); err == nil || n != 1 {
 		t.Errorf("response-direction partition: hits=%d err=%v, want 1 hit and an error", n, err)
 	}
-	if n, err := do("0s+ dup c->s p=1", 0); err != nil || n != 2 {
+	if n, err := do(Rule{Fault: Duplicate, From: "c", To: "s", P: 1}, 0); err != nil || n != 2 {
 		t.Errorf("dup: hits=%d err=%v, want 2 hits and success", n, err)
 	}
-	if n, err := do("0s-1s partition c->s", 2*time.Second); err != nil || n != 1 {
+	if n, err := do(Rule{Fault: Partition, From: "c", To: "s", End: time.Second}, 2*time.Second); err != nil || n != 1 {
 		t.Errorf("expired partition: hits=%d err=%v, want clean delivery", n, err)
 	}
 }
@@ -216,9 +158,9 @@ func chaosServer(t *testing.T, inj *Injector, h http.HandlerFunc) *httptest.Serv
 // contract: a throttled, latency-injected listener still delivers the
 // HTTP response — status, headers, body — unaltered.
 func TestWrapListenerRelaysIntactUnderThrottle(t *testing.T) {
-	sc, err := ParseScript("0s+ throttle c<->s 65536\n0s+ latency c->s 1ms")
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
+	sc := Script{
+		{Fault: Throttle, From: "c", To: "s", Bidir: true, BytesPerSec: 65536},
+		{Fault: Latency, From: "c", To: "s", Latency: time.Millisecond},
 	}
 	srv := chaosServer(t, New(5, sc), func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
@@ -246,8 +188,7 @@ func TestWrapListenerRelaysIntactUnderThrottle(t *testing.T) {
 // TestWrapListenerPartitionSeversConnections proves partitions kill both
 // new and established connections, and that healing restores service.
 func TestWrapListenerPartitionSeversConnections(t *testing.T) {
-	sc, _ := ParseScript("1s-1h partition c<->s")
-	inj := New(3, sc)
+	inj := New(3, Script{{Fault: Partition, From: "c", To: "s", Bidir: true, Start: time.Second, End: time.Hour}})
 	clk := &virtualClock{}
 	inj.SetClock(clk.read)
 	srv := chaosServer(t, inj, func(w http.ResponseWriter, r *http.Request) {

@@ -229,8 +229,9 @@ type PlanStatus struct {
 	// Jobs is the number of jobs holding allocations in the plan.
 	Jobs int `json:"jobs"`
 	// DiffsApplied and Rebases mirror the plan fault counters: diffs
-	// applied transactionally, and wholesale rebases after a broken
-	// revision chain (typically one per crash recovery).
+	// this process applied transactionally, and wholesale rebases after a
+	// broken revision chain (typically one per crash recovery). Like the
+	// other FaultCounters they restart at zero with the process.
 	DiffsApplied int64 `json:"diffs_applied"`
 	Rebases      int64 `json:"rebases"`
 	// AdHoc reports the ad-hoc admission gate; present only when the
@@ -402,7 +403,13 @@ type DegradationStatus struct {
 	LPColdStarts int64 `json:"lp_cold_starts"`
 }
 
-// FaultCounters tallies control-plane fault handling since RM start.
+// FaultCounters tallies control-plane fault handling since this RM
+// process started. The counters are the process's telemetry, not
+// journaled state: they restart at zero with the process, on a follower
+// (which counts nothing while it replicates) and after a promotion, where
+// the promoted RM counts from the orphan leases it requeued. A restarted
+// RM likewise counts only what it decides, starting with its recovery's
+// orphan requeues.
 type FaultCounters struct {
 	// RequeuedQuanta counts leases reclaimed (node eviction, node
 	// re-registration, or lease expiry) and returned to the job pool.

@@ -256,18 +256,18 @@ func TestAdHocNeverCostsDeadline(t *testing.T) {
 		wal      uint64 // the burst run's WAL segment
 		walAlone uint64 // the run without ad-hoc jobs
 	}{
-		1:  {560, 0x351764f9cd4db5c1, 0xb51d65c1f56fb74a, 0x96afc15094b442c4},
-		2:  {600, 0x50fb94a8a7774031, 0x5a8e33bc372c8b8c, 0xe3a4c71dcf2ba407},
-		3:  {600, 0x50fb94a8a7774031, 0x66615a6a675ea0a5, 0x639eff4ab4c32b6},
-		4:  {600, 0x50fb94a8a7774031, 0x7033dbe791dcb09f, 0xb6d5697fdcf4d4c3},
-		5:  {600, 0x50fb94a8a7774031, 0x9b497d5507a0d7e8, 0x7c2c747c8e507f27},
-		6:  {600, 0x50fb94a8a7774031, 0x4efd9fe3420a021d, 0x2805dc1c837878b9},
-		7:  {590, 0x9a3c5223b51dca8d, 0x3b8e8c31bcb4850, 0x388fddfb1c3814ac},
-		8:  {589, 0xd0fce0eeeacd1e82, 0x73632759874f568c, 0x4570e40579375d52},
-		9:  {592, 0x495fc171a070e8e1, 0xe2a661b6c56b4f6d, 0xc79018c56a627136},
-		10: {598, 0x38ef7d63d251e591, 0x7afa74b1fe4b50f4, 0xc74b8bf02d502a88},
-		11: {577, 0x9e596d4dd1eb3052, 0x760d08f95157d502, 0x1b84cb5f47b7637},
-		12: {600, 0x50fb94a8a7774031, 0x690295b2c06a1d98, 0x5aed502e798e599c},
+		1:  {560, 0x351764f9cd4db5c1, 0xeb3b2f9b5c8579b9, 0xb397bdb2732079ac},
+		2:  {600, 0x50fb94a8a7774031, 0xb6b8001b40286ed1, 0x9edcbac00fd8138},
+		3:  {600, 0x50fb94a8a7774031, 0xed70a9f28390b241, 0x53bb2b6d11dafca9},
+		4:  {600, 0x50fb94a8a7774031, 0x9b86cb04de789b1, 0xc9b52bdfed6b0e11},
+		5:  {600, 0x50fb94a8a7774031, 0x9cefbca5956b03f8, 0xe4bf09352b87746b},
+		6:  {600, 0x50fb94a8a7774031, 0xe92dc055046daaff, 0x35c5059ca06db5b7},
+		7:  {590, 0x9a3c5223b51dca8d, 0xbdc9ca0a19ff4da7, 0x601f7a8e7a03999c},
+		8:  {589, 0xd0fce0eeeacd1e82, 0xac0ffd35b60f8d5, 0x5efba8c760d065f0},
+		9:  {592, 0x495fc171a070e8e1, 0x48380a2451fd374a, 0x1b045fd95d51644b},
+		10: {598, 0x38ef7d63d251e591, 0x8dd2f2f28947964c, 0xd712d4595c397091},
+		11: {577, 0x9e596d4dd1eb3052, 0x619ab41dc5b098b7, 0xc1e9b802dde4a189},
+		12: {600, 0x50fb94a8a7774031, 0xf73f38d6132689df, 0x19b0062a0b63b2e1},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		setup, slots := genBurst(t, seed)

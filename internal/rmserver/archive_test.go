@@ -311,6 +311,7 @@ func TestStatusViewsAgree(t *testing.T) {
 		}
 		instances, followerInstances := map[string]bool{}, map[string]bool{}
 		var archive []rmproto.JobStatus
+		var requeues int64 // both processes' own, summed across the restart
 		driveMixed(t, &rm, seed, 40, func(slot int) {
 			switch slot {
 			case 13, 29:
@@ -319,6 +320,7 @@ func TestStatusViewsAgree(t *testing.T) {
 					t.Fatalf("WriteSnapshot: %v", err)
 				}
 			case 21:
+				requeues += rm.Status().Faults.RequeuedQuanta
 				rm.store.Close()
 				rm = newMixedRM(t, dir)
 				front.serve(rm)
@@ -364,8 +366,9 @@ func TestStatusViewsAgree(t *testing.T) {
 			t.Errorf("seed %d: the clients saw %d primary and %d follower instances; want the restart's 2 and the installs' 3", seed, len(instances), len(followerInstances))
 		}
 		st := rm.Status()
-		if st.Faults.RequeuedQuanta == 0 || st.Summary.Completed == 0 || st.Summary.Completed == len(st.Jobs) || st.Summary.Missed == 0 {
-			t.Errorf("seed %d exercised too little: %d requeues, summary %+v of %d jobs", seed, st.Faults.RequeuedQuanta, st.Summary, len(st.Jobs))
+		requeues += st.Faults.RequeuedQuanta
+		if requeues == 0 || st.Summary.Completed == 0 || st.Summary.Completed == len(st.Jobs) || st.Summary.Missed == 0 {
+			t.Errorf("seed %d exercised too little: %d requeues, summary %+v of %d jobs", seed, requeues, st.Summary, len(st.Jobs))
 		}
 		rm.mu.Lock()
 		if len(rm.doneWFs) <= len(rm.wfs) || len(rm.wfs) == 0 {
@@ -377,7 +380,7 @@ func TestStatusViewsAgree(t *testing.T) {
 
 // TestRecoveryEquivalenceAcrossArchive runs the durability oracle where
 // the archive matters: mid-workflow (some jobs of a workflow archived,
-// some live), on a store that is a version-2 snapshot plus a WAL suffix,
+// some live), on a store that is a snapshot plus a WAL suffix,
 // on a follower fed by ShipLog (snapshot install included), and finally
 // on the directory reopened by a fresh server.
 func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {

@@ -51,7 +51,8 @@ func BenchmarkCompleteQuantumIndexed(b *testing.B) {
 				qid := qids[i%njobs]
 				s.mu.Lock()
 				l := s.leases[qid] // confirm destroys the lease; re-arm below
-				s.applyConfirmLocked(s.decideConfirm("n1", []string{qid}))
+				rec, _ := s.decideConfirm("n1", []string{qid})
+				s.applyConfirmLocked(rec)
 				s.leases[qid] = l
 				s.mu.Unlock()
 			}

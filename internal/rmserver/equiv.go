@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"flowtime/internal/resource"
-	"flowtime/internal/rmproto"
 	"flowtime/internal/store"
 )
 
@@ -24,9 +22,9 @@ import (
 //
 // Normalization removes exactly what recovery is specified to change:
 // in-flight leases are requeued (their nodes died with the process), so
-// leases are dropped, per-job in-flight volume is zeroed, and fault
-// counters — which recovery legitimately bumps — are cleared. Everything
-// else must match byte-for-byte.
+// leases are dropped. Everything else must match byte-for-byte; a
+// snapshot holds no per-job in-flight volume (it is the leases' grants)
+// and no fault counter (they are the process's own).
 //
 // scratch must be an empty or nonexistent directory; the copy is left
 // behind on failure for forensics and removed on success.
@@ -91,25 +89,14 @@ func (s *Server) VerifyRecoveryEquivalence(scratch string) error {
 	return os.RemoveAll(scratch)
 }
 
-// normalizeSnapshot strips the state recovery is allowed to change:
-// leases (requeued wholesale), per-job in-flight volume (returned to the
-// schedulable remainder by the requeue), and fault counters (bumped by
-// the requeues).
+// normalizeSnapshot strips the state recovery is allowed to change: the
+// leases, which it requeues wholesale.
 func normalizeSnapshot(payload []byte) ([]byte, error) {
 	var st snapState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, err
 	}
 	st.Leases = nil
-	st.Faults = rmproto.FaultCounters{}
-	for wi := range st.Workflows {
-		for ji := range st.Workflows[wi].Jobs {
-			st.Workflows[wi].Jobs[ji].InFlight = resource.Vector{}
-		}
-	}
-	for ji := range st.AdHoc {
-		st.AdHoc[ji].InFlight = resource.Vector{}
-	}
 	return json.Marshal(&st)
 }
 

@@ -2,14 +2,15 @@ package rmserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
@@ -128,19 +129,26 @@ func TestRecoveryEquivalenceRequiresStore(t *testing.T) {
 }
 
 // TestLiveEqualsReplayWithLeases holds what VerifyRecoveryEquivalence
-// normalizes away — leases, in-flight volume, the quantum counter — to
-// live ≡ replay. Over driveMixed's seeded run (submissions, ticks,
-// confirming heartbeats that dispatch hand-offs, a re-registration, lease
-// expiries), after every call that may change the RM, a copy of its state
-// directory recovered as a follower, which requeues nothing, must hold the
-// live state byte for byte. Only the fault counters are cleared first: a
-// heartbeat whose confirms are all stale journals nothing.
+// normalizes away — leases, the in-flight volume they add up to, the
+// quantum counter — to live ≡ replay. Over driveMixed's seeded run
+// (submissions, ticks, confirming heartbeats that dispatch hand-offs, a
+// re-registration, lease expiries), after every call that may change the
+// RM, a copy of its state directory recovered as a follower, which
+// requeues nothing, must hold the live state byte for byte, and each job
+// the same in-flight volume, which the snapshot leaves to its leases.
 func TestLiveEqualsReplayWithLeases(t *testing.T) {
 	dir := t.TempDir()
 	rm := newMixedRM(t, dir)
 	driveMixed(t, &rm, 1, 20, func(int) {}, func(what string) {
-		if live, replayed := liveAndReplayed(t, rm); !bytes.Equal(live, replayed) {
-			t.Fatalf("after %s, replaying the log does not rebuild the live state:\nlive:     %s\nreplayed: %s", what, live, replayed)
+		live, replayed, follower := liveAndReplayed(t, rm)
+		if !bytes.Equal(live.snapshot, replayed.snapshot) {
+			t.Fatalf("after %s, replaying the log does not rebuild the live state:\nlive:     %s\nreplayed: %s", what, live.snapshot, replayed.snapshot)
+		}
+		if !reflect.DeepEqual(live.inFlight, replayed.inFlight) {
+			t.Fatalf("after %s, replaying the log does not rebuild the in-flight volume:\nlive:     %v\nreplayed: %v", what, live.inFlight, replayed.inFlight)
+		}
+		if f := follower.Status().Faults; f != (rmproto.FaultCounters{}) {
+			t.Fatalf("after %s, the follower counted %+v replaying a log", what, f)
 		}
 	})
 	var codec walCodec
@@ -162,44 +170,50 @@ func TestLiveEqualsReplayWithLeases(t *testing.T) {
 	}
 }
 
-// liveAndReplayed snapshots rm and, under the same lock, copies its state
-// directory — a SIGKILL at this instant — then recovers the copy as a
-// follower. It returns both snapshots with their fault counters cleared.
-func liveAndReplayed(t *testing.T, rm *Server) ([]byte, []byte) {
+// heldState is what liveAndReplayed captures of a server: its snapshot,
+// and each live job's in-flight volume, which the snapshot does not hold.
+type heldState struct {
+	snapshot []byte
+	inFlight map[string]resource.Vector
+}
+
+// heldLocked captures s's heldState; s.mu must be held.
+func heldLocked(t *testing.T, s *Server) heldState {
+	t.Helper()
+	snapshot, err := s.snapshotLocked()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	h := heldState{snapshot: snapshot, inFlight: make(map[string]resource.Vector, len(s.jobs))}
+	for id, j := range s.jobs {
+		h.inFlight[id] = j.inFlight
+	}
+	return h
+}
+
+// liveAndReplayed captures rm's state and, under the same lock, copies its
+// state directory — a SIGKILL at this instant — then recovers the copy as
+// a follower. It returns both captures and the follower.
+func liveAndReplayed(t *testing.T, rm *Server) (live, replayed heldState, follower *Server) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "copy")
 	rm.mu.Lock()
-	live, err := rm.snapshotLocked()
-	if err == nil {
-		err = copyDir(rm.store.Dir(), dir)
-	}
+	live = heldLocked(t, rm)
+	err := copyDir(rm.store.Dir(), dir)
 	rm.mu.Unlock()
 	if err != nil {
-		t.Fatalf("capture the live state: %v", err)
+		t.Fatalf("copy the state directory: %v", err)
 	}
 	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
 	defer st.Close()
-	follower, err := New(Config{SlotDur: rm.cfg.SlotDur, Scheduler: sched.NewFIFO(), Store: st, Follower: true})
+	follower, err = New(Config{SlotDur: rm.cfg.SlotDur, Scheduler: sched.NewFIFO(), Store: st, Follower: true})
 	if err != nil {
 		t.Fatalf("recover the copy as a follower: %v", err)
 	}
-	return withoutFaults(t, live), withoutFaults(t, snapshotOf(t, follower))
-}
-
-// withoutFaults returns a snapshot with its fault counters cleared.
-func withoutFaults(t *testing.T, snapshot []byte) []byte {
-	t.Helper()
-	var st snapState
-	if err := json.Unmarshal(snapshot, &st); err != nil {
-		t.Fatal(err)
-	}
-	st.Faults = rmproto.FaultCounters{}
-	out, err := json.Marshal(&st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	follower.mu.Lock()
+	defer follower.mu.Unlock()
+	return live, heldLocked(t, follower), follower
 }

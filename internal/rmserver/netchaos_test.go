@@ -33,15 +33,6 @@ type chaosClock struct{ now atomic.Int64 }
 func (c *chaosClock) set(d time.Duration) { c.now.Store(int64(d)) }
 func (c *chaosClock) read() time.Duration { return time.Duration(c.now.Load()) }
 
-func mustScript(t *testing.T, text string) netchaos.Script {
-	t.Helper()
-	sc, err := netchaos.ParseScript(text)
-	if err != nil {
-		t.Fatalf("ParseScript: %v", err)
-	}
-	return sc
-}
-
 // assertExactlyOnce checks the completed workload delivered every job's
 // volume exactly once and the RM passes the recovery-equivalence oracle.
 func assertExactlyOnce(t *testing.T, rm *Server, st rmproto.StatusResponse) {
@@ -75,7 +66,7 @@ func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
 	follower, _ := newReplicaRM(t, t.TempDir(), psrv.URL)
 
 	// The partition window lives on a virtual clock the test advances.
-	inj := netchaos.New(1001, mustScript(t, "1s-2s partition repl<->rm"))
+	inj := netchaos.New(1001, netchaos.Script{{Fault: netchaos.Partition, From: "repl", To: "rm", Bidir: true, Start: time.Second, End: 2 * time.Second}})
 	clk := &chaosClock{}
 	inj.SetClock(clk.read)
 
@@ -150,7 +141,7 @@ func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
 
 	// Real-clock flap: 30ms up, 30ms down, forever. Ship requests and
 	// responses are judged independently, so response-only losses occur.
-	inj := netchaos.New(77, mustScript(t, "0s+ flap repl<->rm period=60ms duty=0.5"))
+	inj := netchaos.New(77, netchaos.Script{{Fault: netchaos.Partition, From: "repl", To: "rm", Bidir: true, Period: 60 * time.Millisecond, Duty: 0.5}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -245,7 +236,7 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 		})
 	}()
 
-	inj := netchaos.New(42, mustScript(t, "0s+ partition agent->rmp"))
+	inj := netchaos.New(42, netchaos.Script{{Fault: netchaos.Partition, From: "agent", To: "rmp"}})
 	agentHC := &http.Client{Transport: &hostChaosRT{
 		inj: inj,
 		hosts: map[string]string{
@@ -334,13 +325,13 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 
 // chaosListen serves rm on a loopback listener wrapped with a fresh
 // injector running script, and returns its base URL.
-func chaosListen(t *testing.T, rm *Server, seed int64, script string) string {
+func chaosListen(t *testing.T, rm *Server, seed int64, script netchaos.Script) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	t.Cleanup(serveRM(t, rm, netchaos.WrapListener(ln, netchaos.New(seed, mustScript(t, script)), "c", "s")))
+	t.Cleanup(serveRM(t, rm, netchaos.WrapListener(ln, netchaos.New(seed, script), "c", "s")))
 	return "http://" + ln.Addr().String()
 }
 
@@ -360,7 +351,10 @@ func TestNetChaosCodedErrorsThroughWrappedListener(t *testing.T) {
 
 	// not_leader through a throttled listener: the hint survives.
 	follower, _ := newReplicaRM(t, t.TempDir(), "http://leader.example:8030")
-	furl := chaosListen(t, follower, 9, "0s+ throttle c<->s 65536\n0s+ latency c->s 2ms")
+	furl := chaosListen(t, follower, 9, netchaos.Script{
+		{Fault: netchaos.Throttle, From: "c", To: "s", Bidir: true, BytesPerSec: 65536},
+		{Fault: netchaos.Latency, From: "c", To: "s", Latency: 2 * time.Millisecond},
+	})
 	err := register(NewClient(furl, nil))
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("register via wrapped listener = %v, want ErrNotLeader", err)
@@ -370,10 +364,9 @@ func TestNetChaosCodedErrorsThroughWrappedListener(t *testing.T) {
 	}
 
 	// not_leader again with the RoundTripper seam on the client side too.
-	chaosHC := &http.Client{Transport: &netchaos.Transport{
-		Injector: netchaos.New(12, mustScript(t, "0s+ latency c->s 1ms")), From: "c", To: "s",
-	}}
-	err = register(NewClient(chaosListen(t, follower, 11, "0s+ latency c->s 1ms"), chaosHC))
+	latency := netchaos.Script{{Fault: netchaos.Latency, From: "c", To: "s", Latency: time.Millisecond}}
+	chaosHC := &http.Client{Transport: &netchaos.Transport{Injector: netchaos.New(12, latency), From: "c", To: "s"}}
+	err = register(NewClient(chaosListen(t, follower, 11, latency), chaosHC))
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("register via transport and wrapped listener = %v, want ErrNotLeader", err)
 	}

@@ -20,8 +20,8 @@
 //
 //   - Workflow and ad-hoc submissions, with their decomposed windows
 //     and min-slot counts (capacity at submit time is not recoverable).
-//   - Every tick: the new slot value, leases granted, leases requeued
-//     by node eviction or lease expiry, and the fault counters.
+//   - Every tick: the new slot value, leases granted, and leases
+//     requeued by node eviction or lease expiry.
 //   - Heartbeat confirmations that actually applied (stale confirms
 //     change nothing and are not journaled), and after them the leases
 //     the heartbeat dispatched from the tick's offers, as a tick record
@@ -43,6 +43,10 @@
 //     ("for the life of the process"), not of the workload — a restarted
 //     RM schedules again, otherwise a post-shutdown restart would come
 //     up permanently refusing work.
+//   - NOT journaled: the fault counters (rmproto.FaultCounters). They are
+//     this process's telemetry, counted where the live process decides
+//     what they count; replay and a follower's ingest count nothing, so
+//     they restart at zero with the process, as Prometheus counters do.
 //
 // Durability ordering: under the always-fsync policy one rule holds —
 // only what a crash could not undo on its own waits for the disk. Two
@@ -101,15 +105,19 @@
 // (rmproto/submit.go). The tag table and every rule are in walcodec.go,
 // the only file here that knows them; this file builds and applies
 // walRecord values. `ftrm -wal-dump` prints a log as JSON lines (DumpWAL).
-// That is the one journal form: a payload in the JSON form RMs before the
-// codec wrote is refused, as are the forms before front-coded IDs
-// (walcodec.go states why that is safe). Snapshots are JSON (snapState,
-// version 3 only), as is the plan blob inside a snapshot or a rebase
-// record.
+// A record holds only what replay reads: no fault counter, and no slot
+// beside an epoch. That is the one journal form: a payload in the JSON
+// form RMs before the codec wrote is refused, as are the forms that
+// carried fault counters and those before front-coded IDs (walcodec.go
+// states why that is safe). Snapshots are JSON (snapState, version 4
+// only), as is the plan blob inside a snapshot or a rebase record; a
+// snapshot holds no fault counter and no job's in-flight volume, which is
+// the sum of its leases' grants and is rebuilt from them.
 package rmserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -123,14 +131,16 @@ import (
 	"flowtime/internal/workflow"
 )
 
-// snapVersion identifies the snapshot schema. Version 3 holds live state
+// snapVersion identifies the snapshot schema. Version 4 holds live state
 // only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
 // the archive of completed jobs in completion order, and a plan of
-// integers only. Version 2 was the same with θ levels in the plan and a
-// journal of back-referenced tick IDs behind it; version 1 held every job
-// ever admitted, flagged done or not. Both are refused, by name: nothing
-// writes them, under the condition walcodec.go states for the journal.
-const snapVersion = 3
+// integers only. Version 3 was the same plus the fault counters and each
+// job's in-flight volume, with a journal of counter-carrying records
+// behind it; version 2 had θ levels in the plan and a journal of
+// back-referenced tick IDs behind it; version 1 held every job ever
+// admitted, flagged done or not. All are refused, by name: nothing writes
+// them, under the condition walcodec.go states for the journal.
+const snapVersion = 4
 
 // walRecord is the one-of union journaled per mutation. walcodec.go owns
 // its on-disk form; the json tags serve `ftrm -wal-dump`.
@@ -169,13 +179,12 @@ type recAdHoc struct {
 }
 
 // recTick journals one slot advance: the post-advance slot value, the
-// leases reclaimed by eviction/expiry during the tick, the leases
-// granted, and the authoritative fault counters at tick end.
+// leases reclaimed by eviction/expiry during the tick, and the leases
+// granted.
 type recTick struct {
-	Slot     int64                 `json:"slot"`
-	Requeued []string              `json:"requeued,omitempty"`
-	Grants   []recGrant            `json:"grants,omitempty"`
-	Faults   rmproto.FaultCounters `json:"faults"`
+	Slot     int64      `json:"slot"`
+	Requeued []string   `json:"requeued,omitempty"`
+	Grants   []recGrant `json:"grants,omitempty"`
 }
 
 type recGrant struct {
@@ -193,16 +202,14 @@ func (g recGrant) quantum() rmproto.Quantum {
 
 // recConfirm journals the quanta one heartbeat actually confirmed.
 type recConfirm struct {
-	Slot   int64                 `json:"slot"`
-	QIDs   []string              `json:"qids"`
-	Faults rmproto.FaultCounters `json:"faults"`
+	Slot int64    `json:"slot"`
+	QIDs []string `json:"qids"`
 }
 
 // recRequeue journals leases reclaimed outside a tick (node
 // re-registration, promotion).
 type recRequeue struct {
-	QIDs   []string              `json:"qids"`
-	Faults rmproto.FaultCounters `json:"faults"`
+	QIDs []string `json:"qids"`
 }
 
 // recEpoch journals a leadership-epoch claim: the first epoch of a
@@ -211,7 +218,6 @@ type recRequeue struct {
 // stream (see repl.go).
 type recEpoch struct {
 	Epoch int64 `json:"epoch"`
-	Slot  int64 `json:"slot"`
 }
 
 // recPlanDiff journals one plan diff, on disk in the plan codec's wire
@@ -232,15 +238,14 @@ type recPlanRebase struct {
 
 // snapState is the full-state snapshot payload.
 type snapState struct {
-	Version   int                   `json:"version"`
-	SlotDurNS int64                 `json:"slot_dur_ns"`
-	Slot      int64                 `json:"slot"`
-	Epoch     int64                 `json:"epoch,omitempty"`
-	NextQID   int64                 `json:"next_qid"`
-	Faults    rmproto.FaultCounters `json:"faults"`
-	Workflows []snapWorkflow        `json:"workflows,omitempty"`
-	AdHoc     []snapJob             `json:"adhoc,omitempty"`
-	Leases    []snapLease           `json:"leases,omitempty"`
+	Version   int            `json:"version"`
+	SlotDurNS int64          `json:"slot_dur_ns"`
+	Slot      int64          `json:"slot"`
+	Epoch     int64          `json:"epoch,omitempty"`
+	NextQID   int64          `json:"next_qid"`
+	Workflows []snapWorkflow `json:"workflows,omitempty"`
+	AdHoc     []snapJob      `json:"adhoc,omitempty"`
+	Leases    []snapLease    `json:"leases,omitempty"`
 	// Done is the archive of completed jobs, in completion order.
 	Done []rmproto.JobStatus `json:"done,omitempty"`
 	// Plan is the live plan in the strict plan codec's wire form; absent
@@ -265,7 +270,6 @@ type snapJob struct {
 	DeadlineNS  int64           `json:"deadline_ns"`
 	Total       resource.Vector `json:"total"`
 	Delivered   resource.Vector `json:"delivered"`
-	InFlight    resource.Vector `json:"in_flight"`
 	ParallelCap resource.Vector `json:"parallel_cap"`
 	MinSlots    int64           `json:"min_slots"`
 	BestEffort  bool            `json:"best_effort,omitempty"`
@@ -301,6 +305,11 @@ func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
 	}
 	return s.appendLocked(payload)
 }
+
+// applied reports whether journalLocked applied the record it answered
+// err for: it did unless the codec or the apply refused it first. A store
+// that refuses the append answers ErrCommitFailed after the apply.
+func applied(err error) bool { return err == nil || errors.Is(err, ErrCommitFailed) }
 
 // encodeLocked returns rec's WAL payload — nil with no store — in the
 // codec's buffer, valid until the next encode. A record is encoded before
@@ -385,10 +394,11 @@ func (s *Server) recoverLocked() error {
 	// acting primary may requeue them. A follower must keep replaying
 	// exactly the primary's stream; its leases are requeued at promotion.
 	// The requeue is applied, not journaled: every recovery of this log
-	// decides the same one.
+	// decides the same one. Its quanta are the first this process counts.
 	if !s.cfg.Follower {
 		orphans := s.decideRequeue(anyLease)
 		s.applyRequeueLocked(orphans)
+		s.faults.RequeuedQuanta += int64(len(orphans.QIDs))
 		rec.OrphanLeasesRequeued = len(orphans.QIDs)
 	}
 	rec.Slot = s.slot
@@ -400,6 +410,8 @@ func (s *Server) recoverLocked() error {
 func (s *Server) restoreSnapshotLocked(st *snapState) error {
 	switch st.Version {
 	case snapVersion:
+	case 3:
+		return fmt.Errorf("snapshot version 3, the form that carried fault counters and in-flight volume, which is no longer read (want %d)", snapVersion)
 	case 2:
 		return fmt.Errorf("snapshot version 2, the form with θ levels in its plan that predates front-coded journal IDs, which is no longer read (want %d)", snapVersion)
 	case 1:
@@ -415,7 +427,6 @@ func (s *Server) restoreSnapshotLocked(st *snapState) error {
 		s.epoch = st.Epoch
 	}
 	s.nextQID = st.NextQID
-	s.faults = st.Faults
 	for i := range st.Workflows {
 		sw := &st.Workflows[i]
 		wf, err := workflowFromRecord(sw.WF, sw.SubmitNS, sw.DeadlineNS)
@@ -449,6 +460,7 @@ func (s *Server) restoreSnapshotLocked(st *snapState) error {
 			qid: sl.QID, job: j, nodeID: sl.NodeID,
 			grant: sl.Grant, issued: sl.Issued, expiry: sl.Expiry,
 		}
+		j.inFlight = j.inFlight.Add(sl.Grant)
 	}
 	if len(st.Plan) > 0 {
 		p, err := plan.DecodePlan(st.Plan)
@@ -472,7 +484,6 @@ func rmJobFromSnap(sj *snapJob, wfID string) *rmJob {
 		deadline:    time.Duration(sj.DeadlineNS),
 		total:       sj.Total,
 		delivered:   sj.Delivered,
-		inFlight:    sj.InFlight,
 		parallelCap: sj.ParallelCap,
 		minSlots:    sj.MinSlots,
 		bestEffort:  sj.BestEffort,
@@ -492,7 +503,6 @@ func snapFromRMJob(j *rmJob) snapJob {
 		DeadlineNS:  int64(j.deadline),
 		Total:       j.total,
 		Delivered:   j.delivered,
-		InFlight:    j.inFlight,
 		ParallelCap: j.parallelCap,
 		MinSlots:    j.minSlots,
 		BestEffort:  j.bestEffort,
@@ -583,9 +593,6 @@ func (s *Server) applyWorkflowLocked(r *recWorkflow) error {
 		s.jobs[j.id] = j
 	}
 	s.wfs[wf.ID] = st
-	if r.BestEffort {
-		s.faults.BestEffortAdmissions++
-	}
 	return nil
 }
 
@@ -613,7 +620,7 @@ func (s *Server) applyAdHocLocked(r *recAdHoc) error {
 // — then its slot. A grant at or below the quantum-ID watermark was
 // applied already (by a prior replay pass or the snapshot) and is skipped.
 func (s *Server) applyTickLocked(r *recTick) {
-	s.applyRequeueLocked(&recRequeue{QIDs: r.Requeued, Faults: r.Faults})
+	s.applyRequeueLocked(&recRequeue{QIDs: r.Requeued})
 	for _, g := range r.Grants {
 		n, own := rmproto.ParseQuantumID(g.QID)
 		if !own || n <= s.nextQID {
@@ -663,7 +670,6 @@ func (s *Server) applyConfirmLocked(r *recConfirm) {
 	if len(s.leases) == 0 {
 		s.cond.Broadcast()
 	}
-	s.faults = r.Faults
 }
 
 // applyRequeueLocked reclaims the leases a record names: each one's volume
@@ -686,7 +692,6 @@ func (s *Server) applyRequeueLocked(r *recRequeue) {
 	if len(s.leases) == 0 {
 		s.cond.Broadcast()
 	}
-	s.faults = r.Faults
 }
 
 // snapshotLocked serializes the full RM state — live tables and the
@@ -699,7 +704,6 @@ func (s *Server) snapshotLocked() ([]byte, error) {
 		Slot:      s.slot,
 		Epoch:     s.epoch,
 		NextQID:   s.nextQID,
-		Faults:    s.faults,
 	}
 	wfIDs := make([]string, 0, len(s.wfs))
 	for id := range s.wfs {

@@ -310,3 +310,79 @@ func TestEmptyDirRecovery(t *testing.T) {
 		t.Errorf("status durability = %+v, want fsync policy reported", rm.Status().Durability)
 	}
 }
+
+// TestFaultCountersArePerProcess: the fault counters are each process's
+// telemetry, not journaled state. A primary counts the best-effort
+// admission, the stale confirm, the expired node and the requeues it
+// decided; a process recovered from its state directory counts only the
+// orphan leases it requeued itself; a follower that ingested the same
+// stream — a snapshot and the records behind it — counts nothing until it
+// is promoted, and then exactly the orphans it requeued.
+func TestFaultCountersArePerProcess(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	// Abandoned un-closed, like a SIGKILL.
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st, NodeExpiry: time.Minute})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	register(t, rm, "n1", 2, 8*1024)
+	register(t, rm, "n2", 8, 8*1024)
+	if resp, err := rm.SubmitWorkflow(infeasibleWorkflow()); err != nil || !resp.BestEffort {
+		t.Fatalf("SubmitWorkflow = %+v, %v; want a best-effort admission", resp, err)
+	}
+	submitAdHoc(t, rm, "a1", 4, 20)
+	now := time.Now()
+	if err := rm.Tick(now); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	// n1 confirms a quantum nobody issued and takes its launches; n2 falls
+	// silent and expires at the next tick, its leases requeued.
+	later := now.Add(2 * time.Minute)
+	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{"q-999"}}, later); err != nil {
+		t.Fatalf("Heartbeat: %v", err)
+	}
+	if err := rm.WriteSnapshot(); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if err := rm.Tick(later); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	primary := rm.Status()
+	if f := primary.Faults; f.BestEffortAdmissions != 1 || f.StaleConfirms != 1 || f.ExpiredNodes != 1 || f.RequeuedQuanta == 0 ||
+		f.SchedulerPanics != 0 || f.PlanDiffsApplied != 0 || f.PlanRebases != 0 {
+		t.Fatalf("primary counted %+v; want 1 best-effort admission, 1 stale confirm, 1 expired node and its requeues", f)
+	}
+	orphans := primary.OutstandingLeases
+	if orphans == 0 {
+		t.Fatal("no lease outstanding at the crash: recovery requeues nothing")
+	}
+
+	follower, _ := newReplicaRM(t, t.TempDir(), "")
+	pumpRepl(t, rm, follower)
+	if f := follower.Status().Faults; f != (rmproto.FaultCounters{}) {
+		t.Errorf("follower counted %+v ingesting the stream, want nothing", f)
+	}
+
+	recovered, _ := newDurableRM(t, dir, true)
+	if got := recovered.Recovery().OrphanLeasesRequeued; got != orphans {
+		t.Fatalf("recovery requeued %d orphan leases, want %d", got, orphans)
+	}
+	if f, want := recovered.Status().Faults, (rmproto.FaultCounters{RequeuedQuanta: int64(orphans)}); f != want {
+		t.Errorf("recovered process counted %+v, want %+v: its own orphan requeues only", f, want)
+	}
+
+	promo, err := follower.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if promo.OrphanLeasesRequeued != orphans {
+		t.Fatalf("promotion requeued %d orphan leases, want %d", promo.OrphanLeasesRequeued, orphans)
+	}
+	if f, want := follower.Status().Faults, (rmproto.FaultCounters{RequeuedQuanta: int64(orphans)}); f != want {
+		t.Errorf("promoted follower counted %+v, want %+v: its own orphan requeues only", f, want)
+	}
+}

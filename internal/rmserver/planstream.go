@@ -92,6 +92,9 @@ func (s *Server) streamPlansLocked() error {
 // next commit.
 func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
 	_, err := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: lp}})
+	if applied(err) {
+		s.faults.PlanRebases++
+	}
 	return err
 }
 
@@ -113,14 +116,12 @@ func (s *Server) applyPlanDiffRecordLocked(r *recPlanDiff) error {
 		return fmt.Errorf("plan diff %d->%d: %w", d.BaseRev, d.NewRev, err)
 	}
 	s.livePlan = next
-	s.faults.PlanDiffsApplied++
 	return nil
 }
 
 // applyPlanRebaseRecordLocked replays one journaled wholesale rebase.
 func (s *Server) applyPlanRebaseRecordLocked(r *recPlanRebase) {
 	s.livePlan = r.Plan // decoded and validated by the record codec
-	s.faults.PlanRebases++
 }
 
 // adhocGate is the ad-hoc admission gate: over one window of slots, the

@@ -123,15 +123,17 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 	if err := rm.applyRecordLocked(first); err != nil {
 		t.Fatalf("apply first diff: %v", err)
 	}
-	if rm.livePlan.Rev != 1 || rm.faults.PlanDiffsApplied != 1 {
-		t.Fatalf("rev %d, applied %d after first diff", rm.livePlan.Rev, rm.faults.PlanDiffsApplied)
+	// Replay applies the diff and counts nothing: the counters are the
+	// live process's.
+	if rm.livePlan.Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
+		t.Fatalf("rev %d, %d counted applied after replaying the first diff", rm.livePlan.Rev, rm.faults.PlanDiffsApplied)
 	}
 	// Idempotent: replaying the same record changes nothing.
 	if err := rm.applyRecordLocked(first); err != nil {
 		t.Fatalf("duplicate replay: %v", err)
 	}
-	if rm.livePlan.Rev != 1 || rm.faults.PlanDiffsApplied != 1 {
-		t.Fatalf("duplicate replay mutated state: rev %d, applied %d", rm.livePlan.Rev, rm.faults.PlanDiffsApplied)
+	if rm.livePlan.Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
+		t.Fatalf("duplicate replay mutated state: rev %d, %d counted applied", rm.livePlan.Rev, rm.faults.PlanDiffsApplied)
 	}
 	// A gap in the chain is corrupt history: refused loudly, nothing applied.
 	gap := mustRecord(&plan.Diff{BaseRev: 4, NewRev: 5, From: 5, NSlots: 2})

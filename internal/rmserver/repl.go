@@ -186,7 +186,8 @@ func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 
 // resetStateLocked clears all workload state ahead of a shipped
 // snapshot install. The epoch survives — it fences independently of the
-// stream position.
+// stream position — and so do the fault counters, which are this
+// process's own.
 func (s *Server) resetStateLocked() {
 	s.slot = 0
 	s.nextQID = 0
@@ -199,7 +200,6 @@ func (s *Server) resetStateLocked() {
 	s.doneAdHoc = make(map[string]struct{})
 	s.doneWFs = make(map[string]struct{})
 	s.instance = newInstance()
-	s.faults = rmproto.FaultCounters{}
 	s.livePlan = nil
 	s.cond.Broadcast()
 }
@@ -216,11 +216,11 @@ func (s *Server) Promote() (rmproto.PromoteResponse, error) {
 		s.mu.Unlock()
 		return resp, nil
 	}
-	eh, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: s.epoch + 1, Slot: s.slot}})
+	eh, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: s.epoch + 1}})
 	orphans := s.decideRequeue(anyLease)
 	var rh store.Handle
 	if err == nil && len(orphans.QIDs) > 0 {
-		rh, err = s.journalLocked(walRecord{Requeue: orphans})
+		rh, err = s.requeueLocked(orphans)
 	}
 	epoch, slot := s.epoch, s.slot
 	s.mu.Unlock()

@@ -137,6 +137,9 @@ type Server struct {
 	offers           []offer
 	handoffs, lapsed int64
 
+	// faults counts what this process decided, where it decided it; like
+	// handoffs and lapsed they are not journaled, and no apply function
+	// touches them, so replay and a follower's ingest count nothing.
 	faults   rmproto.FaultCounters
 	recovery *rmproto.RecoveryStatus // non-nil after a store recovery
 	// journaled is the handle of the newest WAL record this server
@@ -329,7 +332,7 @@ func New(cfg Config) (*Server, error) {
 	// before granting anything; a recovered epoch is kept as-is. Followers
 	// adopt the primary's epoch from the shipped stream.
 	if s.role == RolePrimary && s.epoch == 0 {
-		h, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: 1, Slot: s.slot}})
+		h, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: 1}})
 		if err == nil {
 			err = s.commitRecord(h)
 		}
@@ -377,7 +380,7 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 	if _, exists := s.nodes[req.NodeID]; exists {
 		rec := s.decideRequeue(func(l *lease) bool { return l.nodeID == req.NodeID })
 		if len(rec.QIDs) > 0 {
-			h, jerr = s.journalLocked(walRecord{Requeue: rec})
+			h, jerr = s.requeueLocked(rec)
 		}
 	}
 	s.nodes[req.NodeID] = &node{id: req.NodeID, capacity: capV, lastSeen: now}
@@ -420,10 +423,12 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 	n.lastSeen = now
 	n.heard = true
 	completed := len(s.done)
-	if rec := s.decideConfirm(req.NodeID, req.Completed); len(rec.QIDs) == 0 {
-		s.faults = rec.Faults // stale confirms alone change nothing replay rebuilds, and are not journaled
-	} else if _, err := s.journalLocked(walRecord{Confirm: rec}); err != nil {
-		return rmproto.HeartbeatResponse{}, err
+	rec, stale := s.decideConfirm(req.NodeID, req.Completed)
+	s.faults.StaleConfirms += stale
+	if len(rec.QIDs) > 0 {
+		if _, err := s.journalLocked(walRecord{Confirm: rec}); err != nil {
+			return rmproto.HeartbeatResponse{}, err
+		}
 	}
 	if len(s.done) > completed && len(s.offers) > 0 && !s.draining {
 		if rec := s.decideHandOff(n); len(rec.Grants) > 0 {
@@ -442,20 +447,20 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 // each quantum it names that is a live lease of the sending node is
 // confirmed, once, at the current slot. Any other — already confirmed,
 // requeued after the node's eviction, from before an RM restart, or held
-// by another node — is counted stale and ignored, so a re-registering node
-// can never double-deliver stale work.
-func (s *Server) decideConfirm(nodeID string, qids []string) *recConfirm {
-	rec := &recConfirm{Slot: s.slot, Faults: s.faults}
+// by another node — is stale and ignored, so a re-registering node can
+// never double-deliver stale work; stale counts them.
+func (s *Server) decideConfirm(nodeID string, qids []string) (rec *recConfirm, stale int64) {
+	rec = &recConfirm{Slot: s.slot}
 	seen := make(map[string]bool, len(qids))
 	for _, qid := range qids {
 		if l, ok := s.leases[qid]; ok && l.nodeID == nodeID && !seen[qid] {
 			seen[qid] = true
 			rec.QIDs = append(rec.QIDs, qid)
 		} else {
-			rec.Faults.StaleConfirms++
+			stale++
 		}
 	}
-	return rec
+	return rec, stale
 }
 
 // decideHandOff decides which offers the heartbeat of node from dispatches:
@@ -468,7 +473,7 @@ func (s *Server) decideConfirm(nodeID string, qids []string) *recConfirm {
 // one attempt: what found no room lapses, the job is ready for the next
 // tick.
 func (s *Server) decideHandOff(from *node) *recTick {
-	rec := &recTick{Slot: s.slot, Faults: s.faults}
+	rec := &recTick{Slot: s.slot}
 	var targets []*node
 	kept := s.offers[:0]
 	for _, o := range s.offers {
@@ -534,17 +539,26 @@ func (s *Server) knownAdHocLocked(id string) bool {
 
 // decideRequeue decides the requeue of the leases keep selects, changing
 // nothing: their IDs in ID order — the leases are a map, and the same run
-// must journal the same bytes — and the fault counters that count them.
+// must journal the same bytes.
 func (s *Server) decideRequeue(keep func(*lease) bool) *recRequeue {
-	rec := &recRequeue{Faults: s.faults}
+	rec := &recRequeue{}
 	for qid, l := range s.leases {
 		if keep(l) {
 			rec.QIDs = append(rec.QIDs, qid)
 		}
 	}
 	sort.Strings(rec.QIDs)
-	rec.Faults.RequeuedQuanta += int64(len(rec.QIDs))
 	return rec
+}
+
+// requeueLocked journals a decided requeue and, once it applied, counts
+// its quanta as this process's requeues.
+func (s *Server) requeueLocked(rec *recRequeue) (store.Handle, error) {
+	h, err := s.journalLocked(walRecord{Requeue: rec})
+	if applied(err) {
+		s.faults.RequeuedQuanta += int64(len(rec.QIDs))
+	}
+	return h, err
 }
 
 // anyLease selects every lease: recovery and promotion requeue them all,
@@ -635,6 +649,9 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 		}
 	}
 	h, err := s.journalLocked(walRecord{Workflow: &wrec})
+	if bestEffort && applied(err) {
+		s.faults.BestEffortAdmissions++
+	}
 	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
@@ -724,10 +741,13 @@ func (s *Server) Tick(now time.Time) error {
 	_, jerr := s.journalLocked(walRecord{Tick: rec})
 	if s.slot == rec.Slot {
 		// The record applied, requeuing the silent nodes' leases: forget
-		// the nodes. A record the codec refused leaves them, leases and all.
+		// the nodes and count both. A record the codec refused leaves them,
+		// leases and all.
 		for _, id := range expired {
 			delete(s.nodes, id)
 		}
+		s.faults.ExpiredNodes += int64(len(expired))
+		s.faults.RequeuedQuanta += int64(len(rec.Requeued))
 	}
 	// Drain and journal the plan diffs this tick's replan emitted.
 	if serr := s.streamPlansLocked(); serr != nil && err == nil {
@@ -786,12 +806,10 @@ func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offe
 			}
 		}
 	}
-	rec = &recTick{Slot: s.slot + 1, Faults: s.faults}
-	requeue := s.decideRequeue(func(l *lease) bool {
+	rec = &recTick{Slot: s.slot + 1}
+	rec.Requeued = s.decideRequeue(func(l *lease) bool {
 		return slices.Contains(expired, l.nodeID) || s.slot >= l.expiry
-	})
-	rec.Requeued, rec.Faults = requeue.QIDs, requeue.Faults
-	rec.Faults.ExpiredNodes += int64(len(expired))
+	}).QIDs
 	if s.draining {
 		// Drain: no new leases; keep ticking so expiry still reclaims
 		// whatever dead nodes hold.
@@ -854,7 +872,7 @@ func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offe
 			Horizon: horizon,
 			CapAt:   func(int64) resource.Vector { return capacity },
 		},
-	}, &rec.Faults)
+	})
 	if err != nil {
 		return rec, expired, nil, fmt.Errorf("rmserver: scheduler: %w", err)
 	}
@@ -930,13 +948,13 @@ func (s *Server) placeLocked(job string, g resource.Vector, nodes []*node, rec *
 }
 
 // safeAssign invokes the scheduler with panic isolation: a panic becomes
-// an error and a bump of faults' scheduler-panic counter instead of an RM
+// an error and a bump of the scheduler-panic counter instead of an RM
 // crash. A tick is decided before anything changes, so a panic cannot
 // leave the server state half-advanced.
-func (s *Server) safeAssign(ctx sched.AssignContext, faults *rmproto.FaultCounters) (grants map[string]resource.Vector, err error) {
+func (s *Server) safeAssign(ctx sched.AssignContext) (grants map[string]resource.Vector, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			faults.SchedulerPanics++
+			s.faults.SchedulerPanics++
 			grants, err = nil, fmt.Errorf("scheduler %q panicked: %v (no grants this slot)", s.cfg.Scheduler.Name(), r)
 		}
 	}()

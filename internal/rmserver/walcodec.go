@@ -13,18 +13,17 @@
 //	1 workflow     id submitSec deadlineSec  nJobs{name tasks dur actualDur vcores mem}
 //	               nDeps{from to}  submitNS deadlineNS slot bestEffort  nWindows{rel dl minSlots}
 //	2 adhoc        id submitSec tasks dur vcores mem  slot
-//	4 confirm      slot faults  n{qid}
-//	5 requeue      faults  n{qid}
-//	6 epoch        epoch slot
 //	7 plan diff    the diff in internal/plan's binary codec, to the end of the payload
 //	8 plan rebase  the plan in internal/plan's JSON form, to the end of the payload
-//	9 tick         slot faults  nRequeued{qid}  nGrants{qid job node grant} expiries
+//	10 tick        slot  nRequeued{qid}  nGrants{qid job node grant} expiries
+//	11 confirm     slot  n{qid}
+//	12 requeue     n{qid}
+//	13 epoch       epoch
 //
 // A workflow or ad-hoc record opens with the trace record in
 // rmproto.PutWorkflowRecord's or PutAdHocRecord's coding, which is also
-// the whole body of the submission on the wire. faults is the seven
-// FaultCounters in declaration order. Three things are stored relative to
-// what the record already said:
+// the whole body of the submission on the wire. Three things are stored
+// relative to what the record already said:
 //
 //   - A quantum ID is rmproto.QIDCoder's, the coding heartbeat bodies use
 //     too: for the server's own form, "q-<n>", the zigzagged difference of
@@ -46,15 +45,18 @@
 // accepts — a plan rebase's JSON blob included, which must be the one
 // plan.EncodePlan writes. List fields decode to nil when empty.
 //
-// One form. Before this one a tick took tag 3 and back-referenced the IDs
-// it had already spelled, and a plan diff or plan carried θ levels; before
-// that a payload was json.Marshal(walRecord), which always opens with '{' —
-// a byte no tag takes. Nothing has written either since and no supported
-// state directory predates a snapshot rotation under this form (rotation
-// drops the old log and writes a version-3 snapshot; there is no deployed
-// fleet), so neither is read: decode refuses a tag 3 tick, a tag 0x01 diff,
-// a rebase plan with "theta", a '{' payload and a '{' diff behind
-// tagPlanDiff, each with an error that names it.
+// One form. Before this one a tick (tag 9), a confirm (4) and a requeue (5)
+// carried the seven fault counters, and an epoch (6) its slot, none of
+// which replay needs; before that a tick took tag 3 and back-referenced the
+// IDs it had already spelled, and a plan diff or plan carried θ levels;
+// before that a payload was json.Marshal(walRecord), which always opens
+// with '{' — a byte no tag takes. Nothing has written any of them since
+// and no supported state directory predates a snapshot rotation under
+// this form (rotation drops the old log and writes a version-4 snapshot;
+// there is no deployed fleet), so none is read: decode refuses tags 4, 5,
+// 6 and 9, a tag 3 tick, a tag 0x01 diff, a rebase plan with "theta", a
+// '{' payload and a '{' diff behind tagPlanDiff, each with an error that
+// names it.
 package rmserver
 
 import (
@@ -71,14 +73,22 @@ import (
 const (
 	tagWorkflow byte = 1 + iota
 	tagAdHoc
-	tagTickBackRef // the tick before front-coded IDs; refused
+	tagTickBackRef   // the tick before front-coded IDs; refused
+	tagConfirmFaults // the confirm with fault counters; refused
+	tagRequeueFaults // the requeue with fault counters; refused
+	tagEpochSlot     // the epoch with a slot; refused
+	tagPlanDiff
+	tagPlanRebase
+	tagTickFaults // the tick with fault counters; refused
+	tagTick
 	tagConfirm
 	tagRequeue
 	tagEpoch
-	tagPlanDiff
-	tagPlanRebase
-	tagTick
 )
+
+// faultsForm names the records of the form that carried fault counters,
+// by tag, for decode's refusal.
+var faultsForm = map[byte]string{tagTickFaults: "tick", tagConfirmFaults: "confirm", tagRequeueFaults: "requeue"}
 
 // walCodec encodes journal records into a buffer it reuses from record to
 // record; the zero value is ready. Not safe for concurrent use — the
@@ -118,7 +128,6 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		set++
 		w.Byte(tagTick)
 		w.Int(r.Slot)
-		putFaults(&w, &r.Faults)
 		qids.PutList(&w, r.Requeued)
 		w.Uint(uint64(len(r.Grants)))
 		var prev recGrant
@@ -136,20 +145,17 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		set++
 		w.Byte(tagConfirm)
 		w.Int(r.Slot)
-		putFaults(&w, &r.Faults)
 		qids.PutList(&w, r.QIDs)
 	}
 	if r := rec.Requeue; r != nil {
 		set++
 		w.Byte(tagRequeue)
-		putFaults(&w, &r.Faults)
 		qids.PutList(&w, r.QIDs)
 	}
 	if r := rec.Epoch; r != nil {
 		set++
 		w.Byte(tagEpoch)
 		w.Int(r.Epoch)
-		w.Int(r.Slot)
 	}
 	if r := rec.PlanDiff; r != nil {
 		set++
@@ -202,7 +208,6 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 	case tagTick:
 		v := &recTick{Slot: r.Int()}
 		rec.Tick = v
-		getFaults(&r, &v.Faults)
 		v.Requeued = qids.GetList(&r)
 		// A grant is a quantum ID, two front-coded IDs and a vector.
 		if n := r.Count(5 + resource.NumKinds); n > 0 {
@@ -219,17 +224,11 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 			rmproto.GetExpiries(&r, n, func(i int, e int64) { v.Grants[i].Expiry = e })
 		}
 	case tagConfirm:
-		v := &recConfirm{Slot: r.Int()}
-		rec.Confirm = v
-		getFaults(&r, &v.Faults)
-		v.QIDs = qids.GetList(&r)
+		rec.Confirm = &recConfirm{Slot: r.Int(), QIDs: qids.GetList(&r)}
 	case tagRequeue:
-		v := &recRequeue{}
-		rec.Requeue = v
-		getFaults(&r, &v.Faults)
-		v.QIDs = qids.GetList(&r)
+		rec.Requeue = &recRequeue{QIDs: qids.GetList(&r)}
 	case tagEpoch:
-		rec.Epoch = &recEpoch{Epoch: r.Int(), Slot: r.Int()}
+		rec.Epoch = &recEpoch{Epoch: r.Int()}
 	case tagPlanDiff:
 		d, err := plan.DecodeDiff(r.Rest())
 		if err != nil {
@@ -246,6 +245,10 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 			return walRecord{}, errors.New("plan rebase: the plan is not in plan.EncodePlan's form")
 		}
 		rec.PlanRebase = &recPlanRebase{Plan: p}
+	case tagTickFaults, tagConfirmFaults, tagRequeueFaults:
+		return walRecord{}, fmt.Errorf("%s record with tag %d, the form that carried fault counters, which is no longer read", faultsForm[tag], tag)
+	case tagEpochSlot:
+		return walRecord{}, errors.New("epoch record with tag 6, the form that carried a slot, which is no longer read")
 	case tagTickBackRef:
 		return walRecord{}, errors.New("tick record with tag 3, the form with back-referenced IDs that predates front coding, which is no longer read")
 	case '{':
@@ -272,24 +275,4 @@ func getVector(r *binenc.Reader) (v resource.Vector) {
 		v[i] = r.Int()
 	}
 	return v
-}
-
-func putFaults(w *binenc.Writer, f *rmproto.FaultCounters) {
-	w.Int(f.RequeuedQuanta)
-	w.Int(f.ExpiredNodes)
-	w.Int(f.SchedulerPanics)
-	w.Int(f.StaleConfirms)
-	w.Int(f.BestEffortAdmissions)
-	w.Int(f.PlanDiffsApplied)
-	w.Int(f.PlanRebases)
-}
-
-func getFaults(r *binenc.Reader, f *rmproto.FaultCounters) {
-	f.RequeuedQuanta = r.Int()
-	f.ExpiredNodes = r.Int()
-	f.SchedulerPanics = r.Int()
-	f.StaleConfirms = r.Int()
-	f.BestEffortAdmissions = r.Int()
-	f.PlanDiffsApplied = r.Int()
-	f.PlanRebases = r.Int()
 }

@@ -317,13 +317,12 @@ type namedRecord struct {
 // form, grants whose expiries differ, and the extremes of the integer
 // range.
 func canonicalRecords() []namedRecord {
-	faults := rmproto.FaultCounters{RequeuedQuanta: 3, ExpiredNodes: 1, StaleConfirms: 200, PlanDiffsApplied: 70, PlanRebases: 1}
 	return []namedRecord{
 		{"workflow", walRecord{Workflow: &recWorkflow{WF: chainWorkflow(600), SubmitNS: 50e9, DeadlineNS: 650e9, Slot: 5, BestEffort: true,
 			Windows: []recWindow{{ReleaseNS: 50e9, DeadlineNS: 300e9, MinSlots: 3}, {ReleaseNS: 300e9, DeadlineNS: 650e9, MinSlots: 3}}}}},
 		{"workflow, empty", walRecord{Workflow: &recWorkflow{}}},
 		{"adhoc", walRecord{AdHoc: &recAdHoc{Job: trace.AdHocRecord{ID: "burst-0123-07", Tasks: 3, TaskDurSec: 120, DemandVCores: 2, DemandMemMB: 4096}, Slot: 123}}},
-		{"tick", walRecord{Tick: &recTick{Slot: 36, Faults: faults, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
+		{"tick", walRecord{Tick: &recTick{Slot: 36, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
 			Grants: []recGrant{
 				{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51},
 				{QID: "q-628", JobID: "wf0001/TeraSort-1#1", NodeID: "n001", Grant: resource.New(6, 1024), Expiry: 51},
@@ -337,9 +336,9 @@ func canonicalRecords() []namedRecord {
 		}}}},
 		{"tick, expiry at the top of the range", walRecord{Tick: &recTick{Grants: []recGrant{
 			{QID: "q-1", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}, {QID: "q-2", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}}}}},
-		{"confirm", walRecord{Confirm: &recConfirm{Slot: 300, Faults: faults, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
-		{"requeue", walRecord{Requeue: &recRequeue{Faults: faults, QIDs: []string{"q-100", "q-98", "q-99"}}}},
-		{"epoch", walRecord{Epoch: &recEpoch{Epoch: 2, Slot: 18}}},
+		{"confirm", walRecord{Confirm: &recConfirm{Slot: 300, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
+		{"requeue", walRecord{Requeue: &recRequeue{QIDs: []string{"q-100", "q-98", "q-99"}}}},
+		{"epoch", walRecord{Epoch: &recEpoch{Epoch: 2}}},
 		{"plan diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(2, 3)}}},
 		{"plan rebase", walRecord{PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: 4, From: 18, NSlots: 2, Jobs: map[string]plan.Job{
 			"adhoc/ah00470": {Window: plan.Window{Rel: 18, Dl: 20}, Alloc: []resource.Vector{resource.New(1, 512), {}}}}}}}},
@@ -415,11 +414,11 @@ func mustJSON(v any) string {
 func TestWALCodecRefusals(t *testing.T) {
 	var codec walCodec
 	for name, rec := range map[string]walRecord{
-		"no variant":       {},
-		"two variants":     {Epoch: &recEpoch{}, Tick: &recTick{}},
-		"negative slot":    {Tick: &recTick{Slot: -1}},
-		"negative counter": {Confirm: &recConfirm{Faults: rmproto.FaultCounters{StaleConfirms: -1}}},
-		"negative grant":   {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Grant: resource.New(-1, 0)}}}},
+		"no variant":     {},
+		"two variants":   {Epoch: &recEpoch{}, Tick: &recTick{}},
+		"negative slot":  {Tick: &recTick{Slot: -1}},
+		"negative epoch": {Epoch: &recEpoch{Epoch: -1}},
+		"negative grant": {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Grant: resource.New(-1, 0)}}}},
 		// -1 shared would be stored as expiry+1 = 0, the per-grant escape.
 		"negative expiry":    {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Expiry: -1}, {QID: "q-2", Expiry: -1}}}},
 		"oversized diff":     {PlanDiff: &recPlanDiff{Diff: &plan.Diff{NewRev: 1, NSlots: plan.MaxSlots + 1}}},
@@ -433,13 +432,13 @@ func TestWALCodecRefusals(t *testing.T) {
 		}
 	}
 
-	// tick assembles a tick at slot 1 with zero fault counters, no
-	// requeues, and the given grants section.
+	// tick assembles a tick at slot 1 with no requeues and the given
+	// grants section.
 	tick := func(grants ...byte) []byte {
-		return append([]byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0}, grants...)
+		return append([]byte{tagTick, 1, 0}, grants...)
 	}
 	confirm := func(qids ...byte) []byte {
-		return append([]byte{tagConfirm, 1, 0, 0, 0, 0, 0, 0, 0}, qids...)
+		return append([]byte{tagConfirm, 1}, qids...)
 	}
 	// Each accepted payload is one edit away from the refused ones below it.
 	accepted := map[string][]byte{
@@ -457,18 +456,18 @@ func TestWALCodecRefusals(t *testing.T) {
 			1),
 		"quantum ID q-1":             confirm(1, 3),
 		"quantum ID literal":         confirm(1, 0, 3, 'q', '-', 'x'),
-		"epoch 2 at slot 1":          {tagEpoch, 2, 1},
+		"epoch 2":                    {tagEpoch, 2},
 		"empty best-effort workflow": {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
 		"empty plan rebase":          append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0}`...),
 	}
 	refused := map[string][]byte{
 		"empty payload":                {},
-		"unknown tag":                  {0x0a, 2, 1},
-		"tag zero":                     {0x00, 2, 1},
-		"trailing byte":                {tagEpoch, 2, 1, 0},
-		"missing field":                {tagEpoch, 2},
-		"non-minimal varint":           {tagEpoch, 0x82, 0x00, 1},
-		"integer beyond int64":         append(append([]byte{tagEpoch}, bytes.Repeat([]byte{0xff}, 9)...), 1, 1),
+		"unknown tag":                  {0x7f, 2},
+		"tag zero":                     {0x00, 2},
+		"trailing byte":                {tagEpoch, 2, 0},
+		"missing field":                {tagEpoch},
+		"non-minimal varint":           {tagEpoch, 0x82, 0x00},
+		"integer beyond int64":         append(append([]byte{tagEpoch}, bytes.Repeat([]byte{0xff}, 9)...), 1),
 		"grant count beyond the input": tick(0x7f, 1),
 		"job prefix past the previous ID": tick(2,
 			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
@@ -492,7 +491,7 @@ func TestWALCodecRefusals(t *testing.T) {
 		"torn diff":                              {tagPlanDiff, 0x02, 1, 0},
 		"plan rebase with spaces":                append([]byte{tagPlanRebase}, `{"rev": 1, "from": 0, "n_slots": 0}`...),
 		"plan rebase with an explicit empty":     append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0,"jobs":{}}`...),
-		"JSON payload":                           []byte(`{"epoch":{"epoch":2,"slot":1}}`),
+		"JSON payload":                           []byte(`{"epoch":{"epoch":2}}`),
 		"JSON diff":                              append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
 	}
 	for name, ok := range accepted {
@@ -524,7 +523,7 @@ func TestWALCodecRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := fmt.Sprintf(`{"version":1,"slot_dur_ns":%d,"slot":3,"next_qid":0,"faults":{}}`, int64(slotDur))
+	v1 := fmt.Sprintf(`{"version":1,"slot_dur_ns":%d,"slot":3,"next_qid":0}`, int64(slotDur))
 	if err := st.WriteSnapshot([]byte(v1)); err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +536,18 @@ func TestWALCodecRefusals(t *testing.T) {
 		t.Errorf("recovery over a version 1 snapshot: %v", err)
 	}
 }
+
+// Records in the form that carried fault counters (and an epoch's slot),
+// as that codec encoded them: a tick at slot 5 requeuing q-3 and granting
+// q-7 to adhoc/a on n1, a confirm of q-4 and q-5 at slot 5, a requeue of
+// q-6 — each with the counters {3 requeued, 1 expired, 2 stale} — and
+// epoch 2 at slot 9.
+const (
+	faultsTick    = "\t\x05\x03\x01\x00\x02\x00\x00\x00\x01\a\x01\t\x00\aadhoc/a\x00\x02n1\x01\x80\x02\b"
+	faultsConfirm = "\x04\x05\x03\x01\x00\x02\x00\x00\x00\x02\t\x03"
+	faultsRequeue = "\x05\x03\x01\x00\x02\x00\x00\x00\x01\r"
+	slotEpoch     = "\x06\x02\t"
+)
 
 // parentTick is a tick in the form before front-coded IDs, by hand: tag 3,
 // slot 1, zero fault counters, no requeues, two grants behind their
@@ -574,21 +585,27 @@ func parentDiff() []byte {
 	return binary.LittleEndian.AppendUint64(w.Buf, math.Float64bits(0.5))
 }
 
-// TestPreviousJournalFormsRefused: state written before the plan lost θ
-// and IDs were front-coded — a tag 3 tick, a tag 0x01 diff, a rebase plan
-// with "theta", a version 2 snapshot, a snapshot plan with "theta" — is
-// refused by recovery, by a follower's ingest and by -wal-dump, each time
-// with an error naming the record, the form and that it predates the
-// current one; nothing misreads it.
+// TestPreviousJournalFormsRefused: state written in an earlier form — a
+// tick, confirm or requeue carrying fault counters (tags 9, 4, 5), an
+// epoch carrying a slot (tag 6), a version 3 snapshot, and from before
+// the plan lost θ and IDs were front-coded a tag 3 tick, a tag 0x01 diff,
+// a rebase plan with "theta", a version 2 snapshot and a snapshot plan
+// with "theta" — is refused by recovery, by a follower's ingest and by
+// -wal-dump, each time with an error naming the record and the form;
+// nothing misreads it.
 func TestPreviousJournalFormsRefused(t *testing.T) {
 	thetaPlan := `{"rev":1,"from":0,"n_slots":0,"theta":{"vcores":[0.5]}}`
 	records := map[string]struct {
 		payload []byte
 		want    []string
 	}{
-		"tick":        {parentTick(), []string{"tick record", "tag 3", "predates"}},
-		"plan diff":   {parentDiff(), []string{"tag 0x01 diff", "θ", "predates"}},
-		"plan rebase": {append([]byte{tagPlanRebase}, thetaPlan...), []string{"plan rebase", `"theta"`, "predates"}},
+		"tick with fault counters":    {[]byte(faultsTick), []string{"tick record", "tag 9", "fault counters", "no longer read"}},
+		"confirm with fault counters": {[]byte(faultsConfirm), []string{"confirm record", "tag 4", "fault counters", "no longer read"}},
+		"requeue with fault counters": {[]byte(faultsRequeue), []string{"requeue record", "tag 5", "fault counters", "no longer read"}},
+		"epoch with a slot":           {[]byte(slotEpoch), []string{"epoch record", "tag 6", "slot", "no longer read"}},
+		"tick":                        {parentTick(), []string{"tick record", "tag 3", "predates"}},
+		"plan diff":                   {parentDiff(), []string{"tag 0x01 diff", "θ", "predates"}},
+		"plan rebase":                 {append([]byte{tagPlanRebase}, thetaPlan...), []string{"plan rebase", `"theta"`, "predates"}},
 	}
 	refused := func(what string, err error, want []string) {
 		t.Helper()
@@ -626,12 +643,13 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 	}
 
 	snap := func(version int) string {
-		return fmt.Sprintf(`{"version":%d,"slot_dur_ns":%d,"slot":3,"next_qid":0,"faults":{},"plan":%s}`, version, int64(slotDur), thetaPlan)
+		return fmt.Sprintf(`{"version":%d,"slot_dur_ns":%d,"slot":3,"next_qid":0,"plan":%s}`, version, int64(slotDur), thetaPlan)
 	}
 	for name, c := range map[string]struct {
 		snapshot string
 		want     []string
 	}{
+		"version 3 snapshot":          {snap(3), []string{"snapshot version 3", "fault counters", "in-flight", "no longer read"}},
 		"version 2 snapshot":          {snap(2), []string{"snapshot version 2", "θ", "predates"}},
 		"snapshot plan with θ levels": {snap(snapVersion), []string{"snapshot plan", `"theta"`, "predates"}},
 	} {
@@ -788,7 +806,7 @@ func TestWrappingSecondsRecoveryRefused(t *testing.T) {
 // ceilings on canonical records (the JSON form's size, logged beside
 // each, is what the binary codec replaced).
 func TestWALRecordSizes(t *testing.T) {
-	tick := &recTick{Slot: 36, Faults: rmproto.FaultCounters{PlanDiffsApplied: 12}}
+	tick := &recTick{Slot: 36}
 	for i := 0; i < 16; i++ {
 		tick.Grants = append(tick.Grants, recGrant{
 			QID: fmt.Sprintf("q-%d", 627+i), JobID: fmt.Sprintf("wf0001/TeraSort-%d#%d", i*3/16, i*3/16),
@@ -797,7 +815,7 @@ func TestWALRecordSizes(t *testing.T) {
 	}
 	// The shape adhoc-burst's ticks have: a burst of ad-hoc jobs with
 	// consecutive IDs, each spread over a few of the nodes.
-	burst := &recTick{Slot: 180, Faults: rmproto.FaultCounters{PlanDiffsApplied: 40}}
+	burst := &recTick{Slot: 180}
 	for i := 0; i < 30; i++ {
 		burst.Grants = append(burst.Grants, recGrant{
 			QID: fmt.Sprintf("q-%d", 5210+i), JobID: fmt.Sprintf("adhoc/ah%05d", 470+i*12/30),
@@ -810,9 +828,9 @@ func TestWALRecordSizes(t *testing.T) {
 		rec     walRecord
 		ceiling int
 	}{
-		{"16-grant tick over 3 jobs x 8 nodes", walRecord{Tick: tick}, 210},
-		{"30-grant tick over 12 adhoc/ah00... jobs x 8 nodes", walRecord{Tick: burst}, 325},
-		{"6-qid confirm", canonicalRecord("confirm"), 32},
+		{"16-grant tick over 3 jobs x 8 nodes", walRecord{Tick: tick}, 203},
+		{"30-grant tick over 12 adhoc/ah00... jobs x 8 nodes", walRecord{Tick: burst}, 318},
+		{"6-qid confirm", canonicalRecord("confirm"), 25},
 		{"ad-hoc submission", canonicalRecord("adhoc"), 40},
 		{"10-job x 12-slot diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(10, 12)}}, 640},
 	} {
@@ -912,10 +930,12 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, append([]byte{}, payload...))
 	}
-	// A grant count far beyond the input, and the two records whose form
-	// is refused by its tag: a tick that back-references its IDs and a
-	// diff with θ levels.
-	return append(seeds, []byte{tagTick, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+	// A grant count far beyond the input, and the records whose form is
+	// refused by its tag: a tick, confirm and requeue with fault counters,
+	// an epoch with a slot, a tick that back-references its IDs and a diff
+	// with θ levels.
+	return append(seeds, []byte{tagTick, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		[]byte(faultsTick), []byte(faultsConfirm), []byte(faultsRequeue), []byte(slotEpoch),
 		parentTick(), parentDiff())
 }
 
@@ -951,18 +971,17 @@ func FuzzDecodeWALRecord(f *testing.F) {
 func TestDecodeWALRecordAllocation(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<24)
 	claim := func(prefix ...byte) []byte { return append(prefix, huge...) }
-	faults := make([]byte, 7)
 	inputs := append(walFuzzSeeds(t),
-		claim(tagWorkflow),                                                  // the workflow ID's length
-		claim(tagWorkflow, 0, 0, 0),                                         // jobs
-		claim(tagWorkflow, 0, 0, 0, 0),                                      // deps
-		claim(tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 0),                       // windows
-		claim(append([]byte{tagTick, 1}, faults...)...),                     // requeued quantum IDs
-		claim(append(append([]byte{tagTick, 1}, faults...), 0)...),          // grants
-		claim(append(append([]byte{tagTick, 1}, faults...), 0, 1, 3, 0)...), // a grant's job ID length
-		claim(append([]byte{tagConfirm, 1}, faults...)...),                  // confirmed quantum IDs
-		claim(append(append([]byte{tagConfirm, 1}, faults...), 1, 0)...),    // a literal quantum ID's length
-		claim(append([]byte{tagRequeue}, faults...)...),
+		claim(tagWorkflow),                            // the workflow ID's length
+		claim(tagWorkflow, 0, 0, 0),                   // jobs
+		claim(tagWorkflow, 0, 0, 0, 0),                // deps
+		claim(tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 0), // windows
+		claim(tagTick, 1),                             // requeued quantum IDs
+		claim(tagTick, 1, 0),                          // grants
+		claim(tagTick, 1, 0, 1, 3, 0),                 // a grant's job ID length
+		claim(tagConfirm, 1),                          // confirmed quantum IDs
+		claim(tagConfirm, 1, 1, 0),                    // a literal quantum ID's length
+		claim(tagRequeue),
 		claim(tagPlanDiff, 0x02, 1, 0, 4), // the diff's removes
 	)
 	var codec walCodec

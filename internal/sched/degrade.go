@@ -64,11 +64,6 @@ type DegradationStatus struct {
 	LPColdStarts int64
 }
 
-// Degraded reports whether any replan has ever stepped down the ladder.
-func (d DegradationStatus) Degraded() bool {
-	return d.MinMaxFallbacks+d.GreedyFallbacks+d.InvalidPlans > 0
-}
-
 // DegradationReporter is implemented by schedulers that maintain a
 // degradation ladder (FlowTime). The simulator and the RM export the
 // status through sim.Result and /metrics when available.

@@ -13,12 +13,4 @@ func TestDegradeLevelString(t *testing.T) {
 			t.Errorf("DegradeLevel(%d).String() = %q, want %q", lv, got, want)
 		}
 	}
-	var st DegradationStatus
-	if st.Degraded() {
-		t.Error("zero DegradationStatus reports degraded")
-	}
-	st.GreedyFallbacks = 1
-	if !st.Degraded() {
-		t.Error("status with fallbacks does not report degraded")
-	}
 }

@@ -62,7 +62,7 @@ func TestSameInputSamePlan(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if d := a.Degradation; d == nil || d.Degraded() || d.Level != sched.DegradeNone {
+	if d := a.Degradation; d == nil || d.MinMaxFallbacks+d.GreedyFallbacks+d.InvalidPlans != 0 || d.Level != sched.DegradeNone {
 		t.Fatalf("healthy planner degraded: %+v", a.Degradation)
 	}
 	if !reflect.DeepEqual(a, b) {

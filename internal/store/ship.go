@@ -104,13 +104,12 @@ func (s *Store) ShipFrom(from Watermark, maxBytes int) (ShipBatch, error) {
 	}
 
 	if from.Gen == s.gen && from.Records <= int64(len(payloads)) {
-		recs, n := capBatch(payloads[from.Records:], maxBytes)
 		return ShipBatch{
 			Gen:     s.gen,
 			FromSeq: from.Records,
-			Records: recs,
+			Records: capBatch(payloads[from.Records:], maxBytes),
 			Head:    head,
-		}, n
+		}, nil
 	}
 
 	// Generation mismatch or follower ahead: reset it with a snapshot
@@ -122,15 +121,14 @@ func (s *Store) ShipFrom(from Watermark, maxBytes int) (ShipBatch, error) {
 			return ShipBatch{}, fmt.Errorf("store: ship snapshot gen %d: %w", s.gen, err)
 		}
 	}
-	recs, n := capBatch(payloads, maxBytes)
 	return ShipBatch{
 		SnapInstall: true,
 		Gen:         s.gen,
 		Snapshot:    snapshot,
 		FromSeq:     0,
-		Records:     recs,
+		Records:     capBatch(payloads, maxBytes),
 		Head:        head,
-	}, n
+	}, nil
 }
 
 // readSegmentLocked decodes the clean prefix of a generation's WAL
@@ -149,15 +147,15 @@ func (s *Store) readSegmentLocked(gen int64) ([][]byte, error) {
 
 // capBatch truncates a payload slice to roughly maxBytes, always
 // keeping at least one record so progress is guaranteed.
-func capBatch(payloads [][]byte, maxBytes int) ([][]byte, error) {
+func capBatch(payloads [][]byte, maxBytes int) [][]byte {
 	total := 0
 	for i, p := range payloads {
 		total += len(p) + frameHeaderLen
 		if total > maxBytes && i > 0 {
-			return payloads[:i], nil
+			return payloads[:i]
 		}
 	}
-	return payloads, nil
+	return payloads
 }
 
 // Ingest applies one shipped batch to a follower store, making the
