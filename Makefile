@@ -12,7 +12,8 @@
 # runs short fuzz bursts over the WAL framing, the front-coded string
 # primitive both journal codecs share (FuzzFrontString), the two binary
 # journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
-# FuzzDecodeWALRecord), the binary heartbeat and submission codecs
+# FuzzDecodeWALRecord, run from internal/rmserver's tests over
+# internal/rmstate's codec), the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
 # query, the heartbeat, submission and replication request
 # bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test Go line count the
@@ -51,8 +52,9 @@ race:
 # chaos runs only the process-level and failover chaos suites (SIGKILL +
 # restart, replicated failover, fencing, disk-fault injection, a FlowTime
 # ftrm streaming its plan with no flag) and the durability oracles
-# (recovery equivalence; live ≡ replay, leases included) under the race
-# detector with a hard ceiling.
+# (recovery equivalence; live ≡ replay, leases included, into the server
+# and into a bare internal/rmstate value) under the race detector with a
+# hard ceiling.
 chaos:
 	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay|StreamsByDefault' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
 
@@ -148,10 +150,10 @@ sim-smoke:
 
 # bench runs the micro-benchmarks — among them internal/flow's
 # BenchmarkLexMinMax, one replan's skyline at the paper's Fig. 7 scale
-# (5,000 jobs x 1,000 slots). What the RM's control plane costs end to
+# (5,000 jobs x 1,000 slots), and internal/rmstate's lease confirmation. What the RM's control plane costs end to
 # end, the ad-hoc gate's admissions included, is bench/'s to measure
 # (go run -C bench .).
-BENCH_PKGS := ./internal/rmserver/ ./internal/flow/ ./internal/deadline/ ./internal/sim/
+BENCH_PKGS := ./internal/rmserver/ ./internal/rmstate/ ./internal/flow/ ./internal/deadline/ ./internal/sim/
 bench:
 	$(GO) test -bench . -benchtime=500ms -run '^$$' $(BENCH_PKGS)
 

@@ -234,10 +234,11 @@ func run(o options) error {
 	for {
 		select {
 		case now := <-tick:
-			// A follower (or fenced ex-primary) neither ticks nor
-			// snapshots: its slot clock and its WAL generation must track
-			// the primary's stream, and a local snapshot rotation would
-			// tear the shipped log out from under the replicator.
+			// A follower neither ticks nor snapshots: its slot clock and WAL
+			// generation track the primary's stream, which a local rotation
+			// would tear from under the replicator. A fenced ex-primary is
+			// still RolePrimary: its Tick answers ErrNotLeader, so its slot
+			// stands still, and its shutdown snapshot holds no fenced epoch.
 			if rm.Role() != rmserver.RolePrimary {
 				continue
 			}

@@ -84,9 +84,10 @@ func TestMetricsGolden(t *testing.T) {
 func referenceJobs(rm *Server) []rmproto.JobStatus {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	all := append([]rmproto.JobStatus(nil), rm.done...)
-	for _, j := range rm.jobs {
-		all = append(all, rm.jobStatusLocked(j))
+	archive, _ := rm.st.Done()
+	all := append([]rmproto.JobStatus(nil), archive...)
+	for _, j := range rm.st.Jobs() {
+		all = append(all, rm.st.JobStatus(j))
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].ID < all[b].ID })
 	return all
@@ -113,51 +114,52 @@ func checkArchiveInvariants(t *testing.T, rm *Server, prev []rmproto.JobStatus) 
 	t.Helper()
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	if len(rm.done) < len(prev) {
-		t.Fatalf("archive shrank from %d to %d entries", len(prev), len(rm.done))
+	archive, doneMissed := rm.st.Done()
+	if len(archive) < len(prev) {
+		t.Fatalf("archive shrank from %d to %d entries", len(prev), len(archive))
 	}
 	missed := 0
-	for i, d := range rm.done {
+	for i, d := range archive {
 		if i < len(prev) && d != prev[i] {
 			t.Fatalf("archive entry %d rewritten: %+v, was %+v", i, d, prev[i])
 		}
 		if d.State != "completed" || d.Delivered != d.Total {
 			t.Errorf("archived job %s is %s with %+v of %+v delivered", d.ID, d.State, d.Delivered, d.Total)
 		}
-		if _, live := rm.jobs[d.ID]; live {
+		if _, live := rm.st.Jobs()[d.ID]; live {
 			t.Errorf("job %s is archived and still in the live table", d.ID)
 		}
 		if d.Missed {
 			missed++
 		}
 	}
-	if missed != rm.doneMissed {
-		t.Errorf("doneMissed = %d, the archive holds %d missed jobs", rm.doneMissed, missed)
+	if missed != doneMissed {
+		t.Errorf("doneMissed = %d, the archive holds %d missed jobs", doneMissed, missed)
 	}
-	for qid, l := range rm.leases {
-		if l.job.done {
-			t.Errorf("lease %s points at completed job %s", qid, l.job.id)
+	for qid, l := range rm.st.Leases() {
+		if l.Job.Done {
+			t.Errorf("lease %s points at completed job %s", qid, l.Job.ID)
 		}
 	}
-	for id, j := range rm.jobs {
-		if j.done {
+	for id, j := range rm.st.Jobs() {
+		if j.Done {
 			t.Errorf("completed job %s is still in the live table", id)
 		}
 	}
-	for id, ws := range rm.wfs {
+	for id, ws := range rm.st.Workflows() {
 		live := 0
-		for _, j := range ws.jobs {
-			if !j.done {
+		for _, j := range ws.Jobs {
+			if !j.Done {
 				live++
-			} else if !j.inFlight.IsZero() {
-				t.Errorf("completed job %s has %v in flight", j.id, j.inFlight)
+			} else if !j.InFlight.IsZero() {
+				t.Errorf("completed job %s has %v in flight", j.ID, j.InFlight)
 			}
 		}
-		if live == 0 || live != ws.live {
-			t.Errorf("workflow %s tracked with %d live jobs, counts %d", id, live, ws.live)
+		if live == 0 || live != ws.Live {
+			t.Errorf("workflow %s tracked with %d live jobs, counts %d", id, live, ws.Live)
 		}
 	}
-	return append([]rmproto.JobStatus(nil), rm.done...)
+	return append([]rmproto.JobStatus(nil), archive...)
 }
 
 // driveMixed plays a seeded mixed run against *rmp for the given number of
@@ -371,8 +373,15 @@ func TestStatusViewsAgree(t *testing.T) {
 			t.Errorf("seed %d exercised too little: %d requeues, summary %+v of %d jobs", seed, requeues, st.Summary, len(st.Jobs))
 		}
 		rm.mu.Lock()
-		if len(rm.doneWFs) <= len(rm.wfs) || len(rm.wfs) == 0 {
-			t.Errorf("seed %d: %d workflows seen finishing jobs, %d still live; want some finished and some not", seed, len(rm.doneWFs), len(rm.wfs))
+		done, _ := rm.st.Done()
+		doneWFs := map[string]bool{}
+		for _, d := range done {
+			if d.WorkflowID != "" {
+				doneWFs[d.WorkflowID] = true
+			}
+		}
+		if wfs := len(rm.st.Workflows()); len(doneWFs) <= wfs || wfs == 0 {
+			t.Errorf("seed %d: %d workflows seen finishing jobs, %d still live; want some finished and some not", seed, len(doneWFs), wfs)
 		}
 		rm.mu.Unlock()
 	}
@@ -401,8 +410,8 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 		}
 		rm.mu.Lock()
 		midWorkflow := false
-		for _, ws := range rm.wfs {
-			midWorkflow = midWorkflow || ws.live < len(ws.jobs)
+		for _, ws := range rm.st.Workflows() {
+			midWorkflow = midWorkflow || ws.Live < len(ws.Jobs)
 		}
 		rm.mu.Unlock()
 		if slot == 27 && !midWorkflow {
@@ -435,7 +444,8 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 	if snap, recs := st2.TakeRecovered(); snap != nil || recs != nil {
 		t.Errorf("after New the store still holds a %d-byte snapshot and %d records", len(snap), len(recs))
 	}
-	sameJobTable(t, "archive after reopen", rm2.done, archive)
+	archive2, _ := rm2.st.Done()
+	sameJobTable(t, "archive after reopen", archive2, archive)
 	after := rm2.Status()
 	if after.Slot != before.Slot || len(after.Jobs) != len(before.Jobs) {
 		t.Fatalf("reopened at slot %d with %d jobs, want slot %d with %d", after.Slot, len(after.Jobs), before.Slot, len(before.Jobs))
@@ -466,14 +476,14 @@ func TestReplayTwiceAcrossCompletion(t *testing.T) {
 	once := rm2.Status()
 	tail := readWAL(t, dir) // the segment recovery replayed, read again: the store keeps none of it
 	rm2.mu.Lock()
-	snapOnce, _ := rm2.snapshotLocked()
+	snapOnce, _ := rm2.st.Snapshot()
 	for i, payload := range tail {
 		if err := rm2.applyRecordLocked(payload); err != nil {
 			t.Fatalf("second replay, record %d: %v", i, err)
 		}
 	}
-	snapTwice, _ := rm2.snapshotLocked()
-	live, wfs := len(rm2.jobs), len(rm2.wfs)
+	snapTwice, _ := rm2.st.Snapshot()
+	live, wfs := len(rm2.st.Jobs()), len(rm2.st.Workflows())
 	rm2.mu.Unlock()
 	if !bytes.Equal(snapOnce, snapTwice) {
 		t.Errorf("replaying the tail twice changed the state:\nonce:  %s\ntwice: %s", snapOnce, snapTwice)
@@ -678,7 +688,8 @@ func TestTickWalksLiveJobsOnly(t *testing.T) {
 		t.Fatalf("Tick: %v", err)
 	}
 	rm.mu.Lock()
-	tracked, wfs, archived := len(rm.jobs), len(rm.wfs), len(rm.done)
+	archive, _ := rm.st.Done()
+	tracked, wfs, archived := len(rm.st.Jobs()), len(rm.st.Workflows()), len(archive)
 	rm.mu.Unlock()
 	if cs.lastJobs != 20 || tracked != 20 || wfs != 0 || archived != 2000 {
 		t.Errorf("scheduler shown %d jobs, live table holds %d jobs and %d workflows, archive %d; want 20, 20, 0, 2000",
@@ -706,7 +717,7 @@ func TestDuplicateWorkflowRejected(t *testing.T) {
 		t.Fatal("workflow did not complete")
 	}
 	rm.mu.Lock()
-	left := len(rm.wfs) + len(rm.jobs)
+	left := len(rm.st.Workflows()) + len(rm.st.Jobs())
 	rm.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d entries left in the live tables after completion", left)

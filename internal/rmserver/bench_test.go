@@ -2,99 +2,13 @@ package rmserver
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"flowtime/internal/resource"
-	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 )
-
-// benchServer builds a server with njobs ad-hoc jobs, each holding one
-// in-flight lease on node n1, bypassing the scheduler so the benchmark
-// isolates confirmation cost.
-func benchServer(b *testing.B, njobs int) (*Server, []string) {
-	b.Helper()
-	s, err := New(Config{SlotDur: 10 * time.Second, Scheduler: sched.NewFIFO()})
-	if err != nil {
-		b.Fatalf("New: %v", err)
-	}
-	s.nodes["n1"] = &node{id: "n1", capacity: resource.New(1<<20, 1<<30)}
-	qids := make([]string, njobs)
-	for i := 0; i < njobs; i++ {
-		j := &rmJob{
-			id:    fmt.Sprintf("adhoc/j%d", i),
-			kind:  sched.AdHocJob,
-			total: resource.New(1<<40, 1<<40), // never completes: keep state stable
-		}
-		s.jobs[j.id] = j
-		qid := fmt.Sprintf("q-%d", i)
-		grant := resource.New(1, 256)
-		j.inFlight = grant
-		s.leases[qid] = &lease{qid: qid, job: j, nodeID: "n1", grant: grant}
-		qids[i] = qid
-	}
-	return s, qids
-}
-
-// BenchmarkCompleteQuantumIndexed measures lease confirmation as a
-// heartbeat runs it — decideConfirm, then applyConfirmLocked — via the
-// server-level qid index: O(1) in the number of jobs.
-func BenchmarkCompleteQuantumIndexed(b *testing.B) {
-	for _, njobs := range []int{100, 10000} {
-		b.Run(fmt.Sprintf("jobs=%d", njobs), func(b *testing.B) {
-			s, qids := benchServer(b, njobs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qid := qids[i%njobs]
-				s.mu.Lock()
-				l := s.leases[qid] // confirm destroys the lease; re-arm below
-				rec, _ := s.decideConfirm("n1", []string{qid})
-				s.applyConfirmLocked(rec)
-				s.leases[qid] = l
-				s.mu.Unlock()
-			}
-		})
-	}
-}
-
-// benchPending builds a node with n quanta queued for its next
-// heartbeat, for the drop-pending benchmarks.
-func benchPending(n int) *node {
-	nd := &node{id: "n1", capacity: resource.New(1<<20, 1<<30)}
-	for i := 0; i < n; i++ {
-		nd.enqueue(rmproto.Quantum{ID: fmt.Sprintf("q-%d", i), Grant: rmproto.Resources{VCores: 1, MemoryMB: 256}})
-	}
-	return nd
-}
-
-// BenchmarkDropPendingIndexed measures reclaiming a queued quantum via
-// the node's pendingPos index (O(1) tombstone).
-func BenchmarkDropPendingIndexed(b *testing.B) {
-	for _, n := range []int{100, 10000} {
-		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
-			nd := benchPending(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qid := fmt.Sprintf("q-%d", i%n)
-				if !nd.dropPending(qid) {
-					// Re-arm: restore the tombstoned entry.
-					j := i % n
-					nd.pending[j] = rmproto.Quantum{ID: qid}
-					nd.pendingPos[qid] = j
-					nd.dropped--
-					nd.dropPending(qid)
-				}
-				j := i % n
-				nd.pending[j] = rmproto.Quantum{ID: qid}
-				nd.pendingPos[qid] = j
-				nd.dropped--
-			}
-		})
-	}
-}
 
 // completedSizes are the histories the read-path benchmarks run over; the
 // live table holds 20 jobs throughout, so a cost that is O(live) reads
@@ -170,11 +84,11 @@ func BenchmarkTick(b *testing.B) {
 // is what the same records took in the JSON form the codec replaced.
 func BenchmarkJournalEncode(b *testing.B) {
 	_, payloads := recordMixedRun(b)
-	var codec walCodec
-	recs := make([]walRecord, len(payloads))
+	var codec rmstate.Codec
+	recs := make([]rmstate.Record, len(payloads))
 	var size, jsonSize int
 	for i, p := range payloads {
-		rec, err := codec.decode(p)
+		rec, err := codec.Decode(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +100,7 @@ func BenchmarkJournalEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for r := range recs {
-			if _, err := codec.encode(&recs[r]); err != nil {
+			if _, err := codec.Encode(&recs[r]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -199,7 +113,7 @@ func BenchmarkJournalEncode(b *testing.B) {
 // BenchmarkReplayDecode decodes the same sequence the way replay does.
 func BenchmarkReplayDecode(b *testing.B) {
 	_, payloads := recordMixedRun(b)
-	var codec walCodec
+	var codec rmstate.Codec
 	size := 0
 	for _, p := range payloads {
 		size += len(p)
@@ -208,7 +122,7 @@ func BenchmarkReplayDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range payloads {
-			if _, err := codec.decode(p); err != nil {
+			if _, err := codec.Decode(p); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -207,7 +207,9 @@ func TestHeartbeatAfterExpiryReRegister(t *testing.T) {
 // TestLeaseExpiryReclaims covers the RM-side lease timeout: a node whose
 // heartbeat responses are lost (it stays alive but never confirms) has
 // its leases reclaimed after LeaseExpiry slots, and once the fault heals
-// the job still completes.
+// the job still completes. A node that stays registered but silent while
+// its queued quanta expire is handed, when it heartbeats, only the leases
+// still live and its own: a reclaimed quantum is never launched.
 func TestLeaseExpiryReclaims(t *testing.T) {
 	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), LeaseExpiry: 3})
 	if err != nil {
@@ -217,6 +219,30 @@ func TestLeaseExpiryReclaims(t *testing.T) {
 	submitAdHoc(t, rm, "q1", 4, 20)
 
 	now := time.Now()
+	// Silent phase: five ticks queue q-1 and q-2, expire both and grant
+	// their volume again as q-3 and q-4, all on n1's queue.
+	for slot := 0; slot < 5; slot++ {
+		if err := rm.Tick(now); err != nil {
+			t.Fatalf("Tick: %v", err)
+		}
+	}
+	if rm.Status().Faults.RequeuedQuanta == 0 {
+		t.Fatal("no queued quantum expired while the node was silent")
+	}
+	hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, now)
+	if err != nil {
+		t.Fatalf("Heartbeat: %v", err)
+	}
+	if len(hb.Launch) == 0 {
+		t.Fatal("the silent node was handed nothing, its live leases included")
+	}
+	rm.mu.Lock()
+	for _, q := range hb.Launch {
+		if l := rm.st.Leases()[q.ID]; l == nil || l.NodeID != "n1" {
+			t.Errorf("launched %s, which is not a live lease of n1", q.ID)
+		}
+	}
+	rm.mu.Unlock()
 	// Black-hole phase: the node heartbeats (stays live) but drops every
 	// launch response, so nothing is ever confirmed.
 	for slot := 0; slot < 8; slot++ {

@@ -264,9 +264,9 @@ func TestClientStatusConcurrent(t *testing.T) {
 	// the rest start and keep running, their delivered volume growing every
 	// slot.
 	rm.mu.Lock()
-	for id, j := range rm.jobs {
+	for id, j := range rm.st.Jobs() {
 		if id[len(id)-1]%2 == 0 {
-			j.total = j.parallelCap
+			j.Total = j.ParallelCap
 		}
 	}
 	rm.mu.Unlock()

@@ -34,7 +34,7 @@ func (s *Server) VerifyRecoveryEquivalence(scratch string) error {
 	}
 
 	s.mu.Lock()
-	live, err := s.snapshotLocked()
+	live, err := s.st.Snapshot()
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("rmserver: live snapshot: %w", err)
@@ -68,7 +68,7 @@ func (s *Server) VerifyRecoveryEquivalence(scratch string) error {
 		}
 		s2.mu.Lock()
 		defer s2.mu.Unlock()
-		return s2.snapshotLocked()
+		return s2.st.Snapshot()
 	}()
 	if rebuildErr != nil {
 		return rebuildErr
@@ -90,14 +90,15 @@ func (s *Server) VerifyRecoveryEquivalence(scratch string) error {
 }
 
 // normalizeSnapshot strips the state recovery is allowed to change: the
-// leases, which it requeues wholesale.
+// leases, which it requeues wholesale. What is left comes back with its
+// fields in name order.
 func normalizeSnapshot(payload []byte) ([]byte, error) {
-	var st snapState
+	var st map[string]json.RawMessage
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, err
 	}
-	st.Leases = nil
-	return json.Marshal(&st)
+	delete(st, "leases")
+	return json.Marshal(st)
 }
 
 // copyDir copies the flat store directory (WAL segments + snapshots)

@@ -12,6 +12,7 @@ import (
 
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 )
@@ -151,10 +152,10 @@ func TestLiveEqualsReplayWithLeases(t *testing.T) {
 			t.Fatalf("after %s, the follower counted %+v replaying a log", what, f)
 		}
 	})
-	var codec walCodec
+	var codec rmstate.Codec
 	tickRequeues, requeueRecords := 0, 0
 	for _, p := range readWAL(t, dir) {
-		rec, err := codec.decode(p)
+		rec, err := codec.Decode(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +171,40 @@ func TestLiveEqualsReplayWithLeases(t *testing.T) {
 	}
 }
 
+// TestLiveEqualsReplayIntoBareState runs the RM's state machine with no
+// Server around it: after every slot of one seeded driveMixed run, the WAL
+// so far, decoded and applied record by record to a bare rmstate.New,
+// snapshots to the live server's state byte for byte, leases included.
+func TestLiveEqualsReplayIntoBareState(t *testing.T) {
+	dir := t.TempDir()
+	rm := newMixedRM(t, dir)
+	leased := false
+	driveMixed(t, &rm, 1, 20, func(slot int) {
+		bare := rmstate.New(rm.cfg.SlotDur, rm.cfg.LeaseExpiry)
+		var codec rmstate.Codec
+		for i, p := range readWAL(t, dir) {
+			rec, err := codec.Decode(p)
+			if err == nil {
+				err = bare.Apply(&rec)
+			}
+			if err != nil {
+				t.Fatalf("slot %d, record %d: %v", slot, i+1, err)
+			}
+		}
+		replayed, err := bare.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live := snapshotOf(t, rm); !bytes.Equal(live, replayed) {
+			t.Fatalf("slot %d: the bare state replayed from the log differs from the live server's:\nlive:     %s\nreplayed: %s", slot, live, replayed)
+		}
+		leased = leased || len(bare.Leases()) > 0
+	}, nil)
+	if !leased {
+		t.Error("no slot ended with a lease in flight: the comparison held no lease")
+	}
+}
+
 // heldState is what liveAndReplayed captures of a server: its snapshot,
 // and each live job's in-flight volume, which the snapshot does not hold.
 type heldState struct {
@@ -180,13 +215,13 @@ type heldState struct {
 // heldLocked captures s's heldState; s.mu must be held.
 func heldLocked(t *testing.T, s *Server) heldState {
 	t.Helper()
-	snapshot, err := s.snapshotLocked()
+	snapshot, err := s.st.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	h := heldState{snapshot: snapshot, inFlight: make(map[string]resource.Vector, len(s.jobs))}
-	for id, j := range s.jobs {
-		h.inFlight[id] = j.inFlight
+	h := heldState{snapshot: snapshot, inFlight: make(map[string]resource.Vector, len(s.st.Jobs()))}
+	for id, j := range s.st.Jobs() {
+		h.inFlight[id] = j.InFlight
 	}
 	return h
 }

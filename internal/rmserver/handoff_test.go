@@ -16,6 +16,7 @@ import (
 	"flowtime/internal/oracle"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
@@ -36,30 +37,31 @@ func checkBooks(t testing.TB, rm *Server, what string) {
 	t.Helper()
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	inFlight := map[*rmJob]resource.Vector{}
+	inFlight := map[*rmstate.Job]resource.Vector{}
 	thisSlot := map[string]resource.Vector{}
-	for qid, l := range rm.leases {
-		if rm.jobs[l.job.id] != l.job || l.job.done {
-			t.Fatalf("%s: lease %s belongs to %s, which is not a live job", what, qid, l.job.id)
+	jobs := rm.st.Jobs()
+	for qid, l := range rm.st.Leases() {
+		if jobs[l.Job.ID] != l.Job || l.Job.Done {
+			t.Fatalf("%s: lease %s belongs to %s, which is not a live job", what, qid, l.Job.ID)
 		}
-		inFlight[l.job] = inFlight[l.job].Add(l.grant)
-		if l.issued == rm.slot-1 {
-			thisSlot[l.nodeID] = thisSlot[l.nodeID].Add(l.grant)
+		inFlight[l.Job] = inFlight[l.Job].Add(l.Grant)
+		if l.Issued == rm.st.Slot()-1 {
+			thisSlot[l.NodeID] = thisSlot[l.NodeID].Add(l.Grant)
 		}
 	}
-	for _, j := range rm.jobs {
-		if j.inFlight != inFlight[j] {
-			t.Fatalf("%s: job %s has %v in flight, its leases sum to %v", what, j.id, j.inFlight, inFlight[j])
+	for _, j := range jobs {
+		if j.InFlight != inFlight[j] {
+			t.Fatalf("%s: job %s has %v in flight, its leases sum to %v", what, j.ID, j.InFlight, inFlight[j])
 		}
 	}
 	for id, n := range rm.nodes {
-		if !n.placed.FitsIn(n.capacity) || !thisSlot[id].FitsIn(n.placed) {
-			t.Fatalf("%s: node %s (capacity %v) has %v placed and %v leased this slot", what, id, n.capacity, n.placed, thisSlot[id])
+		if !n.Placed.FitsIn(n.Capacity) || !thisSlot[id].FitsIn(n.Placed) {
+			t.Fatalf("%s: node %s (capacity %v) has %v placed and %v leased this slot", what, id, n.Capacity, n.Placed, thisSlot[id])
 		}
 	}
 	for _, o := range rm.offers {
-		if rm.jobs[o.job.id] != o.job || o.grant.IsZero() {
-			t.Fatalf("%s: offer of %v to %s, which is not a live job", what, o.grant, o.job.id)
+		if jobs[o.Job.ID] != o.Job || o.Grant.IsZero() {
+			t.Fatalf("%s: offer of %v to %s, which is not a live job", what, o.Grant, o.Job.ID)
 		}
 	}
 }
@@ -382,10 +384,10 @@ func TestOffersDispatchOnlyWhereTheyMay(t *testing.T) {
 			t.Errorf("follower heartbeat = %v, want ErrNotLeader", err)
 		}
 		primary.mu.Lock()
-		want, _ := primary.snapshotLocked()
+		want, _ := primary.st.Snapshot()
 		primary.mu.Unlock()
 		follower.mu.Lock()
-		got, _ := follower.snapshotLocked()
+		got, _ := follower.st.Snapshot()
 		follower.mu.Unlock()
 		if string(got) != string(want) {
 			t.Errorf("the follower's state differs from the primary's after the dispatch:\n%s\n%s", got, want)
@@ -518,7 +520,7 @@ func FuzzHeartbeatBody(f *testing.F) {
 			}
 			rm.mu.Lock()
 			for _, q := range resp.Launch {
-				if l := rm.leases[q.ID]; l == nil || l.nodeID != req.NodeID || l.job.id != q.JobID || rmproto.FromVector(l.grant) != q.Grant {
+				if l := rm.st.Leases()[q.ID]; l == nil || l.NodeID != req.NodeID || l.Job.ID != q.JobID || rmproto.FromVector(l.Grant) != q.Grant {
 					t.Errorf("%q: launched %+v, which is not a lease of %s", body, q, req.NodeID)
 				}
 			}

@@ -6,15 +6,16 @@
 // — and idempotent, so replaying the same tail twice (or recovering the
 // same directory twice) converges to the same state.
 //
-// Every journaled mutation takes one route. It is decided as its record
-// without touching anything replay rebuilds (decideTick, decideHandOff,
-// decideConfirm, decideRequeue, a submission's admission); journalLocked
-// then encodes the record, applies it with applyLocked — the function
-// replay and the follower run — and appends it. So the live RM holds what
-// replaying its log rebuilds by construction, a record the codec refuses
-// changes nothing, and the quanta a tick or a hand-off launches are read
-// off its record's grants. A plan diff is the one record applied as it was
-// decided, by plan.Apply (planstream.go).
+// Every journaled mutation takes one route. The replayed state is one
+// value, rmstate.State, which no lock, clock or I/O reaches; a mutation is
+// decided as its record by rmstate's deciders, which change nothing (a
+// tick, a hand-off, a confirm, a requeue, an admission, a plan diff), and
+// journalLocked then encodes the record, applies it with State.Apply — the
+// function replay and the follower run — and appends it. So the live RM
+// holds what replaying its log rebuilds by construction, a record the
+// codec refuses changes nothing, and the quanta a tick or a hand-off
+// launches are read off its record's grants. What the process keeps beside
+// the state (nodes, offers, drain, fencing, counters) no record touches.
 //
 // What is journaled and what is not:
 //
@@ -28,25 +29,24 @@
 //     that advances nothing (an offer itself is never journaled).
 //   - Lease requeues triggered by node re-registration or promotion.
 //   - Leadership-epoch claims (initial primary start and promotions),
-//     so the fencing token survives crashes and ships to followers.
+//     so the fencing token survives crashes and ships to followers. An
+//     epoch learnt from a fence or a ship request is not journaled: it is
+//     the highest this process has seen (repl.go), not its own.
 //   - Plan diffs, when the scheduler streams its plan (one record per
 //     revision, applied transactionally; see planstream.go), and the
 //     wholesale plan rebases that repair a broken diff chain.
-//   - NOT journaled: node registrations and heartbeat liveness. Nodes
-//     are soft state re-established by the agents' re-register loop;
-//     accordingly, recovery requeues every in-flight lease (its node
-//     binding died with the process) and re-grants the work.
-//   - NOT journaled: the archive of completed jobs (Server.done). It is
+//   - NOT journaled: the archive of completed jobs (State.Done). It is
 //     derived — the confirm records determine which jobs completed, when
 //     and in which order — so replay rebuilds it and snapshots carry it.
-//   - NOT journaled: drain state. Draining is a property of the process
-//     ("for the life of the process"), not of the workload — a restarted
-//     RM schedules again, otherwise a post-shutdown restart would come
-//     up permanently refusing work.
-//   - NOT journaled: the fault counters (rmproto.FaultCounters). They are
-//     this process's telemetry, counted where the live process decides
-//     what they count; replay and a follower's ingest count nothing, so
-//     they restart at zero with the process, as Prometheus counters do.
+//   - NOT journaled: what the process keeps beside the state. Nodes and
+//     their liveness are soft state the agents' re-register loop
+//     re-establishes, so recovery requeues every in-flight lease (its
+//     node binding died with the process) and re-grants the work. Drain
+//     is for the life of the process: a restarted RM schedules again
+//     instead of coming up refusing work. The fault counters
+//     (rmproto.FaultCounters) are its telemetry, counted where it decides
+//     what they count, never by replay or a follower's ingest, so they
+//     restart at zero with the process, as Prometheus counters do.
 //
 // Durability ordering: under the always-fsync policy one rule holds —
 // only what a crash could not undo on its own waits for the disk. Two
@@ -97,213 +97,53 @@
 // Under the never policy every one of these windows reopens by design —
 // that is the policy's documented trade.
 //
-// Formats: a WAL payload is a tagged binary record — one tag byte per
-// walRecord variant, varints, length-prefixed strings; quantum IDs as
-// deltas, a tick's job and node IDs front-coded, its lease expiry stored
-// once; a plan diff in internal/plan's binary diff codec; a
-// submission's trace record in the coding its wire body uses
-// (rmproto/submit.go). The tag table and every rule are in walcodec.go,
-// the only file here that knows them; this file builds and applies
-// walRecord values. `ftrm -wal-dump` prints a log as JSON lines (DumpWAL).
-// A record holds only what replay reads: no fault counter, and no slot
-// beside an epoch. That is the one journal form: a payload in the JSON
-// form RMs before the codec wrote is refused, as are the forms that
-// carried fault counters and those before front-coded IDs (walcodec.go
-// states why that is safe). Snapshots are JSON (snapState, version 4
-// only), as is the plan blob inside a snapshot or a rebase record; a
-// snapshot holds no fault counter and no job's in-flight volume, which is
-// the sum of its leases' grants and is rebuilt from them.
+// Formats: a WAL payload is a tagged binary record, and rmstate's
+// walcodec.go is the only file that knows its layout; a snapshot is
+// State.Snapshot's JSON. A record holds only what replay reads, and a
+// snapshot only the replayed state: no fault counter, no epoch this
+// process merely saw. `ftrm -wal-dump` prints a log as JSON lines
+// (DumpWAL).
 package rmserver
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"flowtime/internal/plan"
-	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
-	"flowtime/internal/sched"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/store"
-	"flowtime/internal/trace"
-	"flowtime/internal/workflow"
 )
 
-// snapVersion identifies the snapshot schema. Version 4 holds live state
-// only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
-// the archive of completed jobs in completion order, and a plan of
-// integers only. Version 3 was the same plus the fault counters and each
-// job's in-flight volume, with a journal of counter-carrying records
-// behind it; version 2 had θ levels in the plan and a journal of
-// back-referenced tick IDs behind it; version 1 held every job ever
-// admitted, flagged done or not. All are refused, by name: nothing writes
-// them, under the condition walcodec.go states for the journal.
-const snapVersion = 4
-
-// walRecord is the one-of union journaled per mutation. walcodec.go owns
-// its on-disk form; the json tags serve `ftrm -wal-dump`.
-type walRecord struct {
-	Workflow   *recWorkflow   `json:"wf,omitempty"`
-	AdHoc      *recAdHoc      `json:"adhoc,omitempty"`
-	Tick       *recTick       `json:"tick,omitempty"`
-	Confirm    *recConfirm    `json:"confirm,omitempty"`
-	Requeue    *recRequeue    `json:"requeue,omitempty"`
-	Epoch      *recEpoch      `json:"epoch,omitempty"`
-	PlanDiff   *recPlanDiff   `json:"plan_diff,omitempty"`
-	PlanRebase *recPlanRebase `json:"plan_rebase,omitempty"`
-}
-
-// recWorkflow journals one admitted workflow: the original trace record
-// (for the DAG and job specs) plus everything admission computed — the
-// re-anchored window and the per-job decomposed windows.
-type recWorkflow struct {
-	WF         trace.WorkflowRecord `json:"wf"`
-	SubmitNS   int64                `json:"submit_ns"`
-	DeadlineNS int64                `json:"deadline_ns"`
-	Slot       int64                `json:"slot"`
-	BestEffort bool                 `json:"best_effort,omitempty"`
-	Windows    []recWindow          `json:"windows"`
-}
-
-type recWindow struct {
-	ReleaseNS  int64 `json:"release_ns"`
-	DeadlineNS int64 `json:"deadline_ns"`
-	MinSlots   int64 `json:"min_slots"`
-}
-
-type recAdHoc struct {
-	Job  trace.AdHocRecord `json:"job"`
-	Slot int64             `json:"slot"`
-}
-
-// recTick journals one slot advance: the post-advance slot value, the
-// leases reclaimed by eviction/expiry during the tick, and the leases
-// granted.
-type recTick struct {
-	Slot     int64      `json:"slot"`
-	Requeued []string   `json:"requeued,omitempty"`
-	Grants   []recGrant `json:"grants,omitempty"`
-}
-
-type recGrant struct {
-	QID    string          `json:"qid"`
-	JobID  string          `json:"job"`
-	NodeID string          `json:"node"`
-	Grant  resource.Vector `json:"grant"`
-	Expiry int64           `json:"expiry,omitempty"`
-}
-
-// quantum is the grant as the node that runs it is handed it.
-func (g recGrant) quantum() rmproto.Quantum {
-	return rmproto.Quantum{ID: g.QID, JobID: g.JobID, Grant: rmproto.FromVector(g.Grant), DeadlineSlot: g.Expiry}
-}
-
-// recConfirm journals the quanta one heartbeat actually confirmed.
-type recConfirm struct {
-	Slot int64    `json:"slot"`
-	QIDs []string `json:"qids"`
-}
-
-// recRequeue journals leases reclaimed outside a tick (node
-// re-registration, promotion).
-type recRequeue struct {
-	QIDs []string `json:"qids"`
-}
-
-// recEpoch journals a leadership-epoch claim: the first epoch of a
-// fresh primary, or the incremented epoch of a promotion. The epoch is
-// replicated state — shipping it is what fences a deposed primary's
-// stream (see repl.go).
-type recEpoch struct {
-	Epoch int64 `json:"epoch"`
-}
-
-// recPlanDiff journals one plan diff, on disk in the plan codec's wire
-// form (internal/plan). The diff is the transaction: it either chained
-// onto the live plan's revision and was applied whole, or it was never
-// journaled — a torn record at the WAL tail is truncated at recovery
-// and the plan stays at its pre-diff revision.
-type recPlanDiff struct {
-	Diff *plan.Diff `json:"diff"`
-}
-
-// recPlanRebase journals a wholesale live-plan replacement — the escape
-// hatch when the diff chain breaks (see planstream.go) — on disk as the
-// plan codec's JSON plan blob, the same one snapshots embed.
-type recPlanRebase struct {
-	Plan *plan.Plan `json:"plan"`
-}
-
-// snapState is the full-state snapshot payload.
-type snapState struct {
-	Version   int            `json:"version"`
-	SlotDurNS int64          `json:"slot_dur_ns"`
-	Slot      int64          `json:"slot"`
-	Epoch     int64          `json:"epoch,omitempty"`
-	NextQID   int64          `json:"next_qid"`
-	Workflows []snapWorkflow `json:"workflows,omitempty"`
-	AdHoc     []snapJob      `json:"adhoc,omitempty"`
-	Leases    []snapLease    `json:"leases,omitempty"`
-	// Done is the archive of completed jobs, in completion order.
-	Done []rmproto.JobStatus `json:"done,omitempty"`
-	// Plan is the live plan in the strict plan codec's wire form; absent
-	// when no plan revision has been applied.
-	Plan json.RawMessage `json:"plan,omitempty"`
-}
-
-type snapWorkflow struct {
-	WF         trace.WorkflowRecord `json:"wf"`
-	SubmitNS   int64                `json:"submit_ns"`
-	DeadlineNS int64                `json:"deadline_ns"`
-	Jobs       []snapJob            `json:"jobs"` // in node-index order, completed ones included
-}
-
-type snapJob struct {
-	ID          string          `json:"id"`
-	Kind        int             `json:"kind"`
-	JobName     string          `json:"job_name,omitempty"`
-	NodeIdx     int             `json:"node_idx"`
-	ArrivedNS   int64           `json:"arrived_ns"`
-	ReleaseNS   int64           `json:"release_ns"`
-	DeadlineNS  int64           `json:"deadline_ns"`
-	Total       resource.Vector `json:"total"`
-	Delivered   resource.Vector `json:"delivered"`
-	ParallelCap resource.Vector `json:"parallel_cap"`
-	MinSlots    int64           `json:"min_slots"`
-	BestEffort  bool            `json:"best_effort,omitempty"`
-	Done        bool            `json:"done,omitempty"`
-	DoneSlot    int64           `json:"done_slot,omitempty"`
-}
-
-type snapLease struct {
-	QID    string          `json:"qid"`
-	JobID  string          `json:"job"`
-	NodeID string          `json:"node"`
-	Grant  resource.Vector `json:"grant"`
-	Issued int64           `json:"issued"`
-	Expiry int64           `json:"expiry,omitempty"`
-}
-
 // journalLocked is the one route a decided mutation takes: it encodes the
-// record, applies it with applyLocked — as replay and the follower do —
-// and appends it to the WAL, returning its commit handle (the zero handle
-// with no store). A record the codec refuses is an error that changes
-// nothing; one the store refuses is applied and reported as
-// ErrCommitFailed. Must be called with s.mu held so record order matches
-// mutation order. The handle is also kept as s.journaled: committing a
-// handle commits every record before it, which is how the records nobody
-// waits for ride the next commit.
-func (s *Server) journalLocked(rec walRecord) (store.Handle, error) {
+// record, applies it to the state — as replay and the follower do — and
+// appends it to the WAL, returning its commit handle (the zero handle with
+// no store). A record the codec refuses is an error that changes nothing;
+// one the store refuses is applied and reported as ErrCommitFailed. Must
+// be called with s.mu held so record order matches mutation order. The
+// handle is also kept as s.journaled: committing a handle commits every
+// record before it, which is how the records nobody waits for ride the
+// next commit.
+func (s *Server) journalLocked(rec rmstate.Record) (store.Handle, error) {
 	payload, err := s.encodeLocked(&rec)
 	if err != nil {
 		return store.Handle{}, err
 	}
-	if err := s.applyLocked(&rec); err != nil {
+	if err := s.st.Apply(&rec); err != nil {
 		return store.Handle{}, err
 	}
+	s.appliedLocked()
 	return s.appendLocked(payload)
+}
+
+// appliedLocked catches this process up with what applying records may
+// have changed: an epoch journaled is one it has seen, and Drain wakes
+// once the last lease has cleared.
+func (s *Server) appliedLocked() {
+	s.seen = max(s.seen, s.st.Epoch())
+	if len(s.st.Leases()) == 0 {
+		s.cond.Broadcast()
+	}
 }
 
 // applied reports whether journalLocked applied the record it answered
@@ -315,11 +155,11 @@ func applied(err error) bool { return err == nil || errors.Is(err, ErrCommitFail
 // codec's buffer, valid until the next encode. A record is encoded before
 // anything changes and appended (appendLocked) last, so a record the codec
 // refuses is an error answer that leaves nothing behind.
-func (s *Server) encodeLocked(rec *walRecord) ([]byte, error) {
+func (s *Server) encodeLocked(rec *rmstate.Record) ([]byte, error) {
 	if s.store == nil {
 		return nil, nil
 	}
-	payload, err := s.codec.encode(rec)
+	payload, err := s.codec.Encode(rec)
 	if err != nil {
 		return nil, fmt.Errorf("rmserver: wal encode: %w", err)
 	}
@@ -374,15 +214,11 @@ func (s *Server) recoverLocked() error {
 	}
 	snap, records := s.store.TakeRecovered()
 	if snap != nil {
-		var st snapState
-		if err := json.Unmarshal(snap, &st); err != nil {
-			return fmt.Errorf("decode snapshot: %w", err)
-		}
-		if err := s.restoreSnapshotLocked(&st); err != nil {
+		if err := s.st.Restore(snap); err != nil {
 			return err
 		}
 		rec.FromSnapshot = true
-		rec.SnapshotSlot = st.Slot
+		rec.SnapshotSlot = s.st.Slot()
 	}
 	for i, payload := range records {
 		if err := s.applyRecordLocked(payload); err != nil {
@@ -396,368 +232,26 @@ func (s *Server) recoverLocked() error {
 	// The requeue is applied, not journaled: every recovery of this log
 	// decides the same one. Its quanta are the first this process counts.
 	if !s.cfg.Follower {
-		orphans := s.decideRequeue(anyLease)
-		s.applyRequeueLocked(orphans)
+		orphans := s.st.DecideRequeue(anyLease)
+		_ = s.st.Apply(&rmstate.Record{Requeue: orphans}) // a requeue always applies
 		s.faults.RequeuedQuanta += int64(len(orphans.QIDs))
 		rec.OrphanLeasesRequeued = len(orphans.QIDs)
 	}
-	rec.Slot = s.slot
+	s.appliedLocked()
+	rec.Slot = s.st.Slot()
 	rec.Micros = (time.Since(start) + info.Elapsed).Microseconds()
 	s.recovery = &rec
 	return nil
 }
 
-func (s *Server) restoreSnapshotLocked(st *snapState) error {
-	switch st.Version {
-	case snapVersion:
-	case 3:
-		return fmt.Errorf("snapshot version 3, the form that carried fault counters and in-flight volume, which is no longer read (want %d)", snapVersion)
-	case 2:
-		return fmt.Errorf("snapshot version 2, the form with θ levels in its plan that predates front-coded journal IDs, which is no longer read (want %d)", snapVersion)
-	case 1:
-		return fmt.Errorf("snapshot version 1, the form that predates the completed-job archive, which is no longer read (want %d)", snapVersion)
-	default:
-		return fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
-	}
-	if got := time.Duration(st.SlotDurNS); got != s.cfg.SlotDur {
-		return fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, s.cfg.SlotDur)
-	}
-	s.slot = st.Slot
-	if st.Epoch > s.epoch {
-		s.epoch = st.Epoch
-	}
-	s.nextQID = st.NextQID
-	for i := range st.Workflows {
-		sw := &st.Workflows[i]
-		wf, err := workflowFromRecord(sw.WF, sw.SubmitNS, sw.DeadlineNS)
-		if err != nil {
-			return fmt.Errorf("snapshot workflow %s: %w", sw.WF.ID, err)
-		}
-		ws := &wfState{wf: wf, jobs: make([]*rmJob, len(sw.Jobs))}
-		for idx := range sw.Jobs {
-			j := rmJobFromSnap(&sw.Jobs[idx], wf.ID)
-			ws.jobs[idx] = j
-			if !j.done {
-				s.jobs[j.id] = j
-				ws.live++
-			}
-		}
-		s.wfs[wf.ID] = ws
-	}
-	for i := range st.AdHoc {
-		j := rmJobFromSnap(&st.AdHoc[i], "")
-		s.jobs[j.id] = j
-	}
-	for _, d := range st.Done {
-		s.archiveLocked(d)
-	}
-	for _, sl := range st.Leases {
-		j, ok := s.jobs[sl.JobID]
-		if !ok {
-			return fmt.Errorf("snapshot lease %s references unknown job %s", sl.QID, sl.JobID)
-		}
-		s.leases[sl.QID] = &lease{
-			qid: sl.QID, job: j, nodeID: sl.NodeID,
-			grant: sl.Grant, issued: sl.Issued, expiry: sl.Expiry,
-		}
-		j.inFlight = j.inFlight.Add(sl.Grant)
-	}
-	if len(st.Plan) > 0 {
-		p, err := plan.DecodePlan(st.Plan)
-		if err != nil {
-			return fmt.Errorf("snapshot plan: %w", err)
-		}
-		s.livePlan = p
-	}
-	return nil
-}
-
-func rmJobFromSnap(sj *snapJob, wfID string) *rmJob {
-	return &rmJob{
-		id:          sj.ID,
-		kind:        sched.JobKind(sj.Kind),
-		wfID:        wfID,
-		jobName:     sj.JobName,
-		nodeIdx:     sj.NodeIdx,
-		arrived:     time.Duration(sj.ArrivedNS),
-		release:     time.Duration(sj.ReleaseNS),
-		deadline:    time.Duration(sj.DeadlineNS),
-		total:       sj.Total,
-		delivered:   sj.Delivered,
-		parallelCap: sj.ParallelCap,
-		minSlots:    sj.MinSlots,
-		bestEffort:  sj.BestEffort,
-		done:        sj.Done,
-		doneSlot:    sj.DoneSlot,
-	}
-}
-
-func snapFromRMJob(j *rmJob) snapJob {
-	return snapJob{
-		ID:          j.id,
-		Kind:        int(j.kind),
-		JobName:     j.jobName,
-		NodeIdx:     j.nodeIdx,
-		ArrivedNS:   int64(j.arrived),
-		ReleaseNS:   int64(j.release),
-		DeadlineNS:  int64(j.deadline),
-		Total:       j.total,
-		Delivered:   j.delivered,
-		ParallelCap: j.parallelCap,
-		MinSlots:    j.minSlots,
-		BestEffort:  j.bestEffort,
-		Done:        j.done,
-		DoneSlot:    j.doneSlot,
-	}
-}
-
-// workflowFromRecord rebuilds a workflow object from its trace record
-// and re-anchors its window to the journaled nanosecond offsets (the
-// record's whole-second fields cannot express sub-second slot clocks).
-func workflowFromRecord(rec trace.WorkflowRecord, submitNS, deadlineNS int64) (*workflow.Workflow, error) {
-	wf, err := rec.ToWorkflow()
-	if err != nil {
-		return nil, err
-	}
-	wf.Submit = time.Duration(submitNS)
-	wf.Deadline = time.Duration(deadlineNS)
-	return wf, nil
-}
-
+// applyRecordLocked decodes one journaled payload and applies it, as
+// replay and a follower's ingest do.
 func (s *Server) applyRecordLocked(payload []byte) error {
-	rec, err := s.codec.decode(payload)
+	rec, err := s.codec.Decode(payload)
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
-	return s.applyLocked(&rec)
-}
-
-// applyLocked applies one record: the function every journaled mutation
-// changes state through, live (journalLocked), in replay and on a
-// follower.
-func (s *Server) applyLocked(rec *walRecord) error {
-	switch {
-	case rec.Workflow != nil:
-		return s.applyWorkflowLocked(rec.Workflow)
-	case rec.AdHoc != nil:
-		return s.applyAdHocLocked(rec.AdHoc)
-	case rec.Tick != nil:
-		s.applyTickLocked(rec.Tick)
-	case rec.Confirm != nil:
-		s.applyConfirmLocked(rec.Confirm)
-	case rec.Requeue != nil:
-		s.applyRequeueLocked(rec.Requeue)
-	case rec.Epoch != nil:
-		if rec.Epoch.Epoch > s.epoch {
-			s.epoch = rec.Epoch.Epoch
-		}
-	case rec.PlanDiff != nil:
-		return s.applyPlanDiffRecordLocked(rec.PlanDiff)
-	case rec.PlanRebase != nil:
-		s.applyPlanRebaseRecordLocked(rec.PlanRebase)
-	}
-	return nil
-}
-
-func (s *Server) applyWorkflowLocked(r *recWorkflow) error {
-	if s.knownWorkflowLocked(r.WF.ID) {
-		return nil // idempotent replay
-	}
-	if len(r.Windows) != len(r.WF.Jobs) {
-		return fmt.Errorf("workflow %s: %d windows for %d jobs", r.WF.ID, len(r.Windows), len(r.WF.Jobs))
-	}
-	wf, err := workflowFromRecord(r.WF, r.SubmitNS, r.DeadlineNS)
-	if err != nil {
-		return fmt.Errorf("workflow %s: %w", r.WF.ID, err)
-	}
-	arrived := time.Duration(r.Slot) * s.cfg.SlotDur
-	st := &wfState{wf: wf, jobs: make([]*rmJob, wf.NumJobs()), live: wf.NumJobs()}
-	for i := 0; i < wf.NumJobs(); i++ {
-		job := wf.Job(i)
-		w := r.Windows[i]
-		j := &rmJob{
-			id:          fmt.Sprintf("%s/%s#%d", wf.ID, job.Name, i),
-			kind:        sched.DeadlineJob,
-			wfID:        wf.ID,
-			jobName:     job.Name,
-			nodeIdx:     i,
-			arrived:     arrived,
-			release:     time.Duration(w.ReleaseNS),
-			deadline:    time.Duration(w.DeadlineNS),
-			total:       job.Volume(s.cfg.SlotDur),
-			parallelCap: job.ParallelCap(),
-			minSlots:    w.MinSlots,
-			bestEffort:  r.BestEffort,
-		}
-		st.jobs[i] = j
-		s.jobs[j.id] = j
-	}
-	s.wfs[wf.ID] = st
-	return nil
-}
-
-func (s *Server) applyAdHocLocked(r *recAdHoc) error {
-	id := rmproto.AdHocJobID(r.Job.ID)
-	if s.knownAdHocLocked(id) {
-		return nil // idempotent replay
-	}
-	a, err := r.Job.ToAdHoc()
-	if err != nil {
-		return err
-	}
-	s.jobs[id] = &rmJob{
-		id:          id,
-		kind:        sched.AdHocJob,
-		arrived:     time.Duration(r.Slot) * s.cfg.SlotDur,
-		total:       a.Volume(s.cfg.SlotDur),
-		parallelCap: a.ParallelCap(),
-	}
-	return nil
-}
-
-// applyTickLocked applies a tick record, a slot's or a hand-off's: its
-// requeues, then its grants as leases — the one place a lease is created
-// — then its slot. A grant at or below the quantum-ID watermark was
-// applied already (by a prior replay pass or the snapshot) and is skipped.
-func (s *Server) applyTickLocked(r *recTick) {
-	s.applyRequeueLocked(&recRequeue{QIDs: r.Requeued})
-	for _, g := range r.Grants {
-		n, own := rmproto.ParseQuantumID(g.QID)
-		if !own || n <= s.nextQID {
-			continue // already applied (prior replay pass or snapshot), or not an ID this server issues
-		}
-		j, ok := s.jobs[g.JobID]
-		if !ok {
-			continue
-		}
-		s.nextQID = n
-		s.leases[g.QID] = &lease{
-			qid: g.QID, job: j, nodeID: g.NodeID,
-			grant: g.Grant, issued: r.Slot - 1, expiry: g.Expiry,
-		}
-		j.inFlight = j.inFlight.Add(g.Grant)
-	}
-	if r.Slot > s.slot {
-		s.slot = r.Slot
-	}
-}
-
-// applyConfirmLocked applies confirmed leases: each one's volume moves
-// from in-flight to delivered, completing its job — at the record's slot
-// — when the total is covered. A quantum that names no lease is skipped.
-func (s *Server) applyConfirmLocked(r *recConfirm) {
-	for _, qid := range r.QIDs {
-		l, ok := s.leases[qid]
-		if !ok {
-			continue
-		}
-		delete(s.leases, qid)
-		j := l.job
-		j.inFlight = j.inFlight.SubClamped(l.grant)
-		j.delivered = j.delivered.Add(l.grant)
-		if !j.done && j.total.FitsIn(j.delivered) {
-			j.done = true
-			j.doneSlot = r.Slot
-			delete(s.jobs, j.id)
-			if ws := s.wfs[j.wfID]; ws != nil {
-				if ws.live--; ws.live == 0 {
-					delete(s.wfs, j.wfID)
-				}
-			}
-			s.archiveLocked(s.jobStatusLocked(j))
-		}
-	}
-	if len(s.leases) == 0 {
-		s.cond.Broadcast()
-	}
-}
-
-// applyRequeueLocked reclaims the leases a record names: each one's volume
-// returns to its job's schedulable remainder, it stops being awaited, and
-// its quantum, if still queued on a node the RM tracks, is scrubbed so the
-// node does not burn a slot executing reclaimed work. A quantum that names
-// no lease is skipped.
-func (s *Server) applyRequeueLocked(r *recRequeue) {
-	for _, qid := range r.QIDs {
-		l, ok := s.leases[qid]
-		if !ok {
-			continue
-		}
-		delete(s.leases, qid)
-		l.job.inFlight = l.job.inFlight.SubClamped(l.grant)
-		if n, ok := s.nodes[l.nodeID]; ok {
-			n.dropPending(qid)
-		}
-	}
-	if len(s.leases) == 0 {
-		s.cond.Broadcast()
-	}
-}
-
-// snapshotLocked serializes the full RM state — live tables and the
-// archive — deterministically (map iteration order must not leak into
-// the payload).
-func (s *Server) snapshotLocked() ([]byte, error) {
-	st := snapState{
-		Version:   snapVersion,
-		SlotDurNS: int64(s.cfg.SlotDur),
-		Slot:      s.slot,
-		Epoch:     s.epoch,
-		NextQID:   s.nextQID,
-	}
-	wfIDs := make([]string, 0, len(s.wfs))
-	for id := range s.wfs {
-		wfIDs = append(wfIDs, id)
-	}
-	sort.Strings(wfIDs)
-	for _, id := range wfIDs {
-		ws := s.wfs[id]
-		rec, err := workflowToRecord(ws.wf)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot workflow %s: %w", id, err)
-		}
-		sw := snapWorkflow{
-			WF:         rec,
-			SubmitNS:   int64(ws.wf.Submit),
-			DeadlineNS: int64(ws.wf.Deadline),
-			Jobs:       make([]snapJob, len(ws.jobs)),
-		}
-		for i, j := range ws.jobs {
-			sw.Jobs[i] = snapFromRMJob(j)
-		}
-		st.Workflows = append(st.Workflows, sw)
-	}
-	jobIDs := make([]string, 0, len(s.jobs))
-	for id, j := range s.jobs {
-		if j.kind == sched.AdHocJob {
-			jobIDs = append(jobIDs, id)
-		}
-	}
-	sort.Strings(jobIDs)
-	for _, id := range jobIDs {
-		st.AdHoc = append(st.AdHoc, snapFromRMJob(s.jobs[id]))
-	}
-	st.Done = s.done
-	qids := make([]string, 0, len(s.leases))
-	for qid := range s.leases {
-		qids = append(qids, qid)
-	}
-	sort.Strings(qids)
-	for _, qid := range qids {
-		l := s.leases[qid]
-		st.Leases = append(st.Leases, snapLease{
-			QID: l.qid, JobID: l.job.id, NodeID: l.nodeID,
-			Grant: l.grant, Issued: l.issued, Expiry: l.expiry,
-		})
-	}
-	if s.livePlan != nil && s.livePlan.Rev > 0 {
-		payload, err := plan.EncodePlan(s.livePlan)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot plan rev %d: %w", s.livePlan.Rev, err)
-		}
-		st.Plan = payload
-	}
-	return json.Marshal(&st)
+	return s.st.Apply(&rec)
 }
 
 // writeSnapshotLocked snapshots the full state and rotates the WAL.
@@ -768,7 +262,7 @@ func (s *Server) writeSnapshotLocked() error {
 	if s.store == nil {
 		return nil
 	}
-	payload, err := s.snapshotLocked()
+	payload, err := s.st.Snapshot()
 	if err != nil {
 		return fmt.Errorf("rmserver: snapshot: %w", err)
 	}
@@ -786,13 +280,4 @@ func (s *Server) WriteSnapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.writeSnapshotLocked()
-}
-
-// workflowToRecord serializes a workflow back into its trace record.
-func workflowToRecord(wf *workflow.Workflow) (trace.WorkflowRecord, error) {
-	tr, err := trace.FromWorkload([]*workflow.Workflow{wf}, nil)
-	if err != nil {
-		return trace.WorkflowRecord{}, err
-	}
-	return tr.Workflows[0], nil
 }

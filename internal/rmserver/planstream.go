@@ -24,11 +24,12 @@
 package rmserver
 
 import (
-	"fmt"
+	"cmp"
 	"sort"
 
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 )
 
@@ -37,14 +38,6 @@ import (
 // or ends soon after the current slot: the whole cluster is slack there,
 // but the gate still needs a finite window to charge.
 const defaultGateWindow = 64
-
-// livePlanLocked returns the server's live plan, never nil.
-func (s *Server) livePlanLocked() *plan.Plan {
-	if s.livePlan == nil {
-		s.livePlan = plan.Empty()
-	}
-	return s.livePlan
-}
 
 // streamPlansLocked drains the scheduler's pending plan diffs, applies
 // each to the live plan, and journals it. On a broken revision chain it
@@ -57,31 +50,21 @@ func (s *Server) streamPlansLocked() error {
 		return nil
 	}
 	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	for _, d := range ps.TakePlanDiffs() {
-		next, err := plan.Apply(s.livePlanLocked(), d)
+		rec, err := s.st.DecidePlanDiff(d)
 		if err != nil {
 			// Chain broken (stale base after a recovery, or a malformed
 			// diff): refuse it loudly and rebase from the authoritative
 			// plan. LivePlan already includes every pending diff, so the
 			// rest of this batch is subsumed.
-			note(s.rebasePlanLocked(ps.LivePlan()))
+			firstErr = cmp.Or(firstErr, s.rebasePlanLocked(ps.LivePlan()))
 			break
 		}
-		// plan.Apply decided the next plan and built it, so the record is
-		// not applied again: it is encoded, the plan swapped in, then the
-		// record appended.
-		payload, err := s.encodeLocked(&walRecord{PlanDiff: &recPlanDiff{Diff: d}})
-		if err == nil {
-			s.livePlan = next
+		_, err = s.journalLocked(rmstate.Record{PlanDiff: rec})
+		if applied(err) {
 			s.faults.PlanDiffsApplied++
-			_, err = s.appendLocked(payload)
 		}
-		note(err)
+		firstErr = cmp.Or(firstErr, err)
 	}
 	s.rebaseAdHocLocked()
 	return firstErr
@@ -91,37 +74,11 @@ func (s *Server) streamPlansLocked() error {
 // it journals the full plan as one record, which applies it and rides the
 // next commit.
 func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
-	_, err := s.journalLocked(walRecord{PlanRebase: &recPlanRebase{Plan: lp}})
+	_, err := s.journalLocked(rmstate.Record{PlanRebase: &rmstate.RecPlanRebase{Plan: lp}})
 	if applied(err) {
 		s.faults.PlanRebases++
 	}
 	return err
-}
-
-// applyPlanDiffRecordLocked replays one journaled plan diff. Replay is
-// idempotent — a diff at or below the live revision is skipped — but a
-// revision gap is corrupt history and fails loudly rather than leaving
-// a plan that silently diverges from what the primary journaled.
-func (s *Server) applyPlanDiffRecordLocked(r *recPlanDiff) error {
-	d := r.Diff // decoded and validated by the record codec
-	base := s.livePlanLocked()
-	if d.NewRev <= base.Rev {
-		return nil // idempotent replay
-	}
-	if d.BaseRev != base.Rev {
-		return fmt.Errorf("plan diff %d->%d does not chain to live revision %d", d.BaseRev, d.NewRev, base.Rev)
-	}
-	next, err := plan.Apply(base, d)
-	if err != nil {
-		return fmt.Errorf("plan diff %d->%d: %w", d.BaseRev, d.NewRev, err)
-	}
-	s.livePlan = next
-	return nil
-}
-
-// applyPlanRebaseRecordLocked replays one journaled wholesale rebase.
-func (s *Server) applyPlanRebaseRecordLocked(r *recPlanRebase) {
-	s.livePlan = r.Plan // decoded and validated by the record codec
 }
 
 // adhocGate is the ad-hoc admission gate: over one window of slots, the
@@ -201,7 +158,7 @@ func (s *Server) rebaseAdHocLocked() {
 	if s.gate == nil {
 		return
 	}
-	if lp := s.livePlanLocked(); lp.Rev != 0 && lp != s.gate.plan {
+	if lp := s.st.Plan(); lp.Rev != 0 && lp != s.gate.plan {
 		s.republishAdHocLocked(lp, lp.NSlots == 0)
 	}
 }
@@ -213,13 +170,13 @@ func (s *Server) rebaseAdHocLocked() {
 // from that plan, anchored at the current slot. With no plan there is no
 // leftover to admit against, and the job is rejected.
 func (s *Server) admitAdHocLocked(demand, perSlot resource.Vector) bool {
-	g := s.gate
-	if s.slot < g.from || s.slot >= g.from+int64(len(g.free)) {
-		if lp := s.livePlanLocked(); lp.Rev != 0 {
+	g, slot := s.gate, s.st.Slot()
+	if slot < g.from || slot >= g.from+int64(len(g.free)) {
+		if lp := s.st.Plan(); lp.Rev != 0 {
 			s.republishAdHocLocked(lp, true)
 		}
 	}
-	return g.admit(s.slot, demand, perSlot)
+	return g.admit(slot, demand, perSlot)
 }
 
 // republishAdHocLocked rebuilds the gate's window from lp and hands what
@@ -231,7 +188,7 @@ func (s *Server) republishAdHocLocked(lp *plan.Plan, anchored bool) {
 	g := s.gate
 	from, n := lp.From, lp.NSlots
 	if anchored {
-		from, n = s.slot, max(lp.From+lp.NSlots-s.slot, defaultGateWindow)
+		from, n = s.st.Slot(), max(lp.From+lp.NSlots-s.st.Slot(), defaultGateWindow)
 	}
 	first := g.plan == nil
 	retiredFrom, retired := g.from, g.took
@@ -280,16 +237,16 @@ func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, he
 		}
 	}
 	var adhocIDs []string
-	for id, j := range s.jobs {
-		if j.kind == sched.AdHocJob {
+	for id, j := range s.st.Jobs() {
+		if j.Kind == sched.AdHocJob {
 			adhocIDs = append(adhocIDs, id)
 		}
 	}
 	sort.Strings(adhocIDs)
 	takes := make([]resource.Vector, n)
 	for _, id := range adhocIDs {
-		j := s.jobs[id]
-		waterFill(takes, leftover, j.total.SubClamped(j.delivered), j.parallelCap)
+		j := s.st.Jobs()[id]
+		waterFill(takes, leftover, j.Total.SubClamped(j.Delivered), j.ParallelCap)
 		for i, v := range takes {
 			leftover[i] = leftover[i].Sub(v)
 			held[i] = held[i].Add(v)

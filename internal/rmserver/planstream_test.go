@@ -12,6 +12,7 @@ import (
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
@@ -41,7 +42,7 @@ func newStreamingRM(t *testing.T, dir string, closeStore bool, gate bool) (*Serv
 func livePlanOf(rm *Server) *plan.Plan {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	return rm.livePlanLocked().Clone()
+	return rm.st.Plan().Clone()
 }
 
 // TestPlanDiffsJournaledAndRecovered: diffs journaled during normal
@@ -109,8 +110,8 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 
 	mustRecord := func(d *plan.Diff) []byte {
 		t.Helper()
-		var codec walCodec
-		rec, err := codec.encode(&walRecord{PlanDiff: &recPlanDiff{Diff: d}})
+		var codec rmstate.Codec
+		rec, err := codec.Encode(&rmstate.Record{PlanDiff: &rmstate.RecPlanDiff{Diff: d}})
 		if err != nil {
 			t.Fatalf("encode record: %v", err)
 		}
@@ -125,23 +126,23 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 	}
 	// Replay applies the diff and counts nothing: the counters are the
 	// live process's.
-	if rm.livePlan.Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
-		t.Fatalf("rev %d, %d counted applied after replaying the first diff", rm.livePlan.Rev, rm.faults.PlanDiffsApplied)
+	if rm.st.Plan().Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
+		t.Fatalf("rev %d, %d counted applied after replaying the first diff", rm.st.Plan().Rev, rm.faults.PlanDiffsApplied)
 	}
 	// Idempotent: replaying the same record changes nothing.
 	if err := rm.applyRecordLocked(first); err != nil {
 		t.Fatalf("duplicate replay: %v", err)
 	}
-	if rm.livePlan.Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
-		t.Fatalf("duplicate replay mutated state: rev %d, %d counted applied", rm.livePlan.Rev, rm.faults.PlanDiffsApplied)
+	if rm.st.Plan().Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
+		t.Fatalf("duplicate replay mutated state: rev %d, %d counted applied", rm.st.Plan().Rev, rm.faults.PlanDiffsApplied)
 	}
 	// A gap in the chain is corrupt history: refused loudly, nothing applied.
 	gap := mustRecord(&plan.Diff{BaseRev: 4, NewRev: 5, From: 5, NSlots: 2})
 	if err := rm.applyRecordLocked(gap); err == nil || !strings.Contains(err.Error(), "does not chain") {
 		t.Fatalf("gap replay = %v, want chain error", err)
 	}
-	if rm.livePlan.Rev != 1 {
-		t.Fatalf("gap replay moved the plan to rev %d", rm.livePlan.Rev)
+	if rm.st.Plan().Rev != 1 {
+		t.Fatalf("gap replay moved the plan to rev %d", rm.st.Plan().Rev)
 	}
 	// Malformed payloads: refused by the strict codec before anything
 	// mutates — a byte after the diff, a torn diff, a tag nothing writes,
@@ -156,8 +157,8 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 		if err := rm.applyRecordLocked(bad); err == nil {
 			t.Errorf("malformed diff payload (%s) replayed without error", name)
 		}
-		if rm.livePlan.Rev != 1 {
-			t.Fatalf("malformed diff payload (%s) moved the plan to rev %d", name, rm.livePlan.Rev)
+		if rm.st.Plan().Rev != 1 {
+			t.Fatalf("malformed diff payload (%s) moved the plan to rev %d", name, rm.st.Plan().Rev)
 		}
 	}
 }

@@ -4,9 +4,11 @@
 // the follower's in-memory state tracks the primary's and promotion is
 // replay-to-watermark plus re-lease, not a cold rebuild.
 //
-// Leadership is an epoch number journaled as replicated state. Every
-// promotion increments the epoch and journals the increment before the
-// new primary grants anything. The epoch doubles as a fencing token:
+// Leadership is an epoch number journaled as replicated state: a promotion
+// journals one above the highest epoch the process has seen — its own, or
+// a higher one a fence or ship request brought — before it grants
+// anything. The epoch seen is what a process compares, reports and fences
+// by:
 //
 //   - A ship request carries the follower's epoch; a primary that sees
 //     a higher epoch knows a promotion happened behind its back and
@@ -17,22 +19,22 @@
 //   - The promoted primary best-effort fences its old primary by URL,
 //     so agents that still talk to it get redirected promptly.
 //
-// Fencing, like drain, is volatile: a fenced primary stays fenced for
-// the life of the process and must be restarted (as a replica) to
-// rejoin. The epoch itself is durable and replicated; fenced status is
-// not, because a restarted ex-primary must not come up believing it
-// leads.
+// Fencing, like drain, is volatile: a fenced primary stays fenced for the
+// life of the process and rejoins by restarting as a replica. Fenced
+// status and the epoch seen are not journaled, so a restarted ex-primary
+// comes back at its own journaled epoch, fenced again by the first ship
+// request or fence that carries a higher one.
 package rmserver
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/store"
 )
 
@@ -67,11 +69,12 @@ func (s *Server) Role() Role {
 	return s.role
 }
 
-// Epoch returns the server's current leadership epoch.
+// Epoch returns the highest leadership epoch this process has seen: its
+// journaled epoch, or a higher one a fence or a ship request brought.
 func (s *Server) Epoch() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.epoch
+	return s.seen
 }
 
 // leaderCheckLocked rejects mutations on a server that is not the
@@ -97,8 +100,8 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 		s.mu.Unlock()
 		return rmproto.ShipResponse{}, errors.New("rmserver: replication requires a state store")
 	}
-	if req.Epoch > s.epoch {
-		s.epoch = req.Epoch
+	if req.Epoch > s.seen {
+		s.seen = req.Epoch
 		s.fenced = true
 		if req.FollowerURL != "" {
 			s.leaderURL = req.FollowerURL
@@ -111,7 +114,7 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 		s.mu.Unlock()
 		return rmproto.ShipResponse{}, err
 	}
-	epoch := s.epoch
+	epoch := s.seen
 	s.repl.hasFollower = true
 	s.repl.followerWM = from
 	s.mu.Unlock()
@@ -142,13 +145,12 @@ func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 	if s.role != RoleFollower {
 		return 0, &NotLeaderError{Fenced: false}
 	}
-	if resp.Epoch < s.epoch {
+	if resp.Epoch < s.seen {
 		return 0, fmt.Errorf("rmserver: rejecting batch from deposed primary (epoch %d < ours %d): %w",
-			resp.Epoch, s.epoch, ErrNotLeader)
+			resp.Epoch, s.seen, ErrNotLeader)
 	}
-	if resp.Epoch > s.epoch {
-		s.epoch = resp.Epoch
-	}
+	s.seen = resp.Epoch
+	defer s.appliedLocked()
 
 	batch := store.ShipBatch{
 		SnapInstall: resp.SnapInstall,
@@ -165,13 +167,12 @@ func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 		return 0, err
 	}
 	if resp.SnapInstall {
-		s.resetStateLocked()
+		// The installed snapshot replaces the state, archive included;
+		// cursors into the archive dropped here must not survive it.
+		s.st = rmstate.New(s.cfg.SlotDur, s.cfg.LeaseExpiry)
+		s.instance = newInstance()
 		if resp.Snapshot != nil {
-			var st snapState
-			if err := json.Unmarshal(resp.Snapshot, &st); err != nil {
-				return 0, fmt.Errorf("rmserver: decode shipped snapshot: %w", err)
-			}
-			if err := s.restoreSnapshotLocked(&st); err != nil {
+			if err := s.st.Restore(resp.Snapshot); err != nil {
 				return 0, fmt.Errorf("rmserver: restore shipped snapshot: %w", err)
 			}
 		}
@@ -184,26 +185,6 @@ func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 	return len(fresh), nil
 }
 
-// resetStateLocked clears all workload state ahead of a shipped
-// snapshot install. The epoch survives — it fences independently of the
-// stream position — and so do the fault counters, which are this
-// process's own.
-func (s *Server) resetStateLocked() {
-	s.slot = 0
-	s.nextQID = 0
-	s.jobs = make(map[string]*rmJob)
-	s.wfs = make(map[string]*wfState)
-	s.leases = make(map[string]*lease)
-	// The installed snapshot brings its own archive; cursors into the one
-	// dropped here must not survive it.
-	s.done, s.doneMissed = nil, 0
-	s.doneAdHoc = make(map[string]struct{})
-	s.doneWFs = make(map[string]struct{})
-	s.instance = newInstance()
-	s.livePlan = nil
-	s.cond.Broadcast()
-}
-
 // Promote turns a follower into the primary: the epoch is incremented
 // and journaled (fencing every lower epoch out of the stream), every
 // recovered lease is requeued — their node bindings belonged to the old
@@ -212,17 +193,17 @@ func (s *Server) resetStateLocked() {
 func (s *Server) Promote() (rmproto.PromoteResponse, error) {
 	s.mu.Lock()
 	if s.role == RolePrimary && !s.fenced {
-		resp := rmproto.PromoteResponse{Role: s.role.String(), Epoch: s.epoch, Slot: s.slot}
+		resp := rmproto.PromoteResponse{Role: s.role.String(), Epoch: s.seen, Slot: s.st.Slot()}
 		s.mu.Unlock()
 		return resp, nil
 	}
-	eh, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: s.epoch + 1}})
-	orphans := s.decideRequeue(anyLease)
+	eh, err := s.journalLocked(rmstate.Record{Epoch: &rmstate.RecEpoch{Epoch: s.seen + 1}})
+	orphans := s.st.DecideRequeue(anyLease)
 	var rh store.Handle
 	if err == nil && len(orphans.QIDs) > 0 {
 		rh, err = s.requeueLocked(orphans)
 	}
-	epoch, slot := s.epoch, s.slot
+	epoch, slot := s.seen, s.st.Slot()
 	s.mu.Unlock()
 	if err != nil {
 		return rmproto.PromoteResponse{}, err
@@ -251,20 +232,21 @@ func (s *Server) Promote() (rmproto.PromoteResponse, error) {
 
 // Fence tells this server a higher epoch exists: if it was the acting
 // primary it stops accepting mutations and redirects to the new leader.
-// A fence at or below our own epoch is stale and rejected.
+// A fence at or below the highest epoch seen is stale and rejected. The
+// epoch is seen, not journaled: no durable state changes.
 func (s *Server) Fence(req rmproto.FenceRequest) (rmproto.FenceResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.Epoch <= s.epoch {
-		return rmproto.FenceResponse{Fenced: false, Epoch: s.epoch},
-			fmt.Errorf("rmserver: fence with stale epoch %d (ours is %d)", req.Epoch, s.epoch)
+	if req.Epoch <= s.seen {
+		return rmproto.FenceResponse{Fenced: false, Epoch: s.seen},
+			fmt.Errorf("rmserver: fence with stale epoch %d (ours is %d)", req.Epoch, s.seen)
 	}
-	s.epoch = req.Epoch
+	s.seen = req.Epoch
 	s.fenced = true
 	if req.Leader != "" {
 		s.leaderURL = req.Leader
 	}
-	return rmproto.FenceResponse{Fenced: true, Epoch: s.epoch}, nil
+	return rmproto.FenceResponse{Fenced: true, Epoch: s.seen}, nil
 }
 
 // ReplicatorConfig parameterizes RunReplicator.

@@ -164,6 +164,48 @@ func TestFencingRejectsDeposedPrimary(t *testing.T) {
 	}
 }
 
+// TestFencingLeavesNoDurableEpoch: a fence changes no durable state. A
+// primary fenced by POST /repl/v1/fence, then by a ship request from a yet
+// higher epoch, still holds exactly what recovery rebuilds from its
+// directory; the snapshot it writes on its way down carries the epoch it
+// journaled, so it restarts at that epoch, willing to lead, and the first
+// ship request from the newer epoch fences it again.
+func TestFencingLeavesNoDurableEpoch(t *testing.T) {
+	dir := t.TempDir()
+	primary, st := newDurableRM(t, dir, false)
+	register(t, primary, "n1", 4, 8*1024)
+	submitBoth(t, primary)
+	runSlots(t, primary, "n1", 2, nil)
+	if _, err := primary.Fence(rmproto.FenceRequest{Epoch: 3, Leader: "http://new"}); err != nil {
+		t.Fatalf("Fence: %v", err)
+	}
+	verifyEquiv(t, primary, "fenced")
+	if _, err := primary.ShipLog(rmproto.ShipRequest{Epoch: 5}); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("ship at epoch 5 = %v, want ErrNotLeader (self-fence)", err)
+	}
+	verifyEquiv(t, primary, "fenced by a ship request")
+	if got := primary.Epoch(); got != 5 {
+		t.Errorf("the fenced primary reports epoch %d, want the 5 it has seen", got)
+	}
+
+	// Its shutdown writes a final snapshot; it restarts from the same
+	// directory.
+	if err := primary.WriteSnapshot(); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	st.Close()
+	back, _ := newDurableRM(t, dir, true)
+	if back.Role() != RolePrimary || back.Epoch() != 1 {
+		t.Fatalf("restarted as %s at epoch %d, want a primary at its journaled epoch 1", back.Role(), back.Epoch())
+	}
+	if _, err := back.ShipLog(rmproto.ShipRequest{Epoch: 5}); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("ship at epoch 5 to the restarted primary = %v, want ErrNotLeader (fenced again)", err)
+	}
+	if err := back.Tick(time.Now()); !errors.Is(err, ErrNotLeader) {
+		t.Errorf("Tick after the second fence = %v, want ErrNotLeader", err)
+	}
+}
+
 // TestFollowerRejectsMutationsOverHTTP drives the read-only contract
 // through the HTTP surface: mutations get 503 + not_leader with the
 // leader hint, status stays readable, and the client maps the response

@@ -32,10 +32,9 @@ import (
 	"sync"
 	"time"
 
-	"flowtime/internal/deadline"
-	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
@@ -97,25 +96,14 @@ type Server struct {
 	cfg   Config
 	store *store.Store
 
-	mu     sync.Mutex
-	cond   *sync.Cond // signalled when the last outstanding lease clears
-	slot   int64
-	nodes  map[string]*node
-	jobs   map[string]*rmJob   // live jobs: a job leaves when it completes
-	wfs    map[string]*wfState // workflows with at least one live job
-	leases map[string]*lease   // quantum ID -> in-flight lease
-	// done archives every completed job as the wire entry Status reports
-	// for it, in completion order. A completed job's status is final, so
-	// the archive only grows by appending and no element is written
-	// twice: a reader takes s.done[:n:n] under mu and reads it after
-	// unlocking. doneMissed counts its missed entries; doneAdHoc and
-	// doneWFs hold the IDs that must stay refused as duplicates. All of
-	// it is derived state — the confirm records that complete jobs
-	// determine it — so the WAL does not mention it and snapshots carry it.
-	done       []rmproto.JobStatus
-	doneMissed int
-	doneAdHoc  map[string]struct{} // ad-hoc job IDs in done
-	doneWFs    map[string]struct{} // workflow IDs with a job in done
+	mu   sync.Mutex
+	cond *sync.Cond // signalled when the last outstanding lease clears
+	// st is the replayed state (internal/rmstate): the slot, jobs,
+	// workflows, leases, archive, quantum counter, journaled epoch and live
+	// plan. Only a record applied to it changes it (see persist.go);
+	// everything else here is this process's own.
+	st    *rmstate.State
+	nodes map[string]*node
 	// instance names this process's archive to status readers holding a
 	// cursor into it (rmproto.DoneJobs).
 	instance string
@@ -123,43 +111,33 @@ type Server struct {
 	// different from the one the walk before built (statusLocked): a
 	// reader that holds the live list as of change S is sent only the
 	// jobs numbered above S (rmproto.QueryLiveAfter). Scoped like
-	// instance: a number means nothing under another one.
+	// instance: a number means nothing under another one. reported holds,
+	// per live job, the entry the last walk built and its change number.
 	changes  int64
-	nextQID  int64
+	reported map[*rmstate.Job]report
 	draining bool
-	// offers are the grants the last tick's scheduler made to jobs that
-	// were about to turn ready (sched.JobState.ReadyOnConfirm), in the
-	// tick's job order. An offer is a decision, not a mutation: no lease,
-	// no in-flight volume, nothing journaled. The heartbeat whose confirms
-	// make its job ready turns it into leases (decideHandOff); the next
-	// tick drops whatever is left. handoffs counts offers that became
-	// leases, lapsed those that did not; both are per-process.
-	offers           []offer
+	// offers are the last tick's grants to jobs about to turn ready; the
+	// heartbeat whose confirms make a job ready turns its offer into leases
+	// and the next tick drops what is left. handoffs counts offers that
+	// became leases, lapsed those that did not.
+	offers           []rmstate.Offer
 	handoffs, lapsed int64
 
-	// faults counts what this process decided, where it decided it; like
-	// handoffs and lapsed they are not journaled, and no apply function
-	// touches them, so replay and a follower's ingest count nothing.
+	// faults counts what this process decided, where it decided it; no
+	// record changes it, so replay and a follower's ingest count nothing.
 	faults   rmproto.FaultCounters
 	recovery *rmproto.RecoveryStatus // non-nil after a store recovery
 	// journaled is the handle of the newest WAL record this server
 	// appended (see journalLocked); the zero handle until the first one.
 	journaled store.Handle
-	// codec encodes and decodes WAL payloads (walcodec.go); it owns the
-	// encode buffer journalLocked reuses.
-	codec walCodec
+	codec     rmstate.Codec // owns the encode buffer journalLocked reuses
+	gate      *adhocGate    // the ad-hoc admission gate; nil unless Config.AdHocGate
 
-	// livePlan is the scheduler's streamed plan, reconstructed from
-	// journaled diffs (see planstream.go). Nil until the first revision.
-	livePlan *plan.Plan
-	// gate is the ad-hoc admission gate; nil unless Config.AdHocGate is
-	// set.
-	gate *adhocGate
-
-	// Replication (see repl.go). epoch is durable and replicated; role,
-	// fenced, and leaderURL are process-local.
+	// Replication (see repl.go): role, fencing, the leader hint and seen,
+	// the highest epoch this process has seen — its journaled one, or a
+	// higher one a fence or a ship request brought.
 	role      Role
-	epoch     int64
+	seen      int64
 	fenced    bool
 	leaderURL string
 	repl      replState
@@ -168,113 +146,24 @@ type Server struct {
 	gz compressor
 }
 
-// node tracks one node manager. pending holds quanta queued for the next
-// heartbeat; pendingPos indexes it by quantum ID so reclaiming a queued
-// quantum (lease expiry racing launch) is O(1) instead of a scan.
-// Reclaimed entries become tombstones (zero ID) and are skipped at
-// flush. placed is the volume this slot's grants have put on the node, the
-// tick's and the heartbeats' together, and heard whether the node has
-// heartbeaten since that tick — it has then taken its queue for the slot,
-// so nothing more may be placed on it; each tick resets both.
+// report is a live job's wire entry as a status walk built it, and the
+// change number it was built under.
+type report struct {
+	st      rmproto.JobStatus
+	changed int64
+}
+
+// node tracks one node manager: the view placement debits (Placed is the
+// volume this slot's grants have put on it, the tick's and the
+// heartbeats' together), its liveness, whether it has heartbeaten since
+// the last tick — it has then taken its queue for the slot, so nothing
+// more may be placed on it — and the quanta queued for its next
+// heartbeat. Each tick resets Placed and heard.
 type node struct {
-	id         string
-	capacity   resource.Vector
-	lastSeen   time.Time
-	placed     resource.Vector
-	heard      bool
-	pending    []rmproto.Quantum
-	pendingPos map[string]int
-	dropped    int
-}
-
-// enqueue queues a quantum for the node's next heartbeat.
-func (n *node) enqueue(q rmproto.Quantum) {
-	if n.pendingPos == nil {
-		n.pendingPos = make(map[string]int)
-	}
-	n.pendingPos[q.ID] = len(n.pending)
-	n.pending = append(n.pending, q)
-}
-
-// dropPending removes one queued quantum by ID in O(1), reporting
-// whether it was present.
-func (n *node) dropPending(qid string) bool {
-	i, ok := n.pendingPos[qid]
-	if !ok {
-		return false
-	}
-	n.pending[i] = rmproto.Quantum{}
-	delete(n.pendingPos, qid)
-	n.dropped++
-	return true
-}
-
-// takePending flushes the queue for a heartbeat response, compacting
-// out tombstones.
-func (n *node) takePending() []rmproto.Quantum {
-	out := n.pending
-	if n.dropped > 0 {
-		out = make([]rmproto.Quantum, 0, len(n.pending)-n.dropped)
-		for _, q := range n.pending {
-			if q.ID != "" {
-				out = append(out, q)
-			}
-		}
-	}
-	n.pending, n.pendingPos, n.dropped = nil, nil, 0
-	return out
-}
-
-// lease tracks one issued quantum: which job it advances, which node
-// holds it, and when the RM gives up waiting for its confirmation. The
-// server-level index makes confirmation O(1) and is what lets the RM
-// reclaim work from dead nodes instead of stranding it.
-type lease struct {
-	qid    string
-	job    *rmJob
-	nodeID string
-	grant  resource.Vector
-	issued int64 // slot the lease was created
-	expiry int64 // slot at which the lease is reclaimed
-}
-
-// offer is one scheduler grant to a job that could not take it yet.
-type offer struct {
-	job   *rmJob
-	grant resource.Vector
-}
-
-type wfState struct {
-	wf   *workflow.Workflow
-	jobs []*rmJob // by node index, completed ones included
-	live int      // jobs not yet completed
-}
-
-type rmJob struct {
-	id      string
-	kind    sched.JobKind
-	wfID    string
-	jobName string
-	nodeIdx int
-
-	arrived  time.Duration
-	release  time.Duration
-	deadline time.Duration
-
-	total       resource.Vector // volume to deliver
-	delivered   resource.Vector
-	inFlight    resource.Vector
-	parallelCap resource.Vector
-	minSlots    int64
-	bestEffort  bool
-
-	done     bool
-	doneSlot int64
-
-	// reported is the wire entry the last status walk built for the job,
-	// changed the change number (Server.changes) it was built under.
-	reported rmproto.JobStatus
-	changed  int64
+	rmstate.Node
+	lastSeen time.Time
+	heard    bool
+	pending  []rmproto.Quantum
 }
 
 // New returns a resource manager. With Config.Store set, New performs
@@ -306,13 +195,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     cfg.Store,
+		st:        rmstate.New(cfg.SlotDur, cfg.LeaseExpiry),
 		nodes:     make(map[string]*node),
-		jobs:      make(map[string]*rmJob),
-		wfs:       make(map[string]*wfState),
-		leases:    make(map[string]*lease),
-		doneAdHoc: make(map[string]struct{}),
-		doneWFs:   make(map[string]struct{}),
 		instance:  newInstance(),
+		reported:  make(map[*rmstate.Job]report),
 		role:      RolePrimary,
 		leaderURL: cfg.LeaderURL,
 	}
@@ -331,8 +217,8 @@ func New(cfg Config) (*Server, error) {
 	// A primary starting fresh claims epoch 1 and makes the claim durable
 	// before granting anything; a recovered epoch is kept as-is. Followers
 	// adopt the primary's epoch from the shipped stream.
-	if s.role == RolePrimary && s.epoch == 0 {
-		h, err := s.journalLocked(walRecord{Epoch: &recEpoch{Epoch: 1}})
+	if s.role == RolePrimary && s.seen == 0 {
+		h, err := s.journalLocked(rmstate.Record{Epoch: &rmstate.RecEpoch{Epoch: 1}})
 		if err == nil {
 			err = s.commitRecord(h)
 		}
@@ -378,12 +264,12 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 	var h store.Handle
 	var jerr error
 	if _, exists := s.nodes[req.NodeID]; exists {
-		rec := s.decideRequeue(func(l *lease) bool { return l.nodeID == req.NodeID })
+		rec := s.st.DecideRequeue(func(l *rmstate.Lease) bool { return l.NodeID == req.NodeID })
 		if len(rec.QIDs) > 0 {
 			h, jerr = s.requeueLocked(rec)
 		}
 	}
-	s.nodes[req.NodeID] = &node{id: req.NodeID, capacity: capV, lastSeen: now}
+	s.nodes[req.NodeID] = &node{Node: rmstate.Node{ID: req.NodeID, Capacity: capV}, lastSeen: now}
 	s.mu.Unlock()
 	if jerr != nil {
 		return rmproto.RegisterNodeResponse{}, jerr
@@ -422,83 +308,43 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 	}
 	n.lastSeen = now
 	n.heard = true
-	completed := len(s.done)
-	rec, stale := s.decideConfirm(req.NodeID, req.Completed)
+	archive, _ := s.st.Done()
+	completed := len(archive)
+	rec, stale := s.st.DecideConfirm(req.NodeID, req.Completed)
 	s.faults.StaleConfirms += stale
 	if len(rec.QIDs) > 0 {
-		if _, err := s.journalLocked(walRecord{Confirm: rec}); err != nil {
+		if _, err := s.journalLocked(rmstate.Record{Confirm: rec}); err != nil {
 			return rmproto.HeartbeatResponse{}, err
 		}
 	}
-	if len(s.done) > completed && len(s.offers) > 0 && !s.draining {
-		if rec := s.decideHandOff(n); len(rec.Grants) > 0 {
-			if _, err := s.journalLocked(walRecord{Tick: rec}); err != nil {
+	if archive, _ = s.st.Done(); len(archive) > completed && len(s.offers) > 0 && !s.draining {
+		rec, kept, dispatched, lapsed := s.st.DecideHandOff(s.offers, func() []*rmstate.Node {
+			return append([]*rmstate.Node{&n.Node}, s.nodesLocked(func(o *node) bool { return !o.heard })...)
+		})
+		s.offers = kept
+		s.handoffs += dispatched
+		s.lapsed += lapsed
+		if len(rec.Grants) > 0 {
+			if _, err := s.journalLocked(rmstate.Record{Tick: rec}); err != nil {
 				return rmproto.HeartbeatResponse{}, err
 			}
 			for _, g := range rec.Grants {
-				s.nodes[g.NodeID].enqueue(g.quantum())
+				o := s.nodes[g.NodeID]
+				o.pending = append(o.pending, g.Quantum())
 			}
 		}
 	}
-	return rmproto.HeartbeatResponse{Launch: n.takePending()}, nil
-}
-
-// decideConfirm decides what a heartbeat's confirms do, changing nothing:
-// each quantum it names that is a live lease of the sending node is
-// confirmed, once, at the current slot. Any other — already confirmed,
-// requeued after the node's eviction, from before an RM restart, or held
-// by another node — is stale and ignored, so a re-registering node can
-// never double-deliver stale work; stale counts them.
-func (s *Server) decideConfirm(nodeID string, qids []string) (rec *recConfirm, stale int64) {
-	rec = &recConfirm{Slot: s.slot}
-	seen := make(map[string]bool, len(qids))
-	for _, qid := range qids {
-		if l, ok := s.leases[qid]; ok && l.nodeID == nodeID && !seen[qid] {
-			seen[qid] = true
-			rec.QIDs = append(rec.QIDs, qid)
-		} else {
-			stale++
+	// Hand out only the quanta whose lease is still live and held by this
+	// node: one reclaimed while it waited — expired, or requeued when its
+	// node re-registered — must not burn a slot running.
+	launch := n.pending[:0]
+	for _, q := range n.pending {
+		if l := s.st.Leases()[q.ID]; l != nil && l.NodeID == n.ID {
+			launch = append(launch, q)
 		}
 	}
-	return rec, stale
-}
-
-// decideHandOff decides which offers the heartbeat of node from dispatches:
-// those whose job is ready now, placed first-fit on the heartbeating node,
-// whose reply carries them, then on the nodes that have not heartbeaten
-// since the tick and will still fetch their queue for this slot. The
-// grants are the ones the tick would have made had the job been ready one
-// request earlier — issued at the tick's slot, expiring with its grants —
-// in a tick record that does not advance the slot. An offer is spent by
-// one attempt: what found no room lapses, the job is ready for the next
-// tick.
-func (s *Server) decideHandOff(from *node) *recTick {
-	rec := &recTick{Slot: s.slot}
-	var targets []*node
-	kept := s.offers[:0]
-	for _, o := range s.offers {
-		if !s.readyLocked(o.job) {
-			kept = append(kept, o)
-			continue
-		}
-		if targets == nil {
-			targets = []*node{from}
-			for _, n := range s.nodesByIDLocked() {
-				if !n.heard {
-					targets = append(targets, n)
-				}
-			}
-		}
-		placed := len(rec.Grants)
-		s.placeLocked(o.job.id, o.grant, targets, rec)
-		if len(rec.Grants) > placed {
-			s.handoffs++
-		} else {
-			s.lapsed++
-		}
-	}
-	s.offers = kept
-	return rec
+	n.pending = nil
+	return rmproto.HeartbeatResponse{Launch: launch}, nil
 }
 
 // HandOffs reports how many of the scheduler's offers this process turned
@@ -510,51 +356,10 @@ func (s *Server) HandOffs() (dispatched, lapsed int64) {
 	return s.handoffs, s.lapsed
 }
 
-// archiveLocked appends one completed job's final status to the archive.
-func (s *Server) archiveLocked(st rmproto.JobStatus) {
-	s.done = append(s.done, st)
-	if st.Missed {
-		s.doneMissed++
-	}
-	if st.WorkflowID != "" {
-		s.doneWFs[st.WorkflowID] = struct{}{}
-	} else {
-		s.doneAdHoc[st.ID] = struct{}{}
-	}
-}
-
-// knownWorkflowLocked and knownAdHocLocked report whether an ID was ever
-// admitted, live or completed: submissions refuse it, WAL replay skips it.
-func (s *Server) knownWorkflowLocked(id string) bool {
-	_, live := s.wfs[id]
-	_, done := s.doneWFs[id]
-	return live || done
-}
-
-func (s *Server) knownAdHocLocked(id string) bool {
-	_, live := s.jobs[id]
-	_, done := s.doneAdHoc[id]
-	return live || done
-}
-
-// decideRequeue decides the requeue of the leases keep selects, changing
-// nothing: their IDs in ID order — the leases are a map, and the same run
-// must journal the same bytes.
-func (s *Server) decideRequeue(keep func(*lease) bool) *recRequeue {
-	rec := &recRequeue{}
-	for qid, l := range s.leases {
-		if keep(l) {
-			rec.QIDs = append(rec.QIDs, qid)
-		}
-	}
-	sort.Strings(rec.QIDs)
-	return rec
-}
-
 // requeueLocked journals a decided requeue and, once it applied, counts
 // its quanta as this process's requeues.
-func (s *Server) requeueLocked(rec *recRequeue) (store.Handle, error) {
-	h, err := s.journalLocked(walRecord{Requeue: rec})
+func (s *Server) requeueLocked(rec *rmstate.RecRequeue) (store.Handle, error) {
+	h, err := s.journalLocked(rmstate.Record{Requeue: rec})
 	if applied(err) {
 		s.faults.RequeuedQuanta += int64(len(rec.QIDs))
 	}
@@ -563,7 +368,7 @@ func (s *Server) requeueLocked(rec *recRequeue) (store.Handle, error) {
 
 // anyLease selects every lease: recovery and promotion requeue them all,
 // because no node the server trusts holds them any more.
-func anyLease(*lease) bool { return true }
+func anyLease(*rmstate.Lease) bool { return true }
 
 // SubmitWorkflow accepts a deadline workflow. The submit time is the
 // current slot; the workflow's own submit offset is ignored in the live
@@ -597,65 +402,18 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 	if err := s.leaderCheckLocked(); err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
-	if s.knownWorkflowLocked(wf.ID) {
-		return rmproto.SubmitResponse{}, store.Handle{}, fmt.Errorf("rmserver: duplicate workflow %q", wf.ID)
-	}
-	capacity := s.totalCapacityLocked()
-	if capacity.IsZero() {
-		return rmproto.SubmitResponse{}, store.Handle{}, errors.New("rmserver: no registered nodes; cannot decompose deadlines")
-	}
-
-	// Re-anchor the workflow window at the current slot.
-	now := time.Duration(s.slot) * s.cfg.SlotDur
-	span := wf.Deadline - wf.Submit
-	wf.Submit = now
-	wf.Deadline = now + span
-	if err := wf.Validate(); err != nil {
+	wrec, err := s.st.AdmitWorkflow(rec, wf, s.totalCapacityLocked())
+	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
-
-	// Admission control: try the deadline decomposition, then the
-	// critical-path fallback; a workflow infeasible under both is admitted
-	// best-effort — every job gets the whole workflow span as its window
-	// and planners exclude it from the joint LP — instead of rejected.
-	opts := deadline.Options{Slot: s.cfg.SlotDur, ClusterCap: capacity}
-	dec, derr := deadline.Decompose(wf, opts)
-	if derr != nil {
-		opts.ForceCriticalPath = true
-		dec, derr = deadline.Decompose(wf, opts)
-	}
-	bestEffort := derr != nil
-
-	// The admission is its journal record, encoded before anything
-	// changes and applied the way replay applies it: what a recovered RM
-	// rebuilds is what this one holds.
-	wrec := recWorkflow{
-		WF:         rec,
-		SubmitNS:   int64(wf.Submit),
-		DeadlineNS: int64(wf.Deadline),
-		Slot:       s.slot,
-		BestEffort: bestEffort,
-		Windows:    make([]recWindow, wf.NumJobs()),
-	}
-	for i := range wrec.Windows {
-		release, dl := wf.Submit, wf.Deadline
-		if !bestEffort {
-			release, dl = dec.Windows[i].Release, dec.Windows[i].Deadline
-		}
-		wrec.Windows[i] = recWindow{
-			ReleaseNS:  int64(release),
-			DeadlineNS: int64(dl),
-			MinSlots:   wf.Job(i).MinRuntimeSlots(s.cfg.SlotDur, capacity),
-		}
-	}
-	h, err := s.journalLocked(walRecord{Workflow: &wrec})
-	if bestEffort && applied(err) {
+	h, err := s.journalLocked(rmstate.Record{Workflow: wrec})
+	if wrec.BestEffort && applied(err) {
 		s.faults.BestEffortAdmissions++
 	}
 	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
-	return rmproto.SubmitResponse{Accepted: true, ID: wf.ID, BestEffort: bestEffort}, h, nil
+	return rmproto.SubmitResponse{Accepted: true, ID: wf.ID, BestEffort: wrec.BestEffort}, h, nil
 }
 
 // SubmitAdHoc accepts an ad-hoc job, effective immediately. Like
@@ -671,16 +429,15 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, err
 	}
-	id := rmproto.AdHocJobID(a.ID)
-	if s.knownAdHocLocked(id) {
-		s.mu.Unlock()
-		return rmproto.SubmitResponse{}, fmt.Errorf("rmserver: duplicate ad-hoc job %q", a.ID)
-	}
 	// As for a workflow, the admission is its journal record, encoded
 	// before anything changes — the gate's charge included — and applied
 	// the way replay applies it.
-	arec := recAdHoc{Job: req.Job, Slot: s.slot}
-	payload, err := s.encodeLocked(&walRecord{AdHoc: &arec})
+	id := rmproto.AdHocJobID(a.ID)
+	arec, err := s.st.AdmitAdHoc(req.Job)
+	var payload []byte
+	if err == nil {
+		payload, err = s.encodeLocked(&rmstate.Record{AdHoc: arec})
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, err
@@ -691,7 +448,7 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{Accepted: false, ID: id}, nil
 	}
-	err = s.applyAdHocLocked(&arec)
+	err = s.st.Apply(&rmstate.Record{AdHoc: arec})
 	var h store.Handle
 	if err == nil {
 		h, err = s.appendLocked(payload)
@@ -706,30 +463,21 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 	return rmproto.SubmitResponse{Accepted: true, ID: id}, nil
 }
 
-// Tick advances one scheduling slot at wall-clock now. decideTick decides
-// it — silent nodes expired, their leases and those past their
-// confirmation deadline reclaimed, the scheduler invoked over the live job
-// set, its grants placed on the other nodes first-fit — journaling the
-// decision applies it, the expired nodes are forgotten, and the quanta it
-// granted are queued on their nodes; what
-// the scheduler granted a job that turns ready inside the slot is kept as
-// an offer for the heartbeat that confirms its predecessors (see
-// Heartbeat). It is called by the RM's run loop every SlotDur, or manually
-// in tests and by the /v1/tick endpoint. A panicking scheduler is
-// converted into a no-grant slot: jobs stay queued, state stays
-// consistent, and the RM keeps running. Each tick — slot advance,
-// reclaimed leases, issued grants — is journaled as one WAL record,
-// followed by the plan diffs of its replan. Before its grants become
-// fetchable by heartbeats and its offers claimable, the tick commits what
-// was journaled before it, so the confirms those grants were computed from
-// are durable first. Its own records ride the next commit, like a
-// hand-off's ("Durability ordering" in persist.go says why a machine crash
-// that takes them back is harmless): a tick that has to wait syncs them in
-// the same fsync, and one whose slot a submission or a status barrier
-// already committed does no I/O. The reply to POST /v1/tick thus
-// acknowledges the advance, not its durability. A tick whose commit fails
-// returns ErrCommitFailed and hands out nothing; its leases stay with the
-// RM until lease expiry or recovery reclaims them.
+// Tick advances one scheduling slot at wall-clock now: decideTick decides
+// it, journaling the decision applies it, the expired nodes are forgotten
+// and the quanta it granted are queued on their nodes; what the scheduler
+// granted a job that turns ready inside the slot is kept as an offer for
+// the heartbeat that confirms its predecessors (see Heartbeat). The RM's
+// run loop calls it every SlotDur; tests and POST /v1/tick call it by
+// hand. A panicking scheduler is a no-grant slot: jobs stay queued and the
+// RM keeps running. The tick record is followed by the plan diffs of its
+// replan. Before its grants become fetchable and its offers claimable, the
+// tick commits what was journaled before it, so the confirms those grants
+// were computed from are durable first; its own records ride the next
+// commit, like a hand-off's ("Durability ordering" in persist.go), so the
+// reply to POST /v1/tick acknowledges the advance, not its durability. A
+// tick whose commit fails returns ErrCommitFailed and hands out nothing;
+// its leases stay out until lease expiry or recovery reclaims them.
 func (s *Server) Tick(now time.Time) error {
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
@@ -738,8 +486,8 @@ func (s *Server) Tick(now time.Time) error {
 	}
 	h := s.journaled // everything the tick's grants were computed from
 	rec, expired, offers, err := s.decideTick(now)
-	_, jerr := s.journalLocked(walRecord{Tick: rec})
-	if s.slot == rec.Slot {
+	_, jerr := s.journalLocked(rmstate.Record{Tick: rec})
+	if s.st.Slot() == rec.Slot {
 		// The record applied, requeuing the silent nodes' leases: forget
 		// the nodes and count both. A record the codec refused leaves them,
 		// leases and all.
@@ -760,22 +508,19 @@ func (s *Server) Tick(now time.Time) error {
 	if jerr != nil {
 		return jerr
 	}
-	// Enqueue the quanta read off the record's grants and arm the slot's
-	// offers now that what came before the tick is durable. A lease may
-	// have been reclaimed while the commit ran — node re-registration runs
-	// concurrently — so deliver only quanta whose lease is still live on a
-	// node the RM still tracks; offers are this slot's or nobody's.
+	// Queue the quanta read off the record's grants on the nodes the RM
+	// still tracks and arm the slot's offers now that what came before the
+	// tick is durable. A lease may have been reclaimed while the commit ran
+	// — node re-registration runs concurrently — which the heartbeat that
+	// flushes the queue sees; offers are this slot's or nobody's.
 	if len(rec.Grants) > 0 || len(offers) > 0 {
 		s.mu.Lock()
 		for _, g := range rec.Grants {
-			if _, live := s.leases[g.QID]; !live {
-				continue
-			}
 			if n, ok := s.nodes[g.NodeID]; ok {
-				n.enqueue(g.quantum())
+				n.pending = append(n.pending, g.Quantum())
 			}
 		}
-		if s.slot == rec.Slot {
+		if s.st.Slot() == rec.Slot {
 			s.offers = offers
 		} else {
 			s.lapsed += int64(len(offers))
@@ -785,16 +530,13 @@ func (s *Server) Tick(now time.Time) error {
 	return err
 }
 
-// decideTick decides one slot and changes nothing replay rebuilds: its
-// record names the next slot, the leases to requeue and the grants to
-// ready jobs, and applying it is what advances the RM. now is the only
-// clock it reads: the nodes silent for longer than NodeExpiry are returned
-// as expired, for Tick to forget once the record applied (nodes are soft
-// state); their leases are requeued with those past their expiry, and they
-// get no grants. The scheduler sees in-flight volume net of those
-// requeues. Its grants to jobs ready on confirm come back as offers,
-// clamped by what the ready jobs left of the cluster.
-func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offers []offer, err error) {
+// decideTick decides one slot, changing nothing replay rebuilds, in
+// rmstate's two steps around the scheduler (State.DecideTick, PlaceTick).
+// now is the only clock it reads: the nodes silent for longer than
+// NodeExpiry are returned as expired, for Tick to forget once the record
+// applied (nodes are soft state); their leases are requeued and they get
+// no grants.
+func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired []string, offers []rmstate.Offer, err error) {
 	// The previous slot is over: its unclaimed offers lapse.
 	s.lapsed += int64(len(s.offers))
 	s.offers = nil
@@ -806,67 +548,22 @@ func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offe
 			}
 		}
 	}
-	rec = &recTick{Slot: s.slot + 1}
-	rec.Requeued = s.decideRequeue(func(l *lease) bool {
-		return slices.Contains(expired, l.nodeID) || s.slot >= l.expiry
-	}).QIDs
-	if s.draining {
-		// Drain: no new leases; keep ticking so expiry still reclaims
-		// whatever dead nodes hold.
-		return rec, expired, nil, nil
-	}
-	nodes := slices.DeleteFunc(s.nodesByIDLocked(), func(n *node) bool { return slices.Contains(expired, n.id) })
+	nodes := s.nodesLocked(func(n *node) bool { return !slices.Contains(expired, n.ID) })
 	var capacity resource.Vector
 	for _, n := range nodes {
-		capacity = capacity.Add(n.capacity)
+		capacity = capacity.Add(n.Capacity)
 	}
-	if capacity.IsZero() {
+	// Drain: no new leases; keep ticking so expiry still reclaims whatever
+	// dead nodes hold.
+	schedule := !s.draining && !capacity.IsZero()
+	rec, jobs := s.st.DecideTick(expired, schedule)
+	if !schedule {
 		return rec, expired, nil, nil
 	}
-
-	var back map[*rmJob]resource.Vector
-	if len(rec.Requeued) > 0 {
-		back = make(map[*rmJob]resource.Vector)
-		for _, qid := range rec.Requeued {
-			l := s.leases[qid]
-			back[l.job] = back[l.job].Add(l.grant)
-		}
-	}
-	inFlight := func(j *rmJob) resource.Vector { return j.inFlight.SubClamped(back[j]) }
-	states := make([]sched.JobState, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		remaining := j.total.SubClamped(j.delivered).SubClamped(inFlight(j))
-		st := sched.JobState{
-			ID:         j.id,
-			Kind:       j.kind,
-			Arrived:    j.arrived,
-			Ready:      s.readyLocked(j),
-			Request:    j.parallelCap.Min(remaining),
-			BestEffort: j.bestEffort,
-		}
-		if j.kind == sched.DeadlineJob {
-			st.ReadyOnConfirm = !st.Ready && s.readyOnConfirmLocked(j, inFlight)
-			st.WorkflowID = j.wfID
-			st.JobName = j.jobName
-			st.Release = j.release
-			st.Deadline = j.deadline
-			st.EstRemaining = remaining
-			st.ParallelCap = j.parallelCap
-			st.MinSlots = j.minSlots
-		}
-		states = append(states, st)
-	}
-	sort.Slice(states, func(a, b int) bool {
-		if states[a].Arrived != states[b].Arrived {
-			return states[a].Arrived < states[b].Arrived
-		}
-		return states[a].ID < states[b].ID
-	})
-
 	grants, err := s.safeAssign(sched.AssignContext{
-		Now:     s.slot,
+		Now:     s.st.Slot(),
 		Changed: true, // schedulers with staleness detection replan as needed
-		Jobs:    states,
+		Jobs:    jobs,
 		Cluster: sched.ClusterView{
 			SlotDur: s.cfg.SlotDur,
 			Horizon: horizon,
@@ -876,75 +573,24 @@ func (s *Server) decideTick(now time.Time) (rec *recTick, expired []string, offe
 	if err != nil {
 		return rec, expired, nil, fmt.Errorf("rmserver: scheduler: %w", err)
 	}
-
-	// Place the ready jobs' grants on nodes first-fit, splitting across
-	// nodes as needed; a grant to a job that is ready on confirm is kept as
-	// an offer, clamped by what the ready jobs left.
 	for _, n := range nodes {
-		n.placed, n.heard = resource.Vector{}, false
+		n.Placed = resource.Vector{}
+		s.nodes[n.ID].heard = false
 	}
-	capLeft := capacity
-	for _, st := range states {
-		g, ok := grants[st.ID]
-		if !ok || !(st.Ready || st.ReadyOnConfirm) {
-			continue
-		}
-		g = g.Min(st.Request)
-		if !st.Ready {
-			offers = append(offers, offer{job: s.jobs[st.ID], grant: g})
-			continue
-		}
-		g = g.Min(capLeft)
-		if g.IsZero() || g.AnyNegative() {
-			continue
-		}
-		capLeft = capLeft.Sub(g)
-		s.placeLocked(st.ID, g, nodes, rec)
-	}
-	kept := offers[:0]
-	for _, o := range offers {
-		o.grant = o.grant.Min(capLeft)
-		if o.grant.IsZero() || o.grant.AnyNegative() {
-			continue
-		}
-		capLeft = capLeft.Sub(o.grant)
-		kept = append(kept, o)
-	}
-	return rec, expired, kept, nil
+	return rec, expired, s.st.PlaceTick(rec, jobs, grants, nodes), nil
 }
 
-// nodesByIDLocked returns the registered nodes in ID order, the order
-// first-fit placement walks them in.
-func (s *Server) nodesByIDLocked() []*node {
-	nodes := make([]*node, 0, len(s.nodes))
+// nodesLocked returns the views of the registered nodes keep selects, in
+// ID order, the order first-fit placement walks them in.
+func (s *Server) nodesLocked(keep func(*node) bool) []*rmstate.Node {
+	var nodes []*rmstate.Node
 	for _, n := range s.nodes {
-		nodes = append(nodes, n)
+		if keep(n) {
+			nodes = append(nodes, &n.Node)
+		}
 	}
-	sort.Slice(nodes, func(a, b int) bool { return nodes[a].id < nodes[b].id })
+	sort.Slice(nodes, func(a, b int) bool { return nodes[a].ID < nodes[b].ID })
 	return nodes
-}
-
-// placeLocked splits a grant into grants of rec: g for job, first-fit over
-// nodes in the order given, against what each node has left of its
-// capacity this slot (node.placed, which it debits). Each chunk is granted
-// under the next quantum ID, issued in the slot before rec's and expiring
-// LeaseExpiry slots after it; applying rec makes it a lease. What fits
-// nowhere is dropped.
-func (s *Server) placeLocked(job string, g resource.Vector, nodes []*node, rec *recTick) {
-	expiry := rec.Slot - 1 + s.cfg.LeaseExpiry
-	for _, n := range nodes {
-		if g.IsZero() {
-			break
-		}
-		chunk := g.Min(n.capacity.Sub(n.placed))
-		if chunk.IsZero() {
-			continue
-		}
-		n.placed = n.placed.Add(chunk)
-		g = g.Sub(chunk)
-		qid := rmproto.QuantumID(s.nextQID + int64(len(rec.Grants)) + 1)
-		rec.Grants = append(rec.Grants, recGrant{QID: qid, JobID: job, NodeID: n.id, Grant: chunk, Expiry: expiry})
-	}
 }
 
 // safeAssign invokes the scheduler with panic isolation: a panic becomes
@@ -961,37 +607,10 @@ func (s *Server) safeAssign(ctx sched.AssignContext) (grants map[string]resource
 	return s.cfg.Scheduler.Assign(ctx)
 }
 
-func (s *Server) readyLocked(j *rmJob) bool {
-	if j.kind != sched.DeadlineJob {
-		return true
-	}
-	st := s.wfs[j.wfID]
-	for _, p := range st.wf.DAG().Predecessors(j.nodeIdx) {
-		if !st.jobs[p].done {
-			return false
-		}
-	}
-	return true
-}
-
-// readyOnConfirmLocked reports, for a deadline job that is not ready,
-// whether it will be once the leases in flight are confirmed: every
-// unfinished predecessor has its whole remainder in flight, as inFlight
-// counts it.
-func (s *Server) readyOnConfirmLocked(j *rmJob, inFlight func(*rmJob) resource.Vector) bool {
-	st := s.wfs[j.wfID]
-	for _, p := range st.wf.DAG().Predecessors(j.nodeIdx) {
-		if pj := st.jobs[p]; !pj.done && !pj.total.FitsIn(pj.delivered.Add(inFlight(pj))) {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Server) totalCapacityLocked() resource.Vector {
 	var total resource.Vector
 	for _, n := range s.nodes {
-		total = total.Add(n.capacity)
+		total = total.Add(n.Capacity)
 	}
 	return total
 }
@@ -1048,33 +667,6 @@ func (s *Server) syncedStatus(cur statusCursor) rmproto.StatusResponse {
 	return resp
 }
 
-// jobStatusLocked is the wire entry of one job as of the current slot;
-// for a completed job it no longer depends on the slot.
-func (s *Server) jobStatusLocked(j *rmJob) rmproto.JobStatus {
-	st := rmproto.JobStatus{
-		ID:         j.id,
-		Kind:       j.kind.String(),
-		WorkflowID: j.wfID,
-		Delivered:  rmproto.FromVector(j.delivered),
-		Total:      rmproto.FromVector(j.total),
-	}
-	switch {
-	case j.done:
-		st.State = "completed"
-		st.CompletedSec = int64((time.Duration(j.doneSlot) * s.cfg.SlotDur) / time.Second)
-	case !j.delivered.IsZero() || !j.inFlight.IsZero():
-		st.State = "running"
-	default:
-		st.State = "pending"
-	}
-	if j.kind == sched.DeadlineJob {
-		st.DeadlineSec = int64(j.deadline / time.Second)
-		st.Missed = missedDeadline(j.deadline, j.done, j.doneSlot, s.slot, s.cfg.SlotDur)
-		st.BestEffort = j.bestEffort
-	}
-	return st
-}
-
 // statusLocked reports everything but the jobs themselves in O(live
 // jobs): Summary and LiveChange always, and with listJobs the live jobs
 // changed after change number liveAfter, sorted by ID, in Jobs and the
@@ -1084,24 +676,28 @@ func (s *Server) jobStatusLocked(j *rmJob) rmproto.JobStatus {
 // confirms, requeues, the slot passing a deadline, replay and follower
 // ingest all move a job's entry without having to say so.
 func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResponse {
+	archive, missed := s.st.Done()
+	jobs := s.st.Jobs()
 	resp := rmproto.StatusResponse{
-		Slot:              s.slot,
+		Slot:              s.st.Slot(),
 		Nodes:             len(s.nodes),
 		Capacity:          rmproto.FromVector(s.totalCapacityLocked()),
 		Draining:          s.draining,
-		OutstandingLeases: len(s.leases),
+		OutstandingLeases: len(s.st.Leases()),
 		Faults:            s.faults,
 		Recovery:          s.recovery,
-		Summary:           rmproto.JobSummary{Completed: len(s.done), Missed: s.doneMissed},
+		Summary:           rmproto.JobSummary{Completed: len(archive), Missed: missed},
 	}
 	if listJobs {
-		resp.Jobs = make([]rmproto.JobStatus, 0, len(s.jobs))
+		resp.Jobs = make([]rmproto.JobStatus, 0, len(jobs))
 	}
 	stamp := s.changes + 1
-	for _, j := range s.jobs {
-		st := s.jobStatusLocked(j)
-		if st != j.reported {
-			j.reported, j.changed, s.changes = st, stamp, stamp
+	for _, j := range jobs {
+		st := s.st.JobStatus(j)
+		rep := s.reported[j]
+		if st != rep.st {
+			rep, s.changes = report{st: st, changed: stamp}, stamp
+			s.reported[j] = rep
 		}
 		if st.State == "running" {
 			resp.Summary.Running++
@@ -1111,18 +707,26 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 		if st.Missed {
 			resp.Summary.Missed++
 		}
-		if listJobs && j.changed > liveAfter {
+		if listJobs && rep.changed > liveAfter {
 			resp.Jobs = append(resp.Jobs, st)
+		}
+	}
+	if len(s.reported) > len(jobs) {
+		// Forget the jobs that completed, or left with a replaced state.
+		for j := range s.reported {
+			if jobs[j.ID] != j {
+				delete(s.reported, j)
+			}
 		}
 	}
 	resp.LiveChange = s.changes
 	if listJobs {
 		sort.Slice(resp.Jobs, func(a, b int) bool { return resp.Jobs[a].ID < resp.Jobs[b].ID })
-		n := len(s.done)
-		resp.Done = &rmproto.DoneJobs{Instance: s.instance, Total: n, Jobs: s.done[:n:n]}
+		n := len(archive)
+		resp.Done = &rmproto.DoneJobs{Instance: s.instance, Total: n, Jobs: archive[:n:n]}
 	}
-	if _, ok := s.cfg.Scheduler.(sched.PlanStreamer); ok || s.livePlan != nil {
-		lp := s.livePlanLocked()
+	if _, ok := s.cfg.Scheduler.(sched.PlanStreamer); ok || s.st.Plan().Rev != 0 {
+		lp := s.st.Plan()
 		p := &rmproto.PlanStatus{
 			Rev:          lp.Rev,
 			From:         lp.From,
@@ -1169,13 +773,11 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 
 			WALUnsyncedRecords: st.Unsynced,
 		}
-	}
-	if s.store != nil {
 		wm := s.store.Watermark()
 		r := &rmproto.ReplicationStatus{
 			Role:      s.role.String(),
 			RoleCode:  int(s.role),
-			Epoch:     s.epoch,
+			Epoch:     s.seen,
 			Fenced:    s.fenced,
 			LeaderURL: s.leaderURL,
 			Watermark: rmproto.ReplWatermark{Gen: wm.Gen, Records: wm.Records, Bytes: wm.Bytes},
@@ -1184,21 +786,11 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 			f := s.repl.followerWM
 			r.FollowerSeen = true
 			r.FollowerWatermark = rmproto.ReplWatermark{Gen: f.Gen, Records: f.Records, Bytes: f.Bytes}
+			// Cross-generation lag is unbounded by subtraction (the follower
+			// needs a snapshot install); the whole head segment bounds it.
+			r.LagRecords, r.LagBytes = wm.Records, wm.Bytes
 			if f.Gen == wm.Gen {
-				r.LagRecords = wm.Records - f.Records
-				r.LagBytes = wm.Bytes - f.Bytes
-			} else {
-				// Cross-generation lag is unbounded by subtraction (the
-				// follower needs a snapshot install); report the whole head
-				// segment as the bound.
-				r.LagRecords = wm.Records
-				r.LagBytes = wm.Bytes
-			}
-			if r.LagRecords < 0 {
-				r.LagRecords = 0
-			}
-			if r.LagBytes < 0 {
-				r.LagBytes = 0
+				r.LagRecords, r.LagBytes = max(wm.Records-f.Records, 0), max(wm.Bytes-f.Bytes, 0)
 			}
 		}
 		resp.Replication = r
@@ -1206,28 +798,11 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 	return resp
 }
 
-// missedDeadline decides whether a deadline job is (or will be reported
-// as) past its deadline at slot nowSlot. Completion is observed at the
-// confirmation heartbeat, one slot after the work actually ran, so a
-// completed job is granted that slot as grace: work confirmed at doneSlot
-// finished during slot doneSlot-1. A job confirmed at slot 0 or earlier
-// (doneSlot <= 0, e.g. zero-volume work confirmed before the first tick)
-// finished at time zero and can never have missed.
-func missedDeadline(deadline time.Duration, done bool, doneSlot, nowSlot int64, slotDur time.Duration) bool {
-	if !done {
-		return time.Duration(nowSlot)*slotDur > deadline
-	}
-	if doneSlot <= 0 {
-		return false
-	}
-	return time.Duration(doneSlot-1)*slotDur > deadline
-}
-
 // Slot returns the current scheduling slot.
 func (s *Server) Slot() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.slot
+	return s.st.Slot()
 }
 
 // BeginDrain flips the RM into drain mode: Tick stops issuing new leases
@@ -1240,7 +815,7 @@ func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.draining = true
-	if len(s.leases) == 0 {
+	if len(s.st.Leases()) == 0 {
 		s.cond.Broadcast()
 	}
 }
@@ -1263,10 +838,10 @@ func (s *Server) Drain(ctx context.Context) rmproto.DrainResponse {
 		s.mu.Unlock()
 	})
 	defer stop()
-	for len(s.leases) > 0 && ctx.Err() == nil {
+	for len(s.st.Leases()) > 0 && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if len(s.leases) == 0 {
+	if len(s.st.Leases()) == 0 {
 		// Snapshot failures are non-fatal: the WAL already covers the
 		// drained state, recovery just replays more records.
 		_ = s.writeSnapshotLocked()
@@ -1282,12 +857,13 @@ func (s *Server) DrainStatus() rmproto.DrainResponse {
 }
 
 func (s *Server) drainStatusLocked() rmproto.DrainResponse {
+	leases := len(s.st.Leases())
 	resp := rmproto.DrainResponse{
 		Draining:          s.draining,
-		Complete:          len(s.leases) == 0,
-		OutstandingLeases: len(s.leases),
+		Complete:          leases == 0,
+		OutstandingLeases: leases,
 	}
-	for id := range s.jobs {
+	for id := range s.st.Jobs() {
 		resp.UnfinishedJobs = append(resp.UnfinishedJobs, id)
 	}
 	sort.Strings(resp.UnfinishedJobs)

@@ -15,6 +15,7 @@ import (
 	"flowtime/internal/binenc"
 	"flowtime/internal/core"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
@@ -285,8 +286,13 @@ func TestMissedDeadlineBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := missedDeadline(c.deadline, c.done, c.doneSlot, c.nowSlot, slot); got != c.want {
-				t.Errorf("missedDeadline(%v, done=%v, doneSlot=%d, now=%d) = %v, want %v",
+			st := rmstate.New(slot, DefaultLeaseExpiry)
+			if err := st.Apply(&rmstate.Record{Tick: &rmstate.RecTick{Slot: c.nowSlot}}); err != nil {
+				t.Fatal(err)
+			}
+			j := &rmstate.Job{Kind: sched.DeadlineJob, Deadline: c.deadline, Done: c.done, DoneSlot: c.doneSlot}
+			if got := st.JobStatus(j).Missed; got != c.want {
+				t.Errorf("missed(%v, done=%v, doneSlot=%d, now=%d) = %v, want %v",
 					c.deadline, c.done, c.doneSlot, c.nowSlot, got, c.want)
 			}
 		})

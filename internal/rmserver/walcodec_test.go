@@ -21,8 +21,27 @@ import (
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
+)
+
+// The record tags as the journal format fixes them (rmstate's walcodec.go):
+// the payloads below are spelled out byte by byte.
+const (
+	tagWorkflow byte = 1 + iota
+	tagAdHoc
+	tagTickBackRef // the tick before front-coded IDs; refused
+	_              // the confirm with fault counters; refused
+	_              // the requeue with fault counters; refused
+	_              // the epoch with a slot; refused
+	tagPlanDiff
+	tagPlanRebase
+	_ // the tick with fault counters; refused
+	tagTick
+	tagConfirm
+	tagRequeue
+	tagEpoch
 )
 
 // streamingConfig is the configuration the codec tests record and recover
@@ -147,7 +166,7 @@ func recordMixedRun(tb testing.TB) (*Server, [][]byte) {
 	return standby, readWAL(tb, standbyDir)
 }
 
-func variantOf(rec *walRecord) string {
+func variantOf(rec *rmstate.Record) string {
 	switch {
 	case rec.Workflow != nil:
 		return "wf"
@@ -198,7 +217,7 @@ func snapshotOf(tb testing.TB, rm *Server) []byte {
 	tb.Helper()
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	snap, err := rm.snapshotLocked()
+	snap, err := rm.st.Snapshot()
 	if err != nil {
 		tb.Fatalf("snapshot: %v", err)
 	}
@@ -210,11 +229,11 @@ func snapshotOf(tb testing.TB, rm *Server) []byte {
 func TestWALCodecReplayEquivalence(t *testing.T) {
 	live, binary := recordMixedRun(t)
 
-	var codec walCodec
+	var codec rmstate.Codec
 	seen := map[string]int{}
 	tickRequeues := 0
 	for i, p := range binary {
-		rec, err := codec.decode(p)
+		rec, err := codec.Decode(p)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -284,7 +303,7 @@ func TestWALCodecReplayEquivalence(t *testing.T) {
 	// does for any record it cannot apply.
 	first := map[string]int{}
 	for i, p := range binary {
-		rec, _ := codec.decode(p)
+		rec, _ := codec.Decode(p)
 		if _, ok := first[variantOf(&rec)]; !ok {
 			first[variantOf(&rec)] = i
 		}
@@ -299,17 +318,17 @@ func TestWALCodecReplayEquivalence(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay record %d/%d", i+1, i+1)) {
 				t.Errorf("%s record %s by one byte: recovery = %v, want a replay error naming record %d", v, name, err, i+1)
 			}
-			if _, err := codec.decode(bad); err == nil {
+			if _, err := codec.Decode(bad); err == nil {
 				t.Errorf("%s record %s by one byte decodes", v, name)
 			}
 		}
 	}
 }
 
-// namedRecord is a walRecord with a label for test output.
+// namedRecord is a rmstate.Record with a label for test output.
 type namedRecord struct {
 	name string
-	rec  walRecord
+	rec  rmstate.Record
 }
 
 // canonicalRecords is one value per record variant, plus the shapes only
@@ -318,35 +337,35 @@ type namedRecord struct {
 // range.
 func canonicalRecords() []namedRecord {
 	return []namedRecord{
-		{"workflow", walRecord{Workflow: &recWorkflow{WF: chainWorkflow(600), SubmitNS: 50e9, DeadlineNS: 650e9, Slot: 5, BestEffort: true,
-			Windows: []recWindow{{ReleaseNS: 50e9, DeadlineNS: 300e9, MinSlots: 3}, {ReleaseNS: 300e9, DeadlineNS: 650e9, MinSlots: 3}}}}},
-		{"workflow, empty", walRecord{Workflow: &recWorkflow{}}},
-		{"adhoc", walRecord{AdHoc: &recAdHoc{Job: trace.AdHocRecord{ID: "burst-0123-07", Tasks: 3, TaskDurSec: 120, DemandVCores: 2, DemandMemMB: 4096}, Slot: 123}}},
-		{"tick", walRecord{Tick: &recTick{Slot: 36, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
-			Grants: []recGrant{
+		{"workflow", rmstate.Record{Workflow: &rmstate.RecWorkflow{WF: chainWorkflow(600), SubmitNS: 50e9, DeadlineNS: 650e9, Slot: 5, BestEffort: true,
+			Windows: []rmstate.RecWindow{{ReleaseNS: 50e9, DeadlineNS: 300e9, MinSlots: 3}, {ReleaseNS: 300e9, DeadlineNS: 650e9, MinSlots: 3}}}}},
+		{"workflow, empty", rmstate.Record{Workflow: &rmstate.RecWorkflow{}}},
+		{"adhoc", rmstate.Record{AdHoc: &rmstate.RecAdHoc{Job: trace.AdHocRecord{ID: "burst-0123-07", Tasks: 3, TaskDurSec: 120, DemandVCores: 2, DemandMemMB: 4096}, Slot: 123}}},
+		{"tick", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
+			Grants: []rmstate.RecGrant{
 				{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51},
 				{QID: "q-628", JobID: "wf0001/TeraSort-1#1", NodeID: "n001", Grant: resource.New(6, 1024), Expiry: 51},
 				{QID: "q-629", JobID: "adhoc/a-1", NodeID: "n001", Grant: resource.New(1, 512), Expiry: 51},
 			}}}},
-		{"tick, idle", walRecord{Tick: &recTick{Slot: 1}}},
-		{"tick, odd expiries", walRecord{Tick: &recTick{Slot: math.MaxInt64, Grants: []recGrant{
+		{"tick, idle", rmstate.Record{Tick: &rmstate.RecTick{Slot: 1}}},
+		{"tick, odd expiries", rmstate.Record{Tick: &rmstate.RecTick{Slot: math.MaxInt64, Grants: []rmstate.RecGrant{
 			{QID: "q-9223372036854775807", JobID: "j", NodeID: "j", Expiry: 0},
 			{QID: "q-0", JobID: "", NodeID: "n", Expiry: math.MaxInt64},
 			{QID: "", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
 		}}}},
-		{"tick, expiry at the top of the range", walRecord{Tick: &recTick{Grants: []recGrant{
+		{"tick, expiry at the top of the range", rmstate.Record{Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{
 			{QID: "q-1", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}, {QID: "q-2", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}}}}},
-		{"confirm", walRecord{Confirm: &recConfirm{Slot: 300, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
-		{"requeue", walRecord{Requeue: &recRequeue{QIDs: []string{"q-100", "q-98", "q-99"}}}},
-		{"epoch", walRecord{Epoch: &recEpoch{Epoch: 2}}},
-		{"plan diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(2, 3)}}},
-		{"plan rebase", walRecord{PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: 4, From: 18, NSlots: 2, Jobs: map[string]plan.Job{
+		{"confirm", rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: 300, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
+		{"requeue", rmstate.Record{Requeue: &rmstate.RecRequeue{QIDs: []string{"q-100", "q-98", "q-99"}}}},
+		{"epoch", rmstate.Record{Epoch: &rmstate.RecEpoch{Epoch: 2}}},
+		{"plan diff", rmstate.Record{PlanDiff: &rmstate.RecPlanDiff{Diff: canonicalDiff(2, 3)}}},
+		{"plan rebase", rmstate.Record{PlanRebase: &rmstate.RecPlanRebase{Plan: &plan.Plan{Rev: 4, From: 18, NSlots: 2, Jobs: map[string]plan.Job{
 			"adhoc/ah00470": {Window: plan.Window{Rel: 18, Dl: 20}, Alloc: []resource.Vector{resource.New(1, 512), {}}}}}}}},
-		{"plan rebase, empty", walRecord{PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: 1}}}},
+		{"plan rebase, empty", rmstate.Record{PlanRebase: &rmstate.RecPlanRebase{Plan: &plan.Plan{Rev: 1}}}},
 	}
 }
 
-func canonicalRecord(name string) walRecord {
+func canonicalRecord(name string) rmstate.Record {
 	for _, c := range canonicalRecords() {
 		if c.name == name {
 			return c.rec
@@ -370,16 +389,16 @@ func canonicalDiff(jobs, slots int) *plan.Diff {
 }
 
 func TestWALCodecRoundTrip(t *testing.T) {
-	var codec walCodec
+	var codec rmstate.Codec
 	for _, c := range canonicalRecords() {
 		name, rec := c.name, c.rec
-		payload, err := codec.encode(&rec)
+		payload, err := codec.Encode(&rec)
 		if err != nil {
 			t.Errorf("%s: encode: %v", name, err)
 			continue
 		}
 		payload = append([]byte{}, payload...)
-		got, err := codec.decode(payload)
+		got, err := codec.Decode(payload)
 		if err != nil {
 			t.Errorf("%s: decode: %v", name, err)
 			continue
@@ -387,17 +406,17 @@ func TestWALCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, rec) {
 			t.Errorf("%s: decode∘encode is not the identity:\n%s\n%s", name, mustJSON(got), mustJSON(rec))
 		}
-		if re, err := codec.encode(&got); err != nil || !bytes.Equal(re, payload) {
+		if re, err := codec.Encode(&got); err != nil || !bytes.Equal(re, payload) {
 			t.Errorf("%s: encode∘decode is not the identity (%v):\n%x\n%x", name, err, payload, re)
 		}
 		for n := 0; n < len(payload); n++ {
-			if _, err := codec.decode(payload[:n]); err == nil {
+			if _, err := codec.Decode(payload[:n]); err == nil {
 				t.Errorf("%s: payload torn at %d/%d bytes decodes", name, n, len(payload))
 			}
 		}
 		// The JSON form of the same record, which RMs before the codec
 		// journaled, is refused by name.
-		if _, err := codec.decode([]byte(mustJSON(rec))); err == nil || !strings.Contains(err.Error(), "JSON") {
+		if _, err := codec.Decode([]byte(mustJSON(rec))); err == nil || !strings.Contains(err.Error(), "JSON") {
 			t.Errorf("%s: JSON form: %v, want a refusal that says JSON", name, err)
 		}
 	}
@@ -412,22 +431,22 @@ func mustJSON(v any) string {
 }
 
 func TestWALCodecRefusals(t *testing.T) {
-	var codec walCodec
-	for name, rec := range map[string]walRecord{
+	var codec rmstate.Codec
+	for name, rec := range map[string]rmstate.Record{
 		"no variant":     {},
-		"two variants":   {Epoch: &recEpoch{}, Tick: &recTick{}},
-		"negative slot":  {Tick: &recTick{Slot: -1}},
-		"negative epoch": {Epoch: &recEpoch{Epoch: -1}},
-		"negative grant": {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Grant: resource.New(-1, 0)}}}},
+		"two variants":   {Epoch: &rmstate.RecEpoch{}, Tick: &rmstate.RecTick{}},
+		"negative slot":  {Tick: &rmstate.RecTick{Slot: -1}},
+		"negative epoch": {Epoch: &rmstate.RecEpoch{Epoch: -1}},
+		"negative grant": {Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{{QID: "q-1", Grant: resource.New(-1, 0)}}}},
 		// -1 shared would be stored as expiry+1 = 0, the per-grant escape.
-		"negative expiry":    {Tick: &recTick{Grants: []recGrant{{QID: "q-1", Expiry: -1}, {QID: "q-2", Expiry: -1}}}},
-		"oversized diff":     {PlanDiff: &recPlanDiff{Diff: &plan.Diff{NewRev: 1, NSlots: plan.MaxSlots + 1}}},
-		"negative submit":    {AdHoc: &recAdHoc{Job: trace.AdHocRecord{ID: "a", SubmitSec: -5}}},
-		"negative dep index": {Workflow: &recWorkflow{WF: trace.WorkflowRecord{Deps: [][2]int{{0, -1}}}}},
-		"invalid diff":       {PlanDiff: &recPlanDiff{Diff: &plan.Diff{BaseRev: 1, NewRev: 9}}},
-		"invalid plan":       {PlanRebase: &recPlanRebase{Plan: &plan.Plan{Rev: -1}}},
+		"negative expiry":    {Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{{QID: "q-1", Expiry: -1}, {QID: "q-2", Expiry: -1}}}},
+		"oversized diff":     {PlanDiff: &rmstate.RecPlanDiff{Diff: &plan.Diff{NewRev: 1, NSlots: plan.MaxSlots + 1}}},
+		"negative submit":    {AdHoc: &rmstate.RecAdHoc{Job: trace.AdHocRecord{ID: "a", SubmitSec: -5}}},
+		"negative dep index": {Workflow: &rmstate.RecWorkflow{WF: trace.WorkflowRecord{Deps: [][2]int{{0, -1}}}}},
+		"invalid diff":       {PlanDiff: &rmstate.RecPlanDiff{Diff: &plan.Diff{BaseRev: 1, NewRev: 9}}},
+		"invalid plan":       {PlanRebase: &rmstate.RecPlanRebase{Plan: &plan.Plan{Rev: -1}}},
 	} {
-		if payload, err := codec.encode(&rec); err == nil {
+		if payload, err := codec.Encode(&rec); err == nil {
 			t.Errorf("%s: encoded to %x", name, payload)
 		}
 	}
@@ -495,12 +514,12 @@ func TestWALCodecRefusals(t *testing.T) {
 		"JSON diff":                              append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
 	}
 	for name, ok := range accepted {
-		if _, err := codec.decode(ok); err != nil {
+		if _, err := codec.Decode(ok); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 	for name, bad := range refused {
-		rec, err := codec.decode(bad)
+		rec, err := codec.Decode(bad)
 		if err == nil {
 			t.Errorf("%s: decoded to %s", name, mustJSON(rec))
 		} else if strings.HasPrefix(name, "JSON") && !strings.Contains(err.Error(), "JSON") {
@@ -651,7 +670,7 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 	}{
 		"version 3 snapshot":          {snap(3), []string{"snapshot version 3", "fault counters", "in-flight", "no longer read"}},
 		"version 2 snapshot":          {snap(2), []string{"snapshot version 2", "θ", "predates"}},
-		"snapshot plan with θ levels": {snap(snapVersion), []string{"snapshot plan", `"theta"`, "predates"}},
+		"snapshot plan with θ levels": {snap(4), []string{"snapshot plan", `"theta"`, "predates"}},
 	} {
 		dir := t.TempDir()
 		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
@@ -767,24 +786,24 @@ func TestWrappingSecondsRefused(t *testing.T) {
 // journaled as a wrapped duration — fails recovery, with an error naming
 // the record, its job's ID and the field. The RM does not start on it.
 func TestWrappingSecondsRecoveryRefused(t *testing.T) {
-	var codec walCodec
-	payload := func(rec walRecord) []byte {
-		p, err := codec.encode(&rec)
+	var codec rmstate.Codec
+	payload := func(rec rmstate.Record) []byte {
+		p, err := codec.Encode(&rec)
 		if err != nil {
 			t.Fatalf("encode %s: %v", mustJSON(rec), err)
 		}
 		return append([]byte(nil), p...)
 	}
-	ok := payload(walRecord{AdHoc: &recAdHoc{Slot: 1,
+	ok := payload(rmstate.Record{AdHoc: &rmstate.RecAdHoc{Slot: 1,
 		Job: trace.AdHocRecord{ID: "fine", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 128}}})
 	for name, c := range map[string]struct {
-		rec  walRecord
+		rec  rmstate.Record
 		want []string
 	}{
-		"ad-hoc": {walRecord{AdHoc: &recAdHoc{Slot: 1,
+		"ad-hoc": {rmstate.Record{AdHoc: &rmstate.RecAdHoc{Slot: 1,
 			Job: trace.AdHocRecord{ID: "wrapped", Tasks: 1, TaskDurSec: 18446744074, DemandVCores: 1, DemandMemMB: 128}}},
 			[]string{"replay record 2/2", "ad-hoc wrapped", "task_dur_sec = 18446744074"}},
-		"workflow": {walRecord{Workflow: &recWorkflow{Slot: 1, DeadlineNS: int64(time.Hour), Windows: []recWindow{{DeadlineNS: int64(time.Hour), MinSlots: 1}},
+		"workflow": {rmstate.Record{Workflow: &rmstate.RecWorkflow{Slot: 1, DeadlineNS: int64(time.Hour), Windows: []rmstate.RecWindow{{DeadlineNS: int64(time.Hour), MinSlots: 1}},
 			WF: trace.WorkflowRecord{ID: "wrapped", DeadlineSec: 3600,
 				Jobs: []trace.JobRecord{{Name: "a", Tasks: 1, TaskDurSec: 10, ActualTaskDurSec: 18446744074, DemandVCores: 1, DemandMemMB: 128}}}}},
 			[]string{"replay record 2/2", "workflow wrapped", "actual_task_dur_sec = 18446744074"}},
@@ -806,35 +825,35 @@ func TestWrappingSecondsRecoveryRefused(t *testing.T) {
 // ceilings on canonical records (the JSON form's size, logged beside
 // each, is what the binary codec replaced).
 func TestWALRecordSizes(t *testing.T) {
-	tick := &recTick{Slot: 36}
+	tick := &rmstate.RecTick{Slot: 36}
 	for i := 0; i < 16; i++ {
-		tick.Grants = append(tick.Grants, recGrant{
+		tick.Grants = append(tick.Grants, rmstate.RecGrant{
 			QID: fmt.Sprintf("q-%d", 627+i), JobID: fmt.Sprintf("wf0001/TeraSort-%d#%d", i*3/16, i*3/16),
 			NodeID: fmt.Sprintf("n%03d", i%8), Grant: resource.New(8, 32768), Expiry: 35 + 16,
 		})
 	}
 	// The shape adhoc-burst's ticks have: a burst of ad-hoc jobs with
 	// consecutive IDs, each spread over a few of the nodes.
-	burst := &recTick{Slot: 180}
+	burst := &rmstate.RecTick{Slot: 180}
 	for i := 0; i < 30; i++ {
-		burst.Grants = append(burst.Grants, recGrant{
+		burst.Grants = append(burst.Grants, rmstate.RecGrant{
 			QID: fmt.Sprintf("q-%d", 5210+i), JobID: fmt.Sprintf("adhoc/ah%05d", 470+i*12/30),
 			NodeID: fmt.Sprintf("n%02d", i%8), Grant: resource.New(2, 4096), Expiry: 183,
 		})
 	}
-	var codec walCodec
+	var codec rmstate.Codec
 	for _, c := range []struct {
 		name    string
-		rec     walRecord
+		rec     rmstate.Record
 		ceiling int
 	}{
-		{"16-grant tick over 3 jobs x 8 nodes", walRecord{Tick: tick}, 203},
-		{"30-grant tick over 12 adhoc/ah00... jobs x 8 nodes", walRecord{Tick: burst}, 318},
+		{"16-grant tick over 3 jobs x 8 nodes", rmstate.Record{Tick: tick}, 203},
+		{"30-grant tick over 12 adhoc/ah00... jobs x 8 nodes", rmstate.Record{Tick: burst}, 318},
 		{"6-qid confirm", canonicalRecord("confirm"), 25},
 		{"ad-hoc submission", canonicalRecord("adhoc"), 40},
-		{"10-job x 12-slot diff", walRecord{PlanDiff: &recPlanDiff{Diff: canonicalDiff(10, 12)}}, 640},
+		{"10-job x 12-slot diff", rmstate.Record{PlanDiff: &rmstate.RecPlanDiff{Diff: canonicalDiff(10, 12)}}, 640},
 	} {
-		payload, err := codec.encode(&c.rec)
+		payload, err := codec.Encode(&c.rec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -858,7 +877,7 @@ func TestWALDump(t *testing.T) {
 	if want := live.Status().Durability.WALRecords; int64(len(lines)) != want || len(lines) != len(payloads) {
 		t.Fatalf("dump has %d lines, the store journaled %d records (%d on disk)", len(lines), want, len(payloads))
 	}
-	var codec walCodec
+	var codec rmstate.Codec
 	advances, dispatches := 0, 0
 	for i, line := range lines {
 		var obj map[string]json.RawMessage
@@ -880,7 +899,7 @@ func TestWALDump(t *testing.T) {
 				t.Fatalf("line %d: a tick record that does not advance follows %s", i+1, lines[i-1])
 			}
 		}
-		fromDisk, _ := codec.decode(payloads[i])
+		fromDisk, _ := codec.Decode(payloads[i])
 		if _, ok := obj[variantOf(&fromDisk)]; !ok {
 			t.Fatalf("line %d is not the %s record on disk:\n%s", i+1, variantOf(&fromDisk), line)
 		}
@@ -921,10 +940,10 @@ func TestWALDump(t *testing.T) {
 // walFuzzSeeds are FuzzDecodeWALRecord's seeds: every canonical record
 // (so every variant) and a count far beyond its input.
 func walFuzzSeeds(tb testing.TB) [][]byte {
-	var codec walCodec
+	var codec rmstate.Codec
 	var seeds [][]byte
 	for _, c := range canonicalRecords() {
-		payload, err := codec.encode(&c.rec)
+		payload, err := codec.Encode(&c.rec)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -949,8 +968,8 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var codec walCodec
-		rec, err := codec.decode(data)
+		var codec rmstate.Codec
+		rec, err := codec.Decode(data)
 		if err != nil {
 			return
 		}
@@ -959,7 +978,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 				t.Fatalf("accepted a record with an invalid diff: %v", verr)
 			}
 		}
-		if re, err := codec.encode(&rec); err != nil || !bytes.Equal(re, data) {
+		if re, err := codec.Encode(&rec); err != nil || !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload is not canonical (%v):\n in %x\nout %x", err, data, re)
 		}
 	})
@@ -984,12 +1003,12 @@ func TestDecodeWALRecordAllocation(t *testing.T) {
 		claim(tagRequeue),
 		claim(tagPlanDiff, 0x02, 1, 0, 4), // the diff's removes
 	)
-	var codec walCodec
+	var codec rmstate.Codec
 	for i, in := range inputs {
 		// The factor covers a one-byte element decoding into a ~100-byte
 		// struct; the allowance the decoder's fixed set-up.
 		budget := uint64(len(in))*256 + 32<<10
-		if got := allocatedBytes(func() { codec.decode(in) }); got > budget {
+		if got := allocatedBytes(func() { codec.Decode(in) }); got > budget {
 			t.Errorf("input %d: decoding %d bytes allocated %d, budget %d\n%x", i, len(in), got, budget, in)
 		}
 	}

@@ -6,13 +6,14 @@ import (
 	"io"
 	"os"
 
+	"flowtime/internal/rmstate"
 	"flowtime/internal/store"
 )
 
 // DumpWAL prints every record of the WAL segments in a state directory
 // to out, one JSON object per record per line, oldest segment first: the
 // record structs' json tags, a plan diff nested as JSON. It is what keeps
-// the journal readable now that its on-disk form is binary (walcodec.go). A
+// the journal readable now that its on-disk form is binary (rmstate). A
 // tick record is printed with an "advance" flag the stored form does not
 // carry: false marks the grants a heartbeat dispatched (Server.Heartbeat),
 // which reuse the tick record without moving the slot.
@@ -27,7 +28,7 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var codec walCodec
+	var codec rmstate.Codec
 	slot := int64(-1) // the newest slot a tick or confirm record so far has named
 	for _, path := range segments {
 		raw, err := os.ReadFile(path)
@@ -36,7 +37,7 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 		}
 		payloads, good, tail := store.DecodeAll(raw)
 		for i, payload := range payloads {
-			rec, err := codec.decode(payload)
+			rec, err := codec.Decode(payload)
 			if err != nil {
 				return fmt.Errorf("%s: record %d/%d: %w", path, i+1, len(payloads), err)
 			}
@@ -66,15 +67,15 @@ func DumpWAL(dir string, out, diag io.Writer) error {
 // confirm record before it named. A heartbeat's grant record directly
 // follows its own confirm record, which names the current slot, and a
 // real tick names a slot no earlier record has: the flag is exact.
-func dumpForm(rec *walRecord, prev int64) any {
+func dumpForm(rec *rmstate.Record, prev int64) any {
 	if rec.Tick == nil {
 		return rec
 	}
 	type dumpTick struct {
 		Advance bool `json:"advance"`
-		*recTick
+		*rmstate.RecTick
 	}
 	return struct {
 		Tick dumpTick `json:"tick"`
-	}{dumpTick{Advance: rec.Tick.Slot > prev, recTick: rec.Tick}}
+	}{dumpTick{Advance: rec.Tick.Slot > prev, RecTick: rec.Tick}}
 }

@@ -1,0 +1,995 @@
+// Package rmstate is the resource manager's replayed state: the slot
+// clock, the live jobs and workflows, the leases, the archive of completed
+// jobs, the quantum-ID counter, the journaled leadership epoch and the live
+// plan — everything a journal record changes and a snapshot holds — as one
+// value, State, with no lock, clock or I/O.
+//
+// A mutation is decided as its record without changing anything (the
+// Decide and Admit methods, PlaceTick) and made by applying the record
+// with Apply, which the live resource manager, its replay and a follower's
+// ingest all run. Everything per process stays with the resource manager
+// (internal/rmserver), which hands the deciders what they need of it: the
+// expired nodes, the scheduler's grants, a node view.
+package rmstate
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
+	"time"
+
+	"flowtime/internal/deadline"
+	"flowtime/internal/plan"
+	"flowtime/internal/resource"
+	"flowtime/internal/rmproto"
+	"flowtime/internal/sched"
+	"flowtime/internal/trace"
+	"flowtime/internal/workflow"
+)
+
+// State is the replayed state. Create with New. Not safe for concurrent
+// use: the resource manager guards its State with its lock.
+type State struct {
+	slotDur     time.Duration
+	leaseExpiry int64
+
+	slot    int64
+	epoch   int64 // the journaled leadership epoch
+	nextQID int64
+	jobs    map[string]*Job      // live jobs: a job leaves when it completes
+	wfs     map[string]*Workflow // workflows with at least one live job
+	leases  map[string]*Lease    // quantum ID -> in-flight lease
+	// done archives every completed job's final wire entry, in completion
+	// order: it only grows by appending, so a reader may keep done[:n:n]
+	// after the state moved on. doneMissed counts its missed entries;
+	// doneAdHoc and doneWFs hold the IDs that stay refused as duplicates.
+	// All of it is derived from confirm records; snapshots carry it.
+	done       []rmproto.JobStatus
+	doneMissed int
+	doneAdHoc  map[string]struct{} // ad-hoc job IDs in done
+	doneWFs    map[string]struct{} // workflow IDs with a job in done
+	plan       *plan.Plan          // the live plan, rebuilt from journaled diffs
+}
+
+// New returns the empty state of a resource manager scheduling slots of
+// slotDur whose leases expire leaseExpiry slots after their grant.
+func New(slotDur time.Duration, leaseExpiry int64) *State {
+	return &State{
+		slotDur:     slotDur,
+		leaseExpiry: leaseExpiry,
+		jobs:        make(map[string]*Job),
+		wfs:         make(map[string]*Workflow),
+		leases:      make(map[string]*Lease),
+		doneAdHoc:   make(map[string]struct{}),
+		doneWFs:     make(map[string]struct{}),
+		plan:        plan.Empty(),
+	}
+}
+
+// Job is one job as the state holds it. Only Apply writes its fields.
+type Job struct {
+	ID         string
+	Kind       sched.JobKind
+	WorkflowID string
+	JobName    string
+	NodeIdx    int
+
+	Arrived  time.Duration
+	Release  time.Duration
+	Deadline time.Duration
+
+	Total       resource.Vector // volume to deliver
+	Delivered   resource.Vector
+	InFlight    resource.Vector // the sum of its leases' grants
+	ParallelCap resource.Vector
+	MinSlots    int64
+	BestEffort  bool
+
+	Done     bool
+	DoneSlot int64
+}
+
+// Lease is one issued quantum: which job it advances, which node holds it,
+// and when the RM gives up waiting for its confirmation and reclaims it.
+type Lease struct {
+	QID    string
+	Job    *Job
+	NodeID string
+	Grant  resource.Vector
+	Issued int64 // slot the lease was created
+	Expiry int64 // slot at which the lease is reclaimed
+}
+
+// Workflow is an admitted workflow with at least one live job.
+type Workflow struct {
+	WF   *workflow.Workflow
+	Jobs []*Job // by node index, completed ones included
+	Live int    // jobs not yet completed
+}
+
+// Slot, Epoch, Jobs, Workflows, Leases, Done and Plan read the state: the
+// current slot, the journaled epoch, the live jobs and the workflows with
+// a live job by ID, the in-flight leases by quantum ID, the archive of
+// completed jobs in completion order with how many of them missed their
+// deadline, and the live plan, never nil (plan.Empty before the first
+// revision). What they return is the state's own: only Apply changes it.
+func (s *State) Slot() int64                                     { return s.slot }
+func (s *State) Epoch() int64                                    { return s.epoch }
+func (s *State) Jobs() map[string]*Job                           { return s.jobs }
+func (s *State) Workflows() map[string]*Workflow                 { return s.wfs }
+func (s *State) Leases() map[string]*Lease                       { return s.leases }
+func (s *State) Done() (archive []rmproto.JobStatus, missed int) { return s.done, s.doneMissed }
+func (s *State) Plan() *plan.Plan                                { return s.plan }
+
+// Record is the one-of union journaled per mutation. walcodec.go owns its
+// on-disk form; the json tags serve `ftrm -wal-dump`.
+type Record struct {
+	Workflow   *RecWorkflow   `json:"wf,omitempty"`
+	AdHoc      *RecAdHoc      `json:"adhoc,omitempty"`
+	Tick       *RecTick       `json:"tick,omitempty"`
+	Confirm    *RecConfirm    `json:"confirm,omitempty"`
+	Requeue    *RecRequeue    `json:"requeue,omitempty"`
+	Epoch      *RecEpoch      `json:"epoch,omitempty"`
+	PlanDiff   *RecPlanDiff   `json:"plan_diff,omitempty"`
+	PlanRebase *RecPlanRebase `json:"plan_rebase,omitempty"`
+}
+
+// RecWorkflow journals one admitted workflow: the original trace record
+// (for the DAG and job specs) plus everything admission computed — the
+// re-anchored window and the per-job decomposed windows.
+type RecWorkflow struct {
+	WF         trace.WorkflowRecord `json:"wf"`
+	SubmitNS   int64                `json:"submit_ns"`
+	DeadlineNS int64                `json:"deadline_ns"`
+	Slot       int64                `json:"slot"`
+	BestEffort bool                 `json:"best_effort,omitempty"`
+	Windows    []RecWindow          `json:"windows"`
+}
+
+type RecWindow struct {
+	ReleaseNS  int64 `json:"release_ns"`
+	DeadlineNS int64 `json:"deadline_ns"`
+	MinSlots   int64 `json:"min_slots"`
+}
+
+type RecAdHoc struct {
+	Job  trace.AdHocRecord `json:"job"`
+	Slot int64             `json:"slot"`
+}
+
+// RecTick journals one slot advance: the post-advance slot value, the
+// leases reclaimed by eviction/expiry during the tick, and the leases
+// granted. A heartbeat's hand-off is a tick record at the current slot.
+type RecTick struct {
+	Slot     int64      `json:"slot"`
+	Requeued []string   `json:"requeued,omitempty"`
+	Grants   []RecGrant `json:"grants,omitempty"`
+}
+
+type RecGrant struct {
+	QID    string          `json:"qid"`
+	JobID  string          `json:"job"`
+	NodeID string          `json:"node"`
+	Grant  resource.Vector `json:"grant"`
+	Expiry int64           `json:"expiry,omitempty"`
+}
+
+// Quantum is the grant as the node that runs it is handed it.
+func (g RecGrant) Quantum() rmproto.Quantum {
+	return rmproto.Quantum{ID: g.QID, JobID: g.JobID, Grant: rmproto.FromVector(g.Grant), DeadlineSlot: g.Expiry}
+}
+
+// RecConfirm journals the quanta one heartbeat actually confirmed.
+type RecConfirm struct {
+	Slot int64    `json:"slot"`
+	QIDs []string `json:"qids"`
+}
+
+// RecRequeue journals leases reclaimed outside a tick (node
+// re-registration, promotion).
+type RecRequeue struct {
+	QIDs []string `json:"qids"`
+}
+
+// RecEpoch journals a leadership-epoch claim: the first epoch of a fresh
+// primary, or the incremented epoch of a promotion. Shipping it is what
+// fences a deposed primary's stream.
+type RecEpoch struct {
+	Epoch int64 `json:"epoch"`
+}
+
+// RecPlanDiff journals one plan diff. The diff is the transaction: it
+// either chained onto the live plan's revision and was applied whole, or
+// it was never journaled.
+type RecPlanDiff struct {
+	Diff *plan.Diff `json:"diff"`
+	// next is the plan DecidePlanDiff built, which Apply swaps in instead
+	// of building it again; nil in a decoded record.
+	next *plan.Plan
+}
+
+// RecPlanRebase journals a wholesale live-plan replacement — the escape
+// hatch when the diff chain breaks — on disk as the plan codec's JSON plan
+// blob, the same one snapshots embed.
+type RecPlanRebase struct {
+	Plan *plan.Plan `json:"plan"`
+}
+
+// Apply applies one record, live, in replay or on a follower. A record
+// applied already (a duplicate submission, a grant at or below the
+// quantum-ID watermark, a confirm or requeue of no lease) changes nothing,
+// so replaying a tail twice converges to the same state.
+func (s *State) Apply(rec *Record) error {
+	switch {
+	case rec.Workflow != nil:
+		return s.applyWorkflow(rec.Workflow)
+	case rec.AdHoc != nil:
+		return s.applyAdHoc(rec.AdHoc)
+	case rec.Tick != nil:
+		s.applyTick(rec.Tick)
+	case rec.Confirm != nil:
+		s.applyConfirm(rec.Confirm)
+	case rec.Requeue != nil:
+		s.applyRequeue(rec.Requeue.QIDs)
+	case rec.Epoch != nil:
+		s.epoch = max(s.epoch, rec.Epoch.Epoch)
+	case rec.PlanDiff != nil:
+		return s.applyPlanDiff(rec.PlanDiff)
+	case rec.PlanRebase != nil:
+		s.plan = rec.PlanRebase.Plan // decoded and validated by the record codec
+	}
+	return nil
+}
+
+func (s *State) applyWorkflow(r *RecWorkflow) error {
+	if s.knownWorkflow(r.WF.ID) {
+		return nil // idempotent replay
+	}
+	if len(r.Windows) != len(r.WF.Jobs) {
+		return fmt.Errorf("workflow %s: %d windows for %d jobs", r.WF.ID, len(r.Windows), len(r.WF.Jobs))
+	}
+	wf, err := workflowFromRecord(r.WF, r.SubmitNS, r.DeadlineNS)
+	if err != nil {
+		return fmt.Errorf("workflow %s: %w", r.WF.ID, err)
+	}
+	arrived := time.Duration(r.Slot) * s.slotDur
+	ws := &Workflow{WF: wf, Jobs: make([]*Job, wf.NumJobs()), Live: wf.NumJobs()}
+	for i := 0; i < wf.NumJobs(); i++ {
+		job := wf.Job(i)
+		w := r.Windows[i]
+		j := &Job{
+			ID:          fmt.Sprintf("%s/%s#%d", wf.ID, job.Name, i),
+			Kind:        sched.DeadlineJob,
+			WorkflowID:  wf.ID,
+			JobName:     job.Name,
+			NodeIdx:     i,
+			Arrived:     arrived,
+			Release:     time.Duration(w.ReleaseNS),
+			Deadline:    time.Duration(w.DeadlineNS),
+			Total:       job.Volume(s.slotDur),
+			ParallelCap: job.ParallelCap(),
+			MinSlots:    w.MinSlots,
+			BestEffort:  r.BestEffort,
+		}
+		ws.Jobs[i] = j
+		s.jobs[j.ID] = j
+	}
+	s.wfs[wf.ID] = ws
+	return nil
+}
+
+func (s *State) applyAdHoc(r *RecAdHoc) error {
+	id := rmproto.AdHocJobID(r.Job.ID)
+	if s.knownAdHoc(id) {
+		return nil // idempotent replay
+	}
+	a, err := r.Job.ToAdHoc()
+	if err != nil {
+		return err
+	}
+	s.jobs[id] = &Job{
+		ID:          id,
+		Kind:        sched.AdHocJob,
+		Arrived:     time.Duration(r.Slot) * s.slotDur,
+		Total:       a.Volume(s.slotDur),
+		ParallelCap: a.ParallelCap(),
+	}
+	return nil
+}
+
+// applyTick applies a tick record, a slot's or a hand-off's: its requeues,
+// then its grants as leases — the one place a lease is created — then its
+// slot. A grant at or below the quantum-ID watermark was applied already
+// (by a prior replay pass or the snapshot) and is skipped.
+func (s *State) applyTick(r *RecTick) {
+	s.applyRequeue(r.Requeued)
+	for _, g := range r.Grants {
+		n, own := rmproto.ParseQuantumID(g.QID)
+		if !own || n <= s.nextQID {
+			continue // already applied (prior replay pass or snapshot), or not an ID this RM issues
+		}
+		j, ok := s.jobs[g.JobID]
+		if !ok {
+			continue
+		}
+		s.nextQID = n
+		s.leases[g.QID] = &Lease{
+			QID: g.QID, Job: j, NodeID: g.NodeID,
+			Grant: g.Grant, Issued: r.Slot - 1, Expiry: g.Expiry,
+		}
+		j.InFlight = j.InFlight.Add(g.Grant)
+	}
+	s.slot = max(s.slot, r.Slot)
+}
+
+// applyConfirm applies confirmed leases: each one's volume moves from
+// in-flight to delivered, completing its job — at the record's slot — when
+// the total is covered. A quantum that names no lease is skipped.
+func (s *State) applyConfirm(r *RecConfirm) {
+	for _, qid := range r.QIDs {
+		l, ok := s.leases[qid]
+		if !ok {
+			continue
+		}
+		delete(s.leases, qid)
+		j := l.Job
+		j.InFlight = j.InFlight.SubClamped(l.Grant)
+		j.Delivered = j.Delivered.Add(l.Grant)
+		if !j.Done && j.Total.FitsIn(j.Delivered) {
+			j.Done = true
+			j.DoneSlot = r.Slot
+			delete(s.jobs, j.ID)
+			if ws := s.wfs[j.WorkflowID]; ws != nil {
+				if ws.Live--; ws.Live == 0 {
+					delete(s.wfs, j.WorkflowID)
+				}
+			}
+			s.archive(s.JobStatus(j))
+		}
+	}
+}
+
+// applyRequeue reclaims the leases qids names: each one's volume returns
+// to its job's schedulable remainder and it stops being awaited. A quantum
+// that names no lease is skipped.
+func (s *State) applyRequeue(qids []string) {
+	for _, qid := range qids {
+		if l, ok := s.leases[qid]; ok {
+			delete(s.leases, qid)
+			l.Job.InFlight = l.Job.InFlight.SubClamped(l.Grant)
+		}
+	}
+}
+
+// applyPlanDiff applies one plan diff. Replay is idempotent — a diff at or
+// below the live revision is skipped — but a revision gap is corrupt
+// history and fails loudly rather than leaving a plan that silently
+// diverges from what the primary journaled.
+func (s *State) applyPlanDiff(r *RecPlanDiff) error {
+	d := r.Diff // decoded and validated by the record codec
+	if d.NewRev <= s.plan.Rev {
+		return nil // idempotent replay
+	}
+	if d.BaseRev != s.plan.Rev {
+		return fmt.Errorf("plan diff %d->%d does not chain to live revision %d", d.BaseRev, d.NewRev, s.plan.Rev)
+	}
+	next := r.next
+	if next == nil {
+		var err error
+		if next, err = plan.Apply(s.plan, d); err != nil {
+			return fmt.Errorf("plan diff %d->%d: %w", d.BaseRev, d.NewRev, err)
+		}
+	}
+	s.plan = next
+	return nil
+}
+
+// archive appends one completed job's final status to the archive.
+func (s *State) archive(st rmproto.JobStatus) {
+	s.done = append(s.done, st)
+	if st.Missed {
+		s.doneMissed++
+	}
+	if st.WorkflowID != "" {
+		s.doneWFs[st.WorkflowID] = struct{}{}
+	} else {
+		s.doneAdHoc[st.ID] = struct{}{}
+	}
+}
+
+// knownWorkflow and knownAdHoc report whether an ID was ever admitted,
+// live or completed: admission refuses it, replay skips it.
+func (s *State) knownWorkflow(id string) bool {
+	_, live := s.wfs[id]
+	_, done := s.doneWFs[id]
+	return live || done
+}
+
+func (s *State) knownAdHoc(id string) bool {
+	_, live := s.jobs[id]
+	_, done := s.doneAdHoc[id]
+	return live || done
+}
+
+// JobStatus is the wire entry of one job as of the current slot; for a
+// completed job it no longer depends on the slot.
+func (s *State) JobStatus(j *Job) rmproto.JobStatus {
+	st := rmproto.JobStatus{
+		ID:         j.ID,
+		Kind:       j.Kind.String(),
+		WorkflowID: j.WorkflowID,
+		Delivered:  rmproto.FromVector(j.Delivered),
+		Total:      rmproto.FromVector(j.Total),
+	}
+	switch {
+	case j.Done:
+		st.State = "completed"
+		st.CompletedSec = int64((time.Duration(j.DoneSlot) * s.slotDur) / time.Second)
+	case !j.Delivered.IsZero() || !j.InFlight.IsZero():
+		st.State = "running"
+	default:
+		st.State = "pending"
+	}
+	if j.Kind == sched.DeadlineJob {
+		st.DeadlineSec = int64(j.Deadline / time.Second)
+		st.BestEffort = j.BestEffort
+		// Completion is observed at the confirmation heartbeat, one slot
+		// after the work ran, so a completed job is granted that slot as
+		// grace: work confirmed at DoneSlot finished during DoneSlot-1. A job
+		// confirmed at slot 0 or earlier (zero-volume work confirmed before
+		// the first tick) finished at time zero and can never have missed.
+		st.Missed = time.Duration(s.slot)*s.slotDur > j.Deadline
+		if j.Done {
+			st.Missed = j.DoneSlot > 0 && time.Duration(j.DoneSlot-1)*s.slotDur > j.Deadline
+		}
+	}
+	return st
+}
+
+// workflowFromRecord rebuilds a workflow object from its trace record and
+// re-anchors its window to the journaled nanosecond offsets (the record's
+// whole-second fields cannot express sub-second slot clocks).
+func workflowFromRecord(rec trace.WorkflowRecord, submitNS, deadlineNS int64) (*workflow.Workflow, error) {
+	wf, err := rec.ToWorkflow()
+	if err != nil {
+		return nil, err
+	}
+	wf.Submit = time.Duration(submitNS)
+	wf.Deadline = time.Duration(deadlineNS)
+	return wf, nil
+}
+
+// Node is a node as placement sees it: its capacity, and the volume this
+// slot's grants have put on it so far, which placement debits.
+type Node struct {
+	ID       string
+	Capacity resource.Vector
+	Placed   resource.Vector
+}
+
+// Offer is one scheduler grant to a job that could not take it yet: it
+// was ready on confirm (sched.JobState.ReadyOnConfirm). An offer is a
+// decision, not a mutation — no lease, nothing journaled — until a
+// confirming heartbeat dispatches it (DecideHandOff).
+type Offer struct {
+	Job   *Job
+	Grant resource.Vector
+}
+
+// AdmitWorkflow decides a workflow's admission as its record, changing
+// nothing: re-anchored at the current slot, decomposed against capacity —
+// the deadline decomposition, then the critical-path fallback; infeasible
+// under both, it is admitted best-effort, each job windowed by the whole
+// span and left out of the joint LP. A known ID is a duplicate.
+func (s *State) AdmitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow, capacity resource.Vector) (*RecWorkflow, error) {
+	if s.knownWorkflow(wf.ID) {
+		return nil, fmt.Errorf("rmstate: duplicate workflow %q", wf.ID)
+	}
+	if capacity.IsZero() {
+		return nil, errors.New("rmstate: no registered nodes; cannot decompose deadlines")
+	}
+	now := time.Duration(s.slot) * s.slotDur
+	span := wf.Deadline - wf.Submit
+	wf.Submit = now
+	wf.Deadline = now + span
+	if err := wf.Validate(); err != nil {
+		return nil, err
+	}
+	opts := deadline.Options{Slot: s.slotDur, ClusterCap: capacity}
+	dec, derr := deadline.Decompose(wf, opts)
+	if derr != nil {
+		opts.ForceCriticalPath = true
+		dec, derr = deadline.Decompose(wf, opts)
+	}
+	bestEffort := derr != nil
+	wrec := &RecWorkflow{
+		WF:         rec,
+		SubmitNS:   int64(wf.Submit),
+		DeadlineNS: int64(wf.Deadline),
+		Slot:       s.slot,
+		BestEffort: bestEffort,
+		Windows:    make([]RecWindow, wf.NumJobs()),
+	}
+	for i := range wrec.Windows {
+		release, dl := wf.Submit, wf.Deadline
+		if !bestEffort {
+			release, dl = dec.Windows[i].Release, dec.Windows[i].Deadline
+		}
+		wrec.Windows[i] = RecWindow{
+			ReleaseNS:  int64(release),
+			DeadlineNS: int64(dl),
+			MinSlots:   wf.Job(i).MinRuntimeSlots(s.slotDur, capacity),
+		}
+	}
+	return wrec, nil
+}
+
+// AdmitAdHoc decides an ad-hoc job's admission at the current slot as its
+// record, changing nothing. An ID admitted before is a duplicate.
+func (s *State) AdmitAdHoc(job trace.AdHocRecord) (*RecAdHoc, error) {
+	if s.knownAdHoc(rmproto.AdHocJobID(job.ID)) {
+		return nil, fmt.Errorf("rmstate: duplicate ad-hoc job %q", job.ID)
+	}
+	return &RecAdHoc{Job: job, Slot: s.slot}, nil
+}
+
+// DecideConfirm decides what a heartbeat's confirms do, changing nothing:
+// each quantum it names that is a live lease of the sending node is
+// confirmed, once, at the current slot. Any other — already confirmed,
+// requeued after the node's eviction, from before an RM restart, or held
+// by another node — is stale and ignored, so a re-registering node can
+// never double-deliver stale work; stale counts them.
+func (s *State) DecideConfirm(nodeID string, qids []string) (rec *RecConfirm, stale int64) {
+	rec = &RecConfirm{Slot: s.slot}
+	seen := make(map[string]bool, len(qids))
+	for _, qid := range qids {
+		if l, ok := s.leases[qid]; ok && l.NodeID == nodeID && !seen[qid] {
+			seen[qid] = true
+			rec.QIDs = append(rec.QIDs, qid)
+		} else {
+			stale++
+		}
+	}
+	return rec, stale
+}
+
+// DecideRequeue decides the requeue of the leases keep selects, changing
+// nothing: their IDs in ID order — the leases are a map, and the same run
+// must journal the same bytes.
+func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
+	rec := &RecRequeue{}
+	for qid, l := range s.leases {
+		if keep(l) {
+			rec.QIDs = append(rec.QIDs, qid)
+		}
+	}
+	sort.Strings(rec.QIDs)
+	return rec
+}
+
+// DecideHandOff decides which offers a confirming heartbeat dispatches:
+// those whose job is ready now, placed first-fit on the nodes targets
+// returns when an offer is ready — the heartbeating node, then those that
+// will still fetch their queue this slot — as the grants the tick would
+// have made, in a tick record that does not advance the slot. An offer is
+// spent by one attempt: what found no room lapses. It returns the offers
+// whose job is not ready yet, and how many were dispatched and lapsed.
+func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecTick, kept []Offer, dispatched, lapsed int64) {
+	rec = &RecTick{Slot: s.slot}
+	var nodes []*Node
+	kept = offers[:0]
+	for _, o := range offers {
+		if !s.ready(o.Job) {
+			kept = append(kept, o)
+			continue
+		}
+		if nodes == nil {
+			nodes = targets()
+		}
+		placed := len(rec.Grants)
+		s.place(o.Job.ID, o.Grant, nodes, rec)
+		if len(rec.Grants) > placed {
+			dispatched++
+		} else {
+			lapsed++
+		}
+	}
+	return rec, kept, dispatched, lapsed
+}
+
+// DecideTick is the first step of deciding a slot, changing nothing: the
+// tick record of the next slot with the leases it requeues — those held
+// by the nodes in expired and those past their expiry — and, with
+// schedule set, the live jobs as the scheduler sees them, net of those
+// requeues, in arrival order. A job ready on confirm is one whose every
+// unfinished predecessor has its whole remainder in flight.
+func (s *State) DecideTick(expired []string, schedule bool) (*RecTick, []sched.JobState) {
+	rec := &RecTick{Slot: s.slot + 1}
+	rec.Requeued = s.DecideRequeue(func(l *Lease) bool {
+		return slices.Contains(expired, l.NodeID) || s.slot >= l.Expiry
+	}).QIDs
+	if !schedule {
+		return rec, nil
+	}
+	var back map[*Job]resource.Vector
+	if len(rec.Requeued) > 0 {
+		back = make(map[*Job]resource.Vector)
+		for _, qid := range rec.Requeued {
+			l := s.leases[qid]
+			back[l.Job] = back[l.Job].Add(l.Grant)
+		}
+	}
+	inFlight := func(j *Job) resource.Vector { return j.InFlight.SubClamped(back[j]) }
+	states := make([]sched.JobState, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		remaining := j.Total.SubClamped(j.Delivered).SubClamped(inFlight(j))
+		st := sched.JobState{
+			ID:         j.ID,
+			Kind:       j.Kind,
+			Arrived:    j.Arrived,
+			Ready:      s.ready(j),
+			Request:    j.ParallelCap.Min(remaining),
+			BestEffort: j.BestEffort,
+		}
+		if j.Kind == sched.DeadlineJob {
+			st.ReadyOnConfirm = !st.Ready && s.readyOnConfirm(j, inFlight)
+			st.WorkflowID = j.WorkflowID
+			st.JobName = j.JobName
+			st.Release = j.Release
+			st.Deadline = j.Deadline
+			st.EstRemaining = remaining
+			st.ParallelCap = j.ParallelCap
+			st.MinSlots = j.MinSlots
+		}
+		states = append(states, st)
+	}
+	sort.Slice(states, func(a, b int) bool {
+		if states[a].Arrived != states[b].Arrived {
+			return states[a].Arrived < states[b].Arrived
+		}
+		return states[a].ID < states[b].ID
+	})
+	return rec, states
+}
+
+// PlaceTick is the second step: it places the scheduler's grants to the
+// ready jobs of jobs (DecideTick's) on nodes first-fit, splitting across
+// nodes as needed, as rec's grants. A grant to a job that is ready on
+// confirm comes back as an offer, clamped by what the ready jobs left of
+// the nodes' capacity.
+func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string]resource.Vector, nodes []*Node) []Offer {
+	var capLeft resource.Vector
+	for _, n := range nodes {
+		capLeft = capLeft.Add(n.Capacity)
+	}
+	var offers []Offer
+	for _, st := range jobs {
+		g, ok := grants[st.ID]
+		if !ok || !(st.Ready || st.ReadyOnConfirm) {
+			continue
+		}
+		g = g.Min(st.Request)
+		if !st.Ready {
+			offers = append(offers, Offer{Job: s.jobs[st.ID], Grant: g})
+			continue
+		}
+		g = g.Min(capLeft)
+		if g.IsZero() || g.AnyNegative() {
+			continue
+		}
+		capLeft = capLeft.Sub(g)
+		s.place(st.ID, g, nodes, rec)
+	}
+	kept := offers[:0]
+	for _, o := range offers {
+		o.Grant = o.Grant.Min(capLeft)
+		if o.Grant.IsZero() || o.Grant.AnyNegative() {
+			continue
+		}
+		capLeft = capLeft.Sub(o.Grant)
+		kept = append(kept, o)
+	}
+	return kept
+}
+
+// DecidePlanDiff decides one diff the scheduler streamed: it builds the
+// plan the diff makes of the live one, changing nothing, and returns the
+// record whose Apply swaps it in. A diff that does not chain onto the live
+// plan is an error.
+func (s *State) DecidePlanDiff(d *plan.Diff) (*RecPlanDiff, error) {
+	next, err := plan.Apply(s.plan, d)
+	if err != nil {
+		return nil, err
+	}
+	return &RecPlanDiff{Diff: d, next: next}, nil
+}
+
+// place splits a grant into grants of rec: g for job, first-fit over nodes
+// in the order given, against what each node has left of its capacity
+// this slot (Node.Placed, which it debits). Each chunk is granted under
+// the next quantum ID, issued in the slot before rec's and expiring
+// leaseExpiry slots after it; applying rec makes it a lease. What fits
+// nowhere is dropped.
+func (s *State) place(job string, g resource.Vector, nodes []*Node, rec *RecTick) {
+	expiry := rec.Slot - 1 + s.leaseExpiry
+	for _, n := range nodes {
+		if g.IsZero() {
+			break
+		}
+		chunk := g.Min(n.Capacity.Sub(n.Placed))
+		if chunk.IsZero() {
+			continue
+		}
+		n.Placed = n.Placed.Add(chunk)
+		g = g.Sub(chunk)
+		qid := rmproto.QuantumID(s.nextQID + int64(len(rec.Grants)) + 1)
+		rec.Grants = append(rec.Grants, RecGrant{QID: qid, JobID: job, NodeID: n.ID, Grant: chunk, Expiry: expiry})
+	}
+}
+
+func (s *State) ready(j *Job) bool {
+	if j.Kind != sched.DeadlineJob {
+		return true
+	}
+	ws := s.wfs[j.WorkflowID]
+	for _, p := range ws.WF.DAG().Predecessors(j.NodeIdx) {
+		if !ws.Jobs[p].Done {
+			return false
+		}
+	}
+	return true
+}
+
+// readyOnConfirm reports, for a deadline job that is not ready, whether it
+// will be once the leases in flight are confirmed: every unfinished
+// predecessor has its whole remainder in flight, as inFlight counts it.
+func (s *State) readyOnConfirm(j *Job, inFlight func(*Job) resource.Vector) bool {
+	ws := s.wfs[j.WorkflowID]
+	for _, p := range ws.WF.DAG().Predecessors(j.NodeIdx) {
+		if pj := ws.Jobs[p]; !pj.Done && !pj.Total.FitsIn(pj.Delivered.Add(inFlight(pj))) {
+			return false
+		}
+	}
+	return true
+}
+
+// snapVersion identifies the snapshot schema. Version 4 holds live state
+// only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
+// the archive of completed jobs in completion order, and a plan of
+// integers only. Version 3 was the same plus the fault counters and each
+// job's in-flight volume, with a journal of counter-carrying records
+// behind it; version 2 had θ levels in the plan and a journal of
+// back-referenced tick IDs behind it; version 1 held every job ever
+// admitted, flagged done or not. All are refused, by name: nothing writes
+// them, under the condition walcodec.go states for the journal.
+const snapVersion = 4
+
+// oldSnapshots names the forms of the versions before snapVersion.
+var oldSnapshots = map[int]string{
+	3: "that carried fault counters and in-flight volume",
+	2: "with θ levels in its plan that predates front-coded journal IDs",
+	1: "that predates the completed-job archive",
+}
+
+// snapState is the full-state snapshot payload. It holds no job's
+// in-flight volume, which is the sum of its leases' grants and is rebuilt
+// from them.
+type snapState struct {
+	Version   int            `json:"version"`
+	SlotDurNS int64          `json:"slot_dur_ns"`
+	Slot      int64          `json:"slot"`
+	Epoch     int64          `json:"epoch,omitempty"`
+	NextQID   int64          `json:"next_qid"`
+	Workflows []snapWorkflow `json:"workflows,omitempty"`
+	AdHoc     []snapJob      `json:"adhoc,omitempty"`
+	Leases    []snapLease    `json:"leases,omitempty"`
+	// Done is the archive of completed jobs, in completion order.
+	Done []rmproto.JobStatus `json:"done,omitempty"`
+	// Plan is the live plan in the strict plan codec's wire form; absent
+	// when no plan revision has been applied.
+	Plan json.RawMessage `json:"plan,omitempty"`
+}
+
+type snapWorkflow struct {
+	WF         trace.WorkflowRecord `json:"wf"`
+	SubmitNS   int64                `json:"submit_ns"`
+	DeadlineNS int64                `json:"deadline_ns"`
+	Jobs       []snapJob            `json:"jobs"` // in node-index order, completed ones included
+}
+
+type snapJob struct {
+	ID          string          `json:"id"`
+	Kind        int             `json:"kind"`
+	JobName     string          `json:"job_name,omitempty"`
+	NodeIdx     int             `json:"node_idx"`
+	ArrivedNS   int64           `json:"arrived_ns"`
+	ReleaseNS   int64           `json:"release_ns"`
+	DeadlineNS  int64           `json:"deadline_ns"`
+	Total       resource.Vector `json:"total"`
+	Delivered   resource.Vector `json:"delivered"`
+	ParallelCap resource.Vector `json:"parallel_cap"`
+	MinSlots    int64           `json:"min_slots"`
+	BestEffort  bool            `json:"best_effort,omitempty"`
+	Done        bool            `json:"done,omitempty"`
+	DoneSlot    int64           `json:"done_slot,omitempty"`
+}
+
+type snapLease struct {
+	QID    string          `json:"qid"`
+	JobID  string          `json:"job"`
+	NodeID string          `json:"node"`
+	Grant  resource.Vector `json:"grant"`
+	Issued int64           `json:"issued"`
+	Expiry int64           `json:"expiry,omitempty"`
+}
+
+// Snapshot serializes the whole state — live tables and the archive —
+// deterministically (map iteration order must not leak into the payload).
+func (s *State) Snapshot() ([]byte, error) {
+	st := snapState{
+		Version:   snapVersion,
+		SlotDurNS: int64(s.slotDur),
+		Slot:      s.slot,
+		Epoch:     s.epoch,
+		NextQID:   s.nextQID,
+	}
+	for _, id := range sortedKeys(s.wfs) {
+		ws := s.wfs[id]
+		rec, err := workflowToRecord(ws.WF)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot workflow %s: %w", id, err)
+		}
+		sw := snapWorkflow{
+			WF:         rec,
+			SubmitNS:   int64(ws.WF.Submit),
+			DeadlineNS: int64(ws.WF.Deadline),
+			Jobs:       make([]snapJob, len(ws.Jobs)),
+		}
+		for i, j := range ws.Jobs {
+			sw.Jobs[i] = snapFromJob(j)
+		}
+		st.Workflows = append(st.Workflows, sw)
+	}
+	for _, id := range sortedKeys(s.jobs) {
+		if j := s.jobs[id]; j.Kind == sched.AdHocJob {
+			st.AdHoc = append(st.AdHoc, snapFromJob(j))
+		}
+	}
+	st.Done = s.done
+	for _, qid := range sortedKeys(s.leases) {
+		l := s.leases[qid]
+		st.Leases = append(st.Leases, snapLease{
+			QID: l.QID, JobID: l.Job.ID, NodeID: l.NodeID,
+			Grant: l.Grant, Issued: l.Issued, Expiry: l.Expiry,
+		})
+	}
+	if s.plan.Rev > 0 {
+		payload, err := plan.EncodePlan(s.plan)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot plan rev %d: %w", s.plan.Rev, err)
+		}
+		st.Plan = payload
+	}
+	return json.Marshal(&st)
+}
+
+// Restore loads a snapshot into a state fresh from New. A snapshot of
+// another schema version, or one written under another slot duration, is
+// refused.
+func (s *State) Restore(payload []byte) error {
+	var st snapState
+	if err := json.Unmarshal(payload, &st); err != nil {
+		return fmt.Errorf("decode snapshot: %w", err)
+	}
+	if form, old := oldSnapshots[st.Version]; old {
+		return fmt.Errorf("snapshot version %d, the form %s, which is no longer read (want %d)", st.Version, form, snapVersion)
+	} else if st.Version != snapVersion {
+		return fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
+	}
+	if got := time.Duration(st.SlotDurNS); got != s.slotDur {
+		return fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, s.slotDur)
+	}
+	s.slot, s.epoch, s.nextQID = st.Slot, st.Epoch, st.NextQID
+	for i := range st.Workflows {
+		sw := &st.Workflows[i]
+		wf, err := workflowFromRecord(sw.WF, sw.SubmitNS, sw.DeadlineNS)
+		if err != nil {
+			return fmt.Errorf("snapshot workflow %s: %w", sw.WF.ID, err)
+		}
+		ws := &Workflow{WF: wf, Jobs: make([]*Job, len(sw.Jobs))}
+		for idx := range sw.Jobs {
+			j := jobFromSnap(&sw.Jobs[idx], wf.ID)
+			ws.Jobs[idx] = j
+			if !j.Done {
+				s.jobs[j.ID] = j
+				ws.Live++
+			}
+		}
+		s.wfs[wf.ID] = ws
+	}
+	for i := range st.AdHoc {
+		j := jobFromSnap(&st.AdHoc[i], "")
+		s.jobs[j.ID] = j
+	}
+	for _, d := range st.Done {
+		s.archive(d)
+	}
+	for _, sl := range st.Leases {
+		j, ok := s.jobs[sl.JobID]
+		if !ok {
+			return fmt.Errorf("snapshot lease %s references unknown job %s", sl.QID, sl.JobID)
+		}
+		s.leases[sl.QID] = &Lease{
+			QID: sl.QID, Job: j, NodeID: sl.NodeID,
+			Grant: sl.Grant, Issued: sl.Issued, Expiry: sl.Expiry,
+		}
+		j.InFlight = j.InFlight.Add(sl.Grant)
+	}
+	if len(st.Plan) > 0 {
+		p, err := plan.DecodePlan(st.Plan)
+		if err != nil {
+			return fmt.Errorf("snapshot plan: %w", err)
+		}
+		s.plan = p
+	}
+	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func jobFromSnap(sj *snapJob, wfID string) *Job {
+	return &Job{
+		ID:          sj.ID,
+		Kind:        sched.JobKind(sj.Kind),
+		WorkflowID:  wfID,
+		JobName:     sj.JobName,
+		NodeIdx:     sj.NodeIdx,
+		Arrived:     time.Duration(sj.ArrivedNS),
+		Release:     time.Duration(sj.ReleaseNS),
+		Deadline:    time.Duration(sj.DeadlineNS),
+		Total:       sj.Total,
+		Delivered:   sj.Delivered,
+		ParallelCap: sj.ParallelCap,
+		MinSlots:    sj.MinSlots,
+		BestEffort:  sj.BestEffort,
+		Done:        sj.Done,
+		DoneSlot:    sj.DoneSlot,
+	}
+}
+
+func snapFromJob(j *Job) snapJob {
+	return snapJob{
+		ID:          j.ID,
+		Kind:        int(j.Kind),
+		JobName:     j.JobName,
+		NodeIdx:     j.NodeIdx,
+		ArrivedNS:   int64(j.Arrived),
+		ReleaseNS:   int64(j.Release),
+		DeadlineNS:  int64(j.Deadline),
+		Total:       j.Total,
+		Delivered:   j.Delivered,
+		ParallelCap: j.ParallelCap,
+		MinSlots:    j.MinSlots,
+		BestEffort:  j.BestEffort,
+		Done:        j.Done,
+		DoneSlot:    j.DoneSlot,
+	}
+}
+
+// workflowToRecord serializes a workflow back into its trace record.
+func workflowToRecord(wf *workflow.Workflow) (trace.WorkflowRecord, error) {
+	tr, err := trace.FromWorkload([]*workflow.Workflow{wf}, nil)
+	if err != nil {
+		return trace.WorkflowRecord{}, err
+	}
+	return tr.Workflows[0], nil
+}

@@ -1,10 +1,9 @@
-// The journal's record format. This file is the only one in the package
-// that knows it: every record is encoded through walCodec.encode
-// (Server.encodeLocked), replay (recovery and the follower's ingest)
-// decodes through walCodec.decode, and nothing else looks inside a WAL
-// payload.
+// The journal's record format. This file is the only one in the module
+// that knows it: every record is encoded through Codec.Encode, replay,
+// a follower's ingest and `ftrm -wal-dump` decode through Codec.Decode,
+// and nothing else looks inside a WAL payload.
 //
-// A payload is one tag byte naming the walRecord variant, then the
+// A payload is one tag byte naming the Record variant, then the
 // variant's fields in declaration order, in internal/binenc's primitives:
 // every integer an unsigned minimal varint (all of them are non-negative;
 // a negative one is refused, never wrapped), strings length-prefixed,
@@ -49,7 +48,7 @@
 // carried the seven fault counters, and an epoch (6) its slot, none of
 // which replay needs; before that a tick took tag 3 and back-referenced the
 // IDs it had already spelled, and a plan diff or plan carried θ levels;
-// before that a payload was json.Marshal(walRecord), which always opens
+// before that a payload was json.Marshal(Record), which always opens
 // with '{' — a byte no tag takes. Nothing has written any of them since
 // and no supported state directory predates a snapshot rotation under
 // this form (rotation drops the old log and writes a version-4 snapshot;
@@ -57,7 +56,7 @@
 // 6 and 9, a tag 3 tick, a tag 0x01 diff, a rebase plan with "theta", a
 // '{' payload and a '{' diff behind tagPlanDiff, each with an error that
 // names it.
-package rmserver
+package rmstate
 
 import (
 	"bytes"
@@ -90,16 +89,15 @@ const (
 // by tag, for decode's refusal.
 var faultsForm = map[byte]string{tagTickFaults: "tick", tagConfirmFaults: "confirm", tagRequeueFaults: "requeue"}
 
-// walCodec encodes journal records into a buffer it reuses from record to
-// record; the zero value is ready. Not safe for concurrent use — the
-// server's is guarded by s.mu.
-type walCodec struct {
+// Codec encodes journal records into a buffer it reuses from record to
+// record; the zero value is ready. Not safe for concurrent use.
+type Codec struct {
 	buf []byte
 }
 
-// encode returns rec's payload. The slice is the codec's buffer: it is
+// Encode returns rec's payload. The slice is the codec's buffer: it is
 // valid until the next encode.
-func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
+func (c *Codec) Encode(rec *Record) ([]byte, error) {
 	var qids rmproto.QIDCoder
 	w := binenc.Writer{Buf: c.buf[:0]}
 	set := 0
@@ -130,7 +128,7 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 		w.Int(r.Slot)
 		qids.PutList(&w, r.Requeued)
 		w.Uint(uint64(len(r.Grants)))
-		var prev recGrant
+		var prev RecGrant
 		for i := range r.Grants {
 			g := &r.Grants[i]
 			qids.Put(&w, g.QID)
@@ -184,35 +182,35 @@ func (c *walCodec) encode(rec *walRecord) ([]byte, error) {
 	return w.Buf, nil
 }
 
-// decode parses one payload. The returned record does not alias payload.
-func (c *walCodec) decode(payload []byte) (walRecord, error) {
-	var rec walRecord
+// Decode parses one payload. The returned record does not alias payload.
+func (c *Codec) Decode(payload []byte) (Record, error) {
+	var rec Record
 	var qids rmproto.QIDCoder
 	r := binenc.NewReader(payload)
 	switch tag := r.Byte(); tag {
 	case tagWorkflow:
-		v := &recWorkflow{WF: rmproto.GetWorkflowRecord(&r)}
+		v := &RecWorkflow{WF: rmproto.GetWorkflowRecord(&r)}
 		rec.Workflow = v
 		v.SubmitNS = r.Int()
 		v.DeadlineNS = r.Int()
 		v.Slot = r.Int()
 		v.BestEffort = r.Bool()
 		if n := r.Count(3); n > 0 {
-			v.Windows = make([]recWindow, n)
+			v.Windows = make([]RecWindow, n)
 			for i := range v.Windows {
-				v.Windows[i] = recWindow{ReleaseNS: r.Int(), DeadlineNS: r.Int(), MinSlots: r.Int()}
+				v.Windows[i] = RecWindow{ReleaseNS: r.Int(), DeadlineNS: r.Int(), MinSlots: r.Int()}
 			}
 		}
 	case tagAdHoc:
-		rec.AdHoc = &recAdHoc{Job: rmproto.GetAdHocRecord(&r), Slot: r.Int()}
+		rec.AdHoc = &RecAdHoc{Job: rmproto.GetAdHocRecord(&r), Slot: r.Int()}
 	case tagTick:
-		v := &recTick{Slot: r.Int()}
+		v := &RecTick{Slot: r.Int()}
 		rec.Tick = v
 		v.Requeued = qids.GetList(&r)
 		// A grant is a quantum ID, two front-coded IDs and a vector.
 		if n := r.Count(5 + resource.NumKinds); n > 0 {
-			v.Grants = make([]recGrant, n)
-			var prev recGrant
+			v.Grants = make([]RecGrant, n)
+			var prev RecGrant
 			for i := range v.Grants {
 				g := &v.Grants[i]
 				g.QID = qids.Get(&r)
@@ -224,42 +222,42 @@ func (c *walCodec) decode(payload []byte) (walRecord, error) {
 			rmproto.GetExpiries(&r, n, func(i int, e int64) { v.Grants[i].Expiry = e })
 		}
 	case tagConfirm:
-		rec.Confirm = &recConfirm{Slot: r.Int(), QIDs: qids.GetList(&r)}
+		rec.Confirm = &RecConfirm{Slot: r.Int(), QIDs: qids.GetList(&r)}
 	case tagRequeue:
-		rec.Requeue = &recRequeue{QIDs: qids.GetList(&r)}
+		rec.Requeue = &RecRequeue{QIDs: qids.GetList(&r)}
 	case tagEpoch:
-		rec.Epoch = &recEpoch{Epoch: r.Int()}
+		rec.Epoch = &RecEpoch{Epoch: r.Int()}
 	case tagPlanDiff:
 		d, err := plan.DecodeDiff(r.Rest())
 		if err != nil {
-			return walRecord{}, err
+			return Record{}, err
 		}
-		rec.PlanDiff = &recPlanDiff{Diff: d}
+		rec.PlanDiff = &RecPlanDiff{Diff: d}
 	case tagPlanRebase:
 		blob := r.Rest()
 		p, err := plan.DecodePlan(blob)
 		if err != nil {
-			return walRecord{}, fmt.Errorf("plan rebase: %w", err)
+			return Record{}, fmt.Errorf("plan rebase: %w", err)
 		}
 		if canon, err := plan.EncodePlan(p); err != nil || !bytes.Equal(canon, blob) {
-			return walRecord{}, errors.New("plan rebase: the plan is not in plan.EncodePlan's form")
+			return Record{}, errors.New("plan rebase: the plan is not in plan.EncodePlan's form")
 		}
-		rec.PlanRebase = &recPlanRebase{Plan: p}
+		rec.PlanRebase = &RecPlanRebase{Plan: p}
 	case tagTickFaults, tagConfirmFaults, tagRequeueFaults:
-		return walRecord{}, fmt.Errorf("%s record with tag %d, the form that carried fault counters, which is no longer read", faultsForm[tag], tag)
+		return Record{}, fmt.Errorf("%s record with tag %d, the form that carried fault counters, which is no longer read", faultsForm[tag], tag)
 	case tagEpochSlot:
-		return walRecord{}, errors.New("epoch record with tag 6, the form that carried a slot, which is no longer read")
+		return Record{}, errors.New("epoch record with tag 6, the form that carried a slot, which is no longer read")
 	case tagTickBackRef:
-		return walRecord{}, errors.New("tick record with tag 3, the form with back-referenced IDs that predates front coding, which is no longer read")
+		return Record{}, errors.New("tick record with tag 3, the form with back-referenced IDs that predates front coding, which is no longer read")
 	case '{':
-		return walRecord{}, errors.New("WAL record in the JSON form of a pre-binary-codec RM, which is no longer read")
+		return Record{}, errors.New("WAL record in the JSON form of a pre-binary-codec RM, which is no longer read")
 	default:
 		if r.Err() == nil {
-			return walRecord{}, fmt.Errorf("unknown WAL record tag %#x", tag)
+			return Record{}, fmt.Errorf("unknown WAL record tag %#x", tag)
 		}
 	}
 	if err := r.Finish(); err != nil {
-		return walRecord{}, err
+		return Record{}, err
 	}
 	return rec, nil
 }
