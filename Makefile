@@ -13,7 +13,8 @@
 # primitive both journal codecs share (FuzzFrontString), the two binary
 # journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
 # FuzzDecodeWALRecord, run from internal/rmserver's tests over
-# internal/rmstate's codec), the binary heartbeat and submission codecs
+# internal/rmstate's codec), the snapshot's restore (FuzzRestoreSnapshot),
+# the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
 # query, the heartbeat, submission and replication request
 # bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test Go line count the
@@ -94,10 +95,11 @@ verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
 # fuzz runs short bursts of the store framing, front-coded string,
-# plan-diff codec, WAL record codec and heartbeat and submission body
-# codec fuzz targets
+# plan-diff codec, WAL record codec, snapshot and heartbeat and submission
+# body codec fuzz targets
 # (every codec: no panic, an accepted input re-encodes to itself; a diff
-# or record is safe to apply) from the checked-in seed corpora
+# or record is safe to apply; a snapshot is refused or restores to a
+# state whose snapshot restores to the same bytes) from the checked-in seed corpora
 # (testdata/fuzz/) and in-code seeds, the flow planner target (both
 # stages' certificates pass the exact checker on adversarial capacities
 # and demands, overflow-sized ones included), the GET /v1/status query target (any
@@ -127,6 +129,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/
+	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime 10s -run '^$$' ./internal/rmstate/
 	$(GO) test -fuzz FuzzHeartbeatCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzSubmitCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/

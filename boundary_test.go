@@ -18,10 +18,6 @@ import (
 // from a journal is then what the live RM held, whatever clock or disk it
 // ran beside.
 func TestRMStateReadsNoClockOrIO(t *testing.T) {
-	files, err := filepath.Glob("internal/rmstate/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	refused := func(path string) bool {
 		for _, p := range []string{"sync", "os", "net", "math/rand", "flowtime/internal/store"} {
 			if path == p || strings.HasPrefix(path, p+"/") {
@@ -30,17 +26,8 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 		}
 		return false
 	}
-	fset := token.NewFileSet()
-	checked := 0
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parse %s: %v", file, err)
-		}
-		checked++
+	fset, files := parseRMState(t)
+	for _, f := range files {
 		timePkg := ""
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
@@ -61,7 +48,57 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 			return true
 		})
 	}
-	if checked == 0 {
+}
+
+// TestOnlyApplyMakesState holds internal/rmstate to one way of making what
+// it holds: no non-test file of it writes a Job, Workflow or Lease
+// composite literal outside applyWorkflow, applyAdHoc and applyTick, which
+// State.Apply runs for an admission record and a tick record. The live RM,
+// replay, a follower's ingest and a snapshot's restore then all build a
+// job, a workflow or a lease from the record that journals it.
+func TestOnlyApplyMakesState(t *testing.T) {
+	makers := map[string]bool{"applyWorkflow": true, "applyAdHoc": true, "applyTick": true}
+	held := map[string]bool{"Job": true, "Workflow": true, "Lease": true}
+	fset, files := parseRMState(t)
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			if fn != nil && makers[fn.Name.Name] {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if id, ok := lit.Type.(*ast.Ident); ok && held[id.Name] {
+						t.Errorf("%s: a %s literal outside applyWorkflow, applyAdHoc and applyTick", fset.Position(lit.Pos()), id.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// parseRMState parses the non-test Go files of internal/rmstate.
+func parseRMState(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	paths, err := filepath.Glob("internal/rmstate/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
 		t.Fatal("found no Go file in internal/rmstate")
 	}
+	return fset, files
 }

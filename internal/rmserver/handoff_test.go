@@ -45,7 +45,7 @@ func checkBooks(t testing.TB, rm *Server, what string) {
 			t.Fatalf("%s: lease %s belongs to %s, which is not a live job", what, qid, l.Job.ID)
 		}
 		inFlight[l.Job] = inFlight[l.Job].Add(l.Grant)
-		if l.Issued == rm.st.Slot()-1 {
+		if l.Expiry-rm.cfg.LeaseExpiry == rm.st.Slot()-1 { // issued this slot
 			thisSlot[l.NodeID] = thisSlot[l.NodeID].Add(l.Grant)
 		}
 	}

@@ -99,10 +99,11 @@
 //
 // Formats: a WAL payload is a tagged binary record, and rmstate's
 // walcodec.go is the only file that knows its layout; a snapshot is
-// State.Snapshot's JSON. A record holds only what replay reads, and a
-// snapshot only the replayed state: no fault counter, no epoch this
-// process merely saw. `ftrm -wal-dump` prints a log as JSON lines
-// (DumpWAL).
+// State.Snapshot's JSON around records in that codec (admissions, a tick
+// of the leases), which rmstate.Restore applies as replay does. A record
+// holds only what replay reads, and a snapshot only the replayed state: no
+// fault counter, no epoch this process merely saw. `ftrm -wal-dump` prints
+// a log as JSON lines (DumpWAL).
 package rmserver
 
 import (
@@ -214,7 +215,8 @@ func (s *Server) recoverLocked() error {
 	}
 	snap, records := s.store.TakeRecovered()
 	if snap != nil {
-		if err := s.st.Restore(snap); err != nil {
+		var err error
+		if s.st, err = rmstate.Restore(s.cfg.SlotDur, s.cfg.LeaseExpiry, snap); err != nil {
 			return err
 		}
 		rec.FromSnapshot = true

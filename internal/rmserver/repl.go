@@ -162,20 +162,25 @@ func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 	if batch.Empty() {
 		return 0, nil
 	}
+	// A snapshot install is restored before the store takes it and swapped
+	// in after, so one this follower cannot restore changes nothing.
+	var installed *rmstate.State
+	if resp.SnapInstall {
+		installed = rmstate.New(s.cfg.SlotDur, s.cfg.LeaseExpiry)
+		if resp.Snapshot != nil {
+			var err error
+			if installed, err = rmstate.Restore(s.cfg.SlotDur, s.cfg.LeaseExpiry, resp.Snapshot); err != nil {
+				return 0, fmt.Errorf("rmserver: restore shipped snapshot: %w", err)
+			}
+		}
+	}
 	fresh, _, err := s.store.Ingest(batch)
 	if err != nil {
 		return 0, err
 	}
-	if resp.SnapInstall {
-		// The installed snapshot replaces the state, archive included;
-		// cursors into the archive dropped here must not survive it.
-		s.st = rmstate.New(s.cfg.SlotDur, s.cfg.LeaseExpiry)
-		s.instance = newInstance()
-		if resp.Snapshot != nil {
-			if err := s.st.Restore(resp.Snapshot); err != nil {
-				return 0, fmt.Errorf("rmserver: restore shipped snapshot: %w", err)
-			}
-		}
+	if installed != nil {
+		// Cursors into the archive it replaces must not survive it.
+		s.st, s.instance = installed, newInstance()
 	}
 	for i, payload := range fresh {
 		if err := s.applyRecordLocked(payload); err != nil {

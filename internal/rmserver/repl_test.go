@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,59 @@ func TestFailoverPreservesWorkExactlyOnce(t *testing.T) {
 	}
 	if err := follower.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence on promoted RM: %v", err)
+	}
+}
+
+// TestFailoverAfterRefusedInstallKeepsState: a follower that cannot
+// restore the snapshot its primary ships — one written under another
+// -slot — is left as it was, so a promotion then would lead with the
+// state it had replicated, not an empty one. Its status, job table,
+// leases and store watermark are exactly those before the install, and
+// the next poll fails with the same error rather than replicating on.
+func TestFailoverAfterRefusedInstallKeepsState(t *testing.T) {
+	primary, _ := newDurableRM(t, t.TempDir(), true)
+	fst, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fst.Close() })
+	follower, err := New(Config{SlotDur: 2 * slotDur, Scheduler: sched.NewFIFO(), Store: fst, Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	register(t, primary, "n1", 8, 16*1024)
+	submitBoth(t, primary)
+	runSlots(t, primary, "n1", 2, nil)
+	pumpRepl(t, primary, follower)
+	if len(follower.st.Jobs()) == 0 || len(follower.st.Leases()) == 0 {
+		t.Fatalf("the follower replicated %d jobs and %d leases; want both", len(follower.st.Jobs()), len(follower.st.Leases()))
+	}
+	status, state, wm := follower.Status(), snapshotOf(t, follower), fst.Watermark()
+
+	if err := primary.WriteSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for poll := 1; poll <= 2; poll++ {
+		resp, err := primary.ShipLog(rmproto.ShipRequest{Epoch: follower.Epoch(), From: rmproto.ReplWatermark{Gen: wm.Gen, Records: wm.Records, Bytes: wm.Bytes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.SnapInstall {
+			t.Fatalf("poll %d: the primary shipped no snapshot install", poll)
+		}
+		if _, err := follower.IngestShipment(resp); err == nil || !strings.Contains(err.Error(), "slot=") {
+			t.Fatalf("poll %d: install of a snapshot under another -slot: %v", poll, err)
+		}
+		if got := follower.Status(); !reflect.DeepEqual(got, status) {
+			t.Errorf("poll %d: the refused install changed the status:\nbefore: %+v\nafter:  %+v", poll, status, got)
+		}
+		if got := snapshotOf(t, follower); !bytes.Equal(got, state) {
+			t.Errorf("poll %d: the refused install changed the state:\nbefore: %s\nafter:  %s", poll, state, got)
+		}
+		if got := fst.Watermark(); got != wm {
+			t.Errorf("poll %d: the refused install moved the store from %+v to %+v", poll, wm, got)
+		}
 	}
 }
 

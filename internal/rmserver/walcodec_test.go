@@ -528,7 +528,9 @@ func TestWALCodecRefusals(t *testing.T) {
 	}
 
 	// A JSON record, a JSON diff and a version 1 snapshot each fail
-	// recovery of the directory that holds them, with the same names.
+	// recovery of the directory that holds them, with the same names; so do
+	// a snapshot whose workflow entry is no workflow's admission record and
+	// one with a lease on no job it holds, as a follower's install too.
 	_, _, err := recoverFrom(t, [][]byte{refused["JSON payload"]}, 0)
 	if err == nil || !strings.Contains(err.Error(), "JSON") {
 		t.Errorf("recovery over a JSON record: %v", err)
@@ -537,22 +539,35 @@ func TestWALCodecRefusals(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "JSON diff") {
 		t.Errorf("recovery over a JSON diff: %v", err)
 	}
-	dir := t.TempDir()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
+	snap := func(version int, rest string) string {
+		return fmt.Sprintf(`{"version":%d,"slot_dur_ns":%d,"slot":1,"next_qid":2%s}`, version, int64(slotDur), rest)
 	}
-	v1 := fmt.Sprintf(`{"version":1,"slot_dur_ns":%d,"slot":3,"next_qid":0}`, int64(slotDur))
-	if err := st.WriteSnapshot([]byte(v1)); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	if st, err = store.Open(store.Options{Dir: dir, Policy: store.SyncNever}); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := New(streamingConfig(st, false)); err == nil || !strings.Contains(err.Error(), "snapshot version 1") {
-		t.Errorf("recovery over a version 1 snapshot: %v", err)
+	for name, c := range map[string]struct{ snapshot, want string }{
+		"a version 1 snapshot":     {snap(1, ""), "snapshot version 1"},
+		"an epoch as a workflow":   {snap(5, `,"workflows":[{"record":`+mustJSON(accepted["epoch 2"])+`,"jobs":[]}]`), "not the admission record of a new workflow"},
+		"a lease on an absent job": {snap(5, `,"leases":`+mustJSON(accepted["two grants sharing an expiry"])), "snapshot lease q-1 references unknown job j"},
+	} {
+		dir := t.TempDir()
+		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WriteSnapshot([]byte(c.snapshot)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if st, err = store.Open(store.Options{Dir: dir, Policy: store.SyncNever}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(streamingConfig(st, false)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("recovery over %s: %v", name, err)
+		}
+		st.Close()
+		follower := openStreamingRM(t, t.TempDir(), true)
+		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SnapInstall: true, Gen: 1, Snapshot: []byte(c.snapshot)})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("follower install of %s: %v", name, err)
+		}
 	}
 }
 
@@ -606,7 +621,8 @@ func parentDiff() []byte {
 
 // TestPreviousJournalFormsRefused: state written in an earlier form — a
 // tick, confirm or requeue carrying fault counters (tags 9, 4, 5), an
-// epoch carrying a slot (tag 6), a version 3 snapshot, and from before
+// epoch carrying a slot (tag 6), a version 4 snapshot, which held jobs
+// and leases in a schema of their own, a version 3 snapshot, and from before
 // the plan lost θ and IDs were front-coded a tag 3 tick, a tag 0x01 diff,
 // a rebase plan with "theta", a version 2 snapshot and a snapshot plan
 // with "theta" — is refused by recovery, by a follower's ingest and by
@@ -668,9 +684,10 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 		snapshot string
 		want     []string
 	}{
+		"version 4 snapshot":          {snap(4), []string{"snapshot version 4", "jobs and leases", "schema of their own", "no longer read"}},
 		"version 3 snapshot":          {snap(3), []string{"snapshot version 3", "fault counters", "in-flight", "no longer read"}},
 		"version 2 snapshot":          {snap(2), []string{"snapshot version 2", "θ", "predates"}},
-		"snapshot plan with θ levels": {snap(4), []string{"snapshot plan", `"theta"`, "predates"}},
+		"snapshot plan with θ levels": {snap(5), []string{"snapshot plan", `"theta"`, "predates"}},
 	} {
 		dir := t.TempDir()
 		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})

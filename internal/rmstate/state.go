@@ -13,6 +13,7 @@
 package rmstate
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,7 +69,7 @@ func New(slotDur time.Duration, leaseExpiry int64) *State {
 	}
 }
 
-// Job is one job as the state holds it. Only Apply writes its fields.
+// Job is one job as the state holds it; only Apply and Restore write it.
 type Job struct {
 	ID         string
 	Kind       sched.JobKind
@@ -89,6 +90,8 @@ type Job struct {
 
 	Done     bool
 	DoneSlot int64
+
+	adhoc *RecAdHoc // an ad-hoc job's admission record; nil for a workflow's job
 }
 
 // Lease is one issued quantum: which job it advances, which node holds it,
@@ -98,7 +101,6 @@ type Lease struct {
 	Job    *Job
 	NodeID string
 	Grant  resource.Vector
-	Issued int64 // slot the lease was created
 	Expiry int64 // slot at which the lease is reclaimed
 }
 
@@ -107,6 +109,8 @@ type Workflow struct {
 	WF   *workflow.Workflow
 	Jobs []*Job // by node index, completed ones included
 	Live int    // jobs not yet completed
+
+	rec *RecWorkflow // its admission record
 }
 
 // Slot, Epoch, Jobs, Workflows, Leases, Done and Plan read the state: the
@@ -250,12 +254,14 @@ func (s *State) applyWorkflow(r *RecWorkflow) error {
 	if len(r.Windows) != len(r.WF.Jobs) {
 		return fmt.Errorf("workflow %s: %d windows for %d jobs", r.WF.ID, len(r.Windows), len(r.WF.Jobs))
 	}
-	wf, err := workflowFromRecord(r.WF, r.SubmitNS, r.DeadlineNS)
+	wf, err := r.WF.ToWorkflow()
 	if err != nil {
 		return fmt.Errorf("workflow %s: %w", r.WF.ID, err)
 	}
+	// The journaled offsets: whole seconds cannot express sub-second slots.
+	wf.Submit, wf.Deadline = time.Duration(r.SubmitNS), time.Duration(r.DeadlineNS)
 	arrived := time.Duration(r.Slot) * s.slotDur
-	ws := &Workflow{WF: wf, Jobs: make([]*Job, wf.NumJobs()), Live: wf.NumJobs()}
+	ws := &Workflow{WF: wf, Jobs: make([]*Job, wf.NumJobs()), Live: wf.NumJobs(), rec: r}
 	for i := 0; i < wf.NumJobs(); i++ {
 		job := wf.Job(i)
 		w := r.Windows[i]
@@ -295,6 +301,7 @@ func (s *State) applyAdHoc(r *RecAdHoc) error {
 		Arrived:     time.Duration(r.Slot) * s.slotDur,
 		Total:       a.Volume(s.slotDur),
 		ParallelCap: a.ParallelCap(),
+		adhoc:       r,
 	}
 	return nil
 }
@@ -315,10 +322,7 @@ func (s *State) applyTick(r *RecTick) {
 			continue
 		}
 		s.nextQID = n
-		s.leases[g.QID] = &Lease{
-			QID: g.QID, Job: j, NodeID: g.NodeID,
-			Grant: g.Grant, Issued: r.Slot - 1, Expiry: g.Expiry,
-		}
+		s.leases[g.QID] = &Lease{QID: g.QID, Job: j, NodeID: g.NodeID, Grant: g.Grant, Expiry: g.Expiry}
 		j.InFlight = j.InFlight.Add(g.Grant)
 	}
 	s.slot = max(s.slot, r.Slot)
@@ -446,19 +450,6 @@ func (s *State) JobStatus(j *Job) rmproto.JobStatus {
 		}
 	}
 	return st
-}
-
-// workflowFromRecord rebuilds a workflow object from its trace record and
-// re-anchors its window to the journaled nanosecond offsets (the record's
-// whole-second fields cannot express sub-second slot clocks).
-func workflowFromRecord(rec trace.WorkflowRecord, submitNS, deadlineNS int64) (*workflow.Workflow, error) {
-	wf, err := rec.ToWorkflow()
-	if err != nil {
-		return nil, err
-	}
-	wf.Submit = time.Duration(submitNS)
-	wf.Deadline = time.Duration(deadlineNS)
-	return wf, nil
 }
 
 // Node is a node as placement sees it: its capacity, and the volume this
@@ -755,115 +746,100 @@ func (s *State) readyOnConfirm(j *Job, inFlight func(*Job) resource.Vector) bool
 	return true
 }
 
-// snapVersion identifies the snapshot schema. Version 4 holds live state
-// only — workflows with an unfinished job, unfinished ad-hoc jobs — beside
-// the archive of completed jobs in completion order, and a plan of
-// integers only. Version 3 was the same plus the fault counters and each
-// job's in-flight volume, with a journal of counter-carrying records
-// behind it; version 2 had θ levels in the plan and a journal of
-// back-referenced tick IDs behind it; version 1 held every job ever
-// admitted, flagged done or not. All are refused, by name: nothing writes
-// them, under the condition walcodec.go states for the journal.
-const snapVersion = 4
+// snapVersion identifies the snapshot schema: the live state as the
+// records Apply made it from, beside each job's progress, the archive and
+// the plan. Earlier versions are refused by name: nothing writes them,
+// under the condition walcodec.go states for the journal.
+const snapVersion = 5
 
 // oldSnapshots names the forms of the versions before snapVersion.
 var oldSnapshots = map[int]string{
+	4: "that held jobs and leases in a schema of their own",
 	3: "that carried fault counters and in-flight volume",
 	2: "with θ levels in its plan that predates front-coded journal IDs",
 	1: "that predates the completed-job archive",
 }
 
-// snapState is the full-state snapshot payload. It holds no job's
-// in-flight volume, which is the sum of its leases' grants and is rebuilt
-// from them.
+// snapState is the full-state snapshot payload. Records are journal
+// payloads: each live workflow's and ad-hoc job's admission, and one tick
+// at Slot granting the leases, which rebuild each job's in-flight volume.
 type snapState struct {
-	Version   int            `json:"version"`
-	SlotDurNS int64          `json:"slot_dur_ns"`
-	Slot      int64          `json:"slot"`
-	Epoch     int64          `json:"epoch,omitempty"`
-	NextQID   int64          `json:"next_qid"`
-	Workflows []snapWorkflow `json:"workflows,omitempty"`
-	AdHoc     []snapJob      `json:"adhoc,omitempty"`
-	Leases    []snapLease    `json:"leases,omitempty"`
-	// Done is the archive of completed jobs, in completion order.
-	Done []rmproto.JobStatus `json:"done,omitempty"`
-	// Plan is the live plan in the strict plan codec's wire form; absent
-	// when no plan revision has been applied.
-	Plan json.RawMessage `json:"plan,omitempty"`
+	Version   int                 `json:"version"`
+	SlotDurNS int64               `json:"slot_dur_ns"`
+	Slot      int64               `json:"slot"`
+	Epoch     int64               `json:"epoch,omitempty"`
+	NextQID   int64               `json:"next_qid"`
+	Workflows []snapWorkflow      `json:"workflows,omitempty"`
+	AdHoc     []snapAdHoc         `json:"adhoc,omitempty"`
+	Leases    []byte              `json:"leases,omitempty"`
+	Done      []rmproto.JobStatus `json:"done,omitempty"` // the archive, in completion order
+	Plan      json.RawMessage     `json:"plan,omitempty"` // the plan codec's form; absent before a first revision
 }
 
 type snapWorkflow struct {
-	WF         trace.WorkflowRecord `json:"wf"`
-	SubmitNS   int64                `json:"submit_ns"`
-	DeadlineNS int64                `json:"deadline_ns"`
-	Jobs       []snapJob            `json:"jobs"` // in node-index order, completed ones included
+	Record []byte    `json:"record"`
+	Jobs   []snapJob `json:"jobs"` // by node index, completed ones included
 }
 
 type snapJob struct {
-	ID          string          `json:"id"`
-	Kind        int             `json:"kind"`
-	JobName     string          `json:"job_name,omitempty"`
-	NodeIdx     int             `json:"node_idx"`
-	ArrivedNS   int64           `json:"arrived_ns"`
-	ReleaseNS   int64           `json:"release_ns"`
-	DeadlineNS  int64           `json:"deadline_ns"`
-	Total       resource.Vector `json:"total"`
-	Delivered   resource.Vector `json:"delivered"`
-	ParallelCap resource.Vector `json:"parallel_cap"`
-	MinSlots    int64           `json:"min_slots"`
-	BestEffort  bool            `json:"best_effort,omitempty"`
-	Done        bool            `json:"done,omitempty"`
-	DoneSlot    int64           `json:"done_slot,omitempty"`
+	Delivered resource.Vector `json:"delivered"`
+	Done      bool            `json:"done,omitempty"`
+	DoneSlot  int64           `json:"done_slot,omitempty"`
 }
 
-type snapLease struct {
-	QID    string          `json:"qid"`
-	JobID  string          `json:"job"`
-	NodeID string          `json:"node"`
-	Grant  resource.Vector `json:"grant"`
-	Issued int64           `json:"issued"`
-	Expiry int64           `json:"expiry,omitempty"`
+type snapAdHoc struct {
+	Record    []byte          `json:"record"`
+	Delivered resource.Vector `json:"delivered"`
 }
 
 // Snapshot serializes the whole state — live tables and the archive —
 // deterministically (map iteration order must not leak into the payload).
 func (s *State) Snapshot() ([]byte, error) {
+	var codec Codec
 	st := snapState{
 		Version:   snapVersion,
 		SlotDurNS: int64(s.slotDur),
 		Slot:      s.slot,
 		Epoch:     s.epoch,
 		NextQID:   s.nextQID,
+		Done:      s.done,
 	}
 	for _, id := range sortedKeys(s.wfs) {
 		ws := s.wfs[id]
-		rec, err := workflowToRecord(ws.WF)
+		rec, err := codec.Encode(&Record{Workflow: ws.rec})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot workflow %s: %w", id, err)
 		}
-		sw := snapWorkflow{
-			WF:         rec,
-			SubmitNS:   int64(ws.WF.Submit),
-			DeadlineNS: int64(ws.WF.Deadline),
-			Jobs:       make([]snapJob, len(ws.Jobs)),
-		}
+		sw := snapWorkflow{Record: slices.Clone(rec), Jobs: make([]snapJob, len(ws.Jobs))}
 		for i, j := range ws.Jobs {
-			sw.Jobs[i] = snapFromJob(j)
+			sw.Jobs[i] = snapJob{Delivered: j.Delivered, Done: j.Done, DoneSlot: j.DoneSlot}
 		}
 		st.Workflows = append(st.Workflows, sw)
 	}
 	for _, id := range sortedKeys(s.jobs) {
-		if j := s.jobs[id]; j.Kind == sched.AdHocJob {
-			st.AdHoc = append(st.AdHoc, snapFromJob(j))
+		if j := s.jobs[id]; j.adhoc != nil {
+			rec, err := codec.Encode(&Record{AdHoc: j.adhoc})
+			if err != nil {
+				return nil, fmt.Errorf("snapshot ad-hoc job %s: %w", id, err)
+			}
+			st.AdHoc = append(st.AdHoc, snapAdHoc{Record: slices.Clone(rec), Delivered: j.Delivered})
 		}
 	}
-	st.Done = s.done
-	for _, qid := range sortedKeys(s.leases) {
-		l := s.leases[qid]
-		st.Leases = append(st.Leases, snapLease{
-			QID: l.QID, JobID: l.Job.ID, NodeID: l.NodeID,
-			Grant: l.Grant, Issued: l.Issued, Expiry: l.Expiry,
+	if len(s.leases) > 0 {
+		tick := &RecTick{Slot: s.slot}
+		for _, l := range s.leases {
+			tick.Grants = append(tick.Grants, RecGrant{QID: l.QID, JobID: l.Job.ID, NodeID: l.NodeID, Grant: l.Grant, Expiry: l.Expiry})
+		}
+		// By number: applyTick skips IDs at or below its watermark, "q-10" < "q-9".
+		slices.SortFunc(tick.Grants, func(a, b RecGrant) int {
+			na, _ := rmproto.ParseQuantumID(a.QID)
+			nb, _ := rmproto.ParseQuantumID(b.QID)
+			return cmp.Compare(na, nb)
 		})
+		var err error
+		if st.Leases, err = codec.Encode(&Record{Tick: tick}); err != nil { // the codec's last encode
+			return nil, fmt.Errorf("snapshot leases: %w", err)
+		}
 	}
 	if s.plan.Rev > 0 {
 		payload, err := plan.EncodePlan(s.plan)
@@ -875,66 +851,91 @@ func (s *State) Snapshot() ([]byte, error) {
 	return json.Marshal(&st)
 }
 
-// Restore loads a snapshot into a state fresh from New. A snapshot of
-// another schema version, or one written under another slot duration, is
-// refused.
-func (s *State) Restore(payload []byte) error {
+// Restore returns the state a snapshot holds, applying its records to
+// New(slotDur, leaseExpiry): admissions before the archive, whose IDs they
+// would take for duplicates, and the leases last. It refuses a snapshot of
+// another version or slot duration, or whose records do not make the state
+// it describes (a workflow entry that is no workflow, a lease on no job).
+func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, error) {
 	var st snapState
 	if err := json.Unmarshal(payload, &st); err != nil {
-		return fmt.Errorf("decode snapshot: %w", err)
+		return nil, fmt.Errorf("decode snapshot: %w", err)
 	}
 	if form, old := oldSnapshots[st.Version]; old {
-		return fmt.Errorf("snapshot version %d, the form %s, which is no longer read (want %d)", st.Version, form, snapVersion)
+		return nil, fmt.Errorf("snapshot version %d, the form %s, which is no longer read (want %d)", st.Version, form, snapVersion)
 	} else if st.Version != snapVersion {
-		return fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
+		return nil, fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
 	}
-	if got := time.Duration(st.SlotDurNS); got != s.slotDur {
-		return fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, s.slotDur)
+	if got := time.Duration(st.SlotDurNS); got != slotDur {
+		return nil, fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, slotDur)
 	}
-	s.slot, s.epoch, s.nextQID = st.Slot, st.Epoch, st.NextQID
-	for i := range st.Workflows {
-		sw := &st.Workflows[i]
-		wf, err := workflowFromRecord(sw.WF, sw.SubmitNS, sw.DeadlineNS)
-		if err != nil {
-			return fmt.Errorf("snapshot workflow %s: %w", sw.WF.ID, err)
+	s := New(slotDur, leaseExpiry)
+	s.slot, s.epoch = st.Slot, st.Epoch
+	var codec Codec
+	for i, sw := range st.Workflows {
+		rec, err := codec.Decode(sw.Record)
+		if err == nil && (rec.Workflow == nil || s.knownWorkflow(rec.Workflow.WF.ID)) {
+			err = errors.New("not the admission record of a new workflow")
 		}
-		ws := &Workflow{WF: wf, Jobs: make([]*Job, len(sw.Jobs))}
-		for idx := range sw.Jobs {
-			j := jobFromSnap(&sw.Jobs[idx], wf.ID)
-			ws.Jobs[idx] = j
-			if !j.Done {
-				s.jobs[j.ID] = j
-				ws.Live++
+		if err == nil {
+			err = s.Apply(&rec)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("snapshot workflow %d: %w", i, err)
+		}
+		ws := s.wfs[rec.Workflow.WF.ID]
+		if len(sw.Jobs) != len(ws.Jobs) {
+			return nil, fmt.Errorf("snapshot workflow %s: progress of %d jobs for %d", ws.WF.ID, len(sw.Jobs), len(ws.Jobs))
+		}
+		for idx, p := range sw.Jobs {
+			j := ws.Jobs[idx]
+			j.Delivered, j.Done, j.DoneSlot = p.Delivered, p.Done, p.DoneSlot
+			if j.Done {
+				delete(s.jobs, j.ID)
+				ws.Live--
 			}
 		}
-		s.wfs[wf.ID] = ws
 	}
-	for i := range st.AdHoc {
-		j := jobFromSnap(&st.AdHoc[i], "")
-		s.jobs[j.ID] = j
+	for i, sa := range st.AdHoc {
+		rec, err := codec.Decode(sa.Record)
+		if err == nil && (rec.AdHoc == nil || s.knownAdHoc(rmproto.AdHocJobID(rec.AdHoc.Job.ID))) {
+			err = errors.New("not the admission record of a new ad-hoc job")
+		}
+		if err == nil {
+			err = s.Apply(&rec)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("snapshot ad-hoc job %d: %w", i, err)
+		}
+		s.jobs[rmproto.AdHocJobID(rec.AdHoc.Job.ID)].Delivered = sa.Delivered
 	}
 	for _, d := range st.Done {
 		s.archive(d)
 	}
-	for _, sl := range st.Leases {
-		j, ok := s.jobs[sl.JobID]
-		if !ok {
-			return fmt.Errorf("snapshot lease %s references unknown job %s", sl.QID, sl.JobID)
+	if len(st.Leases) > 0 {
+		rec, err := codec.Decode(st.Leases)
+		if err == nil && rec.Tick == nil {
+			err = errors.New("not a tick record")
 		}
-		s.leases[sl.QID] = &Lease{
-			QID: sl.QID, Job: j, NodeID: sl.NodeID,
-			Grant: sl.Grant, Issued: sl.Issued, Expiry: sl.Expiry,
+		if err != nil {
+			return nil, fmt.Errorf("snapshot leases: %w", err)
 		}
-		j.InFlight = j.InFlight.Add(sl.Grant)
+		_ = s.Apply(&rec) // a tick always applies
+		for _, g := range rec.Tick.Grants {
+			if l := s.leases[g.QID]; l == nil || l.Job.ID != g.JobID {
+				return nil, fmt.Errorf("snapshot lease %s references unknown job %s, or is out of quantum-ID order", g.QID, g.JobID)
+			}
+		}
 	}
+	s.nextQID = max(s.nextQID, st.NextQID)
 	if len(st.Plan) > 0 {
 		p, err := plan.DecodePlan(st.Plan)
 		if err != nil {
-			return fmt.Errorf("snapshot plan: %w", err)
+			return nil, fmt.Errorf("snapshot plan: %w", err)
 		}
 		s.plan = p
 	}
-	return nil
+	return s, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -944,52 +945,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func jobFromSnap(sj *snapJob, wfID string) *Job {
-	return &Job{
-		ID:          sj.ID,
-		Kind:        sched.JobKind(sj.Kind),
-		WorkflowID:  wfID,
-		JobName:     sj.JobName,
-		NodeIdx:     sj.NodeIdx,
-		Arrived:     time.Duration(sj.ArrivedNS),
-		Release:     time.Duration(sj.ReleaseNS),
-		Deadline:    time.Duration(sj.DeadlineNS),
-		Total:       sj.Total,
-		Delivered:   sj.Delivered,
-		ParallelCap: sj.ParallelCap,
-		MinSlots:    sj.MinSlots,
-		BestEffort:  sj.BestEffort,
-		Done:        sj.Done,
-		DoneSlot:    sj.DoneSlot,
-	}
-}
-
-func snapFromJob(j *Job) snapJob {
-	return snapJob{
-		ID:          j.ID,
-		Kind:        int(j.Kind),
-		JobName:     j.JobName,
-		NodeIdx:     j.NodeIdx,
-		ArrivedNS:   int64(j.Arrived),
-		ReleaseNS:   int64(j.Release),
-		DeadlineNS:  int64(j.Deadline),
-		Total:       j.Total,
-		Delivered:   j.Delivered,
-		ParallelCap: j.ParallelCap,
-		MinSlots:    j.MinSlots,
-		BestEffort:  j.BestEffort,
-		Done:        j.Done,
-		DoneSlot:    j.DoneSlot,
-	}
-}
-
-// workflowToRecord serializes a workflow back into its trace record.
-func workflowToRecord(wf *workflow.Workflow) (trace.WorkflowRecord, error) {
-	tr, err := trace.FromWorkload([]*workflow.Workflow{wf}, nil)
-	if err != nil {
-		return trace.WorkflowRecord{}, err
-	}
-	return tr.Workflows[0], nil
 }

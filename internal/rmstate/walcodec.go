@@ -51,7 +51,7 @@
 // before that a payload was json.Marshal(Record), which always opens
 // with '{' — a byte no tag takes. Nothing has written any of them since
 // and no supported state directory predates a snapshot rotation under
-// this form (rotation drops the old log and writes a version-4 snapshot;
+// this form (rotation drops the old log and writes a current snapshot;
 // there is no deployed fleet), so none is read: decode refuses tags 4, 5,
 // 6 and 9, a tag 3 tick, a tag 0x01 diff, a rebase plan with "theta", a
 // '{' payload and a '{' diff behind tagPlanDiff, each with an error that
