@@ -17,8 +17,8 @@
 # the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
 # query, the heartbeat, submission and replication request
-# bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test Go line count the
-# subtraction passes are measured by; `make check` ends with it.
+# bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test and the test Go
+# line counts the subtraction passes are measured by; `make check` ends with them.
 
 GO ?= go
 
@@ -175,9 +175,11 @@ bench-e2e:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# loc prints the size the subtraction passes are measured by: lines of
-# non-test Go in the root module (bench/ is a module of its own).
+# loc prints the sizes the subtraction passes are measured by: lines of
+# non-test Go, then of test Go, in the root module (bench/ is a module of
+# its own).
 loc:
 	@printf 'non-test Go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@printf 'test Go lines: '; find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 check: vet fmt lint race cover sim-smoke bench-e2e loc

@@ -26,7 +26,7 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 		}
 		return false
 	}
-	fset, files := parseRMState(t)
+	fset, files := parseRMState(t, false)
 	for _, f := range files {
 		timePkg := ""
 		for _, imp := range f.Imports {
@@ -51,15 +51,16 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 }
 
 // TestOnlyApplyMakesState holds internal/rmstate to one way of making what
-// it holds: no non-test file of it writes a Job, Workflow or Lease
-// composite literal outside applyWorkflow, applyAdHoc and applyTick, which
-// State.Apply runs for an admission record and a tick record. The live RM,
-// replay, a follower's ingest and a snapshot's restore then all build a
-// job, a workflow or a lease from the record that journals it.
+// it holds: no file of it, its tests included, writes a Job, Workflow or
+// Lease composite literal outside applyWorkflow, applyAdHoc and applyTick,
+// which State.Apply runs for an admission record and a tick record. The
+// live RM, replay, a follower's ingest, a snapshot's restore and every test
+// then all build a job, a workflow or a lease from the record that
+// journals it.
 func TestOnlyApplyMakesState(t *testing.T) {
 	makers := map[string]bool{"applyWorkflow": true, "applyAdHoc": true, "applyTick": true}
 	held := map[string]bool{"Job": true, "Workflow": true, "Lease": true}
-	fset, files := parseRMState(t)
+	fset, files := parseRMState(t, true)
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
@@ -78,8 +79,9 @@ func TestOnlyApplyMakesState(t *testing.T) {
 	}
 }
 
-// parseRMState parses the non-test Go files of internal/rmstate.
-func parseRMState(t *testing.T) (*token.FileSet, []*ast.File) {
+// parseRMState parses the Go files of internal/rmstate, its test files
+// only when tests is set.
+func parseRMState(t *testing.T, tests bool) (*token.FileSet, []*ast.File) {
 	t.Helper()
 	paths, err := filepath.Glob("internal/rmstate/*.go")
 	if err != nil {
@@ -88,7 +90,7 @@ func parseRMState(t *testing.T) (*token.FileSet, []*ast.File) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
+		if !tests && strings.HasSuffix(path, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)

@@ -298,9 +298,11 @@ type ShipRequest struct {
 
 // ShipResponse carries one replication batch (the wire form of the
 // store's ShipBatch), stamped with the primary's epoch so a follower
-// rejects late batches from a deposed primary.
+// rejects late batches from a deposed primary, and with its slot
+// duration so a follower started under another -slot refuses every batch.
 type ShipResponse struct {
 	Epoch       int64         `json:"epoch"`
+	SlotDurNS   int64         `json:"slot_dur_ns"`
 	SnapInstall bool          `json:"snap_install,omitempty"`
 	Gen         int64         `json:"gen"`
 	Snapshot    []byte        `json:"snapshot,omitempty"`

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"flowtime/internal/core"
 	"flowtime/internal/oracle"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
@@ -121,22 +120,11 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int, digest, wal uint64) {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	defer st.Close()
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	ft := oracle.NewConserving(cfg) // a violation fails the Tick that saw it
-	rm, err := New(Config{SlotDur: burstSlot, Scheduler: ft, NodeExpiry: 3 * burstSlot, Store: st, AdHocGate: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	nodes := make([]string, burstNodes)
-	for i := range nodes {
-		nodes[i] = fmt.Sprintf("n%03d", i)
-		register(t, rm, nodes[i], burstVCores, burstVCores*4096)
+	ft := oracle.NewConserving(planStreaming()) // a violation fails the Tick that saw it
+	c := newCluster(t, Config{SlotDur: burstSlot, Scheduler: ft, NodeExpiry: 3 * burstSlot, AdHocGate: true}, &durable{dir: dir, policy: store.SyncNever})
+	rm := c.rm
+	for i := 0; i < burstNodes; i++ {
+		c.register(fmt.Sprintf("n%03d", i), burstVCores, burstVCores*4096)
 	}
 
 	slotSec := int64(burstSlot / time.Second)
@@ -148,27 +136,11 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 		}
 		deadlineSec[rec.ID] = rm.Status().Slot*slotSec + rec.DeadlineSec - rec.SubmitSec
 	}
-	pending := make([][]string, burstNodes)
-	tick := func() {
-		if err := rm.Tick(time.Now()); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-		for i, id := range nodes {
-			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: id, Completed: pending[i]}, time.Now())
-			if err != nil {
-				t.Fatalf("Heartbeat(%s): %v", id, err)
-			}
-			pending[i] = pending[i][:0]
-			for _, q := range resp.Launch {
-				pending[i] = append(pending[i], q.ID)
-			}
-		}
-	}
 
 	for _, rec := range setup {
 		submitWF(rec)
 	}
-	tick()
+	c.step()
 	decisions := fnv.New64a()
 	for _, load := range slots {
 		for _, rec := range load.wfs {
@@ -189,7 +161,7 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 			}
 			decisions.Write(append([]byte(rec.ID), verdict))
 		}
-		tick()
+		c.step()
 	}
 
 	final := rm.Status()

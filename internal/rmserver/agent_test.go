@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"flowtime/internal/rmproto"
-	"flowtime/internal/sched"
 	"flowtime/internal/trace"
 )
 
@@ -58,13 +57,7 @@ func serveRM(t *testing.T, rm *Server, ln net.Listener) (shutdown func()) {
 // submitted to the new RM completes.
 func TestAgentRecoversFromRMRestart(t *testing.T) {
 	const agentSlot = 20 * time.Millisecond
-	newServer := func() *Server {
-		rm, err := New(Config{SlotDur: agentSlot, Scheduler: sched.NewFIFO()})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return rm
-	}
+	newServer := func() *Server { return newCluster(t, Config{SlotDur: agentSlot}, nil).rm }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -230,13 +223,7 @@ func TestAgentKeepsLeasesAcrossTransportFailover(t *testing.T) {
 	// a lease up and confirming it, so stopping RM A inside that window
 	// is not a race.
 	const agentSlot = 200 * time.Millisecond
-	newServer := func() *Server {
-		rm, err := New(Config{SlotDur: agentSlot, Scheduler: sched.NewFIFO()})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return rm
-	}
+	newServer := func() *Server { return newCluster(t, Config{SlotDur: agentSlot}, nil).rm }
 	rmA, rmB := newServer(), newServer()
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -323,10 +310,7 @@ func TestAgentKeepsLeasesAcrossTransportFailover(t *testing.T) {
 // gets unknown_node over HTTP and it re-registers.
 func TestAgentSurvivesEvictionByRM(t *testing.T) {
 	const agentSlot = 20 * time.Millisecond
-	rm, err := New(Config{SlotDur: agentSlot, Scheduler: sched.NewFIFO()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	rm := newCluster(t, Config{SlotDur: agentSlot}, nil).rm
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -374,13 +358,7 @@ func TestAgentSurvivesEvictionByRM(t *testing.T) {
 // failoverAfter attempts, and no fewer, it fails over to the standby.
 func TestAgentLeavesWedgedRM(t *testing.T) {
 	const agentSlot = 50 * time.Millisecond
-	newServer := func() *Server {
-		rm, err := New(Config{SlotDur: agentSlot, Scheduler: sched.NewFIFO()})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return rm
-	}
+	newServer := func() *Server { return newCluster(t, Config{SlotDur: agentSlot}, nil).rm }
 	rmA, rmB := newServer(), newServer()
 	var wedged atomic.Bool
 	var wedgedBeats atomic.Int64
@@ -456,10 +434,7 @@ func (rt *flakyRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // at the first success. The RM's hour-long slot keeps the first heartbeat
 // out of the count.
 func TestRetryStopsOnSuccess(t *testing.T) {
-	rm, err := New(Config{SlotDur: time.Hour, Scheduler: sched.NewFIFO()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	rm := newCluster(t, Config{SlotDur: time.Hour}, nil).rm
 	srv := httptest.NewServer(rm.Handler())
 	defer srv.Close()
 	rt := &flakyRT{refuse: 2}
@@ -490,16 +465,13 @@ func TestRetryStopsOnSuccess(t *testing.T) {
 // TestRetryStopsOnPermanentError: a 4xx answer to a registration is not
 // retried; RunAgent returns it after the one request.
 func TestRetryStopsOnPermanentError(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	rm := newCluster(t, Config{}, nil).rm
 	srv := httptest.NewServer(rm.Handler())
 	defer srv.Close()
 	rt := &flakyRT{}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err = RunAgent(ctx, NewClient(srv.URL, &http.Client{Transport: rt}), AgentConfig{
+	err := RunAgent(ctx, NewClient(srv.URL, &http.Client{Transport: rt}), AgentConfig{
 		NodeID:  "n1", // zero capacity: the RM refuses the node
 		Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond},
 	})
@@ -543,10 +515,7 @@ func TestRetryBacksOffAfterCommitFailed(t *testing.T) {
 	backoff := Backoff{Base: 50 * time.Millisecond, Max: 50 * time.Millisecond}
 	// backoff.Delay(0) is jittered down by at most backoffJitter.
 	minWait := time.Duration(float64(min(backoff.Base, interval)) * (1 - backoffJitter))
-	rm, err := New(Config{SlotDur: interval, Scheduler: sched.NewFIFO()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	rm := newCluster(t, Config{SlotDur: interval}, nil).rm
 	h := rm.Handler()
 	type beat struct {
 		at        time.Time

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"flowtime/internal/core"
 	"flowtime/internal/resource"
@@ -29,8 +28,9 @@ import (
 // completed late, running past its deadline, running, and pending.
 func metricsScenario(t *testing.T) *Server {
 	t.Helper()
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
@@ -41,7 +41,7 @@ func metricsScenario(t *testing.T) *Server {
 	}
 	submitAdHoc(t, rm, "a-small", 1, 10)
 	submitAdHoc(t, rm, "big", 40, 100)
-	runSlots(t, rm, "n1", 6, nil)
+	c.run(6)
 	submitAdHoc(t, rm, "fresh", 1, 10)
 	return rm
 }
@@ -162,43 +162,38 @@ func checkArchiveInvariants(t *testing.T, rm *Server, prev []rmproto.JobStatus) 
 	return append([]rmproto.JobStatus(nil), archive...)
 }
 
-// driveMixed plays a seeded mixed run against *rmp for the given number of
-// slots: chain workflows (every third with a deadline it cannot meet) and
-// ad-hoc jobs arriving throughout, on three nodes. Workflows keep arriving
-// to the last slots, not only through the first half: FlowTime runs ready
+// driveMixed plays a seeded mixed run on c for the given number of slots:
+// chain workflows (every third with a deadline it cannot meet) and ad-hoc
+// jobs arriving throughout, on three nodes. Workflows keep arriving to the
+// last slots, not only through the first half: FlowTime runs ready
 // deadline work on idle capacity, so on this mostly idle cluster a chain is
 // done a few slots after it arrives instead of near its deadline, and only
 // a run that keeps submitting still has a half-archived workflow at its
 // late samples and live workflows beside finished ones at its end — what
-// the two tests below are written to observe. The first-fit node
-// restarts once (re-registers, so the RM requeues what it held) and later
-// wedges long enough for its leases to expire. Every node heartbeats in
-// every slot, so what one reply carries is what the node was handed for
-// the slot, by the tick and by the other nodes' confirming heartbeats
+// the two tests below are written to observe. The first-fit node restarts
+// once (re-registers, so the RM requeues what it held) and later wedges
+// long enough for its leases to expire. Every node heartbeats in every
+// slot, so what one reply carries is what the node was handed for the
+// slot, by the tick and by the other nodes' confirming heartbeats
 // together: it must fit the node.
 // each runs after every slot's heartbeats. It may restart the RM by
-// storing another server in *rmp: the nodes register with that one
+// replacing *c with another cluster: the nodes register with that one
 // before the next slot, holding nothing. afterOp, when not nil, runs after
 // every call that may change the RM's state, named by what.
-func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slot int), afterOp func(what string)) {
+func driveMixed(t *testing.T, c *cluster, seed int64, slots int, each func(slot int), afterOp func(what string)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	nodes := []string{"n1", "n2", "n3"}
-	var rm *Server
-	held := map[string][]string{}
 	did := func(format string, args ...any) {
 		if afterOp != nil {
 			afterOp(fmt.Sprintf(format, args...))
 		}
 	}
 	for slot := 0; slot < slots; slot++ {
-		if rm != *rmp {
-			rm = *rmp
-			for _, n := range nodes {
-				register(t, rm, n, 4, 8*1024)
+		if len(c.nodes) == 0 {
+			for _, n := range []string{"n1", "n2", "n3"} {
+				c.register(n, 4, 8*1024)
 				did("slot %d: register %s", slot, n)
 			}
-			clear(held)
 		}
 		if slot%4 == 0 {
 			wf := chainWorkflow(int64(200 + rng.Intn(400)))
@@ -206,68 +201,40 @@ func driveMixed(t *testing.T, rmp **Server, seed int64, slots int, each func(slo
 				wf = chainWorkflow(20)
 			}
 			wf.ID = fmt.Sprintf("wf-%d", slot)
-			if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf}); err != nil {
+			if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: wf}); err != nil {
 				t.Fatalf("SubmitWorkflow: %v", err)
 			}
 			did("slot %d: submit %s", slot, wf.ID)
 		}
 		for i := rng.Intn(3); i > 0; i-- {
-			submitAdHoc(t, rm, fmt.Sprintf("a%d-%d", slot, i), 1+rng.Intn(3), int64(10*(1+rng.Intn(2))))
+			submitAdHoc(t, c.rm, fmt.Sprintf("a%d-%d", slot, i), 1+rng.Intn(3), int64(10*(1+rng.Intn(2))))
 			did("slot %d: submit a%d-%d", slot, slot, i)
 		}
-		if err := rm.Tick(time.Now()); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
+		c.tick()
 		did("slot %d: tick", slot)
-		for _, n := range nodes {
-			if n == "n1" && slot == 7 {
-				register(t, rm, n, 4, 8*1024) // restarted with empty hands
-				did("slot %d: re-register %s", slot, n)
-				held[n] = nil
-			}
-			wedged := n == "n1" && slot >= 10 && slot < 16
-			req := rmproto.HeartbeatRequest{NodeID: n}
-			if !wedged {
-				req.Completed = held[n]
-			}
-			resp, err := rm.Heartbeat(req, time.Now())
-			if err != nil {
-				t.Fatalf("Heartbeat(%s): %v", n, err)
-			}
-			did("slot %d: heartbeat %s confirming %v", slot, n, req.Completed)
+		if slot == 7 {
+			c.register("n1", 4, 8*1024) // restarted with empty hands
+			did("slot %d: re-register n1", slot)
+		}
+		c.wedged["n1"] = slot >= 10 && slot < 16
+		c.beatAll(func(n string, launch []rmproto.Quantum) {
+			did("slot %d: heartbeat %s", slot, n)
 			var handed rmproto.Resources
-			for _, q := range resp.Launch {
+			for _, q := range launch {
 				handed.VCores += q.Grant.VCores
 				handed.MemoryMB += q.Grant.MemoryMB
 			}
 			if handed.VCores > 4 || handed.MemoryMB > 8*1024 {
 				t.Fatalf("slot %d: node %s was handed %+v in one slot, over its capacity", slot, n, handed)
 			}
-			held[n] = nil
-			if !wedged {
-				held[n] = quantumIDs(resp.Launch)
-			}
-		}
+		})
 		each(slot)
 	}
 }
 
-func newMixedRM(t *testing.T, dir string) *Server {
-	t.Helper()
-	cfg := Config{SlotDur: slotDur, Scheduler: core.New(core.DefaultConfig()), LeaseExpiry: 3}
-	if dir != "" {
-		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		t.Cleanup(func() { st.Close() })
-		cfg.Store = st
-	}
-	rm, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return rm
+// mixedConfig is the configuration driveMixed's runs are played under.
+func mixedConfig() Config {
+	return Config{Scheduler: core.New(core.DefaultConfig()), LeaseExpiry: 3}
 }
 
 // instanceOf reads the instance an RM names its cursors by.
@@ -292,11 +259,11 @@ func instanceOf(rm *Server) string {
 func TestStatusViewsAgree(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		dir := t.TempDir()
-		rm := newMixedRM(t, dir)
+		c := newCluster(t, mixedConfig(), &durable{dir: dir, policy: store.SyncNever})
 		front := &swapHandler{}
-		front.serve(rm)
+		front.serve(c.rm)
 		ts := httptest.NewServer(front)
-		follower, _ := newReplicaRM(t, t.TempDir(), "")
+		follower := newCluster(t, Config{Follower: true}, &durable{}).rm
 		fts := httptest.NewServer(follower.Handler())
 		ctx := context.Background()
 		long, sparse, replica := NewClient(ts.URL, ts.Client()), NewClient(ts.URL, ts.Client()), NewClient(fts.URL, fts.Client())
@@ -314,19 +281,20 @@ func TestStatusViewsAgree(t *testing.T) {
 		instances, followerInstances := map[string]bool{}, map[string]bool{}
 		var archive []rmproto.JobStatus
 		var requeues int64 // both processes' own, summed across the restart
-		driveMixed(t, &rm, seed, 40, func(slot int) {
+		driveMixed(t, c, seed, 40, func(slot int) {
 			switch slot {
 			case 13, 29:
 				// The follower is a generation behind until it installs this.
-				if err := rm.WriteSnapshot(); err != nil {
+				if err := c.rm.WriteSnapshot(); err != nil {
 					t.Fatalf("WriteSnapshot: %v", err)
 				}
 			case 21:
-				requeues += rm.Status().Faults.RequeuedQuanta
-				rm.store.Close()
-				rm = newMixedRM(t, dir)
-				front.serve(rm)
+				requeues += c.rm.Status().Faults.RequeuedQuanta
+				c.store.Close()
+				*c = *newCluster(t, mixedConfig(), &durable{dir: dir, policy: store.SyncNever})
+				front.serve(c.rm)
 			}
+			rm := c.rm
 			at := fmt.Sprintf("seed %d slot %d", seed, slot)
 			want := referenceJobs(rm)
 			if !sort.SliceIsSorted(want, func(a, b int) bool { return want[a].ID < want[b].ID }) {
@@ -364,6 +332,7 @@ func TestStatusViewsAgree(t *testing.T) {
 		}, nil)
 		ts.Close()
 		fts.Close()
+		rm := c.rm
 		if len(instances) != 2 || len(followerInstances) < 3 {
 			t.Errorf("seed %d: the clients saw %d primary and %d follower instances; want the restart's 2 and the installs' 3", seed, len(instances), len(followerInstances))
 		}
@@ -394,11 +363,11 @@ func TestStatusViewsAgree(t *testing.T) {
 // on the directory reopened by a fresh server.
 func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 	dir := t.TempDir()
-	rm := newMixedRM(t, dir)
-	follower, _ := newReplicaRM(t, t.TempDir(), "")
-	follower.cfg.LeaseExpiry = rm.cfg.LeaseExpiry
+	c := newCluster(t, mixedConfig(), &durable{dir: dir, policy: store.SyncNever})
+	rm := c.rm
+	follower := newCluster(t, Config{Follower: true, LeaseExpiry: rm.cfg.LeaseExpiry}, &durable{}).rm
 	var archive []rmproto.JobStatus
-	driveMixed(t, &rm, 5, 30, func(slot int) {
+	driveMixed(t, c, 5, 30, func(slot int) {
 		archive = checkArchiveInvariants(t, rm, archive)
 		if slot == 9 || slot == 21 {
 			if err := rm.WriteSnapshot(); err != nil {
@@ -428,15 +397,8 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 	}
 	before := rm.Status()
 
-	st2, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer st2.Close()
-	rm2, err := New(Config{SlotDur: slotDur, Scheduler: core.New(core.DefaultConfig()), LeaseExpiry: 3, Store: st2})
-	if err != nil {
-		t.Fatalf("New on reopened dir: %v", err)
-	}
+	c2 := newCluster(t, mixedConfig(), &durable{dir: dir, policy: store.SyncNever})
+	rm2, st2 := c2.rm, c2.store
 	if rec := rm2.Recovery(); !rec.FromSnapshot || rec.RecordsReplayed == 0 {
 		t.Fatalf("reopened from %+v, want a snapshot plus a WAL suffix", rec)
 	}
@@ -464,15 +426,15 @@ func TestRecoveryEquivalenceAcrossArchive(t *testing.T) {
 // live tables the appliers used to consult.
 func TestReplayTwiceAcrossCompletion(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 16, 32*1024)
-	submitBoth(t, rm1)
-	if st := driveToCompletion(t, rm1, []string{"n1"}, 100); !allCompleted(st) {
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	c1.register("n1", 16, 32*1024)
+	submitBoth(t, c1.rm)
+	if st := c1.runToCompletion(100); !allCompleted(st) {
 		t.Fatal("run did not complete")
 	}
-	submitAdHoc(t, rm1, "tail", 1, 10)
+	submitAdHoc(t, c1.rm, "tail", 1, 10)
 
-	rm2, _ := newDurableRM(t, dir, true)
+	rm2 := newCluster(t, Config{}, &durable{dir: dir}).rm
 	once := rm2.Status()
 	tail := readWAL(t, dir) // the segment recovery replayed, read again: the store keeps none of it
 	rm2.mu.Lock()
@@ -494,22 +456,15 @@ func TestReplayTwiceAcrossCompletion(t *testing.T) {
 	}
 }
 
-// completedRM builds an RM (FIFO, no store) holding the given numbers of
-// completed and live one-task ad-hoc jobs.
-func completedRM(tb testing.TB, s sched.Scheduler, completed, live int) *Server {
+// completedRM builds a cluster (FIFO, no store) whose RM holds the given
+// numbers of completed and live one-task ad-hoc jobs.
+func completedRM(tb testing.TB, s sched.Scheduler, completed, live int) *cluster {
 	tb.Helper()
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: s})
-	if err != nil {
-		tb.Fatalf("New: %v", err)
-	}
-	now := time.Now()
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{NodeID: "n1",
-		Capacity: rmproto.Resources{VCores: int64(completed + 1), MemoryMB: int64(completed+1) * 512}}, now); err != nil {
-		tb.Fatalf("RegisterNode: %v", err)
-	}
+	c := newCluster(tb, Config{Scheduler: s}, nil)
+	c.register("n1", int64(completed+1), int64(completed+1)*512)
 	submit := func(prefix string, n int, durSec int64) {
 		for i := 0; i < n; i++ {
-			if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+			if _, err := c.rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
 				ID: fmt.Sprintf("%s%05d", prefix, i), Tasks: 1, TaskDurSec: durSec, DemandVCores: 1, DemandMemMB: 512,
 			}}); err != nil {
 				tb.Fatalf("SubmitAdHoc: %v", err)
@@ -517,22 +472,12 @@ func completedRM(tb testing.TB, s sched.Scheduler, completed, live int) *Server 
 		}
 	}
 	submit("done-", completed, 10)
-	var held []string
-	for i := 0; i < 2; i++ {
-		if err := rm.Tick(now); err != nil {
-			tb.Fatalf("Tick: %v", err)
-		}
-		resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: held}, now)
-		if err != nil {
-			tb.Fatalf("Heartbeat: %v", err)
-		}
-		held = quantumIDs(resp.Launch)
-	}
+	c.run(2)
 	submit("live-", live, 1<<20)
-	if st := rm.Status(); st.Summary.Completed != completed || len(st.Jobs) != completed+live {
+	if st := c.rm.Status(); st.Summary.Completed != completed || len(st.Jobs) != completed+live {
 		tb.Fatalf("built %d completed of %d jobs, want %d of %d", st.Summary.Completed, len(st.Jobs), completed, completed+live)
 	}
-	return rm
+	return c
 }
 
 // countingRT counts request body bytes (sent) and response body bytes as
@@ -589,7 +534,7 @@ func checkWireSizes(t *testing.T, rt *countingRT, firstWire, firstDecoded int64,
 // and still reports all 2 020 jobs, as does a bare GET with no cursor. The
 // first, the whole history, crosses the wire gzipped to a third or less.
 func TestStatusWireIsLiveSized(t *testing.T) {
-	rm := completedRM(t, sched.NewFIFO(), 2000, 20)
+	rm := completedRM(t, sched.NewFIFO(), 2000, 20).rm
 	ts := httptest.NewServer(rm.Handler())
 	defer ts.Close()
 	rt := &countingRT{rt: http.DefaultTransport}
@@ -636,7 +581,8 @@ func TestStatusWireIsLiveSized(t *testing.T) {
 // the server's; a bare GET still lists every live job. The first, the
 // whole live list, crosses the wire gzipped to a third or less.
 func TestStatusWireIsChangeSized(t *testing.T) {
-	rm := completedRM(t, sched.NewFIFO(), 0, 2000)
+	cl := completedRM(t, sched.NewFIFO(), 0, 2000)
+	rm := cl.rm
 	ts := httptest.NewServer(rm.Handler())
 	defer ts.Close()
 	rt := &countingRT{rt: http.DefaultTransport}
@@ -646,8 +592,8 @@ func TestStatusWireIsChangeSized(t *testing.T) {
 		t.Fatalf("Status: %v", err)
 	}
 	firstWire, firstDecoded := rt.sizes()
-	register(t, rm, "n1", 20, 20*512) // room for 20 one-core jobs
-	tick(t, rm)
+	cl.register("n1", 20, 20*512) // room for 20 one-core jobs
+	cl.tick()
 	second, err := c.Status(ctx)
 	if err != nil {
 		t.Fatalf("Status: %v", err)
@@ -683,10 +629,9 @@ func (c *countingSched) Assign(ctx sched.AssignContext) (map[string]resource.Vec
 // and 2 000 completed jobs are not in it.
 func TestTickWalksLiveJobsOnly(t *testing.T) {
 	cs := &countingSched{Scheduler: sched.NewFIFO()}
-	rm := completedRM(t, cs, 2000, 20)
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c := completedRM(t, cs, 2000, 20)
+	rm := c.rm
+	c.tick()
 	rm.mu.Lock()
 	archive, _ := rm.st.Done()
 	tracked, wfs, archived := len(rm.st.Jobs()), len(rm.st.Workflows()), len(archive)
@@ -704,8 +649,9 @@ func TestTickWalksLiveJobsOnly(t *testing.T) {
 // workflow ID stays taken while the workflow runs, and after its last job
 // completed and it left the live tables.
 func TestDuplicateWorkflowRejected(t *testing.T) {
-	rm := newRM(t, sched.NewEDF())
-	register(t, rm, "n1", 16, 32*1024)
+	c := newCluster(t, Config{Scheduler: sched.NewEDF()}, nil)
+	rm := c.rm
+	c.register("n1", 16, 32*1024)
 	req := rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}
 	if _, err := rm.SubmitWorkflow(req); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
@@ -713,7 +659,7 @@ func TestDuplicateWorkflowRejected(t *testing.T) {
 	if _, err := rm.SubmitWorkflow(req); err == nil {
 		t.Error("duplicate of a running workflow accepted")
 	}
-	if st := driveToCompletion(t, rm, []string{"n1"}, 100); !allCompleted(st) {
+	if st := c.runToCompletion(100); !allCompleted(st) {
 		t.Fatal("workflow did not complete")
 	}
 	rm.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
@@ -23,7 +22,7 @@ var completedSizes = []struct {
 func BenchmarkStatusIncremental(b *testing.B) {
 	for _, size := range completedSizes {
 		b.Run(size.name, func(b *testing.B) {
-			ts := httptest.NewServer(completedRM(b, sched.NewFIFO(), size.n, 20).Handler())
+			ts := httptest.NewServer(completedRM(b, sched.NewFIFO(), size.n, 20).rm.Handler())
 			defer ts.Close()
 			c := NewClient(ts.URL, ts.Client())
 			ctx := context.Background()
@@ -47,7 +46,7 @@ func BenchmarkStatusIncremental(b *testing.B) {
 func BenchmarkStatusFull(b *testing.B) {
 	for _, size := range completedSizes {
 		b.Run(size.name, func(b *testing.B) {
-			ts := httptest.NewServer(completedRM(b, sched.NewFIFO(), size.n, 20).Handler())
+			ts := httptest.NewServer(completedRM(b, sched.NewFIFO(), size.n, 20).rm.Handler())
 			defer ts.Close()
 			ctx := context.Background()
 			b.ResetTimer()
@@ -66,11 +65,10 @@ func BenchmarkStatusFull(b *testing.B) {
 func BenchmarkTick(b *testing.B) {
 	for _, size := range completedSizes {
 		b.Run(size.name, func(b *testing.B) {
-			rm := completedRM(b, sched.NewFIFO(), size.n, 20)
-			now := time.Now()
+			c := completedRM(b, sched.NewFIFO(), size.n, 20)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := rm.Tick(now); err != nil {
+				if err := c.rm.Tick(c.now); err != nil {
 					b.Fatal(err)
 				}
 			}

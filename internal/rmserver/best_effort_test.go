@@ -18,8 +18,9 @@ func infeasibleWorkflow() rmproto.SubmitWorkflowRequest {
 }
 
 func TestBestEffortAdmission(t *testing.T) {
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 
 	resp, err := rm.SubmitWorkflow(infeasibleWorkflow())
 	if err != nil {
@@ -40,7 +41,7 @@ func TestBestEffortAdmission(t *testing.T) {
 	}
 
 	// Best-effort jobs still run to completion from leftover capacity.
-	st = driveToCompletion(t, rm, []string{"n1"}, 60)
+	st = c.runToCompletion(60)
 	for _, j := range st.Jobs {
 		if j.State != "completed" {
 			t.Errorf("best-effort job %s state = %s, want completed", j.ID, j.State)
@@ -49,8 +50,9 @@ func TestBestEffortAdmission(t *testing.T) {
 }
 
 func TestFeasibleSubmissionIsNotBestEffort(t *testing.T) {
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	resp, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)})
 	if err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
@@ -64,12 +66,13 @@ func TestFeasibleSubmissionIsNotBestEffort(t *testing.T) {
 }
 
 func TestMetricsExposeLadderAndAdmissions(t *testing.T) {
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	if _, err := rm.SubmitWorkflow(infeasibleWorkflow()); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	driveToCompletion(t, rm, []string{"n1"}, 20)
+	c.runToCompletion(20)
 
 	rec := httptest.NewRecorder()
 	rm.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -88,12 +91,13 @@ func TestMetricsExposeLadderAndAdmissions(t *testing.T) {
 }
 
 func TestStatusCarriesDegradation(t *testing.T) {
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	driveToCompletion(t, rm, []string{"n1"}, 80)
+	c.runToCompletion(80)
 	st := rm.Status()
 	if st.Degradation == nil {
 		t.Fatal("Status().Degradation = nil, want ladder telemetry for FlowTime")

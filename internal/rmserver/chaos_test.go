@@ -36,48 +36,16 @@ func (p *panicScheduler) Assign(ctx sched.AssignContext) (map[string]resource.Ve
 	return p.inner.Assign(ctx)
 }
 
-func submitAdHoc(t *testing.T, rm *Server, id string, tasks int, durSec int64) {
-	t.Helper()
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-		ID: id, Tasks: tasks, TaskDurSec: durSec, DemandVCores: 1, DemandMemMB: 512,
-	}}); err != nil {
-		t.Fatalf("SubmitAdHoc(%s): %v", id, err)
-	}
-}
-
-func allCompleted(st rmproto.StatusResponse) bool {
-	if len(st.Jobs) == 0 {
-		return false
-	}
-	for _, j := range st.Jobs {
-		if j.State != "completed" {
-			return false
-		}
-	}
-	return true
-}
-
 // TestNodeKillMidLeaseRequeues is the seed failure mode: a node dies
 // while holding in-flight quanta. The seed silently deleted the node and
 // the job's inFlight volume never returned — the workflow hung forever.
 // Now eviction requeues the leased volume and the surviving node finishes
 // the work.
 func TestNodeKillMidLeaseRequeues(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewEDF(), NodeExpiry: 25 * time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	base := time.Now()
-	reg := func(id string) {
-		t.Helper()
-		if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-			NodeID: id, Capacity: rmproto.Resources{VCores: 4, MemoryMB: 8 * 1024},
-		}, base); err != nil {
-			t.Fatalf("RegisterNode(%s): %v", id, err)
-		}
-	}
-	reg("n1") // sorts first: receives leases first-fit
-	reg("n2")
+	c := newCluster(t, Config{Scheduler: sched.NewEDF(), NodeExpiry: 25 * time.Second}, nil)
+	rm := c.rm
+	c.register("n1", 4, 8*1024) // sorts first: receives leases first-fit
+	c.register("n2", 4, 8*1024)
 
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(2000)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
@@ -85,51 +53,26 @@ func TestNodeKillMidLeaseRequeues(t *testing.T) {
 
 	// Slot 0: leases land on n1 (and possibly n2). n1 launches them and
 	// is then killed — it never heartbeats again.
-	now := base
-	if err := rm.Tick(now); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, now)
-	if err != nil {
-		t.Fatalf("Heartbeat(n1): %v", err)
-	}
-	if len(hb.Launch) == 0 {
+	c.step()
+	if len(c.held["n1"]) == 0 {
 		t.Fatal("n1 received no leases; fault injection needs in-flight quanta on the victim")
 	}
-	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n2"}, now); err != nil {
-		t.Fatalf("Heartbeat(n2): %v", err)
-	}
+	c.kill("n1")
 
-	// Drive only n2. Clock advances past NodeExpiry so n1 is evicted.
-	var n2Running []string
-	for slot := 0; slot < 200; slot++ {
-		now = now.Add(slotDur)
-		if err := rm.Tick(now); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-		resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n2", Completed: n2Running}, now)
-		if err != nil {
-			t.Fatalf("Heartbeat(n2): %v", err)
-		}
-		n2Running = n2Running[:0]
-		for _, q := range resp.Launch {
-			n2Running = append(n2Running, q.ID)
-		}
-		if st := rm.Status(); allCompleted(st) {
-			if st.Faults.ExpiredNodes != 1 {
-				t.Errorf("expired nodes = %d, want 1", st.Faults.ExpiredNodes)
-			}
-			if st.Faults.RequeuedQuanta == 0 {
-				t.Error("no quanta requeued despite node death mid-lease")
-			}
-			if st.OutstandingLeases != 0 {
-				t.Errorf("outstanding leases = %d at completion, want 0", st.OutstandingLeases)
-			}
-			return
-		}
+	// Drive only n2. The clock moves past NodeExpiry, so n1 is evicted.
+	st := c.runToCompletion(200)
+	if !allCompleted(st) {
+		t.Fatalf("jobs hung after node kill (seed failure mode): %+v faults=%+v", st.Jobs, st.Faults)
 	}
-	st := rm.Status()
-	t.Fatalf("jobs hung after node kill (seed failure mode): %+v faults=%+v", st.Jobs, st.Faults)
+	if st.Faults.ExpiredNodes != 1 {
+		t.Errorf("expired nodes = %d, want 1", st.Faults.ExpiredNodes)
+	}
+	if st.Faults.RequeuedQuanta == 0 {
+		t.Error("no quanta requeued despite node death mid-lease")
+	}
+	if st.OutstandingLeases != 0 {
+		t.Errorf("outstanding leases = %d at completion, want 0", st.OutstandingLeases)
+	}
 }
 
 // TestHeartbeatAfterExpiryReRegister covers the heartbeat-after-expiry
@@ -137,56 +80,32 @@ func TestNodeKillMidLeaseRequeues(t *testing.T) {
 // after re-registering, confirms for quanta issued before the eviction
 // are counted stale and ignored — never double-delivered.
 func TestHeartbeatAfterExpiryReRegister(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), NodeExpiry: 25 * time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	base := time.Now()
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 8, MemoryMB: 16 * 1024},
-	}, base); err != nil {
-		t.Fatalf("RegisterNode: %v", err)
-	}
+	c := newCluster(t, Config{NodeExpiry: 25 * time.Second}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	submitAdHoc(t, rm, "q1", 4, 20)
 
-	if err := rm.Tick(base); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, base)
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	if len(hb.Launch) == 0 {
+	c.tick()
+	staleIDs := quantumIDs(c.beat("n1", nil))
+	if len(staleIDs) == 0 {
 		t.Fatal("no leases launched")
-	}
-	staleIDs := make([]string, 0, len(hb.Launch))
-	for _, q := range hb.Launch {
-		staleIDs = append(staleIDs, q.ID)
 	}
 
 	// Node goes silent past expiry; Tick evicts it and requeues.
-	now := base.Add(60 * time.Second)
-	if err := rm.Tick(now); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c.now = c.now.Add(50 * time.Second)
+	c.tick() // 60 s of silence
 	if st := rm.Status(); st.Nodes != 0 || st.Faults.ExpiredNodes != 1 {
 		t.Fatalf("after silence: nodes=%d expired=%d, want 0/1", st.Nodes, st.Faults.ExpiredNodes)
 	}
 
 	// Heartbeat after eviction is rejected with the re-register signal.
-	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: staleIDs}, now); !errors.Is(err, ErrUnknownNode) {
+	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: staleIDs}, c.now); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("heartbeat after expiry = %v, want ErrUnknownNode", err)
 	}
 
 	// Node re-registers and tries to confirm its pre-eviction quanta.
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 8, MemoryMB: 16 * 1024},
-	}, now); err != nil {
-		t.Fatalf("re-register: %v", err)
-	}
-	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: staleIDs}, now); err != nil {
-		t.Fatalf("heartbeat after re-register: %v", err)
-	}
+	c.register("n1", 8, 16*1024)
+	c.beat("n1", staleIDs)
 	st := rm.Status()
 	if got := st.Faults.StaleConfirms; got < int64(len(staleIDs)) {
 		t.Errorf("stale confirms = %d, want >= %d (pre-eviction quanta must not double-confirm)", got, len(staleIDs))
@@ -198,7 +117,7 @@ func TestHeartbeatAfterExpiryReRegister(t *testing.T) {
 	}
 
 	// The requeued work then completes for real through the live node.
-	final := driveToCompletion(t, rm, []string{"n1"}, 100)
+	final := c.runToCompletion(100)
 	if !allCompleted(final) {
 		t.Fatalf("job did not complete after re-register: %+v", final.Jobs)
 	}
@@ -211,33 +130,25 @@ func TestHeartbeatAfterExpiryReRegister(t *testing.T) {
 // its queued quanta expire is handed, when it heartbeats, only the leases
 // still live and its own: a reclaimed quantum is never launched.
 func TestLeaseExpiryReclaims(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), LeaseExpiry: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{LeaseExpiry: 3}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	submitAdHoc(t, rm, "q1", 4, 20)
 
-	now := time.Now()
 	// Silent phase: five ticks queue q-1 and q-2, expire both and grant
 	// their volume again as q-3 and q-4, all on n1's queue.
 	for slot := 0; slot < 5; slot++ {
-		if err := rm.Tick(now); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
+		c.tick()
 	}
 	if rm.Status().Faults.RequeuedQuanta == 0 {
 		t.Fatal("no queued quantum expired while the node was silent")
 	}
-	hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, now)
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	if len(hb.Launch) == 0 {
+	launched := c.beat("n1", nil)
+	if len(launched) == 0 {
 		t.Fatal("the silent node was handed nothing, its live leases included")
 	}
 	rm.mu.Lock()
-	for _, q := range hb.Launch {
+	for _, q := range launched {
 		if l := rm.st.Leases()[q.ID]; l == nil || l.NodeID != "n1" {
 			t.Errorf("launched %s, which is not a live lease of n1", q.ID)
 		}
@@ -245,14 +156,8 @@ func TestLeaseExpiryReclaims(t *testing.T) {
 	rm.mu.Unlock()
 	// Black-hole phase: the node heartbeats (stays live) but drops every
 	// launch response, so nothing is ever confirmed.
-	for slot := 0; slot < 8; slot++ {
-		if err := rm.Tick(now); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-		if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, now); err != nil {
-			t.Fatalf("Heartbeat: %v", err)
-		}
-	}
+	c.wedged["n1"] = true
+	c.run(8)
 	st := rm.Status()
 	if st.Faults.RequeuedQuanta == 0 {
 		t.Fatalf("lease expiry never fired: faults=%+v outstanding=%d", st.Faults, st.OutstandingLeases)
@@ -264,7 +169,8 @@ func TestLeaseExpiryReclaims(t *testing.T) {
 	}
 
 	// Fault heals: the node starts confirming; everything completes.
-	final := driveToCompletion(t, rm, []string{"n1"}, 100)
+	c.wedged["n1"] = false
+	final := c.runToCompletion(100)
 	if !allCompleted(final) {
 		t.Fatalf("job did not complete after lease-expiry requeue: %+v", final.Jobs)
 	}
@@ -276,23 +182,15 @@ func TestLeaseExpiryReclaims(t *testing.T) {
 // TestLeaseDeadlineOnWire checks issued quanta carry their confirmation
 // deadline so nodes can see the budget they are working against.
 func TestLeaseDeadlineOnWire(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), LeaseExpiry: 5})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	register(t, rm, "n1", 8, 16*1024)
-	submitAdHoc(t, rm, "q1", 2, 20)
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now())
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	if len(hb.Launch) == 0 {
+	c := newCluster(t, Config{LeaseExpiry: 5}, nil)
+	c.register("n1", 8, 16*1024)
+	submitAdHoc(t, c.rm, "q1", 2, 20)
+	c.tick()
+	launched := c.beat("n1", nil)
+	if len(launched) == 0 {
 		t.Fatal("no leases launched")
 	}
-	for _, q := range hb.Launch {
+	for _, q := range launched {
 		if q.DeadlineSlot != 5 { // issued at slot 0, expiry 5 slots
 			t.Errorf("lease %s deadline slot = %d, want 5", q.ID, q.DeadlineSlot)
 		}
@@ -305,18 +203,18 @@ func TestLeaseDeadlineOnWire(t *testing.T) {
 // recovers.
 func TestSchedulerPanicIsolated(t *testing.T) {
 	ps := &panicScheduler{inner: sched.NewFIFO(), panics: 3}
-	rm := newRM(t, ps)
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: ps}, nil)
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	submitAdHoc(t, rm, "q1", 4, 20)
 
 	panicked := 0
 	for slot := 0; slot < 3; slot++ {
-		if err := rm.Tick(time.Now()); err != nil {
+		c.now = c.now.Add(slotDur)
+		if err := rm.Tick(c.now); err != nil {
 			panicked++
 		}
-		if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now()); err != nil {
-			t.Fatalf("Heartbeat: %v", err)
-		}
+		c.beat("n1", nil)
 	}
 	if panicked != 3 {
 		t.Errorf("errored ticks = %d, want 3", panicked)
@@ -332,7 +230,7 @@ func TestSchedulerPanicIsolated(t *testing.T) {
 		t.Errorf("slot = %d after 3 panicking ticks, want 3 (state must keep advancing)", st.Slot)
 	}
 
-	final := driveToCompletion(t, rm, []string{"n1"}, 100)
+	final := c.runToCompletion(100)
 	if !allCompleted(final) {
 		t.Fatalf("job did not complete after scheduler recovered: %+v", final.Jobs)
 	}
@@ -342,20 +240,13 @@ func TestSchedulerPanicIsolated(t *testing.T) {
 // that no new leases are issued, outstanding work confirms, and the
 // unfinished remainder is reported rather than silently dropped.
 func TestDrainUnderLoad(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	register(t, rm, "n1", 4, 8*1024)
+	c := newCluster(t, Config{}, nil)
+	rm := c.rm
+	c.register("n1", 4, 8*1024)
 	submitAdHoc(t, rm, "big", 40, 60) // far more work than one drain can finish
 
-	now := time.Now()
-	if err := rm.Tick(now); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, now)
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	running := quantumIDs(hb.Launch)
-	if len(running) == 0 {
+	c.step()
+	if len(c.held["n1"]) == 0 {
 		t.Fatal("no in-flight leases before drain")
 	}
 
@@ -370,16 +261,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	var resp rmproto.DrainResponse
 	confirmLoop := func() {
 		for i := 0; i < 50; i++ {
-			if err := rm.Tick(now); err != nil {
-				t.Errorf("Tick: %v", err)
-				return
-			}
-			hb, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: running}, now)
-			if err != nil {
-				t.Errorf("Heartbeat: %v", err)
-				return
-			}
-			running = quantumIDs(hb.Launch)
+			c.step()
 			select {
 			case resp = <-done:
 				return
@@ -400,27 +282,13 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 
 	// After drain: ticking issues nothing new.
-	if err := rm.Tick(now); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	hb, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, now)
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	if len(hb.Launch) != 0 {
-		t.Errorf("drained RM issued %d new leases", len(hb.Launch))
+	c.tick()
+	if launched := c.beat("n1", nil); len(launched) != 0 {
+		t.Errorf("drained RM issued %d new leases", len(launched))
 	}
 	if st := rm.Status(); !st.Draining {
 		t.Error("status does not report draining")
 	}
-}
-
-func quantumIDs(qs []rmproto.Quantum) []string {
-	ids := make([]string, 0, len(qs))
-	for _, q := range qs {
-		ids = append(ids, q.ID)
-	}
-	return ids
 }
 
 // TestConcurrentChaosStress hammers every mutating entry point from
@@ -428,14 +296,11 @@ func quantumIDs(qs []rmproto.Quantum) []string {
 // mid-flight node kill and a final drain — and relies on the race
 // detector to catch locking mistakes. Run under go test -race.
 func TestConcurrentChaosStress(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), NodeExpiry: 40 * slotDur, LeaseExpiry: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	base := time.Now()
+	c := newCluster(t, Config{NodeExpiry: 40 * slotDur, LeaseExpiry: 4}, nil)
+	rm, base := c.rm, c.now
 	nodes := []string{"n1", "n2", "n3"}
 	for _, id := range nodes {
-		register(t, rm, id, 8, 16*1024)
+		c.register(id, 8, 16*1024)
 	}
 
 	const iters = 150

@@ -72,7 +72,7 @@ func (tr *truncateOnce) RoundTrip(req *http.Request) (*http.Response, error) {
 // changes it.
 func TestClientDoneCursor(t *testing.T) {
 	ctx := context.Background()
-	rm := completedRM(t, sched.NewFIFO(), 30, 3)
+	rm := completedRM(t, sched.NewFIFO(), 30, 3).rm
 	instance := rm.instance
 	h := &swapHandler{}
 	h.serve(rm)
@@ -117,7 +117,7 @@ func TestClientDoneCursor(t *testing.T) {
 	// The RM restarts behind the same URL with a shorter archive: the old
 	// cursors are sent once, answered from 0 under the new instance, and
 	// the client's table is the new RM's.
-	rm2 := completedRM(t, sched.NewFIFO(), 5, 2)
+	rm2 := completedRM(t, sched.NewFIFO(), 5, 2).rm
 	h.serve(rm2)
 	status(c, "first Status after the restart", "30/"+instance+"/1", rm2)
 	status(c, "second Status after the restart", "5/"+rm2.instance+"/1", rm2)
@@ -177,7 +177,8 @@ func (rt handlerRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // was in flight, or the changes it carries do not add up to its Summary.
 func TestClientLiveRefetch(t *testing.T) {
 	ctx := context.Background()
-	rm := completedRM(t, sched.NewFIFO(), 5, 4)
+	cl := completedRM(t, sched.NewFIFO(), 5, 4)
+	rm := cl.rm
 	h := &swapHandler{}
 	h.serve(rm)
 	var inFlight func() // run inside the next request with a live cursor
@@ -223,7 +224,7 @@ func TestClientLiveRefetch(t *testing.T) {
 	status("second Status", "5/"+rm.instance+"/1")
 
 	inFlight = func() {
-		tick(t, rm) // the four live jobs start running
+		cl.tick() // the four live jobs start running
 		status("a Status that overtakes another", "5/"+rm.instance+"/1")
 	}
 	status("the overtaken Status", "5/"+rm.instance+"/0")
@@ -256,7 +257,8 @@ func getJSON(t *testing.T, url string, out any) int {
 // it checks the cache's locking, and every result must be a whole, sorted
 // table that counts what its own Summary counts.
 func TestClientStatusConcurrent(t *testing.T) {
-	rm := completedRM(t, sched.NewFIFO(), 50, 40)
+	cl := completedRM(t, sched.NewFIFO(), 50, 40)
+	rm := cl.rm
 	ts := httptest.NewServer(rm.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL, ts.Client())
@@ -275,6 +277,7 @@ func TestClientStatusConcurrent(t *testing.T) {
 	go func() { // a slot per eight calls, so that calls straddle changes
 		defer close(ticked)
 		var held []string
+		now := cl.now
 		for i := int64(1); i <= 12; i++ {
 			for calls.Load() < 8*i {
 				select {
@@ -283,11 +286,12 @@ func TestClientStatusConcurrent(t *testing.T) {
 				case <-time.After(50 * time.Microsecond):
 				}
 			}
-			if err := rm.Tick(time.Now()); err != nil {
+			now = now.Add(slotDur)
+			if err := rm.Tick(now); err != nil {
 				t.Errorf("Tick: %v", err)
 				return
 			}
-			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: held}, time.Now())
+			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: held}, now)
 			if err != nil {
 				t.Errorf("Heartbeat: %v", err)
 				return
@@ -357,7 +361,7 @@ func TestClientStatusConcurrent(t *testing.T) {
 // changes here after completedRM's own Status numbered it 1) and whole
 // for any other — never a panic, never a 5xx.
 func FuzzStatusQuery(f *testing.F) {
-	rm := completedRM(f, sched.NewFIFO(), 7, 2)
+	rm := completedRM(f, sched.NewFIFO(), 7, 2).rm
 	h := rm.Handler()
 	for _, seed := range []string{
 		"", "done_after=3", "done_after=3&instance=" + rm.instance, "done_after=8&instance=" + rm.instance,

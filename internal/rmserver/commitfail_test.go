@@ -7,41 +7,26 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"flowtime/internal/rmproto"
-	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
 
-// newFaultyRM builds a durable RM whose store sits on a FaultFS, so
-// tests can fail fsyncs out from under live mutations.
-func newFaultyRM(t *testing.T, dir string) (*Server, *store.FaultFS) {
+// launchOneSlot builds a durable RM whose store sits on a FaultFS, so
+// tests can fail fsyncs out from under live mutations, and plays it one
+// slot, to where node n1 holds at least two unconfirmed leases.
+func launchOneSlot(t *testing.T) (*cluster, *store.FaultFS) {
 	t.Helper()
 	ffs := store.NewFaultFS()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways, FS: ffs})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
+	c := newCluster(t, Config{}, &durable{fs: ffs, abandon: true})
+	c.register("n1", 8, 16*1024)
+	submitBoth(t, c.rm)
+	c.step()
+	if len(c.held["n1"]) < 2 {
+		t.Fatalf("%d leases launched, want at least 2 to confirm in two heartbeats", len(c.held["n1"]))
 	}
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return rm, ffs
-}
-
-// launchOneSlot runs a faulty RM up to the point where node n1 holds at
-// least two unconfirmed leases, and returns their quantum IDs.
-func launchOneSlot(t *testing.T, rm *Server) []string {
-	t.Helper()
-	register(t, rm, "n1", 8, 16*1024)
-	submitBoth(t, rm)
-	pending := runSlots(t, rm, "n1", 1, nil)
-	if len(pending) < 2 {
-		t.Fatalf("%d leases launched, want at least 2 to confirm in two heartbeats", len(pending))
-	}
-	return pending
+	return c, ffs
 }
 
 // TestCommitFailureSurfacesAtTick: a heartbeat no longer waits for its
@@ -51,19 +36,16 @@ func launchOneSlot(t *testing.T, rm *Server) []string {
 // the slot's confirms durable. From then on the store's error is sticky
 // and confirming heartbeats fail where they journal.
 func TestCommitFailureSurfacesAtTick(t *testing.T) {
-	rm, ffs := newFaultyRM(t, t.TempDir())
-	pending := launchOneSlot(t, rm)
+	c, ffs := launchOneSlot(t)
+	rm, pending := c.rm, c.held["n1"]
 
 	ffs.FailFsync(1)
-	resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending[:1]}, time.Now())
-	if err != nil {
-		t.Fatalf("confirming heartbeat under an armed fsync fault = %v, want success (it does not fsync)", err)
-	}
-	if len(resp.Launch) != 0 {
-		t.Fatalf("heartbeat launched %d quanta before any new tick", len(resp.Launch))
+	// A confirming heartbeat under the armed fault succeeds: it does not fsync.
+	if launched := c.beat("n1", pending[:1]); len(launched) != 0 {
+		t.Fatalf("heartbeat launched %d quanta before any new tick", len(launched))
 	}
 
-	err = rm.Tick(time.Now())
+	err := rm.Tick(c.now)
 	if !errors.Is(err, ErrCommitFailed) {
 		t.Fatalf("tick under fsync fault = %v, want ErrCommitFailed", err)
 	}
@@ -71,15 +53,11 @@ func TestCommitFailureSurfacesAtTick(t *testing.T) {
 		t.Errorf("commit failure lost the underlying store error: %v", err)
 	}
 	// The failed tick granted leases in memory; none may reach the node.
-	resp, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now())
-	if err != nil {
-		t.Fatalf("empty heartbeat after the failed tick: %v", err)
-	}
-	if len(resp.Launch) != 0 {
-		t.Errorf("failed tick handed out %d quanta; its grants are not durable", len(resp.Launch))
+	if launched := c.beat("n1", nil); len(launched) != 0 {
+		t.Errorf("failed tick handed out %d quanta; its grants are not durable", len(launched))
 	}
 
-	_, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending[1:]}, time.Now())
+	_, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending[1:]}, c.now)
 	if !errors.Is(err, ErrCommitFailed) || !strings.Contains(err.Error(), "wal append") {
 		t.Errorf("confirming heartbeat on the failed store = %v, want ErrCommitFailed at the append", err)
 	}
@@ -99,25 +77,19 @@ func TestCommitFailureSurfacesAtTick(t *testing.T) {
 // answers 200 with commit_error set, and from then on the store's error is
 // sticky, so the next confirming heartbeat fails at the append.
 func TestCommitFailureAfterASkippedTickFsync(t *testing.T) {
-	rm, ffs := newFaultyRM(t, t.TempDir())
+	c, ffs := launchOneSlot(t)
+	rm, pending := c.rm, c.held["n1"]
 	srv := httptest.NewServer(rm.Handler())
 	defer srv.Close()
-	pending := launchOneSlot(t, rm)
-	submitSmall(t, rm, "late")
+	submitAdHoc(t, rm, "late", 2, 20)
 
 	ffs.FailFsync(1)
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("tick with nothing before it to sync = %v, want success", err)
-	}
-	resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now())
-	if err != nil {
-		t.Fatalf("heartbeat after the tick: %v", err)
-	}
-	if len(resp.Launch) == 0 {
+	c.tick() // nothing before it to sync: it succeeds
+	if len(c.beat("n1", nil)) == 0 {
 		t.Fatal("the tick's quanta did not reach the node")
 	}
 
-	_, err = rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+	_, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
 		ID: "later", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 256,
 	}})
 	if !errors.Is(err, ErrCommitFailed) || !errors.Is(err, store.ErrInjectedFsync) {
@@ -130,7 +102,7 @@ func TestCommitFailureAfterASkippedTickFsync(t *testing.T) {
 	if st.Durability == nil || !strings.Contains(st.Durability.CommitError, store.ErrInjectedFsync.Error()) {
 		t.Errorf("status durability block = %+v, want the injected fsync failure in commit_error", st.Durability)
 	}
-	_, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, time.Now())
+	_, err = rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, c.now)
 	if !errors.Is(err, ErrCommitFailed) || !strings.Contains(err.Error(), "wal append") {
 		t.Errorf("confirming heartbeat on the failed store = %v, want ErrCommitFailed at the append", err)
 	}
@@ -141,12 +113,12 @@ func TestCommitFailureAfterASkippedTickFsync(t *testing.T) {
 // ErrCommitFailed and treats as retryable; /v1/status keeps answering
 // 200 and carries the failure in its durability block.
 func TestCommitFailureOverHTTP(t *testing.T) {
-	rm, ffs := newFaultyRM(t, t.TempDir())
-	srv := httptest.NewServer(rm.Handler())
+	c, ffs := launchOneSlot(t)
+	srv := httptest.NewServer(c.rm.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, nil)
 	ctx := context.Background()
-	pending := launchOneSlot(t, rm)
+	pending := c.held["n1"]
 
 	ffs.FailFsync(1)
 	if _, err := client.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}); err != nil {
@@ -167,16 +139,15 @@ func TestCommitFailureOverHTTP(t *testing.T) {
 // full) is the same retryable commit_failed as one whose fsync fails,
 // not a bare 500.
 func TestTickAppendFailureOverHTTP(t *testing.T) {
-	rm, ffs := newFaultyRM(t, t.TempDir())
-	srv := httptest.NewServer(rm.Handler())
+	c, ffs := launchOneSlot(t)
+	srv := httptest.NewServer(c.rm.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, nil)
-	launchOneSlot(t, rm)
 
 	ffs.FailENOSPC(1)
 	err := client.Tick(context.Background())
 	wantCommitFailed(t, "tick on a full disk", err)
-	if err := rm.Tick(time.Now()); !errors.Is(err, syscall.ENOSPC) {
+	if err := c.rm.Tick(c.now); !errors.Is(err, syscall.ENOSPC) {
 		t.Errorf("in-process tick on the failed store = %v, want the ENOSPC kept in the chain", err)
 	}
 }

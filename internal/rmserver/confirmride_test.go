@@ -10,12 +10,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"flowtime/internal/core"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/store"
-	"flowtime/internal/trace"
 )
 
 // Heartbeat confirms, hand-offs and a tick's own records are journaled but
@@ -66,21 +64,18 @@ func TestMachineCrashTakesBackOnlyUnsyncedConfirms(t *testing.T) {
 		{"crash after the tick commit", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			rm1, ffs := newFaultyRM(t, dir)
-			register(t, rm1, "n1", 8, 32768)
+			dir, ffs := t.TempDir(), store.NewFaultFS()
+			c1 := newCluster(t, Config{}, &durable{dir: dir, fs: ffs, abandon: true})
+			rm1 := c1.rm
+			c1.register("n1", 8, 32768)
 			submitBoth(t, rm1)
-			confirmed := runSlots(t, rm1, "n1", 1, nil)
-			if err := rm1.Tick(time.Now()); err != nil {
-				t.Fatalf("Tick: %v", err)
-			}
+			c1.step()
+			confirmed := c1.held["n1"]
+			c1.tick()
 			atTick := rm1.Status() // everything up to here is on the disk
-			resp, err := rm1.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: confirmed}, time.Now())
-			if err != nil {
-				t.Fatalf("Heartbeat: %v", err)
-			}
-			if len(confirmed) == 0 || len(resp.Launch) == 0 {
-				t.Fatalf("heartbeat confirmed %d and launched %d quanta, want both > 0", len(confirmed), len(resp.Launch))
+			launched := c1.beat("n1", confirmed)
+			if len(confirmed) == 0 || len(launched) == 0 {
+				t.Fatalf("heartbeat confirmed %d and launched %d quanta, want both > 0", len(confirmed), len(launched))
 			}
 			acked := rm1.Status()
 			if got := acked.Durability.WALUnsyncedRecords; got != 1 {
@@ -90,18 +85,17 @@ func TestMachineCrashTakesBackOnlyUnsyncedConfirms(t *testing.T) {
 				t.Fatal("the confirming heartbeat left nothing unsynced; the window under test is closed")
 			}
 
-			want, orphans := atTick, len(confirmed)+len(resp.Launch)
+			want, orphans := atTick, len(confirmed)+len(launched)
 			if tc.tickThenCrash {
-				if err := rm1.Tick(time.Now()); err != nil {
-					t.Fatalf("Tick: %v", err)
-				}
+				c1.tick()
 				want = rm1.Status()
 				orphans = want.OutstandingLeases
 			}
 			ffs.Crash()
 
 			// The machine comes back: a fresh process on the real files.
-			rm2, _ := newDurableRM(t, dir, true)
+			c2 := newCluster(t, Config{}, &durable{dir: dir})
+			rm2 := c2.rm
 			rec := rm2.Recovery()
 			if rec == nil || rec.OrphanLeasesRequeued != orphans {
 				t.Fatalf("recovery = %+v, want %d orphan leases requeued", rec, orphans)
@@ -115,18 +109,16 @@ func TestMachineCrashTakesBackOnlyUnsyncedConfirms(t *testing.T) {
 			// The agent's view after the crash: the RM does not know it, it
 			// re-registers, and whatever it still reports for the old quanta is
 			// stale — counted, never delivered twice.
-			register(t, rm2, "n1", 8, 32768)
+			c2.register("n1", 8, 32768)
 			before := rm2.Status()
-			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: confirmed}, time.Now()); err != nil {
-				t.Fatalf("Heartbeat with pre-crash quanta: %v", err)
-			}
+			c2.beat("n1", confirmed)
 			after := rm2.Status()
 			if got := after.Faults.StaleConfirms - before.Faults.StaleConfirms; got != int64(len(confirmed)) {
 				t.Errorf("re-sent confirms bumped stale_confirms by %d, want %d", got, len(confirmed))
 			}
 			sameDelivered(t, "after re-sent confirms", after, before)
 
-			final := driveToCompletion(t, rm2, []string{"n1"}, 200)
+			final := c2.runToCompletion(200)
 			for _, j := range final.Jobs {
 				if j.State != "completed" || j.Delivered != j.Total {
 					t.Errorf("job %s: %s, delivered %+v of %+v; want completed with exactly the total", j.ID, j.State, j.Delivered, j.Total)
@@ -152,21 +144,6 @@ func TestMachineCrashTakesBackOnlyUnsyncedConfirms(t *testing.T) {
 // records: a stays confirmed, b's lease is recovered in flight and
 // requeued, its ID is never used again.
 func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
-	open := func(t *testing.T, fs store.FS, dir string, closeStore bool) *Server {
-		t.Helper()
-		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways, FS: fs})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		if closeStore {
-			t.Cleanup(func() { st.Close() })
-		}
-		rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(core.DefaultConfig()), Store: st})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return rm
-	}
 	for _, tc := range []struct {
 		name          string
 		tickThenCrash bool
@@ -175,19 +152,19 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 		{"crash after the tick commit", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			ffs := store.NewFaultFS()
-			rm1 := open(t, ffs, dir, false)
-			register(t, rm1, "n1", 4, 8192)
-			register(t, rm1, "n2", 4, 8192)
+			dir, ffs := t.TempDir(), store.NewFaultFS()
+			c1 := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, &durable{dir: dir, fs: ffs, abandon: true})
+			rm1 := c1.rm
+			c1.register("n1", 4, 8192)
+			c1.register("n2", 4, 8192)
 			if _, err := rm1.SubmitWorkflow(twoStage()); err != nil {
 				t.Fatalf("SubmitWorkflow: %v", err)
 			}
-			tick(t, rm1)
-			a := quantumIDs(beat(t, rm1, "n1", nil))
-			tick(t, rm1)
+			c1.tick()
+			a := quantumIDs(c1.beat("n1", nil))
+			c1.tick()
 			atTick := rm1.Status() // everything up to here is on the disk
-			b := beat(t, rm1, "n1", a)
+			b := c1.beat("n1", a)
 			if len(a) != 1 || len(b) != 1 || b[0].JobID != "wf/b#1" {
 				t.Fatalf("n1 confirmed %v and was handed %v, want a's quantum in and b's out", a, b)
 			}
@@ -198,13 +175,14 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 
 			want, orphans := atTick, 1 // a's lease
 			if tc.tickThenCrash {
-				tick(t, rm1)
+				c1.tick()
 				want = rm1.Status()
 				orphans = 1 // b's
 			}
 			ffs.Crash()
 
-			rm2 := open(t, store.OSFS, dir, true)
+			c2 := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, &durable{dir: dir})
+			rm2 := c2.rm
 			rec := rm2.Recovery()
 			if rec == nil || rec.OrphanLeasesRequeued != orphans {
 				t.Fatalf("recovery = %+v, want %d orphan lease requeued", rec, orphans)
@@ -212,12 +190,12 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 			sameDelivered(t, "recovered state", rm2.Status(), want)
 
 			// The old holder speaks first and is refused whole.
-			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{lost}}, time.Now()); !errors.Is(err, ErrUnknownNode) {
+			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{lost}}, c2.now); !errors.Is(err, ErrUnknownNode) {
 				t.Fatalf("old node's first heartbeat = %v, want ErrUnknownNode", err)
 			}
-			register(t, rm2, "n2", 4, 8192)
-			tick(t, rm2)
-			regranted := beat(t, rm2, "n2", nil)
+			c2.register("n2", 4, 8192)
+			c2.tick()
+			regranted := c2.beat("n2", nil)
 			if tc.tickThenCrash {
 				if len(regranted) != 1 || regranted[0].JobID != "wf/b#1" || regranted[0].ID == lost {
 					t.Fatalf("after the crash n2 was handed %v, want b again under a new ID (not %s)", regranted, lost)
@@ -227,12 +205,12 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 			}
 			// The old holder again, the lost ID live once more in someone else's
 			// hands: refused while unknown, stale once registered.
-			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{lost}}, time.Now()); !errors.Is(err, ErrUnknownNode) {
+			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{lost}}, c2.now); !errors.Is(err, ErrUnknownNode) {
 				t.Fatalf("old node's heartbeat = %v, want ErrUnknownNode", err)
 			}
-			register(t, rm2, "n1", 4, 8192)
+			c2.register("n1", 4, 8192)
 			before := rm2.Status()
-			beat(t, rm2, "n1", []string{lost})
+			c2.beat("n1", []string{lost})
 			after := rm2.Status()
 			if got := after.Faults.StaleConfirms - before.Faults.StaleConfirms; got != 1 {
 				t.Errorf("the lost ID confirmed by a node that does not hold it bumped stale_confirms by %d, want 1", got)
@@ -240,10 +218,10 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 			sameDelivered(t, "after the stale confirm", after, before)
 
 			// n2 finishes what it holds; the rest of the run is ordinary.
-			tick(t, rm2)
-			beat(t, rm2, "n1", nil)
-			beat(t, rm2, "n2", quantumIDs(regranted))
-			final := driveToCompletion(t, rm2, []string{"n1", "n2"}, 50)
+			c2.tick()
+			c2.beat("n1", nil)
+			c2.beat("n2", quantumIDs(regranted))
+			final := c2.runToCompletion(50)
 			for _, j := range final.Jobs {
 				if j.State != "completed" || j.Delivered != j.Total {
 					t.Errorf("job %s: %s, delivered %+v of %+v; want completed with exactly the total", j.ID, j.State, j.Delivered, j.Total)
@@ -251,17 +229,6 @@ func TestMachineCrashTakesBackAnUnsyncedHandOff(t *testing.T) {
 			}
 			verifyEquiv(t, rm2, "after the post-crash run")
 		})
-	}
-}
-
-// submitSmall admits one small ad-hoc job, which commits every record
-// journaled before it.
-func submitSmall(t *testing.T, rm *Server, id string) {
-	t.Helper()
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-		ID: id, Tasks: 2, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
-	}}); err != nil {
-		t.Fatalf("SubmitAdHoc(%s): %v", id, err)
 	}
 }
 
@@ -286,14 +253,16 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 		{"crash after the next commit", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			rm1, ffs := newFaultyRM(t, dir)
-			register(t, rm1, "n1", 8, 32768)
+			dir, ffs := t.TempDir(), store.NewFaultFS()
+			c1 := newCluster(t, Config{}, &durable{dir: dir, fs: ffs, abandon: true})
+			rm1 := c1.rm
+			c1.register("n1", 8, 32768)
 			submitBoth(t, rm1)
-			first := runSlots(t, rm1, "n1", 1, nil) // in flight on n1
-			submitSmall(t, rm1, "late")
+			c1.step()
+			first := c1.held["n1"] // in flight on n1
+			submitAdHoc(t, rm1, "late", 2, 20)
 			committed := rm1.Status() // everything up to here is on the disk
-			tick(t, rm1)
+			c1.tick()
 			ticked := rm1.Status()
 			if got := ticked.Durability.Fsyncs - committed.Durability.Fsyncs; got != 0 {
 				t.Errorf("the tick after a submission's commit cost %d fsyncs, want 0", got)
@@ -301,7 +270,7 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 			if got := ticked.Durability.WALUnsyncedRecords; got < 1 {
 				t.Errorf("wal_unsynced_records after the tick = %d, want at least 1 (its own record)", got)
 			}
-			lost := quantumIDs(beat(t, rm1, "n1", nil))
+			lost := quantumIDs(c1.beat("n1", nil))
 			if len(first) == 0 || len(lost) == 0 {
 				t.Fatalf("n1 holds %d quanta from before the commit and took %d from the tick, want both > 0", len(first), len(lost))
 			}
@@ -311,12 +280,13 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 
 			want := committed
 			if tc.submitThenCrash {
-				submitSmall(t, rm1, "later")
+				submitAdHoc(t, rm1, "later", 2, 20)
 				want = rm1.Status()
 			}
 			ffs.Crash()
 
-			rm2, _ := newDurableRM(t, dir, true)
+			c2 := newCluster(t, Config{}, &durable{dir: dir})
+			rm2 := c2.rm
 			rec := rm2.Recovery()
 			if rec == nil || rec.OrphanLeasesRequeued != want.OutstandingLeases {
 				t.Fatalf("recovery = %+v, want the %d leases out at the last commit requeued", rec, want.OutstandingLeases)
@@ -325,12 +295,12 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 
 			// The old holder speaks first and is refused whole.
 			held := append(append([]string(nil), first...), lost...)
-			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: held}, time.Now()); !errors.Is(err, ErrUnknownNode) {
+			if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: held}, c2.now); !errors.Is(err, ErrUnknownNode) {
 				t.Fatalf("old holder's first heartbeat = %v, want ErrUnknownNode", err)
 			}
-			register(t, rm2, "n2", 8, 32768)
-			tick(t, rm2)
-			regranted := quantumIDs(beat(t, rm2, "n2", nil))
+			c2.register("n2", 8, 32768)
+			c2.tick()
+			regranted := quantumIDs(c2.beat("n2", nil))
 			reissued := 0
 			for _, id := range regranted {
 				if slices.Contains(lost, id) {
@@ -345,9 +315,9 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 
 			// Registered again, the old holder reports everything it held —
 			// requeued, lost, some of it live once more on n2: all stale.
-			register(t, rm2, "n1", 8, 32768)
+			c2.register("n1", 8, 32768)
 			before := rm2.Status()
-			beat(t, rm2, "n1", held)
+			c2.beat("n1", held)
 			after := rm2.Status()
 			if got := after.Faults.StaleConfirms - before.Faults.StaleConfirms; got != int64(len(held)) {
 				t.Errorf("the old holder's %d reports bumped stale_confirms by %d, want all of them", len(held), got)
@@ -355,10 +325,10 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 			sameDelivered(t, "after the old holder's reports", after, before)
 
 			// n2 finishes what it holds; the rest of the run is ordinary.
-			tick(t, rm2)
-			beat(t, rm2, "n1", nil)
-			beat(t, rm2, "n2", regranted)
-			final := driveToCompletion(t, rm2, []string{"n1", "n2"}, 200)
+			c2.tick()
+			c2.beat("n1", nil)
+			c2.beat("n2", regranted)
+			final := c2.runToCompletion(200)
 			if !allCompleted(final) {
 				t.Fatalf("the run did not complete after the crash: %+v", final.Summary)
 			}
@@ -380,35 +350,22 @@ func TestMachineCrashTakesBackAnUnsyncedTick(t *testing.T) {
 // one, and shows the backlog waiting for the tick.
 func TestConfirmsCostOneFsyncPerSlot(t *testing.T) {
 	const nodes, slots = 4, 6
-	rm, st := newDurableRM(t, t.TempDir(), true)
-	ids := make([]string, nodes)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("n%d", i)
-		register(t, rm, ids[i], 2, 4096)
+	c := newCluster(t, Config{}, &durable{})
+	rm, st := c.rm, c.store
+	for i := 0; i < nodes; i++ {
+		c.register(fmt.Sprintf("n%d", i), 2, 4096)
 	}
 	for i := 0; i < 2*nodes; i++ { // two endless one-core jobs per node
-		if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-			ID: fmt.Sprintf("busy-%d", i), Tasks: 1, TaskDurSec: 1 << 20, DemandVCores: 1, DemandMemMB: 512,
-		}}); err != nil {
-			t.Fatalf("SubmitAdHoc: %v", err)
-		}
+		submitAdHoc(t, rm, fmt.Sprintf("busy-%d", i), 1, 1<<20)
 	}
-	pending := make(map[string][]string, nodes)
 	slot := func(wantConfirms bool) {
 		t.Helper()
-		if err := rm.Tick(time.Now()); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-		for _, id := range ids {
-			if wantConfirms && len(pending[id]) == 0 {
+		for _, id := range c.nodes {
+			if wantConfirms && len(c.held[id]) == 0 {
 				t.Fatalf("node %s has nothing to confirm; the heartbeat under test would not journal", id)
 			}
-			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: id, Completed: pending[id]}, time.Now())
-			if err != nil {
-				t.Fatalf("Heartbeat(%s): %v", id, err)
-			}
-			pending[id] = quantumIDs(resp.Launch)
 		}
+		c.step()
 	}
 	slot(false) // warm-up: every node now holds leases
 
@@ -469,35 +426,28 @@ func TestConfirmsCostOneFsyncPerSlot(t *testing.T) {
 // tick costs one, and that one covers both.
 func TestTicksFsyncOnlyWhatCameBefore(t *testing.T) {
 	const nodes, slots = 4, 6
-	rm, st := newDurableRM(t, t.TempDir(), true)
-	ids := make([]string, nodes)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("n%d", i)
-		register(t, rm, ids[i], 2, 4096)
+	c := newCluster(t, Config{}, &durable{})
+	rm, st := c.rm, c.store
+	for i := 0; i < nodes; i++ {
+		c.register(fmt.Sprintf("n%d", i), 2, 4096)
 	}
 	for i := 0; i < 2*nodes; i++ { // two endless one-core jobs per node
-		if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-			ID: fmt.Sprintf("busy-%d", i), Tasks: 1, TaskDurSec: 1 << 20, DemandVCores: 1, DemandMemMB: 512,
-		}}); err != nil {
-			t.Fatalf("SubmitAdHoc: %v", err)
-		}
+		submitAdHoc(t, rm, fmt.Sprintf("busy-%d", i), 1, 1<<20)
 	}
-	pending := make(map[string][]string, nodes)
 	slot := func(wantConfirms bool) {
 		t.Helper()
-		tick(t, rm)
-		for _, id := range ids {
-			if wantConfirms && len(pending[id]) == 0 {
+		for _, id := range c.nodes {
+			if wantConfirms && len(c.held[id]) == 0 {
 				t.Fatalf("node %s has nothing to confirm; the heartbeat under test would not journal", id)
 			}
-			pending[id] = quantumIDs(beat(t, rm, id, pending[id]))
 		}
+		c.step()
 	}
 	slot(false) // warm-up: every node now holds leases
 
 	base := st.Stats().Fsyncs
 	for i := 0; i < slots; i++ {
-		submitSmall(t, rm, fmt.Sprintf("extra-%d", i)) // queued behind the busy jobs
+		submitAdHoc(t, rm, fmt.Sprintf("extra-%d", i), 2, 20) // queued behind the busy jobs
 		slot(true)
 	}
 	if got := st.Stats().Fsyncs - base; got != slots {
@@ -537,16 +487,16 @@ func TestTicksFsyncOnlyWhatCameBefore(t *testing.T) {
 		t.Fatal("/metrics has no flowtime_rm_wal_unsynced_records")
 		return 0
 	}
-	submitSmall(t, rm, "idle") // the commit the idle tick follows
+	submitAdHoc(t, rm, "idle", 2, 20) // the commit the idle tick follows
 	base = st.Stats().Fsyncs
-	tick(t, rm)
+	c.tick()
 	if got := st.Stats().Fsyncs - base; got != 0 {
 		t.Errorf("an idle tick right after a commit cost %d fsyncs, want 0", got)
 	}
 	if got := unsynced(); got < 1 {
 		t.Errorf("flowtime_rm_wal_unsynced_records after the idle tick = %d, want at least 1 (its own record)", got)
 	}
-	tick(t, rm)
+	c.tick()
 	if got := st.Stats(); got.Fsyncs-base != 1 || got.Unsynced != 0 {
 		t.Errorf("the next idle tick left %d fsyncs and %d unsynced records, want 1 and 0 (one fsync for both ticks)", got.Fsyncs-base, got.Unsynced)
 	}

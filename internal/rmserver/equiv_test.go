@@ -8,12 +8,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/rmstate"
-	"flowtime/internal/sched"
 	"flowtime/internal/store"
 )
 
@@ -35,16 +33,16 @@ func verifyEquiv(t *testing.T, rm *Server, tag string) {
 // leases in flight (the mid-run SIGKILL point), after a snapshot
 // rotation, and after all work completed.
 func TestRecoveryEquivalenceAcrossLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	rm, _ := newDurableRM(t, dir, true)
+	c := newCluster(t, Config{}, &durable{})
+	rm := c.rm
 	verifyEquiv(t, rm, "empty")
 
-	register(t, rm, "n1", 8, 32768)
+	c.register("n1", 8, 32768)
 	submitBoth(t, rm)
 	verifyEquiv(t, rm, "after admission")
 
-	pending := runSlots(t, rm, "n1", 3, nil)
-	if len(pending) == 0 {
+	c.run(3)
+	if len(c.held["n1"]) == 0 {
 		t.Fatal("expected in-flight leases at the mid-run check")
 	}
 	verifyEquiv(t, rm, "mid-run with in-flight leases")
@@ -54,10 +52,10 @@ func TestRecoveryEquivalenceAcrossLifecycle(t *testing.T) {
 	}
 	verifyEquiv(t, rm, "after snapshot rotation")
 
-	runSlots(t, rm, "n1", 2, pending)
+	c.run(2)
 	verifyEquiv(t, rm, "after confirms")
 
-	driveToCompletion(t, rm, []string{"n1"}, 200)
+	c.runToCompletion(200)
 	verifyEquiv(t, rm, "after completion")
 }
 
@@ -67,28 +65,32 @@ func TestRecoveryEquivalenceAcrossLifecycle(t *testing.T) {
 // call for. Every verification must pass against whatever consistent
 // instant it captures.
 func TestRecoveryEquivalenceConcurrent(t *testing.T) {
-	dir := t.TempDir()
-	rm, _ := newDurableRM(t, dir, true)
-	register(t, rm, "n1", 8, 32768)
+	c := newCluster(t, Config{}, &durable{})
+	rm := c.rm
+	c.register("n1", 8, 32768)
 	submitBoth(t, rm)
 
+	// The slots run on a goroutine of their own, which may not end the test
+	// with t.Fatal, so they play their own loop on the cluster's clock.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var pending []string
+		now := c.now
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := rm.Tick(time.Now()); err != nil {
+			now = now.Add(slotDur)
+			if err := rm.Tick(now); err != nil {
 				t.Errorf("Tick: %v", err)
 				return
 			}
-			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, time.Now())
+			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, now)
 			if err != nil {
 				t.Errorf("Heartbeat: %v", err)
 				return
@@ -120,11 +122,7 @@ func TestRecoveryEquivalenceConcurrent(t *testing.T) {
 }
 
 func TestRecoveryEquivalenceRequiresStore(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO()})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := rm.VerifyRecoveryEquivalence(t.TempDir()); err == nil {
+	if err := newCluster(t, Config{}, nil).rm.VerifyRecoveryEquivalence(t.TempDir()); err == nil {
 		t.Fatal("want error without a store")
 	}
 }
@@ -139,8 +137,9 @@ func TestRecoveryEquivalenceRequiresStore(t *testing.T) {
 // the same in-flight volume, which the snapshot leaves to its leases.
 func TestLiveEqualsReplayWithLeases(t *testing.T) {
 	dir := t.TempDir()
-	rm := newMixedRM(t, dir)
-	driveMixed(t, &rm, 1, 20, func(int) {}, func(what string) {
+	c := newCluster(t, mixedConfig(), &durable{dir: dir, policy: store.SyncNever})
+	rm := c.rm
+	driveMixed(t, c, 1, 20, func(int) {}, func(what string) {
 		live, replayed, follower := liveAndReplayed(t, rm)
 		if !bytes.Equal(live.snapshot, replayed.snapshot) {
 			t.Fatalf("after %s, replaying the log does not rebuild the live state:\nlive:     %s\nreplayed: %s", what, live.snapshot, replayed.snapshot)
@@ -177,9 +176,10 @@ func TestLiveEqualsReplayWithLeases(t *testing.T) {
 // snapshots to the live server's state byte for byte, leases included.
 func TestLiveEqualsReplayIntoBareState(t *testing.T) {
 	dir := t.TempDir()
-	rm := newMixedRM(t, dir)
+	c := newCluster(t, mixedConfig(), &durable{dir: dir, policy: store.SyncNever})
+	rm := c.rm
 	leased := false
-	driveMixed(t, &rm, 1, 20, func(slot int) {
+	driveMixed(t, c, 1, 20, func(slot int) {
 		bare := rmstate.New(rm.cfg.SlotDur, rm.cfg.LeaseExpiry)
 		var codec rmstate.Codec
 		for i, p := range readWAL(t, dir) {
@@ -239,15 +239,9 @@ func liveAndReplayed(t *testing.T, rm *Server) (live, replayed heldState, follow
 	if err != nil {
 		t.Fatalf("copy the state directory: %v", err)
 	}
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	defer st.Close()
-	follower, err = New(Config{SlotDur: rm.cfg.SlotDur, Scheduler: sched.NewFIFO(), Store: st, Follower: true})
-	if err != nil {
-		t.Fatalf("recover the copy as a follower: %v", err)
-	}
+	f := newCluster(t, Config{SlotDur: rm.cfg.SlotDur, Follower: true}, &durable{dir: dir, policy: store.SyncNever, abandon: true})
+	defer f.store.Close()
+	follower = f.rm
 	follower.mu.Lock()
 	defer follower.mu.Unlock()
 	return live, heldLocked(t, follower), follower

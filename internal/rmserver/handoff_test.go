@@ -66,24 +66,6 @@ func checkBooks(t testing.TB, rm *Server, what string) {
 	}
 }
 
-func tick(t testing.TB, rm *Server) {
-	t.Helper()
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-}
-
-// beat heartbeats one node, confirming the given quanta, and returns what
-// it was handed.
-func beat(t testing.TB, rm *Server, nodeID string, completed []string) []rmproto.Quantum {
-	t.Helper()
-	resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: nodeID, Completed: completed}, time.Now())
-	if err != nil {
-		t.Fatalf("Heartbeat(%s): %v", nodeID, err)
-	}
-	return resp.Launch
-}
-
 func vcores(qs []rmproto.Quantum, job string) (n int64) {
 	for _, q := range qs {
 		if q.JobID == job {
@@ -131,10 +113,7 @@ func TestChainStartsOnTheConfirmingHeartbeat(t *testing.T) {
 		{sched.NewFIFO(), [3]int64{3, 6, 9}, [2]int64{0, 0}},
 	} {
 		t.Run(tc.sched.Name(), func(t *testing.T) {
-			rm, err := New(Config{SlotDur: time.Minute, Scheduler: tc.sched})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
+			rm := newCluster(t, Config{SlotDur: time.Minute, Scheduler: tc.sched}, nil).rm
 			ts := httptest.NewServer(rm.Handler())
 			defer ts.Close()
 			c, ctx := NewClient(ts.URL, ts.Client()), context.Background()
@@ -180,20 +159,20 @@ func TestChainStartsOnTheConfirmingHeartbeat(t *testing.T) {
 
 // fanIn is two one-slot predecessors that first-fit spreads over n1 and
 // n2, and a successor wide enough to need a second node.
-func fanIn(t *testing.T) *Server {
+func fanIn(t *testing.T) *cluster {
 	t.Helper()
-	rm := newRM(t, core.New(core.DefaultConfig()))
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
 	for _, n := range []string{"n1", "n2", "n3"} {
-		register(t, rm, n, 4, 8192)
+		c.register(n, 4, 8192)
 	}
-	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: trace.WorkflowRecord{
+	if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: trace.WorkflowRecord{
 		ID: "wf", DeadlineSec: 3600,
 		Jobs: []trace.JobRecord{stage("p1", 4, 10), stage("p2", 4, 10), stage("c", 8, 10)},
 		Deps: [][2]int{{0, 2}, {1, 2}},
 	}}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	return rm
+	return c
 }
 
 // TestFanInDispatchesOnTheLastConfirm: with two predecessors confirmed by
@@ -202,48 +181,48 @@ func fanIn(t *testing.T) *Server {
 // room, then on a node that has not fetched its queue for the slot, never
 // on one that has. Repeating the confirm repeats nothing.
 func TestFanInDispatchesOnTheLastConfirm(t *testing.T) {
-	rm := fanIn(t)
-	tick(t, rm)
-	on1, on2 := beat(t, rm, "n1", nil), beat(t, rm, "n2", nil)
-	if vcores(on1, "wf/p1#0") != 4 || vcores(on2, "wf/p2#1") != 4 || len(beat(t, rm, "n3", nil)) != 0 {
+	c := fanIn(t)
+	c.tick()
+	on1, on2 := c.beat("n1", nil), c.beat("n2", nil)
+	if vcores(on1, "wf/p1#0") != 4 || vcores(on2, "wf/p2#1") != 4 || len(c.beat("n3", nil)) != 0 {
 		t.Fatalf("first slot placed %v on n1 and %v on n2, want p1 and p2 whole", on1, on2)
 	}
-	tick(t, rm) // c is ready on confirm: the cluster is idle, it is offered its 8 cores
-	if got := beat(t, rm, "n1", quantumIDs(on1)); len(got) != 0 {
+	c.tick() // c is ready on confirm: the cluster is idle, it is offered its 8 cores
+	if got := c.beat("n1", quantumIDs(on1)); len(got) != 0 {
 		t.Fatalf("p1's confirm, with p2 still running, launched %v", got)
 	}
-	if rm.Status().OutstandingLeases != 1 {
+	if c.rm.Status().OutstandingLeases != 1 {
 		t.Fatal("the first confirm created a lease")
 	}
-	checkBooks(t, rm, "after the first confirm")
-	got2 := beat(t, rm, "n2", quantumIDs(on2))
+	checkBooks(t, c.rm, "after the first confirm")
+	got2 := c.beat("n2", quantumIDs(on2))
 	if vcores(got2, "wf/c#2") != 4 || len(got2) != 1 {
 		t.Fatalf("p2's confirm launched %v on n2, want 4 cores of c", got2)
 	}
-	checkBooks(t, rm, "after the second confirm")
-	if again := beat(t, rm, "n2", quantumIDs(on2)); len(again) != 0 {
+	checkBooks(t, c.rm, "after the second confirm")
+	if again := c.beat("n2", quantumIDs(on2)); len(again) != 0 {
 		t.Errorf("a repeated confirm launched %v", again)
 	}
-	if late := beat(t, rm, "n1", nil); len(late) != 0 {
+	if late := c.beat("n1", nil); len(late) != 0 {
 		t.Errorf("n1, which had heartbeaten before the dispatch, was handed %v", late)
 	}
-	got3 := beat(t, rm, "n3", nil)
+	got3 := c.beat("n3", nil)
 	if vcores(got3, "wf/c#2") != 4 || len(got3) != 1 {
 		t.Fatalf("n3 fetched %v, want the other 4 cores of c", got3)
 	}
-	if got, st := handOffs(rm), rm.Status(); got != [2]int64{1, 0} || st.OutstandingLeases != 2 || st.Faults.StaleConfirms != 1 {
+	if got, st := handOffs(c.rm), c.rm.Status(); got != [2]int64{1, 0} || st.OutstandingLeases != 2 || st.Faults.StaleConfirms != 1 {
 		t.Errorf("hand-offs %v, %d leases out, %d stale confirms; want one dispatch, c's two leases, the repeated confirm stale",
 			got, st.OutstandingLeases, st.Faults.StaleConfirms)
 	}
-	tick(t, rm)
-	beat(t, rm, "n2", quantumIDs(got2))
-	beat(t, rm, "n3", quantumIDs(got3))
-	for _, j := range rm.Status().Jobs {
+	c.tick()
+	c.beat("n2", quantumIDs(got2))
+	c.beat("n3", quantumIDs(got3))
+	for _, j := range c.rm.Status().Jobs {
 		if j.State != "completed" || j.Delivered != j.Total {
 			t.Errorf("job %s: %s, delivered %+v of %+v", j.ID, j.State, j.Delivered, j.Total)
 		}
 	}
-	checkBooks(t, rm, "at the end")
+	checkBooks(t, c.rm, "at the end")
 }
 
 // TestLapsedOfferLeavesNothingBehind: when the confirm comes after the
@@ -251,32 +230,32 @@ func TestFanInDispatchesOnTheLastConfirm(t *testing.T) {
 // lease, no placed volume, no requeue — and that tick's own offer is the
 // one the late confirm dispatches.
 func TestLapsedOfferLeavesNothingBehind(t *testing.T) {
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 4, 8192)
-	if _, err := rm.SubmitWorkflow(twoStage()); err != nil {
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	c.register("n1", 4, 8192)
+	if _, err := c.rm.SubmitWorkflow(twoStage()); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	tick(t, rm)
-	a := beat(t, rm, "n1", nil)
-	tick(t, rm) // b is offered; the node is late
-	checkBooks(t, rm, "with the offer held")
-	tick(t, rm) // the offer lapses; a is still out, so b is offered again
-	if got, st := handOffs(rm), rm.Status(); got != [2]int64{0, 1} || st.OutstandingLeases != 1 {
+	c.tick()
+	a := c.beat("n1", nil)
+	c.tick() // b is offered; the node is late
+	checkBooks(t, c.rm, "with the offer held")
+	c.tick() // the offer lapses; a is still out, so b is offered again
+	if got, st := handOffs(c.rm), c.rm.Status(); got != [2]int64{0, 1} || st.OutstandingLeases != 1 {
 		t.Fatalf("after the lapse: hand-offs %v, %d leases; want one lapsed and only a's lease", got, st.OutstandingLeases)
 	}
-	checkBooks(t, rm, "after the lapse")
-	b := beat(t, rm, "n1", quantumIDs(a))
+	checkBooks(t, c.rm, "after the lapse")
+	b := c.beat("n1", quantumIDs(a))
 	if vcores(b, "wf/b#1") != 4 {
 		t.Fatalf("the late confirm launched %v, want b's 4 cores from this slot's offer", b)
 	}
-	checkBooks(t, rm, "after the late confirm")
-	tick(t, rm)
-	beat(t, rm, "n1", quantumIDs(b))
-	st := rm.Status()
-	if got := handOffs(rm); got != [2]int64{1, 1} || st.OutstandingLeases != 0 || st.Faults.RequeuedQuanta != 0 || !allCompleted(st) {
+	checkBooks(t, c.rm, "after the late confirm")
+	c.tick()
+	c.beat("n1", quantumIDs(b))
+	st := c.rm.Status()
+	if got := handOffs(c.rm); got != [2]int64{1, 1} || st.OutstandingLeases != 0 || st.Faults.RequeuedQuanta != 0 || !allCompleted(st) {
 		t.Errorf("at the end: hand-offs %v, %d leases, %d requeues, all completed %v", got, st.OutstandingLeases, st.Faults.RequeuedQuanta, allCompleted(st))
 	}
-	checkBooks(t, rm, "at the end")
+	checkBooks(t, c.rm, "at the end")
 }
 
 // syncHookFS runs a hook inside every fsync: the instant a tick's record
@@ -312,43 +291,36 @@ func (f syncHookFile) Sync() error {
 // heartbeat at all, replays the primary's dispatch from the log as the
 // same lease, and requeues it on promotion.
 func TestOffersDispatchOnlyWhereTheyMay(t *testing.T) {
-	// held runs rm to the slot in which b is offered and returns a's quanta.
-	held := func(t *testing.T, rm *Server) []string {
+	// held runs c to the slot in which b is offered and returns a's quanta.
+	held := func(t *testing.T, c *cluster) []string {
 		t.Helper()
-		register(t, rm, "n1", 4, 8192)
-		if _, err := rm.SubmitWorkflow(twoStage()); err != nil {
+		c.register("n1", 4, 8192)
+		if _, err := c.rm.SubmitWorkflow(twoStage()); err != nil {
 			t.Fatalf("SubmitWorkflow: %v", err)
 		}
-		tick(t, rm)
-		return quantumIDs(beat(t, rm, "n1", nil))
+		c.tick()
+		return quantumIDs(c.beat("n1", nil))
 	}
 
 	t.Run("draining", func(t *testing.T) {
-		rm := newRM(t, core.New(core.DefaultConfig()))
-		a := held(t, rm)
-		tick(t, rm)
-		rm.BeginDrain()
-		if got := beat(t, rm, "n1", a); len(got) != 0 || rm.Status().OutstandingLeases != 0 {
+		c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+		a := held(t, c)
+		c.tick()
+		c.rm.BeginDrain()
+		if got := c.beat("n1", a); len(got) != 0 || c.rm.Status().OutstandingLeases != 0 {
 			t.Errorf("a draining RM dispatched %v", got)
 		}
-		checkBooks(t, rm, "draining")
+		checkBooks(t, c.rm, "draining")
 	})
 
 	t.Run("heartbeat inside the tick commit", func(t *testing.T) {
 		fs := &syncHookFS{FS: store.OSFS}
-		st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncAlways, FS: fs})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		t.Cleanup(func() { st.Close() })
-		rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(core.DefaultConfig()), Store: st})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		a := held(t, rm)
+		c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, &durable{fs: fs})
+		rm := c.rm
+		a := held(t, c)
 		var early []rmproto.Quantum
-		fs.hook = func() { early = beat(t, rm, "n1", a) }
-		tick(t, rm)
+		fs.hook = func() { early = c.beat("n1", a) }
+		c.tick()
 		if fs.hook != nil {
 			t.Fatal("the tick did not fsync")
 		}
@@ -356,31 +328,24 @@ func TestOffersDispatchOnlyWhereTheyMay(t *testing.T) {
 			t.Fatalf("the heartbeat inside the commit was handed %v (hand-offs %v, %d leases)", early, handOffs(rm), rm.Status().OutstandingLeases)
 		}
 		checkBooks(t, rm, "after the early heartbeat")
-		if final := driveToCompletion(t, rm, []string{"n1"}, 20); !allCompleted(final) || final.Faults.RequeuedQuanta != 0 {
+		if final := c.runToCompletion(20); !allCompleted(final) || final.Faults.RequeuedQuanta != 0 {
 			t.Errorf("the chain did not complete cleanly afterwards: %+v", final.Summary)
 		}
 		verifyEquiv(t, rm, "after the run")
 	})
 
 	t.Run("follower", func(t *testing.T) {
-		pst, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncAlways})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		t.Cleanup(func() { pst.Close() })
-		primary, err := New(Config{SlotDur: slotDur, Scheduler: core.New(core.DefaultConfig()), Store: pst})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		follower, _ := newReplicaRM(t, t.TempDir(), "")
-		a := held(t, primary)
-		tick(t, primary)
-		b := beat(t, primary, "n1", a)
+		p := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, &durable{})
+		f := newCluster(t, Config{Follower: true}, &durable{})
+		primary, follower := p.rm, f.rm
+		a := held(t, p)
+		p.tick()
+		b := p.beat("n1", a)
 		if vcores(b, "wf/b#1") != 4 {
 			t.Fatalf("the primary dispatched %v, want b's 4 cores", b)
 		}
 		pumpRepl(t, primary, follower)
-		if _, err := follower.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: a}, time.Now()); !errors.Is(err, ErrNotLeader) {
+		if _, err := follower.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: a}, f.now); !errors.Is(err, ErrNotLeader) {
 			t.Errorf("follower heartbeat = %v, want ErrNotLeader", err)
 		}
 		primary.mu.Lock()
@@ -417,15 +382,9 @@ func TestMixedRunHoldsEveryRelation(t *testing.T) {
 	var dispatched, lapsed int64
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		ft := oracle.NewConserving(core.DefaultConfig())
-		st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		rm, err := New(Config{SlotDur: slotDur, Scheduler: ft, LeaseExpiry: 3, Store: st})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		driveMixed(t, &rm, seed, 40, func(slot int) {
+		c := newCluster(t, Config{Scheduler: ft, LeaseExpiry: 3}, &durable{policy: store.SyncNever})
+		rm := c.rm
+		driveMixed(t, c, seed, 40, func(slot int) {
 			checkBooks(t, rm, fmt.Sprintf("seed %d slot %d", seed, slot))
 		}, nil)
 		if ft.Slots() != 40 {
@@ -434,7 +393,6 @@ func TestMixedRunHoldsEveryRelation(t *testing.T) {
 		verifyEquiv(t, rm, fmt.Sprintf("seed %d", seed))
 		d, l := rm.HandOffs()
 		dispatched, lapsed = dispatched+d, lapsed+l
-		st.Close()
 	}
 	if dispatched < 10 || lapsed == 0 {
 		t.Errorf("%d offers dispatched and %d lapsed over the runs; want both exercised", dispatched, lapsed)
@@ -487,12 +445,13 @@ func FuzzHeartbeatBody(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rm := fanIn(t)
-		tick(t, rm)
-		on1 := beat(t, rm, "n1", nil)
-		beat(t, rm, "n2", nil)
-		tick(t, rm)
-		beat(t, rm, "n1", quantumIDs(on1))
+		c := fanIn(t)
+		rm := c.rm
+		c.tick()
+		on1 := c.beat("n1", nil)
+		c.beat("n2", nil)
+		c.tick()
+		c.beat("n1", quantumIDs(on1))
 
 		h := rm.Handler()
 		post := func() (int, []rmproto.Quantum) {
@@ -543,8 +502,9 @@ func FuzzHeartbeatBody(f *testing.F) {
 // TestRequestBodyIsBounded: a body past maxRequestBytes is refused with a
 // 413 instead of being read to its end.
 func TestRequestBodyIsBounded(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	register(t, rm, "n1", 4, 8192)
+	c := newCluster(t, Config{}, nil)
+	c.register("n1", 4, 8192)
+	rm := c.rm
 	rec := serve(rm.Handler(), http.MethodPost, rmproto.PathHeartbeat, hbBody("n1", strings.Repeat("q", maxRequestBytes)), "")
 	var e rmproto.Error
 	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Message == "" {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"flowtime/internal/rmproto"
-	"flowtime/internal/sched"
 	"flowtime/internal/trace"
 )
 
@@ -90,10 +89,11 @@ func gunzip(p []byte) ([]byte, error) {
 // exactly the bytes a request without it gets; the control path's replies
 // are plain whatever the request asks.
 func TestReadPathNegotiation(t *testing.T) {
-	rm, _ := newDurableRM(t, t.TempDir(), true)
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{}, &durable{})
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
 	submitBoth(t, rm)
-	runSlots(t, rm, "n1", 3, nil)
+	c.run(3)
 	h := rm.Handler()
 	serve(h, http.MethodGet, rmproto.PathStatus, "", "") // commits the last heartbeat: the answers below do not move
 
@@ -184,9 +184,10 @@ func TestRequestBodyTrailingData(t *testing.T) {
 		{rmproto.PathRegister, reg("n3") + " x", false},
 		{rmproto.PathRegister, reg("n3") + " \n", true},
 	} {
-		rm := newRM(t, sched.NewFIFO())
-		register(t, rm, "n1", 4, 8192)
-		register(t, rm, "n2", 4, 8192)
+		cl := newCluster(t, Config{}, nil)
+		rm := cl.rm
+		cl.register("n1", 4, 8192)
+		cl.register("n2", 4, 8192)
 		seen := func() [2]time.Time {
 			rm.mu.Lock()
 			defer rm.mu.Unlock()
@@ -215,9 +216,10 @@ func TestRequestBodyTrailingData(t *testing.T) {
 // a launch, and Client decodes exactly what Server.Heartbeat hands a twin
 // server in the same state.
 func TestHeartbeatWireIsCompact(t *testing.T) {
-	twin := func() *Server {
-		rm := newRM(t, sched.NewFIFO())
-		register(t, rm, "n1", 4, 4*2048)
+	twin := func() *cluster {
+		c := newCluster(t, Config{}, nil)
+		rm := c.rm
+		c.register("n1", 4, 4*2048)
 		for i := 0; i < 4; i++ {
 			if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
 				ID: fmt.Sprintf("ah%05d", i), Tasks: 1, TaskDurSec: 600, DemandVCores: 1, DemandMemMB: 2048,
@@ -225,11 +227,11 @@ func TestHeartbeatWireIsCompact(t *testing.T) {
 				t.Fatalf("SubmitAdHoc: %v", err)
 			}
 		}
-		tick(t, rm)
-		return rm
+		c.tick()
+		return c
 	}
-	want := beat(t, twin(), "n1", nil)
-	ts := httptest.NewServer(twin().Handler())
+	want := twin().beat("n1", nil)
+	ts := httptest.NewServer(twin().rm.Handler())
 	defer ts.Close()
 	rt := &countingRT{rt: http.DefaultTransport}
 	got, err := NewClient(ts.URL, &http.Client{Transport: rt}).Heartbeat(context.Background(), rmproto.HeartbeatRequest{NodeID: "n1"})
@@ -250,7 +252,7 @@ func TestHeartbeatWireIsCompact(t *testing.T) {
 // and a malformed binary body a 400 naming what is wrong; neither beats the
 // node. Registration stays JSON.
 func TestHeartbeatRefusals(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
+	rm := newCluster(t, Config{}, nil).rm
 	h := rm.Handler()
 	if rec := serve(h, http.MethodPost, rmproto.PathRegister, `{"node_id":"n1","capacity":{"vcores":4,"memory_mb":8192}}`, ""); rec.Code != http.StatusOK {
 		t.Fatalf("JSON registration: %d %s", rec.Code, rec.Body)
@@ -306,8 +308,9 @@ func TestHeartbeatRefusals(t *testing.T) {
 // past maxRequestBytes is a 413. None admits anything, and a well-formed
 // body after them is accepted.
 func TestSubmitRefusals(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	register(t, rm, "n1", 4, 8192)
+	cl := newCluster(t, Config{}, nil)
+	cl.register("n1", 4, 8192)
+	rm := cl.rm
 	h := rm.Handler()
 	jsonAdHoc := `{"job":{"id":"a","tasks":1,"task_dur_sec":10,"demand_vcores":1,"demand_mem_mb":512}}`
 	for _, c := range []struct {
@@ -367,8 +370,9 @@ func TestSubmitRefusals(t *testing.T) {
 // workflow in under a third of the JSON the RM used to take for it. The
 // client names each reply with the ID the RM no longer sends.
 func TestSubmitWireIsCompact(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	register(t, rm, "n1", 64, 256*1024)
+	rc := newCluster(t, Config{}, nil)
+	rc.register("n1", 64, 256*1024)
+	rm := rc.rm
 	ts := httptest.NewServer(rm.Handler())
 	defer ts.Close()
 	rt := &countingRT{rt: http.DefaultTransport}

@@ -21,8 +21,6 @@ import (
 
 	"flowtime/internal/netchaos"
 	"flowtime/internal/rmproto"
-	"flowtime/internal/sched"
-	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
 
@@ -60,10 +58,12 @@ func assertExactlyOnce(t *testing.T, rm *Server, st rmproto.StatusResponse) {
 // the follower catches up, and the post-failover workload completes
 // exactly once.
 func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
-	primary, _ := newDurableRM(t, t.TempDir(), true)
+	p := newCluster(t, Config{}, &durable{})
+	primary := p.rm
 	psrv := httptest.NewServer(primary.Handler())
 	defer psrv.Close()
-	follower, _ := newReplicaRM(t, t.TempDir(), psrv.URL)
+	f := newCluster(t, Config{Follower: true, LeaderURL: psrv.URL}, &durable{})
+	follower := f.rm
 
 	// The partition window lives on a virtual clock the test advances.
 	inj := netchaos.New(1001, netchaos.Script{{Fault: netchaos.Partition, From: "repl", To: "rm", Bidir: true, Start: time.Second, End: 2 * time.Second}})
@@ -93,15 +93,15 @@ func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
 	}
 
 	// Phase 1 (link up): ship the first part of the stream.
-	register(t, primary, "n1", 8, 16*1024)
+	p.register("n1", 8, 16*1024)
 	submitBoth(t, primary)
-	pending := runSlots(t, primary, "n1", 2, nil)
+	p.run(2)
 	waitConverged("before the partition")
 
 	// Phase 2 (partition): the primary keeps working; nothing ships.
 	clk.set(1500 * time.Millisecond)
 	behindWM := follower.store.Watermark()
-	runSlots(t, primary, "n1", 2, pending)
+	p.run(2)
 	if primary.store.Watermark() == behindWM {
 		t.Fatal("primary journaled nothing during the partition — scenario needs mid-stream state")
 	}
@@ -123,8 +123,8 @@ func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("replicator did not exit after promotion")
 	}
-	register(t, follower, "n1", 8, 16*1024)
-	st := driveToCompletion(t, follower, []string{"n1"}, 200)
+	f.register("n1", 8, 16*1024)
+	st := f.runToCompletion(200)
 	assertExactlyOnce(t, follower, st)
 }
 
@@ -134,10 +134,12 @@ func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
 // re-ship the follower must deduplicate. The workload still completes
 // exactly once after failover.
 func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
-	primary, _ := newDurableRM(t, t.TempDir(), true)
+	p := newCluster(t, Config{}, &durable{})
+	primary := p.rm
 	psrv := httptest.NewServer(primary.Handler())
 	defer psrv.Close()
-	follower, _ := newReplicaRM(t, t.TempDir(), psrv.URL)
+	f := newCluster(t, Config{Follower: true, LeaderURL: psrv.URL}, &durable{})
+	follower := f.rm
 
 	// Real-clock flap: 30ms up, 30ms down, forever. Ship requests and
 	// responses are judged independently, so response-only losses occur.
@@ -154,9 +156,9 @@ func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
 		})
 	}()
 
-	register(t, primary, "n1", 8, 16*1024)
+	p.register("n1", 8, 16*1024)
 	submitBoth(t, primary)
-	runSlots(t, primary, "n1", 4, nil)
+	p.run(4)
 
 	deadline := time.Now().Add(15 * time.Second)
 	for follower.store.Watermark() != primary.store.Watermark() {
@@ -175,8 +177,8 @@ func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("replicator did not exit after promotion")
 	}
-	register(t, follower, "n1", 8, 16*1024)
-	st := driveToCompletion(t, follower, []string{"n1"}, 200)
+	f.register("n1", 8, 16*1024)
+	st := f.runToCompletion(200)
 	assertExactlyOnce(t, follower, st)
 }
 
@@ -202,25 +204,10 @@ func (rt *hostChaosRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // lands on exactly one leader and the workload completes exactly once.
 func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 	const fastSlot = 30 * time.Millisecond
-	newFastRM := func(dir string, followerOf string) *Server {
-		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		t.Cleanup(func() { st.Close() })
-		rm, err := New(Config{
-			SlotDur: fastSlot, Scheduler: sched.NewFIFO(), Store: st,
-			Follower: followerOf != "", LeaderURL: followerOf,
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return rm
-	}
-	primary := newFastRM(t.TempDir(), "")
+	primary := newCluster(t, Config{SlotDur: fastSlot}, &durable{}).rm
 	psrv := httptest.NewServer(primary.Handler())
 	defer psrv.Close()
-	follower := newFastRM(t.TempDir(), psrv.URL)
+	follower := newCluster(t, Config{SlotDur: fastSlot, Follower: true, LeaderURL: psrv.URL}, &durable{}).rm
 	fsrv := httptest.NewServer(follower.Handler())
 	defer fsrv.Close()
 
@@ -350,7 +337,7 @@ func TestNetChaosCodedErrorsThroughWrappedListener(t *testing.T) {
 	}
 
 	// not_leader through a throttled listener: the hint survives.
-	follower, _ := newReplicaRM(t, t.TempDir(), "http://leader.example:8030")
+	follower := newCluster(t, Config{Follower: true, LeaderURL: "http://leader.example:8030"}, &durable{}).rm
 	furl := chaosListen(t, follower, 9, netchaos.Script{
 		{Fault: netchaos.Throttle, From: "c", To: "s", Bidir: true, BytesPerSec: 65536},
 		{Fault: netchaos.Latency, From: "c", To: "s", Latency: 2 * time.Millisecond},

@@ -126,15 +126,26 @@ import (
 // record before it, which is how the records nobody waits for ride the
 // next commit.
 func (s *Server) journalLocked(rec rmstate.Record) (store.Handle, error) {
-	payload, err := s.encodeLocked(&rec)
-	if err != nil {
-		return store.Handle{}, err
+	var payload []byte // in the codec's buffer, valid until the next encode
+	if s.store != nil {
+		var err error
+		if payload, err = s.codec.Encode(&rec); err != nil {
+			return store.Handle{}, fmt.Errorf("rmserver: wal encode: %w", err)
+		}
 	}
 	if err := s.st.Apply(&rec); err != nil {
 		return store.Handle{}, err
 	}
 	s.appliedLocked()
-	return s.appendLocked(payload)
+	if s.store == nil {
+		return store.Handle{}, nil
+	}
+	h, err := s.store.Append(payload) // copies: the codec's buffer is free again
+	if err != nil {
+		return store.Handle{}, fmt.Errorf("rmserver: wal append: %w: %w", ErrCommitFailed, err)
+	}
+	s.journaled = h
+	return h, nil
 }
 
 // appliedLocked catches this process up with what applying records may
@@ -151,35 +162,6 @@ func (s *Server) appliedLocked() {
 // err for: it did unless the codec or the apply refused it first. A store
 // that refuses the append answers ErrCommitFailed after the apply.
 func applied(err error) bool { return err == nil || errors.Is(err, ErrCommitFailed) }
-
-// encodeLocked returns rec's WAL payload — nil with no store — in the
-// codec's buffer, valid until the next encode. A record is encoded before
-// anything changes and appended (appendLocked) last, so a record the codec
-// refuses is an error answer that leaves nothing behind.
-func (s *Server) encodeLocked(rec *rmstate.Record) ([]byte, error) {
-	if s.store == nil {
-		return nil, nil
-	}
-	payload, err := s.codec.Encode(rec)
-	if err != nil {
-		return nil, fmt.Errorf("rmserver: wal encode: %w", err)
-	}
-	return payload, nil
-}
-
-// appendLocked is journalLocked's last step: it appends a payload
-// encodeLocked returned.
-func (s *Server) appendLocked(payload []byte) (store.Handle, error) {
-	if s.store == nil {
-		return store.Handle{}, nil
-	}
-	h, err := s.store.Append(payload) // copies: the codec's buffer is free again
-	if err != nil {
-		return store.Handle{}, fmt.Errorf("rmserver: wal append: %w: %w", ErrCommitFailed, err)
-	}
-	s.journaled = h
-	return h, nil
-}
 
 // commitRecord makes a journaled record — and every record journaled
 // before it — durable per the store's fsync policy. Called WITHOUT s.mu

@@ -10,59 +10,14 @@ import (
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
-	"flowtime/internal/trace"
 )
-
-// newDurableRM opens (or reopens) a state directory and builds an RM on
-// it. The store is closed via t.Cleanup only when close is true — crash
-// tests deliberately abandon the store without closing it, exactly like
-// a SIGKILL would.
-func newDurableRM(t *testing.T, dir string, closeStore bool) (*Server, *store.Store) {
-	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	if closeStore {
-		t.Cleanup(func() { st.Close() })
-	}
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return rm, st
-}
-
-// runSlots drives n slots of tick+heartbeat against one node, confirming
-// every launched quantum on the following heartbeat.
-func runSlots(t *testing.T, rm *Server, nodeID string, n int, pending []string) []string {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		if err := rm.Tick(time.Now()); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-		resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: nodeID, Completed: pending}, time.Now())
-		if err != nil {
-			t.Fatalf("Heartbeat: %v", err)
-		}
-		pending = pending[:0]
-		for _, q := range resp.Launch {
-			pending = append(pending, q.ID)
-		}
-	}
-	return pending
-}
 
 func submitBoth(t *testing.T, rm *Server) {
 	t.Helper()
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-		ID: "a1", Tasks: 2, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
-	}}); err != nil {
-		t.Fatalf("SubmitAdHoc: %v", err)
-	}
+	submitAdHoc(t, rm, "a1", 2, 20)
 }
 
 // TestCrashRecoveryResumesWork kills an RM mid-workload (the store is
@@ -73,18 +28,21 @@ func submitBoth(t *testing.T, rm *Server) {
 func TestCrashRecoveryResumesWork(t *testing.T) {
 	dir := t.TempDir()
 
-	rm1, _ := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 8, 32768)
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	rm1 := c1.rm
+	c1.register("n1", 8, 32768)
 	submitBoth(t, rm1)
 	// A few slots in, with confirms applied and leases still in flight.
-	pending := runSlots(t, rm1, "n1", 3, nil)
+	c1.run(3)
+	pending := c1.held["n1"]
 	if len(pending) == 0 {
 		t.Fatal("expected in-flight leases at crash point")
 	}
 	crashSlot := rm1.Slot()
 	// Crash: rm1 and its store are simply abandoned.
 
-	rm2, _ := newDurableRM(t, dir, true)
+	c2 := newCluster(t, Config{}, &durable{dir: dir})
+	rm2 := c2.rm
 	rec := rm2.Recovery()
 	if rec == nil || !rec.Performed {
 		t.Fatal("no recovery status after restart")
@@ -108,11 +66,11 @@ func TestCrashRecoveryResumesWork(t *testing.T) {
 
 	// The dead node's confirms must be rejected as stale, and the
 	// re-registered node must carry the remaining work to completion.
-	if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, time.Now()); err == nil {
+	if _, err := rm2.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, c2.now); err == nil {
 		t.Error("heartbeat from unregistered node accepted after recovery")
 	}
-	register(t, rm2, "n1", 8, 32768)
-	final := driveToCompletion(t, rm2, []string{"n1"}, 200)
+	c2.register("n1", 8, 32768)
+	final := c2.runToCompletion(200)
 	for _, j := range final.Jobs {
 		if j.State != "completed" {
 			t.Errorf("job %s not completed after recovery: %s", j.ID, j.State)
@@ -141,16 +99,16 @@ func normalizeStatus(st rmproto.StatusResponse) rmproto.StatusResponse {
 // converge to the same state, not double-apply anything.
 func TestRecoveryIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 8, 32768)
-	submitBoth(t, rm1)
-	runSlots(t, rm1, "n1", 4, nil)
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	c1.register("n1", 8, 32768)
+	submitBoth(t, c1.rm)
+	c1.run(4)
 
-	rmA, stA := newDurableRM(t, dir, false)
-	a, _ := json.Marshal(normalizeStatus(rmA.Status()))
-	stA.Close()
+	cA := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	a, _ := json.Marshal(normalizeStatus(cA.rm.Status()))
+	cA.store.Close()
 
-	rmB, _ := newDurableRM(t, dir, true)
+	rmB := newCluster(t, Config{}, &durable{dir: dir}).rm
 	b, _ := json.Marshal(normalizeStatus(rmB.Status()))
 	if string(a) != string(b) {
 		t.Errorf("two recoveries of the same directory diverge:\n%s\n%s", a, b)
@@ -162,18 +120,19 @@ func TestRecoveryIdempotent(t *testing.T) {
 // tail written after it.
 func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 8, 32768)
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	rm1 := c1.rm
+	c1.register("n1", 8, 32768)
 	submitBoth(t, rm1)
-	pending := runSlots(t, rm1, "n1", 2, nil)
+	c1.run(2)
 	if err := rm1.WriteSnapshot(); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	snapSlot := rm1.Slot()
-	runSlots(t, rm1, "n1", 2, pending)
+	c1.run(2)
 	wantSlot := rm1.Slot()
 
-	rm2, _ := newDurableRM(t, dir, true)
+	rm2 := newCluster(t, Config{}, &durable{dir: dir}).rm
 	rec := rm2.Recovery()
 	if !rec.FromSnapshot {
 		t.Fatalf("recovery did not use the snapshot: %+v", rec)
@@ -194,11 +153,11 @@ func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 // failing, recovering everything before the tear.
 func TestRecoveryTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 8, 32768)
-	submitBoth(t, rm1)
-	runSlots(t, rm1, "n1", 3, nil)
-	wantSlot := rm1.Slot()
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	c1.register("n1", 8, 32768)
+	submitBoth(t, c1.rm)
+	c1.run(3)
+	wantSlot := c1.rm.Slot()
 
 	walFile := ""
 	entries, _ := os.ReadDir(dir)
@@ -217,7 +176,7 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	f.Write([]byte{0x13, 0x37, 0x00}) // torn partial frame
 	f.Close()
 
-	rm2, _ := newDurableRM(t, dir, true)
+	rm2 := newCluster(t, Config{}, &durable{dir: dir}).rm
 	rec := rm2.Recovery()
 	if !rec.WALTruncated || rec.TruncatedBytes != 3 {
 		t.Errorf("torn tail not truncated: %+v", rec)
@@ -235,15 +194,19 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 // records to replay.
 func TestDrainWritesFinalSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	rm1, st1 := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 8, 32768)
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	rm1 := c1.rm
+	c1.register("n1", 8, 32768)
 	submitBoth(t, rm1)
-	pending := runSlots(t, rm1, "n1", 3, nil)
+	c1.run(3)
+	pending, now := c1.held["n1"], c1.now
 	go func() {
-		// Confirm the stragglers so the drain can complete.
+		// Confirm the stragglers so the drain can complete: a loop of its
+		// own, on a goroutine, that ends at the first refusal.
 		for len(pending) > 0 {
-			rm1.Tick(time.Now())
-			resp, err := rm1.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, time.Now())
+			now = now.Add(slotDur)
+			rm1.Tick(now)
+			resp, err := rm1.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: pending}, now)
 			if err != nil {
 				return
 			}
@@ -259,9 +222,9 @@ func TestDrainWritesFinalSnapshot(t *testing.T) {
 	if !resp.Complete {
 		t.Fatalf("drain did not complete: %+v", resp)
 	}
-	st1.Close()
+	c1.store.Close()
 
-	rm2, _ := newDurableRM(t, dir, true)
+	rm2 := newCluster(t, Config{}, &durable{dir: dir}).rm
 	rec := rm2.Recovery()
 	if !rec.FromSnapshot {
 		t.Fatalf("no final snapshot after drain: %+v", rec)
@@ -278,14 +241,14 @@ func TestDrainWritesFinalSnapshot(t *testing.T) {
 // slot duration must refuse to load under another, loudly.
 func TestRecoverySlotMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
-	rm1, st1 := newDurableRM(t, dir, false)
-	register(t, rm1, "n1", 8, 32768)
-	submitBoth(t, rm1)
-	runSlots(t, rm1, "n1", 1, nil)
-	if err := rm1.WriteSnapshot(); err != nil {
+	c1 := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	c1.register("n1", 8, 32768)
+	submitBoth(t, c1.rm)
+	c1.step()
+	if err := c1.rm.WriteSnapshot(); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	st1.Close()
+	c1.store.Close()
 
 	st2, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
 	if err != nil {
@@ -301,7 +264,7 @@ func TestRecoverySlotMismatchRejected(t *testing.T) {
 // TestEmptyDirRecovery: starting from a fresh directory performs a
 // trivial recovery and reports it.
 func TestEmptyDirRecovery(t *testing.T) {
-	rm, _ := newDurableRM(t, t.TempDir(), true)
+	rm := newCluster(t, Config{}, &durable{}).rm
 	rec := rm.Recovery()
 	if rec == nil || !rec.Performed || rec.FromSnapshot || rec.RecordsReplayed != 0 {
 		t.Errorf("empty-dir recovery = %+v, want trivial performed recovery", rec)
@@ -320,37 +283,23 @@ func TestEmptyDirRecovery(t *testing.T) {
 // is promoted, and then exactly the orphans it requeued.
 func TestFaultCountersArePerProcess(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	// Abandoned un-closed, like a SIGKILL.
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st, NodeExpiry: time.Minute})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	register(t, rm, "n1", 2, 8*1024)
-	register(t, rm, "n2", 8, 8*1024)
+	c := newCluster(t, Config{NodeExpiry: time.Minute}, &durable{dir: dir, abandon: true}) // abandoned, like a SIGKILL
+	rm := c.rm
+	c.register("n1", 2, 8*1024)
+	c.register("n2", 8, 8*1024)
 	if resp, err := rm.SubmitWorkflow(infeasibleWorkflow()); err != nil || !resp.BestEffort {
 		t.Fatalf("SubmitWorkflow = %+v, %v; want a best-effort admission", resp, err)
 	}
 	submitAdHoc(t, rm, "a1", 4, 20)
-	now := time.Now()
-	if err := rm.Tick(now); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c.tick()
 	// n1 confirms a quantum nobody issued and takes its launches; n2 falls
 	// silent and expires at the next tick, its leases requeued.
-	later := now.Add(2 * time.Minute)
-	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1", Completed: []string{"q-999"}}, later); err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
+	c.now = c.now.Add(2 * time.Minute)
+	c.beat("n1", []string{"q-999"})
 	if err := rm.WriteSnapshot(); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	if err := rm.Tick(later); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c.tick()
 	primary := rm.Status()
 	if f := primary.Faults; f.BestEffortAdmissions != 1 || f.StaleConfirms != 1 || f.ExpiredNodes != 1 || f.RequeuedQuanta == 0 ||
 		f.SchedulerPanics != 0 || f.PlanDiffsApplied != 0 || f.PlanRebases != 0 {
@@ -361,13 +310,13 @@ func TestFaultCountersArePerProcess(t *testing.T) {
 		t.Fatal("no lease outstanding at the crash: recovery requeues nothing")
 	}
 
-	follower, _ := newReplicaRM(t, t.TempDir(), "")
+	follower := newCluster(t, Config{Follower: true}, &durable{}).rm
 	pumpRepl(t, rm, follower)
 	if f := follower.Status().Faults; f != (rmproto.FaultCounters{}) {
 		t.Errorf("follower counted %+v ingesting the stream, want nothing", f)
 	}
 
-	recovered, _ := newDurableRM(t, dir, true)
+	recovered := newCluster(t, Config{}, &durable{dir: dir}).rm
 	if got := recovered.Recovery().OrphanLeasesRequeued; got != orphans {
 		t.Fatalf("recovery requeued %d orphan leases, want %d", got, orphans)
 	}

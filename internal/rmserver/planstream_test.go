@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"flowtime/internal/core"
 	"flowtime/internal/plan"
@@ -17,26 +16,6 @@ import (
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
-
-// newStreamingRM builds a durable RM whose FlowTime scheduler streams
-// plan diffs. Crash tests pass closeStore=false and abandon the store.
-func newStreamingRM(t *testing.T, dir string, closeStore bool, gate bool) (*Server, *store.Store) {
-	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	if closeStore {
-		t.Cleanup(func() { st.Close() })
-	}
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(cfg), Store: st, AdHocGate: gate})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return rm, st
-}
 
 // livePlanOf snapshots a server's live plan.
 func livePlanOf(rm *Server) *plan.Plan {
@@ -51,12 +30,13 @@ func livePlanOf(rm *Server) *plan.Plan {
 // journaled rebase.
 func TestPlanDiffsJournaledAndRecovered(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newStreamingRM(t, dir, false, false)
-	register(t, rm1, "n1", 8, 32768)
+	c1 := newCluster(t, Config{Scheduler: core.New(planStreaming())}, &durable{dir: dir, abandon: true})
+	rm1 := c1.rm
+	c1.register("n1", 8, 32768)
 	if _, err := rm1.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	runSlots(t, rm1, "n1", 3, nil)
+	c1.run(3)
 
 	before := livePlanOf(rm1)
 	if before.Rev == 0 {
@@ -74,7 +54,8 @@ func TestPlanDiffsJournaledAndRecovered(t *testing.T) {
 	}
 	// Crash: rm1 and its store are abandoned un-closed.
 
-	rm2, _ := newStreamingRM(t, dir, true, false)
+	c2 := newCluster(t, Config{Scheduler: core.New(planStreaming())}, &durable{dir: dir})
+	rm2 := c2.rm
 	after := livePlanOf(rm2)
 	if after.Rev != before.Rev {
 		t.Fatalf("recovered plan at rev %d, want %d", after.Rev, before.Rev)
@@ -87,10 +68,8 @@ func TestPlanDiffsJournaledAndRecovered(t *testing.T) {
 	// first diff cannot chain onto the recovered revision: the RM must
 	// rebase wholesale — once — and end up matching the scheduler again.
 	// (The node must re-register first; without capacity no replan runs.)
-	register(t, rm2, "n1", 8, 32768)
-	if err := rm2.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick after recovery: %v", err)
-	}
+	c2.register("n1", 8, 32768)
+	c2.tick()
 	if got := rm2.Status().Faults.PlanRebases; got != 1 {
 		t.Fatalf("PlanRebases = %d after the post-recovery replan, want 1", got)
 	}
@@ -104,9 +83,7 @@ func TestPlanDiffsJournaledAndRecovered(t *testing.T) {
 // the live revision is refused loudly, and a malformed payload is
 // refused before anything mutates.
 func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	rm := newRM(t, core.New(cfg))
+	rm := newCluster(t, Config{Scheduler: core.New(planStreaming())}, nil).rm
 
 	mustRecord := func(d *plan.Diff) []byte {
 		t.Helper()
@@ -167,15 +144,15 @@ func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
 // WAL shipping path, so a warm standby holds the primary's live plan —
 // and still holds it after promotion.
 func TestPlanReplicatesToFollower(t *testing.T) {
-	pdir, fdir := t.TempDir(), t.TempDir()
-	primary, _ := newStreamingRM(t, pdir, true, false)
-	follower, _ := newReplicaRM(t, fdir, "")
+	p := newCluster(t, Config{Scheduler: core.New(planStreaming())}, &durable{})
+	primary := p.rm
+	follower := newCluster(t, Config{Follower: true}, &durable{}).rm
 
-	register(t, primary, "n1", 8, 32768)
+	p.register("n1", 8, 32768)
 	if _, err := primary.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	runSlots(t, primary, "n1", 3, nil)
+	p.run(3)
 	pumpRepl(t, primary, follower)
 
 	want := livePlanOf(primary)
@@ -207,9 +184,9 @@ func TestPlanReplicatesToFollower(t *testing.T) {
 // plan's leftover afterwards, rejects demand that cannot fit, and does
 // not double-book capacity an earlier admission already holds.
 func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
-	dir := t.TempDir()
-	rm, _ := newStreamingRM(t, dir, true, true)
-	register(t, rm, "n1", 8, 16384)
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	rm := c.rm
+	c.register("n1", 8, 16384)
 
 	submit := func(id string, tasks int, durSec, vcores, memMB int64) rmproto.SubmitResponse {
 		t.Helper()
@@ -229,9 +206,7 @@ func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
 
 	// One tick publishes a plan revision (empty: no deadline jobs), whose
 	// leftover is the whole cluster over the default window.
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c.tick()
 	if resp := submit("small", 2, 10, 1, 512); !resp.Accepted {
 		t.Fatal("gate rejected a trivially feasible job")
 	}
@@ -258,9 +233,7 @@ func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
 	if resp := submit("fill", 6, 10*64, 1, 2048); !resp.Accepted {
 		t.Fatal("gate rejected a job that fits the remaining leftover")
 	}
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c.tick()
 	if resp := submit("overflow", 6, 10*64, 1, 2048); resp.Accepted {
 		t.Fatal("rebase forgot the admitted jobs' remaining demand and double-booked the leftover")
 	}
@@ -271,24 +244,12 @@ func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
 // reach the scheduler through sched.AdHocFolder so the next plan reserves
 // it instead of double-booking capacity the gate already promised away.
 func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncAlways})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	ft := core.New(cfg)
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: ft, Store: st, AdHocGate: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	register(t, rm, "n1", 8, 16384)
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	rm, ft := c.rm, c.rm.cfg.Scheduler.(*core.FlowTime)
+	c.register("n1", 8, 16384)
 
 	// First tick publishes the empty plan revision the gate admits against.
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	c.tick()
 	resp, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
 		ID: "burst", Tasks: 4, TaskDurSec: 10, DemandVCores: 2, DemandMemMB: 1024,
 	}})
@@ -302,7 +263,7 @@ func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	runSlots(t, rm, "n1", 2, nil)
+	c.run(2)
 
 	if got := ft.Stats().AdHocFolds; got < 1 {
 		t.Fatalf("AdHocFolds = %d, want >= 1: the gate's drain never reached the scheduler", got)
@@ -316,11 +277,10 @@ func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
 // deadline work over slots the gate promised away before the crash.
 func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newStreamingRM(t, dir, false, true)
-	register(t, rm1, "n1", 8, 32768)
-	if err := rm1.Tick(time.Now()); err != nil { // publishes the empty plan the gate admits against
-		t.Fatalf("Tick: %v", err)
-	}
+	c1 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir, abandon: true})
+	rm1 := c1.rm
+	c1.register("n1", 8, 32768)
+	c1.tick() // publishes the empty plan the gate admits against
 	// 6 of the 8 cores for 10 slots.
 	resp, err := rm1.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
 		ID: "held", Tasks: 6, TaskDurSec: 100, DemandVCores: 1, DemandMemMB: 1024,
@@ -330,9 +290,10 @@ func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 	}
 	// Crash: rm1 and its store are abandoned un-closed.
 
-	rm2, _ := newStreamingRM(t, dir, true, true)
+	c2 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir})
+	rm2 := c2.rm
 	ft := rm2.cfg.Scheduler.(*core.FlowTime)
-	register(t, rm2, "n1", 8, 32768)
+	c2.register("n1", 8, 32768)
 	// 80 core-slots due in 30 slots: spread flat it would put ~3 cores on
 	// every slot, the held ones included.
 	if _, err := rm2.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: trace.WorkflowRecord{
@@ -341,7 +302,7 @@ func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	pending := runSlots(t, rm2, "n1", 1, nil)
+	c2.step()
 	if got := ft.Stats().AdHocFolds; got < 1 {
 		t.Fatalf("AdHocFolds = %d after the first rebase of a recovered RM, want >= 1", got)
 	}
@@ -353,7 +314,7 @@ func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 		if i == 10 {
 			t.Fatal("no quality replan within 10 slots of the re-seeding fold")
 		}
-		pending = runSlots(t, rm2, "n1", 1, pending)
+		c2.step()
 	}
 	lp := livePlanOf(rm2)
 	if lp.From >= reseeded+8 {
@@ -382,25 +343,17 @@ func submitOneCore(t *testing.T, rm *Server, id string) bool {
 	return resp.Accepted
 }
 
-// runToSlot drives slots of tick and heartbeat until the RM is at slot.
-func runToSlot(t *testing.T, rm *Server, slot int64, pending []string) []string {
-	t.Helper()
-	for rm.Status().Slot < slot {
-		pending = runSlots(t, rm, "n1", 1, pending)
-	}
-	return pending
-}
-
 // TestAdHocGateReopensAfterItsWindow: on an idle RM the plan never
 // changes, so the default window the first tick published is the only
 // one. Once the RM's slot has left that window the gate must open again,
 // from the same plan, instead of turning every job away.
 func TestAdHocGateReopensAfterItsWindow(t *testing.T) {
-	rm, _ := newStreamingRM(t, t.TempDir(), true, true)
-	register(t, rm, "n1", 8, 16384)
-	pending := runSlots(t, rm, "n1", 1, nil)
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	rm := c.rm
+	c.register("n1", 8, 16384)
+	c.step()
 	for _, slot := range []int64{61, 71, 81} {
-		pending = runToSlot(t, rm, slot, pending)
+		c.runTo(slot)
 		if !submitOneCore(t, rm, fmt.Sprintf("slot%d", slot)) {
 			t.Fatalf("slot %d: a 1-core job on an idle 8-core RM was rejected (gate %+v)", slot, rm.Status().Plan.AdHoc)
 		}
@@ -416,12 +369,13 @@ func TestAdHocGateReopensAfterItsWindow(t *testing.T) {
 // completed and its plan's window has passed, an idle cluster admits
 // ad-hoc work again.
 func TestAdHocGateReopensAfterTheLastWorkflow(t *testing.T) {
-	rm, _ := newStreamingRM(t, t.TempDir(), true, true)
-	register(t, rm, "n1", 8, 32768)
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	rm := c.rm
+	c.register("n1", 8, 32768)
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	runToSlot(t, rm, 150, nil)
+	c.runTo(150)
 	for _, j := range rm.Status().Jobs {
 		if j.State != "completed" {
 			t.Fatalf("job %s is %s at slot 150", j.ID, j.State)
@@ -439,27 +393,29 @@ func TestAdHocGateReopensAfterTheLastWorkflow(t *testing.T) {
 // republishes the gate and folds what the early admission took.
 func TestRecoveredAdHocGateAdmitsBeforeFirstTick(t *testing.T) {
 	dir := t.TempDir()
-	rm1, _ := newStreamingRM(t, dir, false, true)
-	register(t, rm1, "n1", 8, 32768)
+	c1 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir, abandon: true})
+	rm1 := c1.rm
+	c1.register("n1", 8, 32768)
 	if _, err := rm1.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	runSlots(t, rm1, "n1", 1, nil)
+	c1.step()
 	if rev := rm1.Status().Plan.Rev; rev != 1 {
 		t.Fatalf("plan rev %d before the crash, want 1", rev)
 	}
 	// Crash: rm1 and its store are abandoned un-closed.
 
-	rm2, _ := newStreamingRM(t, dir, true, true)
+	c2 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir})
+	rm2 := c2.rm
 	ft := rm2.cfg.Scheduler.(*core.FlowTime)
-	register(t, rm2, "n1", 8, 32768)
+	c2.register("n1", 8, 32768)
 	if !submitOneCore(t, rm2, "early") {
 		t.Fatalf("recovered RM rejected a 1-core job against its recovered plan (gate %+v)", rm2.Status().Plan.AdHoc)
 	}
 	if g := rm2.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 1 {
 		t.Fatalf("gate %+v, want one republish from the recovered rev 1", g)
 	}
-	runSlots(t, rm2, "n1", 1, nil)
+	c2.step()
 	if g := rm2.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 2 {
 		t.Fatalf("gate %+v after the first tick, want a republish from the scheduler's own rev 1", g)
 	}
@@ -554,9 +510,9 @@ func TestAdHocGateConservesWhatItAdmits(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(1))
 	var (
-		rm      *Server
-		rec     *foldRecorder
-		pending []string
+		c   *cluster
+		rm  *Server
+		rec *foldRecorder
 		// taken is what the current window's admissions took, by absolute
 		// slot; rebases and folds are the gate's and the scheduler's counts
 		// at the last check.
@@ -567,19 +523,11 @@ func TestAdHocGateConservesWhatItAdmits(t *testing.T) {
 		admitted, rejected, republishes, expired int
 	)
 	start := func() {
-		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		t.Cleanup(func() { st.Close() })
-		cfg := core.DefaultConfig()
-		cfg.StreamPlans = true
-		rec = &foldRecorder{FlowTime: core.New(cfg)}
-		if rm, err = New(Config{SlotDur: slotDur, Scheduler: rec, Store: st, AdHocGate: true}); err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		register(t, rm, "n1", 8, 32768)
-		pending, taken, rebases, folds = nil, nil, 0, 0
+		rec = &foldRecorder{FlowTime: core.New(planStreaming())}
+		c = newCluster(t, Config{Scheduler: rec, AdHocGate: true}, &durable{dir: dir, policy: store.SyncNever})
+		rm = c.rm
+		c.register("n1", 8, 32768)
+		taken, rebases, folds = nil, 0, 0
 	}
 	gateFree := func() (from int64, free []resource.Vector) {
 		rm.mu.Lock()
@@ -654,12 +602,12 @@ func TestAdHocGateConservesWhatItAdmits(t *testing.T) {
 		}
 		switch r := rng.Intn(10); {
 		case r < 5:
-			pending = runSlots(t, rm, "n1", 1, pending)
+			c.step()
 			check("tick")
 		case r < 6:
 			// An idle stretch long enough for a window to pass.
 			for n := 20 + rng.Intn(60); n > 0; n-- {
-				pending = runSlots(t, rm, "n1", 1, pending)
+				c.step()
 				check("stretch")
 			}
 		case r < 7:

@@ -125,6 +125,7 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 	}
 	return rmproto.ShipResponse{
 		Epoch:       epoch,
+		SlotDurNS:   int64(s.cfg.SlotDur),
 		SnapInstall: batch.SnapInstall,
 		Gen:         batch.Gen,
 		Snapshot:    batch.Snapshot,
@@ -138,7 +139,8 @@ func (s *Server) ShipLog(req rmproto.ShipRequest) (rmproto.ShipResponse, error) 
 // are made durable in the follower's store first, then applied to the
 // in-memory state through the idempotent replay path, so the follower
 // stays hot. Batches from an epoch below ours are a deposed primary's
-// late writes and are rejected. Returns the number of records applied.
+// late writes and are rejected, as is every batch from a primary at
+// another slot duration. Returns the number of records applied.
 func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,6 +150,11 @@ func (s *Server) IngestShipment(resp rmproto.ShipResponse) (int, error) {
 	if resp.Epoch < s.seen {
 		return 0, fmt.Errorf("rmserver: rejecting batch from deposed primary (epoch %d < ours %d): %w",
 			resp.Epoch, s.seen, ErrNotLeader)
+	}
+	// A record holds no slot duration, so a record replayed under another
+	// one would misread every job's volume: the batch is refused whole.
+	if got := time.Duration(resp.SlotDurNS); got != s.cfg.SlotDur {
+		return 0, fmt.Errorf("rmserver: rejecting batch from a primary at slot=%v, this follower runs slot=%v", got, s.cfg.SlotDur)
 	}
 	s.seen = resp.Epoch
 	defer s.appliedLocked()

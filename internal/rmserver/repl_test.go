@@ -16,27 +16,8 @@ import (
 	"time"
 
 	"flowtime/internal/rmproto"
-	"flowtime/internal/sched"
 	"flowtime/internal/store"
 )
-
-// newReplicaRM builds a follower RM over its own state directory.
-func newReplicaRM(t *testing.T, dir, leaderURL string) (*Server, *store.Store) {
-	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	rm, err := New(Config{
-		SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st,
-		Follower: true, LeaderURL: leaderURL,
-	})
-	if err != nil {
-		t.Fatalf("New(follower): %v", err)
-	}
-	return rm, st
-}
 
 // pumpRepl replicates primary → follower in-process until the follower's
 // watermark matches the primary's.
@@ -69,14 +50,14 @@ func pumpRepl(t testing.TB, primary, follower *Server) {
 // lost and no double-counted work — and the promoted server passes the
 // recovery-equivalence oracle.
 func TestFailoverPreservesWorkExactlyOnce(t *testing.T) {
-	pdir, fdir := t.TempDir(), t.TempDir()
-	primary, _ := newDurableRM(t, pdir, false)
-	follower, _ := newReplicaRM(t, fdir, "")
+	p := newCluster(t, Config{}, &durable{abandon: true})
+	f := newCluster(t, Config{Follower: true}, &durable{})
+	primary, follower := p.rm, f.rm
 
-	register(t, primary, "n1", 8, 16*1024)
+	p.register("n1", 8, 16*1024)
 	submitBoth(t, primary)
-	pending := runSlots(t, primary, "n1", 3, nil)
-	if len(pending) == 0 {
+	p.run(3)
+	if len(p.held["n1"]) == 0 {
 		t.Fatal("workload produced no in-flight leases before the crash")
 	}
 	pumpRepl(t, primary, follower)
@@ -93,8 +74,8 @@ func TestFailoverPreservesWorkExactlyOnce(t *testing.T) {
 		t.Error("promotion requeued no orphan leases despite in-flight work")
 	}
 
-	register(t, follower, "n1", 8, 16*1024)
-	st := driveToCompletion(t, follower, []string{"n1"}, 200)
+	f.register("n1", 8, 16*1024)
+	st := f.runToCompletion(200)
 	if len(st.Jobs) != 3 {
 		t.Fatalf("promoted RM tracks %d jobs, want 3 (workflow a,b + adhoc)", len(st.Jobs))
 	}
@@ -111,70 +92,81 @@ func TestFailoverPreservesWorkExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestFailoverAfterRefusedInstallKeepsState: a follower that cannot
-// restore the snapshot its primary ships — one written under another
-// -slot — is left as it was, so a promotion then would lead with the
-// state it had replicated, not an empty one. Its status, job table,
-// leases and store watermark are exactly those before the install, and
+// TestFailoverAfterRefusedInstallKeepsState: a follower that cannot take
+// what its primary ships is left as it was, so a promotion then would lead
+// with the state it had replicated, not an empty or a misread one. A
+// follower started under another -slot is refused at its first poll,
+// before it holds a record it would replay under the wrong slot; one at
+// the right slot that is shipped a snapshot it cannot restore — altered in
+// flight to version 4 — keeps the jobs and leases it had replicated. Each
+// time its status, state and store watermark are exactly those before, and
 // the next poll fails with the same error rather than replicating on.
 func TestFailoverAfterRefusedInstallKeepsState(t *testing.T) {
-	primary, _ := newDurableRM(t, t.TempDir(), true)
-	fst, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fst.Close() })
-	follower, err := New(Config{SlotDur: 2 * slotDur, Scheduler: sched.NewFIFO(), Store: fst, Follower: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	register(t, primary, "n1", 8, 16*1024)
+	p := newCluster(t, Config{}, &durable{})
+	primary := p.rm
+	p.register("n1", 8, 16*1024)
 	submitBoth(t, primary)
-	runSlots(t, primary, "n1", 2, nil)
-	pumpRepl(t, primary, follower)
-	if len(follower.st.Jobs()) == 0 || len(follower.st.Leases()) == 0 {
-		t.Fatalf("the follower replicated %d jobs and %d leases; want both", len(follower.st.Jobs()), len(follower.st.Leases()))
-	}
-	status, state, wm := follower.Status(), snapshotOf(t, follower), fst.Watermark()
+	p.run(2)
 
+	// refused polls the primary for f twice, edits each batch, and holds f
+	// to refusing it by name and changing nothing.
+	refused := func(f *cluster, edit func(*rmproto.ShipResponse), name string) {
+		t.Helper()
+		status, state, wm := f.rm.Status(), snapshotOf(t, f.rm), f.store.Watermark()
+		for poll := 1; poll <= 2; poll++ {
+			resp, err := primary.ShipLog(rmproto.ShipRequest{Epoch: f.rm.Epoch(), From: rmproto.ReplWatermark{Gen: wm.Gen, Records: wm.Records, Bytes: wm.Bytes}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(&resp)
+			if _, err := f.rm.IngestShipment(resp); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("poll %d: ingest = %v, want a refusal naming %s", poll, err, name)
+			}
+			if got := f.rm.Status(); !reflect.DeepEqual(got, status) {
+				t.Errorf("poll %d: the refusal changed the status:\nbefore: %+v\nafter:  %+v", poll, status, got)
+			}
+			if got := snapshotOf(t, f.rm); !bytes.Equal(got, state) {
+				t.Errorf("poll %d: the refusal changed the state:\nbefore: %s\nafter:  %s", poll, state, got)
+			}
+			if got := f.store.Watermark(); got != wm {
+				t.Errorf("poll %d: the refusal moved the store from %+v to %+v", poll, wm, got)
+			}
+		}
+	}
+
+	wrongSlot := newCluster(t, Config{SlotDur: 2 * slotDur, Follower: true}, &durable{})
+	refused(wrongSlot, func(resp *rmproto.ShipResponse) {
+		if resp.SnapInstall || len(resp.Records) == 0 {
+			t.Fatalf("the primary shipped no generation-0 records: %+v", resp)
+		}
+	}, "slot=")
+
+	f := newCluster(t, Config{Follower: true}, &durable{})
+	pumpRepl(t, primary, f.rm)
+	if len(f.rm.st.Jobs()) == 0 || len(f.rm.st.Leases()) == 0 {
+		t.Fatalf("the follower replicated %d jobs and %d leases; want both", len(f.rm.st.Jobs()), len(f.rm.st.Leases()))
+	}
 	if err := primary.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	for poll := 1; poll <= 2; poll++ {
-		resp, err := primary.ShipLog(rmproto.ShipRequest{Epoch: follower.Epoch(), From: rmproto.ReplWatermark{Gen: wm.Gen, Records: wm.Records, Bytes: wm.Bytes}})
-		if err != nil {
-			t.Fatal(err)
-		}
+	refused(f, func(resp *rmproto.ShipResponse) {
 		if !resp.SnapInstall {
-			t.Fatalf("poll %d: the primary shipped no snapshot install", poll)
+			t.Fatal("the primary shipped no snapshot install")
 		}
-		if _, err := follower.IngestShipment(resp); err == nil || !strings.Contains(err.Error(), "slot=") {
-			t.Fatalf("poll %d: install of a snapshot under another -slot: %v", poll, err)
-		}
-		if got := follower.Status(); !reflect.DeepEqual(got, status) {
-			t.Errorf("poll %d: the refused install changed the status:\nbefore: %+v\nafter:  %+v", poll, status, got)
-		}
-		if got := snapshotOf(t, follower); !bytes.Equal(got, state) {
-			t.Errorf("poll %d: the refused install changed the state:\nbefore: %s\nafter:  %s", poll, state, got)
-		}
-		if got := fst.Watermark(); got != wm {
-			t.Errorf("poll %d: the refused install moved the store from %+v to %+v", poll, wm, got)
-		}
-	}
+		resp.Snapshot = bytes.Replace(resp.Snapshot, []byte(`"version":5,`), []byte(`"version":4,`), 1)
+	}, "snapshot version 4")
 }
 
 // TestFencingRejectsDeposedPrimary covers both fencing directions: the
 // follower rejects late batches from the deposed primary's old epoch,
 // and the old primary self-fences the moment it sees the higher epoch.
 func TestFencingRejectsDeposedPrimary(t *testing.T) {
-	pdir, fdir := t.TempDir(), t.TempDir()
-	primary, _ := newDurableRM(t, pdir, true)
-	follower, _ := newReplicaRM(t, fdir, "")
+	p := newCluster(t, Config{}, &durable{})
+	primary, follower := p.rm, newCluster(t, Config{Follower: true}, &durable{}).rm
 
-	register(t, primary, "n1", 4, 8*1024)
+	p.register("n1", 4, 8*1024)
 	submitBoth(t, primary)
-	runSlots(t, primary, "n1", 2, nil)
+	p.run(2)
 	pumpRepl(t, primary, follower)
 
 	// Capture a batch from the old epoch, then promote behind the
@@ -195,15 +187,15 @@ func TestFencingRejectsDeposedPrimary(t *testing.T) {
 	if _, err := primary.ShipLog(rmproto.ShipRequest{Epoch: follower.Epoch()}); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("higher-epoch ship = %v, want ErrNotLeader (self-fence)", err)
 	}
-	if err := primary.Tick(time.Now()); !errors.Is(err, ErrNotLeader) {
+	if err := primary.Tick(p.now); !errors.Is(err, ErrNotLeader) {
 		t.Errorf("fenced primary Tick = %v, want ErrNotLeader", err)
 	}
-	if _, err := primary.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now()); !errors.Is(err, ErrNotLeader) {
+	if _, err := primary.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, p.now); !errors.Is(err, ErrNotLeader) {
 		t.Errorf("fenced primary Heartbeat = %v, want ErrNotLeader", err)
 	}
 	if _, err := primary.RegisterNode(rmproto.RegisterNodeRequest{
 		NodeID: "n2", Capacity: rmproto.Resources{VCores: 1, MemoryMB: 1024},
-	}, time.Now()); !errors.Is(err, ErrNotLeader) {
+	}, p.now); !errors.Is(err, ErrNotLeader) {
 		t.Errorf("fenced primary RegisterNode = %v, want ErrNotLeader", err)
 	}
 
@@ -226,10 +218,11 @@ func TestFencingRejectsDeposedPrimary(t *testing.T) {
 // ship request from the newer epoch fences it again.
 func TestFencingLeavesNoDurableEpoch(t *testing.T) {
 	dir := t.TempDir()
-	primary, st := newDurableRM(t, dir, false)
-	register(t, primary, "n1", 4, 8*1024)
+	p := newCluster(t, Config{}, &durable{dir: dir, abandon: true})
+	primary := p.rm
+	p.register("n1", 4, 8*1024)
 	submitBoth(t, primary)
-	runSlots(t, primary, "n1", 2, nil)
+	p.run(2)
 	if _, err := primary.Fence(rmproto.FenceRequest{Epoch: 3, Leader: "http://new"}); err != nil {
 		t.Fatalf("Fence: %v", err)
 	}
@@ -247,15 +240,16 @@ func TestFencingLeavesNoDurableEpoch(t *testing.T) {
 	if err := primary.WriteSnapshot(); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	st.Close()
-	back, _ := newDurableRM(t, dir, true)
+	p.store.Close()
+	b := newCluster(t, Config{}, &durable{dir: dir})
+	back := b.rm
 	if back.Role() != RolePrimary || back.Epoch() != 1 {
 		t.Fatalf("restarted as %s at epoch %d, want a primary at its journaled epoch 1", back.Role(), back.Epoch())
 	}
 	if _, err := back.ShipLog(rmproto.ShipRequest{Epoch: 5}); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("ship at epoch 5 to the restarted primary = %v, want ErrNotLeader (fenced again)", err)
 	}
-	if err := back.Tick(time.Now()); !errors.Is(err, ErrNotLeader) {
+	if err := back.Tick(b.now); !errors.Is(err, ErrNotLeader) {
 		t.Errorf("Tick after the second fence = %v, want ErrNotLeader", err)
 	}
 }
@@ -265,7 +259,7 @@ func TestFencingLeavesNoDurableEpoch(t *testing.T) {
 // leader hint, status stays readable, and the client maps the response
 // back to ErrNotLeader.
 func TestFollowerRejectsMutationsOverHTTP(t *testing.T) {
-	follower, _ := newReplicaRM(t, t.TempDir(), "http://leader.example:8030")
+	follower := newCluster(t, Config{Follower: true, LeaderURL: "http://leader.example:8030"}, &durable{}).rm
 	srv := httptest.NewServer(follower.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, nil)
@@ -300,11 +294,11 @@ func TestFollowerRejectsMutationsOverHTTP(t *testing.T) {
 // follower catches up and stays caught up while the primary works, and
 // after a promotion the loop fences the old primary and exits.
 func TestRunReplicatorEndToEnd(t *testing.T) {
-	pdir, fdir := t.TempDir(), t.TempDir()
-	primary, _ := newDurableRM(t, pdir, true)
+	p := newCluster(t, Config{}, &durable{})
+	primary := p.rm
 	psrv := httptest.NewServer(primary.Handler())
 	defer psrv.Close()
-	follower, _ := newReplicaRM(t, fdir, psrv.URL)
+	follower := newCluster(t, Config{Follower: true, LeaderURL: psrv.URL}, &durable{}).rm
 	fsrv := httptest.NewServer(follower.Handler())
 	defer fsrv.Close()
 
@@ -319,9 +313,9 @@ func TestRunReplicatorEndToEnd(t *testing.T) {
 		})
 	}()
 
-	register(t, primary, "n1", 8, 16*1024)
+	p.register("n1", 8, 16*1024)
 	submitBoth(t, primary)
-	runSlots(t, primary, "n1", 4, nil)
+	p.run(4)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for follower.store.Watermark() != primary.store.Watermark() {
@@ -349,7 +343,7 @@ func TestRunReplicatorEndToEnd(t *testing.T) {
 		t.Fatal("RunReplicator did not exit after promotion")
 	}
 	// The loop's parting fence deposed the old primary.
-	if err := primary.Tick(time.Now()); !errors.Is(err, ErrNotLeader) {
+	if err := primary.Tick(p.now); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("old primary Tick after fence = %v, want ErrNotLeader", err)
 	}
 	if hint := primary.Status().Replication.LeaderURL; hint != fsrv.URL {
@@ -365,25 +359,10 @@ func TestRunReplicatorEndToEnd(t *testing.T) {
 // heartbeat interval).
 func TestAgentFollowsLeaderAcrossFailover(t *testing.T) {
 	const fastSlot = 50 * time.Millisecond
-	newFastRM := func(dir string, followerOf string) *Server {
-		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncAlways})
-		if err != nil {
-			t.Fatalf("store.Open: %v", err)
-		}
-		t.Cleanup(func() { st.Close() })
-		rm, err := New(Config{
-			SlotDur: fastSlot, Scheduler: sched.NewFIFO(), Store: st,
-			Follower: followerOf != "", LeaderURL: followerOf,
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return rm
-	}
-	primary := newFastRM(t.TempDir(), "")
+	primary := newCluster(t, Config{SlotDur: fastSlot}, &durable{}).rm
 	psrv := httptest.NewServer(primary.Handler())
 	defer psrv.Close()
-	follower := newFastRM(t.TempDir(), psrv.URL)
+	follower := newCluster(t, Config{SlotDur: fastSlot, Follower: true, LeaderURL: psrv.URL}, &durable{}).rm
 	fsrv := httptest.NewServer(follower.Handler())
 	defer fsrv.Close()
 
@@ -435,19 +414,11 @@ const shipNegative = `{"epoch":1,"from":{"gen":0,"records":-1}}`
 // workflow and an ad-hoc job, two slots in.
 func replPrimary(t *testing.T) *Server {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	register(t, rm, "n1", 8, 16*1024)
-	submitBoth(t, rm)
-	runSlots(t, rm, "n1", 2, nil)
-	return rm
+	c := newCluster(t, Config{}, &durable{policy: store.SyncNever})
+	c.register("n1", 8, 16*1024)
+	submitBoth(t, c.rm)
+	c.run(2)
+	return c.rm
 }
 
 // TestShipRefusesMalformedRequests: a ship request from a negative

@@ -429,30 +429,24 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, err
 	}
-	// As for a workflow, the admission is its journal record, encoded
-	// before anything changes — the gate's charge included — and applied
-	// the way replay applies it.
+	// As for a workflow, the admission is its journal record.
 	id := rmproto.AdHocJobID(a.ID)
 	arec, err := s.st.AdmitAdHoc(req.Job)
-	var payload []byte
-	if err == nil {
-		payload, err = s.encodeLocked(&rmstate.Record{AdHoc: arec})
-	}
 	if err != nil {
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{}, err
 	}
 	// The admission gate charges the job's volume against the live plan's
-	// leftover. A rejection journals nothing and changes no job.
+	// leftover; a rejection journals nothing and changes no job. The charge
+	// comes before the record is encoded, and no encode can refuse it
+	// after: the codec refuses only a negative integer, and ToAdHoc has
+	// refused them all — a negative or wrapping second count, fewer than one
+	// task, a negative demand.
 	if s.gate != nil && !s.admitAdHocLocked(a.Volume(s.cfg.SlotDur), a.ParallelCap()) {
 		s.mu.Unlock()
 		return rmproto.SubmitResponse{Accepted: false, ID: id}, nil
 	}
-	err = s.st.Apply(&rmstate.Record{AdHoc: arec})
-	var h store.Handle
-	if err == nil {
-		h, err = s.appendLocked(payload)
-	}
+	h, err := s.journalLocked(rmstate.Record{AdHoc: arec})
 	s.mu.Unlock()
 	if err == nil {
 		err = s.commitRecord(h)

@@ -21,28 +21,6 @@ import (
 	"flowtime/internal/trace"
 )
 
-const slotDur = 10 * time.Second
-
-func newRM(t *testing.T, s sched.Scheduler) *Server {
-	t.Helper()
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: s})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return rm
-}
-
-func register(t testing.TB, rm *Server, id string, cores, memMB int64) {
-	t.Helper()
-	_, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-		NodeID:   id,
-		Capacity: rmproto.Resources{VCores: cores, MemoryMB: memMB},
-	}, time.Now())
-	if err != nil {
-		t.Fatalf("RegisterNode(%s): %v", id, err)
-	}
-}
-
 func chainWorkflow(deadlineSec int64) trace.WorkflowRecord {
 	return trace.WorkflowRecord{
 		ID:          "wf-1",
@@ -69,90 +47,51 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{NodeID: ""}, time.Now()); err == nil {
+	c := newCluster(t, Config{}, nil)
+	if _, err := c.rm.RegisterNode(rmproto.RegisterNodeRequest{NodeID: ""}, c.now); err == nil {
 		t.Error("empty node ID accepted")
 	}
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
+	if _, err := c.rm.RegisterNode(rmproto.RegisterNodeRequest{
 		NodeID: "n", Capacity: rmproto.Resources{VCores: -1},
-	}, time.Now()); err == nil {
+	}, c.now); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{NodeID: "n"}, time.Now()); err == nil {
+	if _, err := c.rm.RegisterNode(rmproto.RegisterNodeRequest{NodeID: "n"}, c.now); err == nil {
 		t.Error("zero capacity accepted")
 	}
 }
 
 func TestSubmitRequiresNodes(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	_, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)})
+	_, err := newCluster(t, Config{}, nil).rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)})
 	if err == nil || !strings.Contains(err.Error(), "no registered nodes") {
 		t.Errorf("SubmitWorkflow without nodes = %v, want no-nodes error", err)
 	}
 }
 
 func TestHeartbeatUnknownNode(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	if _, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "ghost"}, time.Now()); err == nil {
+	c := newCluster(t, Config{}, nil)
+	if _, err := c.rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "ghost"}, c.now); err == nil {
 		t.Error("heartbeat from unregistered node accepted")
 	}
 }
 
-// driveToCompletion ticks the RM and heartbeats all nodes until every job
-// completes or maxSlots elapse. It returns the final status.
-func driveToCompletion(t *testing.T, rm *Server, nodes []string, maxSlots int) rmproto.StatusResponse {
-	t.Helper()
-	pending := make(map[string][]string, len(nodes)) // node -> running lease IDs
-	for slot := 0; slot < maxSlots; slot++ {
-		if err := rm.Tick(time.Now()); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-		for _, n := range nodes {
-			resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{
-				NodeID:    n,
-				Completed: pending[n],
-			}, time.Now())
-			if err != nil {
-				t.Fatalf("Heartbeat(%s): %v", n, err)
-			}
-			ids := make([]string, 0, len(resp.Launch))
-			for _, q := range resp.Launch {
-				ids = append(ids, q.ID)
-			}
-			pending[n] = ids
-		}
-		st := rm.Status()
-		done := true
-		for _, j := range st.Jobs {
-			if j.State != "completed" {
-				done = false
-				break
-			}
-		}
-		if done && len(st.Jobs) > 0 {
-			return st
-		}
-	}
-	return rm.Status()
-}
-
 func TestWorkflowRunsToCompletionUnderEDF(t *testing.T) {
-	rm := newRM(t, sched.NewEDF())
-	register(t, rm, "n1", 8, 16*1024)
-	register(t, rm, "n2", 8, 16*1024)
+	c := newCluster(t, Config{Scheduler: sched.NewEDF()}, nil)
+	c.register("n1", 8, 16*1024)
+	c.register("n2", 8, 16*1024)
 
-	resp, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)})
+	resp, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)})
 	if err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
 	if !resp.Accepted || resp.ID != "wf-1" {
 		t.Fatalf("SubmitWorkflow = %+v", resp)
 	}
-	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err == nil {
+	if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err == nil {
 		t.Error("duplicate workflow accepted")
 	}
 
-	st := driveToCompletion(t, rm, []string{"n1", "n2"}, 100)
+	st := c.runToCompletion(100)
 	if len(st.Jobs) != 2 {
 		t.Fatalf("status has %d jobs, want 2", len(st.Jobs))
 	}
@@ -167,19 +106,15 @@ func TestWorkflowRunsToCompletionUnderEDF(t *testing.T) {
 }
 
 func TestWorkflowRunsToCompletionUnderFlowTime(t *testing.T) {
-	rm := newRM(t, core.New(core.DefaultConfig()))
-	register(t, rm, "n1", 16, 32*1024)
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	c.register("n1", 16, 32*1024)
 
-	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(1200)}); err != nil {
+	if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(1200)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-		ID: "q1", Tasks: 2, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
-	}}); err != nil {
-		t.Fatalf("SubmitAdHoc: %v", err)
-	}
+	submitAdHoc(t, c.rm, "q1", 2, 20)
 
-	st := driveToCompletion(t, rm, []string{"n1"}, 200)
+	st := c.runToCompletion(200)
 	completed := 0
 	for _, j := range st.Jobs {
 		if j.State == "completed" {
@@ -195,21 +130,15 @@ func TestWorkflowRunsToCompletionUnderFlowTime(t *testing.T) {
 }
 
 func TestDependencyOrderingEnforced(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	register(t, rm, "n1", 64, 128*1024)
-	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
+	c := newCluster(t, Config{}, nil)
+	c.register("n1", 64, 128*1024)
+	if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
 		t.Fatalf("SubmitWorkflow: %v", err)
 	}
 
 	// Tick once and heartbeat: only job a may receive leases.
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	resp, err := rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: "n1"}, time.Now())
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	for _, q := range resp.Launch {
+	c.tick()
+	for _, q := range c.beat("n1", nil) {
 		if strings.Contains(q.JobID, "/b#") {
 			t.Errorf("dependent job leased before predecessor completed: %+v", q)
 		}
@@ -217,45 +146,34 @@ func TestDependencyOrderingEnforced(t *testing.T) {
 }
 
 func TestAdHocDuplicateRejected(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	register(t, rm, "n1", 8, 16*1024)
+	c := newCluster(t, Config{}, nil)
+	c.register("n1", 8, 16*1024)
 	job := trace.AdHocRecord{ID: "q", Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 256}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err != nil {
+	if _, err := c.rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err != nil {
 		t.Fatalf("SubmitAdHoc: %v", err)
 	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err == nil {
+	if _, err := c.rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err == nil {
 		t.Error("duplicate ad-hoc accepted")
 	}
 	// The ID stays taken after the job completed and left the live table.
-	if st := driveToCompletion(t, rm, []string{"n1"}, 10); !allCompleted(st) {
+	if st := c.runToCompletion(10); !allCompleted(st) {
 		t.Fatal("job did not complete")
 	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := c.rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate of a completed ad-hoc job: %v, want a duplicate error", err)
 	}
 }
 
 func TestNodeExpiry(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), NodeExpiry: 25 * time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	base := time.Now()
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 4, MemoryMB: 4096},
-	}, base); err != nil {
-		t.Fatalf("RegisterNode: %v", err)
-	}
-	if err := rm.Tick(base.Add(10 * time.Second)); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	if st := rm.Status(); st.Nodes != 1 {
+	c := newCluster(t, Config{NodeExpiry: 25 * time.Second}, nil)
+	c.register("n1", 4, 4096)
+	c.tick() // 10 s of silence
+	if st := c.rm.Status(); st.Nodes != 1 {
 		t.Fatalf("nodes = %d, want 1", st.Nodes)
 	}
-	if err := rm.Tick(base.Add(60 * time.Second)); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	if st := rm.Status(); st.Nodes != 0 {
+	c.now = c.now.Add(40 * time.Second)
+	c.tick() // 60 s of silence
+	if st := c.rm.Status(); st.Nodes != 0 {
 		t.Errorf("nodes = %d, want 0 after expiry", st.Nodes)
 	}
 }
@@ -302,33 +220,18 @@ func TestMissedDeadlineBoundaries(t *testing.T) {
 // TestNodeExpiryRequeuesPendingWork checks that expiry of a node that
 // still has quanta queued (never launched) returns that volume too.
 func TestNodeExpiryRequeuesPendingWork(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), NodeExpiry: 25 * time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	base := time.Now()
-	if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-		NodeID: "n1", Capacity: rmproto.Resources{VCores: 8, MemoryMB: 16 * 1024},
-	}, base); err != nil {
-		t.Fatalf("RegisterNode: %v", err)
-	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-		ID: "q", Tasks: 4, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
-	}}); err != nil {
-		t.Fatalf("SubmitAdHoc: %v", err)
-	}
+	c := newCluster(t, Config{NodeExpiry: 25 * time.Second}, nil)
+	c.register("n1", 8, 16*1024)
+	submitAdHoc(t, c.rm, "q", 4, 20)
 	// Tick queues quanta on n1's pending list; the node never heartbeats
 	// to pick them up and expires.
-	if err := rm.Tick(base); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	if st := rm.Status(); st.OutstandingLeases == 0 {
+	c.tick()
+	if st := c.rm.Status(); st.OutstandingLeases == 0 {
 		t.Fatal("no leases queued")
 	}
-	if err := rm.Tick(base.Add(60 * time.Second)); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
-	st := rm.Status()
+	c.now = c.now.Add(40 * time.Second)
+	c.tick() // 60 s of silence
+	st := c.rm.Status()
 	if st.Nodes != 0 {
 		t.Fatalf("nodes = %d, want 0", st.Nodes)
 	}
@@ -344,29 +247,16 @@ func TestNodeExpiryRequeuesPendingWork(t *testing.T) {
 // record is collected by walking the node and lease maps; it must be
 // journaled sorted, or one run writes different WAL bytes each time.
 func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), NodeExpiry: 25 * time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	base := time.Now()
+	c := newCluster(t, Config{NodeExpiry: 25 * time.Second}, nil)
 	for _, id := range []string{"n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"} {
-		if _, err := rm.RegisterNode(rmproto.RegisterNodeRequest{
-			NodeID: id, Capacity: rmproto.Resources{VCores: 2, MemoryMB: 4 * 1024},
-		}, base); err != nil {
-			t.Fatalf("RegisterNode: %v", err)
-		}
+		c.register(id, 2, 4*1024)
 	}
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-		ID: "q", Tasks: 16, TaskDurSec: 20, DemandVCores: 1, DemandMemMB: 512,
-	}}); err != nil {
-		t.Fatalf("SubmitAdHoc: %v", err)
-	}
-	if err := rm.Tick(base); err != nil {
-		t.Fatalf("Tick: %v", err)
-	}
+	submitAdHoc(t, c.rm, "q", 16, 20)
+	c.tick()
 	// Every node expires at once, each holding a lease.
+	rm := c.rm
 	rm.mu.Lock()
-	rec, expired, _, err := rm.decideTick(base.Add(60 * time.Second))
+	rec, expired, _, err := rm.decideTick(c.now.Add(60 * time.Second))
 	rm.mu.Unlock()
 	if err != nil {
 		t.Fatalf("decideTick: %v", err)
@@ -383,8 +273,7 @@ func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
 // manual ticks, heartbeats, status — through a real httptest server and
 // the Client.
 func TestHTTPEndToEnd(t *testing.T) {
-	rm := newRM(t, sched.NewEDF())
-	ts := httptest.NewServer(rm.Handler())
+	ts := httptest.NewServer(newCluster(t, Config{Scheduler: sched.NewEDF()}, nil).rm.Handler())
 	defer ts.Close()
 	ctx := context.Background()
 	client := NewClient(ts.URL, ts.Client())
@@ -435,8 +324,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	rm := newRM(t, sched.NewFIFO())
-	ts := httptest.NewServer(rm.Handler())
+	ts := httptest.NewServer(newCluster(t, Config{}, nil).rm.Handler())
 	defer ts.Close()
 	ctx := context.Background()
 	client := NewClient(ts.URL, ts.Client())
@@ -456,20 +344,10 @@ func TestHTTPErrors(t *testing.T) {
 // syncs.
 func gatedRM(t testing.TB) *Server {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Policy: store.SyncNever})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(cfg), AdHocGate: true, Store: st})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	register(t, rm, "n1", 8, 16*1024)
-	tick(t, rm)
-	return rm
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{policy: store.SyncNever})
+	c.register("n1", 8, 16*1024)
+	c.tick()
+	return c.rm
 }
 
 // rawAdHoc and rawWorkflow spell a submission body field by field, each

@@ -22,6 +22,7 @@ import (
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/rmstate"
+	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
@@ -44,29 +45,6 @@ const (
 	tagEpoch
 )
 
-// streamingConfig is the configuration the codec tests record and recover
-// under: FlowTime streaming its plan, the ad-hoc gate on, leases expiring
-// after three slots.
-func streamingConfig(st *store.Store, follower bool) Config {
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	return Config{SlotDur: slotDur, Scheduler: core.New(cfg), Store: st, AdHocGate: true, LeaseExpiry: 3, Follower: follower}
-}
-
-func openStreamingRM(tb testing.TB, dir string, follower bool) *Server {
-	tb.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
-	if err != nil {
-		tb.Fatalf("store.Open: %v", err)
-	}
-	tb.Cleanup(func() { st.Close() })
-	rm, err := New(streamingConfig(st, follower))
-	if err != nil {
-		tb.Fatalf("New: %v", err)
-	}
-	return rm
-}
-
 // readWAL returns copies of the payloads in dir's generation-0 segment.
 func readWAL(tb testing.TB, dir string) [][]byte {
 	tb.Helper()
@@ -84,7 +62,8 @@ func readWAL(tb testing.TB, dir string) [][]byte {
 // recordMixedRun journals one seeded run through the codec and returns
 // the server that ended it and its whole WAL. The run is made to contain
 // every record variant: workflows and gated ad-hoc jobs arriving
-// throughout on three nodes; n1 restarts at slot 7 holding leases (a
+// throughout on three nodes, under FlowTime streaming its plan with leases
+// expiring after three slots; n1 restarts at slot 7 holding leases (a
 // requeue record) and wedges from slot 10 until its leases expire (ticks
 // with requeues); every record ships to a warm standby, which is then
 // promoted with leases in flight (its epoch and requeue records) and
@@ -94,13 +73,7 @@ func readWAL(tb testing.TB, dir string) [][]byte {
 func recordMixedRun(tb testing.TB) (*Server, [][]byte) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(18))
-	now := time.Now()
 	nodes := []string{"n1", "n2", "n3"}
-	held := map[string][]string{}
-	reg := func(rm *Server, id string) {
-		register(tb, rm, id, 4, 8*1024)
-		held[id] = nil
-	}
 	submit := func(rm *Server, slot int) {
 		if slot%4 == 0 {
 			wf := chainWorkflow(int64(200 + rng.Intn(400)))
@@ -110,60 +83,36 @@ func recordMixedRun(tb testing.TB) (*Server, [][]byte) {
 			}
 		}
 		for i := rng.Intn(3); i > 0; i-- {
-			if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
-				ID: fmt.Sprintf("a%d-%d", slot, i), Tasks: 1 + rng.Intn(3), TaskDurSec: int64(10 * (1 + rng.Intn(2))), DemandVCores: 1, DemandMemMB: 512,
-			}}); err != nil {
-				tb.Fatalf("SubmitAdHoc: %v", err)
-			}
+			submitAdHoc(tb, rm, fmt.Sprintf("a%d-%d", slot, i), 1+rng.Intn(3), int64(10*(1+rng.Intn(2))))
 		}
 	}
-	beat := func(rm *Server, slot int) {
-		if err := rm.Tick(now); err != nil {
-			tb.Fatalf("Tick: %v", err)
-		}
-		for _, n := range nodes {
-			wedged := n == "n1" && slot >= 10 && slot < 16
-			req := rmproto.HeartbeatRequest{NodeID: n}
-			if !wedged {
-				req.Completed = held[n]
-			}
-			resp, err := rm.Heartbeat(req, now)
-			if err != nil {
-				tb.Fatalf("Heartbeat(%s): %v", n, err)
-			}
-			held[n] = nil
-			if !wedged {
-				held[n] = quantumIDs(resp.Launch)
-			}
-		}
-	}
-
-	primary := openStreamingRM(tb, tb.TempDir(), false)
-	standbyDir := tb.TempDir()
-	standby := openStreamingRM(tb, standbyDir, true)
+	d := &durable{dir: tb.TempDir(), policy: store.SyncNever}
+	primary := newCluster(tb, Config{Scheduler: core.New(planStreaming()), AdHocGate: true, LeaseExpiry: 3}, &durable{policy: store.SyncNever})
+	standby := newCluster(tb, Config{Scheduler: core.New(planStreaming()), AdHocGate: true, LeaseExpiry: 3, Follower: true}, d)
 	for _, n := range nodes {
-		reg(primary, n)
+		primary.register(n, 4, 8*1024)
 	}
 	slot := 0
 	for ; slot < 18; slot++ {
-		submit(primary, slot)
+		submit(primary.rm, slot)
 		if slot == 7 {
-			reg(primary, "n1") // restarted with empty hands
+			primary.register("n1", 4, 8*1024) // restarted with empty hands
 		}
-		beat(primary, slot)
-		pumpRepl(tb, primary, standby)
+		primary.wedged["n1"] = slot >= 10 && slot < 16
+		primary.step()
+		pumpRepl(tb, primary.rm, standby.rm)
 	}
-	if resp, err := standby.Promote(); err != nil || resp.OrphanLeasesRequeued == 0 {
+	if resp, err := standby.rm.Promote(); err != nil || resp.OrphanLeasesRequeued == 0 {
 		tb.Fatalf("Promote = %+v, %v; want orphan leases requeued", resp, err)
 	}
 	for _, n := range nodes {
-		reg(standby, n)
+		standby.register(n, 4, 8*1024)
 	}
 	for ; slot < 26; slot++ {
-		submit(standby, slot)
-		beat(standby, slot)
+		submit(standby.rm, slot)
+		standby.step()
 	}
-	return standby, readWAL(tb, standbyDir)
+	return standby.rm, readWAL(tb, d.dir)
 }
 
 func variantOf(rec *rmstate.Record) string {
@@ -209,7 +158,7 @@ func recoverFrom(tb testing.TB, payloads [][]byte, tornBytes int) (*Server, stor
 		tb.Fatalf("store.Open: %v", err)
 	}
 	tb.Cleanup(func() { st.Close() })
-	rm, err := New(streamingConfig(st, false))
+	rm, err := New(Config{SlotDur: slotDur, Scheduler: core.New(planStreaming()), Store: st, AdHocGate: true, LeaseExpiry: 3})
 	return rm, st.Recovery(), err
 }
 
@@ -559,12 +508,12 @@ func TestWALCodecRefusals(t *testing.T) {
 		if st, err = store.Open(store.Options{Dir: dir, Policy: store.SyncNever}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := New(streamingConfig(st, false)); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("recovery over %s: %v", name, err)
 		}
 		st.Close()
-		follower := openStreamingRM(t, t.TempDir(), true)
-		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SnapInstall: true, Gen: 1, Snapshot: []byte(c.snapshot)})
+		follower := newCluster(t, Config{Follower: true}, &durable{}).rm
+		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SlotDurNS: int64(slotDur), SnapInstall: true, Gen: 1, Snapshot: []byte(c.snapshot)})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("follower install of %s: %v", name, err)
 		}
@@ -658,8 +607,8 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 		_, _, err := recoverFrom(t, [][]byte{c.payload}, 0)
 		refused(name+", recovery", err, append(c.want, "replay record 1/1"))
 
-		follower := openStreamingRM(t, t.TempDir(), true)
-		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, Gen: follower.store.Watermark().Gen, Records: [][]byte{c.payload}})
+		follower := newCluster(t, Config{Follower: true}, &durable{}).rm
+		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SlotDurNS: int64(slotDur), Gen: follower.store.Watermark().Gen, Records: [][]byte{c.payload}})
 		refused(name+", follower ingest", err, append(c.want, "shipped record 1/1"))
 
 		dir := t.TempDir()
@@ -701,12 +650,12 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 		if st, err = store.Open(store.Options{Dir: dir, Policy: store.SyncNever}); err != nil {
 			t.Fatal(err)
 		}
-		_, err = New(streamingConfig(st, false))
+		_, err = New(Config{SlotDur: slotDur, Scheduler: sched.NewFIFO(), Store: st})
 		st.Close()
 		refused(name+", recovery", err, c.want)
 
-		follower := openStreamingRM(t, t.TempDir(), true)
-		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SnapInstall: true, Gen: 1, Snapshot: []byte(c.snapshot)})
+		follower := newCluster(t, Config{Follower: true}, &durable{}).rm
+		_, err = follower.IngestShipment(rmproto.ShipResponse{Epoch: 1, SlotDurNS: int64(slotDur), SnapInstall: true, Gen: 1, Snapshot: []byte(c.snapshot)})
 		refused(name+", follower ingest", err, append(c.want, "shipped snapshot"))
 	}
 }
@@ -715,11 +664,10 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 // validates (the live RM ignores an ad-hoc job's submit offset) is
 // refused at the door, not at the journal — the codec stores no sign.
 func TestAdHocNegativeSubmitRefused(t *testing.T) {
-	rm := openStreamingRM(t, t.TempDir(), false)
-	register(t, rm, "n1", 4, 8192)
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{policy: store.SyncNever})
+	rm := c.rm
+	c.register("n1", 4, 8192)
+	c.tick()
 	_, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{ID: "neg", SubmitSec: -1, Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 128}})
 	if err == nil {
 		t.Fatal("ad-hoc job with a negative submit offset accepted")
@@ -737,11 +685,10 @@ func TestAdHocNegativeSubmitRefused(t *testing.T) {
 // accepted, and a restart from the log recovers exactly what was.
 func TestWrappingSecondsRefused(t *testing.T) {
 	dir := t.TempDir()
-	rm := openStreamingRM(t, dir, false)
-	register(t, rm, "n1", 8, 16*1024)
-	if err := rm.Tick(time.Now()); err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir, policy: store.SyncNever})
+	rm := c.rm
+	c.register("n1", 8, 16*1024)
+	c.tick()
 	refused := func(what, field string, err error, jobs int, records int64) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), field) {

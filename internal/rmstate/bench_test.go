@@ -6,27 +6,32 @@ import (
 	"time"
 
 	"flowtime/internal/resource"
-	"flowtime/internal/sched"
+	"flowtime/internal/rmproto"
+	"flowtime/internal/trace"
 )
 
 // benchState builds a state with njobs ad-hoc jobs, each holding one
 // in-flight lease on node n1, bypassing the scheduler so the benchmark
-// isolates confirmation cost.
+// isolates confirmation cost. Each job is admitted by its record and the
+// leases are granted by one tick record, both through Apply.
 func benchState(njobs int) (*State, []string) {
 	s := New(10*time.Second, 16)
+	tick := &RecTick{Grants: make([]RecGrant, njobs)}
 	qids := make([]string, njobs)
-	for i := 0; i < njobs; i++ {
-		j := &Job{
-			ID:    fmt.Sprintf("adhoc/j%d", i),
-			Kind:  sched.AdHocJob,
-			Total: resource.New(1<<40, 1<<40), // never completes: keep state stable
+	for i := range njobs {
+		// Never completes, so the state stays stable.
+		rec, err := s.AdmitAdHoc(trace.AdHocRecord{ID: fmt.Sprintf("j%d", i), Tasks: 1 << 20, TaskDurSec: 1 << 20, DemandVCores: 1, DemandMemMB: 256})
+		if err == nil {
+			err = s.Apply(&Record{AdHoc: rec})
 		}
-		s.jobs[j.ID] = j
-		qid := fmt.Sprintf("q-%d", i)
-		grant := resource.New(1, 256)
-		j.InFlight = grant
-		s.leases[qid] = &Lease{QID: qid, Job: j, NodeID: "n1", Grant: grant}
-		qids[i] = qid
+		if err != nil {
+			panic(err)
+		}
+		qids[i] = fmt.Sprintf("q-%d", i+1)
+		tick.Grants[i] = RecGrant{QID: qids[i], JobID: rmproto.AdHocJobID(rec.Job.ID), NodeID: "n1", Grant: resource.New(1, 256)}
+	}
+	if err := s.Apply(&Record{Tick: tick}); err != nil {
+		panic(err)
 	}
 	return s, qids
 }
