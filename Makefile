@@ -11,8 +11,9 @@
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the front-coded string
 # primitive both journal codecs share (FuzzFrontString), the two binary
-# journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff; WAL records:
-# FuzzDecodeWALRecord, run from internal/rmserver's tests over
+# journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff, whole plans
+# among them, since a whole plan is fuzzed as its diff from the empty plan;
+# WAL records: FuzzDecodeWALRecord, run from internal/rmserver's tests over
 # internal/rmstate's codec), the snapshot's restore (FuzzRestoreSnapshot),
 # the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status

@@ -53,9 +53,10 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 // TestOnlyApplyMakesState holds internal/rmstate to one way of making what
 // it holds: no file of it, its tests included, writes a Job, Workflow or
 // Lease composite literal outside applyWorkflow, applyAdHoc and applyTick,
-// which State.Apply runs for an admission record and a tick record. The
-// live RM, replay, a follower's ingest, a snapshot's restore and every test
-// then all build a job, a workflow or a lease from the record that
+// which State.Apply runs for an admission record and a tick record, or
+// assigns the live plan (a .plan field) outside Apply itself. The live RM,
+// replay, a follower's ingest, a snapshot's restore and every test then
+// all build a job, a workflow, a lease or the plan from the record that
 // journals it.
 func TestOnlyApplyMakesState(t *testing.T) {
 	makers := map[string]bool{"applyWorkflow": true, "applyAdHoc": true, "applyTick": true}
@@ -64,13 +65,21 @@ func TestOnlyApplyMakesState(t *testing.T) {
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
-			if fn != nil && makers[fn.Name.Name] {
-				continue
+			name := ""
+			if fn != nil {
+				name = fn.Name.Name
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.CompositeLit); ok {
-					if id, ok := lit.Type.(*ast.Ident); ok && held[id.Name] {
-						t.Errorf("%s: a %s literal outside applyWorkflow, applyAdHoc and applyTick", fset.Position(lit.Pos()), id.Name)
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if id, ok := n.Type.(*ast.Ident); ok && held[id.Name] && !makers[name] {
+						t.Errorf("%s: a %s literal outside applyWorkflow, applyAdHoc and applyTick", fset.Position(n.Pos()), id.Name)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "plan" && name != "Apply" {
+							t.Errorf("%s: the plan assigned outside Apply", fset.Position(n.Pos()))
+						}
 					}
 				}
 				return true

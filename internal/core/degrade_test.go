@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -408,5 +410,58 @@ func TestPlanValidationProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebuildGreedyPlanIsValid holds the ladder's last rung — the greedy
+// rebuild replan serves when checkPlan refuses a plan — to the validity it
+// is served on: over seeded instances whose windows reach past the plan's
+// end (or start after it), whose parallel caps sit below their per-slot
+// demand and whose demand exceeds the capacity, checkPlan accepts every
+// rebuilt plan.
+func TestRebuildGreedyPlanIsValid(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var pastPlan, capBelowDemand, overCapacity int
+	for trial := 0; trial < 300; trial++ {
+		from, nSlots := rng.Int63n(20), 1+rng.Int63n(12)
+		f := New(Config{})
+		f.planCap = make([]resource.Vector, nSlots)
+		var capacity resource.Vector
+		for t := range f.planCap {
+			f.planCap[t] = resource.New(rng.Int63n(17), rng.Int63n(17)*512)
+			capacity = capacity.Add(f.planCap[t])
+		}
+		jobs := make([]*planJob, 1+rng.Intn(8))
+		var demand resource.Vector
+		for i := range jobs {
+			rel := from + rng.Int63n(nSlots+3)
+			dl := rel + 1 + rng.Int63n(nSlots+5)
+			tasks := 1 + rng.Int63n(6)
+			parCap := resource.New(tasks, tasks*512)
+			pj := &planJob{relSlot: rel, dlSlot: dl, state: sched.JobState{
+				ID: fmt.Sprintf("j%d", i), Kind: sched.DeadlineJob, ParallelCap: parCap,
+				EstRemaining: parCap.Scale(1 + rng.Int63n(3*(dl-rel))),
+			}}
+			jobs[i] = pj
+			demand = demand.Add(pj.state.EstRemaining)
+			if dl > from+nSlots {
+				pastPlan++
+			}
+			if !pj.state.EstRemaining.FitsIn(parCap.Scale(dl - rel)) {
+				capBelowDemand++
+			}
+		}
+		if !demand.FitsIn(capacity) {
+			overCapacity++
+		}
+		order := slices.Clone(jobs)
+		slices.SortStableFunc(order, func(a, b *planJob) int { return cmp.Compare(a.dlSlot, b.dlSlot) })
+		next := f.rebuildGreedy(jobs, order, from, nSlots)
+		if err := checkPlan(next, jobs, f.planCap); err != nil {
+			t.Fatalf("trial %d: the greedy rebuild fails checkPlan: %v", trial, err)
+		}
+	}
+	if pastPlan == 0 || capBelowDemand == 0 || overCapacity == 0 {
+		t.Fatalf("the instances missed a shape: %d windows past the plan, %d caps below demand, %d over capacity", pastPlan, capBelowDemand, overCapacity)
 	}
 }

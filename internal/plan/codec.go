@@ -1,20 +1,16 @@
 package plan
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"flowtime/internal/binenc"
 	"flowtime/internal/resource"
 )
 
-// Two codecs live here.
-//
-// Diffs — one per replan, the bulk of a streamed plan's journal bytes —
-// are binary (internal/binenc: minimal varints, length-prefixed strings):
+// One codec lives here, for diffs — one per replan, the bulk of a
+// streamed plan's journal bytes — in binary (internal/binenc: minimal
+// varints, length-prefixed strings):
 //
 //	diffTag
 //	BaseRev From NSlots                     NewRev is BaseRev+1, not stored
@@ -35,15 +31,19 @@ import (
 // itself and is safe to hand to Apply (NSlots, the one header field Apply
 // sizes tables by, is held to MaxSlots there).
 //
-// Full plans (snapshots and rebase records, rare and large) stay strict
-// JSON: unknown fields and trailing data refused, Validate after decode.
+// A whole plan (a snapshot's, a rebase record's) is encoded as a diff too:
+// Compute(&Plan{Rev: p.Rev - 1}, p), the diff that builds it from the empty
+// plan one revision below it, every job an add that sets its nonzero
+// slots. Apply onto that empty base reads it back (internal/rmstate's
+// RecPlanRebase).
 //
-// One form of each. Before this one a diff opened with tag 0x01, spelled
-// every ID out and carried the planner's θ levels; before that diffs were
-// JSON. Full plans carried θ as "theta". Nothing reads those forms: the
-// journal that held them is refused whole (internal/rmserver's walcodec.go
-// says why that is safe), and DecodeDiff and DecodePlan refuse each by
-// name rather than misread it.
+// One form. Before this one a diff opened with tag 0x01, spelled every ID
+// out and carried the planner's θ levels; before that diffs were JSON.
+// Whole plans were JSON until this form, with θ as "theta" before plans
+// became integers only. Nothing reads those forms: the journal that held
+// them is refused whole (internal/rmstate's walcodec.go says why that is
+// safe), and DecodeDiff and the rebase record's decode refuse each by name
+// rather than misread it.
 
 // diffTag opens every binary diff; diffTagTheta opened the form before it.
 const (
@@ -198,54 +198,4 @@ func readRuns(r *binenc.Reader, from int64) []SlotSet {
 		end = slot + int64(n)
 	}
 	return set
-}
-
-// decodeStrictJSON decodes exactly one JSON value into v: unknown fields
-// are refused, and so is anything but white space after the value.
-// (json.Decoder.More cannot make the second check — it reports false for
-// a stray '}' or ']'.)
-func decodeStrictJSON(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the value")
-	}
-	return nil
-}
-
-// EncodePlan serializes a full plan (used for snapshots and rebase
-// records). Validated first, same as diffs.
-func EncodePlan(p *Plan) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: refusing to encode invalid plan: %w", err)
-	}
-	return json.Marshal(p)
-}
-
-// DecodePlan deserializes and validates a full plan. A plan that carries
-// "theta", the planner's levels full plans held before the plan became
-// integers only, is refused by name.
-func DecodePlan(data []byte) (*Plan, error) {
-	var p struct {
-		Plan
-		Theta json.RawMessage `json:"theta"`
-	}
-	if err := decodeStrictJSON(data, &p); err != nil {
-		return nil, fmt.Errorf("plan: plan decode: %w", err)
-	}
-	if p.Theta != nil {
-		return nil, errors.New(`plan: plan decode: a plan with θ levels ("theta"), the form that predates integer-only plans, which is no longer read`)
-	}
-	if err := p.Plan.Validate(); err != nil {
-		return nil, err
-	}
-	// Explicit empties become the omitted form so decode∘encode is the
-	// identity.
-	if len(p.Jobs) == 0 {
-		p.Jobs = nil
-	}
-	return &p.Plan, nil
 }

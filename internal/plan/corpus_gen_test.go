@@ -23,7 +23,8 @@ import (
 // duplicate ops, a non-maximal front-coded prefix, a job both removed and
 // updated, out-of-range slots, counts beyond the input, a plan length
 // beyond MaxSlots, empty windows, torn encodings) plus valid diffs of
-// several shapes, so short CI bursts start from deep coverage.
+// several shapes — whole plans among them, each the diff from the empty
+// plan one revision below it — so short CI bursts start from deep coverage.
 // Only seed-NN files are rewritten: inputs the fuzzer found and a
 // developer checked in beside them stay.
 func TestGenerateFuzzCorpus(t *testing.T) {
@@ -48,6 +49,13 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		},
 	})
 	empty := enc(&Diff{BaseRev: 0, NewRev: 1})
+	// whole is a plan's one encoding: every job an add onto the empty plan
+	// one revision below it.
+	whole := func(p *Plan) []byte { return enc(Compute(&Plan{Rev: p.Rev - 1}, p)) }
+	wide := mkPlan(9, 40, 6)
+	addJob(wide, "wf0003/SelfJoin-3#3", 40, 44, map[int64]resource.Vector{40: resource.New(4, 8192), 41: resource.New(4, 8192), 43: resource.New(1, 512)})
+	addJob(wide, "wf0003/TeraSort-5#5", 42, 46, map[int64]resource.Vector{45: resource.New(8, 16384)})
+	addJob(wide, "adhoc/ah00470", 40, 46, nil)
 
 	// update assembles a binary diff (BaseRev 1, From 0, NSlots 4) with one
 	// update of job "a" whose window and slot runs are given raw, so the
@@ -111,6 +119,8 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 			w.String("ah00471")
 			w.Uint(0)
 		})},
+		{whole(wide)},
+		{whole(mkPlan(1, 0, 0))},
 	})
 
 	staleVsBase := enc(&Diff{BaseRev: 7, NewRev: 8, From: 0, NSlots: 6})

@@ -416,16 +416,6 @@ func TestCodecRefusesMalformed(t *testing.T) {
 			t.Errorf("diff torn at %d/%d bytes accepted", n, len(rich))
 		}
 	}
-	if _, err := DecodePlan([]byte(`{"rev":-1}`)); err == nil {
-		t.Errorf("negative-rev plan accepted")
-	}
-	if _, err := DecodePlan([]byte(`{"rev":1,"from":0,"n_slots":1099511627776}`)); err == nil {
-		t.Errorf("plan with n_slots past the ceiling accepted")
-	}
-	// A full plan as it was written before plans became integers only.
-	if _, err := DecodePlan([]byte(`{"rev":1,"from":0,"n_slots":4,"theta":{"vcores":[0.5]}}`)); err == nil || !strings.Contains(err.Error(), `"theta"`) {
-		t.Errorf("plan with θ levels: %v, want a refusal naming \"theta\"", err)
-	}
 }
 
 // thetaFormDiff is a diff in the form before front coding, by hand: tag
@@ -455,27 +445,14 @@ func thetaFormDiff() []byte {
 	return binary.LittleEndian.AppendUint64(w.Buf, math.Float64bits(0.5))
 }
 
-// TestStrictJSONRefusesTrailingBrackets pins the strict JSON decoder that
-// remains — full plans — against the tails json.Decoder.More does not see:
-// it reports false for a stray '}' or ']'.
-func TestStrictJSONRefusesTrailingBrackets(t *testing.T) {
-	planJSON := `{"rev":1,"from":0,"n_slots":4}`
-	if _, err := DecodePlan([]byte(planJSON + " \n")); err != nil {
-		t.Fatalf("trailing white space refused: %v", err)
-	}
-	for _, tail := range []string{"}", "]", " }}}]", "{}", "1", ",", "null", "\x00"} {
-		if _, err := DecodePlan([]byte(planJSON + tail)); err == nil {
-			t.Errorf("DecodePlan accepted trailing %q", tail)
-		}
-	}
-}
-
 func TestEncodeRefusesInvalid(t *testing.T) {
 	if _, err := EncodeDiff(&Diff{BaseRev: 1, NewRev: 9}); err == nil {
 		t.Fatalf("invalid diff encoded")
 	}
-	if _, err := EncodePlan(&Plan{Rev: -2}); err == nil {
-		t.Fatalf("invalid plan encoded")
+	// The pre-genesis plan has no whole-plan encoding: no revision lies
+	// below it.
+	if _, err := EncodeDiff(Compute(&Plan{Rev: -1}, Empty())); err == nil {
+		t.Fatalf("whole plan of revision 0 encoded")
 	}
 }
 
@@ -522,6 +499,43 @@ func TestComputeApplyRandomized(t *testing.T) {
 		}
 		if err := Equal(got, next); err != nil {
 			t.Fatalf("iter %d: Apply(base, Compute(base, next)) != next: %v", iter, err)
+		}
+	}
+}
+
+// TestWholePlanIsADiff holds a whole plan's one encoding — the diff that
+// builds it from the empty plan one revision below — to its contract: every
+// job an add, decode and Apply onto that empty base give back the plan, and
+// the plan re-encodes to the same bytes.
+func TestWholePlanIsADiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 300; iter++ {
+		p := genRandomPlan(rng, int64(1+iter), int64(rng.Intn(20)), int64(1+rng.Intn(10)))
+		data, err := EncodeDiff(Compute(&Plan{Rev: p.Rev - 1}, p))
+		if err != nil {
+			t.Fatalf("iter %d: encode: %v", iter, err)
+		}
+		d, err := DecodeDiff(data)
+		if err != nil {
+			t.Fatalf("iter %d: decode: %v", iter, err)
+		}
+		for _, u := range d.Update {
+			if !u.Add {
+				t.Fatalf("iter %d: job %q is not an add", iter, u.ID)
+			}
+		}
+		got, err := Apply(&Plan{Rev: d.BaseRev}, d)
+		if err != nil {
+			t.Fatalf("iter %d: apply: %v", iter, err)
+		}
+		if got.Rev != p.Rev {
+			t.Fatalf("iter %d: rev %d, want %d", iter, got.Rev, p.Rev)
+		}
+		if err := Equal(got, p); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if re, err := EncodeDiff(Compute(&Plan{Rev: got.Rev - 1}, got)); err != nil || !bytes.Equal(re, data) {
+			t.Fatalf("iter %d: re-encode differs (%v):\n%x\n%x", iter, err, data, re)
 		}
 	}
 }

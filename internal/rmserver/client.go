@@ -122,14 +122,6 @@ func (c *Client) Tick(ctx context.Context) error {
 	}{})
 }
 
-// Drain asks the RM to stop issuing new leases. With req.WaitMs > 0 the
-// RM blocks up to that long for outstanding leases to confirm or expire.
-func (c *Client) Drain(ctx context.Context, req rmproto.DrainRequest) (rmproto.DrainResponse, error) {
-	var resp rmproto.DrainResponse
-	err := c.post(ctx, rmproto.PathDrain, req, &resp)
-	return resp, err
-}
-
 // Status fetches the cluster snapshot: every job the RM knows, sorted by
 // ID, in a Jobs slice of the caller's own. What this client has received
 // before is asked for by cursor only — a completed job once, a live one

@@ -100,10 +100,12 @@
 // Formats: a WAL payload is a tagged binary record, and rmstate's
 // walcodec.go is the only file that knows its layout; a snapshot is
 // State.Snapshot's JSON around records in that codec (admissions, a tick
-// of the leases), which rmstate.Restore applies as replay does. A record
-// holds only what replay reads, and a snapshot only the replayed state: no
-// fault counter, no epoch this process merely saw. `ftrm -wal-dump` prints
-// a log as JSON lines (DumpWAL).
+// of the leases, a rebase to the live plan), which rmstate.Restore applies
+// as replay does. A plan, whole or one revision's diff, is only ever in
+// internal/plan's binary diff codec. A record holds only what replay
+// reads, and a snapshot only the replayed state: no fault counter, no
+// epoch this process merely saw. `ftrm -wal-dump` prints a log as JSON
+// lines (DumpWAL).
 package rmserver
 
 import (

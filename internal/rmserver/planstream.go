@@ -74,7 +74,7 @@ func (s *Server) streamPlansLocked() error {
 // it journals the full plan as one record, which applies it and rides the
 // next commit.
 func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
-	_, err := s.journalLocked(rmstate.Record{PlanRebase: &rmstate.RecPlanRebase{Plan: lp}})
+	_, err := s.journalLocked(rmstate.Record{PlanRebase: rmstate.RebaseTo(lp)})
 	if applied(err) {
 		s.faults.PlanRebases++
 	}

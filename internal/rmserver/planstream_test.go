@@ -1,6 +1,7 @@
 package rmserver
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -676,4 +677,59 @@ func TestGateRequiresStreamingScheduler(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "plan-streaming") {
 		t.Fatalf("New with gate on FIFO = %v, want plan-streaming error", err)
 	}
+}
+
+// TestLivePlanHasOneEncoding plays a mixed run with plan streaming on and,
+// after every slot, encodes the live plan the one way a plan is encoded —
+// the plan rebase record a snapshot holds — and requires it to decode to a
+// plan.Equal plan of the same revision that re-encodes to the same bytes.
+// The snapshot that holds the run's last plan restores it.
+func TestLivePlanHasOneEncoding(t *testing.T) {
+	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), LeaseExpiry: 3}, nil)
+	var codec rmstate.Codec
+	encode := func(p *plan.Plan) []byte {
+		t.Helper()
+		payload, err := codec.Encode(&rmstate.Record{PlanRebase: rmstate.RebaseTo(p)})
+		if err != nil {
+			t.Fatalf("encode plan rev %d: %v", p.Rev, err)
+		}
+		return bytes.Clone(payload)
+	}
+	planned := 0
+	driveMixed(t, c, 1, 40, func(slot int) {
+		live := livePlanOf(c.rm)
+		if live.Rev == 0 {
+			return
+		}
+		if len(live.Jobs) > 0 {
+			planned++
+		}
+		payload := encode(live)
+		rec, err := codec.Decode(payload)
+		if err != nil || rec.PlanRebase == nil {
+			t.Fatalf("slot %d: decode plan rev %d: %+v, %v", slot, live.Rev, rec, err)
+		}
+		got, err := rec.PlanRebase.Plan()
+		if err != nil {
+			t.Fatalf("slot %d: build plan rev %d: %v", slot, live.Rev, err)
+		}
+		if err := plan.Equal(got, live); err != nil || got.Rev != live.Rev {
+			t.Fatalf("slot %d: plan rev %d decodes to rev %d: %v", slot, live.Rev, got.Rev, err)
+		}
+		if again := encode(got); !bytes.Equal(again, payload) {
+			t.Fatalf("slot %d: plan rev %d re-encodes differently:\n%x\n%x", slot, live.Rev, payload, again)
+		}
+	}, nil)
+	if planned < 20 {
+		t.Fatalf("%d of 40 slots had a live plan with jobs; want most", planned)
+	}
+	snap := snapshotOf(t, c.rm)
+	restored, err := rmstate.Restore(slotDur, 3, snap)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if live := livePlanOf(c.rm); plan.Equal(restored.Plan(), live) != nil || restored.Plan().Rev != live.Rev {
+		t.Fatalf("the snapshot restores plan rev %d, the live plan is rev %d", restored.Plan().Rev, live.Rev)
+	}
+	t.Logf("snapshot after 40 slots, seed 1: %d B", len(snap))
 }

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -485,7 +484,7 @@ func (s *Server) Tick(now time.Time) error {
 		// The record applied, requeuing the silent nodes' leases: forget
 		// the nodes and count both. A record the codec refused leaves them,
 		// leases and all.
-		for _, id := range expired {
+		for id := range expired {
 			delete(s.nodes, id)
 		}
 		s.faults.ExpiredNodes += int64(len(expired))
@@ -530,7 +529,7 @@ func (s *Server) Tick(now time.Time) error {
 // NodeExpiry are returned as expired, for Tick to forget once the record
 // applied (nodes are soft state); their leases are requeued and they get
 // no grants.
-func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired []string, offers []rmstate.Offer, err error) {
+func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired map[string]bool, offers []rmstate.Offer, err error) {
 	// The previous slot is over: its unclaimed offers lapse.
 	s.lapsed += int64(len(s.offers))
 	s.offers = nil
@@ -538,11 +537,14 @@ func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired []stri
 	if s.cfg.NodeExpiry > 0 {
 		for id, n := range s.nodes {
 			if now.Sub(n.lastSeen) > s.cfg.NodeExpiry {
-				expired = append(expired, id)
+				if expired == nil {
+					expired = make(map[string]bool)
+				}
+				expired[id] = true
 			}
 		}
 	}
-	nodes := s.nodesLocked(func(n *node) bool { return !slices.Contains(expired, n.ID) })
+	nodes := s.nodesLocked(func(n *node) bool { return !expired[n.ID] })
 	var capacity resource.Vector
 	for _, n := range nodes {
 		capacity = capacity.Add(n.Capacity)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -271,7 +273,10 @@ func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
 
 // TestHTTPEndToEnd drives the whole HTTP surface — register, submit,
 // manual ticks, heartbeats, status — through a real httptest server and
-// the Client.
+// the Client, then POST /v1/drain as README documents it: with a lease
+// out, wait_ms 0 answers at once that the RM is draining, with the lease
+// and the unfinished job; once the lease is confirmed, wait_ms > 0
+// answers complete.
 func TestHTTPEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(newCluster(t, Config{Scheduler: sched.NewEDF()}, nil).rm.Handler())
 	defer ts.Close()
@@ -317,10 +322,52 @@ func TestHTTPEndToEnd(t *testing.T) {
 			}
 		}
 		if done {
-			return
+			break
+		}
+		if slot == 99 {
+			t.Fatal("jobs did not complete within 100 slots")
 		}
 	}
-	t.Fatal("jobs did not complete within 100 slots")
+
+	if _, err := client.SubmitAdHoc(ctx, rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "q2", Tasks: 2, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 512,
+	}}); err != nil {
+		t.Fatalf("SubmitAdHoc: %v", err)
+	}
+	if err := client.Tick(ctx); err != nil {
+		t.Fatalf("Tick: %v", err)
+	}
+	hb, err := client.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1", Completed: running})
+	if err != nil || len(hb.Launch) == 0 {
+		t.Fatalf("Heartbeat: %+v, %v; want the ad-hoc job's leases", hb, err)
+	}
+	drain := func(waitMs int64) rmproto.DrainResponse {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+rmproto.PathDrain, "application/json", strings.NewReader(fmt.Sprintf(`{"wait_ms":%d}`, waitMs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got rmproto.DrainResponse
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s, %v", rmproto.PathDrain, resp.Status, err)
+		}
+		return got
+	}
+	want := rmproto.DrainResponse{Draining: true, OutstandingLeases: len(hb.Launch), UnfinishedJobs: []string{"adhoc/q2"}}
+	if got := drain(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("drain, wait_ms 0: %+v, want %+v", got, want)
+	}
+	running = running[:0]
+	for _, q := range hb.Launch {
+		running = append(running, q.ID)
+	}
+	if _, err := client.Heartbeat(ctx, rmproto.HeartbeatRequest{NodeID: "n1", Completed: running}); err != nil {
+		t.Fatalf("Heartbeat: %v", err)
+	}
+	if got := drain(5000); !got.Draining || !got.Complete || got.OutstandingLeases != 0 {
+		t.Errorf("drain, wait_ms 5000, no lease out: %+v, want draining and complete", got)
+	}
 }
 
 func TestHTTPErrors(t *testing.T) {

@@ -308,9 +308,9 @@ func canonicalRecords() []namedRecord {
 		{"requeue", rmstate.Record{Requeue: &rmstate.RecRequeue{QIDs: []string{"q-100", "q-98", "q-99"}}}},
 		{"epoch", rmstate.Record{Epoch: &rmstate.RecEpoch{Epoch: 2}}},
 		{"plan diff", rmstate.Record{PlanDiff: &rmstate.RecPlanDiff{Diff: canonicalDiff(2, 3)}}},
-		{"plan rebase", rmstate.Record{PlanRebase: &rmstate.RecPlanRebase{Plan: &plan.Plan{Rev: 4, From: 18, NSlots: 2, Jobs: map[string]plan.Job{
-			"adhoc/ah00470": {Window: plan.Window{Rel: 18, Dl: 20}, Alloc: []resource.Vector{resource.New(1, 512), {}}}}}}}},
-		{"plan rebase, empty", rmstate.Record{PlanRebase: &rmstate.RecPlanRebase{Plan: &plan.Plan{Rev: 1}}}},
+		{"plan rebase", rmstate.Record{PlanRebase: rmstate.RebaseTo(&plan.Plan{Rev: 4, From: 18, NSlots: 2, Jobs: map[string]plan.Job{
+			"adhoc/ah00470": {Window: plan.Window{Rel: 18, Dl: 20}, Alloc: []resource.Vector{resource.New(1, 512), {}}}}})}},
+		{"plan rebase, empty", rmstate.Record{PlanRebase: rmstate.RebaseTo(&plan.Plan{Rev: 1})}},
 	}
 }
 
@@ -393,7 +393,7 @@ func TestWALCodecRefusals(t *testing.T) {
 		"negative submit":    {AdHoc: &rmstate.RecAdHoc{Job: trace.AdHocRecord{ID: "a", SubmitSec: -5}}},
 		"negative dep index": {Workflow: &rmstate.RecWorkflow{WF: trace.WorkflowRecord{Deps: [][2]int{{0, -1}}}}},
 		"invalid diff":       {PlanDiff: &rmstate.RecPlanDiff{Diff: &plan.Diff{BaseRev: 1, NewRev: 9}}},
-		"invalid plan":       {PlanRebase: &rmstate.RecPlanRebase{Plan: &plan.Plan{Rev: -1}}},
+		"invalid plan":       {PlanRebase: rmstate.RebaseTo(&plan.Plan{Rev: -1})},
 	} {
 		if payload, err := codec.Encode(&rec); err == nil {
 			t.Errorf("%s: encoded to %x", name, payload)
@@ -426,7 +426,7 @@ func TestWALCodecRefusals(t *testing.T) {
 		"quantum ID literal":         confirm(1, 0, 3, 'q', '-', 'x'),
 		"epoch 2":                    {tagEpoch, 2},
 		"empty best-effort workflow": {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
-		"empty plan rebase":          append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0}`...),
+		"empty plan rebase":          {tagPlanRebase, 0x02, 0, 0, 0, 0, 0},
 	}
 	refused := map[string][]byte{
 		"empty payload":                {},
@@ -457,8 +457,8 @@ func TestWALCodecRefusals(t *testing.T) {
 		"quantum ID count beyond the input":      confirm(9, 3),
 		"flag byte 2":                            {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0},
 		"torn diff":                              {tagPlanDiff, 0x02, 1, 0},
-		"plan rebase with spaces":                append([]byte{tagPlanRebase}, `{"rev": 1, "from": 0, "n_slots": 0}`...),
-		"plan rebase with an explicit empty":     append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0,"jobs":{}}`...),
+		"torn plan rebase":                       {tagPlanRebase, 0x02, 0, 0, 0, 0},
+		"JSON plan rebase":                       append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0}`...),
 		"JSON payload":                           []byte(`{"epoch":{"epoch":2}}`),
 		"JSON diff":                              append([]byte{tagPlanDiff}, `{"base_rev":1,"new_rev":2,"from":0,"n_slots":4}`...),
 	}
@@ -493,8 +493,8 @@ func TestWALCodecRefusals(t *testing.T) {
 	}
 	for name, c := range map[string]struct{ snapshot, want string }{
 		"a version 1 snapshot":     {snap(1, ""), "snapshot version 1"},
-		"an epoch as a workflow":   {snap(5, `,"workflows":[{"record":`+mustJSON(accepted["epoch 2"])+`,"jobs":[]}]`), "not the admission record of a new workflow"},
-		"a lease on an absent job": {snap(5, `,"leases":`+mustJSON(accepted["two grants sharing an expiry"])), "snapshot lease q-1 references unknown job j"},
+		"an epoch as a workflow":   {snap(6, `,"workflows":[{"record":`+mustJSON(accepted["epoch 2"])+`,"jobs":[]}]`), "not the admission record of a new workflow"},
+		"a lease on an absent job": {snap(6, `,"leases":`+mustJSON(accepted["two grants sharing an expiry"])), "snapshot lease q-1 references unknown job j"},
 	} {
 		dir := t.TempDir()
 		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
@@ -569,14 +569,16 @@ func parentDiff() []byte {
 }
 
 // TestPreviousJournalFormsRefused: state written in an earlier form — a
-// tick, confirm or requeue carrying fault counters (tags 9, 4, 5), an
-// epoch carrying a slot (tag 6), a version 4 snapshot, which held jobs
-// and leases in a schema of their own, a version 3 snapshot, and from before
-// the plan lost θ and IDs were front-coded a tag 3 tick, a tag 0x01 diff,
-// a rebase plan with "theta", a version 2 snapshot and a snapshot plan
-// with "theta" — is refused by recovery, by a follower's ingest and by
-// -wal-dump, each time with an error naming the record and the form;
-// nothing misreads it.
+// rebase record holding a JSON plan and a version 5 snapshot, which held
+// its plan as JSON, a tick, confirm or requeue carrying fault counters
+// (tags 9, 4, 5), an epoch carrying a slot (tag 6), a version 4 snapshot,
+// which held jobs and leases in a schema of their own, a version 3
+// snapshot, and from before the plan lost θ and IDs were front-coded a tag
+// 3 tick, a tag 0x01 diff, a rebase plan with "theta", a version 2
+// snapshot and a snapshot plan with "theta" — is refused by recovery, by a
+// follower's ingest and by -wal-dump, each time with an error naming the
+// record and the form; nothing misreads it. A JSON plan is refused as
+// JSON whatever it holds, θ levels included.
 func TestPreviousJournalFormsRefused(t *testing.T) {
 	thetaPlan := `{"rev":1,"from":0,"n_slots":0,"theta":{"vcores":[0.5]}}`
 	records := map[string]struct {
@@ -589,7 +591,8 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 		"epoch with a slot":           {[]byte(slotEpoch), []string{"epoch record", "tag 6", "slot", "no longer read"}},
 		"tick":                        {parentTick(), []string{"tick record", "tag 3", "predates"}},
 		"plan diff":                   {parentDiff(), []string{"tag 0x01 diff", "θ", "predates"}},
-		"plan rebase":                 {append([]byte{tagPlanRebase}, thetaPlan...), []string{"plan rebase", `"theta"`, "predates"}},
+		"plan rebase":                 {append([]byte{tagPlanRebase}, thetaPlan...), []string{"plan rebase", "JSON plan", "no longer read"}},
+		"plan rebase, JSON":           {append([]byte{tagPlanRebase}, `{"rev":1,"from":0,"n_slots":0}`...), []string{"plan rebase", "JSON plan", "no longer read"}},
 	}
 	refused := func(what string, err error, want []string) {
 		t.Helper()
@@ -636,7 +639,11 @@ func TestPreviousJournalFormsRefused(t *testing.T) {
 		"version 4 snapshot":          {snap(4), []string{"snapshot version 4", "jobs and leases", "schema of their own", "no longer read"}},
 		"version 3 snapshot":          {snap(3), []string{"snapshot version 3", "fault counters", "in-flight", "no longer read"}},
 		"version 2 snapshot":          {snap(2), []string{"snapshot version 2", "θ", "predates"}},
-		"snapshot plan with θ levels": {snap(5), []string{"snapshot plan", `"theta"`, "predates"}},
+		"snapshot plan with θ levels": {snap(5), []string{"snapshot version 5", "plan as JSON", "no longer read"}},
+		"version 5 snapshot":          {strings.Replace(snap(5), thetaPlan, `{"rev":1,"from":0,"n_slots":0}`, 1), []string{"snapshot version 5", "plan as JSON", "no longer read"}},
+		"JSON plan in a version 6 snapshot": {
+			fmt.Sprintf(`{"version":6,"slot_dur_ns":%d,"slot":3,"next_qid":0,"plan":%s}`, int64(slotDur), mustJSON(append([]byte{tagPlanRebase}, thetaPlan...))),
+			[]string{"snapshot plan", "plan rebase", "JSON plan", "no longer read"}},
 	} {
 		dir := t.TempDir()
 		st, err := store.Open(store.Options{Dir: dir, Policy: store.SyncNever})
@@ -829,7 +836,8 @@ func TestWALRecordSizes(t *testing.T) {
 }
 
 // TestWALDump: the dump of a recorded run is one parseable JSON object
-// per journaled record, and leaves a torn tail alone.
+// per journaled record, and leaves a torn tail alone. A plan rebase prints
+// as the plan it builds.
 func TestWALDump(t *testing.T) {
 	live, payloads := recordMixedRun(t)
 	dir := live.store.Dir()
@@ -899,10 +907,33 @@ func TestWALDump(t *testing.T) {
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, log) {
 		t.Error("the dump modified the segment")
 	}
+
+	rebase := canonicalRecord("plan rebase")
+	payload, err := codec.Encode(&rebase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := store.EncodeRecord(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-000000000000.log"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := DumpWAL(dir, &out, io.Discard); err != nil {
+		t.Fatalf("DumpWAL: %v", err)
+	}
+	const want = `{"plan_rebase":{"plan":{"rev":4,"from":18,"n_slots":2,"jobs":{"adhoc/ah00470":{"window":{"rel":18,"dl":20},"alloc":[[1,512],[0,0]]}}}}}` + "\n"
+	if got := out.String(); got != want {
+		t.Errorf("dump of a plan rebase:\n%s\nwant\n%s", got, want)
+	}
 }
 
 // walFuzzSeeds are FuzzDecodeWALRecord's seeds: every canonical record
-// (so every variant) and a count far beyond its input.
+// (so every variant), a count far beyond its input, the refused old forms
+// and a rebase to a plan of two workflows' jobs.
 func walFuzzSeeds(tb testing.TB) [][]byte {
 	var codec rmstate.Codec
 	var seeds [][]byte
@@ -913,19 +944,31 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, append([]byte{}, payload...))
 	}
-	// A grant count far beyond the input, and the records whose form is
-	// refused by its tag: a tick, confirm and requeue with fault counters,
+	// A grant count far beyond the input, the records whose form is
+	// refused by its tag — a tick, confirm and requeue with fault counters,
 	// an epoch with a slot, a tick that back-references its IDs and a diff
-	// with θ levels.
-	return append(seeds, []byte{tagTick, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+	// with θ levels — and a rebase to a plan of two workflows' jobs.
+	seeds = append(seeds, []byte{tagTick, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		[]byte(faultsTick), []byte(faultsConfirm), []byte(faultsRequeue), []byte(slotEpoch),
 		parentTick(), parentDiff())
+	p := &plan.Plan{Rev: 12, From: 30, NSlots: 5, Jobs: map[string]plan.Job{}}
+	for i, id := range []string{"wf0003/SelfJoin-3#3", "wf0003/TeraSort-5#5", "wf0004/TeraSort-1#1"} {
+		alloc := make([]resource.Vector, p.NSlots)
+		alloc[i], alloc[i+2] = resource.New(int64(i+1), 1024), resource.New(2, 4096)
+		p.Jobs[id] = plan.Job{Window: plan.Window{Rel: 30, Dl: 35}, Alloc: alloc}
+	}
+	rebase, err := codec.Encode(&rmstate.Record{PlanRebase: rmstate.RebaseTo(p)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(seeds, rebase)
 }
 
 // FuzzDecodeWALRecord feeds arbitrary bytes to the record decoder. It
 // must never panic. An accepted payload re-encodes to exactly itself and
-// its plan diff, if it is one, validates. (That decoding allocates
-// O(len(input)) is TestDecodeWALRecordAllocation's to check.)
+// its plan diff or its rebase's diff, if it is one, validates. (That
+// decoding allocates O(len(input)) is TestDecodeWALRecordAllocation's to
+// check.)
 func FuzzDecodeWALRecord(f *testing.F) {
 	for _, seed := range walFuzzSeeds(f) {
 		f.Add(seed)
@@ -937,8 +980,14 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var d *plan.Diff
 		if rec.PlanDiff != nil {
-			if verr := rec.PlanDiff.Diff.Validate(); verr != nil {
+			d = rec.PlanDiff.Diff
+		} else if rec.PlanRebase != nil {
+			d = rec.PlanRebase.Diff
+		}
+		if d != nil {
+			if verr := d.Validate(); verr != nil {
 				t.Fatalf("accepted a record with an invalid diff: %v", verr)
 			}
 		}
@@ -965,7 +1014,8 @@ func TestDecodeWALRecordAllocation(t *testing.T) {
 		claim(tagConfirm, 1),                          // confirmed quantum IDs
 		claim(tagConfirm, 1, 1, 0),                    // a literal quantum ID's length
 		claim(tagRequeue),
-		claim(tagPlanDiff, 0x02, 1, 0, 4), // the diff's removes
+		claim(tagPlanDiff, 0x02, 1, 0, 4),   // the diff's removes
+		claim(tagPlanRebase, 0x02, 1, 0, 4), // the rebase's removes
 	)
 	var codec rmstate.Codec
 	for i, in := range inputs {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/trace"
 )
@@ -18,7 +19,7 @@ const (
 // admissions, then slots of DecideTick, PlaceTick and the confirms of the
 // slot before, every record made by Apply — and returns its snapshot
 // after each step: a workflow, an ad-hoc job, leases in flight, completed
-// jobs in a live workflow and in the archive.
+// jobs in a live workflow and in the archive, and last a plan.
 func seedSnapshots(tb testing.TB) [][]byte {
 	tb.Helper()
 	s := New(fuzzSlot, fuzzLeaseExpiry)
@@ -82,6 +83,14 @@ func seedSnapshots(tb testing.TB) [][]byte {
 	if len(s.Leases()) == 0 || len(s.done) == 0 {
 		tb.Fatalf("the seed state has %d leases and %d completed jobs; want both", len(s.Leases()), len(s.done))
 	}
+	p := &plan.Plan{Rev: 1, From: s.slot, NSlots: 3, Jobs: map[string]plan.Job{
+		"wf/b": {Window: plan.Window{Rel: s.slot, Dl: s.slot + 3}, Alloc: []resource.Vector{{}, resource.New(2, 2048), resource.New(1, 1024)}},
+	}}
+	diff, err := s.DecidePlanDiff(plan.Compute(s.Plan(), p))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	apply(Record{PlanDiff: diff})
 	return snaps
 }
 

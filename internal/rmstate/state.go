@@ -215,10 +215,35 @@ type RecPlanDiff struct {
 }
 
 // RecPlanRebase journals a wholesale live-plan replacement — the escape
-// hatch when the diff chain breaks — on disk as the plan codec's JSON plan
-// blob, the same one snapshots embed.
+// hatch when the diff chain breaks — as the plan's one encoding: the diff
+// that builds it from the empty plan one revision below it, every job an
+// add. A snapshot holds the live plan as this record too.
 type RecPlanRebase struct {
-	Plan *plan.Plan `json:"plan"`
+	Diff *plan.Diff `json:"diff"`
+}
+
+// RebaseTo returns the record that replaces the live plan with p.
+func RebaseTo(p *plan.Plan) *RecPlanRebase {
+	return &RecPlanRebase{Diff: plan.Compute(&plan.Plan{Rev: p.Rev - 1}, p)}
+}
+
+// Plan builds the plan the record holds: its diff applied to the empty
+// plan it was computed against. A diff that removes or updates a job is
+// refused there, since the empty plan holds none.
+func (r *RecPlanRebase) Plan() (*plan.Plan, error) {
+	return plan.Apply(&plan.Plan{Rev: r.Diff.BaseRev}, r.Diff)
+}
+
+// MarshalJSON spells the record as the plan it holds, the form
+// `ftrm -wal-dump` prints.
+func (r *RecPlanRebase) MarshalJSON() ([]byte, error) {
+	p, err := r.Plan()
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(struct {
+		Plan *plan.Plan `json:"plan"`
+	}{p})
 }
 
 // Apply applies one record, live, in replay or on a follower. A record
@@ -240,9 +265,17 @@ func (s *State) Apply(rec *Record) error {
 	case rec.Epoch != nil:
 		s.epoch = max(s.epoch, rec.Epoch.Epoch)
 	case rec.PlanDiff != nil:
-		return s.applyPlanDiff(rec.PlanDiff)
+		next, err := s.planAfter(rec.PlanDiff)
+		if err != nil {
+			return err
+		}
+		s.plan = next
 	case rec.PlanRebase != nil:
-		s.plan = rec.PlanRebase.Plan // decoded and validated by the record codec
+		next, err := rec.PlanRebase.Plan()
+		if err != nil {
+			return fmt.Errorf("plan rebase: %w", err)
+		}
+		s.plan = next
 	}
 	return nil
 }
@@ -367,27 +400,26 @@ func (s *State) applyRequeue(qids []string) {
 	}
 }
 
-// applyPlanDiff applies one plan diff. Replay is idempotent — a diff at or
-// below the live revision is skipped — but a revision gap is corrupt
-// history and fails loudly rather than leaving a plan that silently
-// diverges from what the primary journaled.
-func (s *State) applyPlanDiff(r *RecPlanDiff) error {
+// planAfter is the live plan once one plan diff is applied. Replay is
+// idempotent — a diff at or below the live revision leaves the plan as it
+// is — but a revision gap is corrupt history and fails loudly rather than
+// leaving a plan that silently diverges from what the primary journaled.
+func (s *State) planAfter(r *RecPlanDiff) (*plan.Plan, error) {
 	d := r.Diff // decoded and validated by the record codec
 	if d.NewRev <= s.plan.Rev {
-		return nil // idempotent replay
+		return s.plan, nil // idempotent replay
 	}
 	if d.BaseRev != s.plan.Rev {
-		return fmt.Errorf("plan diff %d->%d does not chain to live revision %d", d.BaseRev, d.NewRev, s.plan.Rev)
+		return nil, fmt.Errorf("plan diff %d->%d does not chain to live revision %d", d.BaseRev, d.NewRev, s.plan.Rev)
 	}
-	next := r.next
-	if next == nil {
-		var err error
-		if next, err = plan.Apply(s.plan, d); err != nil {
-			return fmt.Errorf("plan diff %d->%d: %w", d.BaseRev, d.NewRev, err)
-		}
+	if r.next != nil {
+		return r.next, nil
 	}
-	s.plan = next
-	return nil
+	next, err := plan.Apply(s.plan, d)
+	if err != nil {
+		return nil, fmt.Errorf("plan diff %d->%d: %w", d.BaseRev, d.NewRev, err)
+	}
+	return next, nil
 }
 
 // archive appends one completed job's final status to the archive.
@@ -596,10 +628,10 @@ func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecT
 // schedule set, the live jobs as the scheduler sees them, net of those
 // requeues, in arrival order. A job ready on confirm is one whose every
 // unfinished predecessor has its whole remainder in flight.
-func (s *State) DecideTick(expired []string, schedule bool) (*RecTick, []sched.JobState) {
+func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []sched.JobState) {
 	rec := &RecTick{Slot: s.slot + 1}
 	rec.Requeued = s.DecideRequeue(func(l *Lease) bool {
-		return slices.Contains(expired, l.NodeID) || s.slot >= l.Expiry
+		return expired[l.NodeID] || s.slot >= l.Expiry
 	}).QIDs
 	if !schedule {
 		return rec, nil
@@ -747,13 +779,14 @@ func (s *State) readyOnConfirm(j *Job, inFlight func(*Job) resource.Vector) bool
 }
 
 // snapVersion identifies the snapshot schema: the live state as the
-// records Apply made it from, beside each job's progress, the archive and
-// the plan. Earlier versions are refused by name: nothing writes them,
-// under the condition walcodec.go states for the journal.
-const snapVersion = 5
+// records Apply made it from, beside each job's progress and the archive.
+// Earlier versions are refused by name: nothing writes them, under the
+// condition walcodec.go states for the journal.
+const snapVersion = 6
 
 // oldSnapshots names the forms of the versions before snapVersion.
 var oldSnapshots = map[int]string{
+	5: "that held its plan as JSON",
 	4: "that held jobs and leases in a schema of their own",
 	3: "that carried fault counters and in-flight volume",
 	2: "with θ levels in its plan that predates front-coded journal IDs",
@@ -761,8 +794,9 @@ var oldSnapshots = map[int]string{
 }
 
 // snapState is the full-state snapshot payload. Records are journal
-// payloads: each live workflow's and ad-hoc job's admission, and one tick
-// at Slot granting the leases, which rebuild each job's in-flight volume.
+// payloads: each live workflow's and ad-hoc job's admission, one tick at
+// Slot granting the leases, which rebuild each job's in-flight volume, and
+// one plan rebase to the live plan.
 type snapState struct {
 	Version   int                 `json:"version"`
 	SlotDurNS int64               `json:"slot_dur_ns"`
@@ -773,7 +807,7 @@ type snapState struct {
 	AdHoc     []snapAdHoc         `json:"adhoc,omitempty"`
 	Leases    []byte              `json:"leases,omitempty"`
 	Done      []rmproto.JobStatus `json:"done,omitempty"` // the archive, in completion order
-	Plan      json.RawMessage     `json:"plan,omitempty"` // the plan codec's form; absent before a first revision
+	Plan      []byte              `json:"plan,omitempty"` // absent before a first revision
 }
 
 type snapWorkflow struct {
@@ -836,35 +870,44 @@ func (s *State) Snapshot() ([]byte, error) {
 			nb, _ := rmproto.ParseQuantumID(b.QID)
 			return cmp.Compare(na, nb)
 		})
-		var err error
-		if st.Leases, err = codec.Encode(&Record{Tick: tick}); err != nil { // the codec's last encode
+		rec, err := codec.Encode(&Record{Tick: tick})
+		if err != nil {
 			return nil, fmt.Errorf("snapshot leases: %w", err)
 		}
+		st.Leases = slices.Clone(rec)
 	}
 	if s.plan.Rev > 0 {
-		payload, err := plan.EncodePlan(s.plan)
+		rec, err := codec.Encode(&Record{PlanRebase: RebaseTo(s.plan)})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot plan rev %d: %w", s.plan.Rev, err)
 		}
-		st.Plan = payload
+		st.Plan = rec // the codec's last encode
 	}
 	return json.Marshal(&st)
 }
 
 // Restore returns the state a snapshot holds, applying its records to
 // New(slotDur, leaseExpiry): admissions before the archive, whose IDs they
-// would take for duplicates, and the leases last. It refuses a snapshot of
-// another version or slot duration, or whose records do not make the state
-// it describes (a workflow entry that is no workflow, a lease on no job).
+// would take for duplicates, then the leases and the plan. It refuses a
+// snapshot of another version or slot duration, or whose records do not
+// make the state it describes (a workflow entry that is no workflow, a
+// lease on no job, a plan that is no plan rebase).
 func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, error) {
+	// The version first: an earlier version's fields need not fit this one's.
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(payload, &head); err != nil {
+		return nil, fmt.Errorf("decode snapshot: %w", err)
+	}
+	if form, old := oldSnapshots[head.Version]; old {
+		return nil, fmt.Errorf("snapshot version %d, the form %s, which is no longer read (want %d)", head.Version, form, snapVersion)
+	} else if head.Version != snapVersion {
+		return nil, fmt.Errorf("snapshot version %d, want %d", head.Version, snapVersion)
+	}
 	var st snapState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("decode snapshot: %w", err)
-	}
-	if form, old := oldSnapshots[st.Version]; old {
-		return nil, fmt.Errorf("snapshot version %d, the form %s, which is no longer read (want %d)", st.Version, form, snapVersion)
-	} else if st.Version != snapVersion {
-		return nil, fmt.Errorf("snapshot version %d, want %d", st.Version, snapVersion)
 	}
 	if got := time.Duration(st.SlotDurNS); got != slotDur {
 		return nil, fmt.Errorf("state dir was written with slot=%v, server runs slot=%v", got, slotDur)
@@ -873,13 +916,9 @@ func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, 
 	s.slot, s.epoch = st.Slot, st.Epoch
 	var codec Codec
 	for i, sw := range st.Workflows {
-		rec, err := codec.Decode(sw.Record)
-		if err == nil && (rec.Workflow == nil || s.knownWorkflow(rec.Workflow.WF.ID)) {
-			err = errors.New("not the admission record of a new workflow")
-		}
-		if err == nil {
-			err = s.Apply(&rec)
-		}
+		rec, err := s.applySnapRecord(&codec, sw.Record, "the admission record of a new workflow", func(r *Record) bool {
+			return r.Workflow != nil && !s.knownWorkflow(r.Workflow.WF.ID)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot workflow %d: %w", i, err)
 		}
@@ -897,13 +936,9 @@ func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, 
 		}
 	}
 	for i, sa := range st.AdHoc {
-		rec, err := codec.Decode(sa.Record)
-		if err == nil && (rec.AdHoc == nil || s.knownAdHoc(rmproto.AdHocJobID(rec.AdHoc.Job.ID))) {
-			err = errors.New("not the admission record of a new ad-hoc job")
-		}
-		if err == nil {
-			err = s.Apply(&rec)
-		}
+		rec, err := s.applySnapRecord(&codec, sa.Record, "the admission record of a new ad-hoc job", func(r *Record) bool {
+			return r.AdHoc != nil && !s.knownAdHoc(rmproto.AdHocJobID(r.AdHoc.Job.ID))
+		})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot ad-hoc job %d: %w", i, err)
 		}
@@ -913,14 +948,10 @@ func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, 
 		s.archive(d)
 	}
 	if len(st.Leases) > 0 {
-		rec, err := codec.Decode(st.Leases)
-		if err == nil && rec.Tick == nil {
-			err = errors.New("not a tick record")
-		}
+		rec, err := s.applySnapRecord(&codec, st.Leases, "a tick record", func(r *Record) bool { return r.Tick != nil })
 		if err != nil {
 			return nil, fmt.Errorf("snapshot leases: %w", err)
 		}
-		_ = s.Apply(&rec) // a tick always applies
 		for _, g := range rec.Tick.Grants {
 			if l := s.leases[g.QID]; l == nil || l.Job.ID != g.JobID {
 				return nil, fmt.Errorf("snapshot lease %s references unknown job %s, or is out of quantum-ID order", g.QID, g.JobID)
@@ -929,13 +960,24 @@ func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, 
 	}
 	s.nextQID = max(s.nextQID, st.NextQID)
 	if len(st.Plan) > 0 {
-		p, err := plan.DecodePlan(st.Plan)
-		if err != nil {
+		if _, err := s.applySnapRecord(&codec, st.Plan, "a plan rebase record", func(r *Record) bool { return r.PlanRebase != nil }); err != nil {
 			return nil, fmt.Errorf("snapshot plan: %w", err)
 		}
-		s.plan = p
 	}
 	return s, nil
+}
+
+// applySnapRecord decodes one of a snapshot's records and applies it if is
+// holds for it; otherwise it refuses the record as not what it should be.
+func (s *State) applySnapRecord(codec *Codec, payload []byte, should string, is func(*Record) bool) (Record, error) {
+	rec, err := codec.Decode(payload)
+	if err == nil && !is(&rec) {
+		err = errors.New("not " + should)
+	}
+	if err == nil {
+		err = s.Apply(&rec)
+	}
+	return rec, err
 }
 
 func sortedKeys[V any](m map[string]V) []string {

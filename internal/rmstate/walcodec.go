@@ -13,7 +13,8 @@
 //	               nDeps{from to}  submitNS deadlineNS slot bestEffort  nWindows{rel dl minSlots}
 //	2 adhoc        id submitSec tasks dur vcores mem  slot
 //	7 plan diff    the diff in internal/plan's binary codec, to the end of the payload
-//	8 plan rebase  the plan in internal/plan's JSON form, to the end of the payload
+//	8 plan rebase  the plan as the diff from the empty plan one revision below
+//	               it, in internal/plan's binary codec, to the end of the payload
 //	10 tick        slot  nRequeued{qid}  nGrants{qid job node grant} expiries
 //	11 confirm     slot  n{qid}
 //	12 requeue     n{qid}
@@ -41,25 +42,23 @@
 // prefixes, counts the input cannot hold, trailing bytes), a byte string
 // decodes at most one way: decode∘encode is the identity on every record
 // the encoder accepts and encode∘decode on every payload the decoder
-// accepts — a plan rebase's JSON blob included, which must be the one
-// plan.EncodePlan writes. List fields decode to nil when empty.
+// accepts. List fields decode to nil when empty.
 //
-// One form. Before this one a tick (tag 9), a confirm (4) and a requeue (5)
-// carried the seven fault counters, and an epoch (6) its slot, none of
-// which replay needs; before that a tick took tag 3 and back-referenced the
-// IDs it had already spelled, and a plan diff or plan carried θ levels;
-// before that a payload was json.Marshal(Record), which always opens
-// with '{' — a byte no tag takes. Nothing has written any of them since
-// and no supported state directory predates a snapshot rotation under
-// this form (rotation drops the old log and writes a current snapshot;
-// there is no deployed fleet), so none is read: decode refuses tags 4, 5,
-// 6 and 9, a tag 3 tick, a tag 0x01 diff, a rebase plan with "theta", a
-// '{' payload and a '{' diff behind tagPlanDiff, each with an error that
-// names it.
+// One form. Before this one a plan rebase held its plan in JSON; before
+// that a tick (tag 9), a confirm (4) and a requeue (5) carried the seven
+// fault counters, and an epoch (6) its slot, none of which replay needs;
+// before that a tick took tag 3 and back-referenced the IDs it had already
+// spelled, and a plan diff or plan carried θ levels; before that a payload
+// was json.Marshal(Record), which always opens with '{' — a byte no tag
+// takes. Nothing has written any of them since and no supported state
+// directory predates a snapshot rotation under this form (rotation drops
+// the old log and writes a current snapshot; there is no deployed fleet),
+// so none is read: decode refuses tags 4, 5, 6 and 9, a tag 3 tick, a tag
+// 0x01 diff, a JSON plan behind tagPlanRebase, a '{' payload and a '{'
+// diff behind tagPlanDiff, each with an error that names it.
 package rmstate
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -158,19 +157,12 @@ func (c *Codec) Encode(rec *Record) ([]byte, error) {
 	if r := rec.PlanDiff; r != nil {
 		set++
 		w.Byte(tagPlanDiff)
-		var err error
-		if w.Buf, err = plan.AppendDiff(w.Buf, r.Diff); err != nil {
-			w.Fail(err)
-		}
+		appendDiff(&w, r.Diff)
 	}
 	if r := rec.PlanRebase; r != nil {
 		set++
 		w.Byte(tagPlanRebase)
-		if blob, err := plan.EncodePlan(r.Plan); err != nil {
-			w.Fail(err)
-		} else {
-			w.Buf = append(w.Buf, blob...)
-		}
+		appendDiff(&w, r.Diff)
 	}
 	c.buf = w.Buf
 	if set != 1 {
@@ -234,15 +226,15 @@ func (c *Codec) Decode(payload []byte) (Record, error) {
 		}
 		rec.PlanDiff = &RecPlanDiff{Diff: d}
 	case tagPlanRebase:
-		blob := r.Rest()
-		p, err := plan.DecodePlan(blob)
+		rest := r.Rest()
+		if len(rest) > 0 && rest[0] == '{' {
+			return Record{}, errors.New("plan rebase holding a JSON plan, the form before a whole plan was a diff, which is no longer read")
+		}
+		d, err := plan.DecodeDiff(rest)
 		if err != nil {
 			return Record{}, fmt.Errorf("plan rebase: %w", err)
 		}
-		if canon, err := plan.EncodePlan(p); err != nil || !bytes.Equal(canon, blob) {
-			return Record{}, errors.New("plan rebase: the plan is not in plan.EncodePlan's form")
-		}
-		rec.PlanRebase = &RecPlanRebase{Plan: p}
+		rec.PlanRebase = &RecPlanRebase{Diff: d}
 	case tagTickFaults, tagConfirmFaults, tagRequeueFaults:
 		return Record{}, fmt.Errorf("%s record with tag %d, the form that carried fault counters, which is no longer read", faultsForm[tag], tag)
 	case tagEpochSlot:
@@ -260,6 +252,13 @@ func (c *Codec) Decode(payload []byte) (Record, error) {
 		return Record{}, err
 	}
 	return rec, nil
+}
+
+func appendDiff(w *binenc.Writer, d *plan.Diff) {
+	var err error
+	if w.Buf, err = plan.AppendDiff(w.Buf, d); err != nil {
+		w.Fail(err)
+	}
 }
 
 func putVector(w *binenc.Writer, v resource.Vector) {
