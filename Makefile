@@ -10,11 +10,13 @@
 # jobs from a slot gives deadline work only the capacity they had taken
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the front-coded string
-# primitive both journal codecs share (FuzzFrontString), the two binary
-# journal codecs (plan diffs: FuzzDecodeDiff/FuzzApplyDiff, whole plans
-# among them, since a whole plan is fuzzed as its diff from the empty plan;
-# WAL records: FuzzDecodeWALRecord, run from internal/rmserver's tests over
-# internal/rmstate's codec), the snapshot's restore (FuzzRestoreSnapshot),
+# primitive the binary codecs share (FuzzFrontString), the plan diff codec
+# (FuzzDecodeDiff/FuzzApplyDiff, whole plans among them, since a whole plan
+# is fuzzed as its diff from the empty plan; the WAL carries no plan), the
+# WAL record codec (FuzzDecodeWALRecord, run from internal/rmserver's tests
+# over internal/rmstate's codec; the plan records it no longer reads stay
+# among its seeds, refused), the snapshot's restore (FuzzRestoreSnapshot,
+# with a version-6 seed that held a plan, refused),
 # the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
 # query, the heartbeat, submission and replication request
@@ -53,12 +55,12 @@ race:
 
 # chaos runs only the process-level and failover chaos suites (SIGKILL +
 # restart, replicated failover, fencing, disk-fault injection, a FlowTime
-# ftrm streaming its plan with no flag) and the durability oracles
+# ftrm reporting its scheduler's plan with no flag) and the durability oracles
 # (recovery equivalence; live ≡ replay, leases included, into the server
 # and into a bare internal/rmstate value) under the race detector with a
 # hard ceiling.
 chaos:
-	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay|StreamsByDefault' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
+	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay|PlanByDefault' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
 
 # chaos-net runs the network chaos suites: the deterministic fault
 # injector's own tests, then the partition/flap/split-brain scenarios

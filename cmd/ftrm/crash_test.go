@@ -244,10 +244,10 @@ func recoverInProcess(t *testing.T, dir string) *rmserver.Server {
 	return rm
 }
 
-// streamingFlags turns an ftrm process into a FlowTime RM, which streams
-// its plan, with the ad-hoc admission gate armed. Slack is zeroed so the
-// short deadlines used here stay feasible at a 50ms slot.
-var streamingFlags = []string{"-sched", "FlowTime", "-slack", "0s", "-adhoc-gate"}
+// gatedFlags turns an ftrm process into a FlowTime RM with the ad-hoc
+// admission gate armed. Slack is zeroed so the short deadlines used here
+// stay feasible at a 50ms slot.
+var gatedFlags = []string{"-sched", "FlowTime", "-slack", "0s", "-adhoc-gate"}
 
 // planWorkflow returns a deadline workflow small enough to plan at a
 // 50ms slot but busy enough to drive a stream of plan revisions.
@@ -262,18 +262,14 @@ func planWorkflow(id string) trace.WorkflowRecord {
 	}
 }
 
-// TestCrashMidDiffApplicationRecoversPlan SIGKILLs a plan-streaming RM
-// while diffs are being applied and journaled, then asserts — twice —
-// that the recovered live plan is the pre-diff or post-diff state and
-// never a torn mix. First the recovery-equivalence oracle replays a
-// byte-for-byte copy of the crashed state directory (torn tail and all)
-// and must land on a whole revision no older than one diff behind the
-// last revision the crashed process acknowledged. Then the real process
-// restarts on the original directory: its first replan cannot chain onto
-// the recovered revision (the scheduler's counter restarted), so it must
-// repair the break with a loud journaled rebase — and the surviving
-// workload must still complete exactly once behind the ad-hoc gate.
-func TestCrashMidDiffApplicationRecoversPlan(t *testing.T) {
+// TestKillAndRestartReopensTheGate SIGKILLs a gated FlowTime RM while its
+// scheduler is publishing plan revisions and leases are in flight. First
+// the recovery-equivalence oracle replays a byte-for-byte copy of the
+// crashed state directory (torn tail and all), which holds no plan. Then
+// the real process restarts on the original directory: its scheduler plans
+// again from revision 0, the gate admits once that plan exists, and the
+// surviving workload completes exactly once.
+func TestKillAndRestartReopensTheGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level chaos test")
 	}
@@ -283,7 +279,7 @@ func TestCrashMidDiffApplicationRecoversPlan(t *testing.T) {
 	base := fmt.Sprintf("http://127.0.0.1:%d", port)
 	client := rmserver.NewClient(base, nil)
 
-	proc1 := startFTRM(t, bin, stateDir, port, streamingFlags...)
+	proc1 := startFTRM(t, bin, stateDir, port, gatedFlags...)
 	agentCtx, stopAgent := context.WithCancel(context.Background())
 	defer stopAgent()
 	go rmserver.RunAgent(agentCtx, rmserver.NewClient(base, nil), rmserver.AgentConfig{
@@ -316,52 +312,49 @@ func TestCrashMidDiffApplicationRecoversPlan(t *testing.T) {
 		t.Fatal("ad-hoc gate rejected a trivially feasible job with a live plan published")
 	}
 
-	// Let the revision stream build up, then SIGKILL mid-application.
-	pre := waitStatus(t, client, 20*time.Second, "plan revisions streaming", func(st rmproto.StatusResponse) bool {
-		return st.Plan != nil && st.Plan.Rev >= 3 && st.Plan.DiffsApplied >= 3 && st.OutstandingLeases > 0
+	// Let the revisions build up, then SIGKILL with leases in flight.
+	waitStatus(t, client, 20*time.Second, "plan revisions", func(st rmproto.StatusResponse) bool {
+		return st.Plan != nil && st.Plan.Rev >= 3 && st.OutstandingLeases > 0
 	})
-	preRev := pre.Plan.Rev
 	if err := proc1.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
 	proc1.Wait()
 
-	// Oracle leg: replay a frozen copy of the crashed directory. The
-	// acknowledged revision's commit may have been in flight when the
-	// kill landed, so recovery must land on preRev or preRev-1 — a whole
-	// revision either way, never a torn mix (a diff that fails to chain
-	// aborts recovery loudly, so a successful rebuild proves wholeness).
+	// Oracle leg: replay a frozen copy of the crashed directory. Its
+	// recovery under a scheduler that keeps no plan reports none: the
+	// journal held none to recover (a plan record would refuse recovery).
 	frozen := filepath.Join(t.TempDir(), "frozen")
 	copyStateDir(t, stateDir, frozen)
 	oracle := recoverInProcess(t, frozen)
-	ost := oracle.Status()
-	if ost.Plan == nil {
-		t.Fatal("oracle recovery lost the live plan entirely")
-	}
-	if ost.Plan.Rev != preRev && ost.Plan.Rev != preRev-1 {
-		t.Fatalf("oracle recovered plan rev %d, want pre-diff %d or post-diff %d",
-			ost.Plan.Rev, preRev-1, preRev)
+	if ost := oracle.Status(); ost.Plan != nil {
+		t.Fatalf("a FIFO RM recovered from the journal reports plan %+v", ost.Plan)
 	}
 	if err := oracle.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence on crashed state: %v", err)
 	}
 
 	// Restart leg: the real process recovers the original directory and
-	// keeps going. Its restarted scheduler cannot extend the recovered
-	// diff chain, so exactly one loud rebase repairs it.
-	startFTRM(t, bin, stateDir, port, streamingFlags...)
-	st := waitStatus(t, client, 15*time.Second, "restarted RM", func(st rmproto.StatusResponse) bool {
-		return st.Recovery != nil && st.Plan != nil
+	// keeps going. Its scheduler's first replan gives the gate a window
+	// again, and a small ad-hoc job passes it.
+	startFTRM(t, bin, stateDir, port, gatedFlags...)
+	waitStatus(t, client, 15*time.Second, "restarted RM's gate on its own plan", func(st rmproto.StatusResponse) bool {
+		return st.Recovery != nil && st.Plan != nil && st.Plan.Rev >= 1 && st.Plan.AdHoc != nil && st.Plan.AdHoc.Rev >= 1
 	})
-	if st.Plan.Rev < preRev-1 {
-		t.Fatalf("restarted RM recovered plan rev %d, want at least %d", st.Plan.Rev, preRev-1)
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel2()
+	adResp, err = client.SubmitAdHoc(ctx2, rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+		ID: "a2", Tasks: 1, TaskDurSec: 1, DemandVCores: 1, DemandMemMB: 256,
+	}})
+	if err != nil {
+		t.Fatalf("SubmitAdHoc after the restart: %v", err)
 	}
-	waitStatus(t, client, 15*time.Second, "post-recovery rebase", func(st rmproto.StatusResponse) bool {
-		return st.Plan != nil && st.Plan.Rebases >= 1
-	})
+	if !adResp.Accepted {
+		t.Fatal("the restarted RM's gate rejected a trivially feasible job with its own plan published")
+	}
 
 	final := waitStatus(t, client, 60*time.Second, "workload completion", func(st rmproto.StatusResponse) bool {
-		if st.OutstandingLeases != 0 || len(st.Jobs) != 7 {
+		if st.OutstandingLeases != 0 || len(st.Jobs) != 8 {
 			return false
 		}
 		for _, j := range st.Jobs {
@@ -399,16 +392,15 @@ func planChain(id string, depth int) trace.WorkflowRecord {
 	return wf
 }
 
-// TestFailoverPreservesStreamedPlan kills a plan-streaming primary whose
-// warm standby is caught up, promotes the standby, and asserts the
-// replicated diffs rebuilt the identical plan there: the promoted RM
-// reports every shipped diff applied, repairs the chain break from its
-// own scheduler with one journaled rebase, finishes the workload, and
-// its state directory passes the recovery-equivalence oracle. The
-// workload is two six-deep chains (planChain), so the kill lands with
-// most levels still to run and the plan stream is live on both sides of
-// the failover.
-func TestFailoverPreservesStreamedPlan(t *testing.T) {
+// TestFailoverReplansOnThePromotedRM kills a gated FlowTime primary whose
+// warm standby is caught up and promotes the standby. The standby holds
+// no plan — none is shipped, and its scheduler never ran — and the
+// promoted RM's own scheduler plans from revision 0, finishes the
+// workload exactly once, and leaves a state directory that passes the
+// recovery-equivalence oracle. The workload is two six-deep chains
+// (planChain), so the kill lands with most levels still to run and the
+// scheduler replans on both sides of the failover.
+func TestFailoverReplansOnThePromotedRM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level chaos test")
 	}
@@ -420,8 +412,8 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	pClient := rmserver.NewClient(pBase, nil)
 	fClient := rmserver.NewClient(fBase, nil)
 
-	primary := startFTRM(t, bin, pDir, pPort, append([]string{"-advertise", pBase}, streamingFlags...)...)
-	follower := startFTRM(t, bin, fDir, fPort, append([]string{"-advertise", fBase, "-replica-of", pBase}, streamingFlags...)...)
+	primary := startFTRM(t, bin, pDir, pPort, append([]string{"-advertise", pBase}, gatedFlags...)...)
+	follower := startFTRM(t, bin, fDir, fPort, append([]string{"-advertise", fBase, "-replica-of", pBase}, gatedFlags...)...)
 
 	agentCtx, stopAgent := context.WithCancel(context.Background())
 	defer stopAgent()
@@ -443,29 +435,25 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 		}
 	}
 
-	// Revisions streaming AND the standby fully caught up: lag 0 read in
-	// the same status response as the revision means every diff record up
-	// to that revision has been shipped.
-	pre := waitStatus(t, pClient, 20*time.Second, "revisions streaming with follower caught up", func(st rmproto.StatusResponse) bool {
+	// Revisions published AND the standby fully caught up: lag 0 read in
+	// the same status response means every record so far has been shipped.
+	pre := waitStatus(t, pClient, 20*time.Second, "revisions with follower caught up", func(st rmproto.StatusResponse) bool {
 		return st.Plan != nil && st.Plan.Rev >= 3 && st.OutstandingLeases > 0 &&
 			st.Replication != nil && st.Replication.FollowerSeen && st.Replication.LagRecords == 0
 	})
-	preRev := pre.Plan.Rev
 	if pre.Summary.Completed > 8 {
-		t.Fatalf("%d of 12 jobs already done at the kill: no plan stream left to fail over", pre.Summary.Completed)
+		t.Fatalf("%d of 12 jobs already done at the kill: no planning left to fail over", pre.Summary.Completed)
 	}
 	if err := primary.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL primary: %v", err)
 	}
 	primary.Wait()
 
-	// The standby holds the shipped plan: every replicated diff applied.
-	// It counted none of them — the counters are each process's own.
+	// The standby reports its own scheduler's plan, which never ran.
 	if st := waitStatus(t, fClient, 5*time.Second, "standby plan state", func(st rmproto.StatusResponse) bool {
 		return st.Plan != nil
-	}); st.Plan.Rev < preRev || st.Plan.DiffsApplied != 0 || st.Plan.Rebases != 0 {
-		t.Fatalf("standby plan at rev %d with %d diffs and %d rebases counted, want rev at least %d and nothing counted",
-			st.Plan.Rev, st.Plan.DiffsApplied, st.Plan.Rebases, preRev)
+	}); st.Plan.Rev != 0 || st.Plan.Jobs != 0 {
+		t.Fatalf("standby reports plan %+v, want revision 0: no plan is shipped", st.Plan)
 	}
 
 	promoteCtx, promoteCancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -476,10 +464,9 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 		t.Fatalf("Promote = %+v, want primary", promo)
 	}
 
-	// Exactly one rebase when the promoted RM's own scheduler's first
-	// replan could not chain onto the inherited revision.
+	// The promoted RM's own scheduler publishes its first revision.
 	waitStatus(t, fClient, 15*time.Second, "promoted RM plan state", func(st rmproto.StatusResponse) bool {
-		return st.Plan != nil && st.Plan.Rebases >= 1
+		return st.Plan != nil && st.Plan.Rev >= 1
 	})
 
 	final := waitStatus(t, fClient, 60*time.Second, "workload completion on promoted RM", func(st rmproto.StatusResponse) bool {
@@ -499,9 +486,9 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 		}
 	}
 
-	// Recovery-equivalence oracle over the promoted directory: diffs,
-	// the epoch bump, the rebase, and the post-promotion diff stream all
-	// replay into exactly the state the promoted process held.
+	// Recovery-equivalence oracle over the promoted directory: the
+	// replicated records, the epoch bump and everything after it replay
+	// into exactly the state the promoted process held.
 	stopAgent()
 	if err := follower.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM promoted RM: %v", err)
@@ -513,9 +500,8 @@ func TestFailoverPreservesStreamedPlan(t *testing.T) {
 	if err := rec.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence on promoted state: %v", err)
 	}
-	rst := rec.Status()
-	if rst.Plan == nil || rst.Plan.Rev == 0 {
-		t.Fatalf("promoted state dir recovered without a live plan: %+v", rst.Plan)
+	if rst := rec.Status(); rst.Plan != nil {
+		t.Fatalf("a FIFO RM recovered from the promoted state dir reports plan %+v", rst.Plan)
 	}
 }
 
@@ -664,10 +650,11 @@ func walGauges(t *testing.T, base string) (fsyncs, unsynced int64) {
 	return fsyncs, unsynced
 }
 
-// TestFlowTimeStreamsByDefault: a FlowTime ftrm journals its plan diffs
-// with no flag asking for it. One workflow and two ticks give a plan
-// revision that the status reports and a diff that /metrics counts.
-func TestFlowTimeStreamsByDefault(t *testing.T) {
+// TestFlowTimeReportsItsPlanByDefault: a FlowTime ftrm reports its
+// scheduler's plan with no flag asking for it. One workflow and two ticks
+// give a plan revision that the status and /metrics report; /metrics has
+// no series for a journaled plan.
+func TestFlowTimeReportsItsPlanByDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level test")
 	}
@@ -696,10 +683,16 @@ func TestFlowTimeStreamsByDefault(t *testing.T) {
 		t.Fatalf("Status: %v", err)
 	}
 	if st.Plan == nil || st.Plan.Rev < 1 {
-		t.Errorf("status plan block %+v, want a revision >= 1", st.Plan)
+		t.Fatalf("status plan block %+v, want a revision >= 1", st.Plan)
 	}
-	if n := scrapeMetrics(t, base)["flowtime_plan_diffs_applied_total"]; n < 1 {
-		t.Errorf("flowtime_plan_diffs_applied_total = %d, want >= 1", n)
+	m := scrapeMetrics(t, base)
+	if n := m["flowtime_plan_rev"]; n != st.Plan.Rev {
+		t.Errorf("flowtime_plan_rev = %d, want the status's %d", n, st.Plan.Rev)
+	}
+	for _, series := range []string{"flowtime_plan_diffs_applied_total", "flowtime_plan_rebases_total"} {
+		if _, ok := m[series]; ok {
+			t.Errorf("/metrics reports %s", series)
+		}
 	}
 }
 

@@ -12,14 +12,13 @@
 //	ftrm -wal-dump DIR
 //
 // The FlowTime scheduler publishes every replan as a versioned plan
-// revision and the RM journals the *diff* against the previous revision
-// (one WAL record per replan, applied transactionally and replicated to a
-// follower like any other record; DESIGN.md §6.2): the durable live plan
-// survives crashes and failovers and is reported under /v1/status "plan".
-// -adhoc-gate additionally routes every ad-hoc submission through the
-// leftover-capacity admission gate: the job is admitted or rejected in
-// O(window) against the live plan's slack without waking the planner. It
-// requires the FlowTime scheduler.
+// revision, reported under /v1/status "plan". The plan is derived state:
+// it is not journaled, and a restarted or promoted RM's scheduler plans
+// again from revision 0 (DESIGN.md §6.2). -adhoc-gate additionally routes
+// every ad-hoc submission through the leftover-capacity admission gate:
+// the job is admitted or rejected in O(window) against the scheduler's
+// plan's slack without waking the planner, and rejected until that plan's
+// first revision exists. It requires the FlowTime scheduler.
 //
 // When the FlowTime scheduler's flow planner cannot answer, it steps
 // down its degradation ladder (exact lexicographic flow → greedy EDF
@@ -101,7 +100,7 @@ func main() {
 		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always, never")
 		replicaOf    = flag.String("replica-of", "", "run as a warm standby of the primary RM at this URL (requires -state-dir)")
 		advertise    = flag.String("advertise", "", "this RM's own URL, used as the leader hint and for fencing")
-		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the streamed plan's leftover capacity (FlowTime only)")
+		adhocGate    = flag.Bool("adhoc-gate", false, "gate ad-hoc admission on the leftover capacity of the scheduler's plan, rejecting until its first replan (FlowTime only)")
 		walDump      = flag.String("wal-dump", "", "print the WAL in this state directory, one JSON object per record per line, and exit (read-only)")
 	)
 	flag.Parse()
@@ -153,7 +152,6 @@ type options struct {
 func run(o options) error {
 	cfg := core.DefaultConfig()
 	cfg.Slack = o.slack
-	cfg.StreamPlans = true
 	s, err := core.NewScheduler(o.schedName, nil, cfg)
 	if err != nil {
 		return err
@@ -338,8 +336,7 @@ func logFinalStatus(rm *rmserver.Server, s sched.Scheduler) {
 			r.Role, r.Epoch, r.Fenced, r.FollowerSeen, r.LagRecords, r.LagBytes)
 	}
 	if p := st.Plan; p != nil {
-		log.Printf("ftrm: plan: rev=%d from=%d n_slots=%d jobs=%d diffs_applied=%d rebases=%d",
-			p.Rev, p.From, p.NSlots, p.Jobs, p.DiffsApplied, p.Rebases)
+		log.Printf("ftrm: plan: rev=%d from=%d n_slots=%d jobs=%d", p.Rev, p.From, p.NSlots, p.Jobs)
 		if q := p.AdHoc; q != nil {
 			log.Printf("ftrm: adhoc gate: admitted=%d rejected=%d rebases=%d rev=%d",
 				q.Admitted, q.Rejected, q.Rebases, q.Rev)

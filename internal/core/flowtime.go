@@ -96,10 +96,11 @@ type Config struct {
 	// of the flow that proved the last level, all at or under it.
 	MaxLexRounds int
 	// StreamPlans queues, at every replan, the plan.Diff from the previous
-	// revision to the new one for TakePlanDiffs (sched.PlanStreamer). The
-	// plan itself is kept and served (LivePlan) either way. Off by default:
-	// without a consumer draining TakePlanDiffs the pending list would grow
-	// without bound.
+	// revision to the new one for TakePlanDiffs. The plan itself is kept
+	// and served (LivePlan) either way. Off by default: without a consumer
+	// draining TakePlanDiffs the pending list would grow without bound.
+	// Only the whole-path benchmark's traced pass and the oracles set it;
+	// ROADMAP item 19 step 2 removes it.
 	StreamPlans bool
 }
 
@@ -238,17 +239,18 @@ var _ sched.DegradationReporter = (*FlowTime)(nil)
 
 var _ sched.PlanStreamer = (*FlowTime)(nil)
 
-// LivePlan implements sched.PlanStreamer: a snapshot of the current plan.
-// Before the first replan it is the empty revision-0 plan.
+// LivePlan implements sched.PlanStreamer: the published plan itself, not
+// a copy, which publish never changes. Before the first replan it is the
+// empty revision-0 plan.
 func (f *FlowTime) LivePlan() *plan.Plan {
 	if f.live == nil {
 		return plan.Empty()
 	}
-	return f.live.Clone()
+	return f.live
 }
 
-// TakePlanDiffs implements sched.PlanStreamer: the diffs emitted since
-// the last drain, oldest first.
+// TakePlanDiffs returns the diffs emitted since the last drain, oldest
+// first (StreamPlans).
 func (f *FlowTime) TakePlanDiffs() []*plan.Diff {
 	out := f.pending
 	f.pending = nil
@@ -328,7 +330,7 @@ func (f *FlowTime) trimAdHocReserved(now int64) {
 
 // publish makes a replan's output the live plan, one revision past the
 // last, and when streaming queues the diff between the two. The plan is
-// immutable from here on: LivePlan hands out copies.
+// immutable from here on: LivePlan hands it out as it is.
 func (f *FlowTime) publish(next *plan.Plan) {
 	prev := f.live
 	if prev == nil {

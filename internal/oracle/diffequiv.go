@@ -1,7 +1,8 @@
 // Differential equivalence harness for the plan-diff streaming path.
 //
-// The streaming protocol (core.Config.StreamPlans, internal/plan) lets a
-// resource manager journal plan *changes* instead of wholesale plans.
+// The streaming protocol (core.Config.StreamPlans, internal/plan) hands a
+// consumer plan *changes* instead of wholesale plans. (The resource manager
+// no longer consumes them: it keeps no plan of its own.)
 // Its correctness claim is strict: applying the emitted diff sequence to
 // an empty plan must reconstruct, bit for bit, the plan the scheduler
 // would have published wholesale. DiffEquiv checks that claim from the

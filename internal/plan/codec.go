@@ -8,8 +8,8 @@ import (
 	"flowtime/internal/resource"
 )
 
-// One codec lives here, for diffs — one per replan, the bulk of a
-// streamed plan's journal bytes — in binary (internal/binenc: minimal
+// One codec lives here, for diffs — one per replan under
+// core.Config.StreamPlans — in binary (internal/binenc: minimal
 // varints, length-prefixed strings):
 //
 //	diffTag

@@ -28,8 +28,8 @@ import (
 
 // MaxSlots is the longest plan Validate accepts. A plan is a dense table —
 // NSlots allocation vectors per job — so its length is an allocation size,
-// and it reaches Apply from a journal or a primary: without a ceiling one
-// flipped varint byte is a makeslice panic or an OOM during replay. 2^20
+// and it reaches Apply from decoded bytes: without a ceiling one flipped
+// varint byte is a makeslice panic or an OOM. 2^20
 // slots is twelve days of one-second slots, four orders of magnitude past
 // any horizon the planner is run at; a planner pushed beyond it has its
 // plan refused at the encode, loudly, instead of journaled.

@@ -172,9 +172,8 @@ type StatusResponse struct {
 	// Replication reports the RM's role in a primary/follower pair;
 	// present only when the RM runs with a state store attached.
 	Replication *ReplicationStatus `json:"replication,omitempty"`
-	// Plan reports the RM's durable live plan (streamed from the
-	// scheduler as diffs; see internal/plan); present when the scheduler
-	// streams plans or a plan was recovered from the store.
+	// Plan reports the scheduler's live plan; present when the scheduler
+	// publishes one (sched.PlanStreamer).
 	Plan *PlanStatus `json:"plan,omitempty"`
 }
 
@@ -218,20 +217,21 @@ func (r *StatusResponse) Fold(archive []JobStatus) {
 	r.Jobs, r.Done, r.LiveChange = all, nil, 0
 }
 
-// PlanStatus reports the RM's durable live plan: the scheduler's
-// multi-slot plan, reconstructed from journaled diffs.
+// PlanStatus reports the scheduler's live multi-slot plan. It is not
+// journaled: a restarted or promoted RM reports its own scheduler's plan,
+// from revision 0, and a follower, whose scheduler never runs, reports 0.
 type PlanStatus struct {
-	// Rev is the live plan's revision (0 before the first replan).
+	// Rev is the live plan's revision (0 before this process's first
+	// replan).
 	Rev int64 `json:"rev"`
 	// From and NSlots bound the plan window in absolute slots.
 	From   int64 `json:"from"`
 	NSlots int64 `json:"n_slots"`
 	// Jobs is the number of jobs holding allocations in the plan.
 	Jobs int `json:"jobs"`
-	// DiffsApplied and Rebases mirror the plan fault counters: diffs
-	// this process applied transactionally, and wholesale rebases after a
-	// broken revision chain (typically one per crash recovery). Like the
-	// other FaultCounters they restart at zero with the process.
+	// DiffsApplied and Rebases counted the plan diffs and rebases the RM
+	// journaled when it kept the plan durable. It keeps none now, and they
+	// read 0.
 	DiffsApplied int64 `json:"diffs_applied"`
 	Rebases      int64 `json:"rebases"`
 	// AdHoc reports the ad-hoc admission gate; present only when the
@@ -427,10 +427,6 @@ type FaultCounters struct {
 	// BestEffortAdmissions counts workflows admitted without a feasible
 	// deadline decomposition (see SubmitResponse.BestEffort).
 	BestEffortAdmissions int64 `json:"best_effort_admissions"`
-	// PlanDiffsApplied counts plan diffs applied to the live plan;
-	// PlanRebases counts wholesale rebases after a broken diff chain.
-	PlanDiffsApplied int64 `json:"plan_diffs_applied,omitempty"`
-	PlanRebases      int64 `json:"plan_rebases,omitempty"`
 }
 
 // DrainRequest asks the RM to stop issuing leases. With WaitMs > 0 the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/core"
 	"flowtime/internal/oracle"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
@@ -120,7 +121,7 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int, digest, wal uint64) {
 	t.Helper()
 	dir := t.TempDir()
-	ft := oracle.NewConserving(planStreaming()) // a violation fails the Tick that saw it
+	ft := oracle.NewConserving(core.DefaultConfig()) // a violation fails the Tick that saw it
 	c := newCluster(t, Config{SlotDur: burstSlot, Scheduler: ft, NodeExpiry: 3 * burstSlot, AdHocGate: true}, &durable{dir: dir, policy: store.SyncNever})
 	rm := c.rm
 	for i := 0; i < burstNodes; i++ {
@@ -199,8 +200,8 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 // one-directional contract (§II-B, §V): deadline work is planned first
 // and ad-hoc work takes what is left, so no ad-hoc load — however much
 // the gate admits of it — may turn a met deadline into a miss. Each seed
-// is played twice through the whole RM (decomposition, planner, plan
-// stream, gate, drain folding, journal), with and without its ad-hoc
+// is played twice through the whole RM (decomposition, planner, gate,
+// drain folding, journal), with and without its ad-hoc
 // stream: every workflow that meets its deadline alone must meet it
 // under the burst. (Alone, the workflows also finish sooner — deadline
 // work runs on whatever capacity nothing else asked for, and the burst
@@ -228,18 +229,18 @@ func TestAdHocNeverCostsDeadline(t *testing.T) {
 		wal      uint64 // the burst run's WAL segment
 		walAlone uint64 // the run without ad-hoc jobs
 	}{
-		1:  {560, 0x351764f9cd4db5c1, 0xeb3b2f9b5c8579b9, 0xb397bdb2732079ac},
-		2:  {600, 0x50fb94a8a7774031, 0xb6b8001b40286ed1, 0x9edcbac00fd8138},
-		3:  {600, 0x50fb94a8a7774031, 0xed70a9f28390b241, 0x53bb2b6d11dafca9},
-		4:  {600, 0x50fb94a8a7774031, 0x9b86cb04de789b1, 0xc9b52bdfed6b0e11},
-		5:  {600, 0x50fb94a8a7774031, 0x9cefbca5956b03f8, 0xe4bf09352b87746b},
-		6:  {600, 0x50fb94a8a7774031, 0xe92dc055046daaff, 0x35c5059ca06db5b7},
-		7:  {590, 0x9a3c5223b51dca8d, 0xbdc9ca0a19ff4da7, 0x601f7a8e7a03999c},
-		8:  {589, 0xd0fce0eeeacd1e82, 0xac0ffd35b60f8d5, 0x5efba8c760d065f0},
-		9:  {592, 0x495fc171a070e8e1, 0x48380a2451fd374a, 0x1b045fd95d51644b},
-		10: {598, 0x38ef7d63d251e591, 0x8dd2f2f28947964c, 0xd712d4595c397091},
-		11: {577, 0x9e596d4dd1eb3052, 0x619ab41dc5b098b7, 0xc1e9b802dde4a189},
-		12: {600, 0x50fb94a8a7774031, 0xf73f38d6132689df, 0x19b0062a0b63b2e1},
+		1:  {560, 0x351764f9cd4db5c1, 0x501c79dfa1ea52dc, 0x53e585b11e42b220},
+		2:  {600, 0x50fb94a8a7774031, 0x8b7287f34322ce48, 0xc71c7a8a80b8a4b7},
+		3:  {600, 0x50fb94a8a7774031, 0xdfc86b9afcd502fb, 0x2a73362580a06ad5},
+		4:  {600, 0x50fb94a8a7774031, 0x6f92fce49df2520d, 0xf12925262874b52c},
+		5:  {600, 0x50fb94a8a7774031, 0xac3eb9af0476127c, 0x2b9fe4ef9dd7ed8e},
+		6:  {600, 0x50fb94a8a7774031, 0x284f8c3354936ee8, 0x3547525f25d4d560},
+		7:  {590, 0x9a3c5223b51dca8d, 0xdbd0d88fe6af13e4, 0x99884b8eaf2eea9d},
+		8:  {589, 0xd0fce0eeeacd1e82, 0x36efb9f1a48adb7b, 0x9df98bc91e733e5b},
+		9:  {592, 0x495fc171a070e8e1, 0xdf5cc8a85b5b2620, 0xe4cb1374435626a9},
+		10: {598, 0x38ef7d63d251e591, 0xb8b848e2eecceeb0, 0x307233e5f6d846b2},
+		11: {577, 0x9e596d4dd1eb3052, 0x76191194a0bfe3df, 0xac3e4dd6fb39701c},
+		12: {600, 0x50fb94a8a7774031, 0x4fe13625896ef39d, 0xad07869f835f87d1},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		setup, slots := genBurst(t, seed)

@@ -338,7 +338,7 @@ func TestAgentSurvivesEvictionByRM(t *testing.T) {
 	// Simulate the RM's view of a network partition: forget the node
 	// directly, as a tick does after NodeExpiry silence.
 	rm.mu.Lock()
-	delete(rm.nodes, "n1")
+	rm.forgetNodesLocked(map[string]bool{"n1": true})
 	rm.mu.Unlock()
 
 	for time.Now().Before(deadline) {

@@ -1,35 +1,19 @@
-// Plan-diff streaming: when the configured scheduler implements
-// sched.PlanStreamer, the RM maintains a durable *live plan* — the
-// scheduler's multi-slot plan, reconstructed purely from the diffs the
-// scheduler emits. Each diff is applied transactionally (plan.Apply is
-// pure: the base plan is never mutated, a failed apply changes nothing)
-// and journaled as one WAL record through the same log every other
-// mutation uses, so the plan recovers after a crash and ships to the
-// warm-standby follower with no extra machinery.
-//
-// Revision fencing: diffs chain BaseRev -> NewRev. When the chain breaks
-// — typically the first replan after a recovery, when the restarted
-// scheduler's revision counter restarts at zero while the recovered
-// live plan is at the pre-crash revision — the RM refuses the diff and
-// falls back to a wholesale *rebase*: it journals the scheduler's full
-// live plan and counts the incident in FaultCounters.PlanRebases. A
-// rebase is the loud, journaled escape hatch; a silently half-applied
-// diff is impossible by construction.
-//
-// The live plan also feeds the ad-hoc admission gate (adhocGate below):
-// after every plan change the RM republishes the plan's leftover capacity
-// per slot, so ad-hoc submissions are admitted or rejected in O(window)
-// against real slack without waking the planner. The gate is plain state
-// under the server's lock, like everything else the RM decides.
+// The ad-hoc admission gate: over a window of slots, the capacity the
+// scheduler's live plan (sched.PlanStreamer.LivePlan) and the admitted
+// ad-hoc work leave free. After every tick whose replan published a new
+// plan the RM republishes the window from it, so ad-hoc submissions are
+// admitted or rejected in O(window) against real slack without waking the
+// planner. The plan is the scheduler's own and is not journaled: a
+// restarted or promoted RM's gate has no window until its scheduler's
+// first replan. The gate is plain state under the server's lock, like
+// everything else the RM decides.
 package rmserver
 
 import (
-	"cmp"
 	"sort"
 
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
-	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 )
 
@@ -39,55 +23,13 @@ import (
 // but the gate still needs a finite window to charge.
 const defaultGateWindow = 64
 
-// streamPlansLocked drains the scheduler's pending plan diffs, applies
-// each to the live plan, and journals it. On a broken revision chain it
-// rebases wholesale from the scheduler's live plan instead (see the
-// package comment above). Every record appended here rides the next
-// commit, as the tick record before it does.
-func (s *Server) streamPlansLocked() error {
-	ps, ok := s.cfg.Scheduler.(sched.PlanStreamer)
-	if !ok {
-		return nil
-	}
-	var firstErr error
-	for _, d := range ps.TakePlanDiffs() {
-		rec, err := s.st.DecidePlanDiff(d)
-		if err != nil {
-			// Chain broken (stale base after a recovery, or a malformed
-			// diff): refuse it loudly and rebase from the authoritative
-			// plan. LivePlan already includes every pending diff, so the
-			// rest of this batch is subsumed.
-			firstErr = cmp.Or(firstErr, s.rebasePlanLocked(ps.LivePlan()))
-			break
-		}
-		_, err = s.journalLocked(rmstate.Record{PlanDiff: rec})
-		if applied(err) {
-			s.faults.PlanDiffsApplied++
-		}
-		firstErr = cmp.Or(firstErr, err)
-	}
-	s.rebaseAdHocLocked()
-	return firstErr
-}
-
-// rebasePlanLocked replaces the live plan wholesale with the scheduler's:
-// it journals the full plan as one record, which applies it and rides the
-// next commit.
-func (s *Server) rebasePlanLocked(lp *plan.Plan) error {
-	_, err := s.journalLocked(rmstate.Record{PlanRebase: rmstate.RebaseTo(lp)})
-	if applied(err) {
-		s.faults.PlanRebases++
-	}
-	return err
-}
-
 // adhocGate is the ad-hoc admission gate: over one window of slots, the
 // capacity the live plan and the admitted ad-hoc work leave free, and what
 // admissions took of it since the window was published. The server owns
 // it and reads and writes it only under s.mu.
 type adhocGate struct {
-	// plan is the live plan the window was built from; nil until the
-	// first republish.
+	// plan is the scheduler's plan the window was built from; nil until
+	// the first republish.
 	plan *plan.Plan
 	// from is the absolute slot of free[0] and took[0].
 	from int64
@@ -149,30 +91,31 @@ func waterFill(takes, free []resource.Vector, demand, perSlot resource.Vector) (
 	return short
 }
 
-// rebaseAdHocLocked republishes the gate after a tick's plan stream when
-// the live plan is not the plan object the gate was built from. The
-// object decides, not its revision: a restarted scheduler's first
-// revision reuses the number of the plan the RM recovered. A no-op
-// without the gate and before the first plan revision.
+// rebaseAdHocLocked republishes the gate after a tick when the
+// scheduler's live plan is not the plan object the gate was built from:
+// the scheduler publishes every revision as a new object and never
+// changes one it has published. A no-op without the gate and before the
+// first plan revision.
 func (s *Server) rebaseAdHocLocked() {
 	if s.gate == nil {
 		return
 	}
-	if lp := s.st.Plan(); lp.Rev != 0 && lp != s.gate.plan {
+	if lp := s.plans.LivePlan(); lp.Rev != 0 && lp != s.gate.plan {
 		s.republishAdHocLocked(lp, lp.NSlots == 0)
 	}
 }
 
 // admitAdHocLocked is the admission gate's decision: it charges a job's
 // volume against what is free from the current slot on. When no window
-// covers the current slot — it has passed, or a recovered RM has not
-// published one yet — and a live plan exists, the gate first republishes
-// from that plan, anchored at the current slot. With no plan there is no
-// leftover to admit against, and the job is rejected.
+// covers the current slot — it has passed — and the scheduler has a plan,
+// the gate first republishes from that plan, anchored at the current
+// slot. With no plan — before the first replan of this process, a
+// restarted or a promoted one included — there is no leftover to admit
+// against, and the job is rejected.
 func (s *Server) admitAdHocLocked(demand, perSlot resource.Vector) bool {
 	g, slot := s.gate, s.st.Slot()
 	if slot < g.from || slot >= g.from+int64(len(g.free)) {
-		if lp := s.st.Plan(); lp.Rev != 0 {
+		if lp := s.plans.LivePlan(); lp.Rev != 0 {
 			s.republishAdHocLocked(lp, true)
 		}
 	}

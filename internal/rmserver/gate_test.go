@@ -1,7 +1,6 @@
 package rmserver
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -12,172 +11,16 @@ import (
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
-	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
 )
 
-// livePlanOf snapshots a server's live plan.
+// livePlanOf reads the plan the server's scheduler published last.
 func livePlanOf(rm *Server) *plan.Plan {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	return rm.st.Plan().Clone()
-}
-
-// TestPlanDiffsJournaledAndRecovered: diffs journaled during normal
-// operation rebuild the identical live plan after a crash, and the first
-// post-restart replan repairs the broken diff chain with exactly one
-// journaled rebase.
-func TestPlanDiffsJournaledAndRecovered(t *testing.T) {
-	dir := t.TempDir()
-	c1 := newCluster(t, Config{Scheduler: core.New(planStreaming())}, &durable{dir: dir, abandon: true})
-	rm1 := c1.rm
-	c1.register("n1", 8, 32768)
-	if _, err := rm1.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
-		t.Fatalf("SubmitWorkflow: %v", err)
-	}
-	c1.run(3)
-
-	before := livePlanOf(rm1)
-	if before.Rev == 0 {
-		t.Fatal("no plan revision applied after 3 slots of a streaming scheduler")
-	}
-	st := rm1.Status()
-	if st.Plan == nil || st.Plan.Rev != before.Rev {
-		t.Fatalf("Status().Plan = %+v, want rev %d", st.Plan, before.Rev)
-	}
-	if st.Faults.PlanDiffsApplied == 0 {
-		t.Fatal("PlanDiffsApplied counter never moved")
-	}
-	if err := rm1.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
-		t.Fatalf("recovery equivalence with a live plan: %v", err)
-	}
-	// Crash: rm1 and its store are abandoned un-closed.
-
-	c2 := newCluster(t, Config{Scheduler: core.New(planStreaming())}, &durable{dir: dir})
-	rm2 := c2.rm
-	after := livePlanOf(rm2)
-	if after.Rev != before.Rev {
-		t.Fatalf("recovered plan at rev %d, want %d", after.Rev, before.Rev)
-	}
-	if err := plan.Equal(after, before); err != nil {
-		t.Fatalf("recovered plan diverges from pre-crash plan: %v", err)
-	}
-
-	// The restarted scheduler's revision counter restarts at zero, so its
-	// first diff cannot chain onto the recovered revision: the RM must
-	// rebase wholesale — once — and end up matching the scheduler again.
-	// (The node must re-register first; without capacity no replan runs.)
-	c2.register("n1", 8, 32768)
-	c2.tick()
-	if got := rm2.Status().Faults.PlanRebases; got != 1 {
-		t.Fatalf("PlanRebases = %d after the post-recovery replan, want 1", got)
-	}
-	if err := rm2.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch2")); err != nil {
-		t.Fatalf("recovery equivalence after rebase: %v", err)
-	}
-}
-
-// TestPlanDiffReplayIdempotentAndFenced exercises the replay path
-// directly: a duplicate diff is skipped, a diff that does not chain onto
-// the live revision is refused loudly, and a malformed payload is
-// refused before anything mutates.
-func TestPlanDiffReplayIdempotentAndFenced(t *testing.T) {
-	rm := newCluster(t, Config{Scheduler: core.New(planStreaming())}, nil).rm
-
-	mustRecord := func(d *plan.Diff) []byte {
-		t.Helper()
-		var codec rmstate.Codec
-		rec, err := codec.Encode(&rmstate.Record{PlanDiff: &rmstate.RecPlanDiff{Diff: d}})
-		if err != nil {
-			t.Fatalf("encode record: %v", err)
-		}
-		return rec
-	}
-
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	first := mustRecord(&plan.Diff{BaseRev: 0, NewRev: 1, From: 5, NSlots: 2})
-	if err := rm.applyRecordLocked(first); err != nil {
-		t.Fatalf("apply first diff: %v", err)
-	}
-	// Replay applies the diff and counts nothing: the counters are the
-	// live process's.
-	if rm.st.Plan().Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
-		t.Fatalf("rev %d, %d counted applied after replaying the first diff", rm.st.Plan().Rev, rm.faults.PlanDiffsApplied)
-	}
-	// Idempotent: replaying the same record changes nothing.
-	if err := rm.applyRecordLocked(first); err != nil {
-		t.Fatalf("duplicate replay: %v", err)
-	}
-	if rm.st.Plan().Rev != 1 || rm.faults.PlanDiffsApplied != 0 {
-		t.Fatalf("duplicate replay mutated state: rev %d, %d counted applied", rm.st.Plan().Rev, rm.faults.PlanDiffsApplied)
-	}
-	// A gap in the chain is corrupt history: refused loudly, nothing applied.
-	gap := mustRecord(&plan.Diff{BaseRev: 4, NewRev: 5, From: 5, NSlots: 2})
-	if err := rm.applyRecordLocked(gap); err == nil || !strings.Contains(err.Error(), "does not chain") {
-		t.Fatalf("gap replay = %v, want chain error", err)
-	}
-	if rm.st.Plan().Rev != 1 {
-		t.Fatalf("gap replay moved the plan to rev %d", rm.st.Plan().Rev)
-	}
-	// Malformed payloads: refused by the strict codec before anything
-	// mutates — a byte after the diff, a torn diff, a tag nothing writes,
-	// and the JSON form RMs before the binary codec journaled.
-	next := mustRecord(&plan.Diff{BaseRev: 1, NewRev: 2, From: 5, NSlots: 2})
-	for name, bad := range map[string][]byte{
-		"trailing byte": append(append([]byte{}, next...), 0),
-		"torn":          next[:len(next)-1],
-		"unknown tag":   append([]byte{0x7f}, next[1:]...),
-		"JSON record":   []byte(`{"plan_diff":{"diff":{"base_rev":1,"new_rev":2,"from":5,"n_slots":2}}}`),
-	} {
-		if err := rm.applyRecordLocked(bad); err == nil {
-			t.Errorf("malformed diff payload (%s) replayed without error", name)
-		}
-		if rm.st.Plan().Rev != 1 {
-			t.Fatalf("malformed diff payload (%s) moved the plan to rev %d", name, rm.st.Plan().Rev)
-		}
-	}
-}
-
-// TestPlanReplicatesToFollower: journaled plan diffs ride the existing
-// WAL shipping path, so a warm standby holds the primary's live plan —
-// and still holds it after promotion.
-func TestPlanReplicatesToFollower(t *testing.T) {
-	p := newCluster(t, Config{Scheduler: core.New(planStreaming())}, &durable{})
-	primary := p.rm
-	follower := newCluster(t, Config{Follower: true}, &durable{}).rm
-
-	p.register("n1", 8, 32768)
-	if _, err := primary.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
-		t.Fatalf("SubmitWorkflow: %v", err)
-	}
-	p.run(3)
-	pumpRepl(t, primary, follower)
-
-	want := livePlanOf(primary)
-	if want.Rev == 0 {
-		t.Fatal("primary never applied a plan revision")
-	}
-	got := livePlanOf(follower)
-	if got.Rev != want.Rev {
-		t.Fatalf("follower plan at rev %d, primary at %d", got.Rev, want.Rev)
-	}
-	if err := plan.Equal(got, want); err != nil {
-		t.Fatalf("follower plan diverges from primary: %v", err)
-	}
-
-	if _, err := follower.Promote(); err != nil {
-		t.Fatalf("Promote: %v", err)
-	}
-	promoted := livePlanOf(follower)
-	if err := plan.Equal(promoted, want); err != nil {
-		t.Fatalf("promotion lost the replicated plan: %v", err)
-	}
-	if err := follower.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
-		t.Fatalf("recovery equivalence on promoted RM with a plan: %v", err)
-	}
+	return rm.plans.LivePlan()
 }
 
 // TestAdHocGateAdmitsAgainstLeftover: the admission gate rejects
@@ -185,7 +28,7 @@ func TestPlanReplicatesToFollower(t *testing.T) {
 // plan's leftover afterwards, rejects demand that cannot fit, and does
 // not double-book capacity an earlier admission already holds.
 func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
-	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{})
 	rm := c.rm
 	c.register("n1", 8, 16384)
 
@@ -245,7 +88,7 @@ func TestAdHocGateAdmitsAgainstLeftover(t *testing.T) {
 // reach the scheduler through sched.AdHocFolder so the next plan reserves
 // it instead of double-booking capacity the gate already promised away.
 func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
-	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{})
 	rm, ft := c.rm, c.rm.cfg.Scheduler.(*core.FlowTime)
 	c.register("n1", 8, 16384)
 
@@ -278,7 +121,7 @@ func TestAdHocDrainFoldsIntoScheduler(t *testing.T) {
 // deadline work over slots the gate promised away before the crash.
 func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 	dir := t.TempDir()
-	c1 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir, abandon: true})
+	c1 := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{dir: dir, abandon: true})
 	rm1 := c1.rm
 	c1.register("n1", 8, 32768)
 	c1.tick() // publishes the empty plan the gate admits against
@@ -291,7 +134,7 @@ func TestRecoveredAdHocReseedsReservations(t *testing.T) {
 	}
 	// Crash: rm1 and its store are abandoned un-closed.
 
-	c2 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir})
+	c2 := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{dir: dir})
 	rm2 := c2.rm
 	ft := rm2.cfg.Scheduler.(*core.FlowTime)
 	c2.register("n1", 8, 32768)
@@ -349,7 +192,7 @@ func submitOneCore(t *testing.T, rm *Server, id string) bool {
 // one. Once the RM's slot has left that window the gate must open again,
 // from the same plan, instead of turning every job away.
 func TestAdHocGateReopensAfterItsWindow(t *testing.T) {
-	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{})
 	rm := c.rm
 	c.register("n1", 8, 16384)
 	c.step()
@@ -370,7 +213,7 @@ func TestAdHocGateReopensAfterItsWindow(t *testing.T) {
 // completed and its plan's window has passed, an idle cluster admits
 // ad-hoc work again.
 func TestAdHocGateReopensAfterTheLastWorkflow(t *testing.T) {
-	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{})
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{})
 	rm := c.rm
 	c.register("n1", 8, 32768)
 	if _, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
@@ -387,42 +230,84 @@ func TestAdHocGateReopensAfterTheLastWorkflow(t *testing.T) {
 	}
 }
 
-// TestRecoveredAdHocGateAdmitsBeforeFirstTick: a recovered RM holds the
-// journaled live plan before its scheduler has replanned, and the gate
-// admits against it. The restarted scheduler's first revision reuses the
-// recovered plan's number, yet it is a new plan: the tick that brings it
-// republishes the gate and folds what the early admission took.
-func TestRecoveredAdHocGateAdmitsBeforeFirstTick(t *testing.T) {
-	dir := t.TempDir()
-	c1 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir, abandon: true})
-	rm1 := c1.rm
-	c1.register("n1", 8, 32768)
-	if _, err := rm1.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
-		t.Fatalf("SubmitWorkflow: %v", err)
+// TestRestartedGateWaitsForItsFirstReplan: the gate admits against the
+// scheduler's own plan, which no journal holds, so a restarted RM and a
+// promoted standby each start with no window. Before their first tick the
+// gate rejects and reports no plan revision; the tick's replan publishes
+// one, the gate admits against it, and that first republish folds what the
+// ad-hoc job admitted before the crash still holds.
+func TestRestartedGateWaitsForItsFirstReplan(t *testing.T) {
+	// held admits one ad-hoc job of 2 cores × 10 slots on rm, after a
+	// workflow and one slot gave the gate a plan, and returns its volume.
+	held := func(c *cluster) resource.Vector {
+		t.Helper()
+		c.register("n1", 8, 32768)
+		if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: chainWorkflow(600)}); err != nil {
+			t.Fatalf("SubmitWorkflow: %v", err)
+		}
+		c.step()
+		job := trace.AdHocRecord{ID: "held", Tasks: 2, TaskDurSec: 100, DemandVCores: 1, DemandMemMB: 1024}
+		resp, err := c.rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: job})
+		if err != nil || !resp.Accepted {
+			t.Fatalf("SubmitAdHoc: accepted=%v err=%v", resp.Accepted, err)
+		}
+		a, err := job.ToAdHoc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Volume(slotDur)
 	}
-	c1.step()
-	if rev := rm1.Status().Plan.Rev; rev != 1 {
-		t.Fatalf("plan rev %d before the crash, want 1", rev)
+	// firstReplan holds a recovered or promoted RM to waiting for its
+	// scheduler: rejected and revision -1 before the tick, admitted against
+	// the scheduler's revision 1 after it, with the held volume folded.
+	firstReplan := func(name string, c *cluster, rec *foldRecorder, volume resource.Vector) {
+		t.Helper()
+		c.register("n1", 8, 32768)
+		if submitOneCore(t, c.rm, name+"-early") {
+			t.Fatalf("%s: the gate admitted before the scheduler's first replan", name)
+		}
+		if p := c.rm.Status().Plan; p.Rev != 0 || p.AdHoc.Rev != -1 || p.AdHoc.Rejected != 1 {
+			t.Fatalf("%s: plan %+v, gate %+v before the first tick; want rev 0, gate rev -1 and one rejection", name, p, p.AdHoc)
+		}
+		c.step()
+		if !submitOneCore(t, c.rm, name+"-late") {
+			t.Fatalf("%s: the gate rejected a 1-core job after the first replan (gate %+v)", name, c.rm.Status().Plan.AdHoc)
+		}
+		if g := c.rm.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 1 || g.Admitted != 1 {
+			t.Fatalf("%s: gate %+v, want one republish from the scheduler's rev 1 and one admission", name, g)
+		}
+		// The first republish retires no window and re-seeds what the
+		// recovered job holds: its whole volume, nothing of it delivered.
+		if len(rec.folds) != 2 {
+			t.Fatalf("%s: %d folds at the first republish, want the retired window's and the held volume's", name, len(rec.folds))
+		}
+		var folded resource.Vector
+		for _, v := range rec.folds[1] {
+			folded = folded.Add(v)
+		}
+		if folded != volume {
+			t.Fatalf("%s: the first republish folded %v, the recovered ad-hoc job holds %v", name, folded, volume)
+		}
 	}
-	// Crash: rm1 and its store are abandoned un-closed.
 
-	c2 := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{dir: dir})
-	rm2 := c2.rm
-	ft := rm2.cfg.Scheduler.(*core.FlowTime)
-	c2.register("n1", 8, 32768)
-	if !submitOneCore(t, rm2, "early") {
-		t.Fatalf("recovered RM rejected a 1-core job against its recovered plan (gate %+v)", rm2.Status().Plan.AdHoc)
+	dir := t.TempDir()
+	volume := held(newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{dir: dir, abandon: true}))
+	// Crash: the first RM and its store are abandoned un-closed.
+	rec := &foldRecorder{FlowTime: core.New(core.DefaultConfig())}
+	firstReplan("restarted", newCluster(t, Config{Scheduler: rec, AdHocGate: true}, &durable{dir: dir}), rec, volume)
+
+	p := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{})
+	volume = held(p)
+	rec = &foldRecorder{FlowTime: core.New(core.DefaultConfig())}
+	standby := newCluster(t, Config{Scheduler: rec, AdHocGate: true, Follower: true}, &durable{})
+	pumpRepl(t, p.rm, standby.rm)
+	if plan := standby.rm.Status().Plan; plan.Rev != 0 || plan.Jobs != 0 {
+		t.Fatalf("a standby reports plan %+v; its scheduler never ran", plan)
 	}
-	if g := rm2.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 1 {
-		t.Fatalf("gate %+v, want one republish from the recovered rev 1", g)
+	if _, err := standby.rm.Promote(); err != nil {
+		t.Fatalf("Promote: %v", err)
 	}
-	c2.step()
-	if g := rm2.Status().Plan.AdHoc; g.Rev != 1 || g.Rebases != 2 {
-		t.Fatalf("gate %+v after the first tick, want a republish from the scheduler's own rev 1", g)
-	}
-	if got := ft.Stats().AdHocFolds; got < 1 {
-		t.Fatalf("AdHocFolds = %d: the early admission never reached the scheduler", got)
-	}
+	firstReplan("promoted", standby, rec, volume)
 }
 
 // flatGate is a gate whose window [from, from+n) has vcores and mem free
@@ -524,7 +409,7 @@ func TestAdHocGateConservesWhatItAdmits(t *testing.T) {
 		admitted, rejected, republishes, expired int
 	)
 	start := func() {
-		rec = &foldRecorder{FlowTime: core.New(planStreaming())}
+		rec = &foldRecorder{FlowTime: core.New(core.DefaultConfig())}
 		c = newCluster(t, Config{Scheduler: rec, AdHocGate: true}, &durable{dir: dir, policy: store.SyncNever})
 		rm = c.rm
 		c.register("n1", 8, 32768)
@@ -677,59 +562,4 @@ func TestGateRequiresStreamingScheduler(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "plan-streaming") {
 		t.Fatalf("New with gate on FIFO = %v, want plan-streaming error", err)
 	}
-}
-
-// TestLivePlanHasOneEncoding plays a mixed run with plan streaming on and,
-// after every slot, encodes the live plan the one way a plan is encoded —
-// the plan rebase record a snapshot holds — and requires it to decode to a
-// plan.Equal plan of the same revision that re-encodes to the same bytes.
-// The snapshot that holds the run's last plan restores it.
-func TestLivePlanHasOneEncoding(t *testing.T) {
-	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), LeaseExpiry: 3}, nil)
-	var codec rmstate.Codec
-	encode := func(p *plan.Plan) []byte {
-		t.Helper()
-		payload, err := codec.Encode(&rmstate.Record{PlanRebase: rmstate.RebaseTo(p)})
-		if err != nil {
-			t.Fatalf("encode plan rev %d: %v", p.Rev, err)
-		}
-		return bytes.Clone(payload)
-	}
-	planned := 0
-	driveMixed(t, c, 1, 40, func(slot int) {
-		live := livePlanOf(c.rm)
-		if live.Rev == 0 {
-			return
-		}
-		if len(live.Jobs) > 0 {
-			planned++
-		}
-		payload := encode(live)
-		rec, err := codec.Decode(payload)
-		if err != nil || rec.PlanRebase == nil {
-			t.Fatalf("slot %d: decode plan rev %d: %+v, %v", slot, live.Rev, rec, err)
-		}
-		got, err := rec.PlanRebase.Plan()
-		if err != nil {
-			t.Fatalf("slot %d: build plan rev %d: %v", slot, live.Rev, err)
-		}
-		if err := plan.Equal(got, live); err != nil || got.Rev != live.Rev {
-			t.Fatalf("slot %d: plan rev %d decodes to rev %d: %v", slot, live.Rev, got.Rev, err)
-		}
-		if again := encode(got); !bytes.Equal(again, payload) {
-			t.Fatalf("slot %d: plan rev %d re-encodes differently:\n%x\n%x", slot, live.Rev, payload, again)
-		}
-	}, nil)
-	if planned < 20 {
-		t.Fatalf("%d of 40 slots had a live plan with jobs; want most", planned)
-	}
-	snap := snapshotOf(t, c.rm)
-	restored, err := rmstate.Restore(slotDur, 3, snap)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if live := livePlanOf(c.rm); plan.Equal(restored.Plan(), live) != nil || restored.Plan().Rev != live.Rev {
-		t.Fatalf("the snapshot restores plan rev %d, the live plan is rev %d", restored.Plan().Rev, live.Rev)
-	}
-	t.Logf("snapshot after 40 slots, seed 1: %d B", len(snap))
 }

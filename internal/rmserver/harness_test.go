@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"flowtime/internal/core"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
@@ -81,14 +80,6 @@ func newCluster(tb testing.TB, cfg Config, d *durable) *cluster {
 	}
 	c.rm = rm
 	return c
-}
-
-// planStreaming is FlowTime's configuration with its plan streamed, as
-// ftrm runs it.
-func planStreaming() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	return cfg
 }
 
 // register registers (or re-registers, with empty hands) node id.

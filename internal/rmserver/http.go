@@ -134,8 +134,6 @@ func (s *Server) Handler() http.Handler {
 		if p := st.Plan; p != nil {
 			fmt.Fprintf(w, "# TYPE flowtime_plan_rev counter\nflowtime_plan_rev %d\n", p.Rev)
 			fmt.Fprintf(w, "# TYPE flowtime_plan_jobs gauge\nflowtime_plan_jobs %d\n", p.Jobs)
-			fmt.Fprintf(w, "# TYPE flowtime_plan_diffs_applied_total counter\nflowtime_plan_diffs_applied_total %d\n", p.DiffsApplied)
-			fmt.Fprintf(w, "# TYPE flowtime_plan_rebases_total counter\nflowtime_plan_rebases_total %d\n", p.Rebases)
 			if q := p.AdHoc; q != nil {
 				fmt.Fprintf(w, "# TYPE flowtime_adhoc_admitted_total counter\nflowtime_adhoc_admitted_total %d\n", q.Admitted)
 				fmt.Fprintf(w, "# TYPE flowtime_adhoc_rejected_total counter\nflowtime_adhoc_rejected_total %d\n", q.Rejected)

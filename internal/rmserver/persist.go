@@ -9,7 +9,7 @@
 // Every journaled mutation takes one route. The replayed state is one
 // value, rmstate.State, which no lock, clock or I/O reaches; a mutation is
 // decided as its record by rmstate's deciders, which change nothing (a
-// tick, a hand-off, a confirm, a requeue, an admission, a plan diff), and
+// tick, a hand-off, a confirm, a requeue, an admission), and
 // journalLocked then encodes the record, applies it with State.Apply — the
 // function replay and the follower run — and appends it. So the live RM
 // holds what replaying its log rebuilds by construction, a record the
@@ -32,9 +32,10 @@
 //     so the fencing token survives crashes and ships to followers. An
 //     epoch learnt from a fence or a ship request is not journaled: it is
 //     the highest this process has seen (repl.go), not its own.
-//   - Plan diffs, when the scheduler streams its plan (one record per
-//     revision, applied transactionally; see planstream.go), and the
-//     wholesale plan rebases that repair a broken diff chain.
+//   - NOT journaled: the scheduler's plan. It is derived from the
+//     admitted work the journal holds, no replayed decision reads it, and
+//     a restarted or promoted scheduler plans again from revision 0; the
+//     ad-hoc gate reads the scheduler's own (gate.go).
 //   - NOT journaled: the archive of completed jobs (State.Done). It is
 //     derived — the confirm records determine which jobs completed, when
 //     and in which order — so replay rebuilds it and snapshots carry it.
@@ -65,7 +66,7 @@
 // the tick's offers when its confirms complete a job (Server.Heartbeat),
 // journaled directly behind the confirm record as a tick record whose
 // slot does not move; and a tick's own record (slot advance, requeues,
-// grants) with its plan diffs. A tick commits what was journaled before
+// grants). A tick commits what was journaled before
 // it before its grants leave (Server.Tick), so the confirms they were
 // computed from are durable first; when a submission already committed
 // the slot, that costs no I/O. That is at most one fsync per slot, none
@@ -99,12 +100,10 @@
 //
 // Formats: a WAL payload is a tagged binary record, and rmstate's
 // walcodec.go is the only file that knows its layout; a snapshot is
-// State.Snapshot's JSON around records in that codec (admissions, a tick
-// of the leases, a rebase to the live plan), which rmstate.Restore applies
-// as replay does. A plan, whole or one revision's diff, is only ever in
-// internal/plan's binary diff codec. A record holds only what replay
-// reads, and a snapshot only the replayed state: no fault counter, no
-// epoch this process merely saw. `ftrm -wal-dump` prints a log as JSON
+// State.Snapshot's JSON around records in that codec (admissions and a
+// tick of the leases), which rmstate.Restore applies as replay does. A
+// record holds only what replay reads, and a snapshot only the replayed
+// state: no plan, no fault counter, no epoch this process merely saw. `ftrm -wal-dump` prints a log as JSON
 // lines (DumpWAL).
 package rmserver
 

@@ -153,7 +153,7 @@ func TestFailoverAfterRefusedInstallKeepsState(t *testing.T) {
 		if !resp.SnapInstall {
 			t.Fatal("the primary shipped no snapshot install")
 		}
-		resp.Snapshot = bytes.Replace(resp.Snapshot, []byte(`"version":6,`), []byte(`"version":4,`), 1)
+		resp.Snapshot = bytes.Replace(resp.Snapshot, []byte(`"version":7,`), []byte(`"version":4,`), 1)
 	}, "snapshot version 4")
 }
 

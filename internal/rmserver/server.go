@@ -27,7 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -78,14 +80,13 @@ type Config struct {
 	// LeaderURL is the redirect hint handed to rejected clients while
 	// this server is a follower (typically the primary's URL).
 	LeaderURL string
-	// AdHocGate, when true, gates ad-hoc admission on the streamed
-	// plan's leftover capacity (see adhocGate in planstream.go): a
-	// submission whose demand does not fit in the live plan's slack is
-	// rejected (Accepted=false) instead of queued. Requires a Scheduler
-	// that implements sched.PlanStreamer with streaming enabled; until a
-	// first plan revision exists, streamed or recovered, every ad-hoc
-	// submission is rejected, because there is no leftover to admit
-	// against.
+	// AdHocGate, when true, gates ad-hoc admission on the scheduler's
+	// plan's leftover capacity (see adhocGate in gate.go): a submission
+	// whose demand does not fit in the live plan's slack is rejected
+	// (Accepted=false) instead of queued. Requires a Scheduler that
+	// implements sched.PlanStreamer; until its first replan in this
+	// process, every ad-hoc submission is rejected, because there is no
+	// leftover to admit against.
 	AdHocGate bool
 }
 
@@ -98,11 +99,16 @@ type Server struct {
 	mu   sync.Mutex
 	cond *sync.Cond // signalled when the last outstanding lease clears
 	// st is the replayed state (internal/rmstate): the slot, jobs,
-	// workflows, leases, archive, quantum counter, journaled epoch and live
-	// plan. Only a record applied to it changes it (see persist.go);
-	// everything else here is this process's own.
+	// workflows, leases, archive, quantum counter and journaled epoch.
+	// Only a record applied to it changes it (see persist.go); everything
+	// else here is this process's own.
 	st    *rmstate.State
 	nodes map[string]*node
+	// byID holds the nodes of nodes in ID order, the order first-fit
+	// placement walks them in. It is kept in order as nodes register,
+	// re-register and expire (putNodeLocked, forgetNodesLocked), so no
+	// tick or heartbeat sorts them.
+	byID []*node
 	// instance names this process's archive to status readers holding a
 	// cursor into it (rmproto.DoneJobs).
 	instance string
@@ -131,6 +137,9 @@ type Server struct {
 	journaled store.Handle
 	codec     rmstate.Codec // owns the encode buffer journalLocked reuses
 	gate      *adhocGate    // the ad-hoc admission gate; nil unless Config.AdHocGate
+	// plans is the scheduler's published plan, which the gate and the
+	// status plan block read; nil unless the scheduler publishes one.
+	plans sched.PlanStreamer
 
 	// Replication (see repl.go): role, fencing, the leader hint and seen,
 	// the highest epoch this process has seen — its journaled one, or a
@@ -186,10 +195,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Follower && cfg.Store == nil {
 		return nil, errors.New("rmserver: follower mode requires a state store")
 	}
-	if cfg.AdHocGate {
-		if _, ok := cfg.Scheduler.(sched.PlanStreamer); !ok {
-			return nil, fmt.Errorf("rmserver: ad-hoc gate requires a plan-streaming scheduler, %s does not stream", cfg.Scheduler.Name())
-		}
+	plans, _ := cfg.Scheduler.(sched.PlanStreamer)
+	if cfg.AdHocGate && plans == nil {
+		return nil, fmt.Errorf("rmserver: ad-hoc gate requires a plan-streaming scheduler, %s does not stream", cfg.Scheduler.Name())
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -200,6 +208,7 @@ func New(cfg Config) (*Server, error) {
 		reported:  make(map[*rmstate.Job]report),
 		role:      RolePrimary,
 		leaderURL: cfg.LeaderURL,
+		plans:     plans,
 	}
 	if cfg.Follower {
 		s.role = RoleFollower
@@ -268,7 +277,7 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 			h, jerr = s.requeueLocked(rec)
 		}
 	}
-	s.nodes[req.NodeID] = &node{Node: rmstate.Node{ID: req.NodeID, Capacity: capV}, lastSeen: now}
+	s.putNodeLocked(&node{Node: rmstate.Node{ID: req.NodeID, Capacity: capV}, lastSeen: now})
 	s.mu.Unlock()
 	if jerr != nil {
 		return rmproto.RegisterNodeResponse{}, jerr
@@ -463,8 +472,7 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 // the heartbeat that confirms its predecessors (see Heartbeat). The RM's
 // run loop calls it every SlotDur; tests and POST /v1/tick call it by
 // hand. A panicking scheduler is a no-grant slot: jobs stay queued and the
-// RM keeps running. The tick record is followed by the plan diffs of its
-// replan. Before its grants become fetchable and its offers claimable, the
+// RM keeps running. Before its grants become fetchable and its offers claimable, the
 // tick commits what was journaled before it, so the confirms those grants
 // were computed from are durable first; its own records ride the next
 // commit, like a hand-off's ("Durability ordering" in persist.go), so the
@@ -484,16 +492,11 @@ func (s *Server) Tick(now time.Time) error {
 		// The record applied, requeuing the silent nodes' leases: forget
 		// the nodes and count both. A record the codec refused leaves them,
 		// leases and all.
-		for id := range expired {
-			delete(s.nodes, id)
-		}
+		s.forgetNodesLocked(expired)
 		s.faults.ExpiredNodes += int64(len(expired))
 		s.faults.RequeuedQuanta += int64(len(rec.Requeued))
 	}
-	// Drain and journal the plan diffs this tick's replan emitted.
-	if serr := s.streamPlansLocked(); serr != nil && err == nil {
-		err = serr
-	}
+	s.rebaseAdHocLocked() // the tick's replan may have published a plan
 	s.mu.Unlock()
 	if jerr == nil {
 		jerr = s.commitRecord(h)
@@ -580,13 +583,34 @@ func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired map[st
 // ID order, the order first-fit placement walks them in.
 func (s *Server) nodesLocked(keep func(*node) bool) []*rmstate.Node {
 	var nodes []*rmstate.Node
-	for _, n := range s.nodes {
+	for _, n := range s.byID {
 		if keep(n) {
 			nodes = append(nodes, &n.Node)
 		}
 	}
-	sort.Slice(nodes, func(a, b int) bool { return nodes[a].ID < nodes[b].ID })
 	return nodes
+}
+
+// putNodeLocked registers n, in place of a node registered under its ID.
+func (s *Server) putNodeLocked(n *node) {
+	i, found := slices.BinarySearchFunc(s.byID, n.ID, func(o *node, id string) int { return strings.Compare(o.ID, id) })
+	if found {
+		s.byID[i] = n
+	} else {
+		s.byID = slices.Insert(s.byID, i, n)
+	}
+	s.nodes[n.ID] = n
+}
+
+// forgetNodesLocked forgets the nodes gone names.
+func (s *Server) forgetNodesLocked(gone map[string]bool) {
+	if len(gone) == 0 {
+		return
+	}
+	for id := range gone {
+		delete(s.nodes, id)
+	}
+	s.byID = slices.DeleteFunc(s.byID, func(n *node) bool { return gone[n.ID] })
 }
 
 // safeAssign invokes the scheduler with panic isolation: a panic becomes
@@ -721,16 +745,9 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 		n := len(archive)
 		resp.Done = &rmproto.DoneJobs{Instance: s.instance, Total: n, Jobs: archive[:n:n]}
 	}
-	if _, ok := s.cfg.Scheduler.(sched.PlanStreamer); ok || s.st.Plan().Rev != 0 {
-		lp := s.st.Plan()
-		p := &rmproto.PlanStatus{
-			Rev:          lp.Rev,
-			From:         lp.From,
-			NSlots:       lp.NSlots,
-			Jobs:         len(lp.Jobs),
-			DiffsApplied: s.faults.PlanDiffsApplied,
-			Rebases:      s.faults.PlanRebases,
-		}
+	if s.plans != nil {
+		lp := s.plans.LivePlan()
+		p := &rmproto.PlanStatus{Rev: lp.Rev, From: lp.From, NSlots: lp.NSlots, Jobs: len(lp.Jobs)}
 		if g := s.gate; g != nil {
 			p.AdHoc = &rmproto.AdHocQueueStatus{
 				Admitted: g.admitted,

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -178,6 +180,69 @@ func TestNodeExpiry(t *testing.T) {
 	if st := c.rm.Status(); st.Nodes != 0 {
 		t.Errorf("nodes = %d, want 0 after expiry", st.Nodes)
 	}
+}
+
+// TestNodeOrderIsKeptSorted: the order placement walks the nodes in, kept
+// as nodes register, re-register and expire instead of sorted per call,
+// is the order sort.Slice by ID gives the registered nodes, after every
+// step of a seeded sequence of registrations of a random node of a pool
+// (new or re-registering), kills (the node falls silent and expires two
+// ticks later, unless it registers again first) and slots.
+func TestNodeOrderIsKeptSorted(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		seed      int64
+		pool, ops int
+	}{
+		{"few nodes", 1, 4, 200},
+		{"a wide pool", 2, 64, 400},
+		{"churn", 3, 16, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			c := newCluster(t, Config{NodeExpiry: slotDur}, nil)
+			registered, reregistered := 0, 0
+			for op := 0; op < tc.ops; op++ {
+				switch r := rng.Intn(10); {
+				case r < 4:
+					id := fmt.Sprintf("n%d", rng.Intn(tc.pool))
+					c.rm.mu.Lock()
+					_, known := c.rm.nodes[id]
+					c.rm.mu.Unlock()
+					if known {
+						reregistered++
+					}
+					registered++
+					c.register(id, 4, 4096)
+				case r < 6 && len(c.nodes) > 0:
+					c.kill(c.nodes[rng.Intn(len(c.nodes))])
+				default:
+					c.step()
+				}
+				c.rm.mu.Lock()
+				want := make([]*node, 0, len(c.rm.nodes))
+				for _, n := range c.rm.nodes {
+					want = append(want, n)
+				}
+				sort.Slice(want, func(a, b int) bool { return want[a].ID < want[b].ID })
+				if !slices.Equal(c.rm.byID, want) {
+					t.Fatalf("op %d: nodes in order %v, want %v", op, nodeIDs(c.rm.byID), nodeIDs(want))
+				}
+				c.rm.mu.Unlock()
+			}
+			if expired := c.rm.Status().Faults.ExpiredNodes; expired == 0 || reregistered == 0 || registered == reregistered {
+				t.Fatalf("%d registrations, %d of them re-registrations, %d expiries: want all three", registered, reregistered, expired)
+			}
+		})
+	}
+}
+
+func nodeIDs(nodes []*node) []string {
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return ids
 }
 
 // TestMissedDeadlineBoundaries pins the confirmation-grace semantics:
@@ -391,7 +456,7 @@ func TestHTTPErrors(t *testing.T) {
 // syncs.
 func gatedRM(t testing.TB) *Server {
 	t.Helper()
-	c := newCluster(t, Config{Scheduler: core.New(planStreaming()), AdHocGate: true}, &durable{policy: store.SyncNever})
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig()), AdHocGate: true}, &durable{policy: store.SyncNever})
 	c.register("n1", 8, 16*1024)
 	c.tick()
 	return c.rm

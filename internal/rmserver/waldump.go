@@ -11,10 +11,9 @@ import (
 )
 
 // DumpWAL prints every record of the WAL segments in a state directory
-// to out, one JSON object per record per line, oldest segment first: the
-// record structs' json tags, a plan diff nested as JSON and a rebase as
-// the plan it builds (RecPlanRebase.MarshalJSON). It is what keeps
-// the journal readable now that its on-disk form is binary (rmstate). A
+// to out, one JSON object per record per line, oldest segment first, in
+// the record structs' json tags. It is what keeps the journal readable
+// now that its on-disk form is binary (rmstate). A
 // tick record is printed with an "advance" flag the stored form does not
 // carry: false marks the grants a heartbeat dispatched (Server.Heartbeat),
 // which reuse the tick record without moving the slot.

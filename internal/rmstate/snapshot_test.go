@@ -2,6 +2,8 @@ package rmstate
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +21,7 @@ const (
 // admissions, then slots of DecideTick, PlaceTick and the confirms of the
 // slot before, every record made by Apply — and returns its snapshot
 // after each step: a workflow, an ad-hoc job, leases in flight, completed
-// jobs in a live workflow and in the archive, and last a plan.
+// jobs in a live workflow and in the archive.
 func seedSnapshots(tb testing.TB) [][]byte {
 	tb.Helper()
 	s := New(fuzzSlot, fuzzLeaseExpiry)
@@ -83,22 +85,46 @@ func seedSnapshots(tb testing.TB) [][]byte {
 	if len(s.Leases()) == 0 || len(s.done) == 0 {
 		tb.Fatalf("the seed state has %d leases and %d completed jobs; want both", len(s.Leases()), len(s.done))
 	}
-	p := &plan.Plan{Rev: 1, From: s.slot, NSlots: 3, Jobs: map[string]plan.Job{
-		"wf/b": {Window: plan.Window{Rel: s.slot, Dl: s.slot + 3}, Alloc: []resource.Vector{{}, resource.New(2, 2048), resource.New(1, 1024)}},
+	return snaps
+}
+
+// version6Snapshot is snap in the form before this one: version 6, with a
+// live plan held as a plan rebase record, the plan's diff from the empty
+// plan behind tag 8.
+func version6Snapshot(tb testing.TB, snap []byte) []byte {
+	tb.Helper()
+	var fields map[string]any
+	if err := json.Unmarshal(snap, &fields); err != nil {
+		tb.Fatal(err)
+	}
+	slot := int64(fields["slot"].(float64))
+	p := &plan.Plan{Rev: 1, From: slot, NSlots: 3, Jobs: map[string]plan.Job{
+		"wf/b": {Window: plan.Window{Rel: slot, Dl: slot + 3}, Alloc: []resource.Vector{{}, resource.New(2, 2048), resource.New(1, 1024)}},
 	}}
-	diff, err := s.DecidePlanDiff(plan.Compute(s.Plan(), p))
+	rebase, err := plan.AppendDiff([]byte{tagPlanRebase}, plan.Compute(&plan.Plan{}, p))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	apply(Record{PlanDiff: diff})
-	return snaps
+	fields["version"], fields["plan"] = 6, rebase
+	out, err := json.Marshal(fields)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }
 
 // FuzzRestoreSnapshot: any payload is refused, or it restores to a state
 // whose snapshot restores again to the same bytes; nothing panics. Each
-// seed, a live state's snapshot, restores to itself.
+// seed, a live state's snapshot, restores to itself; the version-6 seed,
+// which holds a plan, is refused by name.
 func FuzzRestoreSnapshot(f *testing.F) {
-	for _, snap := range seedSnapshots(f) {
+	seeds := seedSnapshots(f)
+	v6 := version6Snapshot(f, seeds[len(seeds)-1])
+	if _, err := Restore(fuzzSlot, fuzzLeaseExpiry, v6); err == nil || !strings.Contains(err.Error(), "snapshot version 6, the form that held the live plan") {
+		f.Fatalf("restore of a version-6 snapshot = %v, want it refused by name", err)
+	}
+	f.Add(v6)
+	for _, snap := range seeds {
 		s, err := Restore(fuzzSlot, fuzzLeaseExpiry, snap)
 		if err != nil {
 			f.Fatalf("restore %s: %v", snap, err)

@@ -1,8 +1,9 @@
 // Package rmstate is the resource manager's replayed state: the slot
 // clock, the live jobs and workflows, the leases, the archive of completed
-// jobs, the quantum-ID counter, the journaled leadership epoch and the live
-// plan — everything a journal record changes and a snapshot holds — as one
-// value, State, with no lock, clock or I/O.
+// jobs, the quantum-ID counter and the journaled leadership epoch —
+// everything a journal record changes and a snapshot holds — as one value,
+// State, with no lock, clock or I/O. It holds only what replay reads: the
+// scheduler's plan is derived from the admitted work and is not journaled.
 //
 // A mutation is decided as its record without changing anything (the
 // Decide and Admit methods, PlaceTick) and made by applying the record
@@ -22,7 +23,6 @@ import (
 	"time"
 
 	"flowtime/internal/deadline"
-	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sched"
@@ -51,7 +51,6 @@ type State struct {
 	doneMissed int
 	doneAdHoc  map[string]struct{} // ad-hoc job IDs in done
 	doneWFs    map[string]struct{} // workflow IDs with a job in done
-	plan       *plan.Plan          // the live plan, rebuilt from journaled diffs
 }
 
 // New returns the empty state of a resource manager scheduling slots of
@@ -65,7 +64,6 @@ func New(slotDur time.Duration, leaseExpiry int64) *State {
 		leases:      make(map[string]*Lease),
 		doneAdHoc:   make(map[string]struct{}),
 		doneWFs:     make(map[string]struct{}),
-		plan:        plan.Empty(),
 	}
 }
 
@@ -113,31 +111,27 @@ type Workflow struct {
 	rec *RecWorkflow // its admission record
 }
 
-// Slot, Epoch, Jobs, Workflows, Leases, Done and Plan read the state: the
+// Slot, Epoch, Jobs, Workflows, Leases and Done read the state: the
 // current slot, the journaled epoch, the live jobs and the workflows with
-// a live job by ID, the in-flight leases by quantum ID, the archive of
+// a live job by ID, the in-flight leases by quantum ID, and the archive of
 // completed jobs in completion order with how many of them missed their
-// deadline, and the live plan, never nil (plan.Empty before the first
-// revision). What they return is the state's own: only Apply changes it.
+// deadline. What they return is the state's own: only Apply changes it.
 func (s *State) Slot() int64                                     { return s.slot }
 func (s *State) Epoch() int64                                    { return s.epoch }
 func (s *State) Jobs() map[string]*Job                           { return s.jobs }
 func (s *State) Workflows() map[string]*Workflow                 { return s.wfs }
 func (s *State) Leases() map[string]*Lease                       { return s.leases }
 func (s *State) Done() (archive []rmproto.JobStatus, missed int) { return s.done, s.doneMissed }
-func (s *State) Plan() *plan.Plan                                { return s.plan }
 
 // Record is the one-of union journaled per mutation. walcodec.go owns its
 // on-disk form; the json tags serve `ftrm -wal-dump`.
 type Record struct {
-	Workflow   *RecWorkflow   `json:"wf,omitempty"`
-	AdHoc      *RecAdHoc      `json:"adhoc,omitempty"`
-	Tick       *RecTick       `json:"tick,omitempty"`
-	Confirm    *RecConfirm    `json:"confirm,omitempty"`
-	Requeue    *RecRequeue    `json:"requeue,omitempty"`
-	Epoch      *RecEpoch      `json:"epoch,omitempty"`
-	PlanDiff   *RecPlanDiff   `json:"plan_diff,omitempty"`
-	PlanRebase *RecPlanRebase `json:"plan_rebase,omitempty"`
+	Workflow *RecWorkflow `json:"wf,omitempty"`
+	AdHoc    *RecAdHoc    `json:"adhoc,omitempty"`
+	Tick     *RecTick     `json:"tick,omitempty"`
+	Confirm  *RecConfirm  `json:"confirm,omitempty"`
+	Requeue  *RecRequeue  `json:"requeue,omitempty"`
+	Epoch    *RecEpoch    `json:"epoch,omitempty"`
 }
 
 // RecWorkflow journals one admitted workflow: the original trace record
@@ -204,48 +198,6 @@ type RecEpoch struct {
 	Epoch int64 `json:"epoch"`
 }
 
-// RecPlanDiff journals one plan diff. The diff is the transaction: it
-// either chained onto the live plan's revision and was applied whole, or
-// it was never journaled.
-type RecPlanDiff struct {
-	Diff *plan.Diff `json:"diff"`
-	// next is the plan DecidePlanDiff built, which Apply swaps in instead
-	// of building it again; nil in a decoded record.
-	next *plan.Plan
-}
-
-// RecPlanRebase journals a wholesale live-plan replacement — the escape
-// hatch when the diff chain breaks — as the plan's one encoding: the diff
-// that builds it from the empty plan one revision below it, every job an
-// add. A snapshot holds the live plan as this record too.
-type RecPlanRebase struct {
-	Diff *plan.Diff `json:"diff"`
-}
-
-// RebaseTo returns the record that replaces the live plan with p.
-func RebaseTo(p *plan.Plan) *RecPlanRebase {
-	return &RecPlanRebase{Diff: plan.Compute(&plan.Plan{Rev: p.Rev - 1}, p)}
-}
-
-// Plan builds the plan the record holds: its diff applied to the empty
-// plan it was computed against. A diff that removes or updates a job is
-// refused there, since the empty plan holds none.
-func (r *RecPlanRebase) Plan() (*plan.Plan, error) {
-	return plan.Apply(&plan.Plan{Rev: r.Diff.BaseRev}, r.Diff)
-}
-
-// MarshalJSON spells the record as the plan it holds, the form
-// `ftrm -wal-dump` prints.
-func (r *RecPlanRebase) MarshalJSON() ([]byte, error) {
-	p, err := r.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(struct {
-		Plan *plan.Plan `json:"plan"`
-	}{p})
-}
-
 // Apply applies one record, live, in replay or on a follower. A record
 // applied already (a duplicate submission, a grant at or below the
 // quantum-ID watermark, a confirm or requeue of no lease) changes nothing,
@@ -264,18 +216,6 @@ func (s *State) Apply(rec *Record) error {
 		s.applyRequeue(rec.Requeue.QIDs)
 	case rec.Epoch != nil:
 		s.epoch = max(s.epoch, rec.Epoch.Epoch)
-	case rec.PlanDiff != nil:
-		next, err := s.planAfter(rec.PlanDiff)
-		if err != nil {
-			return err
-		}
-		s.plan = next
-	case rec.PlanRebase != nil:
-		next, err := rec.PlanRebase.Plan()
-		if err != nil {
-			return fmt.Errorf("plan rebase: %w", err)
-		}
-		s.plan = next
 	}
 	return nil
 }
@@ -398,28 +338,6 @@ func (s *State) applyRequeue(qids []string) {
 			l.Job.InFlight = l.Job.InFlight.SubClamped(l.Grant)
 		}
 	}
-}
-
-// planAfter is the live plan once one plan diff is applied. Replay is
-// idempotent — a diff at or below the live revision leaves the plan as it
-// is — but a revision gap is corrupt history and fails loudly rather than
-// leaving a plan that silently diverges from what the primary journaled.
-func (s *State) planAfter(r *RecPlanDiff) (*plan.Plan, error) {
-	d := r.Diff // decoded and validated by the record codec
-	if d.NewRev <= s.plan.Rev {
-		return s.plan, nil // idempotent replay
-	}
-	if d.BaseRev != s.plan.Rev {
-		return nil, fmt.Errorf("plan diff %d->%d does not chain to live revision %d", d.BaseRev, d.NewRev, s.plan.Rev)
-	}
-	if r.next != nil {
-		return r.next, nil
-	}
-	next, err := plan.Apply(s.plan, d)
-	if err != nil {
-		return nil, fmt.Errorf("plan diff %d->%d: %w", d.BaseRev, d.NewRev, err)
-	}
-	return next, nil
 }
 
 // archive appends one completed job's final status to the archive.
@@ -717,18 +635,6 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 	return kept
 }
 
-// DecidePlanDiff decides one diff the scheduler streamed: it builds the
-// plan the diff makes of the live one, changing nothing, and returns the
-// record whose Apply swaps it in. A diff that does not chain onto the live
-// plan is an error.
-func (s *State) DecidePlanDiff(d *plan.Diff) (*RecPlanDiff, error) {
-	next, err := plan.Apply(s.plan, d)
-	if err != nil {
-		return nil, err
-	}
-	return &RecPlanDiff{Diff: d, next: next}, nil
-}
-
 // place splits a grant into grants of rec: g for job, first-fit over nodes
 // in the order given, against what each node has left of its capacity
 // this slot (Node.Placed, which it debits). Each chunk is granted under
@@ -782,10 +688,11 @@ func (s *State) readyOnConfirm(j *Job, inFlight func(*Job) resource.Vector) bool
 // records Apply made it from, beside each job's progress and the archive.
 // Earlier versions are refused by name: nothing writes them, under the
 // condition walcodec.go states for the journal.
-const snapVersion = 6
+const snapVersion = 7
 
 // oldSnapshots names the forms of the versions before snapVersion.
 var oldSnapshots = map[int]string{
+	6: "that held the live plan",
 	5: "that held its plan as JSON",
 	4: "that held jobs and leases in a schema of their own",
 	3: "that carried fault counters and in-flight volume",
@@ -795,8 +702,7 @@ var oldSnapshots = map[int]string{
 
 // snapState is the full-state snapshot payload. Records are journal
 // payloads: each live workflow's and ad-hoc job's admission, one tick at
-// Slot granting the leases, which rebuild each job's in-flight volume, and
-// one plan rebase to the live plan.
+// Slot granting the leases, which rebuild each job's in-flight volume.
 type snapState struct {
 	Version   int                 `json:"version"`
 	SlotDurNS int64               `json:"slot_dur_ns"`
@@ -807,7 +713,6 @@ type snapState struct {
 	AdHoc     []snapAdHoc         `json:"adhoc,omitempty"`
 	Leases    []byte              `json:"leases,omitempty"`
 	Done      []rmproto.JobStatus `json:"done,omitempty"` // the archive, in completion order
-	Plan      []byte              `json:"plan,omitempty"` // absent before a first revision
 }
 
 type snapWorkflow struct {
@@ -876,22 +781,14 @@ func (s *State) Snapshot() ([]byte, error) {
 		}
 		st.Leases = slices.Clone(rec)
 	}
-	if s.plan.Rev > 0 {
-		rec, err := codec.Encode(&Record{PlanRebase: RebaseTo(s.plan)})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot plan rev %d: %w", s.plan.Rev, err)
-		}
-		st.Plan = rec // the codec's last encode
-	}
 	return json.Marshal(&st)
 }
 
 // Restore returns the state a snapshot holds, applying its records to
 // New(slotDur, leaseExpiry): admissions before the archive, whose IDs they
-// would take for duplicates, then the leases and the plan. It refuses a
-// snapshot of another version or slot duration, or whose records do not
-// make the state it describes (a workflow entry that is no workflow, a
-// lease on no job, a plan that is no plan rebase).
+// would take for duplicates, then the leases. It refuses a snapshot of
+// another version or slot duration, or whose records do not make the state
+// it describes (a workflow entry that is no workflow, a lease on no job).
 func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, error) {
 	// The version first: an earlier version's fields need not fit this one's.
 	var head struct {
@@ -959,11 +856,6 @@ func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, 
 		}
 	}
 	s.nextQID = max(s.nextQID, st.NextQID)
-	if len(st.Plan) > 0 {
-		if _, err := s.applySnapRecord(&codec, st.Plan, "a plan rebase record", func(r *Record) bool { return r.PlanRebase != nil }); err != nil {
-			return nil, fmt.Errorf("snapshot plan: %w", err)
-		}
-	}
 	return s, nil
 }
 

@@ -12,9 +12,6 @@
 //	1 workflow     id submitSec deadlineSec  nJobs{name tasks dur actualDur vcores mem}
 //	               nDeps{from to}  submitNS deadlineNS slot bestEffort  nWindows{rel dl minSlots}
 //	2 adhoc        id submitSec tasks dur vcores mem  slot
-//	7 plan diff    the diff in internal/plan's binary codec, to the end of the payload
-//	8 plan rebase  the plan as the diff from the empty plan one revision below
-//	               it, in internal/plan's binary codec, to the end of the payload
 //	10 tick        slot  nRequeued{qid}  nGrants{qid job node grant} expiries
 //	11 confirm     slot  n{qid}
 //	12 requeue     n{qid}
@@ -44,18 +41,19 @@
 // the encoder accepts and encode∘decode on every payload the decoder
 // accepts. List fields decode to nil when empty.
 //
-// One form. Before this one a plan rebase held its plan in JSON; before
-// that a tick (tag 9), a confirm (4) and a requeue (5) carried the seven
-// fault counters, and an epoch (6) its slot, none of which replay needs;
-// before that a tick took tag 3 and back-referenced the IDs it had already
-// spelled, and a plan diff or plan carried θ levels; before that a payload
-// was json.Marshal(Record), which always opens with '{' — a byte no tag
-// takes. Nothing has written any of them since and no supported state
-// directory predates a snapshot rotation under this form (rotation drops
-// the old log and writes a current snapshot; there is no deployed fleet),
-// so none is read: decode refuses tags 4, 5, 6 and 9, a tag 3 tick, a tag
-// 0x01 diff, a JSON plan behind tagPlanRebase, a '{' payload and a '{'
-// diff behind tagPlanDiff, each with an error that names it.
+// One form. Before this one the journal held the scheduler's plan, as a
+// plan diff (tag 7) per revision and a plan rebase (8) wherever the diff
+// chain broke, though no replayed decision read it; before that a tick
+// (tag 9), a confirm (4) and a requeue (5) carried the seven fault
+// counters, and an epoch (6) its slot, none of which replay needs; before
+// that a tick took tag 3 and back-referenced the IDs it had already
+// spelled; before that a payload was json.Marshal(Record), which always
+// opens with '{' — a byte no tag takes. Nothing has written any of them
+// since and no supported state directory predates a snapshot rotation
+// under this form (rotation drops the old log and writes a current
+// snapshot; there is no deployed fleet), so none is read: decode refuses
+// tags 3, 4, 5, 6, 7, 8 and 9 and a '{' payload by their first byte alone,
+// each with an error that names the form.
 package rmstate
 
 import (
@@ -63,7 +61,6 @@ import (
 	"fmt"
 
 	"flowtime/internal/binenc"
-	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 )
@@ -75,18 +72,26 @@ const (
 	tagConfirmFaults // the confirm with fault counters; refused
 	tagRequeueFaults // the requeue with fault counters; refused
 	tagEpochSlot     // the epoch with a slot; refused
-	tagPlanDiff
-	tagPlanRebase
-	tagTickFaults // the tick with fault counters; refused
+	tagPlanDiff      // the plan diff; refused
+	tagPlanRebase    // the plan rebase; refused
+	tagTickFaults    // the tick with fault counters; refused
 	tagTick
 	tagConfirm
 	tagRequeue
 	tagEpoch
 )
 
-// faultsForm names the records of the form that carried fault counters,
-// by tag, for decode's refusal.
-var faultsForm = map[byte]string{tagTickFaults: "tick", tagConfirmFaults: "confirm", tagRequeueFaults: "requeue"}
+// oldForms names the records no longer read, by tag, for decode's refusal.
+var oldForms = map[byte]string{
+	tagTickBackRef:   "tick record with tag 3, the form with back-referenced IDs that predates front coding",
+	tagConfirmFaults: "confirm record with tag 4, the form that carried fault counters",
+	tagRequeueFaults: "requeue record with tag 5, the form that carried fault counters",
+	tagEpochSlot:     "epoch record with tag 6, the form that carried a slot",
+	tagPlanDiff:      "plan diff record with tag 7, the form that journaled the scheduler's plan",
+	tagPlanRebase:    "plan rebase record with tag 8, the form that journaled the scheduler's plan",
+	tagTickFaults:    "tick record with tag 9, the form that carried fault counters",
+	'{':              "WAL record in the JSON form of a pre-binary-codec RM",
+}
 
 // Codec encodes journal records into a buffer it reuses from record to
 // record; the zero value is ready. Not safe for concurrent use.
@@ -154,16 +159,6 @@ func (c *Codec) Encode(rec *Record) ([]byte, error) {
 		w.Byte(tagEpoch)
 		w.Int(r.Epoch)
 	}
-	if r := rec.PlanDiff; r != nil {
-		set++
-		w.Byte(tagPlanDiff)
-		appendDiff(&w, r.Diff)
-	}
-	if r := rec.PlanRebase; r != nil {
-		set++
-		w.Byte(tagPlanRebase)
-		appendDiff(&w, r.Diff)
-	}
 	c.buf = w.Buf
 	if set != 1 {
 		return nil, fmt.Errorf("WAL record with %d variants set, want exactly one", set)
@@ -219,32 +214,11 @@ func (c *Codec) Decode(payload []byte) (Record, error) {
 		rec.Requeue = &RecRequeue{QIDs: qids.GetList(&r)}
 	case tagEpoch:
 		rec.Epoch = &RecEpoch{Epoch: r.Int()}
-	case tagPlanDiff:
-		d, err := plan.DecodeDiff(r.Rest())
-		if err != nil {
-			return Record{}, err
-		}
-		rec.PlanDiff = &RecPlanDiff{Diff: d}
-	case tagPlanRebase:
-		rest := r.Rest()
-		if len(rest) > 0 && rest[0] == '{' {
-			return Record{}, errors.New("plan rebase holding a JSON plan, the form before a whole plan was a diff, which is no longer read")
-		}
-		d, err := plan.DecodeDiff(rest)
-		if err != nil {
-			return Record{}, fmt.Errorf("plan rebase: %w", err)
-		}
-		rec.PlanRebase = &RecPlanRebase{Diff: d}
-	case tagTickFaults, tagConfirmFaults, tagRequeueFaults:
-		return Record{}, fmt.Errorf("%s record with tag %d, the form that carried fault counters, which is no longer read", faultsForm[tag], tag)
-	case tagEpochSlot:
-		return Record{}, errors.New("epoch record with tag 6, the form that carried a slot, which is no longer read")
-	case tagTickBackRef:
-		return Record{}, errors.New("tick record with tag 3, the form with back-referenced IDs that predates front coding, which is no longer read")
-	case '{':
-		return Record{}, errors.New("WAL record in the JSON form of a pre-binary-codec RM, which is no longer read")
 	default:
 		if r.Err() == nil {
+			if form, old := oldForms[tag]; old {
+				return Record{}, errors.New(form + ", which is no longer read")
+			}
 			return Record{}, fmt.Errorf("unknown WAL record tag %#x", tag)
 		}
 	}
@@ -252,13 +226,6 @@ func (c *Codec) Decode(payload []byte) (Record, error) {
 		return Record{}, err
 	}
 	return rec, nil
-}
-
-func appendDiff(w *binenc.Writer, d *plan.Diff) {
-	var err error
-	if w.Buf, err = plan.AppendDiff(w.Buf, d); err != nil {
-		w.Fail(err)
-	}
 }
 
 func putVector(w *binenc.Writer, v resource.Vector) {

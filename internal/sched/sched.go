@@ -139,22 +139,18 @@ type Scheduler interface {
 	Assign(ctx AssignContext) (map[string]resource.Vector, error)
 }
 
-// PlanStreamer is implemented by planning schedulers that expose their
-// multi-slot plan as a versioned live plan plus incremental diffs, so a
-// resource manager can journal and replicate plan *changes* instead of
-// wholesale plans. The diffs must be explicitly enabled on the scheduler
-// (core.Config.StreamPlans); without a consumer draining TakePlanDiffs,
-// pending diffs would otherwise accumulate without bound.
+// PlanStreamer is implemented by planning schedulers that publish their
+// multi-slot plan as a versioned live plan. The resource manager's ad-hoc
+// gate admits against the plan's leftover capacity and its status reports
+// the plan; neither journals it, since the scheduler rebuilds it from the
+// admitted work.
 type PlanStreamer interface {
-	// LivePlan returns a snapshot of the scheduler's current plan, whether
-	// or not diffs are enabled; with them, it is the result of applying
-	// every diff emitted so far. Never nil: before the first replan it is
-	// the empty revision-0 plan.
+	// LivePlan returns the scheduler's current plan. Never nil: before the
+	// first replan it is the empty revision-0 plan. The caller must not
+	// change it: the scheduler publishes each revision as a new plan and
+	// never changes one it has published, so a caller may keep it and tell
+	// revisions apart by identity.
 	LivePlan() *plan.Plan
-	// TakePlanDiffs returns the diffs emitted since the last call, in
-	// application order, and clears the pending list. Each diff's
-	// BaseRev chains to the previous diff's NewRev.
-	TakePlanDiffs() []*plan.Diff
 }
 
 // AdHocFolder is an optional extension of planning schedulers: the
