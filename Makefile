@@ -19,8 +19,8 @@
 # with a version-6 seed that held a plan, refused),
 # the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
-# query, the heartbeat, submission and replication request
-# bodies, and the Alibaba and Google trace converters. `make loc` prints the non-test and the test Go
+# query, and the heartbeat, submission and replication request
+# bodies. `make loc` prints the non-test and the test Go
 # line counts the subtraction passes are measured by; `make check` ends with them.
 
 GO ?= go
@@ -116,14 +116,11 @@ verify:
 # body, on a store-backed gated server holding one plan revision, is a 4xx
 # or a 200 — for a body that re-encodes to itself; an accepted job is in
 # the status once, anything else leaves it empty, and the same body again
-# is a duplicate that changes nothing), the replication body target (any
+# is a duplicate that changes nothing) and the replication body target (any
 # POST /repl/v1/ship or /repl/v1/fence body, plain or gzipped, on a store-backed primary, is
 # a 4xx that changes nothing, a not_leader 503 or a 200 — a ship batch no
 # longer than head minus from, a fence exactly when its epoch is above the
-# RM's, after which every mutation is refused) and the two trace
-# converters (any Alibaba CSV or Google JSON-lines input fails, or
-# converts to a document ToWorkload accepts, with unique IDs, that comes
-# back equal through Write and Read).
+# RM's, after which every mutation is refused).
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRecord -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
@@ -140,8 +137,6 @@ fuzz:
 	$(GO) test -fuzz FuzzHeartbeatBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzReplBody -fuzztime 10s -run '^$$' ./internal/rmserver/
-	$(GO) test -fuzz FuzzConvertAlibaba -fuzztime 10s -run '^$$' ./internal/scenario/
-	$(GO) test -fuzz FuzzConvertGoogle -fuzztime 10s -run '^$$' ./internal/scenario/
 
 # sim-smoke replays the small bundled scenario trace (testdata/
 # scenario-smoke.json, emitted by `ftgen -scenario flash -machines 40
@@ -156,7 +151,9 @@ sim-smoke:
 
 # bench runs the micro-benchmarks — among them internal/flow's
 # BenchmarkLexMinMax, one replan's skyline at the paper's Fig. 7 scale
-# (5,000 jobs x 1,000 slots), and internal/rmstate's lease confirmation. What the RM's control plane costs end to
+# (5,000 jobs x 1,000 slots), its BenchmarkShortfall, stage A on three
+# probes up to 10,000 jobs at ten times the capacity, and
+# internal/rmstate's lease confirmation. What the RM's control plane costs end to
 # end, the ad-hoc gate's admissions included, is bench/'s to measure
 # (go run -C bench .).
 BENCH_PKGS := ./internal/rmserver/ ./internal/rmstate/ ./internal/flow/ ./internal/deadline/ ./internal/sim/
@@ -167,6 +164,8 @@ bench:
 # broken benchmark fails fast without paying for a measurement run.
 # BenchmarkLexMinMax is the planner regression gate: its 5000x1000 replan
 # fails over 1 s, and its certificate must pass the exact checker.
+# BenchmarkShortfall holds each probe's stage A routing to the reference
+# that re-walks what a short job cut off (~30 s of the run).
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -46,17 +46,19 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 }
 
 // TestPlannerReadsNoWallClock holds the planner — internal/core,
-// internal/flow, internal/plan, internal/deadline and internal/sched — to
-// deciding from its inputs alone: no non-test file of it calls time.Now or
-// time.Since, except inside core.(*FlowTime).runPlanner, which times each
-// flow planner call for the stats, or calls a package-level math/rand
-// function other than the constructors of a seeded generator. The ad-hoc
-// gate admits against the plan the scheduler publishes, and a restarted
-// or promoted RM plans again from the journaled work, so the same inputs
-// must make the same plan.
+// internal/flow, internal/plan, internal/deadline and internal/sched — and
+// the simulator that replays it, internal/sim and internal/machine, to
+// deciding from their inputs alone: no non-test file of them calls
+// time.Now or time.Since, except inside core.(*FlowTime).runPlanner, which
+// times each flow planner call for the stats, or calls a package-level
+// math/rand function other than the constructors of a seeded generator.
+// The ad-hoc gate admits against the plan the scheduler publishes, and a
+// restarted or promoted RM plans again from the journaled work, so the
+// same inputs must make the same plan; a seeded simulation must replay
+// bit for bit.
 func TestPlannerReadsNoWallClock(t *testing.T) {
 	seeded := map[string]bool{"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true}
-	for _, dir := range []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched"} {
+	for _, dir := range []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched", "internal/sim", "internal/machine"} {
 		fset, files := parsePackage(t, dir, false)
 		for _, f := range files {
 			timePkg := importName(f, "time")

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	ftsim -trace trace.json [-trace-format native|alibaba|google]
-//	      [-sched FlowTime] [-cores 100] [-mem-mb 204800]
+//	ftsim -trace trace.json [-sched FlowTime] [-cores 100] [-mem-mb 204800]
 //	      [-slot 10s] [-horizon 8000] [-slack 60s] [-cp-decompose] [-v]
 //	      [-dip from:until:percent]... [-invariants] [-machines N]
 //	ftsim -scenario diurnal [-machines 10000] [-days 3] [-seed 1] ...
@@ -128,7 +127,6 @@ func aggregateProfile(cores, memMB int64, dips []machine.Event) (*machine.Profil
 
 type options struct {
 	tracePath    string
-	traceFormat  string
 	scenarioName string
 	schedName    string
 	machines     int
@@ -152,8 +150,6 @@ func main() {
 	log.SetFlags(0)
 	var o options
 	flag.StringVar(&o.tracePath, "trace", "", "trace file (this or -scenario is required)")
-	flag.StringVar(&o.traceFormat, "trace-format", "native",
-		fmt.Sprintf("trace file format: %s", strings.Join(scenario.TraceFormats(), ", ")))
 	flag.StringVar(&o.scenarioName, "scenario", "",
 		fmt.Sprintf("synthetic scenario: %s", strings.Join(scenario.Names(), ", ")))
 	flag.StringVar(&o.schedName, "sched", "FlowTime", "scheduler: FlowTime, CORA, EDF, Fair, FIFO, Morpheus, all")
@@ -234,7 +230,7 @@ func run(o options) error {
 			return fresh.Workflows, fresh.AdHoc, nil
 		}
 	} else {
-		tr, err := loadTrace(o.tracePath, o.traceFormat)
+		tr, err := loadTrace(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -360,9 +356,8 @@ func peakSkyline(loadSamples []sim.LoadSample) string {
 	return fmt.Sprintf("%.0f%%", peak*100)
 }
 
-// loadTrace reads a trace file in any supported format, converting
-// external formats into the native document.
-func loadTrace(path, format string) (*trace.Trace, error) {
+// loadTrace reads a native trace file (see ftgen).
+func loadTrace(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -372,21 +367,5 @@ func loadTrace(path, format string) (*trace.Trace, error) {
 			log.Println("ftsim: close:", cerr)
 		}
 	}()
-	switch format {
-	case "native":
-		return trace.Read(f)
-	case "alibaba", "google":
-		convert := scenario.ConvertAlibaba
-		if format == "google" {
-			convert = scenario.ConvertGoogle
-		}
-		tr, stats, err := convert(f)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("converted %s trace: %s", format, stats)
-		return tr, nil
-	default:
-		return nil, fmt.Errorf("unknown -trace-format %q (have %s)", format, strings.Join(scenario.TraceFormats(), ", "))
-	}
+	return trace.Read(f)
 }

@@ -66,6 +66,9 @@ type Work struct {
 	MaxFlows, Resumed int
 	// Augmentations is the number of augmenting paths pushed.
 	Augmentations int
+	// ArcsScanned is the number of arcs the searches examined: the
+	// measure of what a call walked, whatever the machine.
+	ArcsScanned int
 }
 
 // network is the residual graph. Node 0 is the source, 1..n the jobs,
@@ -86,11 +89,15 @@ type network struct {
 	arcStart []int32   // per job: its first job→slot edge; the rest follow two ids apart
 	arcSlot  [][]int32 // per job: the slots those edges lead to, ascending
 
-	level []int32
+	level []int32 // BFS distance from the source; -1 unlabeled, retired never relabeled
 	queue []int32
 	next  []int32 // Dinic's current-arc cursor into adj
 	work  Work
 }
+
+// retired is the level of a node Shortfall has retired: above every BFS
+// distance, so no search labels it and no push enters it.
+const retired = math.MaxInt32
 
 func (g *network) sink() int32          { return int32(len(g.jobs) + len(g.caps) + 1) }
 func (g *network) jobNode(j int) int32  { return int32(1 + j) }
@@ -186,16 +193,19 @@ func (g *network) search() bool {
 	sink := g.sink()
 	for head := 0; head < len(g.queue); head++ {
 		u := g.queue[head]
-		for _, e := range g.adj[g.adjStart[u]:g.adjStart[u+1]] {
+		arcs := g.adj[g.adjStart[u]:g.adjStart[u+1]]
+		for i, e := range arcs {
 			v := g.to[e]
 			if g.res[e] > 0 && g.level[v] < 0 {
 				g.level[v] = g.level[u] + 1
 				g.queue = append(g.queue, v)
 				if v == sink {
+					g.work.ArcsScanned += i + 1
 					return true
 				}
 			}
 		}
+		g.work.ArcsScanned += len(arcs)
 	}
 	return false
 }
@@ -259,11 +269,16 @@ type Routing struct {
 // function of the input alone. The total routed is the max flow whatever
 // the order.
 //
-// The proof is read off the labels of the failed searches: those after
-// each short job's augmentation, and after the last one. A node that
-// cannot reach the sink never can again, so the union of those source
-// sides stays closed in the residual graph and every arc leaving it
-// stays saturated.
+// The proof is read off the labels of the failed search after each short
+// job's augmentation (after a job routed in full it labels only the
+// source). A node that cannot reach the sink never can again: no
+// residual arc leaves the set of such nodes, so no augmenting path enters
+// it and none reopens an arc out of it. So the union of those source
+// sides stays closed in the residual graph, every arc leaving it stays
+// saturated, and once a node has joined the cut it is retired: no later
+// search labels it. That changes no later level, push or augmentation,
+// and spares the searches of a congested instance from re-walking the
+// graph already cut off, once per short job.
 func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	g, err := newNetwork(caps, jobs)
 	if err != nil {
@@ -308,12 +323,12 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 		g.augment()
 		if g.res[e] > 0 {
 			g.joinCut(r, pos)
+			g.retire()
 		}
 		// Close the arc: no later augmentation can open a path for a job
 		// that came up short, so later searches need not start from it.
 		r.Short[j], g.res[e] = g.res[e], 0
 	}
-	g.joinCut(r, len(order)-1)
 	r.Work = g.work
 	return r, nil
 }
@@ -330,6 +345,15 @@ func (g *network) joinCut(r *Routing, pos int) {
 			r.SlotCut[t] = pos
 		}
 	}
+}
+
+// retire takes the nodes the last, failed search labeled, the source
+// aside, out of every later search: none of them can reach the sink again.
+func (g *network) retire() {
+	for _, v := range g.queue[1:] {
+		g.level[v] = retired
+	}
+	g.queue = g.queue[:1]
 }
 
 // Skyline is the lexicographic min-max flow of LexMinMax, with the

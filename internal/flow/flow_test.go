@@ -2,8 +2,10 @@ package flow_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -328,6 +330,129 @@ func probeInstance(jobs, slots, maxWin int) oracle.Instance {
 	return in
 }
 
+// probeJobs is a probe instance's jobs in the planner's type, and its
+// stage A order: EDF, by deadline and then by index, as core passes it.
+func probeJobs(in oracle.Instance) ([]flow.Job, []int) {
+	jobs := make([]flow.Job, len(in.Jobs))
+	order := make([]int, len(in.Jobs))
+	for j, job := range in.Jobs {
+		jobs[j], order[j] = flow.Job(job), j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].Dl < jobs[order[b]].Dl })
+	return jobs, order
+}
+
+// shortfallProbes are stage A's scale instances: 10,000 jobs at ten times
+// the capacity, 8,599 of them short; 2,000 jobs with 574 short; and the
+// Fig. 7 size, where nothing is short.
+var shortfallProbes = []struct{ jobs, slots, maxWin int }{
+	{10000, 120, 60},
+	{2000, 200, 40},
+	{5000, 1000, 12},
+}
+
+// sameRouting holds Shortfall's answer to the reference's: the routing
+// and its cuts, and every Work count the reference shares with it.
+func sameRouting(got, want *flow.Routing) error {
+	for j := range want.Short {
+		if got.Short[j] != want.Short[j] || got.JobCut[j] != want.JobCut[j] {
+			return fmt.Errorf("job %d: short %d cut %d, reference %d cut %d",
+				j, got.Short[j], got.JobCut[j], want.Short[j], want.JobCut[j])
+		}
+	}
+	for slot := range want.SlotCut {
+		if got.SlotCut[slot] != want.SlotCut[slot] {
+			return fmt.Errorf("slot %d: cut %d, reference %d", slot, got.SlotCut[slot], want.SlotCut[slot])
+		}
+	}
+	g, w := got.Work, want.Work
+	if g.MaxFlows != w.MaxFlows || g.Resumed != w.Resumed || g.Augmentations != w.Augmentations {
+		return fmt.Errorf("work %+v, reference %+v", g, w)
+	}
+	return nil
+}
+
+// TestShortfallMatchesReference holds Shortfall, which retires the nodes
+// a short job's failed search labels, to the reference that re-walks
+// them: the same shortfall, cuts and work, bit for bit. The seeded sweep
+// overloads most instances and, like core, appends one-slot reservation
+// pseudo-jobs at the end of the order. BenchmarkShortfall holds the probes
+// to the same reference.
+func TestShortfallMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	overloaded := 0
+	for i := 0; i < 3000; i++ {
+		caps, jobs := genInstance(rng, 1+rng.Intn(30), 2+rng.Intn(40), 25, 1+rng.Int63n(64))
+		for j := range jobs {
+			jobs[j].Demand *= 1 + rng.Int63n(3)
+		}
+		order := rng.Perm(len(jobs))
+		for slot, c := range caps {
+			if c > 0 && rng.Intn(3) == 0 {
+				r := 1 + rng.Int63n(c)
+				order = append(order, len(jobs))
+				jobs = append(jobs, flow.Job{Demand: r, Rel: int64(slot), Dl: int64(slot) + 1, Cap: r})
+			}
+		}
+		got, err := flow.Shortfall(caps, jobs, order)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		want, err := flow.ShortfallReference(caps, jobs, order)
+		if err != nil {
+			t.Fatalf("case %d: reference: %v", i, err)
+		}
+		if err := sameRouting(got, want); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if err := oracle.CheckRouting(instance(caps, jobs), order, got); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		for _, s := range got.Short {
+			if s > 0 {
+				overloaded++
+				break
+			}
+		}
+	}
+	if overloaded < 1000 {
+		t.Fatalf("only %d of 3000 cases overloaded", overloaded)
+	}
+}
+
+// TestShortfallWorkIsBounded is stage A's guard in work, not in wall
+// time: on the overloaded probe, where the reference's searches scan
+// every job→slot arc 11,783 times over, the searches may scan them at
+// most 1,000 times over. Re-walking what a short job's search already
+// cut off fails it on any machine.
+func TestShortfallWorkIsBounded(t *testing.T) {
+	p := shortfallProbes[0]
+	in := probeInstance(p.jobs, p.slots, p.maxWin)
+	jobs, order := probeJobs(in)
+	arcs := 0
+	for _, job := range jobs {
+		for slot := job.Rel; slot < job.Dl; slot++ {
+			if in.Caps[slot] > 0 {
+				arcs++
+			}
+		}
+	}
+	r, err := flow.Shortfall(in.Caps, jobs, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := 0
+	for _, s := range r.Short {
+		if s > 0 {
+			short++
+		}
+	}
+	t.Logf("%d of %d jobs short; %d arcs scanned, %.0f per job→slot arc", short, len(jobs), r.Work.ArcsScanned, float64(r.Work.ArcsScanned)/float64(arcs))
+	if r.Work.ArcsScanned > 1000*arcs {
+		t.Fatalf("searches scanned %d arcs, over 1,000 x the %d job→slot arcs", r.Work.ArcsScanned, arcs)
+	}
+}
+
 // checkLoad holds Load, the float field the planner's caller reads, to
 // the exact allocation it was computed beside.
 func checkLoad(t testing.TB, caps []int64, jobs []flow.Job, sky *flow.Skyline) {
@@ -464,10 +589,7 @@ func BenchmarkLexMinMax(b *testing.B) {
 	})
 	b.Run("5000x1000", func(b *testing.B) {
 		in := probeInstance(5000, 1000, 12)
-		jobs := make([]flow.Job, len(in.Jobs))
-		for j, job := range in.Jobs {
-			jobs[j] = flow.Job(job)
-		}
+		jobs, _ := probeJobs(in)
 		sky, err := flow.LexMinMax(in.Caps, jobs, 6)
 		if err != nil {
 			b.Fatal(err)
@@ -483,4 +605,32 @@ func BenchmarkLexMinMax(b *testing.B) {
 			b.Fatalf("a 5000x1000 replan took %v, budget 1s", per)
 		}
 	})
+}
+
+// BenchmarkShortfall times stage A on its three probes. Each probe's
+// routing is first held, outside the timer, to the reference's.
+func BenchmarkShortfall(b *testing.B) {
+	for _, p := range shortfallProbes {
+		b.Run(fmt.Sprintf("%dx%d", p.jobs, p.slots), func(b *testing.B) {
+			in := probeInstance(p.jobs, p.slots, p.maxWin)
+			jobs, order := probeJobs(in)
+			got, err := flow.Shortfall(in.Caps, jobs, order)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want, err := flow.ShortfallReference(in.Caps, jobs, order)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sameRouting(got, want); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := flow.Shortfall(in.Caps, jobs, order); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,12 +44,12 @@ type burstLoad struct {
 	adhoc []trace.AdHocRecord
 }
 
-// genBurst draws the op list for one seed: burstSetupWFs workflows up
-// front, then one every burstWFEvery slots and a burst of ad-hoc jobs
+// genBurst draws the op list for one seed: setupWFs workflows up front,
+// then one every burstWFEvery slots and a burst of batch ad-hoc jobs
 // every burstAdHocGap slots. Workflows and ad-hoc jobs draw from separate
 // streams, so playing the list without its ad-hoc jobs leaves the
 // workflows what they were.
-func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []burstLoad) {
+func genBurst(t *testing.T, seed int64, setupWFs, batch int) (setup []trace.WorkflowRecord, slots []burstLoad) {
 	t.Helper()
 	wfRng, ahRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(^seed))
 	shapes := []workload.Shape{
@@ -73,7 +74,7 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 		rec.DeadlineSec = min(rec.DeadlineSec, maxSpanSec)
 		return rec
 	}
-	for i := 0; i < burstSetupWFs; i++ {
+	for i := 0; i < setupWFs; i++ {
 		setup = append(setup, newWF())
 	}
 	slots = make([]burstLoad, burstArrive+burstTail)
@@ -86,7 +87,7 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 			continue
 		}
 		jobs, err := workload.GenerateAdHoc(ahRng, workload.AdHocSpec{
-			Count: burstBatch, MeanInterarrival: time.Second,
+			Count: batch, MeanInterarrival: time.Second,
 			MinTasks: 2, MaxTasks: 9, MinTaskDur: 60 * time.Second, MaxTaskDur: 180 * time.Second,
 			Demand: resource.New(1, 1024),
 		})
@@ -107,22 +108,42 @@ func genBurst(t *testing.T, seed int64) (setup []trace.WorkflowRecord, slots []b
 	return setup, slots
 }
 
-// playBurst plays the op list against a fresh durable RM with the gate
-// on — submissions, tick, every node's heartbeat confirming what it
-// launched a slot ago — and returns which workflows met their deadline
-// (by the RM's own rule: a completion is seen one slot after the work
-// ran), how many ad-hoc jobs the gate admitted, and an FNV-1a digest of
-// every gate decision in submission order (the job ID, then 1 for an
-// admit or 0 for a reject), and an FNV-1a digest of the WAL segment the
-// run journaled. Every tick's grants
-// are held to work conservation and the per-slot ad-hoc-removal relation
-// as the scheduler returned them (oracle.Conserving). It ends in the
-// recovery-equivalence oracle.
-func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, withAdHoc bool) (met map[string]bool, admitted int, digest, wal uint64) {
+// burstMode is how playBurst plays an op list.
+type burstMode struct {
+	adhoc    bool // submit the ad-hoc jobs; false plays the deadline background alone
+	ungated  bool // run the RM without the admission gate, which admits every job
+	resubmit bool // resubmit a rejected ad-hoc job every slot, oldest first, until it is admitted
+}
+
+// burstResult is what one play of an op list ended with.
+type burstResult struct {
+	met      map[string]bool // per workflow, whether it met its deadline
+	admitted int             // ad-hoc submissions admitted
+	// digest is an FNV-1a digest of every gate decision in submission
+	// order (the job ID, then 1 for an admit or 0 for a reject), wal one
+	// of the WAL segment the run journaled.
+	digest, wal uint64
+	// submissions counts the ad-hoc submissions sent, resubmissions
+	// included, and turnaround is the mean over every admitted ad-hoc job
+	// of the slots from its first submission to its completion.
+	submissions int
+	turnaround  float64
+}
+
+// playBurst plays the op list against a fresh durable RM — submissions,
+// tick, every node's heartbeat confirming what it launched a slot ago —
+// and reports which workflows met their deadline (by the RM's own rule: a
+// completion is seen one slot after the work ran) and what the gate
+// decided. A resubmitting client keeps playing slots past the op list
+// until it has nothing left to resubmit and every job has completed.
+// Every tick's grants are held to work conservation and the per-slot
+// ad-hoc-removal relation as the scheduler returned them
+// (oracle.Conserving). It ends in the recovery-equivalence oracle.
+func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, mode burstMode) (res burstResult) {
 	t.Helper()
 	dir := t.TempDir()
 	ft := oracle.NewConserving(core.DefaultConfig()) // a violation fails the Tick that saw it
-	c := newCluster(t, Config{SlotDur: burstSlot, Scheduler: ft, NodeExpiry: 3 * burstSlot, AdHocGate: true}, &durable{dir: dir, policy: store.SyncNever})
+	c := newCluster(t, Config{SlotDur: burstSlot, Scheduler: ft, NodeExpiry: 3 * burstSlot, AdHocGate: !mode.ungated}, &durable{dir: dir, policy: store.SyncNever})
 	rm := c.rm
 	for i := 0; i < burstNodes; i++ {
 		c.register(fmt.Sprintf("n%03d", i), burstVCores, burstVCores*4096)
@@ -137,30 +158,54 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 		}
 		deadlineSec[rec.ID] = rm.Status().Slot*slotSec + rec.DeadlineSec - rec.SubmitSec
 	}
+	decisions := fnv.New64a()
+	firstSlot := map[string]int64{}
+	var rejected []trace.AdHocRecord
+	submitAdHoc := func(batch []trace.AdHocRecord) {
+		if len(batch) == 0 {
+			return
+		}
+		now := rm.Status().Slot
+		for _, rec := range batch {
+			resp, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: rec})
+			if err != nil {
+				t.Fatalf("SubmitAdHoc(%s): %v", rec.ID, err)
+			}
+			res.submissions++
+			if _, ok := firstSlot[rec.ID]; !ok {
+				firstSlot[rec.ID] = now
+			}
+			verdict := byte(0)
+			if resp.Accepted { // a gate rejection is a decision, not a failure
+				res.admitted++
+				verdict = 1
+			} else if mode.resubmit {
+				rejected = append(rejected, rec)
+			}
+			decisions.Write(append([]byte(rec.ID), verdict))
+		}
+	}
 
 	for _, rec := range setup {
 		submitWF(rec)
 	}
 	c.step()
-	decisions := fnv.New64a()
-	for _, load := range slots {
+	for s := 0; s < len(slots) || mode.resubmit && (len(rejected) > 0 || !allCompleted(rm.Status())); s++ {
+		if s == len(slots)+burstTail {
+			t.Fatalf("%d ad-hoc jobs still rejected, or jobs still running, %d slots past the op list", len(rejected), burstTail)
+		}
+		var load burstLoad
+		if s < len(slots) {
+			load = slots[s]
+		}
 		for _, rec := range load.wfs {
 			submitWF(rec)
 		}
-		if !withAdHoc {
-			load.adhoc = nil
-		}
-		for _, rec := range load.adhoc {
-			resp, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: rec})
-			if err != nil {
-				t.Fatalf("SubmitAdHoc(%s): %v", rec.ID, err)
-			}
-			verdict := byte(0)
-			if resp.Accepted { // a gate rejection is a decision, not a failure
-				admitted++
-				verdict = 1
-			}
-			decisions.Write(append([]byte(rec.ID), verdict))
+		retry := rejected
+		rejected = nil
+		submitAdHoc(retry)
+		if mode.adhoc {
+			submitAdHoc(load.adhoc)
 		}
 		c.step()
 	}
@@ -172,17 +217,24 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 	if ft.Slots() != final.Slot {
 		t.Fatalf("work conservation checked on %d of %d ticks", ft.Slots(), final.Slot)
 	}
-	met = make(map[string]bool, len(deadlineSec))
+	res.met = make(map[string]bool, len(deadlineSec))
 	for id := range deadlineSec {
-		met[id] = true
+		res.met[id] = true
 	}
+	var turnaround int64
 	for _, j := range final.Jobs {
 		if j.State != "completed" || j.Delivered != j.Total {
 			t.Fatalf("job %s ended %s with %+v of %+v delivered", j.ID, j.State, j.Delivered, j.Total)
 		}
 		if j.Kind == "deadline" && (j.CompletedSec/slotSec-1)*slotSec > deadlineSec[j.WorkflowID] {
-			met[j.WorkflowID] = false
+			res.met[j.WorkflowID] = false
 		}
+		if j.Kind == "adhoc" {
+			turnaround += j.CompletedSec/slotSec - firstSlot[strings.TrimPrefix(j.ID, "adhoc/")]
+		}
+	}
+	if res.admitted > 0 {
+		res.turnaround = float64(turnaround) / float64(res.admitted)
 	}
 	if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("recovery equivalence: %v", err)
@@ -193,7 +245,8 @@ func playBurst(t *testing.T, setup []trace.WorkflowRecord, slots []burstLoad, wi
 	}
 	journal := fnv.New64a()
 	journal.Write(raw)
-	return met, admitted, decisions.Sum64(), journal.Sum64()
+	res.digest, res.wal = decisions.Sum64(), journal.Sum64()
+	return res
 }
 
 // TestAdHocNeverCostsDeadline is the system-level form of the paper's
@@ -243,9 +296,11 @@ func TestAdHocNeverCostsDeadline(t *testing.T) {
 		12: {600, 0x50fb94a8a7774031, 0x4fe13625896ef39d, 0xad07869f835f87d1},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		setup, slots := genBurst(t, seed)
-		alone, _, _, walAlone := playBurst(t, setup, slots, false)
-		burst, admitted, digest, wal := playBurst(t, setup, slots, true)
+		setup, slots := genBurst(t, seed, burstSetupWFs, burstBatch)
+		aloneRun := playBurst(t, setup, slots, burstMode{})
+		burstRun := playBurst(t, setup, slots, burstMode{adhoc: true})
+		alone, walAlone := aloneRun.met, aloneRun.wal
+		burst, admitted, digest, wal := burstRun.met, burstRun.admitted, burstRun.digest, burstRun.wal
 		if admitted == 0 {
 			t.Fatalf("seed %d: the gate admitted nothing — the burst tested nothing", seed)
 		}
@@ -270,6 +325,40 @@ func TestAdHocNeverCostsDeadline(t *testing.T) {
 		}
 		if metAlone < len(alone)/2 {
 			t.Fatalf("seed %d: only %d of %d workflows meet their deadline with no ad-hoc load — the background is not a deadline workload", seed, metAlone, len(alone))
+		}
+	}
+}
+
+// TestGateUnderResubmission plays the gate against no gate with a client
+// that does not give up: a rejected ad-hoc job is resubmitted every slot
+// until it is admitted, and its turnaround counts from its first
+// submission, so the gate can no longer buy turnaround by turning jobs
+// away. From adhoc-burst's full backlog of 8 workflows, at half, once and
+// one and a half times its ad-hoc offer, every job completes in both
+// modes and every workflow's deadline verdict is the same in both. The
+// log carries each run's mean turnaround over all ad-hoc jobs and the
+// gated client's submissions per job.
+func TestGateUnderResubmission(t *testing.T) {
+	for _, batch := range []int{burstBatch / 2, burstBatch, burstBatch * 3 / 2} {
+		for seed := int64(1); seed <= 4; seed++ {
+			setup, slots := genBurst(t, seed, 2*burstSetupWFs, batch)
+			gated := playBurst(t, setup, slots, burstMode{adhoc: true, resubmit: true})
+			ungated := playBurst(t, setup, slots, burstMode{adhoc: true, ungated: true, resubmit: true})
+			if ungated.submissions != ungated.admitted || gated.admitted != ungated.admitted {
+				t.Fatalf("batch %d seed %d: admitted %d gated, %d of %d ungated", batch, seed, gated.admitted, ungated.admitted, ungated.submissions)
+			}
+			met := 0
+			for id, ok := range ungated.met {
+				if gated.met[id] != ok {
+					t.Errorf("batch %d seed %d: workflow %s met=%v gated, %v ungated", batch, seed, id, gated.met[id], ok)
+				}
+				if ok {
+					met++
+				}
+			}
+			t.Logf("batch %d seed %d: turnaround %.2f gated, %.2f ungated; %.2f submissions per job; %d of %d workflows met",
+				batch, seed, gated.turnaround, ungated.turnaround,
+				float64(gated.submissions)/float64(gated.admitted), met, len(ungated.met))
 		}
 	}
 }

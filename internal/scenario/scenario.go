@@ -2,9 +2,7 @@
 // generators for the stress patterns the related literature studies —
 // diurnal load, flash crowds, straggler-inflated runtimes ("Do the Hard
 // Stuff First", Grandl et al.), machine churn, and energy/price-varying
-// capacity (Sarkar et al.) — plus converters that turn Alibaba
-// cluster-trace 2018 and Google ClusterData 2019 subsets into a native
-// trace.
+// capacity (Sarkar et al.).
 //
 // A Scenario bundles everything one simulated run needs: the workload
 // (workflows + ad-hoc stream), the machine set live at slot 0, and the

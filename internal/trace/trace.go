@@ -2,9 +2,8 @@
 // the stand-in for the paper's proprietary Huawei production traces. A
 // trace captures recurring deadline-aware workflows (with both estimated
 // and actual task durations, so estimation error round-trips) and the
-// ad-hoc job stream. ftgen writes it, the public-trace converters of
-// internal/scenario return it, and ftsim and the trace-replay experiments
-// replay it into the simulator.
+// ad-hoc job stream. ftgen and the scenario generators write it, and ftsim
+// and the trace-replay experiments replay it into the simulator.
 package trace
 
 import (
@@ -30,13 +29,13 @@ import (
 // loudly instead of guessing.
 const FormatVersion = 2
 
-// Meta is the trace's provenance block: which generator (or loader)
-// produced it, from what seed, with what parameters. It makes a replay
-// self-describing — the exact generating command can be reconstructed
-// from the document alone.
+// Meta is the trace's provenance block: which generator produced it,
+// from what seed, with what parameters. It makes a replay self-describing
+// — the exact generating command can be reconstructed from the document
+// alone.
 type Meta struct {
 	// Generator names the producing tool or scenario ("ftgen",
-	// "scenario/diurnal", "loader/alibaba2018", ...).
+	// "scenario/diurnal", ...).
 	Generator string `json:"generator,omitempty"`
 	// Seed is the RNG seed the generator ran with (0 if not seeded).
 	Seed int64 `json:"seed,omitempty"`
