@@ -10,9 +10,7 @@
 # jobs from a slot gives deadline work only the capacity they had taken
 # — and sim invariants); `make fuzz`
 # runs short fuzz bursts over the WAL framing, the front-coded string
-# primitive the binary codecs share (FuzzFrontString), the plan diff codec
-# (FuzzDecodeDiff/FuzzApplyDiff, whole plans among them, since a whole plan
-# is fuzzed as its diff from the empty plan; the WAL carries no plan), the
+# primitive the binary codecs share (FuzzFrontString), the
 # WAL record codec (FuzzDecodeWALRecord, run from internal/rmserver's tests
 # over internal/rmstate's codec; the plan records it no longer reads stay
 # among its seeds, refused), the snapshot's restore (FuzzRestoreSnapshot,
@@ -98,10 +96,10 @@ verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
 
 # fuzz runs short bursts of the store framing, front-coded string,
-# plan-diff codec, WAL record codec, snapshot and heartbeat and submission
+# WAL record codec, snapshot and heartbeat and submission
 # body codec fuzz targets
-# (every codec: no panic, an accepted input re-encodes to itself; a diff
-# or record is safe to apply; a snapshot is refused or restores to a
+# (every codec: no panic, an accepted input re-encodes to itself; a
+# record is safe to apply; a snapshot is refused or restores to a
 # state whose snapshot restores to the same bytes) from the checked-in seed corpora
 # (testdata/fuzz/) and in-code seeds, the flow planner target (both
 # stages' certificates pass the exact checker on adversarial capacities
@@ -126,8 +124,6 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundTripWithCorruption -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzDecodeAll -fuzztime 10s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzFrontString -fuzztime 10s -run '^$$' ./internal/binenc/
-	$(GO) test -fuzz FuzzDecodeDiff -fuzztime 10s -run '^$$' ./internal/plan/
-	$(GO) test -fuzz FuzzApplyDiff -fuzztime 10s -run '^$$' ./internal/plan/
 	$(GO) test -fuzz FuzzDecodeWALRecord -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzRestoreSnapshot -fuzztime 10s -run '^$$' ./internal/rmstate/
 	$(GO) test -fuzz FuzzHeartbeatCodec -fuzztime 10s -run '^$$' ./internal/rmproto/

@@ -3,8 +3,10 @@ package flowtime_test
 import (
 	"cmp"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -58,7 +60,7 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 // bit for bit.
 func TestPlannerReadsNoWallClock(t *testing.T) {
 	seeded := map[string]bool{"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true}
-	for _, dir := range []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched", "internal/sim", "internal/machine"} {
+	for _, dir := range plannerDirs {
 		fset, files := parsePackage(t, dir, false)
 		for _, f := range files {
 			timePkg := importName(f, "time")
@@ -83,6 +85,114 @@ func TestPlannerReadsNoWallClock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// plannerDirs are the planner's packages and the simulator's that replays
+// it, which must decide from their inputs alone.
+var plannerDirs = []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched", "internal/sim", "internal/machine"}
+
+// TestPlannerRangesNoMapUnordered holds the same packages to the other half
+// of deciding from their inputs alone: Go randomizes map iteration order,
+// so no non-test file of them ranges over a map unless the loop only
+// collects the keys into a slice that the very next statement sorts, or
+// the loop carries a //det:unordered comment (on its line or the line
+// before) saying why its order cannot show in any result.
+func TestPlannerRangesNoMapUnordered(t *testing.T) {
+	unordered := 0
+	conf := types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+	for _, dir := range plannerDirs {
+		fset, files := parsePackage(t, dir, false)
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+		if _, err := conf.Check(dir, fset, files, info); err != nil {
+			t.Fatalf("type-check %s: %v", dir, err)
+		}
+		for _, f := range files {
+			excused := map[int]bool{} // lines a //det:unordered comment with a reason covers
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if reason, ok := strings.CutPrefix(c.Text, "//det:unordered "); ok && strings.TrimSpace(reason) != "" {
+						line := fset.Position(c.Slash).Line
+						excused[line], excused[line+1] = true, true
+					}
+				}
+			}
+			sorted := map[*ast.RangeStmt]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var list []ast.Stmt
+				switch b := n.(type) {
+				case *ast.BlockStmt:
+					list = b.List
+				case *ast.CaseClause:
+					list = b.Body
+				case *ast.CommClause:
+					list = b.Body
+				}
+				for i := 0; i+1 < len(list); i++ {
+					if r, ok := list[i].(*ast.RangeStmt); ok && collectsKeysSortedBy(r, list[i+1]) {
+						sorted[r] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				r, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if _, isMap := info.Types[r.X].Type.Underlying().(*types.Map); !isMap || sorted[r] {
+					return true
+				}
+				if excused[fset.Position(r.For).Line] {
+					unordered++
+					return true
+				}
+				t.Errorf("%s ranges over a map in random order: collect and sort its keys, or mark the loop //det:unordered <reason>", fset.Position(r.For))
+				return true
+			})
+		}
+	}
+	t.Logf("%d map ranges marked //det:unordered", unordered)
+}
+
+// collectsKeysSortedBy reports whether r only appends its map's keys to a
+// slice, r's body being that one append, and next sorts that slice.
+func collectsKeysSortedBy(r *ast.RangeStmt, next ast.Stmt) bool {
+	key, ok := r.Key.(*ast.Ident)
+	if !ok || (r.Value != nil && !isIdent(r.Value, "_")) || len(r.Body.List) != 1 {
+		return false
+	}
+	as, ok := r.Body.List[0].(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return false
+	}
+	dst, ok := as.Lhs[0].(*ast.Ident)
+	if !ok {
+		return false
+	}
+	app, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || !isIdent(app.Fun, "append") || len(app.Args) != 2 || !isIdent(app.Args[0], dst.Name) || !isIdent(app.Args[1], key.Name) {
+		return false
+	}
+	es, ok := next.(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 || !isIdent(call.Args[0], dst.Name) {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && sorts[pkg.Name+"."+sel.Sel.Name]
+}
+
+// sorts are the calls that sort a slice in place.
+var sorts = map[string]bool{
+	"sort.Strings": true, "sort.Ints": true, "sort.Slice": true, "sort.SliceStable": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
 // TestOnlyApplyMakesState holds internal/rmstate to one way of making what
@@ -129,7 +239,7 @@ func parsePackage(t *testing.T, dir string, tests bool) (*token.FileSet, []*ast.
 		if !tests && strings.HasSuffix(path, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatalf("parse %s: %v", path, err)
 		}

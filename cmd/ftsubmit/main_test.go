@@ -21,9 +21,7 @@ import (
 // workflow admitted without a feasible decomposition says so, the run
 // ends with the count line, and the exit code is 1.
 func TestSubmitReportsRejections(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
-	rm, err := rmserver.New(rmserver.Config{SlotDur: 10 * time.Second, Scheduler: core.New(cfg), AdHocGate: true})
+	rm, err := rmserver.New(rmserver.Config{SlotDur: 10 * time.Second, Scheduler: core.New(core.DefaultConfig()), AdHocGate: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

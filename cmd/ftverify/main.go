@@ -67,8 +67,8 @@ func errString(err error) string {
 }
 
 func breakdown(counts map[string]int) string {
-	return fmt.Sprintf("%d small cross-checks, %d certified flow checks, %d large certificate checks, %d reservation-yield checks, %d pipeline scenarios (%d work-conservation slots, %d with an ad-hoc stream to strike out, played again under chaos), %d diff-equivalence runs",
-		counts["small"], counts["flow"], counts["large"], counts["reserve"], counts["scenario"], counts["conserving-slots"], counts["adhoc-removal"], counts["diffequiv"])
+	return fmt.Sprintf("%d small cross-checks, %d certified flow checks, %d large certificate checks, %d reservation-yield checks, %d pipeline scenarios (%d work-conservation slots, %d with an ad-hoc stream to strike out, played again under chaos)",
+		counts["small"], counts["flow"], counts["large"], counts["reserve"], counts["scenario"], counts["conserving-slots"], counts["adhoc-removal"])
 }
 
 // runCase dispatches one seeded case. The kind is drawn from the case's
@@ -84,10 +84,8 @@ func runCase(rng *rand.Rand, verbose bool, counts map[string]int) (string, error
 		return "large", largeCase(rng)
 	case p < 8:
 		return "reserve", reserveCase(rng)
-	case p < 9:
-		return "scenario", scenarioCase(rng, verbose, counts)
 	default:
-		return "diffequiv", diffEquivCase(rng)
+		return "scenario", scenarioCase(rng, verbose, counts)
 	}
 }
 
@@ -267,35 +265,6 @@ func checkedRun(sc *oracle.Scenario, faults *sim.FaultInjection, counts map[stri
 	}
 	counts["conserving-slots"] += int(res.Slots)
 	return res, nil
-}
-
-// diffEquivCase runs a full pipeline scenario through the plan-diff
-// differential harness: a diff-streaming FlowTime and an independent
-// wholesale reference decide on identical inputs, and after every
-// decision the externally diff-reconstructed plan must equal both live
-// plans exactly (allocations and windows), including across periodic
-// checkpoint-plus-journal recovery rebuilds. Half the cases add chaos
-// (runtime jitter and stragglers), the diff-heaviest regime. Failures
-// are shrunk to a minimal scenario before reporting.
-func diffEquivCase(rng *rand.Rand) error {
-	sc, err := oracle.GenScenario(rng)
-	if err != nil {
-		return err
-	}
-	var faults *sim.FaultInjection
-	if rng.Intn(2) == 0 {
-		faults = &sim.FaultInjection{
-			Seed: rng.Int63(), RuntimeJitter: 0.3, StragglerFrac: 0.2, StragglerFactor: 3,
-		}
-	}
-	if err := oracle.CheckDiffEquivalence(sc, faults); err != nil {
-		min := oracle.ShrinkScenario(sc, func(c *oracle.Scenario) bool {
-			return oracle.CheckDiffEquivalence(c, faults) != nil
-		})
-		return fmt.Errorf("%w\nminimal reproducer: %d workflows (%v), %d ad-hoc, horizon %d",
-			err, len(min.Workflows), min.Regimes, len(min.AdHoc), min.Horizon)
-	}
-	return nil
 }
 
 // runScenario executes the scenario with FlowTime, the invariant checker

@@ -248,11 +248,9 @@ func printedMetrics(t *testing.T) map[string]bool {
 		t.Fatalf("store.Open: %v", err)
 	}
 	defer st.Close()
-	cfg := core.DefaultConfig()
-	cfg.StreamPlans = true
 	rm, err := rmserver.New(rmserver.Config{
 		SlotDur:   time.Second,
-		Scheduler: core.New(cfg),
+		Scheduler: core.New(core.DefaultConfig()),
 		Store:     st,
 		AdHocGate: true,
 	})

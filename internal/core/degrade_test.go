@@ -104,7 +104,7 @@ func TestLadderStepsDownOnPlannerPanic(t *testing.T) {
 // greedily, vcores keep their flow plan.
 func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
-	cfg := Config{Slack: 0, MaxLexRounds: 3, StreamPlans: true}
+	cfg := Config{Slack: 0, MaxLexRounds: 3}
 	// run plans twoJobMix with the planner failing for memory on the call
 	// numbered failOn (0: never; 1 is stage A, 2 stage B).
 	run := func(failOn int) *FlowTime {

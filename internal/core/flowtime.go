@@ -99,8 +99,9 @@ type Config struct {
 	// revision to the new one for TakePlanDiffs. The plan itself is kept
 	// and served (LivePlan) either way. Off by default: without a consumer
 	// draining TakePlanDiffs the pending list would grow without bound.
-	// Only the whole-path benchmark's traced pass and the oracles set it;
-	// ROADMAP item 19 step 2 removes it.
+	// Only the whole-path benchmark's traced pass (bench/trace.go), which
+	// compiles against it, and this package's plan-stream tests set it;
+	// nothing reads a diff back, and the field goes with that wrapper.
 	StreamPlans bool
 }
 
@@ -250,7 +251,8 @@ func (f *FlowTime) LivePlan() *plan.Plan {
 }
 
 // TakePlanDiffs returns the diffs emitted since the last drain, oldest
-// first (StreamPlans).
+// first (StreamPlans). It is kept, like StreamPlans, only for the
+// benchmark's traced pass to compile against.
 func (f *FlowTime) TakePlanDiffs() []*plan.Diff {
 	out := f.pending
 	f.pending = nil
@@ -526,6 +528,7 @@ func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent, quality bool) {
 			quality = true
 		}
 	}
+	//det:unordered only ORs a flag over the entries
 	for id, rem := range f.planRemaining {
 		if !rem.IsZero() && !live[id] {
 			quality = true
@@ -645,6 +648,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext) {
 	}
 
 	anyDeferred := false
+	//det:unordered writes one entry per key, read by key only
 	for id, j := range next.Jobs {
 		var total resource.Vector
 		for _, g := range j.Alloc {
@@ -1002,6 +1006,7 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 // of the full demand under hard caps, honoring load already placed.
 func (f *FlowTime) greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, next *plan.Plan) {
 	remaining := make(map[*planJob]int64, len(demand))
+	//det:unordered copies the map
 	for pj, d := range demand {
 		remaining[pj] = d
 	}

@@ -7,6 +7,7 @@ import (
 
 	"flowtime/internal/resource"
 	"flowtime/internal/workflow"
+	"flowtime/internal/workload"
 )
 
 const slot = 10 * time.Second
@@ -142,6 +143,42 @@ func TestDecomposeFallsBackWhenSlackNegative(t *testing.T) {
 	if res.Method != CriticalPath {
 		t.Errorf("Method = %v, want CriticalPath fallback", res.Method)
 	}
+}
+
+// TestForcedCriticalPathErrsWhenDecomposeErrs is what lets a caller take
+// Decompose's error as final: Decompose already falls back to the
+// critical path on negative slack, and every workflow it refuses — a
+// window shorter than one slot, a job needing a resource kind the cluster
+// has none of — the forced critical path refuses with the same error. Over
+// random DAGs, deadlines and clusters, both a refusal and a fallback must
+// occur.
+func TestForcedCriticalPathErrsWhenDecomposeErrs(t *testing.T) {
+	var refused, fellBack int
+	for seed := int64(0); seed < 5000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 1 + rng.Intn(12)
+		w, err := workload.RandomDAGWorkflow(rng, "w", nodes, rng.Intn(2*nodes), time.Duration(1+rng.Int63n(int64(2*time.Hour))))
+		if err != nil {
+			t.Fatalf("seed %d: RandomDAGWorkflow: %v", seed, err)
+		}
+		opts := Options{Slot: time.Duration(1+rng.Intn(60)) * time.Second, ClusterCap: resource.New(rng.Int63n(64), rng.Int63n(256*1024))}
+		res, err := Decompose(w, opts)
+		if err == nil {
+			if res.Method == CriticalPath {
+				fellBack++
+			}
+			continue
+		}
+		refused++
+		opts.ForceCriticalPath = true
+		if _, cpErr := Decompose(w, opts); cpErr == nil || cpErr.Error() != err.Error() {
+			t.Fatalf("seed %d: Decompose refused with %q, the forced critical path answered %v", seed, err, cpErr)
+		}
+	}
+	if refused == 0 || fellBack == 0 {
+		t.Fatalf("%d refusals and %d critical-path fallbacks: the sweep exercised too little", refused, fellBack)
+	}
+	t.Logf("%d refusals, %d critical-path fallbacks", refused, fellBack)
 }
 
 func TestCriticalPathWindowsRespectPrecedence(t *testing.T) {

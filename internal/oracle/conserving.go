@@ -45,9 +45,7 @@ type Conserving struct {
 
 // NewConserving builds the checked scheduler and its twin from cfg.
 func NewConserving(cfg core.Config) *Conserving {
-	twin := cfg
-	twin.StreamPlans = false // nobody drains the twin's diffs
-	return &Conserving{FlowTime: core.New(cfg), alone: core.New(twin), checker: sim.NewInvariantChecker()}
+	return &Conserving{FlowTime: core.New(cfg), alone: core.New(cfg), checker: sim.NewInvariantChecker()}
 }
 
 // Slots returns how many Assign calls passed the checks.

@@ -288,6 +288,30 @@ func TestShrinkMinimizes(t *testing.T) {
 	}
 }
 
+// TestShrinkScenarioMinimizes sanity-checks the scenario reducer on a
+// synthetic failure predicate: "fails whenever any workflow remains"
+// must shrink to exactly one workflow (dropping the last one makes the
+// predicate pass, so it must be kept) and a minimal horizon.
+func TestShrinkScenarioMinimizes(t *testing.T) {
+	sc, err := GenScenario(rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatalf("GenScenario: %v", err)
+	}
+	if len(sc.Workflows) < 2 {
+		t.Skipf("seed drew %d workflows, need >= 2", len(sc.Workflows))
+	}
+	min := ShrinkScenario(sc, func(c *Scenario) bool { return len(c.Workflows) >= 1 })
+	if len(min.Workflows) != 1 || len(min.Regimes) != 1 {
+		t.Fatalf("shrunk to %d workflows / %d regimes, want 1 / 1", len(min.Workflows), len(min.Regimes))
+	}
+	if len(min.AdHoc) != 0 {
+		t.Fatalf("shrunk scenario kept %d ad-hoc jobs, want 0", len(min.AdHoc))
+	}
+	if min.Horizon >= sc.Horizon {
+		t.Fatalf("shrink never reduced the horizon: %d -> %d", sc.Horizon, min.Horizon)
+	}
+}
+
 func TestGenScenarioDeterministic(t *testing.T) {
 	a, err := GenScenario(rand.New(rand.NewSource(7)))
 	if err != nil {

@@ -104,3 +104,49 @@ func clone(in Instance) Instance {
 		Jobs: append([]Job(nil), in.Jobs...),
 	}
 }
+
+// ShrinkScenario greedily minimizes a failing scenario: drop whole
+// workflows and ad-hoc jobs, then halve the horizon, keeping every
+// reduction for which fails still reports failure. fails must be
+// deterministic.
+func ShrinkScenario(sc *Scenario, fails func(*Scenario) bool) *Scenario {
+	cur := cloneScenario(sc)
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < len(cur.Workflows); i++ {
+			cand := cloneScenario(cur)
+			cand.Workflows = append(cand.Workflows[:i:i], cand.Workflows[i+1:]...)
+			cand.Regimes = append(cand.Regimes[:i:i], cand.Regimes[i+1:]...)
+			if fails(cand) {
+				cur, changed = cand, true
+				i--
+			}
+		}
+		for i := 0; i < len(cur.AdHoc); i++ {
+			cand := cloneScenario(cur)
+			cand.AdHoc = append(cand.AdHoc[:i:i], cand.AdHoc[i+1:]...)
+			if fails(cand) {
+				cur, changed = cand, true
+				i--
+			}
+		}
+		if h := cur.Horizon / 2; h >= 8 {
+			cand := cloneScenario(cur)
+			cand.Horizon = h
+			if fails(cand) {
+				cur, changed = cand, true
+			}
+		}
+	}
+	return cur
+}
+
+// cloneScenario shallow-copies the scenario with fresh slices, so
+// shrink candidates never alias each other.
+func cloneScenario(sc *Scenario) *Scenario {
+	out := *sc
+	out.Workflows = append(out.Workflows[:0:0], out.Workflows...)
+	out.AdHoc = append(out.AdHoc[:0:0], out.AdHoc...)
+	out.Regimes = append(out.Regimes[:0:0], out.Regimes...)
+	return &out
+}

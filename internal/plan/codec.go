@@ -1,16 +1,16 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 
 	"flowtime/internal/binenc"
-	"flowtime/internal/resource"
 )
 
-// One codec lives here, for diffs — one per replan under
-// core.Config.StreamPlans — in binary (internal/binenc: minimal
-// varints, length-prefixed strings):
+// The encoder of a diff, kept only for the whole-path benchmark's traced
+// pass (bench/trace.go), which times and sizes one encode per replan under
+// core.Config.StreamPlans. Nothing in this module decodes it; it goes with
+// that wrapper. The form is binary (internal/binenc: minimal varints,
+// length-prefixed strings):
 //
 //	diffTag
 //	BaseRev From NSlots                     NewRev is BaseRev+1, not stored
@@ -24,35 +24,13 @@ import (
 // workflow once. A job's slot ops are stored as runs of consecutive slots:
 // the first run's gap counts from the diff's From, a later run's gap is
 // the distance past the previous run's end minus one — two adjacent runs
-// cannot be spelled, so every slot set has exactly one encoding. The
-// decoder refuses unknown tags and flag values, non-minimal varints and
-// front-coded prefixes, counts the input cannot hold and trailing bytes,
-// and every decode ends in Validate: an accepted input re-encodes to
-// itself and is safe to hand to Apply (NSlots, the one header field Apply
-// sizes tables by, is held to MaxSlots there).
-//
-// A whole plan (a snapshot's, a rebase record's) is encoded as a diff too:
-// Compute(&Plan{Rev: p.Rev - 1}, p), the diff that builds it from the empty
-// plan one revision below it, every job an add that sets its nonzero
-// slots. Apply onto that empty base reads it back (internal/rmstate's
-// RecPlanRebase).
-//
-// One form. Before this one a diff opened with tag 0x01, spelled every ID
-// out and carried the planner's θ levels; before that diffs were JSON.
-// Whole plans were JSON until this form, with θ as "theta" before plans
-// became integers only. Nothing reads those forms: the journal that held
-// them is refused whole (internal/rmstate's walcodec.go says why that is
-// safe), and DecodeDiff and the rebase record's decode refuse each by name
-// rather than misread it.
+// cannot be spelled, so every slot set has exactly one encoding.
 
-// diffTag opens every binary diff; diffTagTheta opened the form before it.
-const (
-	diffTagTheta = 0x01
-	diffTag      = 0x02
-)
+// diffTag opens every encoded diff.
+const diffTag = 0x02
 
-// EncodeDiff serializes a diff. The diff is validated first so an
-// invalid diff can never be journaled.
+// EncodeDiff serializes a diff. The diff is validated first, so an
+// invalid diff is never encoded.
 func EncodeDiff(d *Diff) ([]byte, error) { return AppendDiff(nil, d) }
 
 // AppendDiff is EncodeDiff into a caller-owned buffer: the encoding is
@@ -115,87 +93,4 @@ func appendRuns(w *binenc.Writer, from int64, set []SlotSet) {
 		}
 		end = set[j-1].Slot + 1
 	}
-}
-
-// DecodeDiff deserializes and validates a diff. Malformed, non-canonical
-// and structurally invalid encodings are all refused with an error; a
-// successfully decoded diff is safe to hand to Apply and re-encodes to
-// the bytes it came from.
-func DecodeDiff(data []byte) (*Diff, error) {
-	r := binenc.NewReader(data)
-	switch tag := r.Byte(); {
-	case r.Err() != nil || tag == diffTag:
-	case tag == diffTagTheta:
-		return nil, errors.New("plan: diff decode: a tag 0x01 diff, the form with θ levels and spelled-out IDs that predates front coding, which is no longer read")
-	case tag == '{':
-		return nil, errors.New("plan: diff decode: a JSON diff, the pre-binary form that is no longer read")
-	default:
-		return nil, fmt.Errorf("plan: diff decode: unknown format tag %#x", tag)
-	}
-	d := &Diff{BaseRev: r.Int(), From: r.Int(), NSlots: r.Int()}
-	d.NewRev = d.BaseRev + 1 // Validate refuses the one BaseRev this would wrap on
-	// A front-coded ID is at least a prefix length and a suffix length.
-	if n := r.Count(2); n > 0 {
-		d.Remove = make([]string, n)
-		prev := ""
-		for i := range d.Remove {
-			d.Remove[i] = r.FrontString(prev)
-			prev = d.Remove[i]
-		}
-	}
-	// An update is at least its ID, the add flag, two window varints and a
-	// run count.
-	if n := r.Count(6); n > 0 {
-		d.Update = make([]JobUpdate, n)
-		prev := ""
-		for i := range d.Update {
-			u := &d.Update[i]
-			u.ID = r.FrontString(prev)
-			prev = u.ID
-			u.Add = r.Bool()
-			u.Window = Window{Rel: r.Int(), Dl: r.Int()}
-			u.Set = readRuns(&r, d.From)
-		}
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("plan: diff decode: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// readRuns is appendRuns' inverse. Slot arithmetic that would overflow
-// is refused here; order and range are Validate's to check.
-func readRuns(r *binenc.Reader, from int64) []SlotSet {
-	var set []SlotSet
-	end := from
-	// A run is a gap, a length and at least one allocation vector.
-	for i, runs := 0, r.Count(2+resource.NumKinds); i < runs; i++ {
-		gap := r.Int()
-		if i > 0 {
-			gap++
-		}
-		n := r.Count(resource.NumKinds)
-		if n == 0 && r.Err() == nil {
-			r.Fail(errors.New("empty slot run"))
-		}
-		if gap < 0 || end+gap < end || end+gap+int64(n) < end {
-			r.Fail(errors.New("slot run overflows int64"))
-		}
-		if r.Err() != nil {
-			return nil
-		}
-		slot := end + gap
-		for k := 0; k < n; k++ {
-			s := SlotSet{Slot: slot + int64(k)}
-			for ki := range s.Alloc {
-				s.Alloc[ki] = r.Int()
-			}
-			set = append(set, s)
-		}
-		end = slot + int64(n)
-	}
-	return set
 }

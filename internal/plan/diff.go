@@ -1,19 +1,12 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"flowtime/internal/resource"
 )
-
-// ErrStaleBase is returned (wrapped) by Apply when a diff's BaseRev does
-// not match the base plan's revision. A stale diff is refused loudly and
-// never partially applied; callers that own the live plan react by
-// rebasing on a full plan snapshot from the planner.
-var ErrStaleBase = errors.New("plan: diff base revision does not match live plan")
 
 // SlotSet sets one job's allocation at one absolute slot.
 type SlotSet struct {
@@ -22,10 +15,10 @@ type SlotSet struct {
 }
 
 // JobUpdate adds a job or updates an existing one. For an existing job
-// the base allocation is first rebased into the diff's [From, From+NSlots)
-// range (slots that fall outside are truncated, new slots start empty),
-// then Set is applied on top. Set entries must be sorted by slot with no
-// duplicates — a duplicate is an overlapping op and refused.
+// Set holds the slots whose allocation differs from the base allocation
+// rebased into the diff's [From, From+NSlots) range (slots that fall
+// outside are truncated, new slots start empty). Set entries are sorted by
+// slot with no duplicates — a duplicate is an overlapping op and refused.
 type JobUpdate struct {
 	ID     string    `json:"id"`
 	Add    bool      `json:"add,omitempty"`
@@ -33,11 +26,14 @@ type JobUpdate struct {
 	Set    []SlotSet `json:"set,omitempty"`
 }
 
-// Diff is one revision step of the live plan: BaseRev fences the plan it
-// was computed against, NewRev = BaseRev+1 is the revision Apply
-// produces. From/NSlots re-anchor the plan (replans advance the plan
-// window); jobs absent from both Remove and Update carry over with their
-// base allocation rebased into the new range.
+// Diff is one revision step of the live plan: BaseRev is the revision it
+// was computed against, NewRev = BaseRev+1 the revision it describes.
+// From/NSlots re-anchor the plan (replans advance the plan window); jobs
+// absent from both Remove and Update carry over with their base allocation
+// rebased into the new range. Nothing in this module reads one back: a
+// diff is produced (Compute), checked (Validate) and encoded (EncodeDiff)
+// only for the whole-path benchmark's traced pass, bench/trace.go, which
+// compiles against these and takes them with it when its wrapper goes.
 type Diff struct {
 	BaseRev int64       `json:"base_rev"`
 	NewRev  int64       `json:"new_rev"`
@@ -49,8 +45,7 @@ type Diff struct {
 
 // Validate checks the diff's structural invariants without reference to
 // any base plan: revision step of exactly one, non-negative anchor and
-// length with the length within MaxSlots (so Apply's NSlots-sized tables
-// are bounded), Remove and Update sorted with no duplicates and no overlap
+// length with the length within MaxSlots, Remove and Update sorted with no duplicates and no overlap
 // between them, windows valid, slot sets sorted, in range, unique, and
 // non-negative.
 func (d *Diff) Validate() error {
@@ -119,78 +114,11 @@ func rebaseAlloc(alloc []resource.Vector, oldFrom, newFrom, n int64) []resource.
 	return out
 }
 
-// Apply transactionally produces the successor plan. The base plan is
-// never mutated: on any error — stale base revision, structurally
-// invalid diff, update referencing the wrong job state, or a result
-// that fails plan validation — the caller's plan is exactly as before
-// and the error says why. On success the returned plan has revision
-// d.NewRev and validates.
-func Apply(base *Plan, d *Diff) (*Plan, error) {
-	if base == nil {
-		return nil, fmt.Errorf("plan: apply on nil base")
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.BaseRev != base.Rev {
-		return nil, fmt.Errorf("%w: diff base %d, live %d", ErrStaleBase, d.BaseRev, base.Rev)
-	}
-	next := &Plan{
-		Rev:    d.NewRev,
-		From:   d.From,
-		NSlots: d.NSlots,
-		Jobs:   make(map[string]Job, len(base.Jobs)+len(d.Update)),
-	}
-	// Carry over base jobs that are neither removed nor updated,
-	// rebasing their allocations into the new plan range.
-	removed := make(map[string]bool, len(d.Remove))
-	for _, id := range d.Remove {
-		if _, ok := base.Jobs[id]; !ok {
-			return nil, fmt.Errorf("plan: diff removes unknown job %q", id)
-		}
-		removed[id] = true
-	}
-	updated := make(map[string]bool, len(d.Update))
-	for _, u := range d.Update {
-		updated[u.ID] = true
-	}
-	for id, j := range base.Jobs {
-		if removed[id] || updated[id] {
-			continue
-		}
-		next.Jobs[id] = Job{
-			Window: j.Window,
-			Alloc:  rebaseAlloc(j.Alloc, base.From, d.From, d.NSlots),
-		}
-	}
-	for _, u := range d.Update {
-		var alloc []resource.Vector
-		if u.Add {
-			if _, ok := base.Jobs[u.ID]; ok {
-				return nil, fmt.Errorf("plan: diff adds job %q that already exists", u.ID)
-			}
-			alloc = make([]resource.Vector, d.NSlots)
-		} else {
-			j, ok := base.Jobs[u.ID]
-			if !ok {
-				return nil, fmt.Errorf("plan: diff updates unknown job %q (not marked add)", u.ID)
-			}
-			alloc = rebaseAlloc(j.Alloc, base.From, d.From, d.NSlots)
-		}
-		for _, s := range u.Set {
-			alloc[s.Slot-d.From] = s.Alloc
-		}
-		next.Jobs[u.ID] = Job{Window: u.Window, Alloc: alloc}
-	}
-	if err := next.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: diff application produced invalid plan: %w", err)
-	}
-	return next, nil
-}
-
-// Compute derives the minimal diff that transforms base into next. The
-// inverse of Apply: Apply(base, Compute(base, next)) reproduces next
-// exactly (content and revision). next.Rev must be base.Rev+1.
+// Compute derives the minimal diff that transforms base into next: the
+// jobs next lacks, and for every other job of next that is new or changed
+// its window and the slots that differ from its rebased base allocation.
+// next.Rev must be base.Rev+1. Its one caller is core.FlowTime's publish
+// under core.Config.StreamPlans, for the benchmark's traced pass.
 func Compute(base, next *Plan) *Diff {
 	d := &Diff{
 		BaseRev: base.Rev,
@@ -210,7 +138,7 @@ func Compute(base, next *Plan) *Diff {
 		u := JobUpdate{ID: id, Window: nj.Window, Add: !existed}
 		if existed {
 			// Diff against the base allocation rebased into the new
-			// range — exactly what Apply starts from.
+			// range.
 			rebased := rebaseAlloc(bj.Alloc, base.From, next.From, next.NSlots)
 			for off := range nj.Alloc {
 				if nj.Alloc[off] != rebased[off] {

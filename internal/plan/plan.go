@@ -1,21 +1,17 @@
-// Package plan defines the versioned multi-slot plan that flows from the
-// planner to the resource manager, and the diff protocol that replaces
-// wholesale plan handover.
+// Package plan defines the versioned multi-slot plan the scheduler
+// publishes: the resource manager's ad-hoc gate admits against it and
+// /v1/status reports it.
 //
 // A Plan is an immutable snapshot of the planner's output at one replan:
 // a monotonically increasing revision, the absolute slot the allocations
 // are anchored at, and per-job effective windows and per-slot allocations
-// — integers only. A Diff carries one revision step — jobs added or
-// removed, windows that moved, and exactly the slots whose allocations
-// changed — fenced by the base revision it was computed against.
+// — integers only.
 //
-// Apply is transactional: it either produces the complete successor plan
-// or returns an error and leaves the base untouched. A diff against the
-// wrong base revision is refused loudly (ErrStaleBase), never partially
-// applied; so are overlapping slot ops, unsorted op lists, and windows
-// or allocations that fail validation. The differential equivalence
-// harness in internal/oracle holds the whole protocol to the invariant
-// Apply(base, Compute(base, next)) ≡ next after every scheduling event.
+// A Diff carries one revision step — jobs added or removed, windows that
+// moved, and exactly the slots whose allocations changed. Diffs have a
+// producer and no reader: Compute, Diff.Validate and EncodeDiff are kept
+// only because the whole-path benchmark's traced pass (bench/trace.go)
+// compiles against them, and they go with that wrapper.
 package plan
 
 import (
@@ -27,12 +23,11 @@ import (
 )
 
 // MaxSlots is the longest plan Validate accepts. A plan is a dense table —
-// NSlots allocation vectors per job — so its length is an allocation size,
-// and it reaches Apply from decoded bytes: without a ceiling one flipped
-// varint byte is a makeslice panic or an OOM. 2^20
-// slots is twelve days of one-second slots, four orders of magnitude past
-// any horizon the planner is run at; a planner pushed beyond it has its
-// plan refused at the encode, loudly, instead of journaled.
+// NSlots allocation vectors per job — so its length is an allocation size.
+// 2^20 slots is twelve days of one-second slots, four orders of magnitude
+// past any horizon the planner is run at; a planner pushed beyond it has
+// its plan refused by the replan's post-validation, whose degradation
+// reason names the ceiling, and its jobs run unplanned.
 const MaxSlots = 1 << 20
 
 // checkRange is the anchor/length check Plan.Validate and Diff.Validate
@@ -83,21 +78,9 @@ type Plan struct {
 	Jobs map[string]Job `json:"jobs,omitempty"`
 }
 
-// Empty returns the pre-genesis plan: revision 0, no jobs. Every diff
-// stream starts from it.
+// Empty returns the pre-genesis plan: revision 0, no jobs. The first
+// replan publishes revision 1.
 func Empty() *Plan { return &Plan{} }
-
-// Clone deep-copies the plan.
-func (p *Plan) Clone() *Plan {
-	out := &Plan{Rev: p.Rev, From: p.From, NSlots: p.NSlots}
-	if p.Jobs != nil {
-		out.Jobs = make(map[string]Job, len(p.Jobs))
-		for id, j := range p.Jobs {
-			out.Jobs[id] = Job{Window: j.Window, Alloc: append([]resource.Vector(nil), j.Alloc...)}
-		}
-	}
-	return out
-}
 
 // AllocAt returns the job's allocation at an absolute slot (zero outside
 // the plan range or for unknown jobs).

@@ -420,10 +420,11 @@ type Offer struct {
 }
 
 // AdmitWorkflow decides a workflow's admission as its record, changing
-// nothing: re-anchored at the current slot, decomposed against capacity —
-// the deadline decomposition, then the critical-path fallback; infeasible
-// under both, it is admitted best-effort, each job windowed by the whole
-// span and left out of the joint LP. A known ID is a duplicate.
+// nothing: re-anchored at the current slot, decomposed against capacity
+// (deadline.Decompose, which falls back to the critical path itself when
+// the deadline is too tight for the antichain sets); a workflow it cannot
+// decompose is admitted best-effort, each job windowed by the whole span
+// and left out of the joint LP. A known ID is a duplicate.
 func (s *State) AdmitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow, capacity resource.Vector) (*RecWorkflow, error) {
 	if s.knownWorkflow(wf.ID) {
 		return nil, fmt.Errorf("rmstate: duplicate workflow %q", wf.ID)
@@ -438,12 +439,7 @@ func (s *State) AdmitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow, c
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}
-	opts := deadline.Options{Slot: s.slotDur, ClusterCap: capacity}
-	dec, derr := deadline.Decompose(wf, opts)
-	if derr != nil {
-		opts.ForceCriticalPath = true
-		dec, derr = deadline.Decompose(wf, opts)
-	}
+	dec, derr := deadline.Decompose(wf, deadline.Options{Slot: s.slotDur, ClusterCap: capacity})
 	bestEffort := derr != nil
 	wrec := &RecWorkflow{
 		WF:         rec,

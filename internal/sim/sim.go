@@ -507,11 +507,12 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // buildJobs materializes run state: decomposes every workflow into job
-// windows and registers ad-hoc jobs. Workflows with no feasible
-// decomposition — even under the critical-path fallback — are admitted
-// best-effort (every job gets the whole workflow span as its window)
-// instead of rejected, so one impossible deadline cannot abort the run or
-// poison the planners' joint LP.
+// windows (deadline.Decompose falls back to the critical path itself when
+// a deadline is too tight for the antichain sets) and registers ad-hoc
+// jobs. Workflows Decompose refuses are admitted best-effort (every job
+// gets the whole workflow span as its window) instead of rejected, so one
+// impossible deadline cannot abort the run or poison the planners' joint
+// LP.
 func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 	var jobs []*runJob
 	wfDeadlines := make(map[int]time.Duration, len(cfg.Workflows))
@@ -531,16 +532,11 @@ func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 		seen[wf.ID] = true
 		wfDeadlines[wi] = wf.Deadline
 
-		opts := deadline.Options{
+		dec, err := deadline.Decompose(wf, deadline.Options{
 			Slot:              cfg.SlotDur,
 			ClusterCap:        cfg.Capacity(int64(wf.Submit / cfg.SlotDur)),
 			ForceCriticalPath: cfg.ForceCriticalPath,
-		}
-		dec, err := deadline.Decompose(wf, opts)
-		if err != nil && !cfg.ForceCriticalPath {
-			opts.ForceCriticalPath = true
-			dec, err = deadline.Decompose(wf, opts)
-		}
+		})
 		bestEffort := err != nil
 		for ni := 0; ni < wf.NumJobs(); ni++ {
 			job := wf.Job(ni)
