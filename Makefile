@@ -60,15 +60,14 @@ race:
 chaos:
 	$(GO) test -race -timeout 300s -run 'Chaos|KillAndRestart|Graceful|Failover|Fencing|Replicator|Fault|Crash|CommitFail|RecoveryEquivalence|LiveEqualsReplay|PlanByDefault' ./cmd/ftrm/ ./internal/rmserver/ ./internal/store/
 
-# chaos-net runs the network chaos suites: the deterministic fault
-# injector's own tests, then the partition/flap/split-brain scenarios
-# and the agent's retry loop (bounded jitter, backoff after a refused
-# heartbeat, rotation rate, failover from a wedged RM) — all seeded, all
-# in-process (each test builds its netchaos.Script in Go), all under the race
-# detector with a hard ceiling. TestDocsNameWhatExists checks that every pattern here names a
-# test that exists.
+# chaos-net runs the network chaos suites: the partition/flap/split-brain
+# scenarios, each cutting links and losing replies through an
+# http.RoundTripper of its own that a flag or a request count drives, and
+# the agent's retry loop (bounded jitter, backoff after a refused
+# heartbeat, rotation rate, failover from a wedged RM) — all in-process,
+# all under the race detector with a hard ceiling. TestDocsNameWhatExists
+# checks that every pattern here names a test that exists.
 chaos-net:
-	$(GO) test -race -timeout 300s ./internal/netchaos/
 	$(GO) test -race -timeout 300s -run 'NetChaos|RetryBacksOff|Jitter|AgentAllRMsUnreachable|AgentLeavesWedgedRM|AgentKeepsLeases' ./internal/rmserver/
 
 # cover writes the per-package coverage summary to coverage.txt (kept as

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,16 +92,18 @@ func TestPlannerReadsNoWallClock(t *testing.T) {
 // it, which must decide from their inputs alone.
 var plannerDirs = []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched", "internal/sim", "internal/machine"}
 
-// TestPlannerRangesNoMapUnordered holds the same packages to the other half
-// of deciding from their inputs alone: Go randomizes map iteration order,
-// so no non-test file of them ranges over a map unless the loop only
-// collects the keys into a slice that the very next statement sorts, or
-// the loop carries a //det:unordered comment (on its line or the line
-// before) saying why its order cannot show in any result.
+// TestPlannerRangesNoMapUnordered holds the same packages, and
+// internal/rmstate, whose deciders make the records the RM journals, to the
+// other half of deciding from their inputs alone: Go randomizes map
+// iteration order, so no non-test file of them ranges over a map unless
+// the loop only collects the keys, all or those an if picks, into a slice
+// that the very next statement sorts, or the loop carries a
+// //det:unordered comment (on its line or the line before) saying why its
+// order cannot show in any result.
 func TestPlannerRangesNoMapUnordered(t *testing.T) {
 	unordered := 0
 	conf := types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
-	for _, dir := range plannerDirs {
+	for _, dir := range append(slices.Clip(plannerDirs), "internal/rmstate") {
 		fset, files := parsePackage(t, dir, false)
 		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 		if _, err := conf.Check(dir, fset, files, info); err != nil {
@@ -155,22 +158,24 @@ func TestPlannerRangesNoMapUnordered(t *testing.T) {
 }
 
 // collectsKeysSortedBy reports whether r only appends its map's keys to a
-// slice, r's body being that one append, and next sorts that slice.
+// slice, r's body being that one append or an if with no else around it,
+// and next sorts that slice.
 func collectsKeysSortedBy(r *ast.RangeStmt, next ast.Stmt) bool {
 	key, ok := r.Key.(*ast.Ident)
-	if !ok || (r.Value != nil && !isIdent(r.Value, "_")) || len(r.Body.List) != 1 {
+	if !ok || len(r.Body.List) != 1 {
 		return false
 	}
-	as, ok := r.Body.List[0].(*ast.AssignStmt)
+	body := r.Body.List[0]
+	if is, ok := body.(*ast.IfStmt); ok && is.Init == nil && is.Else == nil && len(is.Body.List) == 1 {
+		body = is.Body.List[0]
+	}
+	as, ok := body.(*ast.AssignStmt)
 	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 		return false
 	}
-	dst, ok := as.Lhs[0].(*ast.Ident)
-	if !ok {
-		return false
-	}
+	dst := types.ExprString(as.Lhs[0])
 	app, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok || !isIdent(app.Fun, "append") || len(app.Args) != 2 || !isIdent(app.Args[0], dst.Name) || !isIdent(app.Args[1], key.Name) {
+	if !ok || !isIdent(app.Fun, "append") || len(app.Args) != 2 || types.ExprString(app.Args[0]) != dst || !isIdent(app.Args[1], key.Name) {
 		return false
 	}
 	es, ok := next.(*ast.ExprStmt)
@@ -178,7 +183,7 @@ func collectsKeysSortedBy(r *ast.RangeStmt, next ast.Stmt) bool {
 		return false
 	}
 	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 || !isIdent(call.Args[0], dst.Name) {
+	if !ok || len(call.Args) == 0 || types.ExprString(call.Args[0]) != dst {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -80,19 +80,7 @@ func TestAgentRecoversFromRMRestart(t *testing.T) {
 		})
 	}()
 
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", what)
-	}
-
-	waitFor("agent to register with RM1", func() bool { return rm1.Status().Nodes == 1 })
+	pollUntil(t, "agent to register with RM1", func() bool { return rm1.Status().Nodes == 1 })
 
 	// RM1 dies with the agent mid-flight.
 	stop1()
@@ -100,7 +88,7 @@ func TestAgentRecoversFromRMRestart(t *testing.T) {
 	// A fresh RM — no node state, the restart case — on the same address.
 	// The port may need a moment to free up.
 	var ln2 net.Listener
-	waitFor("address to be reusable", func() bool {
+	pollUntil(t, "address to be reusable", func() bool {
 		var lerr error
 		ln2, lerr = net.Listen("tcp", addr)
 		return lerr == nil
@@ -109,7 +97,7 @@ func TestAgentRecoversFromRMRestart(t *testing.T) {
 	stop2 := serveRM(t, rm2, ln2)
 	defer stop2()
 
-	waitFor("agent to re-register with RM2", func() bool { return rm2.Status().Nodes == 1 })
+	pollUntil(t, "agent to re-register with RM2", func() bool { return rm2.Status().Nodes == 1 })
 
 	// Prove the agent resumed real work, not just registration: submit a
 	// job to RM2 and tick; the agent's heartbeats must confirm its leases.
@@ -132,7 +120,7 @@ func TestAgentRecoversFromRMRestart(t *testing.T) {
 			}
 		}
 	}()
-	waitFor("job submitted after restart to complete", func() bool { return allCompleted(rm2.Status()) })
+	pollUntil(t, "job submitted after restart to complete", func() bool { return allCompleted(rm2.Status()) })
 
 	cancel()
 	if err := <-agentErr; !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
@@ -264,19 +252,7 @@ func TestAgentKeepsLeasesAcrossTransportFailover(t *testing.T) {
 		})
 	}()
 
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", what)
-	}
-
-	waitFor("agent to register with RM A", func() bool { return rmA.Status().Nodes == 1 })
+	pollUntil(t, "agent to register with RM A", func() bool { return rmA.Status().Nodes == 1 })
 	if _, err := rmA.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
 		ID: "held", Tasks: 1, TaskDurSec: 1, DemandVCores: 1, DemandMemMB: 256,
 	}}); err != nil {
@@ -285,7 +261,7 @@ func TestAgentKeepsLeasesAcrossTransportFailover(t *testing.T) {
 	if err := rmA.Tick(time.Now()); err != nil {
 		t.Fatalf("Tick: %v", err)
 	}
-	waitFor("agent to pick the lease up", func() bool {
+	pollUntil(t, "agent to pick the lease up", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return executing
@@ -296,8 +272,8 @@ func TestAgentKeepsLeasesAcrossTransportFailover(t *testing.T) {
 
 	// The agent fails over to RM B, re-registers, and re-reports the
 	// completion of a lease B never issued — observed as a stale confirm.
-	waitFor("agent to fail over to RM B", func() bool { return rmB.Status().Nodes == 1 })
-	waitFor("retained lease to be re-reported to RM B", func() bool {
+	pollUntil(t, "agent to fail over to RM B", func() bool { return rmB.Status().Nodes == 1 })
+	pollUntil(t, "retained lease to be re-reported to RM B", func() bool {
 		return rmB.Status().Faults.StaleConfirms >= 1
 	})
 

@@ -2,11 +2,19 @@ package rmserver
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"flowtime/internal/core"
+	"flowtime/internal/rmproto"
 	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
+	"flowtime/internal/trace"
+	"flowtime/internal/workflow"
+	"flowtime/internal/workload"
 )
 
 // completedSizes are the histories the read-path benchmarks run over; the
@@ -127,4 +135,82 @@ func BenchmarkReplayDecode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payloads)), "ns/record")
 	b.ReportMetric(float64(size)/float64(len(payloads)), "B/record")
+}
+
+// BenchmarkFirstTickAtScale is the first tick of a FlowTime RM, ad-hoc
+// gate on, that a burst of workflows meets on a large cluster: 1,024
+// nodes of 16 vcores and 64 GiB, 60 s slots, and 100, 400 or 800
+// generated 12-job workflows submitted at slot 0 outside the timer. Each
+// iteration times that tick on a fresh cluster. It also reports, per
+// iteration, one heartbeat round after it, the steady tick after that,
+// one Status(), the time the first tick spent in the flow planner, and
+// the replans whose deadline slack was dropped.
+func BenchmarkFirstTickAtScale(b *testing.B) {
+	for _, wfs := range []int{100, 400, 800} {
+		b.Run(fmt.Sprintf("%d_jobs", 12*wfs), func(b *testing.B) {
+			recs := scaleWorkflows(b, wfs)
+			var beat, steady, status, lp time.Duration
+			dropped := 0
+			timed := func(f func()) time.Duration {
+				start := time.Now()
+				f()
+				return time.Since(start)
+			}
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				ft := core.New(core.DefaultConfig())
+				c := newCluster(b, Config{Scheduler: ft, AdHocGate: true, SlotDur: time.Minute}, nil)
+				for n := range 1024 {
+					c.register(fmt.Sprintf("n%04d", n), 16, 64*1024)
+				}
+				for _, rec := range recs {
+					if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: rec}); err != nil {
+						b.Fatalf("SubmitWorkflow(%s): %v", rec.ID, err)
+					}
+				}
+				b.StartTimer()
+				c.tick()
+				b.StopTimer()
+				st := ft.Stats()
+				lp += st.LP.Duration
+				dropped += st.SlackDropped
+				beat += timed(func() { c.beatAll(nil) })
+				steady += timed(c.tick)
+				status += timed(func() { c.rm.Status() })
+			}
+			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+			b.ReportMetric(perOp(beat), "beat_round_ms")
+			b.ReportMetric(perOp(steady), "steady_tick_ms")
+			b.ReportMetric(perOp(status), "status_ms")
+			b.ReportMetric(perOp(lp), "lp_ms")
+			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
+		})
+	}
+}
+
+// scaleWorkflows generates n 12-job workflows from seed 1, the DAG shapes
+// rotating and each deadline 6× its critical path.
+func scaleWorkflows(tb testing.TB, n int) []trace.WorkflowRecord {
+	tb.Helper()
+	shapes := []workload.Shape{
+		workload.ShapeFanOut, workload.ShapeDiamond, workload.ShapeMontage,
+		workload.ShapeEpigenomics, workload.ShapeRandom, workload.ShapeCyberShake,
+		workload.ShapeSipht, workload.ShapeChain,
+	}
+	rng := rand.New(rand.NewSource(1))
+	wfs := make([]*workflow.Workflow, n)
+	for i := range wfs {
+		wf, err := workload.GenerateWorkflow(rng, workload.WorkflowSpec{
+			ID: fmt.Sprintf("wf%04d", i), Shape: shapes[i%len(shapes)], Jobs: 12, DeadlineFactor: 6,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		wfs[i] = wf
+	}
+	tr, err := trace.FromWorkload(wfs, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr.Workflows
 }

@@ -190,6 +190,19 @@ func submitAdHoc(tb testing.TB, rm *Server, id string, tasks int, durSec int64) 
 	}
 }
 
+// pollUntil polls cond, which a goroutine beside the test makes true,
+// until it holds, failing the test after 15 s.
+func pollUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func quantumIDs(qs []rmproto.Quantum) []string {
 	ids := make([]string, 0, len(qs))
 	for _, q := range qs {

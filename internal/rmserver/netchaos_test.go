@@ -1,35 +1,59 @@
 package rmserver
 
 // Network chaos suites: the control plane under partitions, flaps, and
-// asymmetric reachability, with every fault injected deterministically
-// by internal/netchaos (fixed seeds, scripted windows). Each scenario
-// ends at the recovery-equivalence oracle — the surviving RM's in-memory
-// state must equal a cold recovery of its own store — plus the
-// exactly-once check that every job's delivered volume equals its total.
+// asymmetric reachability. A node manager and a standby reach the RM only
+// over HTTP, so each scenario injects its faults through a faultyLink in
+// its own client: a request that never arrives, or a reply lost after the
+// server handled the request. Every fault is decided by a flag the test
+// sets or by counting requests, never by a clock. Each scenario ends at
+// the recovery-equivalence oracle — the surviving RM's in-memory state
+// must equal a cold recovery of its own store — plus the exactly-once
+// check that every job's delivered volume equals its total.
 
 import (
 	"context"
 	"errors"
-	"net"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"flowtime/internal/netchaos"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/trace"
 )
 
-// chaosClock is a virtual timeline for the injector (tests pin fault
-// windows to it instead of racing the wall clock).
-type chaosClock struct{ now atomic.Int64 }
+// faultyLink is an http.RoundTripper over http.DefaultTransport that
+// cuts a client's link to its RMs as the test decides: a request that
+// drop reports true for never reaches the server, and when loseReply
+// reports true the server has handled the request and its reply is
+// thrown away, the case that makes a client retry what already took
+// effect. Either may be nil; dropped and lost count what each did.
+type faultyLink struct {
+	drop          func(*http.Request) bool
+	loseReply     func() bool
+	dropped, lost atomic.Int64
+}
 
-func (c *chaosClock) set(d time.Duration) { c.now.Store(int64(d)) }
-func (c *chaosClock) read() time.Duration { return time.Duration(c.now.Load()) }
+func (l *faultyLink) RoundTrip(req *http.Request) (*http.Response, error) {
+	if l.drop != nil && l.drop(req) {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		l.dropped.Add(1)
+		return nil, errors.New("faultyLink: request dropped")
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || l.loseReply == nil || !l.loseReply() {
+		return resp, err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	l.lost.Add(1)
+	return nil, errors.New("faultyLink: reply lost")
+}
 
 // assertExactlyOnce checks the completed workload delivered every job's
 // volume exactly once and the RM passes the recovery-equivalence oracle.
@@ -65,10 +89,13 @@ func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
 	f := newCluster(t, Config{Follower: true, LeaderURL: psrv.URL}, &durable{})
 	follower := f.rm
 
-	// The partition window lives on a virtual clock the test advances.
-	inj := netchaos.New(1001, netchaos.Script{{Fault: netchaos.Partition, From: "repl", To: "rm", Bidir: true, Start: time.Second, End: 2 * time.Second}})
-	clk := &chaosClock{}
-	inj.SetClock(clk.read)
+	// While cut is set the link is down both ways: no ship request
+	// arrives, and the reply of one already in flight is lost.
+	var cut atomic.Bool
+	link := &faultyLink{
+		drop:      func(*http.Request) bool { return cut.Load() },
+		loseReply: cut.Load,
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -77,42 +104,39 @@ func TestNetChaosReplicationPartitionMidShipment(t *testing.T) {
 		replDone <- follower.RunReplicator(ctx, ReplicatorConfig{
 			Primary:    psrv.URL,
 			Interval:   2 * time.Millisecond,
-			HTTPClient: &http.Client{Transport: &netchaos.Transport{Injector: inj, From: "repl", To: "rm"}},
+			HTTPClient: &http.Client{Transport: link},
 		})
 	}()
-	waitConverged := func(what string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for follower.store.Watermark() != primary.store.Watermark() {
-			if time.Now().After(deadline) {
-				t.Fatalf("follower never converged %s: %v vs %v", what,
-					follower.store.Watermark(), primary.store.Watermark())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
+	converged := func() bool { return follower.store.Watermark() == primary.store.Watermark() }
 
 	// Phase 1 (link up): ship the first part of the stream.
 	p.register("n1", 8, 16*1024)
 	submitBoth(t, primary)
 	p.run(2)
-	waitConverged("before the partition")
+	pollUntil(t, "the follower to converge before the partition", converged)
 
-	// Phase 2 (partition): the primary keeps working; nothing ships.
-	clk.set(1500 * time.Millisecond)
+	// Phase 2 (partition): the primary keeps working; nothing ships. The
+	// follower has all the primary had when the link is cut, so its
+	// watermark must not move until the link heals — checked while the
+	// replicator retries ten times over the cut link after the primary's
+	// new records exist.
+	cut.Store(true)
 	behindWM := follower.store.Watermark()
 	p.run(2)
 	if primary.store.Watermark() == behindWM {
 		t.Fatal("primary journaled nothing during the partition — scenario needs mid-stream state")
 	}
-	time.Sleep(50 * time.Millisecond) // give a broken replicator time to wrongly advance
-	if follower.store.Watermark() != behindWM {
-		t.Fatal("follower watermark advanced across an active partition")
-	}
+	retries := link.dropped.Load() + 10
+	pollUntil(t, "the replicator to retry over the cut link", func() bool {
+		if follower.store.Watermark() != behindWM {
+			t.Fatal("follower watermark advanced across an active partition")
+		}
+		return link.dropped.Load() >= retries
+	})
 
 	// Phase 3 (heal): the backlog drains and the follower converges.
-	clk.set(2500 * time.Millisecond)
-	waitConverged("after healing")
+	cut.Store(false)
+	pollUntil(t, "the follower to converge after healing", converged)
 
 	// Primary dies; the standby takes over and the workload finishes.
 	if _, err := follower.Promote(); err != nil {
@@ -141,9 +165,15 @@ func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
 	f := newCluster(t, Config{Follower: true, LeaderURL: psrv.URL}, &durable{})
 	follower := f.rm
 
-	// Real-clock flap: 30ms up, 30ms down, forever. Ship requests and
-	// responses are judged independently, so response-only losses occur.
-	inj := netchaos.New(77, netchaos.Script{{Fault: netchaos.Partition, From: "repl", To: "rm", Bidir: true, Period: 60 * time.Millisecond, Duty: 0.5}})
+	// The link flaps by count from the first ship request: of every three
+	// requests the first is dropped, and of every two delivered the first
+	// loses its reply, so the primary ships batches the follower never
+	// sees and must ship again.
+	var sent, delivered atomic.Int64
+	link := &faultyLink{
+		drop:      func(*http.Request) bool { return sent.Add(1)%3 == 1 },
+		loseReply: func() bool { return delivered.Add(1)%2 == 1 },
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -152,21 +182,30 @@ func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
 		replDone <- follower.RunReplicator(ctx, ReplicatorConfig{
 			Primary:    psrv.URL,
 			Interval:   2 * time.Millisecond,
-			HTTPClient: &http.Client{Transport: &netchaos.Transport{Injector: inj, From: "repl", To: "rm"}},
+			HTTPClient: &http.Client{Transport: link},
 		})
 	}()
 
+	// The primary journals in steps, and each step's records cross the
+	// link while it carries three more ship requests: one fault cycle.
+	shipThrough := func() {
+		n := sent.Load() + 3
+		pollUntil(t, "three ship requests over the flapping link", func() bool { return sent.Load() >= n })
+	}
 	p.register("n1", 8, 16*1024)
+	shipThrough()
 	submitBoth(t, primary)
-	p.run(4)
+	shipThrough()
+	for range 4 {
+		p.run(1)
+		shipThrough()
+	}
 
-	deadline := time.Now().Add(15 * time.Second)
-	for follower.store.Watermark() != primary.store.Watermark() {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never converged through the flapping link: %v vs %v",
-				follower.store.Watermark(), primary.store.Watermark())
-		}
-		time.Sleep(5 * time.Millisecond)
+	pollUntil(t, "the follower to converge through the flapping link", func() bool {
+		return follower.store.Watermark() == primary.store.Watermark()
+	})
+	if dropped, lost := link.dropped.Load(), link.lost.Load(); dropped == 0 || lost == 0 {
+		t.Fatalf("the follower converged before the link flapped: %d requests dropped, %d replies lost", dropped, lost)
 	}
 
 	if _, err := follower.Promote(); err != nil {
@@ -180,21 +219,6 @@ func TestNetChaosFlappingLinkDuringFailover(t *testing.T) {
 	f.register("n1", 8, 16*1024)
 	st := f.runToCompletion(200)
 	assertExactlyOnce(t, follower, st)
-}
-
-// hostChaosRT routes each request's fault link by target host, so one
-// http.Client can reach several RMs over independently-scripted links.
-type hostChaosRT struct {
-	inj   *netchaos.Injector
-	hosts map[string]string // URL host -> link label
-}
-
-func (rt *hostChaosRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	label, ok := rt.hosts[req.URL.Host]
-	if !ok {
-		label = req.URL.Host
-	}
-	return (&netchaos.Transport{Injector: rt.inj, From: "agent", To: label}).RoundTrip(req)
 }
 
 // TestNetChaosAsymmetricSplitBrain is the dueling-primaries scenario:
@@ -223,14 +247,9 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 		})
 	}()
 
-	inj := netchaos.New(42, netchaos.Script{{Fault: netchaos.Partition, From: "agent", To: "rmp"}})
-	agentHC := &http.Client{Transport: &hostChaosRT{
-		inj: inj,
-		hosts: map[string]string{
-			strings.TrimPrefix(psrv.URL, "http://"): "rmp",
-			strings.TrimPrefix(fsrv.URL, "http://"): "rmf",
-		},
-	}}
+	primaryHost := psrv.Listener.Addr().String()
+	link := &faultyLink{drop: func(req *http.Request) bool { return req.URL.Host == primaryHost }}
+	agentHC := &http.Client{Transport: link}
 	agentDone := make(chan error, 1)
 	go func() {
 		agentDone <- RunAgent(ctx, NewClient(psrv.URL, agentHC), AgentConfig{
@@ -243,8 +262,8 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 	}()
 
 	// The agent churns: primary unreachable, standby answers not_leader.
-	// It must not land anywhere yet.
-	time.Sleep(150 * time.Millisecond)
+	// It must not land anywhere while it tries the primary five times.
+	pollUntil(t, "the agent to try the unreachable primary", func() bool { return link.dropped.Load() >= 5 })
 	if n := primary.Status().Nodes; n != 0 {
 		t.Fatalf("agent registered with the unreachable primary (%d nodes)", n)
 	}
@@ -270,18 +289,7 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 	}
 
 	// The agent finds the new leader on its own.
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", what)
-	}
-	waitFor("agent to register with the new leader", func() bool { return follower.Status().Nodes == 1 })
+	pollUntil(t, "agent to register with the new leader", func() bool { return follower.Status().Nodes == 1 })
 
 	// Work submitted to the new leader completes via the real agent.
 	if _, err := follower.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
@@ -303,61 +311,9 @@ func TestNetChaosAsymmetricSplitBrain(t *testing.T) {
 			}
 		}
 	}()
-	waitFor("workload to complete on the new leader", func() bool { return allCompleted(follower.Status()) })
+	pollUntil(t, "workload to complete on the new leader", func() bool { return allCompleted(follower.Status()) })
 
 	cancel()
 	<-agentDone
 	assertExactlyOnce(t, follower, follower.Status())
-}
-
-// chaosListen serves rm on a loopback listener wrapped with a fresh
-// injector running script, and returns its base URL.
-func chaosListen(t *testing.T, rm *Server, seed int64, script netchaos.Script) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(serveRM(t, rm, netchaos.WrapListener(ln, netchaos.New(seed, script), "c", "s")))
-	return "http://" + ln.Addr().String()
-}
-
-// TestNetChaosCodedErrorsThroughWrappedListener is the plumbing test:
-// coded errors are header/body-based, not connection-based, so they
-// survive a degraded-but-connected network. Both netchaos seams are
-// exercised — the wrapped server listener under latency and throttling,
-// and the client's RoundTripper.
-func TestNetChaosCodedErrorsThroughWrappedListener(t *testing.T) {
-	ctx := context.Background()
-	register := func(c *Client) error {
-		_, err := c.RegisterNode(ctx, rmproto.RegisterNodeRequest{
-			NodeID: "n1", Capacity: rmproto.Resources{VCores: 1, MemoryMB: 1024},
-		})
-		return err
-	}
-
-	// not_leader through a throttled listener: the hint survives.
-	follower := newCluster(t, Config{Follower: true, LeaderURL: "http://leader.example:8030"}, &durable{}).rm
-	furl := chaosListen(t, follower, 9, netchaos.Script{
-		{Fault: netchaos.Throttle, From: "c", To: "s", Bidir: true, BytesPerSec: 65536},
-		{Fault: netchaos.Latency, From: "c", To: "s", Latency: 2 * time.Millisecond},
-	})
-	err := register(NewClient(furl, nil))
-	if !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("register via wrapped listener = %v, want ErrNotLeader", err)
-	}
-	if hint := LeaderHint(err); hint != "http://leader.example:8030" {
-		t.Errorf("leader hint %q did not survive the wrapped listener", hint)
-	}
-
-	// not_leader again with the RoundTripper seam on the client side too.
-	latency := netchaos.Script{{Fault: netchaos.Latency, From: "c", To: "s", Latency: time.Millisecond}}
-	chaosHC := &http.Client{Transport: &netchaos.Transport{Injector: netchaos.New(12, latency), From: "c", To: "s"}}
-	err = register(NewClient(chaosListen(t, follower, 11, latency), chaosHC))
-	if !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("register via transport and wrapped listener = %v, want ErrNotLeader", err)
-	}
-	if hint := LeaderHint(err); hint != "http://leader.example:8030" {
-		t.Errorf("leader hint %q did not survive the transport", hint)
-	}
 }

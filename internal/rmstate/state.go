@@ -560,6 +560,7 @@ func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []
 	}
 	inFlight := func(j *Job) resource.Vector { return j.InFlight.SubClamped(back[j]) }
 	states := make([]sched.JobState, 0, len(s.jobs))
+	//det:unordered states is sorted by arrival, then ID, right after the loop
 	for _, j := range s.jobs {
 		remaining := j.Total.SubClamped(j.Delivered).SubClamped(inFlight(j))
 		st := sched.JobState{
@@ -762,6 +763,7 @@ func (s *State) Snapshot() ([]byte, error) {
 	}
 	if len(s.leases) > 0 {
 		tick := &RecTick{Slot: s.slot}
+		//det:unordered the grants are sorted by quantum number right after the loop
 		for _, l := range s.leases {
 			tick.Grants = append(tick.Grants, RecGrant{QID: l.QID, JobID: l.Job.ID, NodeID: l.NodeID, Grant: l.Grant, Expiry: l.Expiry})
 		}
