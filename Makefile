@@ -138,11 +138,14 @@ fuzz:
 # -days 1 -seed 42`, which scenario's TestSmokeTraceIsItsGenerator
 # checks byte for byte) through the machine-granular simulator with the
 # per-machine invariant checker armed, then replays a generated churn
-# scenario so join/fail/scale events are exercised too. Both finish in
-# well under a second.
+# scenario so join/fail/scale events are exercised too, and a generated
+# stragglers scenario, the one whose jobs run off their estimates (2-4x
+# for a quarter of them), under FlowTime. Each finishes in well under a
+# second.
 sim-smoke:
 	$(GO) run ./cmd/ftsim -trace testdata/scenario-smoke.json -machines 40 -slot 60s -horizon 1440 -sched FlowTime -invariants
 	$(GO) run ./cmd/ftsim -scenario churn -machines 40 -days 1 -seed 42 -sched EDF -invariants
+	$(GO) run ./cmd/ftsim -scenario stragglers -machines 40 -days 1 -seed 42 -sched FlowTime -invariants
 
 # bench runs the micro-benchmarks — among them internal/flow's
 # BenchmarkLexMinMax, one replan's skyline at the paper's Fig. 7 scale

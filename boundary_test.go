@@ -49,31 +49,33 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 }
 
 // TestPlannerReadsNoWallClock holds the planner — internal/core,
-// internal/flow, internal/plan, internal/deadline and internal/sched — and
-// the simulator that replays it, internal/sim and internal/machine, to
-// deciding from their inputs alone: no non-test file of them calls
-// time.Now or time.Since, except inside core.(*FlowTime).runPlanner, which
-// times each flow planner call for the stats, or calls a package-level
-// math/rand function other than the constructors of a seeded generator.
-// The ad-hoc gate admits against the plan the scheduler publishes, and a
-// restarted or promoted RM plans again from the journaled work, so the
-// same inputs must make the same plan; a seeded simulation must replay
+// internal/flow, internal/plan, internal/deadline and internal/sched —, the
+// simulator that replays it, internal/sim and internal/machine, and the
+// RM around it, internal/rmserver and internal/store, to deciding from
+// their inputs alone: no non-test file of them calls time.Now or
+// time.Since, or a package-level math/rand function other than the
+// constructors of a seeded generator, outside the seams below. The ad-hoc
+// gate admits against the plan the scheduler publishes, and a restarted or
+// promoted RM plans again from the journaled work, so the same inputs must
+// make the same plan and the same records; a seeded simulation must replay
 // bit for bit.
 func TestPlannerReadsNoWallClock(t *testing.T) {
 	seeded := map[string]bool{"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true}
-	for _, dir := range plannerDirs {
+	for _, dir := range append(slices.Clip(plannerDirs), "internal/rmserver", "internal/store") {
 		fset, files := parsePackage(t, dir, false)
 		for _, f := range files {
 			timePkg := importName(f, "time")
 			randPkg := cmp.Or(importName(f, "math/rand"), importName(f, "math/rand/v2"))
 			for _, decl := range f.Decls {
-				timed := dir == "internal/core" && isMethod(decl, "FlowTime", "runPlanner")
+				if slices.Contains(clockSeams[dir], funcName(decl)) {
+					continue
+				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					e, ok := n.(ast.Expr)
 					if !ok {
 						return true
 					}
-					if !timed && timePkg != "" && (isCall(e, timePkg, "Now") || isCall(e, timePkg, "Since")) {
+					if timePkg != "" && (isCall(e, timePkg, "Now") || isCall(e, timePkg, "Since")) {
 						t.Errorf("%s reads the wall clock", fset.Position(n.Pos()))
 					}
 					if call, ok := e.(*ast.CallExpr); ok && randPkg != "" {
@@ -88,22 +90,40 @@ func TestPlannerReadsNoWallClock(t *testing.T) {
 	}
 }
 
+// clockSeams are the functions, by package, that TestPlannerReadsNoWallClock
+// lets read the clock or the unseeded generator. None of them decides what
+// is planned or journaled:
+//   - (*FlowTime).runPlanner times each flow planner call for the stats;
+//   - (*Server).Handler stamps the HTTP layer's registrations, heartbeats
+//     and ticks with the time they arrived, which the server then decides
+//     from;
+//   - (*Server).recoverLocked and store.Open time the recovery they report;
+//   - newInstance names the archive of this process's completed jobs;
+//   - Backoff.Delay jitters an agent's retries;
+//   - (*wal).waitSynced times each fsync for the durability stats.
+var clockSeams = map[string][]string{
+	"internal/core":     {"(*FlowTime).runPlanner"},
+	"internal/rmserver": {"(*Server).Handler", "(*Server).recoverLocked", "newInstance", "Backoff.Delay"},
+	"internal/store":    {"Open", "(*wal).waitSynced"},
+}
+
 // plannerDirs are the planner's packages and the simulator's that replays
 // it, which must decide from their inputs alone.
 var plannerDirs = []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched", "internal/sim", "internal/machine"}
 
 // TestPlannerRangesNoMapUnordered holds the same packages, and
 // internal/rmstate, whose deciders make the records the RM journals, to the
-// other half of deciding from their inputs alone: Go randomizes map
-// iteration order, so no non-test file of them ranges over a map unless
-// the loop only collects the keys, all or those an if picks, into a slice
-// that the very next statement sorts, or the loop carries a
-// //det:unordered comment (on its line or the line before) saying why its
-// order cannot show in any result.
+// other half of deciding from their inputs alone, and internal/rmserver and
+// internal/store, which carry those records to the disk and the wire, too:
+// Go randomizes map iteration order, so no non-test file of them ranges
+// over a map unless the loop only collects the keys, all or those an if
+// picks, into a slice that the very next statement sorts, or the loop
+// carries a //det:unordered comment (on its line or the line before)
+// saying why its order cannot show in any result.
 func TestPlannerRangesNoMapUnordered(t *testing.T) {
 	unordered := 0
 	conf := types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
-	for _, dir := range append(slices.Clip(plannerDirs), "internal/rmstate") {
+	for _, dir := range append(slices.Clip(plannerDirs), "internal/rmstate", "internal/rmserver", "internal/store") {
 		fset, files := parsePackage(t, dir, false)
 		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 		if _, err := conf.Check(dir, fset, files, info); err != nil {
@@ -270,17 +290,20 @@ func importName(f *ast.File, path string) string {
 	return ""
 }
 
-// isMethod reports whether decl declares the method name on *recv or recv.
-func isMethod(decl ast.Decl, recv, name string) bool {
+// funcName names the function decl declares: "Name", "Recv.Name" or
+// "(*Recv).Name"; "" for any other declaration.
+func funcName(decl ast.Decl) string {
 	fn, ok := decl.(*ast.FuncDecl)
-	if !ok || fn.Recv == nil || len(fn.Recv.List) != 1 || fn.Name.Name != name {
-		return false
+	if !ok {
+		return ""
 	}
-	typ := fn.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
+	if fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return fn.Name.Name
 	}
-	return isIdent(typ, recv)
+	if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+		return "(*" + types.ExprString(star.X) + ")." + fn.Name.Name
+	}
+	return types.ExprString(fn.Recv.List[0].Type) + "." + fn.Name.Name
 }
 
 func isIdent(e ast.Expr, name string) bool {

@@ -23,18 +23,43 @@ import (
 	"flowtime/internal/trace"
 )
 
-// buildFTRM compiles the ftrm binary once per test run.
+// ftrmBin is the ftrm binary TestMain builds for the process tests, ""
+// when it could not; ftrmSkip or ftrmErr then says why.
+var (
+	ftrmBin  string
+	ftrmSkip string
+	ftrmErr  error
+)
+
+// TestMain compiles the ftrm binary once for every test in the run.
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "ftrm-test-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		ftrmSkip = "go toolchain not in PATH"
+	} else if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, "ftrm"), ".").CombinedOutput(); err != nil {
+		ftrmErr = fmt.Errorf("go build ftrm: %v\n%s", err, out)
+	} else {
+		ftrmBin = filepath.Join(dir, "ftrm")
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildFTRM returns the ftrm binary TestMain built.
 func buildFTRM(t *testing.T) string {
 	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not in PATH")
+	if ftrmSkip != "" {
+		t.Skip(ftrmSkip)
 	}
-	bin := filepath.Join(t.TempDir(), "ftrm")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build ftrm: %v\n%s", err, out)
+	if ftrmErr != nil {
+		t.Fatal(ftrmErr)
 	}
-	return bin
+	return ftrmBin
 }
 
 func freePort(t *testing.T) int {

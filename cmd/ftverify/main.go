@@ -29,6 +29,7 @@ import (
 	"flowtime/internal/oracle"
 	"flowtime/internal/resource"
 	"flowtime/internal/sim"
+	"flowtime/internal/workload"
 )
 
 func main() {
@@ -202,7 +203,7 @@ func scenarioCase(rng *rand.Rand, verbose bool, counts map[string]int) error {
 		}
 	}
 
-	base, err := checkedRun(sc, nil, counts)
+	base, err := checkedRun(sc, counts)
 	if err != nil {
 		return err
 	}
@@ -212,7 +213,7 @@ func scenarioCase(rng *rand.Rand, verbose bool, counts map[string]int) error {
 	}
 
 	if rng.Intn(3) == 0 && len(sc.Workflows)+len(sc.AdHoc) > 1 {
-		perm, _, err := runScenario(sc, rng, nil)
+		perm, _, err := runScenario(sc, rng)
 		if err != nil {
 			return fmt.Errorf("permuted run: %w", err)
 		}
@@ -232,10 +233,17 @@ func scenarioCase(rng *rand.Rand, verbose bool, counts map[string]int) error {
 		// straggling: jobs outlive their plan, and the overdue and backlog
 		// passes — deadline work's claims beyond the plan — decide beside
 		// the ad-hoc stream in most slots instead of a few. The fault seed
-		// is fixed, so the case's rng draws stay where they were.
+		// is fixed, so the case's rng draws stay where they were; the
+		// durations are drawn into the workflows up front, so a shrunk
+		// reproducer keeps the ones it failed under.
 		counts["adhoc-removal"]++
-		faults := &sim.FaultInjection{Seed: 1, RuntimeJitter: 0.3, StragglerFrac: 0.2, StragglerFactor: 3}
-		if _, err := checkedRun(sc, faults, counts); err != nil {
+		faults := rand.New(rand.NewSource(1))
+		for _, w := range sc.Workflows {
+			if err := workload.InjectEstimationError(faults, w, -0.3, 0.3, 0.2); err != nil {
+				return err
+			}
+		}
+		if _, err := checkedRun(sc, counts); err != nil {
 			return fmt.Errorf("under chaos: %w", err)
 		}
 	}
@@ -245,9 +253,9 @@ func scenarioCase(rng *rand.Rand, verbose bool, counts map[string]int) error {
 // checkedRun is runScenario in submission order, with every slot required
 // to have passed both the invariant checker and oracle.Conserving; a
 // failure is shrunk to a minimal scenario and folded into the error.
-func checkedRun(sc *oracle.Scenario, faults *sim.FaultInjection, counts map[string]int) (*sim.Result, error) {
+func checkedRun(sc *oracle.Scenario, counts map[string]int) (*sim.Result, error) {
 	run := func(c *oracle.Scenario) (*sim.Result, error) {
-		res, conserving, err := runScenario(c, nil, faults)
+		res, conserving, err := runScenario(c, nil)
 		if err == nil && (res.InvariantSlots != res.Slots || conserving != res.Slots) {
 			err = fmt.Errorf("invariant checker covered %d and the work-conservation check %d of %d slots",
 				res.InvariantSlots, conserving, res.Slots)
@@ -270,9 +278,8 @@ func checkedRun(sc *oracle.Scenario, faults *sim.FaultInjection, counts map[stri
 // runScenario executes the scenario with FlowTime, the invariant checker
 // and oracle.Conserving's checks on every Assign (a violation fails the
 // run at its slot), and also returns how many slots the latter passed; a
-// non-nil rng permutes the submission order first, non-nil faults perturb
-// the jobs' actual volumes.
-func runScenario(sc *oracle.Scenario, rng *rand.Rand, faults *sim.FaultInjection) (*sim.Result, int64, error) {
+// non-nil rng permutes the submission order first.
+func runScenario(sc *oracle.Scenario, rng *rand.Rand) (*sim.Result, int64, error) {
 	wfs := sc.Workflows
 	adhoc := sc.AdHoc
 	if rng != nil {
@@ -291,7 +298,6 @@ func runScenario(sc *oracle.Scenario, rng *rand.Rand, faults *sim.FaultInjection
 		Workflows:  wfs,
 		AdHoc:      adhoc,
 		Invariants: true,
-		Faults:     faults,
 	})
 	return res, ft.Slots(), err
 }

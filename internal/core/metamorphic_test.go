@@ -256,12 +256,17 @@ func TestClaimsHoldAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GenerateAdHoc: %v", err)
 		}
+		faults := rand.New(rand.NewSource(seed))
+		for _, w := range wfs {
+			if err := workload.InjectEstimationError(faults, w, -0.3, 0.3, 0.2); err != nil {
+				t.Fatalf("InjectEstimationError: %v", err)
+			}
+		}
 		f := New(DefaultConfig())
 		_, err = sim.Run(sim.Config{
 			SlotDur: slotDur, Horizon: 720,
 			Capacity:  func(int64) resource.Vector { return resource.New(40, 80_000) },
 			Scheduler: checked{f}, Workflows: wfs, AdHoc: adhoc, Invariants: true,
-			Faults: &sim.FaultInjection{Seed: seed, RuntimeJitter: 0.3, StragglerFrac: 0.2, StragglerFactor: 3},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

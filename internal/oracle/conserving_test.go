@@ -9,18 +9,19 @@ import (
 	"flowtime/internal/resource"
 	"flowtime/internal/sim"
 	"flowtime/internal/workflow"
+	"flowtime/internal/workload"
 )
 
 // runConserving plays the scenario beside the given ad-hoc jobs through a
 // Conserving FlowTime and requires every slot to have passed its checks.
-func runConserving(t *testing.T, sc *Scenario, adhoc []workflow.AdHoc, faults *sim.FaultInjection) *sim.Result {
+func runConserving(t *testing.T, sc *Scenario, adhoc []workflow.AdHoc) *sim.Result {
 	t.Helper()
 	ft := NewConserving(core.DefaultConfig())
 	capacity := sc.Capacity
 	res, err := sim.Run(sim.Config{
 		SlotDur: sc.SlotDur, Horizon: sc.Horizon,
 		Capacity:  func(int64) resource.Vector { return capacity },
-		Scheduler: ft, Workflows: sc.Workflows, AdHoc: adhoc, Invariants: true, Faults: faults,
+		Scheduler: ft, Workflows: sc.Workflows, AdHoc: adhoc, Invariants: true,
 	})
 	if err != nil {
 		t.Fatalf("%v: %v", sc.Regimes, err)
@@ -47,11 +48,15 @@ func TestConservingHoldsOnScenarios(t *testing.T) {
 		if len(sc.AdHoc) > 0 {
 			withAdHoc++
 		}
-		var faults *sim.FaultInjection
 		if seed%2 == 1 {
-			faults = &sim.FaultInjection{Seed: seed, RuntimeJitter: 0.3, StragglerFrac: 0.2, StragglerFactor: 3}
+			faults := rand.New(rand.NewSource(seed))
+			for _, w := range sc.Workflows {
+				if err := workload.InjectEstimationError(faults, w, -0.3, 0.3, 0.2); err != nil {
+					t.Fatalf("seed %d: InjectEstimationError: %v", seed, err)
+				}
+			}
 		}
-		res := runConserving(t, sc, sc.AdHoc, faults)
+		res := runConserving(t, sc, sc.AdHoc)
 		if res.StalledSlots != 0 {
 			t.Errorf("seed %d: StalledSlots = %d, want 0 from a work-conserving scheduler", seed, res.StalledSlots)
 		}
@@ -88,9 +93,9 @@ func TestStreamCostsOnlyIdleCapacity(t *testing.T) {
 		ID: "filler", Tasks: int(cores), TaskDuration: time.Duration(4*sc.Horizon) * sc.SlotDur,
 		TaskDemand: resource.New(1, sc.Capacity.Get(resource.MemoryMB)/cores),
 	}
-	alone := runConserving(t, sc, nil, nil)
-	beside := runConserving(t, sc, sc.AdHoc, nil)
-	claims := runConserving(t, sc, []workflow.AdHoc{filler}, nil)
+	alone := runConserving(t, sc, nil)
+	beside := runConserving(t, sc, sc.AdHoc)
+	claims := runConserving(t, sc, []workflow.AdHoc{filler})
 
 	var lost, missedOnClaims int
 	for j, b := range beside.Jobs {

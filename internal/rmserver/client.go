@@ -220,7 +220,7 @@ func (d *statusCache) apply(ask statusCursor, resp *rmproto.StatusResponse) erro
 			return errNotContinued
 		}
 		resp.Jobs = make([]rmproto.JobStatus, 0, len(d.live))
-		for _, j := range d.live {
+		for _, j := range d.live { //det:unordered Fold sorts what this collects
 			resp.Jobs = append(resp.Jobs, j)
 		}
 	}

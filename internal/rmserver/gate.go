@@ -174,7 +174,7 @@ func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, he
 	for i := range leftover {
 		leftover[i] = capacity
 	}
-	for id := range lp.Jobs {
+	for id := range lp.Jobs { //det:unordered clamped subtractions of non-negative allocations commute
 		for i := int64(0); i < n; i++ {
 			leftover[i] = leftover[i].SubClamped(lp.AllocAt(id, from+i))
 		}

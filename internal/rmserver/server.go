@@ -538,12 +538,12 @@ func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired map[st
 	s.offers = nil
 
 	if s.cfg.NodeExpiry > 0 {
-		for id, n := range s.nodes {
+		for _, n := range s.byID {
 			if now.Sub(n.lastSeen) > s.cfg.NodeExpiry {
 				if expired == nil {
 					expired = make(map[string]bool)
 				}
-				expired[id] = true
+				expired[n.ID] = true
 			}
 		}
 	}
@@ -607,7 +607,7 @@ func (s *Server) forgetNodesLocked(gone map[string]bool) {
 	if len(gone) == 0 {
 		return
 	}
-	for id := range gone {
+	for id := range gone { //det:unordered deletions commute
 		delete(s.nodes, id)
 	}
 	s.byID = slices.DeleteFunc(s.byID, func(n *node) bool { return gone[n.ID] })
@@ -629,7 +629,7 @@ func (s *Server) safeAssign(ctx sched.AssignContext) (grants map[string]resource
 
 func (s *Server) totalCapacityLocked() resource.Vector {
 	var total resource.Vector
-	for _, n := range s.nodes {
+	for _, n := range s.byID {
 		total = total.Add(n.Capacity)
 	}
 	return total
@@ -712,6 +712,7 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 		resp.Jobs = make([]rmproto.JobStatus, 0, len(jobs))
 	}
 	stamp := s.changes + 1
+	//det:unordered every job gets the one stamp, the summary counts commute and the list is sorted below
 	for _, j := range jobs {
 		st := s.st.JobStatus(j)
 		rep := s.reported[j]
@@ -733,7 +734,7 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 	}
 	if len(s.reported) > len(jobs) {
 		// Forget the jobs that completed, or left with a replaced state.
-		for j := range s.reported {
+		for j := range s.reported { //det:unordered deletions commute
 			if jobs[j.ID] != j {
 				delete(s.reported, j)
 			}

@@ -135,19 +135,8 @@ func genStragglers(rng *rand.Rand, spec Spec, sc *Scenario) error {
 		return err
 	}
 	for _, w := range sc.Workflows {
-		for i := 0; i < w.NumJobs(); i++ {
-			est := w.Job(i).TaskDuration
-			factor := 0.9 + rng.Float64()*0.2
-			if rng.Float64() < 0.25 {
-				factor = 2 + rng.Float64()*2
-			}
-			actual := time.Duration(float64(est) * factor).Round(time.Second)
-			if actual <= 0 {
-				actual = time.Second
-			}
-			if err := w.SetActualTaskDuration(i, actual); err != nil {
-				return err
-			}
+		if err := workload.InjectEstimationError(rng, w, -0.1, 0.1, 0.25); err != nil {
+			return err
 		}
 	}
 	return nil

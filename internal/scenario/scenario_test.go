@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -179,5 +181,37 @@ func TestSmokeTraceIsItsGenerator(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("the flash scenario at seed 42 writes %d bytes that differ from testdata/scenario-smoke.json (%d bytes); regenerate it with ftgen only if the change is meant to move the draws", got.Len(), len(want))
+	}
+}
+
+// TestGeneratorsArePinned pins every generator at smallSpec: the sha256
+// of its written trace and of its machine events. A change that moves a
+// single draw of any generator moves one of these digests; refresh them
+// only when the change is meant to move the draws.
+func TestGeneratorsArePinned(t *testing.T) {
+	want := map[string][2]string{ // name → {trace, events}
+		"diurnal":    {"5ab6720a13044935fa8cb0aec2e42a3df261243cd0e000bd89f976048a553d8d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		"flash":      {"e0518f771adff086aa1075913cd925a5876074b6be5a035424415b4a1caa56ab", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		"stragglers": {"8e13dfcdb215c2070100343a9191567d4016187d7b53dcb35d229790fa2e91ec", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		"churn":      {"826d9cb294c04699904f9fa606d3ff29bf785dec745d7da8800a2aa5755d2fde", "6bcbcbd5a542fe88ab2263bc054c4e47c58e7799bea1c7d0e605a2e0ae729387"},
+		"energy":     {"738ab6c578c424fc45cdcd70e2694b8c733ecdf7043bbd7cdf6bd49b02fefb82", "9d83a7dc8dab60d7f0b77ebbac07f978d8c076f36abb044eb2454e37ffd529da"},
+	}
+	for _, name := range Names() {
+		sc, err := Generate(smallSpec(name))
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := sc.WriteTrace(&buf); err != nil {
+			t.Fatalf("%s: WriteTrace: %v", name, err)
+		}
+		events := sha256.New()
+		for _, e := range sc.Events {
+			fmt.Fprintf(events, "%+v\n", e)
+		}
+		got := [2]string{fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), fmt.Sprintf("%x", events.Sum(nil))}
+		if got != want[name] {
+			t.Errorf("%s: (trace, events) sha256 = %q, want %q", name, got, want[name])
+		}
 	}
 }

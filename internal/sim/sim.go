@@ -50,10 +50,6 @@ type Config struct {
 	ForceCriticalPath bool
 	// RecordLoad enables per-slot load series capture.
 	RecordLoad bool
-	// Faults, when non-nil, perturbs the workload's ground truth (runtime
-	// jitter, stragglers) for chaos-testing the scheduling pipeline; see
-	// FaultInjection.
-	Faults *FaultInjection
 	// Invariants enables the per-slot InvariantChecker: every slot's
 	// grants and accounting are verified against the simulator's safety
 	// invariants, and the run fails loudly on the first violation. In
@@ -517,11 +513,6 @@ func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 	var jobs []*runJob
 	wfDeadlines := make(map[int]time.Duration, len(cfg.Workflows))
 	seen := make(map[string]bool)
-	frng, err := cfg.Faults.newRand()
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
-	}
-
 	for wi, wf := range cfg.Workflows {
 		if err := wf.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("sim: %w", err)
@@ -561,7 +552,7 @@ func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 				deadline:    dl,
 				estTotal:    est,
 				origEst:     est,
-				actualLeft:  cfg.Faults.perturb(frng, actual),
+				actualLeft:  actual,
 				parallelCap: job.ParallelCap(),
 				taskDemand:  job.TaskDemand,
 				minSlots:    job.MinRuntimeSlots(cfg.SlotDur, cfg.Capacity(0)),
@@ -583,7 +574,7 @@ func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 			kind:        sched.AdHocJob,
 			wfIdx:       -1,
 			arrived:     ah.Submit,
-			actualLeft:  cfg.Faults.perturb(frng, ah.Volume(cfg.SlotDur)),
+			actualLeft:  ah.Volume(cfg.SlotDur),
 			parallelCap: ah.ParallelCap(),
 			taskDemand:  ah.TaskDemand,
 		})

@@ -92,7 +92,7 @@ func (f *FaultFS) UnsyncedBytes() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := 0
-	for _, b := range f.bufs {
+	for _, b := range f.bufs { //det:unordered a sum
 		n += len(b)
 	}
 	return n

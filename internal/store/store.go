@@ -1,11 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -116,7 +117,7 @@ func Open(opts Options) (*Store, error) {
 		fs:     opts.FS,
 	}
 
-	snaps, wals, tmps, err := scanDir(s.fs, opts.Dir)
+	snaps, wals, gens, tmps, err := scanDir(s.fs, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -125,23 +126,10 @@ func Open(opts Options) (*Store, error) {
 	// snapshot loads cleanly, or generation 0 (empty state, no snapshot
 	// required). Generations above the chosen one can only be artifacts
 	// of an interrupted rotation or corruption; their files are removed.
-	gens := map[int64]bool{0: true}
-	for g := range snaps {
-		gens[g] = true
-	}
-	for g := range wals {
-		gens[g] = true
-	}
-	ordered := make([]int64, 0, len(gens))
-	for g := range gens {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] > ordered[j] })
-
 	chosen := int64(0)
 	var snapshot []byte
 	var snapErr error
-	for _, g := range ordered {
+	for _, g := range gens {
 		if g == 0 {
 			break
 		}
@@ -190,18 +178,15 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	// Clean up every file that is not this generation's pair.
-	for g := range snaps {
-		if g != chosen {
-			if s.fs.Remove(snapPath(opts.Dir, g)) == nil {
-				s.recovery.StaleFilesRemoved++
-			}
+	for _, g := range gens {
+		if g == chosen {
+			continue
 		}
-	}
-	for g := range wals {
-		if g != chosen {
-			if s.fs.Remove(walPath(opts.Dir, g)) == nil {
-				s.recovery.StaleFilesRemoved++
-			}
+		if snaps[g] && s.fs.Remove(snapPath(opts.Dir, g)) == nil {
+			s.recovery.StaleFilesRemoved++
+		}
+		if wals[g] && s.fs.Remove(walPath(opts.Dir, g)) == nil {
+			s.recovery.StaleFilesRemoved++
 		}
 	}
 	for _, t := range tmps {
@@ -219,25 +204,30 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// scanDir inventories snapshot, WAL, and leftover temp files by name.
-func scanDir(fsys FS, dir string) (snaps, wals map[int64]bool, tmps []string, err error) {
+// scanDir inventories snapshot, WAL, and leftover temp files by name;
+// gens lists every generation a snapshot or a WAL names, and 0, newest
+// first.
+func scanDir(fsys FS, dir string) (snaps, wals map[int64]bool, gens []int64, tmps []string, err error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	snaps, wals = map[int64]bool{}, map[int64]bool{}
+	snaps, wals, gens = map[int64]bool{}, map[int64]bool{}, []int64{0}
 	for _, name := range names {
 		var g int64
 		switch {
 		case matchGen(name, "snap-", ".snap", &g):
 			snaps[g] = true
+			gens = append(gens, g)
 		case matchGen(name, "wal-", ".log", &g):
 			wals[g] = true
+			gens = append(gens, g)
 		case strings.HasSuffix(name, ".tmp"):
 			tmps = append(tmps, name)
 		}
 	}
-	return snaps, wals, tmps, nil
+	slices.SortFunc(gens, func(a, b int64) int { return cmp.Compare(b, a) })
+	return snaps, wals, slices.Compact(gens), tmps, nil
 }
 
 // WALSegments lists the WAL segment files in dir, oldest generation
@@ -245,18 +235,15 @@ func scanDir(fsys FS, dir string) (snaps, wals map[int64]bool, tmps []string, er
 // removes stale generations, which a reader that must leave the directory
 // as it found it (ftrm -wal-dump) cannot afford.
 func WALSegments(dir string) ([]string, error) {
-	_, wals, _, err := scanDir(OSFS, dir)
+	_, wals, gens, _, err := scanDir(OSFS, dir)
 	if err != nil {
 		return nil, err
 	}
-	gens := make([]int64, 0, len(wals))
-	for g := range wals {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	paths := make([]string, len(gens))
-	for i, g := range gens {
-		paths[i] = walPath(dir, g)
+	var paths []string
+	for i := len(gens) - 1; i >= 0; i-- {
+		if wals[gens[i]] {
+			paths = append(paths, walPath(dir, gens[i]))
+		}
 	}
 	return paths, nil
 }

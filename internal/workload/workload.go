@@ -390,15 +390,23 @@ func GenerateAdHoc(rng *rand.Rand, spec AdHocSpec) ([]workflow.AdHoc, error) {
 // factor, where factor is drawn uniformly from [1+lo, 1+hi]. Negative lo
 // with positive hi mixes over- and under-estimation; (0.2, 0.2) makes every
 // job run 20% longer than estimated. The paper studies both directions
-// (§III-A).
-func InjectEstimationError(rng *rand.Rand, w *workflow.Workflow, lo, hi float64) error {
+// (§III-A). With probability stragglers a job instead straggles, DAGPS-
+// style: its factor is redrawn from [2, 4]. It is the one place a job's
+// true duration is drawn, so a perturbed workload is what a trace carries.
+func InjectEstimationError(rng *rand.Rand, w *workflow.Workflow, lo, hi, stragglers float64) error {
 	if hi < lo {
 		return fmt.Errorf("workload: error range [%g, %g] inverted", lo, hi)
+	}
+	if stragglers < 0 || stragglers > 1 {
+		return fmt.Errorf("workload: straggler fraction %g, want [0, 1]", stragglers)
 	}
 	for i := 0; i < w.NumJobs(); i++ {
 		f := 1 + lo + rng.Float64()*(hi-lo)
 		if f < 0.05 {
 			f = 0.05
+		}
+		if stragglers > 0 && rng.Float64() < stragglers {
+			f = 2 + rng.Float64()*2
 		}
 		est := w.Job(i).TaskDuration
 		actual := time.Duration(float64(est) * f).Round(time.Second)

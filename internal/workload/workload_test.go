@@ -133,7 +133,7 @@ func TestInjectEstimationError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateWorkflow: %v", err)
 	}
-	if err := InjectEstimationError(r, w, 0.2, 0.2); err != nil {
+	if err := InjectEstimationError(r, w, 0.2, 0.2, 0); err != nil {
 		t.Fatalf("InjectEstimationError: %v", err)
 	}
 	for i := 0; i < w.NumJobs(); i++ {
@@ -143,8 +143,24 @@ func TestInjectEstimationError(t *testing.T) {
 			t.Errorf("job %d ratio = %g, want ~1.2", i, ratio)
 		}
 	}
-	if err := InjectEstimationError(r, w, 0.5, -0.5); err == nil {
+	if err := InjectEstimationError(r, w, 0.5, -0.5, 0); err == nil {
 		t.Error("inverted range accepted")
+	}
+	for _, frac := range []float64{-0.1, 1.5} {
+		if err := InjectEstimationError(r, w, 0, 0, frac); err == nil {
+			t.Errorf("straggler fraction %g accepted", frac)
+		}
+	}
+	// Every job straggles at fraction 1, whatever the drift range.
+	if err := InjectEstimationError(r, w, -0.3, 0.3, 1); err != nil {
+		t.Fatalf("InjectEstimationError: %v", err)
+	}
+	for i := 0; i < w.NumJobs(); i++ {
+		j := w.Job(i)
+		ratio := float64(j.EffectiveTaskDuration()) / float64(j.TaskDuration)
+		if ratio < 2 || ratio > 4 {
+			t.Errorf("straggler job %d ratio = %g, want in [2, 4]", i, ratio)
+		}
 	}
 }
 
