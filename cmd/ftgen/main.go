@@ -119,7 +119,7 @@ func run(out string, seed int64, nWf, jobs int, factor float64, adhocCount int, 
 			return err
 		}
 		if errLo != 0 || errHi != 0 {
-			if err := workload.InjectEstimationError(rng, w, errLo, errHi, 0); err != nil {
+			if err := workload.InjectEstimationError(rng, []*workflow.Workflow{w}, errLo, errHi, 0); err != nil {
 				return err
 			}
 		}

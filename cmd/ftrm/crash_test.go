@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -23,43 +24,43 @@ import (
 	"flowtime/internal/trace"
 )
 
-// ftrmBin is the ftrm binary TestMain builds for the process tests, ""
-// when it could not; ftrmSkip or ftrmErr then says why.
-var (
-	ftrmBin  string
-	ftrmSkip string
-	ftrmErr  error
-)
+// binDir holds the ftrm binary the process tests share; TestMain makes
+// and removes it.
+var binDir string
 
-// TestMain compiles the ftrm binary once for every test in the run.
+// ftrmBuild compiles the ftrm binary into binDir the first time a process
+// test asks for it, so a run that starts none of them builds nothing.
+var ftrmBuild = sync.OnceValues(func() (string, error) {
+	bin := filepath.Join(binDir, "ftrm")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build ftrm: %v\n%s", err, out)
+	}
+	return bin, nil
+})
+
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "ftrm-test-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if _, err := exec.LookPath("go"); err != nil {
-		ftrmSkip = "go toolchain not in PATH"
-	} else if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, "ftrm"), ".").CombinedOutput(); err != nil {
-		ftrmErr = fmt.Errorf("go build ftrm: %v\n%s", err, out)
-	} else {
-		ftrmBin = filepath.Join(dir, "ftrm")
-	}
+	binDir = dir
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
 
-// buildFTRM returns the ftrm binary TestMain built.
+// buildFTRM returns the ftrm binary, built once for the whole run.
 func buildFTRM(t *testing.T) string {
 	t.Helper()
-	if ftrmSkip != "" {
-		t.Skip(ftrmSkip)
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not in PATH")
 	}
-	if ftrmErr != nil {
-		t.Fatal(ftrmErr)
+	bin, err := ftrmBuild()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ftrmBin
+	return bin
 }
 
 func freePort(t *testing.T) int {

@@ -229,19 +229,15 @@ func scenarioCase(rng *rand.Rand, verbose bool, counts map[string]int) error {
 	}
 
 	if len(sc.AdHoc) > 0 {
-		// Runtimes up to 30 % off their estimates and a fifth of the jobs
-		// straggling: jobs outlive their plan, and the overdue and backlog
-		// passes — deadline work's claims beyond the plan — decide beside
-		// the ad-hoc stream in most slots instead of a few. The fault seed
-		// is fixed, so the case's rng draws stay where they were; the
-		// durations are drawn into the workflows up front, so a shrunk
-		// reproducer keeps the ones it failed under.
+		// Chaos: the overdue and backlog passes — deadline work's claims
+		// beyond the plan — decide beside the ad-hoc stream in most slots
+		// instead of a few. The chaos seed is fixed, so the case's rng
+		// draws stay where they were; the durations are drawn into the
+		// workflows up front, so a shrunk reproducer keeps the ones it
+		// failed under.
 		counts["adhoc-removal"]++
-		faults := rand.New(rand.NewSource(1))
-		for _, w := range sc.Workflows {
-			if err := workload.InjectEstimationError(faults, w, -0.3, 0.3, 0.2); err != nil {
-				return err
-			}
+		if err := workload.InjectChaos(1, sc.Workflows); err != nil {
+			return err
 		}
 		if _, err := checkedRun(sc, counts); err != nil {
 			return fmt.Errorf("under chaos: %w", err)

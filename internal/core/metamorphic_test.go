@@ -256,11 +256,8 @@ func TestClaimsHoldAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GenerateAdHoc: %v", err)
 		}
-		faults := rand.New(rand.NewSource(seed))
-		for _, w := range wfs {
-			if err := workload.InjectEstimationError(faults, w, -0.3, 0.3, 0.2); err != nil {
-				t.Fatalf("InjectEstimationError: %v", err)
-			}
+		if err := workload.InjectChaos(seed, wfs); err != nil {
+			t.Fatalf("InjectChaos: %v", err)
 		}
 		f := New(DefaultConfig())
 		_, err = sim.Run(sim.Config{

@@ -96,10 +96,8 @@ func RunFig4(opts Fig4Options) ([]metrics.Summary, error) {
 		}
 		if opts.ErrLo != 0 || opts.ErrHi != 0 {
 			errRng := rand.New(rand.NewSource(spec.Seed + 1))
-			for _, w := range wfs {
-				if err := workload.InjectEstimationError(errRng, w, opts.ErrLo, opts.ErrHi, 0); err != nil {
-					return nil, err
-				}
+			if err := workload.InjectEstimationError(errRng, wfs, opts.ErrLo, opts.ErrHi, 0); err != nil {
+				return nil, err
 			}
 		}
 		var history sched.History

@@ -49,11 +49,8 @@ func TestConservingHoldsOnScenarios(t *testing.T) {
 			withAdHoc++
 		}
 		if seed%2 == 1 {
-			faults := rand.New(rand.NewSource(seed))
-			for _, w := range sc.Workflows {
-				if err := workload.InjectEstimationError(faults, w, -0.3, 0.3, 0.2); err != nil {
-					t.Fatalf("seed %d: InjectEstimationError: %v", seed, err)
-				}
+			if err := workload.InjectChaos(seed, sc.Workflows); err != nil {
+				t.Fatalf("seed %d: InjectChaos: %v", seed, err)
 			}
 		}
 		res := runConserving(t, sc, sc.AdHoc)

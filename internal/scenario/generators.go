@@ -134,12 +134,7 @@ func genStragglers(rng *rand.Rand, spec Spec, sc *Scenario) error {
 	if err := genBase(rng, spec, sc); err != nil {
 		return err
 	}
-	for _, w := range sc.Workflows {
-		if err := workload.InjectEstimationError(rng, w, -0.1, 0.1, 0.25); err != nil {
-			return err
-		}
-	}
-	return nil
+	return workload.InjectEstimationError(rng, sc.Workflows, -0.1, 0.1, 0.25)
 }
 
 // genChurn layers machine churn over the diurnal base: every hour ~2% of

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -73,15 +72,12 @@ func TestSameInputSamePlan(t *testing.T) {
 
 // chaosPerturbed is chaosConfig with its workflows' true durations up to
 // 30 % off their estimates and a fifth of the jobs straggling 2-4x, drawn
-// by workload.InjectEstimationError from seed.
+// by workload.InjectChaos from seed.
 func chaosPerturbed(t *testing.T, seed int64) Config {
 	t.Helper()
 	cfg := chaosConfig(t, core.New(core.DefaultConfig()))
-	rng := rand.New(rand.NewSource(seed))
-	for _, w := range cfg.Workflows {
-		if err := workload.InjectEstimationError(rng, w, -0.3, 0.3, 0.2); err != nil {
-			t.Fatalf("InjectEstimationError: %v", err)
-		}
+	if err := workload.InjectChaos(seed, cfg.Workflows); err != nil {
+		t.Fatalf("InjectChaos: %v", err)
 	}
 	return cfg
 }

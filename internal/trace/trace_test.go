@@ -29,7 +29,7 @@ func sampleWorkload(t *testing.T) ([]*workflow.Workflow, []workflow.AdHoc) {
 		}
 		wfs = append(wfs, w)
 	}
-	if err := workload.InjectEstimationError(rng, wfs[0], 0.1, 0.2, 0.5); err != nil {
+	if err := workload.InjectEstimationError(rng, wfs[:1], 0.1, 0.2, 0.5); err != nil {
 		t.Fatalf("InjectEstimationError: %v", err)
 	}
 	adhoc, err := workload.GenerateAdHoc(rng, workload.AdHocSpec{

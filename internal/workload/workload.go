@@ -386,38 +386,49 @@ func GenerateAdHoc(rng *rand.Rand, spec AdHocSpec) ([]workflow.AdHoc, error) {
 	return out, nil
 }
 
-// InjectEstimationError sets each job's actual task duration to estimate x
-// factor, where factor is drawn uniformly from [1+lo, 1+hi]. Negative lo
-// with positive hi mixes over- and under-estimation; (0.2, 0.2) makes every
-// job run 20% longer than estimated. The paper studies both directions
-// (§III-A). With probability stragglers a job instead straggles, DAGPS-
-// style: its factor is redrawn from [2, 4]. It is the one place a job's
-// true duration is drawn, so a perturbed workload is what a trace carries.
-func InjectEstimationError(rng *rand.Rand, w *workflow.Workflow, lo, hi, stragglers float64) error {
+// InjectEstimationError sets each job's actual task duration, workflow by
+// workflow in order, to estimate x factor, where factor is drawn uniformly
+// from [1+lo, 1+hi]. Negative lo with positive hi mixes over- and
+// under-estimation; (0.2, 0.2) makes every job run 20% longer than
+// estimated. The paper studies both directions (§III-A). With probability
+// stragglers a job instead straggles, DAGPS-style: its factor is redrawn
+// from [2, 4]. It is the one place a job's true duration is drawn, so a
+// perturbed workload is what a trace carries.
+func InjectEstimationError(rng *rand.Rand, wfs []*workflow.Workflow, lo, hi, stragglers float64) error {
 	if hi < lo {
 		return fmt.Errorf("workload: error range [%g, %g] inverted", lo, hi)
 	}
 	if stragglers < 0 || stragglers > 1 {
 		return fmt.Errorf("workload: straggler fraction %g, want [0, 1]", stragglers)
 	}
-	for i := 0; i < w.NumJobs(); i++ {
-		f := 1 + lo + rng.Float64()*(hi-lo)
-		if f < 0.05 {
-			f = 0.05
-		}
-		if stragglers > 0 && rng.Float64() < stragglers {
-			f = 2 + rng.Float64()*2
-		}
-		est := w.Job(i).TaskDuration
-		actual := time.Duration(float64(est) * f).Round(time.Second)
-		if actual <= 0 {
-			actual = time.Second
-		}
-		if err := w.SetActualTaskDuration(i, actual); err != nil {
-			return fmt.Errorf("workload: %w", err)
+	for _, w := range wfs {
+		for i := 0; i < w.NumJobs(); i++ {
+			f := 1 + lo + rng.Float64()*(hi-lo)
+			if f < 0.05 {
+				f = 0.05
+			}
+			if stragglers > 0 && rng.Float64() < stragglers {
+				f = 2 + rng.Float64()*2
+			}
+			est := w.Job(i).TaskDuration
+			actual := time.Duration(float64(est) * f).Round(time.Second)
+			if actual <= 0 {
+				actual = time.Second
+			}
+			if err := w.SetActualTaskDuration(i, actual); err != nil {
+				return fmt.Errorf("workload: %w", err)
+			}
 		}
 	}
 	return nil
+}
+
+// InjectChaos draws the true durations the chaos runs play their workflows
+// under, from seed: runtimes up to 30 % off their estimates and a fifth of
+// the jobs straggling. Jobs outlive their plan, so the passes that decide
+// deadline work beyond the plan run in most slots instead of a few.
+func InjectChaos(seed int64, wfs []*workflow.Workflow) error {
+	return InjectEstimationError(rand.New(rand.NewSource(seed)), wfs, -0.3, 0.3, 0.2)
 }
 
 // SynthesizeHistory fabricates prior-run observations for Morpheus: for

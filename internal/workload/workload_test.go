@@ -133,7 +133,7 @@ func TestInjectEstimationError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateWorkflow: %v", err)
 	}
-	if err := InjectEstimationError(r, w, 0.2, 0.2, 0); err != nil {
+	if err := InjectEstimationError(r, []*workflow.Workflow{w}, 0.2, 0.2, 0); err != nil {
 		t.Fatalf("InjectEstimationError: %v", err)
 	}
 	for i := 0; i < w.NumJobs(); i++ {
@@ -144,7 +144,7 @@ func TestInjectEstimationError(t *testing.T) {
 		}
 	}
 	// Every job straggles at fraction 1, whatever the drift range.
-	if err := InjectEstimationError(r, w, -0.3, 0.3, 1); err != nil {
+	if err := InjectEstimationError(r, []*workflow.Workflow{w}, -0.3, 0.3, 1); err != nil {
 		t.Fatalf("InjectEstimationError: %v", err)
 	}
 	for i := 0; i < w.NumJobs(); i++ {
@@ -171,7 +171,7 @@ func TestInjectEstimationErrorValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := InjectEstimationError(rng(), w, tc.lo, tc.hi, tc.strag); err == nil {
+			if err := InjectEstimationError(rng(), []*workflow.Workflow{w}, tc.lo, tc.hi, tc.strag); err == nil {
 				t.Errorf("InjectEstimationError(%g, %g, %g) accepted", tc.lo, tc.hi, tc.strag)
 			}
 		})
