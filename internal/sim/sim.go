@@ -523,9 +523,13 @@ func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 		seen[wf.ID] = true
 		wfDeadlines[wi] = wf.Deadline
 
+		// One admission capacity, as rmstate.AdmitWorkflow has: the windows
+		// and each job's MinSlots are both computed against the capacity at
+		// submission.
+		capacity := cfg.Capacity(int64(wf.Submit / cfg.SlotDur))
 		dec, err := deadline.Decompose(wf, deadline.Options{
 			Slot:              cfg.SlotDur,
-			ClusterCap:        cfg.Capacity(int64(wf.Submit / cfg.SlotDur)),
+			ClusterCap:        capacity,
 			ForceCriticalPath: cfg.ForceCriticalPath,
 		})
 		bestEffort := err != nil
@@ -555,7 +559,7 @@ func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
 				actualLeft:  actual,
 				parallelCap: job.ParallelCap(),
 				taskDemand:  job.TaskDemand,
-				minSlots:    job.MinRuntimeSlots(cfg.SlotDur, cfg.Capacity(0)),
+				minSlots:    job.MinRuntimeSlots(cfg.SlotDur, capacity),
 				bestEffort:  bestEffort,
 			})
 		}

@@ -312,6 +312,53 @@ func TestEarlyExitWhenAllWorkDone(t *testing.T) {
 	}
 }
 
+// recordingScheduler is FIFO, remembering the last view of each job.
+type recordingScheduler struct {
+	sched.Scheduler
+	seen map[string]sched.JobState
+}
+
+func (r *recordingScheduler) Assign(ctx sched.AssignContext) (map[string]resource.Vector, error) {
+	for _, st := range ctx.Jobs {
+		r.seen[st.ID] = st
+	}
+	return r.Scheduler.Assign(ctx)
+}
+
+// TestMinSlotsAtSubmissionCapacity: a workflow is admitted against one
+// capacity, the cluster's at its submission, for its windows and for each
+// job's MinSlots alike, as the RM admits it. Half the cluster is gone
+// before this one is submitted, so its job needs twice the slots it would
+// on the whole cluster.
+func TestMinSlotsAtSubmissionCapacity(t *testing.T) {
+	full, half := resource.New(10, 1000), resource.New(5, 500)
+	w := workflow.New("w", 100*time.Second, 2000*time.Second)
+	w.AddJob(simpleJob("j", 10, 50*time.Second))
+	if err := w.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	rec := &recordingScheduler{Scheduler: sched.NewFIFO(), seen: make(map[string]sched.JobState)}
+	cfg := baseConfig(rec)
+	cfg.Capacity = func(slot int64) resource.Vector {
+		if slot >= 5 {
+			return half
+		}
+		return full
+	}
+	cfg.Workflows = []*workflow.Workflow{w}
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st, ok := rec.seen["w/j#0"]
+	if !ok {
+		t.Fatal("the scheduler never saw the job")
+	}
+	job := w.Job(0)
+	if want := job.MinRuntimeSlots(slotDur, half); st.MinSlots != want || want == job.MinRuntimeSlots(slotDur, full) {
+		t.Errorf("MinSlots = %d, want %d at the halved capacity (%d at full)", st.MinSlots, want, job.MinRuntimeSlots(slotDur, full))
+	}
+}
+
 func TestOutcomeHelpers(t *testing.T) {
 	jo := JobOutcome{Deadline: 100 * time.Second, Completion: 90 * time.Second, Completed: true}
 	if jo.Missed() {
