@@ -4,13 +4,18 @@
 // jobs under any sched.Scheduler and records per-job and per-workflow
 // outcomes plus the cluster load time series.
 //
-// Execution model (documented in DESIGN.md §7.1): a job carries a work
-// volume per resource kind; a grant of x units of kind r in a slot
-// consumes x resource-slots of that kind; the job completes at the end of
-// the first slot where every kind's volume is covered. Grants are clamped
-// to the job's current Request — the demand of its pending tasks — and to
-// cluster capacity. Readiness follows the workflow DAG: a job can consume
-// only after all its predecessors completed.
+// Execution model (documented in DESIGN.md §7.1): the jobs live in the
+// resource manager's state machine, internal/rmstate, which admits them,
+// decides their readiness (the workflow DAG) and requests, and completes
+// each one once its confirmed grants cover its true volume. The simulator
+// is the RM's agents, idealised: every grant is clamped to the job's
+// request and to cluster capacity, runs, and is confirmed in the slot it
+// is made, so a job completes at the end of the first slot that covers its
+// volume. No confirm lags, no grant is handed off or offered, no lease
+// expires, no ad-hoc gate refuses work, and slots are whole seconds. What
+// the simulator keeps of a job is what no RM knows: the estimate the
+// scheduler sees, the exact submission, and the task size machine mode
+// places.
 //
 // The simulator is event-driven toward the scheduler: Assign sees
 // Changed=true only when arrivals, completions, readiness flips, or
@@ -19,21 +24,27 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"flowtime/internal/deadline"
 	"flowtime/internal/machine"
 	"flowtime/internal/resource"
+	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
+	"flowtime/internal/trace"
 	"flowtime/internal/workflow"
 )
 
 // Config describes one simulation run.
 type Config struct {
-	// SlotDur is the slot duration; must be > 0. The paper uses 10s.
+	// SlotDur is the slot duration; must be a whole number of seconds > 0.
+	// The paper uses 10s.
 	SlotDur time.Duration
 	// Horizon is the number of slots to simulate; must be > 0.
 	Horizon int64
@@ -191,35 +202,35 @@ type MachineResult struct {
 	UnplacedVolume resource.Vector
 }
 
-type runJob struct {
-	id      string
-	kind    sched.JobKind
-	wfIdx   int
-	nodeIdx int
-
-	arrived  time.Duration
-	release  time.Duration
-	deadline time.Duration
-
-	estTotal    resource.Vector // estimated volume, revised upward on exhaustion
-	origEst     resource.Vector // the original estimate (revision step size)
-	actualLeft  resource.Vector // true remaining volume
-	consumed    resource.Vector
-	parallelCap resource.Vector
-	taskDemand  resource.Vector // placement unit in machine mode
-	minSlots    int64
-
-	bestEffort bool
-
-	arrivedYet bool
-	done       bool
-	doneAt     time.Duration
+// job is what the simulator knows of a job that the RM's state does not:
+// its exact submission (rmstate anchors an arrival to its slot), a
+// deadline job's estimate and the task size machine mode places.
+type job struct {
+	*rmstate.Job // nil until its admission record is applied
+	submit       time.Duration
+	est, origEst resource.Vector // est is revised upward when the job outlives it
+	taskDemand   resource.Vector
 }
+
+// admission is one workflow's or ad-hoc job's admission record, applied at
+// slot, the first at or after its submission, and the jobs it admits.
+type admission struct {
+	slot int64
+	rec  *rmstate.Record
+	jobs []*job // a workflow's by node index
+}
+
+// simNode is the one node the simulator's grants are leased to.
+const simNode = "sim"
 
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
 	if cfg.SlotDur <= 0 {
 		return nil, fmt.Errorf("sim: slot duration %v, want > 0", cfg.SlotDur)
+	}
+	if cfg.SlotDur%time.Second != 0 {
+		// The state's volumes come from whole-second task durations.
+		return nil, fmt.Errorf("sim: slot duration %v, want a whole number of seconds", cfg.SlotDur)
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("sim: horizon %d, want > 0", cfg.Horizon)
@@ -251,10 +262,16 @@ func Run(cfg Config) (*Result, error) {
 		return nil, errors.New("sim: nil scheduler")
 	}
 
-	jobs, wfDeadlines, err := buildJobs(cfg)
+	admits, err := admissions(cfg)
 	if err != nil {
 		return nil, err
 	}
+	due := slices.Clone(admits)
+	slices.SortStableFunc(due, func(a, b *admission) int { return cmp.Compare(a.slot, b.slot) })
+	// Every lease is confirmed in the slot it is granted, so none expires.
+	state := rmstate.New(cfg.SlotDur, math.MaxInt64/2)
+	live := make(map[string]*job)
+	nodes := []*rmstate.Node{{ID: simNode}}
 
 	view := sched.ClusterView{
 		SlotDur: cfg.SlotDur,
@@ -262,17 +279,8 @@ func Run(cfg Config) (*Result, error) {
 		CapAt:   cfg.Capacity,
 	}
 
-	// Index deadline jobs by (workflow, node) for O(preds) readiness checks.
-	byNode := make(map[[2]int]*runJob, len(jobs))
-	for _, j := range jobs {
-		if j.kind == sched.DeadlineJob {
-			byNode[[2]int{j.wfIdx, j.nodeIdx}] = j
-		}
-	}
-
 	res := &Result{HorizonEnd: time.Duration(cfg.Horizon) * cfg.SlotDur}
 	changed := true
-	pendingArrivals := len(jobs)
 	prevCap := cfg.Capacity(0)
 	var checker *InvariantChecker
 	if cfg.Invariants {
@@ -281,8 +289,6 @@ func Run(cfg Config) (*Result, error) {
 	evIdx := 0
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
-		now := time.Duration(slot) * cfg.SlotDur
-
 		// Machine events are the ground truth behind capacity steps: apply
 		// everything due this slot, then open the slot's occupancy window.
 		if cluster != nil {
@@ -311,53 +317,39 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Arrivals.
-		for _, j := range jobs {
-			if !j.arrivedYet && j.arrived <= now {
-				j.arrivedYet = true
-				pendingArrivals--
-				changed = true
-				res.Events++
+		for len(due) > 0 && due[0].slot <= slot {
+			if err := admit(state, due[0], live); err != nil {
+				return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 			}
+			res.Events += int64(len(due[0].jobs))
+			changed = true
+			due = due[1:]
 		}
-
-		// Build the scheduler view.
-		states := make([]sched.JobState, 0, len(jobs))
-		idx := make(map[string]*runJob, len(jobs))
-		liveWork := false
-		demandNow := false
-		for _, j := range jobs {
-			if !j.arrivedYet || j.done {
-				continue
-			}
-			liveWork = true
-			st := sched.JobState{
-				ID:         j.id,
-				Kind:       j.kind,
-				Arrived:    j.arrived,
-				Ready:      jobReady(j, byNode, cfg),
-				Request:    request(j),
-				BestEffort: j.bestEffort,
-			}
-			if j.kind == sched.DeadlineJob {
-				st.WorkflowID = cfg.Workflows[j.wfIdx].ID
-				st.JobName = cfg.Workflows[j.wfIdx].Job(j.nodeIdx).Name
-				st.Release = j.release
-				st.Deadline = j.deadline
-				st.EstRemaining = estRemaining(j)
-				st.ParallelCap = j.parallelCap
-				st.MinSlots = j.minSlots
-			}
-			if st.Ready && !st.Request.IsZero() {
-				demandNow = true
-			}
-			states = append(states, st)
-			idx[j.id] = j
-		}
-		if !liveWork && pendingArrivals == 0 {
+		if len(state.Jobs()) == 0 && len(due) == 0 {
 			res.Slots = slot
 			break
 		}
 		res.Slots = slot + 1
+
+		// The scheduler sees the state's live jobs, with their exact
+		// submissions and the estimates instead of the true volumes, in
+		// submission order. No grant waits on a confirm, so none is an offer.
+		tick, states := state.DecideTick(nil, true)
+		demandNow := false
+		for i := range states {
+			st, j := &states[i], live[states[i].ID]
+			st.Arrived = j.submit
+			st.ReadyOnConfirm = false
+			if st.Kind == sched.DeadlineJob {
+				st.EstRemaining = j.est.SubClamped(j.Delivered)
+			}
+			if st.Ready && !st.Request.IsZero() {
+				demandNow = true
+			}
+		}
+		slices.SortFunc(states, func(a, b sched.JobState) int {
+			return cmp.Or(cmp.Compare(a.Arrived, b.Arrived), cmp.Compare(a.ID, b.ID))
+		})
 
 		grants, err := cfg.Scheduler.Assign(sched.AssignContext{
 			Now:     slot,
@@ -370,21 +362,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 		changed = false
 
-		// Apply grants: clamp to request and to capacity, deterministically.
+		// Clamp grants to request and to capacity, deterministically.
 		capLeft := cfg.Capacity(slot)
 		var dlUsed, ahUsed resource.Vector
-		var applied map[string]resource.Vector
-		if checker != nil {
-			applied = make(map[string]resource.Vector, len(states))
-		}
+		applied := make(map[string]resource.Vector, len(grants))
 		for _, st := range states {
 			g, ok := grants[st.ID]
-			if !ok {
-				continue
-			}
-			j := idx[st.ID]
-			if !st.Ready {
-				continue // defensive: scheduler granted a blocked job
+			if !ok || !st.Ready {
+				continue // a grant to a blocked job is dropped
 			}
 			g = g.Min(st.Request).Min(capLeft)
 			if g.AnyNegative() || g.IsZero() {
@@ -393,7 +378,7 @@ func Run(cfg Config) (*Result, error) {
 			if cluster != nil {
 				// The fluid grant must land on concrete machines; what
 				// doesn't fit anywhere is refused, not consumed.
-				eff := placeGrant(cluster, j.taskDemand, g)
+				eff := placeGrant(cluster, live[st.ID].taskDemand, g)
 				mres.UnplacedVolume = mres.UnplacedVolume.Add(g.Sub(eff))
 				g = eff
 				if g.IsZero() {
@@ -401,16 +386,27 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			capLeft = capLeft.Sub(g)
-			j.consumed = j.consumed.Add(g)
-			j.actualLeft = j.actualLeft.SubClamped(g)
-			if applied != nil {
-				applied[st.ID] = g
-			}
-			if j.kind == sched.DeadlineJob {
+			applied[st.ID] = g
+			if st.Kind == sched.DeadlineJob {
 				dlUsed = dlUsed.Add(g)
 			} else {
 				ahUsed = ahUsed.Add(g)
 			}
+		}
+		// The grants run: one tick leases them to the simulator's node, and
+		// one confirm delivers them at the slot's end.
+		nodes[0].Capacity, nodes[0].Placed = cfg.Capacity(slot), resource.Vector{}
+		state.PlaceTick(tick, states, applied, nodes)
+		qids := make([]string, len(tick.Grants))
+		for i, g := range tick.Grants {
+			qids[i] = g.QID
+		}
+		if err := state.Apply(&rmstate.Record{Tick: tick}); err != nil {
+			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+		}
+		confirm, _ := state.DecideConfirm(simNode, qids)
+		if err := state.Apply(&rmstate.Record{Confirm: confirm}); err != nil {
+			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
 
 		if demandNow && dlUsed.IsZero() && ahUsed.IsZero() && !cfg.Capacity(slot).IsZero() {
@@ -423,48 +419,18 @@ func Run(cfg Config) (*Result, error) {
 			})
 		}
 
-		// Completions and estimate revisions at slot end.
-		endOfSlot := time.Duration(slot+1) * cfg.SlotDur
-		for _, j := range jobs {
-			if !j.arrivedYet || j.done {
-				continue
-			}
-			if j.actualLeft.IsZero() {
-				j.done = true
-				j.doneAt = endOfSlot
-				changed = true
-				res.Events++
-				continue
-			}
-			if j.kind == sched.DeadlineJob && estRemaining(j).IsZero() {
-				// The job outlived its estimate: an observable event — the
-				// expected completion time passed. Revise the estimate
-				// upward by a chunk (20% of the original, at least one
-				// full-parallelism wave) and replan (paper §III:
-				// robustness to estimation errors).
-				bump := j.origEst
-				for i := range bump {
-					bump[i] /= 5
-				}
-				bump = bump.Max(j.parallelCap)
-				j.estTotal = j.estTotal.Add(bump)
-				changed = true
-				res.Events++
-			}
-		}
-
 		if checker != nil {
 			obs := make([]Observation, 0, len(states))
 			for _, st := range states {
-				j := idx[st.ID]
+				j := live[st.ID]
 				obs = append(obs, Observation{
-					ID:        j.id,
+					ID:        j.ID,
 					Granted:   applied[st.ID],
 					Request:   st.Request,
 					Ready:     st.Ready,
-					Consumed:  j.consumed,
-					Remaining: j.actualLeft,
-					Done:      j.done,
+					Consumed:  j.Delivered,
+					Remaining: j.Total.SubClamped(j.Delivered),
+					Done:      j.Done,
 				})
 			}
 			if err := checker.CheckSlot(slot, cfg.Capacity(slot), obs); err != nil {
@@ -482,19 +448,45 @@ func Run(cfg Config) (*Result, error) {
 			}
 			res.InvariantSlots = checker.Slots()
 		}
+
+		// Completions and estimate revisions at slot end.
+		for _, st := range states {
+			j := live[st.ID]
+			if j.Done {
+				delete(live, st.ID)
+				changed = true
+				res.Events++
+				continue
+			}
+			if st.Kind == sched.DeadlineJob && j.est.SubClamped(j.Delivered).IsZero() {
+				// The job outlived its estimate: an observable event — the
+				// expected completion time passed. Revise the estimate
+				// upward by a chunk (20% of the original, at least one
+				// full-parallelism wave) and replan (paper §III:
+				// robustness to estimation errors).
+				bump := j.origEst
+				for i := range bump {
+					bump[i] /= 5
+				}
+				j.est = j.est.Add(bump.Max(j.ParallelCap))
+				changed = true
+				res.Events++
+			}
+		}
 	}
 
+	// What the horizon cut off is admitted too, so every job has an outcome.
+	for _, a := range due {
+		if err := admit(state, a, live); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
 	if cluster != nil {
 		mres.FinalLive = cluster.Live()
 		mres.Stats = cluster.Stats()
 		res.Machine = mres
 	}
-	collectOutcomes(cfg, jobs, wfDeadlines, res)
-	for _, j := range jobs {
-		if j.bestEffort {
-			res.BestEffortJobs++
-		}
-	}
+	collectOutcomes(cfg, admits, res)
 	if dr, ok := cfg.Scheduler.(sched.DegradationReporter); ok {
 		d := dr.Degradation()
 		res.Degradation = &d
@@ -502,95 +494,102 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// buildJobs materializes run state: decomposes every workflow into job
-// windows (deadline.Decompose falls back to the critical path itself when
-// a deadline is too tight for the antichain sets) and registers ad-hoc
-// jobs. Workflows Decompose refuses are admitted best-effort (every job
-// gets the whole workflow span as its window) instead of rejected, so one
+// admissions decides every workflow's and ad-hoc job's admission record
+// before the run: workflows, then ad-hoc jobs, in the order given. A
+// workflow is decomposed against the capacity at its submission
+// (deadline.Decompose falls back to the critical path itself when a
+// deadline is too tight for the antichain sets), and each job's MinSlots
+// is taken against the same capacity, as rmstate.AdmitWorkflow has it. A
+// workflow Decompose refuses is admitted best-effort (every job gets the
+// whole workflow span as its window) instead of rejected, so one
 // impossible deadline cannot abort the run or poison the planners' joint
-// LP.
-func buildJobs(cfg Config) ([]*runJob, map[int]time.Duration, error) {
-	var jobs []*runJob
-	wfDeadlines := make(map[int]time.Duration, len(cfg.Workflows))
+// LP. A record's task durations are the true ones rounded up to whole
+// seconds, which on a whole-second slot makes the state's volume the true
+// volume; the estimate stays with the simulator.
+func admissions(cfg Config) ([]*admission, error) {
+	tr, err := trace.FromWorkload(cfg.Workflows, cfg.AdHoc)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	arrival := func(submit time.Duration) int64 { return int64((submit + cfg.SlotDur - 1) / cfg.SlotDur) }
 	seen := make(map[string]bool)
+	out := make([]*admission, 0, len(cfg.Workflows)+len(cfg.AdHoc))
 	for wi, wf := range cfg.Workflows {
-		if err := wf.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("sim: %w", err)
-		}
 		if seen[wf.ID] {
-			return nil, nil, fmt.Errorf("sim: duplicate workflow ID %q", wf.ID)
+			return nil, fmt.Errorf("sim: duplicate workflow ID %q", wf.ID)
 		}
 		seen[wf.ID] = true
-		wfDeadlines[wi] = wf.Deadline
-
-		// One admission capacity, as rmstate.AdmitWorkflow has: the windows
-		// and each job's MinSlots are both computed against the capacity at
-		// submission.
 		capacity := cfg.Capacity(int64(wf.Submit / cfg.SlotDur))
 		dec, err := deadline.Decompose(wf, deadline.Options{
 			Slot:              cfg.SlotDur,
 			ClusterCap:        capacity,
 			ForceCriticalPath: cfg.ForceCriticalPath,
 		})
-		bestEffort := err != nil
-		for ni := 0; ni < wf.NumJobs(); ni++ {
-			job := wf.Job(ni)
-			est := job.Volume(cfg.SlotDur)
-			actual := workflow.Job{
-				Name:         job.Name,
-				Tasks:        job.Tasks,
-				TaskDuration: job.EffectiveTaskDuration(),
-				TaskDemand:   job.TaskDemand,
-			}.Volume(cfg.SlotDur)
+		rec := &rmstate.RecWorkflow{
+			WF:         tr.Workflows[wi],
+			SubmitNS:   int64(wf.Submit),
+			DeadlineNS: int64(wf.Deadline),
+			Slot:       arrival(wf.Submit),
+			BestEffort: err != nil,
+			Windows:    make([]rmstate.RecWindow, wf.NumJobs()),
+		}
+		// Past the truncated submission, whatever fraction of a second
+		// the two lie apart.
+		rec.WF.DeadlineSec = ceilSeconds(wf.Deadline)
+		a := &admission{slot: rec.Slot, rec: &rmstate.Record{Workflow: rec}}
+		for i := range rec.Windows {
+			j := wf.Job(i)
+			rec.WF.Jobs[i].TaskDurSec, rec.WF.Jobs[i].ActualTaskDurSec = ceilSeconds(j.EffectiveTaskDuration()), 0
 			release, dl := wf.Submit, wf.Deadline
-			if !bestEffort {
-				release, dl = dec.Windows[ni].Release, dec.Windows[ni].Deadline
+			if !rec.BestEffort {
+				release, dl = dec.Windows[i].Release, dec.Windows[i].Deadline
 			}
-			jobs = append(jobs, &runJob{
-				id:          fmt.Sprintf("%s/%s#%d", wf.ID, job.Name, ni),
-				kind:        sched.DeadlineJob,
-				wfIdx:       wi,
-				nodeIdx:     ni,
-				arrived:     wf.Submit,
-				release:     release,
-				deadline:    dl,
-				estTotal:    est,
-				origEst:     est,
-				actualLeft:  actual,
-				parallelCap: job.ParallelCap(),
-				taskDemand:  job.TaskDemand,
-				minSlots:    job.MinRuntimeSlots(cfg.SlotDur, capacity),
-				bestEffort:  bestEffort,
-			})
+			rec.Windows[i] = rmstate.RecWindow{
+				ReleaseNS:  int64(release),
+				DeadlineNS: int64(dl),
+				MinSlots:   j.MinRuntimeSlots(cfg.SlotDur, capacity),
+			}
+			est := j.Volume(cfg.SlotDur)
+			a.jobs = append(a.jobs, &job{submit: wf.Submit, est: est, origEst: est, taskDemand: j.TaskDemand})
 		}
+		out = append(out, a)
 	}
-	for _, ah := range cfg.AdHoc {
-		if err := ah.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("sim: %w", err)
-		}
-		id := "adhoc/" + ah.ID
+	for ai, ah := range cfg.AdHoc {
+		id := rmproto.AdHocJobID(ah.ID)
 		if seen[id] {
-			return nil, nil, fmt.Errorf("sim: duplicate ad-hoc ID %q", ah.ID)
+			return nil, fmt.Errorf("sim: duplicate ad-hoc ID %q", ah.ID)
 		}
 		seen[id] = true
-		jobs = append(jobs, &runJob{
-			id:          id,
-			kind:        sched.AdHocJob,
-			wfIdx:       -1,
-			arrived:     ah.Submit,
-			actualLeft:  ah.Volume(cfg.SlotDur),
-			parallelCap: ah.ParallelCap(),
-			taskDemand:  ah.TaskDemand,
+		rec := &rmstate.RecAdHoc{Job: tr.AdHoc[ai], Slot: arrival(ah.Submit)}
+		rec.Job.TaskDurSec = ceilSeconds(ah.TaskDuration)
+		out = append(out, &admission{
+			slot: rec.Slot,
+			rec:  &rmstate.Record{AdHoc: rec},
+			jobs: []*job{{submit: ah.Submit, taskDemand: ah.TaskDemand}},
 		})
 	}
-	// Deterministic order: arrival, then ID.
-	sort.SliceStable(jobs, func(a, b int) bool {
-		if jobs[a].arrived != jobs[b].arrived {
-			return jobs[a].arrived < jobs[b].arrived
-		}
-		return jobs[a].id < jobs[b].id
-	})
-	return jobs, wfDeadlines, nil
+	return out, nil
+}
+
+// ceilSeconds is d in whole seconds, rounded up.
+func ceilSeconds(d time.Duration) int64 { return int64((d + time.Second - 1) / time.Second) }
+
+// admit applies a's record to the state and binds its jobs to the state's.
+func admit(state *rmstate.State, a *admission, live map[string]*job) error {
+	if err := state.Apply(a.rec); err != nil {
+		return err
+	}
+	admitted := []*rmstate.Job{nil}
+	if w := a.rec.Workflow; w != nil {
+		admitted = state.Workflows()[w.WF.ID].Jobs
+	} else {
+		admitted[0] = state.Jobs()[rmproto.AdHocJobID(a.rec.AdHoc.Job.ID)]
+	}
+	for i, sj := range admitted {
+		a.jobs[i].Job = sj
+		live[sj.ID] = a.jobs[i]
+	}
+	return nil
 }
 
 // placeGrant lands a fluid grant on concrete machines in task-sized
@@ -633,68 +632,51 @@ func unitCount(g, unit resource.Vector) int64 {
 	return n
 }
 
-// jobReady reports whether all DAG predecessors completed.
-func jobReady(j *runJob, byNode map[[2]int]*runJob, cfg Config) bool {
-	if j.kind != sched.DeadlineJob {
-		return true
+// collectOutcomes reads every job's outcome from the state's jobs: the jobs
+// in submission order, then the workflows in the order given.
+func collectOutcomes(cfg Config, admits []*admission, res *Result) {
+	var jobs []*job
+	for _, a := range admits {
+		jobs = append(jobs, a.jobs...)
 	}
-	for _, p := range cfg.Workflows[j.wfIdx].DAG().Predecessors(j.nodeIdx) {
-		if pj := byNode[[2]int{j.wfIdx, p}]; pj != nil && !pj.done {
-			return false
+	slices.SortStableFunc(jobs, func(a, b *job) int {
+		return cmp.Or(cmp.Compare(a.submit, b.submit), cmp.Compare(a.ID, b.ID))
+	})
+	completion := func(j *job) time.Duration {
+		if !j.Done {
+			return 0
 		}
-	}
-	return true
-}
-
-// request is the largest grant the job can consume this slot.
-func request(j *runJob) resource.Vector {
-	return j.parallelCap.Min(j.actualLeft)
-}
-
-// estRemaining is the scheduler-visible remaining-work estimate: the
-// (possibly revised) estimate minus consumption.
-func estRemaining(j *runJob) resource.Vector {
-	return j.estTotal.SubClamped(j.consumed)
-}
-
-func collectOutcomes(cfg Config, jobs []*runJob, wfDeadlines map[int]time.Duration, res *Result) {
-	wfDone := make(map[int]time.Duration)
-	wfAll := make(map[int]bool)
-	for wi := range cfg.Workflows {
-		wfAll[wi] = true
+		return time.Duration(j.DoneSlot) * cfg.SlotDur
 	}
 	for _, j := range jobs {
-		switch j.kind {
+		switch j.Kind {
 		case sched.DeadlineJob:
-			wf := cfg.Workflows[j.wfIdx]
 			res.Jobs = append(res.Jobs, JobOutcome{
-				WorkflowID: wf.ID,
-				JobName:    wf.Job(j.nodeIdx).Name,
-				Release:    j.release,
-				Deadline:   j.deadline,
-				Completion: j.doneAt,
-				Completed:  j.done,
+				WorkflowID: j.WorkflowID,
+				JobName:    j.JobName,
+				Release:    j.Release,
+				Deadline:   j.Deadline,
+				Completion: completion(j),
+				Completed:  j.Done,
 			})
-			if !j.done {
-				wfAll[j.wfIdx] = false
-			} else if j.doneAt > wfDone[j.wfIdx] {
-				wfDone[j.wfIdx] = j.doneAt
+			if j.BestEffort {
+				res.BestEffortJobs++
 			}
 		case sched.AdHocJob:
 			res.AdHoc = append(res.AdHoc, AdHocOutcome{
-				ID:         j.id,
-				Submit:     j.arrived,
-				Completion: j.doneAt,
-				Completed:  j.done,
+				ID:         j.ID,
+				Submit:     j.submit,
+				Completion: completion(j),
+				Completed:  j.Done,
 			})
 		}
 	}
 	for wi, wf := range cfg.Workflows {
-		res.Workflows = append(res.Workflows, WorkflowOutcome{
-			ID:         wf.ID,
-			Deadline:   wfDeadlines[wi],
-			Completion: wfDone[wi],
-			Completed:  wfAll[wi],
-		})
+		o := WorkflowOutcome{ID: wf.ID, Deadline: wf.Deadline, Completed: true}
+		for _, j := range admits[wi].jobs {
+			o.Completion = max(o.Completion, completion(j))
+			o.Completed = o.Completed && j.Done
+		}
+		res.Workflows = append(res.Workflows, o)
 	}
 }

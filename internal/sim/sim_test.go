@@ -56,6 +56,7 @@ func TestRunValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"zero slot", func(c *Config) { c.SlotDur = 0 }},
+		{"fractional slot", func(c *Config) { c.SlotDur = 1500 * time.Millisecond }},
 		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
 		{"nil capacity", func(c *Config) { c.Capacity = nil }},
 		{"nil scheduler", func(c *Config) { c.Scheduler = nil }},
