@@ -89,9 +89,11 @@ type network struct {
 	arcStart []int32   // per job: its first job→slot edge; the rest follow two ids apart
 	arcSlot  [][]int32 // per job: the slots those edges lead to, ascending
 
-	level []int32 // BFS distance from the source; -1 unlabeled, retired never relabeled
+	level []int32 // BFS distance from the search's root; -1 unlabeled, retired never relabeled
 	queue []int32
 	next  []int32 // Dinic's current-arc cursor into adj
+	goal  int32   // the level push delivers at: the sink's, or in a reroute the first giver's
+	open  []bool  // per job: Shortfall has not walked it yet, so a reroute may take its flow
 	work  Work
 }
 
@@ -179,17 +181,22 @@ func newNetwork(caps []int64, jobs []Job) (*network, error) {
 	return g, nil
 }
 
+// root clears the last search's labels and starts a new one at u.
+func (g *network) root(u int32) {
+	for _, v := range g.queue {
+		g.level[v] = -1
+	}
+	g.queue = append(g.queue[:0], u)
+	g.level[u] = 0
+}
+
 // search labels nodes with their BFS distance from the source over
 // residual arcs and reports whether the sink was reached. It stops at
 // the sink: every node nearer than the sink is labeled by then, and a
 // blocking flow uses no other. When it fails, the labeled nodes are
 // exactly the source side of the minimal min cut.
 func (g *network) search() bool {
-	for _, v := range g.queue {
-		g.level[v] = -1
-	}
-	g.queue = append(g.queue[:0], 0)
-	g.level[0] = 0
+	g.root(0)
 	sink := g.sink()
 	for head := 0; head < len(g.queue); head++ {
 		u := g.queue[head]
@@ -201,6 +208,7 @@ func (g *network) search() bool {
 				g.queue = append(g.queue, v)
 				if v == sink {
 					g.work.ArcsScanned += i + 1
+					g.goal = g.level[v]
 					return true
 				}
 			}
@@ -210,10 +218,64 @@ func (g *network) search() bool {
 	return false
 }
 
-// push sends up to limit units from u toward the sink along the level
-// graph and returns what arrived.
+// reach labels nodes with their BFS distance from job node u over
+// residual arcs, entering neither the source nor the sink, and reports
+// whether it reached a giver. It finishes the level the first giver is on,
+// which becomes the goal. When it fails, the labeled nodes are all that u
+// can reach.
+func (g *network) reach(u int32) bool {
+	g.root(u)
+	g.goal = retired
+	sink := g.sink()
+	for head := 0; head < len(g.queue); head++ {
+		u := g.queue[head]
+		if g.level[u] >= g.goal {
+			break
+		}
+		arcs := g.adj[g.adjStart[u]:g.adjStart[u+1]]
+		for _, e := range arcs {
+			v := g.to[e]
+			if g.res[e] > 0 && g.level[v] < 0 && v != 0 && v != sink {
+				g.level[v] = g.level[u] + 1
+				g.queue = append(g.queue, v)
+				if g.goal == retired && g.giver(v) >= 0 {
+					g.goal = g.level[v]
+				}
+			}
+		}
+		g.work.ArcsScanned += len(arcs)
+	}
+	return g.goal != retired
+}
+
+// giver is the reverse of the source arc of the job at node v when that
+// job is open and has flow on it to give back, -1 otherwise.
+func (g *network) giver(v int32) int32 {
+	j := int(v) - 1
+	if j < 0 || j >= len(g.jobs) || g.open == nil || !g.open[j] || g.srcEdge[j] < 0 {
+		return -1
+	}
+	if e := g.srcEdge[j] ^ 1; g.res[e] > 0 {
+		return e
+	}
+	return -1
+}
+
+// push sends up to limit units from u along the level graph to the goal
+// level and returns what arrived: the sink takes all of it, a giver as
+// much as its source arc carries, which it gives up, and any other node
+// there nothing.
 func (g *network) push(u int32, limit int64) int64 {
-	if u == g.sink() {
+	if g.level[u] == g.goal {
+		if u != g.sink() {
+			e := g.giver(u)
+			if e < 0 {
+				return 0
+			}
+			limit = min(limit, g.res[e])
+			g.res[e] -= limit
+			g.res[e^1] += limit
+		}
 		g.work.Augmentations++
 		return limit
 	}
@@ -239,10 +301,15 @@ func (g *network) push(u int32, limit int64) int64 {
 // Afterwards the labels of the last, failed search mark the min cut.
 func (g *network) augment() {
 	for g.search() {
-		for _, v := range g.queue {
-			g.next[v] = g.adjStart[v]
-		}
+		g.rewind()
 		g.push(0, math.MaxInt64)
+	}
+}
+
+// rewind resets the current-arc cursors of the nodes the search labeled.
+func (g *network) rewind() {
+	for _, v := range g.queue {
+		g.next[v] = g.adjStart[v]
 	}
 }
 
@@ -261,24 +328,32 @@ type Routing struct {
 }
 
 // Shortfall is the planner's stage A: the max flow at the hard slot
-// capacities, and per job the demand it leaves unrouted. Jobs are let in
-// one at a time in the given order (indices into jobs, each exactly
-// once), each augmented to its own maximum before the next; an
-// augmenting path never takes flow back from a source arc, so whatever
-// cannot fit lands on the jobs latest in the order and the split is a
-// function of the input alone. The total routed is the max flow whatever
-// the order.
+// capacities, and per job the demand it leaves unrouted. The split is the
+// one that letting jobs in one at a time in the given order (indices into
+// jobs, each exactly once), each routed to its own maximum before the
+// next and never giving flow back, would make: whatever cannot fit lands
+// on the jobs latest in the order, and the split is a function of the
+// input alone. The total routed is the max flow whatever the order.
 //
-// The proof is read off the labels of the failed search after each short
-// job's augmentation (after a job routed in full it labels only the
-// source). A node that cannot reach the sink never can again: no
-// residual arc leaves the set of such nodes, so no augmenting path enters
-// it and none reopens an arc out of it. So the union of those source
+// One max flow opens every source arc at once. Then the order is walked:
+// a job left short takes flow back from jobs later in it, along residual
+// paths that enter neither the source nor the sink, until it is saturated
+// or reaches none, and its arc closes. The flow stays maximum, so no
+// residual path leads from a job still short to the sink, nor, once it is
+// done, to a later job's flow: it routed exactly what it adds to the max
+// flow of the jobs before it, the greedy base of the routing polymatroid,
+// which is unique.
+//
+// The proof is read off the labels of a short job's last, failed search:
+// they are the source side, the source aside, of the minimal min cut of
+// the network of the jobs up to it. A node that cannot reach the sink
+// never can again: no residual arc leaves the set of such nodes, so no
+// path enters it and none reopens an arc out of it. So the union of those
 // sides stays closed in the residual graph, every arc leaving it stays
 // saturated, and once a node has joined the cut it is retired: no later
-// search labels it. That changes no later level, push or augmentation,
-// and spares the searches of a congested instance from re-walking the
-// graph already cut off, once per short job.
+// search labels it. That changes no later level or push, and spares the
+// searches of a congested instance from re-walking the graph already cut
+// off, once per short job.
 func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	g, err := newNetwork(caps, jobs)
 	if err != nil {
@@ -287,9 +362,19 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	if len(order) != len(jobs) {
 		return nil, fmt.Errorf("flow: order names %d jobs, instance has %d", len(order), len(jobs))
 	}
+	open := make([]bool, len(jobs))
+	for _, j := range order {
+		if j < 0 || j >= len(jobs) || open[j] {
+			return nil, fmt.Errorf("flow: order entry %d out of range or repeated", j)
+		}
+		open[j] = true
+	}
 	for j, slots := range g.arcSlot {
 		for i := range slots {
 			g.res[g.arcStart[j]+int32(2*i)] = jobs[j].Cap
+		}
+		if e := g.srcEdge[j]; e >= 0 {
+			g.res[e] = jobs[j].Demand
 		}
 	}
 	for t, e := range g.sinkEdge {
@@ -308,25 +393,26 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	for i := range r.SlotCut {
 		r.SlotCut[i] = -1
 	}
-	seen := make([]bool, len(jobs))
 	g.work.MaxFlows = 1
+	g.augment()
+	g.open = open
 	for pos, j := range order {
-		if j < 0 || j >= len(jobs) || seen[j] {
-			return nil, fmt.Errorf("flow: order entry %d out of range or repeated", j)
-		}
-		seen[j] = true
+		open[j] = false
 		e := g.srcEdge[j]
-		if e < 0 {
+		if e < 0 || g.res[e] == 0 {
 			continue
 		}
-		g.res[e] = jobs[j].Demand
-		g.augment()
+		for g.res[e] > 0 && g.reach(g.jobNode(j)) {
+			g.rewind()
+			got := g.push(g.jobNode(j), g.res[e])
+			g.res[e] -= got
+			g.res[e^1] += got
+		}
 		if g.res[e] > 0 {
 			g.joinCut(r, pos)
 			g.retire()
 		}
-		// Close the arc: no later augmentation can open a path for a job
-		// that came up short, so later searches need not start from it.
+		// Close the arc: what the job routed stays with it.
 		r.Short[j], g.res[e] = g.res[e], 0
 	}
 	r.Work = g.work
@@ -347,13 +433,13 @@ func (g *network) joinCut(r *Routing, pos int) {
 	}
 }
 
-// retire takes the nodes the last, failed search labeled, the source
-// aside, out of every later search: none of them can reach the sink again.
+// retire takes the nodes the last, failed reach labeled out of every later
+// search: none of them can reach the sink again.
 func (g *network) retire() {
-	for _, v := range g.queue[1:] {
+	for _, v := range g.queue {
 		g.level[v] = retired
 	}
-	g.queue = g.queue[:1]
+	g.queue = g.queue[:0]
 }
 
 // Skyline is the lexicographic min-max flow of LexMinMax, with the

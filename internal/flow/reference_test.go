@@ -2,11 +2,12 @@ package flow
 
 import "fmt"
 
-// ShortfallReference is Shortfall as it was before it retired the nodes a
-// short job's failed search labels: every search re-walks the part of the
-// graph that is already cut off from the sink. It is the reference the
-// retiring Shortfall must equal bit for bit, in its Routing and in every
-// Work count but ArcsScanned, which is what the retirement saves.
+// ShortfallReference is stage A as its definition reads: the jobs are let
+// in one at a time in the order, each augmented to its own maximum before
+// the next, and every search re-walks the part of the graph that is
+// already cut off from the sink. It is the reference Shortfall, which
+// routes every job in one max flow and then reroutes in order, must equal
+// bit for bit in its Routing.
 func ShortfallReference(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	g, err := newNetwork(caps, jobs)
 	if err != nil {
