@@ -92,15 +92,18 @@ func TestPlannerReadsNoWallClock(t *testing.T) {
 // clockSeams are the functions, by package, that TestPlannerReadsNoWallClock
 // lets read the clock, and only the clock. None of them decides what is
 // planned or journaled from it:
-//   - (*FlowTime).runPlanner times each flow planner call for the stats;
+//   - timed times the flow planner's calls and the integral repair for
+//     the scheduler's stats and its record of the last replan;
 //   - (*Server).Handler stamps the HTTP layer's registrations, heartbeats
 //     and ticks with the time they arrived, which the server then decides
 //     from;
 //   - (*Server).recoverLocked and store.Open time the recovery they report;
-//   - (*wal).waitSynced times each fsync for the durability stats.
+//   - (*wal).waitSynced times each fsync for the durability stats;
+//   - (*stopwatch).lap times a tick's phases for its record in the tick
+//     ring, which is not journaled and which no decision reads.
 var clockSeams = map[string][]string{
-	"internal/core":     {"(*FlowTime).runPlanner"},
-	"internal/rmserver": {"(*Server).Handler", "(*Server).recoverLocked"},
+	"internal/core":     {"timed"},
+	"internal/rmserver": {"(*Server).Handler", "(*Server).recoverLocked", "(*stopwatch).lap"},
 	"internal/store":    {"Open", "(*wal).waitSynced"},
 }
 

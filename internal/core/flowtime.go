@@ -200,6 +200,9 @@ type Stats struct {
 	Backfilled resource.Vector
 	// LP aggregates the planner's work across all replans.
 	LP PlannerStats
+	// Last is the replan the last Assign ran, the zero value when it ran
+	// none (sched.ReplanReporter).
+	Last sched.ReplanStats
 }
 
 // PlannerStats is what the flow planner cost. The field names are the
@@ -237,6 +240,11 @@ func (f *FlowTime) Stats() Stats { return f.stats }
 func (f *FlowTime) Degradation() sched.DegradationStatus { return f.degrade }
 
 var _ sched.DegradationReporter = (*FlowTime)(nil)
+
+// LastReplan implements sched.ReplanReporter.
+func (f *FlowTime) LastReplan() sched.ReplanStats { return f.stats.Last }
+
+var _ sched.ReplanReporter = (*FlowTime)(nil)
 
 var _ sched.PlanStreamer = (*FlowTime)(nil)
 
@@ -356,9 +364,13 @@ const qualityReplanInterval = 5
 // what ad-hoc work left, so the grants are work-conserving: no kind has
 // capacity left beside a ready job that asked for more of it.
 func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, error) {
-	urgent, quality := f.planNeeds(ctx)
-	if urgent || (quality && ctx.Now >= f.live.From+qualityReplanInterval) {
-		f.replan(ctx)
+	f.stats.Last = sched.ReplanStats{}
+	cause, quality := f.planNeeds(ctx)
+	if cause == "" && quality && ctx.Now >= f.live.From+qualityReplanInterval {
+		cause = sched.ReplanQuality
+	}
+	if cause != "" {
+		f.replan(ctx, cause)
 	}
 	avail := ctx.Cluster.CapAt(ctx.Now)
 	grants := make(map[string]resource.Vector, len(ctx.Jobs))
@@ -481,24 +493,25 @@ func deadlineEDF(jobs []sched.JobState) (ready, onConfirm []sched.JobState) {
 }
 
 // planNeeds classifies why the current plan no longer matches reality.
-// urgent: a live deadline job needs more than the plan still holds for it
-// (new arrival, underestimate, blocked grants), the capacity profile
-// changed, or deferred demand is due for a retry — replanning affects
-// correctness. quality: planned work refers to a job that is gone or
-// finished early — capacity is worth reflowing, but the plan stays valid.
-func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent, quality bool) {
+// urgent, the cause of a replan that affects correctness, non-empty when
+// there is no plan or a live deadline job with an open window is not in
+// it (sched.ReplanUrgent), the capacity profile changed (ReplanCapacity),
+// or deferred demand is due for a retry (ReplanDeferred). quality: planned
+// work refers to a job that is gone, finished early or grew — capacity is
+// worth reflowing, but the plan stays valid.
+func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent string, quality bool) {
 	if f.live == nil {
-		return true, false
+		return sched.ReplanUrgent, false
 	}
 	if f.deferredRetry > 0 && ctx.Now >= f.deferredRetry {
 		// Time to retry placing demand the last plan could not fit.
-		return true, false
+		return sched.ReplanDeferred, false
 	}
 	if off := ctx.Now - f.live.From; off >= 0 && off < int64(len(f.planCap)) {
 		if ctx.Cluster.CapAt(ctx.Now) != f.planCap[off] {
 			// The capacity profile changed under the plan (node loss or
 			// recovery); the skyline must be re-flattened.
-			return true, false
+			return sched.ReplanCapacity, false
 		}
 	}
 	live := make(map[string]bool, len(ctx.Jobs))
@@ -519,7 +532,7 @@ func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent, quality bool) {
 					continue
 				}
 				// A new arrival with an open window needs a plan now.
-				return true, quality
+				return sched.ReplanUrgent, quality
 			}
 			// A planned job revised its estimate upward (or a blocked slot
 			// wasted its slice): the backlog stage in Assign feeds it from
@@ -540,7 +553,7 @@ func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent, quality bool) {
 		// quality replan instead of forcing one now.
 		quality = true
 	}
-	return false, quality
+	return "", quality
 }
 
 func (f *FlowTime) planKnown(id string) bool {
@@ -568,8 +581,9 @@ type planJob struct {
 // pipeline under the degradation ladder. It cannot fail: any planner
 // trouble steps that kind down to the greedy rung, and the resulting plan
 // is checked (checkPlan) before it is served.
-func (f *FlowTime) replan(ctx sched.AssignContext) {
+func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	f.stats.Replans++
+	f.stats.Last = sched.ReplanStats{Slot: ctx.Now, Cause: cause}
 	f.trimAdHocReserved(ctx.Now)
 	f.adhocStale = false
 	f.planRemaining = make(map[string]resource.Vector)
@@ -859,7 +873,7 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
 			}
 		}
-		p.err = f.runPlanner(kind, func() (flow.Work, error) {
+		p.err = f.runPlanner(kind, &f.stats.Last.StageA, func() (flow.Work, error) {
 			r, err := flow.Shortfall(p.caps, p.jobs, p.order)
 			if err != nil {
 				return flow.Work{}, err
@@ -899,28 +913,45 @@ func anyShort(probs []*kindProblem) bool {
 }
 
 // runPlanner makes one call into the flow planner, charges its wall time
-// and work to the stats, and turns a panic into an error so a planner bug
-// degrades the plan instead of killing the scheduling slot.
-func (f *FlowTime) runPlanner(kind resource.Kind, call func() (flow.Work, error)) (err error) {
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("planner panic: %v", r)
+// to the stats and to the replan's stage, stage, and its work to both, and
+// turns a panic into an error so a planner bug degrades the plan instead of
+// killing the scheduling slot.
+func (f *FlowTime) runPlanner(kind resource.Kind, stage *time.Duration, call func() (flow.Work, error)) (err error) {
+	var w flow.Work
+	d := timed(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("planner panic: %v", r)
+			}
+		}()
+		if f.planFault != nil {
+			if err = f.planFault(kind); err != nil {
+				return
+			}
 		}
-		f.stats.LP.Duration += time.Since(start)
-	}()
-	if f.planFault != nil {
-		if err := f.planFault(kind); err != nil {
-			return err
-		}
-	}
-	w, err := call()
+		w, err = call()
+	})
+	f.stats.LP.Duration += d
+	*stage += d
+	last := &f.stats.Last.Work[int(kind)-1] // kinds start at one
+	last.MaxFlows += w.MaxFlows
+	last.Resumed += w.Resumed
+	last.Augmentations += w.Augmentations
+	last.ArcsScanned += w.ArcsScanned
 	f.stats.LP.Pivots += w.Augmentations
 	f.stats.LP.ColdStarts += w.MaxFlows
 	f.stats.LP.WarmStarts += w.Resumed
 	f.degrade.LPColdStarts += int64(w.MaxFlows)
 	f.degrade.LPWarmStarts += int64(w.Resumed)
 	return err
+}
+
+// timed runs call and returns its wall time: the one place the scheduler
+// reads the clock, for its stats and never for a decision.
+func timed(call func()) time.Duration {
+	start := time.Now()
+	call()
+	return time.Since(start)
 }
 
 // replanKind finishes one kind's pipeline — skyline and repair on top of
@@ -959,7 +990,7 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 		kept, yielded = p.reserved()
 		f.stats.AdHocYielded = f.stats.AdHocYielded.With(kind, f.stats.AdHocYielded.Get(kind)+yielded)
 		stage = "stage B"
-		err = f.runPlanner(kind, func() (w flow.Work, err error) {
+		err = f.runPlanner(kind, &f.stats.Last.StageB, func() (w flow.Work, err error) {
 			if sky, err = flow.LexMinMax(p.caps, fits, f.cfg.MaxLexRounds); err != nil {
 				return w, err
 			}
@@ -984,19 +1015,21 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 	for i, pj := range p.pjs {
 		remaining[pj] -= p.short[i]
 	}
-	cum := 0.0
-	budgetUsed := int64(0)
-	for t := int64(0); t < nSlots; t++ {
-		cum += sky.Load[t] - float64(kept[t])
-		budget := int64(cum+0.5) - budgetUsed
-		if c := p.caps[t] - kept[t]; budget > c {
-			budget = c
+	f.stats.Last.Repair += timed(func() {
+		cum := 0.0
+		budgetUsed := int64(0)
+		for t := int64(0); t < nSlots; t++ {
+			cum += sky.Load[t] - float64(kept[t])
+			budget := int64(cum+0.5) - budgetUsed
+			if c := p.caps[t] - kept[t]; budget > c {
+				budget = c
+			}
+			budgetUsed += f.fillSlot(order, remaining, next, kind, t, budget)
 		}
-		budgetUsed += f.fillSlot(order, remaining, next, kind, t, budget)
-	}
-	for t := int64(0); t < nSlots; t++ {
-		f.fillSlot(order, remaining, next, kind, t, p.caps[t]-f.load[t].Get(kind))
-	}
+		for t := int64(0); t < nSlots; t++ {
+			f.fillSlot(order, remaining, next, kind, t, p.caps[t]-f.load[t].Get(kind))
+		}
+	})
 	// Any demand still left could not fit in windows at all; it is served
 	// by the overdue path at run time.
 	return sched.DegradeNone, ""

@@ -503,6 +503,9 @@ const (
 	PathStatus    = "/v1/status" // query: QueryDoneAfter, QueryInstance, QueryLiveAfter
 	PathTick      = "/v1/tick"
 	PathDrain     = "/v1/drain"
+	// PathDebugTicks serves the RM's records of its last ticks, oldest
+	// first: their phase timings and replans (rmserver.TickRecord).
+	PathDebugTicks = "/v1/debug/ticks"
 	// Replication control plane (primary/follower pairs).
 	PathShip    = "/repl/v1/ship"
 	PathPromote = "/repl/v1/promote"

@@ -141,21 +141,19 @@ func BenchmarkReplayDecode(b *testing.B) {
 // gate on, that a burst of workflows meets on a large cluster: 1,024
 // nodes of 16 vcores and 64 GiB, 60 s slots, and 100, 400 or 800
 // generated 12-job workflows submitted at slot 0 outside the timer. Each
-// iteration times that tick on a fresh cluster. It also reports, per
-// iteration, one heartbeat round after it, the steady tick after that,
-// one Status(), the time the first tick spent in the flow planner, and
-// the replans whose deadline slack was dropped.
+// iteration times that tick on a fresh cluster. From the RM's tick ring it
+// reports the first tick's phases — the replan's stage A, stage B and
+// repair, the rest of the decision, and placement — the time it spent in
+// the flow planner (stages A and B), and the steady tick after one
+// heartbeat round. It also reports that heartbeat round, one Status()
+// after the steady tick, and the replans whose deadline slack was dropped.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
 		b.Run(fmt.Sprintf("%d_jobs", 12*wfs), func(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
-			var beat, steady, status, lp time.Duration
+			var first, steady TickRecord
+			var beat, status time.Duration
 			dropped := 0
-			timed := func(f func()) time.Duration {
-				start := time.Now()
-				f()
-				return time.Since(start)
-			}
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				ft := core.New(core.DefaultConfig())
@@ -171,21 +169,48 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				b.StartTimer()
 				c.tick()
 				b.StopTimer()
-				st := ft.Stats()
-				lp += st.LP.Duration
-				dropped += st.SlackDropped
-				beat += timed(func() { c.beatAll(nil) })
-				steady += timed(c.tick)
-				status += timed(func() { c.rm.Status() })
+				dropped += ft.Stats().SlackDropped
+				start := time.Now()
+				c.beatAll(nil)
+				beat += time.Since(start)
+				c.tick()
+				start = time.Now()
+				c.rm.Status()
+				status += time.Since(start)
+				ticks := c.rm.Ticks()
+				first, steady = addTicks(first, ticks[0]), addTicks(steady, ticks[1])
 			}
 			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+			r := first.Replan
+			b.ReportMetric(perOp(r.StageA+r.StageB), "lp_ms")
+			b.ReportMetric(perOp(r.StageA), "stage_a_ms")
+			b.ReportMetric(perOp(r.StageB), "stage_b_ms")
+			b.ReportMetric(perOp(r.Repair), "repair_ms")
+			b.ReportMetric(perOp(first.Decide), "decide_ms")
+			b.ReportMetric(perOp(first.Place), "place_ms")
+			b.ReportMetric(perOp(tickTime(steady)), "steady_tick_ms")
 			b.ReportMetric(perOp(beat), "beat_round_ms")
-			b.ReportMetric(perOp(steady), "steady_tick_ms")
 			b.ReportMetric(perOp(status), "status_ms")
-			b.ReportMetric(perOp(lp), "lp_ms")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 		})
 	}
+}
+
+// addTicks sums two tick records' phase times.
+func addTicks(a, t TickRecord) TickRecord {
+	a.Decide += t.Decide
+	a.Place += t.Place
+	a.Journal += t.Journal
+	a.Commit += t.Commit
+	a.Replan.StageA += t.Replan.StageA
+	a.Replan.StageB += t.Replan.StageB
+	a.Replan.Repair += t.Replan.Repair
+	return a
+}
+
+// tickTime is the whole of a tick: its phases and its replan's stages.
+func tickTime(t TickRecord) time.Duration {
+	return t.Decide + t.Place + t.Journal + t.Commit + t.Replan.StageA + t.Replan.StageB + t.Replan.Repair
 }
 
 // scaleWorkflows generates n 12-job workflows from seed 1, the DAG shapes

@@ -77,6 +77,9 @@ func (s *Server) Handler() http.Handler {
 			Slot int64 `json:"slot"`
 		}{Slot: s.Slot()})
 	})
+	mux.HandleFunc("GET "+rmproto.PathDebugTicks, func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.Ticks())
+	})
 	mux.HandleFunc("GET "+rmproto.PathStatus, func(w http.ResponseWriter, r *http.Request) {
 		cur, err := parseStatusQuery(r.URL.Query())
 		if err != nil {

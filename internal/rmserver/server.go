@@ -137,6 +137,7 @@ type Server struct {
 	journaled store.Handle
 	codec     rmstate.Codec // owns the encode buffer journalLocked reuses
 	gate      *adhocGate    // the ad-hoc admission gate; nil unless Config.AdHocGate
+	ticks     tickRing      // the last ticks' records, under a lock of its own
 	// plans is the scheduler's published plan, which the gate and the
 	// status plan block read; nil unless the scheduler publishes one.
 	plans sched.PlanStreamer
@@ -480,14 +481,21 @@ func (s *Server) SubmitAdHoc(req rmproto.SubmitAdHocRequest) (rmproto.SubmitResp
 // tick whose commit fails returns ErrCommitFailed and hands out nothing;
 // its leases stay out until lease expiry or recovery reclaims them.
 func (s *Server) Tick(now time.Time) error {
+	var sw stopwatch
+	sw.lap()
 	s.mu.Lock()
 	if err := s.leaderCheckLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
+	var tr TickRecord
+	defer func() { s.ticks.put(tr) }()
 	h := s.journaled // everything the tick's grants were computed from
-	rec, expired, offers, err := s.decideTick(now)
+	rec, expired, offers, err := s.decideTick(now, &tr, &sw)
+	tr.Slot = rec.Slot
+	tr.Decide += sw.lap()
 	_, jerr := s.journalLocked(rmstate.Record{Tick: rec})
+	tr.Journal = sw.lap()
 	if s.st.Slot() == rec.Slot {
 		// The record applied, requeuing the silent nodes' leases: forget
 		// the nodes and count both. A record the codec refused leaves them,
@@ -498,9 +506,11 @@ func (s *Server) Tick(now time.Time) error {
 	}
 	s.rebaseAdHocLocked() // the tick's replan may have published a plan
 	s.mu.Unlock()
+	tr.Decide += sw.lap()
 	if jerr == nil {
 		jerr = s.commitRecord(h)
 	}
+	tr.Commit = sw.lap()
 	if jerr != nil {
 		return jerr
 	}
@@ -523,6 +533,7 @@ func (s *Server) Tick(now time.Time) error {
 		}
 		s.mu.Unlock()
 	}
+	tr.Place += sw.lap()
 	return err
 }
 
@@ -531,8 +542,9 @@ func (s *Server) Tick(now time.Time) error {
 // now is the only clock it reads: the nodes silent for longer than
 // NodeExpiry are returned as expired, for Tick to forget once the record
 // applied (nodes are soft state); their leases are requeued and they get
-// no grants.
-func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired map[string]bool, offers []rmstate.Offer, err error) {
+// no grants. When it schedules, it times its two steps on sw into tr,
+// with the replan the scheduler reports.
+func (s *Server) decideTick(now time.Time, tr *TickRecord, sw *stopwatch) (rec *rmstate.RecTick, expired map[string]bool, offers []rmstate.Offer, err error) {
 	// The previous slot is over: its unclaimed offers lapse.
 	s.lapsed += int64(len(s.offers))
 	s.offers = nil
@@ -572,11 +584,17 @@ func (s *Server) decideTick(now time.Time) (rec *rmstate.RecTick, expired map[st
 	if err != nil {
 		return rec, expired, nil, fmt.Errorf("rmserver: scheduler: %w", err)
 	}
+	if rr, ok := s.cfg.Scheduler.(sched.ReplanReporter); ok {
+		tr.Replan = rr.LastReplan()
+	}
+	tr.Decide = sw.lap() - tr.Replan.StageA - tr.Replan.StageB - tr.Replan.Repair
 	for _, n := range nodes {
 		n.Placed = resource.Vector{}
 		s.nodes[n.ID].heard = false
 	}
-	return rec, expired, s.st.PlaceTick(rec, jobs, grants, nodes), nil
+	offers = s.st.PlaceTick(rec, jobs, grants, nodes)
+	tr.Place = sw.lap()
+	return rec, expired, offers, nil
 }
 
 // nodesLocked returns the views of the registered nodes keep selects, in

@@ -323,7 +323,7 @@ func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
 	// Every node expires at once, each holding a lease.
 	rm := c.rm
 	rm.mu.Lock()
-	rec, expired, _, err := rm.decideTick(c.now.Add(60 * time.Second))
+	rec, expired, _, err := rm.decideTick(c.now.Add(60*time.Second), new(TickRecord), new(stopwatch))
 	rm.mu.Unlock()
 	if err != nil {
 		t.Fatalf("decideTick: %v", err)

@@ -1,6 +1,12 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+
+	"flowtime/internal/flow"
+	"flowtime/internal/resource"
+)
 
 // This file defines the degradation-ladder vocabulary shared by planning
 // schedulers, the simulator, the resource manager, and the benches. The
@@ -69,4 +75,36 @@ type DegradationStatus struct {
 // status through sim.Result and /metrics when available.
 type DegradationReporter interface {
 	Degradation() DegradationStatus
+}
+
+// The causes a planning scheduler replans for.
+const (
+	// ReplanUrgent: there is no plan yet, or a live deadline job whose
+	// window is open is not in it.
+	ReplanUrgent = "urgent"
+	// ReplanCapacity: the capacity the plan assumed changed under it.
+	ReplanCapacity = "capacity"
+	// ReplanDeferred: demand the last plan could not fit is due a retry.
+	ReplanDeferred = "deferred"
+	// ReplanQuality: work the plan holds finished early, is gone or grew,
+	// or the ad-hoc gate admitted more, so capacity is worth reflowing.
+	ReplanQuality = "quality"
+)
+
+// ReplanStats is what one replan cost: the slot it ran at, its cause (one
+// of the Replan constants), the wall time of its stages — stage A's max
+// flows, stage B's skylines, the integral repair — and each resource
+// kind's flow work, Work[i] resource.Kinds()[i]'s.
+type ReplanStats struct {
+	Slot                   int64
+	Cause                  string
+	StageA, StageB, Repair time.Duration
+	Work                   [resource.NumKinds]flow.Work
+}
+
+// ReplanReporter is implemented by planning schedulers that report the
+// replan their last Assign ran (FlowTime): the zero ReplanStats when it ran
+// none. The RM's tick record reads it after every Assign.
+type ReplanReporter interface {
+	LastReplan() ReplanStats
 }
