@@ -163,7 +163,9 @@ bench:
 # BenchmarkLexMinMax is the planner regression gate: its 5000x1000 replan
 # fails over 1 s, and its certificate must pass the exact checker.
 # BenchmarkShortfall holds each probe's stage A routing to the reference
-# that re-walks what a short job cut off (~30 s of the run).
+# that lets the jobs in one at a time, each augmented to its maximum and
+# re-walking what a short job cut off (~30 s of the run, nearly all of it
+# the overloaded probe's reference).
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -579,15 +579,15 @@ func admit(state *rmstate.State, a *admission, live map[string]*job) error {
 	if err := state.Apply(a.rec); err != nil {
 		return err
 	}
-	admitted := []*rmstate.Job{nil}
 	if w := a.rec.Workflow; w != nil {
-		admitted = state.Workflows()[w.WF.ID].Jobs
+		for i, sj := range state.Workflows()[w.WF.ID].Jobs {
+			a.jobs[i].Job = sj
+		}
 	} else {
-		admitted[0] = state.Jobs()[rmproto.AdHocJobID(a.rec.AdHoc.Job.ID)]
+		a.jobs[0].Job = state.Jobs()[rmproto.AdHocJobID(a.rec.AdHoc.Job.ID)]
 	}
-	for i, sj := range admitted {
-		a.jobs[i].Job = sj
-		live[sj.ID] = a.jobs[i]
+	for _, j := range a.jobs {
+		live[j.ID] = j
 	}
 	return nil
 }
