@@ -913,9 +913,10 @@ func anyShort(probs []*kindProblem) bool {
 }
 
 // runPlanner makes one call into the flow planner, charges its wall time
-// to the stats and to the replan's stage, stage, and its work to both, and
-// turns a panic into an error so a planner bug degrades the plan instead of
-// killing the scheduling slot.
+// to the stats and to *stage, one of the last replan's stages, and its work
+// to the stats and to the last replan's kind, and turns a panic into an
+// error so a planner bug degrades the plan instead of killing the
+// scheduling slot.
 func (f *FlowTime) runPlanner(kind resource.Kind, stage *time.Duration, call func() (flow.Work, error)) (err error) {
 	var w flow.Work
 	d := timed(func() {
