@@ -420,11 +420,8 @@ type Offer struct {
 }
 
 // AdmitWorkflow decides a workflow's admission as its record, changing
-// nothing: re-anchored at the current slot, decomposed against capacity
-// (deadline.Decompose, which falls back to the critical path itself when
-// the deadline is too tight for the antichain sets); a workflow it cannot
-// decompose is admitted best-effort, each job windowed by the whole span
-// and left out of the joint LP. A known ID is a duplicate.
+// nothing: re-anchored at the current slot and decided by DecideWorkflow
+// against capacity. A known ID is a duplicate.
 func (s *State) AdmitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow, capacity resource.Vector) (*RecWorkflow, error) {
 	if s.knownWorkflow(wf.ID) {
 		return nil, fmt.Errorf("rmstate: duplicate workflow %q", wf.ID)
@@ -439,28 +436,39 @@ func (s *State) AdmitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow, c
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}
-	dec, derr := deadline.Decompose(wf, deadline.Options{Slot: s.slotDur, ClusterCap: capacity})
-	bestEffort := derr != nil
+	return DecideWorkflow(rec, wf, s.slot, deadline.Options{Slot: s.slotDur, ClusterCap: capacity}), nil
+}
+
+// DecideWorkflow is the one admission decision of a workflow, the
+// resource manager's and the simulator's: its record at slot, submitted
+// at wf.Submit and due at wf.Deadline, each job windowed by
+// deadline.Decompose under opts (which falls back to the critical path
+// itself when the deadline is too tight for the antichain sets) and given
+// its MinSlots against opts.ClusterCap. A workflow Decompose refuses is
+// admitted best-effort, each job windowed by the whole span and left out
+// of the joint plan. It changes nothing.
+func DecideWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow, slot int64, opts deadline.Options) *RecWorkflow {
+	dec, err := deadline.Decompose(wf, opts)
 	wrec := &RecWorkflow{
 		WF:         rec,
 		SubmitNS:   int64(wf.Submit),
 		DeadlineNS: int64(wf.Deadline),
-		Slot:       s.slot,
-		BestEffort: bestEffort,
+		Slot:       slot,
+		BestEffort: err != nil,
 		Windows:    make([]RecWindow, wf.NumJobs()),
 	}
 	for i := range wrec.Windows {
 		release, dl := wf.Submit, wf.Deadline
-		if !bestEffort {
+		if !wrec.BestEffort {
 			release, dl = dec.Windows[i].Release, dec.Windows[i].Deadline
 		}
 		wrec.Windows[i] = RecWindow{
 			ReleaseNS:  int64(release),
 			DeadlineNS: int64(dl),
-			MinSlots:   wf.Job(i).MinRuntimeSlots(s.slotDur, capacity),
+			MinSlots:   wf.Job(i).MinRuntimeSlots(opts.Slot, opts.ClusterCap),
 		}
 	}
-	return wrec, nil
+	return wrec
 }
 
 // AdmitAdHoc decides an ad-hoc job's admission at the current slot as its

@@ -496,14 +496,10 @@ func Run(cfg Config) (*Result, error) {
 
 // admissions decides every workflow's and ad-hoc job's admission record
 // before the run: workflows, then ad-hoc jobs, in the order given. A
-// workflow is decomposed against the capacity at its submission
-// (deadline.Decompose falls back to the critical path itself when a
-// deadline is too tight for the antichain sets), and each job's MinSlots
-// is taken against the same capacity, as rmstate.AdmitWorkflow has it. A
-// workflow Decompose refuses is admitted best-effort (every job gets the
-// whole workflow span as its window) instead of rejected, so one
-// impossible deadline cannot abort the run or poison the planners' joint
-// LP. A record's task durations are the true ones rounded up to whole
+// workflow's record is rmstate.DecideWorkflow's at its exact submission
+// and arrival slot, against the capacity at its submission, so one
+// impossible deadline is admitted best-effort instead of aborting the
+// run. A record's task durations are the true ones rounded up to whole
 // seconds, which on a whole-second slot makes the state's volume the true
 // volume; the estimate stays with the simulator.
 func admissions(cfg Config) ([]*admission, error) {
@@ -519,39 +515,22 @@ func admissions(cfg Config) ([]*admission, error) {
 			return nil, fmt.Errorf("sim: duplicate workflow ID %q", wf.ID)
 		}
 		seen[wf.ID] = true
-		capacity := cfg.Capacity(int64(wf.Submit / cfg.SlotDur))
-		dec, err := deadline.Decompose(wf, deadline.Options{
-			Slot:              cfg.SlotDur,
-			ClusterCap:        capacity,
-			ForceCriticalPath: cfg.ForceCriticalPath,
-		})
-		rec := &rmstate.RecWorkflow{
-			WF:         tr.Workflows[wi],
-			SubmitNS:   int64(wf.Submit),
-			DeadlineNS: int64(wf.Deadline),
-			Slot:       arrival(wf.Submit),
-			BestEffort: err != nil,
-			Windows:    make([]rmstate.RecWindow, wf.NumJobs()),
-		}
+		wrec := tr.Workflows[wi]
 		// Past the truncated submission, whatever fraction of a second
 		// the two lie apart.
-		rec.WF.DeadlineSec = ceilSeconds(wf.Deadline)
-		a := &admission{slot: rec.Slot, rec: &rmstate.Record{Workflow: rec}}
-		for i := range rec.Windows {
+		wrec.DeadlineSec = ceilSeconds(wf.Deadline)
+		a := &admission{slot: arrival(wf.Submit)}
+		for i := range wrec.Jobs {
 			j := wf.Job(i)
-			rec.WF.Jobs[i].TaskDurSec, rec.WF.Jobs[i].ActualTaskDurSec = ceilSeconds(j.EffectiveTaskDuration()), 0
-			release, dl := wf.Submit, wf.Deadline
-			if !rec.BestEffort {
-				release, dl = dec.Windows[i].Release, dec.Windows[i].Deadline
-			}
-			rec.Windows[i] = rmstate.RecWindow{
-				ReleaseNS:  int64(release),
-				DeadlineNS: int64(dl),
-				MinSlots:   j.MinRuntimeSlots(cfg.SlotDur, capacity),
-			}
+			wrec.Jobs[i].TaskDurSec, wrec.Jobs[i].ActualTaskDurSec = ceilSeconds(j.EffectiveTaskDuration()), 0
 			est := j.Volume(cfg.SlotDur)
 			a.jobs = append(a.jobs, &job{submit: wf.Submit, est: est, origEst: est, taskDemand: j.TaskDemand})
 		}
+		a.rec = &rmstate.Record{Workflow: rmstate.DecideWorkflow(wrec, wf, a.slot, deadline.Options{
+			Slot:              cfg.SlotDur,
+			ClusterCap:        cfg.Capacity(int64(wf.Submit / cfg.SlotDur)),
+			ForceCriticalPath: cfg.ForceCriticalPath,
+		})}
 		out = append(out, a)
 	}
 	for ai, ah := range cfg.AdHoc {
