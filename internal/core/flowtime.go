@@ -1072,13 +1072,16 @@ func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, from, nSlots int64) *pl
 // fillSlot grants up to budget units of kind at slot offset t of next
 // to jobs in EDF order whose windows cover the slot, updating remaining,
 // next's allocation rows and the load skyline. Returns units granted.
+// order is sorted by deadline, so the windows closed by the slot are a
+// prefix of it, which the sweep starts past.
 func (f *FlowTime) fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, kind resource.Kind, t, budget int64) int64 {
 	if budget <= 0 {
 		return 0
 	}
 	granted := int64(0)
 	abs := next.From + t
-	for _, pj := range order {
+	open := sort.Search(len(order), func(i int) bool { return order[i].dlSlot > abs })
+	for _, pj := range order[open:] {
 		rem := remaining[pj]
 		if rem <= 0 || abs < pj.relSlot || abs >= pj.dlSlot {
 			continue

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -498,6 +499,73 @@ func TestSkylineInvariantsAndDeterminism(t *testing.T) {
 			}
 			if len(sky.Levels) != len(again.Levels) {
 				t.Fatalf("case %d: %d levels, then %d", i, len(sky.Levels), len(again.Levels))
+			}
+		}
+	}
+}
+
+// TestTruncatedSkylineKeepsItsSolvedLevels pins what a skyline capped at
+// maxLevels keeps canonical: its levels (θ, slots and jobs) and the loads
+// of the slots frozen at them are the exact skyline's, whatever the job
+// order, and every other slot is at or under the last level. Those
+// slots' loads are whatever flow proved that level, so they may change
+// with the job order: on these instances, reversing the jobs moves them
+// in about a third of the skylines capped at one level and one in
+// twenty-five of those capped at four, and never in an exact skyline.
+func TestTruncatedSkylineKeepsItsSolvedLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for i := 0; i < 1500; i++ {
+		caps, jobs := genInstance(rng, 1+rng.Intn(30), 2+rng.Intn(40), 25, 1+rng.Int63n(64))
+		exact, err := flow.LexMinMax(caps, jobs, 0)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		reversed := slices.Clone(jobs)
+		slices.Reverse(reversed)
+		for _, maxLevels := range []int{1, 2, 4} {
+			for _, rev := range []bool{false, true} {
+				in, name := jobs, fmt.Sprintf("case %d, %d levels", i, maxLevels)
+				if rev {
+					in, name = reversed, name+", jobs reversed"
+				}
+				sky, err := flow.LexMinMax(caps, in, maxLevels)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want := min(maxLevels, len(exact.Levels)); len(sky.Levels) != want {
+					t.Fatalf("%s: %d levels, want %d", name, len(sky.Levels), want)
+				}
+				frozen := make([]bool, len(caps))
+				for k, lv := range sky.Levels {
+					ex := exact.Levels[k]
+					lvJobs := slices.Clone(lv.Jobs)
+					if rev {
+						for x, j := range lvJobs {
+							lvJobs[x] = len(jobs) - 1 - j
+						}
+						slices.Sort(lvJobs)
+					}
+					if lv.Num*ex.Den != ex.Num*lv.Den || !slices.Equal(lv.Slots, ex.Slots) || !slices.Equal(lvJobs, ex.Jobs) {
+						t.Fatalf("%s: level %d is %d/%d on slots %v, jobs %v; the exact skyline's is %d/%d on %v, %v",
+							name, k, lv.Num, lv.Den, lv.Slots, lvJobs, ex.Num, ex.Den, ex.Slots, ex.Jobs)
+					}
+					for _, slot := range lv.Slots {
+						frozen[slot] = true
+						if !near(sky.Load[slot], exact.Load[slot]) {
+							t.Fatalf("%s: frozen slot %d carries %g, the exact skyline %g", name, slot, sky.Load[slot], exact.Load[slot])
+						}
+					}
+				}
+				if len(sky.Levels) == 0 {
+					continue
+				}
+				last := sky.Levels[len(sky.Levels)-1]
+				for slot, load := range sky.Load {
+					if bound := float64(last.Num) * float64(caps[slot]) / float64(last.Den); !frozen[slot] && load > bound && !near(load, bound) {
+						t.Fatalf("%s: slot %d carries %g, over the last level's %g", name, slot, load, bound)
+					}
+				}
 			}
 		}
 	}

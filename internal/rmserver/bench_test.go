@@ -137,6 +137,12 @@ func BenchmarkReplayDecode(b *testing.B) {
 	b.ReportMetric(float64(size)/float64(len(payloads)), "B/record")
 }
 
+// firstTickArcCeiling holds the 9,600-job first tick's planner to the
+// arcs its max-flow searches may scan, stages A and B summed over the
+// kinds: 13,920,805 when it was set, plus 25 %. Stage A as its definition
+// reads (ShortfallReference) scans about 880 million.
+const firstTickArcCeiling = 17_400_000
+
 // BenchmarkFirstTickAtScale is the first tick of a FlowTime RM, ad-hoc
 // gate on, that a burst of workflows meets on a large cluster: 1,024
 // nodes of 16 vcores and 64 GiB, 60 s slots, and 100, 400 or 800
@@ -146,14 +152,16 @@ func BenchmarkReplayDecode(b *testing.B) {
 // repair, the rest of the decision, and placement — the time it spent in
 // the flow planner (stages A and B), and the steady tick after one
 // heartbeat round. It also reports that heartbeat round, one Status()
-// after the steady tick, and the replans whose deadline slack was dropped.
+// after the steady tick, the replans whose deadline slack was dropped and
+// the first tick's arcs scanned, which fail the 9,600-job run over
+// firstTickArcCeiling: a count, so the guard holds on any machine.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
 		b.Run(fmt.Sprintf("%d_jobs", 12*wfs), func(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
 			var first, steady TickRecord
 			var beat, status time.Duration
-			dropped := 0
+			dropped, arcs := 0, 0
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				ft := core.New(core.DefaultConfig())
@@ -179,6 +187,10 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				status += time.Since(start)
 				ticks := c.rm.Ticks()
 				first, steady = addTicks(first, ticks[0]), addTicks(steady, ticks[1])
+				arcs = 0
+				for _, w := range ticks[0].Replan.Work {
+					arcs += w.ArcsScanned
+				}
 			}
 			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 			r := first.Replan
@@ -192,6 +204,10 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(perOp(beat), "beat_round_ms")
 			b.ReportMetric(perOp(status), "status_ms")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
+			b.ReportMetric(float64(arcs), "arcs")
+			if wfs == 800 && arcs > firstTickArcCeiling {
+				b.Fatalf("the first tick scanned %d arcs, over the ceiling of %d", arcs, firstTickArcCeiling)
+			}
 		})
 	}
 }

@@ -602,7 +602,8 @@ func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []
 
 // PlaceTick is the second step: it places the scheduler's grants to the
 // ready jobs of jobs (DecideTick's) on nodes first-fit, splitting across
-// nodes as needed, as rec's grants. A grant to a job that is ready on
+// nodes as needed, as rec's grants, in O(nodes + grants) while the nodes
+// fill in order. A grant to a job that is ready on
 // confirm comes back as an offer, clamped by what the ready jobs left of
 // the nodes' capacity.
 func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string]resource.Vector, nodes []*Node) []Offer {
@@ -627,6 +628,11 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 		}
 		capLeft = capLeft.Sub(g)
 		s.place(st.ID, g, nodes, rec)
+		// First-fit takes nothing more from a full node this slot, so the
+		// next grant starts past the full ones in front.
+		for len(nodes) > 0 && nodes[0].Placed == nodes[0].Capacity {
+			nodes = nodes[1:]
+		}
 	}
 	kept := offers[:0]
 	for _, o := range offers {
