@@ -8,9 +8,11 @@
 // A mutation is decided as its record without changing anything (the
 // Decide and Admit methods, PlaceTick) and made by applying the record
 // with Apply, which the live resource manager, its replay and a follower's
-// ingest all run. Everything per process stays with the resource manager
-// (internal/rmserver), which hands the deciders what they need of it: the
-// expired nodes, the scheduler's grants, a node view.
+// ingest all run. DecideWorkflow, a workflow's admission decision, is the
+// one the simulator (internal/sim) makes its records with too. Everything
+// per process stays with the resource manager (internal/rmserver), which
+// hands the deciders what they need of it: the expired nodes, the
+// scheduler's grants, a node view.
 package rmstate
 
 import (
@@ -602,8 +604,7 @@ func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []
 
 // PlaceTick is the second step: it places the scheduler's grants to the
 // ready jobs of jobs (DecideTick's) on nodes first-fit, splitting across
-// nodes as needed, as rec's grants, in O(nodes + grants) while the nodes
-// fill in order. A grant to a job that is ready on
+// nodes as needed, as rec's grants. A grant to a job that is ready on
 // confirm comes back as an offer, clamped by what the ready jobs left of
 // the nodes' capacity.
 func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string]resource.Vector, nodes []*Node) []Offer {
@@ -629,7 +630,8 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 		capLeft = capLeft.Sub(g)
 		s.place(st.ID, g, nodes, rec)
 		// First-fit takes nothing more from a full node this slot, so the
-		// next grant starts past the full ones in front.
+		// next grant starts past the full ones in front: while the nodes
+		// fill in order, a tick places in O(nodes + grants).
 		for len(nodes) > 0 && nodes[0].Placed == nodes[0].Capacity {
 			nodes = nodes[1:]
 		}

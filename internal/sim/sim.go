@@ -5,8 +5,9 @@
 // outcomes plus the cluster load time series.
 //
 // Execution model (documented in DESIGN.md §7.1): the jobs live in the
-// resource manager's state machine, internal/rmstate, which admits them,
-// decides their readiness (the workflow DAG) and requests, and completes
+// resource manager's state machine, internal/rmstate, which admits them
+// (a workflow by rmstate.DecideWorkflow, the RM's own decision), decides
+// their readiness (the workflow DAG) and requests, and completes
 // each one once its confirmed grants cover its true volume. The simulator
 // is the RM's agents, idealised: every grant is clamped to the job's
 // request and to cluster capacity, runs, and is confirmed in the slot it
