@@ -255,8 +255,9 @@ func run(o options) error {
 			logFinalStatus(rm, s)
 			if st != nil {
 				// Final snapshot: a clean shutdown restarts with zero WAL
-				// records to replay. (Drain already wrote one if it completed;
-				// rotating again is cheap and covers the timed-out case.)
+				// records to replay, whether or not the drain completed. The
+				// drain above writes none: only Server.Drain, behind
+				// POST /v1/drain with a wait, snapshots on completion.
 				if err := rm.WriteSnapshot(); err != nil {
 					log.Println("ftrm: final snapshot:", err)
 				}

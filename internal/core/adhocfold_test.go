@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -70,9 +71,10 @@ func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 	// Reserved slots (abs 5..9 = plan offsets 0..4) leave the admitted
 	// volume untouched; beyond them the full capacity is usable.
 	free := capacity.Sub(resource.New(5, 500))
-	for off := int64(0); off < 5 && off < int64(len(f.load)); off++ {
-		if !f.load[off].FitsIn(free) {
-			t.Errorf("plan offset %d load %v exceeds shaved capacity %v", off, f.load[off], free)
+	load := planLoad(f.live)
+	for off := int64(0); off < 5 && off < int64(len(load)); off++ {
+		if !load[off].FitsIn(free) {
+			t.Errorf("plan offset %d load %v exceeds shaved capacity %v", off, load[off], free)
 		}
 	}
 	// planCap must keep the RAW capacity — otherwise every later slot
@@ -109,7 +111,7 @@ func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 // its window [0, 5). The reservation is a promise to best-effort work, so
 // the plan must place all 40 in-window and report no shortfall; planned
 // against capacity minus reservations, 30 units were deferred and parked
-// for deferredRetryInterval slots.
+// until the plan was deferredRetryInterval slots old.
 func TestReservationYieldsToDeadline(t *testing.T) {
 	f := New(Config{Slack: 0, MaxLexRounds: 4})
 	capacity := resource.New(10, 1000)
@@ -134,8 +136,8 @@ func TestReservationYieldsToDeadline(t *testing.T) {
 	if planned != demand {
 		t.Errorf("planned %v in-window, want all of %v", planned, demand)
 	}
-	if len(f.deferred) != 0 || f.deferredRetry != 0 {
-		t.Errorf("deferred = %v (retry at %d), want none", f.deferred, f.deferredRetry)
+	if len(f.deferred) != 0 {
+		t.Errorf("deferred = %v, want none (and so no retry due)", f.deferred)
 	}
 	st := f.Stats()
 	if st.ShortfallEvents != 0 || st.SlackDropped != 0 {
@@ -209,55 +211,55 @@ func TestStageAIgnoresReservations(t *testing.T) {
 }
 
 // TestFoldAdHocDrainMergeAndTrim unit-tests the reservation bookkeeping:
-// zero-slot trimming, cumulative overlap merging, and age-out.
+// zero volumes are not stored, overlapping drains add, and the replan
+// that passes a slot drops it.
 func TestFoldAdHocDrainMergeAndTrim(t *testing.T) {
 	f := New(DefaultConfig())
 
 	// All-zero drains are dropped without marking staleness.
 	f.FoldAdHocDrain(0, []resource.Vector{{}, {}})
-	if f.stats.AdHocFolds != 0 || f.adhocStale {
-		t.Fatalf("zero drain counted: folds=%d stale=%v", f.stats.AdHocFolds, f.adhocStale)
+	if f.stats.AdHocFolds != 0 || f.adhocStale || len(f.adhocReserved) != 0 {
+		t.Fatalf("zero drain counted: folds=%d stale=%v reserved=%v", f.stats.AdHocFolds, f.adhocStale, f.adhocReserved)
 	}
 
-	// Zero lead/tail slots are trimmed before storing.
+	// Only the non-zero slots are stored.
 	f.FoldAdHocDrain(3, []resource.Vector{{}, resource.New(2, 20), resource.New(1, 10), {}})
-	if f.adhocFrom != 4 || len(f.adhocReserved) != 2 {
-		t.Fatalf("after first fold: from=%d len=%d, want 4/2", f.adhocFrom, len(f.adhocReserved))
+	if len(f.adhocReserved) != 2 {
+		t.Fatalf("after first fold: reserved=%v, want slots 4 and 5", f.adhocReserved)
 	}
-	if !f.adhocStale {
-		t.Fatal("fold did not mark quality staleness")
+	if !f.adhocStale || f.stats.AdHocFolds != 1 {
+		t.Fatalf("fold did not count or mark quality staleness: folds=%d stale=%v", f.stats.AdHocFolds, f.adhocStale)
 	}
 
-	// An overlapping drain extends the range and ADDS on shared slots.
+	// An overlapping drain ADDS on shared slots.
 	f.FoldAdHocDrain(2, []resource.Vector{resource.New(4, 40), {}, resource.New(3, 30)})
-	if f.adhocFrom != 2 || len(f.adhocReserved) != 4 {
-		t.Fatalf("after merge: from=%d len=%d, want 2/4", f.adhocFrom, len(f.adhocReserved))
+	want := map[int64]resource.Vector{
+		2: resource.New(4, 40),
+		4: resource.New(5, 50), // 2+3
+		5: resource.New(1, 10),
 	}
-	want := []resource.Vector{
-		resource.New(4, 40), // slot 2
-		{},                  // slot 3
-		resource.New(5, 50), // slot 4: 2+3
-		resource.New(1, 10), // slot 5
+	if !maps.Equal(f.adhocReserved, want) {
+		t.Fatalf("after merge: reserved=%v, want %v", f.adhocReserved, want)
 	}
-	for i, w := range want {
-		if f.adhocReservedAt(2+int64(i)) != w {
-			t.Errorf("reserved[slot %d] = %v, want %v", 2+i, f.adhocReservedAt(2+int64(i)), w)
+
+	// A replan at slot 4 drops slot 2 (slot 3 holds nothing) and keeps 4
+	// and 5 as they were.
+	replanAt := func(now int64) {
+		t.Helper()
+		if _, err := f.Assign(sched.AssignContext{Now: now, Cluster: view(resource.New(10, 1000), 200)}); err != nil {
+			t.Fatalf("Assign(%d): %v", now, err)
 		}
 	}
-	if got := f.adhocReservedAt(6); !got.IsZero() {
-		t.Errorf("reserved beyond range = %v, want zero", got)
+	replanAt(4)
+	delete(want, 2)
+	if !maps.Equal(f.adhocReserved, want) {
+		t.Fatalf("after a replan at slot 4: reserved=%v, want %v", f.adhocReserved, want)
 	}
-
-	// Age-out keeps only current-and-future slots.
-	f.trimAdHocReserved(4)
-	if f.adhocFrom != 4 || len(f.adhocReserved) != 2 {
-		t.Fatalf("after trim(4): from=%d len=%d, want 4/2", f.adhocFrom, len(f.adhocReserved))
-	}
-	if f.adhocReservedAt(4) != resource.New(5, 50) || f.adhocReservedAt(5) != resource.New(1, 10) {
-		t.Fatalf("trim shifted values: %v %v", f.adhocReservedAt(4), f.adhocReservedAt(5))
-	}
-	f.trimAdHocReserved(100)
-	if len(f.adhocReserved) != 0 {
-		t.Fatalf("trim past end left %d slots", len(f.adhocReserved))
+	// A replan past every slot empties the map; the fold at slot 50 makes
+	// the plan stale enough to replan.
+	f.FoldAdHocDrain(50, []resource.Vector{resource.New(1, 10)})
+	replanAt(100)
+	if f.stats.Replans != 2 || len(f.adhocReserved) != 0 {
+		t.Fatalf("after a replan at slot 100 (replans=%d): reserved=%v, want none", f.stats.Replans, f.adhocReserved)
 	}
 }

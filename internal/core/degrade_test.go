@@ -272,7 +272,8 @@ func TestChaosFailingPlannerStillCompletes(t *testing.T) {
 func TestDeferredDemandRetriedAfterInterval(t *testing.T) {
 	// Demand 60 in a 3-slot window on a 10/slot cluster: 30 places, 30
 	// defers. The deferred volume is served by the overdue path and the
-	// planner must schedule exactly one retry replan, at now+10.
+	// planner must schedule exactly one retry replan, at now+10; that
+	// replan defers nothing, so none follows ten slots after it.
 	capacity := resource.New(10, 1000)
 	cl := view(capacity, 100)
 	f := New(Config{Slack: 0, MaxLexRounds: 2})
@@ -280,7 +281,7 @@ func TestDeferredDemandRetriedAfterInterval(t *testing.T) {
 	consumed := resource.Vector{}
 	demand := resource.New(60, 6000)
 	parCap := resource.New(20, 2000)
-	for now := int64(0); now <= 10; now++ {
+	for now := int64(0); now <= 20; now++ {
 		var jobs []sched.JobState
 		if est := demand.SubClamped(consumed); !est.IsZero() {
 			j := dlJob("j", 0, 3, est, parCap)
@@ -303,8 +304,8 @@ func TestDeferredDemandRetriedAfterInterval(t *testing.T) {
 			if got := f.deferred["j"]; got != resource.New(30, 3000) {
 				t.Fatalf("slot 0: deferred = %v, want <30, 3000>", got)
 			}
-			if f.deferredRetry != deferredRetryInterval {
-				t.Fatalf("slot 0: deferredRetry = %d, want %d", f.deferredRetry, deferredRetryInterval)
+			if len(f.deferred) != 1 {
+				t.Fatalf("slot 0: deferred = %v, want j alone", f.deferred)
 			}
 		case 5:
 			if !demand.FitsIn(consumed) {
@@ -318,8 +319,12 @@ func TestDeferredDemandRetriedAfterInterval(t *testing.T) {
 			if f.stats.Replans != 2 {
 				t.Fatalf("slot 10: Replans = %d, want 2 (deferred retry due)", f.stats.Replans)
 			}
-			if f.deferredRetry != 0 {
-				t.Errorf("slot 10: deferredRetry = %d, want 0 (reset by replan)", f.deferredRetry)
+			if len(f.deferred) != 0 {
+				t.Errorf("slot 10: deferred = %v, want none (reset by replan)", f.deferred)
+			}
+		case 20:
+			if f.stats.Replans != 2 {
+				t.Fatalf("slot 20: Replans = %d, want still 2 (nothing deferred to retry)", f.stats.Replans)
 			}
 		}
 	}

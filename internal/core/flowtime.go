@@ -122,26 +122,25 @@ type FlowTime struct {
 	live    *plan.Plan
 	pending []*plan.Diff
 
-	load []resource.Vector // planned deadline load per slot offset of the current plan
 	// planRemaining tracks, per job, how much planned allocation lies at or
 	// after the current slot; it is the staleness detector.
 	planRemaining map[string]resource.Vector
 	// deferred records demand the last replan could not fit within its
-	// window (genuine shortfall); it does not count as staleness until
-	// deferredRetry, bounding the replan rate under overload.
-	deferred      map[string]resource.Vector
-	deferredRetry int64
+	// window (genuine shortfall); it does not count as staleness until the
+	// plan is deferredRetryInterval slots old, bounding the replan rate
+	// under overload.
+	deferred map[string]resource.Vector
 	// planCap records the capacity the plan assumed per slot, so live
 	// capacity changes (node loss, maintenance dips) invalidate the plan.
 	planCap []resource.Vector
 
-	// adhocReserved[i] is the volume the ad-hoc admission gate has admitted
-	// against the leftover of absolute slot adhocFrom+i
-	// (sched.AdHocFolder). A replan routes it as one-slot jobs after every
-	// deadline job: the skyline is flattened around it where the deadline
-	// work fits beside it, and it yields where that work does not.
-	adhocFrom     int64
-	adhocReserved []resource.Vector
+	// adhocReserved[t] is the volume the ad-hoc admission gate has admitted
+	// against the leftover of absolute slot t (sched.AdHocFolder); the
+	// replan that passes a slot drops it. A replan routes each slot's
+	// volume as a one-slot job after every deadline job: the skyline is
+	// flattened around it where the deadline work fits beside it, and it
+	// yields where that work does not.
+	adhocReserved map[int64]resource.Vector
 	// adhocStale marks undrained gate admissions since the last replan;
 	// it is a quality (batched) staleness signal, never an urgent one.
 	adhocStale bool
@@ -226,7 +225,7 @@ var _ sched.Scheduler = (*FlowTime)(nil)
 
 // New returns a FlowTime scheduler.
 func New(cfg Config) *FlowTime {
-	return &FlowTime{cfg: cfg}
+	return &FlowTime{cfg: cfg, adhocReserved: make(map[int64]resource.Vector)}
 }
 
 // Name implements sched.Scheduler.
@@ -277,65 +276,19 @@ var _ sched.AdHocFolder = (*FlowTime)(nil)
 // the gate never forces an urgent full rebuild — and the plan keeps clear
 // of the capacity the gate promised away unless a deadline needs it.
 func (f *FlowTime) FoldAdHocDrain(from int64, consumed []resource.Vector) {
-	lo, hi := 0, len(consumed)
-	for lo < hi && consumed[lo].IsZero() {
-		lo++
-	}
-	for hi > lo && consumed[hi-1].IsZero() {
-		hi--
-	}
-	if lo == hi {
-		return
-	}
-	from, consumed = from+int64(lo), consumed[lo:hi]
-	if len(f.adhocReserved) == 0 {
-		f.adhocFrom = from
-		f.adhocReserved = append([]resource.Vector(nil), consumed...)
-	} else {
-		// Drains are cumulative (each reports one window's admissions):
-		// overlapping slots add.
-		start, end := f.adhocFrom, f.adhocFrom+int64(len(f.adhocReserved))
-		if from < start {
-			start = from
+	folded := false
+	for i, v := range consumed {
+		if !v.IsZero() {
+			// Drains are cumulative (each reports one window's admissions):
+			// overlapping slots add.
+			f.adhocReserved[from+int64(i)] = f.adhocReserved[from+int64(i)].Add(v)
+			folded = true
 		}
-		if e := from + int64(len(consumed)); e > end {
-			end = e
-		}
-		merged := make([]resource.Vector, end-start)
-		copy(merged[f.adhocFrom-start:], f.adhocReserved)
-		for i, v := range consumed {
-			j := from + int64(i) - start
-			merged[j] = merged[j].Add(v)
-		}
-		f.adhocFrom, f.adhocReserved = start, merged
 	}
-	f.adhocStale = true
-	f.stats.AdHocFolds++
-}
-
-// adhocReservedAt returns the capacity reserved for gate-admitted ad-hoc
-// work at absolute slot abs (zero outside the reserved range).
-func (f *FlowTime) adhocReservedAt(abs int64) resource.Vector {
-	if i := abs - f.adhocFrom; i >= 0 && i < int64(len(f.adhocReserved)) {
-		return f.adhocReserved[i]
+	if folded {
+		f.adhocStale = true
+		f.stats.AdHocFolds++
 	}
-	return resource.Vector{}
-}
-
-// trimAdHocReserved ages out reservations for slots that have passed —
-// the admitted volume they covered has been delivered (or lapsed) and
-// must not constrain future plans.
-func (f *FlowTime) trimAdHocReserved(now int64) {
-	cut := now - f.adhocFrom
-	if cut <= 0 || len(f.adhocReserved) == 0 {
-		return
-	}
-	if cut >= int64(len(f.adhocReserved)) {
-		f.adhocFrom, f.adhocReserved = 0, nil
-		return
-	}
-	f.adhocReserved = append(f.adhocReserved[:0:0], f.adhocReserved[cut:]...)
-	f.adhocFrom = now
 }
 
 // publish makes a replan's output the live plan, one revision past the
@@ -503,7 +456,7 @@ func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent string, quality bo
 	if f.live == nil {
 		return sched.ReplanUrgent, false
 	}
-	if f.deferredRetry > 0 && ctx.Now >= f.deferredRetry {
+	if len(f.deferred) > 0 && ctx.Now >= f.live.From+deferredRetryInterval {
 		// Time to retry placing demand the last plan could not fit.
 		return sched.ReplanDeferred, false
 	}
@@ -584,12 +537,17 @@ type planJob struct {
 func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	f.stats.Replans++
 	f.stats.Last = sched.ReplanStats{Slot: ctx.Now, Cause: cause}
-	f.trimAdHocReserved(ctx.Now)
+	// Reservations on passed slots were delivered (or lapsed) and must not
+	// constrain future plans.
+	//det:unordered deletions commute
+	for slot := range f.adhocReserved {
+		if slot < ctx.Now {
+			delete(f.adhocReserved, slot)
+		}
+	}
 	f.adhocStale = false
 	f.planRemaining = make(map[string]resource.Vector)
 	f.deferred = make(map[string]resource.Vector)
-	f.deferredRetry = 0
-	f.load = nil
 	f.planCap = nil
 
 	slackSlots := int64(0)
@@ -619,7 +577,6 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 		probs = f.stageA(ctx, jobs, order, nSlots)
 	}
 
-	f.load = make([]resource.Vector, nSlots)
 	f.planCap = make([]resource.Vector, nSlots)
 	for t := int64(0); t < nSlots; t++ {
 		f.planCap[t] = ctx.Cluster.CapAt(ctx.Now + t)
@@ -661,7 +618,6 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 		f.degrade.GreedyFallbacks++
 	}
 
-	anyDeferred := false
 	//det:unordered writes one entry per key, read by key only
 	for id, j := range next.Jobs {
 		var total resource.Vector
@@ -673,11 +629,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	for _, pj := range jobs {
 		if d := pj.state.EstRemaining.SubClamped(f.planRemaining[pj.state.ID]); !d.IsZero() {
 			f.deferred[pj.state.ID] = d
-			anyDeferred = true
 		}
-	}
-	if anyDeferred {
-		f.deferredRetry = ctx.Now + deferredRetryInterval
 	}
 	f.publish(next)
 }
@@ -868,7 +820,7 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 		for t := range p.caps {
 			abs := ctx.Now + int64(t)
 			p.caps[t] = ctx.Cluster.CapAt(abs).Get(kind)
-			if r := min(f.adhocReservedAt(abs).Get(kind), p.caps[t]); r > 0 {
+			if r := min(f.adhocReserved[abs].Get(kind), p.caps[t]); r > 0 {
 				p.order = append(p.order, len(p.jobs))
 				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
 			}
@@ -1005,7 +957,7 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 		// Bottom rung: deterministic EDF water-fill under hard caps. No
 		// failure mode; whatever cannot fit in-window is deferred and
 		// served by the overdue path, exactly like a shortfall.
-		f.greedyPlanKind(kind, order, demand, next)
+		greedyPlanKind(kind, order, demand, next, f.planCap)
 		return sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", kind, stage, err)
 	}
 
@@ -1016,7 +968,10 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 	for i, pj := range p.pjs {
 		remaining[pj] -= p.short[i]
 	}
+	// placed[t] is what the budgets granted at slot offset t, which the
+	// sweep fills beside.
 	f.stats.Last.Repair += timed(func() {
+		placed := make([]int64, nSlots)
 		cum := 0.0
 		budgetUsed := int64(0)
 		for t := int64(0); t < nSlots; t++ {
@@ -1025,10 +980,11 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 			if c := p.caps[t] - kept[t]; budget > c {
 				budget = c
 			}
-			budgetUsed += f.fillSlot(order, remaining, next, kind, t, budget)
+			placed[t] = fillSlot(order, remaining, next, kind, t, budget)
+			budgetUsed += placed[t]
 		}
 		for t := int64(0); t < nSlots; t++ {
-			f.fillSlot(order, remaining, next, kind, t, p.caps[t]-f.load[t].Get(kind))
+			fillSlot(order, remaining, next, kind, t, p.caps[t]-placed[t])
 		}
 	})
 	// Any demand still left could not fit in windows at all; it is served
@@ -1037,22 +993,22 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 }
 
 // greedyPlanKind is the ladder's bottom rung for one kind: EDF water-fill
-// of the full demand under hard caps, honoring load already placed.
-func (f *FlowTime) greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, next *plan.Plan) {
+// of the full demand under the hard caps, caps[t] at slot offset t. It
+// runs before anything of the kind is placed in next.
+func greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, next *plan.Plan, caps []resource.Vector) {
 	remaining := make(map[*planJob]int64, len(demand))
 	//det:unordered copies the map
 	for pj, d := range demand {
 		remaining[pj] = d
 	}
 	for t := int64(0); t < next.NSlots; t++ {
-		f.fillSlot(order, remaining, next, kind, t, f.planCap[t].Get(kind)-f.load[t].Get(kind))
+		fillSlot(order, remaining, next, kind, t, caps[t].Get(kind))
 	}
 }
 
 // rebuildGreedy discards all placed allocation and rebuilds the whole
 // plan at the greedy rung (used when post-validation rejects a plan).
 func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, from, nSlots int64) *plan.Plan {
-	f.load = make([]resource.Vector, nSlots)
 	next := newPlan(jobs, from, nSlots)
 	for _, kind := range resource.Kinds() {
 		demand := make(map[*planJob]int64, len(jobs))
@@ -1064,17 +1020,17 @@ func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, from, nSlots int64) *pl
 		if len(demand) == 0 {
 			continue
 		}
-		f.greedyPlanKind(kind, order, demand, next)
+		greedyPlanKind(kind, order, demand, next, f.planCap)
 	}
 	return next
 }
 
 // fillSlot grants up to budget units of kind at slot offset t of next
-// to jobs in EDF order whose windows cover the slot, updating remaining,
-// next's allocation rows and the load skyline. Returns units granted.
+// to jobs in EDF order whose windows cover the slot, updating remaining
+// and next's allocation rows. Returns units granted.
 // order is sorted by deadline, so the windows closed by the slot are a
 // prefix of it, which the sweep starts past.
-func (f *FlowTime) fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, kind resource.Kind, t, budget int64) int64 {
+func fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, kind resource.Kind, t, budget int64) int64 {
 	if budget <= 0 {
 		return 0
 	}
@@ -1100,7 +1056,6 @@ func (f *FlowTime) fillSlot(order []*planJob, remaining map[*planJob]int64, next
 		}
 		slots[t] = slots[t].With(kind, have+g)
 		remaining[pj] = rem - g
-		f.load[t] = f.load[t].With(kind, f.load[t].Get(kind)+g)
 		granted += g
 		if granted >= budget {
 			break

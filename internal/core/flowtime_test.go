@@ -114,7 +114,7 @@ func TestPlanMeetsDemandByDeadline(t *testing.T) {
 		}
 	}
 	// Planned load never exceeds capacity.
-	for t0, l := range f.load {
+	for t0, l := range planLoad(f.live) {
 		if !l.FitsIn(resource.New(10, 1000)) {
 			t.Errorf("slot %d planned load %v exceeds capacity", t0, l)
 		}
@@ -363,7 +363,7 @@ func TestReplanOnLiveCapacityChange(t *testing.T) {
 		t.Errorf("Replans = %d, want 2 (live capacity change must replan)", got)
 	}
 	// The new plan must respect the reduced capacity.
-	for off, l := range f.load {
+	for off, l := range planLoad(f.live) {
 		if !l.FitsIn(capacity) {
 			t.Errorf("plan slot %d load %v exceeds reduced capacity %v", off, l, capacity)
 		}

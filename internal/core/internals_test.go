@@ -9,6 +9,18 @@ import (
 	"flowtime/internal/sched"
 )
 
+// planLoad returns p's planned load per slot offset: the sum of every
+// job's allocation at that offset.
+func planLoad(p *plan.Plan) []resource.Vector {
+	load := make([]resource.Vector, p.NSlots)
+	for _, j := range p.Jobs {
+		for off, g := range j.Alloc {
+			load[off] = load[off].Add(g)
+		}
+	}
+	return load
+}
+
 func mkPlanJob(id string, rel, dl, tasks int64) *planJob {
 	return &planJob{
 		state: sched.JobState{
@@ -22,14 +34,12 @@ func mkPlanJob(id string, rel, dl, tasks int64) *planJob {
 }
 
 func TestFillSlotBudgetAndCaps(t *testing.T) {
-	f := New(Config{})
-	f.load = make([]resource.Vector, 3)
 	a := mkPlanJob("a", 0, 3, 4) // cap 4/slot
 	b := mkPlanJob("b", 0, 3, 4)
 	next := newPlan([]*planJob{a, b}, 0, 3)
 	remaining := map[*planJob]int64{a: 6, b: 6}
 
-	granted := f.fillSlot([]*planJob{a, b}, remaining, next, resource.VCores, 0, 7)
+	granted := fillSlot([]*planJob{a, b}, remaining, next, resource.VCores, 0, 7)
 	if granted != 7 {
 		t.Errorf("granted = %d, want 7 (budget-bound)", granted)
 	}
@@ -42,15 +52,15 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	if remaining[a] != 2 || remaining[b] != 3 {
 		t.Errorf("remaining = %d, %d; want 2, 3", remaining[a], remaining[b])
 	}
-	if f.load[0].Get(resource.VCores) != 7 {
-		t.Errorf("load = %d, want 7", f.load[0].Get(resource.VCores))
+	if got := planLoad(next)[0].Get(resource.VCores); got != 7 {
+		t.Errorf("slot 0 load = %d, want 7", got)
 	}
 
 	// Zero or negative budgets are no-ops.
-	if g := f.fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, 0); g != 0 {
+	if g := fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, 0); g != 0 {
 		t.Errorf("zero budget granted %d", g)
 	}
-	if g := f.fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, -5); g != 0 {
+	if g := fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, -5); g != 0 {
 		t.Errorf("negative budget granted %d", g)
 	}
 }

@@ -121,7 +121,7 @@ func TestLexMinMaxLevelsMatchPlanPeak(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 	peak := 0.0
-	for _, l := range f.load {
+	for _, l := range planLoad(f.live) {
 		if s := l.DominantShare(capacity); s > peak {
 			peak = s
 		}
