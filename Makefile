@@ -166,9 +166,11 @@ bench:
 # that lets the jobs in one at a time, each augmented to its maximum and
 # re-walking what a short job cut off (~30 s of the run, nearly all of it
 # the overloaded probe's reference). BenchmarkFirstTickAtScale fails when
-# its 9,600-job first tick's planner scans more arcs than a ceiling set
-# 25 % over the count it was set at (a count, not a time, so it holds on
-# any machine); stage A routed through that reference trips it.
+# its 9,600-job first tick's planner scans more arcs, or the plan it
+# publishes holds more allocation cells, than ceilings set 25 % over the
+# counts they were set at (counts, not times, so they hold on any
+# machine); stage A routed through that reference trips the first, plan
+# rows spanning the whole plan instead of their job's window the second.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -133,12 +133,13 @@ func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
 	// whose memory planner fails outright, which is the greedy rung.
 	flowPlan, greedyPlan := run(0).LivePlan(), run(1).LivePlan()
 	for id, j := range f.LivePlan().Jobs {
-		for off, g := range j.Alloc {
-			if v, want := g.Get(resource.VCores), flowPlan.Jobs[id].Alloc[off].Get(resource.VCores); v != want {
-				t.Errorf("job %s offset %d: %d vcores planned, the flow plan has %d", id, off, v, want)
+		for i, g := range j.Alloc {
+			abs := j.Window.Rel + int64(i)
+			if v, want := g.Get(resource.VCores), flowPlan.AllocAt(id, abs).Get(resource.VCores); v != want {
+				t.Errorf("job %s slot %d: %d vcores planned, the flow plan has %d", id, abs, v, want)
 			}
-			if m, want := g.Get(resource.MemoryMB), greedyPlan.Jobs[id].Alloc[off].Get(resource.MemoryMB); m != want {
-				t.Errorf("job %s offset %d: %d MB planned, the greedy plan has %d", id, off, m, want)
+			if m, want := g.Get(resource.MemoryMB), greedyPlan.AllocAt(id, abs).Get(resource.MemoryMB); m != want {
+				t.Errorf("job %s slot %d: %d MB planned, the greedy plan has %d", id, abs, m, want)
 			}
 		}
 	}
@@ -420,10 +421,10 @@ func TestPlanValidationProperty(t *testing.T) {
 
 // TestRebuildGreedyPlanIsValid holds the ladder's last rung — the greedy
 // rebuild replan serves when checkPlan refuses a plan — to the validity it
-// is served on: over seeded instances whose windows reach past the plan's
-// end (or start after it), whose parallel caps sit below their per-slot
-// demand and whose demand exceeds the capacity, checkPlan accepts every
-// rebuilt plan.
+// is served on: over seeded instances whose windows are drawn past the
+// plan's end (or after it) and cut to the plan as computeWindows cuts them
+// at the horizon, whose parallel caps sit below their per-slot demand and
+// whose demand exceeds the capacity, checkPlan accepts every rebuilt plan.
 func TestRebuildGreedyPlanIsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var pastPlan, capBelowDemand, overCapacity int
@@ -441,6 +442,11 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 		for i := range jobs {
 			rel := from + rng.Int63n(nSlots+3)
 			dl := rel + 1 + rng.Int63n(nSlots+5)
+			if dl > from+nSlots {
+				pastPlan++
+				dl = from + nSlots
+				rel = min(rel, dl-1)
+			}
 			tasks := 1 + rng.Int63n(6)
 			parCap := resource.New(tasks, tasks*512)
 			pj := &planJob{relSlot: rel, dlSlot: dl, state: sched.JobState{
@@ -449,9 +455,6 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 			}}
 			jobs[i] = pj
 			demand = demand.Add(pj.state.EstRemaining)
-			if dl > from+nSlots {
-				pastPlan++
-			}
 			if !pj.state.EstRemaining.FitsIn(parCap.Scale(dl - rel)) {
 				capBelowDemand++
 			}

@@ -635,13 +635,14 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 }
 
 // newPlan returns an unpublished plan over [from, from+nSlots) holding
-// every job with its effective window and an all-zero allocation row.
+// every job with its effective window and an all-zero allocation row over
+// it.
 func newPlan(jobs []*planJob, from, nSlots int64) *plan.Plan {
 	p := &plan.Plan{From: from, NSlots: nSlots, Jobs: make(map[string]plan.Job, len(jobs))}
 	for _, pj := range jobs {
 		p.Jobs[pj.state.ID] = plan.Job{
 			Window: plan.Window{Rel: pj.relSlot, Dl: pj.dlSlot},
-			Alloc:  make([]resource.Vector, nSlots),
+			Alloc:  make([]resource.Vector, pj.dlSlot-pj.relSlot),
 		}
 	}
 	return p
@@ -659,12 +660,14 @@ func checkPlan(p *plan.Plan, jobs []*planJob, caps []resource.Vector) error {
 	load := make([]resource.Vector, p.NSlots)
 	for _, pj := range jobs {
 		var total resource.Vector
-		for off, g := range p.Jobs[pj.state.ID].Alloc {
+		j := p.Jobs[pj.state.ID]
+		for i, g := range j.Alloc {
+			abs := j.Window.Rel + int64(i)
 			if !g.FitsIn(pj.state.ParallelCap) {
-				return fmt.Errorf("job %q grant %v at slot %d exceeds parallel cap %v", pj.state.ID, g, p.From+int64(off), pj.state.ParallelCap)
+				return fmt.Errorf("job %q grant %v at slot %d exceeds parallel cap %v", pj.state.ID, g, abs, pj.state.ParallelCap)
 			}
 			total = total.Add(g)
-			load[off] = load[off].Add(g)
+			load[abs-p.From] = load[abs-p.From].Add(g)
 		}
 		if !total.FitsIn(pj.state.EstRemaining) {
 			return fmt.Errorf("job %q allocated %v in total, more than its demand %v", pj.state.ID, total, pj.state.EstRemaining)
@@ -994,13 +997,9 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 
 // greedyPlanKind is the ladder's bottom rung for one kind: EDF water-fill
 // of the full demand under the hard caps, caps[t] at slot offset t. It
-// runs before anything of the kind is placed in next.
-func greedyPlanKind(kind resource.Kind, order []*planJob, demand map[*planJob]int64, next *plan.Plan, caps []resource.Vector) {
-	remaining := make(map[*planJob]int64, len(demand))
-	//det:unordered copies the map
-	for pj, d := range demand {
-		remaining[pj] = d
-	}
+// runs before anything of the kind is placed in next, and it uses up
+// remaining, each job's demand, as it places it.
+func greedyPlanKind(kind resource.Kind, order []*planJob, remaining map[*planJob]int64, next *plan.Plan, caps []resource.Vector) {
 	for t := int64(0); t < next.NSlots; t++ {
 		fillSlot(order, remaining, next, kind, t, caps[t].Get(kind))
 	}
@@ -1027,7 +1026,8 @@ func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, from, nSlots int64) *pl
 
 // fillSlot grants up to budget units of kind at slot offset t of next
 // to jobs in EDF order whose windows cover the slot, updating remaining
-// and next's allocation rows. Returns units granted.
+// and next's allocation rows, each indexed from its job's release. Returns
+// units granted.
 // order is sorted by deadline, so the windows closed by the slot are a
 // prefix of it, which the sweep starts past.
 func fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, kind resource.Kind, t, budget int64) int64 {
@@ -1042,8 +1042,8 @@ func fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, k
 		if rem <= 0 || abs < pj.relSlot || abs >= pj.dlSlot {
 			continue
 		}
-		slots := next.Jobs[pj.state.ID].Alloc
-		have := slots[t].Get(kind)
+		slots, i := next.Jobs[pj.state.ID].Alloc, abs-pj.relSlot
+		have := slots[i].Get(kind)
 		g := pj.state.ParallelCap.Get(kind) - have
 		if g > rem {
 			g = rem
@@ -1054,7 +1054,7 @@ func fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, k
 		if g <= 0 {
 			continue
 		}
-		slots[t] = slots[t].With(kind, have+g)
+		slots[i] = slots[i].With(kind, have+g)
 		remaining[pj] = rem - g
 		granted += g
 		if granted >= budget {

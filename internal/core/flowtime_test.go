@@ -94,14 +94,15 @@ func TestPlanMeetsDemandByDeadline(t *testing.T) {
 	}
 	for _, j := range jobs {
 		var got resource.Vector
-		plan := f.live.Jobs[j.ID].Alloc
+		pj := f.live.Jobs[j.ID]
 		rel := int64(j.Release / slotDur)
 		dl := int64(j.Deadline / slotDur)
-		for t0, g := range plan {
+		for i, g := range pj.Alloc {
 			if g.IsZero() {
 				continue
 			}
-			if int64(t0) < rel || int64(t0) >= dl {
+			t0 := pj.Window.Rel + int64(i)
+			if t0 < rel || t0 >= dl {
 				t.Errorf("job %s allocated %v at slot %d outside window [%d, %d)", j.ID, g, t0, rel, dl)
 			}
 			if !g.FitsIn(j.ParallelCap) {
@@ -157,8 +158,9 @@ func TestSlackShiftsWorkEarlier(t *testing.T) {
 		t.Fatalf("Assign: %v", err)
 	}
 	var before, after resource.Vector
-	for t0, g := range f.live.Jobs["j"].Alloc {
-		if t0 < 4 {
+	pj := f.live.Jobs["j"]
+	for i, g := range pj.Alloc {
+		if pj.Window.Rel+int64(i) < 4 {
 			before = before.Add(g)
 		} else {
 			after = after.Add(g)

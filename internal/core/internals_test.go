@@ -14,7 +14,8 @@ import (
 func planLoad(p *plan.Plan) []resource.Vector {
 	load := make([]resource.Vector, p.NSlots)
 	for _, j := range p.Jobs {
-		for off, g := range j.Alloc {
+		for i, g := range j.Alloc {
+			off := j.Window.Rel - p.From + int64(i)
 			load[off] = load[off].Add(g)
 		}
 	}
@@ -124,10 +125,10 @@ func checkLive(f *FlowTime, jobs []sched.JobState) error {
 	return checkPlan(f.live, pjs, f.planCap)
 }
 
-// onePlan is a plan anchored at slot from holding one job "j" with window
-// [rel, dl) and one grant per slot.
-func onePlan(from, rel, dl int64, grants ...resource.Vector) *plan.Plan {
-	return &plan.Plan{From: from, NSlots: int64(len(grants)), Jobs: map[string]plan.Job{
+// onePlan is a plan over [from, from+nSlots) holding one job "j" with
+// window [rel, dl) and one grant per slot from rel on.
+func onePlan(from, nSlots, rel, dl int64, grants ...resource.Vector) *plan.Plan {
+	return &plan.Plan{From: from, NSlots: nSlots, Jobs: map[string]plan.Job{
 		"j": {Window: plan.Window{Rel: rel, Dl: dl}, Alloc: grants},
 	}}
 }
@@ -159,14 +160,14 @@ func TestCheckPlan(t *testing.T) {
 		jobs    []*planJob
 		wantErr string
 	}{
-		{name: "valid plan", plan: onePlan(0, 0, 2, g, g), jobs: j},
-		{name: "zero grants outside window are fine", plan: onePlan(0, 1, 2, zero, g, zero), jobs: j},
-		{name: "missing window", plan: onePlan(0, 0, 0, g), jobs: j, wantErr: "invalid"},
-		{name: "negative grant", plan: onePlan(0, 0, 1, resource.New(-1, 100)), jobs: j, wantErr: "negative allocation"},
-		{name: "grant before release", plan: onePlan(0, 1, 3, g), jobs: j, wantErr: "outside window"},
-		{name: "grant at deadline", plan: onePlan(0, 0, 1, zero, g), jobs: j, wantErr: "outside window"},
-		{name: "grant exceeds parallel cap", plan: onePlan(0, 0, 1, resource.New(5, 500)), jobs: j, wantErr: "parallel cap"},
-		{name: "total exceeds demand", plan: onePlan(0, 0, 3, g, g, g), jobs: j, wantErr: "more than its demand"},
+		{name: "valid plan", plan: onePlan(0, 2, 0, 2, g, g), jobs: j},
+		{name: "a window inside a longer plan", plan: onePlan(0, 3, 1, 2, g), jobs: j},
+		{name: "missing window", plan: onePlan(0, 1, 0, 0, g), jobs: j, wantErr: "invalid"},
+		{name: "negative grant", plan: onePlan(0, 1, 0, 1, resource.New(-1, 100)), jobs: j, wantErr: "negative allocation"},
+		{name: "row longer than its window", plan: onePlan(0, 3, 1, 3, zero, g, g), jobs: j, wantErr: "alloc slots"},
+		{name: "window past the plan end", plan: onePlan(0, 1, 0, 2, zero, g), jobs: j, wantErr: "outside the plan"},
+		{name: "grant exceeds parallel cap", plan: onePlan(0, 1, 0, 1, resource.New(5, 500)), jobs: j, wantErr: "parallel cap"},
+		{name: "total exceeds demand", plan: onePlan(0, 3, 0, 3, g, g, g), jobs: j, wantErr: "more than its demand"},
 		{
 			name: "slot load exceeds capacity",
 			plan: &plan.Plan{NSlots: 1, Jobs: map[string]plan.Job{
@@ -198,7 +199,7 @@ func TestCheckPlan(t *testing.T) {
 // [5, 7) — offset 0 is slot 5, for the window and in what an error names —
 // and caps indexed by offset.
 func TestCheckPlanOffsetsAreAbsolute(t *testing.T) {
-	p := onePlan(5, 5, 7, resource.New(2, 200), resource.New(2, 200))
+	p := onePlan(5, 2, 5, 7, resource.New(2, 200), resource.New(2, 200))
 	jobs := []*planJob{demandJob("j", resource.New(4, 400), resource.New(4, 400))}
 	if err := checkPlan(p, jobs, flatCaps(2, resource.New(10, 1000))); err != nil {
 		t.Fatalf("checkPlan = %v, want nil", err)

@@ -55,19 +55,17 @@ func TestPlanPropertiesRandom(t *testing.T) {
 
 		// Invariants over the produced plan.
 		planned := make(map[string]resource.Vector, len(jobs))
-		var load []resource.Vector
+		load := make([]resource.Vector, f.live.NSlots)
 		for _, j := range jobs {
-			slots := f.live.Jobs[j.ID].Alloc
-			if len(load) == 0 {
-				load = make([]resource.Vector, len(slots))
-			}
+			pj := f.live.Jobs[j.ID]
 			relSlot := int64(j.Release / slotDur)
 			dlSlot := int64(j.Deadline / slotDur)
-			for off, g := range slots {
+			for i, g := range pj.Alloc {
 				if g.IsZero() {
 					continue
 				}
-				abs := f.live.From + int64(off)
+				abs := pj.Window.Rel + int64(i)
+				off := abs - f.live.From
 				if abs < relSlot && relSlot > now {
 					t.Errorf("trial %d: job %s granted %v before release (slot %d < %d)",
 						trial, j.ID, g, abs, relSlot)

@@ -95,12 +95,13 @@ func TestStreamedPlanCarriesAllocations(t *testing.T) {
 			t.Errorf("job %s: plan window %+v, want the slack-tightened %+v", j.ID, pj.Window, want)
 		}
 		var total resource.Vector
-		for off, g := range pj.Alloc {
-			if abs := live.From + int64(off); !g.IsZero() && (abs < want.Rel || abs >= want.Dl) {
+		for i, g := range pj.Alloc {
+			abs := pj.Window.Rel + int64(i)
+			if !g.IsZero() && (abs < want.Rel || abs >= want.Dl) {
 				t.Errorf("job %s: %v planned at slot %d, outside %+v", j.ID, g, abs, want)
 			}
 			if !g.FitsIn(j.ParallelCap) {
-				t.Errorf("job %s slot %d: %v planned, over the parallel cap %v", j.ID, live.From+int64(off), g, j.ParallelCap)
+				t.Errorf("job %s slot %d: %v planned, over the parallel cap %v", j.ID, abs, g, j.ParallelCap)
 			}
 			total = total.Add(g)
 		}

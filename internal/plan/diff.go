@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"flowtime/internal/resource"
 )
@@ -99,21 +98,6 @@ func (d *Diff) Validate() error {
 	return nil
 }
 
-// rebaseAlloc maps a job's per-slot allocation from one (from, n) range
-// to another, truncating slots that fall outside the target range and
-// zero-filling slots the source range did not cover.
-func rebaseAlloc(alloc []resource.Vector, oldFrom, newFrom, n int64) []resource.Vector {
-	out := make([]resource.Vector, n)
-	for off := range out {
-		abs := newFrom + int64(off)
-		src := abs - oldFrom
-		if src >= 0 && src < int64(len(alloc)) {
-			out[off] = alloc[src]
-		}
-	}
-	return out
-}
-
 // Compute derives the minimal diff that transforms base into next: the
 // jobs next lacks, and for every other job of next that is new or changed
 // its window and the slots that differ from its rebased base allocation.
@@ -131,32 +115,28 @@ func Compute(base, next *Plan) *Diff {
 			d.Remove = append(d.Remove, id)
 		}
 	}
-	ids := next.JobIDs()
-	for _, id := range ids {
+	end := next.From + next.NSlots
+	for _, id := range next.JobIDs() {
 		nj := next.Jobs[id]
 		bj, existed := base.Jobs[id]
 		u := JobUpdate{ID: id, Window: nj.Window, Add: !existed}
-		if existed {
-			// Diff against the base allocation rebased into the new
-			// range.
-			rebased := rebaseAlloc(bj.Alloc, base.From, next.From, next.NSlots)
-			for off := range nj.Alloc {
-				if nj.Alloc[off] != rebased[off] {
-					u.Set = append(u.Set, SlotSet{Slot: next.From + int64(off), Alloc: nj.Alloc[off]})
-				}
-			}
-			if len(u.Set) == 0 && bj.Window == nj.Window {
-				continue // untouched job: carried over implicitly
-			}
-		} else {
-			for off, g := range nj.Alloc {
-				if !g.IsZero() {
-					u.Set = append(u.Set, SlotSet{Slot: next.From + int64(off), Alloc: g})
+		// Only a slot of one of the two windows can differ, the base's cut
+		// to the new range; walk them in slot order, each slot once.
+		a, b := nj.Window, Window{Rel: max(bj.Window.Rel, next.From), Dl: min(bj.Window.Dl, end)}
+		if b.Rel < a.Rel {
+			a, b = b, a
+		}
+		for _, w := range [2]Window{a, {Rel: max(b.Rel, a.Dl), Dl: b.Dl}} {
+			for abs := w.Rel; abs < w.Dl; abs++ {
+				if g := nj.at(abs); g != bj.at(abs) {
+					u.Set = append(u.Set, SlotSet{Slot: abs, Alloc: g})
 				}
 			}
 		}
+		if existed && len(u.Set) == 0 && bj.Window == nj.Window {
+			continue // untouched job: carried over implicitly
+		}
 		d.Update = append(d.Update, u)
 	}
-	sort.Slice(d.Update, func(i, j int) bool { return d.Update[i].ID < d.Update[j].ID })
 	return d
 }

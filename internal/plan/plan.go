@@ -3,9 +3,10 @@
 // /v1/status reports it.
 //
 // A Plan is an immutable snapshot of the planner's output at one replan:
-// a monotonically increasing revision, the absolute slot the allocations
-// are anchored at, and per-job effective windows and per-slot allocations
-// — integers only.
+// a monotonically increasing revision, the absolute slot range it covers,
+// and per job its effective window and one allocation per slot of that
+// window — integers only. A job has no entry for a slot outside its
+// window, so an allocation there cannot be written.
 //
 // A Diff carries one revision step — jobs added or removed, windows that
 // moved, and exactly the slots whose allocations changed. Diffs have a
@@ -22,12 +23,13 @@ import (
 	"flowtime/internal/resource"
 )
 
-// MaxSlots is the longest plan Validate accepts. A plan is a dense table —
-// NSlots allocation vectors per job — so its length is an allocation size.
-// 2^20 slots is twelve days of one-second slots, four orders of magnitude
-// past any horizon the planner is run at; a planner pushed beyond it has
-// its plan refused by the replan's post-validation, whose degradation
-// reason names the ceiling, and its jobs run unplanned.
+// MaxSlots is the longest plan Validate accepts. A job's row holds one
+// allocation vector per slot of its window, which the plan's range bounds,
+// so the length bounds an allocation size. 2^20 slots is twelve days of
+// one-second slots, four orders of magnitude past any horizon the planner
+// is run at; a planner pushed beyond it has its plan refused by the
+// replan's post-validation, whose degradation reason names the ceiling,
+// and its jobs run unplanned.
 const MaxSlots = 1 << 20
 
 // checkRange is the anchor/length check Plan.Validate and Diff.Validate
@@ -56,13 +58,23 @@ type Window struct {
 // Valid reports whether the window is non-empty and non-negative.
 func (w Window) Valid() bool { return w.Rel >= 0 && w.Rel < w.Dl }
 
-// Job is one job's share of a plan: its window and its per-slot
-// allocation, indexed by offset from the owning plan's From.
+// Job is one job's share of a plan: its window and its allocation in
+// each slot of it.
 type Job struct {
 	Window Window `json:"window"`
-	// Alloc has exactly the plan's NSlots entries; Alloc[off] is the
-	// allocation at absolute slot From+off.
+	// Alloc has one entry per slot of the window: Alloc[i] is the
+	// allocation at absolute slot Window.Rel+i.
 	Alloc []resource.Vector `json:"alloc"`
+}
+
+// at returns the job's allocation at an absolute slot, zero outside its
+// window.
+func (j Job) at(abs int64) resource.Vector {
+	off := abs - j.Window.Rel
+	if off < 0 || off >= int64(len(j.Alloc)) {
+		return resource.Vector{}
+	}
+	return j.Alloc[off]
 }
 
 // Plan is one revision of the live multi-slot plan.
@@ -70,9 +82,10 @@ type Plan struct {
 	// Rev is the plan revision; revisions increase by exactly one per
 	// replan. The empty pre-genesis plan is revision 0.
 	Rev int64 `json:"rev"`
-	// From is the absolute slot Alloc offsets are anchored at.
+	// From is the plan's first absolute slot.
 	From int64 `json:"from"`
-	// NSlots is the plan length; every job's Alloc has this length.
+	// NSlots is the plan length; every job's window lies inside
+	// [From, From+NSlots).
 	NSlots int64 `json:"n_slots"`
 	// Jobs maps job ID to its window and allocations.
 	Jobs map[string]Job `json:"jobs,omitempty"`
@@ -83,18 +96,8 @@ type Plan struct {
 func Empty() *Plan { return &Plan{} }
 
 // AllocAt returns the job's allocation at an absolute slot (zero outside
-// the plan range or for unknown jobs).
-func (p *Plan) AllocAt(id string, abs int64) resource.Vector {
-	j, ok := p.Jobs[id]
-	if !ok {
-		return resource.Vector{}
-	}
-	off := abs - p.From
-	if off < 0 || off >= int64(len(j.Alloc)) {
-		return resource.Vector{}
-	}
-	return j.Alloc[off]
-}
+// its window or for unknown jobs).
+func (p *Plan) AllocAt(id string, abs int64) resource.Vector { return p.Jobs[id].at(abs) }
 
 // JobIDs returns the plan's job IDs in sorted order.
 func (p *Plan) JobIDs() []string {
@@ -108,8 +111,8 @@ func (p *Plan) JobIDs() []string {
 
 // Validate checks the plan's structural invariants: non-negative
 // revision, anchor and length, the length within MaxSlots; every job's
-// Alloc sized to NSlots with non-negative entries; nonzero allocation only
-// inside the job's window.
+// window valid and inside the plan's range, its Alloc one entry per slot
+// of the window, every entry non-negative.
 func (p *Plan) Validate() error {
 	if p.Rev < 0 {
 		return fmt.Errorf("plan: negative rev %d", p.Rev)
@@ -119,23 +122,17 @@ func (p *Plan) Validate() error {
 	}
 	for _, id := range p.JobIDs() {
 		j := p.Jobs[id]
-		if int64(len(j.Alloc)) != p.NSlots {
-			return fmt.Errorf("plan: job %q has %d alloc slots, plan has %d", id, len(j.Alloc), p.NSlots)
+		w := j.Window
+		if !w.Valid() || w.Rel < p.From || w.Dl > p.From+p.NSlots {
+			return fmt.Errorf("plan: job %q window [%d, %d) invalid or outside the plan's [%d, %d)",
+				id, w.Rel, w.Dl, p.From, p.From+p.NSlots)
 		}
-		if !j.Window.Valid() {
-			return fmt.Errorf("plan: job %q window [%d, %d) invalid", id, j.Window.Rel, j.Window.Dl)
+		if int64(len(j.Alloc)) != w.Dl-w.Rel {
+			return fmt.Errorf("plan: job %q has %d alloc slots, its window has %d", id, len(j.Alloc), w.Dl-w.Rel)
 		}
-		for off, g := range j.Alloc {
+		for i, g := range j.Alloc {
 			if g.AnyNegative() {
-				return fmt.Errorf("plan: job %q negative allocation %v at offset %d", id, g, off)
-			}
-			if g.IsZero() {
-				continue
-			}
-			abs := p.From + int64(off)
-			if abs < j.Window.Rel || abs >= j.Window.Dl {
-				return fmt.Errorf("plan: job %q allocated %v at slot %d outside window [%d, %d)",
-					id, g, abs, j.Window.Rel, j.Window.Dl)
+				return fmt.Errorf("plan: job %q negative allocation %v at slot %d", id, g, w.Rel+int64(i))
 			}
 		}
 	}
@@ -169,10 +166,9 @@ func Equal(a, b *Plan) error {
 			return fmt.Errorf("plan: job %q window differs: [%d,%d) vs [%d,%d)",
 				id, ja.Window.Rel, ja.Window.Dl, jb.Window.Rel, jb.Window.Dl)
 		}
-		for off := range ja.Alloc {
-			if ja.Alloc[off] != jb.Alloc[off] {
-				return fmt.Errorf("plan: job %q allocation differs at slot %d: %v vs %v",
-					id, a.From+int64(off), ja.Alloc[off], jb.Alloc[off])
+		for i, g := range ja.Alloc {
+			if abs := ja.Window.Rel + int64(i); g != jb.at(abs) {
+				return fmt.Errorf("plan: job %q allocation differs at slot %d: %v vs %v", id, abs, g, jb.at(abs))
 			}
 		}
 	}

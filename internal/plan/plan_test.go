@@ -13,9 +13,9 @@ func mkPlan(rev, from, nslots int64) *Plan {
 }
 
 func addJob(p *Plan, id string, rel, dl int64, allocs map[int64]resource.Vector) {
-	j := Job{Window: Window{Rel: rel, Dl: dl}, Alloc: make([]resource.Vector, p.NSlots)}
+	j := Job{Window: Window{Rel: rel, Dl: dl}, Alloc: make([]resource.Vector, dl-rel)}
 	for abs, g := range allocs {
-		j.Alloc[abs-p.From] = g
+		j.Alloc[abs-rel] = g
 	}
 	p.Jobs[id] = j
 }
@@ -52,19 +52,24 @@ func TestPlanValidate(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("valid plan refused: %v", err)
 	}
-	bad := p.Clone()
-	j := bad.Jobs["a"]
-	j.Alloc[3] = resource.New(1, 1) // slot 3 outside window [0,2)
-	bad.Jobs["a"] = j
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "outside window") {
-		t.Fatalf("out-of-window alloc not refused: %v", err)
+	// A row is its window long: one slot short or one slot over is refused.
+	for _, n := range []int{1, 3} {
+		bad := p.Clone()
+		j := bad.Jobs["a"]
+		j.Alloc = make([]resource.Vector, n)
+		bad.Jobs["a"] = j
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "alloc slots") {
+			t.Fatalf("a %d-slot row for a 2-slot window not refused: %v", n, err)
+		}
 	}
-	bad2 := p.Clone()
-	j2 := bad2.Jobs["a"]
-	j2.Alloc = j2.Alloc[:2]
-	bad2.Jobs["a"] = j2
-	if err := bad2.Validate(); err == nil {
-		t.Fatalf("short alloc slice not refused")
+	// A window lies inside the plan's [From, From+NSlots).
+	for _, w := range []Window{{Rel: 0, Dl: 2}, {Rel: 4, Dl: 6}} {
+		bad := p.Clone()
+		bad.From = 1
+		bad.Jobs["a"] = Job{Window: w, Alloc: make([]resource.Vector, w.Dl-w.Rel)}
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "outside the plan") {
+			t.Fatalf("window [%d, %d) of the plan [1, 5) not refused: %v", w.Rel, w.Dl, err)
+		}
 	}
 	// The length is an allocation size: it has a ceiling,
 	// and the ceiling itself is a legal plan.

@@ -143,6 +143,12 @@ func BenchmarkReplayDecode(b *testing.B) {
 // reads (ShortfallReference) scans about 880 million.
 const firstTickArcCeiling = 17_400_000
 
+// firstTickCellCeiling holds the 9,600-job first tick's published plan to
+// the allocation cells its rows hold, summed over the jobs: 125,059 when
+// it was set, plus 25 %. Rows that span the whole plan instead of their
+// job's window hold 1,295,190.
+const firstTickCellCeiling = 156_000
+
 // BenchmarkFirstTickAtScale is the first tick of a FlowTime RM, ad-hoc
 // gate on, that a burst of workflows meets on a large cluster: 1,024
 // nodes of 16 vcores and 64 GiB, 60 s slots, and 100, 400 or 800
@@ -152,16 +158,17 @@ const firstTickArcCeiling = 17_400_000
 // repair, the rest of the decision, and placement — the time it spent in
 // the flow planner (stages A and B), and the steady tick after one
 // heartbeat round. It also reports that heartbeat round, one Status()
-// after the steady tick, the replans whose deadline slack was dropped and
-// the first tick's arcs scanned, which fail the 9,600-job run over
-// firstTickArcCeiling: a count, so the guard holds on any machine.
+// after the steady tick, the replans whose deadline slack was dropped, the
+// first tick's arcs scanned and the cells of the plan it published, which
+// fail the 9,600-job run over firstTickArcCeiling and firstTickCellCeiling:
+// counts, so the guards hold on any machine.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
 		b.Run(fmt.Sprintf("%d_jobs", 12*wfs), func(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
 			var first, steady TickRecord
 			var beat, status time.Duration
-			dropped, arcs := 0, 0
+			dropped, arcs, cells := 0, 0, 0
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				ft := core.New(core.DefaultConfig())
@@ -178,6 +185,10 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				c.tick()
 				b.StopTimer()
 				dropped += ft.Stats().SlackDropped
+				cells = 0
+				for _, j := range ft.LivePlan().Jobs {
+					cells += len(j.Alloc)
+				}
 				start := time.Now()
 				c.beatAll(nil)
 				beat += time.Since(start)
@@ -205,8 +216,12 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(perOp(status), "status_ms")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 			b.ReportMetric(float64(arcs), "arcs")
+			b.ReportMetric(float64(cells), "plan_cells")
 			if wfs == 800 && arcs > firstTickArcCeiling {
 				b.Fatalf("the first tick scanned %d arcs, over the ceiling of %d", arcs, firstTickArcCeiling)
+			}
+			if wfs == 800 && cells > firstTickCellCeiling {
+				b.Fatalf("the first tick's plan holds %d cells, over the ceiling of %d", cells, firstTickCellCeiling)
 			}
 		})
 	}

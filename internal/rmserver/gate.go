@@ -174,9 +174,9 @@ func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, he
 	for i := range leftover {
 		leftover[i] = capacity
 	}
-	for id := range lp.Jobs { //det:unordered clamped subtractions of non-negative allocations commute
-		for i := int64(0); i < n; i++ {
-			leftover[i] = leftover[i].SubClamped(lp.AllocAt(id, from+i))
+	for _, j := range lp.Jobs { //det:unordered clamped subtractions of non-negative allocations commute
+		for abs := max(j.Window.Rel, from); abs < min(j.Window.Dl, from+n); abs++ {
+			leftover[abs-from] = leftover[abs-from].SubClamped(j.Alloc[abs-j.Window.Rel])
 		}
 	}
 	var adhocIDs []string

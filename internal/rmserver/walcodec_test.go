@@ -945,9 +945,10 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 	// back-references its IDs and a diff with θ levels.
 	p := &plan.Plan{Rev: 12, From: 30, NSlots: 5, Jobs: map[string]plan.Job{}}
 	for i, id := range []string{"wf0003/SelfJoin-3#3", "wf0003/TeraSort-5#5", "wf0004/TeraSort-1#1"} {
-		alloc := make([]resource.Vector, p.NSlots)
+		w := plan.Window{Rel: 30, Dl: 35}
+		alloc := make([]resource.Vector, w.Dl-w.Rel)
 		alloc[i], alloc[i+2] = resource.New(int64(i+1), 1024), resource.New(2, 4096)
-		p.Jobs[id] = plan.Job{Window: plan.Window{Rel: 30, Dl: 35}, Alloc: alloc}
+		p.Jobs[id] = plan.Job{Window: w, Alloc: alloc}
 	}
 	return append(seeds,
 		planDiffRecord(tb, canonicalDiff(2, 3)), planRebaseRecord(tb, canonicalPlan()), planRebaseRecord(tb, &plan.Plan{Rev: 1}),
