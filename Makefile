@@ -89,10 +89,16 @@ cover:
 # short) and to the per-slot ad-hoc-removal relation (what deadline work
 # is granted ahead of the ad-hoc jobs — plan, overdue, backlog — is what
 # it is granted with them struck out), once as estimated and once under
-# chaos. Reproduce a failure with:
+# chaos. It ends with the RM's overload family (TestOverloadFamily):
+# 16 seeded runs of the whole RM at 1.0x-2.0x deadline load, with ad-hoc
+# bursts, best-effort workflows and nodes killed mid-lease, every slot
+# held to work conservation, per-node capacity, whole-task leases and the
+# job ledgers, every run to live = replay and recovery equivalence.
+# Reproduce a failure with:
 # go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
+	$(GO) test -count=1 -run 'TestOverloadFamily$$' ./internal/rmserver/
 
 # fuzz runs short bursts of the store framing, front-coded string,
 # WAL record codec, snapshot and heartbeat and submission
@@ -166,11 +172,13 @@ bench:
 # that lets the jobs in one at a time, each augmented to its maximum and
 # re-walking what a short job cut off (~30 s of the run, nearly all of it
 # the overloaded probe's reference). BenchmarkFirstTickAtScale fails when
-# its 9,600-job first tick's planner scans more arcs, or the plan it
-# publishes holds more allocation cells, than ceilings set 25 % over the
-# counts they were set at (counts, not times, so they hold on any
-# machine); stage A routed through that reference trips the first, plan
-# rows spanning the whole plan instead of their job's window the second.
+# its 9,600-job first tick's planner scans more arcs, the plan it
+# publishes holds more allocation cells, or its record grants more leases
+# than ceilings set 25 % over the counts they were set at (counts, not
+# times, so they hold on any machine); stage A routed through that
+# reference trips the first, plan rows spanning the whole plan instead of
+# their job's window the second, and grants placed as volume split kind by
+# kind instead of whole tasks the third.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -266,7 +266,7 @@ func run(o options) error {
 		"scheduler", "jobs missed", "wf missed", "lateness max", "avg ad-hoc turnaround",
 	}}
 	machRows := [][]string{{
-		"scheduler", "live min/peak", "events", "placed units", "frag fails", "unplaced", "peak skyline",
+		"scheduler", "live min/peak", "events", "refused tasks", "peak skyline",
 	}}
 	for _, name := range names {
 		wfs, adhoc, err := load()
@@ -320,9 +320,7 @@ func run(o options) error {
 				name,
 				fmt.Sprintf("%d/%d", m.MinLive, m.PeakLive),
 				fmt.Sprintf("%d", m.MachineEvents),
-				fmt.Sprintf("%d", m.Stats.PlacedUnits),
-				fmt.Sprintf("%d", m.Stats.FragmentationFailures),
-				m.UnplacedVolume.String(),
+				fmt.Sprintf("%d", m.RefusedTasks),
 				peakSkyline(res.Load),
 			})
 		}

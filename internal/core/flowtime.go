@@ -74,6 +74,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -576,6 +578,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 		jobs, order, nSlots = f.computeWindows(ctx, 0)
 		probs = f.stageA(ctx, jobs, order, nSlots)
 	}
+	f.stats.Last.AtRisk, f.stats.Last.CutFrom, f.stats.Last.CutTo = atRisk(probs, ctx.Now)
 
 	f.planCap = make([]resource.Vector, nSlots)
 	for t := int64(0); t < nSlots; t++ {
@@ -774,6 +777,7 @@ type kindProblem struct {
 	// can afford to leave it.
 	short []int64
 	err   error
+	cut   []int // stage A's SlotCut
 }
 
 // reserved returns R'_t per slot offset — the reservations as stage A
@@ -833,7 +837,7 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 			if err != nil {
 				return flow.Work{}, err
 			}
-			p.short = r.Short
+			p.short, p.cut = r.Short, r.SlotCut
 			return r.Work, nil
 		})
 		probs = append(probs, p)
@@ -854,6 +858,30 @@ func (p *kindProblem) isShort() bool {
 		}
 	}
 	return false
+}
+
+// atRisk reads stage A's verdict: the workflows with a job left short in
+// some kind, by ID, and the span of the slots its min cuts put on the
+// source side, empty when only their own caps hold the short jobs back.
+func atRisk(probs []*kindProblem, now int64) (wfs []string, from, to int64) {
+	from, to = math.MaxInt64, now
+	for _, p := range probs {
+		if !p.isShort() {
+			continue
+		}
+		for j, pj := range p.pjs {
+			if p.short[j] > 0 {
+				wfs = append(wfs, pj.state.WorkflowID)
+			}
+		}
+		for t, c := range p.cut {
+			if c >= 0 {
+				from, to = min(from, now+int64(t)), max(to, now+int64(t)+1)
+			}
+		}
+	}
+	sort.Strings(wfs)
+	return slices.Compact(wfs), min(from, to), to
 }
 
 // anyShort reports whether stage A left any deadline demand of any kind

@@ -1,16 +1,10 @@
 // Package machine models the cluster at machine granularity: a set of
 // named nodes with individual capacities that join, leave, fail, and get
-// capacity-scaled over simulated time, plus a placement layer that lands
-// scheduled work on concrete machines in task-sized units.
-//
-// The aggregate simulator (internal/sim without machine mode) treats the
-// cluster as one big resource vector; this package is what turns that
-// fluid approximation into a packing problem. A grant of g resources is
-// placed as floor-divisible task units on live machines, and whatever does
-// not fit on any single machine — even though the *sum* of free capacity
-// would cover it — is reported back as a fragmentation-induced placement
-// failure. That feedback is the whole point: it is the error term between
-// the paper's slot-indexed capacity model (Eq. 4) and a real datacenter.
+// capacity-scaled over simulated time. It holds the live set and compiles
+// the events into the aggregate capacity profile schedulers plan against
+// (Profile). It places nothing: the simulator (internal/sim) hands the
+// live machines to the resource manager's placement, rmstate's PlaceTick,
+// as its nodes.
 //
 // Event processing is slot-quantized to match the simulator: events carry
 // the slot they take effect at, and the machine set is fixed within a
@@ -19,7 +13,9 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"flowtime/internal/resource"
 )
@@ -125,71 +121,22 @@ func SortEvents(events []Event) {
 	sort.SliceStable(events, func(a, b int) bool { return events[a].Slot < events[b].Slot })
 }
 
-// Placement is one job's landing on one machine in one slot.
-type Placement struct {
-	// MachineID is where the units landed.
-	MachineID string
-	// Units is how many task-sized units landed there.
-	Units int64
-	// Amount is the total resources consumed on the machine.
-	Amount resource.Vector
-}
-
-// Usage is one machine's occupancy at the end of a slot, consumed by the
-// per-machine invariant checker.
-type Usage struct {
-	ID       string
-	Used     resource.Vector
-	Capacity resource.Vector // effective (scaled) capacity this slot
-}
-
-// node is the internal machine state.
-type node struct {
-	spec    Spec
-	effCap  resource.Vector // nominal scaled by the cluster factor
-	used    resource.Vector // occupancy in the current slot
-	stamp   int64           // slot `used` belongs to (lazy reset)
-	liveIdx int             // index into Cluster.live
-}
-
-// Cluster is the machine-granular cluster state. It is not safe for
-// concurrent use; the simulator drives it from one goroutine.
+// Cluster is the live machine set. It is not safe for concurrent use;
+// the simulator drives it from one goroutine.
 type Cluster struct {
-	nodes map[string]*node
-	live  []*node
-	slot  int64
-
+	live               []Spec // nominal capacities, in ID order
 	scaleNum, scaleDen int64
 	total              resource.Vector // sum of live effective capacities
-	cursor             int             // rotating first-fit start
-
-	stats Stats
+	stats              Stats
 }
 
-// Stats counts cluster events and placement outcomes over a run.
-type Stats struct {
-	// Joins/Leaves/Fails/Scales count applied events by kind.
-	Joins, Leaves, Fails, Scales int64
-	// Placements counts Place calls that landed at least one unit;
-	// PlacedUnits is the total units landed.
-	Placements, PlacedUnits int64
-	// Failures counts Place calls that could not land every requested
-	// unit; ShortUnits is the total units that found no machine.
-	Failures, ShortUnits int64
-	// FragmentationFailures is the subset of Failures where the cluster's
-	// summed free capacity could have covered the shortfall — the units
-	// were refused purely because no single machine had room.
-	FragmentationFailures int64
-}
+// Stats counts the applied cluster events by kind.
+type Stats struct{ Joins, Leaves, Fails, Scales int64 }
 
 // NewCluster returns an empty cluster (scale 1/1) with the given
 // machines live at slot 0.
 func NewCluster(initial []Spec) (*Cluster, error) {
-	c := &Cluster{
-		nodes:    make(map[string]*node, len(initial)),
-		scaleNum: 1,
-		scaleDen: 1,
-	}
+	c := &Cluster{scaleNum: 1, scaleDen: 1}
 	for _, s := range initial {
 		if err := c.join(s); err != nil {
 			return nil, err
@@ -213,32 +160,28 @@ func (c *Cluster) join(s Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if _, ok := c.nodes[s.ID]; ok {
+	i, found := c.find(s.ID)
+	if found {
 		return fmt.Errorf("machine: %s already live", s.ID)
 	}
-	n := &node{spec: s, effCap: c.scale(s.Capacity), stamp: -1, liveIdx: len(c.live)}
-	c.nodes[s.ID] = n
-	c.live = append(c.live, n)
-	c.total = c.total.Add(n.effCap)
+	c.live = slices.Insert(c.live, i, s)
+	c.total = c.total.Add(c.scale(s.Capacity))
 	return nil
 }
 
 func (c *Cluster) remove(id string) error {
-	n, ok := c.nodes[id]
-	if !ok {
+	i, found := c.find(id)
+	if !found {
 		return fmt.Errorf("machine: %s not live", id)
 	}
-	delete(c.nodes, id)
-	c.total = c.total.Sub(n.effCap)
-	// Swap-remove from the live slice.
-	last := len(c.live) - 1
-	c.live[n.liveIdx] = c.live[last]
-	c.live[n.liveIdx].liveIdx = n.liveIdx
-	c.live = c.live[:last]
-	if c.cursor > last {
-		c.cursor = 0
-	}
+	c.total = c.total.Sub(c.scale(c.live[i].Capacity))
+	c.live = slices.Delete(c.live, i, i+1)
 	return nil
+}
+
+// find returns where the machine id is, or would be, in the live set.
+func (c *Cluster) find(id string) (int, bool) {
+	return slices.BinarySearchFunc(c.live, id, func(s Spec, id string) int { return strings.Compare(s.ID, id) })
 }
 
 // Apply processes one event. Events must be applied in slot order.
@@ -265,21 +208,26 @@ func (c *Cluster) Apply(e Event) error {
 	case SetScale:
 		c.scaleNum, c.scaleDen = e.ScaleNum, e.ScaleDen
 		c.total = resource.Vector{}
-		for _, n := range c.live {
-			n.effCap = c.scale(n.spec.Capacity)
-			c.total = c.total.Add(n.effCap)
+		for _, s := range c.live {
+			c.total = c.total.Add(c.scale(s.Capacity))
 		}
 		c.stats.Scales++
 	}
 	return nil
 }
 
-// BeginSlot starts a new slot: occupancy from previous slots becomes
-// stale (reset lazily via stamps, so this is O(1) at any machine count).
-func (c *Cluster) BeginSlot(slot int64) { c.slot = slot }
-
 // Live returns the number of live machines.
 func (c *Cluster) Live() int { return len(c.live) }
+
+// Machines returns the live machines in ID order, each at its effective
+// (scaled) capacity.
+func (c *Cluster) Machines() []Spec {
+	out := make([]Spec, len(c.live))
+	for i, s := range c.live {
+		out[i] = Spec{ID: s.ID, Capacity: c.scale(s.Capacity)}
+	}
+	return out
+}
 
 // Capacity returns the summed effective capacity of all live machines —
 // what the aggregate simulator sees as the cluster cap this slot.
@@ -287,105 +235,6 @@ func (c *Cluster) Capacity() resource.Vector { return c.total }
 
 // Stats returns the accumulated counters.
 func (c *Cluster) Stats() Stats { return c.stats }
-
-func (n *node) free(slot int64) resource.Vector {
-	if n.stamp != slot {
-		return n.effCap
-	}
-	return n.effCap.SubClamped(n.used)
-}
-
-// unitsThatFit returns how many copies of unit fit in free.
-func unitsThatFit(free, unit resource.Vector, want int64) int64 {
-	fit := want
-	for _, k := range resource.Kinds() {
-		u := unit.Get(k)
-		if u <= 0 {
-			continue
-		}
-		if n := free.Get(k) / u; n < fit {
-			fit = n
-		}
-	}
-	if fit < 0 {
-		return 0
-	}
-	return fit
-}
-
-// Place lands up to want units of the given per-unit demand on live
-// machines, first-fit from a rotating cursor (so load spreads instead of
-// piling onto machine 0). It returns the units actually placed and the
-// per-machine placements; placed < want means the remainder fit on no
-// single machine this slot. The unit must be non-zero.
-func (c *Cluster) Place(unit resource.Vector, want int64) (int64, []Placement) {
-	if want <= 0 || unit.IsZero() || len(c.live) == 0 {
-		if want > 0 {
-			c.stats.Failures++
-			c.stats.ShortUnits += want
-		}
-		return 0, nil
-	}
-	var placements []Placement
-	placed := int64(0)
-	n := len(c.live)
-	for scanned := 0; scanned < n && placed < want; scanned++ {
-		idx := (c.cursor + scanned) % n
-		m := c.live[idx]
-		fit := unitsThatFit(m.free(c.slot), unit, want-placed)
-		if fit <= 0 {
-			continue
-		}
-		amount := unit.Scale(fit)
-		if m.stamp != c.slot {
-			m.stamp = c.slot
-			m.used = resource.Vector{}
-		}
-		m.used = m.used.Add(amount)
-		placements = append(placements, Placement{MachineID: m.spec.ID, Units: fit, Amount: amount})
-		placed += fit
-	}
-	// Advance the cursor past the first machine touched so the next job
-	// starts elsewhere.
-	if n > 0 {
-		c.cursor = (c.cursor + 1) % n
-	}
-	if placed > 0 {
-		c.stats.Placements++
-		c.stats.PlacedUnits += placed
-	}
-	if placed < want {
-		c.stats.Failures++
-		short := want - placed
-		c.stats.ShortUnits += short
-		// Fragmentation: the summed free capacity could still hold at
-		// least one more unit's worth of every resource, but no single
-		// machine could.
-		var freeSum resource.Vector
-		for _, m := range c.live {
-			freeSum = freeSum.Add(m.free(c.slot))
-		}
-		if unit.FitsIn(freeSum) {
-			c.stats.FragmentationFailures++
-		}
-	}
-	return placed, placements
-}
-
-// SlotUsage returns the occupancy of every machine that received work in
-// the current slot, in deterministic (ID-sorted) order, for the
-// per-machine invariant checker.
-func (c *Cluster) SlotUsage() []Usage {
-	var out []Usage
-	for _, m := range c.live {
-		if m.stamp != c.slot || m.used.IsZero() {
-			continue
-		}
-		out = append(out, Usage{ID: m.spec.ID, Used: m.used, Capacity: m.effCap})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
 
 // Homogeneous builds n identical machine specs named prefix-0..n-1.
 func Homogeneous(prefix string, n int, each resource.Vector) []Spec {

@@ -84,91 +84,34 @@ func TestSetScale(t *testing.T) {
 	}
 }
 
-func TestPlaceAndFragmentation(t *testing.T) {
-	c := mustCluster(t, Homogeneous("m", 2, resource.New(4, 4096)))
-	c.BeginSlot(0)
-
-	// Two 3-core units: one lands on each machine.
-	unit := resource.New(3, 1024)
-	placed, pls := c.Place(unit, 2)
-	if placed != 2 {
-		t.Fatalf("placed = %d, want 2 (placements %v)", placed, pls)
-	}
-	seen := map[string]bool{}
-	for _, p := range pls {
-		seen[p.MachineID] = true
-	}
-	if len(seen) != 2 {
-		t.Fatalf("both units on one machine: %v", pls)
-	}
-
-	// Each machine now has 1 core free; a 2-core unit fits the 2-core sum
-	// but no single machine: a fragmentation failure.
-	placed, _ = c.Place(resource.New(2, 512), 1)
-	if placed != 0 {
-		t.Fatalf("fragmented place landed %d units", placed)
-	}
-	st := c.Stats()
-	if st.Failures != 1 || st.ShortUnits != 1 || st.FragmentationFailures != 1 {
-		t.Fatalf("stats = %+v, want 1 failure / 1 short / 1 fragmentation", st)
-	}
-
-	// A 3-core unit exceeds even the summed free capacity: a failure, but
-	// not a fragmentation failure.
-	placed, _ = c.Place(resource.New(3, 512), 1)
-	if placed != 0 {
-		t.Fatalf("oversized place landed %d units", placed)
-	}
-	st = c.Stats()
-	if st.Failures != 2 || st.FragmentationFailures != 1 {
-		t.Fatalf("stats = %+v, want 2 failures with 1 fragmentation", st)
-	}
-
-	// A new slot resets occupancy lazily: full capacity again.
-	c.BeginSlot(1)
-	placed, _ = c.Place(unit, 2)
-	if placed != 2 {
-		t.Fatalf("placed after BeginSlot = %d, want 2", placed)
-	}
-}
-
-func TestPlaceNeverUsesDeadMachine(t *testing.T) {
-	c := mustCluster(t, Homogeneous("m", 3, resource.New(2, 2048)))
-	if err := c.Apply(Event{Kind: Fail, ID: "m-1"}); err != nil {
-		t.Fatalf("fail: %v", err)
-	}
-	c.BeginSlot(0)
-	placed, pls := c.Place(resource.New(1, 512), 6)
-	if placed != 4 {
-		t.Fatalf("placed = %d, want 4 (two live 2-core machines)", placed)
-	}
-	for _, p := range pls {
-		if p.MachineID == "m-1" {
-			t.Fatalf("unit placed on dead machine: %v", pls)
+// TestMachinesAreTheLiveSetInIDOrder: the nodes the simulator places on
+// are the live machines, sorted by ID whatever order they joined in, at
+// their scaled capacity; a failed or departed machine is not among them.
+func TestMachinesAreTheLiveSetInIDOrder(t *testing.T) {
+	c := mustCluster(t, []Spec{
+		{ID: "m-2", Capacity: resource.New(2, 2048)},
+		{ID: "m-0", Capacity: resource.New(2, 2048)},
+	})
+	for _, e := range []Event{
+		{Kind: Join, Spec: Spec{ID: "m-1", Capacity: resource.New(4, 1024)}},
+		{Kind: Fail, ID: "m-2"},
+		{Kind: Join, Spec: Spec{ID: "m-3", Capacity: resource.New(2, 2048)}},
+		{Kind: SetScale, ScaleNum: 1, ScaleDen: 2},
+	} {
+		if err := c.Apply(e); err != nil {
+			t.Fatalf("apply %v: %v", e.Kind, err)
 		}
 	}
-}
-
-func TestSlotUsage(t *testing.T) {
-	c := mustCluster(t, Homogeneous("m", 2, resource.New(4, 4096)))
-	c.BeginSlot(3)
-	if _, pls := c.Place(resource.New(4, 1024), 1); len(pls) != 1 {
-		t.Fatalf("placements = %v", pls)
+	want := []Spec{
+		{ID: "m-0", Capacity: resource.New(1, 1024)},
+		{ID: "m-1", Capacity: resource.New(2, 512)},
+		{ID: "m-3", Capacity: resource.New(1, 1024)},
 	}
-	usage := c.SlotUsage()
-	if len(usage) != 1 {
-		t.Fatalf("SlotUsage = %v, want one busy machine", usage)
+	if got := c.Machines(); !slices.Equal(got, want) {
+		t.Fatalf("Machines = %v, want %v", got, want)
 	}
-	if usage[0].Used != resource.New(4, 1024) {
-		t.Fatalf("Used = %v", usage[0].Used)
-	}
-	if !usage[0].Used.FitsIn(usage[0].Capacity) {
-		t.Fatalf("usage overcommitted: %+v", usage[0])
-	}
-	// Next slot: stale occupancy is not reported.
-	c.BeginSlot(4)
-	if u := c.SlotUsage(); len(u) != 0 {
-		t.Fatalf("SlotUsage after new slot = %v, want empty", u)
+	if got, want := c.Capacity(), resource.New(4, 2560); got != want {
+		t.Fatalf("Capacity = %v, want %v", got, want)
 	}
 }
 

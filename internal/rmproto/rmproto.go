@@ -175,6 +175,21 @@ type StatusResponse struct {
 	// Plan reports the scheduler's live plan; present when the scheduler
 	// publishes one (sched.PlanStreamer).
 	Plan *PlanStatus `json:"plan,omitempty"`
+	// AtRisk lists, by workflow ID, the workflows the last replan found
+	// short; omitted when none is. Derived, not journaled: a restarted or
+	// promoted RM rebuilds it at its first replan.
+	AtRisk []WorkflowRisk `json:"at_risk,omitempty"`
+}
+
+// WorkflowRisk is one workflow at risk: a job of it cannot be fitted in
+// its window. The slots [CutFromSlot, CutToSlot) are those the replan's
+// min cuts saturate; SinceSlot is the slot of the first replan of the
+// run of replans that have found it short.
+type WorkflowRisk struct {
+	WorkflowID  string `json:"workflow"`
+	CutFromSlot int64  `json:"cut_from_slot"`
+	CutToSlot   int64  `json:"cut_to_slot"`
+	SinceSlot   int64  `json:"since_slot"`
 }
 
 // DoneJobs is the completed-job block of GET /v1/status. A completed

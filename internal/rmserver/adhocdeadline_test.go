@@ -282,18 +282,18 @@ func TestAdHocNeverCostsDeadline(t *testing.T) {
 		wal      uint64 // the burst run's WAL segment
 		walAlone uint64 // the run without ad-hoc jobs
 	}{
-		1:  {560, 0x351764f9cd4db5c1, 0x501c79dfa1ea52dc, 0x53e585b11e42b220},
-		2:  {600, 0x50fb94a8a7774031, 0x8b7287f34322ce48, 0xc71c7a8a80b8a4b7},
-		3:  {600, 0x50fb94a8a7774031, 0xdfc86b9afcd502fb, 0x2a73362580a06ad5},
-		4:  {600, 0x50fb94a8a7774031, 0x6f92fce49df2520d, 0xf12925262874b52c},
-		5:  {600, 0x50fb94a8a7774031, 0xac3eb9af0476127c, 0x2b9fe4ef9dd7ed8e},
-		6:  {600, 0x50fb94a8a7774031, 0x284f8c3354936ee8, 0x3547525f25d4d560},
-		7:  {590, 0x9a3c5223b51dca8d, 0xdbd0d88fe6af13e4, 0x99884b8eaf2eea9d},
-		8:  {589, 0xd0fce0eeeacd1e82, 0x36efb9f1a48adb7b, 0x9df98bc91e733e5b},
-		9:  {592, 0x495fc171a070e8e1, 0xdf5cc8a85b5b2620, 0xe4cb1374435626a9},
-		10: {598, 0x38ef7d63d251e591, 0xb8b848e2eecceeb0, 0x307233e5f6d846b2},
-		11: {577, 0x9e596d4dd1eb3052, 0x76191194a0bfe3df, 0xac3e4dd6fb39701c},
-		12: {600, 0x50fb94a8a7774031, 0x4fe13625896ef39d, 0xad07869f835f87d1},
+		1:  {556, 0x3cfb54b127da02dd, 0x83ed63f0d394101c, 0x8951e96da4c5c0cc},
+		2:  {600, 0x50fb94a8a7774031, 0x5cb6830eaf7a3351, 0xff08aa2847585962},
+		3:  {600, 0x50fb94a8a7774031, 0xb37e855798521469, 0xaaacb334cec7f066},
+		4:  {600, 0x50fb94a8a7774031, 0xe76a9a4c8aea28d2, 0x4c2e14bfe1124ea8},
+		5:  {600, 0x50fb94a8a7774031, 0xb55f20f3be36c57b, 0x5c3de0ae2aed15fd},
+		6:  {600, 0x50fb94a8a7774031, 0xacaf4742b7c4b361, 0x8fc77a6b3767c2b},
+		7:  {589, 0x789861b9bdf990ae, 0xec3614e6ee993bab, 0xe6acd39fc577dc00},
+		8:  {582, 0x2495e94adcc0199d, 0xdf09084954f5d1d5, 0x1ca86caae35ffd69},
+		9:  {590, 0xcab7e3507399f7c1, 0x13d5239fc603d899, 0x653c9a7b225a8505},
+		10: {592, 0x2a3820578c980495, 0x985410f00dda5c05, 0xd0d3dab300d7d3aa},
+		11: {575, 0xaa92a1ebefcc1686, 0xaaac28825860cd8c, 0xe30a6f36ddaa824a},
+		12: {600, 0x50fb94a8a7774031, 0x84ea8feba73c6b11, 0x51f11f87ae96a577},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		setup, slots := genBurst(t, seed, burstSetupWFs, burstBatch)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -255,7 +256,9 @@ func instanceOf(rm *Server) string {
 // The clients keep one URL across the restart, where the instance
 // changes. A long-lived client of a follower, pumped every slot, crosses
 // the snapshot installs that redraw its instance and reports the
-// follower's reference walk.
+// follower's reference walk. Every view reports the in-process at_risk
+// list, which the tight workflows fill and the follower, whose scheduler
+// never runs, leaves empty.
 func TestStatusViewsAgree(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		dir := t.TempDir()
@@ -267,7 +270,7 @@ func TestStatusViewsAgree(t *testing.T) {
 		fts := httptest.NewServer(follower.Handler())
 		ctx := context.Background()
 		long, sparse, replica := NewClient(ts.URL, ts.Client()), NewClient(ts.URL, ts.Client()), NewClient(fts.URL, fts.Client())
-		view := func(what string, c *Client, want []rmproto.JobStatus, sum rmproto.JobSummary) {
+		view := func(what string, c *Client, want []rmproto.JobStatus, sum rmproto.JobSummary, risk []rmproto.WorkflowRisk) {
 			t.Helper()
 			st, err := c.Status(ctx)
 			if err != nil {
@@ -277,7 +280,11 @@ func TestStatusViewsAgree(t *testing.T) {
 			if st.Done != nil || st.LiveChange != 0 || st.Summary != sum {
 				t.Fatalf("%s: done block %v, live change %d, summary %+v, want folded and %+v", what, st.Done, st.LiveChange, st.Summary, sum)
 			}
+			if !slices.Equal(st.AtRisk, risk) {
+				t.Fatalf("%s: at risk %+v, want %+v", what, st.AtRisk, risk)
+			}
 		}
+		riskSlots := 0
 		instances, followerInstances := map[string]bool{}, map[string]bool{}
 		var archive []rmproto.JobStatus
 		var requeues int64 // both processes' own, summed across the restart
@@ -302,13 +309,16 @@ func TestStatusViewsAgree(t *testing.T) {
 			}
 			inproc := rm.Status()
 			sameJobTable(t, at+": Server.Status()", inproc.Jobs, want)
-			view(at+": long-lived client", long, want, inproc.Summary)
-			view(at+": new client", NewClient(ts.URL, ts.Client()), want, inproc.Summary)
+			view(at+": long-lived client", long, want, inproc.Summary, inproc.AtRisk)
+			view(at+": new client", NewClient(ts.URL, ts.Client()), want, inproc.Summary, inproc.AtRisk)
 			if slot%3 == 0 {
-				view(at+": every-third-slot client", sparse, want, inproc.Summary)
+				view(at+": every-third-slot client", sparse, want, inproc.Summary, inproc.AtRisk)
+			}
+			if len(inproc.AtRisk) > 0 {
+				riskSlots++
 			}
 			pumpRepl(t, rm, follower)
-			view(at+": follower's client", replica, referenceJobs(follower), follower.Status().Summary)
+			view(at+": follower's client", replica, referenceJobs(follower), follower.Status().Summary, nil)
 			instances[instanceOf(rm)] = true
 			followerInstances[instanceOf(follower)] = true
 			var sum rmproto.JobSummary
@@ -338,8 +348,8 @@ func TestStatusViewsAgree(t *testing.T) {
 		}
 		st := rm.Status()
 		requeues += st.Faults.RequeuedQuanta
-		if requeues == 0 || st.Summary.Completed == 0 || st.Summary.Completed == len(st.Jobs) || st.Summary.Missed == 0 {
-			t.Errorf("seed %d exercised too little: %d requeues, summary %+v of %d jobs", seed, requeues, st.Summary, len(st.Jobs))
+		if requeues == 0 || st.Summary.Completed == 0 || st.Summary.Completed == len(st.Jobs) || st.Summary.Missed == 0 || riskSlots == 0 {
+			t.Errorf("seed %d exercised too little: %d requeues, summary %+v of %d jobs, %d slots with a workflow at risk", seed, requeues, st.Summary, len(st.Jobs), riskSlots)
 		}
 		rm.mu.Lock()
 		done, _ := rm.st.Done()

@@ -149,6 +149,12 @@ const firstTickArcCeiling = 17_400_000
 // job's window hold 1,295,190.
 const firstTickCellCeiling = 156_000
 
+// firstTickLeaseCeiling holds the 9,600-job first tick to the leases its
+// record grants: 3,758 when it was set, plus 25 %. Placing each grant's
+// volume first-fit kind by kind, instead of whole tasks and one rest,
+// grants 5,031.
+const firstTickLeaseCeiling = 4_700
+
 // BenchmarkFirstTickAtScale is the first tick of a FlowTime RM, ad-hoc
 // gate on, that a burst of workflows meets on a large cluster: 1,024
 // nodes of 16 vcores and 64 GiB, 60 s slots, and 100, 400 or 800
@@ -159,8 +165,9 @@ const firstTickCellCeiling = 156_000
 // the flow planner (stages A and B), and the steady tick after one
 // heartbeat round. It also reports that heartbeat round, one Status()
 // after the steady tick, the replans whose deadline slack was dropped, the
-// first tick's arcs scanned and the cells of the plan it published, which
-// fail the 9,600-job run over firstTickArcCeiling and firstTickCellCeiling:
+// first tick's arcs scanned, the cells of the plan it published and the
+// leases it granted, which fail the 9,600-job run over
+// firstTickArcCeiling, firstTickCellCeiling and firstTickLeaseCeiling:
 // counts, so the guards hold on any machine.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
@@ -168,7 +175,7 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
 			var first, steady TickRecord
 			var beat, status time.Duration
-			dropped, arcs, cells := 0, 0, 0
+			dropped, arcs, cells, leases := 0, 0, 0, 0
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				ft := core.New(core.DefaultConfig())
@@ -184,6 +191,9 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				b.StartTimer()
 				c.tick()
 				b.StopTimer()
+				c.rm.mu.Lock()
+				leases = len(c.rm.st.Leases()) // none were out before the tick
+				c.rm.mu.Unlock()
 				dropped += ft.Stats().SlackDropped
 				cells = 0
 				for _, j := range ft.LivePlan().Jobs {
@@ -217,11 +227,15 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 			b.ReportMetric(float64(arcs), "arcs")
 			b.ReportMetric(float64(cells), "plan_cells")
+			b.ReportMetric(float64(leases), "leases")
 			if wfs == 800 && arcs > firstTickArcCeiling {
 				b.Fatalf("the first tick scanned %d arcs, over the ceiling of %d", arcs, firstTickArcCeiling)
 			}
 			if wfs == 800 && cells > firstTickCellCeiling {
 				b.Fatalf("the first tick's plan holds %d cells, over the ceiling of %d", cells, firstTickCellCeiling)
+			}
+			if wfs == 800 && leases > firstTickLeaseCeiling {
+				b.Fatalf("the first tick granted %d leases, over the ceiling of %d", leases, firstTickLeaseCeiling)
 			}
 		})
 	}

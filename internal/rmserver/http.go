@@ -108,6 +108,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintf(w, "# TYPE flowtime_rm_scheduler_panics counter\nflowtime_rm_scheduler_panics %d\n", st.Faults.SchedulerPanics)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_confirms_stale counter\nflowtime_rm_confirms_stale %d\n", st.Faults.StaleConfirms)
 		fmt.Fprintf(w, "# TYPE flowtime_rm_best_effort_admissions counter\nflowtime_rm_best_effort_admissions %d\n", st.Faults.BestEffortAdmissions)
+		fmt.Fprintf(w, "# TYPE flowtime_workflows_at_risk gauge\nflowtime_workflows_at_risk %d\n", len(st.AtRisk))
 		if d := st.Degradation; d != nil {
 			fmt.Fprintf(w, "# TYPE flowtime_sched_degrade_level gauge\nflowtime_sched_degrade_level %d\n", d.LevelCode)
 			fmt.Fprintf(w, "# TYPE flowtime_sched_fallback_minmax_total counter\nflowtime_sched_fallback_minmax_total %d\n", d.MinMaxFallbacks)

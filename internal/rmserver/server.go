@@ -127,6 +127,9 @@ type Server struct {
 	// became leases, lapsed those that did not.
 	offers           []rmstate.Offer
 	handoffs, lapsed int64
+	// atRisk are the workflows the last replan found short, by ID
+	// (noteRiskLocked); derived, so per process like faults.
+	atRisk []rmproto.WorkflowRisk
 
 	// faults counts what this process decided, where it decided it; no
 	// record changes it, so replay and a follower's ingest count nothing.
@@ -327,7 +330,7 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 		}
 	}
 	if archive, _ = s.st.Done(); len(archive) > completed && len(s.offers) > 0 && !s.draining {
-		rec, kept, dispatched, lapsed := s.st.DecideHandOff(s.offers, func() []*rmstate.Node {
+		rec, kept, dispatched, lapsed, _ := s.st.DecideHandOff(s.offers, func() []*rmstate.Node {
 			return append([]*rmstate.Node{&n.Node}, s.nodesLocked(func(o *node) bool { return !o.heard })...)
 		})
 		s.offers = kept
@@ -586,15 +589,34 @@ func (s *Server) decideTick(now time.Time, tr *TickRecord, sw *stopwatch) (rec *
 	}
 	if rr, ok := s.cfg.Scheduler.(sched.ReplanReporter); ok {
 		tr.Replan = rr.LastReplan()
+		s.noteRiskLocked(tr.Replan)
 	}
 	tr.Decide = sw.lap() - tr.Replan.StageA - tr.Replan.StageB - tr.Replan.Repair
 	for _, n := range nodes {
 		n.Placed = resource.Vector{}
 		s.nodes[n.ID].heard = false
 	}
-	offers = s.st.PlaceTick(rec, jobs, grants, nodes)
+	offers, tr.Refused = s.st.PlaceTick(rec, jobs, grants, rmstate.NewNodes(nodes))
 	tr.Place = sw.lap()
 	return rec, expired, offers, nil
+}
+
+// noteRiskLocked takes the workflows at risk from a replan, keeping for
+// each one the first replan that found it short while every later one
+// has; a tick that ran no replan changes nothing.
+func (s *Server) noteRiskLocked(r sched.ReplanStats) {
+	if r.Cause == "" {
+		return
+	}
+	var next []rmproto.WorkflowRisk
+	for _, id := range r.AtRisk {
+		w := rmproto.WorkflowRisk{WorkflowID: id, CutFromSlot: r.CutFrom, CutToSlot: r.CutTo, SinceSlot: r.Slot}
+		if i, ok := slices.BinarySearchFunc(s.atRisk, id, func(w rmproto.WorkflowRisk, id string) int { return strings.Compare(w.WorkflowID, id) }); ok {
+			w.SinceSlot = s.atRisk[i].SinceSlot
+		}
+		next = append(next, w)
+	}
+	s.atRisk = next
 }
 
 // nodesLocked returns the views of the registered nodes keep selects, in
@@ -725,6 +747,7 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 		Faults:            s.faults,
 		Recovery:          s.recovery,
 		Summary:           rmproto.JobSummary{Completed: len(archive), Missed: missed},
+		AtRisk:            s.atRisk,
 	}
 	if listJobs {
 		resp.Jobs = make([]rmproto.JobStatus, 0, len(jobs))

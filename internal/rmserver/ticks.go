@@ -15,10 +15,13 @@ import (
 // Assign's passes and the gate's rebase; Place is first-fit placement and
 // the queueing of the grants; Journal is the tick record's encode, apply
 // and append; Commit is the commit, with its fsync, of what came before.
+// Refused is how many whole tasks of the slot's grants no node had room
+// for (rmstate.State.PlaceTick).
 type TickRecord struct {
 	Slot                           int64
 	Decide, Place, Journal, Commit time.Duration
 	Replan                         sched.ReplanStats
+	Refused                        int64
 }
 
 // tickRingSize is how many of the last ticks the ring keeps.

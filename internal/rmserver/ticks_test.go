@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"flowtime/internal/core"
@@ -54,7 +55,7 @@ func TestTickRingRecordsEachTick(t *testing.T) {
 	if first.Work[0].MaxFlows == 0 || first.Work[0].ArcsScanned == 0 {
 		t.Errorf("first tick's vcores flow work = %+v, want stage A's and B's max flows", first.Work[0])
 	}
-	if last := ticks[2].Replan; last.Cause != "" || last != (sched.ReplanStats{}) {
+	if last := ticks[2].Replan; last.Cause != "" || !reflect.DeepEqual(last, sched.ReplanStats{}) {
 		t.Errorf("a tick that did not replan recorded %+v", last)
 	}
 

@@ -78,7 +78,7 @@ func seedSnapshots(tb testing.TB) [][]byte {
 		for _, j := range jobs {
 			grants[j.ID] = j.Request
 		}
-		s.PlaceTick(tick, jobs, grants, nodes)
+		s.PlaceTick(tick, jobs, grants, NewNodes(nodes))
 		apply(Record{Tick: tick})
 		launched = tick.Grants
 	}

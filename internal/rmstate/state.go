@@ -82,6 +82,7 @@ type Job struct {
 	Deadline time.Duration
 
 	Total       resource.Vector // volume to deliver
+	Task        resource.Vector // one task's demand: the unit placement grants in
 	Delivered   resource.Vector
 	InFlight    resource.Vector // the sum of its leases' grants
 	ParallelCap resource.Vector
@@ -250,6 +251,7 @@ func (s *State) applyWorkflow(r *RecWorkflow) error {
 			Release:     time.Duration(w.ReleaseNS),
 			Deadline:    time.Duration(w.DeadlineNS),
 			Total:       job.Volume(s.slotDur),
+			Task:        job.TaskDemand,
 			ParallelCap: job.ParallelCap(),
 			MinSlots:    w.MinSlots,
 			BestEffort:  r.BestEffort,
@@ -275,6 +277,7 @@ func (s *State) applyAdHoc(r *RecAdHoc) error {
 		Kind:        sched.AdHocJob,
 		Arrived:     time.Duration(r.Slot) * s.slotDur,
 		Total:       a.Volume(s.slotDur),
+		Task:        a.TaskDemand,
 		ParallelCap: a.ParallelCap(),
 		adhoc:       r,
 	}
@@ -517,15 +520,16 @@ func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
 }
 
 // DecideHandOff decides which offers a confirming heartbeat dispatches:
-// those whose job is ready now, placed first-fit on the nodes targets
-// returns when an offer is ready — the heartbeating node, then those that
-// will still fetch their queue this slot — as the grants the tick would
-// have made, in a tick record that does not advance the slot. An offer is
-// spent by one attempt: what found no room lapses. It returns the offers
-// whose job is not ready yet, and how many were dispatched and lapsed.
-func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecTick, kept []Offer, dispatched, lapsed int64) {
+// those whose job is ready now, placed by the tick's rule on the nodes
+// targets returns when an offer is ready — the heartbeating node, then
+// those that will still fetch their queue this slot — as the grants the
+// tick would have made, in a tick record that does not advance the slot.
+// An offer is spent by one attempt: what found no room lapses. It returns
+// the offers whose job is not ready yet, how many were dispatched and
+// lapsed, and how many whole tasks no node had room for.
+func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecTick, kept []Offer, dispatched, lapsed, refused int64) {
 	rec = &RecTick{Slot: s.slot}
-	var nodes []*Node
+	var nodes *Nodes
 	kept = offers[:0]
 	for _, o := range offers {
 		if !s.ready(o.Job) {
@@ -533,17 +537,17 @@ func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecT
 			continue
 		}
 		if nodes == nil {
-			nodes = targets()
+			nodes = NewNodes(targets())
 		}
-		placed := len(rec.Grants)
-		s.place(o.Job.ID, o.Grant, nodes, rec)
-		if len(rec.Grants) > placed {
-			dispatched++
-		} else {
+		placed, r := s.place(o.Job, o.Grant, nodes, rec)
+		refused += r
+		if placed.IsZero() {
 			lapsed++
+		} else {
+			dispatched++
 		}
 	}
-	return rec, kept, dispatched, lapsed
+	return rec, kept, dispatched, lapsed, refused
 }
 
 // DecideTick is the first step of deciding a slot, changing nothing: the
@@ -603,16 +607,12 @@ func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []
 }
 
 // PlaceTick is the second step: it places the scheduler's grants to the
-// ready jobs of jobs (DecideTick's) on nodes first-fit, splitting across
-// nodes as needed, as rec's grants. A grant to a job that is ready on
-// confirm comes back as an offer, clamped by what the ready jobs left of
-// the nodes' capacity.
-func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string]resource.Vector, nodes []*Node) []Offer {
-	var capLeft resource.Vector
-	for _, n := range nodes {
-		capLeft = capLeft.Add(n.Capacity)
-	}
-	var offers []Offer
+// ready jobs of jobs (DecideTick's), each clamped to the job's request and
+// to what the grants before it left of the nodes' capacity, on nodes as
+// rec's grants (State.place). A grant to a job that is ready on confirm
+// comes back as an offer, clamped by what the ready jobs left. It also
+// returns how many whole tasks no node had room for.
+func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string]resource.Vector, nodes *Nodes) (offers []Offer, refused int64) {
 	for _, st := range jobs {
 		g, ok := grants[st.ID]
 		if !ok || !(st.Ready || st.ReadyOnConfirm) {
@@ -623,19 +623,14 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 			offers = append(offers, Offer{Job: s.jobs[st.ID], Grant: g})
 			continue
 		}
-		g = g.Min(capLeft)
+		g = g.Min(nodes.free)
 		if g.IsZero() || g.AnyNegative() {
 			continue
 		}
-		capLeft = capLeft.Sub(g)
-		s.place(st.ID, g, nodes, rec)
-		// First-fit takes nothing more from a full node this slot, so the
-		// next grant starts past the full ones in front: while the nodes
-		// fill in order, a tick places in O(nodes + grants).
-		for len(nodes) > 0 && nodes[0].Placed == nodes[0].Capacity {
-			nodes = nodes[1:]
-		}
+		_, r := s.place(s.jobs[st.ID], g, nodes, rec)
+		refused += r
 	}
+	capLeft := nodes.free
 	kept := offers[:0]
 	for _, o := range offers {
 		o.Grant = o.Grant.Min(capLeft)
@@ -645,29 +640,150 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 		capLeft = capLeft.Sub(o.Grant)
 		kept = append(kept, o)
 	}
-	return kept
+	return kept, refused
 }
 
-// place splits a grant into grants of rec: g for job, first-fit over nodes
-// in the order given, against what each node has left of its capacity
-// this slot (Node.Placed, which it debits). Each chunk is granted under
-// the next quantum ID, issued in the slot before rec's and expiring
-// leaseExpiry slots after it; applying rec makes it a lease. What fits
-// nowhere is dropped.
-func (s *State) place(job string, g resource.Vector, nodes []*Node, rec *RecTick) {
+// place is the one placement rule: it lands g, a grant to j, on nodes as
+// grants of rec, first-fit against what each has left this slot.
+// ⌊g / j.Task⌋ whole tasks go first, each node taking as many as it has
+// room for; those no node has room for are refused and counted. The rest
+// (the sub-task remainder, or all of g when it holds no task) goes as one
+// piece on the first node that holds it, split only when none does, so it
+// is never dropped while the nodes' summed room covers it. Each grant
+// takes the next quantum ID, issued in the slot before rec's and expiring
+// leaseExpiry slots after it. It returns the volume placed.
+func (s *State) place(j *Job, g resource.Vector, nodes *Nodes, rec *RecTick) (placed resource.Vector, refused int64) {
 	expiry := rec.Slot - 1 + s.leaseExpiry
-	for _, n := range nodes {
-		if g.IsZero() {
+	grant := func(i int, v resource.Vector) {
+		nodes.take(i, v)
+		placed = placed.Add(v)
+		qid := rmproto.QuantumID(s.nextQID + int64(len(rec.Grants)) + 1)
+		rec.Grants = append(rec.Grants, RecGrant{QID: qid, JobID: j.ID, NodeID: nodes.list[i].ID, Grant: v, Expiry: expiry})
+	}
+	tasks := wholeTasks(g, j.Task)
+	rest := g.Sub(j.Task.Scale(tasks))
+	for tasks > 0 {
+		i := nodes.first(j.Task, 1)
+		if i < 0 {
 			break
 		}
-		chunk := g.Min(n.Capacity.Sub(n.Placed))
-		if chunk.IsZero() {
-			continue
+		k := min(tasks, wholeTasks(nodes.list[i].free(), j.Task))
+		grant(i, j.Task.Scale(k))
+		tasks -= k
+	}
+	if rest.IsZero() {
+		return placed, tasks
+	}
+	if i := nodes.first(rest, 1); i >= 0 {
+		grant(i, rest)
+		return placed, tasks
+	}
+	for i, n := range nodes.list {
+		if chunk := rest.Min(n.free()); !chunk.IsZero() {
+			grant(i, chunk)
+			if rest = rest.Sub(chunk); rest.IsZero() {
+				break
+			}
 		}
-		n.Placed = n.Placed.Add(chunk)
-		g = g.Sub(chunk)
-		qid := rmproto.QuantumID(s.nextQID + int64(len(rec.Grants)) + 1)
-		rec.Grants = append(rec.Grants, RecGrant{QID: qid, JobID: job, NodeID: n.ID, Grant: chunk, Expiry: expiry})
+	}
+	return placed, tasks
+}
+
+// free is what the node has left of its capacity this slot.
+func (n *Node) free() resource.Vector { return n.Capacity.SubClamped(n.Placed) }
+
+// wholeTasks is how many tasks of demand task fit in v: none when the
+// task demands nothing.
+func wholeTasks(v, task resource.Vector) int64 {
+	n := int64(-1)
+	for _, k := range resource.Kinds() {
+		if t := task.Get(k); t > 0 && (n < 0 || v.Get(k)/t < n) {
+			n = v.Get(k) / t
+		}
+	}
+	return max(n, 0)
+}
+
+// Nodes are the nodes a slot's grants are placed on, in the order placement
+// walks them (ID order, in the resource manager and the simulator). It
+// sums their room and keeps a segment tree of its kind-wise maxima, so a
+// slot places in O(grants · log nodes) however many nodes idle.
+type Nodes struct {
+	list    []*Node
+	room    []resource.Vector // room[size+i] is list[i]'s; room[1] the root
+	size    int               // leaves, a power of two
+	free    resource.Vector   // the room summed over the nodes
+	touched []int             // the nodes placed on since NewNodes or NewSlot
+}
+
+// NewNodes returns list as the nodes of a slot, each holding what its
+// Placed already does.
+func NewNodes(list []*Node) *Nodes {
+	ns := &Nodes{list: list, size: 1}
+	for ns.size < len(list) {
+		ns.size *= 2
+	}
+	ns.room = make([]resource.Vector, 2*ns.size)
+	for i, n := range list {
+		ns.room[ns.size+i] = n.free()
+		ns.free = ns.free.Add(n.free())
+	}
+	for i := ns.size - 1; i > 0; i-- {
+		ns.room[i] = ns.room[2*i].Max(ns.room[2*i+1])
+	}
+	return ns
+}
+
+// List returns the nodes in the order placement walks them.
+func (ns *Nodes) List() []*Node { return ns.list }
+
+// NewSlot starts the next slot: what this Nodes placed is lifted off the
+// nodes again.
+func (ns *Nodes) NewSlot() {
+	for _, i := range ns.touched {
+		ns.list[i].Placed = resource.Vector{}
+		ns.update(i)
+	}
+	ns.touched = ns.touched[:0]
+}
+
+// first returns the index of the first node under entry i with room for
+// need, a non-zero demand, or -1 when none has.
+func (ns *Nodes) first(need resource.Vector, i int) int {
+	switch {
+	case !need.FitsIn(ns.room[i]):
+		return -1
+	case i >= ns.size:
+		return i - ns.size
+	}
+	if n := ns.first(need, 2*i); n >= 0 {
+		return n
+	}
+	return ns.first(need, 2*i+1)
+}
+
+// take places v on node i.
+func (ns *Nodes) take(i int, v resource.Vector) {
+	n := ns.list[i]
+	if n.Placed.IsZero() {
+		ns.touched = append(ns.touched, i)
+	}
+	n.Placed = n.Placed.Add(v)
+	ns.update(i)
+}
+
+// update takes node i's room into the sum and the tree, up to the first
+// entry it leaves as it was.
+func (ns *Nodes) update(i int) {
+	room := ns.list[i].free()
+	i += ns.size
+	ns.free = ns.free.Sub(ns.room[i]).Add(room)
+	for ns.room[i] = room; i > 1; {
+		i /= 2
+		if room = ns.room[2*i].Max(ns.room[2*i+1]); room == ns.room[i] {
+			return
+		}
+		ns.room[i] = room
 	}
 }
 

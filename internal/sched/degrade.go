@@ -91,15 +91,20 @@ const (
 	ReplanQuality = "quality"
 )
 
-// ReplanStats is what one replan cost: the slot it ran at, its cause (one
-// of the Replan constants), the wall time of its stages — stage A's max
-// flows, stage B's skylines, the integral repair — and each resource
-// kind's flow work, Work[i] resource.Kinds()[i]'s.
+// ReplanStats is what one replan cost and found: the slot it ran at, its
+// cause (one of the Replan constants), the wall time of its stages —
+// stage A's max flows, stage B's skylines, the integral repair — each
+// resource kind's flow work, Work[i] resource.Kinds()[i]'s, and stage A's
+// verdict after the slack decision: the workflows, by ID, with a job it
+// left short, and [CutFrom, CutTo) the absolute slots its min cuts put on
+// the source side (flow.Routing's SlotCut).
 type ReplanStats struct {
 	Slot                   int64
 	Cause                  string
 	StageA, StageB, Repair time.Duration
 	Work                   [resource.NumKinds]flow.Work
+	AtRisk                 []string
+	CutFrom, CutTo         int64
 }
 
 // ReplanReporter is implemented by planning schedulers that report the

@@ -3,8 +3,8 @@ package sim
 import (
 	"fmt"
 
-	"flowtime/internal/machine"
 	"flowtime/internal/resource"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 )
 
@@ -205,27 +205,27 @@ func (c *InvariantChecker) CheckWorkConserving(slot int64, capacity resource.Vec
 }
 
 // CheckMachines verifies the machine-mode per-node invariants for one
-// slot: no machine is overcommitted beyond its effective capacity (the
-// cluster guarantees by construction that only live machines carry
-// work, so any usage row is a live machine), and the summed per-machine
-// occupancy equals exactly the volume the simulator granted — every
-// consumed quantum landed somewhere concrete, and nothing landed twice.
-func (c *InvariantChecker) CheckMachines(slot int64, granted resource.Vector, usage []machine.Usage) error {
+// slot: no node is reported twice or overcommitted beyond its effective
+// capacity (the nodes are the live machines, so no dead one carries
+// work), and the summed per-node placement equals exactly the volume the
+// simulator granted — every consumed quantum landed somewhere concrete,
+// and nothing landed twice.
+func (c *InvariantChecker) CheckMachines(slot int64, granted resource.Vector, nodes []*rmstate.Node) error {
 	var sum resource.Vector
-	seen := make(map[string]bool, len(usage))
-	for _, u := range usage {
-		if seen[u.ID] {
-			return fmt.Errorf("invariant: machine %s reported twice in slot %d", u.ID, slot)
+	seen := make(map[string]bool, len(nodes))
+	for _, n := range nodes {
+		if seen[n.ID] {
+			return fmt.Errorf("invariant: machine %s reported twice in slot %d", n.ID, slot)
 		}
-		seen[u.ID] = true
-		if u.Used.AnyNegative() {
-			return fmt.Errorf("invariant: machine %s negative occupancy %v", u.ID, u.Used)
+		seen[n.ID] = true
+		if n.Placed.AnyNegative() {
+			return fmt.Errorf("invariant: machine %s negative occupancy %v", n.ID, n.Placed)
 		}
-		if !u.Used.FitsIn(u.Capacity) {
+		if !n.Placed.FitsIn(n.Capacity) {
 			return fmt.Errorf("invariant: machine %s overcommitted: %v on capacity %v in slot %d",
-				u.ID, u.Used, u.Capacity, slot)
+				n.ID, n.Placed, n.Capacity, slot)
 		}
-		sum = sum.Add(u.Used)
+		sum = sum.Add(n.Placed)
 	}
 	if sum != granted {
 		return fmt.Errorf("invariant: slot %d placed volume %v != granted volume %v", slot, sum, granted)

@@ -7,6 +7,7 @@ import (
 
 	"flowtime/internal/machine"
 	"flowtime/internal/resource"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/workflow"
 )
@@ -49,11 +50,8 @@ func TestMachineModeRunsToCompletion(t *testing.T) {
 	if m.PeakLive != 2 || m.MinLive != 2 || m.FinalLive != 2 {
 		t.Fatalf("live counts = %d/%d/%d, want 2/2/2", m.MinLive, m.PeakLive, m.FinalLive)
 	}
-	if m.Stats.PlacedUnits == 0 {
-		t.Fatal("no units placed")
-	}
-	if !m.UnplacedVolume.IsZero() {
-		t.Fatalf("unplaced volume %v on an uncontended cluster", m.UnplacedVolume)
+	if m.RefusedTasks != 0 {
+		t.Fatalf("%d tasks refused on an uncontended cluster", m.RefusedTasks)
 	}
 	if res.InvariantSlots == 0 {
 		t.Fatal("invariants did not run")
@@ -93,7 +91,7 @@ func TestMachineModeEventsChangeCapacity(t *testing.T) {
 
 // TestMachineModeFragmentationStarvesOversizedTasks: a task whose demand
 // exceeds every machine can be granted by the fluid scheduler but never
-// placed — the volume shows up as unplaced and the job cannot finish.
+// placed — the task is refused, every slot, and the job cannot finish.
 func TestMachineModeFragmentationStarvesOversizedTasks(t *testing.T) {
 	adhoc := []workflow.AdHoc{{
 		ID: "big", Tasks: 1, TaskDuration: 10 * time.Second,
@@ -107,11 +105,8 @@ func TestMachineModeFragmentationStarvesOversizedTasks(t *testing.T) {
 		t.Fatal("oversized task completed despite fitting no machine")
 	}
 	m := res.Machine
-	if m.UnplacedVolume.IsZero() {
-		t.Fatal("no unplaced volume reported")
-	}
-	if m.Stats.Failures == 0 {
-		t.Fatal("no placement failures counted")
+	if m.RefusedTasks != res.Slots {
+		t.Fatalf("%d tasks refused over %d slots, want one a slot", m.RefusedTasks, res.Slots)
 	}
 }
 
@@ -147,38 +142,36 @@ func TestMachineModeMatchesAggregateWhenUnconstrained(t *testing.T) {
 			t.Fatalf("outcome %d diverged: machine %+v vs aggregate %+v", i, mres.AdHoc[i], ares.AdHoc[i])
 		}
 	}
-	if !mres.Machine.UnplacedVolume.IsZero() {
-		t.Fatalf("unplaced volume %v on a single huge machine", mres.Machine.UnplacedVolume)
+	if mres.Machine.RefusedTasks != 0 {
+		t.Fatalf("%d tasks refused on a single huge machine", mres.Machine.RefusedTasks)
 	}
 }
 
 func TestCheckMachinesViolations(t *testing.T) {
 	c := NewInvariantChecker()
+	node := func(id string, placed resource.Vector) *rmstate.Node {
+		return &rmstate.Node{ID: id, Capacity: resource.New(4, 4096), Placed: placed}
+	}
 	// Overcommitted machine.
-	err := c.CheckMachines(0, resource.New(8, 512), []machine.Usage{
-		{ID: "m", Used: resource.New(8, 512), Capacity: resource.New(4, 4096)},
-	})
+	err := c.CheckMachines(0, resource.New(8, 512), []*rmstate.Node{node("m", resource.New(8, 512))})
 	if err == nil || !strings.Contains(err.Error(), "overcommitted") {
 		t.Fatalf("err = %v, want overcommitted", err)
 	}
 	// Placement/grant accounting mismatch.
-	err = c.CheckMachines(0, resource.New(4, 512), []machine.Usage{
-		{ID: "m", Used: resource.New(2, 512), Capacity: resource.New(4, 4096)},
-	})
+	err = c.CheckMachines(0, resource.New(4, 512), []*rmstate.Node{node("m", resource.New(2, 512))})
 	if err == nil || !strings.Contains(err.Error(), "granted volume") {
 		t.Fatalf("err = %v, want granted-volume mismatch", err)
 	}
 	// Duplicate machine.
-	err = c.CheckMachines(0, resource.New(2, 512), []machine.Usage{
-		{ID: "m", Used: resource.New(1, 256), Capacity: resource.New(4, 4096)},
-		{ID: "m", Used: resource.New(1, 256), Capacity: resource.New(4, 4096)},
+	err = c.CheckMachines(0, resource.New(2, 512), []*rmstate.Node{
+		node("m", resource.New(1, 256)), node("m", resource.New(1, 256)),
 	})
 	if err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("err = %v, want reported-twice", err)
 	}
-	// Clean slot.
-	if err := c.CheckMachines(0, resource.New(2, 512), []machine.Usage{
-		{ID: "m", Used: resource.New(2, 512), Capacity: resource.New(4, 4096)},
+	// Clean slot, an idle machine beside the busy one.
+	if err := c.CheckMachines(0, resource.New(2, 512), []*rmstate.Node{
+		node("m", resource.New(2, 512)), node("n", resource.Vector{}),
 	}); err != nil {
 		t.Fatalf("clean slot rejected: %v", err)
 	}

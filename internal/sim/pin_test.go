@@ -104,12 +104,12 @@ var pinnedDigests = map[string]string{
 	"scenario-39-chaos":   "3354ced6653d4a0b",
 	"scenario-40":         "149ac3a8e1df314f",
 	"scenario-40-chaos":   "ecd17ef2bea3be7f",
-	"churn-EDF":           "13b88dc1b0517607",
-	"churn-FlowTime":      "13b88dc1b0517607",
+	"churn-EDF":           "0c3b2fa09b7feeaa",
+	"churn-FlowTime":      "0c3b2fa09b7feeaa",
 	"critical-path":       "0834618b3b383f41",
 	"ext-e-dip":           "7ffd8b9f233108e0",
-	"stragglers-EDF":      "80df915a25181842",
-	"stragglers-FlowTime": "80df915a25181842",
+	"stragglers-EDF":      "fd11393c902ec0a1",
+	"stragglers-FlowTime": "fd11393c902ec0a1",
 }
 
 // TestOutcomesArePinned holds sim.Run's outcomes — every job, workflow and

@@ -10,13 +10,15 @@
 // their readiness (the workflow DAG) and requests, and completes
 // each one once its confirmed grants cover its true volume. The simulator
 // is the RM's agents, idealised: every grant is clamped to the job's
-// request and to cluster capacity, runs, and is confirmed in the slot it
-// is made, so a job completes at the end of the first slot that covers its
-// volume. No confirm lags, no grant is handed off or offered, no lease
-// expires, no ad-hoc gate refuses work, and slots are whole seconds. What
-// the simulator keeps of a job is what no RM knows: the estimate the
-// scheduler sees, the exact submission, and the task size machine mode
-// places.
+// request and to cluster capacity, is placed by the RM's own rule
+// (rmstate.State.PlaceTick) on the simulator's nodes, runs, and is
+// confirmed in the slot it is made, so a job completes at the end of the
+// first slot that covers its volume. The nodes are machine mode's live
+// machines in ID order, or else one node carrying the slot's capacity. No
+// confirm lags, no grant is handed off or offered, no lease expires, no
+// ad-hoc gate refuses work, and slots are whole seconds. What the
+// simulator keeps of a job is what no RM knows: the estimate the scheduler
+// sees and the exact submission.
 //
 // The simulator is event-driven toward the scheduler: Assign sees
 // Changed=true only when arrivals, completions, readiness flips, or
@@ -71,9 +73,9 @@ type Config struct {
 	// Machines, when non-nil, switches the run to machine mode: the
 	// cluster is modeled machine-granularly, capacity is the sum of live
 	// machines (Capacity must be nil — the machine set defines it), and
-	// every grant is placed on concrete machines in task-sized units.
-	// Work that fits the aggregate but no single machine is refused —
-	// fragmentation the fluid model cannot see — and reported in
+	// the live machines are the nodes every grant is placed on in whole
+	// tasks. A task that fits the aggregate but no single machine is
+	// refused — fragmentation the fluid model cannot see — and counted in
 	// Result.Machine.
 	Machines *MachineMode
 }
@@ -187,30 +189,28 @@ type Result struct {
 	Machine *MachineResult
 }
 
-// MachineResult reports what the placement layer saw in machine mode.
+// MachineResult reports what machine mode saw of the machines.
 type MachineResult struct {
 	// MachineEvents is how many cluster events were applied.
 	MachineEvents int64
 	// PeakLive/MinLive/FinalLive track the live-machine count (MinLive
 	// is measured over simulated slots).
 	PeakLive, MinLive, FinalLive int
-	// Stats are the cluster's placement counters: placements, units,
-	// failures, and the fragmentation-only failure subset.
+	// Stats counts the applied events by kind.
 	Stats machine.Stats
-	// UnplacedVolume is the total granted volume the placement layer had
-	// to refuse (no single machine could hold it); the scheduler's fluid
-	// plan overestimated the packable capacity by exactly this much.
-	UnplacedVolume resource.Vector
+	// RefusedTasks is how many granted whole tasks no machine had room
+	// for (rmstate.State.PlaceTick): the scheduler's fluid plan
+	// overestimated the packable capacity by that many tasks.
+	RefusedTasks int64
 }
 
 // job is what the simulator knows of a job that the RM's state does not:
-// its exact submission (rmstate anchors an arrival to its slot), a
-// deadline job's estimate and the task size machine mode places.
+// its exact submission (rmstate anchors an arrival to its slot) and a
+// deadline job's estimate.
 type job struct {
 	*rmstate.Job // nil until its admission record is applied
 	submit       time.Duration
 	est, origEst resource.Vector // est is revised upward when the job outlives it
-	taskDemand   resource.Vector
 }
 
 // admission is one workflow's or ad-hoc job's admission record, applied at
@@ -220,9 +220,6 @@ type admission struct {
 	rec  *rmstate.Record
 	jobs []*job // a workflow's by node index
 }
-
-// simNode is the one node the simulator's grants are leased to.
-const simNode = "sim"
 
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
@@ -272,7 +269,10 @@ func Run(cfg Config) (*Result, error) {
 	// Every lease is confirmed in the slot it is granted, so none expires.
 	state := rmstate.New(cfg.SlotDur, math.MaxInt64/2)
 	live := make(map[string]*job)
-	nodes := []*rmstate.Node{{ID: simNode}}
+	var nodes *rmstate.Nodes
+	if cluster != nil {
+		nodes = machineNodes(cluster)
+	}
 
 	view := sched.ClusterView{
 		SlotDur: cfg.SlotDur,
@@ -288,11 +288,13 @@ func Run(cfg Config) (*Result, error) {
 		checker = NewInvariantChecker()
 	}
 	evIdx := 0
+	var refused int64 // whole tasks no node held
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
 		// Machine events are the ground truth behind capacity steps: apply
-		// everything due this slot, then open the slot's occupancy window.
+		// everything due this slot, then take the live machines as nodes.
 		if cluster != nil {
+			applied := evIdx
 			for evIdx < len(events) && events[evIdx].Slot <= slot {
 				if err := cluster.Apply(events[evIdx]); err != nil {
 					return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
@@ -301,7 +303,11 @@ func Run(cfg Config) (*Result, error) {
 				res.Events++
 				evIdx++
 			}
-			cluster.BeginSlot(slot)
+			if evIdx > applied {
+				nodes = machineNodes(cluster)
+			} else {
+				nodes.NewSlot()
+			}
 			if l := cluster.Live(); l > mres.PeakLive {
 				mres.PeakLive = l
 			} else if l < mres.MinLive {
@@ -363,49 +369,33 @@ func Run(cfg Config) (*Result, error) {
 		}
 		changed = false
 
-		// Clamp grants to request and to capacity, deterministically.
-		capLeft := cfg.Capacity(slot)
-		var dlUsed, ahUsed resource.Vector
-		applied := make(map[string]resource.Vector, len(grants))
-		for _, st := range states {
-			g, ok := grants[st.ID]
-			if !ok || !st.Ready {
-				continue // a grant to a blocked job is dropped
-			}
-			g = g.Min(st.Request).Min(capLeft)
-			if g.AnyNegative() || g.IsZero() {
-				continue
-			}
-			if cluster != nil {
-				// The fluid grant must land on concrete machines; what
-				// doesn't fit anywhere is refused, not consumed.
-				eff := placeGrant(cluster, live[st.ID].taskDemand, g)
-				mres.UnplacedVolume = mres.UnplacedVolume.Add(g.Sub(eff))
-				g = eff
-				if g.IsZero() {
-					continue
-				}
-			}
-			capLeft = capLeft.Sub(g)
-			applied[st.ID] = g
-			if st.Kind == sched.DeadlineJob {
-				dlUsed = dlUsed.Add(g)
-			} else {
-				ahUsed = ahUsed.Add(g)
-			}
+		// The RM's placement clamps each grant to its job's request and to
+		// what is left of the nodes, drops a grant to a blocked job, and
+		// places the rest in whole tasks. One tick leases what it placed,
+		// and one confirm delivers it at the slot's end.
+		if cluster == nil {
+			// Without machines, the cluster is one node carrying the slot's capacity.
+			nodes = rmstate.NewNodes([]*rmstate.Node{{ID: "cluster", Capacity: cfg.Capacity(slot)}})
 		}
-		// The grants run: one tick leases them to the simulator's node, and
-		// one confirm delivers them at the slot's end.
-		nodes[0].Capacity, nodes[0].Placed = cfg.Capacity(slot), resource.Vector{}
-		state.PlaceTick(tick, states, applied, nodes)
-		qids := make([]string, len(tick.Grants))
+		_, r := state.PlaceTick(tick, states, grants, nodes)
+		refused += r
+		applied := make(map[string]resource.Vector, len(grants))
+		confirm := &rmstate.RecConfirm{Slot: tick.Slot, QIDs: make([]string, len(tick.Grants))}
 		for i, g := range tick.Grants {
-			qids[i] = g.QID
+			applied[g.JobID] = applied[g.JobID].Add(g.Grant)
+			confirm.QIDs[i] = g.QID
+		}
+		var dlUsed, ahUsed resource.Vector
+		for _, st := range states {
+			if st.Kind == sched.DeadlineJob {
+				dlUsed = dlUsed.Add(applied[st.ID])
+			} else {
+				ahUsed = ahUsed.Add(applied[st.ID])
+			}
 		}
 		if err := state.Apply(&rmstate.Record{Tick: tick}); err != nil {
 			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
-		confirm, _ := state.DecideConfirm(simNode, qids)
 		if err := state.Apply(&rmstate.Record{Confirm: confirm}); err != nil {
 			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
@@ -443,7 +433,7 @@ func Run(cfg Config) (*Result, error) {
 				if pc, lc := cfg.Capacity(slot), cluster.Capacity(); pc != lc {
 					return nil, fmt.Errorf("sim: slot %d: capacity profile %v disagrees with live cluster %v", slot, pc, lc)
 				}
-				if err := checker.CheckMachines(slot, dlUsed.Add(ahUsed), cluster.SlotUsage()); err != nil {
+				if err := checker.CheckMachines(slot, dlUsed.Add(ahUsed), nodes.List()); err != nil {
 					return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 				}
 			}
@@ -483,7 +473,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	if cluster != nil {
-		mres.FinalLive = cluster.Live()
+		mres.FinalLive, mres.RefusedTasks = cluster.Live(), refused
 		mres.Stats = cluster.Stats()
 		res.Machine = mres
 	}
@@ -525,7 +515,7 @@ func admissions(cfg Config) ([]*admission, error) {
 			j := wf.Job(i)
 			wrec.Jobs[i].TaskDurSec, wrec.Jobs[i].ActualTaskDurSec = ceilSeconds(j.EffectiveTaskDuration()), 0
 			est := j.Volume(cfg.SlotDur)
-			a.jobs = append(a.jobs, &job{submit: wf.Submit, est: est, origEst: est, taskDemand: j.TaskDemand})
+			a.jobs = append(a.jobs, &job{submit: wf.Submit, est: est, origEst: est})
 		}
 		a.rec = &rmstate.Record{Workflow: rmstate.DecideWorkflow(wrec, wf, a.slot, deadline.Options{
 			Slot:              cfg.SlotDur,
@@ -545,7 +535,7 @@ func admissions(cfg Config) ([]*admission, error) {
 		out = append(out, &admission{
 			slot: rec.Slot,
 			rec:  &rmstate.Record{AdHoc: rec},
-			jobs: []*job{{submit: ah.Submit, taskDemand: ah.TaskDemand}},
+			jobs: []*job{{submit: ah.Submit}},
 		})
 	}
 	return out, nil
@@ -572,44 +562,15 @@ func admit(state *rmstate.State, a *admission, live map[string]*job) error {
 	return nil
 }
 
-// placeGrant lands a fluid grant on concrete machines in task-sized
-// units. The sub-unit remainder is placed as one smaller piece so plan
-// allocations below a single task still make progress (the fluid model
-// the planners reason in allows fractional tasks; refusing them would
-// starve thin allocations). Returns the volume that found a machine.
-func placeGrant(c *machine.Cluster, unit, g resource.Vector) resource.Vector {
-	if unit.IsZero() || !unit.FitsIn(g) {
-		unit = g
+// machineNodes returns the cluster's live machines, in ID order, as the
+// nodes placement walks.
+func machineNodes(c *machine.Cluster) *rmstate.Nodes {
+	ms := c.Machines()
+	nodes := make([]*rmstate.Node, len(ms))
+	for i, m := range ms {
+		nodes[i] = &rmstate.Node{ID: m.ID, Capacity: m.Capacity}
 	}
-	want := unitCount(g, unit)
-	placed, _ := c.Place(unit, want)
-	eff := unit.Scale(placed)
-	if placed == want {
-		if rem := g.Sub(eff); !rem.IsZero() {
-			if n, _ := c.Place(rem, 1); n == 1 {
-				eff = eff.Add(rem)
-			}
-		}
-	}
-	return eff
-}
-
-// unitCount is how many whole units fit inside g (min over the kinds
-// the unit actually demands).
-func unitCount(g, unit resource.Vector) int64 {
-	n := int64(-1)
-	for i := range unit {
-		if unit[i] <= 0 {
-			continue
-		}
-		if k := g[i] / unit[i]; n < 0 || k < n {
-			n = k
-		}
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
+	return rmstate.NewNodes(nodes)
 }
 
 // collectOutcomes reads every job's outcome from the state's jobs: the jobs
