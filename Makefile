@@ -93,12 +93,15 @@ cover:
 # 16 seeded runs of the whole RM at 1.0x-2.0x deadline load, with ad-hoc
 # bursts, best-effort workflows and nodes killed mid-lease, every slot
 # held to work conservation, per-node capacity, whole-task leases and the
-# job ledgers, every run to live = replay and recovery equivalence.
+# job ledgers, every run to live = replay and recovery equivalence. Beside
+# it runs TestSimIsTheRMOnOneNode: 12 seeded small workloads under
+# FlowTime, EDF and FIFO complete every job in the same slot in sim.Run
+# and in the RM on one node, ticked and heartbeaten slot by slot.
 # Reproduce a failure with:
 # go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
-	$(GO) test -count=1 -run 'TestOverloadFamily$$' ./internal/rmserver/
+	$(GO) test -count=1 -run 'TestOverloadFamily$$|TestSimIsTheRMOnOneNode$$' ./internal/rmserver/
 
 # fuzz runs short bursts of the store framing, front-coded string,
 # WAL record codec, snapshot and heartbeat and submission

@@ -54,9 +54,9 @@ func checkBooks(t testing.TB, rm *Server, what string) {
 			t.Fatalf("%s: job %s has %v in flight, its leases sum to %v", what, j.ID, j.InFlight, inFlight[j])
 		}
 	}
-	for id, n := range rm.nodes {
-		if !n.Placed.FitsIn(n.Capacity) || !thisSlot[id].FitsIn(n.Placed) {
-			t.Fatalf("%s: node %s (capacity %v) has %v placed and %v leased this slot", what, id, n.Capacity, n.Placed, thisSlot[id])
+	for _, n := range rm.byID {
+		if !n.Placed.FitsIn(n.Capacity) || !thisSlot[n.ID].FitsIn(n.Placed) {
+			t.Fatalf("%s: node %s (capacity %v) has %v placed and %v leased this slot", what, n.ID, n.Capacity, n.Placed, thisSlot[n.ID])
 		}
 	}
 	for _, o := range rm.offers {

@@ -191,7 +191,7 @@ func TestRequestBodyTrailingData(t *testing.T) {
 		seen := func() [2]time.Time {
 			rm.mu.Lock()
 			defer rm.mu.Unlock()
-			return [2]time.Time{rm.nodes["n1"].lastSeen, rm.nodes["n2"].lastSeen}
+			return [2]time.Time{rm.nodeLocked("n1").lastSeen, rm.nodeLocked("n2").lastSeen}
 		}
 		before := seen()
 		rec := serve(rm.Handler(), http.MethodPost, c.path, c.body, "")
@@ -260,7 +260,7 @@ func TestHeartbeatRefusals(t *testing.T) {
 	heard := func() bool {
 		rm.mu.Lock()
 		defer rm.mu.Unlock()
-		return rm.nodes["n1"].heard
+		return rm.nodeLocked("n1").heard
 	}
 	for _, c := range []struct {
 		contentType, body string

@@ -102,12 +102,11 @@ type Server struct {
 	// workflows, leases, archive, quantum counter and journaled epoch.
 	// Only a record applied to it changes it (see persist.go); everything
 	// else here is this process's own.
-	st    *rmstate.State
-	nodes map[string]*node
-	// byID holds the nodes of nodes in ID order, the order first-fit
-	// placement walks them in. It is kept in order as nodes register,
-	// re-register and expire (putNodeLocked, forgetNodesLocked), so no
-	// tick or heartbeat sorts them.
+	st *rmstate.State
+	// byID holds the registered nodes in ID order, the order first-fit
+	// placement walks them in and nodeLocked searches. It is kept in order
+	// as nodes register, re-register and expire (putNodeLocked,
+	// forgetNodesLocked), so no tick or heartbeat sorts them.
 	byID []*node
 	// instance names this process's archive to status readers holding a
 	// cursor into it (rmproto.DoneJobs).
@@ -207,7 +206,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     cfg.Store,
 		st:        rmstate.New(cfg.SlotDur, cfg.LeaseExpiry),
-		nodes:     make(map[string]*node),
 		instance:  newInstance(),
 		reported:  make(map[*rmstate.Job]report),
 		role:      RolePrimary,
@@ -275,7 +273,7 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 	}
 	var h store.Handle
 	var jerr error
-	if _, exists := s.nodes[req.NodeID]; exists {
+	if s.nodeLocked(req.NodeID) != nil {
 		rec := s.st.DecideRequeue(func(l *rmstate.Lease) bool { return l.NodeID == req.NodeID })
 		if len(rec.QIDs) > 0 {
 			h, jerr = s.requeueLocked(rec)
@@ -314,8 +312,8 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 	if err := s.leaderCheckLocked(); err != nil {
 		return rmproto.HeartbeatResponse{}, err
 	}
-	n, ok := s.nodes[req.NodeID]
-	if !ok {
+	n := s.nodeLocked(req.NodeID)
+	if n == nil {
 		return rmproto.HeartbeatResponse{}, fmt.Errorf("%w %q (register first)", ErrUnknownNode, req.NodeID)
 	}
 	n.lastSeen = now
@@ -330,18 +328,19 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 		}
 	}
 	if archive, _ = s.st.Done(); len(archive) > completed && len(s.offers) > 0 && !s.draining {
-		rec, kept, dispatched, lapsed, _ := s.st.DecideHandOff(s.offers, func() []*rmstate.Node {
-			return append([]*rmstate.Node{&n.Node}, s.nodesLocked(func(o *node) bool { return !o.heard })...)
+		rec, kept, dispatched, lapsed, refused := s.st.DecideHandOff(s.offers, func() *rmstate.Nodes {
+			return rmstate.NewNodes(append([]*rmstate.Node{&n.Node}, s.nodesLocked(func(o *node) bool { return !o.heard })...))
 		})
 		s.offers = kept
 		s.handoffs += dispatched
 		s.lapsed += lapsed
+		s.ticks.addRefused(refused)
 		if len(rec.Grants) > 0 {
 			if _, err := s.journalLocked(rmstate.Record{Tick: rec}); err != nil {
 				return rmproto.HeartbeatResponse{}, err
 			}
 			for _, g := range rec.Grants {
-				o := s.nodes[g.NodeID]
+				o := s.nodeLocked(g.NodeID)
 				o.pending = append(o.pending, g.Quantum())
 			}
 		}
@@ -492,7 +491,6 @@ func (s *Server) Tick(now time.Time) error {
 		return err
 	}
 	var tr TickRecord
-	defer func() { s.ticks.put(tr) }()
 	h := s.journaled // everything the tick's grants were computed from
 	rec, expired, offers, err := s.decideTick(now, &tr, &sw)
 	tr.Slot = rec.Slot
@@ -515,28 +513,29 @@ func (s *Server) Tick(now time.Time) error {
 	}
 	tr.Commit = sw.lap()
 	if jerr != nil {
+		s.ticks.put(tr)
 		return jerr
 	}
 	// Queue the quanta read off the record's grants on the nodes the RM
 	// still tracks and arm the slot's offers now that what came before the
 	// tick is durable. A lease may have been reclaimed while the commit ran
 	// — node re-registration runs concurrently — which the heartbeat that
-	// flushes the queue sees; offers are this slot's or nobody's.
-	if len(rec.Grants) > 0 || len(offers) > 0 {
-		s.mu.Lock()
-		for _, g := range rec.Grants {
-			if n, ok := s.nodes[g.NodeID]; ok {
-				n.pending = append(n.pending, g.Quantum())
-			}
+	// flushes the queue sees; offers are this slot's or nobody's, and a
+	// hand-off adds what it refuses to the record the ring holds by then.
+	s.mu.Lock()
+	for _, g := range rec.Grants {
+		if n := s.nodeLocked(g.NodeID); n != nil {
+			n.pending = append(n.pending, g.Quantum())
 		}
-		if s.st.Slot() == rec.Slot {
-			s.offers = offers
-		} else {
-			s.lapsed += int64(len(offers))
-		}
-		s.mu.Unlock()
+	}
+	if s.st.Slot() == rec.Slot {
+		s.offers = offers
+	} else {
+		s.lapsed += int64(len(offers))
 	}
 	tr.Place += sw.lap()
+	s.ticks.put(tr)
+	s.mu.Unlock()
 	return err
 }
 
@@ -592,9 +591,10 @@ func (s *Server) decideTick(now time.Time, tr *TickRecord, sw *stopwatch) (rec *
 		s.noteRiskLocked(tr.Replan)
 	}
 	tr.Decide = sw.lap() - tr.Replan.StageA - tr.Replan.StageB - tr.Replan.Repair
-	for _, n := range nodes {
-		n.Placed = resource.Vector{}
-		s.nodes[n.ID].heard = false
+	for _, n := range s.byID {
+		if !expired[n.ID] {
+			n.Placed, n.heard = resource.Vector{}, false
+		}
 	}
 	offers, tr.Refused = s.st.PlaceTick(rec, jobs, grants, rmstate.NewNodes(nodes))
 	tr.Place = sw.lap()
@@ -631,25 +631,25 @@ func (s *Server) nodesLocked(keep func(*node) bool) []*rmstate.Node {
 	return nodes
 }
 
+// nodeLocked returns the node registered under id, or nil.
+func (s *Server) nodeLocked(id string) *node {
+	if i, found := slices.BinarySearchFunc(s.byID, id, func(n *node, id string) int { return strings.Compare(n.ID, id) }); found {
+		return s.byID[i]
+	}
+	return nil
+}
+
 // putNodeLocked registers n, in place of a node registered under its ID.
 func (s *Server) putNodeLocked(n *node) {
-	i, found := slices.BinarySearchFunc(s.byID, n.ID, func(o *node, id string) int { return strings.Compare(o.ID, id) })
-	if found {
+	if i, found := slices.BinarySearchFunc(s.byID, n.ID, func(o *node, id string) int { return strings.Compare(o.ID, id) }); found {
 		s.byID[i] = n
 	} else {
 		s.byID = slices.Insert(s.byID, i, n)
 	}
-	s.nodes[n.ID] = n
 }
 
 // forgetNodesLocked forgets the nodes gone names.
 func (s *Server) forgetNodesLocked(gone map[string]bool) {
-	if len(gone) == 0 {
-		return
-	}
-	for id := range gone { //det:unordered deletions commute
-		delete(s.nodes, id)
-	}
 	s.byID = slices.DeleteFunc(s.byID, func(n *node) bool { return gone[n.ID] })
 }
 
@@ -740,7 +740,7 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 	jobs := s.st.Jobs()
 	resp := rmproto.StatusResponse{
 		Slot:              s.st.Slot(),
-		Nodes:             len(s.nodes),
+		Nodes:             len(s.byID),
 		Capacity:          rmproto.FromVector(s.totalCapacityLocked()),
 		Draining:          s.draining,
 		OutstandingLeases: len(s.st.Leases()),

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -182,10 +181,11 @@ func TestNodeExpiry(t *testing.T) {
 	}
 }
 
-// TestNodeOrderIsKeptSorted: the order placement walks the nodes in, kept
-// as nodes register, re-register and expire instead of sorted per call,
-// is the order sort.Slice by ID gives the registered nodes, after every
-// step of a seeded sequence of registrations of a random node of a pool
+// TestNodeOrderIsKeptSorted: the one node index, kept in the order
+// placement walks the nodes in as nodes register, re-register and expire
+// instead of sorted per call, is sorted by ID with each node once, and its
+// binary search finds every node that heartbeats, after every step of a
+// seeded sequence of registrations of a random node of a pool
 // (new or re-registering), kills (the node falls silent and expires two
 // ticks later, unless it registers again first) and slots.
 func TestNodeOrderIsKeptSorted(t *testing.T) {
@@ -207,7 +207,7 @@ func TestNodeOrderIsKeptSorted(t *testing.T) {
 				case r < 4:
 					id := fmt.Sprintf("n%d", rng.Intn(tc.pool))
 					c.rm.mu.Lock()
-					_, known := c.rm.nodes[id]
+					known := c.rm.nodeLocked(id) != nil
 					c.rm.mu.Unlock()
 					if known {
 						reregistered++
@@ -220,13 +220,15 @@ func TestNodeOrderIsKeptSorted(t *testing.T) {
 					c.step()
 				}
 				c.rm.mu.Lock()
-				want := make([]*node, 0, len(c.rm.nodes))
-				for _, n := range c.rm.nodes {
-					want = append(want, n)
+				for i := 1; i < len(c.rm.byID); i++ {
+					if c.rm.byID[i-1].ID >= c.rm.byID[i].ID {
+						t.Fatalf("op %d: nodes in order %v, want them sorted by ID, each once", op, nodeIDs(c.rm.byID))
+					}
 				}
-				sort.Slice(want, func(a, b int) bool { return want[a].ID < want[b].ID })
-				if !slices.Equal(c.rm.byID, want) {
-					t.Fatalf("op %d: nodes in order %v, want %v", op, nodeIDs(c.rm.byID), nodeIDs(want))
+				for _, id := range c.nodes {
+					if n := c.rm.nodeLocked(id); n == nil || n.ID != id {
+						t.Fatalf("op %d: heartbeating node %s not found in %v", op, id, nodeIDs(c.rm.byID))
+					}
 				}
 				c.rm.mu.Unlock()
 			}

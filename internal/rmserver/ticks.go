@@ -16,7 +16,7 @@ import (
 // the queueing of the grants; Journal is the tick record's encode, apply
 // and append; Commit is the commit, with its fsync, of what came before.
 // Refused is how many whole tasks of the slot's grants no node had room
-// for (rmstate.State.PlaceTick).
+// for, the tick's and its hand-offs' (rmstate.State.PlaceTick, DecideHandOff).
 type TickRecord struct {
 	Slot                           int64
 	Decide, Place, Journal, Commit time.Duration
@@ -41,6 +41,14 @@ func (r *tickRing) put(t TickRecord) {
 	r.mu.Lock()
 	r.buf[r.n%tickRingSize] = t
 	r.n++
+	r.mu.Unlock()
+}
+
+// addRefused adds the whole tasks a hand-off refused to the newest record,
+// the slot's: Tick puts it before it arms the slot's offers.
+func (r *tickRing) addRefused(n int64) {
+	r.mu.Lock()
+	r.buf[(r.n-1)%tickRingSize].Refused += n
 	r.mu.Unlock()
 }
 

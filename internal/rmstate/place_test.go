@@ -262,7 +262,7 @@ func TestPlacementProperty(t *testing.T) {
 			}
 			before[i] = n.Placed
 		}
-		rec, _, _, _, refused := s.DecideHandOff(offers, func() []*Node { return nodes })
+		rec, _, _, _, refused := s.DecideHandOff(offers, func() *Nodes { return NewNodes(nodes) })
 		if err := checkPlacement(calls, before, nodes, rec, refused); err != nil {
 			t.Fatalf("seed %d: DecideHandOff: %v\nnodes %v\ncalls %v\nleases %v", seed, err, nodes, calls, leaseShapes(rec))
 		}

@@ -521,13 +521,13 @@ func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
 
 // DecideHandOff decides which offers a confirming heartbeat dispatches:
 // those whose job is ready now, placed by the tick's rule on the nodes
-// targets returns when an offer is ready — the heartbeating node, then
-// those that will still fetch their queue this slot — as the grants the
-// tick would have made, in a tick record that does not advance the slot.
-// An offer is spent by one attempt: what found no room lapses. It returns
-// the offers whose job is not ready yet, how many were dispatched and
-// lapsed, and how many whole tasks no node had room for.
-func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecTick, kept []Offer, dispatched, lapsed, refused int64) {
+// targets returns when an offer is ready (the RM's heartbeating node, then
+// those that will still fetch their queue; the simulator's slot nodes) as
+// the grants the tick would have made, in a tick record that does not
+// advance the slot. An offer is spent by one attempt: what found no room
+// lapses. It returns the offers whose job is not ready yet, how many were
+// dispatched and lapsed, and how many whole tasks no node had room for.
+func (s *State) DecideHandOff(offers []Offer, targets func() *Nodes) (rec *RecTick, kept []Offer, dispatched, lapsed, refused int64) {
 	rec = &RecTick{Slot: s.slot}
 	var nodes *Nodes
 	kept = offers[:0]
@@ -537,7 +537,7 @@ func (s *State) DecideHandOff(offers []Offer, targets func() []*Node) (rec *RecT
 			continue
 		}
 		if nodes == nil {
-			nodes = NewNodes(targets())
+			nodes = targets()
 		}
 		placed, r := s.place(o.Job, o.Grant, nodes, rec)
 		refused += r

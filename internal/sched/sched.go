@@ -87,10 +87,10 @@ type JobState struct {
 	// ReadyOnConfirm marks a deadline job that is not Ready only because
 	// its unfinished predecessors have all their remaining work running:
 	// it becomes Ready inside this slot, when that work is confirmed. A
-	// grant to it is an offer the resource manager dispatches on that
-	// confirm or drops at the next slot; a scheduler may make one only from
-	// capacity no Ready job wants (FlowTime does, the baselines ignore the
-	// field). Never set together with Ready; the simulator never sets it.
+	// grant to it is an offer the resource manager, or the simulator, hands
+	// off on that confirm or drops at the next slot; a scheduler may make
+	// one only from capacity no Ready job wants (FlowTime does, the
+	// baselines ignore the field). Never set together with Ready.
 	ReadyOnConfirm bool
 	// BestEffort marks a deadline job admitted without a feasible window
 	// decomposition (admission control). Planning schedulers exclude such

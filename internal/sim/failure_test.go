@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -98,13 +99,29 @@ func TestCapacityDipRecovery(t *testing.T) {
 	}
 }
 
+// replanCauses is a FlowTime that counts its replans by cause.
+type replanCauses struct {
+	*core.FlowTime
+	n map[string]int
+}
+
+func (r *replanCauses) Assign(ctx sched.AssignContext) (map[string]resource.Vector, error) {
+	grants, err := r.FlowTime.Assign(ctx)
+	if cause := r.LastReplan().Cause; cause != "" {
+		r.n[cause]++
+	}
+	return grants, err
+}
+
 // TestFlowTimeAnticipatesKnownDip verifies that a capacity dip encoded in
 // the profile is handled within a single plan: FlowTime sees CapAt for
-// future slots, so a *scheduled* outage needs no reactive replanning.
+// future slots, so a *scheduled* outage needs no reactive replanning. The
+// one other replan is the quality replan of the slot whose tick finds the
+// job's whole remainder in flight, ahead of its plan.
 func TestFlowTimeAnticipatesKnownDip(t *testing.T) {
 	full := resource.New(20, 2000)
 	profile := dipProfile(t, full, 5, 10, 1, 4)
-	f := core.New(core.Config{Slack: 0, MaxLexRounds: 2})
+	f := &replanCauses{FlowTime: core.New(core.Config{Slack: 0, MaxLexRounds: 2}), n: map[string]int{}}
 	w := workflow.New("w", 0, 600*time.Second)
 	w.AddJob(workflow.Job{
 		Name: "j", Tasks: 10,
@@ -122,8 +139,8 @@ func TestFlowTimeAnticipatesKnownDip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := f.Stats().Replans; got != 1 {
-		t.Errorf("Replans = %d, want 1 (the dip is known in advance)", got)
+	if want := map[string]int{sched.ReplanUrgent: 1, sched.ReplanQuality: 1}; !maps.Equal(f.n, want) {
+		t.Errorf("replans by cause = %v, want %v (the dip is known in advance)", f.n, want)
 	}
 	for _, l := range res.Load {
 		if l.Slot >= 5 && l.Slot < 10 {

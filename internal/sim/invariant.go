@@ -21,9 +21,9 @@ type Observation struct {
 	Early bool
 	// Granted is the clamped grant applied this slot (zero if none).
 	Granted resource.Vector
-	// Request and Ready are the values the scheduler saw this slot, and
-	// OnConfirm its ReadyOnConfirm: a grant to such a job is an offer.
-	// Only a resource manager sets it, and only CheckWorkConserving reads it.
+	// Request is what the scheduler saw this slot, Ready the readiness the
+	// grant was placed at (by the tick or a hand-off), and OnConfirm the
+	// scheduler's ReadyOnConfirm, which only CheckWorkConserving reads.
 	Request   resource.Vector
 	Ready     bool
 	OnConfirm bool

@@ -24,92 +24,92 @@ import (
 // executes jobs that moves any of them moves a figure; one that moves none
 // is a refactor.
 var pinnedDigests = map[string]string{
-	"scenario-1":          "719a0e68c8bbacd0",
-	"scenario-1-chaos":    "cbc638cd1b645d78",
-	"scenario-2":          "a5ecae2e8fda1428",
-	"scenario-2-chaos":    "82d49c90711a1529",
-	"scenario-3":          "e65b9887b1448bc6",
-	"scenario-3-chaos":    "1b0f5e71b0588c69",
-	"scenario-4":          "07025ea16b22dc5f",
-	"scenario-4-chaos":    "f6d4f78d7976118f",
-	"scenario-5":          "febcaed4ca045065",
-	"scenario-5-chaos":    "2ffced537ffb2fc1",
-	"scenario-6":          "64858a2ac79e017e",
-	"scenario-6-chaos":    "3beff74e26875ec0",
-	"scenario-7":          "59cffee5985ed88c",
-	"scenario-7-chaos":    "13112769ee1aa201",
-	"scenario-8":          "c20cacbf5c8f151d",
-	"scenario-8-chaos":    "efb01333b7b9892e",
-	"scenario-9":          "50160550240b25ec",
-	"scenario-9-chaos":    "be9032489d4f26d9",
-	"scenario-10":         "601ed4392797e2a9",
-	"scenario-10-chaos":   "069bfb9c20557dcb",
-	"scenario-11":         "68cce76ec258791c",
-	"scenario-11-chaos":   "ba3d3eda47aca9de",
-	"scenario-12":         "e5285f21ed138bc3",
-	"scenario-12-chaos":   "f6eec2bb30c7d569",
-	"scenario-13":         "8d2c800f108e312d",
-	"scenario-13-chaos":   "cb5418bc5c489f42",
-	"scenario-14":         "5b278d3462f244ab",
-	"scenario-14-chaos":   "61b51fc2afade5a2",
-	"scenario-15":         "f64dac784a1842ed",
-	"scenario-15-chaos":   "fd8fff34bbb99d32",
-	"scenario-16":         "1e0265efdada0cbf",
-	"scenario-16-chaos":   "84777d15979e1a7e",
-	"scenario-17":         "eaa47e1a05f92e56",
-	"scenario-17-chaos":   "13c57b319a650918",
-	"scenario-18":         "ef9c4d2b77dc0bd5",
-	"scenario-18-chaos":   "0ee69cb304ce39a3",
-	"scenario-19":         "23e730c9a1bd5d64",
-	"scenario-19-chaos":   "4505bc450316878a",
-	"scenario-20":         "d42f1cff06c4ea6d",
-	"scenario-20-chaos":   "4e71aef864087b06",
-	"scenario-21":         "e5a4aab41d017e19",
-	"scenario-21-chaos":   "2af9307194269334",
-	"scenario-22":         "d4bbafcab8a6e248",
-	"scenario-22-chaos":   "cf77f50c6e6c1cf8",
-	"scenario-23":         "0ce7bd99cbeb60a6",
-	"scenario-23-chaos":   "2d05dc5d160cf595",
-	"scenario-24":         "da8428dd866d2a77",
-	"scenario-24-chaos":   "8cc20526f15b6cf2",
-	"scenario-25":         "f7d586f28d363c9e",
-	"scenario-25-chaos":   "9cc17f3eda5475a1",
-	"scenario-26":         "639ff266a05447b4",
-	"scenario-26-chaos":   "d45ef1bb30cce723",
-	"scenario-27":         "8e709aaa42cb621e",
-	"scenario-27-chaos":   "14df8fdf72454107",
-	"scenario-28":         "cc16194b00e8d86d",
-	"scenario-28-chaos":   "c52d48b1c2571be6",
-	"scenario-29":         "66a096cf3b17eb5f",
-	"scenario-29-chaos":   "b13afcf76cf52ef8",
-	"scenario-30":         "4eb37949100703cb",
-	"scenario-30-chaos":   "35bc442ee844e736",
-	"scenario-31":         "97fc5a3c88df3ff2",
-	"scenario-31-chaos":   "70db07834fd33382",
-	"scenario-32":         "1f10e5b7696e0036",
-	"scenario-32-chaos":   "c6adf35945fc9937",
-	"scenario-33":         "8f7556b39aa5ae36",
-	"scenario-33-chaos":   "689ccddaf8313bf0",
-	"scenario-34":         "c44469b6fea344f7",
-	"scenario-34-chaos":   "d0e109ab00359215",
-	"scenario-35":         "ef2b159ee509b83e",
-	"scenario-35-chaos":   "808ddcad8a3e1be9",
-	"scenario-36":         "a2ca917ce3662b08",
-	"scenario-36-chaos":   "312efdd2f2f4db90",
-	"scenario-37":         "afd08c0029610e0b",
-	"scenario-37-chaos":   "ae49616c555ed28e",
-	"scenario-38":         "2904cd70da8dacf9",
-	"scenario-38-chaos":   "cb4146232ebb58ce",
-	"scenario-39":         "a42351d4c63acb6b",
-	"scenario-39-chaos":   "3354ced6653d4a0b",
-	"scenario-40":         "149ac3a8e1df314f",
-	"scenario-40-chaos":   "ecd17ef2bea3be7f",
-	"churn-EDF":           "0c3b2fa09b7feeaa",
-	"churn-FlowTime":      "0c3b2fa09b7feeaa",
-	"critical-path":       "0834618b3b383f41",
-	"ext-e-dip":           "7ffd8b9f233108e0",
-	"stragglers-EDF":      "fd11393c902ec0a1",
-	"stragglers-FlowTime": "fd11393c902ec0a1",
+	"scenario-1":          "e65143704e5dc088",
+	"scenario-1-chaos":    "b54642896b2cc29e",
+	"scenario-2":          "8b7e839931977dd3",
+	"scenario-2-chaos":    "bd9f61dd74d58b0e",
+	"scenario-3":          "7ea5adf356b670c2",
+	"scenario-3-chaos":    "097d6eba56a04b53",
+	"scenario-4":          "b14080abb0e6b249",
+	"scenario-4-chaos":    "30ed3dc1be3e3857",
+	"scenario-5":          "13ca9d6c8d6fbaaa",
+	"scenario-5-chaos":    "19526efd73b5e093",
+	"scenario-6":          "3e46db73c15d570d",
+	"scenario-6-chaos":    "bac3f1df77e6d36d",
+	"scenario-7":          "bc14222e3881bf1e",
+	"scenario-7-chaos":    "119800d1d97904b0",
+	"scenario-8":          "c4c4f23915ee6575",
+	"scenario-8-chaos":    "314f2d7c9b90704f",
+	"scenario-9":          "7e8a3b0ccd3b9645",
+	"scenario-9-chaos":    "848a4d451b973df0",
+	"scenario-10":         "f246f51d11821c8f",
+	"scenario-10-chaos":   "126a38f753b50406",
+	"scenario-11":         "5e745f448d53ea31",
+	"scenario-11-chaos":   "062a66be6c999035",
+	"scenario-12":         "73b52cc7637248da",
+	"scenario-12-chaos":   "3621ea7bd543fbba",
+	"scenario-13":         "2424c68cf8acc773",
+	"scenario-13-chaos":   "751906cbecfb9014",
+	"scenario-14":         "e9b9c95eacb85148",
+	"scenario-14-chaos":   "003645ff3f720953",
+	"scenario-15":         "2d86137ab294b598",
+	"scenario-15-chaos":   "d67ad949e44cc502",
+	"scenario-16":         "3c065d76710aba56",
+	"scenario-16-chaos":   "acdb2067c7083c1e",
+	"scenario-17":         "167a8884c1664712",
+	"scenario-17-chaos":   "ed892b03255bf4e9",
+	"scenario-18":         "9ec35ddc1270dec0",
+	"scenario-18-chaos":   "0c624dfa637146f5",
+	"scenario-19":         "9beac1513bca17a6",
+	"scenario-19-chaos":   "e427c9d92fe0439f",
+	"scenario-20":         "db7a7b22b4d5e84a",
+	"scenario-20-chaos":   "f3079ffda6903ed3",
+	"scenario-21":         "bb79a60a13bc041b",
+	"scenario-21-chaos":   "92ec6412f49dce9a",
+	"scenario-22":         "8190583ca5a2b2d1",
+	"scenario-22-chaos":   "1ad0296fd20cb7fc",
+	"scenario-23":         "a909ce641af319e5",
+	"scenario-23-chaos":   "fcb4ae02e582492d",
+	"scenario-24":         "e14fbdff6c569c0b",
+	"scenario-24-chaos":   "d6f41a34651fb5ff",
+	"scenario-25":         "77beee655dddc88d",
+	"scenario-25-chaos":   "9b97d02ee5e912a1",
+	"scenario-26":         "ef9964a7a373f5f5",
+	"scenario-26-chaos":   "c9ce2cae2c2b412b",
+	"scenario-27":         "ea10fb90c9007d45",
+	"scenario-27-chaos":   "cdb45191eea077c9",
+	"scenario-28":         "5cdd768b18d441f3",
+	"scenario-28-chaos":   "5e9fc96016536724",
+	"scenario-29":         "a908a6265def411b",
+	"scenario-29-chaos":   "d19616749b679937",
+	"scenario-30":         "a7fdd24bc9af21d2",
+	"scenario-30-chaos":   "915996446d524d60",
+	"scenario-31":         "ac58199ad36d3654",
+	"scenario-31-chaos":   "87087fdddb1e9f1e",
+	"scenario-32":         "ed9d0e8c228c425b",
+	"scenario-32-chaos":   "403bdc5280adbfff",
+	"scenario-33":         "759380fbcddd63b8",
+	"scenario-33-chaos":   "23b2c22d3152401f",
+	"scenario-34":         "6c8d21e49924fbe4",
+	"scenario-34-chaos":   "b62efcdc80e787f8",
+	"scenario-35":         "9d0de570bd9fa97a",
+	"scenario-35-chaos":   "b5d14c57563c1d35",
+	"scenario-36":         "5105acf0ed778bf3",
+	"scenario-36-chaos":   "9f430e11a2f81cc3",
+	"scenario-37":         "9255d125ddbe717c",
+	"scenario-37-chaos":   "1d46b73e21f4f8b5",
+	"scenario-38":         "ac7df31ede1439f1",
+	"scenario-38-chaos":   "ca260bde4b04a827",
+	"scenario-39":         "a332b4bba8fced40",
+	"scenario-39-chaos":   "893b5011bf0e2b64",
+	"scenario-40":         "0afe9192a101f72b",
+	"scenario-40-chaos":   "7f5a3dc3c2a5c214",
+	"churn-EDF":           "acd43f9b94d81eb5",
+	"churn-FlowTime":      "8ea3b3f501e57213",
+	"critical-path":       "0a3a20e52c689680",
+	"ext-e-dip":           "e3179fbc6e10a07d",
+	"stragglers-EDF":      "b2536b5d2e945f56",
+	"stragglers-FlowTime": "dcfce2ace47be8ed",
 }
 
 // TestOutcomesArePinned holds sim.Run's outcomes — every job, workflow and

@@ -7,16 +7,16 @@
 // Execution model (documented in DESIGN.md §7.1): the jobs live in the
 // resource manager's state machine, internal/rmstate, which admits them
 // (a workflow by rmstate.DecideWorkflow, the RM's own decision), decides
-// their readiness (the workflow DAG) and requests, and completes
-// each one once its confirmed grants cover its true volume. The simulator
-// is the RM's agents, idealised: every grant is clamped to the job's
-// request and to cluster capacity, is placed by the RM's own rule
-// (rmstate.State.PlaceTick) on the simulator's nodes, runs, and is
-// confirmed in the slot it is made, so a job completes at the end of the
-// first slot that covers its volume. The nodes are machine mode's live
-// machines in ID order, or else one node carrying the slot's capacity. No
-// confirm lags, no grant is handed off or offered, no lease expires, no
-// ad-hoc gate refuses work, and slots are whole seconds. What the
+// their readiness (the workflow DAG) and requests, and completes each one
+// once its confirmed grants cover its true volume. The simulator is the
+// RM's agents, idealised to one heartbeat for all nodes: each slot the RM
+// ticks — grants clamped and placed by its own rule, PlaceTick, offers
+// kept — then the nodes confirm what they ran the slot before, and the
+// offers whose job that made ready are handed off (DecideHandOff), as
+// rmserver's Heartbeat does. A job completes at the end of the first slot
+// that covers its volume. The nodes are machine mode's live machines in ID
+// order, or else one node carrying the slot's capacity. No lease expires,
+// no ad-hoc gate refuses work, and slots are whole seconds. What the
 // simulator keeps of a job is what no RM knows: the estimate the scheduler
 // sees and the exact submission.
 //
@@ -199,8 +199,8 @@ type MachineResult struct {
 	// Stats counts the applied events by kind.
 	Stats machine.Stats
 	// RefusedTasks is how many granted whole tasks no machine had room
-	// for (rmstate.State.PlaceTick): the scheduler's fluid plan
-	// overestimated the packable capacity by that many tasks.
+	// for, at the tick or a hand-off (rmstate.State.PlaceTick, DecideHandOff):
+	// the fluid plan overestimated the packable capacity by that many.
 	RefusedTasks int64
 }
 
@@ -266,7 +266,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	due := slices.Clone(admits)
 	slices.SortStableFunc(due, func(a, b *admission) int { return cmp.Compare(a.slot, b.slot) })
-	// Every lease is confirmed in the slot it is granted, so none expires.
+	// Every lease is confirmed in the slot after its grant, so none expires.
 	state := rmstate.New(cfg.SlotDur, math.MaxInt64/2)
 	live := make(map[string]*job)
 	var nodes *rmstate.Nodes
@@ -289,6 +289,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	evIdx := 0
 	var refused int64 // whole tasks no node held
+	var held []string // the quanta the nodes launched the slot before
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
 		// Machine events are the ground truth behind capacity steps: apply
@@ -338,17 +339,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Slots = slot + 1
 
-		// The scheduler sees the state's live jobs, with their exact
-		// submissions and the estimates instead of the true volumes, in
-		// submission order. No grant waits on a confirm, so none is an offer.
+		// The tick. The scheduler sees the state's live jobs, with their
+		// exact submissions and the estimates instead of the true volumes, in
+		// submission order.
 		tick, states := state.DecideTick(nil, true)
 		demandNow := false
 		for i := range states {
 			st, j := &states[i], live[states[i].ID]
 			st.Arrived = j.submit
-			st.ReadyOnConfirm = false
 			if st.Kind == sched.DeadlineJob {
-				st.EstRemaining = j.est.SubClamped(j.Delivered)
+				st.EstRemaining = j.est.SubClamped(j.Delivered.Add(j.InFlight))
 			}
 			if st.Ready && !st.Request.IsZero() {
 				demandNow = true
@@ -370,34 +370,45 @@ func Run(cfg Config) (*Result, error) {
 		changed = false
 
 		// The RM's placement clamps each grant to its job's request and to
-		// what is left of the nodes, drops a grant to a blocked job, and
-		// places the rest in whole tasks. One tick leases what it placed,
-		// and one confirm delivers it at the slot's end.
+		// what is left of the nodes, drops a grant to a blocked job, keeps
+		// one to a job ready on confirm as an offer, and places the rest in
+		// whole tasks.
 		if cluster == nil {
 			// Without machines, the cluster is one node carrying the slot's capacity.
 			nodes = rmstate.NewNodes([]*rmstate.Node{{ID: "cluster", Capacity: cfg.Capacity(slot)}})
 		}
-		_, r := state.PlaceTick(tick, states, grants, nodes)
+		offers, r := state.PlaceTick(tick, states, grants, nodes)
 		refused += r
-		applied := make(map[string]resource.Vector, len(grants))
-		confirm := &rmstate.RecConfirm{Slot: tick.Slot, QIDs: make([]string, len(tick.Grants))}
-		for i, g := range tick.Grants {
-			applied[g.JobID] = applied[g.JobID].Add(g.Grant)
-			confirm.QIDs[i] = g.QID
-		}
-		var dlUsed, ahUsed resource.Vector
-		for _, st := range states {
-			if st.Kind == sched.DeadlineJob {
-				dlUsed = dlUsed.Add(applied[st.ID])
-			} else {
-				ahUsed = ahUsed.Add(applied[st.ID])
-			}
-		}
 		if err := state.Apply(&rmstate.Record{Tick: tick}); err != nil {
 			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
-		if err := state.Apply(&rmstate.Record{Confirm: confirm}); err != nil {
+
+		// The heartbeat, one for all nodes, as Server.Heartbeat takes each:
+		// they confirm what they launched the slot before, and the offers
+		// whose job that made ready are handed off on the slot's nodes.
+		if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: tick.Slot, QIDs: held}}); err != nil {
 			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+		}
+		handOff, _, _, _, r := state.DecideHandOff(offers, func() *rmstate.Nodes { return nodes })
+		refused += r
+		if err := state.Apply(&rmstate.Record{Tick: handOff}); err != nil {
+			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+		}
+		held = held[:0]
+		applied := make(map[string]resource.Vector, len(grants))
+		handedOff := make(map[string]bool) // the jobs a hand-off placed, ready by then
+		var dlUsed, ahUsed resource.Vector
+		for _, rec := range []*rmstate.RecTick{tick, handOff} {
+			for _, g := range rec.Grants {
+				held = append(held, g.QID)
+				applied[g.JobID] = applied[g.JobID].Add(g.Grant)
+				handedOff[g.JobID] = rec == handOff
+				if live[g.JobID].Kind == sched.DeadlineJob {
+					dlUsed = dlUsed.Add(g.Grant)
+				} else {
+					ahUsed = ahUsed.Add(g.Grant)
+				}
+			}
 		}
 
 		if demandNow && dlUsed.IsZero() && ahUsed.IsZero() && !cfg.Capacity(slot).IsZero() {
@@ -418,7 +429,7 @@ func Run(cfg Config) (*Result, error) {
 					ID:        j.ID,
 					Granted:   applied[st.ID],
 					Request:   st.Request,
-					Ready:     st.Ready,
+					Ready:     st.Ready || handedOff[st.ID],
 					Consumed:  j.Delivered,
 					Remaining: j.Total.SubClamped(j.Delivered),
 					Done:      j.Done,
@@ -449,8 +460,9 @@ func Run(cfg Config) (*Result, error) {
 				res.Events++
 				continue
 			}
-			if st.Kind == sched.DeadlineJob && j.est.SubClamped(j.Delivered).IsZero() {
-				// The job outlived its estimate: an observable event — the
+			if leased := j.Delivered.Add(j.InFlight); st.Kind == sched.DeadlineJob && j.est.FitsIn(leased) && !j.Total.FitsIn(leased) {
+				// The job outlived its estimate — it has all of it delivered
+				// or in flight, and tasks to run: an observable event, the
 				// expected completion time passed. Revise the estimate
 				// upward by a chunk (20% of the original, at least one
 				// full-parallelism wave) and replan (paper §III:
@@ -466,7 +478,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// What the horizon cut off is admitted too, so every job has an outcome.
+	// The nodes confirm what they still hold at the next slot's heartbeat,
+	// and what the horizon cut off is admitted, so every job has an outcome.
+	if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: state.Slot() + 1, QIDs: held}}); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	for _, a := range due {
 		if err := admit(state, a, live); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -583,11 +599,12 @@ func collectOutcomes(cfg Config, admits []*admission, res *Result) {
 	slices.SortStableFunc(jobs, func(a, b *job) int {
 		return cmp.Or(cmp.Compare(a.submit, b.submit), cmp.Compare(a.ID, b.ID))
 	})
+	// Work confirmed at DoneSlot ran during the slot before (State.JobStatus).
 	completion := func(j *job) time.Duration {
 		if !j.Done {
 			return 0
 		}
-		return time.Duration(j.DoneSlot) * cfg.SlotDur
+		return time.Duration(j.DoneSlot-1) * cfg.SlotDur
 	}
 	for _, j := range jobs {
 		switch j.Kind {

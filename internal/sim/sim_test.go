@@ -111,37 +111,53 @@ func TestSingleAdHocJobRunsToCompletion(t *testing.T) {
 	}
 }
 
+// TestChainRespectsDependencies: job2 starts only once job1's last quanta
+// are confirmed, at the heartbeat of the slot after they ran. Each job is
+// 10 tasks x 50 slots, 500 core-slots at 10 a slot, so job1 completes at
+// 500 s under both schedulers. FlowTime offers job2 the idle capacity at
+// that slot's tick and the confirm dispatches it (a hand-off), so job2
+// completes at 1000 s. EDF makes no offers: job2 waits for the next tick
+// and completes at 1010 s.
 func TestChainRespectsDependencies(t *testing.T) {
-	cfg := baseConfig(sched.NewEDF())
-	cfg.Workflows = []*workflow.Workflow{twoJobChain(t)}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.Jobs) != 2 {
-		t.Fatalf("got %d job outcomes, want 2", len(res.Jobs))
-	}
-	var j1, j2 JobOutcome
-	for _, j := range res.Jobs {
-		if j.JobName == "job1" {
-			j1 = j
-		} else {
-			j2 = j
-		}
-	}
-	if !j1.Completed || !j2.Completed {
-		t.Fatalf("jobs incomplete: %+v, %+v", j1, j2)
-	}
-	// Each job: 10 tasks x 50 slots volume 500 core-slots, cap 10/slot ->
-	// 50 slots each; j2 cannot start before j1 completes.
-	if j1.Completion != 500*time.Second {
-		t.Errorf("job1 completion = %v, want 500s", j1.Completion)
-	}
-	if j2.Completion != 1000*time.Second {
-		t.Errorf("job2 completion = %v, want 1000s (dependency)", j2.Completion)
-	}
-	if len(res.Workflows) != 1 || res.Workflows[0].Missed() {
-		t.Errorf("workflow outcome = %+v, want met deadline", res.Workflows)
+	for _, tc := range []struct {
+		sched sched.Scheduler
+		job2  time.Duration
+	}{
+		{core.New(core.DefaultConfig()), 1000 * time.Second},
+		{sched.NewEDF(), 1010 * time.Second},
+	} {
+		t.Run(tc.sched.Name(), func(t *testing.T) {
+			cfg := baseConfig(tc.sched)
+			cfg.Workflows = []*workflow.Workflow{twoJobChain(t)}
+			cfg.Invariants = true
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if len(res.Jobs) != 2 {
+				t.Fatalf("got %d job outcomes, want 2", len(res.Jobs))
+			}
+			var j1, j2 JobOutcome
+			for _, j := range res.Jobs {
+				if j.JobName == "job1" {
+					j1 = j
+				} else {
+					j2 = j
+				}
+			}
+			if !j1.Completed || !j2.Completed {
+				t.Fatalf("jobs incomplete: %+v, %+v", j1, j2)
+			}
+			if j1.Completion != 500*time.Second {
+				t.Errorf("job1 completion = %v, want 500s", j1.Completion)
+			}
+			if j2.Completion != tc.job2 {
+				t.Errorf("job2 completion = %v, want %v (dependency)", j2.Completion, tc.job2)
+			}
+			if len(res.Workflows) != 1 || res.Workflows[0].Missed() {
+				t.Errorf("workflow outcome = %+v, want met deadline", res.Workflows)
+			}
+		})
 	}
 }
 
