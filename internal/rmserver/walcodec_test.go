@@ -2,7 +2,9 @@ package rmserver
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -275,16 +277,16 @@ type namedRecord struct {
 }
 
 // canonicalRecords is one value per record variant, plus the shapes only
-// a hand-built record has: quantum IDs that are not the server's own
-// form, grants whose expiries differ, and the extremes of the integer
-// range.
+// a hand-built record has: quantum IDs out of issue order, grants whose
+// expiries differ, and the extremes of the integer range. Every quantum
+// ID is of the server's own form; literalIDRecords holds the others.
 func canonicalRecords() []namedRecord {
 	return []namedRecord{
 		{"workflow", rmstate.Record{Workflow: &rmstate.RecWorkflow{WF: chainWorkflow(600), SubmitNS: 50e9, DeadlineNS: 650e9, Slot: 5, BestEffort: true,
 			Windows: []rmstate.RecWindow{{ReleaseNS: 50e9, DeadlineNS: 300e9, MinSlots: 3}, {ReleaseNS: 300e9, DeadlineNS: 650e9, MinSlots: 3}}}}},
 		{"workflow, empty", rmstate.Record{Workflow: &rmstate.RecWorkflow{}}},
 		{"adhoc", rmstate.Record{AdHoc: &rmstate.RecAdHoc{Job: trace.AdHocRecord{ID: "burst-0123-07", Tasks: 3, TaskDurSec: 120, DemandVCores: 2, DemandMemMB: 4096}, Slot: 123}}},
-		{"tick", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
+		{"tick", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []string{"q-10", "q-9"},
 			Grants: []rmstate.RecGrant{
 				{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51},
 				{QID: "q-628", JobID: "wf0001/TeraSort-1#1", NodeID: "n001", Grant: resource.New(6, 1024), Expiry: 51},
@@ -294,13 +296,26 @@ func canonicalRecords() []namedRecord {
 		{"tick, odd expiries", rmstate.Record{Tick: &rmstate.RecTick{Slot: math.MaxInt64, Grants: []rmstate.RecGrant{
 			{QID: "q-9223372036854775807", JobID: "j", NodeID: "j", Expiry: 0},
 			{QID: "q-0", JobID: "", NodeID: "n", Expiry: math.MaxInt64},
-			{QID: "", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
+			{QID: "q-5", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
 		}}}},
 		{"tick, expiry at the top of the range", rmstate.Record{Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{
 			{QID: "q-1", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}, {QID: "q-2", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}}}}},
 		{"confirm", rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: 300, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
 		{"requeue", rmstate.Record{Requeue: &rmstate.RecRequeue{QIDs: []string{"q-100", "q-98", "q-99"}}}},
 		{"epoch", rmstate.Record{Epoch: &rmstate.RecEpoch{Epoch: 2}}},
+	}
+}
+
+// literalIDRecords are records whose quantum IDs are not of the server's
+// own form, which the codec spells out as literals.
+func literalIDRecords() []namedRecord {
+	return []namedRecord{
+		{"tick, literal requeues", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
+			Grants: []rmstate.RecGrant{{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51}}}}},
+		{"tick, empty grant ID", rmstate.Record{Tick: &rmstate.RecTick{Slot: 1, Grants: []rmstate.RecGrant{
+			{QID: "q-0", JobID: "", NodeID: "n", Expiry: 3},
+			{QID: "", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
+		}}}},
 	}
 }
 
@@ -356,7 +371,7 @@ func canonicalPlan() *plan.Plan {
 
 func TestWALCodecRoundTrip(t *testing.T) {
 	var codec rmstate.Codec
-	for _, c := range canonicalRecords() {
+	for _, c := range append(canonicalRecords(), literalIDRecords()...) {
 		name, rec := c.name, c.rec
 		payload, err := codec.Encode(&rec)
 		if err != nil {
@@ -852,6 +867,39 @@ func TestWALRecordSizes(t *testing.T) {
 	}
 }
 
+// TestJournalBytesPinned pins the bytes the journal holds: the SHA-256
+// of the canonical records' payloads, and that of the mixed run's WAL
+// payloads, each payload behind its length. A change to the codec, or to
+// what the RM decides and in which order it lists it, moves one of them.
+func TestJournalBytesPinned(t *testing.T) {
+	digest := func(payloads [][]byte) string {
+		h := sha256.New()
+		for _, p := range payloads {
+			h.Write(binary.AppendUvarint(nil, uint64(len(p))))
+			h.Write(p)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	var codec rmstate.Codec
+	var canonical [][]byte
+	for _, c := range canonicalRecords() {
+		payload, err := codec.Encode(&c.rec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		canonical = append(canonical, append([]byte{}, payload...))
+	}
+	_, run := recordMixedRun(t)
+	for name, c := range map[string]struct{ got, want string }{
+		"canonical records": {digest(canonical), "59d0766e29cbb3641cff54a8f16c4055c453b290ce57ae9182f613a328803189"},
+		"mixed run":         {digest(run), "572d3ad3b0018a15b279cab87a07c237b5a39ee17323000071cfab475a23a58d"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: journal bytes moved: SHA-256 %s, pinned %s", name, c.got, c.want)
+		}
+	}
+}
+
 // TestWALDump: the dump of a recorded run is one parseable JSON object
 // per journaled record, and leaves a torn tail alone.
 func TestWALDump(t *testing.T) {
@@ -931,7 +979,7 @@ func TestWALDump(t *testing.T) {
 func walFuzzSeeds(tb testing.TB) [][]byte {
 	var codec rmstate.Codec
 	var seeds [][]byte
-	for _, c := range canonicalRecords() {
+	for _, c := range append(canonicalRecords(), literalIDRecords()...) {
 		payload, err := codec.Encode(&c.rec)
 		if err != nil {
 			tb.Fatal(err)
