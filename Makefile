@@ -12,8 +12,9 @@
 # runs short fuzz bursts over the WAL framing, the front-coded string
 # primitive the binary codecs share (FuzzFrontString), the
 # WAL record codec (FuzzDecodeWALRecord, run from internal/rmserver's tests
-# over internal/rmstate's codec; the plan records it no longer reads stay
-# among its seeds, refused), the snapshot's restore (FuzzRestoreSnapshot,
+# over internal/rmstate's codec; the plan records it no longer reads and
+# the records with literal quantum IDs, which a record may no longer hold,
+# stay among its seeds, refused), the snapshot's restore (FuzzRestoreSnapshot,
 # with a version-6 seed that held a plan, refused),
 # the binary heartbeat and submission codecs
 # (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status

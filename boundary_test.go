@@ -115,6 +115,46 @@ var randSeams = map[string][]string{
 	"internal/rmserver": {"newInstance", "Backoff.Delay"},
 }
 
+// TestQuantumIDOnlyAtTheWire holds internal/rmstate and internal/sim to
+// knowing a quantum by its number alone: no non-test file of them names
+// rmproto.QuantumID or rmproto.ParseQuantumID outside the seams below, or
+// spells a string that opens with "q-". No lease, record field or map key
+// there can then hold the ID a node is handed, and the two orders —
+// number and spelling — can never be mixed up again.
+func TestQuantumIDOnlyAtTheWire(t *testing.T) {
+	for _, dir := range []string{"internal/rmstate", "internal/sim"} {
+		fset, files := parsePackage(t, dir, false)
+		for _, f := range files {
+			proto := importName(f, "flowtime/internal/rmproto")
+			for _, decl := range f.Decls {
+				seam := slices.Contains(quantumIDSeams[dir], funcName(decl))
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch e := n.(type) {
+					case *ast.SelectorExpr:
+						if !seam && proto != "" && isIdent(e.X, proto) && (e.Sel.Name == "QuantumID" || e.Sel.Name == "ParseQuantumID") {
+							t.Errorf("%s names %s.%s outside %v", fset.Position(n.Pos()), proto, e.Sel.Name, quantumIDSeams[dir])
+						}
+					case *ast.BasicLit:
+						if v, err := strconv.Unquote(e.Value); err == nil && e.Kind == token.STRING && strings.HasPrefix(v, "q-") {
+							t.Errorf("%s spells a quantum ID, %s", fset.Position(n.Pos()), e.Value)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// quantumIDSeams are the functions, by package, that
+// TestQuantumIDOnlyAtTheWire lets cross between a quantum's number and its
+// ID: RecGrant.Quantum spells a grant's number for the heartbeat reply,
+// and (*State).DecideConfirm reads the IDs a node confirms as numbers,
+// an ID of no other form naming no lease.
+var quantumIDSeams = map[string][]string{
+	"internal/rmstate": {"RecGrant.Quantum", "(*State).DecideConfirm"},
+}
+
 // plannerDirs are the planner's packages and the simulator's that replays
 // it, which must decide from their inputs alone.
 var plannerDirs = []string{"internal/core", "internal/flow", "internal/plan", "internal/deadline", "internal/sched", "internal/sim", "internal/machine"}

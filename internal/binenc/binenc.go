@@ -164,6 +164,28 @@ func (r *Reader) Count(minBytes int) int {
 	return int(v)
 }
 
+// PutList writes a count-prefixed list, each item by put.
+func PutList[T any](w *Writer, items []T, put func(*Writer, T)) {
+	w.Uint(uint64(len(items)))
+	for _, item := range items {
+		put(w, item)
+	}
+}
+
+// GetList reads a count-prefixed list of items that each occupy at least
+// minBytes bytes (Count), each by get; nil when empty.
+func GetList[T any](r *Reader, minBytes int, get func(*Reader) T) []T {
+	n := r.Count(minBytes)
+	if n == 0 {
+		return nil
+	}
+	items := make([]T, n)
+	for i := range items {
+		items[i] = get(r)
+	}
+	return items
+}
+
 // Byte reads one raw byte.
 func (r *Reader) Byte() byte {
 	if r.err != nil {

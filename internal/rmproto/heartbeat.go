@@ -1,5 +1,5 @@
 // The binary form of POST PathHeartbeat's bodies, and the quantum ID and
-// lease expiry codings it shares with the RM's journal (internal/rmserver's
+// lease expiry codings it shares with the RM's journal (internal/rmstate's
 // walcodec.go). Both bodies are internal/binenc fields, so the decoders are
 // strict: a byte string decodes at most one way, and a decoded body
 // re-encodes to itself.
@@ -36,11 +36,18 @@ func QuantumID(n int64) string {
 	return string(strconv.AppendInt(append(b[:0], "q-"...), n, 10))
 }
 
+// QuantumNum is the number n of the quantum the RM's own ID "q-<n>" names:
+// the quantum's identity inside the RM and in its journal. It reads and
+// prints as that ID.
+type QuantumNum int64
+
+func (n QuantumNum) String() string               { return QuantumID(int64(n)) }
+func (n QuantumNum) MarshalText() ([]byte, error) { return []byte(n.String()), nil }
+
 // ParseQuantumID splits a quantum ID of the RM's own form, "q-<n>" with n a
 // non-negative int64 in plain decimal. Anything else — including a
 // spelling of such a number with a sign or leading zeros — is not of the
-// form: QIDCoder writes it as a literal, and WAL replay, which orders
-// grants by that number, skips a grant that carries it.
+// form, and names no quantum the RM issued.
 func ParseQuantumID(qid string) (int64, bool) {
 	if len(qid) < 3 || qid[0] != 'q' || qid[1] != '-' || (qid[2] == '0' && len(qid) > 3) {
 		return 0, false
@@ -54,66 +61,67 @@ func ParseQuantumID(qid string) (int64, bool) {
 	return n, err == nil
 }
 
-// QIDCoder writes and reads the quantum IDs of one journal record or one
-// heartbeat body. An ID of the RM's own form is the zigzagged difference
-// of n to the previous such ID, plus one, so consecutive IDs are one byte
-// each; zero escapes to a literal string for any other ID, and a literal
-// of the own form is refused, so an ID has one spelling. The zero value
-// starts from n = 0.
+// QIDCoder writes and reads the quanta of one journal record or one
+// heartbeat body by their numbers: n is the zigzagged difference of n to
+// the previous number, plus one, so consecutive quanta are one byte each.
+// Zero escapes to a literal string, which only a heartbeat body may hold,
+// for an ID not of the RM's own form; a literal of the own form is
+// refused, so an ID has one spelling. The zero value starts from n = 0.
 type QIDCoder struct{ prev int64 }
 
-// Put writes one quantum ID.
-func (c *QIDCoder) Put(w *binenc.Writer, qid string) {
-	n, ok := ParseQuantumID(qid)
-	if !ok {
-		w.Uint(0)
-		w.String(qid)
+// PutNum writes one quantum number; a negative one is refused.
+func (c *QIDCoder) PutNum(w *binenc.Writer, n QuantumNum) {
+	if n < 0 {
+		w.Fail(fmt.Errorf("negative quantum number %d", n))
 		return
 	}
-	d := n - c.prev // both are in [0, MaxInt64]: no overflow
+	d := int64(n) - c.prev // both are in [0, MaxInt64]: no overflow
 	w.Uint(uint64(d<<1^d>>63) + 1)
-	c.prev = n
+	c.prev = int64(n)
 }
 
-// Get reads one quantum ID.
-func (c *QIDCoder) Get(r *binenc.Reader) string {
+// GetNum reads one quantum number; a literal is refused.
+func (c *QIDCoder) GetNum(r *binenc.Reader) QuantumNum {
 	v := r.Uint()
 	if v == 0 {
-		qid := r.String()
-		if _, ok := ParseQuantumID(qid); ok {
-			r.Fail(fmt.Errorf("quantum ID %q spelled out, want a delta", qid))
-		}
-		return qid
+		r.Fail(errors.New("literal quantum ID, want a quantum number"))
+		return 0
 	}
+	return c.num(r, v)
+}
+
+func (c *QIDCoder) num(r *binenc.Reader, v uint64) QuantumNum {
 	v--
 	n := c.prev + (int64(v>>1) ^ -int64(v&1))
 	if n < 0 { // below zero, or wrapped past MaxInt64
 		r.Fail(errors.New("quantum ID delta leaves the int64 range"))
-		return ""
+		return 0
 	}
 	c.prev = n
-	return QuantumID(n)
+	return QuantumNum(n)
 }
 
-// PutList writes a count-prefixed list of quantum IDs.
-func (c *QIDCoder) PutList(w *binenc.Writer, qids []string) {
-	w.Uint(uint64(len(qids)))
-	for _, qid := range qids {
-		c.Put(w, qid)
+// Put writes one quantum ID of a heartbeat body.
+func (c *QIDCoder) Put(w *binenc.Writer, qid string) {
+	if n, ok := ParseQuantumID(qid); ok {
+		c.PutNum(w, QuantumNum(n))
+		return
 	}
+	w.Uint(0)
+	w.String(qid)
 }
 
-// GetList reads a count-prefixed list of quantum IDs; nil when empty.
-func (c *QIDCoder) GetList(r *binenc.Reader) []string {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
+// Get reads one quantum ID of a heartbeat body.
+func (c *QIDCoder) Get(r *binenc.Reader) string {
+	v := r.Uint()
+	if v != 0 {
+		return c.num(r, v).String()
 	}
-	qids := make([]string, n)
-	for i := range qids {
-		qids[i] = c.Get(r)
+	qid := r.String()
+	if _, ok := ParseQuantumID(qid); ok {
+		r.Fail(fmt.Errorf("quantum ID %q spelled out, want a delta", qid))
 	}
-	return qids
+	return qid
 }
 
 // PutExpiries writes the lease expiries of a list of n items, item i's
@@ -172,7 +180,7 @@ func AppendHeartbeatRequest(b []byte, req HeartbeatRequest) []byte {
 	w := binenc.Writer{Buf: b}
 	w.String(req.NodeID)
 	var qc QIDCoder
-	qc.PutList(&w, req.Completed)
+	binenc.PutList(&w, req.Completed, qc.Put)
 	return w.Buf
 }
 
@@ -181,7 +189,7 @@ func AppendHeartbeatRequest(b []byte, req HeartbeatRequest) []byte {
 func DecodeHeartbeatRequest(p []byte) (HeartbeatRequest, error) {
 	return decodeBody(p, "heartbeat request", func(r *binenc.Reader) HeartbeatRequest {
 		var qc QIDCoder
-		return HeartbeatRequest{NodeID: r.String(), Completed: qc.GetList(r)}
+		return HeartbeatRequest{NodeID: r.String(), Completed: binenc.GetList(r, 1, qc.Get)}
 	})
 }
 
@@ -190,17 +198,15 @@ func DecodeHeartbeatRequest(p []byte) (HeartbeatRequest, error) {
 func AppendHeartbeatResponse(b []byte, resp HeartbeatResponse) ([]byte, error) {
 	w := binenc.Writer{Buf: b}
 	launch := resp.Launch
-	w.Uint(uint64(len(launch)))
 	var qc QIDCoder
 	prev := ""
-	for i := range launch {
-		q := &launch[i]
-		qc.Put(&w, q.ID)
+	binenc.PutList(&w, launch, func(w *binenc.Writer, q Quantum) {
+		qc.Put(w, q.ID)
 		w.FrontString(prev, q.JobID)
 		prev = q.JobID
 		w.Int(q.Grant.VCores)
 		w.Int(q.Grant.MemoryMB)
-	}
+	})
 	PutExpiries(&w, len(launch), func(i int) int64 { return launch[i].DeadlineSlot })
 	if err := w.Err(); err != nil {
 		return nil, fmt.Errorf("rmproto: heartbeat reply: %w", err)
@@ -213,21 +219,14 @@ func AppendHeartbeatResponse(b []byte, resp HeartbeatResponse) ([]byte, error) {
 func DecodeHeartbeatResponse(p []byte) (HeartbeatResponse, error) {
 	return decodeBody(p, "heartbeat reply", func(r *binenc.Reader) (resp HeartbeatResponse) {
 		// A launch is a quantum ID, a front-coded job ID and two integers.
-		n := r.Count(5)
-		if n == 0 {
-			return resp
-		}
-		resp.Launch = make([]Quantum, n)
 		var qc QIDCoder
 		prev := ""
-		for i := range resp.Launch {
-			q := &resp.Launch[i]
-			q.ID = qc.Get(r)
-			q.JobID = r.FrontString(prev)
+		resp.Launch = binenc.GetList(r, 5, func(r *binenc.Reader) Quantum {
+			q := Quantum{ID: qc.Get(r), JobID: r.FrontString(prev), Grant: Resources{VCores: r.Int(), MemoryMB: r.Int()}}
 			prev = q.JobID
-			q.Grant = Resources{VCores: r.Int(), MemoryMB: r.Int()}
-		}
-		GetExpiries(r, n, func(i int, e int64) { resp.Launch[i].DeadlineSlot = e })
+			return q
+		})
+		GetExpiries(r, len(resp.Launch), func(i int, e int64) { resp.Launch[i].DeadlineSlot = e })
 		return resp
 	})
 }

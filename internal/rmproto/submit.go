@@ -37,21 +37,18 @@ func PutWorkflowRecord(w *binenc.Writer, rec *trace.WorkflowRecord) {
 	w.String(rec.ID)
 	w.Int(rec.SubmitSec)
 	w.Int(rec.DeadlineSec)
-	w.Uint(uint64(len(rec.Jobs)))
-	for i := range rec.Jobs {
-		j := &rec.Jobs[i]
+	binenc.PutList(w, rec.Jobs, func(w *binenc.Writer, j trace.JobRecord) {
 		w.String(j.Name)
 		w.Int(int64(j.Tasks))
 		w.Int(j.TaskDurSec)
 		w.Int(j.ActualTaskDurSec)
 		w.Int(j.DemandVCores)
 		w.Int(j.DemandMemMB)
-	}
-	w.Uint(uint64(len(rec.Deps)))
-	for _, d := range rec.Deps {
+	})
+	binenc.PutList(w, rec.Deps, func(w *binenc.Writer, d [2]int) {
 		w.Int(int64(d[0]))
 		w.Int(int64(d[1]))
-	}
+	})
 }
 
 // GetWorkflowRecord reads a workflow's trace record. Jobs and Deps are nil
@@ -59,19 +56,11 @@ func PutWorkflowRecord(w *binenc.Writer, rec *trace.WorkflowRecord) {
 func GetWorkflowRecord(r *binenc.Reader) trace.WorkflowRecord {
 	rec := trace.WorkflowRecord{ID: r.String(), SubmitSec: r.Int(), DeadlineSec: r.Int()}
 	// A job is a name and five integers.
-	if n := r.Count(6); n > 0 {
-		rec.Jobs = make([]trace.JobRecord, n)
-		for i := range rec.Jobs {
-			rec.Jobs[i] = trace.JobRecord{Name: r.String(), Tasks: getInt(r), TaskDurSec: r.Int(),
-				ActualTaskDurSec: r.Int(), DemandVCores: r.Int(), DemandMemMB: r.Int()}
-		}
-	}
-	if n := r.Count(2); n > 0 {
-		rec.Deps = make([][2]int, n)
-		for i := range rec.Deps {
-			rec.Deps[i] = [2]int{getInt(r), getInt(r)}
-		}
-	}
+	rec.Jobs = binenc.GetList(r, 6, func(r *binenc.Reader) trace.JobRecord {
+		return trace.JobRecord{Name: r.String(), Tasks: getInt(r), TaskDurSec: r.Int(),
+			ActualTaskDurSec: r.Int(), DemandVCores: r.Int(), DemandMemMB: r.Int()}
+	})
+	rec.Deps = binenc.GetList(r, 2, func(r *binenc.Reader) [2]int { return [2]int{getInt(r), getInt(r)} })
 	return rec
 }
 

@@ -149,7 +149,7 @@ func TestLeaseExpiryReclaims(t *testing.T) {
 	}
 	rm.mu.Lock()
 	for _, q := range launched {
-		if l := rm.st.Leases()[q.ID]; l == nil || l.NodeID != "n1" {
+		if l := leaseOf(rm, q.ID); l == nil || l.NodeID != "n1" {
 			t.Errorf("launched %s, which is not a live lease of n1", q.ID)
 		}
 	}

@@ -479,7 +479,7 @@ func FuzzHeartbeatBody(f *testing.F) {
 			}
 			rm.mu.Lock()
 			for _, q := range resp.Launch {
-				if l := rm.st.Leases()[q.ID]; l == nil || l.NodeID != req.NodeID || l.Job.ID != q.JobID || rmproto.FromVector(l.Grant) != q.Grant {
+				if l := leaseOf(rm, q.ID); l == nil || l.NodeID != req.NodeID || l.Job.ID != q.JobID || rmproto.FromVector(l.Grant) != q.Grant {
 					t.Errorf("%q: launched %+v, which is not a lease of %s", body, q, req.NodeID)
 				}
 			}

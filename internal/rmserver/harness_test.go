@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flowtime/internal/rmproto"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 	"flowtime/internal/trace"
@@ -209,6 +210,16 @@ func quantumIDs(qs []rmproto.Quantum) []string {
 		ids = append(ids, q.ID)
 	}
 	return ids
+}
+
+// leaseOf is the lease a launched quantum's ID names on rm, nil when none
+// does; rm.mu must be held.
+func leaseOf(rm *Server, qid string) *rmstate.Lease {
+	n, ok := rmproto.ParseQuantumID(qid)
+	if !ok {
+		return nil
+	}
+	return rm.st.Leases()[rmproto.QuantumNum(n)]
 }
 
 func allCompleted(st rmproto.StatusResponse) bool {

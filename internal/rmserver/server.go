@@ -174,7 +174,7 @@ type node struct {
 	rmstate.Node
 	lastSeen time.Time
 	heard    bool
-	pending  []rmproto.Quantum
+	pending  []rmstate.RecGrant
 }
 
 // New returns a resource manager. With Config.Store set, New performs
@@ -341,17 +341,17 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 			}
 			for _, g := range rec.Grants {
 				o := s.nodeLocked(g.NodeID)
-				o.pending = append(o.pending, g.Quantum())
+				o.pending = append(o.pending, g)
 			}
 		}
 	}
 	// Hand out only the quanta whose lease is still live and held by this
 	// node: one reclaimed while it waited — expired, or requeued when its
 	// node re-registered — must not burn a slot running.
-	launch := n.pending[:0]
-	for _, q := range n.pending {
-		if l := s.st.Leases()[q.ID]; l != nil && l.NodeID == n.ID {
-			launch = append(launch, q)
+	var launch []rmproto.Quantum
+	for _, g := range n.pending {
+		if l := s.st.Leases()[g.QID]; l != nil && l.NodeID == n.ID {
+			launch = append(launch, g.Quantum())
 		}
 	}
 	n.pending = nil
@@ -525,7 +525,7 @@ func (s *Server) Tick(now time.Time) error {
 	s.mu.Lock()
 	for _, g := range rec.Grants {
 		if n := s.nodeLocked(g.NodeID); n != nil {
-			n.pending = append(n.pending, g.Quantum())
+			n.pending = append(n.pending, g)
 		}
 	}
 	if s.st.Slot() == rec.Slot {

@@ -10,7 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -333,7 +333,7 @@ func TestTickJournalsRequeuesInSortedOrder(t *testing.T) {
 	if len(expired) != 8 || len(rec.Requeued) < 6 {
 		t.Fatalf("%d nodes expired, requeued %d quanta; want all eight nodes and their leases", len(expired), len(rec.Requeued))
 	}
-	if !sort.StringsAreSorted(rec.Requeued) {
+	if !slices.IsSorted(rec.Requeued) {
 		t.Errorf("tick record requeues not sorted: %v", rec.Requeued)
 	}
 }

@@ -278,46 +278,42 @@ type namedRecord struct {
 
 // canonicalRecords is one value per record variant, plus the shapes only
 // a hand-built record has: quantum IDs out of issue order, grants whose
-// expiries differ, and the extremes of the integer range. Every quantum
-// ID is of the server's own form; literalIDRecords holds the others.
+// expiries differ, and the extremes of the integer range.
 func canonicalRecords() []namedRecord {
 	return []namedRecord{
 		{"workflow", rmstate.Record{Workflow: &rmstate.RecWorkflow{WF: chainWorkflow(600), SubmitNS: 50e9, DeadlineNS: 650e9, Slot: 5, BestEffort: true,
 			Windows: []rmstate.RecWindow{{ReleaseNS: 50e9, DeadlineNS: 300e9, MinSlots: 3}, {ReleaseNS: 300e9, DeadlineNS: 650e9, MinSlots: 3}}}}},
 		{"workflow, empty", rmstate.Record{Workflow: &rmstate.RecWorkflow{}}},
 		{"adhoc", rmstate.Record{AdHoc: &rmstate.RecAdHoc{Job: trace.AdHocRecord{ID: "burst-0123-07", Tasks: 3, TaskDurSec: 120, DemandVCores: 2, DemandMemMB: 4096}, Slot: 123}}},
-		{"tick", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []string{"q-10", "q-9"},
+		{"tick", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []rmproto.QuantumNum{10, 9},
 			Grants: []rmstate.RecGrant{
-				{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51},
-				{QID: "q-628", JobID: "wf0001/TeraSort-1#1", NodeID: "n001", Grant: resource.New(6, 1024), Expiry: 51},
-				{QID: "q-629", JobID: "adhoc/a-1", NodeID: "n001", Grant: resource.New(1, 512), Expiry: 51},
+				{QID: 627, JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51},
+				{QID: 628, JobID: "wf0001/TeraSort-1#1", NodeID: "n001", Grant: resource.New(6, 1024), Expiry: 51},
+				{QID: 629, JobID: "adhoc/a-1", NodeID: "n001", Grant: resource.New(1, 512), Expiry: 51},
 			}}}},
 		{"tick, idle", rmstate.Record{Tick: &rmstate.RecTick{Slot: 1}}},
 		{"tick, odd expiries", rmstate.Record{Tick: &rmstate.RecTick{Slot: math.MaxInt64, Grants: []rmstate.RecGrant{
-			{QID: "q-9223372036854775807", JobID: "j", NodeID: "j", Expiry: 0},
-			{QID: "q-0", JobID: "", NodeID: "n", Expiry: math.MaxInt64},
-			{QID: "q-5", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
+			{QID: 9223372036854775807, JobID: "j", NodeID: "j", Expiry: 0},
+			{QID: 0, JobID: "", NodeID: "n", Expiry: math.MaxInt64},
+			{QID: 5, JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
 		}}}},
 		{"tick, expiry at the top of the range", rmstate.Record{Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{
-			{QID: "q-1", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}, {QID: "q-2", JobID: "j", NodeID: "n", Expiry: math.MaxInt64}}}}},
-		{"confirm", rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: 300, QIDs: []string{"q-13960", "q-13961", "q-13964", "q-13962", "q-13970", "q-13971"}}}},
-		{"requeue", rmstate.Record{Requeue: &rmstate.RecRequeue{QIDs: []string{"q-100", "q-98", "q-99"}}}},
+			{QID: 1, JobID: "j", NodeID: "n", Expiry: math.MaxInt64}, {QID: 2, JobID: "j", NodeID: "n", Expiry: math.MaxInt64}}}}},
+		{"confirm", rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: 300, QIDs: []rmproto.QuantumNum{13960, 13961, 13964, 13962, 13970, 13971}}}},
+		{"requeue", rmstate.Record{Requeue: &rmstate.RecRequeue{QIDs: []rmproto.QuantumNum{100, 98, 99}}}},
 		{"epoch", rmstate.Record{Epoch: &rmstate.RecEpoch{Epoch: 2}}},
 	}
 }
 
-// literalIDRecords are records whose quantum IDs are not of the server's
-// own form, which the codec spells out as literals.
-func literalIDRecords() []namedRecord {
-	return []namedRecord{
-		{"tick, literal requeues", rmstate.Record{Tick: &rmstate.RecTick{Slot: 36, Requeued: []string{"q-10", "q-9", "lease/x", "q-007"},
-			Grants: []rmstate.RecGrant{{QID: "q-627", JobID: "wf0001/TeraSort-1#1", NodeID: "n000", Grant: resource.New(8, 32768), Expiry: 51}}}}},
-		{"tick, empty grant ID", rmstate.Record{Tick: &rmstate.RecTick{Slot: 1, Grants: []rmstate.RecGrant{
-			{QID: "q-0", JobID: "", NodeID: "n", Expiry: 3},
-			{QID: "", JobID: "j", NodeID: "", Grant: resource.New(math.MaxInt64, 0), Expiry: 7},
-		}}}},
-	}
-}
+// Records that carry quantum IDs not of the server's own form, as the
+// codec journaled them while it spelled such an ID out as a literal: a
+// tick at slot 36 requeuing "q-10", "q-9", "lease/x" and "q-007" and
+// granting q-627, and a tick at slot 1 granting q-0 and "". A record holds
+// quantum numbers only now, and refuses them.
+const (
+	literalRequeues = "\n$\x04\x15\x02\x00\alease/x\x00\x05q-007\x01\xd5\t\x00\x13wf0001/TeraSort-1#1\x00\x04n000\b\x80\x80\x024"
+	literalGrant    = "\n\x01\x00\x02\x01\x00\x00\x00\x01n\x00\x00\x00\x00\x00\x01j\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x00\x00\x03\a"
+)
 
 func canonicalRecord(name string) rmstate.Record {
 	for _, c := range canonicalRecords() {
@@ -371,7 +367,7 @@ func canonicalPlan() *plan.Plan {
 
 func TestWALCodecRoundTrip(t *testing.T) {
 	var codec rmstate.Codec
-	for _, c := range append(canonicalRecords(), literalIDRecords()...) {
+	for _, c := range canonicalRecords() {
 		name, rec := c.name, c.rec
 		payload, err := codec.Encode(&rec)
 		if err != nil {
@@ -414,13 +410,14 @@ func mustJSON(v any) string {
 func TestWALCodecRefusals(t *testing.T) {
 	var codec rmstate.Codec
 	for name, rec := range map[string]rmstate.Record{
-		"no variant":     {},
-		"two variants":   {Epoch: &rmstate.RecEpoch{}, Tick: &rmstate.RecTick{}},
-		"negative slot":  {Tick: &rmstate.RecTick{Slot: -1}},
-		"negative epoch": {Epoch: &rmstate.RecEpoch{Epoch: -1}},
-		"negative grant": {Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{{QID: "q-1", Grant: resource.New(-1, 0)}}}},
+		"no variant":              {},
+		"two variants":            {Epoch: &rmstate.RecEpoch{}, Tick: &rmstate.RecTick{}},
+		"negative slot":           {Tick: &rmstate.RecTick{Slot: -1}},
+		"negative epoch":          {Epoch: &rmstate.RecEpoch{Epoch: -1}},
+		"negative grant":          {Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{{QID: 1, Grant: resource.New(-1, 0)}}}},
+		"negative quantum number": {Confirm: &rmstate.RecConfirm{QIDs: []rmproto.QuantumNum{1, -1}}},
 		// -1 shared would be stored as expiry+1 = 0, the per-grant escape.
-		"negative expiry":    {Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{{QID: "q-1", Expiry: -1}, {QID: "q-2", Expiry: -1}}}},
+		"negative expiry":    {Tick: &rmstate.RecTick{Grants: []rmstate.RecGrant{{QID: 1, Expiry: -1}, {QID: 2, Expiry: -1}}}},
 		"negative submit":    {AdHoc: &rmstate.RecAdHoc{Job: trace.AdHocRecord{ID: "a", SubmitSec: -5}}},
 		"negative dep index": {Workflow: &rmstate.RecWorkflow{WF: trace.WorkflowRecord{Deps: [][2]int{{0, -1}}}}},
 	} {
@@ -452,7 +449,6 @@ func TestWALCodecRefusals(t *testing.T) {
 			3, 1, 0, 1, 1, '2', 0, 0,
 			1),
 		"quantum ID q-1":             confirm(1, 3),
-		"quantum ID literal":         confirm(1, 0, 3, 'q', '-', 'x'),
 		"epoch 2":                    {tagEpoch, 2},
 		"empty best-effort workflow": {tagWorkflow, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0},
 	}
@@ -480,6 +476,7 @@ func TestWALCodecRefusals(t *testing.T) {
 			3, 0, 1, 'j', 0, 1, 'n', 0, 0,
 			3, 1, 0, 1, 0, 0, 0,
 			0, 5, 5),
+		"literal quantum ID in a record":         confirm(1, 0, 3, 'q', '-', 'x'),
 		"quantum ID of the own form spelled out": confirm(1, 0, 3, 'q', '-', '7'),
 		"quantum ID delta below zero":            confirm(1, 4),
 		"quantum ID count beyond the input":      confirm(9, 3),
@@ -832,7 +829,7 @@ func TestWALRecordSizes(t *testing.T) {
 	tick := &rmstate.RecTick{Slot: 36}
 	for i := 0; i < 16; i++ {
 		tick.Grants = append(tick.Grants, rmstate.RecGrant{
-			QID: fmt.Sprintf("q-%d", 627+i), JobID: fmt.Sprintf("wf0001/TeraSort-%d#%d", i*3/16, i*3/16),
+			QID: rmproto.QuantumNum(627 + i), JobID: fmt.Sprintf("wf0001/TeraSort-%d#%d", i*3/16, i*3/16),
 			NodeID: fmt.Sprintf("n%03d", i%8), Grant: resource.New(8, 32768), Expiry: 35 + 16,
 		})
 	}
@@ -841,7 +838,7 @@ func TestWALRecordSizes(t *testing.T) {
 	burst := &rmstate.RecTick{Slot: 180}
 	for i := 0; i < 30; i++ {
 		burst.Grants = append(burst.Grants, rmstate.RecGrant{
-			QID: fmt.Sprintf("q-%d", 5210+i), JobID: fmt.Sprintf("adhoc/ah%05d", 470+i*12/30),
+			QID: rmproto.QuantumNum(5210 + i), JobID: fmt.Sprintf("adhoc/ah%05d", 470+i*12/30),
 			NodeID: fmt.Sprintf("n%02d", i%8), Grant: resource.New(2, 4096), Expiry: 183,
 		})
 	}
@@ -974,12 +971,13 @@ func TestWALDump(t *testing.T) {
 }
 
 // walFuzzSeeds are FuzzDecodeWALRecord's seeds: every canonical record
-// (so every variant), a count far beyond its input and the refused old
-// forms, the plan records among them.
+// (so every variant), a count far beyond its input, the records with
+// literal quantum IDs and the refused old forms, the plan records among
+// them.
 func walFuzzSeeds(tb testing.TB) [][]byte {
 	var codec rmstate.Codec
 	var seeds [][]byte
-	for _, c := range append(canonicalRecords(), literalIDRecords()...) {
+	for _, c := range canonicalRecords() {
 		payload, err := codec.Encode(&c.rec)
 		if err != nil {
 			tb.Fatal(err)
@@ -1001,14 +999,16 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 	return append(seeds,
 		planDiffRecord(tb, canonicalDiff(2, 3)), planRebaseRecord(tb, canonicalPlan()), planRebaseRecord(tb, &plan.Plan{Rev: 1}),
 		[]byte{tagTick, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		[]byte(literalRequeues), []byte(literalGrant),
 		[]byte(faultsTick), []byte(faultsConfirm), []byte(faultsRequeue), []byte(slotEpoch),
 		parentTick(), parentDiff(), planRebaseRecord(tb, p))
 }
 
 // FuzzDecodeWALRecord feeds arbitrary bytes to the record decoder. It
 // must never panic, and an accepted payload re-encodes to exactly itself.
-// Every plan record seed is refused, naming its form. (That decoding
-// allocates O(len(input)) is TestDecodeWALRecordAllocation's to check.)
+// Every plan record seed is refused, naming its form, and so is every
+// seed with a literal quantum ID. (That decoding allocates O(len(input))
+// is TestDecodeWALRecordAllocation's to check.)
 func FuzzDecodeWALRecord(f *testing.F) {
 	var codec rmstate.Codec
 	for _, seed := range walFuzzSeeds(f) {
@@ -1018,6 +1018,11 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			}
 		}
 		f.Add(seed)
+	}
+	for _, seed := range []string{literalRequeues, literalGrant} {
+		if _, err := codec.Decode([]byte(seed)); err == nil || !strings.Contains(err.Error(), "literal quantum ID") {
+			f.Fatalf("seed %q with a literal quantum ID: decode = %v, want it refused by name", seed, err)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -1047,7 +1052,6 @@ func TestDecodeWALRecordAllocation(t *testing.T) {
 		claim(tagTick, 1, 0),                          // grants
 		claim(tagTick, 1, 0, 1, 3, 0),                 // a grant's job ID length
 		claim(tagConfirm, 1),                          // confirmed quantum IDs
-		claim(tagConfirm, 1, 1, 0),                    // a literal quantum ID's length
 		claim(tagRequeue),
 		claim(tagPlanDiff, 0x02, 1, 0, 4),   // the diff's removes
 		claim(tagPlanRebase, 0x02, 1, 0, 4), // the rebase's removes

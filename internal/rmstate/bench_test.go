@@ -13,7 +13,8 @@ import (
 // benchState builds a state with njobs ad-hoc jobs, each holding one
 // in-flight lease on node n1, bypassing the scheduler so the benchmark
 // isolates confirmation cost. Each job is admitted by its record and the
-// leases are granted by one tick record, both through Apply.
+// leases are granted by one tick record, both through Apply. It returns
+// the state and the leases' IDs as a node sends them.
 func benchState(njobs int) (*State, []string) {
 	s := New(10*time.Second, 16)
 	tick := &RecTick{Grants: make([]RecGrant, njobs)}
@@ -28,7 +29,7 @@ func benchState(njobs int) (*State, []string) {
 			panic(err)
 		}
 		qids[i] = fmt.Sprintf("q-%d", i+1)
-		tick.Grants[i] = RecGrant{QID: qids[i], JobID: rmproto.AdHocJobID(rec.Job.ID), NodeID: "n1", Grant: resource.New(1, 256)}
+		tick.Grants[i] = RecGrant{QID: rmproto.QuantumNum(i + 1), JobID: rmproto.AdHocJobID(rec.Job.ID), NodeID: "n1", Grant: resource.New(1, 256)}
 	}
 	if err := s.Apply(&Record{Tick: tick}); err != nil {
 		panic(err)
@@ -45,9 +46,9 @@ func BenchmarkCompleteQuantumIndexed(b *testing.B) {
 			s, qids := benchState(njobs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				qid := qids[i%njobs]
+				qid := rmproto.QuantumNum(i%njobs + 1)
 				l := s.leases[qid] // confirm destroys the lease; re-arm below
-				rec, _ := s.DecideConfirm("n1", []string{qid})
+				rec, _ := s.DecideConfirm("n1", []string{qids[i%njobs]})
 				if err := s.Apply(&Record{Confirm: rec}); err != nil {
 					b.Fatal(err)
 				}

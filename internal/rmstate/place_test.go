@@ -71,10 +71,10 @@ func TestPlaceDeliversARestNoNodeHoldsWhole(t *testing.T) {
 	j := admitAdHoc(t, s, "wide", 12, 30, resource.New(2, 4096))
 	// Deliver all of its memory and none of its vcores.
 	mem := resource.Vector{}.With(resource.MemoryMB, j.Total.Get(resource.MemoryMB))
-	if err := s.Apply(&Record{Tick: &RecTick{Slot: 1, Grants: []RecGrant{{QID: rmproto.QuantumID(1), JobID: j.ID, NodeID: "n1", Grant: mem, Expiry: 9}}}}); err != nil {
+	if err := s.Apply(&Record{Tick: &RecTick{Slot: 1, Grants: []RecGrant{{QID: 1, JobID: j.ID, NodeID: "n1", Grant: mem, Expiry: 9}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(&Record{Confirm: &RecConfirm{Slot: 1, QIDs: []string{rmproto.QuantumID(1)}}}); err != nil {
+	if err := s.Apply(&Record{Confirm: &RecConfirm{Slot: 1, QIDs: []rmproto.QuantumNum{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	tick, jobs := s.DecideTick(nil, true)

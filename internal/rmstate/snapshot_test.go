@@ -66,7 +66,7 @@ func seedSnapshots(tb testing.TB) [][]byte {
 			var qids []string
 			for _, g := range launched {
 				if g.NodeID == n.ID {
-					qids = append(qids, g.QID)
+					qids = append(qids, g.Quantum().ID)
 				}
 			}
 			confirm, _ := s.DecideConfirm(n.ID, qids)

@@ -1,6 +1,6 @@
 // Package rmstate is the resource manager's replayed state: the slot
 // clock, the live jobs and workflows, the leases, the archive of completed
-// jobs, the quantum-ID counter and the journaled leadership epoch —
+// jobs, the quantum-number counter and the journaled leadership epoch —
 // everything a journal record changes and a snapshot holds — as one value,
 // State, with no lock, clock or I/O. It holds only what replay reads: the
 // scheduler's plan is derived from the admitted work and is not journaled.
@@ -39,11 +39,11 @@ type State struct {
 	leaseExpiry int64
 
 	slot    int64
-	epoch   int64 // the journaled leadership epoch
-	nextQID int64
+	epoch   int64                // the journaled leadership epoch
+	nextQID rmproto.QuantumNum   // the last quantum issued
 	jobs    map[string]*Job      // live jobs: a job leaves when it completes
 	wfs     map[string]*Workflow // workflows with at least one live job
-	leases  map[string]*Lease    // quantum ID -> in-flight lease
+	leases  map[rmproto.QuantumNum]*Lease
 	// done archives every completed job's final wire entry, in completion
 	// order: it only grows by appending, so a reader may keep done[:n:n]
 	// after the state moved on. doneMissed counts its missed entries;
@@ -63,7 +63,7 @@ func New(slotDur time.Duration, leaseExpiry int64) *State {
 		leaseExpiry: leaseExpiry,
 		jobs:        make(map[string]*Job),
 		wfs:         make(map[string]*Workflow),
-		leases:      make(map[string]*Lease),
+		leases:      make(map[rmproto.QuantumNum]*Lease),
 		doneAdHoc:   make(map[string]struct{}),
 		doneWFs:     make(map[string]struct{}),
 	}
@@ -97,8 +97,9 @@ type Job struct {
 
 // Lease is one issued quantum: which job it advances, which node holds it,
 // and when the RM gives up waiting for its confirmation and reclaims it.
+// Quanta are numbered in issue order.
 type Lease struct {
-	QID    string
+	QID    rmproto.QuantumNum
 	Job    *Job
 	NodeID string
 	Grant  resource.Vector
@@ -116,14 +117,14 @@ type Workflow struct {
 
 // Slot, Epoch, Jobs, Workflows, Leases and Done read the state: the
 // current slot, the journaled epoch, the live jobs and the workflows with
-// a live job by ID, the in-flight leases by quantum ID, and the archive of
+// a live job by ID, the in-flight leases by quantum number, and the archive of
 // completed jobs in completion order with how many of them missed their
 // deadline. What they return is the state's own: only Apply changes it.
 func (s *State) Slot() int64                                     { return s.slot }
 func (s *State) Epoch() int64                                    { return s.epoch }
 func (s *State) Jobs() map[string]*Job                           { return s.jobs }
 func (s *State) Workflows() map[string]*Workflow                 { return s.wfs }
-func (s *State) Leases() map[string]*Lease                       { return s.leases }
+func (s *State) Leases() map[rmproto.QuantumNum]*Lease           { return s.leases }
 func (s *State) Done() (archive []rmproto.JobStatus, missed int) { return s.done, s.doneMissed }
 
 // Record is the one-of union journaled per mutation. walcodec.go owns its
@@ -164,34 +165,35 @@ type RecAdHoc struct {
 // leases reclaimed by eviction/expiry during the tick, and the leases
 // granted. A heartbeat's hand-off is a tick record at the current slot.
 type RecTick struct {
-	Slot     int64      `json:"slot"`
-	Requeued []string   `json:"requeued,omitempty"`
-	Grants   []RecGrant `json:"grants,omitempty"`
+	Slot     int64                `json:"slot"`
+	Requeued []rmproto.QuantumNum `json:"requeued,omitempty"`
+	Grants   []RecGrant           `json:"grants,omitempty"`
 }
 
 type RecGrant struct {
-	QID    string          `json:"qid"`
-	JobID  string          `json:"job"`
-	NodeID string          `json:"node"`
-	Grant  resource.Vector `json:"grant"`
-	Expiry int64           `json:"expiry,omitempty"`
+	QID    rmproto.QuantumNum `json:"qid"`
+	JobID  string             `json:"job"`
+	NodeID string             `json:"node"`
+	Grant  resource.Vector    `json:"grant"`
+	Expiry int64              `json:"expiry,omitempty"`
 }
 
-// Quantum is the grant as the node that runs it is handed it.
+// Quantum is the grant as the node that runs it is handed it: the one
+// place a quantum number is spelled as the ID the wire carries.
 func (g RecGrant) Quantum() rmproto.Quantum {
-	return rmproto.Quantum{ID: g.QID, JobID: g.JobID, Grant: rmproto.FromVector(g.Grant), DeadlineSlot: g.Expiry}
+	return rmproto.Quantum{ID: rmproto.QuantumID(int64(g.QID)), JobID: g.JobID, Grant: rmproto.FromVector(g.Grant), DeadlineSlot: g.Expiry}
 }
 
 // RecConfirm journals the quanta one heartbeat actually confirmed.
 type RecConfirm struct {
-	Slot int64    `json:"slot"`
-	QIDs []string `json:"qids"`
+	Slot int64                `json:"slot"`
+	QIDs []rmproto.QuantumNum `json:"qids"`
 }
 
 // RecRequeue journals leases reclaimed outside a tick (node
 // re-registration, promotion).
 type RecRequeue struct {
-	QIDs []string `json:"qids"`
+	QIDs []rmproto.QuantumNum `json:"qids"`
 }
 
 // RecEpoch journals a leadership-epoch claim: the first epoch of a fresh
@@ -203,7 +205,7 @@ type RecEpoch struct {
 
 // Apply applies one record, live, in replay or on a follower. A record
 // applied already (a duplicate submission, a grant at or below the
-// quantum-ID watermark, a confirm or requeue of no lease) changes nothing,
+// quantum-number watermark, a confirm or requeue of no lease) changes nothing,
 // so replaying a tail twice converges to the same state.
 func (s *State) Apply(rec *Record) error {
 	switch {
@@ -286,20 +288,19 @@ func (s *State) applyAdHoc(r *RecAdHoc) error {
 
 // applyTick applies a tick record, a slot's or a hand-off's: its requeues,
 // then its grants as leases — the one place a lease is created — then its
-// slot. A grant at or below the quantum-ID watermark was applied already
-// (by a prior replay pass or the snapshot) and is skipped.
+// slot. A grant at or below the quantum-number watermark was applied
+// already (by a prior replay pass or the snapshot) and is skipped.
 func (s *State) applyTick(r *RecTick) {
 	s.applyRequeue(r.Requeued)
 	for _, g := range r.Grants {
-		n, own := rmproto.ParseQuantumID(g.QID)
-		if !own || n <= s.nextQID {
-			continue // already applied (prior replay pass or snapshot), or not an ID this RM issues
+		if g.QID <= s.nextQID {
+			continue // already applied (prior replay pass or snapshot)
 		}
 		j, ok := s.jobs[g.JobID]
 		if !ok {
 			continue
 		}
-		s.nextQID = n
+		s.nextQID = g.QID
 		s.leases[g.QID] = &Lease{QID: g.QID, Job: j, NodeID: g.NodeID, Grant: g.Grant, Expiry: g.Expiry}
 		j.InFlight = j.InFlight.Add(g.Grant)
 	}
@@ -336,7 +337,7 @@ func (s *State) applyConfirm(r *RecConfirm) {
 // applyRequeue reclaims the leases qids names: each one's volume returns
 // to its job's schedulable remainder and it stops being awaited. A quantum
 // that names no lease is skipped.
-func (s *State) applyRequeue(qids []string) {
+func (s *State) applyRequeue(qids []rmproto.QuantumNum) {
 	for _, qid := range qids {
 		if l, ok := s.leases[qid]; ok {
 			delete(s.leases, qid)
@@ -489,15 +490,18 @@ func (s *State) AdmitAdHoc(job trace.AdHocRecord) (*RecAdHoc, error) {
 // each quantum it names that is a live lease of the sending node is
 // confirmed, once, at the current slot. Any other — already confirmed,
 // requeued after the node's eviction, from before an RM restart, or held
-// by another node — is stale and ignored, so a re-registering node can
-// never double-deliver stale work; stale counts them.
+// by another node, or no ID of the RM's own form — is stale and ignored,
+// so a re-registering node can never double-deliver stale work; stale
+// counts them. It is the one place a node's ID is read as a number.
 func (s *State) DecideConfirm(nodeID string, qids []string) (rec *RecConfirm, stale int64) {
 	rec = &RecConfirm{Slot: s.slot}
-	seen := make(map[string]bool, len(qids))
+	seen := make(map[rmproto.QuantumNum]bool, len(qids))
 	for _, qid := range qids {
-		if l, ok := s.leases[qid]; ok && l.NodeID == nodeID && !seen[qid] {
-			seen[qid] = true
-			rec.QIDs = append(rec.QIDs, qid)
+		n, own := rmproto.ParseQuantumID(qid)
+		q := rmproto.QuantumNum(n)
+		if l, ok := s.leases[q]; own && ok && l.NodeID == nodeID && !seen[q] {
+			seen[q] = true
+			rec.QIDs = append(rec.QIDs, q)
 		} else {
 			stale++
 		}
@@ -506,8 +510,8 @@ func (s *State) DecideConfirm(nodeID string, qids []string) (rec *RecConfirm, st
 }
 
 // DecideRequeue decides the requeue of the leases keep selects, changing
-// nothing: their IDs in ID order — the leases are a map, and the same run
-// must journal the same bytes.
+// nothing: their numbers in issue order — the leases are a map, and the
+// same run must journal the same bytes.
 func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
 	rec := &RecRequeue{}
 	for qid, l := range s.leases {
@@ -515,7 +519,7 @@ func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
 			rec.QIDs = append(rec.QIDs, qid)
 		}
 	}
-	sort.Strings(rec.QIDs)
+	slices.Sort(rec.QIDs)
 	return rec
 }
 
@@ -650,14 +654,14 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 // (the sub-task remainder, or all of g when it holds no task) goes as one
 // piece on the first node that holds it, split only when none does, so it
 // is never dropped while the nodes' summed room covers it. Each grant
-// takes the next quantum ID, issued in the slot before rec's and expiring
+// takes the next quantum number, issued in the slot before rec's and expiring
 // leaseExpiry slots after it. It returns the volume placed.
 func (s *State) place(j *Job, g resource.Vector, nodes *Nodes, rec *RecTick) (placed resource.Vector, refused int64) {
 	expiry := rec.Slot - 1 + s.leaseExpiry
 	grant := func(i int, v resource.Vector) {
 		nodes.take(i, v)
 		placed = placed.Add(v)
-		qid := rmproto.QuantumID(s.nextQID + int64(len(rec.Grants)) + 1)
+		qid := s.nextQID + rmproto.QuantumNum(len(rec.Grants)) + 1
 		rec.Grants = append(rec.Grants, RecGrant{QID: qid, JobID: j.ID, NodeID: nodes.list[i].ID, Grant: v, Expiry: expiry})
 	}
 	tasks := wholeTasks(g, j.Task)
@@ -869,7 +873,7 @@ func (s *State) Snapshot() ([]byte, error) {
 		SlotDurNS: int64(s.slotDur),
 		Slot:      s.slot,
 		Epoch:     s.epoch,
-		NextQID:   s.nextQID,
+		NextQID:   int64(s.nextQID),
 		Done:      s.done,
 	}
 	for _, id := range sortedKeys(s.wfs) {
@@ -899,12 +903,8 @@ func (s *State) Snapshot() ([]byte, error) {
 		for _, l := range s.leases {
 			tick.Grants = append(tick.Grants, RecGrant{QID: l.QID, JobID: l.Job.ID, NodeID: l.NodeID, Grant: l.Grant, Expiry: l.Expiry})
 		}
-		// By number: applyTick skips IDs at or below its watermark, "q-10" < "q-9".
-		slices.SortFunc(tick.Grants, func(a, b RecGrant) int {
-			na, _ := rmproto.ParseQuantumID(a.QID)
-			nb, _ := rmproto.ParseQuantumID(b.QID)
-			return cmp.Compare(na, nb)
-		})
+		// In issue order: applyTick skips a grant at or below its watermark.
+		slices.SortFunc(tick.Grants, func(a, b RecGrant) int { return cmp.Compare(a.QID, b.QID) })
 		rec, err := codec.Encode(&Record{Tick: tick})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot leases: %w", err)
@@ -981,11 +981,11 @@ func Restore(slotDur time.Duration, leaseExpiry int64, payload []byte) (*State, 
 		}
 		for _, g := range rec.Tick.Grants {
 			if l := s.leases[g.QID]; l == nil || l.Job.ID != g.JobID {
-				return nil, fmt.Errorf("snapshot lease %s references unknown job %s, or is out of quantum-ID order", g.QID, g.JobID)
+				return nil, fmt.Errorf("snapshot lease %s references unknown job %s, or is out of issue order", g.QID, g.JobID)
 			}
 		}
 	}
-	s.nextQID = max(s.nextQID, st.NextQID)
+	s.nextQID = max(s.nextQID, rmproto.QuantumNum(st.NextQID))
 	return s, nil
 }
 

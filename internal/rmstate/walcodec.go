@@ -22,12 +22,12 @@
 // the whole body of the submission on the wire. Three things are stored
 // relative to what the record already said:
 //
-//   - A quantum ID is rmproto.QIDCoder's, the coding heartbeat bodies use
-//     too: for the server's own form, "q-<n>", the zigzagged difference of
-//     n to the record's previous such ID, plus one (a tick's grants are
-//     consecutive: one byte each). Zero escapes to a literal string for
-//     any other ID; a literal that has the "q-<n>" form is refused, so an
-//     ID has one spelling.
+//   - A quantum is its number n (rmproto.QuantumNum, the n of the ID
+//     "q-<n>" a node is handed), coded by rmproto.QIDCoder as heartbeat
+//     bodies code their IDs: the zigzagged difference of n to the record's
+//     previous number, plus one (a tick's grants are consecutive: one byte
+//     each). The zero that escapes a literal ID in a heartbeat body is
+//     refused: a record holds numbers only.
 //   - A grant's job ID and node ID are front-coded (binenc.FrontString)
 //     against the previous grant's: the next ad-hoc job of a burst, or the
 //     next node of a row, costs its new suffix and two bytes.
@@ -113,12 +113,11 @@ func (c *Codec) Encode(rec *Record) ([]byte, error) {
 		w.Int(r.DeadlineNS)
 		w.Int(r.Slot)
 		w.Bool(r.BestEffort)
-		w.Uint(uint64(len(r.Windows)))
-		for _, win := range r.Windows {
+		binenc.PutList(&w, r.Windows, func(w *binenc.Writer, win RecWindow) {
 			w.Int(win.ReleaseNS)
 			w.Int(win.DeadlineNS)
 			w.Int(win.MinSlots)
-		}
+		})
 	}
 	if r := rec.AdHoc; r != nil {
 		set++
@@ -130,29 +129,27 @@ func (c *Codec) Encode(rec *Record) ([]byte, error) {
 		set++
 		w.Byte(tagTick)
 		w.Int(r.Slot)
-		qids.PutList(&w, r.Requeued)
-		w.Uint(uint64(len(r.Grants)))
+		binenc.PutList(&w, r.Requeued, qids.PutNum)
 		var prev RecGrant
-		for i := range r.Grants {
-			g := &r.Grants[i]
-			qids.Put(&w, g.QID)
+		binenc.PutList(&w, r.Grants, func(w *binenc.Writer, g RecGrant) {
+			qids.PutNum(w, g.QID)
 			w.FrontString(prev.JobID, g.JobID)
 			w.FrontString(prev.NodeID, g.NodeID)
-			putVector(&w, g.Grant)
-			prev = *g
-		}
+			putVector(w, g.Grant)
+			prev = g
+		})
 		rmproto.PutExpiries(&w, len(r.Grants), func(i int) int64 { return r.Grants[i].Expiry })
 	}
 	if r := rec.Confirm; r != nil {
 		set++
 		w.Byte(tagConfirm)
 		w.Int(r.Slot)
-		qids.PutList(&w, r.QIDs)
+		binenc.PutList(&w, r.QIDs, qids.PutNum)
 	}
 	if r := rec.Requeue; r != nil {
 		set++
 		w.Byte(tagRequeue)
-		qids.PutList(&w, r.QIDs)
+		binenc.PutList(&w, r.QIDs, qids.PutNum)
 	}
 	if r := rec.Epoch; r != nil {
 		set++
@@ -182,36 +179,26 @@ func (c *Codec) Decode(payload []byte) (Record, error) {
 		v.DeadlineNS = r.Int()
 		v.Slot = r.Int()
 		v.BestEffort = r.Bool()
-		if n := r.Count(3); n > 0 {
-			v.Windows = make([]RecWindow, n)
-			for i := range v.Windows {
-				v.Windows[i] = RecWindow{ReleaseNS: r.Int(), DeadlineNS: r.Int(), MinSlots: r.Int()}
-			}
-		}
+		v.Windows = binenc.GetList(&r, 3, func(r *binenc.Reader) RecWindow {
+			return RecWindow{ReleaseNS: r.Int(), DeadlineNS: r.Int(), MinSlots: r.Int()}
+		})
 	case tagAdHoc:
 		rec.AdHoc = &RecAdHoc{Job: rmproto.GetAdHocRecord(&r), Slot: r.Int()}
 	case tagTick:
 		v := &RecTick{Slot: r.Int()}
 		rec.Tick = v
-		v.Requeued = qids.GetList(&r)
-		// A grant is a quantum ID, two front-coded IDs and a vector.
-		if n := r.Count(5 + resource.NumKinds); n > 0 {
-			v.Grants = make([]RecGrant, n)
-			var prev RecGrant
-			for i := range v.Grants {
-				g := &v.Grants[i]
-				g.QID = qids.Get(&r)
-				g.JobID = r.FrontString(prev.JobID)
-				g.NodeID = r.FrontString(prev.NodeID)
-				g.Grant = getVector(&r)
-				prev = *g
-			}
-			rmproto.GetExpiries(&r, n, func(i int, e int64) { v.Grants[i].Expiry = e })
-		}
+		v.Requeued = binenc.GetList(&r, 1, qids.GetNum)
+		// A grant is a quantum number, two front-coded IDs and a vector.
+		var prev RecGrant
+		v.Grants = binenc.GetList(&r, 5+resource.NumKinds, func(r *binenc.Reader) RecGrant {
+			prev = RecGrant{QID: qids.GetNum(r), JobID: r.FrontString(prev.JobID), NodeID: r.FrontString(prev.NodeID), Grant: getVector(r)}
+			return prev
+		})
+		rmproto.GetExpiries(&r, len(v.Grants), func(i int, e int64) { v.Grants[i].Expiry = e })
 	case tagConfirm:
-		rec.Confirm = &RecConfirm{Slot: r.Int(), QIDs: qids.GetList(&r)}
+		rec.Confirm = &RecConfirm{Slot: r.Int(), QIDs: binenc.GetList(&r, 1, qids.GetNum)}
 	case tagRequeue:
-		rec.Requeue = &RecRequeue{QIDs: qids.GetList(&r)}
+		rec.Requeue = &RecRequeue{QIDs: binenc.GetList(&r, 1, qids.GetNum)}
 	case tagEpoch:
 		rec.Epoch = &RecEpoch{Epoch: r.Int()}
 	default:

@@ -288,8 +288,8 @@ func Run(cfg Config) (*Result, error) {
 		checker = NewInvariantChecker()
 	}
 	evIdx := 0
-	var refused int64 // whole tasks no node held
-	var held []string // the quanta the nodes launched the slot before
+	var refused int64             // whole tasks no node held
+	var held []rmproto.QuantumNum // the quanta the nodes launched the slot before
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
 		// Machine events are the ground truth behind capacity steps: apply
