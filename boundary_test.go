@@ -119,8 +119,8 @@ var randSeams = map[string][]string{
 // knowing a quantum by its number alone: no non-test file of them names
 // rmproto.QuantumID or rmproto.ParseQuantumID outside the seams below, or
 // spells a string that opens with "q-". No lease, record field or map key
-// there can then hold the ID a node is handed, and the two orders —
-// number and spelling — can never be mixed up again.
+// there can then hold the ID a node is handed, so nothing there can order
+// quanta by their spelling, which puts "q-10" before "q-9".
 func TestQuantumIDOnlyAtTheWire(t *testing.T) {
 	for _, dir := range []string{"internal/rmstate", "internal/sim"} {
 		fset, files := parsePackage(t, dir, false)

@@ -348,13 +348,13 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 	// Hand out only the quanta whose lease is still live and held by this
 	// node: one reclaimed while it waited — expired, or requeued when its
 	// node re-registered — must not burn a slot running.
-	var launch []rmproto.Quantum
+	launch := make([]rmproto.Quantum, 0, len(n.pending))
 	for _, g := range n.pending {
 		if l := s.st.Leases()[g.QID]; l != nil && l.NodeID == n.ID {
 			launch = append(launch, g.Quantum())
 		}
 	}
-	n.pending = nil
+	n.pending = n.pending[:0]
 	return rmproto.HeartbeatResponse{Launch: launch}, nil
 }
 

@@ -39,11 +39,11 @@ type State struct {
 	leaseExpiry int64
 
 	slot    int64
-	epoch   int64                // the journaled leadership epoch
-	nextQID rmproto.QuantumNum   // the last quantum issued
-	jobs    map[string]*Job      // live jobs: a job leaves when it completes
-	wfs     map[string]*Workflow // workflows with at least one live job
-	leases  map[rmproto.QuantumNum]*Lease
+	epoch   int64                         // the journaled leadership epoch
+	nextQID rmproto.QuantumNum            // the last quantum issued
+	jobs    map[string]*Job               // live jobs: a job leaves when it completes
+	wfs     map[string]*Workflow          // workflows with at least one live job
+	leases  map[rmproto.QuantumNum]*Lease // quantum number -> in-flight lease
 	// done archives every completed job's final wire entry, in completion
 	// order: it only grows by appending, so a reader may keep done[:n:n]
 	// after the state moved on. doneMissed counts its missed entries;

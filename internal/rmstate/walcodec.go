@@ -27,7 +27,8 @@
 //     bodies code their IDs: the zigzagged difference of n to the record's
 //     previous number, plus one (a tick's grants are consecutive: one byte
 //     each). The zero that escapes a literal ID in a heartbeat body is
-//     refused: a record holds numbers only.
+//     refused: the RM journals only quanta it issued, so a record holds
+//     numbers only.
 //   - A grant's job ID and node ID are front-coded (binenc.FrontString)
 //     against the previous grant's: the next ad-hoc job of a burst, or the
 //     next node of a row, costs its new suffix and two bytes.
