@@ -71,6 +71,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -81,6 +82,7 @@ import (
 
 	"flowtime/internal/core"
 	"flowtime/internal/rmserver"
+	"flowtime/internal/rmstate"
 	"flowtime/internal/sched"
 	"flowtime/internal/store"
 )
@@ -92,7 +94,7 @@ func main() {
 		schedName    = flag.String("sched", "FlowTime", "scheduler: FlowTime, CORA, EDF, Fair, FIFO, Morpheus")
 		slot         = flag.Duration("slot", 10*time.Second, "scheduling slot duration")
 		slack        = flag.Duration("slack", 60*time.Second, "FlowTime deadline slack")
-		leaseExpiry  = flag.Int64("lease-expiry", 0, "slots before an unconfirmed lease is reclaimed (0 = default 16; negative is refused)")
+		leaseExpiry  = flag.Int64("lease-expiry", 0, fmt.Sprintf("slots before an unconfirmed lease is reclaimed (0 = default %d; negative is refused)", rmstate.DefaultLeaseExpiry))
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight leases on shutdown")
 		manualTick   = flag.Bool("manual-tick", false, "advance slots only via POST /v1/tick")
 		stateDir     = flag.String("state-dir", "", "state directory for WAL + snapshots (empty = not durable)")

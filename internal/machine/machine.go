@@ -51,10 +51,11 @@ const (
 	Join EventKind = iota + 1
 	// Leave removes a machine gracefully (drain, decommission).
 	Leave
-	// Fail removes a machine abruptly (crash, power loss). For the
-	// slot-quantized model the capacity effect equals Leave; the kinds
-	// are kept distinct so scenarios and metrics can tell churn from
-	// failure.
+	// Fail removes a machine abruptly (crash, power loss). Its capacity
+	// effect equals Leave's, but the work differs: a machine that leaves
+	// confirms what it ran the slot before, while the simulator requeues
+	// a failed machine's leases at the slot it fails, as the resource
+	// manager requeues those of a node that stopped heartbeating.
 	Fail
 	// SetScale sets the cluster-wide capacity scale factor to
 	// ScaleNum/ScaleDen — the energy/price-varying capacity knob: every

@@ -42,12 +42,6 @@ import (
 	"flowtime/internal/workflow"
 )
 
-// DefaultLeaseExpiry is the default per-lease confirmation budget in
-// slots. Healthy nodes confirm a lease one slot after launch, so the
-// default only fires on genuinely lost work (node crash, dropped
-// heartbeat response, wedged node).
-const DefaultLeaseExpiry = 16
-
 // horizon is the planning horizon in slots the RM hands its scheduler.
 const horizon = 100000
 
@@ -63,7 +57,7 @@ type Config struct {
 	NodeExpiry time.Duration
 	// LeaseExpiry is the number of slots an issued lease may stay
 	// unconfirmed before the RM reclaims it and returns its volume to the
-	// job's remaining work. Zero means DefaultLeaseExpiry; New refuses a
+	// job's remaining work. Zero means rmstate.DefaultLeaseExpiry; New refuses a
 	// negative value.
 	LeaseExpiry int64
 	// Store, when non-nil, makes the RM durable: New recovers the state
@@ -190,10 +184,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("rmserver: nil scheduler")
 	}
 	if cfg.LeaseExpiry < 0 {
-		return nil, fmt.Errorf("rmserver: lease expiry %d, want >= 0 (0 = default %d)", cfg.LeaseExpiry, DefaultLeaseExpiry)
+		return nil, fmt.Errorf("rmserver: lease expiry %d, want >= 0 (0 = default %d)", cfg.LeaseExpiry, rmstate.DefaultLeaseExpiry)
 	}
 	if cfg.LeaseExpiry == 0 {
-		cfg.LeaseExpiry = DefaultLeaseExpiry
+		cfg.LeaseExpiry = rmstate.DefaultLeaseExpiry
 	}
 	if cfg.Follower && cfg.Store == nil {
 		return nil, errors.New("rmserver: follower mode requires a state store")

@@ -273,7 +273,7 @@ func TestMissedDeadlineBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			st := rmstate.New(slot, DefaultLeaseExpiry)
+			st := rmstate.New(slot, rmstate.DefaultLeaseExpiry)
 			if err := st.Apply(&rmstate.Record{Tick: &rmstate.RecTick{Slot: c.nowSlot}}); err != nil {
 				t.Fatal(err)
 			}

@@ -55,6 +55,12 @@ type State struct {
 	doneWFs    map[string]struct{} // workflow IDs with a job in done
 }
 
+// DefaultLeaseExpiry is the default per-lease confirmation budget in
+// slots, the resource manager's and the simulator's. Healthy nodes confirm
+// a lease one slot after launch, so the default only fires on genuinely
+// lost work (node crash, dropped heartbeat response, wedged node).
+const DefaultLeaseExpiry = 16
+
 // New returns the empty state of a resource manager scheduling slots of
 // slotDur whose leases expire leaseExpiry slots after their grant.
 func New(slotDur time.Duration, leaseExpiry int64) *State {

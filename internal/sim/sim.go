@@ -15,10 +15,11 @@
 // offers whose job that made ready are handed off (DecideHandOff), as
 // rmserver's Heartbeat does. A job completes at the end of the first slot
 // that covers its volume. The nodes are machine mode's live machines in ID
-// order, or else one node carrying the slot's capacity. No lease expires,
-// no ad-hoc gate refuses work, and slots are whole seconds. What the
-// simulator keeps of a job is what no RM knows: the estimate the scheduler
-// sees and the exact submission.
+// order, or else one node carrying the slot's capacity; the tick requeues
+// the leases of the machines that failed at its slot, as ftrm's requeues a
+// silent node's. No ad-hoc gate refuses work, and slots are whole seconds.
+// What the simulator keeps of a job is what no RM knows: the estimate the
+// scheduler sees and the exact submission.
 //
 // The simulator is event-driven toward the scheduler: Assign sees
 // Changed=true only when arrivals, completions, readiness flips, or
@@ -30,7 +31,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -266,9 +266,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	due := slices.Clone(admits)
 	slices.SortStableFunc(due, func(a, b *admission) int { return cmp.Compare(a.slot, b.slot) })
-	// Every lease is confirmed in the slot after its grant, so none expires.
-	state := rmstate.New(cfg.SlotDur, math.MaxInt64/2)
+	state := rmstate.New(cfg.SlotDur, rmstate.DefaultLeaseExpiry)
 	live := make(map[string]*job)
+	failed := make(map[string]bool) // the machines that failed this slot
 	var nodes *rmstate.Nodes
 	if cluster != nil {
 		nodes = machineNodes(cluster)
@@ -296,9 +296,14 @@ func Run(cfg Config) (*Result, error) {
 		// everything due this slot, then take the live machines as nodes.
 		if cluster != nil {
 			applied := evIdx
+			clear(failed)
 			for evIdx < len(events) && events[evIdx].Slot <= slot {
-				if err := cluster.Apply(events[evIdx]); err != nil {
+				e := events[evIdx]
+				if err := cluster.Apply(e); err != nil {
 					return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+				}
+				if e.Kind == machine.Fail {
+					failed[e.ID] = true
 				}
 				mres.MachineEvents++
 				res.Events++
@@ -339,16 +344,18 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Slots = slot + 1
 
-		// The tick. The scheduler sees the state's live jobs, with their
-		// exact submissions and the estimates instead of the true volumes, in
-		// submission order.
-		tick, states := state.DecideTick(nil, true)
+		// The tick. It requeues the leases of the machines that failed, as
+		// ftrm requeues a silent node's. The scheduler sees the state's live
+		// jobs, with their exact submissions and the estimates instead of the
+		// true volumes (less what was delivered or stays in flight past the
+		// requeues, the total less DecideTick's remaining), in submission order.
+		tick, states := state.DecideTick(failed, true)
 		demandNow := false
 		for i := range states {
 			st, j := &states[i], live[states[i].ID]
 			st.Arrived = j.submit
 			if st.Kind == sched.DeadlineJob {
-				st.EstRemaining = j.est.SubClamped(j.Delivered.Add(j.InFlight))
+				st.EstRemaining = j.est.SubClamped(j.Total.Sub(st.EstRemaining))
 			}
 			if st.Ready && !st.Request.IsZero() {
 				demandNow = true
