@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -44,6 +45,11 @@ type State struct {
 	jobs    map[string]*Job               // live jobs: a job leaves when it completes
 	wfs     map[string]*Workflow          // workflows with at least one live job
 	leases  map[rmproto.QuantumNum]*Lease // quantum number -> in-flight lease
+	// minExpiry is a lower bound on the leases' Expiry: every grant
+	// applyTick makes lowers it, and the walk it gates in DecideTick
+	// recomputes it. It is derived from the leases alone, so replay and
+	// Restore rebuild it and no record or snapshot holds it.
+	minExpiry int64
 	// done archives every completed job's final wire entry, in completion
 	// order: it only grows by appending, so a reader may keep done[:n:n]
 	// after the state moved on. doneMissed counts its missed entries;
@@ -67,6 +73,7 @@ func New(slotDur time.Duration, leaseExpiry int64) *State {
 	return &State{
 		slotDur:     slotDur,
 		leaseExpiry: leaseExpiry,
+		minExpiry:   math.MaxInt64,
 		jobs:        make(map[string]*Job),
 		wfs:         make(map[string]*Workflow),
 		leases:      make(map[rmproto.QuantumNum]*Lease),
@@ -308,6 +315,7 @@ func (s *State) applyTick(r *RecTick) {
 		}
 		s.nextQID = g.QID
 		s.leases[g.QID] = &Lease{QID: g.QID, Job: j, NodeID: g.NodeID, Grant: g.Grant, Expiry: g.Expiry}
+		s.minExpiry = min(s.minExpiry, g.Expiry)
 		j.InFlight = j.InFlight.Add(g.Grant)
 	}
 	s.slot = max(s.slot, r.Slot)
@@ -560,17 +568,25 @@ func (s *State) DecideHandOff(offers []Offer, targets func() *Nodes) (rec *RecTi
 	return rec, kept, dispatched, lapsed, refused
 }
 
-// DecideTick is the first step of deciding a slot, changing nothing: the
-// tick record of the next slot with the leases it requeues — those held
-// by the nodes in expired and those past their expiry — and, with
-// schedule set, the live jobs as the scheduler sees them, net of those
-// requeues, in arrival order. A job ready on confirm is one whose every
-// unfinished predecessor has its whole remainder in flight.
+// DecideTick is the first step of deciding a slot, changing nothing but a
+// derived bound: the tick record of the next slot with the leases it
+// requeues — those held by the nodes in expired and those past their
+// expiry — and, with schedule set, the live jobs as the scheduler sees
+// them, net of those requeues, in arrival order. A job ready on confirm is
+// one whose every unfinished predecessor has its whole remainder in
+// flight. It walks the leases only when one can be reclaimed: a node
+// expired or the slot reached minExpiry, which the walk recomputes over
+// every lease, those it requeues included, since the record may not be
+// applied.
 func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []sched.JobState) {
 	rec := &RecTick{Slot: s.slot + 1}
-	rec.Requeued = s.DecideRequeue(func(l *Lease) bool {
-		return expired[l.NodeID] || s.slot >= l.Expiry
-	}).QIDs
+	if len(expired) > 0 || s.slot >= s.minExpiry {
+		s.minExpiry = math.MaxInt64
+		rec.Requeued = s.DecideRequeue(func(l *Lease) bool {
+			s.minExpiry = min(s.minExpiry, l.Expiry)
+			return expired[l.NodeID] || s.slot >= l.Expiry
+		}).QIDs
+	}
 	if !schedule {
 		return rec, nil
 	}
