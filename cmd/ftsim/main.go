@@ -266,7 +266,7 @@ func run(o options) error {
 		"scheduler", "jobs missed", "wf missed", "lateness max", "avg ad-hoc turnaround",
 	}}
 	machRows := [][]string{{
-		"scheduler", "live min/peak", "events", "refused tasks", "peak skyline",
+		"scheduler", "live min/peak", "events", "refused tasks", "requeued quanta", "peak skyline",
 	}}
 	for _, name := range names {
 		wfs, adhoc, err := load()
@@ -321,6 +321,7 @@ func run(o options) error {
 				fmt.Sprintf("%d/%d", m.MinLive, m.PeakLive),
 				fmt.Sprintf("%d", m.MachineEvents),
 				fmt.Sprintf("%d", m.RefusedTasks),
+				fmt.Sprintf("%d", m.RequeuedQuanta),
 				peakSkyline(res.Load),
 			})
 		}

@@ -73,7 +73,7 @@ func TestSimIsTheRMOnOneNode(t *testing.T) {
 		for _, alg := range []string{"FlowTime", "EDF", "FIFO"} {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, alg), func(t *testing.T) {
 				capacity := node.ToVector()
-				want := simCompletions(t, tr, alg, sim.Config{Capacity: func(int64) resource.Vector { return capacity }})
+				want, _ := simCompletions(t, tr, alg, sim.Config{Capacity: func(int64) resource.Vector { return capacity }})
 				s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
@@ -169,8 +169,11 @@ func TestSimIsTheRMUnderFailure(t *testing.T) {
 					t.Fatalf("the RM expired %d nodes, want the one killed", faults.ExpiredNodes)
 				}
 				requeued += faults.RequeuedQuanta
-				want := simCompletions(t, tr, alg, sim.Config{Machines: &sim.MachineMode{Initial: specs, Events: []machine.Event{fail}}})
+				want, res := simCompletions(t, tr, alg, sim.Config{Machines: &sim.MachineMode{Initial: specs, Events: []machine.Event{fail}}})
 				checkSameCompletions(t, c.rm, want)
+				if res.Machine.RequeuedQuanta != faults.RequeuedQuanta {
+					t.Fatalf("the simulator requeued %d quanta, the RM %d", res.Machine.RequeuedQuanta, faults.RequeuedQuanta)
+				}
 			})
 		}
 	}
@@ -223,8 +226,9 @@ func checkSameCompletions(t *testing.T, rm *Server, want map[string]int64) {
 
 // simCompletions runs tr through sim.Run under alg on cluster's Capacity or
 // Machines and returns each job's completion slot by the RM's job ID (a
-// workflow job's without its "#index"), failing unless every job completed.
-func simCompletions(t *testing.T, tr *trace.Trace, alg string, cluster sim.Config) map[string]int64 {
+// workflow job's without its "#index"), failing unless every job
+// completed, and the run's result.
+func simCompletions(t *testing.T, tr *trace.Trace, alg string, cluster sim.Config) (map[string]int64, *sim.Result) {
 	t.Helper()
 	wfs, adhoc, err := tr.ToWorkload()
 	if err != nil {
@@ -255,7 +259,7 @@ func simCompletions(t *testing.T, tr *trace.Trace, alg string, cluster sim.Confi
 		}
 		out[o.ID] = int64(o.Completion / slotDur)
 	}
-	return out
+	return out, res
 }
 
 // submitAdHocRecord admits rec, failing the test on an error.

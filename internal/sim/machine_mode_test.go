@@ -87,6 +87,9 @@ func TestMachineModeEventsChangeCapacity(t *testing.T) {
 	if m.Stats.Fails != 1 || m.Stats.Joins != 1 {
 		t.Fatalf("stats = %+v", m.Stats)
 	}
+	if m.RequeuedQuanta != 2 {
+		t.Fatalf("RequeuedQuanta = %d, want the 2 tasks m-0 ran when it failed", m.RequeuedQuanta)
+	}
 }
 
 // TestMachineModeFragmentationStarvesOversizedTasks: a task whose demand

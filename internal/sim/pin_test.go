@@ -104,12 +104,12 @@ var pinnedDigests = map[string]string{
 	"scenario-39-chaos":   "893b5011bf0e2b64",
 	"scenario-40":         "0afe9192a101f72b",
 	"scenario-40-chaos":   "7f5a3dc3c2a5c214",
-	"churn-EDF":           "acd43f9b94d81eb5",
-	"churn-FlowTime":      "8ea3b3f501e57213",
+	"churn-EDF":           "b0926dab812d1d5c",
+	"churn-FlowTime":      "54f7a25fce2742c7",
 	"critical-path":       "0a3a20e52c689680",
 	"ext-e-dip":           "e3179fbc6e10a07d",
-	"stragglers-EDF":      "b2536b5d2e945f56",
-	"stragglers-FlowTime": "dcfce2ace47be8ed",
+	"stragglers-EDF":      "3b9d88e8f7c5f32d",
+	"stragglers-FlowTime": "f8531a5fbddccb17",
 }
 
 // TestOutcomesArePinned holds sim.Run's outcomes — every job, workflow and

@@ -202,6 +202,9 @@ type MachineResult struct {
 	// for, at the tick or a hand-off (rmstate.State.PlaceTick, DecideHandOff):
 	// the fluid plan overestimated the packable capacity by that many.
 	RefusedTasks int64
+	// RequeuedQuanta is how many quanta failed machines held unconfirmed,
+	// which the tick requeued: the simulator's flowtime_rm_quanta_requeued.
+	RequeuedQuanta int64
 }
 
 // job is what the simulator knows of a job that the RM's state does not:
@@ -288,7 +291,7 @@ func Run(cfg Config) (*Result, error) {
 		checker = NewInvariantChecker()
 	}
 	evIdx := 0
-	var refused int64             // whole tasks no node held
+	var refused, requeued int64   // whole tasks no node held; quanta failed machines held
 	var held []rmproto.QuantumNum // the quanta the nodes launched the slot before
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
@@ -350,6 +353,7 @@ func Run(cfg Config) (*Result, error) {
 		// true volumes (less what was delivered or stays in flight past the
 		// requeues, the total less DecideTick's remaining), in submission order.
 		tick, states := state.DecideTick(failed, true)
+		requeued += int64(len(tick.Requeued))
 		demandNow := false
 		for i := range states {
 			st, j := &states[i], live[states[i].ID]
@@ -496,7 +500,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	if cluster != nil {
-		mres.FinalLive, mres.RefusedTasks = cluster.Live(), refused
+		mres.FinalLive, mres.RefusedTasks, mres.RequeuedQuanta = cluster.Live(), refused, requeued
 		mres.Stats = cluster.Stats()
 		res.Machine = mres
 	}
