@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,18 +32,20 @@ const (
 
 // overloadRun is one seed's draw.
 type overloadRun struct {
-	nodes []rmproto.RegisterNodeRequest
-	load  float64 // deadline demand over the arrival phase, in capacities
-	wfs   [][]trace.WorkflowRecord
-	adhoc [][]trace.AdHocRecord
-	kills map[int]string // slot -> the node that stops heartbeating then
+	nodes   []rmproto.RegisterNodeRequest
+	load    float64 // deadline demand over the arrival phase, in capacities
+	wfs     [][]trace.WorkflowRecord
+	adhoc   [][]trace.AdHocRecord
+	kills   map[int]string // slot -> the node that stops heartbeating then
+	restart int            // the slot before which the RM restarts from its store
 }
 
 // genOverload draws seed's run: 4–16 nodes of 8 or 16 vcores, workflows
 // whose summed volume is 1.0×–2.0× of the capacity of the arrival phase,
 // one in four due half a slot after it is submitted, a window no
 // decomposition fits (admitted best-effort), 10–30 ad-hoc jobs every fifth
-// slot on top, and two nodes killed mid-lease.
+// slot on top, two nodes killed mid-lease, and one restart of the RM in
+// the first 60 slots.
 func genOverload(t *testing.T, seed int64) overloadRun {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -95,6 +98,7 @@ func genOverload(t *testing.T, seed int64) overloadRun {
 	for len(r.kills) < 2 {
 		r.kills[3+rng.Intn(overloadArrive)] = r.nodes[rng.Intn(len(r.nodes))].NodeID
 	}
+	r.restart = 5 + rng.Intn(overloadArrive+15)
 	return r
 }
 
@@ -105,7 +109,10 @@ func genOverload(t *testing.T, seed int64) overloadRun {
 // every Assign is held to work conservation and the ad-hoc-removal
 // relation as the scheduler returned it (oracle.Conserving), and
 // checkOverloadSlot holds the leases to the capacities and the job
-// ledgers. At the end every job has completed with its volume exactly,
+// ledgers. Once per seed the RM restarts from its store, abandoned as a
+// SIGKILL leaves it, and the nodes re-register with empty hands; every
+// check holds on the restarted RM. At the end every job has completed
+// with its volume exactly,
 // the live state equals its replay, leases included, and the recovery
 // oracle holds. A workflow that misses without ever having been marked at
 // risk is counted, not failed: stage A routed its jobs in full, and what
@@ -128,21 +135,50 @@ func TestOverloadFamily(t *testing.T) {
 func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 	t.Helper()
 	r := genOverload(t, seed)
-	ft := oracle.NewConserving(core.DefaultConfig())
-	c := newCluster(t, Config{SlotDur: overloadSlot, Scheduler: ft, NodeExpiry: 3 * overloadSlot, AdHocGate: true},
-		&durable{policy: store.SyncNever})
-	rm := c.rm
+	dir := t.TempDir()
+	var (
+		c      *cluster
+		rm     *Server
+		ft     *oracle.Conserving
+		ticked int64                 // the ticks the schedulers of earlier processes checked
+		faults rmproto.FaultCounters // what earlier processes counted
+	)
 	capacity := map[string]resource.Vector{}
-	for _, n := range r.nodes {
-		c.register(n.NodeID, n.Capacity.VCores, n.Capacity.MemoryMB)
-		capacity[n.NodeID] = n.Capacity.ToVector()
+	// start runs an RM on the store in dir, recovering what it holds, and
+	// registers nodes with it.
+	start := func(nodes []string) {
+		now := clockStart
+		if c != nil {
+			now = c.now
+		}
+		ft = oracle.NewConserving(core.DefaultConfig())
+		c = newCluster(t, Config{SlotDur: overloadSlot, Scheduler: ft, NodeExpiry: 3 * overloadSlot, AdHocGate: true},
+			&durable{dir: dir, policy: store.SyncNever, abandon: true})
+		c.now, rm = now, c.rm
+		for _, id := range nodes {
+			c.register(id, capacity[id].Get(resource.VCores), capacity[id].Get(resource.MemoryMB))
+		}
 	}
+	var all []string
+	for _, n := range r.nodes {
+		capacity[n.NodeID] = n.Capacity.ToVector()
+		all = append(all, n.NodeID)
+	}
+	start(all)
 	at := func(slot int) string {
 		return fmt.Sprintf("seed %d (%d nodes, load %.2f) slot %d", seed, len(r.nodes), r.load, slot)
 	}
 	flagged, bestEffort, deadline := map[string]bool{}, map[string]bool{}, map[string]time.Duration{}
 	c.step() // the first plan revision opens the gate
 	for slot := 0; slot < overloadArrive+overloadTail; slot++ {
+		if slot == r.restart {
+			f := rm.Status().Faults
+			faults.RequeuedQuanta += f.RequeuedQuanta
+			faults.ExpiredNodes += f.ExpiredNodes
+			faults.BestEffortAdmissions += f.BestEffortAdmissions
+			ticked += ft.Slots()
+			start(slices.Clone(c.nodes))
+		}
 		if slot < overloadArrive {
 			for _, rec := range r.wfs[slot] {
 				resp, err := rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: rec})
@@ -192,8 +228,8 @@ func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 			unflagged++
 		}
 	}
-	if ft.Slots() != final.Slot {
-		t.Fatalf("seed %d: work conservation checked on %d of %d ticks", seed, ft.Slots(), final.Slot)
+	if ticked+ft.Slots() != final.Slot {
+		t.Fatalf("seed %d: work conservation checked on %d of %d ticks", seed, ticked+ft.Slots(), final.Slot)
 	}
 	live, replayed, _ := liveAndReplayed(t, rm)
 	if !bytes.Equal(live.snapshot, replayed.snapshot) || !reflect.DeepEqual(live.inFlight, replayed.inFlight) {
@@ -202,11 +238,14 @@ func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 	if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("seed %d: recovery equivalence: %v", seed, err)
 	}
-	if final.Faults.ExpiredNodes == 0 || final.Faults.RequeuedQuanta == 0 || final.Faults.BestEffortAdmissions == 0 {
-		t.Errorf("seed %d exercised too little: faults %+v", seed, final.Faults)
+	faults.RequeuedQuanta += final.Faults.RequeuedQuanta
+	faults.ExpiredNodes += final.Faults.ExpiredNodes
+	faults.BestEffortAdmissions += final.Faults.BestEffortAdmissions
+	if faults.ExpiredNodes == 0 || faults.RequeuedQuanta == 0 || faults.BestEffortAdmissions == 0 {
+		t.Errorf("seed %d exercised too little: faults %+v", seed, faults)
 	}
-	t.Logf("seed %d: %d nodes, load %.2f, %d workflows, %d missed, %d ever at risk, %d missed unflagged",
-		seed, len(r.nodes), r.load, len(deadline), len(missed), len(flagged), unflagged)
+	t.Logf("seed %d: %d nodes, load %.2f, %d workflows, %d missed, %d ever at risk, %d missed unflagged; restarted at slot %d requeuing %d leases",
+		seed, len(r.nodes), r.load, len(deadline), len(missed), len(flagged), unflagged, r.restart, rm.Recovery().OrphanLeasesRequeued)
 	return unflagged, len(flagged)
 }
 

@@ -214,12 +214,17 @@ func (s *Server) recoverLocked() error {
 	// Orphan leases belong to the dead process's nodes — but only an
 	// acting primary may requeue them. A follower must keep replaying
 	// exactly the primary's stream; its leases are requeued at promotion.
-	// The requeue is applied, not journaled: every recovery of this log
-	// decides the same one. Its quanta are the first this process counts.
-	if !s.cfg.Follower {
-		orphans := s.st.DecideRequeue(anyLease)
-		_ = s.st.Apply(&rmstate.Record{Requeue: orphans}) // a requeue always applies
-		s.faults.RequeuedQuanta += int64(len(orphans.QIDs))
+	// The requeue is journaled and committed, as a promotion's is, so a
+	// follower of this log and its next recovery drop the same leases.
+	// Its quanta are the first this process counts.
+	if orphans := s.st.DecideRequeue(anyLease); !s.cfg.Follower && len(orphans.QIDs) > 0 {
+		h, err := s.requeueLocked(orphans)
+		if err == nil {
+			err = s.commitRecord(h)
+		}
+		if err != nil {
+			return fmt.Errorf("journal the orphan requeue: %w", err)
+		}
 		rec.OrphanLeasesRequeued = len(orphans.QIDs)
 	}
 	s.appliedLocked()
