@@ -217,7 +217,8 @@ func (s *Server) recoverLocked() error {
 	// The requeue is journaled and committed, as a promotion's is, so a
 	// follower of this log and its next recovery drop the same leases.
 	// Its quanta are the first this process counts.
-	if orphans := s.st.DecideRequeue(anyLease); !s.cfg.Follower && len(orphans.QIDs) > 0 {
+	if !s.cfg.Follower && len(s.st.Leases()) > 0 {
+		orphans := s.st.DecideRequeue(anyLease)
 		h, err := s.requeueLocked(orphans)
 		if err == nil {
 			err = s.commitRecord(h)
