@@ -112,9 +112,8 @@ func genOverload(t *testing.T, seed int64) overloadRun {
 // ledgers. Once per seed the RM restarts from its store, abandoned as a
 // SIGKILL leaves it, and the nodes re-register with empty hands; every
 // check holds on the restarted RM. At the end every job has completed
-// with its volume exactly,
-// the live state equals its replay, leases included, and the recovery
-// oracle holds. A workflow that misses without ever having been marked at
+// with its volume exactly, the live state equals its replay, leases
+// included, and the recovery oracle holds. A workflow that misses without ever having been marked at
 // risk is counted, not failed: stage A routed its jobs in full, and what
 // lost them the deadline came after it (the integral repair, a killed
 // node, a requeue).
@@ -140,9 +139,18 @@ func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 		c      *cluster
 		rm     *Server
 		ft     *oracle.Conserving
-		ticked int64                 // the ticks the schedulers of earlier processes checked
-		faults rmproto.FaultCounters // what earlier processes counted
+		ticked int64                 // the ticks the processes' schedulers checked
+		faults rmproto.FaultCounters // what the processes counted
 	)
+	// count adds what the running process checked and counted, which its
+	// restart would lose.
+	count := func() {
+		f := rm.Status().Faults
+		faults.RequeuedQuanta += f.RequeuedQuanta
+		faults.ExpiredNodes += f.ExpiredNodes
+		faults.BestEffortAdmissions += f.BestEffortAdmissions
+		ticked += ft.Slots()
+	}
 	capacity := map[string]resource.Vector{}
 	// start runs an RM on the store in dir, recovering what it holds, and
 	// registers nodes with it.
@@ -172,11 +180,7 @@ func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 	c.step() // the first plan revision opens the gate
 	for slot := 0; slot < overloadArrive+overloadTail; slot++ {
 		if slot == r.restart {
-			f := rm.Status().Faults
-			faults.RequeuedQuanta += f.RequeuedQuanta
-			faults.ExpiredNodes += f.ExpiredNodes
-			faults.BestEffortAdmissions += f.BestEffortAdmissions
-			ticked += ft.Slots()
+			count()
 			start(slices.Clone(c.nodes))
 		}
 		if slot < overloadArrive {
@@ -228,8 +232,8 @@ func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 			unflagged++
 		}
 	}
-	if ticked+ft.Slots() != final.Slot {
-		t.Fatalf("seed %d: work conservation checked on %d of %d ticks", seed, ticked+ft.Slots(), final.Slot)
+	if count(); ticked != final.Slot {
+		t.Fatalf("seed %d: work conservation checked on %d of %d ticks", seed, ticked, final.Slot)
 	}
 	live, replayed, _ := liveAndReplayed(t, rm)
 	if !bytes.Equal(live.snapshot, replayed.snapshot) || !reflect.DeepEqual(live.inFlight, replayed.inFlight) {
@@ -238,9 +242,6 @@ func playOverload(t *testing.T, seed int64) (unflagged, atRisk int) {
 	if err := rm.VerifyRecoveryEquivalence(filepath.Join(t.TempDir(), "scratch")); err != nil {
 		t.Fatalf("seed %d: recovery equivalence: %v", seed, err)
 	}
-	faults.RequeuedQuanta += final.Faults.RequeuedQuanta
-	faults.ExpiredNodes += final.Faults.ExpiredNodes
-	faults.BestEffortAdmissions += final.Faults.BestEffortAdmissions
 	if faults.ExpiredNodes == 0 || faults.RequeuedQuanta == 0 || faults.BestEffortAdmissions == 0 {
 		t.Errorf("seed %d exercised too little: faults %+v", seed, faults)
 	}
