@@ -346,7 +346,7 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 			continue
 		}
 		want := slice.Min(j.Request)
-		if g := grantIn(want, &avail); !g.IsZero() {
+		if g := avail.Take(want); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}
@@ -359,7 +359,7 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 	serve := func(jobs []sched.JobState, want func(sched.JobState) resource.Vector) (total resource.Vector) {
 		for _, j := range jobs {
 			got := grants[j.ID]
-			if g := grantIn(want(j).Min(j.Request.SubClamped(got)), &avail); !g.IsZero() {
+			if g := avail.Take(want(j).Min(j.Request.SubClamped(got))); !g.IsZero() {
 				grants[j.ID] = got.Add(g)
 				total = total.Add(g)
 			}
@@ -402,7 +402,7 @@ func (f *FlowTime) Assign(ctx sched.AssignContext) (map[string]resource.Vector, 
 		return adhoc[a].ID < adhoc[b].ID
 	})
 	for _, j := range adhoc {
-		if g := grantIn(j.Request, &avail); !g.IsZero() {
+		if g := avail.Take(j.Request); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}
@@ -514,12 +514,6 @@ func (f *FlowTime) planNeeds(ctx sched.AssignContext) (urgent string, quality bo
 func (f *FlowTime) planKnown(id string) bool {
 	_, ok := f.live.Jobs[id]
 	return ok
-}
-
-func grantIn(request resource.Vector, avail *resource.Vector) resource.Vector {
-	g := request.Min(*avail)
-	*avail = avail.Sub(g)
-	return g
 }
 
 // planJob is the per-job working state during a replan.

@@ -123,6 +123,13 @@ func (v Vector) Max(o Vector) Vector {
 	return v
 }
 
+// Take debits min(request, v) from v and returns it: request's grant of v.
+func (v *Vector) Take(request Vector) Vector {
+	g := request.Min(*v)
+	*v = v.Sub(g)
+	return g
+}
+
 // IsZero reports whether every component is zero.
 func (v Vector) IsZero() bool {
 	for _, a := range v {

@@ -110,7 +110,7 @@ func (*CORA) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
 			best.left = resource.Vector{}
 			continue
 		}
-		g := grantUpTo(ask, &avail)
+		g := avail.Take(ask)
 		best.granted = best.granted.Add(g)
 		best.left = best.left.SubClamped(g)
 	}

@@ -26,7 +26,7 @@ func (*FIFO) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
 		if !j.Ready || j.Request.IsZero() {
 			continue
 		}
-		if g := grantUpTo(j.Request, &avail); !g.IsZero() {
+		if g := avail.Take(j.Request); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}
@@ -103,7 +103,7 @@ func (*Fair) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
 			best.left = resource.Vector{}
 			continue
 		}
-		g := grantUpTo(ask, &avail)
+		g := avail.Take(ask)
 		best.granted = best.granted.Add(g)
 		best.left = best.left.SubClamped(g)
 	}
@@ -153,12 +153,12 @@ func (*EDF) Assign(ctx AssignContext) (map[string]resource.Vector, error) {
 		return deadlineJobs[a].ID < deadlineJobs[b].ID
 	})
 	for _, j := range deadlineJobs {
-		if g := grantUpTo(j.Request, &avail); !g.IsZero() {
+		if g := avail.Take(j.Request); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}
 	for _, j := range sortJobs(adhoc, byArrival) {
-		if g := grantUpTo(j.Request, &avail); !g.IsZero() {
+		if g := avail.Take(j.Request); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}

@@ -75,7 +75,7 @@ func (m *Morpheus) Assign(ctx AssignContext) (map[string]resource.Vector, error)
 			continue
 		}
 		want := slots[offset].Min(j.Request)
-		if g := grantUpTo(want, &avail); !g.IsZero() {
+		if g := avail.Take(want); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}
@@ -90,7 +90,7 @@ func (m *Morpheus) Assign(ctx AssignContext) (map[string]resource.Vector, error)
 			continue
 		}
 		if m.inferredDeadlineSlot(j, ctx.Cluster.SlotDur) <= ctx.Now {
-			if g := grantUpTo(j.Request, &avail); !g.IsZero() {
+			if g := avail.Take(j.Request); !g.IsZero() {
 				grants[j.ID] = g
 			}
 		}
@@ -101,7 +101,7 @@ func (m *Morpheus) Assign(ctx AssignContext) (map[string]resource.Vector, error)
 		if j.Kind != AdHocJob || !j.Ready || j.Request.IsZero() {
 			continue
 		}
-		if g := grantUpTo(j.Request, &avail); !g.IsZero() {
+		if g := avail.Take(j.Request); !g.IsZero() {
 			grants[j.ID] = g
 		}
 	}

@@ -167,11 +167,3 @@ type PlanStreamer interface {
 type AdHocFolder interface {
 	FoldAdHocDrain(from int64, consumed []resource.Vector)
 }
-
-// grantUpTo grants min(request, available) component-wise and debits
-// available in place.
-func grantUpTo(request resource.Vector, available *resource.Vector) resource.Vector {
-	g := request.Min(*available)
-	*available = available.Sub(g)
-	return g
-}
