@@ -95,19 +95,17 @@ cover:
 # bursts, best-effort workflows, nodes killed mid-lease and one restart
 # of the RM from its store, every slot held to work conservation,
 # per-node capacity, whole-task leases and the job ledgers, every run to
-# live = replay and recovery equivalence. Beside it runs
-# TestSimIsTheRMOnOneNode: 12 seeded small workloads under FlowTime, EDF
-# and FIFO complete every job in the same slot in sim.Run and in the RM on
-# one node, ticked and heartbeaten slot by slot; and
-# TestSimIsTheRMUnderFailure: the same workloads under EDF and FIFO on 3-4
-# nodes, one killed holding leases, complete every job in the same slot
-# in machine mode, where the machine fails, and in the RM, which expires
-# the node at the same tick.
+# live = replay and recovery equivalence. Beside it runs TestSimIsTheRM:
+# 12 seeded small workloads complete every job in the same slot in
+# sim.Run and in the RM, ticked and heartbeaten node by node, slot by
+# slot: on one node and on 3-4 nodes under FlowTime, EDF and FIFO, and on
+# 3-4 nodes under EDF and FIFO with one killed holding leases, where the
+# simulator's machine fails and the RM expires the node at the same tick.
 # Reproduce a failure with:
 # go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
-	$(GO) test -count=1 -run 'TestOverloadFamily$$|TestSimIsTheRMOnOneNode$$|TestSimIsTheRMUnderFailure$$' ./internal/rmserver/
+	$(GO) test -count=1 -run 'TestOverloadFamily$$|TestSimIsTheRM$$' ./internal/rmserver/
 
 # fuzz runs short bursts of the store framing, front-coded string,
 # WAL record codec, snapshot and heartbeat and submission

@@ -15,7 +15,7 @@ import (
 	"flowtime/internal/trace"
 )
 
-// simDiffSlots bounds both sides of TestSimIsTheRMOnOneNode: every
+// simDiffSlots bounds both sides of TestSimIsTheRM: every
 // workload it draws completes well inside it.
 const simDiffSlots = 400
 
@@ -56,96 +56,66 @@ func genSimDiff(seed int64) *trace.Trace {
 	return tr
 }
 
-// TestSimIsTheRMOnOneNode holds the simulator to the resource manager it
-// stands in for: seeded small workloads (genSimDiff) run under FlowTime,
-// EDF and FIFO through sim.Run on one node's capacity and through an RM
-// with that one node, ticked and then heartbeaten each slot, and every job
-// completes in the same slot on both. A successor starts at the heartbeat
-// that confirms its last predecessor (a hand-off) or at the next tick, so
-// a simulator that confirmed a grant in its own slot, or never handed an
-// offer off, finishes successors a slot away from the RM.
-func TestSimIsTheRMOnOneNode(t *testing.T) {
-	const seeds = 12
-	node := rmproto.Resources{VCores: 8, MemoryMB: 16 * 1024}
-	var handOffs int64
-	for seed := int64(1); seed <= seeds; seed++ {
-		tr := genSimDiff(seed)
-		for _, alg := range []string{"FlowTime", "EDF", "FIFO"} {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, alg), func(t *testing.T) {
-				capacity := node.ToVector()
-				want, _ := simCompletions(t, tr, alg, sim.Config{Capacity: func(int64) resource.Vector { return capacity }})
-				s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
+// TestSimIsTheRM holds the simulator to the resource manager it stands in
+// for: genSimDiff's seeded workloads run through sim.Run and through an
+// RM, ticked and then heartbeaten node by node in ID order each slot, and
+// every job completes in the same slot on both. The rows are one node of 8
+// vcores and 16 GB (the simulator's aggregate mode), 3–4 nodes of 4 vcores
+// and 8 GB (machine mode), and those nodes with one killed at a seeded
+// slot after the last submission, the first after it at which a node holds
+// leases: on the RM it stops heartbeating, in sim.Run its machine fails
+// then. Every node heartbeats, empty, half a slot before each tick, and
+// NodeExpiry lies between that and a dead node's silence, so the RM expires
+// the node at the tick the simulator fails the machine. FlowTime sits the
+// failure out: the simulator's plan foresees it (CapAt is the compiled
+// machine profile), the RM's does not. A simulator that confirmed a grant
+// in its own slot, handed an offer off onto a node that had heartbeaten, or
+// confirmed what a failed machine ran finishes jobs a slot away from the
+// RM. FlowTime must hand offers off, and the killed nodes hold quanta.
+func TestSimIsTheRM(t *testing.T) {
+	for _, row := range []struct {
+		name          string
+		oneNode, kill bool
+		algs          []string
+	}{
+		{"OneNode", true, false, []string{"FlowTime", "EDF", "FIFO"}},
+		{"Nodes", false, false, []string{"FlowTime", "EDF", "FIFO"}},
+		{"UnderFailure", false, true, []string{"EDF", "FIFO"}},
+	} {
+		var handOffs, requeued int64
+		for seed := int64(1); seed <= 12; seed++ {
+			tr, rng := genSimDiff(seed), rand.New(rand.NewSource(seed))
+			specs := []machine.Spec{{ID: "n1", Capacity: resource.New(8, 16*1024)}}
+			if !row.oneNode {
+				specs = nil
+				for i := range 3 + rng.Intn(2) {
+					specs = append(specs, machine.Spec{ID: fmt.Sprintf("n%d", i+1), Capacity: resource.New(4, 8*1024)})
 				}
-				c := newCluster(t, Config{Scheduler: s}, nil)
-				c.register("n1", node.VCores, node.MemoryMB)
-				for slot := int64(0); slot < simDiffSlots; slot++ {
-					submitDue(t, c.rm, tr, slot)
-					c.step()
-				}
-				checkSameCompletions(t, c.rm, want)
-				if alg == "FlowTime" {
-					d, _ := c.rm.HandOffs()
-					handOffs += d
-				}
-			})
-		}
-	}
-	if handOffs == 0 {
-		t.Error("FlowTime handed no offer off on any seed: the hand-off path went untested")
-	}
-	t.Logf("FlowTime handed %d offers off over %d seeds", handOffs, seeds)
-}
-
-// TestSimIsTheRMUnderFailure holds the simulator to the resource manager
-// where a node dies holding leases: genSimDiff's seeded workloads run
-// under EDF and FIFO on 3–4 nodes of 4 vcores and 8 GB. Neither scheduler
-// makes offers, so no heartbeat dispatches anything and the nodes'
-// heartbeats commute. At a seeded slot after the last submission, the
-// first after it at which a node holds leases, one such node is killed:
-// on the RM it stops heartbeating, in sim.Run its machine fails
-// (machine.Fail) at that slot. The live nodes heartbeat, empty, half a
-// slot before each tick, and NodeExpiry lies between their silence and the
-// dead node's, so the RM expires the node at the tick the simulator fails
-// the machine and requeues what it held. Every job completes in the same
-// slot on both; a simulator whose failed machine still confirmed what it
-// ran would finish its jobs sooner than the RM.
-func TestSimIsTheRMUnderFailure(t *testing.T) {
-	const seeds = 12
-	var requeued int64
-	for seed := int64(1); seed <= seeds; seed++ {
-		tr := genSimDiff(seed)
-		rng := rand.New(rand.NewSource(seed))
-		var specs []machine.Spec
-		for i := range 3 + rng.Intn(2) {
-			specs = append(specs, machine.Spec{ID: fmt.Sprintf("n%d", i+1), Capacity: resource.New(4, 8*1024)})
-		}
-		var last int64 // the last submission's slot
-		for _, w := range tr.Workflows {
-			last = max(last, w.SubmitSec/int64(slotDur.Seconds()))
-		}
-		for _, a := range tr.AdHoc {
-			last = max(last, a.SubmitSec/int64(slotDur.Seconds()))
-		}
-		from := last + 1 + rng.Int63n(4)
-		for _, alg := range []string{"EDF", "FIFO"} {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, alg), func(t *testing.T) {
-				s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := newCluster(t, Config{Scheduler: s, NodeExpiry: slotDur * 3 / 4}, nil)
-				for _, m := range specs {
-					c.register(m.ID, m.Capacity.Get(resource.VCores), m.Capacity.Get(resource.MemoryMB))
-				}
-				fail := machine.Event{Slot: -1, Kind: machine.Fail}
-				for slot := int64(0); slot < simDiffSlots; slot++ {
-					submitDue(t, c.rm, tr, slot)
-					if fail.Slot < 0 && slot >= from {
+			}
+			var last int64 // the last submission's slot
+			for _, w := range tr.Workflows {
+				last = max(last, w.SubmitSec/int64(slotDur.Seconds()))
+			}
+			for _, a := range tr.AdHoc {
+				last = max(last, a.SubmitSec/int64(slotDur.Seconds()))
+			}
+			from := last + 1 + rng.Int63n(4)
+			for _, alg := range row.algs {
+				t.Run(fmt.Sprintf("%s/seed%d/%s", row.name, seed, alg), func(t *testing.T) {
+					s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := newCluster(t, Config{Scheduler: s, NodeExpiry: slotDur * 3 / 4}, nil)
+					for _, m := range specs {
+						c.register(m.ID, m.Capacity.Get(resource.VCores), m.Capacity.Get(resource.MemoryMB))
+					}
+					fail := machine.Event{Slot: -1, Kind: machine.Fail}
+					for slot := int64(0); slot < simDiffSlots; slot++ {
+						submitDue(t, c.rm, tr, slot)
 						var holding []string
 						for _, id := range c.nodes {
-							if len(c.held[id]) > 0 {
+							if row.kill && fail.Slot < 0 && slot >= from && len(c.held[id]) > 0 {
 								holding = append(holding, id)
 							}
 						}
@@ -153,34 +123,39 @@ func TestSimIsTheRMUnderFailure(t *testing.T) {
 							fail.Slot, fail.ID = slot, holding[rng.Intn(len(holding))]
 							c.kill(fail.ID) // it never confirms what it holds
 						}
-					}
-					for _, id := range c.nodes {
-						if _, err := c.rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: id}, c.now.Add(slotDur/2)); err != nil {
-							t.Fatalf("slot %d: empty heartbeat of %s: %v", slot, id, err)
+						for _, id := range c.nodes {
+							if _, err := c.rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: id}, c.now.Add(slotDur/2)); err != nil {
+								t.Fatalf("slot %d: empty heartbeat of %s: %v", slot, id, err)
+							}
 						}
+						c.step()
 					}
-					c.step()
-				}
-				if fail.Slot < 0 {
-					t.Fatalf("no node held a lease from slot %d on", from)
-				}
-				faults := c.rm.Status().Faults
-				if faults.ExpiredNodes != 1 {
-					t.Fatalf("the RM expired %d nodes, want the one killed", faults.ExpiredNodes)
-				}
-				requeued += faults.RequeuedQuanta
-				want, res := simCompletions(t, tr, alg, sim.Config{Machines: &sim.MachineMode{Initial: specs, Events: []machine.Event{fail}}})
-				checkSameCompletions(t, c.rm, want)
-				if res.Machine.RequeuedQuanta != faults.RequeuedQuanta {
-					t.Fatalf("the simulator requeued %d quanta, the RM %d", res.Machine.RequeuedQuanta, faults.RequeuedQuanta)
-				}
-			})
+					cluster := sim.Config{Machines: &sim.MachineMode{Initial: specs}}
+					if row.oneNode {
+						cluster = sim.Config{Capacity: func(int64) resource.Vector { return specs[0].Capacity }}
+					}
+					faults := c.rm.Status().Faults
+					if row.kill {
+						if fail.Slot < 0 || faults.ExpiredNodes != 1 {
+							t.Fatalf("killed %q at slot %d (from %d on); the RM expired %d nodes", fail.ID, fail.Slot, from, faults.ExpiredNodes)
+						}
+						cluster.Machines.Events = []machine.Event{fail}
+					}
+					want, res := simCompletions(t, tr, alg, cluster)
+					checkSameCompletions(t, c.rm, want)
+					if res.Machine != nil && res.Machine.RequeuedQuanta != faults.RequeuedQuanta {
+						t.Fatalf("the simulator requeued %d quanta, the RM %d", res.Machine.RequeuedQuanta, faults.RequeuedQuanta)
+					}
+					d, _ := c.rm.HandOffs()
+					handOffs, requeued = handOffs+d, requeued+faults.RequeuedQuanta
+				})
+			}
 		}
+		if row.algs[0] == "FlowTime" && handOffs == 0 || row.kill && requeued == 0 {
+			t.Errorf("%s: %d offers handed off, %d quanta requeued: a path went untested", row.name, handOffs, requeued)
+		}
+		t.Logf("%s: the RM handed %d offers off and requeued %d quanta", row.name, handOffs, requeued)
 	}
-	if requeued == 0 {
-		t.Error("no killed node held a quantum the RM requeued")
-	}
-	t.Logf("the RM requeued %d quanta of killed nodes over %d seeds", requeued, seeds)
 }
 
 // submitDue submits tr's workflows and ad-hoc jobs due at slot to rm.
@@ -196,7 +171,9 @@ func submitDue(t *testing.T, rm *Server, tr *trace.Trace, slot int64) {
 	}
 	for _, a := range tr.AdHoc {
 		if a.SubmitSec == at {
-			submitAdHocRecord(t, rm, a)
+			if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: a}); err != nil {
+				t.Fatalf("SubmitAdHoc(%s): %v", a.ID, err)
+			}
 		}
 	}
 }
@@ -260,12 +237,4 @@ func simCompletions(t *testing.T, tr *trace.Trace, alg string, cluster sim.Confi
 		out[o.ID] = int64(o.Completion / slotDur)
 	}
 	return out, res
-}
-
-// submitAdHocRecord admits rec, failing the test on an error.
-func submitAdHocRecord(t *testing.T, rm *Server, rec trace.AdHocRecord) {
-	t.Helper()
-	if _, err := rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: rec}); err != nil {
-		t.Fatalf("SubmitAdHoc(%s): %v", rec.ID, err)
-	}
 }

@@ -200,7 +200,8 @@ func checkPlacement(calls []placeCall, before []resource.Vector, nodes []*Node, 
 }
 
 // TestPlacementProperty holds PlaceTick and DecideHandOff, on seeded
-// nodes, tasks and grants, to the placement rule (checkPlacement).
+// nodes, tasks and grants, to the placement rule (checkPlacement); the
+// hand-off may place only on the nodes from its From bound on.
 func TestPlacementProperty(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -239,8 +240,8 @@ func TestPlacementProperty(t *testing.T) {
 			t.Fatalf("seed %d: PlaceTick: %v\nnodes %v\ncalls %v\nleases %v", seed, err, nodes, calls, leaseShapes(tick))
 		}
 
-		// A hand-off onto nodes already part full: offers up to twice the
-		// capacity, which nothing clamps.
+		// A hand-off onto nodes already part full, from a seeded one on
+		// (Nodes.From): offers up to twice the capacity, which nothing clamps.
 		var offers []Offer
 		calls = calls[:0]
 		for _, id := range sortedKeys(s.Jobs()) {
@@ -262,8 +263,9 @@ func TestPlacementProperty(t *testing.T) {
 			}
 			before[i] = n.Placed
 		}
-		rec, _, _, _, refused := s.DecideHandOff(offers, func() *Nodes { return NewNodes(nodes) })
-		if err := checkPlacement(calls, before, nodes, rec, refused); err != nil {
+		from := rng.Intn(len(nodes))
+		rec, _, _, _, refused := s.DecideHandOff(offers, func() *Nodes { return NewNodes(nodes).From(from) })
+		if err := checkPlacement(calls, before[from:], nodes[from:], rec, refused); err != nil {
 			t.Fatalf("seed %d: DecideHandOff: %v\nnodes %v\ncalls %v\nleases %v", seed, err, nodes, calls, leaseShapes(rec))
 		}
 	}

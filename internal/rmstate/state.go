@@ -539,8 +539,8 @@ func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
 
 // DecideHandOff decides which offers a confirming heartbeat dispatches:
 // those whose job is ready now, placed by the tick's rule on the nodes
-// targets returns when an offer is ready (the RM's heartbeating node, then
-// those that will still fetch their queue; the simulator's slot nodes) as
+// targets returns when an offer is ready (the heartbeating node, then those
+// yet to fetch their queue: in the simulator the slot's nodes From it) as
 // the grants the tick would have made, in a tick record that does not
 // advance the slot. An offer is spent by one attempt: what found no room
 // lapses. It returns the offers whose job is not ready yet, how many were
@@ -689,7 +689,7 @@ func (s *State) place(j *Job, g resource.Vector, nodes *Nodes, rec *RecTick) (pl
 	tasks := wholeTasks(g, j.Task)
 	rest := g.Sub(j.Task.Scale(tasks))
 	for tasks > 0 {
-		i := nodes.first(j.Task, 1)
+		i := nodes.first(j.Task, 1, 0, nodes.size)
 		if i < 0 {
 			break
 		}
@@ -700,12 +700,12 @@ func (s *State) place(j *Job, g resource.Vector, nodes *Nodes, rec *RecTick) (pl
 	if rest.IsZero() {
 		return placed, tasks
 	}
-	if i := nodes.first(rest, 1); i >= 0 {
+	if i := nodes.first(rest, 1, 0, nodes.size); i >= 0 {
 		grant(i, rest)
 		return placed, tasks
 	}
-	for i, n := range nodes.list {
-		if chunk := rest.Min(n.free()); !chunk.IsZero() {
+	for i := nodes.from; i < len(nodes.list); i++ {
+		if chunk := rest.Min(nodes.list[i].free()); !chunk.IsZero() {
 			grant(i, chunk)
 			if rest = rest.Sub(chunk); rest.IsZero() {
 				break
@@ -740,6 +740,7 @@ type Nodes struct {
 	size    int               // leaves, a power of two
 	free    resource.Vector   // the room summed over the nodes
 	touched []int             // the nodes placed on since NewNodes or NewSlot
+	from    int               // placement skips the nodes before it (From)
 }
 
 // NewNodes returns list as the nodes of a slot, each holding what its
@@ -764,28 +765,34 @@ func NewNodes(list []*Node) *Nodes {
 func (ns *Nodes) List() []*Node { return ns.list }
 
 // NewSlot starts the next slot: what this Nodes placed is lifted off the
-// nodes again.
+// nodes again, and placement walks them all.
 func (ns *Nodes) NewSlot() {
 	for _, i := range ns.touched {
 		ns.list[i].Placed = resource.Vector{}
 		ns.update(i)
 	}
-	ns.touched = ns.touched[:0]
+	ns.touched, ns.from = ns.touched[:0], 0
 }
 
-// first returns the index of the first node under entry i with room for
-// need, a non-zero demand, or -1 when none has.
-func (ns *Nodes) first(need resource.Vector, i int) int {
+// From has placement skip the nodes before the i-th until NewSlot; it returns ns.
+func (ns *Nodes) From(i int) *Nodes {
+	ns.from = i
+	return ns
+}
+
+// first returns the index of the first node from the From bound on under
+// entry i (leaves [lo, hi)) with room for need, non-zero, or -1 if none has.
+func (ns *Nodes) first(need resource.Vector, i, lo, hi int) int {
 	switch {
-	case !need.FitsIn(ns.room[i]):
+	case hi <= ns.from || !need.FitsIn(ns.room[i]):
 		return -1
 	case i >= ns.size:
 		return i - ns.size
 	}
-	if n := ns.first(need, 2*i); n >= 0 {
+	if n := ns.first(need, 2*i, lo, (lo+hi)/2); n >= 0 {
 		return n
 	}
-	return ns.first(need, 2*i+1)
+	return ns.first(need, 2*i+1, (lo+hi)/2, hi)
 }
 
 // take places v on node i.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/core"
 	"flowtime/internal/machine"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmstate"
@@ -89,6 +90,28 @@ func TestMachineModeEventsChangeCapacity(t *testing.T) {
 	}
 	if m.RequeuedQuanta != 2 {
 		t.Fatalf("RequeuedQuanta = %d, want the 2 tasks m-0 ran when it failed", m.RequeuedQuanta)
+	}
+}
+
+// TestHandOffSkipsHeartbeatenMachines: the nodes heartbeat in ID order, so
+// a hand-off goes to the confirming machine or one after it, never to one
+// that has heartbeaten in the slot, as on the RM. In slot 0 ad-hoc x fills
+// m-0 and w's a runs on m-1. In slot 1 m-0 confirms x, then m-1 confirms a,
+// which makes b ready: its offer must land on m-1, though m-0 is idle too.
+// m-0 fails at slot 2, where a hand-off onto it would be requeued.
+func TestHandOffSkipsHeartbeatenMachines(t *testing.T) {
+	w := workflow.New("w", 0, 20*slotDur)
+	w.AddDep(w.AddJob(simpleJob("a", 1, slotDur)), w.AddJob(simpleJob("b", 1, slotDur)))
+	cfg := machineModeConfig(machine.Homogeneous("m", 2, resource.New(2, 2048)),
+		[]machine.Event{{Slot: 2, Kind: machine.Fail, ID: "m-0"}},
+		[]workflow.AdHoc{{ID: "x", Tasks: 2, TaskDuration: slotDur, TaskDemand: resource.New(1, 100)}})
+	cfg.Scheduler, cfg.Workflows = core.New(core.DefaultConfig()), []*workflow.Workflow{w}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if b, q := res.Jobs[1], res.Machine.RequeuedQuanta; b.Completion != 2*slotDur || q != 0 {
+		t.Errorf("b completes at %v and m-0 failed holding %d quanta, want 20s and 0: b went to m-0, which had heartbeaten", b.Completion, q)
 	}
 }
 

@@ -106,6 +106,7 @@ var pinnedDigests = map[string]string{
 	"scenario-40-chaos":   "7f5a3dc3c2a5c214",
 	"churn-EDF":           "b0926dab812d1d5c",
 	"churn-FlowTime":      "54f7a25fce2742c7",
+	"churn-small":         "00a8eb131834ecc9",
 	"critical-path":       "0a3a20e52c689680",
 	"ext-e-dip":           "e3179fbc6e10a07d",
 	"stragglers-EDF":      "3b9d88e8f7c5f32d",
@@ -117,11 +118,12 @@ var pinnedDigests = map[string]string{
 // invariant counts, the load series and the machine counters — to the
 // digests above, on the oracle's generated scenarios as estimated and
 // under chaos, the churn and stragglers scenarios in machine mode under
-// FlowTime and EDF, one critical-path decomposition and Ext. E's
+// FlowTime and EDF, the churn scenario on a small cluster whose failed
+// machines hold leases, one critical-path decomposition and Ext. E's
 // half-capacity dip.
 func TestOutcomesArePinned(t *testing.T) {
 	got := make(map[string]string)
-	pin := func(name string, cfg sim.Config) {
+	pin := func(name string, cfg sim.Config) *sim.Result {
 		t.Helper()
 		cfg.RecordLoad = true
 		res, err := sim.Run(cfg)
@@ -130,6 +132,7 @@ func TestOutcomesArePinned(t *testing.T) {
 		}
 		sum := sha256.Sum256([]byte(render(res)))
 		got[name] = hex.EncodeToString(sum[:8])
+		return res
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		for _, chaos := range []bool{false, true} {
@@ -153,21 +156,29 @@ func TestOutcomesArePinned(t *testing.T) {
 			})
 		}
 	}
-	for _, name := range []string{"churn", "stragglers"} {
-		for _, alg := range []string{"FlowTime", "EDF"} {
-			sc, err := scenario.Generate(scenario.Spec{Name: name, Machines: 40, Days: 1, Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pin(name+"-"+alg, sim.Config{
-				SlotDur: sc.SlotDur, Horizon: sc.Horizon, Scheduler: s,
-				Workflows: sc.Workflows, AdHoc: sc.AdHoc, Invariants: true,
-				Machines: &sim.MachineMode{Initial: sc.Machines, Events: sc.Events},
-			})
+	// The churn and stragglers scenarios on 40 machines, and churn on 4
+	// machines of 4 cores, whose failed machines hold leases.
+	for _, name := range []string{"churn-FlowTime", "churn-EDF", "stragglers-FlowTime", "stragglers-EDF", "churn-small"} {
+		scName, alg, _ := strings.Cut(name, "-")
+		spec := scenario.Spec{Name: scName, Machines: 40, Days: 1, Seed: 42}
+		if alg == "small" {
+			alg, spec.Machines, spec.MachineCores = "FlowTime", 4, 4
+		}
+		sc, err := scenario.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := pin(name, sim.Config{
+			SlotDur: sc.SlotDur, Horizon: sc.Horizon, Scheduler: s,
+			Workflows: sc.Workflows, AdHoc: sc.AdHoc, Invariants: true,
+			Machines: &sim.MachineMode{Initial: sc.Machines, Events: sc.Events},
+		})
+		if spec.Machines == 4 && res.Machine.RequeuedQuanta == 0 {
+			t.Errorf("%s: no failed machine held a lease, so no requeue is pinned", name)
 		}
 	}
 	sc, err := oracle.GenScenario(rand.New(rand.NewSource(7)))

@@ -9,15 +9,17 @@
 // (a workflow by rmstate.DecideWorkflow, the RM's own decision), decides
 // their readiness (the workflow DAG) and requests, and completes each one
 // once its confirmed grants cover its true volume. The simulator is the
-// RM's agents, idealised to one heartbeat for all nodes: each slot the RM
-// ticks — grants clamped and placed by its own rule, PlaceTick, offers
-// kept — then the nodes confirm what they ran the slot before, and the
-// offers whose job that made ready are handed off (DecideHandOff), as
-// rmserver's Heartbeat does. A job completes at the end of the first slot
-// that covers its volume. The nodes are machine mode's live machines in ID
-// order, or else one node carrying the slot's capacity; the tick requeues
-// the leases of the machines that failed at its slot, as ftrm's requeues a
-// silent node's. No ad-hoc gate refuses work, and slots are whole seconds.
+// RM's agents: each slot the RM ticks — grants clamped and placed by its
+// own rule, PlaceTick, offers kept — then the nodes heartbeat one by one in
+// ID order, as rmserver's Heartbeat takes each: a node confirms what it ran
+// the slot before, and the offers whose job that made ready are handed off
+// (DecideHandOff) on it and the nodes yet to heartbeat. A job completes at
+// the end of the first slot that covers its volume. The nodes are machine
+// mode's live machines, or one node carrying the slot's capacity; the tick
+// requeues the leases of the machines that failed at its slot, as ftrm's
+// requeues a silent node's. Idealised (DESIGN.md §7): the scheduler
+// foresees capacity (machine mode's CapAt is compiled from every future
+// machine event), no ad-hoc gate refuses work, slots are whole seconds.
 // What the simulator keeps of a job is what no RM knows: the estimate the
 // scheduler sees and the exact submission.
 //
@@ -291,8 +293,9 @@ func Run(cfg Config) (*Result, error) {
 		checker = NewInvariantChecker()
 	}
 	evIdx := 0
-	var refused, requeued int64   // whole tasks no node held; quanta failed machines held
-	var held []rmproto.QuantumNum // the quanta the nodes launched the slot before
+	var refused, requeued int64         // whole tasks no node held; quanta failed machines held
+	var held, handed []rmstate.RecGrant // what the nodes launched the slot before, by node ID; the slot's hand-offs
+	var qids []rmproto.QuantumNum       // held's quantum numbers
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
 		// Machine events are the ground truth behind capacity steps: apply
@@ -394,31 +397,47 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
 
-		// The heartbeat, one for all nodes, as Server.Heartbeat takes each:
-		// they confirm what they launched the slot before, and the offers
-		// whose job that made ready are handed off on the slot's nodes.
-		if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: tick.Slot, QIDs: held}}); err != nil {
-			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+		// The heartbeats, node by node in ID order, as Server.Heartbeat takes
+		// each: a node confirms what it launched the slot before (one that left
+		// in its ID's place, a failed one's quanta naming no lease), and when
+		// that completes a job, the offers it made ready are handed off on it
+		// and the nodes after it. With no offer out they commute: one confirm.
+		handed = handed[:0]
+		for k := 0; k < len(held); {
+			id, from := held[k].NodeID, k
+			for k < len(held) && (held[k].NodeID == id || len(offers) == 0) {
+				k++
+			}
+			jobs := len(state.Jobs())
+			if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: tick.Slot, QIDs: qids[from:k]}}); err != nil {
+				return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+			}
+			if len(state.Jobs()) == jobs || len(offers) == 0 {
+				continue
+			}
+			var handOff *rmstate.RecTick
+			handOff, offers, _, _, r = state.DecideHandOff(offers, func() *rmstate.Nodes {
+				i, _ := slices.BinarySearchFunc(nodes.List(), id, func(n *rmstate.Node, id string) int { return cmp.Compare(n.ID, id) })
+				return nodes.From(i)
+			})
+			refused += r
+			if err := state.Apply(&rmstate.Record{Tick: handOff}); err != nil {
+				return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
+			}
+			handed = append(handed, handOff.Grants...)
 		}
-		handOff, _, _, _, r := state.DecideHandOff(offers, func() *rmstate.Nodes { return nodes })
-		refused += r
-		if err := state.Apply(&rmstate.Record{Tick: handOff}); err != nil {
-			return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
-		}
-		held = held[:0]
+		held = append(append(held[:0], tick.Grants...), handed...)
+		slices.SortStableFunc(held, func(a, b rmstate.RecGrant) int { return cmp.Compare(a.NodeID, b.NodeID) })
 		applied := make(map[string]resource.Vector, len(grants))
-		handedOff := make(map[string]bool) // the jobs a hand-off placed, ready by then
 		var dlUsed, ahUsed resource.Vector
-		for _, rec := range []*rmstate.RecTick{tick, handOff} {
-			for _, g := range rec.Grants {
-				held = append(held, g.QID)
-				applied[g.JobID] = applied[g.JobID].Add(g.Grant)
-				handedOff[g.JobID] = rec == handOff
-				if live[g.JobID].Kind == sched.DeadlineJob {
-					dlUsed = dlUsed.Add(g.Grant)
-				} else {
-					ahUsed = ahUsed.Add(g.Grant)
-				}
+		qids = qids[:0]
+		for _, g := range held {
+			qids = append(qids, g.QID)
+			applied[g.JobID] = applied[g.JobID].Add(g.Grant)
+			if live[g.JobID].Kind == sched.DeadlineJob {
+				dlUsed = dlUsed.Add(g.Grant)
+			} else {
+				ahUsed = ahUsed.Add(g.Grant)
 			}
 		}
 
@@ -440,7 +459,7 @@ func Run(cfg Config) (*Result, error) {
 					ID:        j.ID,
 					Granted:   applied[st.ID],
 					Request:   st.Request,
-					Ready:     st.Ready || handedOff[st.ID],
+					Ready:     st.Ready || st.ReadyOnConfirm && !applied[st.ID].IsZero(), // handed off
 					Consumed:  j.Delivered,
 					Remaining: j.Total.SubClamped(j.Delivered),
 					Done:      j.Done,
@@ -491,7 +510,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// The nodes confirm what they still hold at the next slot's heartbeat,
 	// and what the horizon cut off is admitted, so every job has an outcome.
-	if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: state.Slot() + 1, QIDs: held}}); err != nil {
+	if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: state.Slot() + 1, QIDs: qids}}); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	for _, a := range due {
@@ -593,9 +612,10 @@ func admit(state *rmstate.State, a *admission, live map[string]*job) error {
 // nodes placement walks.
 func machineNodes(c *machine.Cluster) *rmstate.Nodes {
 	ms := c.Machines()
-	nodes := make([]*rmstate.Node, len(ms))
+	all, nodes := make([]rmstate.Node, len(ms)), make([]*rmstate.Node, len(ms))
 	for i, m := range ms {
-		nodes[i] = &rmstate.Node{ID: m.ID, Capacity: m.Capacity}
+		all[i] = rmstate.Node{ID: m.ID, Capacity: m.Capacity}
+		nodes[i] = &all[i]
 	}
 	return rmstate.NewNodes(nodes)
 }
