@@ -95,7 +95,8 @@ cover:
 # bursts, best-effort workflows, nodes killed mid-lease and one restart
 # of the RM from its store, every slot held to work conservation,
 # per-node capacity, whole-task leases and the job ledgers, every run to
-# live = replay and recovery equivalence. Beside it runs TestSimIsTheRM:
+# live = replay and recovery equivalence. Beside it run the TestSimIsTheRM
+# tests (OnOneNode, OnNodes, UnderFailure):
 # 12 seeded small workloads complete every job in the same slot in
 # sim.Run and in the RM, ticked and heartbeaten node by node, slot by
 # slot: on one node and on 3-4 nodes under FlowTime, EDF and FIFO, and on
@@ -105,7 +106,7 @@ cover:
 # go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
 	$(GO) run ./cmd/ftverify -n 500 -seed 1
-	$(GO) test -count=1 -run 'TestOverloadFamily$$|TestSimIsTheRM$$' ./internal/rmserver/
+	$(GO) test -count=1 -run 'TestOverloadFamily$$|TestSimIsTheRMOnOneNode$$|TestSimIsTheRMOnNodes$$|TestSimIsTheRMUnderFailure$$' ./internal/rmserver/
 
 # fuzz runs short bursts of the store framing, front-coded string,
 # WAL record codec, snapshot and heartbeat and submission

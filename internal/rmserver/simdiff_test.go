@@ -15,7 +15,7 @@ import (
 	"flowtime/internal/trace"
 )
 
-// simDiffSlots bounds both sides of TestSimIsTheRM: every
+// simDiffSlots bounds both sides of testSimIsTheRM: every
 // workload it draws completes well inside it.
 const simDiffSlots = 400
 
@@ -56,106 +56,120 @@ func genSimDiff(seed int64) *trace.Trace {
 	return tr
 }
 
-// TestSimIsTheRM holds the simulator to the resource manager it stands in
-// for: genSimDiff's seeded workloads run through sim.Run and through an
-// RM, ticked and then heartbeaten node by node in ID order each slot, and
-// every job completes in the same slot on both. The rows are one node of 8
-// vcores and 16 GB (the simulator's aggregate mode), 3–4 nodes of 4 vcores
-// and 8 GB (machine mode), and those nodes with one killed at a seeded
-// slot after the last submission, the first after it at which a node holds
-// leases: on the RM it stops heartbeating, in sim.Run its machine fails
-// then. Every node heartbeats, empty, half a slot before each tick, and
-// NodeExpiry lies between that and a dead node's silence, so the RM expires
-// the node at the tick the simulator fails the machine. FlowTime sits the
-// failure out: the simulator's plan foresees it (CapAt is the compiled
-// machine profile), the RM's does not. A simulator that confirmed a grant
-// in its own slot, handed an offer off onto a node that had heartbeaten, or
-// confirmed what a failed machine ran finishes jobs a slot away from the
-// RM. FlowTime must hand offers off, and the killed nodes hold quanta.
-func TestSimIsTheRM(t *testing.T) {
-	for _, row := range []struct {
-		name          string
-		oneNode, kill bool
-		algs          []string
-	}{
-		{"OneNode", true, false, []string{"FlowTime", "EDF", "FIFO"}},
-		{"Nodes", false, false, []string{"FlowTime", "EDF", "FIFO"}},
-		{"UnderFailure", false, true, []string{"EDF", "FIFO"}},
-	} {
-		var handOffs, requeued int64
-		for seed := int64(1); seed <= 12; seed++ {
-			tr, rng := genSimDiff(seed), rand.New(rand.NewSource(seed))
-			specs := []machine.Spec{{ID: "n1", Capacity: resource.New(8, 16*1024)}}
-			if !row.oneNode {
-				specs = nil
-				for i := range 3 + rng.Intn(2) {
-					specs = append(specs, machine.Spec{ID: fmt.Sprintf("n%d", i+1), Capacity: resource.New(4, 8*1024)})
+// simDiffRow is one cluster shape of the simulator-against-RM tests:
+// name labels its log lines, oneNode runs the simulator's aggregate mode,
+// kill fails a node, and algs names the schedulers run.
+type simDiffRow struct {
+	name          string
+	oneNode, kill bool
+	algs          []string
+}
+
+// TestSimIsTheRMOnOneNode, TestSimIsTheRMOnNodes and
+// TestSimIsTheRMUnderFailure hold the simulator to the resource manager it
+// stands in for: genSimDiff's seeded workloads run through sim.Run and
+// through an RM, ticked and then heartbeaten node by node in ID order each
+// slot, and every job completes in the same slot on both. The rows are one
+// node of 8 vcores and 16 GB (the simulator's aggregate mode), 3–4 nodes of
+// 4 vcores and 8 GB (machine mode), and those nodes with one killed at a
+// seeded slot after the last submission, the first after it at which a
+// node holds leases: on the RM it stops heartbeating, in sim.Run its
+// machine fails then. Every node heartbeats, empty, half a slot before each
+// tick, and NodeExpiry lies between that and a dead node's silence, so the
+// RM expires the node at the tick the simulator fails the machine. FlowTime
+// sits the failure out: the simulator's plan foresees it (CapAt is the
+// compiled machine profile), the RM's does not. A simulator that confirmed
+// a grant in its own slot, handed an offer off onto a node that had
+// heartbeaten, or confirmed what a failed machine ran finishes jobs a slot
+// away from the RM. FlowTime must hand offers off, and the killed nodes
+// hold quanta.
+func TestSimIsTheRMOnOneNode(t *testing.T) {
+	testSimIsTheRM(t, simDiffRow{"OneNode", true, false, []string{"FlowTime", "EDF", "FIFO"}})
+}
+
+func TestSimIsTheRMOnNodes(t *testing.T) {
+	testSimIsTheRM(t, simDiffRow{"Nodes", false, false, []string{"FlowTime", "EDF", "FIFO"}})
+}
+
+func TestSimIsTheRMUnderFailure(t *testing.T) {
+	testSimIsTheRM(t, simDiffRow{"UnderFailure", false, true, []string{"EDF", "FIFO"}})
+}
+
+// testSimIsTheRM runs row's seeds and schedulers, one subtest each.
+func testSimIsTheRM(t *testing.T, row simDiffRow) {
+	var handOffs, requeued int64
+	for seed := int64(1); seed <= 12; seed++ {
+		tr, rng := genSimDiff(seed), rand.New(rand.NewSource(seed))
+		specs := []machine.Spec{{ID: "n1", Capacity: resource.New(8, 16*1024)}}
+		if !row.oneNode {
+			specs = nil
+			for i := range 3 + rng.Intn(2) {
+				specs = append(specs, machine.Spec{ID: fmt.Sprintf("n%d", i+1), Capacity: resource.New(4, 8*1024)})
+			}
+		}
+		var last int64 // the last submission's slot
+		for _, w := range tr.Workflows {
+			last = max(last, w.SubmitSec/int64(slotDur.Seconds()))
+		}
+		for _, a := range tr.AdHoc {
+			last = max(last, a.SubmitSec/int64(slotDur.Seconds()))
+		}
+		from := last + 1 + rng.Int63n(4)
+		for _, alg := range row.algs {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, alg), func(t *testing.T) {
+				s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			var last int64 // the last submission's slot
-			for _, w := range tr.Workflows {
-				last = max(last, w.SubmitSec/int64(slotDur.Seconds()))
-			}
-			for _, a := range tr.AdHoc {
-				last = max(last, a.SubmitSec/int64(slotDur.Seconds()))
-			}
-			from := last + 1 + rng.Int63n(4)
-			for _, alg := range row.algs {
-				t.Run(fmt.Sprintf("%s/seed%d/%s", row.name, seed, alg), func(t *testing.T) {
-					s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := newCluster(t, Config{Scheduler: s, NodeExpiry: slotDur * 3 / 4}, nil)
-					for _, m := range specs {
-						c.register(m.ID, m.Capacity.Get(resource.VCores), m.Capacity.Get(resource.MemoryMB))
-					}
-					fail := machine.Event{Slot: -1, Kind: machine.Fail}
-					for slot := int64(0); slot < simDiffSlots; slot++ {
-						submitDue(t, c.rm, tr, slot)
-						var holding []string
-						for _, id := range c.nodes {
-							if row.kill && fail.Slot < 0 && slot >= from && len(c.held[id]) > 0 {
-								holding = append(holding, id)
-							}
+				c := newCluster(t, Config{Scheduler: s, NodeExpiry: slotDur * 3 / 4}, nil)
+				for _, m := range specs {
+					c.register(m.ID, m.Capacity.Get(resource.VCores), m.Capacity.Get(resource.MemoryMB))
+				}
+				fail := machine.Event{Slot: -1, Kind: machine.Fail}
+				for slot := int64(0); slot < simDiffSlots; slot++ {
+					submitDue(t, c.rm, tr, slot)
+					var holding []string
+					for _, id := range c.nodes {
+						if row.kill && fail.Slot < 0 && slot >= from && len(c.held[id]) > 0 {
+							holding = append(holding, id)
 						}
-						if len(holding) > 0 {
-							fail.Slot, fail.ID = slot, holding[rng.Intn(len(holding))]
-							c.kill(fail.ID) // it never confirms what it holds
+					}
+					if len(holding) > 0 {
+						fail.Slot, fail.ID = slot, holding[rng.Intn(len(holding))]
+						c.kill(fail.ID) // it never confirms what it holds
+					}
+					for _, id := range c.nodes {
+						if _, err := c.rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: id}, c.now.Add(slotDur/2)); err != nil {
+							t.Fatalf("slot %d: empty heartbeat of %s: %v", slot, id, err)
 						}
-						for _, id := range c.nodes {
-							if _, err := c.rm.Heartbeat(rmproto.HeartbeatRequest{NodeID: id}, c.now.Add(slotDur/2)); err != nil {
-								t.Fatalf("slot %d: empty heartbeat of %s: %v", slot, id, err)
-							}
-						}
-						c.step()
 					}
-					cluster := sim.Config{Machines: &sim.MachineMode{Initial: specs}}
-					if row.oneNode {
-						cluster = sim.Config{Capacity: func(int64) resource.Vector { return specs[0].Capacity }}
+					c.step()
+				}
+				cluster := sim.Config{Machines: &sim.MachineMode{Initial: specs}}
+				if row.oneNode {
+					cluster = sim.Config{Capacity: func(int64) resource.Vector { return specs[0].Capacity }}
+				}
+				faults := c.rm.Status().Faults
+				if row.kill {
+					if fail.Slot < 0 || faults.ExpiredNodes != 1 {
+						t.Fatalf("killed %q at slot %d (from %d on); the RM expired %d nodes", fail.ID, fail.Slot, from, faults.ExpiredNodes)
 					}
-					faults := c.rm.Status().Faults
-					if row.kill {
-						if fail.Slot < 0 || faults.ExpiredNodes != 1 {
-							t.Fatalf("killed %q at slot %d (from %d on); the RM expired %d nodes", fail.ID, fail.Slot, from, faults.ExpiredNodes)
-						}
-						cluster.Machines.Events = []machine.Event{fail}
-					}
-					want, res := simCompletions(t, tr, alg, cluster)
-					checkSameCompletions(t, c.rm, want)
-					if res.Machine != nil && res.Machine.RequeuedQuanta != faults.RequeuedQuanta {
-						t.Fatalf("the simulator requeued %d quanta, the RM %d", res.Machine.RequeuedQuanta, faults.RequeuedQuanta)
-					}
-					d, _ := c.rm.HandOffs()
-					handOffs, requeued = handOffs+d, requeued+faults.RequeuedQuanta
-				})
-			}
+					cluster.Machines.Events = []machine.Event{fail}
+				}
+				want, res := simCompletions(t, tr, alg, cluster)
+				checkSameCompletions(t, c.rm, want)
+				if res.Machine != nil && res.Machine.RequeuedQuanta != faults.RequeuedQuanta {
+					t.Fatalf("the simulator requeued %d quanta, the RM %d", res.Machine.RequeuedQuanta, faults.RequeuedQuanta)
+				}
+				d, _ := c.rm.HandOffs()
+				handOffs, requeued = handOffs+d, requeued+faults.RequeuedQuanta
+			})
 		}
-		if row.algs[0] == "FlowTime" && handOffs == 0 || row.kill && requeued == 0 {
-			t.Errorf("%s: %d offers handed off, %d quanta requeued: a path went untested", row.name, handOffs, requeued)
-		}
-		t.Logf("%s: the RM handed %d offers off and requeued %d quanta", row.name, handOffs, requeued)
 	}
+	if row.algs[0] == "FlowTime" && handOffs == 0 || row.kill && requeued == 0 {
+		t.Errorf("%s: %d offers handed off, %d quanta requeued: a path went untested", row.name, handOffs, requeued)
+	}
+	t.Logf("%s: the RM handed %d offers off and requeued %d quanta", row.name, handOffs, requeued)
 }
 
 // submitDue submits tr's workflows and ad-hoc jobs due at slot to rm.
