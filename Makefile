@@ -97,7 +97,8 @@ cover:
 # per-node capacity, whole-task leases and the job ledgers, every run to
 # live = replay and recovery equivalence. Beside it run the TestSimIsTheRM
 # tests (OnOneNode, OnNodes, UnderFailure):
-# 12 seeded small workloads complete every job in the same slot in
+# 12 seeded small workloads, and on one node the figures' 40
+# oracle.GenScenario seeds too, complete every job in the same slot in
 # sim.Run and in the RM, ticked and heartbeaten node by node, slot by
 # slot: on one node and on 3-4 nodes under FlowTime, EDF and FIFO, and on
 # 3-4 nodes under EDF and FIFO with one killed holding leases, where the

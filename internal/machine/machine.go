@@ -1,10 +1,10 @@
 // Package machine models the cluster at machine granularity: a set of
 // named nodes with individual capacities that join, leave, fail, and get
-// capacity-scaled over simulated time. It holds the live set and compiles
-// the events into the aggregate capacity profile schedulers plan against
-// (Profile). It places nothing: the simulator (internal/sim) hands the
-// live machines to the resource manager's placement, rmstate's PlaceTick,
-// as its nodes.
+// capacity-scaled over simulated time. It tracks which machines are live
+// at what capacity and compiles the events into the aggregate capacity
+// profile schedulers plan against (Profile). It places nothing: the
+// simulator (internal/sim) applies each event to its machine's node in the
+// resource manager's node set, rmstate's Nodes, which placement walks.
 //
 // Event processing is slot-quantized to match the simulator: events carry
 // the slot they take effect at, and the machine set is fixed within a
@@ -13,9 +13,7 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 
 	"flowtime/internal/resource"
 )
@@ -125,7 +123,7 @@ func SortEvents(events []Event) {
 // Cluster is the live machine set. It is not safe for concurrent use;
 // the simulator drives it from one goroutine.
 type Cluster struct {
-	live               []Spec // nominal capacities, in ID order
+	live               map[string]resource.Vector // nominal capacities by ID
 	scaleNum, scaleDen int64
 	total              resource.Vector // sum of live effective capacities
 	stats              Stats
@@ -137,7 +135,7 @@ type Stats struct{ Joins, Leaves, Fails, Scales int64 }
 // NewCluster returns an empty cluster (scale 1/1) with the given
 // machines live at slot 0.
 func NewCluster(initial []Spec) (*Cluster, error) {
-	c := &Cluster{scaleNum: 1, scaleDen: 1}
+	c := &Cluster{live: make(map[string]resource.Vector, len(initial)), scaleNum: 1, scaleDen: 1}
 	for _, s := range initial {
 		if err := c.join(s); err != nil {
 			return nil, err
@@ -161,28 +159,22 @@ func (c *Cluster) join(s Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	i, found := c.find(s.ID)
-	if found {
+	if _, found := c.live[s.ID]; found {
 		return fmt.Errorf("machine: %s already live", s.ID)
 	}
-	c.live = slices.Insert(c.live, i, s)
+	c.live[s.ID] = s.Capacity
 	c.total = c.total.Add(c.scale(s.Capacity))
 	return nil
 }
 
 func (c *Cluster) remove(id string) error {
-	i, found := c.find(id)
+	capacity, found := c.live[id]
 	if !found {
 		return fmt.Errorf("machine: %s not live", id)
 	}
-	c.total = c.total.Sub(c.scale(c.live[i].Capacity))
-	c.live = slices.Delete(c.live, i, i+1)
+	c.total = c.total.Sub(c.scale(capacity))
+	delete(c.live, id)
 	return nil
-}
-
-// find returns where the machine id is, or would be, in the live set.
-func (c *Cluster) find(id string) (int, bool) {
-	return slices.BinarySearchFunc(c.live, id, func(s Spec, id string) int { return strings.Compare(s.ID, id) })
 }
 
 // Apply processes one event. Events must be applied in slot order.
@@ -209,8 +201,9 @@ func (c *Cluster) Apply(e Event) error {
 	case SetScale:
 		c.scaleNum, c.scaleDen = e.ScaleNum, e.ScaleDen
 		c.total = resource.Vector{}
-		for _, s := range c.live {
-			c.total = c.total.Add(c.scale(s.Capacity))
+		//det:unordered a sum
+		for _, capacity := range c.live {
+			c.total = c.total.Add(c.scale(capacity))
 		}
 		c.stats.Scales++
 	}
@@ -220,15 +213,9 @@ func (c *Cluster) Apply(e Event) error {
 // Live returns the number of live machines.
 func (c *Cluster) Live() int { return len(c.live) }
 
-// Machines returns the live machines in ID order, each at its effective
-// (scaled) capacity.
-func (c *Cluster) Machines() []Spec {
-	out := make([]Spec, len(c.live))
-	for i, s := range c.live {
-		out[i] = Spec{ID: s.ID, Capacity: c.scale(s.Capacity)}
-	}
-	return out
-}
+// Machine returns machine id's effective (scaled) capacity: none unless
+// it is live.
+func (c *Cluster) Machine(id string) resource.Vector { return c.scale(c.live[id]) }
 
 // Capacity returns the summed effective capacity of all live machines —
 // what the aggregate simulator sees as the cluster cap this slot.

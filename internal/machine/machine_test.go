@@ -84,10 +84,10 @@ func TestSetScale(t *testing.T) {
 	}
 }
 
-// TestMachinesAreTheLiveSetInIDOrder: the nodes the simulator places on
-// are the live machines, sorted by ID whatever order they joined in, at
-// their scaled capacity; a failed or departed machine is not among them.
-func TestMachinesAreTheLiveSetInIDOrder(t *testing.T) {
+// TestMachineIsItsLiveScaledCapacity: the capacity the simulator gives a
+// machine's node is the machine's scaled capacity while it is live, and
+// none once it has failed or left or before it has joined.
+func TestMachineIsItsLiveScaledCapacity(t *testing.T) {
 	c := mustCluster(t, []Spec{
 		{ID: "m-2", Capacity: resource.New(2, 2048)},
 		{ID: "m-0", Capacity: resource.New(2, 2048)},
@@ -102,13 +102,16 @@ func TestMachinesAreTheLiveSetInIDOrder(t *testing.T) {
 			t.Fatalf("apply %v: %v", e.Kind, err)
 		}
 	}
-	want := []Spec{
-		{ID: "m-0", Capacity: resource.New(1, 1024)},
-		{ID: "m-1", Capacity: resource.New(2, 512)},
-		{ID: "m-3", Capacity: resource.New(1, 1024)},
-	}
-	if got := c.Machines(); !slices.Equal(got, want) {
-		t.Fatalf("Machines = %v, want %v", got, want)
+	for id, want := range map[string]resource.Vector{
+		"m-0": resource.New(1, 1024),
+		"m-1": resource.New(2, 512),
+		"m-2": {},
+		"m-3": resource.New(1, 1024),
+		"m-4": {},
+	} {
+		if got := c.Machine(id); got != want {
+			t.Errorf("Machine(%s) = %v, want %v", id, got, want)
+		}
 	}
 	if got, want := c.Capacity(), resource.New(4, 2560); got != want {
 		t.Fatalf("Capacity = %v, want %v", got, want)

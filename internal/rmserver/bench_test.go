@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -155,6 +156,14 @@ const firstTickCellCeiling = 156_000
 // grants 5,031.
 const firstTickLeaseCeiling = 4_700
 
+// handOffBeatByteCeiling holds a heartbeat that hands offers off at 1,024
+// nodes to the bytes it allocates, on average over a run's second
+// heartbeat round: 1,831 at 4,800 jobs and 1,921 at 1,200 when it was
+// set, plus 25 % of the larger. A heartbeat that built its node set afresh,
+// over itself and the nodes not yet heard, allocated 39,257 and 59,658:
+// that grows with the nodes, the ceiling does not.
+const handOffBeatByteCeiling = 2_400
+
 // BenchmarkFirstTickAtScale is the first tick of a FlowTime RM, ad-hoc
 // gate on, that a burst of workflows meets on a large cluster: 1,024
 // nodes of 16 vcores and 64 GiB, 60 s slots, and 100, 400 or 800
@@ -164,18 +173,24 @@ const firstTickLeaseCeiling = 4_700
 // repair, the rest of the decision, and placement — the time it spent in
 // the flow planner (stages A and B), and the steady tick after one
 // heartbeat round. It also reports that heartbeat round, one Status()
-// after the steady tick, the replans whose deadline slack was dropped, the
-// first tick's arcs scanned, the cells of the plan it published and the
-// leases it granted, which fail the 9,600-job run over
-// firstTickArcCeiling, firstTickCellCeiling and firstTickLeaseCeiling:
-// counts, so the guards hold on any machine.
+// after the steady tick, and a second round, whose confirms complete jobs
+// while the steady tick's offers are out: the mean time and bytes
+// allocated of its heartbeats that hand offers off, which fail any run
+// over handOffBeatByteCeiling, and the 4,800-job run if there are none (the
+// 9,600-job cluster is full at the steady tick: no offer is out). And it
+// reports the replans whose deadline slack was dropped, the first tick's
+// arcs scanned, the cells of the plan it published and the leases it
+// granted, which fail the 9,600-job run over firstTickArcCeiling,
+// firstTickCellCeiling and firstTickLeaseCeiling. All are counts, so the
+// guards hold on any machine.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
 		b.Run(fmt.Sprintf("%d_jobs", 12*wfs), func(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
 			var first, steady TickRecord
-			var beat, status time.Duration
+			var beat, status, handOffBeat time.Duration
 			dropped, arcs, cells, leases := 0, 0, 0, 0
+			var handOffBeats, handOffBytes uint64
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				ft := core.New(core.DefaultConfig())
@@ -206,6 +221,21 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				start = time.Now()
 				c.rm.Status()
 				status += time.Since(start)
+				var ms runtime.MemStats
+				for _, id := range c.nodes {
+					d, l := c.rm.HandOffs()
+					runtime.ReadMemStats(&ms)
+					alloc := ms.TotalAlloc
+					start = time.Now()
+					c.beat(id, c.held[id])
+					took := time.Since(start)
+					runtime.ReadMemStats(&ms)
+					if d2, l2 := c.rm.HandOffs(); d2+l2 > d+l {
+						handOffBeats++
+						handOffBeat += took
+						handOffBytes += ms.TotalAlloc - alloc
+					}
+				}
 				ticks := c.rm.Ticks()
 				first, steady = addTicks(first, ticks[0]), addTicks(steady, ticks[1])
 				arcs = 0
@@ -224,6 +254,10 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(perOp(tickTime(steady)), "steady_tick_ms")
 			b.ReportMetric(perOp(beat), "beat_round_ms")
 			b.ReportMetric(perOp(status), "status_ms")
+			beatBytes := handOffBytes / max(handOffBeats, 1)
+			b.ReportMetric(float64(handOffBeat.Microseconds())/float64(max(handOffBeats, 1)), "handoff_beat_us")
+			b.ReportMetric(float64(beatBytes), "handoff_beat_B")
+			b.ReportMetric(float64(handOffBeats)/float64(b.N), "handoff_beats")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 			b.ReportMetric(float64(arcs), "arcs")
 			b.ReportMetric(float64(cells), "plan_cells")
@@ -236,6 +270,12 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			}
 			if wfs == 800 && leases > firstTickLeaseCeiling {
 				b.Fatalf("the first tick granted %d leases, over the ceiling of %d", leases, firstTickLeaseCeiling)
+			}
+			if wfs == 400 && handOffBeats == 0 {
+				b.Fatal("no heartbeat of the second round handed an offer off")
+			}
+			if beatBytes > handOffBeatByteCeiling {
+				b.Fatalf("a hand-off heartbeat allocated %d B, over the ceiling of %d", beatBytes, handOffBeatByteCeiling)
 			}
 		})
 	}

@@ -168,7 +168,7 @@ func (s *Server) republishAdHocLocked(lp *plan.Plan, anchored bool) {
 // needs. Demand that fits nowhere in the window is simply unplaced: the
 // profile is already exhausted there.
 func (s *Server) adhocLeftoverLocked(lp *plan.Plan, from, n int64) (leftover, held []resource.Vector) {
-	capacity := s.totalCapacityLocked()
+	capacity := s.nodes.Capacity()
 	leftover = make([]resource.Vector, n)
 	held = make([]resource.Vector, n)
 	for i := range leftover {

@@ -225,6 +225,37 @@ func TestFanInDispatchesOnTheLastConfirm(t *testing.T) {
 	checkBooks(t, c.rm, "at the end")
 }
 
+// TestHandOffTriesTheConfirmingNodeFirst: the nodes heartbeat in reverse
+// ID order, and n2's confirm of a makes b ready while n1, before it in ID
+// order, is idle and has not heartbeaten. b lands on n2: a hand-off tries
+// the confirming node first, then the nodes not heard in ID order, and
+// not ID order over them all.
+func TestHandOffTriesTheConfirmingNodeFirst(t *testing.T) {
+	c := newCluster(t, Config{Scheduler: core.New(core.DefaultConfig())}, nil)
+	c.register("n1", 4, 8192)
+	c.register("n2", 4, 8192)
+	submitAdHoc(t, c.rm, "x", 4, 10)
+	if _, err := c.rm.SubmitWorkflow(twoStage()); err != nil {
+		t.Fatalf("SubmitWorkflow: %v", err)
+	}
+	c.tick()
+	a, x := c.beat("n2", nil), c.beat("n1", nil)
+	if vcores(a, "wf/a#0") != 4 || vcores(x, rmproto.AdHocJobID("x")) != 4 {
+		t.Fatalf("the first slot placed %v on n2 and %v on n1, want a on n2 and x on n1", a, x)
+	}
+	c.tick() // b is offered
+	if b := c.beat("n2", quantumIDs(a)); vcores(b, "wf/b#1") != 4 {
+		t.Fatalf("n2's confirm of a launched %v on n2, want b's 4 cores", b)
+	}
+	if late := c.beat("n1", quantumIDs(x)); len(late) != 0 {
+		t.Errorf("n1, idle and not yet heard at the hand-off, was handed %v", late)
+	}
+	if got := handOffs(c.rm); got != [2]int64{1, 0} {
+		t.Errorf("hand-offs (dispatched, lapsed) = %v, want one dispatch", got)
+	}
+	checkBooks(t, c.rm, "after the hand-off")
+}
+
 // TestLapsedOfferLeavesNothingBehind: when the confirm comes after the
 // next tick, the offer it would have claimed is gone with its slot — no
 // lease, no placed volume, no requeue — and that tick's own offer is the

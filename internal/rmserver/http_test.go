@@ -191,7 +191,7 @@ func TestRequestBodyTrailingData(t *testing.T) {
 		seen := func() [2]time.Time {
 			rm.mu.Lock()
 			defer rm.mu.Unlock()
-			return [2]time.Time{rm.nodeLocked("n1").lastSeen, rm.nodeLocked("n2").lastSeen}
+			return [2]time.Time{rm.byID["n1"].lastSeen, rm.byID["n2"].lastSeen}
 		}
 		before := seen()
 		rec := serve(rm.Handler(), http.MethodPost, c.path, c.body, "")
@@ -257,11 +257,13 @@ func TestHeartbeatRefusals(t *testing.T) {
 	if rec := serve(h, http.MethodPost, rmproto.PathRegister, `{"node_id":"n1","capacity":{"vcores":4,"memory_mb":8192}}`, ""); rec.Code != http.StatusOK {
 		t.Fatalf("JSON registration: %d %s", rec.Code, rec.Body)
 	}
-	heard := func() bool {
+	lastSeen := func() time.Time {
 		rm.mu.Lock()
 		defer rm.mu.Unlock()
-		return rm.nodeLocked("n1").heard
+		return rm.byID["n1"].lastSeen
 	}
+	registered := lastSeen()
+	heard := func() bool { return !lastSeen().Equal(registered) }
 	for _, c := range []struct {
 		contentType, body string
 		status            int

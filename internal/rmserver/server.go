@@ -97,11 +97,12 @@ type Server struct {
 	// Only a record applied to it changes it (see persist.go); everything
 	// else here is this process's own.
 	st *rmstate.State
-	// byID holds the registered nodes in ID order, the order first-fit
-	// placement walks them in and nodeLocked searches. It is kept in order
-	// as nodes register, re-register and expire (putNodeLocked,
-	// forgetNodesLocked), so no tick or heartbeat sorts them.
-	byID []*node
+	// nodes is the node set placement walks: every node this process has
+	// registered, changed in place as nodes register, expire and heartbeat
+	// and as slots pass (an expired one stays, with no capacity), so no tick
+	// or heartbeat builds one. byID holds the registered nodes' soft state.
+	nodes *rmstate.Nodes
+	byID  map[string]*node
 	// instance names this process's archive to status readers holding a
 	// cursor into it (rmproto.DoneJobs).
 	instance string
@@ -158,16 +159,11 @@ type report struct {
 	changed int64
 }
 
-// node tracks one node manager: the view placement debits (Placed is the
-// volume this slot's grants have put on it, the tick's and the
-// heartbeats' together), its liveness, whether it has heartbeaten since
-// the last tick — it has then taken its queue for the slot, so nothing
-// more may be placed on it — and the quanta queued for its next
-// heartbeat. Each tick resets Placed and heard.
+// node is a registered node manager: its place in the node set, when it
+// was last heard from, and the quanta queued for its next heartbeat.
 type node struct {
-	rmstate.Node
+	*rmstate.Node
 	lastSeen time.Time
-	heard    bool
 	pending  []rmstate.RecGrant
 }
 
@@ -200,6 +196,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     cfg.Store,
 		st:        rmstate.New(cfg.SlotDur, cfg.LeaseExpiry),
+		nodes:     rmstate.NewNodes(nil),
+		byID:      make(map[string]*node),
 		instance:  newInstance(),
 		reported:  make(map[*rmstate.Job]report),
 		role:      RolePrimary,
@@ -267,13 +265,13 @@ func (s *Server) RegisterNode(req rmproto.RegisterNodeRequest, now time.Time) (r
 	}
 	var h store.Handle
 	var jerr error
-	if s.nodeLocked(req.NodeID) != nil {
+	if s.byID[req.NodeID] != nil {
 		rec := s.st.DecideRequeue(func(l *rmstate.Lease) bool { return l.NodeID == req.NodeID })
 		if len(rec.QIDs) > 0 {
 			h, jerr = s.requeueLocked(rec)
 		}
 	}
-	s.putNodeLocked(&node{Node: rmstate.Node{ID: req.NodeID, Capacity: capV}, lastSeen: now})
+	s.byID[req.NodeID] = &node{Node: s.nodes.Put(req.NodeID, capV), lastSeen: now}
 	s.mu.Unlock()
 	if jerr != nil {
 		return rmproto.RegisterNodeResponse{}, jerr
@@ -306,12 +304,12 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 	if err := s.leaderCheckLocked(); err != nil {
 		return rmproto.HeartbeatResponse{}, err
 	}
-	n := s.nodeLocked(req.NodeID)
+	n := s.byID[req.NodeID]
 	if n == nil {
 		return rmproto.HeartbeatResponse{}, fmt.Errorf("%w %q (register first)", ErrUnknownNode, req.NodeID)
 	}
 	n.lastSeen = now
-	n.heard = true
+	n.Hear()
 	archive, _ := s.st.Done()
 	completed := len(archive)
 	rec, stale := s.st.DecideConfirm(req.NodeID, req.Completed)
@@ -322,9 +320,7 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 		}
 	}
 	if archive, _ = s.st.Done(); len(archive) > completed && len(s.offers) > 0 && !s.draining {
-		rec, kept, dispatched, lapsed, refused := s.st.DecideHandOff(s.offers, func() *rmstate.Nodes {
-			return rmstate.NewNodes(append([]*rmstate.Node{&n.Node}, s.nodesLocked(func(o *node) bool { return !o.heard })...))
-		})
+		rec, kept, dispatched, lapsed, refused := s.st.DecideHandOff(s.offers, n.Node)
 		s.offers = kept
 		s.handoffs += dispatched
 		s.lapsed += lapsed
@@ -334,7 +330,7 @@ func (s *Server) Heartbeat(req rmproto.HeartbeatRequest, now time.Time) (rmproto
 				return rmproto.HeartbeatResponse{}, err
 			}
 			for _, g := range rec.Grants {
-				o := s.nodeLocked(g.NodeID)
+				o := s.byID[g.NodeID]
 				o.pending = append(o.pending, g)
 			}
 		}
@@ -407,7 +403,7 @@ func (s *Server) admitWorkflow(rec trace.WorkflowRecord, wf *workflow.Workflow) 
 	if err := s.leaderCheckLocked(); err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
-	wrec, err := s.st.AdmitWorkflow(rec, wf, s.totalCapacityLocked())
+	wrec, err := s.st.AdmitWorkflow(rec, wf, s.nodes.Capacity())
 	if err != nil {
 		return rmproto.SubmitResponse{}, store.Handle{}, err
 	}
@@ -518,7 +514,7 @@ func (s *Server) Tick(now time.Time) error {
 	// hand-off adds what it refuses to the record the ring holds by then.
 	s.mu.Lock()
 	for _, g := range rec.Grants {
-		if n := s.nodeLocked(g.NodeID); n != nil {
+		if n := s.byID[g.NodeID]; n != nil {
 			n.pending = append(n.pending, g)
 		}
 	}
@@ -539,26 +535,24 @@ func (s *Server) Tick(now time.Time) error {
 // NodeExpiry are returned as expired, for Tick to forget once the record
 // applied (nodes are soft state); their leases are requeued and they get
 // no grants. When it schedules, it times its two steps on sw into tr,
-// with the replan the scheduler reports.
+// with the replan the scheduler reports. It starts the node set's slot.
 func (s *Server) decideTick(now time.Time, tr *TickRecord, sw *stopwatch) (rec *rmstate.RecTick, expired map[string]bool, offers []rmstate.Offer, err error) {
 	// The previous slot is over: its unclaimed offers lapse.
 	s.lapsed += int64(len(s.offers))
 	s.offers = nil
 
-	if s.cfg.NodeExpiry > 0 {
-		for _, n := range s.byID {
-			if now.Sub(n.lastSeen) > s.cfg.NodeExpiry {
-				if expired == nil {
-					expired = make(map[string]bool)
-				}
-				expired[n.ID] = true
+	s.nodes.NewSlot()
+	capacity := s.nodes.Capacity()
+	//det:unordered expired is a set and capacity a difference
+	for _, n := range s.byID {
+		if s.cfg.NodeExpiry > 0 && now.Sub(n.lastSeen) > s.cfg.NodeExpiry {
+			if expired == nil {
+				expired = make(map[string]bool)
 			}
+			expired[n.ID] = true
+			capacity = capacity.Sub(n.Capacity)
+			n.Hear() // it takes no placement, and stays registered until the record applies
 		}
-	}
-	nodes := s.nodesLocked(func(n *node) bool { return !expired[n.ID] })
-	var capacity resource.Vector
-	for _, n := range nodes {
-		capacity = capacity.Add(n.Capacity)
 	}
 	// Drain: no new leases; keep ticking so expiry still reclaims whatever
 	// dead nodes hold.
@@ -585,12 +579,7 @@ func (s *Server) decideTick(now time.Time, tr *TickRecord, sw *stopwatch) (rec *
 		s.noteRiskLocked(tr.Replan)
 	}
 	tr.Decide = sw.lap() - tr.Replan.StageA - tr.Replan.StageB - tr.Replan.Repair
-	for _, n := range s.byID {
-		if !expired[n.ID] {
-			n.Placed, n.heard = resource.Vector{}, false
-		}
-	}
-	offers, tr.Refused = s.st.PlaceTick(rec, jobs, grants, rmstate.NewNodes(nodes))
+	offers, tr.Refused = s.st.PlaceTick(rec, jobs, grants, s.nodes)
 	tr.Place = sw.lap()
 	return rec, expired, offers, nil
 }
@@ -613,38 +602,14 @@ func (s *Server) noteRiskLocked(r sched.ReplanStats) {
 	s.atRisk = next
 }
 
-// nodesLocked returns the views of the registered nodes keep selects, in
-// ID order, the order first-fit placement walks them in.
-func (s *Server) nodesLocked(keep func(*node) bool) []*rmstate.Node {
-	var nodes []*rmstate.Node
-	for _, n := range s.byID {
-		if keep(n) {
-			nodes = append(nodes, &n.Node)
-		}
-	}
-	return nodes
-}
-
-// nodeLocked returns the node registered under id, or nil.
-func (s *Server) nodeLocked(id string) *node {
-	if i, found := slices.BinarySearchFunc(s.byID, id, func(n *node, id string) int { return strings.Compare(n.ID, id) }); found {
-		return s.byID[i]
-	}
-	return nil
-}
-
-// putNodeLocked registers n, in place of a node registered under its ID.
-func (s *Server) putNodeLocked(n *node) {
-	if i, found := slices.BinarySearchFunc(s.byID, n.ID, func(o *node, id string) int { return strings.Compare(o.ID, id) }); found {
-		s.byID[i] = n
-	} else {
-		s.byID = slices.Insert(s.byID, i, n)
-	}
-}
-
-// forgetNodesLocked forgets the nodes gone names.
+// forgetNodesLocked forgets the nodes gone names: their soft state goes
+// and their place in the node set holds no capacity.
 func (s *Server) forgetNodesLocked(gone map[string]bool) {
-	s.byID = slices.DeleteFunc(s.byID, func(n *node) bool { return gone[n.ID] })
+	//det:unordered each node is forgotten on its own
+	for id := range gone {
+		delete(s.byID, id)
+		s.nodes.Put(id, resource.Vector{})
+	}
 }
 
 // safeAssign invokes the scheduler with panic isolation: a panic becomes
@@ -659,14 +624,6 @@ func (s *Server) safeAssign(ctx sched.AssignContext) (grants map[string]resource
 		}
 	}()
 	return s.cfg.Scheduler.Assign(ctx)
-}
-
-func (s *Server) totalCapacityLocked() resource.Vector {
-	var total resource.Vector
-	for _, n := range s.byID {
-		total = total.Add(n.Capacity)
-	}
-	return total
 }
 
 // Status snapshots the cluster as the process sees it, without touching
@@ -735,7 +692,7 @@ func (s *Server) statusLocked(listJobs bool, liveAfter int64) rmproto.StatusResp
 	resp := rmproto.StatusResponse{
 		Slot:              s.st.Slot(),
 		Nodes:             len(s.byID),
-		Capacity:          rmproto.FromVector(s.totalCapacityLocked()),
+		Capacity:          rmproto.FromVector(s.nodes.Capacity()),
 		Draining:          s.draining,
 		OutstandingLeases: len(s.st.Leases()),
 		Faults:            s.faults,

@@ -181,10 +181,11 @@ func TestNodeExpiry(t *testing.T) {
 	}
 }
 
-// TestNodeOrderIsKeptSorted: the one node index, kept in the order
+// TestNodeOrderIsKeptSorted: the one node set, kept in the order
 // placement walks the nodes in as nodes register, re-register and expire
-// instead of sorted per call, is sorted by ID with each node once, and its
-// binary search finds every node that heartbeats, after every step of a
+// instead of built per call, is sorted by ID with each node once, and
+// every node that heartbeats is registered with its place in the set,
+// after every step of a
 // seeded sequence of registrations of a random node of a pool
 // (new or re-registering), kills (the node falls silent and expires two
 // ticks later, unless it registers again first) and slots.
@@ -207,7 +208,7 @@ func TestNodeOrderIsKeptSorted(t *testing.T) {
 				case r < 4:
 					id := fmt.Sprintf("n%d", rng.Intn(tc.pool))
 					c.rm.mu.Lock()
-					known := c.rm.nodeLocked(id) != nil
+					known := c.rm.byID[id] != nil
 					c.rm.mu.Unlock()
 					if known {
 						reregistered++
@@ -220,14 +221,15 @@ func TestNodeOrderIsKeptSorted(t *testing.T) {
 					c.step()
 				}
 				c.rm.mu.Lock()
-				for i := 1; i < len(c.rm.byID); i++ {
-					if c.rm.byID[i-1].ID >= c.rm.byID[i].ID {
-						t.Fatalf("op %d: nodes in order %v, want them sorted by ID, each once", op, nodeIDs(c.rm.byID))
+				list := c.rm.nodes.List()
+				for i := 1; i < len(list); i++ {
+					if list[i-1].ID >= list[i].ID {
+						t.Fatalf("op %d: nodes in order %v, want them sorted by ID, each once", op, nodeIDs(list))
 					}
 				}
 				for _, id := range c.nodes {
-					if n := c.rm.nodeLocked(id); n == nil || n.ID != id {
-						t.Fatalf("op %d: heartbeating node %s not found in %v", op, id, nodeIDs(c.rm.byID))
+					if n := c.rm.byID[id]; n == nil || n.ID != id || !slices.Contains(list, n.Node) {
+						t.Fatalf("op %d: heartbeating node %s not found in %v", op, id, nodeIDs(list))
 					}
 				}
 				c.rm.mu.Unlock()
@@ -239,7 +241,7 @@ func TestNodeOrderIsKeptSorted(t *testing.T) {
 	}
 }
 
-func nodeIDs(nodes []*node) []string {
+func nodeIDs(nodes []*rmstate.Node) []string {
 	ids := make([]string, len(nodes))
 	for i, n := range nodes {
 		ids[i] = n.ID

@@ -6,13 +6,16 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"flowtime/internal/core"
 	"flowtime/internal/machine"
+	"flowtime/internal/oracle"
 	"flowtime/internal/resource"
 	"flowtime/internal/rmproto"
 	"flowtime/internal/sim"
 	"flowtime/internal/trace"
+	"flowtime/internal/workflow"
 )
 
 // simDiffSlots bounds both sides of testSimIsTheRM: every
@@ -57,12 +60,61 @@ func genSimDiff(seed int64) *trace.Trace {
 }
 
 // simDiffRow is one cluster shape of the simulator-against-RM tests:
-// name labels its log lines, oneNode runs the simulator's aggregate mode,
-// kill fails a node, and algs names the schedulers run.
+// name labels its log lines, oneNode runs the simulator's aggregate mode
+// (and the figures' corpus beside genSimDiff's seeds), kill fails a node,
+// and algs names the schedulers run.
 type simDiffRow struct {
 	name          string
 	oneNode, kill bool
 	algs          []string
+}
+
+// simDiffCase is one workload of a row: the trace the RM is submitted, its
+// records each at its slot, the workload sim.Run runs (a fresh one each
+// call), the nodes, and the draws of the node to kill.
+type simDiffCase struct {
+	name     string
+	tr       *trace.Trace
+	workload func() ([]*workflow.Workflow, []workflow.AdHoc, error)
+	specs    []machine.Spec
+	rng      *rand.Rand
+}
+
+// scenarioCase is the figures' verification corpus's scenario seed
+// (oracle.GenScenario) on one node of its capacity, its durations and
+// deadlines in the whole seconds, rounded up, a record holds: sim.Run
+// decomposes a workflow from its durations, the RM from its record's.
+// sim.Run keeps each ad-hoc submission exact; the RM is submitted it at the
+// slot it rounds up to.
+func scenarioCase(t *testing.T, seed int64) simDiffCase {
+	sc, err := oracle.GenScenario(rand.New(rand.NewSource(seed)))
+	if err != nil || sc.SlotDur != slotDur {
+		t.Fatalf("scenario %d: %v, slot %v", seed, err, sc.SlotDur)
+	}
+	tr, err := trace.FromWorkload(sc.Workflows, sc.AdHoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceil := func(d, unit time.Duration) int64 { return int64((d + unit - 1) / unit) }
+	for i, w := range sc.Workflows {
+		tr.Workflows[i].DeadlineSec = ceil(w.Deadline, time.Second)
+		for j := range tr.Workflows[i].Jobs {
+			tr.Workflows[i].Jobs[j].TaskDurSec = ceil(w.Job(j).TaskDuration, time.Second)
+		}
+	}
+	for i, a := range sc.AdHoc {
+		tr.AdHoc[i].SubmitSec = ceil(a.Submit, slotDur) * int64(slotDur/time.Second)
+		tr.AdHoc[i].TaskDurSec = ceil(a.TaskDuration, time.Second)
+	}
+	workload := func() ([]*workflow.Workflow, []workflow.AdHoc, error) {
+		wfs, adhoc, err := tr.ToWorkload()
+		for i := range adhoc {
+			adhoc[i].Submit = sc.AdHoc[i].Submit
+		}
+		return wfs, adhoc, err
+	}
+	specs := []machine.Spec{{ID: "n1", Capacity: sc.Capacity}}
+	return simDiffCase{fmt.Sprintf("scenario%d", seed), tr, workload, specs, nil}
 }
 
 // TestSimIsTheRMOnOneNode, TestSimIsTheRMOnNodes and
@@ -70,7 +122,8 @@ type simDiffRow struct {
 // stands in for: genSimDiff's seeded workloads run through sim.Run and
 // through an RM, ticked and then heartbeaten node by node in ID order each
 // slot, and every job completes in the same slot on both. The rows are one
-// node of 8 vcores and 16 GB (the simulator's aggregate mode), 3–4 nodes of
+// node of 8 vcores and 16 GB (the simulator's aggregate mode), where the
+// figures' corpus runs too (scenarioCase), 3–4 nodes of
 // 4 vcores and 8 GB (machine mode), and those nodes with one killed at a
 // seeded slot after the last submission, the first after it at which a
 // node holds leases: on the RM it stops heartbeating, in sim.Run its
@@ -95,9 +148,9 @@ func TestSimIsTheRMUnderFailure(t *testing.T) {
 	testSimIsTheRM(t, simDiffRow{"UnderFailure", false, true, []string{"EDF", "FIFO"}})
 }
 
-// testSimIsTheRM runs row's seeds and schedulers, one subtest each.
+// testSimIsTheRM runs row's workloads and schedulers, one subtest each.
 func testSimIsTheRM(t *testing.T, row simDiffRow) {
-	var handOffs, requeued int64
+	var cases []simDiffCase
 	for seed := int64(1); seed <= 12; seed++ {
 		tr, rng := genSimDiff(seed), rand.New(rand.NewSource(seed))
 		specs := []machine.Spec{{ID: "n1", Capacity: resource.New(8, 16*1024)}}
@@ -107,6 +160,14 @@ func testSimIsTheRM(t *testing.T, row simDiffRow) {
 				specs = append(specs, machine.Spec{ID: fmt.Sprintf("n%d", i+1), Capacity: resource.New(4, 8*1024)})
 			}
 		}
+		cases = append(cases, simDiffCase{fmt.Sprintf("seed%d", seed), tr, tr.ToWorkload, specs, rng})
+	}
+	for seed := int64(1); row.oneNode && seed <= 40; seed++ {
+		cases = append(cases, scenarioCase(t, seed))
+	}
+	var handOffs, requeued int64
+	for _, cs := range cases {
+		tr, rng, specs := cs.tr, cs.rng, cs.specs
 		var last int64 // the last submission's slot
 		for _, w := range tr.Workflows {
 			last = max(last, w.SubmitSec/int64(slotDur.Seconds()))
@@ -114,9 +175,12 @@ func testSimIsTheRM(t *testing.T, row simDiffRow) {
 		for _, a := range tr.AdHoc {
 			last = max(last, a.SubmitSec/int64(slotDur.Seconds()))
 		}
-		from := last + 1 + rng.Int63n(4)
+		var from int64
+		if row.kill {
+			from = last + 1 + rng.Int63n(4)
+		}
 		for _, alg := range row.algs {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, alg), func(t *testing.T) {
+			t.Run(cs.name+"/"+alg, func(t *testing.T) {
 				s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
@@ -156,7 +220,7 @@ func testSimIsTheRM(t *testing.T, row simDiffRow) {
 					}
 					cluster.Machines.Events = []machine.Event{fail}
 				}
-				want, res := simCompletions(t, tr, alg, cluster)
+				want, res := simCompletions(t, cs.workload, alg, cluster)
 				checkSameCompletions(t, c.rm, want)
 				if res.Machine != nil && res.Machine.RequeuedQuanta != faults.RequeuedQuanta {
 					t.Fatalf("the simulator requeued %d quanta, the RM %d", res.Machine.RequeuedQuanta, faults.RequeuedQuanta)
@@ -215,15 +279,15 @@ func checkSameCompletions(t *testing.T, rm *Server, want map[string]int64) {
 	}
 }
 
-// simCompletions runs tr through sim.Run under alg on cluster's Capacity or
-// Machines and returns each job's completion slot by the RM's job ID (a
-// workflow job's without its "#index"), failing unless every job
+// simCompletions runs workload through sim.Run under alg on cluster's
+// Capacity or Machines and returns each job's completion slot by the RM's
+// job ID (a workflow job's without its "#index"), failing unless every job
 // completed, and the run's result.
-func simCompletions(t *testing.T, tr *trace.Trace, alg string, cluster sim.Config) (map[string]int64, *sim.Result) {
+func simCompletions(t *testing.T, workload func() ([]*workflow.Workflow, []workflow.AdHoc, error), alg string, cluster sim.Config) (map[string]int64, *sim.Result) {
 	t.Helper()
-	wfs, adhoc, err := tr.ToWorkload()
+	wfs, adhoc, err := workload()
 	if err != nil {
-		t.Fatalf("ToWorkload: %v", err)
+		t.Fatalf("workload: %v", err)
 	}
 	s, err := core.NewScheduler(alg, nil, core.DefaultConfig())
 	if err != nil {

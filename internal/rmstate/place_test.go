@@ -48,11 +48,11 @@ func TestPlaceRefusesTasksNoNodeHolds(t *testing.T) {
 	nodes := []*Node{{ID: "n1", Capacity: resource.New(4, 4096)}, {ID: "n2", Capacity: resource.New(4, 4096)}}
 	rec, ns := &RecTick{Slot: 1}, NewNodes(nodes)
 	// Two 3-core tasks: one lands on each node.
-	if placed, refused := s.place(big, resource.New(6, 2048), ns, rec); placed != resource.New(6, 2048) || refused != 0 {
+	if placed, refused := s.place(big, resource.New(6, 2048), ns, nil, rec); placed != resource.New(6, 2048) || refused != 0 {
 		t.Fatalf("placed %v, refused %d; want both tasks placed", placed, refused)
 	}
 	// Each node has 1 core left: a 2-core task fits their sum, neither node.
-	if placed, refused := s.place(small, resource.New(2, 512), ns, rec); !placed.IsZero() || refused != 1 {
+	if placed, refused := s.place(small, resource.New(2, 512), ns, nil, rec); !placed.IsZero() || refused != 1 {
 		t.Fatalf("placed %v, refused %d; want the task refused", placed, refused)
 	}
 	want := []string{"n1:<vcores:3 memory-mb:1024>", "n2:<vcores:3 memory-mb:1024>"}
@@ -200,8 +200,12 @@ func checkPlacement(calls []placeCall, before []resource.Vector, nodes []*Node, 
 }
 
 // TestPlacementProperty holds PlaceTick and DecideHandOff, on seeded
-// nodes, tasks and grants, to the placement rule (checkPlacement); the
-// hand-off may place only on the nodes from its From bound on.
+// nodes, tasks and grants, to the placement rule (checkPlacement). The
+// hand-off comes after a seeded number of the nodes heartbeat, in a seeded
+// order, the last of them confirming: on the set they were heard in, it
+// places only on the confirming node and those not heard, and exactly as
+// the tick's rule places on a set built from scratch of the confirming
+// node, then the nodes not heard in ID order.
 func TestPlacementProperty(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -240,8 +244,8 @@ func TestPlacementProperty(t *testing.T) {
 			t.Fatalf("seed %d: PlaceTick: %v\nnodes %v\ncalls %v\nleases %v", seed, err, nodes, calls, leaseShapes(tick))
 		}
 
-		// A hand-off onto nodes already part full, from a seeded one on
-		// (Nodes.From): offers up to twice the capacity, which nothing clamps.
+		// A hand-off onto nodes already part full: offers up to twice the
+		// capacity, which nothing clamps.
 		var offers []Offer
 		calls = calls[:0]
 		for _, id := range sortedKeys(s.Jobs()) {
@@ -263,9 +267,34 @@ func TestPlacementProperty(t *testing.T) {
 			}
 			before[i] = n.Placed
 		}
-		from := rng.Intn(len(nodes))
-		rec, _, _, _, refused := s.DecideHandOff(offers, func() *Nodes { return NewNodes(nodes).From(from) })
-		if err := checkPlacement(calls, before[from:], nodes[from:], rec, refused); err != nil {
+		NewNodes(nodes) // their set, over the Placed just drawn
+		order := rng.Perm(len(nodes))
+		order = order[:1+rng.Intn(len(order))]
+		for _, i := range order {
+			nodes[i].Hear()
+		}
+		confirming := nodes[order[len(order)-1]]
+		targets, targetsBefore := []*Node{confirming}, []resource.Vector{confirming.Placed}
+		for i, n := range nodes {
+			if !n.heard {
+				targets, targetsBefore = append(targets, n), append(targetsBefore, before[i])
+			}
+		}
+		ref := make([]*Node, len(targets))
+		for i, n := range targets {
+			ref[i] = &Node{ID: n.ID, Capacity: n.Capacity, Placed: n.Placed}
+		}
+		want, refNodes := &RecTick{Slot: s.slot}, NewNodes(ref)
+		var wantRefused int64
+		for _, o := range offers {
+			_, r := s.place(o.Job, o.Grant, refNodes, nil, want)
+			wantRefused += r
+		}
+		rec, _, _, _, refused := s.DecideHandOff(offers, confirming)
+		if !slices.Equal(rec.Grants, want.Grants) || refused != wantRefused {
+			t.Fatalf("seed %d: heard %v: DecideHandOff placed %v, refusing %d; the rule from scratch %v, refusing %d", seed, order, leaseShapes(rec), refused, leaseShapes(want), wantRefused)
+		}
+		if err := checkPlacement(calls, targetsBefore, targets, rec, refused); err != nil {
 			t.Fatalf("seed %d: DecideHandOff: %v\nnodes %v\ncalls %v\nleases %v", seed, err, nodes, calls, leaseShapes(rec))
 		}
 	}

@@ -12,7 +12,7 @@
 // one the simulator (internal/sim) makes its records with too. Everything
 // per process stays with the resource manager (internal/rmserver), which
 // hands the deciders what they need of it: the expired nodes, the
-// scheduler's grants, a node view.
+// scheduler's grants, its node set (Nodes).
 package rmstate
 
 import (
@@ -422,12 +422,16 @@ func (s *State) JobStatus(j *Job) rmproto.JobStatus {
 	return st
 }
 
-// Node is a node as placement sees it: its capacity, and the volume this
-// slot's grants have put on it so far, which placement debits.
+// Node is a node as placement sees it: its capacity, the volume this
+// slot's grants have put on it so far, which placement debits, and whether
+// it has heartbeaten this slot (Hear). Its set changes it; a caller reads it.
 type Node struct {
 	ID       string
 	Capacity resource.Vector
 	Placed   resource.Vector
+	heard    bool
+	set      *Nodes
+	at       int // its index in set's list
 }
 
 // Offer is one scheduler grant to a job that could not take it yet: it
@@ -538,26 +542,22 @@ func (s *State) DecideRequeue(keep func(*Lease) bool) *RecRequeue {
 }
 
 // DecideHandOff decides which offers a confirming heartbeat dispatches:
-// those whose job is ready now, placed by the tick's rule on the nodes
-// targets returns when an offer is ready (the heartbeating node, then those
-// yet to fetch their queue: in the simulator the slot's nodes From it) as
-// the grants the tick would have made, in a tick record that does not
-// advance the slot. An offer is spent by one attempt: what found no room
-// lapses. It returns the offers whose job is not ready yet, how many were
-// dispatched and lapsed, and how many whole tasks no node had room for.
-func (s *State) DecideHandOff(offers []Offer, targets func() *Nodes) (rec *RecTick, kept []Offer, dispatched, lapsed, refused int64) {
+// those whose job is ready now, placed by the tick's rule as the grants the
+// tick would have made, first on the confirming node and then on the nodes
+// of its set that have not heartbeaten this slot, in the set's order, in a
+// tick record that does not advance the slot. An offer is spent by one
+// attempt: what found no room lapses. It returns the offers whose job is not
+// ready yet, how many were dispatched and lapsed, and how many whole tasks
+// no node had room for.
+func (s *State) DecideHandOff(offers []Offer, confirming *Node) (rec *RecTick, kept []Offer, dispatched, lapsed, refused int64) {
 	rec = &RecTick{Slot: s.slot}
-	var nodes *Nodes
 	kept = offers[:0]
 	for _, o := range offers {
 		if !s.ready(o.Job) {
 			kept = append(kept, o)
 			continue
 		}
-		if nodes == nil {
-			nodes = targets()
-		}
-		placed, r := s.place(o.Job, o.Grant, nodes, rec)
+		placed, r := s.place(o.Job, o.Grant, confirming.set, confirming, rec)
 		refused += r
 		if placed.IsZero() {
 			lapsed++
@@ -634,8 +634,8 @@ func (s *State) DecideTick(expired map[string]bool, schedule bool) (*RecTick, []
 
 // PlaceTick is the second step: it places the scheduler's grants to the
 // ready jobs of jobs (DecideTick's), each clamped to the job's request and
-// to what the grants before it left of the nodes' capacity, on nodes as
-// rec's grants (State.place). A grant to a job that is ready on confirm
+// to what the grants before it left of the nodes' capacity, on the nodes
+// that have not heartbeaten as rec's grants (State.place). A grant to a job that is ready on confirm
 // comes back as an offer, clamped by what the ready jobs left. It also
 // returns how many whole tasks no node had room for.
 func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string]resource.Vector, nodes *Nodes) (offers []Offer, refused int64) {
@@ -653,7 +653,7 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 		if g.IsZero() || g.AnyNegative() {
 			continue
 		}
-		_, r := s.place(s.jobs[st.ID], g, nodes, rec)
+		_, r := s.place(s.jobs[st.ID], g, nodes, nil, rec)
 		refused += r
 	}
 	capLeft := nodes.free
@@ -669,8 +669,9 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 	return kept, refused
 }
 
-// place is the one placement rule: it lands g, a grant to j, on nodes as
-// grants of rec, first-fit against what each has left this slot.
+// place is the one placement rule: it lands g, a grant to j, as grants of
+// rec first-fit against what each node has left this slot, trying
+// confirming (nil at a tick) before the nodes that have not heartbeaten.
 // ⌊g / j.Task⌋ whole tasks go first, each node taking as many as it has
 // room for; those no node has room for are refused and counted. The rest
 // (the sub-task remainder, or all of g when it holds no task) goes as one
@@ -678,38 +679,53 @@ func (s *State) PlaceTick(rec *RecTick, jobs []sched.JobState, grants map[string
 // is never dropped while the nodes' summed room covers it. Each grant
 // takes the next quantum number, issued in the slot before rec's and expiring
 // leaseExpiry slots after it. It returns the volume placed.
-func (s *State) place(j *Job, g resource.Vector, nodes *Nodes, rec *RecTick) (placed resource.Vector, refused int64) {
+func (s *State) place(j *Job, g resource.Vector, nodes *Nodes, confirming *Node, rec *RecTick) (placed resource.Vector, refused int64) {
 	expiry := rec.Slot - 1 + s.leaseExpiry
-	grant := func(i int, v resource.Vector) {
-		nodes.take(i, v)
+	grant := func(n *Node, v resource.Vector) {
+		nodes.take(n, v)
 		placed = placed.Add(v)
 		qid := s.nextQID + rmproto.QuantumNum(len(rec.Grants)) + 1
-		rec.Grants = append(rec.Grants, RecGrant{QID: qid, JobID: j.ID, NodeID: nodes.list[i].ID, Grant: v, Expiry: expiry})
+		rec.Grants = append(rec.Grants, RecGrant{QID: qid, JobID: j.ID, NodeID: n.ID, Grant: v, Expiry: expiry})
+	}
+	fit := func(need resource.Vector) *Node {
+		if confirming != nil && need.FitsIn(confirming.free()) {
+			return confirming
+		}
+		return nodes.first(need, 1)
 	}
 	tasks := wholeTasks(g, j.Task)
 	rest := g.Sub(j.Task.Scale(tasks))
 	for tasks > 0 {
-		i := nodes.first(j.Task, 1, 0, nodes.size)
-		if i < 0 {
+		n := fit(j.Task)
+		if n == nil {
 			break
 		}
-		k := min(tasks, wholeTasks(nodes.list[i].free(), j.Task))
-		grant(i, j.Task.Scale(k))
+		k := min(tasks, wholeTasks(n.free(), j.Task))
+		grant(n, j.Task.Scale(k))
 		tasks -= k
 	}
 	if rest.IsZero() {
 		return placed, tasks
 	}
-	if i := nodes.first(rest, 1, 0, nodes.size); i >= 0 {
-		grant(i, rest)
+	if n := fit(rest); n != nil {
+		grant(n, rest)
 		return placed, tasks
 	}
-	for i := nodes.from; i < len(nodes.list); i++ {
-		if chunk := rest.Min(nodes.list[i].free()); !chunk.IsZero() {
-			grant(i, chunk)
-			if rest = rest.Sub(chunk); rest.IsZero() {
-				break
-			}
+	split := func(n *Node) {
+		if chunk := rest.Min(n.free()); !chunk.IsZero() {
+			grant(n, chunk)
+			rest = rest.Sub(chunk)
+		}
+	}
+	if confirming != nil {
+		split(confirming)
+	}
+	for _, n := range nodes.list {
+		if rest.IsZero() {
+			break
+		}
+		if !n.heard {
+			split(n)
 		}
 	}
 	return placed, tasks
@@ -730,86 +746,122 @@ func wholeTasks(v, task resource.Vector) int64 {
 	return max(n, 0)
 }
 
-// Nodes are the nodes a slot's grants are placed on, in the order placement
-// walks them (ID order, in the resource manager and the simulator). It
-// sums their room and keeps a segment tree of its kind-wise maxima, so a
-// slot places in O(grants · log nodes) however many nodes idle.
+// Nodes is a node set, in the order placement walks it: ID order, in the
+// resource manager and the simulator, which each keep one set for their
+// whole run and change it in place. It sums their capacity and the room of
+// those that have not heartbeaten this slot, and keeps a segment tree of
+// the room's kind-wise maxima, so a slot places in O(grants · log nodes)
+// however many nodes idle, and a join, leave, failure, capacity change or
+// heartbeat is one point update (Put, Hear).
 type Nodes struct {
-	list    []*Node
-	room    []resource.Vector // room[size+i] is list[i]'s; room[1] the root
-	size    int               // leaves, a power of two
-	free    resource.Vector   // the room summed over the nodes
-	touched []int             // the nodes placed on since NewNodes or NewSlot
-	from    int               // placement skips the nodes before it (From)
+	list     []*Node
+	room     []resource.Vector // room[size+i] is what list[i] may take; room[1] the root
+	size     int               // leaves, a power of two
+	free     resource.Vector   // the room summed over the nodes
+	capacity resource.Vector   // the capacity summed over the nodes
+	touched  []*Node           // the nodes placed on or heard since the last NewSlot
 }
 
-// NewNodes returns list as the nodes of a slot, each holding what its
-// Placed already does.
+// NewNodes returns list as a node set, each node holding what its Placed
+// already does.
 func NewNodes(list []*Node) *Nodes {
-	ns := &Nodes{list: list, size: 1}
-	for ns.size < len(list) {
+	ns := &Nodes{list: list}
+	ns.build()
+	return ns
+}
+
+// build lays the tree over the list, from an empty one.
+func (ns *Nodes) build() {
+	ns.size, ns.free, ns.capacity = 1, resource.Vector{}, resource.Vector{}
+	for ns.size < len(ns.list) {
 		ns.size *= 2
 	}
 	ns.room = make([]resource.Vector, 2*ns.size)
-	for i, n := range list {
-		ns.room[ns.size+i] = n.free()
-		ns.free = ns.free.Add(n.free())
+	for i, n := range ns.list {
+		n.set, n.at = ns, i
+		ns.capacity = ns.capacity.Add(n.Capacity)
+		ns.update(n)
 	}
-	for i := ns.size - 1; i > 0; i-- {
-		ns.room[i] = ns.room[2*i].Max(ns.room[2*i+1])
-	}
-	return ns
 }
 
 // List returns the nodes in the order placement walks them.
 func (ns *Nodes) List() []*Node { return ns.list }
 
-// NewSlot starts the next slot: what this Nodes placed is lifted off the
-// nodes again, and placement walks them all.
+// Capacity returns the nodes' capacity summed.
+func (ns *Nodes) Capacity() resource.Vector { return ns.capacity }
+
+// Put makes node id a fresh node of the given capacity, as it joins,
+// registers (again), leaves, fails or expires (no capacity; it stays in the
+// set) or is rescaled: a point update, but for an ID the set has never held,
+// which joins it in ID order and lays the tree anew. It returns the node.
+func (ns *Nodes) Put(id string, capacity resource.Vector) *Node {
+	i, found := slices.BinarySearchFunc(ns.list, id, func(n *Node, id string) int { return cmp.Compare(n.ID, id) })
+	if !found {
+		ns.list = slices.Insert(ns.list, i, &Node{ID: id})
+		ns.build()
+	}
+	n := ns.list[i]
+	ns.capacity = ns.capacity.Sub(n.Capacity).Add(capacity)
+	n.Capacity, n.Placed, n.heard = capacity, resource.Vector{}, false
+	ns.update(n)
+	return n
+}
+
+// Hear marks n as heartbeaten until NewSlot: it has taken its queue for
+// the slot, so placement passes it by, but for a hand-off its own confirm
+// readied (DecideHandOff).
+func (n *Node) Hear() {
+	if !n.heard {
+		if n.Placed.IsZero() {
+			n.set.touched = append(n.set.touched, n)
+		}
+		n.heard = true
+		n.set.update(n)
+	}
+}
+
+// NewSlot starts the next slot: what was placed is lifted off the nodes
+// again, and no node has heartbeaten.
 func (ns *Nodes) NewSlot() {
-	for _, i := range ns.touched {
-		ns.list[i].Placed = resource.Vector{}
-		ns.update(i)
+	for _, n := range ns.touched {
+		n.Placed, n.heard = resource.Vector{}, false
+		ns.update(n)
 	}
-	ns.touched, ns.from = ns.touched[:0], 0
+	ns.touched = ns.touched[:0]
 }
 
-// From has placement skip the nodes before the i-th until NewSlot; it returns ns.
-func (ns *Nodes) From(i int) *Nodes {
-	ns.from = i
-	return ns
-}
-
-// first returns the index of the first node from the From bound on under
-// entry i (leaves [lo, hi)) with room for need, non-zero, or -1 if none has.
-func (ns *Nodes) first(need resource.Vector, i, lo, hi int) int {
+// first returns the first node under entry i that has not heartbeaten and
+// has room for need, non-zero, or nil if none has.
+func (ns *Nodes) first(need resource.Vector, i int) *Node {
 	switch {
-	case hi <= ns.from || !need.FitsIn(ns.room[i]):
-		return -1
+	case !need.FitsIn(ns.room[i]):
+		return nil
 	case i >= ns.size:
-		return i - ns.size
+		return ns.list[i-ns.size]
 	}
-	if n := ns.first(need, 2*i, lo, (lo+hi)/2); n >= 0 {
+	if n := ns.first(need, 2*i); n != nil {
 		return n
 	}
-	return ns.first(need, 2*i+1, (lo+hi)/2, hi)
+	return ns.first(need, 2*i+1)
 }
 
-// take places v on node i.
-func (ns *Nodes) take(i int, v resource.Vector) {
-	n := ns.list[i]
-	if n.Placed.IsZero() {
-		ns.touched = append(ns.touched, i)
+// take places v on n.
+func (ns *Nodes) take(n *Node, v resource.Vector) {
+	if n.Placed.IsZero() && !n.heard {
+		ns.touched = append(ns.touched, n)
 	}
 	n.Placed = n.Placed.Add(v)
-	ns.update(i)
+	ns.update(n)
 }
 
-// update takes node i's room into the sum and the tree, up to the first
-// entry it leaves as it was.
-func (ns *Nodes) update(i int) {
-	room := ns.list[i].free()
-	i += ns.size
+// update takes n's room — what it has left, none once it has heartbeaten —
+// into the sum and the tree, up to the first entry it leaves as it was.
+func (ns *Nodes) update(n *Node) {
+	room := n.free()
+	if n.heard {
+		room = resource.Vector{}
+	}
+	i := ns.size + n.at
 	ns.free = ns.free.Sub(ns.room[i]).Add(room)
 	for ns.room[i] = room; i > 1; {
 		i /= 2

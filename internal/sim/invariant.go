@@ -206,8 +206,8 @@ func (c *InvariantChecker) CheckWorkConserving(slot int64, capacity resource.Vec
 
 // CheckMachines verifies the machine-mode per-node invariants for one
 // slot: no node is reported twice or overcommitted beyond its effective
-// capacity (the nodes are the live machines, so no dead one carries
-// work), and the summed per-node placement equals exactly the volume the
+// capacity (a dead machine's node has none, so it carries no work),
+// and the summed per-node placement equals exactly the volume the
 // simulator granted — every consumed quantum landed somewhere concrete,
 // and nothing landed twice.
 func (c *InvariantChecker) CheckMachines(slot int64, granted resource.Vector, nodes []*rmstate.Node) error {

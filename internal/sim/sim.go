@@ -14,8 +14,8 @@
 // ID order, as rmserver's Heartbeat takes each: a node confirms what it ran
 // the slot before, and the offers whose job that made ready are handed off
 // (DecideHandOff) on it and the nodes yet to heartbeat. A job completes at
-// the end of the first slot that covers its volume. The nodes are machine
-// mode's live machines, or one node carrying the slot's capacity; the tick
+// the end of the first slot that covers its volume. The nodes, one set
+// (rmstate.Nodes), are the machines or one with the slot's capacity; the tick
 // requeues the leases of the machines that failed at its slot, as ftrm's
 // requeues a silent node's. Idealised (DESIGN.md §7): the scheduler
 // foresees capacity (machine mode's CapAt is compiled from every future
@@ -274,9 +274,18 @@ func Run(cfg Config) (*Result, error) {
 	state := rmstate.New(cfg.SlotDur, rmstate.DefaultLeaseExpiry)
 	live := make(map[string]*job)
 	failed := make(map[string]bool) // the machines that failed this slot
-	var nodes *rmstate.Nodes
+	// The node set, changed in place: every machine the run has named, at
+	// its capacity while live and at none otherwise, or without machines
+	// one node carrying the slot's capacity.
+	nodes := rmstate.NewNodes([]*rmstate.Node{{ID: "cluster", Capacity: cfg.Capacity(0)}})
 	if cluster != nil {
-		nodes = machineNodes(cluster)
+		all, list := make([]rmstate.Node, len(cfg.Machines.Initial)), make([]*rmstate.Node, len(cfg.Machines.Initial))
+		for i, m := range cfg.Machines.Initial {
+			all[i] = rmstate.Node{ID: m.ID, Capacity: m.Capacity}
+			list[i] = &all[i]
+		}
+		slices.SortFunc(list, func(a, b *rmstate.Node) int { return cmp.Compare(a.ID, b.ID) })
+		nodes = rmstate.NewNodes(list)
 	}
 
 	view := sched.ClusterView{
@@ -299,26 +308,31 @@ func Run(cfg Config) (*Result, error) {
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
 		// Machine events are the ground truth behind capacity steps: apply
-		// everything due this slot, then take the live machines as nodes.
+		// everything due this slot, each to its machine's node.
+		nodes.NewSlot()
 		if cluster != nil {
-			applied := evIdx
 			clear(failed)
 			for evIdx < len(events) && events[evIdx].Slot <= slot {
 				e := events[evIdx]
 				if err := cluster.Apply(e); err != nil {
 					return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 				}
-				if e.Kind == machine.Fail {
+				switch e.Kind {
+				case machine.SetScale:
+					for _, n := range nodes.List() {
+						nodes.Put(n.ID, cluster.Machine(n.ID))
+					}
+				case machine.Join:
+					nodes.Put(e.Spec.ID, cluster.Machine(e.Spec.ID))
+				case machine.Fail:
 					failed[e.ID] = true
+					fallthrough
+				default:
+					nodes.Put(e.ID, resource.Vector{})
 				}
 				mres.MachineEvents++
 				res.Events++
 				evIdx++
-			}
-			if evIdx > applied {
-				nodes = machineNodes(cluster)
-			} else {
-				nodes.NewSlot()
 			}
 			if l := cluster.Live(); l > mres.PeakLive {
 				mres.PeakLive = l
@@ -333,6 +347,9 @@ func Run(cfg Config) (*Result, error) {
 			prevCap = c
 			changed = true
 			res.Events++
+			if cluster == nil {
+				nodes.Put("cluster", c)
+			}
 		}
 
 		// Arrivals.
@@ -387,10 +404,6 @@ func Run(cfg Config) (*Result, error) {
 		// what is left of the nodes, drops a grant to a blocked job, keeps
 		// one to a job ready on confirm as an offer, and places the rest in
 		// whole tasks.
-		if cluster == nil {
-			// Without machines, the cluster is one node carrying the slot's capacity.
-			nodes = rmstate.NewNodes([]*rmstate.Node{{ID: "cluster", Capacity: cfg.Capacity(slot)}})
-		}
 		offers, r := state.PlaceTick(tick, states, grants, nodes)
 		refused += r
 		if err := state.Apply(&rmstate.Record{Tick: tick}); err != nil {
@@ -401,8 +414,10 @@ func Run(cfg Config) (*Result, error) {
 		// each: a node confirms what it launched the slot before (one that left
 		// in its ID's place, a failed one's quanta naming no lease), and when
 		// that completes a job, the offers it made ready are handed off on it
-		// and the nodes after it. With no offer out they commute: one confirm.
+		// and the nodes yet to heartbeat. With no offer out they commute: one
+		// confirm. A hand-off marks the nodes up to its own heard first.
 		handed = handed[:0]
+		list, heard := nodes.List(), 0
 		for k := 0; k < len(held); {
 			id, from := held[k].NodeID, k
 			for k < len(held) && (held[k].NodeID == id || len(offers) == 0) {
@@ -415,11 +430,11 @@ func Run(cfg Config) (*Result, error) {
 			if len(state.Jobs()) == jobs || len(offers) == 0 {
 				continue
 			}
+			for ; heard < len(list) && list[heard].ID <= id; heard++ {
+				list[heard].Hear()
+			}
 			var handOff *rmstate.RecTick
-			handOff, offers, _, _, r = state.DecideHandOff(offers, func() *rmstate.Nodes {
-				i, _ := slices.BinarySearchFunc(nodes.List(), id, func(n *rmstate.Node, id string) int { return cmp.Compare(n.ID, id) })
-				return nodes.From(i)
-			})
+			handOff, offers, _, _, r = state.DecideHandOff(offers, list[heard-1])
 			refused += r
 			if err := state.Apply(&rmstate.Record{Tick: handOff}); err != nil {
 				return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
@@ -606,18 +621,6 @@ func admit(state *rmstate.State, a *admission, live map[string]*job) error {
 		live[j.ID] = j
 	}
 	return nil
-}
-
-// machineNodes returns the cluster's live machines, in ID order, as the
-// nodes placement walks.
-func machineNodes(c *machine.Cluster) *rmstate.Nodes {
-	ms := c.Machines()
-	all, nodes := make([]rmstate.Node, len(ms)), make([]*rmstate.Node, len(ms))
-	for i, m := range ms {
-		all[i] = rmstate.Node{ID: m.ID, Capacity: m.Capacity}
-		nodes[i] = &all[i]
-	}
-	return rmstate.NewNodes(nodes)
 }
 
 // collectOutcomes reads every job's outcome from the state's jobs: the jobs
