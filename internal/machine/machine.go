@@ -1,10 +1,10 @@
 // Package machine models the cluster at machine granularity: a set of
 // named nodes with individual capacities that join, leave, fail, and get
 // capacity-scaled over simulated time. It tracks which machines are live
-// at what capacity and compiles the events into the aggregate capacity
-// profile schedulers plan against (Profile). It places nothing: the
-// simulator (internal/sim) applies each event to its machine's node in the
-// resource manager's node set, rmstate's Nodes, which placement walks.
+// at what capacity. It places nothing: the simulator (internal/sim) applies
+// each event to its machine's node in the resource manager's node set,
+// rmstate's Nodes, which placement walks and the scheduler plans on.
+// Profile compiles events into a capacity declared ahead, aggregate mode's.
 //
 // Event processing is slot-quantized to match the simulator: events carry
 // the slot they take effect at, and the machine set is fixed within a
@@ -234,12 +234,10 @@ func Homogeneous(prefix string, n int, each resource.Vector) []Spec {
 }
 
 // Profile is the aggregate capacity step function that results from
-// replaying events over an initial machine set — the capacity-over-time
-// C[t] of the paper's Eq. 4, which "could vary with time", and the view
-// schedulers plan against. It is the one compiler of joins, leaves,
-// failures and scale changes into capacity: machine mode compiles its
-// machine set, and a fluid cluster with outages is one machine and a pair
-// of SetScale events per dip.
+// replaying events over an initial machine set: the capacity-over-time C[t]
+// of the paper's Eq. 4, which "could vary with time", declared ahead. It is
+// aggregate mode's capacity function (sim.Config.Capacity), a fluid
+// cluster with outages as one machine and a pair of SetScale events a dip.
 type Profile struct {
 	// caps[i] applies to slots in [breakpoints[i], breakpoints[i+1]);
 	// breakpoints ascend from 0.

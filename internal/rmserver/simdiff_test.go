@@ -129,13 +129,12 @@ func scenarioCase(t *testing.T, seed int64) simDiffCase {
 // node holds leases: on the RM it stops heartbeating, in sim.Run its
 // machine fails then. Every node heartbeats, empty, half a slot before each
 // tick, and NodeExpiry lies between that and a dead node's silence, so the
-// RM expires the node at the tick the simulator fails the machine. FlowTime
-// sits the failure out: the simulator's plan foresees it (CapAt is the
-// compiled machine profile), the RM's does not. A simulator that confirmed
-// a grant in its own slot, handed an offer off onto a node that had
-// heartbeaten, or confirmed what a failed machine ran finishes jobs a slot
-// away from the RM. FlowTime must hand offers off, and the killed nodes
-// hold quanta.
+// RM expires the node at the tick the simulator fails the machine. A
+// simulator that confirmed a grant in its own slot, handed an offer off
+// onto a node that had heartbeaten, confirmed what a failed machine ran or
+// let its scheduler plan on a failure ahead of it finishes jobs a slot away
+// from the RM. FlowTime must hand offers off, and the killed nodes hold
+// quanta.
 func TestSimIsTheRMOnOneNode(t *testing.T) {
 	testSimIsTheRM(t, simDiffRow{"OneNode", true, false, []string{"FlowTime", "EDF", "FIFO"}})
 }
@@ -145,7 +144,7 @@ func TestSimIsTheRMOnNodes(t *testing.T) {
 }
 
 func TestSimIsTheRMUnderFailure(t *testing.T) {
-	testSimIsTheRM(t, simDiffRow{"UnderFailure", false, true, []string{"EDF", "FIFO"}})
+	testSimIsTheRM(t, simDiffRow{"UnderFailure", false, true, []string{"FlowTime", "EDF", "FIFO"}})
 }
 
 // testSimIsTheRM runs row's workloads and schedulers, one subtest each.

@@ -32,6 +32,16 @@ func TestMachineModeRejectsExplicitCapacity(t *testing.T) {
 	}
 }
 
+func TestMachineModeRejectsUnsortedEvents(t *testing.T) {
+	cfg := machineModeConfig(machine.Homogeneous("m", 2, resource.New(4, 4096)), []machine.Event{
+		{Slot: 5, Kind: machine.Fail, ID: "m-1"},
+		{Slot: 3, Kind: machine.Fail, ID: "m-0"},
+	}, nil)
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "not slot-sorted") {
+		t.Fatalf("err = %v, want an unsorted-events error", err)
+	}
+}
+
 func TestMachineModeRunsToCompletion(t *testing.T) {
 	adhoc := []workflow.AdHoc{{
 		ID: "a", Tasks: 4, TaskDuration: 20 * time.Second,
@@ -90,6 +100,54 @@ func TestMachineModeEventsChangeCapacity(t *testing.T) {
 	}
 	if m.RequeuedQuanta != 2 {
 		t.Fatalf("RequeuedQuanta = %d, want the 2 tasks m-0 ran when it failed", m.RequeuedQuanta)
+	}
+}
+
+// liveCapacity is FIFO, recording at each slot what CapAt reports for the
+// slot and every one after it up to the horizon.
+type liveCapacity struct {
+	sched.Scheduler
+	seen map[int64][]resource.Vector
+}
+
+func (l *liveCapacity) Assign(ctx sched.AssignContext) (map[string]resource.Vector, error) {
+	for slot := ctx.Now; slot < ctx.Cluster.Horizon; slot++ {
+		l.seen[ctx.Now] = append(l.seen[ctx.Now], ctx.Cluster.CapAt(slot))
+	}
+	return l.Scheduler.Assign(ctx)
+}
+
+// TestMachineModeSchedulerSeesLiveCapacity: machine mode's scheduler plans
+// on the machines live at the slot, for that slot and every one ahead, as
+// the RM's plans on the nodes it knows. m-1 fails at slot 5: before, the
+// scheduler sees both machines' capacity however far ahead it looks, and
+// from slot 5 on only m-0's.
+func TestMachineModeSchedulerSeesLiveCapacity(t *testing.T) {
+	each := resource.New(2, 2048)
+	cfg := machineModeConfig(machine.Homogeneous("m", 2, each),
+		[]machine.Event{{Slot: 5, Kind: machine.Fail, ID: "m-1"}},
+		[]workflow.AdHoc{{ID: "a", Tasks: 8, TaskDuration: 100 * time.Second, TaskDemand: resource.New(1, 512)}})
+	rec := &liveCapacity{Scheduler: cfg.Scheduler, seen: make(map[int64][]resource.Vector)}
+	cfg.Scheduler = rec
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for slot := range int64(6) {
+		if len(rec.seen[slot]) == 0 {
+			t.Fatalf("the scheduler was not asked at slot %d", slot)
+		}
+	}
+	for slot, caps := range rec.seen {
+		want := each.Add(each)
+		if slot >= 5 {
+			want = each
+		}
+		for k, c := range caps {
+			if c != want {
+				t.Errorf("at slot %d, CapAt(%d) = %v, want %v", slot, slot+int64(k), c, want)
+				break
+			}
+		}
 	}
 }
 

@@ -17,9 +17,10 @@
 // the end of the first slot that covers its volume. The nodes, one set
 // (rmstate.Nodes), are the machines or one with the slot's capacity; the tick
 // requeues the leases of the machines that failed at its slot, as ftrm's
-// requeues a silent node's. Idealised (DESIGN.md §7): the scheduler
-// foresees capacity (machine mode's CapAt is compiled from every future
-// machine event), no ad-hoc gate refuses work, slots are whole seconds.
+// requeues a silent node's. The scheduler plans on the nodes' capacity, or
+// on aggregate mode's declared capacity function, which may foresee a dip.
+// Idealised (DESIGN.md §7): no ad-hoc gate refuses work, slots are whole
+// seconds.
 // What the simulator keeps of a job is what no RM knows: the estimate the
 // scheduler sees and the exact submission.
 //
@@ -53,7 +54,9 @@ type Config struct {
 	SlotDur time.Duration
 	// Horizon is the number of slots to simulate; must be > 0.
 	Horizon int64
-	// Capacity returns cluster capacity for a slot. Required.
+	// Capacity is aggregate mode's cluster capacity for each slot, declared
+	// ahead as the paper's cap that "could vary with time" (§V): the
+	// scheduler plans on it. Required without Machines.
 	Capacity func(slot int64) resource.Vector
 	// Scheduler makes the per-slot decisions. Required.
 	Scheduler sched.Scheduler
@@ -74,10 +77,10 @@ type Config struct {
 	Invariants bool
 	// Machines, when non-nil, switches the run to machine mode: the
 	// cluster is modeled machine-granularly, capacity is the sum of live
-	// machines (Capacity must be nil — the machine set defines it), and
-	// the live machines are the nodes every grant is placed on in whole
-	// tasks. A task that fits the aggregate but no single machine is
-	// refused — fragmentation the fluid model cannot see — and counted in
+	// machines (Capacity must be nil), the scheduler's for every slot ahead
+	// as the RM's, and the live machines are the nodes every grant is placed
+	// on in whole tasks. A task that fits the aggregate but no single machine
+	// is refused — fragmentation the fluid model cannot see — and counted in
 	// Result.Machine.
 	Machines *MachineMode
 }
@@ -219,11 +222,14 @@ type job struct {
 }
 
 // admission is one workflow's or ad-hoc job's admission record, applied at
-// slot, the first at or after its submission, and the jobs it admits.
+// slot, the first at or after its submission, and the jobs it admits; a
+// workflow's record is decided in the run.
 type admission struct {
 	slot int64
 	rec  *rmstate.Record
 	jobs []*job // a workflow's by node index
+	wf   *workflow.Workflow
+	wrec trace.WorkflowRecord
 }
 
 // Run executes the simulation.
@@ -240,25 +246,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var cluster *machine.Cluster
 	var mres *MachineResult
-	var events []machine.Event
 	if cfg.Machines != nil {
 		if cfg.Capacity != nil {
 			return nil, errors.New("sim: machine mode supplies its own capacity; Capacity must be nil")
 		}
-		// Compile the aggregate capacity profile the schedulers plan
-		// against: the sum of live machines after each event.
-		profile, err := machine.NewProfile(cfg.Machines.Initial, cfg.Machines.Events)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+		if !slices.IsSortedFunc(cfg.Machines.Events, func(a, b machine.Event) int { return cmp.Compare(a.Slot, b.Slot) }) {
+			return nil, errors.New("sim: machine events not slot-sorted")
 		}
-		cfg.Capacity = profile.CapAt
+		var err error
 		if cluster, err = machine.NewCluster(cfg.Machines.Initial); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		events = cfg.Machines.Events
 		mres = &MachineResult{PeakLive: cluster.Live(), MinLive: cluster.Live()}
-	}
-	if cfg.Capacity == nil {
+	} else if cfg.Capacity == nil {
 		return nil, errors.New("sim: nil capacity function")
 	}
 	if cfg.Scheduler == nil {
@@ -269,15 +269,18 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	due := slices.Clone(admits)
+	due, undecided := slices.Clone(admits), slices.Clone(admits[:len(cfg.Workflows)])
 	slices.SortStableFunc(due, func(a, b *admission) int { return cmp.Compare(a.slot, b.slot) })
+	slices.SortFunc(undecided, func(a, b *admission) int { return cmp.Compare(a.wf.Submit, b.wf.Submit) })
 	state := rmstate.New(cfg.SlotDur, rmstate.DefaultLeaseExpiry)
 	live := make(map[string]*job)
 	failed := make(map[string]bool) // the machines that failed this slot
 	// The node set, changed in place: every machine the run has named, at
 	// its capacity while live and at none otherwise, or without machines
-	// one node carrying the slot's capacity.
-	nodes := rmstate.NewNodes([]*rmstate.Node{{ID: "cluster", Capacity: cfg.Capacity(0)}})
+	// one node carrying the slot's declared capacity, which the scheduler
+	// sees ahead; in machine mode it sees the nodes' capacity, as the RM's.
+	nodes := rmstate.NewNodes([]*rmstate.Node{{ID: "cluster"}})
+	view := sched.ClusterView{SlotDur: cfg.SlotDur, Horizon: cfg.Horizon, CapAt: cfg.Capacity}
 	if cluster != nil {
 		all, list := make([]rmstate.Node, len(cfg.Machines.Initial)), make([]*rmstate.Node, len(cfg.Machines.Initial))
 		for i, m := range cfg.Machines.Initial {
@@ -286,17 +289,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		slices.SortFunc(list, func(a, b *rmstate.Node) int { return cmp.Compare(a.ID, b.ID) })
 		nodes = rmstate.NewNodes(list)
-	}
-
-	view := sched.ClusterView{
-		SlotDur: cfg.SlotDur,
-		Horizon: cfg.Horizon,
-		CapAt:   cfg.Capacity,
+		view.CapAt = func(int64) resource.Vector { return nodes.Capacity() }
 	}
 
 	res := &Result{HorizonEnd: time.Duration(cfg.Horizon) * cfg.SlotDur}
 	changed := true
-	prevCap := cfg.Capacity(0)
+	var prevCap resource.Vector
 	var checker *InvariantChecker
 	if cfg.Invariants {
 		checker = NewInvariantChecker()
@@ -312,7 +310,7 @@ func Run(cfg Config) (*Result, error) {
 		nodes.NewSlot()
 		if cluster != nil {
 			clear(failed)
-			for evIdx < len(events) && events[evIdx].Slot <= slot {
+			for events := cfg.Machines.Events; evIdx < len(events) && events[evIdx].Slot <= slot; evIdx++ {
 				e := events[evIdx]
 				if err := cluster.Apply(e); err != nil {
 					return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
@@ -332,7 +330,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 				mres.MachineEvents++
 				res.Events++
-				evIdx++
 			}
 			if l := cluster.Live(); l > mres.PeakLive {
 				mres.PeakLive = l
@@ -341,15 +338,23 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		// Capacity-profile steps (node loss/recovery, maintenance dips)
-		// are scheduling events.
-		if c := cfg.Capacity(slot); c != prevCap {
-			prevCap = c
+		// Capacity steps (node loss/recovery, maintenance dips) are
+		// scheduling events.
+		if cluster == nil {
+			nodes.Put("cluster", cfg.Capacity(slot))
+		}
+		if c := nodes.Capacity(); c != prevCap && slot > 0 {
 			changed = true
 			res.Events++
-			if cluster == nil {
-				nodes.Put("cluster", c)
-			}
+		}
+		prevCap = nodes.Capacity()
+
+		// The workflows submitted in this slot, and at the last one those
+		// past the horizon, are decided against its capacity, as the RM
+		// decides one against the nodes it knows.
+		for len(undecided) > 0 && (int64(undecided[0].wf.Submit/cfg.SlotDur) <= slot || slot == cfg.Horizon-1) {
+			undecided[0].decide(cfg, nodes.Capacity())
+			undecided = undecided[1:]
 		}
 
 		// Arrivals.
@@ -456,13 +461,13 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 
-		if demandNow && dlUsed.IsZero() && ahUsed.IsZero() && !cfg.Capacity(slot).IsZero() {
+		if demandNow && dlUsed.IsZero() && ahUsed.IsZero() && !nodes.Capacity().IsZero() {
 			res.StalledSlots++
 		}
 
 		if cfg.RecordLoad {
 			res.Load = append(res.Load, LoadSample{
-				Slot: slot, Deadline: dlUsed, AdHoc: ahUsed, Capacity: cfg.Capacity(slot),
+				Slot: slot, Deadline: dlUsed, AdHoc: ahUsed, Capacity: nodes.Capacity(),
 			})
 		}
 
@@ -480,15 +485,10 @@ func Run(cfg Config) (*Result, error) {
 					Done:      j.Done,
 				})
 			}
-			if err := checker.CheckSlot(slot, cfg.Capacity(slot), obs); err != nil {
+			if err := checker.CheckSlot(slot, nodes.Capacity(), obs); err != nil {
 				return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 			}
 			if cluster != nil {
-				// The compiled aggregate profile and the live replay must
-				// agree — they are two views of the same event stream.
-				if pc, lc := cfg.Capacity(slot), cluster.Capacity(); pc != lc {
-					return nil, fmt.Errorf("sim: slot %d: capacity profile %v disagrees with live cluster %v", slot, pc, lc)
-				}
 				if err := checker.CheckMachines(slot, dlUsed.Add(ahUsed), nodes.List()); err != nil {
 					return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 				}
@@ -546,14 +546,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// admissions decides every workflow's and ad-hoc job's admission record
-// before the run: workflows, then ad-hoc jobs, in the order given. A
-// workflow's record is rmstate.DecideWorkflow's at its exact submission
-// and arrival slot, against the capacity at its submission, so one
-// impossible deadline is admitted best-effort instead of aborting the
-// run. A record's task durations are the true ones rounded up to whole
-// seconds, which on a whole-second slot makes the state's volume the true
-// volume; the estimate stays with the simulator.
+// admissions lists every workflow's and ad-hoc job's admission: workflows,
+// then ad-hoc jobs, in the order given, each ad-hoc job's record decided. A
+// record's task durations are the true ones rounded up to whole seconds,
+// which on a whole-second slot makes the state's volume the true volume;
+// the estimate stays with the simulator.
 func admissions(cfg Config) ([]*admission, error) {
 	tr, err := trace.FromWorkload(cfg.Workflows, cfg.AdHoc)
 	if err != nil {
@@ -571,18 +568,14 @@ func admissions(cfg Config) ([]*admission, error) {
 		// Past the truncated submission, whatever fraction of a second
 		// the two lie apart.
 		wrec.DeadlineSec = ceilSeconds(wf.Deadline)
-		a := &admission{slot: arrival(wf.Submit)}
+		a := &admission{slot: arrival(wf.Submit), wf: wf}
 		for i := range wrec.Jobs {
 			j := wf.Job(i)
 			wrec.Jobs[i].TaskDurSec, wrec.Jobs[i].ActualTaskDurSec = ceilSeconds(j.EffectiveTaskDuration()), 0
 			est := j.Volume(cfg.SlotDur)
 			a.jobs = append(a.jobs, &job{submit: wf.Submit, est: est, origEst: est})
 		}
-		a.rec = &rmstate.Record{Workflow: rmstate.DecideWorkflow(wrec, wf, a.slot, deadline.Options{
-			Slot:              cfg.SlotDur,
-			ClusterCap:        cfg.Capacity(int64(wf.Submit / cfg.SlotDur)),
-			ForceCriticalPath: cfg.ForceCriticalPath,
-		})}
+		a.wrec = wrec
 		out = append(out, a)
 	}
 	for ai, ah := range cfg.AdHoc {
@@ -600,6 +593,14 @@ func admissions(cfg Config) ([]*admission, error) {
 		})
 	}
 	return out, nil
+}
+
+// decide sets a workflow's record: rmstate.DecideWorkflow's at its exact
+// submission and arrival slot, against capacity, so one impossible deadline
+// is admitted best-effort instead of aborting the run.
+func (a *admission) decide(cfg Config, capacity resource.Vector) {
+	opts := deadline.Options{Slot: cfg.SlotDur, ClusterCap: capacity, ForceCriticalPath: cfg.ForceCriticalPath}
+	a.rec = &rmstate.Record{Workflow: rmstate.DecideWorkflow(a.wrec, a.wf, a.slot, opts)}
 }
 
 // ceilSeconds is d in whole seconds, rounded up.
