@@ -100,9 +100,9 @@ cover:
 # 12 seeded small workloads, and on one node the figures' 40
 # oracle.GenScenario seeds too, complete every job in the same slot in
 # sim.Run and in the RM, ticked and heartbeaten node by node, slot by
-# slot: on one node and on 3-4 nodes under FlowTime, EDF and FIFO, and on
-# 3-4 nodes under EDF and FIFO with one killed holding leases, where the
-# simulator's machine fails and the RM expires the node at the same tick.
+# slot under FlowTime, EDF and FIFO: on one node, on 3-4 nodes, and on
+# 3-4 nodes with one killed holding leases, where the simulator's machine
+# fails and the RM expires the node at the same tick.
 # Reproduce a failure with:
 # go run ./cmd/ftverify -n 1 -seed <s> -v
 verify:
