@@ -446,12 +446,11 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 	var pastPlan, capBelowDemand, overCapacity int
 	for trial := 0; trial < 300; trial++ {
 		from, nSlots := rng.Int63n(20), 1+rng.Int63n(12)
-		f := New(Config{})
-		f.planCap = make([]resource.Vector, nSlots)
+		planCap := make([]resource.Vector, nSlots)
 		var capacity resource.Vector
-		for t := range f.planCap {
-			f.planCap[t] = resource.New(rng.Int63n(17), rng.Int63n(17)*512)
-			capacity = capacity.Add(f.planCap[t])
+		for t := range planCap {
+			planCap[t] = resource.New(rng.Int63n(17), rng.Int63n(17)*512)
+			capacity = capacity.Add(planCap[t])
 		}
 		jobs := make([]*planJob, 1+rng.Intn(8))
 		var demand resource.Vector
@@ -480,8 +479,12 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 		}
 		order := slices.Clone(jobs)
 		slices.SortStableFunc(order, func(a, b *planJob) int { return cmp.Compare(a.dlSlot, b.dlSlot) })
-		next := f.rebuildGreedy(jobs, order, from, nSlots)
-		if err := checkPlan(next, jobs, f.planCap); err != nil {
+		ctx := sched.AssignContext{Now: from, Cluster: sched.ClusterView{
+			SlotDur: slotDur, Horizon: from + nSlots,
+			CapAt: func(slot int64) resource.Vector { return planCap[slot-from] },
+		}}
+		next := rebuildGreedy(New(Config{}).stageA(ctx, jobs, order, nSlots), jobs, from, nSlots)
+		if err := checkPlan(next, jobs, planCap); err != nil {
 			t.Fatalf("trial %d: the greedy rebuild fails checkPlan: %v", trial, err)
 		}
 	}

@@ -583,7 +583,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	level, reason := sched.DegradeNone, ""
 	yieldedBefore := f.stats.AdHocYielded
 	for _, p := range probs {
-		lvl, why := f.replanKind(p, order, next)
+		lvl, why := f.replanKind(p, next)
 		if lvl > level {
 			level = lvl
 		}
@@ -601,7 +601,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	if err := checkPlan(next, jobs, f.planCap); err != nil {
 		f.degrade.InvalidPlans++
 		level, reason = sched.DegradeGreedy, "plan validation: "+err.Error()
-		next = f.rebuildGreedy(jobs, order, ctx.Now, nSlots)
+		next = rebuildGreedy(probs, jobs, ctx.Now, nSlots)
 		if err := checkPlan(next, jobs, f.planCap); err != nil {
 			// Unreachable by construction; planning nothing is still safe —
 			// every job is then served by the overdue/backlog stages.
@@ -772,6 +772,11 @@ type kindProblem struct {
 	short []int64
 	err   error
 	cut   []int // stage A's SlotCut
+	// rows and left are the fill's, indexed like pjs: each deadline job's
+	// allocation row in the plan being filled and the demand it has still
+	// to place there (bind).
+	rows [][]resource.Vector
+	left []int64
 }
 
 // reserved returns R'_t per slot offset — the reservations as stage A
@@ -937,12 +942,8 @@ func timed(call func()) time.Duration {
 // Planner failures never propagate: the kind is planned at the greedy
 // rung instead, and the rung used plus the trip reason (if any) are
 // returned.
-func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan) (sched.DegradeLevel, string) {
-	kind, nSlots := p.kind, next.NSlots
-	demand := make(map[*planJob]int64, len(p.pjs))
-	for i, pj := range p.pjs {
-		demand[pj] = p.jobs[i].Demand
-	}
+func (f *FlowTime) replanKind(p *kindProblem, next *plan.Plan) (sched.DegradeLevel, string) {
+	kind := p.kind
 
 	// Stage B: the lexicographic min-max skyline of the demand stage A
 	// could route — the deadline demand that fits plus the reservations
@@ -982,102 +983,94 @@ func (f *FlowTime) replanKind(p *kindProblem, order []*planJob, next *plan.Plan)
 		// Bottom rung: deterministic EDF water-fill under hard caps. No
 		// failure mode; whatever cannot fit in-window is deferred and
 		// served by the overdue path, exactly like a shortfall.
-		greedyPlanKind(kind, order, demand, next, f.planCap)
+		p.greedy(next)
 		return sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", kind, stage, err)
 	}
-
-	// Integral repair: budgets by cumulative rounding of the skyline's
-	// deadline share under what the surviving reservations leave, EDF
-	// water-fill within budgets, then a sweep up to the hard cap.
-	remaining := demand
-	for i, pj := range p.pjs {
-		remaining[pj] -= p.short[i]
-	}
-	// placed[t] is what the budgets granted at slot offset t, which the
-	// sweep fills beside.
-	f.stats.Last.Repair += timed(func() {
-		placed := make([]int64, nSlots)
-		cum := 0.0
-		budgetUsed := int64(0)
-		for t := int64(0); t < nSlots; t++ {
-			cum += sky.Load[t] - float64(kept[t])
-			budget := int64(cum+0.5) - budgetUsed
-			if c := p.caps[t] - kept[t]; budget > c {
-				budget = c
-			}
-			placed[t] = fillSlot(order, remaining, next, kind, t, budget)
-			budgetUsed += placed[t]
-		}
-		for t := int64(0); t < nSlots; t++ {
-			fillSlot(order, remaining, next, kind, t, p.caps[t]-placed[t])
-		}
-	})
+	f.stats.Last.Repair += timed(func() { p.repair(next, sky.Load, kept) })
 	// Any demand still left could not fit in windows at all; it is served
 	// by the overdue path at run time.
 	return sched.DegradeNone, ""
 }
 
-// greedyPlanKind is the ladder's bottom rung for one kind: EDF water-fill
-// of the full demand under the hard caps, caps[t] at slot offset t. It
-// runs before anything of the kind is placed in next, and it uses up
-// remaining, each job's demand, as it places it.
-func greedyPlanKind(kind resource.Kind, order []*planJob, remaining map[*planJob]int64, next *plan.Plan, caps []resource.Vector) {
-	for t := int64(0); t < next.NSlots; t++ {
-		fillSlot(order, remaining, next, kind, t, caps[t].Get(kind))
+// repair is the integral repair of the skyline load: budgets by
+// cumulative rounding of its deadline share under what the surviving
+// reservations keep, EDF water-fill of the demand stage A routed within
+// the budgets, then a sweep up to the hard cap.
+func (p *kindProblem) repair(next *plan.Plan, load []float64, kept []int64) {
+	p.bind(next)
+	for i := range p.left {
+		p.left[i] -= p.short[i]
+	}
+	// placed[t] is what the budgets granted at slot offset t, which the
+	// sweep fills beside.
+	placed := make([]int64, len(p.caps))
+	cum := 0.0
+	budgetUsed := int64(0)
+	for t := range p.caps {
+		cum += load[t] - float64(kept[t])
+		budget := min(int64(cum+0.5)-budgetUsed, p.caps[t]-kept[t])
+		placed[t] = p.fill(int64(t), budget)
+		budgetUsed += placed[t]
+	}
+	for t := range p.caps {
+		p.fill(int64(t), p.caps[t]-placed[t])
+	}
+}
+
+// greedy is the ladder's bottom rung for the kind: EDF water-fill of the
+// whole demand into next under the hard caps.
+func (p *kindProblem) greedy(next *plan.Plan) {
+	p.bind(next)
+	for t, c := range p.caps {
+		p.fill(int64(t), c)
 	}
 }
 
 // rebuildGreedy discards all placed allocation and rebuilds the whole
 // plan at the greedy rung (used when post-validation rejects a plan).
-func (f *FlowTime) rebuildGreedy(jobs, order []*planJob, from, nSlots int64) *plan.Plan {
+func rebuildGreedy(probs []*kindProblem, jobs []*planJob, from, nSlots int64) *plan.Plan {
 	next := newPlan(jobs, from, nSlots)
-	for _, kind := range resource.Kinds() {
-		demand := make(map[*planJob]int64, len(jobs))
-		for _, pj := range jobs {
-			if d := pj.state.EstRemaining.Get(kind); d > 0 {
-				demand[pj] = d
-			}
-		}
-		if len(demand) == 0 {
-			continue
-		}
-		greedyPlanKind(kind, order, demand, next, f.planCap)
+	for _, p := range probs {
+		p.greedy(next)
 	}
 	return next
 }
 
-// fillSlot grants up to budget units of kind at slot offset t of next
-// to jobs in EDF order whose windows cover the slot, updating remaining
-// and next's allocation rows, each indexed from its job's release. Returns
-// units granted.
-// order is sorted by deadline, so the windows closed by the slot are a
-// prefix of it, which the sweep starts past.
-func fillSlot(order []*planJob, remaining map[*planJob]int64, next *plan.Plan, kind resource.Kind, t, budget int64) int64 {
+// bind points the fill at next: rows[i] becomes the deadline job jobs[i]'s
+// allocation row there, and left[i] all of its demand.
+func (p *kindProblem) bind(next *plan.Plan) {
+	p.rows = make([][]resource.Vector, len(p.pjs))
+	p.left = make([]int64, len(p.pjs))
+	for i, pj := range p.pjs {
+		p.rows[i], p.left[i] = next.Jobs[pj.state.ID].Alloc, p.jobs[i].Demand
+	}
+}
+
+// fill grants up to budget units of the kind at slot offset t to the
+// deadline jobs whose windows cover the slot, earliest deadline first,
+// each up to its parallel cap and its demand left, and returns the units
+// granted. The windows the slot has closed are a prefix of the EDF order,
+// which the walk starts past.
+func (p *kindProblem) fill(t, budget int64) int64 {
 	if budget <= 0 {
 		return 0
 	}
+	edf := p.order[:len(p.pjs)]
 	granted := int64(0)
-	abs := next.From + t
-	open := sort.Search(len(order), func(i int) bool { return order[i].dlSlot > abs })
-	for _, pj := range order[open:] {
-		rem := remaining[pj]
-		if rem <= 0 || abs < pj.relSlot || abs >= pj.dlSlot {
+	open := sort.Search(len(edf), func(k int) bool { return p.jobs[edf[k]].Dl > t })
+	for _, i := range edf[open:] {
+		j := &p.jobs[i]
+		if p.left[i] <= 0 || t < j.Rel {
 			continue
 		}
-		slots, i := next.Jobs[pj.state.ID].Alloc, abs-pj.relSlot
-		have := slots[i].Get(kind)
-		g := pj.state.ParallelCap.Get(kind) - have
-		if g > rem {
-			g = rem
-		}
-		if g > budget-granted {
-			g = budget - granted
-		}
+		cell := &p.rows[i][t-j.Rel]
+		have := cell.Get(p.kind)
+		g := min(j.Cap-have, p.left[i], budget-granted)
 		if g <= 0 {
 			continue
 		}
-		slots[i] = slots[i].With(kind, have+g)
-		remaining[pj] = rem - g
+		*cell = cell.With(p.kind, have+g)
+		p.left[i] -= g
 		granted += g
 		if granted >= budget {
 			break

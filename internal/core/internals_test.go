@@ -37,10 +37,17 @@ func mkPlanJob(id string, rel, dl, tasks int64) *planJob {
 func TestFillSlotBudgetAndCaps(t *testing.T) {
 	a := mkPlanJob("a", 0, 3, 4) // cap 4/slot
 	b := mkPlanJob("b", 0, 3, 4)
-	next := newPlan([]*planJob{a, b}, 0, 3)
-	remaining := map[*planJob]int64{a: 6, b: 6}
+	a.state.EstRemaining, b.state.EstRemaining = resource.New(6, 0), resource.New(6, 0)
+	jobs := []*planJob{a, b}
+	probs := New(Config{}).stageA(sched.AssignContext{Now: 0, Cluster: view(resource.New(10, 1000), 100)}, jobs, jobs, 3)
+	if len(probs) != 1 || probs[0].kind != resource.VCores {
+		t.Fatalf("stageA = %+v, want one vcores problem", probs)
+	}
+	p := probs[0]
+	next := newPlan(jobs, 0, 3)
+	p.bind(next)
 
-	granted := fillSlot([]*planJob{a, b}, remaining, next, resource.VCores, 0, 7)
+	granted := p.fill(0, 7)
 	if granted != 7 {
 		t.Errorf("granted = %d, want 7 (budget-bound)", granted)
 	}
@@ -50,18 +57,18 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	if got := next.Jobs["b"].Alloc[0].Get(resource.VCores); got != 3 {
 		t.Errorf("job b slot 0 = %d, want 3 (budget leftover)", got)
 	}
-	if remaining[a] != 2 || remaining[b] != 3 {
-		t.Errorf("remaining = %d, %d; want 2, 3", remaining[a], remaining[b])
+	if p.left[0] != 2 || p.left[1] != 3 {
+		t.Errorf("left = %d, %d; want 2, 3", p.left[0], p.left[1])
 	}
 	if got := planLoad(next)[0].Get(resource.VCores); got != 7 {
 		t.Errorf("slot 0 load = %d, want 7", got)
 	}
 
 	// Zero or negative budgets are no-ops.
-	if g := fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, 0); g != 0 {
+	if g := p.fill(1, 0); g != 0 {
 		t.Errorf("zero budget granted %d", g)
 	}
-	if g := fillSlot([]*planJob{a}, remaining, next, resource.VCores, 1, -5); g != 0 {
+	if g := p.fill(1, -5); g != 0 {
 		t.Errorf("negative budget granted %d", g)
 	}
 }

@@ -303,6 +303,9 @@ func Run(cfg Config) (*Result, error) {
 	var refused, requeued int64         // whole tasks no node held; quanta failed machines held
 	var held, handed []rmstate.RecGrant // what the nodes launched the slot before, by node ID; the slot's hand-offs
 	var qids []rmproto.QuantumNum       // held's quantum numbers
+	// confirm is every heartbeat's confirm, refilled for each: Apply keeps
+	// nothing of it.
+	confirm := &rmstate.RecConfirm{}
 
 	for slot := int64(0); slot < cfg.Horizon; slot++ {
 		// Machine events are the ground truth behind capacity steps: apply
@@ -429,7 +432,8 @@ func Run(cfg Config) (*Result, error) {
 				k++
 			}
 			jobs := len(state.Jobs())
-			if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: tick.Slot, QIDs: qids[from:k]}}); err != nil {
+			confirm.Slot, confirm.QIDs = tick.Slot, qids[from:k]
+			if err := state.Apply(&rmstate.Record{Confirm: confirm}); err != nil {
 				return nil, fmt.Errorf("sim: slot %d: %w", slot, err)
 			}
 			if len(state.Jobs()) == jobs || len(offers) == 0 {
@@ -525,7 +529,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// The nodes confirm what they still hold at the next slot's heartbeat,
 	// and what the horizon cut off is admitted, so every job has an outcome.
-	if err := state.Apply(&rmstate.Record{Confirm: &rmstate.RecConfirm{Slot: state.Slot() + 1, QIDs: qids}}); err != nil {
+	confirm.Slot, confirm.QIDs = state.Slot()+1, qids
+	if err := state.Apply(&rmstate.Record{Confirm: confirm}); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	for _, a := range due {
