@@ -187,7 +187,12 @@ bench:
 # times, so they hold on any machine); stage A routed through that
 # reference trips the first, plan rows spanning the whole plan instead of
 # their job's window the second, and grants placed as volume split kind by
-# kind instead of whole tasks the third.
+# kind instead of whole tasks the third. BenchmarkPathAtScale drives a
+# FlowTime RM over a durable store through 200 workflows and ad-hoc
+# bursts to completion and fails when a heartbeat round costs more than
+# one fsync on average (a count; a round costs none, its records riding
+# the next commit) or the tick ring's phases sum to less than 0.90 or more
+# than 1.10 of the ticks' wall time.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -54,7 +54,10 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 // RM around it, internal/rmserver and internal/store, to deciding from
 // their inputs alone: no non-test file of them calls time.Now or
 // time.Since, or a package-level math/rand function other than the
-// constructors of a seeded generator, outside the seams below. The ad-hoc
+// constructors of a seeded generator, outside the seams below. Nor does a
+// non-test file of a planner package start a goroutine outside its
+// fan-out seam (goSeams), where each goroutine writes only its own part
+// and the caller merges the parts in a fixed order. The ad-hoc
 // gate admits against the plan the scheduler publishes, and a restarted or
 // promoted RM plans again from the journaled work, so the same inputs must
 // make the same plan and the same records; a seeded simulation must replay
@@ -62,6 +65,7 @@ func TestRMStateReadsNoClockOrIO(t *testing.T) {
 func TestPlannerReadsNoWallClock(t *testing.T) {
 	seeded := map[string]bool{"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true}
 	for _, dir := range append(slices.Clip(plannerDirs), "internal/rmserver", "internal/store") {
+		planner := slices.Contains(plannerDirs, dir)
 		fset, files := parsePackage(t, dir, false)
 		for _, f := range files {
 			timePkg := importName(f, "time")
@@ -69,7 +73,11 @@ func TestPlannerReadsNoWallClock(t *testing.T) {
 			for _, decl := range f.Decls {
 				clockSeam := slices.Contains(clockSeams[dir], funcName(decl))
 				randSeam := slices.Contains(randSeams[dir], funcName(decl))
+				goSeam := slices.Contains(goSeams[dir], funcName(decl))
 				ast.Inspect(decl, func(n ast.Node) bool {
+					if _, ok := n.(*ast.GoStmt); ok && planner && !goSeam {
+						t.Errorf("%s starts a goroutine outside the fan-out seam %v", fset.Position(n.Pos()), goSeams[dir])
+					}
 					e, ok := n.(ast.Expr)
 					if !ok {
 						return true
@@ -105,6 +113,16 @@ var clockSeams = map[string][]string{
 	"internal/core":     {"timed"},
 	"internal/rmserver": {"(*Server).Handler", "(*Server).recoverLocked", "(*stopwatch).lap"},
 	"internal/store":    {"Open", "(*wal).waitSynced"},
+}
+
+// goSeams are the functions (or the variables holding one), by package,
+// that TestPlannerReadsNoWallClock lets start goroutines in a planner
+// package:
+//   - eachKind runs a replan's stages one goroutine per resource kind; each
+//     writes only its kind's problem, which replan folds and merges in kind
+//     order.
+var goSeams = map[string][]string{
+	"internal/core": {"eachKind"},
 }
 
 // randSeams are the functions, by package, that TestPlannerReadsNoWallClock
@@ -339,10 +357,16 @@ func importName(f *ast.File, path string) string {
 }
 
 // funcName names the function decl declares: "Name", "Recv.Name" or
-// "(*Recv).Name"; "" for any other declaration.
+// "(*Recv).Name"; for a declaration of one variable, its name; "" for any
+// other declaration.
 func funcName(decl ast.Decl) string {
 	fn, ok := decl.(*ast.FuncDecl)
 	if !ok {
+		if g, ok := decl.(*ast.GenDecl); ok && len(g.Specs) == 1 {
+			if v, ok := g.Specs[0].(*ast.ValueSpec); ok && len(v.Names) == 1 {
+				return v.Names[0].Name
+			}
+		}
 		return ""
 	}
 	if fn.Recv == nil || len(fn.Recv.List) != 1 {

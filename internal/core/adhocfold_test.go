@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"flowtime/internal/resource"
@@ -169,11 +168,9 @@ func TestStageAIgnoresReservations(t *testing.T) {
 			pj.state.EstRemaining = resource.New(1+rng.Int63n(3*(dl-rel)), 0)
 			jobs = append(jobs, pj)
 		}
-		order := append([]*planJob(nil), jobs...)
-		sort.SliceStable(order, func(a, b int) bool { return order[a].dlSlot < order[b].dlSlot })
 		ctx := sched.AssignContext{Now: 0, Cluster: cl}
 
-		bare := New(Config{}).stageA(ctx, jobs, order, nSlots)[0]
+		bare := New(Config{}).stageA(ctx, jobs, nSlots)[0]
 
 		f := New(Config{})
 		rsv := make([]resource.Vector, nSlots)
@@ -181,7 +178,7 @@ func TestStageAIgnoresReservations(t *testing.T) {
 			rsv[i] = resource.New(rng.Int63n(capacity.Get(resource.VCores)+3), 0) // may exceed capacity: clamped
 		}
 		f.FoldAdHocDrain(0, rsv)
-		p := f.stageA(ctx, jobs, order, nSlots)[0]
+		p := f.stageA(ctx, jobs, nSlots)[0]
 		if p.err != nil || bare.err != nil {
 			t.Fatalf("seed %d: stage A errors %v / %v", seed, p.err, bare.err)
 		}

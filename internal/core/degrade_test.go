@@ -1,12 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,13 +106,13 @@ func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
 	cfg := Config{Slack: 0, MaxLexRounds: 3}
 	// run plans twoJobMix with the planner failing for memory on the call
-	// numbered failOn (0: never; 1 is stage A, 2 stage B).
-	run := func(failOn int) *FlowTime {
+	// numbered failOn (0: never; 1 is stage A, 2 stage B). The kinds call
+	// the seam from goroutines of their own, so the count is atomic.
+	run := func(failOn int32) *FlowTime {
 		f := New(cfg)
-		calls := map[resource.Kind]int{}
+		var memCalls atomic.Int32
 		f.planFault = func(k resource.Kind) error {
-			calls[k]++
-			if k == resource.MemoryMB && calls[k] == failOn {
+			if k == resource.MemoryMB && memCalls.Add(1) == failOn {
 				return errors.New("injected fault")
 			}
 			return nil
@@ -477,13 +477,11 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 		if !demand.FitsIn(capacity) {
 			overCapacity++
 		}
-		order := slices.Clone(jobs)
-		slices.SortStableFunc(order, func(a, b *planJob) int { return cmp.Compare(a.dlSlot, b.dlSlot) })
 		ctx := sched.AssignContext{Now: from, Cluster: sched.ClusterView{
 			SlotDur: slotDur, Horizon: from + nSlots,
 			CapAt: func(slot int64) resource.Vector { return planCap[slot-from] },
 		}}
-		next := rebuildGreedy(New(Config{}).stageA(ctx, jobs, order, nSlots), jobs, from, nSlots)
+		next := rebuildGreedy(New(Config{}).stageA(ctx, jobs, nSlots), jobs, from, nSlots)
 		if err := checkPlan(next, jobs, planCap); err != nil {
 			t.Fatalf("trial %d: the greedy rebuild fails checkPlan: %v", trial, err)
 		}

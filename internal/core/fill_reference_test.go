@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"flowtime/internal/plan"
@@ -93,6 +96,16 @@ func refRepair(kind resource.Kind, order []*planJob, remaining map[*planJob]int6
 	}
 }
 
+// edfOrder is every job of jobs, earliest deadline first, ID as
+// tie-break: the replan-wide order the reference walks.
+func edfOrder(jobs []*planJob) []*planJob {
+	order := slices.Clone(jobs)
+	slices.SortStableFunc(order, func(a, b *planJob) int {
+		return cmp.Or(cmp.Compare(a.dlSlot, b.dlSlot), strings.Compare(a.state.ID, b.state.ID))
+	})
+	return order
+}
+
 // fillProblem is one seeded replan as replan sees it after stage A: its
 // deadline jobs with their cut windows, EDF order, plan length and
 // per-kind problems, and what ties the instance to each shape the
@@ -141,12 +154,12 @@ func genFillProblem(rng *rand.Rand) fillProblem {
 		CapAt: func(slot int64) resource.Vector { return capAt[slot-now] },
 	}}
 	slack := rng.Int63n(3)
-	fp.jobs, fp.order, fp.nSlots = f.computeWindows(ctx, slack)
+	fp.jobs, fp.nSlots = f.computeWindows(ctx, slack)
 	if len(fp.jobs) == 0 {
 		return fp
 	}
-	fp.from = now
-	fp.probs = f.stageA(ctx, fp.jobs, fp.order, fp.nSlots)
+	fp.from, fp.order = now, edfOrder(fp.jobs)
+	fp.probs = f.stageA(ctx, fp.jobs, fp.nSlots)
 	fp.planCap = capAt[:fp.nSlots]
 	for _, pj := range fp.jobs {
 		if int64(pj.state.Deadline/slotDur)-slack > now+fp.nSlots {
@@ -168,11 +181,11 @@ func genFillProblem(rng *rand.Rand) fillProblem {
 	return fp
 }
 
-// sameFill fails unless the per-kind fill's plan and demand left match
-// the reference's.
-func sameFill(t *testing.T, what string, p *kindProblem, got, want *plan.Plan, remaining map[*planJob]int64) {
+// sameFill fails unless the plan the kind's rows merge into and its
+// demand left match the reference's.
+func sameFill(t *testing.T, what string, fp fillProblem, p *kindProblem, want *plan.Plan, remaining map[*planJob]int64) {
 	t.Helper()
-	if err := plan.Equal(got, want); err != nil {
+	if err := plan.Equal(merge([]*kindProblem{p}, fp.jobs, fp.from, fp.nSlots), want); err != nil {
 		t.Fatalf("%s: %v rows differ from the reference: %v", what, p.kind, err)
 	}
 	for i, pj := range p.pjs {
@@ -213,7 +226,7 @@ func TestFillMatchesReference(t *testing.T) {
 		}
 
 		// The rebuild after post-validation: every kind's greedy rung.
-		want := newPlan(fp.jobs, fp.from, fp.nSlots)
+		want := merge(nil, fp.jobs, fp.from, fp.nSlots)
 		for _, p := range fp.probs {
 			refGreedyPlanKind(p.kind, fp.order, refDemand(fp.jobs, p.kind), want, fp.planCap)
 		}
@@ -223,11 +236,11 @@ func TestFillMatchesReference(t *testing.T) {
 
 		for _, p := range fp.probs {
 			what := fmt.Sprintf("problem %d greedy", problems)
-			want, got := newPlan(fp.jobs, fp.from, fp.nSlots), newPlan(fp.jobs, fp.from, fp.nSlots)
+			want := merge(nil, fp.jobs, fp.from, fp.nSlots)
 			remaining := refDemand(fp.jobs, p.kind)
 			refGreedyPlanKind(p.kind, fp.order, remaining, want, fp.planCap)
-			p.greedy(got)
-			sameFill(t, what, p, got, want, remaining)
+			p.greedy()
+			sameFill(t, what, fp, p, want, remaining)
 
 			// The repair's two sweeps over the demand stage A routed.
 			what = fmt.Sprintf("problem %d repair", problems)
@@ -236,14 +249,14 @@ func TestFillMatchesReference(t *testing.T) {
 				load[k] = rng.Float64() * float64(p.caps[k]+4)
 			}
 			kept, _ := p.reserved()
-			want, got = newPlan(fp.jobs, fp.from, fp.nSlots), newPlan(fp.jobs, fp.from, fp.nSlots)
+			want = merge(nil, fp.jobs, fp.from, fp.nSlots)
 			remaining = refDemand(fp.jobs, p.kind)
 			for i, pj := range p.pjs {
 				remaining[pj] -= p.short[i]
 			}
 			refRepair(p.kind, fp.order, remaining, want, p.caps, load, kept)
-			p.repair(got, load, kept)
-			sameFill(t, what, p, got, want, remaining)
+			p.repair(load, kept)
+			sameFill(t, what, fp, p, want, remaining)
 
 			// Fills at random slots, repeated ones among them, and
 			// budgets from -3 up, onto the repaired rows.
@@ -258,7 +271,7 @@ func TestFillMatchesReference(t *testing.T) {
 					t.Fatalf("%s: %v at slot %d budget %d granted %d, the reference %d", what, p.kind, slot, budget, gg, wg)
 				}
 			}
-			sameFill(t, what, p, got, want, remaining)
+			sameFill(t, what, fp, p, want, remaining)
 		}
 	}
 	if cut == 0 || capBelow == 0 || reserved == 0 || oneKind == 0 || nonPositive == 0 {

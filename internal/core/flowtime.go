@@ -73,10 +73,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"flowtime/internal/flow"
@@ -176,8 +179,8 @@ type Stats struct {
 	// StageASkipped counts replan-kind passes where stage A routed every
 	// unit of demand, so there was no shortfall to split.
 	StageASkipped int
-	// ShortfallEvents counts replans where some demand could not fit
-	// within its deadline window.
+	// ShortfallEvents counts replan-kind passes where some demand of the
+	// kind could not fit within its deadline window.
 	ShortfallEvents int
 	// SlackDropped counts replans where the deadline slack made the
 	// instance jointly infeasible and was dropped for that plan (the
@@ -521,9 +524,6 @@ type planJob struct {
 	state   sched.JobState
 	relSlot int64 // inclusive, absolute
 	dlSlot  int64 // exclusive, absolute
-	// planIdx is the job's index in the kindProblem being built (-1 when
-	// it demands nothing of that kind); scratch for stageA.
-	planIdx int
 }
 
 // replan builds the next revision of the live plan with the per-kind flow
@@ -551,7 +551,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 		slackSlots = int64(f.cfg.Slack / ctx.Cluster.SlotDur)
 	}
 
-	jobs, order, nSlots := f.computeWindows(ctx, slackSlots)
+	jobs, nSlots := f.computeWindows(ctx, slackSlots)
 	if len(jobs) == 0 {
 		f.degrade.Level, f.degrade.Reason = sched.DegradeNone, ""
 		// An empty plan is still a revision: the consumer must learn that
@@ -566,11 +566,12 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	// instead (paper §VII-B.2 introduces slack to absorb estimation error,
 	// not to manufacture misses). The verdict is the exact max-flow
 	// deficiency; a planner error is no verdict and keeps the slack.
-	probs := f.stageA(ctx, jobs, order, nSlots)
-	if slackSlots > 0 && anyShort(probs) {
+	probs := f.stageA(ctx, jobs, nSlots)
+	if slackSlots > 0 && slices.ContainsFunc(probs, (*kindProblem).isShort) {
 		f.stats.SlackDropped++
-		jobs, order, nSlots = f.computeWindows(ctx, 0)
-		probs = f.stageA(ctx, jobs, order, nSlots)
+		f.record(probs) // the dropped stage A's work and time still count
+		jobs, nSlots = f.computeWindows(ctx, 0)
+		probs = f.stageA(ctx, jobs, nSlots)
 	}
 	f.stats.Last.AtRisk, f.stats.Last.CutFrom, f.stats.Last.CutTo = atRisk(probs, ctx.Now)
 
@@ -578,22 +579,9 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	for t := int64(0); t < nSlots; t++ {
 		f.planCap[t] = ctx.Cluster.CapAt(ctx.Now + t)
 	}
-	next := newPlan(jobs, ctx.Now, nSlots)
-
-	level, reason := sched.DegradeNone, ""
-	yieldedBefore := f.stats.AdHocYielded
-	for _, p := range probs {
-		lvl, why := f.replanKind(p, next)
-		if lvl > level {
-			level = lvl
-		}
-		if why != "" {
-			reason = why
-		}
-	}
-	if f.stats.AdHocYielded != yieldedBefore {
-		f.stats.AdHocYields++
-	}
+	eachKind(probs, func(p *kindProblem) { p.finish(f.cfg.MaxLexRounds, f.planFault) })
+	level, reason := f.record(probs)
+	next := merge(probs, jobs, ctx.Now, nSlots)
 
 	// Post-validate before the plan is served. An invalid plan — which the
 	// pipeline should never produce — is rebuilt at the greedy rung, which
@@ -615,34 +603,17 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 		f.degrade.GreedyFallbacks++
 	}
 
-	//det:unordered writes one entry per key, read by key only
-	for id, j := range next.Jobs {
+	for _, pj := range jobs {
 		var total resource.Vector
-		for _, g := range j.Alloc {
+		for _, g := range next.Jobs[pj.state.ID].Alloc {
 			total = total.Add(g)
 		}
-		f.planRemaining[id] = total
-	}
-	for _, pj := range jobs {
-		if d := pj.state.EstRemaining.SubClamped(f.planRemaining[pj.state.ID]); !d.IsZero() {
+		f.planRemaining[pj.state.ID] = total
+		if d := pj.state.EstRemaining.SubClamped(total); !d.IsZero() {
 			f.deferred[pj.state.ID] = d
 		}
 	}
 	f.publish(next)
-}
-
-// newPlan returns an unpublished plan over [from, from+nSlots) holding
-// every job with its effective window and an all-zero allocation row over
-// it.
-func newPlan(jobs []*planJob, from, nSlots int64) *plan.Plan {
-	p := &plan.Plan{From: from, NSlots: nSlots, Jobs: make(map[string]plan.Job, len(jobs))}
-	for _, pj := range jobs {
-		p.Jobs[pj.state.ID] = plan.Job{
-			Window: plan.Window{Rel: pj.relSlot, Dl: pj.dlSlot},
-			Alloc:  make([]resource.Vector, pj.dlSlot-pj.relSlot),
-		}
-	}
-	return p
 }
 
 // checkPlan is the post-validation a replan's plan passes before it is
@@ -679,9 +650,8 @@ func checkPlan(p *plan.Plan, jobs []*planJob, caps []resource.Vector) error {
 }
 
 // computeWindows collects live deadline jobs with their effective windows
-// under the given slack, plus the shared EDF processing order and the plan
-// length in slots.
-func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]*planJob, []*planJob, int64) {
+// under the given slack, plus the plan length in slots.
+func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]*planJob, int64) {
 	jobs := make([]*planJob, 0, len(ctx.Jobs))
 	maxDl := ctx.Now + 1
 	for _, j := range ctx.Jobs {
@@ -719,7 +689,7 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 		jobs = append(jobs, pj)
 	}
 	if len(jobs) == 0 {
-		return nil, nil, 0
+		return nil, 0
 	}
 
 	horizon := maxDl
@@ -738,19 +708,13 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 		}
 	}
 
-	order := make([]*planJob, len(jobs))
-	copy(order, jobs)
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].dlSlot != order[b].dlSlot {
-			return order[a].dlSlot < order[b].dlSlot
-		}
-		return order[a].state.ID < order[b].state.ID
-	})
-	return jobs, order, horizon - ctx.Now
+	return jobs, horizon - ctx.Now
 }
 
 // kindProblem is one resource kind's share of a replan in the flow
-// planner's terms. Slot indices are plan offsets (absolute slot − now).
+// planner's terms, and everything the kind's pipeline writes, so the kinds
+// can run side by side (eachKind). Slot indices are plan offsets (absolute
+// slot − now).
 type kindProblem struct {
 	kind resource.Kind
 	caps []int64 // raw cluster capacity per offset
@@ -773,10 +737,20 @@ type kindProblem struct {
 	err   error
 	cut   []int // stage A's SlotCut
 	// rows and left are the fill's, indexed like pjs: each deadline job's
-	// allocation row in the plan being filled and the demand it has still
-	// to place there (bind).
-	rows [][]resource.Vector
+	// grants of the kind over its window and the demand it has still to
+	// place (reset).
+	rows [][]int64
 	left []int64
+	// What record folds into the stats: the kind's planner work and stage
+	// times; once finish split stage A's answer, the reservation volume
+	// that yielded and the skyline levels; the rung it took and why.
+	work                     flow.Work
+	timeA, timeB, timeRepair time.Duration
+	split                    bool
+	yielded                  int64
+	levels                   int
+	level                    sched.DegradeLevel
+	reason                   string
 }
 
 // reserved returns R'_t per slot offset — the reservations as stage A
@@ -790,48 +764,49 @@ func (p *kindProblem) reserved() (kept []int64, yielded int64) {
 	return kept, yielded
 }
 
-// stageA builds every kind's problem over the given windows and runs the
-// planner's stage A on it: the max flow at raw cluster capacity, the
-// deadline jobs let in earliest deadline first — so their deficiency lands
-// on the latest deadlines — and the gate's reservations after all of
-// them, so a promise to ad-hoc work absorbs a deficiency before any
-// deadline does and never causes one. Kinds no deadline job demands are
-// left out.
-func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlots int64) []*kindProblem {
+// stageA builds every kind's problem over the given windows, each kind on
+// a goroutine of its own that reads only ctx, jobs, the gate's
+// reservations and the fault seam, and runs the planner's stage A on it:
+// the max flow at raw cluster capacity, the deadline jobs let in earliest
+// deadline first — so their deficiency lands on the latest deadlines — and
+// the gate's reservations after all of them, so a promise to ad-hoc work
+// absorbs a deficiency before any deadline does and never causes one.
+// Kinds no deadline job demands are left out.
+func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots int64) []*kindProblem {
 	var probs []*kindProblem
 	for _, kind := range resource.Kinds() {
-		p := &kindProblem{kind: kind}
+		probs = append(probs, &kindProblem{kind: kind})
+	}
+	eachKind(probs, func(p *kindProblem) {
 		for _, pj := range jobs {
-			pj.planIdx = -1
-			if d := pj.state.EstRemaining.Get(kind); d > 0 {
-				pj.planIdx = len(p.jobs)
+			if d := pj.state.EstRemaining.Get(p.kind); d > 0 {
+				p.order = append(p.order, len(p.jobs))
 				p.pjs = append(p.pjs, pj)
 				p.jobs = append(p.jobs, flow.Job{
 					Demand: d,
 					Rel:    pj.relSlot - ctx.Now,
 					Dl:     pj.dlSlot - ctx.Now,
-					Cap:    pj.state.ParallelCap.Get(kind),
+					Cap:    pj.state.ParallelCap.Get(p.kind),
 				})
 			}
 		}
 		if len(p.jobs) == 0 {
-			continue
+			return
 		}
-		for _, pj := range order {
-			if pj.planIdx >= 0 {
-				p.order = append(p.order, pj.planIdx)
-			}
-		}
+		slices.SortStableFunc(p.order, func(a, b int) int {
+			x, y := p.pjs[a], p.pjs[b]
+			return cmp.Or(cmp.Compare(x.dlSlot, y.dlSlot), strings.Compare(x.state.ID, y.state.ID))
+		})
 		p.caps = make([]int64, nSlots)
 		for t := range p.caps {
 			abs := ctx.Now + int64(t)
-			p.caps[t] = ctx.Cluster.CapAt(abs).Get(kind)
-			if r := min(f.adhocReserved[abs].Get(kind), p.caps[t]); r > 0 {
+			p.caps[t] = ctx.Cluster.CapAt(abs).Get(p.kind)
+			if r := min(f.adhocReserved[abs].Get(p.kind), p.caps[t]); r > 0 {
 				p.order = append(p.order, len(p.jobs))
 				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
 			}
 		}
-		p.err = f.runPlanner(kind, &f.stats.Last.StageA, func() (flow.Work, error) {
+		p.err = p.runPlanner(f.planFault, &p.timeA, func() (flow.Work, error) {
 			r, err := flow.Shortfall(p.caps, p.jobs, p.order)
 			if err != nil {
 				return flow.Work{}, err
@@ -839,9 +814,8 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs, order []*planJob, nSlot
 			p.short, p.cut = r.Short, r.SlotCut
 			return r.Work, nil
 		})
-		probs = append(probs, p)
-	}
-	return probs
+	})
+	return slices.DeleteFunc(probs, func(p *kindProblem) bool { return len(p.pjs) == 0 })
 }
 
 // isShort reports whether stage A left any deadline demand of this kind
@@ -883,50 +857,61 @@ func atRisk(probs []*kindProblem, now int64) (wfs []string, from, to int64) {
 	return slices.Compact(wfs), min(from, to), to
 }
 
-// anyShort reports whether stage A left any deadline demand of any kind
-// unrouted.
-func anyShort(probs []*kindProblem) bool {
-	for _, p := range probs {
-		if p.isShort() {
-			return true
+// eachKind runs do on every problem, each on a goroutine of its own, and
+// returns once all are done: the fan-out seam, the one place the planner
+// starts goroutines (TestPlannerReadsNoWallClock). do writes only its
+// problem, and replan folds and merges the problems in kind order after,
+// so the plan and the stats are the same however the goroutines ran. A
+// panic on a kind's goroutine is raised again on the caller's, as it would
+// have been in line. A variable only so this package's tests can run the
+// kinds one after the other.
+var eachKind = func(probs []*kindProblem, do func(*kindProblem)) {
+	panics := make([]any, len(probs))
+	var wg sync.WaitGroup
+	for i, p := range probs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			do(p)
+		}()
+	}
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
 		}
 	}
-	return false
 }
 
-// runPlanner makes one call into the flow planner, charges its wall time
-// to the stats and to *stage, one of the last replan's stages, and its work
-// to the stats and to the last replan's kind, and turns a panic into an
-// error so a planner bug degrades the plan instead of killing the
-// scheduling slot.
-func (f *FlowTime) runPlanner(kind resource.Kind, stage *time.Duration, call func() (flow.Work, error)) (err error) {
+// runPlanner makes one call into the flow planner, under the fault seam
+// when one is set, charges its wall time to *stage, one of the kind's
+// stages, and its work to the kind, and turns a panic into an error so a
+// planner bug degrades the plan instead of killing the scheduling slot.
+func (p *kindProblem) runPlanner(fault func(resource.Kind) error, stage *time.Duration, call func() (flow.Work, error)) (err error) {
 	var w flow.Work
-	d := timed(func() {
+	*stage = timed(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("planner panic: %v", r)
 			}
 		}()
-		if f.planFault != nil {
-			if err = f.planFault(kind); err != nil {
+		if fault != nil {
+			if err = fault(p.kind); err != nil {
 				return
 			}
 		}
 		w, err = call()
 	})
-	f.stats.LP.Duration += d
-	*stage += d
-	last := &f.stats.Last.Work[int(kind)-1] // kinds start at one
-	last.MaxFlows += w.MaxFlows
-	last.Resumed += w.Resumed
-	last.Augmentations += w.Augmentations
-	last.ArcsScanned += w.ArcsScanned
-	f.stats.LP.Pivots += w.Augmentations
-	f.stats.LP.ColdStarts += w.MaxFlows
-	f.stats.LP.WarmStarts += w.Resumed
-	f.degrade.LPColdStarts += int64(w.MaxFlows)
-	f.degrade.LPWarmStarts += int64(w.Resumed)
+	addWork(&p.work, w)
 	return err
+}
+
+func addWork(to *flow.Work, w flow.Work) {
+	to.MaxFlows += w.MaxFlows
+	to.Resumed += w.Resumed
+	to.Augmentations += w.Augmentations
+	to.ArcsScanned += w.ArcsScanned
 }
 
 // timed runs call and returns its wall time: the one place the scheduler
@@ -937,14 +922,12 @@ func timed(call func()) time.Duration {
 	return time.Since(start)
 }
 
-// replanKind finishes one kind's pipeline — skyline and repair on top of
-// the stage A result in p — and writes integral grants into next.
-// Planner failures never propagate: the kind is planned at the greedy
-// rung instead, and the rung used plus the trip reason (if any) are
-// returned.
-func (f *FlowTime) replanKind(p *kindProblem, next *plan.Plan) (sched.DegradeLevel, string) {
-	kind := p.kind
-
+// finish runs the rest of the kind's pipeline on top of its stage A
+// result — skyline and repair — into the kind's rows, reading only the
+// problem, the skyline's round cap and the fault seam. Planner failures
+// never propagate: the kind is planned at the greedy rung instead, and
+// the rung and the trip reason are recorded.
+func (p *kindProblem) finish(maxLexRounds int, fault func(resource.Kind) error) {
 	// Stage B: the lexicographic min-max skyline of the demand stage A
 	// could route — the deadline demand that fits plus the reservations
 	// that survived, which are jointly feasible at hard capacity, so the
@@ -960,44 +943,72 @@ func (f *FlowTime) replanKind(p *kindProblem, next *plan.Plan) (sched.DegradeLev
 		for i, s := range p.short {
 			fits[i].Demand -= s
 		}
-		if p.isShort() {
-			f.stats.ShortfallEvents++
-		} else {
-			f.stats.StageASkipped++
-		}
-		var yielded int64
-		kept, yielded = p.reserved()
-		f.stats.AdHocYielded = f.stats.AdHocYielded.With(kind, f.stats.AdHocYielded.Get(kind)+yielded)
+		p.split = true
+		kept, p.yielded = p.reserved()
 		stage = "stage B"
-		err = f.runPlanner(kind, &f.stats.Last.StageB, func() (w flow.Work, err error) {
-			if sky, err = flow.LexMinMax(p.caps, fits, f.cfg.MaxLexRounds); err != nil {
+		err = p.runPlanner(fault, &p.timeB, func() (w flow.Work, err error) {
+			if sky, err = flow.LexMinMax(p.caps, fits, maxLexRounds); err != nil {
 				return w, err
 			}
+			p.levels = len(sky.Levels)
 			return sky.Work, nil
 		})
-		if err == nil {
-			f.stats.LPRounds += len(sky.Levels)
-		}
 	}
 	if err != nil {
 		// Bottom rung: deterministic EDF water-fill under hard caps. No
 		// failure mode; whatever cannot fit in-window is deferred and
 		// served by the overdue path, exactly like a shortfall.
-		p.greedy(next)
-		return sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", kind, stage, err)
+		p.greedy()
+		p.level, p.reason = sched.DegradeGreedy, fmt.Sprintf("%v %s: %v", p.kind, stage, err)
+		return
 	}
-	f.stats.Last.Repair += timed(func() { p.repair(next, sky.Load, kept) })
-	// Any demand still left could not fit in windows at all; it is served
-	// by the overdue path at run time.
-	return sched.DegradeNone, ""
+	// Any demand still left after the repair could not fit in windows at
+	// all; it is served by the overdue path at run time.
+	p.timeRepair = timed(func() { p.repair(sky.Load, kept) })
+}
+
+// record folds the kinds' outcomes into the stats, in kind order, and
+// returns the rung the replan was planned at — the highest any kind took —
+// and the last trip reason. The kinds ran side by side, so each stage is
+// charged its slowest kind's time.
+func (f *FlowTime) record(probs []*kindProblem) (level sched.DegradeLevel, reason string) {
+	var stageA, stageB, repair time.Duration
+	var yielded resource.Vector
+	for _, p := range probs {
+		addWork(&f.stats.Last.Work[int(p.kind)-1], p.work) // kinds start at one
+		f.stats.LP.Pivots += p.work.Augmentations
+		f.stats.LP.ColdStarts += p.work.MaxFlows
+		f.stats.LP.WarmStarts += p.work.Resumed
+		f.degrade.LPColdStarts += int64(p.work.MaxFlows)
+		f.degrade.LPWarmStarts += int64(p.work.Resumed)
+		f.stats.LPRounds += p.levels
+		if p.split && p.isShort() {
+			f.stats.ShortfallEvents++
+		} else if p.split {
+			f.stats.StageASkipped++
+		}
+		yielded = yielded.With(p.kind, p.yielded)
+		stageA, stageB, repair = max(stageA, p.timeA), max(stageB, p.timeB), max(repair, p.timeRepair)
+		level = max(level, p.level)
+		reason = cmp.Or(p.reason, reason)
+	}
+	if !yielded.IsZero() {
+		f.stats.AdHocYielded = f.stats.AdHocYielded.Add(yielded)
+		f.stats.AdHocYields++
+	}
+	f.stats.Last.StageA += stageA
+	f.stats.Last.StageB += stageB
+	f.stats.Last.Repair += repair
+	f.stats.LP.Duration += stageA + stageB
+	return level, reason
 }
 
 // repair is the integral repair of the skyline load: budgets by
 // cumulative rounding of its deadline share under what the surviving
 // reservations keep, EDF water-fill of the demand stage A routed within
 // the budgets, then a sweep up to the hard cap.
-func (p *kindProblem) repair(next *plan.Plan, load []float64, kept []int64) {
-	p.bind(next)
+func (p *kindProblem) repair(load []float64, kept []int64) {
+	p.reset()
 	for i := range p.left {
 		p.left[i] -= p.short[i]
 	}
@@ -1018,9 +1029,9 @@ func (p *kindProblem) repair(next *plan.Plan, load []float64, kept []int64) {
 }
 
 // greedy is the ladder's bottom rung for the kind: EDF water-fill of the
-// whole demand into next under the hard caps.
-func (p *kindProblem) greedy(next *plan.Plan) {
-	p.bind(next)
+// whole demand into its rows under the hard caps.
+func (p *kindProblem) greedy() {
+	p.reset()
 	for t, c := range p.caps {
 		p.fill(int64(t), c)
 	}
@@ -1029,20 +1040,40 @@ func (p *kindProblem) greedy(next *plan.Plan) {
 // rebuildGreedy discards all placed allocation and rebuilds the whole
 // plan at the greedy rung (used when post-validation rejects a plan).
 func rebuildGreedy(probs []*kindProblem, jobs []*planJob, from, nSlots int64) *plan.Plan {
-	next := newPlan(jobs, from, nSlots)
 	for _, p := range probs {
-		p.greedy(next)
+		p.greedy()
+	}
+	return merge(probs, jobs, from, nSlots)
+}
+
+// merge builds an unpublished plan over [from, from+nSlots) from the
+// kinds' rows: every job with its effective window and a row over it, into
+// which each kind writes its grants, in resource.Kinds() order.
+func merge(probs []*kindProblem, jobs []*planJob, from, nSlots int64) *plan.Plan {
+	next := &plan.Plan{From: from, NSlots: nSlots, Jobs: make(map[string]plan.Job, len(jobs))}
+	for _, pj := range jobs {
+		next.Jobs[pj.state.ID] = plan.Job{
+			Window: plan.Window{Rel: pj.relSlot, Dl: pj.dlSlot},
+			Alloc:  make([]resource.Vector, pj.dlSlot-pj.relSlot),
+		}
+	}
+	for _, p := range probs {
+		for i, pj := range p.pjs {
+			alloc := next.Jobs[pj.state.ID].Alloc
+			for t, g := range p.rows[i] {
+				alloc[t] = alloc[t].With(p.kind, g)
+			}
+		}
 	}
 	return next
 }
 
-// bind points the fill at next: rows[i] becomes the deadline job jobs[i]'s
-// allocation row there, and left[i] all of its demand.
-func (p *kindProblem) bind(next *plan.Plan) {
-	p.rows = make([][]resource.Vector, len(p.pjs))
-	p.left = make([]int64, len(p.pjs))
-	for i, pj := range p.pjs {
-		p.rows[i], p.left[i] = next.Jobs[pj.state.ID].Alloc, p.jobs[i].Demand
+// reset gives every deadline job of the kind an all-zero row over its
+// window and all of its demand left to place.
+func (p *kindProblem) reset() {
+	p.rows, p.left = make([][]int64, len(p.pjs)), make([]int64, len(p.pjs))
+	for i, j := range p.jobs[:len(p.pjs)] {
+		p.rows[i], p.left[i] = make([]int64, j.Dl-j.Rel), j.Demand
 	}
 }
 
@@ -1064,12 +1095,11 @@ func (p *kindProblem) fill(t, budget int64) int64 {
 			continue
 		}
 		cell := &p.rows[i][t-j.Rel]
-		have := cell.Get(p.kind)
-		g := min(j.Cap-have, p.left[i], budget-granted)
+		g := min(j.Cap-*cell, p.left[i], budget-granted)
 		if g <= 0 {
 			continue
 		}
-		*cell = cell.With(p.kind, have+g)
+		*cell += g
 		p.left[i] -= g
 		granted += g
 		if granted >= budget {

@@ -39,18 +39,18 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	b := mkPlanJob("b", 0, 3, 4)
 	a.state.EstRemaining, b.state.EstRemaining = resource.New(6, 0), resource.New(6, 0)
 	jobs := []*planJob{a, b}
-	probs := New(Config{}).stageA(sched.AssignContext{Now: 0, Cluster: view(resource.New(10, 1000), 100)}, jobs, jobs, 3)
+	probs := New(Config{}).stageA(sched.AssignContext{Now: 0, Cluster: view(resource.New(10, 1000), 100)}, jobs, 3)
 	if len(probs) != 1 || probs[0].kind != resource.VCores {
 		t.Fatalf("stageA = %+v, want one vcores problem", probs)
 	}
 	p := probs[0]
-	next := newPlan(jobs, 0, 3)
-	p.bind(next)
+	p.reset()
 
 	granted := p.fill(0, 7)
 	if granted != 7 {
 		t.Errorf("granted = %d, want 7 (budget-bound)", granted)
 	}
+	next := merge(probs, jobs, 0, 3)
 	if got := next.Jobs["a"].Alloc[0].Get(resource.VCores); got != 4 {
 		t.Errorf("job a slot 0 = %d, want 4 (parallel cap)", got)
 	}
@@ -84,15 +84,15 @@ func TestStageAFindsMinimumShortfall(t *testing.T) {
 	early := mkPlanJob("early", 0, 1, 5)
 	early.state.EstRemaining = resource.New(5, 0)
 	jobs := []*planJob{late, early}
-	probs := f.stageA(sched.AssignContext{Now: 0, Cluster: cl}, jobs, []*planJob{early, late}, 2)
+	probs := f.stageA(sched.AssignContext{Now: 0, Cluster: cl}, jobs, 2)
 	if len(probs) != 1 || probs[0].kind != resource.VCores || probs[0].err != nil {
 		t.Fatalf("stageA = %+v, want one vcores problem", probs)
 	}
 	if got := probs[0].short; got[0] != 6 || got[1] != 0 {
 		t.Errorf("shortfall = %v, want [6 0] (late job short, early job whole)", got)
 	}
-	if !anyShort(probs) {
-		t.Error("anyShort = false with a 6-unit shortfall")
+	if !probs[0].isShort() {
+		t.Error("isShort = false with a 6-unit shortfall")
 	}
 }
 
