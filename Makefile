@@ -187,12 +187,18 @@ bench:
 # times, so they hold on any machine); stage A routed through that
 # reference trips the first, plan rows spanning the whole plan instead of
 # their job's window the second, and grants placed as volume split kind by
-# kind instead of whole tasks the third. BenchmarkPathAtScale drives a
+# kind instead of whole tasks the third. It also fails when that tick
+# allocates more than 80 MB (its first_tick_B; 70.1 MB when set on
+# go1.24.0, 14 % under the ceiling), which a stage B that lays out again
+# the network stage A built (91.3 MB) trips. BenchmarkPathAtScale drives a
 # FlowTime RM over a durable store through 200 workflows and ad-hoc
 # bursts to completion and fails when a heartbeat round costs more than
 # one fsync on average (a count; a round costs none, its records riding
-# the next commit) or the tick ring's phases sum to less than 0.90 or more
-# than 1.10 of the ticks' wall time.
+# the next commit), the WAL grows more than 5,400 B a slot (its
+# wal_kb_per_slot; 4,314 B when set, plus 25 %), the tick ring's phases
+# sum to less than 0.90 or more than 1.10 of the ticks' wall time, a job
+# never completes, or the store recovered as a follower at the end does
+# not hold the live state byte for byte.
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -183,9 +183,9 @@ func TestStageAIgnoresReservations(t *testing.T) {
 			t.Fatalf("seed %d: stage A errors %v / %v", seed, p.err, bare.err)
 		}
 		for i := range p.pjs {
-			if p.short[i] != bare.short[i] {
+			if p.route.Short[i] != bare.route.Short[i] {
 				t.Fatalf("seed %d: job %s short %d beside reservations %v, %d without",
-					seed, p.pjs[i].state.ID, p.short[i], rsv, bare.short[i])
+					seed, p.pjs[i].state.ID, p.route.Short[i], rsv, bare.route.Short[i])
 			}
 		}
 		if p.isShort() != bare.isShort() {

@@ -252,7 +252,7 @@ func TestFillMatchesReference(t *testing.T) {
 			want = merge(nil, fp.jobs, fp.from, fp.nSlots)
 			remaining = refDemand(fp.jobs, p.kind)
 			for i, pj := range p.pjs {
-				remaining[pj] -= p.short[i]
+				remaining[pj] -= p.route.Short[i]
 			}
 			refRepair(p.kind, fp.order, remaining, want, p.caps, load, kept)
 			p.repair(load, kept)

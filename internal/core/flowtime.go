@@ -19,8 +19,9 @@
 // by a general LP.
 //
 //  1. Effective windows: each job's decomposed window, intersected with
-//     [now, horizon) and tightened by the deadline slack (§VII-B.2);
-//     overdue jobs get an as-soon-as-possible window.
+//     [now, horizon) and tightened by the deadline slack (§VII-B.2). A job
+//     whose window has closed is planned in [now, now+1), and what does not
+//     fit there is deferred to the overdue pass.
 //  2. Stage A, feasibility: the max flow at raw cluster capacity, the
 //     deadline jobs let in earliest deadline first and, after all of them,
 //     one one-slot pseudo-job per slot for the capacity the ad-hoc gate has
@@ -670,14 +671,6 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 		if pj.dlSlot <= pj.relSlot {
 			pj.dlSlot = pj.relSlot + 1
 		}
-		if pj.dlSlot <= ctx.Now {
-			// Overdue: finish as soon as possible.
-			minS := j.MinSlots
-			if minS < 1 {
-				minS = 1
-			}
-			pj.relSlot, pj.dlSlot = ctx.Now, ctx.Now+minS
-		}
 		if pj.relSlot >= ctx.Now+planSlots {
 			// Beyond the lookahead: planStale fires a replan when the
 			// job's release arrives.
@@ -727,15 +720,14 @@ type kindProblem struct {
 	pjs   []*planJob
 	jobs  []flow.Job
 	order []int
-	// short[i] is the demand of jobs[i] that stage A could not route; err
-	// is set instead when the planner failed. Reservations route last and
-	// stage A never takes flow back from a job it has let in, so the rows of
-	// the deadline jobs are their shortfall at raw capacity, and what a
-	// reservation keeps, R'_t = R_t − short, is what the known deadlines
-	// can afford to leave it.
-	short []int64
+	// route is stage A's answer, on whose network stage B runs: Short[i]
+	// is the demand of jobs[i] it could not route. err is set instead when
+	// the planner failed. Reservations route last and stage A never takes
+	// flow back from a job it has let in, so the rows of the deadline jobs
+	// are their shortfall at raw capacity, and what a reservation keeps,
+	// R'_t = R_t − short, is what the known deadlines can afford to leave it.
+	route *flow.Routing
 	err   error
-	cut   []int // stage A's SlotCut
 	// rows and left are the fill's, indexed like pjs: each deadline job's
 	// grants of the kind over its window and the demand it has still to
 	// place (reset).
@@ -758,8 +750,8 @@ type kindProblem struct {
 func (p *kindProblem) reserved() (kept []int64, yielded int64) {
 	kept = make([]int64, len(p.caps))
 	for i := len(p.pjs); i < len(p.jobs); i++ {
-		kept[p.jobs[i].Rel] = p.jobs[i].Demand - p.short[i]
-		yielded += p.short[i]
+		kept[p.jobs[i].Rel] = p.jobs[i].Demand - p.route.Short[i]
+		yielded += p.route.Short[i]
 	}
 	return kept, yielded
 }
@@ -811,7 +803,7 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots int64
 			if err != nil {
 				return flow.Work{}, err
 			}
-			p.short, p.cut = r.Short, r.SlotCut
+			p.route = r
 			return r.Work, nil
 		})
 	})
@@ -825,7 +817,7 @@ func (p *kindProblem) isShort() bool {
 	if p.err != nil {
 		return false // no verdict
 	}
-	for _, s := range p.short[:len(p.pjs)] {
+	for _, s := range p.route.Short[:len(p.pjs)] {
 		if s > 0 {
 			return true
 		}
@@ -843,11 +835,11 @@ func atRisk(probs []*kindProblem, now int64) (wfs []string, from, to int64) {
 			continue
 		}
 		for j, pj := range p.pjs {
-			if p.short[j] > 0 {
+			if p.route.Short[j] > 0 {
 				wfs = append(wfs, pj.state.WorkflowID)
 			}
 		}
-		for t, c := range p.cut {
+		for t, c := range p.route.SlotCut {
 			if c >= 0 {
 				from, to = min(from, now+int64(t)), max(to, now+int64(t)+1)
 			}
@@ -928,26 +920,22 @@ func timed(call func()) time.Duration {
 // never propagate: the kind is planned at the greedy rung instead, and
 // the rung and the trip reason are recorded.
 func (p *kindProblem) finish(maxLexRounds int, fault func(resource.Kind) error) {
-	// Stage B: the lexicographic min-max skyline of the demand stage A
-	// could route — the deadline demand that fits plus the reservations
-	// that survived, which are jointly feasible at hard capacity, so the
-	// skyline is flattened around admitted ad-hoc work wherever that costs
-	// no deadline and no level exceeds 1. Without a trustworthy shortfall
-	// split any skyline would be built on demand that may not fit, so a
-	// stage A failure skips it.
+	// Stage B, on stage A's network: the lexicographic min-max skyline of
+	// the demand stage A could route — the deadline demand that fits plus
+	// the reservations that survived, which are jointly feasible at hard
+	// capacity, so the skyline is flattened around admitted ad-hoc work
+	// wherever that costs no deadline and no level exceeds 1. Without a
+	// trustworthy shortfall split any skyline would be built on demand that
+	// may not fit, so a stage A failure skips it.
 	stage, err := "stage A", p.err
 	var sky *flow.Skyline
 	var kept []int64
 	if err == nil {
-		fits := append([]flow.Job(nil), p.jobs...)
-		for i, s := range p.short {
-			fits[i].Demand -= s
-		}
 		p.split = true
 		kept, p.yielded = p.reserved()
 		stage = "stage B"
 		err = p.runPlanner(fault, &p.timeB, func() (w flow.Work, err error) {
-			if sky, err = flow.LexMinMax(p.caps, fits, maxLexRounds); err != nil {
+			if sky, err = p.route.LexMinMax(maxLexRounds); err != nil {
 				return w, err
 			}
 			p.levels = len(sky.Levels)
@@ -1010,7 +998,7 @@ func (f *FlowTime) record(probs []*kindProblem) (level sched.DegradeLevel, reaso
 func (p *kindProblem) repair(load []float64, kept []int64) {
 	p.reset()
 	for i := range p.left {
-		p.left[i] -= p.short[i]
+		p.left[i] -= p.route.Short[i]
 	}
 	// placed[t] is what the budgets granted at slot offset t, which the
 	// sweep fills beside.

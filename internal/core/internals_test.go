@@ -88,7 +88,7 @@ func TestStageAFindsMinimumShortfall(t *testing.T) {
 	if len(probs) != 1 || probs[0].kind != resource.VCores || probs[0].err != nil {
 		t.Fatalf("stageA = %+v, want one vcores problem", probs)
 	}
-	if got := probs[0].short; got[0] != 6 || got[1] != 0 {
+	if got := probs[0].route.Short; got[0] != 6 || got[1] != 0 {
 		t.Errorf("shortfall = %v, want [6 0] (late job short, early job whole)", got)
 	}
 	if !probs[0].isShort() {
@@ -119,6 +119,35 @@ func TestSlackKeptWhenOnlyWaterFillingFails(t *testing.T) {
 	}
 	if w := f.live.Jobs["x"].Window; w.Dl != 3 {
 		t.Errorf("job x planned against deadline slot %d, want the slack-tightened 3", w.Dl)
+	}
+}
+
+// TestOverdueJobPlansInOneSlot pins what a replan does with a job whose
+// window has closed: it is planned in [now, now+1), whatever its MinSlots,
+// and what one slot's parallel cap cannot take is deferred to the overdue
+// pass. That deficiency is a stage A shortfall, so the replan drops the
+// deadline slack for every job, the loose one beside it too.
+func TestOverdueJobPlansInOneSlot(t *testing.T) {
+	f := New(DefaultConfig()) // 60 s of slack: six slots
+	late := dlJob("late", 0, 3, resource.New(40, 4000), resource.New(4, 400))
+	late.MinSlots = 10
+	loose := dlJob("loose", 0, 100, resource.New(10, 1000), resource.New(2, 200))
+	if _, err := f.Assign(sched.AssignContext{
+		Now: 5, Changed: true, Jobs: []sched.JobState{late, loose}, Cluster: view(resource.New(16, 1600), 200),
+	}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	if w := f.live.Jobs["late"].Window; w != (plan.Window{Rel: 5, Dl: 6}) {
+		t.Errorf("overdue job planned in %v, want {5 6}", w)
+	}
+	if d := f.deferred["late"].Get(resource.VCores); d != 36 {
+		t.Errorf("overdue job deferred %d vcores, want 36", d)
+	}
+	if n := f.Stats().SlackDropped; n != 1 {
+		t.Errorf("SlackDropped = %d, want 1", n)
+	}
+	if w := f.live.Jobs["loose"].Window; w.Dl != 100 {
+		t.Errorf("loose job planned against deadline slot %d, want its true 100", w.Dl)
 	}
 }
 

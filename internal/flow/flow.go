@@ -15,6 +15,10 @@
 // in the residual graph at the optimum, recurse on the rest
 // (Gallo–Grigoriadis–Tarjan 1989).
 //
+// The stages are two questions about one network, built once per window
+// set: stage B is a method on stage A's answer (Routing.LexMinMax), which
+// starts from a zero flow on the graph Shortfall laid out.
+//
 // All arithmetic that decides anything is exact: a level is the rational
 // θ = num/den read off an integer cut, the network is scaled by den so
 // every capacity and flow is an int64, and tight sets come from residual
@@ -325,6 +329,7 @@ type Routing struct {
 	// the nodes on it are a min cut of the final flow.
 	JobCut, SlotCut []int
 	Work            Work
+	g               *network // the network it was found on, which LexMinMax reuses
 }
 
 // Shortfall is the planner's stage A: the max flow at the hard slot
@@ -386,6 +391,7 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 		Short:   make([]int64, len(jobs)),
 		JobCut:  make([]int, len(jobs)),
 		SlotCut: make([]int, len(caps)),
+		g:       g,
 	}
 	for i := range r.JobCut {
 		r.JobCut[i] = -1
@@ -481,27 +487,47 @@ func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
 	if err != nil {
 		return nil, err
 	}
+	return (&Routing{Short: make([]int64, len(jobs)), g: g}).LexMinMax(maxLevels)
+}
+
+// LexMinMax is stage B on the network stage A built: the skyline of the
+// demand r routed, each job's Demand less its Short, over the caps and
+// jobs Shortfall was given, which must not have changed since. It starts
+// from a zero flow, so it answers as the free LexMinMax does on those
+// demands, bit for bit, but for the arcs scanned when a job is wholly
+// short: its arcs stay in the graph, empty, and the searches step over
+// them.
+func (r *Routing) LexMinMax(maxLevels int) (*Skyline, error) {
+	g := r.g
+	clear(g.res)
+	for v := range g.level {
+		g.level[v] = -1
+	}
+	g.queue, g.open, g.work = g.queue[:0], nil, Work{}
 	s := &lexState{
 		network:    g,
-		jobActive:  make([]bool, len(jobs)),
-		slotActive: make([]bool, len(caps)),
-		base:       make([]int64, len(caps)),
+		demand:     make([]int64, len(g.jobs)),
+		jobActive:  make([]bool, len(g.jobs)),
+		slotActive: make([]bool, len(g.caps)),
+		base:       make([]int64, len(g.caps)),
 		stuck:      make([]bool, len(g.level)),
 		out: &Skyline{
-			Load:  make([]float64, len(caps)),
-			Alloc: make([][]int64, len(jobs)),
-			Den:   make([]int64, len(jobs)),
+			Load:  make([]float64, len(g.caps)),
+			Alloc: make([][]int64, len(g.jobs)),
+			Den:   make([]int64, len(g.jobs)),
 		},
 	}
-	for j := range jobs {
-		if g.srcEdge[j] >= 0 {
+	// A job is active when it has demand, a slot when an active job has an
+	// arc to it.
+	for j, job := range g.jobs {
+		if s.demand[j] = job.Demand - r.Short[j]; s.demand[j] > 0 {
 			s.jobActive[j] = true
 			s.activeJobs++
-			s.out.Alloc[j] = make([]int64, jobs[j].Dl-jobs[j].Rel)
+			s.out.Alloc[j] = make([]int64, job.Dl-job.Rel)
+			for _, t := range g.arcSlot[j] {
+				s.slotActive[t] = true
+			}
 		}
-	}
-	for t, e := range g.sinkEdge {
-		s.slotActive[t] = e >= 0
 	}
 	for s.activeJobs > 0 {
 		if err := s.solveLevel(maxLevels > 0 && len(s.out.Levels)+1 >= maxLevels); err != nil {
@@ -519,12 +545,13 @@ func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
 	return s.out, nil
 }
 
-// lexState is LexMinMax's working state: the jobs and slots still being
-// levelled, and base[t], the load that jobs frozen at earlier levels are
-// forced to put on a still-active slot t (their Cap — those arcs cross
-// the min cut that froze them).
+// lexState is LexMinMax's working state: each job's demand, the jobs and
+// slots still being levelled, and base[t], the load that jobs frozen at
+// earlier levels are forced to put on a still-active slot t (their Cap —
+// those arcs cross the min cut that froze them).
 type lexState struct {
 	*network
+	demand     []int64
 	jobActive  []bool
 	slotActive []bool
 	activeJobs int
@@ -543,7 +570,7 @@ func (s *lexState) solveLevel(last bool) error {
 	var err error
 	for j, on := range s.jobActive {
 		if on {
-			if demand, err = add(demand, s.jobs[j].Demand); err != nil {
+			if demand, err = add(demand, s.demand[j]); err != nil {
 				return err
 			}
 		}
@@ -635,7 +662,7 @@ func (s *lexState) setCaps(theta ratio, demand int64) (want int64, err error) {
 			if arcCap, err = mul(job.Cap, theta.den); err != nil {
 				return 0, err
 			}
-			if full, err = mul(job.Demand, theta.den); err != nil {
+			if full, err = mul(s.demand[j], theta.den); err != nil {
 				return 0, err
 			}
 		}
@@ -704,7 +731,7 @@ func (s *lexState) cutLevel(demand int64) (ratio, error) {
 			continue
 		}
 		if s.level[s.jobNode(j)] < 0 {
-			if fixed, err = add(fixed, s.jobs[j].Demand); err != nil {
+			if fixed, err = add(fixed, s.demand[j]); err != nil {
 				return ratio{}, err
 			}
 			continue

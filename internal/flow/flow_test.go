@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -581,10 +582,89 @@ func TestCertificateAtProbeScale(t *testing.T) {
 	}
 }
 
+// sameSkyline runs stage B on r, stage A's routing of jobs over caps, and
+// holds it to the free LexMinMax on the demand r routed, fits, which it
+// returns with stage B's answer: the same skyline and error bit for bit,
+// and the same work but for the arcs scanned when a job is wholly short,
+// whose empty arcs only the shared network holds.
+func sameSkyline(t testing.TB, caps []int64, jobs []flow.Job, r *flow.Routing, maxLevels int) ([]flow.Job, *flow.Skyline, error) {
+	t.Helper()
+	fits := slices.Clone(jobs)
+	wholly := false
+	for j, s := range r.Short {
+		fits[j].Demand -= s
+		wholly = wholly || s > 0 && fits[j].Demand == 0
+	}
+	got, err := r.LexMinMax(maxLevels)
+	want, wantErr := flow.LexMinMax(caps, fits, maxLevels)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("stage B on the routing: error %v, the free LexMinMax %v", err, wantErr)
+	}
+	if err != nil {
+		return fits, nil, err
+	}
+	gw, ww := got.Work, want.Work
+	if wholly {
+		gw.ArcsScanned, ww.ArcsScanned = 0, 0
+	}
+	if !reflect.DeepEqual(got.Load, want.Load) || !reflect.DeepEqual(got.Alloc, want.Alloc) ||
+		!reflect.DeepEqual(got.Den, want.Den) || !reflect.DeepEqual(got.Levels, want.Levels) || gw != ww {
+		t.Fatalf("stage B on the routing differs from the free LexMinMax:\n%+v\n%+v", got, want)
+	}
+	return fits, got, nil
+}
+
+// TestStageBOnTheRoutingIsTheFreeLexMinMax holds stage B on stage A's
+// network to the free LexMinMax on the demand stage A routed (sameSkyline),
+// each routing answering three level caps in turn, on instances that force
+// what only the shared network holds: jobs left wholly short, by overload
+// or by a zero parallelism cap, and slots that only such jobs reach. A slot
+// counted active because stage A laid out its sink arc would lower every
+// level its capacity joins.
+func TestStageBOnTheRoutingIsTheFreeLexMinMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	wholly, lone := 0, 0
+	for i := 0; i < 2000; i++ {
+		caps, jobs := genInstance(rng, 1+rng.Intn(20), 2+rng.Intn(30), 20, 1+rng.Int63n(32))
+		for j := range jobs {
+			jobs[j].Demand *= 1 + rng.Int63n(3)
+		}
+		// A job that can take nothing anywhere, whose window ends on slots
+		// no other job reaches.
+		n := len(caps)
+		for range 1 + rng.Intn(3) {
+			caps = append(caps, 1+rng.Int63n(32))
+		}
+		jobs = append(jobs, flow.Job{Demand: 1 + rng.Int63n(20), Rel: int64(rng.Intn(len(caps))), Dl: int64(len(caps))})
+		lone += len(caps) - n
+		r, err := flow.Shortfall(caps, jobs, rng.Perm(len(jobs)))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		for j, s := range r.Short[:len(jobs)-1] {
+			if s > 0 && s == jobs[j].Demand {
+				wholly++
+			}
+		}
+		for _, maxLevels := range []int{0, 1, 3} {
+			fits, sky, err := sameSkyline(t, caps, jobs, r, maxLevels)
+			if err != nil {
+				t.Fatalf("case %d: %v", i, err)
+			}
+			certify(t, caps, fits, maxLevels, sky)
+		}
+	}
+	if wholly < 500 {
+		t.Fatalf("only %d jobs with a cap were wholly short", wholly)
+	}
+	t.Logf("%d jobs with a cap wholly short, %d slots only a job without one reaches", wholly, lone)
+}
+
 // FuzzFlowSkyline throws adversarial capacities, demands and windows at
 // both stages: no panic, every error a declared one or a validation
-// message, and every answer returned passes the exact checker, its
-// skyline's loads the interior check.
+// message, stage B on the routing the free LexMinMax on the demand it
+// routed (sameSkyline), and every answer returned passes the exact
+// checker, its skyline's loads the interior check.
 func FuzzFlowSkyline(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), int64(4), int64(6), uint8(0))
 	f.Add(int64(7), uint8(12), uint8(30), int64(512), int64(4000), uint8(4))
@@ -624,20 +704,17 @@ func FuzzFlowSkyline(f *testing.F) {
 		if err := oracle.CheckRouting(instance(caps, jobs), order, r); err != nil {
 			t.Fatal(err)
 		}
-		for j, s := range r.Short {
-			jobs[j].Demand -= s
-		}
 		// What stage A routed fits under the hard caps, so stage B must
 		// route it with every level at or under 1.
-		sky, err := flow.LexMinMax(caps, jobs, int(maxLevels)%6)
+		fits, sky, err := sameSkyline(t, caps, jobs, r, int(maxLevels)%6)
 		if errors.Is(err, flow.ErrOverflow) {
 			return
 		}
 		if err != nil {
 			t.Fatalf("LexMinMax after Shortfall: %v", err)
 		}
-		certify(t, caps, jobs, int(maxLevels)%6, sky)
-		checkLoad(t, caps, jobs, sky)
+		certify(t, caps, fits, int(maxLevels)%6, sky)
+		checkLoad(t, caps, fits, sky)
 		if lv := sky.Levels; len(lv) > 0 && lv[0].Num > lv[0].Den {
 			t.Fatalf("top level %d/%d above 1 on demand that fits the hard caps", lv[0].Num, lv[0].Den)
 		}

@@ -156,6 +156,14 @@ const firstTickCellCeiling = 156_000
 // grants 5,031.
 const firstTickLeaseCeiling = 4_700
 
+// firstTickByteCeiling holds the 9,600-job first tick to the bytes it
+// allocates: 70.1 MB when it was set, plus 14 %. A stage B that lays out
+// again the network stage A built allocates 91.3 MB; the usual 25 % would
+// fail that by only 4 %, less than a Go release may move the runtime's
+// own allocations, so the ceiling sits halfway. Both were measured on
+// go1.24.0; the module and CI build with go1.22.
+const firstTickByteCeiling = 80_000_000
+
 // handOffBeatByteCeiling holds a heartbeat that hands offers off at 1,024
 // nodes to the bytes it allocates, on average over a run's second
 // heartbeat round: 1,831 at 4,800 jobs and 1,921 at 1,200 when it was
@@ -179,10 +187,11 @@ const handOffBeatByteCeiling = 2_400
 // over handOffBeatByteCeiling, and the 4,800-job run if there are none (the
 // 9,600-job cluster is full at the steady tick: no offer is out). And it
 // reports the replans whose deadline slack was dropped, the first tick's
-// arcs scanned, the cells of the plan it published and the leases it
-// granted, which fail the 9,600-job run over firstTickArcCeiling,
-// firstTickCellCeiling and firstTickLeaseCeiling. All are counts, so the
-// guards hold on any machine.
+// arcs scanned, the bytes it allocated, the cells of the plan it published
+// and the leases it granted, which fail the 9,600-job run over
+// firstTickArcCeiling, firstTickByteCeiling, firstTickCellCeiling and
+// firstTickLeaseCeiling. All are counts, so the guards hold on any
+// machine.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
 		b.Run(fmt.Sprintf("%d_jobs", 12*wfs), func(b *testing.B) {
@@ -190,7 +199,8 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			var first, steady TickRecord
 			var beat, status, handOffBeat time.Duration
 			dropped, arcs, cells, leases := 0, 0, 0, 0
-			var handOffBeats, handOffBytes uint64
+			var handOffBeats, handOffBytes, tickBytes uint64
+			var ms runtime.MemStats
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				ft := core.New(core.DefaultConfig())
@@ -203,9 +213,13 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 						b.Fatalf("SubmitWorkflow(%s): %v", rec.ID, err)
 					}
 				}
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
 				b.StartTimer()
 				c.tick()
 				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				tickBytes += ms.TotalAlloc - before
 				c.rm.mu.Lock()
 				leases = len(c.rm.st.Leases()) // none were out before the tick
 				c.rm.mu.Unlock()
@@ -221,7 +235,6 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				start = time.Now()
 				c.rm.Status()
 				status += time.Since(start)
-				var ms runtime.MemStats
 				for _, id := range c.nodes {
 					d, l := c.rm.HandOffs()
 					runtime.ReadMemStats(&ms)
@@ -260,10 +273,14 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(float64(handOffBeats)/float64(b.N), "handoff_beats")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 			b.ReportMetric(float64(arcs), "arcs")
+			b.ReportMetric(float64(tickBytes)/float64(b.N), "first_tick_B")
 			b.ReportMetric(float64(cells), "plan_cells")
 			b.ReportMetric(float64(leases), "leases")
 			if wfs == 800 && arcs > firstTickArcCeiling {
 				b.Fatalf("the first tick scanned %d arcs, over the ceiling of %d", arcs, firstTickArcCeiling)
+			}
+			if wfs == 800 && tickBytes/uint64(b.N) > firstTickByteCeiling {
+				b.Fatalf("the first tick allocated %d B, over the ceiling of %d", tickBytes/uint64(b.N), firstTickByteCeiling)
 			}
 			if wfs == 800 && cells > firstTickCellCeiling {
 				b.Fatalf("the first tick's plan holds %d cells, over the ceiling of %d", cells, firstTickCellCeiling)

@@ -213,7 +213,7 @@ type heldState struct {
 }
 
 // heldLocked captures s's heldState; s.mu must be held.
-func heldLocked(t *testing.T, s *Server) heldState {
+func heldLocked(t testing.TB, s *Server) heldState {
 	t.Helper()
 	snapshot, err := s.st.Snapshot()
 	if err != nil {
@@ -229,7 +229,7 @@ func heldLocked(t *testing.T, s *Server) heldState {
 // liveAndReplayed captures rm's state and, under the same lock, copies its
 // state directory — a SIGKILL at this instant — then recovers the copy as
 // a follower. It returns both captures and the follower.
-func liveAndReplayed(t *testing.T, rm *Server) (live, replayed heldState, follower *Server) {
+func liveAndReplayed(t testing.TB, rm *Server) (live, replayed heldState, follower *Server) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "copy")
 	rm.mu.Lock()
