@@ -188,9 +188,10 @@ bench:
 # reference trips the first, plan rows spanning the whole plan instead of
 # their job's window the second, and grants placed as volume split kind by
 # kind instead of whole tasks the third. It also fails when that tick
-# allocates more than 80 MB (its first_tick_B; 70.1 MB when set on
-# go1.24.0, 14 % under the ceiling), which a stage B that lays out again
-# the network stage A built (91.3 MB) trips. BenchmarkPathAtScale drives a
+# allocates more than 54.3 MB (its first_tick_B; 47.6 MB when set on
+# go1.24.0, 14 % under the ceiling), which a replan that lays out a second
+# network per kind when it drops the deadline slack (70.1 MB) trips.
+# BenchmarkPathAtScale drives a
 # FlowTime RM over a durable store through 200 workflows and ad-hoc
 # bursts to completion and fails when a heartbeat round costs more than
 # one fsync on average (a count; a round costs none, its records riding

@@ -170,7 +170,7 @@ func TestStageAIgnoresReservations(t *testing.T) {
 		}
 		ctx := sched.AssignContext{Now: 0, Cluster: cl}
 
-		bare := New(Config{}).stageA(ctx, jobs, nSlots)[0]
+		bare := New(Config{}).stageA(ctx, jobs, nSlots, nSlots)[0]
 
 		f := New(Config{})
 		rsv := make([]resource.Vector, nSlots)
@@ -178,7 +178,7 @@ func TestStageAIgnoresReservations(t *testing.T) {
 			rsv[i] = resource.New(rng.Int63n(capacity.Get(resource.VCores)+3), 0) // may exceed capacity: clamped
 		}
 		f.FoldAdHocDrain(0, rsv)
-		p := f.stageA(ctx, jobs, nSlots)[0]
+		p := f.stageA(ctx, jobs, nSlots, nSlots)[0]
 		if p.err != nil || bare.err != nil {
 			t.Fatalf("seed %d: stage A errors %v / %v", seed, p.err, bare.err)
 		}

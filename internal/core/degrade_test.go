@@ -464,7 +464,7 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 			}
 			tasks := 1 + rng.Int63n(6)
 			parCap := resource.New(tasks, tasks*512)
-			pj := &planJob{relSlot: rel, dlSlot: dl, state: sched.JobState{
+			pj := &planJob{relSlot: rel, dlSlot: dl, slackDl: dl, state: sched.JobState{
 				ID: fmt.Sprintf("j%d", i), Kind: sched.DeadlineJob, ParallelCap: parCap,
 				EstRemaining: parCap.Scale(1 + rng.Int63n(3*(dl-rel))),
 			}}
@@ -481,7 +481,7 @@ func TestRebuildGreedyPlanIsValid(t *testing.T) {
 			SlotDur: slotDur, Horizon: from + nSlots,
 			CapAt: func(slot int64) resource.Vector { return planCap[slot-from] },
 		}}
-		next := rebuildGreedy(New(Config{}).stageA(ctx, jobs, nSlots), jobs, from, nSlots)
+		next := rebuildGreedy(New(Config{}).stageA(ctx, jobs, nSlots, nSlots), jobs, from, nSlots)
 		if err := checkPlan(next, jobs, planCap); err != nil {
 			t.Fatalf("trial %d: the greedy rebuild fails checkPlan: %v", trial, err)
 		}

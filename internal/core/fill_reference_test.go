@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
@@ -154,12 +155,14 @@ func genFillProblem(rng *rand.Rand) fillProblem {
 		CapAt: func(slot int64) resource.Vector { return capAt[slot-now] },
 	}}
 	slack := rng.Int63n(3)
-	fp.jobs, fp.nSlots = f.computeWindows(ctx, slack)
-	if len(fp.jobs) == 0 {
+	f.cfg.Slack = time.Duration(slack) * slotDur
+	jobs, nSlots, nSlack := f.computeWindows(ctx)
+	if len(jobs) == 0 {
 		return fp
 	}
+	fp.jobs, fp.probs = jobs, f.stageA(ctx, jobs, nSlots, nSlack)
+	fp.nSlots = keepSlack(jobs, fp.probs, nSlack)
 	fp.from, fp.order = now, edfOrder(fp.jobs)
-	fp.probs = f.stageA(ctx, fp.jobs, fp.nSlots)
 	fp.planCap = capAt[:fp.nSlots]
 	for _, pj := range fp.jobs {
 		if int64(pj.state.Deadline/slotDur)-slack > now+fp.nSlots {

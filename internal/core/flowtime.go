@@ -18,8 +18,10 @@
 // exact parametric max-flow on the job→slot network (internal/flow), not
 // by a general LP.
 //
-//  1. Effective windows: each job's decomposed window, intersected with
-//     [now, horizon) and tightened by the deadline slack (§VII-B.2). A job
+//  1. Effective windows, one set per replan: each job's decomposed window,
+//     intersected with [now, horizon), with two deadlines — its true one and
+//     the one the deadline slack (§VII-B.2) sets, floored at one slot past
+//     the release, so the slack's window is a prefix of the true one. A job
 //     whose window has closed is planned in [now, now+1), and what does not
 //     fit there is deferred to the overdue pass.
 //  2. Stage A, feasibility: the max flow at raw cluster capacity, the
@@ -29,9 +31,12 @@
 //     reservation existed; their deficiency is the demand that cannot fit
 //     within windows, split over the jobs latest in EDF order and deferred
 //     to the overdue path — it will miss, as it must, but still completes.
-//     If only the slack makes the instance short, the slack is dropped for
-//     this plan. A reservation that cannot route beside the deadline work
-//     yields: what survives is the most the known deadlines can afford.
+//     Each kind's job→slot network is laid out once, on the true windows,
+//     and the slack closes each job's arcs past its slack deadline. If only
+//     the slack makes the instance short, the slack is dropped for this
+//     plan: the same networks are routed again with every arc open. A
+//     reservation that cannot route beside the deadline work yields: what
+//     survives is the most the known deadlines can afford.
 //  3. Stage B, the skyline: the lexicographic min-max flow of the deadline
 //     demand that fits plus the surviving reservations — the paper's Eq. 1
 //     objective, level by level, flattened around admitted ad-hoc work
@@ -520,11 +525,14 @@ func (f *FlowTime) planKnown(id string) bool {
 	return ok
 }
 
-// planJob is the per-job working state during a replan.
+// planJob is the per-job working state during a replan: its window, which
+// ends at its true deadline, and the deadline the slack sets inside it.
+// The replan that keeps the slack ends the window there.
 type planJob struct {
 	state   sched.JobState
 	relSlot int64 // inclusive, absolute
 	dlSlot  int64 // exclusive, absolute
+	slackDl int64 // exclusive, absolute, in (relSlot, dlSlot]
 }
 
 // replan builds the next revision of the live plan with the per-kind flow
@@ -547,12 +555,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	f.deferred = make(map[string]resource.Vector)
 	f.planCap = nil
 
-	slackSlots := int64(0)
-	if f.cfg.Slack > 0 {
-		slackSlots = int64(f.cfg.Slack / ctx.Cluster.SlotDur)
-	}
-
-	jobs, nSlots := f.computeWindows(ctx, slackSlots)
+	jobs, nSlots, nSlack := f.computeWindows(ctx)
 	if len(jobs) == 0 {
 		f.degrade.Level, f.degrade.Reason = sched.DegradeNone, ""
 		// An empty plan is still a revision: the consumer must learn that
@@ -566,13 +569,17 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	// windows cannot jointly host the demand, plan against the true windows
 	// instead (paper §VII-B.2 introduces slack to absorb estimation error,
 	// not to manufacture misses). The verdict is the exact max-flow
-	// deficiency; a planner error is no verdict and keeps the slack.
-	probs := f.stageA(ctx, jobs, nSlots)
-	if slackSlots > 0 && slices.ContainsFunc(probs, (*kindProblem).isShort) {
+	// deficiency; a planner error is no verdict and keeps the slack. Each
+	// kind's network is laid out once, on the true windows: the slack pass
+	// routes on it with every arc past a slack deadline closed, and dropping
+	// the slack routes again on the same network with every arc open.
+	probs := f.stageA(ctx, jobs, nSlots, nSlack)
+	if f.slackSlots(ctx.Cluster.SlotDur) > 0 && slices.ContainsFunc(probs, (*kindProblem).isShort) {
 		f.stats.SlackDropped++
-		f.record(probs) // the dropped stage A's work and time still count
-		jobs, nSlots = f.computeWindows(ctx, 0)
-		probs = f.stageA(ctx, jobs, nSlots)
+		f.record(probs) // the dropped pass's work and time still count
+		eachKind(probs, func(p *kindProblem) { p.dropSlack(f.planFault) })
+	} else {
+		nSlots = keepSlack(jobs, probs, nSlack)
 	}
 	f.stats.Last.AtRisk, f.stats.Last.CutFrom, f.stats.Last.CutTo = atRisk(probs, ctx.Now)
 
@@ -650,11 +657,23 @@ func checkPlan(p *plan.Plan, jobs []*planJob, caps []resource.Vector) error {
 	return nil
 }
 
-// computeWindows collects live deadline jobs with their effective windows
-// under the given slack, plus the plan length in slots.
-func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]*planJob, int64) {
-	jobs := make([]*planJob, 0, len(ctx.Jobs))
-	maxDl := ctx.Now + 1
+// slackSlots is the deadline slack in whole slots of the given length.
+func (f *FlowTime) slackSlots(slot time.Duration) int64 {
+	if f.cfg.Slack <= 0 {
+		return 0
+	}
+	return int64(f.cfg.Slack / slot)
+}
+
+// computeWindows collects the live deadline jobs with their effective
+// windows, each with its true and its slack deadline, and the plan length
+// in slots under each deadline. The slack deadline is floored at one slot
+// past the release, so each slack window is a prefix of the true one and
+// the slack's horizon is at most the true one.
+func (f *FlowTime) computeWindows(ctx sched.AssignContext) (jobs []*planJob, nSlots, nSlack int64) {
+	slack := f.slackSlots(ctx.Cluster.SlotDur)
+	jobs = make([]*planJob, 0, len(ctx.Jobs))
+	maxDl, maxSlack := ctx.Now+1, ctx.Now+1
 	for _, j := range ctx.Jobs {
 		if j.Kind != sched.DeadlineJob || j.EstRemaining.IsZero() || j.BestEffort {
 			// Best-effort jobs (infeasible decompositions) are excluded from
@@ -663,45 +682,44 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext, slackSlots int64) ([]
 			continue
 		}
 		pj := &planJob{state: j}
-		pj.relSlot = int64(j.Release / ctx.Cluster.SlotDur)
-		if pj.relSlot < ctx.Now {
-			pj.relSlot = ctx.Now
-		}
-		pj.dlSlot = int64(j.Deadline/ctx.Cluster.SlotDur) - slackSlots
-		if pj.dlSlot <= pj.relSlot {
-			pj.dlSlot = pj.relSlot + 1
-		}
+		pj.relSlot = max(int64(j.Release/ctx.Cluster.SlotDur), ctx.Now)
+		pj.dlSlot = max(int64(j.Deadline/ctx.Cluster.SlotDur), pj.relSlot+1)
+		pj.slackDl = max(pj.dlSlot-slack, pj.relSlot+1)
 		if pj.relSlot >= ctx.Now+planSlots {
 			// Beyond the lookahead: planStale fires a replan when the
 			// job's release arrives.
 			continue
 		}
-		if pj.dlSlot > maxDl {
-			maxDl = pj.dlSlot
-		}
+		maxDl, maxSlack = max(maxDl, pj.dlSlot), max(maxSlack, pj.slackDl)
 		jobs = append(jobs, pj)
 	}
 	if len(jobs) == 0 {
-		return nil, 0
+		return nil, 0, 0
 	}
 
-	horizon := maxDl
-	if horizon > ctx.Cluster.Horizon {
-		horizon = ctx.Cluster.Horizon
-	}
-	if horizon <= ctx.Now {
-		horizon = ctx.Now + 1
-	}
+	horizon := func(maxDl int64) int64 { return max(min(maxDl, ctx.Cluster.Horizon), ctx.Now+1) }
+	end, slackEnd := horizon(maxDl), horizon(maxSlack)
 	for _, pj := range jobs {
-		if pj.dlSlot > horizon {
-			pj.dlSlot = horizon
-		}
-		if pj.relSlot >= pj.dlSlot {
-			pj.relSlot = pj.dlSlot - 1
-		}
+		pj.dlSlot, pj.slackDl = min(pj.dlSlot, end), min(pj.slackDl, slackEnd)
+		// Only a cluster horizon at or before the release moves it, and
+		// then both deadlines are that horizon.
+		pj.relSlot = min(pj.relSlot, pj.slackDl-1)
 	}
+	return jobs, end - ctx.Now, slackEnd - ctx.Now
+}
 
-	return jobs, horizon - ctx.Now
+// keepSlack plans the replan on the slack's window set, the one stage A's
+// routings were found on: every job's window ends at its slack deadline,
+// and every kind is cut to the slack's horizon of nSlack slots, which it
+// returns. The kinds' networks keep the true window set.
+func keepSlack(jobs []*planJob, probs []*kindProblem, nSlack int64) int64 {
+	for _, pj := range jobs {
+		pj.dlSlot = pj.slackDl
+	}
+	for _, p := range probs {
+		p.caps, p.jobs, p.order = p.caps[:nSlack], p.slack, p.order[:len(p.slack)]
+	}
+	return nSlack
 }
 
 // kindProblem is one resource kind's share of a replan in the flow
@@ -716,16 +734,25 @@ type kindProblem struct {
 	// one one-slot pseudo-job per slot the gate holds a reservation on
 	// (demand and cap R_t, window [t, t+1)); order lists all of them as
 	// indices, the deadline jobs earliest deadline first, then the
-	// reservations in slot order.
+	// reservations in slot order. caps and jobs are the true window set's
+	// until the replan keeps the slack and cuts them to slack, the same
+	// jobs under the slack's window set: each deadline job's window ends at
+	// its slack deadline, and only the reservations on the slack's horizon
+	// are left. Those come first in the slot order, so slack is a prefix of
+	// jobs, window by window.
 	pjs   []*planJob
 	jobs  []flow.Job
+	slack []flow.Job
 	order []int
-	// route is stage A's answer, on whose network stage B runs: Short[i]
-	// is the demand of jobs[i] it could not route. err is set instead when
-	// the planner failed. Reservations route last and stage A never takes
-	// flow back from a job it has let in, so the rows of the deadline jobs
-	// are their shortfall at raw capacity, and what a reservation keeps,
-	// R'_t = R_t − short, is what the known deadlines can afford to leave it.
+	// net is the kind's network, laid out once per replan on the true
+	// window set. route is stage A's answer on it, on whose network stage B
+	// runs: Short[i] is the demand of jobs[i] it could not route. err is
+	// set instead when the planner failed. Reservations route last and stage
+	// A never takes flow back from a job it has let in, so the rows of the
+	// deadline jobs are their shortfall at raw capacity, and what a
+	// reservation keeps, R'_t = R_t − short, is what the known deadlines can
+	// afford to leave it.
+	net   *flow.Network
 	route *flow.Routing
 	err   error
 	// rows and left are the fill's, indexed like pjs: each deadline job's
@@ -756,15 +783,19 @@ func (p *kindProblem) reserved() (kept []int64, yielded int64) {
 	return kept, yielded
 }
 
-// stageA builds every kind's problem over the given windows, each kind on
-// a goroutine of its own that reads only ctx, jobs, the gate's
-// reservations and the fault seam, and runs the planner's stage A on it:
+// stageA builds every kind's problem over the given window set, nSlots
+// slots under the true deadlines and nSlack under the slack's, each kind on
+// a goroutine of its own that reads only ctx, jobs, the gate's reservations
+// and the fault seam, and runs the planner's stage A on it under the slack:
 // the max flow at raw cluster capacity, the deadline jobs let in earliest
-// deadline first — so their deficiency lands on the latest deadlines — and
-// the gate's reservations after all of them, so a promise to ad-hoc work
-// absorbs a deficiency before any deadline does and never causes one.
-// Kinds no deadline job demands are left out.
-func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots int64) []*kindProblem {
+// slack deadline first — so their deficiency lands on the latest deadlines
+// — and the gate's reservations after all of them, so a promise to ad-hoc
+// work absorbs a deficiency before any deadline does and never causes one.
+// The kind's network is laid out on the true window set and the slack's
+// routes on it, each job open only to its arcs into the slack's window
+// set; a reservation past the slack's horizon opens none and comes last,
+// so it takes no part. Kinds no deadline job demands are left out.
+func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots, nSlack int64) []*kindProblem {
 	var probs []*kindProblem
 	for _, kind := range resource.Kinds() {
 		probs = append(probs, &kindProblem{kind: kind})
@@ -772,42 +803,90 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots int64
 	eachKind(probs, func(p *kindProblem) {
 		for _, pj := range jobs {
 			if d := pj.state.EstRemaining.Get(p.kind); d > 0 {
-				p.order = append(p.order, len(p.jobs))
 				p.pjs = append(p.pjs, pj)
-				p.jobs = append(p.jobs, flow.Job{
-					Demand: d,
-					Rel:    pj.relSlot - ctx.Now,
-					Dl:     pj.dlSlot - ctx.Now,
-					Cap:    pj.state.ParallelCap.Get(p.kind),
-				})
+				j := flow.Job{Demand: d, Rel: pj.relSlot - ctx.Now, Dl: pj.dlSlot - ctx.Now, Cap: pj.state.ParallelCap.Get(p.kind)}
+				p.jobs = append(p.jobs, j)
+				j.Dl = pj.slackDl - ctx.Now
+				p.slack = append(p.slack, j)
 			}
 		}
 		if len(p.jobs) == 0 {
 			return
 		}
-		slices.SortStableFunc(p.order, func(a, b int) int {
-			x, y := p.pjs[a], p.pjs[b]
-			return cmp.Or(cmp.Compare(x.dlSlot, y.dlSlot), strings.Compare(x.state.ID, y.state.ID))
-		})
 		p.caps = make([]int64, nSlots)
 		for t := range p.caps {
 			abs := ctx.Now + int64(t)
 			p.caps[t] = ctx.Cluster.CapAt(abs).Get(p.kind)
 			if r := min(f.adhocReserved[abs].Get(p.kind), p.caps[t]); r > 0 {
-				p.order = append(p.order, len(p.jobs))
-				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
+				j := flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r}
+				p.jobs = append(p.jobs, j)
+				if int64(t) < nSlack {
+					p.slack = append(p.slack, j)
+				}
 			}
 		}
-		p.err = p.runPlanner(f.planFault, &p.timeA, func() (flow.Work, error) {
-			r, err := flow.Shortfall(p.caps, p.jobs, p.order)
+		p.sortEDF(func(pj *planJob) int64 { return pj.slackDl })
+		// open[i] counts jobs[i]'s arcs into the slack's window set: its
+		// network arcs lead to the positive-capacity slots of its window,
+		// ascending, and pos[t] counts those slots before offset t.
+		pos := make([]int, len(p.caps)+1)
+		for t, c := range p.caps {
+			pos[t+1] = pos[t]
+			if c > 0 {
+				pos[t+1]++
+			}
+		}
+		open := make([]int, len(p.jobs))
+		for i, j := range p.slack {
+			open[i] = pos[j.Dl] - pos[j.Rel]
+		}
+		p.shortfall(f.planFault, open)
+	})
+	return slices.DeleteFunc(probs, func(p *kindProblem) bool { return len(p.pjs) == 0 })
+}
+
+// sortEDF orders the kind's jobs for stage A: the deadline jobs by the
+// deadline dl reads, earliest first, ID as tie-break, then the
+// reservations in slot order.
+func (p *kindProblem) sortEDF(dl func(*planJob) int64) {
+	p.order = p.order[:0]
+	for i := range p.jobs {
+		p.order = append(p.order, i)
+	}
+	slices.SortStableFunc(p.order[:len(p.pjs)], func(a, b int) int {
+		x, y := p.pjs[a], p.pjs[b]
+		return cmp.Or(cmp.Compare(dl(x), dl(y)), strings.Compare(x.state.ID, y.state.ID))
+	})
+}
+
+// shortfall runs stage A on the kind's network in the kind's order, each
+// job j open to its first open[j] arcs (every arc when open is nil), and
+// lays the network out first if no pass before did.
+func (p *kindProblem) shortfall(fault func(resource.Kind) error, open []int) {
+	p.err = p.runPlanner(fault, &p.timeA, func() (flow.Work, error) {
+		if p.net == nil {
+			net, err := flow.NewNetwork(p.caps, p.jobs)
 			if err != nil {
 				return flow.Work{}, err
 			}
-			p.route = r
-			return r.Work, nil
-		})
+			p.net = net
+		}
+		r, err := p.net.Shortfall(p.order, open)
+		if err != nil {
+			return flow.Work{}, err
+		}
+		p.route = r
+		return r.Work, nil
 	})
-	return slices.DeleteFunc(probs, func(p *kindProblem) bool { return len(p.pjs) == 0 })
+}
+
+// dropSlack runs stage A again on the kind's network, on the true window
+// set: every arc open, the deadline jobs earliest true deadline first. The
+// slack pass's work is recorded already, and its time is overwritten.
+func (p *kindProblem) dropSlack(fault func(resource.Kind) error) {
+	p.slack, p.work = nil, flow.Work{}
+	p.sortEDF(func(pj *planJob) int64 { return pj.dlSlot })
+	p.shortfall(fault, nil)
 }
 
 // isShort reports whether stage A left any deadline demand of this kind

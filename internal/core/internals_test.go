@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,6 +32,7 @@ func mkPlanJob(id string, rel, dl, tasks int64) *planJob {
 		},
 		relSlot: rel,
 		dlSlot:  dl,
+		slackDl: dl,
 	}
 }
 
@@ -39,7 +41,7 @@ func TestFillSlotBudgetAndCaps(t *testing.T) {
 	b := mkPlanJob("b", 0, 3, 4)
 	a.state.EstRemaining, b.state.EstRemaining = resource.New(6, 0), resource.New(6, 0)
 	jobs := []*planJob{a, b}
-	probs := New(Config{}).stageA(sched.AssignContext{Now: 0, Cluster: view(resource.New(10, 1000), 100)}, jobs, 3)
+	probs := New(Config{}).stageA(sched.AssignContext{Now: 0, Cluster: view(resource.New(10, 1000), 100)}, jobs, 3, 3)
 	if len(probs) != 1 || probs[0].kind != resource.VCores {
 		t.Fatalf("stageA = %+v, want one vcores problem", probs)
 	}
@@ -84,7 +86,7 @@ func TestStageAFindsMinimumShortfall(t *testing.T) {
 	early := mkPlanJob("early", 0, 1, 5)
 	early.state.EstRemaining = resource.New(5, 0)
 	jobs := []*planJob{late, early}
-	probs := f.stageA(sched.AssignContext{Now: 0, Cluster: cl}, jobs, 2)
+	probs := f.stageA(sched.AssignContext{Now: 0, Cluster: cl}, jobs, 2, 2)
 	if len(probs) != 1 || probs[0].kind != resource.VCores || probs[0].err != nil {
 		t.Fatalf("stageA = %+v, want one vcores problem", probs)
 	}
@@ -148,6 +150,46 @@ func TestOverdueJobPlansInOneSlot(t *testing.T) {
 	}
 	if w := f.live.Jobs["loose"].Window; w.Dl != 100 {
 		t.Errorf("loose job planned against deadline slot %d, want its true 100", w.Dl)
+	}
+}
+
+// TestKeptSlackLeavesTheTrueHorizonOut pins a replan that keeps the
+// slack beside gate reservations, one on the last slot of the true
+// horizon, past the slack's: the slack pass routes on the network of the
+// true windows, where that reservation has its slot, but in the instance
+// the plan keeps it does not exist. Capacity 4 a slot, two slots of slack,
+// and one job of demand 30 and cap 4 due at slot 10, so due at 8 under the
+// slack: the plan spans the slack's 8 slots, not the true 10; the
+// reservation of 3 on slot 0 keeps the 2 the job leaves and yields 1; and
+// the one of 4 on slot 9 neither keeps nor yields anything.
+func TestKeptSlackLeavesTheTrueHorizonOut(t *testing.T) {
+	f := New(Config{Slack: 2 * slotDur})
+	rsv := make([]resource.Vector, 10)
+	rsv[0], rsv[9] = resource.New(3, 0), resource.New(4, 0)
+	f.FoldAdHocDrain(0, rsv)
+	job := dlJob("a", 0, 10, resource.New(30, 0), resource.New(4, 0))
+	if _, err := f.Assign(sched.AssignContext{
+		Now: 0, Changed: true, Jobs: []sched.JobState{job}, Cluster: view(resource.New(4, 400), 100),
+	}); err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	s := f.Stats()
+	if s.SlackDropped != 0 {
+		t.Fatalf("SlackDropped = %d, want the slack kept", s.SlackDropped)
+	}
+	if s.AdHocYields != 1 || s.AdHocYielded != resource.New(1, 0) {
+		t.Errorf("%d yields of %v, want 1 of 1 vcore", s.AdHocYields, s.AdHocYielded)
+	}
+	live := f.LivePlan()
+	if live.NSlots != 8 {
+		t.Errorf("the plan spans %d slots, want the slack's 8", live.NSlots)
+	}
+	var got []int64
+	for _, g := range live.Jobs["a"].Alloc {
+		got = append(got, g.Get(resource.VCores))
+	}
+	if w := live.Jobs["a"].Window; w != (plan.Window{Rel: 0, Dl: 8}) || !slices.Equal(got, []int64{2, 4, 4, 4, 4, 4, 4, 4}) {
+		t.Errorf("job a planned %v over %v, want [2 4 4 4 4 4 4 4] over {0 8}", got, w)
 	}
 }
 

@@ -15,9 +15,15 @@
 // in the residual graph at the optimum, recurse on the rest
 // (Gallo–Grigoriadis–Tarjan 1989).
 //
-// The stages are two questions about one network, built once per window
-// set: stage B is a method on stage A's answer (Routing.LexMinMax), which
-// starts from a zero flow on the graph Shortfall laid out.
+// The stages are questions about one network, laid out once per resource
+// kind and replan (NewNetwork) on the jobs' widest windows. A routing opens
+// a prefix of each job's arcs, in slot order, and keeps every other arc at
+// a zero residual, so a job's window cut short — the deadline slack — is
+// the same network with arcs closed, not another one. Stage A routes on it
+// as often as the caller asks, each time from a zero flow
+// (Network.Shortfall), and stage B is a method on the routing kept
+// (Routing.LexMinMax), which starts from a zero flow on that routing's open
+// arcs.
 //
 // All arithmetic that decides anything is exact: a level is the rational
 // θ = num/den read off an integer cut, the network is scaled by den so
@@ -75,11 +81,12 @@ type Work struct {
 	ArcsScanned int
 }
 
-// network is the residual graph. Node 0 is the source, 1..n the jobs,
-// n+1..n+m the slots, n+m+1 the sink. Edges e and e^1 are an arc and its
-// reverse; res holds residual capacities, so the flow on a forward arc e
-// is res[e^1].
-type network struct {
+// Network is one resource kind's job→slot network as a residual graph.
+// Node 0 is the source, 1..n the jobs, n+1..n+m the slots, n+m+1 the sink.
+// Edges e and e^1 are an arc and its reverse; res holds residual
+// capacities, so the flow on a forward arc e is res[e^1]. A Network is not
+// safe for concurrent use: each routing and skyline on it overwrites it.
+type Network struct {
 	caps []int64
 	jobs []Job
 
@@ -92,32 +99,36 @@ type network struct {
 	sinkEdge []int32   // per slot; -1 when no job can use the slot
 	arcStart []int32   // per job: its first job→slot edge; the rest follow two ids apart
 	arcSlot  [][]int32 // per job: the slots those edges lead to, ascending
+	open     []int32   // per job: how many of its arcs, from the first, the routing opened
 
-	level []int32 // BFS distance from the search's root; -1 unlabeled, retired never relabeled
-	queue []int32
-	next  []int32 // Dinic's current-arc cursor into adj
-	goal  int32   // the level push delivers at: the sink's, or in a reroute the first giver's
-	open  []bool  // per job: Shortfall has not walked it yet, so a reroute may take its flow
-	work  Work
+	level   []int32 // BFS distance from the search's root; -1 unlabeled, retired never relabeled
+	queue   []int32
+	next    []int32 // Dinic's current-arc cursor into adj
+	goal    int32   // the level push delivers at: the sink's, or in a reroute the first giver's
+	pending []bool  // per job: Shortfall has not walked it yet, so a reroute may take its flow
+	work    Work
 }
 
 // retired is the level of a node Shortfall has retired: above every BFS
 // distance, so no search labels it and no push enters it.
 const retired = math.MaxInt32
 
-func (g *network) sink() int32          { return int32(len(g.jobs) + len(g.caps) + 1) }
-func (g *network) jobNode(j int) int32  { return int32(1 + j) }
-func (g *network) slotNode(t int) int32 { return int32(1 + len(g.jobs) + t) }
+func (g *Network) sink() int32          { return int32(len(g.jobs) + len(g.caps) + 1) }
+func (g *Network) jobNode(j int) int32  { return int32(1 + j) }
+func (g *Network) slotNode(t int) int32 { return int32(1 + len(g.jobs) + t) }
 
-// newNetwork validates the instance and lays out the graph with every
-// residual capacity zero.
-func newNetwork(caps []int64, jobs []Job) (*network, error) {
+// NewNetwork validates the instance and lays out its network, every
+// residual capacity zero: a source arc per job with demand, an arc from it
+// to each positive-capacity slot of its window, and a sink arc per slot
+// some job reaches. The network keeps caps and jobs, which must not change
+// while it is in use.
+func NewNetwork(caps []int64, jobs []Job) (*Network, error) {
 	for t, c := range caps {
 		if c < 0 {
 			return nil, fmt.Errorf("flow: slot %d has negative capacity %d", t, c)
 		}
 	}
-	g := &network{
+	g := &Network{
 		caps:     caps,
 		jobs:     jobs,
 		srcEdge:  make([]int32, len(jobs)),
@@ -186,7 +197,7 @@ func newNetwork(caps []int64, jobs []Job) (*network, error) {
 }
 
 // root clears the last search's labels and starts a new one at u.
-func (g *network) root(u int32) {
+func (g *Network) root(u int32) {
 	for _, v := range g.queue {
 		g.level[v] = -1
 	}
@@ -199,7 +210,7 @@ func (g *network) root(u int32) {
 // the sink: every node nearer than the sink is labeled by then, and a
 // blocking flow uses no other. When it fails, the labeled nodes are
 // exactly the source side of the minimal min cut.
-func (g *network) search() bool {
+func (g *Network) search() bool {
 	g.root(0)
 	sink := g.sink()
 	for head := 0; head < len(g.queue); head++ {
@@ -227,7 +238,7 @@ func (g *network) search() bool {
 // whether it reached a giver. It finishes the level the first giver is on,
 // which becomes the goal. When it fails, the labeled nodes are all that u
 // can reach.
-func (g *network) reach(u int32) bool {
+func (g *Network) reach(u int32) bool {
 	g.root(u)
 	g.goal = retired
 	sink := g.sink()
@@ -253,10 +264,10 @@ func (g *network) reach(u int32) bool {
 }
 
 // giver is the reverse of the source arc of the job at node v when that
-// job is open and has flow on it to give back, -1 otherwise.
-func (g *network) giver(v int32) int32 {
+// job is pending and has flow on it to give back, -1 otherwise.
+func (g *Network) giver(v int32) int32 {
 	j := int(v) - 1
-	if j < 0 || j >= len(g.jobs) || g.open == nil || !g.open[j] || g.srcEdge[j] < 0 {
+	if j < 0 || j >= len(g.jobs) || g.pending == nil || !g.pending[j] || g.srcEdge[j] < 0 {
 		return -1
 	}
 	if e := g.srcEdge[j] ^ 1; g.res[e] > 0 {
@@ -269,7 +280,7 @@ func (g *network) giver(v int32) int32 {
 // level and returns what arrived: the sink takes all of it, a giver as
 // much as its source arc carries, which it gives up, and any other node
 // there nothing.
-func (g *network) push(u int32, limit int64) int64 {
+func (g *Network) push(u int32, limit int64) int64 {
 	if g.level[u] == g.goal {
 		if u != g.sink() {
 			e := g.giver(u)
@@ -303,7 +314,7 @@ func (g *network) push(u int32, limit int64) int64 {
 
 // augment runs Dinic's algorithm from the current flow to a maximum one.
 // Afterwards the labels of the last, failed search mark the min cut.
-func (g *network) augment() {
+func (g *Network) augment() {
 	for g.search() {
 		g.rewind()
 		g.push(0, math.MaxInt64)
@@ -311,7 +322,7 @@ func (g *network) augment() {
 }
 
 // rewind resets the current-arc cursors of the nodes the search labeled.
-func (g *network) rewind() {
+func (g *Network) rewind() {
 	for _, v := range g.queue {
 		g.next[v] = g.adjStart[v]
 	}
@@ -329,16 +340,38 @@ type Routing struct {
 	// the nodes on it are a min cut of the final flow.
 	JobCut, SlotCut []int
 	Work            Work
-	g               *network // the network it was found on, which LexMinMax reuses
+	g               *Network // the network it was found on, which LexMinMax reuses
+	open            []int32  // the arcs it opened per job, which LexMinMax opens again
+}
+
+// Shortfall is the planner's stage A on a network laid out for it alone:
+// NewNetwork, then Network.Shortfall with every arc open.
+func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
+	g, err := NewNetwork(caps, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return g.Shortfall(order, nil)
 }
 
 // Shortfall is the planner's stage A: the max flow at the hard slot
 // capacities, and per job the demand it leaves unrouted. The split is the
 // one that letting jobs in one at a time in the given order (indices into
-// jobs, each exactly once), each routed to its own maximum before the
-// next and never giving flow back, would make: whatever cannot fit lands
-// on the jobs latest in the order, and the split is a function of the
-// input alone. The total routed is the max flow whatever the order.
+// the network's jobs, each exactly once), each routed to its own maximum
+// before the next and never giving flow back, would make: whatever cannot
+// fit lands on the jobs latest in the order, and the split is a function
+// of the input alone. The total routed is the max flow whatever the order.
+//
+// Only the first open[j] arcs of job j, in slot order, are open (every arc
+// when open is nil); the rest keep a zero residual. A job whose window is
+// cut short at slot d, open to its arcs before d, routes as it would on a
+// network laid out for the cut window, and a job with no arc open routes
+// nothing. So a network routes any instance whose windows are prefixes of
+// the ones it was laid out for: jobs at the end of the order with no arc
+// open take no part but for coming up wholly short, and a slot only
+// closed arcs reach is on no cut. The routing starts from a zero flow
+// whatever the network held, and only the arcs scanned tell it from the
+// one found on a network laid out for that instance.
 //
 // One max flow opens every source arc at once. Then the order is walked:
 // a job left short takes flow back from jobs later in it, along residual
@@ -359,23 +392,25 @@ type Routing struct {
 // search labels it. That changes no later level or push, and spares the
 // searches of a congested instance from re-walking the graph already cut
 // off, once per short job.
-func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
-	g, err := newNetwork(caps, jobs)
-	if err != nil {
-		return nil, err
-	}
+func (g *Network) Shortfall(order []int, open []int) (*Routing, error) {
+	jobs := g.jobs
 	if len(order) != len(jobs) {
 		return nil, fmt.Errorf("flow: order names %d jobs, instance has %d", len(order), len(jobs))
 	}
-	open := make([]bool, len(jobs))
+	pending := make([]bool, len(jobs))
 	for _, j := range order {
-		if j < 0 || j >= len(jobs) || open[j] {
+		if j < 0 || j >= len(jobs) || pending[j] {
 			return nil, fmt.Errorf("flow: order entry %d out of range or repeated", j)
 		}
-		open[j] = true
+		pending[j] = true
 	}
-	for j, slots := range g.arcSlot {
-		for i := range slots {
+	arcs, err := g.opened(open)
+	if err != nil {
+		return nil, err
+	}
+	g.reset(arcs)
+	for j := range jobs {
+		for i := range g.arcs(j) {
 			g.res[g.arcStart[j]+int32(2*i)] = jobs[j].Cap
 		}
 		if e := g.srcEdge[j]; e >= 0 {
@@ -384,14 +419,15 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	}
 	for t, e := range g.sinkEdge {
 		if e >= 0 {
-			g.res[e] = caps[t]
+			g.res[e] = g.caps[t]
 		}
 	}
 	r := &Routing{
 		Short:   make([]int64, len(jobs)),
 		JobCut:  make([]int, len(jobs)),
-		SlotCut: make([]int, len(caps)),
+		SlotCut: make([]int, len(g.caps)),
 		g:       g,
+		open:    arcs,
 	}
 	for i := range r.JobCut {
 		r.JobCut[i] = -1
@@ -401,9 +437,9 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	}
 	g.work.MaxFlows = 1
 	g.augment()
-	g.open = open
+	g.pending = pending
 	for pos, j := range order {
-		open[j] = false
+		pending[j] = false
 		e := g.srcEdge[j]
 		if e < 0 || g.res[e] == 0 {
 			continue
@@ -425,9 +461,43 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 	return r, nil
 }
 
+// opened checks a per-job count of open arcs against the network and
+// returns it as the network keeps it, every arc when open is nil.
+func (g *Network) opened(open []int) ([]int32, error) {
+	if open != nil && len(open) != len(g.jobs) {
+		return nil, fmt.Errorf("flow: open arcs given for %d jobs, instance has %d", len(open), len(g.jobs))
+	}
+	arcs := make([]int32, len(g.jobs))
+	for j, slots := range g.arcSlot {
+		arcs[j] = int32(len(slots))
+		if open != nil {
+			if open[j] < 0 || open[j] > len(slots) {
+				return nil, fmt.Errorf("flow: job %d opens %d of its %d arcs", j, open[j], len(slots))
+			}
+			arcs[j] = int32(open[j])
+		}
+	}
+	return arcs, nil
+}
+
+// reset clears the flow, every label, the queue, the reroute's pending
+// set and the work counter, and opens the first open[j] arcs of each job
+// j: a routing or a skyline on the network starts from here.
+func (g *Network) reset(open []int32) {
+	clear(g.res)
+	for v := range g.level {
+		g.level[v] = -1
+	}
+	g.queue, g.pending, g.work, g.open = g.queue[:0], nil, Work{}, open
+}
+
+// arcs are the slots job j's open arcs lead to, ascending; its i-th arc
+// is edge arcStart[j]+2i.
+func (g *Network) arcs(j int) []int32 { return g.arcSlot[j][:g.open[j]] }
+
 // joinCut puts the nodes the last, failed search labeled on the source
 // side of r's cut from position pos on.
-func (g *network) joinCut(r *Routing, pos int) {
+func (g *Network) joinCut(r *Routing, pos int) {
 	for _, v := range g.queue {
 		if j := int(v) - 1; j >= 0 && j < len(g.jobs) {
 			if r.JobCut[j] < 0 {
@@ -441,7 +511,7 @@ func (g *network) joinCut(r *Routing, pos int) {
 
 // retire takes the nodes the last, failed reach labeled out of every later
 // search: none of them can reach the sink again.
-func (g *network) retire() {
+func (g *Network) retire() {
 	for _, v := range g.queue {
 		g.level[v] = retired
 	}
@@ -483,29 +553,29 @@ type Level struct {
 // take the loads of the flow that proved the last level, all at or under
 // it. ErrInfeasible means no level routes the demand.
 func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
-	g, err := newNetwork(caps, jobs)
+	g, err := NewNetwork(caps, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return (&Routing{Short: make([]int64, len(jobs)), g: g}).LexMinMax(maxLevels)
+	all, _ := g.opened(nil) // every arc: no count to check
+	return (&Routing{Short: make([]int64, len(jobs)), g: g, open: all}).LexMinMax(maxLevels)
 }
 
-// LexMinMax is stage B on the network stage A built: the skyline of the
-// demand r routed, each job's Demand less its Short, over the caps and
-// jobs Shortfall was given, which must not have changed since. It starts
-// from a zero flow, so it answers as the free LexMinMax does on those
-// demands, bit for bit, but for the arcs scanned when a job is wholly
-// short: its arcs stay in the graph, empty, and the searches step over
-// them.
+// LexMinMax is stage B on the network stage A routed on: the skyline of
+// the demand r routed, each job's Demand less its Short, over the arcs r
+// opened. It starts from a zero flow, and every arc r did not open keeps a
+// zero residual, so it answers as the free LexMinMax does on those demands
+// and the windows cut to those arcs, bit for bit, but for the arcs scanned
+// when an arc is closed or a job is wholly short: those arcs stay in the
+// graph, empty, and the searches step over them. Alloc[j] spans job j's
+// whole window and is zero past its open arcs; a slot only closed arcs
+// reach takes no load. r may be any routing found on the network, the last
+// or an earlier one.
 func (r *Routing) LexMinMax(maxLevels int) (*Skyline, error) {
 	g := r.g
-	clear(g.res)
-	for v := range g.level {
-		g.level[v] = -1
-	}
-	g.queue, g.open, g.work = g.queue[:0], nil, Work{}
+	g.reset(r.open)
 	s := &lexState{
-		network:    g,
+		Network:    g,
 		demand:     make([]int64, len(g.jobs)),
 		jobActive:  make([]bool, len(g.jobs)),
 		slotActive: make([]bool, len(g.caps)),
@@ -518,13 +588,13 @@ func (r *Routing) LexMinMax(maxLevels int) (*Skyline, error) {
 		},
 	}
 	// A job is active when it has demand, a slot when an active job has an
-	// arc to it.
+	// open arc to it.
 	for j, job := range g.jobs {
 		if s.demand[j] = job.Demand - r.Short[j]; s.demand[j] > 0 {
 			s.jobActive[j] = true
 			s.activeJobs++
 			s.out.Alloc[j] = make([]int64, job.Dl-job.Rel)
-			for _, t := range g.arcSlot[j] {
+			for _, t := range g.arcs(j) {
 				s.slotActive[t] = true
 			}
 		}
@@ -550,7 +620,7 @@ func (r *Routing) LexMinMax(maxLevels int) (*Skyline, error) {
 // earlier levels are forced to put on a still-active slot t (their Cap —
 // those arcs cross the min cut that froze them).
 type lexState struct {
-	*network
+	*Network
 	demand     []int64
 	jobActive  []bool
 	slotActive []bool
@@ -558,7 +628,7 @@ type lexState struct {
 	base       []int64
 	den        int64   // the flow is in units of 1/den; 0 before the first max-flow
 	stuck      []bool  // per node: cannot reach the sink in the residual graph
-	back       []int32 // freeze's own BFS queue; search owns network.queue
+	back       []int32 // freeze's own BFS queue; search owns Network.queue
 	out        *Skyline
 }
 
@@ -667,7 +737,7 @@ func (s *lexState) setCaps(theta ratio, demand int64) (want int64, err error) {
 			}
 		}
 		sent := int64(0)
-		for i, t := range s.arcSlot[j] {
+		for i, t := range s.arcs(j) {
 			e := s.arcStart[j] + int32(2*i)
 			if !s.jobActive[j] || !s.slotActive[t] {
 				s.res[e], s.res[e^1] = 0, 0
@@ -736,7 +806,7 @@ func (s *lexState) cutLevel(demand int64) (ratio, error) {
 			}
 			continue
 		}
-		for _, t := range s.arcSlot[j] {
+		for _, t := range s.arcs(j) {
 			if s.slotActive[t] && s.level[s.slotNode(int(t))] < 0 {
 				if fixed, err = add(fixed, s.jobs[j].Cap); err != nil {
 					return ratio{}, err
@@ -802,7 +872,7 @@ func (s *lexState) freeze(theta ratio, last bool) error {
 			lv.Jobs = append(lv.Jobs, j)
 		}
 		job := s.jobs[j]
-		for i, t := range s.arcSlot[j] {
+		for i, t := range s.arcs(j) {
 			if !s.slotActive[t] {
 				continue
 			}

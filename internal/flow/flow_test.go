@@ -585,15 +585,21 @@ func TestCertificateAtProbeScale(t *testing.T) {
 // sameSkyline runs stage B on r, stage A's routing of jobs over caps, and
 // holds it to the free LexMinMax on the demand r routed, fits, which it
 // returns with stage B's answer: the same skyline and error bit for bit,
-// and the same work but for the arcs scanned when a job is wholly short,
-// whose empty arcs only the shared network holds.
-func sameSkyline(t testing.TB, caps []int64, jobs []flow.Job, r *flow.Routing, maxLevels int) ([]flow.Job, *flow.Skyline, error) {
+// and the same work but for the arcs scanned when a job is wholly short
+// or, with cut set, an arc is closed: those arcs only the shared network
+// holds, empty. With cut set, r may be a routing on a network whose
+// windows and slots reach past those of jobs and caps, open only to the
+// arcs inside them, and with jobs past those of jobs that open none:
+// stage B's loads past caps, its rows past the windows of jobs and the
+// rows of the jobs past them must be zero, and the rest is held to the
+// free answer.
+func sameSkyline(t testing.TB, caps []int64, jobs []flow.Job, r *flow.Routing, maxLevels int, cut bool) ([]flow.Job, *flow.Skyline, error) {
 	t.Helper()
 	fits := slices.Clone(jobs)
 	wholly := false
-	for j, s := range r.Short {
-		fits[j].Demand -= s
-		wholly = wholly || s > 0 && fits[j].Demand == 0
+	for j := range fits {
+		fits[j].Demand -= r.Short[j]
+		wholly = wholly || r.Short[j] > 0 && fits[j].Demand == 0
 	}
 	got, err := r.LexMinMax(maxLevels)
 	want, wantErr := flow.LexMinMax(caps, fits, maxLevels)
@@ -603,8 +609,11 @@ func sameSkyline(t testing.TB, caps []int64, jobs []flow.Job, r *flow.Routing, m
 	if err != nil {
 		return fits, nil, err
 	}
+	if cut {
+		got = cutSkyline(t, got, caps, jobs)
+	}
 	gw, ww := got.Work, want.Work
-	if wholly {
+	if wholly || cut {
 		gw.ArcsScanned, ww.ArcsScanned = 0, 0
 	}
 	if !reflect.DeepEqual(got.Load, want.Load) || !reflect.DeepEqual(got.Alloc, want.Alloc) ||
@@ -612,6 +621,95 @@ func sameSkyline(t testing.TB, caps []int64, jobs []flow.Job, r *flow.Routing, m
 		t.Fatalf("stage B on the routing differs from the free LexMinMax:\n%+v\n%+v", got, want)
 	}
 	return fits, got, nil
+}
+
+// cutSkyline is sky cut to caps and jobs, a prefix of the slots and jobs
+// it was found on, each window of jobs a prefix of the window there. It
+// fails unless what it cuts off is zero.
+func cutSkyline(t testing.TB, sky *flow.Skyline, caps []int64, jobs []flow.Job) *flow.Skyline {
+	t.Helper()
+	out := *sky
+	out.Load, out.Den, out.Alloc = sky.Load[:len(caps)], sky.Den[:len(jobs)], make([][]int64, len(jobs))
+	for slot, l := range sky.Load[len(caps):] {
+		if l != 0 {
+			t.Fatalf("slot %d past the cut carries %g", len(caps)+slot, l)
+		}
+	}
+	for j, row := range sky.Alloc {
+		if j >= len(jobs) {
+			if row != nil || sky.Den[j] != 0 {
+				t.Fatalf("job %d past the cut has a row %v over %d", j, row, sky.Den[j])
+			}
+			continue
+		}
+		if row == nil {
+			continue
+		}
+		win := jobs[j].Dl - jobs[j].Rel
+		if slices.ContainsFunc(row[win:], func(x int64) bool { return x != 0 }) {
+			t.Fatalf("job %d places %v past its cut window of %d slots", j, row, win)
+		}
+		out.Alloc[j] = row[:win]
+	}
+	return &out
+}
+
+// sameCutRouting lays jobs over caps out as one network and routes it in
+// order with each job j < len(cut) open only to its arcs before slot
+// cut[j], and every later job to none. It holds that routing to the free
+// Shortfall on the cut instance — the first m slots and the first
+// len(cut) jobs, each window ending at cut[j], which must be the first
+// len(cut) entries of order — bit for bit but for the arcs scanned: the
+// later jobs route nothing, and no slot from m on is on a cut. It returns
+// the network, the routing and the cut instance.
+func sameCutRouting(t testing.TB, caps []int64, jobs []flow.Job, order []int, cut []int64, m int) (*flow.Network, *flow.Routing, []int64, []flow.Job) {
+	t.Helper()
+	cutCaps, cutJobs := caps[:m], slices.Clone(jobs[:len(cut)])
+	// pos[slot] counts the positive-capacity slots before slot: the ones a
+	// job's arcs lead to, ascending.
+	pos := make([]int, len(caps)+1)
+	for slot, c := range caps {
+		pos[slot+1] = pos[slot]
+		if c > 0 {
+			pos[slot+1]++
+		}
+	}
+	open := make([]int, len(jobs))
+	for j := range cutJobs {
+		cutJobs[j].Dl = cut[j]
+		if jobs[j].Demand > 0 { // a job without demand has no arc
+			open[j] = pos[cut[j]] - pos[cutJobs[j].Rel]
+		}
+	}
+	net, err := flow.NewNetwork(caps, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := net.Shortfall(order, open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flow.Shortfall(cutCaps, cutJobs, order[:len(cut)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameRouting(got, want); err != nil {
+		t.Fatalf("the cut routing differs from the free Shortfall on the cut instance: %v", err)
+	}
+	if gw, ww := got.Work, want.Work; gw.MaxFlows != ww.MaxFlows || gw.Resumed != ww.Resumed || gw.Augmentations != ww.Augmentations {
+		t.Fatalf("the cut routing's work %+v, the free Shortfall's %+v", gw, ww)
+	}
+	for j := len(cut); j < len(jobs); j++ {
+		if got.Short[j] != jobs[j].Demand {
+			t.Fatalf("job %d past the cut routed %d of %d", j, jobs[j].Demand-got.Short[j], jobs[j].Demand)
+		}
+	}
+	for slot := m; slot < len(caps); slot++ {
+		if got.SlotCut[slot] >= 0 {
+			t.Fatalf("slot %d past the cut is on the cut from position %d", slot, got.SlotCut[slot])
+		}
+	}
+	return net, got, cutCaps, cutJobs
 }
 
 // TestStageBOnTheRoutingIsTheFreeLexMinMax holds stage B on stage A's
@@ -647,7 +745,7 @@ func TestStageBOnTheRoutingIsTheFreeLexMinMax(t *testing.T) {
 			}
 		}
 		for _, maxLevels := range []int{0, 1, 3} {
-			fits, sky, err := sameSkyline(t, caps, jobs, r, maxLevels)
+			fits, sky, err := sameSkyline(t, caps, jobs, r, maxLevels, false)
 			if err != nil {
 				t.Fatalf("case %d: %v", i, err)
 			}
@@ -660,11 +758,117 @@ func TestStageBOnTheRoutingIsTheFreeLexMinMax(t *testing.T) {
 	t.Logf("%d jobs with a cap wholly short, %d slots only a job without one reaches", wholly, lone)
 }
 
+// edfOrder lists jobs' indices for stage A as core does: the first n by
+// dl, earliest first, index as tie-break, then the rest in index order.
+func edfOrder(n int, total int, dl func(j int) int64) []int {
+	order := make([]int, total)
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortStableFunc(order[:n], func(a, b int) int { return int(dl(a) - dl(b)) })
+	return order
+}
+
+// TestSlackRoutingIsTheFreeShortfall holds stage A on one network with
+// each job open only to a prefix of its arcs — the deadline slack's window
+// set on the network of the true one — to the free Shortfall on the slack
+// instance (sameCutRouting), and stage B on that routing to the free
+// LexMinMax there (sameSkyline); and the same network, routed again in the
+// true windows' order with every arc open, to the free Shortfall on the
+// true instance, work and all. As in core, a slack deadline is the true one
+// less the slack, floored at one slot past the release; the slack's
+// horizon is the latest slack deadline; and one-slot reservation
+// pseudo-jobs follow the deadline jobs in slot order, those past the
+// slack's horizon open to no arc. The instances hold deadlines the floor
+// raised, such trailing reservations, and slots only closed arcs reach.
+func TestSlackRoutingIsTheFreeShortfall(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	floored, trailing, closedOnly := 0, 0, 0
+	for i := 0; i < 2000; i++ {
+		caps, jobs := genInstance(rng, 1+rng.Intn(20), 2+rng.Intn(30), 20, 1+rng.Int63n(32))
+		for j := range jobs {
+			jobs[j].Demand *= 1 + rng.Int63n(3)
+		}
+		n, slack, m := len(jobs), rng.Int63n(8), int64(1)
+		cut := make([]int64, n)
+		for j, job := range jobs {
+			cut[j] = max(job.Dl-slack, job.Rel+1)
+			if job.Dl-slack < job.Rel+1 {
+				floored++
+			}
+			m = max(m, cut[j])
+		}
+		for slot, c := range caps {
+			if c > 0 && rng.Intn(3) == 0 {
+				r := 1 + rng.Int63n(c)
+				jobs = append(jobs, flow.Job{Demand: r, Rel: int64(slot), Dl: int64(slot) + 1, Cap: r})
+				if int64(slot) < m {
+					cut = append(cut, int64(slot)+1)
+				} else {
+					trailing++
+				}
+			}
+		}
+		reached := make([]int, len(caps)) // 1 by a closed arc only, 2 by an open one
+		for j, job := range jobs {
+			for slot := job.Rel; slot < job.Dl; slot++ {
+				switch {
+				case caps[slot] == 0:
+				case j < len(cut) && slot < cut[j]:
+					reached[slot] = 2
+				default:
+					reached[slot] = max(reached[slot], 1)
+				}
+			}
+		}
+		for _, r := range reached {
+			if r == 1 {
+				closedOnly++
+			}
+		}
+
+		slackOrder := edfOrder(n, len(jobs), func(j int) int64 { return cut[j] })
+		net, rs, sCaps, sJobs := sameCutRouting(t, caps, jobs, slackOrder, cut, int(m))
+		trueOrder := edfOrder(n, len(jobs), func(j int) int64 { return jobs[j].Dl })
+		rt, err := net.Shortfall(trueOrder, nil)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		want, err := flow.Shortfall(caps, jobs, trueOrder)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if err := sameRouting(rt, want); err != nil || rt.Work != want.Work {
+			t.Fatalf("case %d: the reopened routing differs from the free Shortfall (work %+v against %+v): %v", i, rt.Work, want.Work, err)
+		}
+		// Stage B on the slack routing, found before the network routed
+		// again, then on the reopened one.
+		for _, maxLevels := range []int{0, 1, 3} {
+			fits, sky, err := sameSkyline(t, sCaps, sJobs, rs, maxLevels, true)
+			if err != nil {
+				t.Fatalf("case %d: %v", i, err)
+			}
+			certify(t, sCaps, fits, maxLevels, sky)
+			if _, _, err := sameSkyline(t, caps, jobs, rt, maxLevels, false); err != nil {
+				t.Fatalf("case %d: %v", i, err)
+			}
+		}
+	}
+	if floored < 500 || trailing < 500 || closedOnly < 500 {
+		t.Fatalf("the instances missed a shape: %d floored slack deadlines, %d trailing reservations, %d slots only closed arcs reach",
+			floored, trailing, closedOnly)
+	}
+	t.Logf("%d floored slack deadlines, %d trailing reservations, %d slots only closed arcs reach", floored, trailing, closedOnly)
+}
+
 // FuzzFlowSkyline throws adversarial capacities, demands and windows at
 // both stages: no panic, every error a declared one or a validation
 // message, stage B on the routing the free LexMinMax on the demand it
 // routed (sameSkyline), and every answer returned passes the exact
-// checker, its skyline's loads the interior check.
+// checker, its skyline's loads the interior check. It draws a prefix of
+// each job's window too, and holds the routing on the same network open
+// only to those prefixes, and stage B on it, to the free answers on the
+// cut windows (sameCutRouting).
 func FuzzFlowSkyline(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), int64(4), int64(6), uint8(0))
 	f.Add(int64(7), uint8(12), uint8(30), int64(512), int64(4000), uint8(4))
@@ -706,7 +910,7 @@ func FuzzFlowSkyline(f *testing.F) {
 		}
 		// What stage A routed fits under the hard caps, so stage B must
 		// route it with every level at or under 1.
-		fits, sky, err := sameSkyline(t, caps, jobs, r, int(maxLevels)%6)
+		fits, sky, err := sameSkyline(t, caps, jobs, r, int(maxLevels)%6, false)
 		if errors.Is(err, flow.ErrOverflow) {
 			return
 		}
@@ -718,6 +922,22 @@ func FuzzFlowSkyline(f *testing.F) {
 		if lv := sky.Levels; len(lv) > 0 && lv[0].Num > lv[0].Den {
 			t.Fatalf("top level %d/%d above 1 on demand that fits the hard caps", lv[0].Num, lv[0].Den)
 		}
+
+		// The same jobs on the same network, each open to a drawn prefix of
+		// its arcs: the free answers on the windows cut there.
+		cut := make([]int64, len(jobs))
+		for j, job := range jobs {
+			cut[j] = job.Rel + 1 + rng.Int63n(job.Dl-job.Rel)
+		}
+		_, rc, cc, cj := sameCutRouting(t, caps, jobs, order, cut, m)
+		fits, sky, err = sameSkyline(t, cc, cj, rc, int(maxLevels)%6, true)
+		if errors.Is(err, flow.ErrOverflow) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("LexMinMax after the cut Shortfall: %v", err)
+		}
+		certify(t, cc, fits, int(maxLevels)%6, sky)
 	})
 }
 

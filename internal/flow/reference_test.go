@@ -9,7 +9,7 @@ import "fmt"
 // routes every job in one max flow and then reroutes in order, must equal
 // bit for bit in its Routing.
 func ShortfallReference(caps []int64, jobs []Job, order []int) (*Routing, error) {
-	g, err := newNetwork(caps, jobs)
+	g, err := NewNetwork(caps, jobs)
 	if err != nil {
 		return nil, err
 	}

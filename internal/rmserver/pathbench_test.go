@@ -52,9 +52,11 @@ var phaseSumBounds = [2]float64{0.90, 1.10}
 // completion, as means over the workflows; per tick, the tick ring's
 // phase sum against the tick's wall time, over the run and at its lowest
 // and highest tick, failing the run when the first is outside
-// phaseSumBounds; the ad-hoc jobs the gate admitted and rejected; the
-// fsyncs per heartbeat round, failing the run over pathFsyncCeiling; and
-// the WAL's KB per slot, failing it over pathWALByteCeiling. It fails a
+// phaseSumBounds; the replans the scheduler ran and those of them that
+// dropped the deadline slack; the ad-hoc jobs the gate admitted and
+// rejected; the fsyncs per heartbeat round, failing the run over
+// pathFsyncCeiling; and the WAL's KB per slot, failing it over
+// pathWALByteCeiling. It fails a
 // run in which a job never completes, or whose store, recovered as a
 // follower at the end, does not hold the live state byte for byte, leases
 // and in-flight volume included. It reports the jobs that missed their
@@ -65,7 +67,7 @@ var phaseSumBounds = [2]float64{0.90, 1.10}
 func BenchmarkPathAtScale(b *testing.B) {
 	recs := scaleWorkflows(b, pathWorkflows)
 	slot := func(sec int64) int64 { return sec / int64(time.Minute/time.Second) }
-	var admitSlots, grantSlots, completeSlots, admittedAH, rejectedAH, rounds, roundFsyncs, walBytes, missed float64
+	var admitSlots, grantSlots, completeSlots, admittedAH, rejectedAH, rounds, roundFsyncs, walBytes, missed, replans, slackDropped float64
 	var phases, walls time.Duration
 	lowest, highest := math.Inf(1), 0.0
 	b.ResetTimer()
@@ -161,6 +163,8 @@ func BenchmarkPathAtScale(b *testing.B) {
 			completeSlots += float64(done[wf] - s)
 		}
 		walBytes += float64(c.store.Stats().WALBytes)
+		replans += float64(ft.Stats().Replans)
+		slackDropped += float64(ft.Stats().SlackDropped)
 		live, replayed, _ := liveAndReplayed(b, c.rm)
 		if !bytes.Equal(live.snapshot, replayed.snapshot) || !reflect.DeepEqual(live.inFlight, replayed.inFlight) {
 			b.Fatal("replaying the log does not rebuild the live state")
@@ -175,6 +179,8 @@ func BenchmarkPathAtScale(b *testing.B) {
 	b.ReportMetric(frac, "phase_sum_frac")
 	b.ReportMetric(lowest, "phase_sum_frac_min")
 	b.ReportMetric(highest, "phase_sum_frac_max")
+	b.ReportMetric(replans/float64(b.N), "replans")
+	b.ReportMetric(slackDropped/float64(b.N), "slack_dropped")
 	b.ReportMetric(admittedAH/float64(b.N), "adhoc_admitted")
 	b.ReportMetric(rejectedAH/float64(b.N), "adhoc_rejected")
 	perRound := roundFsyncs / rounds
