@@ -175,8 +175,10 @@ bench:
 
 # bench-smoke is the CI form: every benchmark runs exactly once so a
 # broken benchmark fails fast without paying for a measurement run.
-# BenchmarkLexMinMax is the planner regression gate: its 5000x1000 replan
-# fails over 1 s, and its certificate must pass the exact checker.
+# BenchmarkLexMinMax is the planner regression gate: its 5000x1000 replan,
+# the exact skyline with every level solved, fails over 1 s, and must pass
+# the exact checker and equal the reference that peels the levels by
+# Newton steps: loads, verdict and levels.
 # BenchmarkShortfall holds each probe's stage A routing to the reference
 # that lets the jobs in one at a time, each augmented to its maximum and
 # re-walking what a short job cut off (~30 s of the run, nearly all of it
@@ -188,9 +190,11 @@ bench:
 # reference trips the first, plan rows spanning the whole plan instead of
 # their job's window the second, and grants placed as volume split kind by
 # kind instead of whole tasks the third. It also fails when that tick
-# allocates more than 54.3 MB (its first_tick_B; 47.6 MB when set on
-# go1.24.0, 14 % under the ceiling), which a replan that lays out a second
-# network per kind when it drops the deadline slack (70.1 MB) trips.
+# allocates more than 38.0 MB (its first_tick_B; 33.3 MB when set on
+# go1.24.0, 14 % under the ceiling), which a replan that grows its
+# network's arrays one append at a time and peels stage B's levels by
+# Newton steps (47.6 MB) trips. It reports the
+# first tick's skyline levels (its levels), every one solved.
 # BenchmarkPathAtScale drives a
 # FlowTime RM over a durable store through 200 workflows and ad-hoc
 # bursts to completion and fails when a heartbeat round costs more than

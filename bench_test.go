@@ -126,19 +126,6 @@ func BenchmarkExtTraceReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkExtLexVsMinMax regenerates extension D: full lexicographic
-// refinement versus a single min-max round.
-func BenchmarkExtLexVsMinMax(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunExtD()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Lexicographic.AvgTurnaround.Seconds(), "lex-turnaround-s")
-		b.ReportMetric(res.SingleMinMax.AvgTurnaround.Seconds(), "minmax1-turnaround-s")
-	}
-}
-
 func benchName(key string, v int) string {
 	const digits = "0123456789"
 	if v == 0 {

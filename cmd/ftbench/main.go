@@ -13,7 +13,6 @@
 //	ftbench -fig ext-a    # robustness to estimation error
 //	ftbench -fig ext-b    # decomposition-strategy ablation
 //	ftbench -fig ext-c    # trace-driven replay
-//	ftbench -fig ext-d    # lexicographic vs single min-max ablation
 //	ftbench -fig ext-e    # failure injection (capacity dip)
 //	ftbench -fig all      # everything
 //
@@ -33,15 +32,15 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 4, 5, 6, 7, ext-a..ext-e, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 4, 5, 6, 7, ext-a, ext-b, ext-c, ext-e, all")
 	quick := flag.Bool("quick", false, "reduce averaging for a fast smoke run")
 	flag.Parse()
 
 	runners := map[string]func(bool) error{
 		"1": fig1, "4": fig4, "5": fig5, "6": fig6, "7": fig7,
-		"ext-a": extA, "ext-b": extB, "ext-c": extC, "ext-d": extD, "ext-e": extE,
+		"ext-a": extA, "ext-b": extB, "ext-c": extC, "ext-e": extE,
 	}
-	order := []string{"1", "4", "5", "6", "7", "ext-a", "ext-b", "ext-c", "ext-d", "ext-e"}
+	order := []string{"1", "4", "5", "6", "7", "ext-a", "ext-b", "ext-c", "ext-e"}
 
 	if *fig == "all" {
 		for _, id := range order {
@@ -221,16 +220,6 @@ func extC(bool) error {
 		return err
 	}
 	printFig4Rows(sums)
-	return nil
-}
-
-func extD(bool) error {
-	fmt.Println("Ext. D — lexicographic min-max vs single min-max round.")
-	res, err := experiments.RunExtD()
-	if err != nil {
-		return err
-	}
-	printFig4Rows([]metrics.Summary{res.Lexicographic, res.SingleMinMax})
 	return nil
 }
 

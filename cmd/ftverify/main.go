@@ -168,7 +168,7 @@ func largeCase(rng *rand.Rand) error {
 		if err != nil || !sol.Feasible {
 			return err
 		}
-		return oracle.CheckSolution(c, 0, sol.Sky)
+		return oracle.CheckSolution(c, sol.Sky)
 	}
 	if err := check(in); err != nil {
 		return shrunk(in, err, func(c oracle.Instance) bool { return check(c) != nil })

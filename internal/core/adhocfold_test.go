@@ -17,7 +17,7 @@ import (
 // of them, while planCap keeps recording RAW capacity so the fold itself
 // never looks like a cluster capacity change.
 func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
-	f := New(Config{Slack: 0, MaxLexRounds: 4})
+	f := New(Config{Slack: 0})
 	capacity := resource.New(10, 1000)
 	rem := resource.New(100, 10000) // 20-slot window, ~5 cores/slot flattened
 	mk := func(now int64) sched.AssignContext {
@@ -112,7 +112,7 @@ func TestFoldAdHocDrainReservesCapacity(t *testing.T) {
 // against capacity minus reservations, 30 units were deferred and parked
 // until the plan was deferredRetryInterval slots old.
 func TestReservationYieldsToDeadline(t *testing.T) {
-	f := New(Config{Slack: 0, MaxLexRounds: 4})
+	f := New(Config{Slack: 0})
 	capacity := resource.New(10, 1000)
 	consumed := make([]resource.Vector, 10)
 	for i := range consumed {

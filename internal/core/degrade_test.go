@@ -31,7 +31,7 @@ func failingPlanner(resource.Kind) error { return errors.New("injected planner f
 
 func TestLadderStepsDownToGreedyOnPlannerError(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
-	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f := New(Config{Slack: 0})
 	f.planFault = failingPlanner
 	jobs := twoJobMix()
 	grants, err := f.Assign(sched.AssignContext{
@@ -80,7 +80,7 @@ func TestLadderStepsDownToGreedyOnPlannerError(t *testing.T) {
 
 func TestLadderStepsDownOnPlannerPanic(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
-	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f := New(Config{Slack: 0})
 	f.planFault = func(resource.Kind) error { panic("injected planner panic") }
 	grants, err := f.Assign(sched.AssignContext{
 		Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: view(capacity, 100),
@@ -104,7 +104,7 @@ func TestLadderStepsDownOnPlannerPanic(t *testing.T) {
 // greedily, vcores keep their flow plan.
 func TestLadderStepsDownPerKindOnStageBFailure(t *testing.T) {
 	capacity := resource.New(20, 20*1024)
-	cfg := Config{Slack: 0, MaxLexRounds: 3}
+	cfg := Config{Slack: 0}
 	// run plans twoJobMix with the planner failing for memory on the call
 	// numbered failOn (0: never; 1 is stage A, 2 stage B). The kinds call
 	// the seam from goroutines of their own, so the count is atomic.
@@ -162,7 +162,7 @@ func TestOverflowStepsDownToGreedy(t *testing.T) {
 		dlJob("a", 0, 10, resource.New(40, 3*huge+12345), resource.New(10, huge/2+7)),
 		dlJob("b", 0, 7, resource.New(30, 2*huge+999), resource.New(12, huge/3+1)),
 	}
-	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f := New(Config{Slack: 0})
 	if _, err := f.Assign(sched.AssignContext{
 		Now: 0, Changed: true, Jobs: jobs, Cluster: view(capacity, 100),
 	}); err != nil {
@@ -190,7 +190,7 @@ func TestLadderRecoversAtNextReplan(t *testing.T) {
 	// Trip the ladder once, then replan with a healthy planner: the level
 	// must return to full while the fallback counters keep their history.
 	capacity := resource.New(20, 20*1024)
-	f := New(Config{Slack: 0, MaxLexRounds: 3})
+	f := New(Config{Slack: 0})
 	f.planFault = failingPlanner
 	cl := view(capacity, 100)
 	if _, err := f.Assign(sched.AssignContext{Now: 0, Changed: true, Jobs: twoJobMix(), Cluster: cl}); err != nil {
@@ -293,7 +293,7 @@ func TestDeferredDemandRetriedAfterInterval(t *testing.T) {
 	// replan defers nothing, so none follows ten slots after it.
 	capacity := resource.New(10, 1000)
 	cl := view(capacity, 100)
-	f := New(Config{Slack: 0, MaxLexRounds: 2})
+	f := New(Config{Slack: 0})
 
 	consumed := resource.Vector{}
 	demand := resource.New(60, 6000)
@@ -350,7 +350,7 @@ func TestDeferredDemandRetriedAfterInterval(t *testing.T) {
 func TestBestEffortJobsExcludedFromPlanning(t *testing.T) {
 	capacity := resource.New(10, 1000)
 	cl := view(capacity, 100)
-	f := New(Config{Slack: 0, MaxLexRounds: 2})
+	f := New(Config{Slack: 0})
 
 	normal := dlJob("a", 0, 10, resource.New(40, 4000), resource.New(10, 1000))
 	be := dlJob("b", 0, 20, resource.New(5, 500), resource.New(5, 500))
@@ -393,10 +393,9 @@ func TestBestEffortJobsExcludedFromPlanning(t *testing.T) {
 func TestPlanValidationProperty(t *testing.T) {
 	configs := map[string]Config{
 		"default":         DefaultConfig(),
-		"failing-planner": {Slack: 0, MaxLexRounds: 3},
-		"single-round":    {Slack: 0, MaxLexRounds: 1},
-		"exact":           {Slack: 0, MaxLexRounds: 0},
-		"tight-slack":     {Slack: 60 * time.Second, MaxLexRounds: 2},
+		"failing-planner": {Slack: 0},
+		"exact":           {Slack: 0},
+		"tight-slack":     {Slack: 60 * time.Second},
 	}
 	capacity := resource.New(16, 16*1024)
 	cl := view(capacity, 300)

@@ -58,7 +58,7 @@ func runReplans(seed int64) replanRun {
 	}
 	cl := sched.ClusterView{SlotDur: slotDur, Horizon: now + 40, CapAt: func(slot int64) resource.Vector { return capAt[slot-now+4] }}
 
-	cfg := Config{MaxLexRounds: rng.Intn(4)}
+	var cfg Config
 	if rng.Intn(2) == 0 {
 		cfg.Slack = slotDur * time.Duration(1+rng.Intn(2))
 	}

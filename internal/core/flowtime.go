@@ -100,12 +100,6 @@ type Config struct {
 	// to finish each job this much before its true deadline. Default 60s
 	// (the paper's empirical setting); zero disables.
 	Slack time.Duration
-	// MaxLexRounds caps the skyline levels solved per replan and per
-	// resource kind (0 = exact). The top MaxLexRounds levels — the
-	// maximum is what ad-hoc jobs feel first — and the slots tight at
-	// them are those of the exact optimum; the slots below take the loads
-	// of the flow that proved the last level, all at or under it.
-	MaxLexRounds int
 	// StreamPlans queues, at every replan, the plan.Diff from the previous
 	// revision to the new one for TakePlanDiffs. The plan itself is kept
 	// and served (LivePlan) either way. Off by default: without a consumer
@@ -116,9 +110,9 @@ type Config struct {
 	StreamPlans bool
 }
 
-// DefaultConfig returns the paper's settings: 60s slack, bounded rounds.
+// DefaultConfig returns the paper's settings: 60s slack.
 func DefaultConfig() Config {
-	return Config{Slack: 60 * time.Second, MaxLexRounds: 4}
+	return Config{Slack: 60 * time.Second}
 }
 
 // FlowTime is the paper's scheduler. Create with New; it implements
@@ -225,7 +219,7 @@ type PlannerStats struct {
 	// Pivots is the number of augmenting paths pushed.
 	Pivots int
 	// ColdStarts counts max-flow computations started from a zero flow,
-	// WarmStarts those resumed from the previous Newton step's flow.
+	// WarmStarts those resumed from the flow of the part a cut split.
 	ColdStarts int
 	WarmStarts int
 	// Refactors is always zero: a max-flow has no basis to refactorize.
@@ -587,7 +581,7 @@ func (f *FlowTime) replan(ctx sched.AssignContext, cause string) {
 	for t := int64(0); t < nSlots; t++ {
 		f.planCap[t] = ctx.Cluster.CapAt(ctx.Now + t)
 	}
-	eachKind(probs, func(p *kindProblem) { p.finish(f.cfg.MaxLexRounds, f.planFault) })
+	eachKind(probs, func(p *kindProblem) { p.finish(f.planFault) })
 	level, reason := f.record(probs)
 	next := merge(probs, jobs, ctx.Now, nSlots)
 
@@ -801,6 +795,8 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots, nSla
 		probs = append(probs, &kindProblem{kind: kind})
 	}
 	eachKind(probs, func(p *kindProblem) {
+		// Sized for every job and a reservation on every slot.
+		p.pjs, p.jobs, p.slack = make([]*planJob, 0, len(jobs)), make([]flow.Job, 0, len(jobs)+int(nSlots)), make([]flow.Job, 0, len(jobs)+int(nSlack))
 		for _, pj := range jobs {
 			if d := pj.state.EstRemaining.Get(p.kind); d > 0 {
 				p.pjs = append(p.pjs, pj)
@@ -849,7 +845,7 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots, nSla
 // deadline dl reads, earliest first, ID as tie-break, then the
 // reservations in slot order.
 func (p *kindProblem) sortEDF(dl func(*planJob) int64) {
-	p.order = p.order[:0]
+	p.order = slices.Grow(p.order[:0], len(p.jobs))
 	for i := range p.jobs {
 		p.order = append(p.order, i)
 	}
@@ -995,10 +991,10 @@ func timed(call func()) time.Duration {
 
 // finish runs the rest of the kind's pipeline on top of its stage A
 // result — skyline and repair — into the kind's rows, reading only the
-// problem, the skyline's round cap and the fault seam. Planner failures
-// never propagate: the kind is planned at the greedy rung instead, and
-// the rung and the trip reason are recorded.
-func (p *kindProblem) finish(maxLexRounds int, fault func(resource.Kind) error) {
+// problem and the fault seam. Planner failures never propagate: the kind
+// is planned at the greedy rung instead, and the rung and the trip reason
+// are recorded.
+func (p *kindProblem) finish(fault func(resource.Kind) error) {
 	// Stage B, on stage A's network: the lexicographic min-max skyline of
 	// the demand stage A could route — the deadline demand that fits plus
 	// the reservations that survived, which are jointly feasible at hard
@@ -1014,7 +1010,7 @@ func (p *kindProblem) finish(maxLexRounds int, fault func(resource.Kind) error) 
 		kept, p.yielded = p.reserved()
 		stage = "stage B"
 		err = p.runPlanner(fault, &p.timeB, func() (w flow.Work, err error) {
-			if sky, err = p.route.LexMinMax(maxLexRounds); err != nil {
+			if sky, err = p.route.LexMinMax(); err != nil {
 				return w, err
 			}
 			p.levels = len(sky.Levels)

@@ -55,7 +55,7 @@ func TestFlattensLooseJobAcrossWindow(t *testing.T) {
 	// One job: volume 100 cores over a 100-slot window on a 10-core
 	// cluster. The lexmin plan must run it at ~1 core/slot, leaving ~9
 	// cores/slot to ad-hoc work — the essence of Fig. 1(b).
-	f := New(Config{Slack: 0, MaxLexRounds: 8})
+	f := New(Config{Slack: 0})
 	job := dlJob("j", 0, 100, resource.New(100, 10000), resource.New(10, 1000))
 	ctx := sched.AssignContext{
 		Now: 0, Changed: true,
@@ -335,7 +335,7 @@ func TestAdHocFIFOOverLeftovers(t *testing.T) {
 func TestReplanOnLiveCapacityChange(t *testing.T) {
 	// The capacity *function* changes between slots (a node died), unlike
 	// a profile step known in advance: the plan must go stale.
-	f := New(Config{Slack: 0, MaxLexRounds: 2})
+	f := New(Config{Slack: 0})
 	job := dlJob("j", 0, 30, resource.New(60, 6000), resource.New(10, 1000))
 	capacity := resource.New(20, 2000)
 	mk := func(now int64) sched.AssignContext {

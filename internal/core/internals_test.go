@@ -106,7 +106,7 @@ func TestStageAFindsMinimumShortfall(t *testing.T) {
 func TestSlackKeptWhenOnlyWaterFillingFails(t *testing.T) {
 	capacity := resource.New(2, 200)
 	// One slot of slack: true deadlines are one slot past the windows above.
-	f := New(Config{Slack: slotDur, MaxLexRounds: 0})
+	f := New(Config{Slack: slotDur})
 	jobs := []sched.JobState{
 		dlJob("x", 0, 4, resource.New(3, 300), resource.New(1, 100)),
 		dlJob("y", 0, 3, resource.New(2, 200), resource.New(2, 200)),

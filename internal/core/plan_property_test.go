@@ -46,7 +46,7 @@ func TestPlanPropertiesRandom(t *testing.T) {
 			})
 		}
 		slack := time.Duration(rng.Intn(3)) * 30 * time.Second
-		f := New(Config{Slack: slack, MaxLexRounds: 3})
+		f := New(Config{Slack: slack})
 		if _, err := f.Assign(sched.AssignContext{
 			Now: now, Changed: true, Jobs: jobs, Cluster: cl,
 		}); err != nil {
@@ -114,7 +114,7 @@ func TestLexMinMaxLevelsMatchPlanPeak(t *testing.T) {
 		dlJob("a", 0, 10, resource.New(40, 40*512), resource.New(10, 10*512)),
 		dlJob("b", 0, 10, resource.New(60, 60*512), resource.New(12, 12*512)),
 	}
-	f := New(Config{Slack: 0, MaxLexRounds: 0})
+	f := New(Config{Slack: 0})
 	if _, err := f.Assign(sched.AssignContext{Now: 0, Changed: true, Jobs: jobs, Cluster: cl}); err != nil {
 		t.Fatalf("Assign: %v", err)
 	}

@@ -63,9 +63,6 @@ type Fig4Options struct {
 	// ForceCriticalPath switches all decomposition to the critical-path
 	// fallback (decomposition ablation).
 	ForceCriticalPath bool
-	// MaxLexRounds overrides FlowTime's lexicographic round cap
-	// (ablation: 1 approximates a plain min-max).
-	MaxLexRounds int
 	// Cluster overrides the simulated cluster capacity (zero value means
 	// Fig4Cluster). Scaled-down integration tests use a smaller cluster.
 	Cluster resource.Vector
@@ -111,9 +108,6 @@ func RunFig4(opts Fig4Options) ([]metrics.Summary, error) {
 		ftCfg := core.DefaultConfig()
 		if opts.FlowTimeSlack != nil {
 			ftCfg.Slack = *opts.FlowTimeSlack
-		}
-		if opts.MaxLexRounds != 0 {
-			ftCfg.MaxLexRounds = opts.MaxLexRounds
 		}
 		s, err := core.NewScheduler(alg, history, ftCfg)
 		if err != nil {
@@ -504,30 +498,6 @@ func RunExtC(algorithms []string) ([]metrics.Summary, error) {
 		out = append(out, metrics.Summarize(alg, res))
 	}
 	return out, nil
-}
-
-// ExtDResult compares the full lexicographic objective against a single
-// min-max round (extension D / DESIGN.md §1.3: does flattening the
-// whole skyline matter, or only the peak?).
-type ExtDResult struct {
-	Lexicographic metrics.Summary
-	SingleMinMax  metrics.Summary
-}
-
-// RunExtD runs FlowTime with full lexicographic refinement and with a
-// single min-theta round on the Fig. 4 workload.
-func RunExtD() (*ExtDResult, error) {
-	lex, err := RunFig4(Fig4Options{Algorithms: []string{"FlowTime"}})
-	if err != nil {
-		return nil, err
-	}
-	single, err := RunFig4(Fig4Options{Algorithms: []string{"FlowTime"}, MaxLexRounds: 1})
-	if err != nil {
-		return nil, err
-	}
-	one := single[0]
-	one.Algorithm = "FlowTime_minmax1"
-	return &ExtDResult{Lexicographic: lex[0], SingleMinMax: one}, nil
 }
 
 // RunFig1 reproduces the paper's motivating example (Fig. 1): workflow W1

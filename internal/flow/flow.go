@@ -10,10 +10,9 @@
 // θ·C_t, the slot-load vectors of the flows that route all demand form
 // the base polytope of a polymatroid, whose lexicographically optimal
 // base — the paper's Eq. 1 objective — is unique (Megiddo 1974, Fujishige
-// 1980) and is found level by level (LexMinMax, stage B): discrete
-// Newton on θ from min cuts, freeze the slots that cannot reach the sink
-// in the residual graph at the optimum, recurse on the rest
-// (Gallo–Grigoriadis–Tarjan 1989).
+// 1980) and is found by decomposition over θ (LexMinMax, stage B).
+// Newton steps on θ from min cuts, which peel the levels one at a time
+// from the top, are only the tests' reference.
 //
 // The stages are questions about one network, laid out once per resource
 // kind and replan (NewNetwork) on the jobs' widest windows. A routing opens
@@ -26,7 +25,7 @@
 // arcs.
 //
 // All arithmetic that decides anything is exact: a level is the rational
-// θ = num/den read off an integer cut, the network is scaled by den so
+// θ = num/den of two integer sums, the network is scaled by den so
 // every capacity and flow is an int64, and tight sets come from residual
 // reachability on that integer flow — no float is ever compared against
 // a tolerance. A product or sum that does not fit an int64 is reported
@@ -71,8 +70,8 @@ type Job struct {
 // Work counts what a call cost.
 type Work struct {
 	// MaxFlows is the number of max-flow computations started from a
-	// zero flow, Resumed the number continued from the flow of the Newton
-	// step or the level before.
+	// zero flow, Resumed the number continued from the flow of the part of
+	// stage B's problem a cut split.
 	MaxFlows, Resumed int
 	// Augmentations is the number of augmenting paths pushed.
 	Augmentations int
@@ -91,11 +90,13 @@ type Network struct {
 	jobs []Job
 
 	adjStart []int32 // CSR: the edges out of node v are adj[adjStart[v]:adjStart[v+1]]
+	adjEnd   []int32 // per node: the end of the edges the searches walk, short of a job's closed arcs
 	adj      []int32
 	to       []int32
 	res      []int64
 
 	srcEdge  []int32   // per job; -1 when the job has no demand
+	sources  []int32   // the jobs with demand, ascending
 	sinkEdge []int32   // per slot; -1 when no job can use the slot
 	arcStart []int32   // per job: its first job→slot edge; the rest follow two ids apart
 	arcSlot  [][]int32 // per job: the slots those edges lead to, ascending
@@ -128,6 +129,27 @@ func NewNetwork(caps []int64, jobs []Job) (*Network, error) {
 			return nil, fmt.Errorf("flow: slot %d has negative capacity %d", t, c)
 		}
 	}
+	// live[t] counts the positive-capacity slots before t: a job's arcs
+	// number live[Dl]-live[Rel], so every array is sized before it is filled.
+	live := make([]int32, len(caps)+1)
+	for t, c := range caps {
+		live[t+1] = live[t] + int32(min(c, 1))
+	}
+	arcs := 0 // job→slot
+	for j, job := range jobs {
+		if job.Demand < 0 || job.Cap < 0 {
+			return nil, fmt.Errorf("flow: job %d has negative demand %d or cap %d", j, job.Demand, job.Cap)
+		}
+		if job.Rel < 0 || job.Dl > int64(len(caps)) || job.Rel >= job.Dl {
+			return nil, fmt.Errorf("flow: job %d window [%d, %d) invalid for %d slots", j, job.Rel, job.Dl, len(caps))
+		}
+		if job.Demand > 0 {
+			arcs += int(live[job.Dl] - live[job.Rel])
+		}
+		if len(jobs)+arcs+len(caps) > math.MaxInt32/4 {
+			return nil, fmt.Errorf("%w: more than %d arcs", ErrOverflow, math.MaxInt32/4)
+		}
+	}
 	g := &Network{
 		caps:     caps,
 		jobs:     jobs,
@@ -135,6 +157,8 @@ func NewNetwork(caps []int64, jobs []Job) (*Network, error) {
 		arcStart: make([]int32, len(jobs)),
 		arcSlot:  make([][]int32, len(jobs)),
 		sinkEdge: make([]int32, len(caps)),
+		sources:  make([]int32, 0, len(jobs)),
+		to:       make([]int32, 0, 2*(len(jobs)+arcs+len(caps))),
 	}
 	nodes := len(jobs) + len(caps) + 2
 	deg := make([]int32, nodes)
@@ -145,28 +169,23 @@ func NewNetwork(caps []int64, jobs []Job) (*Network, error) {
 		deg[v]++
 		return e
 	}
+	slots := make([]int32, 0, arcs) // every job's arcSlot, end to end
 	for j, job := range jobs {
 		g.srcEdge[j] = -1
-		if job.Demand < 0 || job.Cap < 0 {
-			return nil, fmt.Errorf("flow: job %d has negative demand %d or cap %d", j, job.Demand, job.Cap)
-		}
-		if job.Rel < 0 || job.Dl > int64(len(caps)) || job.Rel >= job.Dl {
-			return nil, fmt.Errorf("flow: job %d window [%d, %d) invalid for %d slots", j, job.Rel, job.Dl, len(caps))
-		}
 		if job.Demand == 0 {
 			continue
 		}
-		if len(g.to) > math.MaxInt32/2 {
-			return nil, fmt.Errorf("%w: more than %d arcs", ErrOverflow, math.MaxInt32/4)
-		}
 		g.srcEdge[j] = addEdge(0, g.jobNode(j))
+		g.sources = append(g.sources, int32(j))
 		g.arcStart[j] = int32(len(g.to))
+		from := len(slots)
 		for t := job.Rel; t < job.Dl; t++ {
 			if caps[t] > 0 {
 				addEdge(g.jobNode(j), g.slotNode(int(t)))
-				g.arcSlot[j] = append(g.arcSlot[j], int32(t))
+				slots = append(slots, int32(t))
 			}
 		}
+		g.arcSlot[j] = slots[from:len(slots):len(slots)]
 	}
 	for t := range caps {
 		g.sinkEdge[t] = -1
@@ -179,6 +198,7 @@ func NewNetwork(caps []int64, jobs []Job) (*Network, error) {
 	for v := 0; v < nodes; v++ {
 		g.adjStart[v+1] = g.adjStart[v] + deg[v]
 	}
+	g.adjEnd = append([]int32(nil), g.adjStart[1:]...)
 	g.adj = make([]int32, len(g.to))
 	fill := append([]int32(nil), g.adjStart[:nodes]...)
 	for e := range g.to {
@@ -206,16 +226,24 @@ func (g *Network) root(u int32) {
 }
 
 // search labels nodes with their BFS distance from the source over
-// residual arcs and reports whether the sink was reached. It stops at
-// the sink: every node nearer than the sink is labeled by then, and a
-// blocking flow uses no other. When it fails, the labeled nodes are
-// exactly the source side of the minimal min cut.
-func (g *Network) search() bool {
+// residual arcs, the source's walked only to jobs, and reports whether the
+// sink was reached. It stops at the sink: every node nearer than the sink
+// is labeled by then, and a blocking flow uses no other. When it fails,
+// the labeled nodes are exactly the source side of the minimal min cut.
+func (g *Network) search(jobs []int32) bool {
 	g.root(0)
+	for _, j := range jobs {
+		if g.res[g.srcEdge[j]] > 0 {
+			v := g.jobNode(int(j))
+			g.level[v] = 1
+			g.queue = append(g.queue, v)
+		}
+	}
+	g.work.ArcsScanned += len(jobs)
 	sink := g.sink()
-	for head := 0; head < len(g.queue); head++ {
+	for head := 1; head < len(g.queue); head++ {
 		u := g.queue[head]
-		arcs := g.adj[g.adjStart[u]:g.adjStart[u+1]]
+		arcs := g.adj[g.adjStart[u]:g.adjEnd[u]]
 		for i, e := range arcs {
 			v := g.to[e]
 			if g.res[e] > 0 && g.level[v] < 0 {
@@ -247,7 +275,7 @@ func (g *Network) reach(u int32) bool {
 		if g.level[u] >= g.goal {
 			break
 		}
-		arcs := g.adj[g.adjStart[u]:g.adjStart[u+1]]
+		arcs := g.adj[g.adjStart[u]:g.adjEnd[u]]
 		for _, e := range arcs {
 			v := g.to[e]
 			if g.res[e] > 0 && g.level[v] < 0 && v != 0 && v != sink {
@@ -294,14 +322,15 @@ func (g *Network) push(u int32, limit int64) int64 {
 		g.work.Augmentations++
 		return limit
 	}
-	sent := int64(0)
-	for ; g.next[u] < g.adjStart[u+1]; g.next[u]++ {
-		e := g.adj[g.next[u]]
-		v := g.to[e]
-		if g.res[e] <= 0 || g.level[v] != g.level[u]+1 {
+	// No push below u comes back to u, so its cursor can live in i.
+	sent, next := int64(0), g.level[u]+1
+	i, end := g.next[u], g.adjEnd[u]
+	for ; i < end; i++ {
+		e := g.adj[i]
+		if g.res[e] <= 0 || g.level[g.to[e]] != next {
 			continue
 		}
-		got := g.push(v, min(limit-sent, g.res[e]))
+		got := g.push(g.to[e], min(limit-sent, g.res[e]))
 		g.res[e] -= got
 		g.res[e^1] += got
 		sent += got
@@ -309,15 +338,25 @@ func (g *Network) push(u int32, limit int64) int64 {
 			break // keep the cursor on e: it may have residual left
 		}
 	}
+	g.next[u] = i
 	return sent
 }
 
-// augment runs Dinic's algorithm from the current flow to a maximum one.
-// Afterwards the labels of the last, failed search mark the min cut.
-func (g *Network) augment() {
-	for g.search() {
+// augment runs Dinic's algorithm from the current flow to a maximum one,
+// over the source arcs of jobs (Network.sources for all of them, a part's
+// jobs in stage B). Afterwards the labels of the last, failed search mark
+// the min cut.
+func (g *Network) augment(jobs []int32) {
+	for g.search(jobs) {
 		g.rewind()
-		g.push(0, math.MaxInt64)
+		for _, j := range jobs {
+			u, e := g.jobNode(int(j)), g.srcEdge[j]
+			if g.level[u] == 1 && g.res[e] > 0 {
+				got := g.push(u, g.res[e])
+				g.res[e] -= got
+				g.res[e^1] += got
+			}
+		}
 	}
 }
 
@@ -436,7 +475,7 @@ func (g *Network) Shortfall(order []int, open []int) (*Routing, error) {
 		r.SlotCut[i] = -1
 	}
 	g.work.MaxFlows = 1
-	g.augment()
+	g.augment(g.sources)
 	g.pending = pending
 	for pos, j := range order {
 		pending[j] = false
@@ -482,11 +521,19 @@ func (g *Network) opened(open []int) ([]int32, error) {
 
 // reset clears the flow, every label, the queue, the reroute's pending
 // set and the work counter, and opens the first open[j] arcs of each job
-// j: a routing or a skyline on the network starts from here.
+// j: a routing or a skyline on the network starts from here. A job's edges
+// are its source arc's reverse and then its arcs in slot order, so the
+// searches stop short of its closed arcs.
 func (g *Network) reset(open []int32) {
 	clear(g.res)
 	for v := range g.level {
 		g.level[v] = -1
+	}
+	for j, e := range g.srcEdge {
+		if e >= 0 {
+			u := g.jobNode(j)
+			g.adjEnd[u] = g.adjStart[u] + 1 + open[j]
+		}
 	}
 	g.queue, g.pending, g.work, g.open = g.queue[:0], nil, Work{}, open
 }
@@ -527,18 +574,20 @@ type Skyline struct {
 	// units of 1/Den[j] (nil for a job without demand).
 	Alloc [][]int64
 	Den   []int64
-	// Levels are the levels solved, highest first.
+	// Levels are the levels of the skyline, highest first.
 	Levels []Level
 	Work   Work
 }
 
 // Level is one level of the skyline and its proof. Slots and Jobs, in
 // ascending order, are the source side of the maximal min cut of the
-// level's network at θ = Num/Den: the jobs not frozen at a level above
-// routing their demand into the slots not frozen above, each slot t
-// taking up to θ·C_t less what jobs frozen above must put there. Its
-// capacity at θ equals that demand, so no lower level routes it, and
-// every slot in Slots carries exactly θ·C_t.
+// level's network at θ = Num/Den: the jobs on no level above routing their
+// demand into the slots on no level above, each slot t taking up to θ·C_t
+// less what jobs of levels above must put there. Its capacity at θ equals
+// that demand, so no lower level routes it, and every slot in Slots
+// carries exactly θ·C_t. The levels end with the lowest that has a job: a
+// slot below it carries only what jobs above must put there, and is on
+// none.
 type Level struct {
 	Num, Den    int64
 	Slots, Jobs []int
@@ -547,18 +596,15 @@ type Level struct {
 // LexMinMax is the planner's stage B. It routes every job's whole demand
 // so that the descending-sorted vector of normalized slot loads
 // Load[t]/caps[t] is lexicographically smallest. Slot capacities
-// normalize, they do not bound: a level may exceed 1. maxLevels caps the
-// levels solved (0 = all): the top maxLevels levels and the slots frozen
-// at them are exactly those of the full optimum, and the slots below
-// take the loads of the flow that proved the last level, all at or under
-// it. ErrInfeasible means no level routes the demand.
-func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
+// normalize, they do not bound: a level may exceed 1. ErrInfeasible means
+// no level routes the demand.
+func LexMinMax(caps []int64, jobs []Job) (*Skyline, error) {
 	g, err := NewNetwork(caps, jobs)
 	if err != nil {
 		return nil, err
 	}
 	all, _ := g.opened(nil) // every arc: no count to check
-	return (&Routing{Short: make([]int64, len(jobs)), g: g, open: all}).LexMinMax(maxLevels)
+	return (&Routing{Short: make([]int64, len(jobs)), g: g, open: all}).LexMinMax()
 }
 
 // LexMinMax is stage B on the network stage A routed on: the skyline of
@@ -566,100 +612,104 @@ func LexMinMax(caps []int64, jobs []Job, maxLevels int) (*Skyline, error) {
 // opened. It starts from a zero flow, and every arc r did not open keeps a
 // zero residual, so it answers as the free LexMinMax does on those demands
 // and the windows cut to those arcs, bit for bit, but for the arcs scanned
-// when an arc is closed or a job is wholly short: those arcs stay in the
-// graph, empty, and the searches step over them. Alloc[j] spans job j's
-// whole window and is zero past its open arcs; a slot only closed arcs
-// reach takes no load. r may be any routing found on the network, the last
-// or an earlier one.
-func (r *Routing) LexMinMax(maxLevels int) (*Skyline, error) {
+// when a job is wholly short: a slot's edges from such a job, or from a
+// job's closed arcs, stay in the graph, empty, and the searches step over
+// them. Alloc[j] spans job j's whole window and is zero past its open
+// arcs; a slot only closed arcs reach takes no load. r may be any routing
+// found on the network, the last or an earlier one.
+//
+// The skyline is found by decomposition (Fujishige 1980; the breakpoint
+// search of Gallo–Grigoriadis–Tarjan 1989). A part of the problem — some
+// jobs and the slots their arcs lead to — is routed once, at its mean
+// level θ: its demand and forced load over its capacity. If all of it
+// routes with every slot at θ·C_t, the part is one level. Otherwise the
+// maximal min cut splits it: the slots on its source side end at or above
+// θ and the rest below; the jobs on it put their whole Cap on every slot
+// off it, which takes that as forced load, and the jobs off it put nothing
+// on a slot on it. Each side is then solved on its own, from the flow left
+// on it, the upper first, so the levels come out highest first.
+func (r *Routing) LexMinMax() (*Skyline, error) {
 	g := r.g
 	g.reset(r.open)
 	s := &lexState{
-		Network:    g,
-		demand:     make([]int64, len(g.jobs)),
-		jobActive:  make([]bool, len(g.jobs)),
-		slotActive: make([]bool, len(g.caps)),
-		base:       make([]int64, len(g.caps)),
-		stuck:      make([]bool, len(g.level)),
+		Network: g,
+		demand:  make([]int64, len(g.jobs)),
+		base:    make([]int64, len(g.caps)),
+		in:      make([]bool, len(g.caps)),
+		stuck:   make([]bool, len(g.level)),
 		out: &Skyline{
 			Load:  make([]float64, len(g.caps)),
 			Alloc: make([][]int64, len(g.jobs)),
 			Den:   make([]int64, len(g.jobs)),
 		},
 	}
-	// A job is active when it has demand, a slot when an active job has an
-	// open arc to it.
+	// The whole problem is the jobs with demand and the slots their open
+	// arcs lead to.
+	var jobs, slots []int32
 	for j, job := range g.jobs {
 		if s.demand[j] = job.Demand - r.Short[j]; s.demand[j] > 0 {
-			s.jobActive[j] = true
-			s.activeJobs++
+			jobs = append(jobs, int32(j))
 			s.out.Alloc[j] = make([]int64, job.Dl-job.Rel)
 			for _, t := range g.arcs(j) {
-				s.slotActive[t] = true
+				s.in[t] = true
 			}
 		}
 	}
-	for s.activeJobs > 0 {
-		if err := s.solveLevel(maxLevels > 0 && len(s.out.Levels)+1 >= maxLevels); err != nil {
-			return nil, err
+	for t, on := range s.in {
+		if on {
+			slots = append(slots, int32(t))
+			s.in[t] = false
 		}
 	}
-	// A slot still active once every job is frozen carries only what
-	// frozen jobs were forced to put there.
-	for t, on := range s.slotActive {
-		if on {
-			s.out.Load[t] = float64(s.base[t])
-		}
+	s.unsettled = len(jobs)
+	if err := s.solve(jobs, slots, 0); err != nil {
+		return nil, err
 	}
 	s.out.Work = g.work
 	return s.out, nil
 }
 
-// lexState is LexMinMax's working state: each job's demand, the jobs and
-// slots still being levelled, and base[t], the load that jobs frozen at
-// earlier levels are forced to put on a still-active slot t (their Cap —
-// those arcs cross the min cut that froze them).
+// lexState is LexMinMax's working state. A part of the problem is a list
+// of jobs and a list of slots, each ascending; solving it reorders each
+// list in place into its two sides.
 type lexState struct {
 	*Network
-	demand     []int64
-	jobActive  []bool
-	slotActive []bool
-	activeJobs int
-	base       []int64
-	den        int64   // the flow is in units of 1/den; 0 before the first max-flow
-	stuck      []bool  // per node: cannot reach the sink in the residual graph
-	back       []int32 // freeze's own BFS queue; search owns Network.queue
-	out        *Skyline
+	demand    []int64 // per job: what it has to place on the slots of its part
+	base      []int64 // per slot: what jobs of higher levels must put there, their Cap
+	in        []bool  // per slot: in the part being routed
+	stuck     []bool  // per job and slot node: cannot reach the sink in the part's residual graph; never the source's or the sink's
+	back      []int32 // the stuck search's queue; search owns Network.queue
+	spare     []int32 // partition's buffer
+	unsettled int     // jobs on no level yet
+	out       *Skyline
 }
 
-// solveLevel finds the smallest θ at which the active jobs' demand
-// routes through the active slots' sink capacities θ·C_t − base_t and
-// freezes the maximal tight set at it — or, with last set, everything.
-func (s *lexState) solveLevel(last bool) error {
+// solve finds the levels of the part of jobs and slots, whose arcs hold a
+// flow in units of 1/den (none when den is 0): routed at its mean level
+// from that flow, it is one level or splits at the maximal min cut into
+// two parts, solved in turn from what the flow leaves on each.
+func (s *lexState) solve(jobs, slots []int32, den int64) error {
+	if s.unsettled == 0 {
+		// Every job is on a level: these slots carry only what they must.
+		for _, t := range slots {
+			s.out.Load[t] = float64(s.base[t])
+		}
+		return nil
+	}
 	var demand, capSum, baseSum int64
 	var err error
-	for j, on := range s.jobActive {
-		if on {
-			if demand, err = add(demand, s.demand[j]); err != nil {
-				return err
-			}
+	for _, j := range jobs {
+		if demand, err = add(demand, s.demand[j]); err != nil {
+			return err
 		}
 	}
-	// Newton starts from a lower bound on the level: the mean over the
-	// active slots, and the level the forced load alone puts on any one
-	// of them (under which its sink capacity would be negative).
-	theta := ratio{0, 1}
-	for t, on := range s.slotActive {
-		if !on {
-			continue
-		}
+	for _, t := range slots {
 		if capSum, err = add(capSum, s.caps[t]); err != nil {
 			return err
 		}
 		if baseSum, err = add(baseSum, s.base[t]); err != nil {
 			return err
 		}
-		theta = theta.max(newRatio(s.base[t], s.caps[t]))
 	}
 	if capSum == 0 {
 		return ErrInfeasible // demand left and no slot to take it
@@ -668,246 +718,208 @@ func (s *lexState) solveLevel(last bool) error {
 	if err != nil {
 		return err
 	}
-	theta = theta.max(newRatio(total, capSum))
-
-	for {
-		want, err := s.setCaps(theta, demand)
-		if err != nil {
-			return err
-		}
-		s.augment()
-		routed := int64(0)
-		for j, on := range s.jobActive {
-			if on {
-				routed += s.res[s.srcEdge[j]^1]
-			}
-		}
-		if routed == want {
-			break
-		}
-		next, err := s.cutLevel(demand)
-		if err != nil {
-			return err
-		}
-		if !theta.less(next) {
-			return fmt.Errorf("flow: Newton step from %d/%d did not advance (internal error)", theta.num, theta.den)
-		}
-		theta = next
+	theta := newRatio(total, capSum)
+	want, tight, err := s.setCaps(theta, demand, jobs, slots, den)
+	if err != nil {
+		return err
 	}
-	return s.freeze(theta, last)
+	s.augment(jobs)
+	routed := int64(0)
+	for _, j := range jobs {
+		routed += s.res[s.srcEdge[j]^1]
+	}
+	if routed == want && tight {
+		s.settle(theta, jobs, slots)
+		return nil
+	}
+	upJobs, lowJobs, upSlots, lowSlots, err := s.split(jobs, slots)
+	if err != nil {
+		return err
+	}
+	if err := s.solve(upJobs, upSlots, theta.den); err != nil {
+		return err
+	}
+	return s.solve(lowJobs, lowSlots, theta.den)
 }
 
-// setCaps scales the active subnetwork by theta's denominator and
-// returns the scaled demand. It keeps as much of the flow already there
-// as the new capacities admit, so a Newton step resumes from the step
-// before and a level from the level above: each job→slot flow is
-// rescaled to the new denominator rounding down, which keeps it inside
-// its arc and — the level only having risen — its sink capacity; a level
-// that starts lower than the last one ended trims the slots now over
-// capacity; and the source and sink flows are re-summed from the arcs.
-func (s *lexState) setCaps(theta ratio, demand int64) (want int64, err error) {
+// setCaps marks the part's slots, scales its network by theta's
+// denominator and returns the scaled demand and whether every slot's forced
+// load is at or under θ·C_t; a slot whose forced load alone is over it
+// takes nothing more, and ends above θ. It keeps as much of the flow in
+// units of 1/den as the new capacities admit: each job→slot flow is
+// rescaled to the new denominator rounding down, which keeps it inside its
+// arc and its job's demand; the source and sink flows are summed from the
+// arcs; and a slot now over its capacity, on the side below a cut, gives
+// the excess back to its jobs.
+func (s *lexState) setCaps(theta ratio, demand int64, jobs, slots []int32, den int64) (want int64, tight bool, err error) {
 	if want, err = mul(demand, theta.den); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	if s.den == 0 {
+	if den == 0 {
 		s.work.MaxFlows++
-		s.den = 1 // nothing to rescale yet
+		den = 1 // nothing to rescale
 	} else {
 		s.work.Resumed++
 	}
-	prevDen := s.den
-	s.den = theta.den
-	for _, e := range s.sinkEdge {
-		if e >= 0 {
-			s.res[e], s.res[e^1] = 0, 0
-		}
+	for _, t := range slots {
+		s.in[t] = true
+		e := s.sinkEdge[t]
+		s.res[e], s.res[e^1] = 0, 0
 	}
-	for j, se := range s.srcEdge {
-		if se < 0 {
-			continue
+	for _, j := range jobs {
+		arcCap, err := mul(s.jobs[j].Cap, theta.den)
+		if err != nil {
+			return 0, false, err
 		}
-		job := s.jobs[j]
-		arcCap, full := int64(0), int64(0)
-		if s.jobActive[j] {
-			if arcCap, err = mul(job.Cap, theta.den); err != nil {
-				return 0, err
-			}
-			if full, err = mul(s.demand[j], theta.den); err != nil {
-				return 0, err
-			}
+		full, err := mul(s.demand[j], theta.den)
+		if err != nil {
+			return 0, false, err
 		}
 		sent := int64(0)
-		for i, t := range s.arcs(j) {
-			e := s.arcStart[j] + int32(2*i)
-			if !s.jobActive[j] || !s.slotActive[t] {
-				s.res[e], s.res[e^1] = 0, 0
-				continue
+		for i, t := range s.arcs(int(j)) {
+			if s.in[t] {
+				e := s.arcStart[j] + int32(2*i)
+				x := mulDiv(s.res[e^1], theta.den, den)
+				s.res[e], s.res[e^1] = arcCap-x, x
+				s.res[s.sinkEdge[t]^1] += x
+				sent += x
 			}
-			x := mulDiv(s.res[e^1], theta.den, prevDen)
-			s.res[e], s.res[e^1] = arcCap-x, x
-			s.res[s.sinkEdge[t]^1] += x
-			sent += x
 		}
-		s.res[se], s.res[se^1] = full-sent, sent
+		e := s.srcEdge[j]
+		s.res[e], s.res[e^1] = full-sent, sent
 	}
-	for t, on := range s.slotActive {
-		if !on {
-			continue
-		}
+	tight = true
+	for _, t := range slots {
 		hi, err := mul(theta.num, s.caps[t])
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		lo, err := mul(s.base[t], theta.den)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		// hi ≥ lo by the choice of the starting level.
-		e := s.sinkEdge[t]
-		over := s.res[e^1] - (hi - lo)
-		if over > 0 {
-			s.res[e^1] = hi - lo
-			v := s.slotNode(t)
-			for _, back := range s.adj[s.adjStart[v]:s.adjStart[v+1]] {
-				if over == 0 {
-					break
-				}
-				if back == e {
-					continue
-				}
-				cut := min(over, s.res[back]) // back is slot→job: its residual is the job→slot flow
+		tight = tight && lo <= hi
+		room, e := max(hi-lo, 0), s.sinkEdge[t]
+		v := s.slotNode(int(t))
+		for _, back := range s.adj[s.adjStart[v]:s.adjEnd[v]] {
+			over := s.res[e^1] - room
+			if over <= 0 {
+				break
+			}
+			// back is slot→job, its residual the job→slot flow, or the sink
+			// arc, whose residual is 0 here.
+			if cut := min(over, s.res[back]); cut > 0 {
 				se := s.srcEdge[s.to[back]-1]
 				s.res[back] -= cut
 				s.res[back^1] += cut
 				s.res[se^1] -= cut
 				s.res[se] += cut
-				over -= cut
+				s.res[e^1] -= cut
 			}
 		}
-		s.res[e] = hi - lo - s.res[e^1]
+		s.res[e] = room - s.res[e^1]
 	}
-	return want, nil
+	return want, tight, nil
 }
 
-// cutLevel reads the min cut off the labels of the failed search and
-// returns the level at which that cut's capacity reaches the demand:
-// with a the capacity of its cut source and job→slot arcs and T its
-// slots, a + Σ_T (θ·C_t − base_t) = demand.
-func (s *lexState) cutLevel(demand int64) (ratio, error) {
-	var fixed, capT, baseT int64
-	var err error
-	for j, on := range s.jobActive {
-		if !on {
-			continue
-		}
-		if s.level[s.jobNode(j)] < 0 {
-			if fixed, err = add(fixed, s.demand[j]); err != nil {
-				return ratio{}, err
-			}
-			continue
-		}
-		for _, t := range s.arcs(j) {
-			if s.slotActive[t] && s.level[s.slotNode(int(t))] < 0 {
-				if fixed, err = add(fixed, s.jobs[j].Cap); err != nil {
-					return ratio{}, err
-				}
+// settle records the part as one level at theta, every slot at θ·C_t, with
+// the flow that routed it as its jobs' rows.
+func (s *lexState) settle(theta ratio, jobs, slots []int32) {
+	lv := Level{Num: theta.num, Den: theta.den}
+	for _, j := range jobs {
+		lv.Jobs = append(lv.Jobs, int(j))
+		job, row := s.jobs[j], s.out.Alloc[j]
+		for i, t := range s.arcs(int(j)) {
+			switch x := &row[int64(t)-job.Rel]; {
+			case s.in[t]:
+				*x = s.res[(s.arcStart[j]+int32(2*i))^1]
+			case *x != 0:
+				*x = job.Cap * theta.den // a slot below, the whole arc: setCaps checked the product
 			}
 		}
+		s.out.Den[j] = theta.den
 	}
-	for t, on := range s.slotActive {
-		if on && s.level[s.slotNode(t)] >= 0 {
-			if capT, err = add(capT, s.caps[t]); err != nil {
-				return ratio{}, err
-			}
-			if baseT, err = add(baseT, s.base[t]); err != nil {
-				return ratio{}, err
-			}
-		}
+	load := float64(theta.num) / float64(theta.den)
+	for _, t := range slots {
+		lv.Slots = append(lv.Slots, int(t))
+		s.out.Load[t] = load * float64(s.caps[t])
+		s.in[t] = false
 	}
-	if capT == 0 {
-		return ratio{}, ErrInfeasible // the cut holds at every level
-	}
-	// fixed < demand: the cut is worth less than the demand at a level
-	// where its slots' capacities are non-negative.
-	num, err := add(demand-fixed, baseT)
-	if err != nil {
-		return ratio{}, err
-	}
-	return newRatio(num, capT), nil
+	s.unsettled -= len(jobs)
+	s.out.Levels = append(s.out.Levels, lv)
 }
 
-// freeze fixes the outcome of the level just solved. The nodes that
-// cannot reach the sink in the residual graph of the max flow are the
-// source side of the maximal min cut: its slots carry exactly θ·C_t in
-// every flow at this level, its jobs put their full Cap on each slot
-// outside it, and nothing else enters it — so both leave the problem.
-// With last set the whole flow is final. The cut and the frozen jobs'
-// flows go into the skyline as the level's proof.
-func (s *lexState) freeze(theta ratio, last bool) error {
-	for v := range s.stuck {
-		s.stuck[v] = true
+// split cuts the part at the maximal min cut of its max flow, the nodes
+// that cannot reach the sink in the residual graph, and returns each list
+// as the side on the cut, then the side off it. The jobs on the cut put
+// their whole Cap on each slot off it — those arcs cross the cut, full —
+// which takes it as forced load, and the jobs off it put nothing on a slot
+// on it. Both arcs leave the network, so each side is a network of its
+// own.
+func (s *lexState) split(jobs, slots []int32) (upJobs, lowJobs, upSlots, lowSlots []int32, err error) {
+	for _, j := range jobs {
+		s.stuck[s.jobNode(int(j))] = true
 	}
-	sink := s.sink()
-	s.stuck[sink] = false
-	s.back = append(s.back[:0], sink)
+	s.back = s.back[:0]
+	for _, t := range slots {
+		v := s.slotNode(int(t))
+		if s.stuck[v] = s.res[s.sinkEdge[t]] == 0; !s.stuck[v] {
+			s.back = append(s.back, v)
+		}
+	}
 	for head := 0; head < len(s.back); head++ {
 		v := s.back[head]
-		for _, e := range s.adj[s.adjStart[v]:s.adjStart[v+1]] {
+		for _, e := range s.adj[s.adjStart[v]:s.adjEnd[v]] {
+			// An edge out of the part is empty but a source or a sink arc.
 			if u := s.to[e]; s.res[e^1] > 0 && s.stuck[u] {
 				s.stuck[u] = false
 				s.back = append(s.back, u)
 			}
 		}
 	}
-
-	level := float64(theta.num) / float64(theta.den)
-	den := float64(s.den)
-	lv := Level{Num: theta.num, Den: theta.den}
-	for j, on := range s.jobActive {
-		stuck := s.stuck[s.jobNode(j)]
-		if !on || !(last || stuck) {
-			continue
-		}
-		if stuck {
-			lv.Jobs = append(lv.Jobs, j)
-		}
-		job := s.jobs[j]
-		for i, t := range s.arcs(j) {
-			if !s.slotActive[t] {
+	for _, j := range jobs {
+		up, job := s.stuck[s.jobNode(int(j))], s.jobs[j]
+		for i, t := range s.arcs(int(j)) {
+			if !s.in[t] || s.stuck[s.slotNode(int(t))] == up {
 				continue
 			}
-			s.out.Alloc[j][int64(t)-job.Rel] = s.res[(s.arcStart[j]+int32(2*i))^1]
-			if !last && !s.stuck[s.slotNode(int(t))] {
-				// The flow is the whole arc: it crosses the cut.
-				s.base[t] += job.Cap
+			if up {
+				if s.base[t], err = add(s.base[t], job.Cap); err != nil {
+					return nil, nil, nil, nil, err
+				}
+				s.demand[j] -= job.Cap
+				s.out.Alloc[j][int64(t)-job.Rel] = job.Cap // scaled when the job's level is found
 			}
+			e := s.arcStart[j] + int32(2*i)
+			s.res[e], s.res[e^1] = 0, 0
 		}
-		s.out.Den[j] = s.den
-		s.jobActive[j] = false
-		s.activeJobs--
 	}
-	for t, on := range s.slotActive {
-		if !on {
-			continue
+	for _, t := range slots {
+		s.in[t] = false
+	}
+	upJobs, lowJobs = s.partition(jobs, s.jobNode(0))
+	upSlots, lowSlots = s.partition(slots, s.slotNode(0))
+	if len(upJobs)+len(upSlots) == 0 || len(lowSlots) == 0 {
+		return nil, nil, nil, nil, errors.New("flow: a side of the cut is empty (internal error)")
+	}
+	return upJobs, lowJobs, upSlots, lowSlots, nil
+}
+
+// partition reorders ids, nodes first+id, into those stuck and then the
+// rest, each in its order, and returns the two.
+func (s *lexState) partition(ids []int32, first int32) (up, low []int32) {
+	s.spare = s.spare[:0]
+	k := 0
+	for _, x := range ids {
+		if s.stuck[first+x] {
+			ids[k] = x
+			k++
+		} else {
+			s.spare = append(s.spare, x)
 		}
-		switch {
-		case s.stuck[s.slotNode(t)]:
-			lv.Slots = append(lv.Slots, t)
-			s.out.Load[t] = level * float64(s.caps[t])
-		case last:
-			// base[t] is untouched on this path: it is what earlier
-			// levels forced here, and the flow holds the rest.
-			s.out.Load[t] = float64(s.base[t]) + float64(s.res[s.sinkEdge[t]^1])/den
-		default:
-			continue
-		}
-		s.slotActive[t] = false
 	}
-	if len(lv.Slots) == 0 {
-		return fmt.Errorf("flow: no slot is tight at level %d/%d (internal error)", theta.num, theta.den)
-	}
-	s.out.Levels = append(s.out.Levels, lv)
-	return nil
+	copy(ids[k:], s.spare)
+	return ids[:k], ids[k:]
 }
 
 // ratio is a non-negative rational in lowest terms with den > 0.
@@ -919,20 +931,6 @@ func newRatio(num, den int64) ratio {
 		a, b = b, a%b
 	}
 	return ratio{num / a, den / a}
-}
-
-// less compares by cross-multiplying in 128 bits, so it cannot overflow.
-func (a ratio) less(b ratio) bool {
-	lhi, llo := bits.Mul64(uint64(a.num), uint64(b.den))
-	rhi, rlo := bits.Mul64(uint64(b.num), uint64(a.den))
-	return lhi < rhi || lhi == rhi && llo < rlo
-}
-
-func (a ratio) max(b ratio) ratio {
-	if a.less(b) {
-		return b
-	}
-	return a
 }
 
 // mul and add are checked arithmetic on non-negative operands.

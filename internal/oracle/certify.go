@@ -7,14 +7,13 @@ import (
 	"flowtime/internal/flow"
 )
 
-// CheckSolution verifies a flow.LexMinMax answer, capped at maxLevels
-// (0 = every level), from the instance and its certificate alone, in
-// exact arithmetic. It builds no graph and calls nothing in flow.
+// CheckSolution verifies a flow.LexMinMax answer from the instance and
+// its certificate alone, in exact arithmetic. It builds no graph and
+// calls nothing in flow.
 //
 // (a) Every job's row lies in its window, off zero-capacity slots, within
 // its parallelism cap, and sums to its demand exactly. Every slot a level
-// freezes carries exactly θ·C_t, the levels do not rise, and every slot
-// left unfrozen is at or under the last one.
+// freezes carries exactly θ·C_t, and the levels do not rise.
 //
 // (b) At each level the cut (A, B) it names has capacity
 // Σ_{j∉A} D_j + Σ_{j∈A, t∉B} Cap_j + Σ_{t∈B} (θ·C_t − base_t), over the
@@ -22,11 +21,14 @@ import (
 // frozen above must put on t — equal to those jobs' demand. So no lower
 // level routes them.
 //
+// (c) Every job is on a level, and the levels end with the lowest that
+// has a job: a slot on none carries only what jobs must put there, its
+// base, under the last level.
+//
 // The allocation is then a max flow at every level, each cut is tight,
-// and the top levels are forced on any allocation that does as well:
-// the skyline is lexicographically optimal, or for a cap its top
-// maxLevels levels are.
-func CheckSolution(in Instance, maxLevels int, sky *flow.Skyline) error {
+// and every level is forced on any allocation that does as well: the
+// skyline is lexicographically optimal.
+func CheckSolution(in Instance, sky *flow.Skyline) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
@@ -120,18 +122,14 @@ func CheckSolution(in Instance, maxLevels int, sky *flow.Skyline) error {
 		}
 	}
 
-	if maxLevels > 0 && len(sky.Levels) > maxLevels {
-		return fmt.Errorf("oracle: %d levels, capped at %d", len(sky.Levels), maxLevels)
-	}
-	capped := maxLevels > 0 && len(sky.Levels) == maxLevels
 	for j, on := range jobLive {
-		if on && !capped {
+		if on {
 			return fmt.Errorf("oracle: job %d is frozen at no level", j)
 		}
 	}
 	for t, on := range live {
-		if on && load[t].Cmp(new(big.Rat).Mul(last, big.NewRat(in.Caps[t], 1))) > 0 {
-			return fmt.Errorf("oracle: unfrozen slot %d carries %s, above the last level %s", t, load[t].RatString(), last.RatString())
+		if on && (load[t].Cmp(new(big.Rat).SetInt(&base[t])) != 0 || load[t].Cmp(new(big.Rat).Mul(last, big.NewRat(in.Caps[t], 1))) >= 0) {
+			return fmt.Errorf("oracle: unfrozen slot %d carries %s: not its base %s under the last level %s", t, load[t].RatString(), &base[t], last.RatString())
 		}
 	}
 	return nil

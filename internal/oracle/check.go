@@ -49,7 +49,7 @@ func CrossCheck(in Instance, tol float64) error {
 	if !sol.Feasible {
 		return nil
 	}
-	if err := CheckSolution(in, 0, sol.Sky); err != nil {
+	if err := CheckSolution(in, sol.Sky); err != nil {
 		return err
 	}
 	if len(sol.Levels) == 0 {

@@ -21,20 +21,13 @@ type Solution struct {
 	Levels []float64
 }
 
-// SolveFlow runs the production planner, flow.LexMinMax with every level
-// solved, on the instance.
+// SolveFlow runs the production planner, flow.LexMinMax, on the instance.
 func SolveFlow(in Instance) (*Solution, error) {
-	return SolveFlowLevels(in, 0)
-}
-
-// SolveFlowLevels is SolveFlow with the level cap core.Config.MaxLexRounds
-// hands the planner (0 = exact).
-func SolveFlowLevels(in Instance, maxLevels int) (*Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	res := &Solution{}
-	sky, err := flow.LexMinMax(in.Caps, flowJobs(in.Jobs), maxLevels)
+	sky, err := flow.LexMinMax(in.Caps, flowJobs(in.Jobs))
 	if errors.Is(err, flow.ErrInfeasible) {
 		return res, nil
 	}
@@ -58,28 +51,22 @@ func flowJobs(jobs []Job) []flow.Job {
 }
 
 // CheckFlow is the check that licenses planning by flow, at any size:
-// the planner's skyline passes CheckSolution uncapped and capped at one
-// to three levels, and stage A's routing of the jobs in their own order
-// passes CheckRouting. An infeasible verdict must be certified too: with
-// every usable slot's capacity lifted to the whole demand, stage A must
-// still leave some of it short.
+// the planner's skyline passes CheckSolution, and stage A's routing of the
+// jobs in their own order passes CheckRouting. An infeasible verdict must
+// be certified too: with every usable slot's capacity lifted to the whole
+// demand, stage A must still leave some of it short.
 func CheckFlow(in Instance) error {
-	for k := 0; k <= 3; k++ {
-		sol, err := SolveFlowLevels(in, k)
-		if err != nil {
-			return err
-		}
-		if !sol.Feasible {
-			if k > 0 {
-				return fmt.Errorf("oracle: flow capped at %d levels lost feasibility", k)
-			}
-			return checkInfeasible(in)
-		}
-		if err := CheckSolution(in, k, sol.Sky); err != nil {
-			return fmt.Errorf("flow capped at %d levels: %w", k, err)
-		}
+	sol, err := SolveFlow(in)
+	if err != nil {
+		return err
 	}
-	_, err := MaxFlow(in)
+	if !sol.Feasible {
+		return checkInfeasible(in)
+	}
+	if err := CheckSolution(in, sol.Sky); err != nil {
+		return err
+	}
+	_, err = MaxFlow(in)
 	return err
 }
 

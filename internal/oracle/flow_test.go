@@ -7,10 +7,10 @@ import (
 
 // TestFlowCertified is the gate that licenses planning by flow: over
 // 600 seeded instances (every third far beyond brute-force reach) the
-// planner's skylines, uncapped and level-capped, and its stage A routing
-// pass the exact checker, infeasible verdicts included (CheckFlow); on
-// the tiny instances the planner also faces the brute-force and min-cut
-// oracles and the metamorphic relations.
+// planner's skylines and its stage A routing pass the exact checker,
+// infeasible verdicts included (CheckFlow); on the tiny instances the
+// planner also faces the brute-force and min-cut oracles and the
+// metamorphic relations.
 func TestFlowCertified(t *testing.T) {
 	const cases = 600
 	rng := rand.New(rand.NewSource(15))

@@ -79,7 +79,7 @@ func TestCheckSolutionLargeInstances(t *testing.T) {
 			continue
 		}
 		feasible++
-		if err := CheckSolution(in, 0, res.Sky); err != nil {
+		if err := CheckSolution(in, res.Sky); err != nil {
 			t.Fatalf("instance %d: %v\ninstance: %+v", i, err, in)
 		}
 	}
@@ -107,7 +107,7 @@ func TestMutationSmokeTest(t *testing.T) {
 		if err != nil || !res.Feasible {
 			t.Fatalf("solve: %v feasible=%v", err, res != nil && res.Feasible)
 		}
-		if err := CheckSolution(in, 0, res.Sky); err != nil {
+		if err := CheckSolution(in, res.Sky); err != nil {
 			t.Fatalf("pristine solution rejected: %v", err)
 		}
 		return res.Sky
@@ -145,7 +145,7 @@ func TestMutationSmokeTest(t *testing.T) {
 	for _, m := range mutants {
 		sky := solve()
 		m.mutate(sky)
-		err := CheckSolution(in, 0, sky)
+		err := CheckSolution(in, sky)
 		if err == nil {
 			t.Fatalf("mutant %q not caught", m.name)
 		}
@@ -175,7 +175,7 @@ func TestMutationSmokeTest(t *testing.T) {
 		t.Fatalf("test broken: greedy peak %d/%d not worse than the optimum 7/5", peak.Num, peak.Den)
 	}
 	greedy.Levels = []flow.Level{peak}
-	if err := CheckSolution(in, 1, greedy); err == nil || !strings.Contains(err.Error(), "cut capacity") {
+	if err := CheckSolution(in, greedy); err == nil || !strings.Contains(err.Error(), "cut capacity") {
 		t.Fatalf("greedy solver: err = %v, want its cut equation to fail", err)
 	}
 }

@@ -96,7 +96,7 @@ func CheckReservationsYield(in Instance, rsv []int64) error {
 	if err != nil || !sol.Feasible {
 		return fmt.Errorf("oracle: stage B over deadline demand and surviving reservations (feasible %v): %v", sol != nil && sol.Feasible, err)
 	}
-	if err := CheckSolution(fits, 0, sol.Sky); err != nil {
+	if err := CheckSolution(fits, sol.Sky); err != nil {
 		return fmt.Errorf("stage B over deadline demand and surviving reservations: %w", err)
 	}
 	if lv := sol.Sky.Levels; len(lv) > 0 && lv[0].Num > lv[0].Den {

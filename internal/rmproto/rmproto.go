@@ -224,12 +224,58 @@ type JobSummary struct {
 // in a slice of its own, and clears Done and LiveChange. Jobs must be
 // every live job and archive is Done.Jobs for a response fetched from 0;
 // a reader with cursors passes the live jobs and the archive it has
-// accumulated.
+// accumulated. An archive already in ID order (ArchiveIndex) is not
+// sorted again: the live jobs, sorted, are merged into it in one pass.
 func (r *StatusResponse) Fold(archive []JobStatus) {
-	all := make([]JobStatus, 0, len(r.Jobs)+len(archive))
-	all = append(append(all, r.Jobs...), archive...)
-	slices.SortFunc(all, func(a, b JobStatus) int { return strings.Compare(a.ID, b.ID) })
-	r.Jobs, r.Done, r.LiveChange = all, nil, 0
+	if !slices.IsSortedFunc(archive, compareID) {
+		archive = sortedByID(archive)
+	}
+	slices.SortFunc(r.Jobs, compareID)
+	r.Jobs, r.Done, r.LiveChange = mergeByID(r.Jobs, archive), nil, 0
+}
+
+// ArchiveIndex is one RM instance's completed-job archive in ID order,
+// kept up to date as the archive grows: the block new since the last call
+// is sorted and merged in, so a fold never sorts the whole archive. It is
+// not safe for concurrent use.
+type ArchiveIndex struct {
+	instance string
+	byID     []JobStatus // the archive's first len(byID) entries
+}
+
+// ByID returns archive, instance's archive in completion order, in ID
+// order, in a slice that is the index's own: Fold copies it. An archive of
+// another instance, or shorter than the last one, starts the index over.
+func (x *ArchiveIndex) ByID(instance string, archive []JobStatus) []JobStatus {
+	if instance != x.instance || len(archive) < len(x.byID) {
+		*x = ArchiveIndex{instance: instance}
+	}
+	if len(archive) > len(x.byID) {
+		x.byID = mergeByID(x.byID, sortedByID(archive[len(x.byID):]))
+	}
+	return x.byID
+}
+
+func compareID(a, b JobStatus) int { return strings.Compare(a.ID, b.ID) }
+
+// sortedByID is a copy of jobs in ID order.
+func sortedByID(jobs []JobStatus) []JobStatus {
+	out := slices.Clone(jobs)
+	slices.SortFunc(out, compareID)
+	return out
+}
+
+// mergeByID merges two ID-sorted lists into a new one.
+func mergeByID(a, b []JobStatus) []JobStatus {
+	out := make([]JobStatus, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].ID < b[0].ID {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // PlanStatus reports the scheduler's live multi-slot plan. It is not
@@ -414,8 +460,8 @@ type DegradationStatus struct {
 	GreedyFallbacks int64  `json:"greedy_fallbacks"`
 	InvalidPlans    int64  `json:"invalid_plans"`
 	// LPColdStarts counts the planner's max-flow computations started
-	// from a zero flow, LPWarmStarts those resumed from the previous
-	// Newton step's flow (the wire names predate the flow planner).
+	// from a zero flow, LPWarmStarts those resumed from the flow of the
+	// part a cut split (the wire names predate the flow planner).
 	LPWarmStarts int64 `json:"lp_warm_starts"`
 	LPColdStarts int64 `json:"lp_cold_starts"`
 }

@@ -282,18 +282,18 @@ func TestAdHocNeverCostsDeadline(t *testing.T) {
 		wal      uint64 // the burst run's WAL segment
 		walAlone uint64 // the run without ad-hoc jobs
 	}{
-		1:  {556, 0x3cfb54b127da02dd, 0x83ed63f0d394101c, 0x8951e96da4c5c0cc},
-		2:  {600, 0x50fb94a8a7774031, 0x5cb6830eaf7a3351, 0xff08aa2847585962},
-		3:  {600, 0x50fb94a8a7774031, 0xb37e855798521469, 0xaaacb334cec7f066},
-		4:  {600, 0x50fb94a8a7774031, 0xe76a9a4c8aea28d2, 0x4c2e14bfe1124ea8},
-		5:  {600, 0x50fb94a8a7774031, 0xb55f20f3be36c57b, 0x5c3de0ae2aed15fd},
-		6:  {600, 0x50fb94a8a7774031, 0xacaf4742b7c4b361, 0x8fc77a6b3767c2b},
-		7:  {589, 0x789861b9bdf990ae, 0xec3614e6ee993bab, 0xe6acd39fc577dc00},
-		8:  {582, 0x2495e94adcc0199d, 0xdf09084954f5d1d5, 0x1ca86caae35ffd69},
-		9:  {590, 0xcab7e3507399f7c1, 0x13d5239fc603d899, 0x653c9a7b225a8505},
-		10: {592, 0x2a3820578c980495, 0x985410f00dda5c05, 0xd0d3dab300d7d3aa},
-		11: {575, 0xaa92a1ebefcc1686, 0xaaac28825860cd8c, 0xe30a6f36ddaa824a},
-		12: {600, 0x50fb94a8a7774031, 0x84ea8feba73c6b11, 0x51f11f87ae96a577},
+		1:  {557, 0x82a8edb5e44b18be, 0x5397adbc4399d8ef, 0x8951e96da4c5c0cc},
+		2:  {600, 0x50fb94a8a7774031, 0x1730721e75924cfc, 0xff08aa2847585962},
+		3:  {600, 0x50fb94a8a7774031, 0x4911f43b0676f13b, 0xaaacb334cec7f066},
+		4:  {600, 0x50fb94a8a7774031, 0xf3bc85e6f26f60cb, 0x4c2e14bfe1124ea8},
+		5:  {600, 0x50fb94a8a7774031, 0x4576b1af8b6050c3, 0x5c3de0ae2aed15fd},
+		6:  {600, 0x50fb94a8a7774031, 0x4db31bc94f4fdd72, 0x8fc77a6b3767c2b},
+		7:  {588, 0x25fee58dfa03b099, 0x67d1d0dbece68a4b, 0xe6acd39fc577dc00},
+		8:  {581, 0x1ecc3a146fec2b0a, 0x8d09e2341dc4d1f3, 0x1ca86caae35ffd69},
+		9:  {588, 0x844c164c7c3e87dd, 0x9b8cdebbce4d95b5, 0x653c9a7b225a8505},
+		10: {592, 0x2a3820578c980495, 0x36c41689da960b85, 0xd0d3dab300d7d3aa},
+		11: {577, 0x9e596d4dd1eb3052, 0x3891923bcf34345, 0xe30a6f36ddaa824a},
+		12: {600, 0x50fb94a8a7774031, 0x3a88e3587ab7a658, 0x51f11f87ae96a577},
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		setup, slots := genBurst(t, seed, burstSetupWFs, burstBatch)

@@ -468,6 +468,56 @@ func TestReplayTwiceAcrossCompletion(t *testing.T) {
 
 // completedRM builds a cluster (FIFO, no store) whose RM holds the given
 // numbers of completed and live one-task ad-hoc jobs.
+// TestStatusFoldsWhileTheArchiveGrows calls the in-process Status from
+// several goroutines while slots complete more jobs: each answer is the
+// whole job table in ID order, each ID once. Under -race it checks the
+// lock that guards the archive kept in ID order.
+func TestStatusFoldsWhileTheArchiveGrows(t *testing.T) {
+	c := completedRM(t, sched.NewFIFO(), 30, 5)
+	for i := 0; i < 30; i++ {
+		if _, err := c.rm.SubmitAdHoc(rmproto.SubmitAdHocRequest{Job: trace.AdHocRecord{
+			ID: fmt.Sprintf("more-%05d", i), Tasks: 1, TaskDurSec: 10, DemandVCores: 1, DemandMemMB: 512,
+		}}); err != nil {
+			t.Fatalf("SubmitAdHoc: %v", err)
+		}
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for range 4 {
+		go func() {
+			for {
+				st := c.rm.Status()
+				if sum := st.Summary.Completed + st.Summary.Pending + st.Summary.Running; len(st.Jobs) != sum {
+					errs <- fmt.Errorf("status lists %d jobs and counts %d", len(st.Jobs), sum)
+					return
+				}
+				for i := 1; i < len(st.Jobs); i++ {
+					if st.Jobs[i-1].ID >= st.Jobs[i].ID {
+						errs <- fmt.Errorf("status lists %s before %s", st.Jobs[i-1].ID, st.Jobs[i].ID)
+						return
+					}
+				}
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+			}
+		}()
+	}
+	c.run(4)
+	close(done)
+	for range 4 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if st := c.rm.Status(); st.Summary.Completed != 60 {
+		t.Fatalf("%d jobs completed, want 60: the archive did not grow", st.Summary.Completed)
+	}
+}
+
 func completedRM(tb testing.TB, s sched.Scheduler, completed, live int) *cluster {
 	tb.Helper()
 	c := newCluster(tb, Config{Scheduler: s}, nil)

@@ -141,7 +141,9 @@ func BenchmarkReplayDecode(b *testing.B) {
 // firstTickArcCeiling holds the 9,600-job first tick's planner to the
 // arcs its max-flow searches may scan, stages A and B summed over the
 // kinds: 13,920,805 when it was set, plus 25 %. Stage A as its definition
-// reads (ShortfallReference) scans about 880 million.
+// reads (ShortfallReference) scans about 880 million. The exact skyline,
+// by decomposition, keeps the tick at 14,477,765; peeled level by level by
+// Newton steps it scanned 19.5 million.
 const firstTickArcCeiling = 17_400_000
 
 // firstTickCellCeiling holds the 9,600-job first tick's published plan to
@@ -157,12 +159,14 @@ const firstTickCellCeiling = 156_000
 const firstTickLeaseCeiling = 4_700
 
 // firstTickByteCeiling holds the 9,600-job first tick to the bytes it
-// allocates: 47.6 MB when it was set, plus 14 %, the margin the ceiling
-// before it kept. A replan that lays out a second network per kind when it
-// drops the deadline slack, as that tick's does, allocates 70.1 MB, and
-// one whose stage B lays out stage A's network again 91.3 MB. All three
-// were measured on go1.24.0; the module and CI build with go1.22.
-const firstTickByteCeiling = 54_300_000
+// allocates: 33.3 MB when it was set, plus 14 %, the margin the ceilings
+// before it kept. A replan that grows its network's arrays and its kinds'
+// job lists one append at a time, and peels stage B's levels by Newton
+// steps, allocates 47.6 MB; one that lays out a second network per kind when it drops the deadline slack, as that tick's
+// does, 70.1 MB; and one whose stage B lays out stage A's network again
+// 91.3 MB. All were measured on go1.24.0; the module and CI build with
+// go1.22.
+const firstTickByteCeiling = 38_000_000
 
 // handOffBeatByteCeiling holds a heartbeat that hands offers off at 1,024
 // nodes to the bytes it allocates, on average over a run's second
@@ -187,7 +191,8 @@ const handOffBeatByteCeiling = 2_400
 // over handOffBeatByteCeiling, and the 4,800-job run if there are none (the
 // 9,600-job cluster is full at the steady tick: no offer is out). And it
 // reports the replans whose deadline slack was dropped, the first tick's
-// arcs scanned, the bytes it allocated, the cells of the plan it published
+// arcs scanned and skyline levels, summed over the kinds, the bytes it
+// allocated, the cells of the plan it published
 // and the leases it granted, which fail the 9,600-job run over
 // firstTickArcCeiling, firstTickByteCeiling, firstTickCellCeiling and
 // firstTickLeaseCeiling. All are counts, so the guards hold on any
@@ -199,7 +204,7 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
 			var first, steady TickRecord
 			var beat, status, handOffBeat time.Duration
-			dropped, arcs, cells, leases := 0, 0, 0, 0
+			dropped, arcs, levels, cells, leases := 0, 0, 0, 0, 0
 			var handOffBeats, handOffBytes, tickBytes uint64
 			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
@@ -224,6 +229,7 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				leases = len(c.rm.st.Leases()) // none were out before the tick
 				c.rm.mu.Unlock()
 				dropped += ft.Stats().SlackDropped
+				levels = ft.Stats().LPRounds
 				cells = 0
 				for _, j := range ft.LivePlan().Jobs {
 					cells += len(j.Alloc)
@@ -273,6 +279,7 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(float64(handOffBeats)/float64(b.N), "handoff_beats")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 			b.ReportMetric(float64(arcs), "arcs")
+			b.ReportMetric(float64(levels), "levels")
 			b.ReportMetric(float64(tickBytes)/float64(b.N), "first_tick_B")
 			b.ReportMetric(float64(cells), "plan_cells")
 			b.ReportMetric(float64(leases), "leases")

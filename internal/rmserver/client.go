@@ -39,6 +39,7 @@ type statusCache struct {
 	mu       sync.Mutex
 	instance string
 	done     []rmproto.JobStatus          // archive[:len(done)]; elements never rewritten
+	byID     rmproto.ArchiveIndex         // done in ID order
 	live     map[string]rmproto.JobStatus // by ID; nil when there is nothing to continue
 	liveDone int
 	change   int64
@@ -224,7 +225,7 @@ func (d *statusCache) apply(ask statusCursor, resp *rmproto.StatusResponse) erro
 			resp.Jobs = append(resp.Jobs, j)
 		}
 	}
-	resp.Fold(archive)
+	resp.Fold(d.byID.ByID(d.instance, archive))
 	return nil
 }
 

@@ -106,6 +106,12 @@ type Server struct {
 	// instance names this process's archive to status readers holding a
 	// cursor into it (rmproto.DoneJobs).
 	instance string
+	// doneByID is the archive in ID order for Status's fold, under its own
+	// lock: Status folds after it releases mu.
+	doneByID struct {
+		sync.Mutex
+		rmproto.ArchiveIndex
+	}
 	// changes numbers the status walks that found a live job's wire entry
 	// different from the one the walk before built (statusLocked): a
 	// reader that holds the live list as of change S is sent only the
@@ -631,12 +637,14 @@ func (s *Server) safeAssign(ctx sched.AssignContext) (grants map[string]resource
 // in it although a machine crash would still take them back. In-process
 // callers read this; GET /v1/status answers syncedStatus. The lock is
 // held for the live jobs only: the completed ones are merged in after it
-// is released.
+// is released, from the archive kept in ID order.
 func (s *Server) Status() rmproto.StatusResponse {
 	s.mu.Lock()
 	resp := s.statusLocked(true, 0)
 	s.mu.Unlock()
-	resp.Fold(resp.Done.Jobs)
+	s.doneByID.Lock()
+	resp.Fold(s.doneByID.ByID(resp.Done.Instance, resp.Done.Jobs))
+	s.doneByID.Unlock()
 	return resp
 }
 

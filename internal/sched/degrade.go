@@ -63,8 +63,8 @@ type DegradationStatus struct {
 	// the greedy rung.
 	InvalidPlans int64
 	// LPColdStarts counts the planner's max-flow computations started
-	// from a zero flow and LPWarmStarts those resumed from the previous
-	// Newton step's flow, across all replans (see internal/flow; the
+	// from a zero flow and LPWarmStarts those resumed from the flow of
+	// the part a cut split, across all replans (see internal/flow; the
 	// names predate the flow planner and consumers key on them).
 	LPWarmStarts int64
 	LPColdStarts int64

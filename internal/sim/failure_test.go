@@ -121,7 +121,7 @@ func (r *replanCauses) Assign(ctx sched.AssignContext) (map[string]resource.Vect
 func TestFlowTimeAnticipatesKnownDip(t *testing.T) {
 	full := resource.New(20, 2000)
 	profile := dipProfile(t, full, 5, 10, 1, 4)
-	f := &replanCauses{FlowTime: core.New(core.Config{Slack: 0, MaxLexRounds: 2}), n: map[string]int{}}
+	f := &replanCauses{FlowTime: core.New(core.Config{Slack: 0}), n: map[string]int{}}
 	w := workflow.New("w", 0, 600*time.Second)
 	w.AddJob(workflow.Job{
 		Name: "j", Tasks: 10,
