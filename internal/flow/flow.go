@@ -70,8 +70,9 @@ type Job struct {
 // Work counts what a call cost.
 type Work struct {
 	// MaxFlows is the number of max-flow computations started from a
-	// zero flow, Resumed the number continued from the flow of the part of
-	// stage B's problem a cut split.
+	// zero flow: a routing's, and in stage B the whole problem's and each
+	// part's below a cut. Resumed is the number continued from a parent's
+	// flow: in stage B, each part's above a cut.
 	MaxFlows, Resumed int
 	// Augmentations is the number of augmenting paths pushed.
 	Augmentations int
@@ -626,8 +627,10 @@ func LexMinMax(caps []int64, jobs []Job) (*Skyline, error) {
 // maximal min cut splits it: the slots on its source side end at or above
 // θ and the rest below; the jobs on it put their whole Cap on every slot
 // off it, which takes that as forced load, and the jobs off it put nothing
-// on a slot on it. Each side is then solved on its own, from the flow left
-// on it, the upper first, so the levels come out highest first.
+// on a slot on it. Each side is then solved on its own, the upper first,
+// so the levels come out highest first: the upper from the flow left on it,
+// which still fits where its capacities only grew, and the lower from a
+// zero flow.
 func (r *Routing) LexMinMax() (*Skyline, error) {
 	g := r.g
 	g.reset(r.open)
@@ -687,7 +690,8 @@ type lexState struct {
 // solve finds the levels of the part of jobs and slots, whose arcs hold a
 // flow in units of 1/den (none when den is 0): routed at its mean level
 // from that flow, it is one level or splits at the maximal min cut into
-// two parts, solved in turn from what the flow leaves on each.
+// two parts, solved in turn: the part above from what the flow leaves on
+// it, the part below from none.
 func (s *lexState) solve(jobs, slots []int32, den int64) error {
 	if s.unsettled == 0 {
 		// Every job is on a level: these slots carry only what they must.
@@ -739,25 +743,32 @@ func (s *lexState) solve(jobs, slots []int32, den int64) error {
 	if err := s.solve(upJobs, upSlots, theta.den); err != nil {
 		return err
 	}
-	return s.solve(lowJobs, lowSlots, theta.den)
+	return s.solve(lowJobs, lowSlots, 0)
 }
 
 // setCaps marks the part's slots, scales its network by theta's
 // denominator and returns the scaled demand and whether every slot's forced
 // load is at or under θ·C_t; a slot whose forced load alone is over it
-// takes nothing more, and ends above θ. It keeps as much of the flow in
-// units of 1/den as the new capacities admit: each job→slot flow is
-// rescaled to the new denominator rounding down, which keeps it inside its
-// arc and its job's demand; the source and sink flows are summed from the
-// arcs; and a slot now over its capacity, on the side below a cut, gives
-// the excess back to its jobs.
+// takes nothing more, and ends above θ. The part starts from a zero flow
+// when den is 0, and otherwise from its parent's flow in units of 1/den:
+// each job→slot flow is rescaled to the new denominator rounding down,
+// which keeps it inside its arc and its job's demand, and the source and
+// sink flows are summed from the arcs.
+//
+// Only the part above a cut is handed its parent's flow, and that flow
+// fits every slot's room: the part's mean level θ′ is at least its
+// parent's θ (its demand did not route at θ); each of its slots carried
+// either its whole room at θ, or nothing when its forced load alone was
+// over θ·C_t; and the room at θ′, θ′·C_t less the forced load, is never
+// less than the room at θ.
 func (s *lexState) setCaps(theta ratio, demand int64, jobs, slots []int32, den int64) (want int64, tight bool, err error) {
 	if want, err = mul(demand, theta.den); err != nil {
 		return 0, false, err
 	}
+	scale := theta.den // a flow in units of 1/den becomes one in 1/θ.den
 	if den == 0 {
 		s.work.MaxFlows++
-		den = 1 // nothing to rescale
+		scale, den = 0, 1 // a zero flow
 	} else {
 		s.work.Resumed++
 	}
@@ -779,7 +790,7 @@ func (s *lexState) setCaps(theta ratio, demand int64, jobs, slots []int32, den i
 		for i, t := range s.arcs(int(j)) {
 			if s.in[t] {
 				e := s.arcStart[j] + int32(2*i)
-				x := mulDiv(s.res[e^1], theta.den, den)
+				x := mulDiv(s.res[e^1], scale, den)
 				s.res[e], s.res[e^1] = arcCap-x, x
 				s.res[s.sinkEdge[t]^1] += x
 				sent += x
@@ -799,25 +810,8 @@ func (s *lexState) setCaps(theta ratio, demand int64, jobs, slots []int32, den i
 			return 0, false, err
 		}
 		tight = tight && lo <= hi
-		room, e := max(hi-lo, 0), s.sinkEdge[t]
-		v := s.slotNode(int(t))
-		for _, back := range s.adj[s.adjStart[v]:s.adjEnd[v]] {
-			over := s.res[e^1] - room
-			if over <= 0 {
-				break
-			}
-			// back is slot→job, its residual the job→slot flow, or the sink
-			// arc, whose residual is 0 here.
-			if cut := min(over, s.res[back]); cut > 0 {
-				se := s.srcEdge[s.to[back]-1]
-				s.res[back] -= cut
-				s.res[back^1] += cut
-				s.res[se^1] -= cut
-				s.res[se] += cut
-				s.res[e^1] -= cut
-			}
-		}
-		s.res[e] = room - s.res[e^1]
+		e := s.sinkEdge[t]
+		s.res[e] = max(hi-lo, 0) - s.res[e^1]
 	}
 	return want, tight, nil
 }
