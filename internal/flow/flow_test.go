@@ -930,7 +930,9 @@ func FuzzFlowSkyline(f *testing.F) {
 // BenchmarkLexMinMax times one replan's skyline. The 5000x1000 case is
 // the scale the product rests on (the paper's Fig. 7): the exact skyline
 // must take under a second, and, checked once outside the timer, its
-// certificate must hold and it must be the reference's.
+// certificate must hold and it must be the reference's. It reports the
+// arcs that skyline scanned and its max flows started from zero and
+// resumed.
 func BenchmarkLexMinMax(b *testing.B) {
 	b.Run("120x120", func(b *testing.B) {
 		caps, jobs := genInstance(rand.New(rand.NewSource(5)), 120, 120, 60, 512)
@@ -959,6 +961,8 @@ func BenchmarkLexMinMax(b *testing.B) {
 			b.Fatalf("a 5000x1000 replan took %v, budget 1s", per)
 		}
 		b.ReportMetric(float64(sky.Work.ArcsScanned), "arcs")
+		b.ReportMetric(float64(sky.Work.MaxFlows), "max_flows")
+		b.ReportMetric(float64(sky.Work.Resumed), "resumed")
 	})
 }
 

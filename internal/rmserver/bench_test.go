@@ -191,11 +191,11 @@ const handOffBeatByteCeiling = 2_400
 // over handOffBeatByteCeiling, and the 4,800-job run if there are none (the
 // 9,600-job cluster is full at the steady tick: no offer is out). And it
 // reports the replans whose deadline slack was dropped, the first tick's
-// arcs scanned and skyline levels, summed over the kinds, the bytes it
-// allocated, the cells of the plan it published
-// and the leases it granted, which fail the 9,600-job run over
-// firstTickArcCeiling, firstTickByteCeiling, firstTickCellCeiling and
-// firstTickLeaseCeiling. All are counts, so the guards hold on any
+// arcs scanned, max flows started from zero and resumed, and skyline
+// levels, summed over the kinds, the bytes it allocated, the cells of the
+// plan it published and the leases it granted, which fail the 9,600-job
+// run over firstTickArcCeiling, firstTickByteCeiling, firstTickCellCeiling
+// and firstTickLeaseCeiling. All are counts, so the guards hold on any
 // machine.
 func BenchmarkFirstTickAtScale(b *testing.B) {
 	for _, wfs := range []int{100, 400, 800} {
@@ -204,7 +204,7 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			recs := scaleWorkflows(b, wfs)
 			var first, steady TickRecord
 			var beat, status, handOffBeat time.Duration
-			dropped, arcs, levels, cells, leases := 0, 0, 0, 0, 0
+			dropped, arcs, maxFlows, resumed, levels, cells, leases := 0, 0, 0, 0, 0, 0, 0
 			var handOffBeats, handOffBytes, tickBytes uint64
 			var ms runtime.MemStats
 			for i := 0; i < b.N; i++ {
@@ -257,9 +257,11 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 				}
 				ticks := c.rm.Ticks()
 				first, steady = addTicks(first, ticks[0]), addTicks(steady, ticks[1])
-				arcs = 0
+				arcs, maxFlows, resumed = 0, 0, 0
 				for _, w := range ticks[0].Replan.Work {
 					arcs += w.ArcsScanned
+					maxFlows += w.MaxFlows
+					resumed += w.Resumed
 				}
 			}
 			perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
@@ -279,6 +281,8 @@ func BenchmarkFirstTickAtScale(b *testing.B) {
 			b.ReportMetric(float64(handOffBeats)/float64(b.N), "handoff_beats")
 			b.ReportMetric(float64(dropped)/float64(b.N), "slack_dropped")
 			b.ReportMetric(float64(arcs), "arcs")
+			b.ReportMetric(float64(maxFlows), "max_flows")
+			b.ReportMetric(float64(resumed), "resumed")
 			b.ReportMetric(float64(levels), "levels")
 			b.ReportMetric(float64(tickBytes)/float64(b.N), "first_tick_B")
 			b.ReportMetric(float64(cells), "plan_cells")

@@ -46,8 +46,61 @@ var phaseSumBounds = [2]float64{0.90, 1.10}
 // that fsyncs every commit (the newCluster harness with a durable store)
 // through a stream of workflows and ad-hoc bursts until every workflow
 // has completed, one slot of 60 s at a time: the submissions due, a tick,
-// then every node's heartbeat. Per workflow it reports the slots from its
-// submission to its admission into the plan (the first tick whose
+// then every node's heartbeat (benchPath). It reports the jobs that
+// missed their deadline without failing on them: the stream overloads the
+// cluster (91,738 vcore-slots of deadline work, submitted over 20 slots,
+// on 1,024 vcores), so 1,232 of its 2,400 jobs miss.
+func BenchmarkPathAtScale(b *testing.B) {
+	recs := scaleWorkflows(b, pathWorkflows)
+	at := make([]int64, len(recs))
+	for i := range at {
+		at[i] = int64(i / pathPerSlot)
+	}
+	benchPath(b, recs, at)
+}
+
+// BenchmarkPathAtLoad runs BenchmarkPathAtScale's stream at a stated load
+// ρ, the deadline vcore-slots offered per slot over the cluster's vcores:
+// workflow i is submitted at slot ⌊V/(ρ·1,024)⌋, V the deadline
+// vcore-slots of the workflows before it. At ρ = 0.7 the cluster has room
+// for every workflow, so the run fails when any job misses its deadline.
+// At ρ = 1.2 some must miss, and it fails on none: wf_missed_unflagged
+// counts the missed workflows that no replan listed as at risk.
+func BenchmarkPathAtLoad(b *testing.B) {
+	recs := scaleWorkflows(b, pathWorkflows)
+	for _, arm := range []struct {
+		tenths int64 // ρ in tenths
+		gate   bool
+	}{{7, true}, {12, false}} {
+		b.Run(fmt.Sprintf("rho_%d.%d", arm.tenths/10, arm.tenths%10), func(b *testing.B) {
+			if missed := benchPath(b, recs, pathAtLoad(recs, arm.tenths)); arm.gate && missed > 0 {
+				b.Fatalf("%.0f jobs missed their deadline at ρ = %d.%d", missed, arm.tenths/10, arm.tenths%10)
+			}
+		})
+	}
+}
+
+// pathAtLoad is the slot each workflow of recs is submitted at so that the
+// stream offers tenths/10 of the cluster's vcores: ⌊V·10/(tenths·1,024)⌋,
+// V the deadline vcore-slots of the workflows before it, a job's tasks ×
+// its task's slots (60 s each, rounded up) × its vcores.
+func pathAtLoad(recs []trace.WorkflowRecord, tenths int64) []int64 {
+	at := make([]int64, len(recs))
+	var v int64
+	for i, rec := range recs {
+		at[i] = v * 10 / (tenths * pathNodes * 16)
+		for _, j := range rec.Jobs {
+			v += int64(j.Tasks) * ((j.TaskDurSec + 59) / 60) * j.DemandVCores
+		}
+	}
+	return at
+}
+
+// benchPath runs the path benchmark's stream: workflow recs[i] submitted
+// at slot at[i] (ascending), a burst of pathBurst ad-hoc jobs at every
+// pathBurstEvery-th slot until the last workflow is in, on pathNodes
+// nodes of 16 vcores and 64 GiB. Per workflow it reports the slots from
+// its submission to its admission into the plan (the first tick whose
 // published plan holds one of its jobs), to its first grant and to its
 // completion, as means over the workflows; per tick, the tick ring's
 // phase sum against the tick's wall time, over the run and at its lowest
@@ -56,18 +109,16 @@ var phaseSumBounds = [2]float64{0.90, 1.10}
 // dropped the deadline slack; the ad-hoc jobs the gate admitted and
 // rejected; the fsyncs per heartbeat round, failing the run over
 // pathFsyncCeiling; and the WAL's KB per slot, failing it over
-// pathWALByteCeiling. It fails a
-// run in which a job never completes, or whose store, recovered as a
-// follower at the end, does not hold the live state byte for byte, leases
-// and in-flight volume included. It reports the jobs that missed their
-// deadline without failing on them: the stream overloads the cluster
-// (91,738 vcore-slots of deadline work, submitted over 20 slots, on 1,024
-// vcores), so 1,232 of its 2,400 jobs miss. Everything but the phase sum
-// is a count, so the guards hold on any machine.
-func BenchmarkPathAtScale(b *testing.B) {
-	recs := scaleWorkflows(b, pathWorkflows)
+// pathWALByteCeiling. It fails a run in which a job never completes, or
+// whose store, recovered as a follower at the end, does not hold the live
+// state byte for byte, leases and in-flight volume included. It reports
+// the jobs and workflows that missed their deadline, and the missed
+// workflows that no slot's Status().AtRisk ever listed, and returns the
+// jobs missed per run. Everything but the phase sum is a count, so the
+// guards hold on any machine.
+func benchPath(b *testing.B, recs []trace.WorkflowRecord, at []int64) float64 {
 	slot := func(sec int64) int64 { return sec / int64(time.Minute/time.Second) }
-	var admitSlots, grantSlots, completeSlots, admittedAH, rejectedAH, rounds, roundFsyncs, walBytes, missed, replans, slackDropped float64
+	var admitSlots, grantSlots, completeSlots, admittedAH, rejectedAH, rounds, roundFsyncs, walBytes, missed, wfMissed, unflagged, replans, slackDropped float64
 	var phases, walls time.Duration
 	lowest, highest := math.Inf(1), 0.0
 	b.ResetTimer()
@@ -79,8 +130,11 @@ func BenchmarkPathAtScale(b *testing.B) {
 		}
 		submitted, admitted, firstGrant := map[string]int64{}, map[string]int64{}, map[string]int64{}
 		wfOf := map[string]string{} // job ID → workflow ID
+		atRisk := map[string]bool{} // workflows some replan found short
+		next := 0                   // recs[:next] are submitted
 		for s := int64(0); s < 5000; s++ {
-			for _, rec := range recs[min(int(s)*pathPerSlot, len(recs)):min(int(s+1)*pathPerSlot, len(recs))] {
+			for ; next < len(recs) && at[next] <= s; next++ {
+				rec := recs[next]
 				if _, err := c.rm.SubmitWorkflow(rmproto.SubmitWorkflowRequest{Workflow: rec}); err != nil {
 					b.Fatalf("SubmitWorkflow(%s): %v", rec.ID, err)
 				}
@@ -101,10 +155,14 @@ func BenchmarkPathAtScale(b *testing.B) {
 					}
 				}
 			}
-			for _, j := range c.rm.Status().Jobs {
+			st := c.rm.Status()
+			for _, j := range st.Jobs {
 				if j.WorkflowID != "" {
 					wfOf[j.ID] = j.WorkflowID
 				}
+			}
+			for _, r := range st.AtRisk {
+				atRisk[r.WorkflowID] = true
 			}
 
 			start := time.Now()
@@ -140,16 +198,27 @@ func BenchmarkPathAtScale(b *testing.B) {
 			}
 		}
 
-		done := map[string]int64{}
-		for _, j := range c.rm.Status().Jobs {
+		done, late := map[string]int64{}, map[string]bool{}
+		st := c.rm.Status()
+		for _, r := range st.AtRisk {
+			atRisk[r.WorkflowID] = true
+		}
+		for _, j := range st.Jobs {
 			if j.WorkflowID != "" {
 				if j.State != "completed" {
 					b.Fatalf("job %s of %s never completed", j.ID, j.WorkflowID)
 				}
 				if j.Missed {
 					missed++
+					late[j.WorkflowID] = true
 				}
 				done[j.WorkflowID] = max(done[j.WorkflowID], slot(j.CompletedSec))
+			}
+		}
+		for wf := range late {
+			wfMissed++
+			if !atRisk[wf] {
+				unflagged++
 			}
 		}
 		for wf, s := range submitted {
@@ -175,6 +244,8 @@ func BenchmarkPathAtScale(b *testing.B) {
 	b.ReportMetric(grantSlots/wfs, "wf_first_grant_slots")
 	b.ReportMetric(completeSlots/wfs, "wf_complete_slots")
 	b.ReportMetric(missed/float64(b.N), "jobs_missed")
+	b.ReportMetric(wfMissed/float64(b.N), "wf_missed")
+	b.ReportMetric(unflagged/float64(b.N), "wf_missed_unflagged")
 	frac := phases.Seconds() / walls.Seconds()
 	b.ReportMetric(frac, "phase_sum_frac")
 	b.ReportMetric(lowest, "phase_sum_frac_min")
@@ -197,4 +268,5 @@ func BenchmarkPathAtScale(b *testing.B) {
 	if walPerSlot > pathWALByteCeiling {
 		b.Fatalf("the WAL grew %.0f B a slot, over the ceiling of %d", walPerSlot, pathWALByteCeiling)
 	}
+	return missed / float64(b.N)
 }

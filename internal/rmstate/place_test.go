@@ -299,3 +299,50 @@ func TestPlacementProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestNodesEqualTheirRebuild holds the node set's point updates to a fresh
+// build: over seeded sequences of joins in random ID order, Puts of known
+// IDs (at zero capacity too), heartbeats, placements and new slots, the
+// set's room tree, free room and capacity after every step equal those of
+// NewNodes over copies of the same nodes.
+func TestNodesEqualTheirRebuild(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ns := NewNodes(nil)
+		vec := func(hi int64) resource.Vector { return resource.New(rng.Int63n(hi), 1024*rng.Int63n(hi)) }
+		for step := range 200 {
+			var op string
+			switch r := rng.Intn(10); {
+			case r < 3 || len(ns.List()) == 0:
+				id := fmt.Sprintf("n%02d", rng.Intn(40))
+				capacity := vec(17)
+				if rng.Intn(4) == 0 {
+					capacity = resource.Vector{}
+				}
+				ns.Put(id, capacity)
+				op = "put " + id + " " + capacity.String()
+			case r < 5:
+				n := ns.List()[rng.Intn(len(ns.List()))]
+				n.Hear()
+				op = "hear " + n.ID
+			case r < 9:
+				n := ns.List()[rng.Intn(len(ns.List()))]
+				v := vec(9).Min(n.free())
+				ns.take(n, v)
+				op = "take " + n.ID + " " + v.String()
+			default:
+				ns.NewSlot()
+				op = "new slot"
+			}
+			copies := make([]*Node, len(ns.List()))
+			for i, n := range ns.List() {
+				copies[i] = &Node{ID: n.ID, Capacity: n.Capacity, Placed: n.Placed, heard: n.heard}
+			}
+			want := NewNodes(copies)
+			if !slices.Equal(ns.room, want.room) || ns.free != want.free || ns.capacity != want.capacity {
+				t.Fatalf("seed %d, step %d (%s): room %v free %v capacity %v, rebuilt %v %v %v",
+					seed, step, op, ns.room, ns.free, ns.capacity, want.room, want.free, want.capacity)
+			}
+		}
+	}
+}
