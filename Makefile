@@ -203,7 +203,10 @@ bench:
 # wal_kb_per_slot; 4,314 B when set, plus 25 %), the tick ring's phases
 # sum to less than 0.90 or more than 1.10 of the ticks' wall time, a job
 # never completes, or the store recovered as a follower at the end does
-# not hold the live state byte for byte.
+# not hold the live state byte for byte. BenchmarkPathAtLoad runs the same
+# workflows through the same checks, paced to 70 % and 120 % of the
+# cluster's vcores, and its rho_0.7 arm fails when any job misses its
+# deadline (a count).
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' $(BENCH_PKGS)
 

@@ -219,8 +219,7 @@ type PlannerStats struct {
 	// Pivots is the number of augmenting paths pushed.
 	Pivots int
 	// ColdStarts counts max-flow computations started from a zero flow,
-	// WarmStarts those resumed from a parent's flow: stage B's parts above
-	// a cut.
+	// WarmStarts those resumed from a parent's flow, above a cut.
 	ColdStarts int
 	WarmStarts int
 	// Refactors is always zero: a max-flow has no basis to refactorize.

@@ -22,7 +22,7 @@
 // as often as the caller asks, each time from a zero flow
 // (Network.Shortfall), and stage B is a method on the routing kept
 // (Routing.LexMinMax), which starts from a zero flow on that routing's open
-// arcs.
+// arcs and resumes a flow only where capacities grow, above a cut.
 //
 // All arithmetic that decides anything is exact: a level is the rational
 // θ = num/den of two integer sums, the network is scaled by den so
@@ -70,9 +70,8 @@ type Job struct {
 // Work counts what a call cost.
 type Work struct {
 	// MaxFlows is the number of max-flow computations started from a
-	// zero flow: a routing's, and in stage B the whole problem's and each
-	// part's below a cut. Resumed is the number continued from a parent's
-	// flow: in stage B, each part's above a cut.
+	// zero flow, Resumed the number continued from a parent's flow: in
+	// stage B, the parts above a cut.
 	MaxFlows, Resumed int
 	// Augmentations is the number of augmenting paths pushed.
 	Augmentations int
@@ -628,9 +627,8 @@ func LexMinMax(caps []int64, jobs []Job) (*Skyline, error) {
 // θ and the rest below; the jobs on it put their whole Cap on every slot
 // off it, which takes that as forced load, and the jobs off it put nothing
 // on a slot on it. Each side is then solved on its own, the upper first,
-// so the levels come out highest first: the upper from the flow left on it,
-// which still fits where its capacities only grew, and the lower from a
-// zero flow.
+// from the flow left on it, and the lower from none, so the levels come
+// out highest first.
 func (r *Routing) LexMinMax() (*Skyline, error) {
 	g := r.g
 	g.reset(r.open)
@@ -690,8 +688,7 @@ type lexState struct {
 // solve finds the levels of the part of jobs and slots, whose arcs hold a
 // flow in units of 1/den (none when den is 0): routed at its mean level
 // from that flow, it is one level or splits at the maximal min cut into
-// two parts, solved in turn: the part above from what the flow leaves on
-// it, the part below from none.
+// two parts, solved in turn, the upper from the flow left on it.
 func (s *lexState) solve(jobs, slots []int32, den int64) error {
 	if s.unsettled == 0 {
 		// Every job is on a level: these slots carry only what they must.
@@ -750,17 +747,12 @@ func (s *lexState) solve(jobs, slots []int32, den int64) error {
 // denominator and returns the scaled demand and whether every slot's forced
 // load is at or under θ·C_t; a slot whose forced load alone is over it
 // takes nothing more, and ends above θ. The part starts from a zero flow
-// when den is 0, and otherwise from its parent's flow in units of 1/den:
-// each job→slot flow is rescaled to the new denominator rounding down,
-// which keeps it inside its arc and its job's demand, and the source and
-// sink flows are summed from the arcs.
-//
-// Only the part above a cut is handed its parent's flow, and that flow
-// fits every slot's room: the part's mean level θ′ is at least its
-// parent's θ (its demand did not route at θ); each of its slots carried
-// either its whole room at θ, or nothing when its forced load alone was
-// over θ·C_t; and the room at θ′, θ′·C_t less the forced load, is never
-// less than the room at θ.
+// when den is 0. Otherwise it is above a cut and keeps its parent's flow in
+// units of 1/den, each arc's rescaled rounding down and the source and sink
+// flows summed from the arcs. That flow fits: the part's mean level θ′ is
+// at least its parent's θ; each of its slots carried either its whole room
+// at θ, or nothing when its forced load alone was over θ·C_t; and the room
+// at θ′ is never less than the room at θ.
 func (s *lexState) setCaps(theta ratio, demand int64, jobs, slots []int32, den int64) (want int64, tight bool, err error) {
 	if want, err = mul(demand, theta.den); err != nil {
 		return 0, false, err
@@ -836,7 +828,8 @@ func (s *lexState) settle(theta ratio, jobs, slots []int32) {
 	load := float64(theta.num) / float64(theta.den)
 	for _, t := range slots {
 		lv.Slots = append(lv.Slots, int(t))
-		s.out.Load[t] = load * float64(s.caps[t])
+		// float64() rounds the product: the repair's sum must not fuse with it.
+		s.out.Load[t] = float64(load * float64(s.caps[t]))
 		s.in[t] = false
 	}
 	s.unsettled -= len(jobs)

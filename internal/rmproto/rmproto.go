@@ -460,9 +460,8 @@ type DegradationStatus struct {
 	GreedyFallbacks int64  `json:"greedy_fallbacks"`
 	InvalidPlans    int64  `json:"invalid_plans"`
 	// LPColdStarts counts the planner's max-flow computations started
-	// from a zero flow, LPWarmStarts those resumed from a parent's flow:
-	// stage B's parts above a cut (the wire names predate the flow
-	// planner).
+	// from a zero flow, LPWarmStarts those resumed from a parent's flow
+	// above a cut (the wire names predate the flow planner).
 	LPWarmStarts int64 `json:"lp_warm_starts"`
 	LPColdStarts int64 `json:"lp_cold_starts"`
 }

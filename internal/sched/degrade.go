@@ -63,10 +63,9 @@ type DegradationStatus struct {
 	// the greedy rung.
 	InvalidPlans int64
 	// LPColdStarts counts the planner's max-flow computations started
-	// from a zero flow and LPWarmStarts those resumed from a parent's
-	// flow, stage B's parts above a cut, across all replans (see
-	// internal/flow; the names predate the flow planner and consumers key
-	// on them).
+	// from a zero flow and LPWarmStarts those resumed from a parent's flow
+	// above a cut, across all replans (see internal/flow; the names
+	// predate the flow planner and consumers key on them).
 	LPWarmStarts int64
 	LPColdStarts int64
 }
