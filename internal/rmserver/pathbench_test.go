@@ -62,10 +62,12 @@ func BenchmarkPathAtScale(b *testing.B) {
 // BenchmarkPathAtLoad runs BenchmarkPathAtScale's stream at a stated load
 // ρ, the deadline vcore-slots offered per slot over the cluster's vcores:
 // workflow i is submitted at slot ⌊V/(ρ·1,024)⌋, V the deadline
-// vcore-slots of the workflows before it. At ρ = 0.7 the cluster has room
-// for every workflow, so the run fails when any job misses its deadline.
-// At ρ = 1.2 some must miss, and it fails on none: wf_missed_unflagged
-// counts the missed workflows that no replan listed as at risk.
+// vcore-slots of the workflows before it. At ρ = 0.7 the stream leaves
+// 30 % of the vcores spare, so the run fails when any job misses its
+// deadline.
+// At ρ = 1.2 the stream offers more than the cluster holds while it lasts,
+// and the run fails on no miss: wf_missed_unflagged counts the workflows
+// with a missed job that no replan listed as at risk.
 func BenchmarkPathAtLoad(b *testing.B) {
 	recs := scaleWorkflows(b, pathWorkflows)
 	for _, arm := range []struct {
@@ -112,10 +114,11 @@ func pathAtLoad(recs []trace.WorkflowRecord, tenths int64) []int64 {
 // pathWALByteCeiling. It fails a run in which a job never completes, or
 // whose store, recovered as a follower at the end, does not hold the live
 // state byte for byte, leases and in-flight volume included. It reports
-// the jobs and workflows that missed their deadline, and the missed
-// workflows that no slot's Status().AtRisk ever listed, and returns the
-// jobs missed per run. Everything but the phase sum is a count, so the
-// guards hold on any machine.
+// the jobs that missed their deadline (each job's own, its decomposed
+// window's end), the workflows with such a job, and those of them that no
+// slot's Status().AtRisk ever listed, and returns the jobs missed per run.
+// Everything but the phase sum is a count, so the guards hold on any
+// machine.
 func benchPath(b *testing.B, recs []trace.WorkflowRecord, at []int64) float64 {
 	slot := func(sec int64) int64 { return sec / int64(time.Minute/time.Second) }
 	var admitSlots, grantSlots, completeSlots, admittedAH, rejectedAH, rounds, roundFsyncs, walBytes, missed, wfMissed, unflagged, replans, slackDropped float64
