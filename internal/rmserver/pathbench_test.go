@@ -25,19 +25,19 @@ const (
 	pathNodes      = 64
 )
 
-// pathFsyncCeiling holds a heartbeat round of BenchmarkPathAtScale to the
+// pathFsyncCeiling holds a heartbeat round of the path benchmarks to the
 // fsyncs it may cost, on average over the run: a heartbeat journals its
 // confirms and hand-offs and leaves them to ride the next commit, so a
 // round costs none when it was set. A heartbeat that committed its own
 // records would cost up to one per node, 64 a round.
 const pathFsyncCeiling = 1
 
-// pathWALByteCeiling holds BenchmarkPathAtScale to the WAL bytes it
-// journals per slot, on average over the run: 4,314 when it was set
-// (461,598 over 107 slots), plus 25 %.
+// pathWALByteCeiling holds the path benchmarks to the WAL bytes they
+// journal per slot, on average over the run: BenchmarkPathAtScale's 4,314
+// when it was set (461,598 over 107 slots), plus 25 %.
 const pathWALByteCeiling = 5_400
 
-// phaseSumBounds are the bounds BenchmarkPathAtScale holds the tick ring's
+// phaseSumBounds are the bounds the path benchmarks hold the tick ring's
 // phase sum to, as a fraction of the tick's wall time over the run: the
 // phases are disjoint and, with the replan's stages, add up to the tick.
 var phaseSumBounds = [2]float64{0.90, 1.10}
@@ -64,10 +64,9 @@ func BenchmarkPathAtScale(b *testing.B) {
 // workflow i is submitted at slot ⌊V/(ρ·1,024)⌋, V the deadline
 // vcore-slots of the workflows before it. At ρ = 0.7 the stream leaves
 // 30 % of the vcores spare, so the run fails when any job misses its
-// deadline.
-// At ρ = 1.2 the stream offers more than the cluster holds while it lasts,
-// and the run fails on no miss: wf_missed_unflagged counts the workflows
-// with a missed job that no replan listed as at risk.
+// deadline. At ρ = 1.2 the stream offers more than the cluster holds while
+// it lasts, and the run fails on no miss: wf_missed_unflagged counts the
+// workflows with a missed job that no replan listed as at risk.
 func BenchmarkPathAtLoad(b *testing.B) {
 	recs := scaleWorkflows(b, pathWorkflows)
 	for _, arm := range []struct {
