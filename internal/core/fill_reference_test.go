@@ -177,8 +177,8 @@ func genFillProblem(rng *rand.Rand) fillProblem {
 		}
 	}
 	for _, p := range fp.probs {
-		if len(p.jobs) > len(p.pjs) {
-			fp.reserved = true
+		if n := len(p.pjs); len(p.jobs) > n && p.jobs[n].Rel < fp.nSlots {
+			fp.reserved = true // a reservation on the kept horizon
 		}
 	}
 	return fp

@@ -703,15 +703,15 @@ func (f *FlowTime) computeWindows(ctx sched.AssignContext) (jobs []*planJob, nSl
 }
 
 // keepSlack plans the replan on the slack's window set, the one stage A's
-// routings were found on: every job's window ends at its slack deadline,
-// and every kind is cut to the slack's horizon of nSlack slots, which it
-// returns. The kinds' networks keep the true window set.
+// routings were found on and each kind's dl holds: every job's window ends
+// at its slack deadline, and every kind is cut to the slack's horizon of
+// nSlack slots, which it returns.
 func keepSlack(jobs []*planJob, probs []*kindProblem, nSlack int64) int64 {
 	for _, pj := range jobs {
 		pj.dlSlot = pj.slackDl
 	}
 	for _, p := range probs {
-		p.caps, p.jobs, p.order = p.caps[:nSlack], p.slack, p.order[:len(p.slack)]
+		p.caps = p.caps[:nSlack]
 	}
 	return nSlack
 }
@@ -724,19 +724,18 @@ type kindProblem struct {
 	kind resource.Kind
 	caps []int64 // raw cluster capacity per offset
 	// pjs are the jobs with demand of this kind, in the replan's job-slice
-	// order. jobs are the same jobs as the planner sees them, followed by
-	// one one-slot pseudo-job per slot the gate holds a reservation on
-	// (demand and cap R_t, window [t, t+1)); order lists all of them as
-	// indices, the deadline jobs earliest deadline first, then the
-	// reservations in slot order. caps and jobs are the true window set's
-	// until the replan keeps the slack and cuts them to slack, the same
-	// jobs under the slack's window set: each deadline job's window ends at
-	// its slack deadline, and only the reservations on the slack's horizon
-	// are left. Those come first in the slot order, so slack is a prefix of
-	// jobs, window by window.
+	// order. jobs are the same jobs as the planner sees them, on their true
+	// windows, followed by one one-slot pseudo-job per slot the gate holds
+	// a reservation on (demand and cap R_t, window [t, t+1)). dl, indexed
+	// like jobs, is the window set the replan plans on, a deadline per job:
+	// the slack's until the replan drops it, when it is each job's true
+	// one. A reservation past the slack's horizon has its release as its
+	// deadline, so it opens no arc. order lists all the jobs as indices,
+	// the deadline jobs earliest dl first, then the reservations in slot
+	// order. caps is cut to the slack's horizon when the replan keeps it.
 	pjs   []*planJob
 	jobs  []flow.Job
-	slack []flow.Job
+	dl    []int64
 	order []int
 	// net is the kind's network, laid out once per replan on the true
 	// window set. route is stage A's answer on it, on whose network stage B
@@ -767,10 +766,11 @@ type kindProblem struct {
 }
 
 // reserved returns R'_t per slot offset — the reservations as stage A
-// left them — and the volume that gave way to deadline work.
+// left them — and the volume that gave way to deadline work. The
+// reservations past the kept horizon took no part and count in neither.
 func (p *kindProblem) reserved() (kept []int64, yielded int64) {
 	kept = make([]int64, len(p.caps))
-	for i := len(p.pjs); i < len(p.jobs); i++ {
+	for i := len(p.pjs); i < len(p.jobs) && p.jobs[i].Rel < int64(len(p.caps)); i++ {
 		kept[p.jobs[i].Rel] = p.jobs[i].Demand - p.route.Short[i]
 		yielded += p.route.Short[i]
 	}
@@ -786,9 +786,9 @@ func (p *kindProblem) reserved() (kept []int64, yielded int64) {
 // — and the gate's reservations after all of them, so a promise to ad-hoc
 // work absorbs a deficiency before any deadline does and never causes one.
 // The kind's network is laid out on the true window set and the slack's
-// routes on it, each job open only to its arcs into the slack's window
-// set; a reservation past the slack's horizon opens none and comes last,
-// so it takes no part. Kinds no deadline job demands are left out.
+// routes on it, each job's deadline its slack one; a reservation past the
+// slack's horizon has its release as its deadline and comes last, so it
+// takes no part. Kinds no deadline job demands are left out.
 func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots, nSlack int64) []*kindProblem {
 	var probs []*kindProblem
 	for _, kind := range resource.Kinds() {
@@ -796,14 +796,12 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots, nSla
 	}
 	eachKind(probs, func(p *kindProblem) {
 		// Sized for every job and a reservation on every slot.
-		p.pjs, p.jobs, p.slack = make([]*planJob, 0, len(jobs)), make([]flow.Job, 0, len(jobs)+int(nSlots)), make([]flow.Job, 0, len(jobs)+int(nSlack))
+		p.pjs, p.jobs, p.dl = make([]*planJob, 0, len(jobs)), make([]flow.Job, 0, len(jobs)+int(nSlots)), make([]int64, 0, len(jobs)+int(nSlots))
 		for _, pj := range jobs {
 			if d := pj.state.EstRemaining.Get(p.kind); d > 0 {
 				p.pjs = append(p.pjs, pj)
-				j := flow.Job{Demand: d, Rel: pj.relSlot - ctx.Now, Dl: pj.dlSlot - ctx.Now, Cap: pj.state.ParallelCap.Get(p.kind)}
-				p.jobs = append(p.jobs, j)
-				j.Dl = pj.slackDl - ctx.Now
-				p.slack = append(p.slack, j)
+				p.jobs = append(p.jobs, flow.Job{Demand: d, Rel: pj.relSlot - ctx.Now, Dl: pj.dlSlot - ctx.Now, Cap: pj.state.ParallelCap.Get(p.kind)})
+				p.dl = append(p.dl, pj.slackDl-ctx.Now)
 			}
 		}
 		if len(p.jobs) == 0 {
@@ -814,51 +812,36 @@ func (f *FlowTime) stageA(ctx sched.AssignContext, jobs []*planJob, nSlots, nSla
 			abs := ctx.Now + int64(t)
 			p.caps[t] = ctx.Cluster.CapAt(abs).Get(p.kind)
 			if r := min(f.adhocReserved[abs].Get(p.kind), p.caps[t]); r > 0 {
-				j := flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r}
-				p.jobs = append(p.jobs, j)
-				if int64(t) < nSlack {
-					p.slack = append(p.slack, j)
+				p.jobs = append(p.jobs, flow.Job{Demand: r, Rel: int64(t), Dl: int64(t) + 1, Cap: r})
+				dl := int64(t)
+				if dl < nSlack {
+					dl++
 				}
+				p.dl = append(p.dl, dl)
 			}
 		}
-		p.sortEDF(func(pj *planJob) int64 { return pj.slackDl })
-		// open[i] counts jobs[i]'s arcs into the slack's window set: its
-		// network arcs lead to the positive-capacity slots of its window,
-		// ascending, and pos[t] counts those slots before offset t.
-		pos := make([]int, len(p.caps)+1)
-		for t, c := range p.caps {
-			pos[t+1] = pos[t]
-			if c > 0 {
-				pos[t+1]++
-			}
-		}
-		open := make([]int, len(p.jobs))
-		for i, j := range p.slack {
-			open[i] = pos[j.Dl] - pos[j.Rel]
-		}
-		p.shortfall(f.planFault, open)
+		p.sortEDF()
+		p.shortfall(f.planFault)
 	})
 	return slices.DeleteFunc(probs, func(p *kindProblem) bool { return len(p.pjs) == 0 })
 }
 
-// sortEDF orders the kind's jobs for stage A: the deadline jobs by the
-// deadline dl reads, earliest first, ID as tie-break, then the
-// reservations in slot order.
-func (p *kindProblem) sortEDF(dl func(*planJob) int64) {
+// sortEDF orders the kind's jobs for stage A: the deadline jobs by dl,
+// earliest first, ID as tie-break, then the reservations in slot order.
+func (p *kindProblem) sortEDF() {
 	p.order = slices.Grow(p.order[:0], len(p.jobs))
 	for i := range p.jobs {
 		p.order = append(p.order, i)
 	}
 	slices.SortStableFunc(p.order[:len(p.pjs)], func(a, b int) int {
-		x, y := p.pjs[a], p.pjs[b]
-		return cmp.Or(cmp.Compare(dl(x), dl(y)), strings.Compare(x.state.ID, y.state.ID))
+		return cmp.Or(cmp.Compare(p.dl[a], p.dl[b]), strings.Compare(p.pjs[a].state.ID, p.pjs[b].state.ID))
 	})
 }
 
 // shortfall runs stage A on the kind's network in the kind's order, each
-// job j open to its first open[j] arcs (every arc when open is nil), and
-// lays the network out first if no pass before did.
-func (p *kindProblem) shortfall(fault func(resource.Kind) error, open []int) {
+// job open to its arcs before its dl, and lays the network out first if no
+// pass before did.
+func (p *kindProblem) shortfall(fault func(resource.Kind) error) {
 	p.err = p.runPlanner(fault, &p.timeA, func() (flow.Work, error) {
 		if p.net == nil {
 			net, err := flow.NewNetwork(p.caps, p.jobs)
@@ -867,7 +850,7 @@ func (p *kindProblem) shortfall(fault func(resource.Kind) error, open []int) {
 			}
 			p.net = net
 		}
-		r, err := p.net.Shortfall(p.order, open)
+		r, err := p.net.Shortfall(p.order, p.dl)
 		if err != nil {
 			return flow.Work{}, err
 		}
@@ -877,12 +860,15 @@ func (p *kindProblem) shortfall(fault func(resource.Kind) error, open []int) {
 }
 
 // dropSlack runs stage A again on the kind's network, on the true window
-// set: every arc open, the deadline jobs earliest true deadline first. The
-// slack pass's work is recorded already, and its time is overwritten.
+// set: every job's dl its true deadline, the deadline jobs earliest first.
+// The slack pass's work is recorded already, and its time is overwritten.
 func (p *kindProblem) dropSlack(fault func(resource.Kind) error) {
-	p.slack, p.work = nil, flow.Work{}
-	p.sortEDF(func(pj *planJob) int64 { return pj.dlSlot })
-	p.shortfall(fault, nil)
+	p.work = flow.Work{}
+	for i, j := range p.jobs {
+		p.dl[i] = j.Dl
+	}
+	p.sortEDF()
+	p.shortfall(fault)
 }
 
 // isShort reports whether stage A left any deadline demand of this kind
@@ -1132,11 +1118,11 @@ func merge(probs []*kindProblem, jobs []*planJob, from, nSlots int64) *plan.Plan
 }
 
 // reset gives every deadline job of the kind an all-zero row over its
-// window and all of its demand left to place.
+// window, up to its dl, and all of its demand left to place.
 func (p *kindProblem) reset() {
 	p.rows, p.left = make([][]int64, len(p.pjs)), make([]int64, len(p.pjs))
 	for i, j := range p.jobs[:len(p.pjs)] {
-		p.rows[i], p.left[i] = make([]int64, j.Dl-j.Rel), j.Demand
+		p.rows[i], p.left[i] = make([]int64, p.dl[i]-j.Rel), j.Demand
 	}
 }
 
@@ -1151,7 +1137,7 @@ func (p *kindProblem) fill(t, budget int64) int64 {
 	}
 	edf := p.order[:len(p.pjs)]
 	granted := int64(0)
-	open := sort.Search(len(edf), func(k int) bool { return p.jobs[edf[k]].Dl > t })
+	open := sort.Search(len(edf), func(k int) bool { return p.dl[edf[k]] > t })
 	for _, i := range edf[open:] {
 		j := &p.jobs[i]
 		if p.left[i] <= 0 || t < j.Rel {

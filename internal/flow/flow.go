@@ -15,14 +15,15 @@
 // from the top, are only the tests' reference.
 //
 // The stages are questions about one network, laid out once per resource
-// kind and replan (NewNetwork) on the jobs' widest windows. A routing opens
-// a prefix of each job's arcs, in slot order, and keeps every other arc at
-// a zero residual, so a job's window cut short — the deadline slack — is
-// the same network with arcs closed, not another one. Stage A routes on it
-// as often as the caller asks, each time from a zero flow
-// (Network.Shortfall), and stage B is a method on the routing kept
-// (Routing.LexMinMax), which starts from a zero flow on that routing's open
-// arcs and resumes a flow only where capacities grow, above a cut.
+// kind and replan (NewNetwork) on the jobs' widest windows. A routing gives
+// each job a deadline inside its window, opens its arcs into the slots
+// before that deadline and keeps every other arc at a zero residual, so a
+// job's window cut short — the deadline slack — is the same network with
+// arcs closed, not another one. Stage A routes on it as often as the
+// caller asks, each time from a zero flow (Network.Shortfall), and stage B
+// is a method on the routing kept (Routing.LexMinMax), which starts from a
+// zero flow on that routing's open arcs and resumes a flow only where
+// capacities grow, above a cut.
 //
 // All arithmetic that decides anything is exact: a level is the rational
 // θ = num/den of two integer sums, the network is scaled by den so
@@ -45,6 +46,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ErrOverflow reports that a scaled capacity, a demand total or a cut
@@ -380,7 +382,7 @@ type Routing struct {
 	JobCut, SlotCut []int
 	Work            Work
 	g               *Network // the network it was found on, which LexMinMax reuses
-	open            []int32  // the arcs it opened per job, which LexMinMax opens again
+	open            []int32  // per job, the arcs its deadline opened, which LexMinMax opens again
 }
 
 // Shortfall is the planner's stage A on a network laid out for it alone:
@@ -401,16 +403,18 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 // fit lands on the jobs latest in the order, and the split is a function
 // of the input alone. The total routed is the max flow whatever the order.
 //
-// Only the first open[j] arcs of job j, in slot order, are open (every arc
-// when open is nil); the rest keep a zero residual. A job whose window is
-// cut short at slot d, open to its arcs before d, routes as it would on a
-// network laid out for the cut window, and a job with no arc open routes
-// nothing. So a network routes any instance whose windows are prefixes of
-// the ones it was laid out for: jobs at the end of the order with no arc
-// open take no part but for coming up wholly short, and a slot only
-// closed arcs reach is on no cut. The routing starts from a zero flow
-// whatever the network held, and only the arcs scanned tell it from the
-// one found on a network laid out for that instance.
+// Job j is open only to its arcs into the slots before its deadline dl[j],
+// which lies in [Rel, Dl] (every arc when dl is nil); the rest keep a zero
+// residual. A job whose window is cut short at slot d, given deadline d,
+// routes as it would on a network laid out for the cut window, and a job
+// whose deadline is its release opens no arc and routes nothing. So a
+// network routes any instance whose windows are prefixes of the ones it
+// was laid out for: jobs at the end of the order with no arc open take no
+// part but for coming up wholly short, and a slot only closed arcs reach
+// is on no cut. A deadline outside the window, or a dl that does not hold
+// one per job, is an error. The routing starts from a zero flow whatever
+// the network held, and only the arcs scanned tell it from the one found
+// on a network laid out for that instance.
 //
 // One max flow opens every source arc at once. Then the order is walked:
 // a job left short takes flow back from jobs later in it, along residual
@@ -431,7 +435,7 @@ func Shortfall(caps []int64, jobs []Job, order []int) (*Routing, error) {
 // search labels it. That changes no later level or push, and spares the
 // searches of a congested instance from re-walking the graph already cut
 // off, once per short job.
-func (g *Network) Shortfall(order []int, open []int) (*Routing, error) {
+func (g *Network) Shortfall(order []int, dl []int64) (*Routing, error) {
 	jobs := g.jobs
 	if len(order) != len(jobs) {
 		return nil, fmt.Errorf("flow: order names %d jobs, instance has %d", len(order), len(jobs))
@@ -443,7 +447,7 @@ func (g *Network) Shortfall(order []int, open []int) (*Routing, error) {
 		}
 		pending[j] = true
 	}
-	arcs, err := g.opened(open)
+	arcs, err := g.opened(dl)
 	if err != nil {
 		return nil, err
 	}
@@ -500,20 +504,22 @@ func (g *Network) Shortfall(order []int, open []int) (*Routing, error) {
 	return r, nil
 }
 
-// opened checks a per-job count of open arcs against the network and
-// returns it as the network keeps it, every arc when open is nil.
-func (g *Network) opened(open []int) ([]int32, error) {
-	if open != nil && len(open) != len(g.jobs) {
-		return nil, fmt.Errorf("flow: open arcs given for %d jobs, instance has %d", len(open), len(g.jobs))
+// opened checks a deadline per job against the network's windows and
+// returns how many of each job's arcs it opens, every arc when dl is nil:
+// the arcs into slots before dl[j], found by a binary search of arcSlot.
+func (g *Network) opened(dl []int64) ([]int32, error) {
+	if dl != nil && len(dl) != len(g.jobs) {
+		return nil, fmt.Errorf("flow: job %d: deadlines given for %d jobs, instance has %d", min(len(dl), len(g.jobs)), len(dl), len(g.jobs))
 	}
 	arcs := make([]int32, len(g.jobs))
 	for j, slots := range g.arcSlot {
 		arcs[j] = int32(len(slots))
-		if open != nil {
-			if open[j] < 0 || open[j] > len(slots) {
-				return nil, fmt.Errorf("flow: job %d opens %d of its %d arcs", j, open[j], len(slots))
+		if dl != nil {
+			if job := g.jobs[j]; dl[j] < job.Rel || dl[j] > job.Dl {
+				return nil, fmt.Errorf("flow: job %d deadline %d outside its window [%d, %d]", j, dl[j], job.Rel, job.Dl)
 			}
-			arcs[j] = int32(open[j])
+			n, _ := slices.BinarySearch(slots, int32(dl[j]))
+			arcs[j] = int32(n)
 		}
 	}
 	return arcs, nil
@@ -603,20 +609,21 @@ func LexMinMax(caps []int64, jobs []Job) (*Skyline, error) {
 	if err != nil {
 		return nil, err
 	}
-	all, _ := g.opened(nil) // every arc: no count to check
+	all, _ := g.opened(nil) // every arc: no deadline to check
 	return (&Routing{Short: make([]int64, len(jobs)), g: g, open: all}).LexMinMax()
 }
 
 // LexMinMax is stage B on the network stage A routed on: the skyline of
-// the demand r routed, each job's Demand less its Short, over the arcs r
-// opened. It starts from a zero flow, and every arc r did not open keeps a
-// zero residual, so it answers as the free LexMinMax does on those demands
-// and the windows cut to those arcs, bit for bit, but for the arcs scanned
-// when a job is wholly short: a slot's edges from such a job, or from a
-// job's closed arcs, stay in the graph, empty, and the searches step over
-// them. Alloc[j] spans job j's whole window and is zero past its open
-// arcs; a slot only closed arcs reach takes no load. r may be any routing
-// found on the network, the last or an earlier one.
+// the demand r routed, each job's Demand less its Short, over the arcs
+// into the slots before r's deadline for it. It starts from a zero flow,
+// and every arc past those deadlines keeps a zero residual, so it answers
+// as the free LexMinMax does on those demands and the windows cut at those
+// deadlines, bit for bit, but for the arcs scanned when a job is wholly
+// short: a slot's edges from such a job, or from a job's closed arcs, stay
+// in the graph, empty, and the searches step over them. Alloc[j] spans job
+// j's whole window and is zero from its deadline on; a slot only closed
+// arcs reach takes no load. r may be any routing found on the network, the
+// last or an earlier one.
 //
 // The skyline is found by decomposition (Fujishige 1980; the breakpoint
 // search of Gallo–Grigoriadis–Tarjan 1989). A part of the problem — some

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,6 +262,64 @@ func TestShortfallLandsOnTheLatestInOrder(t *testing.T) {
 	}
 	if _, err := flow.Shortfall(caps, jobs, []int{0, 0}); err == nil {
 		t.Error("repeated order entry accepted")
+	}
+}
+
+// TestShortfallDeadlines holds Network.Shortfall to its deadline contract
+// at the edges: a deadline outside its job's window, or a dl that does not
+// hold one deadline per job, is refused with an error naming the job; a
+// deadline at the release opens no arc, so the job is wholly short and no
+// slot joins the cut for it; and a deadline on a zero-capacity slot, which
+// no arc leads to, routes exactly as the next positive-capacity slot does.
+func TestShortfallDeadlines(t *testing.T) {
+	caps := []int64{4, 0, 4, 4}
+	jobs := []flow.Job{
+		{Demand: 8, Rel: 0, Dl: 4, Cap: 4},
+		{Demand: 4, Rel: 2, Dl: 4, Cap: 4},
+	}
+	order := []int{0, 1}
+	net, err := flow.NewNetwork(caps, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		dl, same []int64 // same routes exactly as dl does when set
+		err      string  // what the error names; none when empty
+		short    []int64
+		jobCut   []int
+	}{
+		{name: "below the release", dl: []int64{4, 1}, err: "job 1 "},
+		{name: "past the window", dl: []int64{5, 4}, err: "job 0 "},
+		{name: "one deadline short", dl: []int64{4}, err: "job 1:"},
+		{name: "one deadline over", dl: []int64{4, 4, 4}, err: "job 2:"},
+		{name: "at the release", dl: []int64{4, 2}, short: []int64{0, 4}, jobCut: []int{-1, 1}},
+		{name: "on a zero-capacity slot", dl: []int64{1, 4}, same: []int64{2, 4}, short: []int64{4, 0}, jobCut: []int{0, -1}},
+		{name: "every arc", dl: []int64{4, 4}, short: []int64{0, 0}, jobCut: []int{-1, -1}},
+	} {
+		r, err := net.Shortfall(order, tc.dl)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(r.Short, tc.short) || !slices.Equal(r.JobCut, tc.jobCut) || slices.ContainsFunc(r.SlotCut, func(c int) bool { return c >= 0 }) {
+			t.Errorf("%s: short %v, job cut %v, slot cut %v; want %v, %v and no slot", tc.name, r.Short, r.JobCut, r.SlotCut, tc.short, tc.jobCut)
+		}
+		if tc.same == nil {
+			continue
+		}
+		same, err := net.Shortfall(order, tc.same)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := sameRouting(same, r); err != nil || same.Work != r.Work {
+			t.Errorf("%s: deadlines %v route unlike %v (work %+v against %+v): %v", tc.name, tc.same, tc.dl, same.Work, r.Work, err)
+		}
 	}
 }
 
@@ -645,9 +704,9 @@ func cutSkyline(t testing.TB, sky *flow.Skyline, caps []int64, jobs []flow.Job) 
 }
 
 // sameCutRouting lays jobs over caps out as one network and routes it in
-// order with each job j < len(cut) open only to its arcs before slot
-// cut[j], and every later job to none. It holds that routing to the free
-// Shortfall on the cut instance — the first m slots and the first
+// order with each job j < len(cut) given the deadline cut[j], and every
+// later job its release, so it opens no arc. It holds that routing to the
+// free Shortfall on the cut instance — the first m slots and the first
 // len(cut) jobs, each window ending at cut[j], which must be the first
 // len(cut) entries of order — bit for bit but for the arcs scanned: the
 // later jobs route nothing, and no slot from m on is on a cut. It returns
@@ -655,27 +714,18 @@ func cutSkyline(t testing.TB, sky *flow.Skyline, caps []int64, jobs []flow.Job) 
 func sameCutRouting(t testing.TB, caps []int64, jobs []flow.Job, order []int, cut []int64, m int) (*flow.Network, *flow.Routing, []int64, []flow.Job) {
 	t.Helper()
 	cutCaps, cutJobs := caps[:m], slices.Clone(jobs[:len(cut)])
-	// pos[slot] counts the positive-capacity slots before slot: the ones a
-	// job's arcs lead to, ascending.
-	pos := make([]int, len(caps)+1)
-	for slot, c := range caps {
-		pos[slot+1] = pos[slot]
-		if c > 0 {
-			pos[slot+1]++
-		}
-	}
-	open := make([]int, len(jobs))
-	for j := range cutJobs {
-		cutJobs[j].Dl = cut[j]
-		if jobs[j].Demand > 0 { // a job without demand has no arc
-			open[j] = pos[cut[j]] - pos[cutJobs[j].Rel]
+	dl := make([]int64, len(jobs))
+	for j, job := range jobs {
+		dl[j] = job.Rel
+		if j < len(cut) {
+			dl[j], cutJobs[j].Dl = cut[j], cut[j]
 		}
 	}
 	net, err := flow.NewNetwork(caps, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := net.Shortfall(order, open)
+	got, err := net.Shortfall(order, dl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -758,7 +808,7 @@ func edfOrder(n int, total int, dl func(j int) int64) []int {
 }
 
 // TestSlackRoutingIsTheFreeShortfall holds stage A on one network with
-// each job open only to a prefix of its arcs — the deadline slack's window
+// each job given a deadline inside its window — the deadline slack's window
 // set on the network of the true one — to the free Shortfall on the slack
 // instance (sameCutRouting), and stage B on that routing to the free
 // LexMinMax there (sameSkyline); and the same network, routed again in the
@@ -767,7 +817,8 @@ func edfOrder(n int, total int, dl func(j int) int64) []int {
 // less the slack, floored at one slot past the release; the slack's
 // horizon is the latest slack deadline; and one-slot reservation
 // pseudo-jobs follow the deadline jobs in slot order, those past the
-// slack's horizon open to no arc. The instances hold deadlines the floor
+// slack's horizon given their release as their deadline, so they open no
+// arc. The instances hold deadlines the floor
 // raised, such trailing reservations, and slots only closed arcs reach.
 func TestSlackRoutingIsTheFreeShortfall(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
@@ -851,10 +902,11 @@ func TestSlackRoutingIsTheFreeShortfall(t *testing.T) {
 // both stages: no panic, every error a declared one or a validation
 // message, stage B on the routing the free LexMinMax on the demand it
 // routed (sameSkyline), and every answer returned passes the exact
-// checker, its skyline's loads the interior check. It draws a prefix of
-// each job's window too, and holds the routing on the same network open
-// only to those prefixes, and stage B on it, to the free answers on the
-// cut windows (sameCutRouting).
+// checker, its skyline's loads the interior check. It draws a deadline
+// inside each job's window too, and holds the routing on the same network
+// given those deadlines, and stage B on it, to the free answers on the
+// windows cut there (sameCutRouting); and the same deadlines with one of
+// them moved outside its window must be refused, naming the job.
 func FuzzFlowSkyline(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), int64(4), int64(6))
 	f.Add(int64(7), uint8(12), uint8(30), int64(512), int64(4000))
@@ -909,13 +961,22 @@ func FuzzFlowSkyline(f *testing.F) {
 			t.Fatalf("top level %d/%d above 1 on demand that fits the hard caps", lv[0].Num, lv[0].Den)
 		}
 
-		// The same jobs on the same network, each open to a drawn prefix of
-		// its arcs: the free answers on the windows cut there.
+		// The same jobs on the same network, each given a drawn deadline in
+		// its window: the free answers on the windows cut there.
 		cut := make([]int64, len(jobs))
 		for j, job := range jobs {
 			cut[j] = job.Rel + 1 + rng.Int63n(job.Dl-job.Rel)
 		}
-		_, rc, cc, cj := sameCutRouting(t, caps, jobs, order, cut, m)
+		net, rc, cc, cj := sameCutRouting(t, caps, jobs, order, cut, m)
+		if len(jobs) > 0 {
+			j, dl := rng.Intn(len(jobs)), slices.Clone(cut)
+			if dl[j] = jobs[j].Rel - 1 - rng.Int63n(4); rng.Intn(2) == 0 {
+				dl[j] = jobs[j].Dl + 1 + rng.Int63n(4)
+			}
+			if _, err := net.Shortfall(order, dl); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("job %d ", j)) {
+				t.Fatalf("deadline %d outside job %d's window [%d, %d]: err = %v, want one naming the job", dl[j], j, jobs[j].Rel, jobs[j].Dl, err)
+			}
+		}
 		fits, sky, err = sameSkyline(t, cc, cj, rc, true)
 		if errors.Is(err, flow.ErrOverflow) {
 			return

@@ -120,6 +120,9 @@ type JobStatus struct {
 	Delivered Resources `json:"delivered"`
 	Total     Resources `json:"total"`
 	// DeadlineSec and CompletedSec are offsets from the RM epoch.
+	// DeadlineSec is the end of the job's decomposed window, not its
+	// workflow's deadline, and Missed is judged against it: a workflow can
+	// meet its deadline with jobs Missed.
 	DeadlineSec  int64 `json:"deadline_sec,omitempty"`
 	CompletedSec int64 `json:"completed_sec,omitempty"`
 	Missed       bool  `json:"missed,omitempty"`

@@ -47,9 +47,10 @@ var phaseSumBounds = [2]float64{0.90, 1.10}
 // through a stream of workflows and ad-hoc bursts until every workflow
 // has completed, one slot of 60 s at a time: the submissions due, a tick,
 // then every node's heartbeat (benchPath). It reports the jobs that
-// missed their deadline without failing on them: the stream overloads the
-// cluster (91,738 vcore-slots of deadline work, submitted over 20 slots,
-// on 1,024 vcores), so 1,232 of its 2,400 jobs miss.
+// missed their own deadline and the workflows that missed theirs without
+// failing on them: the stream overloads the cluster (91,738 vcore-slots
+// of deadline work, submitted over 20 slots, on 1,024 vcores), so 1,232
+// of its 2,400 jobs miss, and 166 of its 200 workflows.
 func BenchmarkPathAtScale(b *testing.B) {
 	recs := scaleWorkflows(b, pathWorkflows)
 	at := make([]int64, len(recs))
@@ -66,7 +67,8 @@ func BenchmarkPathAtScale(b *testing.B) {
 // 30 % of the vcores spare, so the run fails when any job misses its
 // deadline. At ρ = 1.2 the stream offers more than the cluster holds while
 // it lasts, and the run fails on no miss: wf_missed_unflagged counts the
-// workflows with a missed job that no replan listed as at risk.
+// workflows that missed their deadline and that no replan listed as at
+// risk.
 func BenchmarkPathAtLoad(b *testing.B) {
 	recs := scaleWorkflows(b, pathWorkflows)
 	for _, arm := range []struct {
@@ -114,7 +116,9 @@ func pathAtLoad(recs []trace.WorkflowRecord, tenths int64) []int64 {
 // whose store, recovered as a follower at the end, does not hold the live
 // state byte for byte, leases and in-flight volume included. It reports
 // the jobs that missed their deadline (each job's own, its decomposed
-// window's end), the workflows with such a job, and those of them that no
+// window's end: JobStatus.Missed), the workflows that missed theirs — whose
+// last job's work ran past the deadline the RM re-anchored at submission,
+// beyond the RM's one-slot confirm grace — and those of them that no
 // slot's Status().AtRisk ever listed, and returns the jobs missed per run.
 // Everything but the phase sum is a count, so the guards hold on any
 // machine.
@@ -131,9 +135,10 @@ func benchPath(b *testing.B, recs []trace.WorkflowRecord, at []int64) float64 {
 			c.register(fmt.Sprintf("n%03d", n), 16, 64*1024)
 		}
 		submitted, admitted, firstGrant := map[string]int64{}, map[string]int64{}, map[string]int64{}
-		wfOf := map[string]string{} // job ID → workflow ID
-		atRisk := map[string]bool{} // workflows some replan found short
-		next := 0                   // recs[:next] are submitted
+		due := map[string]time.Duration{} // workflow ID → its deadline as the RM re-anchored it
+		wfOf := map[string]string{}       // job ID → workflow ID
+		atRisk := map[string]bool{}       // workflows some replan found short
+		next := 0                         // recs[:next] are submitted
 		for s := int64(0); s < 5000; s++ {
 			for ; next < len(recs) && at[next] <= s; next++ {
 				rec := recs[next]
@@ -141,6 +146,7 @@ func benchPath(b *testing.B, recs []trace.WorkflowRecord, at []int64) float64 {
 					b.Fatalf("SubmitWorkflow(%s): %v", rec.ID, err)
 				}
 				submitted[rec.ID] = s
+				due[rec.ID] = time.Duration(c.rm.Slot())*time.Minute + time.Duration(rec.DeadlineSec-rec.SubmitSec)*time.Second
 			}
 			if s%pathBurstEvery == 0 && len(submitted) < len(recs) {
 				for a := range pathBurst {
@@ -212,6 +218,9 @@ func benchPath(b *testing.B, recs []trace.WorkflowRecord, at []int64) float64 {
 				}
 				if j.Missed {
 					missed++
+				}
+				// Its work ran in the slot before the one that confirmed it.
+				if time.Duration(j.CompletedSec)*time.Second-time.Minute > due[j.WorkflowID] {
 					late[j.WorkflowID] = true
 				}
 				done[j.WorkflowID] = max(done[j.WorkflowID], slot(j.CompletedSec))
