@@ -17,7 +17,8 @@
 # stay among its seeds, refused), the snapshot's restore (FuzzRestoreSnapshot,
 # with a version-6 seed that held a plan, refused),
 # the binary heartbeat and submission codecs
-# (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the status
+# (FuzzHeartbeatCodec, FuzzSubmitCodec), the flow planner, the deadline
+# decomposition (FuzzDecompose), the status
 # query, and the heartbeat, submission and replication request
 # bodies. `make loc` prints the non-test and the test Go
 # line counts the subtraction passes are measured by; `make check` ends with them.
@@ -117,7 +118,10 @@ verify:
 # state whose snapshot restores to the same bytes) from the checked-in seed corpora
 # (testdata/fuzz/) and in-code seeds, the flow planner target (both
 # stages' certificates pass the exact checker on adversarial capacities
-# and demands, overflow-sized ones included), the GET /v1/status query target (any
+# and demands, overflow-sized ones included), the deadline decomposition
+# target (on small DAGs and clusters up to the whole int64 range,
+# Decompose refuses or answers the windows oracle.CheckDecomposition
+# recomputes exactly in math/big), the GET /v1/status query target (any
 # cursor, archive or live, is a 400 or a consistent 200), the heartbeat
 # body target (any binary POST /v1/nodes/heartbeat body, on a server
 # holding an offer, is a 4xx or a 200 — for a body that re-encodes to
@@ -143,6 +147,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHeartbeatCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzSubmitCodec -fuzztime 10s -run '^$$' ./internal/rmproto/
 	$(GO) test -fuzz FuzzFlowSkyline -fuzztime 10s -run '^$$' ./internal/flow/
+	$(GO) test -fuzz FuzzDecompose -fuzztime 10s -run '^$$' ./internal/deadline/
 	$(GO) test -fuzz FuzzStatusQuery -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzHeartbeatBody -fuzztime 10s -run '^$$' ./internal/rmserver/
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 10s -run '^$$' ./internal/rmserver/

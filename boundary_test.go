@@ -286,6 +286,86 @@ var sorts = map[string]bool{
 	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
+// TestPlannerDecidesInIntegers holds internal/deadline, internal/graph,
+// internal/flow and internal/core to deciding in exact integers: no
+// non-test file of them has an expression or a declaration of a float
+// type — a float, or a slice, array, pointer, map or channel of one —
+// outside the seams below. A window, a route or a grant is then a function
+// of whole numbers alone, which no rounding, fused multiply-add or
+// summation order can move (the paper's Lemma 2 makes stage 2 integral on
+// whole-slot windows). It type-checks as TestPlannerRangesNoMapUnordered
+// does.
+func TestPlannerDecidesInIntegers(t *testing.T) {
+	conf := types.Config{Importer: importer.ForCompiler(token.NewFileSet(), "source", nil)}
+	for _, dir := range []string{"internal/deadline", "internal/graph", "internal/flow", "internal/core"} {
+		fset, files := parsePackage(t, dir, false)
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}}
+		if _, err := conf.Check(dir, fset, files, info); err != nil {
+			t.Fatalf("type-check %s: %v", dir, err)
+		}
+		held := map[string]bool{}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				name := funcName(decl)
+				seam := slices.Contains(floatSeams[dir], name)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					e, ok := n.(ast.Expr)
+					if !ok {
+						return true
+					}
+					typ := info.Types[e].Type
+					if id, ok := e.(*ast.Ident); ok && info.Defs[id] != nil {
+						typ = info.Defs[id].Type()
+					}
+					if !holdsFloat(typ) {
+						return true
+					}
+					if !seam {
+						t.Errorf("%s: %s is a %s outside the float seams %v", fset.Position(n.Pos()), types.ExprString(e), typ, floatSeams[dir])
+					}
+					held[name] = true
+					return false
+				})
+			}
+		}
+		for _, name := range floatSeams[dir] {
+			if !held[name] {
+				t.Errorf("%s: the float seam %s holds no float: take it off the list", dir, name)
+			}
+		}
+	}
+}
+
+// floatSeams are the declarations, by package, that
+// TestPlannerDecidesInIntegers lets hold a float: the skyline's load θ·C_t
+// as a float and the integral repair that rounds it to its budgets, until
+// those budgets come from the levels' exact Num/Den:
+//   - Skyline declares the load;
+//   - (*Routing).LexMinMax, (*lexState).solve and (*lexState).settle make
+//     it;
+//   - (*kindProblem).repair rounds it.
+//
+// A seam that holds no float fails the test too, so the list only shrinks.
+var floatSeams = map[string][]string{
+	"internal/flow": {"Skyline", "(*Routing).LexMinMax", "(*lexState).solve", "(*lexState).settle"},
+	"internal/core": {"(*kindProblem).repair"},
+}
+
+// holdsFloat reports whether t is a float or complex type, or a slice,
+// array, pointer, map or channel of one.
+func holdsFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Info()&(types.IsFloat|types.IsComplex) != 0
+	case interface{ Elem() types.Type }:
+		return holdsFloat(u.Elem())
+	}
+	return false
+}
+
 // TestOnlyApplyMakesState holds internal/rmstate to one way of making what
 // it holds: no file of it, its tests included, writes a Job, Workflow or
 // Lease composite literal outside applyWorkflow, applyAdHoc and applyTick,
@@ -357,14 +437,17 @@ func importName(f *ast.File, path string) string {
 }
 
 // funcName names the function decl declares: "Name", "Recv.Name" or
-// "(*Recv).Name"; for a declaration of one variable, its name; "" for any
-// other declaration.
+// "(*Recv).Name"; for a declaration of one variable or one type, its name;
+// "" for any other declaration.
 func funcName(decl ast.Decl) string {
 	fn, ok := decl.(*ast.FuncDecl)
 	if !ok {
 		if g, ok := decl.(*ast.GenDecl); ok && len(g.Specs) == 1 {
 			if v, ok := g.Specs[0].(*ast.ValueSpec); ok && len(v.Names) == 1 {
 				return v.Names[0].Name
+			}
+			if ts, ok := g.Specs[0].(*ast.TypeSpec); ok {
+				return ts.Name.Name
 			}
 		}
 		return ""

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"flowtime/internal/flow"
 	"flowtime/internal/plan"
 	"flowtime/internal/resource"
 	"flowtime/internal/sched"
@@ -258,7 +259,7 @@ func TestFillMatchesReference(t *testing.T) {
 				remaining[pj] -= p.route.Short[i]
 			}
 			refRepair(p.kind, fp.order, remaining, want, p.caps, load, kept)
-			p.repair(load, kept)
+			p.repair(&flow.Skyline{Load: load}, kept)
 			sameFill(t, what, fp, p, want, remaining)
 
 			// Fills at random slots, repeated ones among them, and

@@ -1013,7 +1013,7 @@ func (p *kindProblem) finish(fault func(resource.Kind) error) {
 	}
 	// Any demand still left after the repair could not fit in windows at
 	// all; it is served by the overdue path at run time.
-	p.timeRepair = timed(func() { p.repair(sky.Load, kept) })
+	p.timeRepair = timed(func() { p.repair(sky, kept) })
 }
 
 // record folds the kinds' outcomes into the stats, in kind order, and
@@ -1056,7 +1056,7 @@ func (f *FlowTime) record(probs []*kindProblem) (level sched.DegradeLevel, reaso
 // cumulative rounding of its deadline share under what the surviving
 // reservations keep, EDF water-fill of the demand stage A routed within
 // the budgets, then a sweep up to the hard cap.
-func (p *kindProblem) repair(load []float64, kept []int64) {
+func (p *kindProblem) repair(sky *flow.Skyline, kept []int64) {
 	p.reset()
 	for i := range p.left {
 		p.left[i] -= p.route.Short[i]
@@ -1067,7 +1067,7 @@ func (p *kindProblem) repair(load []float64, kept []int64) {
 	cum := 0.0
 	budgetUsed := int64(0)
 	for t := range p.caps {
-		cum += load[t] - float64(kept[t])
+		cum += sky.Load[t] - float64(kept[t])
 		budget := min(int64(cum+0.5)-budgetUsed, p.caps[t]-kept[t])
 		placed[t] = p.fill(int64(t), budget)
 		budgetUsed += placed[t]

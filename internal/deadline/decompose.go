@@ -12,11 +12,19 @@
 //   - CriticalPath (Yu et al. 2005, the prior approach and the paper's
 //     fallback when slack is negative): distribute the whole window along
 //     the critical path proportionally to per-job minimum runtimes.
+//
+// Both decide in exact integers: the demand weights are whole multiples of
+// 1/L, L the lcm of the cluster's positive capacities, the slack's split
+// and the critical path's windows are integer floors of 128-bit products,
+// and a figure that does not fit 64 bits is an error naming the workflow,
+// never a wrap. No float decides a window, so no ulp can move one.
 package deadline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"flowtime/internal/resource"
@@ -87,7 +95,9 @@ type Options struct {
 //     the critical-path strategy (footnote 1 of the paper).
 //  4. Distribute slack across sets proportionally to each set's total
 //     normalized resource demand (volume / cluster capacity, summed over
-//     resource kinds and jobs in the set).
+//     resource kinds and jobs in the set), weighed exactly in units of 1/L,
+//     L the lcm of the positive capacities: set k's weight is the integer
+//     Σ vol·(L/C), and apportion splits the slack by largest remainder.
 //  5. Set k's window is [end_{k-1}, end_{k-1} + minrt_k + extra_k); every
 //     job in the set shares that window.
 //
@@ -145,22 +155,36 @@ func Decompose(w *workflow.Workflow, opts Options) (*Result, error) {
 		return criticalPathDecompose(w, opts, minrt, totalSlots)
 	}
 
-	// Normalized demand per set: sum over jobs of volume/capacity over all
-	// resource kinds (paper: "resource demands are calculated according to
+	// Normalized demand per set: Σ vol/C over its jobs and the kinds the
+	// cluster has (paper: "resource demands are calculated according to
 	// the number of tasks, the task running time and the resource
-	// requirement of each task").
-	demand := make([]float64, len(sets))
-	var sumDemand float64
+	// requirement of each task"), in units of 1/L, L the lcm of the
+	// positive capacities, so every weight is a whole number.
+	lcm, wide := uint64(1), uint64(0) // wide is non-zero once a figure passes 64 bits
+	for _, c := range opts.ClusterCap {
+		if c > 0 {
+			var hi uint64
+			hi, lcm = bits.Mul64(lcm/gcd(lcm, uint64(c)), uint64(c))
+			wide |= hi
+		}
+	}
+	demand := make([]uint64, len(sets))
+	var sumDemand, carry uint64
 	for k, set := range sets {
 		for _, i := range set {
-			vol := w.Job(i).Volume(opts.Slot)
-			for _, kind := range resource.Kinds() {
-				if c := opts.ClusterCap.Get(kind); c > 0 {
-					demand[k] += float64(vol.Get(kind)) / float64(c)
+			for kind, v := range w.Job(i).Volume(opts.Slot) {
+				if c := opts.ClusterCap[kind]; c > 0 {
+					hi, lo := bits.Mul64(uint64(v), lcm/uint64(c))
+					demand[k], carry = bits.Add64(demand[k], lo, 0)
+					wide |= hi | carry | uint64(v)>>63 // a negative volume wrapped
 				}
 			}
 		}
-		sumDemand += demand[k]
+		sumDemand, carry = bits.Add64(sumDemand, demand[k], 0)
+		wide |= carry
+	}
+	if wide != 0 || sumDemand == 0 { // every job demands a kind the cluster has: zero is a volume that wrapped
+		return nil, fmt.Errorf("deadline: workflow %s: demand weights do not fit 64 bits", w.ID)
 	}
 
 	extra := apportion(slack, demand, sumDemand)
@@ -180,88 +204,65 @@ func Decompose(w *workflow.Workflow, opts Options) (*Result, error) {
 	return &Result{Windows: windows, Method: ResourceDemand, Sets: sets}, nil
 }
 
-// apportion splits total into integer shares proportional to weights using
-// the largest-remainder method, so the shares sum exactly to total. Zero or
-// negative total yields all-zero shares; an all-zero weight vector splits
-// evenly.
-func apportion(total int64, weights []float64, sum float64) []int64 {
+// apportion splits total into integer shares proportional to weights by
+// the largest-remainder method, exactly: share k is ⌊total·w_k/sum⌋, and
+// the total − Σ⌊·⌋ < len(weights) units left go one each to the largest
+// remainders total·w_k mod sum (they share the denominator sum), ties to
+// the lower index. The shares sum exactly to total, which is not negative;
+// sum is Σ weights and positive.
+func apportion(total int64, weights []uint64, sum uint64) []int64 {
 	shares := make([]int64, len(weights))
-	if total <= 0 || len(weights) == 0 {
-		return shares
-	}
-	if sum <= 0 {
-		// Even split.
-		base := total / int64(len(weights))
-		rem := total - base*int64(len(weights))
-		for k := range shares {
-			shares[k] = base
-			if int64(k) < rem {
-				shares[k]++
-			}
-		}
-		return shares
-	}
-	type frac struct {
-		k int
-		f float64
-	}
-	fracs := make([]frac, len(weights))
-	var used int64
+	rem := make([]uint64, len(weights))
+	order := make([]int, len(weights))
+	left := total
 	for k, wt := range weights {
-		exact := float64(total) * wt / sum
-		fl := int64(exact)
-		shares[k] = fl
-		used += fl
-		fracs[k] = frac{k: k, f: exact - float64(fl)}
+		// wt ≤ sum, so the quotient fits and Div64 cannot panic.
+		hi, lo := bits.Mul64(uint64(total), wt)
+		q, r := bits.Div64(hi, lo, sum)
+		shares[k], rem[k], order[k] = int64(q), r, k
+		left -= int64(q)
 	}
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].f != fracs[b].f {
-			return fracs[a].f > fracs[b].f
-		}
-		return fracs[a].k < fracs[b].k // deterministic tie-break
-	})
-	for i := int64(0); i < total-used; i++ {
-		shares[fracs[i%int64(len(fracs))].k]++
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rem[b], rem[a]) })
+	for _, k := range order[:left] {
+		shares[k]++
 	}
 	return shares
 }
 
 // criticalPathDecompose implements the traditional decomposition (Yu et
-// al.): each job's window fraction follows its longest-path prefix through
-// the DAG, weighted by minimum runtimes. Used when the workflow's deadline
-// is tighter than the sum of set runtimes, and by the ablation experiments.
+// al.): each job's window follows its longest-path prefix through the DAG,
+// weighted by minimum runtimes, as [⌊(head−minrt)·H/cp⌋, ⌊head·H/cp⌋) of
+// the H slots, cp the critical path. Used when the workflow's deadline is
+// tighter than the sum of set runtimes, and by the ablation experiments.
 func criticalPathDecompose(w *workflow.Workflow, opts Options, minrt []int64, totalSlots int64) (*Result, error) {
-	weights := make([]float64, w.NumJobs())
-	for i, mr := range minrt {
-		weights[i] = float64(mr)
-	}
-	head, _, cpLen, err := w.DAG().LongestPath(weights)
+	head, cp, err := w.DAG().LongestPath(minrt)
 	if err != nil {
 		return nil, fmt.Errorf("deadline: workflow %s: %w", w.ID, err)
 	}
-	if cpLen <= 0 {
-		return nil, fmt.Errorf("deadline: workflow %s has zero-length critical path", w.ID)
+	// head ≤ cp, so each quotient is at most H and fits: Div64 cannot
+	// panic. minrt ≥ 1, so a release is below H and the clamp that widens
+	// an empty window never passes H.
+	slotAt := func(x int64) int64 {
+		hi, lo := bits.Mul64(uint64(x), uint64(totalSlots))
+		q, _ := bits.Div64(hi, lo, uint64(cp))
+		return int64(q)
 	}
-
 	windows := make([]Window, w.NumJobs())
-	for i := 0; i < w.NumJobs(); i++ {
-		relFrac := (head[i] - weights[i]) / cpLen
-		dlFrac := head[i] / cpLen
-		relSlot := int64(relFrac * float64(totalSlots))
-		dlSlot := int64(dlFrac * float64(totalSlots))
-		if dlSlot <= relSlot {
-			dlSlot = relSlot + 1
-		}
-		if dlSlot > totalSlots {
-			dlSlot = totalSlots
-			if relSlot >= dlSlot {
-				relSlot = dlSlot - 1
-			}
-		}
+	for i := range windows {
+		relSlot := slotAt(head[i] - minrt[i])
+		dlSlot := max(slotAt(head[i]), relSlot+1)
 		windows[i] = Window{
 			Release:  w.Submit + time.Duration(relSlot)*opts.Slot,
 			Deadline: w.Submit + time.Duration(dlSlot)*opts.Slot,
 		}
 	}
 	return &Result{Windows: windows, Method: CriticalPath}, nil
+}
+
+// gcd is the greatest common divisor of a and b.
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

@@ -1,7 +1,9 @@
 package deadline
 
 import (
+	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,7 +153,9 @@ func TestDecomposeFallsBackWhenSlackNegative(t *testing.T) {
 // window shorter than one slot, a job needing a resource kind the cluster
 // has none of — the forced critical path refuses with the same error. Over
 // random DAGs, deadlines and clusters, both a refusal and a fallback must
-// occur.
+// occur. Demand weights past 64 bits are the one refusal the critical
+// path, which weighs no demand, does not share; the RM admits such a
+// workflow best-effort all the same (TestDecomposeRefusesPast64Bits).
 func TestForcedCriticalPathErrsWhenDecomposeErrs(t *testing.T) {
 	var refused, fellBack int
 	for seed := int64(0); seed < 5000; seed++ {
@@ -252,52 +256,54 @@ func TestApportion(t *testing.T) {
 	tests := []struct {
 		name    string
 		total   int64
-		weights []float64
+		weights []uint64
 		want    []int64
 	}{
-		{"proportional", 10, []float64{1, 4}, []int64{2, 8}},
-		{"rounding", 10, []float64{1, 1, 1}, []int64{4, 3, 3}},
-		{"zero total", 0, []float64{1, 2}, []int64{0, 0}},
-		{"zero weights even split", 7, []float64{0, 0, 0}, []int64{3, 2, 2}},
-		{"empty", 5, nil, nil},
+		{"proportional", 10, []uint64{1, 4}, []int64{2, 8}},
+		{"rounding", 10, []uint64{1, 1, 1}, []int64{4, 3, 3}}, // ties go to the lower index
+		{"largest remainder first", 10, []uint64{1, 2}, []int64{3, 7}},
+		{"zero total", 0, []uint64{1, 2}, []int64{0, 0}},
+		// As float64 both weights are 2⁶², a tie the first would take.
+		{"past float precision", 1, []uint64{1<<62 - 1, 1<<62 + 1}, []int64{0, 1}},
+		{"empty", 0, nil, []int64{}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := apportion(tt.total, tt.weights, sum(tt.weights))
-			if len(got) != len(tt.want) {
+			if got := apportion(tt.total, tt.weights, sum(tt.weights)); !slices.Equal(got, tt.want) {
 				t.Fatalf("apportion = %v, want %v", got, tt.want)
-			}
-			for i := range got {
-				if got[i] != tt.want[i] {
-					t.Fatalf("apportion = %v, want %v", got, tt.want)
-				}
 			}
 		})
 	}
 }
 
-func sum(xs []float64) float64 {
-	s := 0.0
+func sum(xs []uint64) uint64 {
+	var s uint64
 	for _, x := range xs {
 		s += x
 	}
 	return s
 }
 
+// TestApportionConservesTotal draws weights across the whole 64-bit range
+// and holds every share to ⌊total·w_k/Σw⌋ or one more, computed in
+// math/big, with the shares summing to total.
 func TestApportionConservesTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(8)
-		weights := make([]float64, n)
+		weights := make([]uint64, n)
 		for i := range weights {
-			weights[i] = rng.Float64() * 10
+			weights[i] = rng.Uint64() >> (3 + rng.Intn(61)) // Σw fits: each is below 2⁶¹
 		}
-		total := int64(rng.Intn(1000))
+		weights[0] |= 1 // Σw > 0
+		total := rng.Int63n(1 << uint(rng.Intn(63)))
 		got := apportion(total, weights, sum(weights))
 		var s int64
-		for _, g := range got {
-			if g < 0 {
-				t.Fatalf("negative share in %v", got)
+		for k, g := range got {
+			floor := new(big.Int).Mul(big.NewInt(total), new(big.Int).SetUint64(weights[k]))
+			floor.Quo(floor, new(big.Int).SetUint64(sum(weights)))
+			if d := g - floor.Int64(); d != 0 && d != 1 {
+				t.Fatalf("share %d of %v is %d, its floor %v", k, got, g, floor)
 			}
 			s += g
 		}

@@ -1,7 +1,6 @@
 // Package graph provides the directed-acyclic-graph machinery FlowTime's
 // deadline decomposition builds on: Kahn's topological sort with antichain
-// (level-set) grouping (paper §IV-A), longest/critical paths, and cycle
-// detection.
+// (level-set) grouping (paper §IV-A), longest paths, and cycle detection.
 //
 // Nodes are dense integer IDs 0..N-1 assigned by the caller, which keeps
 // the structure allocation-friendly for the decomposition hot path measured
@@ -11,6 +10,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrCycle is returned when an operation requires acyclicity and the graph
@@ -136,54 +136,35 @@ func (g *DAG) AntichainSets() ([][]int, error) {
 }
 
 // LongestPath computes, for each node, the maximum total weight of any path
-// ending at that node (inclusive of the node's own weight), plus the
-// overall critical-path weight and one critical path itself. Weights must
-// be non-negative.
-func (g *DAG) LongestPath(weight []float64) (dist []float64, critical []int, total float64, err error) {
+// ending at that node (inclusive of the node's own weight), and the overall
+// critical-path weight. Weights must be non-negative; a path weight that does
+// not fit an int64 is an error, never a wrap.
+func (g *DAG) LongestPath(weight []int64) (dist []int64, total int64, err error) {
 	if len(weight) != g.n {
-		return nil, nil, 0, fmt.Errorf("graph: weight length %d != %d nodes", len(weight), g.n)
+		return nil, 0, fmt.Errorf("graph: weight length %d != %d nodes", len(weight), g.n)
 	}
 	for v, w := range weight {
 		if w < 0 {
-			return nil, nil, 0, fmt.Errorf("graph: negative weight %g on node %d", w, v)
+			return nil, 0, fmt.Errorf("graph: negative weight %d on node %d", w, v)
 		}
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	dist = make([]float64, g.n)
-	parent := make([]int, g.n)
-	for v := range parent {
-		parent[v] = -1
-	}
+	dist = make([]int64, g.n)
 	for _, v := range order {
-		best := 0.0
-		bp := -1
+		var best int64
 		for _, p := range g.pred[v] {
-			if dist[p] > best {
-				best, bp = dist[p], p
-			}
+			best = max(best, dist[p])
+		}
+		if best > math.MaxInt64-weight[v] {
+			return nil, 0, fmt.Errorf("graph: the longest path to node %d overflows int64", v)
 		}
 		dist[v] = best + weight[v]
-		parent[v] = bp
+		total = max(total, dist[v])
 	}
-	end := -1
-	for v := 0; v < g.n; v++ {
-		if dist[v] > total {
-			total, end = dist[v], v
-		}
-	}
-	if end >= 0 {
-		for v := end; v >= 0; v = parent[v] {
-			critical = append(critical, v)
-		}
-		// Reverse in place: the walk above runs sink-to-source.
-		for i, j := 0, len(critical)-1; i < j; i, j = i+1, j-1 {
-			critical[i], critical[j] = critical[j], critical[i]
-		}
-	}
-	return dist, critical, total, nil
+	return dist, total, nil
 }
 
 // HasCycle reports whether the graph contains a directed cycle.

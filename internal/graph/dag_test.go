@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -180,54 +181,49 @@ func TestLongestPath(t *testing.T) {
 	// 0 -> 1 -> 3 with total 7.
 	g := NewDAG(4)
 	mustEdges(t, g, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	dist, critical, total, err := g.LongestPath([]float64{1, 5, 2, 1})
+	dist, total, err := g.LongestPath([]int64{1, 5, 2, 1})
 	if err != nil {
 		t.Fatalf("LongestPath: %v", err)
 	}
 	if total != 7 {
-		t.Errorf("total = %g, want 7", total)
+		t.Errorf("total = %d, want 7", total)
 	}
-	wantDist := []float64{1, 6, 3, 7}
-	for v, d := range dist {
-		if d != wantDist[v] {
-			t.Errorf("dist[%d] = %g, want %g", v, d, wantDist[v])
-		}
-	}
-	wantPath := []int{0, 1, 3}
-	if len(critical) != len(wantPath) {
-		t.Fatalf("critical = %v, want %v", critical, wantPath)
-	}
-	for i := range wantPath {
-		if critical[i] != wantPath[i] {
-			t.Fatalf("critical = %v, want %v", critical, wantPath)
-		}
+	if want := []int64{1, 6, 3, 7}; !slices.Equal(dist, want) {
+		t.Errorf("dist = %v, want %v", dist, want)
 	}
 }
 
 func TestLongestPathValidation(t *testing.T) {
 	g := NewDAG(2)
-	if _, _, _, err := g.LongestPath([]float64{1}); err == nil {
+	if _, _, err := g.LongestPath([]int64{1}); err == nil {
 		t.Error("wrong weight length accepted")
 	}
-	if _, _, _, err := g.LongestPath([]float64{1, -1}); err == nil {
+	if _, _, err := g.LongestPath([]int64{1, -1}); err == nil {
 		t.Error("negative weight accepted")
+	}
+	mustEdges(t, g, [][2]int{{0, 1}})
+	if _, _, err := g.LongestPath([]int64{math.MaxInt64, 1}); err == nil {
+		t.Error("path weight past int64 accepted")
+	}
+	if _, total, err := g.LongestPath([]int64{math.MaxInt64 - 1, 1}); err != nil || total != math.MaxInt64 {
+		t.Errorf("path weight of exactly MaxInt64: total %d, %v", total, err)
 	}
 }
 
 // tailLength is, for each node, the maximum total weight of any path
 // starting at that node (inclusive): LongestPath's distances seen from the
 // sinks, computed independently as the reference for the property below.
-func tailLength(t *testing.T, g *DAG, weight []float64) []float64 {
+func tailLength(t *testing.T, g *DAG, weight []int64) []int64 {
 	t.Helper()
 	order, err := g.TopoOrder()
 	if err != nil {
 		t.Fatalf("TopoOrder: %v", err)
 	}
-	tail := make([]float64, g.NumNodes())
+	tail := make([]int64, g.NumNodes())
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		for _, s := range g.Successors(v) {
-			tail[v] = math.Max(tail[v], tail[s])
+			tail[v] = max(tail[v], tail[s])
 		}
 		tail[v] += weight[v]
 	}
@@ -235,15 +231,16 @@ func tailLength(t *testing.T, g *DAG, weight []float64) []float64 {
 }
 
 func TestHeadPlusTailConsistency(t *testing.T) {
-	// Property: for every node, dist[v] + tail[v] - weight[v] <= total, with
-	// equality exactly on critical nodes.
+	// Property: for every node, the longest path through it,
+	// dist[v] + tail[v] - weight[v], is at most total, and on some node it
+	// is exactly total.
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(15)
 		g := NewDAG(n)
-		w := make([]float64, n)
+		w := make([]int64, n)
 		for v := range w {
-			w[v] = float64(1 + rng.Intn(9))
+			w[v] = int64(1 + rng.Intn(9))
 		}
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
@@ -252,22 +249,21 @@ func TestHeadPlusTailConsistency(t *testing.T) {
 				}
 			}
 		}
-		dist, critical, total, err := g.LongestPath(w)
+		dist, total, err := g.LongestPath(w)
 		if err != nil {
 			t.Fatalf("LongestPath: %v", err)
 		}
 		tail := tailLength(t, g, w)
+		var longest int64
 		for v := 0; v < n; v++ {
 			through := dist[v] + tail[v] - w[v]
-			if through > total+1e-9 {
-				t.Fatalf("trial %d: node %d path %g exceeds critical %g", trial, v, through, total)
+			if through > total {
+				t.Fatalf("trial %d: node %d path %d exceeds critical %d", trial, v, through, total)
 			}
+			longest = max(longest, through)
 		}
-		for _, v := range critical {
-			through := dist[v] + tail[v] - w[v]
-			if math.Abs(through-total) > 1e-9 {
-				t.Fatalf("trial %d: critical node %d path %g != total %g", trial, v, through, total)
-			}
+		if longest != total {
+			t.Fatalf("trial %d: longest path through any node %d, critical %d", trial, longest, total)
 		}
 	}
 }

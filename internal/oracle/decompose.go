@@ -2,30 +2,36 @@ package oracle
 
 import (
 	"fmt"
+	"math/big"
+	"slices"
 	"time"
 
 	"flowtime/internal/deadline"
+	"flowtime/internal/resource"
 	"flowtime/internal/workflow"
 )
 
 // CheckDecomposition asserts the paper's Stage-1 invariants on a
 // Decompose result, recomputing every quantity (antichain sets, minimum
-// runtimes, slack) from the workflow itself rather than trusting the
-// decomposer's intermediates:
+// runtimes, slack, demands) from the workflow itself rather than trusting
+// the decomposer's intermediates:
 //
 //   - every window nests inside the slot-aligned workflow window
 //     [ws, ws + totalSlots·slot] and is aligned to whole slots;
 //   - the method matches the paper's rule: resource-demand when the
 //     recomputed slack is non-negative, critical-path fallback otherwise
 //     (or when forced);
-//   - resource-demand results exactly partition the workflow window into
-//     per-set windows in topological order, give every set at least its
-//     minimum runtime, distribute exactly the total slack, and report
-//     Sets that partition the jobs into true antichains;
 //   - precedence is preserved: strictly (pred deadline ≤ succ release)
 //     for resource-demand; weakly (release and deadline monotone along
 //     edges) for the critical-path fallback, whose slot rounding under
-//     very tight windows can legally overlap adjacent windows.
+//     very tight windows can legally overlap adjacent windows;
+//   - every window is the exact one, recomputed in math/big without the
+//     decomposer's lcm scaling (demandWindows, criticalPathWindows), and
+//     resource-demand results report the recomputed antichain sets. Each
+//     set then shares one window, the sets' windows partition the workflow
+//     window in topological order, every set gets at least its minimum
+//     runtime and the slack is distributed exactly; with strict precedence
+//     along every edge, no set holds a job that reaches another.
 func CheckDecomposition(w *workflow.Workflow, opts deadline.Options, res *deadline.Result) error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("oracle: %w", err)
@@ -100,76 +106,87 @@ func CheckDecomposition(w *workflow.Workflow, opts deadline.Options, res *deadli
 		}
 	}
 
-	if res.Method != deadline.ResourceDemand {
-		return nil
+	var want [][2]int64
+	if res.Method == deadline.ResourceDemand {
+		if !slices.EqualFunc(res.Sets, sets, slices.Equal[[]int]) {
+			return fmt.Errorf("oracle: sets %v reported, %v recomputed", res.Sets, sets)
+		}
+		want = demandWindows(w, opts, sets, setMinrt, slack)
+	} else if want, err = criticalPathWindows(w, minrt, totalSlots); err != nil {
+		return err
 	}
-
-	// Resource-demand specifics: Sets must match the recomputed antichain
-	// sets, every set shares one window, the per-set windows exactly
-	// partition the workflow window, and the widths account for every
-	// slot of slack.
-	if len(res.Sets) != len(sets) {
-		return fmt.Errorf("oracle: %d sets reported, %d recomputed", len(res.Sets), len(sets))
-	}
-	seen := make([]bool, n)
-	cursor := w.Submit
-	var distributed int64
-	for k, set := range res.Sets {
-		if len(set) == 0 {
-			return fmt.Errorf("oracle: set %d empty", k)
+	for i, win := range res.Windows {
+		if got := [2]int64{int64((win.Release - w.Submit) / opts.Slot), int64((win.Deadline - w.Submit) / opts.Slot)}; got != want[i] {
+			return fmt.Errorf("oracle: job %d window at slots %v, the exact %v split gives %v", i, got, res.Method, want[i])
 		}
-		win := res.Windows[set[0]]
-		for _, i := range set {
-			if i < 0 || i >= n || seen[i] {
-				return fmt.Errorf("oracle: set %d holds invalid or duplicate job %d", k, i)
-			}
-			seen[i] = true
-			if res.Windows[i] != win {
-				return fmt.Errorf("oracle: set %d jobs disagree on window: %v vs %v", k, res.Windows[i], win)
-			}
-		}
-		if win.Release != cursor {
-			return fmt.Errorf("oracle: set %d starts at %v, previous set ended at %v", k, win.Release, cursor)
-		}
-		widthSlots := int64((win.Deadline - win.Release) / opts.Slot)
-		if widthSlots < setMinrt[k] {
-			return fmt.Errorf("oracle: set %d width %d slots below minimum runtime %d", k, widthSlots, setMinrt[k])
-		}
-		distributed += widthSlots - setMinrt[k]
-		cursor = win.Deadline
-
-		// Antichain: no member may reach another through the DAG.
-		inSet := make(map[int]bool, len(set))
-		for _, i := range set {
-			inSet[i] = true
-		}
-		for _, i := range set {
-			stack := append([]int(nil), w.DAG().Successors(i)...)
-			visited := make(map[int]bool)
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if visited[v] {
-					continue
-				}
-				visited[v] = true
-				if inSet[v] {
-					return fmt.Errorf("oracle: set %d not an antichain: %d reaches %d", k, i, v)
-				}
-				stack = append(stack, w.DAG().Successors(v)...)
-			}
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			return fmt.Errorf("oracle: job %d missing from sets", i)
-		}
-	}
-	if cursor != horizon {
-		return fmt.Errorf("oracle: sets end at %v, workflow window ends at %v", cursor, horizon)
-	}
-	if distributed != slack {
-		return fmt.Errorf("oracle: distributed slack %d, total slack %d", distributed, slack)
 	}
 	return nil
+}
+
+// demandWindows are the resource-demand windows, in slots from the
+// submission. With set k's demand d_k = Σ vol/C over its jobs and the kinds
+// the cluster has, in big.Rat, and D = Σ d_k, set k takes its minimum
+// runtime and ⌊slack·d_k/D⌋ slots more, and the slack − Σ⌊·⌋ sets of the
+// largest remainders, the lowest index first among equals, one more.
+func demandWindows(w *workflow.Workflow, opts deadline.Options, sets [][]int, setMinrt []int64, slack int64) [][2]int64 {
+	rem := make([]*big.Rat, len(sets))
+	total := new(big.Rat)
+	for k, set := range sets {
+		rem[k] = new(big.Rat)
+		for _, i := range set {
+			vol := w.Job(i).Volume(opts.Slot)
+			for _, kind := range resource.Kinds() {
+				if c := opts.ClusterCap.Get(kind); c > 0 {
+					rem[k].Add(rem[k], big.NewRat(vol.Get(kind), c))
+				}
+			}
+		}
+		total.Add(total, rem[k])
+	}
+	extra := make([]int64, len(sets))
+	order := make([]int, len(sets))
+	left := slack
+	for k, r := range rem {
+		r.Mul(r, big.NewRat(slack, 1)).Quo(r, total)
+		extra[k] = new(big.Int).Quo(r.Num(), r.Denom()).Int64()
+		r.Sub(r, big.NewRat(extra[k], 1))
+		order[k] = k
+		left -= extra[k]
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return rem[b].Cmp(rem[a]) })
+	for _, k := range order[:left] {
+		extra[k]++
+	}
+	want := make([][2]int64, w.NumJobs())
+	var start int64
+	for k, set := range sets {
+		end := start + setMinrt[k] + extra[k]
+		for _, i := range set {
+			want[i] = [2]int64{start, end}
+		}
+		start = end
+	}
+	return want
+}
+
+// criticalPathWindows are the fallback's windows, in slots from the
+// submission: with head the longest minimum-runtime path to a job, its own
+// included, cp the longest of them and H the workflow's whole slots, a
+// job's window is [⌊(head−minrt)·H/cp⌋, ⌊head·H/cp⌋), in math/big, widened
+// to one slot when empty.
+func criticalPathWindows(w *workflow.Workflow, minrt []int64, totalSlots int64) ([][2]int64, error) {
+	head, cp, err := w.DAG().LongestPath(minrt)
+	if err != nil {
+		return nil, fmt.Errorf("oracle: %w", err)
+	}
+	at := func(x int64) int64 {
+		p := new(big.Int).Mul(big.NewInt(x), big.NewInt(totalSlots))
+		return p.Quo(p, big.NewInt(cp)).Int64()
+	}
+	want := make([][2]int64, len(minrt))
+	for i := range want {
+		rel := at(head[i] - minrt[i])
+		want[i] = [2]int64{rel, max(at(head[i]), rel+1)}
+	}
+	return want, nil
 }

@@ -148,15 +148,15 @@ func GenerateWorkflow(rng *rand.Rand, spec WorkflowSpec) (*workflow.Workflow, er
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", spec.ID, err)
 	}
-	weights := make([]float64, w.NumJobs())
+	weights := make([]int64, w.NumJobs())
 	for i := 0; i < w.NumJobs(); i++ {
-		weights[i] = w.Job(i).TaskDuration.Seconds()
+		weights[i] = int64(w.Job(i).TaskDuration)
 	}
-	_, _, cp, err := w.DAG().LongestPath(weights)
+	_, cp, err := w.DAG().LongestPath(weights)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", spec.ID, err)
 	}
-	w.Deadline = spec.Submit + time.Duration(spec.DeadlineFactor*cp*float64(time.Second))
+	w.Deadline = spec.Submit + time.Duration(spec.DeadlineFactor*time.Duration(cp).Seconds()*float64(time.Second))
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: %s: %w", spec.ID, err)
 	}
